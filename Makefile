@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build crossbuild fmt vet test race race-stress bench bench-json bench-json-smoke fuzz-smoke wal-verify cluster-smoke conn-smoke delegation-smoke ci
+.PHONY: all build crossbuild fmt vet test race race-stress bench bench-stack bench-json bench-json-smoke fuzz-smoke wal-verify cluster-smoke conn-smoke delegation-smoke ci
 
 all: ci
 
@@ -29,19 +29,30 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-stress hammers the WAL group-commit queue and the sharded durable
-# hot path under the race detector, repeated so the leader/follower
-# handoff, the background flusher and the truncate-vs-append windows get
-# re-dealt across runs.
+# race-stress hammers the WAL group-commit queue, the sharded durable
+# hot path and the cluster's shipper under the race detector, repeated
+# so the leader/follower handoff, the background flusher, the
+# truncate-vs-append windows and the append-observer/drain/re-seed lock
+# order get re-dealt across runs.
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery' ./internal/cloud/
+	$(GO) test -race -count=3 -run='TestShipper|TestNode' ./internal/cluster/
 
 # bench compiles and smoke-runs every benchmark (100 iterations, no unit
 # tests) so perf regressions in the hot path are caught by CI, not just
 # by hand-run comparisons.
 bench:
 	$(GO) test -bench=. -benchtime=100x -run='^$$' ./...
+
+# bench-stack runs the composed-stack benchmark BENCHMARK.json declares
+# (bench/README.md): a timed run of each of the four workloads through
+# socket -> binapi -> router -> ack-after-replicate node -> durable
+# stores, with the correctness gate. `go run ./bench -all -trace 1` is
+# the per-layer run; `go run ./bench compare A.json B.json` judges two
+# result files from `-all -runs 5 -out`.
+bench-stack:
+	$(GO) run ./bench -all
 
 # bench-json archives a full benchmark sweep as machine-readable JSON
 # (name -> ns/op, B/op, allocs/op, custom metrics) for cross-commit

@@ -103,6 +103,10 @@ type Durable struct {
 	recovery DurableRecovery
 	closed   bool
 	follower bool // replica mode: mutations rejected, records arrive via ShipRecord
+	// observe, when set, is handed every record appendLocked lands (see
+	// SetAppendObserver). Written under mu exclusively, read under either
+	// side of it.
+	observe func(shard int, lsn uint64, payload []byte)
 
 	// nextLSN is the global LSN allocator (last allocated); lastAcked
 	// is the highest LSN whose append succeeded — the durable
@@ -339,7 +343,7 @@ func OpenDurable(dir string, design core.DesignSpec, registry *Registry, opts Du
 		}
 	}
 	if _, err := wal.MergeShards(d.walRoot, d.walOpts.MaxRecord, snapLSN+1, func(shard int, lsn uint64, payload []byte) error {
-		return d.applyRecord(lsn, payload)
+		return d.replayRecord(lsn, payload)
 	}); err != nil {
 		d.closeShardLogs()
 		return nil, err
@@ -381,7 +385,7 @@ func (d *Durable) migrateLegacyWAL(snapLSN uint64) (uint64, error) {
 	}
 	d.recovery.WALShards = append(d.recovery.WALShards,
 		DurableShardRecovery{Shard: -1, Info: log.Recovery()})
-	if err := log.Replay(snapLSN+1, d.applyRecord); err != nil {
+	if err := log.Replay(snapLSN+1, d.replayRecord); err != nil {
 		log.Close()
 		return 0, err
 	}
@@ -404,7 +408,21 @@ func (d *Durable) migrateLegacyWAL(snapLSN uint64) (uint64, error) {
 	return last, nil
 }
 
-// applyRecord replays one WAL record during recovery (single-goroutine).
+// replayRecord is applyRecord for OpenDurable's recovery loops, which
+// alone count into the recovery report: the report says what open
+// rebuilt, is final once OpenDurable returns, and is therefore readable
+// without a lock while ShipRecord applies live records.
+func (d *Durable) replayRecord(lsn uint64, payload []byte) error {
+	if err := d.applyRecord(lsn, payload); err != nil {
+		return err
+	}
+	d.recovery.Replayed++
+	return nil
+}
+
+// applyRecord executes one WAL record under its persisted clock and
+// entropy: recovery (single-goroutine) and ShipRecord (under d.mu
+// exclusively).
 func (d *Durable) applyRecord(lsn uint64, payload []byte) error {
 	rec, err := decodeWALRecord(payload)
 	if err != nil {
@@ -416,7 +434,6 @@ func (d *Durable) applyRecord(lsn uint64, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("cloud: WAL record %d: %w", lsn, err)
 	}
-	d.recovery.Replayed++
 	return nil
 }
 
@@ -609,6 +626,9 @@ func (d *Durable) appendLocked(ws *durableShard, payload []byte) (uint64, error)
 	lsn := d.nextLSN.Add(1)
 	if err := ws.log.AppendLSN(lsn, payload); err != nil {
 		return 0, err
+	}
+	if d.observe != nil {
+		d.observe(ws.index, lsn, payload)
 	}
 	for {
 		cur := d.lastAcked.Load()
@@ -1154,7 +1174,8 @@ func (d *Durable) ShardWatermarks() []uint64 {
 	return marks
 }
 
-// Recovery reports what OpenDurable rebuilt.
+// Recovery reports what OpenDurable rebuilt. The report is written only
+// during open, so reading it needs no lock.
 func (d *Durable) Recovery() DurableRecovery { return d.recovery }
 
 // Service exposes the underlying in-memory service (snapshots,

@@ -25,13 +25,16 @@ var ErrNotPrimary = errors.New("cloud: node is a replica (not primary)")
 // tagged exactly as the primary wrote them; a record at or below its
 // own shard's watermark is a redelivery and is skipped. The redelivery
 // check is deliberately per shard, never a global watermark: the
-// primary's shard logs flush independently, so a higher LSN on one
-// shard may legally arrive before a lower LSN still in flight on
-// another, and a global watermark would discard that straggler as a
-// duplicate — silently and permanently. Cross-shard arrival order is
-// therefore only best-effort, which is sound because the only records
-// that can overtake each other are the hot lane's, and those commute
-// (a cold-lane record appends only after every lower LSN completed).
+// primary's shards append (and offer their records to the shipper)
+// independently, so a higher LSN on one shard may legally arrive before
+// a lower LSN still in flight on another, and a global watermark would
+// discard that straggler as a duplicate — silently and permanently. It
+// is also what absorbs the overlap between a shipper's re-read of the
+// segment files and the records its in-memory feed took meanwhile.
+// Cross-shard arrival order is therefore only best-effort, which is
+// sound because the only records that can overtake each other are the
+// hot lane's, and those commute (a cold-lane record appends only after
+// every lower LSN completed).
 // Only legal on a follower.
 func (d *Durable) ShipRecord(shard int, lsn uint64, payload []byte) error {
 	d.mu.Lock()
@@ -101,11 +104,32 @@ func (d *Durable) IsFollower() bool {
 	return d.follower
 }
 
+// SetAppendObserver installs fn as the primary's append observer: every
+// record that lands in a shard log — hot lane, cold lane, liveness
+// flushes, after-the-fact drains — is handed to fn right after its
+// AppendLSN succeeded (so under SyncEveryRecord after its fsync), before
+// the ack watermark advances and before the operation applies. It is the
+// in-process source of WAL shipping; the segment files stay the source of
+// truth for anything the observer's owner drops.
+//
+// fn runs under the shard's mutex and under d.mu (held exclusively on the
+// cold lane), so it may take only leaf locks and must not call back into
+// the Durable — FlushWAL, ShardWatermarks and every handler take those
+// same locks. payload is a pooled encode buffer, valid only during the
+// call: fn copies what it keeps. Install before the Durable serves
+// traffic; records appended earlier are only in the files.
+func (d *Durable) SetAppendObserver(fn func(shard int, lsn uint64, payload []byte)) {
+	d.mu.Lock()
+	d.observe = fn
+	d.mu.Unlock()
+}
+
 // FlushWAL pushes every shard log's buffered frames into the segment
-// files so a Tailer (the shipping reader) sees all acked records. Under
-// SyncEveryRecord this is a no-op — commit already flushed — but the
-// buffered policies may hold acked frames in memory indefinitely on a
-// quiet shard. Durability is not forced; this is visibility, not fsync.
+// files so a Tailer (the shipper's attach and re-seed reader, Kill's
+// stranded-record scan) sees all acked records. Under SyncEveryRecord
+// this is a no-op — commit already flushed — but the buffered policies
+// may hold acked frames in memory indefinitely on a quiet shard.
+// Durability is not forced; this is visibility, not fsync.
 func (d *Durable) FlushWAL() error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

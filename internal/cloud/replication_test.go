@@ -337,3 +337,91 @@ func TestShipRecordRejectsBadShard(t *testing.T) {
 		t.Fatalf("watermark moved to %d on rejected ships", got)
 	}
 }
+
+// TestFollowerShippingLeavesRecoveryReportAlone: Recovery() says what
+// OpenDurable rebuilt. Live shipping used to count every shipped record
+// into Replayed — and Recovery() reads the report with no lock while
+// ShipRecord runs — so the report both drifted and raced. The primary's
+// append observer is the record source here, which also pins its
+// contract: every logged record, once, in per-shard LSN order, with a
+// payload the observer must copy before it returns.
+func TestFollowerShippingLeavesRecoveryReportAlone(t *testing.T) {
+	primaryDir, replicaDir := t.TempDir(), t.TempDir()
+	clock := newTestClock()
+	reg := NewRegistry()
+	if err := reg.Add(DeviceRecord{ID: testDevice, FactorySecret: testSecret, Model: "plug"}); err != nil {
+		t.Fatal(err)
+	}
+	primary, err := OpenDurable(primaryDir, devIDDesign(), reg, DurableOptions{
+		Clock: clock.Now, WALShards: 4, WAL: wal.Options{Policy: wal.SyncOff},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	var observed []shippedRecord
+	primary.SetAppendObserver(func(shard int, lsn uint64, payload []byte) {
+		observed = append(observed, shippedRecord{shard: shard, lsn: lsn, payload: append([]byte(nil), payload...)})
+	})
+	runLoggedWorkload(t, primary, clock)
+	if err := primary.FlushWAL(); err != nil {
+		t.Fatal(err)
+	}
+	tailers := make([]*wal.Tailer, primary.WALShards())
+	for i := range tailers {
+		tailers[i] = wal.NewTailer(filepath.Join(primaryDir, "wal", wal.ShardDirName(i)), 0, 0)
+	}
+	onDisk := tailPrimary(t, tailers)
+	sort.Slice(observed, func(i, j int) bool { return observed[i].lsn < observed[j].lsn })
+	if len(observed) == 0 || len(observed) != len(onDisk) {
+		t.Fatalf("observer saw %d records, the shard logs hold %d", len(observed), len(onDisk))
+	}
+	for i, rec := range observed {
+		if d := onDisk[i]; rec.shard != d.shard || rec.lsn != d.lsn || !bytes.Equal(rec.payload, d.payload) {
+			t.Fatalf("observed record %d = shard %d LSN %d, the log holds shard %d LSN %d (payload equal: %v)",
+				i, rec.shard, rec.lsn, d.shard, d.lsn, bytes.Equal(rec.payload, d.payload))
+		}
+	}
+
+	replica := openReplica(t, primaryDir, replicaDir, reg, clock)
+	before := replica.Recovery().Replayed
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, rec := range observed {
+			if err := replica.ShipRecord(rec.shard, rec.lsn, rec.payload); err != nil {
+				t.Errorf("ship %d: %v", rec.lsn, err)
+				return
+			}
+		}
+	}()
+	for shipping := true; shipping; {
+		select {
+		case <-done:
+			shipping = false
+		default:
+		}
+		if got := replica.Recovery().Replayed; got != before {
+			t.Fatalf("Recovery().Replayed = %d while shipping, OpenDurable replayed %d", got, before)
+		}
+	}
+	if got, want := replica.AppliedOps(), primary.AppliedOps(); got != want {
+		t.Fatalf("replica watermark = %d, primary watermark = %d", got, want)
+	}
+
+	// A restart of the replica replays its own logs: that is recovery,
+	// and is counted.
+	if err := replica.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenDurable(replicaDir, devIDDesign(), reg, DurableOptions{
+		Clock: clock.Now, Follower: true, WAL: wal.Options{Policy: wal.SyncOff},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := reopened.Recovery().Replayed; got != len(observed) {
+		t.Fatalf("reopened replica replayed %d records, its logs hold %d", got, len(observed))
+	}
+}

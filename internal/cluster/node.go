@@ -40,8 +40,9 @@ type NodeConfig struct {
 	// AckAfterReplicate ships synchronously: a mutation is acknowledged
 	// only once its record is applied on the replica, so a kill loses no
 	// acked operation (MaxLostAcked == 0). Off, shipping happens only
-	// when something calls CatchUp — acked-but-unshipped records die
-	// with the primary's disk.
+	// when something calls CatchUp (and once at NewNode, which ships
+	// whatever the primary's files already hold) — acked-but-unshipped
+	// records die with the primary's disk.
 	AckAfterReplicate bool
 }
 
@@ -96,7 +97,10 @@ var _ transport.Cloud = (*Node)(nil)
 // NewNode opens the node's primary and replica stores. The replica
 // inherits the primary's meta.json — same master seed, design and WAL
 // shard layout — which is what makes shipped records replay
-// byte-identically.
+// byte-identically. Attach order: the shipper first brings the replica
+// up to the primary's segment files, then becomes the primary's append
+// observer; no request runs in between, so the in-memory feed starts
+// exactly where the files ended.
 func NewNode(cfg NodeConfig, opts ...Option) (*Node, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("cluster: node needs a name")
@@ -132,17 +136,20 @@ func NewNode(cfg NodeConfig, opts ...Option) (*Node, error) {
 		primary.Close()
 		return nil, fmt.Errorf("cluster: node %s replica: %w", cfg.Name, err)
 	}
-	flush := primary.FlushWAL
-	if cfg.WAL.Policy == wal.SyncEveryRecord {
-		flush = nil // commit already flushed every acked frame
+	ship, err := NewShipper(primaryDir, cfg.WAL.MaxRecord, replica, primary.FlushWAL)
+	if err != nil {
+		primary.Close()
+		replica.Close()
+		return nil, fmt.Errorf("cluster: node %s: ship the primary's backlog: %w", cfg.Name, err)
 	}
+	primary.SetAppendObserver(ship.Offer)
 	n := &Node{
 		name:       cfg.Name,
 		primaryDir: primaryDir,
 		maxRecord:  cfg.WAL.MaxRecord,
 		primary:    primary,
 		replica:    replica,
-		ship:       NewShipper(primaryDir, cfg.WAL.MaxRecord, replica, flush),
+		ship:       ship,
 		ackRep:     cfg.AckAfterReplicate,
 	}
 	if no.shipInterval > 0 {
@@ -153,10 +160,10 @@ func NewNode(cfg NodeConfig, opts ...Option) (*Node, error) {
 	return n, nil
 }
 
-// shipLoop is the WithShipInterval ticker: each tick ships the replica
-// up to the primary's current watermark vector. A tick racing a kill
-// simply observes killed under the read lock and returns ErrNodeDown,
-// which the loop ignores; the stop channel ends the loop.
+// shipLoop is the WithShipInterval ticker: each tick ships everything
+// the primary logged so far. A tick racing a kill simply observes
+// killed under the read lock and returns ErrNodeDown, which the loop
+// ignores; the stop channel ends the loop.
 func (n *Node) shipLoop(interval time.Duration) {
 	defer n.shipWG.Done()
 	t := time.NewTicker(interval)
@@ -193,9 +200,11 @@ func (n *Node) Replica() *cloud.Durable { return n.replica }
 
 // ReplicationLag reports how many acked operations the replica is
 // missing. Approximate in both directions: both sides are max
-// watermarks, and the shipper reads segment files directly, so it can
-// deliver a record whose lastAcked CAS on the primary has not landed
-// yet — hence the clamp instead of a raw unsigned subtraction.
+// watermarks, and a record is offered to the shipper — where a
+// concurrent request's drain may deliver it — before the primary's
+// lastAcked CAS for it lands and before the primary applies it. The
+// shipped side can therefore read ahead of the acked side; hence the
+// clamp instead of a raw unsigned subtraction.
 func (n *Node) ReplicationLag() uint64 {
 	n.opMu.RLock()
 	defer n.opMu.RUnlock()
@@ -209,20 +218,20 @@ func (n *Node) ReplicationLag() uint64 {
 	return applied - shipped
 }
 
-// CatchUp ships the replica up to the primary's current per-shard
-// watermark vector — the async-mode hook for periodic shipping.
+// CatchUp ships every record the primary has logged so far — the
+// async-mode hook for periodic shipping.
 func (n *Node) CatchUp() error {
 	n.opMu.RLock()
 	defer n.opMu.RUnlock()
 	if n.killed {
 		return ErrNodeDown
 	}
-	return n.ship.CatchUp(n.primary.ShardWatermarks())
+	return n.ship.Drain()
 }
 
 // Kill models losing the primary process and its disk: in-flight
-// requests drain, the shipper detaches (nothing more can be read from a
-// dead disk), the primary closes, and every later request fails with
+// requests drain, the shipper detaches (nothing more is delivered from a
+// dead process), the primary closes, and every later request fails with
 // ErrNodeDown. Returns how many acked operations the replica never
 // received — the data loss a promotion inherits, zero under
 // ack-after-replicate.
@@ -308,7 +317,7 @@ func run[T any](n *Node, call func(*cloud.Durable) (T, error)) (T, error) {
 		return zero, err
 	}
 	if n.ackRep {
-		if serr := n.ship.CatchUp(n.primary.ShardWatermarks()); serr != nil {
+		if serr := n.ship.Drain(); serr != nil {
 			// The operation applied on the primary but its record never
 			// reached the replica: under ack-after-replicate that is a
 			// failed request (the caller retries; keyed operations
