@@ -122,7 +122,7 @@ cluster-smoke:
 # sources (raw epoll and the pump fallback), verifying message counts,
 # latency metrics and the goroutine bounds — no per-connection server
 # goroutines in pipe or epoll mode. The second line is the epoll unit
-# gate: three-way transport equivalence, the short-write/EPOLLOUT
+# gate: three-way readiness equivalence, the short-write/EPOLLOUT
 # re-arm path, idle-timeout behaviour and the fd-close-vs-ready storm.
 conn-smoke:
 	$(GO) test -run='^TestConnLoad' -v ./internal/testbed/
@@ -143,9 +143,13 @@ delegation-smoke:
 
 # ci is the tier-1+ verification gate: formatting, vet, build (native
 # and a darwin cross-compile for the non-epoll fallback), the full
-# suite under the race detector (including the fault-injection, retry,
-# binding-under-loss and crash-recovery tests), a benchmark smoke run,
-# the bench JSON pipeline smoke, the WAL+wire fuzz smoke, the offline
-# WAL integrity check, the multi-node failover smoke, the
-# connection-scale smoke and the delegation gate.
-ci: fmt vet build crossbuild race race-stress bench bench-json-smoke fuzz-smoke wal-verify cluster-smoke conn-smoke delegation-smoke
+# suite under the race detector (which already runs the failover,
+# connection-scale, share-storm and delegation tests the cluster-smoke,
+# conn-smoke and delegation-smoke targets select for humans), a
+# benchmark smoke run, the bench JSON pipeline smoke, the WAL+wire fuzz
+# smoke, the offline WAL integrity check and — the one part of those
+# gates no test runs — the A6 delegation sweep printed by statecheck on
+# both reference postures.
+ci: fmt vet build crossbuild race race-stress bench bench-json-smoke fuzz-smoke wal-verify
+	$(GO) run ./cmd/statecheck -delegation worst-case
+	$(GO) run ./cmd/statecheck -delegation secure

@@ -3,17 +3,14 @@ package iotbind_test
 // Benchmarks for the binapi binary front end (BENCH_8.json):
 //
 //	BenchmarkBinStatus — one heartbeat round trip through the
-//	  multiplexed binary protocol, pipe mode (in-process, the fair
-//	  comparison against tcpapi's loopback JSON per-message cost in
-//	  BENCH_4) and socket mode (real loopback TCP).
+//	  multiplexed binary protocol, pipe mode (in-process) and socket
+//	  mode (real loopback TCP).
 //	BenchmarkConnLoad — fleet-scale connection runs: 100k concurrent
-//	  pipe connections, pump-vs-epoll socket rungs at 2k, and the raw-
-//	  epoll readiness ladder at 50k and 100k real sockets (BENCH_9),
-//	  reporting msgs/s, latency percentiles, bytes/conn, the process
-//	  goroutine count and the server's own goroutine count (the
-//	  readiness-source proof). The big socket rungs self-skip when the
-//	  fd limit cannot be raised to 2×conns or the platform has no
-//	  epoll.
+//	  pipe connections and pump-vs-epoll socket rungs at 2k and 9k
+//	  (BENCH_9), reporting msgs/s, latency percentiles, bytes/conn, the
+//	  process goroutine count and the server's own goroutine count (the
+//	  readiness-source proof). A socket rung skips when the fd limit
+//	  cannot be raised to 2×conns or the platform has no epoll.
 
 import (
 	"net"
@@ -64,8 +61,8 @@ func benchBinSocketClient(b *testing.B) (*iotbind.BinClient, func()) {
 }
 
 // BenchmarkBinStatus is the single-message headline: the same heartbeat
-// as BenchmarkTCPStatusRoundTrip / BenchmarkStatusBatch/TCP/PerMessage,
-// through binary frames instead of JSON lines.
+// as BenchmarkHTTPStatusRoundTrip, through binary frames instead of JSON
+// over HTTP.
 func BenchmarkBinStatus(b *testing.B) {
 	fronts := []struct {
 		name  string
@@ -109,10 +106,6 @@ func BenchmarkConnLoad(b *testing.B) {
 		{"socket9k-pump", iotbind.ConnLoadConfig{Conns: 9_000, MsgsPerConn: 5, Mode: iotbind.ConnLoadSocket,
 			Readiness: iotbind.BinReadinessPump}},
 		{"socket9k-epoll", iotbind.ConnLoadConfig{Conns: 9_000, MsgsPerConn: 5, Mode: iotbind.ConnLoadSocket,
-			Readiness: iotbind.BinReadinessEpoll}},
-		{"socket50k-epoll", iotbind.ConnLoadConfig{Conns: 50_000, MsgsPerConn: 5, Mode: iotbind.ConnLoadSocket,
-			Readiness: iotbind.BinReadinessEpoll}},
-		{"socket100k-epoll", iotbind.ConnLoadConfig{Conns: 100_000, MsgsPerConn: 5, Mode: iotbind.ConnLoadSocket,
 			Readiness: iotbind.BinReadinessEpoll}},
 	}
 	for _, run := range runs {

@@ -20,7 +20,6 @@ package iotbind_test
 
 import (
 	"fmt"
-	"net"
 	"net/http/httptest"
 	"runtime"
 	"sync/atomic"
@@ -726,41 +725,6 @@ func BenchmarkHTTPStatusRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkTCPStatusRoundTrip measures the same heartbeat through the raw
-// line protocol — the bespoke-socket style real devices speak.
-func BenchmarkTCPStatusRoundTrip(b *testing.B) {
-	svc, _ := benchCloud(b, benchDesign(iotbind.AuthDevID, iotbind.BindACLApp))
-	server := iotbind.NewTCPServer(svc)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = server.Serve(l)
-	}()
-	defer func() {
-		_ = server.Close()
-		<-done
-	}()
-
-	client, err := iotbind.DialTCP(l.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-
-	req := iotbind.StatusRequest{Kind: iotbind.StatusHeartbeat, DeviceID: benchDeviceID}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.HandleStatus(req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchHTTPClient stands up the HTTP front end around a one-device cloud.
 func benchHTTPClient(b *testing.B) (iotbind.CloudTransport, func()) {
 	b.Helper()
@@ -769,30 +733,10 @@ func benchHTTPClient(b *testing.B) (iotbind.CloudTransport, func()) {
 	return iotbind.NewHTTPClient(server.URL), server.Close
 }
 
-// benchTCPClient stands up the line-protocol front end around a one-device
-// cloud.
-func benchTCPClient(b *testing.B) (iotbind.CloudTransport, func()) {
-	b.Helper()
-	svc, _ := benchCloud(b, benchDesign(iotbind.AuthDevID, iotbind.BindACLApp))
-	server := iotbind.NewTCPServer(svc)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = server.Serve(l)
-	}()
-	client, err := iotbind.DialTCP(l.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return client, func() {
-		_ = client.Close()
-		_ = server.Close()
-		<-done
-	}
+// benchBinClient stands up the binary front end over loopback TCP around
+// a one-device cloud.
+func benchBinClient(b *testing.B) (iotbind.CloudTransport, func()) {
+	return benchBinSocketClient(b)
 }
 
 // BenchmarkStatusBatch contrasts per-message heartbeat delivery with
@@ -808,7 +752,7 @@ func BenchmarkStatusBatch(b *testing.B) {
 		setup func(*testing.B) (iotbind.CloudTransport, func())
 	}{
 		{"HTTP", benchHTTPClient},
-		{"TCP", benchTCPClient},
+		{"Bin", benchBinClient},
 	}
 	for _, fe := range fronts {
 		fe := fe

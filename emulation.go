@@ -262,7 +262,7 @@ type FleetFrontEnd = testbed.FleetFrontEnd
 // The wire front ends RunFleetLoad can drive.
 const (
 	FleetFrontEndHTTP = testbed.FleetFrontEndHTTP
-	FleetFrontEndTCP  = testbed.FleetFrontEndTCP
+	FleetFrontEndBin  = testbed.FleetFrontEndBin
 )
 
 // RunFleetLoad drives a fleet of heartbeating devices through a real

@@ -12,7 +12,6 @@ import (
 	"github.com/iotbind/iotbind/internal/harden"
 	"github.com/iotbind/iotbind/internal/hub"
 	"github.com/iotbind/iotbind/internal/modelcheck"
-	"github.com/iotbind/iotbind/internal/tcpapi"
 	"github.com/iotbind/iotbind/internal/testbed"
 	"github.com/iotbind/iotbind/internal/trace"
 	"github.com/iotbind/iotbind/internal/transport"
@@ -217,32 +216,6 @@ func WriteTrace(w io.Writer, rec *TraceRecorder, title string) error {
 	return rec.Write(w, title)
 }
 
-// ---- raw TCP front end -----------------------------------------------------
-
-// TCPServer serves a cloud over a newline-delimited JSON line protocol —
-// the bespoke socket protocol style of real device traffic (the paper's
-// D-LINK forgery ran over a raw socket connection).
-type TCPServer = tcpapi.Server
-
-// TCPClient speaks the line protocol and implements CloudTransport.
-type TCPClient = tcpapi.Client
-
-// TCPOption configures the line protocol's frame limits on either end.
-type TCPOption = tcpapi.Option
-
-// WithTCPMaxFrame sets the maximum accepted line length in bytes — raise
-// it on both ends for large coalesced batches.
-func WithTCPMaxFrame(n int) TCPOption { return tcpapi.WithMaxFrame(n) }
-
-// NewTCPServer wraps a cloud for the raw TCP front end; call Serve with a
-// listener and Close to shut down.
-func NewTCPServer(c CloudTransport, opts ...TCPOption) *TCPServer {
-	return tcpapi.NewServer(c, opts...)
-}
-
-// DialTCP connects a line-protocol client to a TCPServer.
-func DialTCP(addr string, opts ...TCPOption) (*TCPClient, error) { return tcpapi.Dial(addr, opts...) }
-
 // ---- binary persistent-connection front end --------------------------------
 
 // BinServer serves a cloud over the binapi wire protocol: persistent
@@ -322,7 +295,7 @@ func RunConnLoad(cfg ConnLoadConfig) (ConnLoadResult, error) { return testbed.Ru
 
 // EnsureFDLimit raises RLIMIT_NOFILE until at least need descriptors
 // are available, reporting whether it succeeded — the gate for the
-// 50k+ socket rungs of BenchmarkConnLoad.
+// socket rungs of BenchmarkConnLoad.
 func EnsureFDLimit(need int) bool { return testbed.EnsureFDLimit(need) }
 
 // ---- cloud observability and persistence ------------------------------------

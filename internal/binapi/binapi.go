@@ -1,7 +1,7 @@
 // Package binapi is the persistent-connection binary front end: one
 // long-lived connection per device (or per aggregating hub) carrying
 // many multiplexed request/response streams, replacing the
-// JSON-envelope-per-request framing of tcpapi/httpapi with the compact
+// JSON-body-per-request framing of httpapi with the compact
 // binary record forms the WAL already uses (internal/wirecodec).
 //
 // The paper's three binding primitives are microseconds of logic; at
@@ -102,8 +102,7 @@ const helloVersion = 1
 const DefaultWindow = 64
 
 // DefaultMaxFrame bounds a single frame's payload unless overridden
-// with WithMaxFrame — the same default as tcpapi and the WAL record
-// bound.
+// with WithMaxFrame — the same default as the WAL record bound.
 const DefaultMaxFrame = 1 << 20
 
 // MaxWindow bounds configurable windows; stream slot indices must fit
@@ -250,26 +249,9 @@ func appendFrame(dst []byte, stream uint32, kind, flags uint8, payload []byte) [
 // payloads, so the ack is explicit.
 var ackPayload = []byte{1}
 
-// Op names for the JSON envelope (cold operations). They match tcpapi's
-// vocabulary so a wire capture reads the same across front ends.
-const (
-	opRegisterUser = "register-user"
-	opLogin        = "login"
-	opDeviceToken  = "device-token"
-	opBindToken    = "bind-token"
-	opBind         = "bind"
-	opUnbind       = "unbind"
-	opControl      = "control"
-	opUserData     = "user-data"
-	opReadings     = "readings"
-	opShare        = "share"
-	opShares       = "shares"
-	opDelegations  = "delegations"
-	opShadow       = "shadow"
-)
-
 // jsonRequest is the cold-path request envelope riding inside a
-// kindJSON frame.
+// kindJSON frame. Op is the operation's wire name (transport.Op.String),
+// the same vocabulary as the HTTP routes.
 type jsonRequest struct {
 	Op      string `json:"op"`
 	Payload any    `json:"payload,omitempty"`

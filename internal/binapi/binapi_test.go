@@ -6,15 +6,17 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/iotbind/iotbind/internal/cloud"
 	"github.com/iotbind/iotbind/internal/core"
+	"github.com/iotbind/iotbind/internal/httpapi"
 	"github.com/iotbind/iotbind/internal/protocol"
-	"github.com/iotbind/iotbind/internal/tcpapi"
 	"github.com/iotbind/iotbind/internal/token"
 	"github.com/iotbind/iotbind/internal/transport"
 	"github.com/iotbind/iotbind/internal/wal"
@@ -23,7 +25,7 @@ import (
 
 // labDesign is token-free (device-ID auth, device-initiated ACL bind):
 // no entropy is drawn and no random tokens appear in responses, which
-// is what makes the binapi-vs-tcpapi equivalence comparison exact.
+// is what makes the binapi-vs-httpapi equivalence comparison exact.
 func labDesign() core.DesignSpec {
 	return core.DesignSpec{
 		Name:                 "binapi-lab",
@@ -356,15 +358,16 @@ func TestHelloValidation(t *testing.T) {
 	}
 }
 
-// TestEquivalenceWithTCPAPI drives an identical randomized op mix
-// through binapi (binary mux over a pipe) and tcpapi (JSON lines over a
-// socket) against twin clouds, and requires byte-identical snapshots
-// and identical activity counters afterwards: the binary fast path must
-// be an encoding change, not a semantics change.
-func TestEquivalenceWithTCPAPI(t *testing.T) {
+// TestEquivalenceWithHTTPAPI drives an identical randomized op mix
+// through binapi (binary mux over a pipe) and httpapi (JSON over HTTP)
+// against twin clouds, and requires the same error sentinel per op and
+// byte-identical snapshots and identical activity counters afterwards:
+// the two front ends share one operation table, and the binary fast
+// path must be an encoding change, not a semantics change.
+func TestEquivalenceWithHTTPAPI(t *testing.T) {
 	const devices = 6
 	binSvc := newLabService(t, devices)
-	tcpSvc := newLabService(t, devices)
+	httpSvc := newLabService(t, devices)
 
 	binSrv := NewServer(binSvc, WithStripes(2))
 	defer binSrv.Close()
@@ -374,20 +377,12 @@ func TestEquivalenceWithTCPAPI(t *testing.T) {
 	}
 	defer binCl.Close()
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcpSrv := tcpapi.NewServer(tcpSvc)
-	go func() { _ = tcpSrv.Serve(ln) }()
-	defer tcpSrv.Close()
-	tcpCl, err := tcpapi.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tcpCl.Close()
+	// httptest listens on 127.0.0.1, the address the pipe claims above, so
+	// both clouds see the same stamped SourceIP.
+	httpSrv := httptest.NewServer(httpapi.NewServer(httpSvc))
+	defer httpSrv.Close()
 
-	fronts := []transport.Cloud{binCl, tcpCl}
+	fronts := []transport.Cloud{binCl, httpapi.NewClient(httpSrv.URL)}
 	both := func(op string, do func(c transport.Cloud) error) {
 		t.Helper()
 		errs := make([]error, len(fronts))
@@ -395,10 +390,10 @@ func TestEquivalenceWithTCPAPI(t *testing.T) {
 			errs[i] = do(c)
 		}
 		if (errs[0] == nil) != (errs[1] == nil) {
-			t.Fatalf("%s: outcome diverged: binapi=%v tcpapi=%v", op, errs[0], errs[1])
+			t.Fatalf("%s: outcome diverged: binapi=%v httpapi=%v", op, errs[0], errs[1])
 		}
 		if errs[0] != nil && !errors.Is(errs[1], firstSentinel(errs[0])) {
-			t.Fatalf("%s: error class diverged: binapi=%v tcpapi=%v", op, errs[0], errs[1])
+			t.Fatalf("%s: error class diverged: binapi=%v httpapi=%v", op, errs[0], errs[1])
 		}
 	}
 
@@ -495,7 +490,7 @@ func TestEquivalenceWithTCPAPI(t *testing.T) {
 			s1, err1 := fronts[0].ShadowState(protocol.ShadowStateRequest{DeviceID: dev})
 			s2, err2 := fronts[1].ShadowState(protocol.ShadowStateRequest{DeviceID: dev})
 			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("shadow: outcome diverged: binapi=%v tcpapi=%v", err1, err2)
+				t.Fatalf("shadow: outcome diverged: binapi=%v httpapi=%v", err1, err2)
 			}
 			if err1 == nil && !reflect.DeepEqual(s1, s2) {
 				t.Fatalf("shadow state diverged: %+v vs %+v", s1, s2)
@@ -529,7 +524,7 @@ func TestEquivalenceWithTCPAPI(t *testing.T) {
 			l1, err1 := fronts[0].ListDelegations(protocol.ListDelegationsRequest{DeviceID: dev, UserToken: tokens[0][user]})
 			l2, err2 := fronts[1].ListDelegations(protocol.ListDelegationsRequest{DeviceID: dev, UserToken: tokens[1][user]})
 			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("list-delegations: outcome diverged: binapi=%v tcpapi=%v", err1, err2)
+				t.Fatalf("list-delegations: outcome diverged: binapi=%v httpapi=%v", err1, err2)
 			}
 			if err1 == nil && !reflect.DeepEqual(l1, l2) {
 				t.Fatalf("delegation lists diverged: %+v vs %+v", l1, l2)
@@ -537,18 +532,18 @@ func TestEquivalenceWithTCPAPI(t *testing.T) {
 		}
 	}
 
-	var binSnap, tcpSnap bytes.Buffer
+	var binSnap, httpSnap bytes.Buffer
 	if err := cloud.EncodeSnapshot(&binSnap, binSvc.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if err := cloud.EncodeSnapshot(&tcpSnap, tcpSvc.Snapshot()); err != nil {
+	if err := cloud.EncodeSnapshot(&httpSnap, httpSvc.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(binSnap.Bytes(), tcpSnap.Bytes()) {
-		t.Fatalf("snapshots diverged:\n--- binapi ---\n%s\n--- tcpapi ---\n%s", binSnap.Bytes(), tcpSnap.Bytes())
+	if !bytes.Equal(binSnap.Bytes(), httpSnap.Bytes()) {
+		t.Fatalf("snapshots diverged:\n--- binapi ---\n%s\n--- httpapi ---\n%s", binSnap.Bytes(), httpSnap.Bytes())
 	}
-	if !reflect.DeepEqual(binSvc.Stats(), tcpSvc.Stats()) {
-		t.Fatalf("stats diverged:\nbinapi: %+v\ntcpapi: %+v", binSvc.Stats(), tcpSvc.Stats())
+	if !reflect.DeepEqual(binSvc.Stats(), httpSvc.Stats()) {
+		t.Fatalf("stats diverged:\nbinapi: %+v\nhttpapi: %+v", binSvc.Stats(), httpSvc.Stats())
 	}
 }
 
@@ -560,4 +555,110 @@ func firstSentinel(err error) error {
 		return sentinel
 	}
 	return err
+}
+
+// TestJSONLaneRejections pins the JSON envelope's two refusals: an op
+// name outside the operation table and a payload that is not the op's
+// request type both come back as bad_request, and the connection keeps
+// serving.
+func TestJSONLaneRejections(t *testing.T) {
+	srv := NewServer(newLabService(t, 1))
+	defer srv.Close()
+	c, err := srv.Pipe("127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	lane := jsonLane{c}
+
+	err = lane.RoundTrip(transport.Op(200), struct{}{}, nil)
+	if !errors.Is(err, protocol.ErrBadRequest) || !strings.Contains(err.Error(), `unknown op "unknown-op"`) {
+		t.Fatalf("unknown op = %v, want bad_request naming the op", err)
+	}
+	err = lane.RoundTrip(transport.OpLogin, "not a login request", nil)
+	if !errors.Is(err, protocol.ErrBadRequest) || !strings.HasPrefix(err.Error(), "malformed payload") {
+		t.Fatalf("malformed payload = %v, want bad_request \"malformed payload\"", err)
+	}
+	// A binary-kind op sent through the envelope is served by the same row.
+	var resp protocol.StatusResponse
+	if err := lane.RoundTrip(transport.OpStatus, protocol.StatusRequest{
+		Kind: protocol.StatusRegister, DeviceID: testDeviceID(0),
+	}, &resp); err != nil {
+		t.Fatalf("status through the envelope: %v", err)
+	}
+}
+
+// TestClientWriteFailurePoisons pins the write side of the poisoning
+// contract: a failed request write may have left a partial frame on the
+// wire, so every later call must fail fast with the same sticky error
+// instead of appending a fresh frame to the fragment.
+func TestClientWriteFailurePoisons(t *testing.T) {
+	srv := NewServer(newLabService(t, 1))
+	defer srv.Close()
+	c, err := srv.Pipe("127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	torn := errors.New("torn write")
+	writes := 0
+	c.write = func([]byte) error {
+		writes++
+		return torn
+	}
+	req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(0)}
+	for i := 0; i < 3; i++ {
+		if _, err := c.HandleStatus(req); !errors.Is(err, torn) {
+			t.Fatalf("call %d after a failed write = %v, want the original cause", i, err)
+		}
+		if err := c.HandleUnbind(protocol.UnbindRequest{DeviceID: req.DeviceID}); !errors.Is(err, torn) {
+			t.Fatalf("json-lane call %d after a failed write = %v, want the original cause", i, err)
+		}
+	}
+	if writes != 1 {
+		t.Fatalf("client wrote %d times after the first failure, want 1 write in total", writes)
+	}
+}
+
+// TestMaxFrameBoundsRequests pins WithMaxFrame on the server: a frame
+// within the cap is served, one past it is unframeable by construction
+// and costs the sender its connection, the default cap admits the same
+// frame, and a non-positive value keeps the default.
+func TestMaxFrameBoundsRequests(t *testing.T) {
+	big := protocol.StatusBatchRequest{Items: make([]protocol.StatusRequest, 64)}
+	for i := range big.Items {
+		big.Items[i] = protocol.StatusRequest{
+			Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(0), Firmware: strings.Repeat("f", 32),
+		}
+	}
+	small := protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDeviceID(0)}
+
+	for _, tc := range []struct {
+		name     string
+		opts     []Option
+		wantDead bool
+	}{
+		{"default cap", nil, false},
+		{"non-positive keeps the default", []Option{WithMaxFrame(0), WithMaxFrame(-1)}, false},
+		{"512-byte cap", []Option{WithMaxFrame(512)}, true},
+	} {
+		srv := NewServer(newLabService(t, 1), tc.opts...)
+		c, err := srv.Pipe("127.0.0.1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.HandleStatus(small); err != nil {
+			t.Fatalf("%s: small frame: %v", tc.name, err)
+		}
+		_, err = c.HandleStatusBatch(big)
+		if dead := err != nil; dead != tc.wantDead {
+			t.Fatalf("%s: 64-item batch = %v, want failure %v", tc.name, err, tc.wantDead)
+		}
+		if _, err := c.HandleStatus(small); (err != nil) != tc.wantDead {
+			t.Fatalf("%s: call after the batch = %v, want a dead connection %v", tc.name, err, tc.wantDead)
+		}
+		c.Close()
+		srv.Close()
+	}
 }

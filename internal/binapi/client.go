@@ -19,14 +19,18 @@ import (
 
 // Client is the device/app side of a binapi connection: one persistent
 // connection multiplexing many in-flight requests, implementing
-// transport.Cloud so everything built against the in-process, HTTP and
-// TCP transports runs over it unchanged.
+// transport.Cloud so everything built against the in-process and HTTP
+// transports runs over it unchanged.
 //
 // Stream IDs are generation-tagged slot indices (gen<<16 | idx): the
 // slot table bounds in-flight calls to the server's advertised window,
 // and the generation tag makes a late response to a recycled slot
 // detectable instead of delivered to the wrong caller.
 type Client struct {
+	// JSONLane sends every operation without a binary kind through the
+	// JSON envelope; the five binary methods below shadow it.
+	transport.JSONLane
+
 	write   func([]byte) error
 	closefn func()
 
@@ -65,8 +69,6 @@ type Client struct {
 	bytesOut atomic.Int64
 }
 
-var _ transport.Cloud = (*Client)(nil)
-
 type slot struct {
 	gen  uint16
 	call *call
@@ -99,11 +101,13 @@ var encPool = sync.Pool{New: func() any { return new(encBuf) }}
 var errClientClosed = errors.New("binapi: client closed")
 
 func newClient(o options) *Client {
-	return &Client{
+	c := &Client{
 		maxFrame: o.maxFrame,
 		helloCh:  make(chan struct{}),
 		closedCh: make(chan struct{}),
 	}
+	c.JSONLane = transport.NewJSONLane(jsonLane{c})
+	return c
 }
 
 // Dial connects to a binapi server over TCP and waits for its hello.
@@ -500,14 +504,17 @@ func (c *Client) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.St
 	return resp, nil
 }
 
-// roundTripJSON runs one cold operation through the JSON envelope.
-func (c *Client) roundTripJSON(op string, payload, out any) error {
+// jsonLane is the Client's JSON envelope round trip.
+type jsonLane struct{ c *Client }
+
+func (l jsonLane) RoundTrip(op transport.Op, payload, out any) error {
+	c := l.c
 	cl, id, err := c.begin(kindJSON)
 	if err != nil {
 		return err
 	}
 	buf := jsonpool.Get()
-	if err = buf.Encode(jsonRequest{Op: op, Payload: payload}); err == nil {
+	if err = buf.Encode(jsonRequest{Op: op.String(), Payload: payload}); err == nil {
 		eb := encPool.Get().(*encBuf)
 		eb.frame = appendFrame(eb.frame[:0], id, kindJSON, 0, buf.Bytes())
 		err = c.send(eb.frame)
@@ -545,54 +552,6 @@ func (c *Client) roundTripJSON(op string, payload, out any) error {
 		}
 	}
 	return nil
-}
-
-func (c *Client) RegisterUser(req protocol.RegisterUserRequest) error {
-	return c.roundTripJSON(opRegisterUser, req, nil)
-}
-
-func (c *Client) Login(req protocol.LoginRequest) (protocol.LoginResponse, error) {
-	var resp protocol.LoginResponse
-	err := c.roundTripJSON(opLogin, req, &resp)
-	return resp, err
-}
-
-func (c *Client) RequestDeviceToken(req protocol.DeviceTokenRequest) (protocol.DeviceTokenResponse, error) {
-	var resp protocol.DeviceTokenResponse
-	err := c.roundTripJSON(opDeviceToken, req, &resp)
-	return resp, err
-}
-
-func (c *Client) RequestBindToken(req protocol.BindTokenRequest) (protocol.BindTokenResponse, error) {
-	var resp protocol.BindTokenResponse
-	err := c.roundTripJSON(opBindToken, req, &resp)
-	return resp, err
-}
-
-func (c *Client) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
-	var resp protocol.BindResponse
-	err := c.roundTripJSON(opBind, req, &resp)
-	return resp, err
-}
-
-func (c *Client) HandleUnbind(req protocol.UnbindRequest) error {
-	return c.roundTripJSON(opUnbind, req, nil)
-}
-
-func (c *Client) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
-	var resp protocol.ControlResponse
-	err := c.roundTripJSON(opControl, req, &resp)
-	return resp, err
-}
-
-func (c *Client) PushUserData(req protocol.PushUserDataRequest) error {
-	return c.roundTripJSON(opUserData, req, nil)
-}
-
-func (c *Client) Readings(req protocol.ReadingsRequest) (protocol.ReadingsResponse, error) {
-	var resp protocol.ReadingsResponse
-	err := c.roundTripJSON(opReadings, req, &resp)
-	return resp, err
 }
 
 // HandleShare sends a share grant/revoke in binary form.
@@ -659,24 +618,4 @@ func (c *Client) HandleRevokeDelegation(req protocol.RevokeDelegationRequest) er
 	rerr := cl.err
 	c.finish(id, cl)
 	return rerr
-}
-
-// ListDelegations rides the JSON envelope: it is a cold read with no
-// binary form.
-func (c *Client) ListDelegations(req protocol.ListDelegationsRequest) (protocol.ListDelegationsResponse, error) {
-	var resp protocol.ListDelegationsResponse
-	err := c.roundTripJSON(opDelegations, req, &resp)
-	return resp, err
-}
-
-func (c *Client) Shares(req protocol.SharesRequest) (protocol.SharesResponse, error) {
-	var resp protocol.SharesResponse
-	err := c.roundTripJSON(opShares, req, &resp)
-	return resp, err
-}
-
-func (c *Client) ShadowState(req protocol.ShadowStateRequest) (protocol.ShadowStateResponse, error) {
-	var resp protocol.ShadowStateResponse
-	err := c.roundTripJSON(opShadow, req, &resp)
-	return resp, err
 }

@@ -693,7 +693,11 @@ func (st *stripe) readStatusInterned(cur *wirecodec.Cursor, c *conn, req *protoc
 	wirecodec.ReadStatusRest(cur, req)
 }
 
-// dispatchJSON handles a cold operation riding in a JSON envelope.
+// dispatchJSON handles an operation riding in a JSON envelope: the row
+// of the shared operation table named by the envelope's op serves it,
+// stamped with the connection's peer address. Every operation is
+// reachable this way; the client sends the ones with a binary kind in
+// that form instead.
 func (st *stripe) dispatchJSON(c *conn, stream uint32, payload []byte) {
 	var req struct {
 		Op      string          `json:"op"`
@@ -703,7 +707,18 @@ func (st *stripe) dispatchJSON(c *conn, stream uint32, payload []byte) {
 		st.errorFrame(stream, protocol.ErrBadRequest, "malformed json envelope")
 		return
 	}
-	resp := st.callJSON(c, req.Op, req.Payload)
+	resp := jsonResponse{OK: true}
+	if op, ok := transport.ParseOp(req.Op); !ok {
+		resp = jsonResponse{Code: "bad_request", Message: fmt.Sprintf("unknown op %q", req.Op)}
+	} else if result, err := transport.Ops[op].Serve(st.srv.cloud, req.Payload, c.src); err != nil {
+		code, ok := protocol.WireCode(err)
+		if !ok {
+			code = "internal"
+		}
+		resp = jsonResponse{Code: code, Message: err.Error()}
+	} else {
+		resp.Payload = result
+	}
 	buf := jsonpool.Get()
 	defer buf.Put()
 	if err := buf.Encode(resp); err != nil {
@@ -711,80 +726,6 @@ func (st *stripe) dispatchJSON(c *conn, stream uint32, payload []byte) {
 		return
 	}
 	st.out = appendFrame(st.out, stream, kindJSON, flagResponse, buf.Bytes())
-}
-
-// callJSON mirrors tcpapi's dispatch table for the operations that have
-// no binary form.
-func (st *stripe) callJSON(c *conn, op string, raw json.RawMessage) jsonResponse {
-	cloud := st.srv.cloud
-	switch op {
-	case opRegisterUser:
-		var p protocol.RegisterUserRequest
-		return jsonCall(raw, &p, func() (any, error) { return struct{}{}, cloud.RegisterUser(p) })
-	case opLogin:
-		var p protocol.LoginRequest
-		return jsonCall(raw, &p, func() (any, error) { return cloud.Login(p) })
-	case opDeviceToken:
-		var p protocol.DeviceTokenRequest
-		return jsonCall(raw, &p, func() (any, error) { return cloud.RequestDeviceToken(p) })
-	case opBindToken:
-		var p protocol.BindTokenRequest
-		return jsonCall(raw, &p, func() (any, error) { return cloud.RequestBindToken(p) })
-	case opBind:
-		var p protocol.BindRequest
-		return jsonCall(raw, &p, func() (any, error) {
-			p.SourceIP = c.src
-			return cloud.HandleBind(p)
-		})
-	case opUnbind:
-		var p protocol.UnbindRequest
-		return jsonCall(raw, &p, func() (any, error) {
-			p.SourceIP = c.src
-			return struct{}{}, cloud.HandleUnbind(p)
-		})
-	case opControl:
-		var p protocol.ControlRequest
-		return jsonCall(raw, &p, func() (any, error) {
-			p.SourceIP = c.src
-			return cloud.HandleControl(p)
-		})
-	case opUserData:
-		var p protocol.PushUserDataRequest
-		return jsonCall(raw, &p, func() (any, error) { return struct{}{}, cloud.PushUserData(p) })
-	case opReadings:
-		var p protocol.ReadingsRequest
-		return jsonCall(raw, &p, func() (any, error) { return cloud.Readings(p) })
-	case opShare:
-		var p protocol.ShareRequest
-		return jsonCall(raw, &p, func() (any, error) { return struct{}{}, cloud.HandleShare(p) })
-	case opShares:
-		var p protocol.SharesRequest
-		return jsonCall(raw, &p, func() (any, error) { return cloud.Shares(p) })
-	case opDelegations:
-		var p protocol.ListDelegationsRequest
-		return jsonCall(raw, &p, func() (any, error) { return cloud.ListDelegations(p) })
-	case opShadow:
-		var p protocol.ShadowStateRequest
-		return jsonCall(raw, &p, func() (any, error) { return cloud.ShadowState(p) })
-	default:
-		return jsonResponse{OK: false, Code: "bad_request", Message: fmt.Sprintf("unknown op %q", op)}
-	}
-}
-
-func jsonCall(raw json.RawMessage, into any, handler func() (any, error)) jsonResponse {
-	if len(raw) > 0 {
-		if err := json.Unmarshal(raw, into); err != nil {
-			return jsonResponse{OK: false, Code: "bad_request", Message: "malformed payload"}
-		}
-	}
-	result, err := handler()
-	if err != nil {
-		if code, ok := protocol.WireCode(err); ok {
-			return jsonResponse{OK: false, Code: code, Message: err.Error()}
-		}
-		return jsonResponse{OK: false, Code: "internal", Message: err.Error()}
-	}
-	return jsonResponse{OK: true, Payload: result}
 }
 
 func remoteIP(conn net.Conn) string {

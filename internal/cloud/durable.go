@@ -178,8 +178,7 @@ type DurableOptions struct {
 
 // DurableShardRecovery is one WAL shard's recovery report.
 type DurableShardRecovery struct {
-	// Shard is the WAL shard index (-1 for a legacy single-directory
-	// log migrated into the sharded layout).
+	// Shard is the WAL shard index.
 	Shard int
 	// Info is that log's scan/truncation report.
 	Info wal.RecoveryInfo
@@ -195,10 +194,10 @@ type DurableRecovery struct {
 	// favour of an older valid one.
 	SnapshotsSkipped int
 	// Replayed is how many WAL records were re-executed on top of the
-	// snapshot (merged across shards, migration included).
+	// snapshot (merged across shards).
 	Replayed int
 	// WALShards are the per-shard scan/truncation reports, in shard
-	// order (a migrated legacy log, if any, first as shard -1).
+	// order.
 	WALShards []DurableShardRecovery
 }
 
@@ -260,9 +259,9 @@ var ErrDurableClosed = errors.New("cloud: durable cloud closed")
 
 // OpenDurable opens (creating if necessary) a durable cloud rooted at
 // dir: meta.json, snap-*.json checkpoints, and a wal/ directory of
-// per-shard logs. A directory holding a legacy single-directory WAL is
-// migrated on open: its records replay, a checkpoint anchors them, and
-// the old segments are removed.
+// per-shard logs. A directory whose wal/ holds segment files directly —
+// the single-directory layout that predates sharding — is refused:
+// opening it would serve an empty store beside acknowledged records.
 func OpenDurable(dir string, design core.DesignSpec, registry *Registry, opts DurableOptions) (*Durable, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cloud: open durable: %w", err)
@@ -270,6 +269,9 @@ func OpenDurable(dir string, design core.DesignSpec, registry *Registry, opts Du
 	d := &Durable{dir: dir, walRoot: filepath.Join(dir, "wal"), wall: opts.Clock, follower: opts.Follower}
 	if d.wall == nil {
 		d.wall = time.Now
+	}
+	if err := d.refuseUnshardedWAL(); err != nil {
+		return nil, err
 	}
 	shardCount := opts.WALShards
 	if shardCount <= 0 {
@@ -314,10 +316,7 @@ func OpenDurable(dir string, design core.DesignSpec, registry *Registry, opts Du
 		}
 	}
 
-	floor, err := d.migrateLegacyWAL(snapLSN)
-	if err != nil {
-		return nil, err
-	}
+	floor := snapLSN
 
 	// Open every existing shard log (repairing torn tails), then merge
 	// their tails into the global stream by LSN and replay.
@@ -353,59 +352,25 @@ func OpenDurable(dir string, design core.DesignSpec, registry *Registry, opts Du
 	return d, nil
 }
 
-// migrateLegacyWAL absorbs a pre-sharding single-directory log sitting
-// directly in wal/: replay its dense tail, anchor it with a checkpoint,
-// and remove the old segments. Crash-safe at every step — the segments
-// are deleted only after the checkpoint landed, and a re-run skips
-// records the checkpoint already covers. Returns the LSN floor the
-// global allocator must start above.
-func (d *Durable) migrateLegacyWAL(snapLSN uint64) (uint64, error) {
+// refuseUnshardedWAL fails the open when segment files sit directly in
+// wal/ instead of in its per-shard subdirectories. Nothing reads that
+// layout any more, so continuing would ignore whatever those segments
+// acknowledged.
+func (d *Durable) refuseUnshardedWAL() error {
 	entries, err := os.ReadDir(d.walRoot)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return snapLSN, nil
+			return nil
 		}
-		return 0, fmt.Errorf("cloud: open durable: %w", err)
-	}
-	legacy := false
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".wal") {
-			legacy = true
-			break
-		}
-	}
-	if !legacy {
-		return snapLSN, nil
-	}
-
-	opts := wal.Options{MaxRecord: d.walOpts.MaxRecord, Policy: wal.SyncOff, InitialLSN: snapLSN + 1}
-	log, err := wal.Open(d.walRoot, opts)
-	if err != nil {
-		return 0, fmt.Errorf("cloud: legacy WAL: %w", err)
-	}
-	d.recovery.WALShards = append(d.recovery.WALShards,
-		DurableShardRecovery{Shard: -1, Info: log.Recovery()})
-	if err := log.Replay(snapLSN+1, d.replayRecord); err != nil {
-		log.Close()
-		return 0, err
-	}
-	last := log.LastLSN()
-	if err := log.Close(); err != nil {
-		return 0, fmt.Errorf("cloud: legacy WAL: %w", err)
-	}
-	if last > snapLSN {
-		if err := d.checkpointAt(last); err != nil {
-			return 0, fmt.Errorf("cloud: migrate legacy WAL: %w", err)
-		}
+		return fmt.Errorf("cloud: open durable: %w", err)
 	}
 	for _, e := range entries {
 		if !e.IsDir() && strings.HasSuffix(e.Name(), ".wal") {
-			if err := os.Remove(filepath.Join(d.walRoot, e.Name())); err != nil {
-				return 0, fmt.Errorf("cloud: migrate legacy WAL: %w", err)
-			}
+			return fmt.Errorf("cloud: open durable: %w: segment %s lies directly under %s (the unsharded single-directory layout); this store reads only %s subdirectories",
+				wal.ErrCorrupt, e.Name(), d.walRoot, wal.ShardDirName(0))
 		}
 	}
-	return last, nil
+	return nil
 }
 
 // replayRecord is applyRecord for OpenDurable's recovery loops, which

@@ -2,12 +2,11 @@ package cloud
 
 import (
 	"bytes"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -713,82 +712,49 @@ func TestDurableConcurrentStatusRecovery(t *testing.T) {
 	}
 }
 
-// TestDurableMigratesLegacyWAL proves a pre-sharding directory — a
-// dense log sitting directly in wal/ and a meta.json without a shard
-// count — opens cleanly: the legacy records replay, a migration
-// checkpoint anchors them, the old segments are removed, and new
-// records flow into per-shard logs.
-func TestDurableMigratesLegacyWAL(t *testing.T) {
+// TestDurableRefusesUnshardedWAL proves a pre-sharding directory — a log
+// sitting directly in wal/ — is refused as corrupt, naming the layout,
+// rather than opened as an empty store beside its acknowledged records;
+// the refusal leaves the directory as it found it.
+func TestDurableRefusesUnshardedWAL(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
-	var master [32]byte
-	master[0] = 7
-	meta := fmt.Sprintf("{\n  \"version\": 1,\n  \"design\": \"devid-acl\",\n  \"master_seed\": %q\n}\n", hex.EncodeToString(master[:]))
-	if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte(meta), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := wal.Open(walDir, wal.Options{Policy: wal.SyncOff})
+	old, err := wal.Open(walDir, wal.Options{Policy: wal.SyncOff})
 	if err != nil {
-		t.Fatal(err)
-	}
-	at := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
-	regReq := protocol.RegisterUserRequest{UserID: "legacy@example.com", Password: "pw"}
-	payload, err := json.Marshal(walEnvelope{Op: "register_user", At: walEncodeTime(at), RegisterUser: &regReq})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legacy.Append(payload); err != nil {
 		t.Fatal(err)
 	}
 	var sb bytes.Buffer
-	encodeStatusRecord(&sb, at, &protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice})
-	if _, err := legacy.Append(sb.Bytes()); err != nil {
+	encodeStatusRecord(&sb, time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC),
+		&protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice})
+	if _, err := old.Append(sb.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.Close(); err != nil {
+	if err := old.Close(); err != nil {
 		t.Fatal(err)
+	}
+	before, _ := filepath.Glob(filepath.Join(dir, "*"))
+	segments, _ := filepath.Glob(filepath.Join(walDir, "*.wal"))
+	if len(segments) == 0 {
+		t.Fatal("fixture wrote no segment directly under wal/")
 	}
 
-	d, clock := newDurable(t, dir, DurableOptions{})
-	rec := d.Recovery()
-	migrated := false
-	for _, s := range rec.WALShards {
-		if s.Shard == -1 {
-			migrated = true
-		}
-	}
-	if !migrated {
-		t.Error("recovery reports no legacy (-1) shard entry")
-	}
-	if rec.Replayed != 2 {
-		t.Errorf("replayed %d legacy records, want 2", rec.Replayed)
-	}
-	if got := d.AppliedOps(); got != 2 {
-		t.Errorf("AppliedOps after migration = %d, want 2", got)
-	}
-	if segs, _ := filepath.Glob(filepath.Join(walDir, "*.wal")); len(segs) != 0 {
-		t.Errorf("legacy segments survive migration: %v", segs)
-	}
-
-	// The migrated state is live: the legacy user logs in, the legacy
-	// device heartbeats, and both new records land in shard logs.
-	if _, err := d.Login(protocol.LoginRequest{UserID: "legacy@example.com", Password: "pw"}); err != nil {
+	reg := NewRegistry()
+	if err := reg.Add(DeviceRecord{ID: testDevice, FactorySecret: testSecret, Model: "plug"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.HandleStatus(protocol.StatusRequest{
-		Kind: protocol.StatusHeartbeat, DeviceID: testDevice, IdempotencyKey: "post-migrate",
-	}); err != nil {
-		t.Fatal(err)
+	d, err := OpenDurable(dir, devIDDesign(), reg, DurableOptions{})
+	if err == nil {
+		d.Close()
+		t.Fatal("OpenDurable accepted a directory with segments directly under wal/")
 	}
-	if shards, _ := filepath.Glob(filepath.Join(walDir, "shard-*")); len(shards) == 0 {
-		t.Error("no shard directories exist after post-migration appends")
+	if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), "single-directory layout") ||
+		!strings.Contains(err.Error(), filepath.Base(segments[0])) {
+		t.Errorf("refusal = %v, want wal.ErrCorrupt naming the layout and the segment", err)
 	}
-	want := encodeState(t, d)
-	d.Close()
-
-	d2, _ := newDurable(t, dir, DurableOptions{Clock: clock.Now})
-	if got := encodeState(t, d2); !bytes.Equal(want, got) {
-		t.Error("post-migration recovery diverged from live state")
+	after, _ := filepath.Glob(filepath.Join(dir, "*"))
+	left, _ := filepath.Glob(filepath.Join(walDir, "*.wal"))
+	if !reflect.DeepEqual(before, after) || !reflect.DeepEqual(segments, left) {
+		t.Errorf("refusal changed the directory: %v -> %v, segments %v -> %v", before, after, segments, left)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"github.com/iotbind/iotbind/internal/cloud"
 	"github.com/iotbind/iotbind/internal/core"
-	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/transport"
 	"github.com/iotbind/iotbind/internal/wal"
 )
@@ -52,6 +51,9 @@ type NodeConfig struct {
 // a backend; after Kill every call returns ErrNodeDown until the
 // harness promotes the replica and swaps it in.
 type Node struct {
+	// Hopped serves every operation from the primary between nodeHop's
+	// Begin and End.
+	transport.Hopped
 	name       string
 	primaryDir string
 	maxRecord  int // WAL record cap, for the kill-time stranded scan
@@ -91,8 +93,6 @@ type nodeOptions struct {
 func WithShipInterval(d time.Duration) Option {
 	return func(o *nodeOptions) { o.shipInterval = d }
 }
-
-var _ transport.Cloud = (*Node)(nil)
 
 // NewNode opens the node's primary and replica stores. The replica
 // inherits the primary's meta.json — same master seed, design and WAL
@@ -152,6 +152,7 @@ func NewNode(cfg NodeConfig, opts ...Option) (*Node, error) {
 		ship:       ship,
 		ackRep:     cfg.AckAfterReplicate,
 	}
+	n.Hopped = transport.NewHopped(nodeHop{n})
 	if no.shipInterval > 0 {
 		n.shipStop = make(chan struct{})
 		n.shipWG.Add(1)
@@ -301,112 +302,35 @@ func (n *Node) Close() error {
 	return first
 }
 
-// run executes one request against the primary, shipping before the ack
-// under the ack-after-replicate policy. The replication step runs while
-// still holding the read side, so a kill can never slip between a
-// request's apply and its ship.
-func run[T any](n *Node, call func(*cloud.Durable) (T, error)) (T, error) {
-	var zero T
+// nodeHop brackets one request against the primary: Begin takes the read
+// side of opMu and refuses a killed node; End ships before the ack under
+// the ack-after-replicate policy and releases the lock. The replication
+// step runs while still holding the read side, so a kill can never slip
+// between a request's apply and its ship. A failed request ships nothing.
+type nodeHop struct{ n *Node }
+
+func (h nodeHop) Begin(transport.Op, string) (transport.Cloud, error) {
+	n := h.n
 	n.opMu.RLock()
-	defer n.opMu.RUnlock()
 	if n.killed {
-		return zero, ErrNodeDown
+		n.opMu.RUnlock()
+		return nil, ErrNodeDown
 	}
-	resp, err := call(n.primary)
-	if err != nil {
-		return zero, err
+	return n.primary, nil
+}
+
+func (h nodeHop) End(_ transport.Op, err error) error {
+	n := h.n
+	defer n.opMu.RUnlock()
+	if err != nil || !n.ackRep {
+		return err
 	}
-	if n.ackRep {
-		if serr := n.ship.Drain(); serr != nil {
-			// The operation applied on the primary but its record never
-			// reached the replica: under ack-after-replicate that is a
-			// failed request (the caller retries; keyed operations
-			// dedup on redelivery).
-			return zero, fmt.Errorf("cluster: node %s replicate: %w", n.name, serr)
-		}
+	if serr := n.ship.Drain(); serr != nil {
+		// The operation applied on the primary but its record never
+		// reached the replica: under ack-after-replicate that is a
+		// failed request (the caller retries; keyed operations dedup on
+		// redelivery).
+		return fmt.Errorf("cluster: node %s replicate: %w", n.name, serr)
 	}
-	return resp, nil
-}
-
-func (n *Node) RegisterUser(req protocol.RegisterUserRequest) error {
-	_, err := run(n, func(d *cloud.Durable) (struct{}, error) {
-		return struct{}{}, d.RegisterUser(req)
-	})
-	return err
-}
-
-func (n *Node) Login(req protocol.LoginRequest) (protocol.LoginResponse, error) {
-	return run(n, func(d *cloud.Durable) (protocol.LoginResponse, error) { return d.Login(req) })
-}
-
-func (n *Node) RequestDeviceToken(req protocol.DeviceTokenRequest) (protocol.DeviceTokenResponse, error) {
-	return run(n, func(d *cloud.Durable) (protocol.DeviceTokenResponse, error) { return d.RequestDeviceToken(req) })
-}
-
-func (n *Node) RequestBindToken(req protocol.BindTokenRequest) (protocol.BindTokenResponse, error) {
-	return run(n, func(d *cloud.Durable) (protocol.BindTokenResponse, error) { return d.RequestBindToken(req) })
-}
-
-func (n *Node) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
-	return run(n, func(d *cloud.Durable) (protocol.StatusResponse, error) { return d.HandleStatus(req) })
-}
-
-func (n *Node) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	return run(n, func(d *cloud.Durable) (protocol.StatusBatchResponse, error) { return d.HandleStatusBatch(req) })
-}
-
-func (n *Node) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
-	return run(n, func(d *cloud.Durable) (protocol.BindResponse, error) { return d.HandleBind(req) })
-}
-
-func (n *Node) HandleUnbind(req protocol.UnbindRequest) error {
-	_, err := run(n, func(d *cloud.Durable) (struct{}, error) {
-		return struct{}{}, d.HandleUnbind(req)
-	})
-	return err
-}
-
-func (n *Node) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
-	return run(n, func(d *cloud.Durable) (protocol.ControlResponse, error) { return d.HandleControl(req) })
-}
-
-func (n *Node) PushUserData(req protocol.PushUserDataRequest) error {
-	_, err := run(n, func(d *cloud.Durable) (struct{}, error) {
-		return struct{}{}, d.PushUserData(req)
-	})
-	return err
-}
-
-func (n *Node) Readings(req protocol.ReadingsRequest) (protocol.ReadingsResponse, error) {
-	return run(n, func(d *cloud.Durable) (protocol.ReadingsResponse, error) { return d.Readings(req) })
-}
-
-func (n *Node) HandleShare(req protocol.ShareRequest) error {
-	_, err := run(n, func(d *cloud.Durable) (struct{}, error) {
-		return struct{}{}, d.HandleShare(req)
-	})
-	return err
-}
-
-func (n *Node) Shares(req protocol.SharesRequest) (protocol.SharesResponse, error) {
-	return run(n, func(d *cloud.Durable) (protocol.SharesResponse, error) { return d.Shares(req) })
-}
-
-func (n *Node) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
-	return run(n, func(d *cloud.Durable) (protocol.DelegateResponse, error) { return d.HandleDelegate(req) })
-}
-
-func (n *Node) HandleRevokeDelegation(req protocol.RevokeDelegationRequest) error {
-	_, err := run(n, func(d *cloud.Durable) (struct{}, error) {
-		return struct{}{}, d.HandleRevokeDelegation(req)
-	})
-	return err
-}
-
-func (n *Node) ListDelegations(req protocol.ListDelegationsRequest) (protocol.ListDelegationsResponse, error) {
-	return run(n, func(d *cloud.Durable) (protocol.ListDelegationsResponse, error) { return d.ListDelegations(req) })
-}
-
-func (n *Node) ShadowState(req protocol.ShadowStateRequest) (protocol.ShadowStateResponse, error) {
-	return run(n, func(d *cloud.Durable) (protocol.ShadowStateResponse, error) { return d.ShadowState(req) })
+	return nil
 }

@@ -16,11 +16,12 @@ import (
 // failover — swap the promoted replica in behind the dead primary's
 // name — is invisible to the router and to every agent above it.
 type Router struct {
+	// Hopped forwards every single-key operation to its owner; the two
+	// methods below are the ones that address more than one node.
+	transport.Hopped
 	ring    *Ring
 	members map[string]*transport.Switchable
 }
-
-var _ transport.Cloud = (*Router)(nil)
 
 // NewRouter builds a router over the ring's members. members must hold
 // exactly the ring's node names.
@@ -33,7 +34,9 @@ func NewRouter(ring *Ring, members map[string]*transport.Switchable) (*Router, e
 	if len(members) != len(ring.Nodes()) {
 		return nil, fmt.Errorf("cluster: router has %d members for a %d-node ring", len(members), len(ring.Nodes()))
 	}
-	return &Router{ring: ring, members: members}, nil
+	r := &Router{ring: ring, members: members}
+	r.Hopped = transport.NewHopped(routerHop{r})
+	return r, nil
 }
 
 // Member returns the Switchable behind a node name (the failover hook).
@@ -42,10 +45,17 @@ func (r *Router) Member(name string) *transport.Switchable { return r.members[na
 // Ring returns the ring (ownership diagnostics).
 func (r *Router) Ring() *Ring { return r.ring }
 
-// owner resolves the backend serving key.
-func (r *Router) owner(key string) transport.Cloud {
-	return r.members[r.ring.Owner(key)]
+// routerHop routes by ring owner of the routing key: the device ID, or
+// for login the user ID — the token a login issues verifies only on the
+// node that issued it, so every later token-bearing call for it must
+// route the same way, which UserID-keyed routing guarantees.
+type routerHop struct{ r *Router }
+
+func (h routerHop) Begin(_ transport.Op, key string) (transport.Cloud, error) {
+	return h.r.members[h.r.ring.Owner(key)], nil
 }
+
+func (h routerHop) End(_ transport.Op, err error) error { return err }
 
 // RegisterUser broadcasts: accounts must exist everywhere because a
 // bind authenticating (UserID, password) lands on the device's owner,
@@ -59,25 +69,6 @@ func (r *Router) RegisterUser(req protocol.RegisterUserRequest) error {
 		}
 	}
 	return nil
-}
-
-// Login routes to the account owner: the token it issues verifies only
-// there, so every later token-bearing call for it must route the same
-// way — which UserID-keyed routing guarantees.
-func (r *Router) Login(req protocol.LoginRequest) (protocol.LoginResponse, error) {
-	return r.owner(req.UserID).Login(req)
-}
-
-func (r *Router) RequestDeviceToken(req protocol.DeviceTokenRequest) (protocol.DeviceTokenResponse, error) {
-	return r.owner(req.DeviceID).RequestDeviceToken(req)
-}
-
-func (r *Router) RequestBindToken(req protocol.BindTokenRequest) (protocol.BindTokenResponse, error) {
-	return r.owner(req.DeviceID).RequestBindToken(req)
-}
-
-func (r *Router) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
-	return r.owner(req.DeviceID).HandleStatus(req)
 }
 
 // HandleStatusBatch splits the batch by owner, dispatches the sub-
@@ -142,48 +133,4 @@ func (r *Router) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.St
 		return protocol.StatusBatchResponse{}, firstErr
 	}
 	return out, nil
-}
-
-func (r *Router) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
-	return r.owner(req.DeviceID).HandleBind(req)
-}
-
-func (r *Router) HandleUnbind(req protocol.UnbindRequest) error {
-	return r.owner(req.DeviceID).HandleUnbind(req)
-}
-
-func (r *Router) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
-	return r.owner(req.DeviceID).HandleControl(req)
-}
-
-func (r *Router) PushUserData(req protocol.PushUserDataRequest) error {
-	return r.owner(req.DeviceID).PushUserData(req)
-}
-
-func (r *Router) Readings(req protocol.ReadingsRequest) (protocol.ReadingsResponse, error) {
-	return r.owner(req.DeviceID).Readings(req)
-}
-
-func (r *Router) HandleShare(req protocol.ShareRequest) error {
-	return r.owner(req.DeviceID).HandleShare(req)
-}
-
-func (r *Router) Shares(req protocol.SharesRequest) (protocol.SharesResponse, error) {
-	return r.owner(req.DeviceID).Shares(req)
-}
-
-func (r *Router) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
-	return r.owner(req.DeviceID).HandleDelegate(req)
-}
-
-func (r *Router) HandleRevokeDelegation(req protocol.RevokeDelegationRequest) error {
-	return r.owner(req.DeviceID).HandleRevokeDelegation(req)
-}
-
-func (r *Router) ListDelegations(req protocol.ListDelegationsRequest) (protocol.ListDelegationsResponse, error) {
-	return r.owner(req.DeviceID).ListDelegations(req)
-}
-
-func (r *Router) ShadowState(req protocol.ShadowStateRequest) (protocol.ShadowStateResponse, error) {
-	return r.owner(req.DeviceID).ShadowState(req)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/iotbind/iotbind/internal/protocol"
+	"github.com/iotbind/iotbind/internal/transport"
 )
 
 // nullResponseWriter discards the body; the header map is preallocated so
@@ -44,9 +45,17 @@ func TestStatusEncodeAllocations(t *testing.T) {
 	}
 }
 
-// TestStatusDecodeAllocations pins the pooled decode path: draining and
-// unmarshaling a status request must not regress to io.ReadAll-per-call
-// growth.
+// sink is a cloud that answers a status with the zero response; every
+// other method panics through the nil embedded interface.
+type sink struct{ transport.Cloud }
+
+func (sink) HandleStatus(protocol.StatusRequest) (protocol.StatusResponse, error) {
+	return protocol.StatusResponse{}, nil
+}
+
+// TestStatusDecodeAllocations pins the pooled decode path: draining a
+// status request, unmarshaling it through the operation table's row and
+// answering it must not regress to io.ReadAll-per-call growth.
 func TestStatusDecodeAllocations(t *testing.T) {
 	body, err := json.Marshal(protocol.StatusRequest{
 		Kind: protocol.StatusHeartbeat, DeviceID: "AA:BB:CC:00:00:01",
@@ -55,20 +64,19 @@ func TestStatusDecodeAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := NewServer(sink{})
 	w := nullResponseWriter{h: make(http.Header)}
 	reader := bytes.NewReader(body)
-	req := httptest.NewRequest(http.MethodPost, RouteStatus, nil)
+	req := httptest.NewRequest(http.MethodPost, Route(transport.OpStatus), nil)
 	req.Body = io.NopCloser(reader)
 
 	avg := testing.AllocsPerRun(200, func() {
 		reader.Reset(body)
-		var out protocol.StatusRequest
-		if !decode(w, req, &out) {
-			t.Fatal("decode failed")
-		}
+		srv.serve(w, req, &transport.Ops[transport.OpStatus])
 	})
-	// Measured ~12 (MaxBytesReader wrapper + unmarshal of the request's
-	// strings and readings); 20 is the regression tripwire.
+	// Measured ~14 (MaxBytesReader wrapper, unmarshal of the request's
+	// strings and readings, the boxed response); 20 is the regression
+	// tripwire.
 	if avg > 20 {
 		t.Errorf("status decode = %.1f allocs/op, want <= 20", avg)
 	}

@@ -24,11 +24,11 @@ const DefaultTimeout = 15 * time.Second
 // device agents, apps and attackers can run unchanged against a remote
 // cloud.
 type Client struct {
+	// JSONLane is every transport.Cloud method as one POST.
+	transport.JSONLane
 	baseURL string
 	httpc   *http.Client
 }
-
-var _ transport.Cloud = (*Client)(nil)
 
 // ClientOption configures a Client.
 type ClientOption interface {
@@ -64,128 +64,20 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 		baseURL: strings.TrimSuffix(baseURL, "/"),
 		httpc:   &http.Client{Timeout: DefaultTimeout},
 	}
+	c.JSONLane = transport.NewJSONLane(poster{c})
 	for _, o := range opts {
 		o.apply(c)
 	}
 	return c
 }
 
-// RegisterUser implements transport.Cloud.
-func (c *Client) RegisterUser(req protocol.RegisterUserRequest) error {
-	var out struct{}
-	return c.post(RouteRegisterUser, req, &out)
-}
+// poster is the Client's round trip: POST the request to the operation's
+// route, decode the 200 body into out or the error envelope into a
+// protocol sentinel.
+type poster struct{ c *Client }
 
-// Login implements transport.Cloud.
-func (c *Client) Login(req protocol.LoginRequest) (protocol.LoginResponse, error) {
-	var out protocol.LoginResponse
-	err := c.post(RouteLogin, req, &out)
-	return out, err
-}
-
-// RequestDeviceToken implements transport.Cloud.
-func (c *Client) RequestDeviceToken(req protocol.DeviceTokenRequest) (protocol.DeviceTokenResponse, error) {
-	var out protocol.DeviceTokenResponse
-	err := c.post(RouteDeviceToken, req, &out)
-	return out, err
-}
-
-// RequestBindToken implements transport.Cloud.
-func (c *Client) RequestBindToken(req protocol.BindTokenRequest) (protocol.BindTokenResponse, error) {
-	var out protocol.BindTokenResponse
-	err := c.post(RouteBindToken, req, &out)
-	return out, err
-}
-
-// HandleStatus implements transport.Cloud.
-func (c *Client) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
-	var out protocol.StatusResponse
-	err := c.post(RouteStatus, req, &out)
-	return out, err
-}
-
-// HandleStatusBatch implements transport.Cloud: one POST carries the whole
-// coalesced batch.
-func (c *Client) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	var out protocol.StatusBatchResponse
-	err := c.post(RouteStatusBatch, req, &out)
-	return out, err
-}
-
-// HandleBind implements transport.Cloud.
-func (c *Client) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
-	var out protocol.BindResponse
-	err := c.post(RouteBind, req, &out)
-	return out, err
-}
-
-// HandleUnbind implements transport.Cloud.
-func (c *Client) HandleUnbind(req protocol.UnbindRequest) error {
-	var out struct{}
-	return c.post(RouteUnbind, req, &out)
-}
-
-// HandleControl implements transport.Cloud.
-func (c *Client) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
-	var out protocol.ControlResponse
-	err := c.post(RouteControl, req, &out)
-	return out, err
-}
-
-// PushUserData implements transport.Cloud.
-func (c *Client) PushUserData(req protocol.PushUserDataRequest) error {
-	var out struct{}
-	return c.post(RouteUserData, req, &out)
-}
-
-// Readings implements transport.Cloud.
-func (c *Client) Readings(req protocol.ReadingsRequest) (protocol.ReadingsResponse, error) {
-	var out protocol.ReadingsResponse
-	err := c.post(RouteReadings, req, &out)
-	return out, err
-}
-
-// HandleShare implements transport.Cloud.
-func (c *Client) HandleShare(req protocol.ShareRequest) error {
-	var out struct{}
-	return c.post(RouteShare, req, &out)
-}
-
-// Shares implements transport.Cloud.
-func (c *Client) Shares(req protocol.SharesRequest) (protocol.SharesResponse, error) {
-	var out protocol.SharesResponse
-	err := c.post(RouteShares, req, &out)
-	return out, err
-}
-
-// HandleDelegate implements transport.Cloud.
-func (c *Client) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
-	var out protocol.DelegateResponse
-	err := c.post(RouteDelegate, req, &out)
-	return out, err
-}
-
-// HandleRevokeDelegation implements transport.Cloud.
-func (c *Client) HandleRevokeDelegation(req protocol.RevokeDelegationRequest) error {
-	var out struct{}
-	return c.post(RouteRevokeDeleg, req, &out)
-}
-
-// ListDelegations implements transport.Cloud.
-func (c *Client) ListDelegations(req protocol.ListDelegationsRequest) (protocol.ListDelegationsResponse, error) {
-	var out protocol.ListDelegationsResponse
-	err := c.post(RouteDelegations, req, &out)
-	return out, err
-}
-
-// ShadowState implements transport.Cloud.
-func (c *Client) ShadowState(req protocol.ShadowStateRequest) (protocol.ShadowStateResponse, error) {
-	var out protocol.ShadowStateResponse
-	err := c.post(RouteShadow, req, &out)
-	return out, err
-}
-
-func (c *Client) post(route string, in, out any) error {
+func (p poster) RoundTrip(op transport.Op, in, out any) error {
+	c, route := p.c, Route(op)
 	// Encode the request into a pooled buffer instead of json.Marshal's
 	// fresh slice. The buffer is released only after the response has been
 	// fully read: by then the server handler has consumed the request body,
@@ -219,6 +111,9 @@ func (c *Client) post(route string, in, out any) error {
 			return fmt.Errorf("httpapi: %s: %s: %w", route, eb.Message, sentinel)
 		}
 		return fmt.Errorf("httpapi: %s: %s (%s)", route, eb.Message, eb.Code)
+	}
+	if out == nil {
+		return nil
 	}
 	if err := json.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("httpapi: decode %s: %w", route, err)

@@ -106,7 +106,7 @@ func TestOversizedBodyRoundTripsAsPayloadTooLarge(t *testing.T) {
 	srv, client := newHTTPCloud(t, laxDesign())
 
 	huge := `{"user_id":"` + strings.Repeat("x", 1<<20) + `"}`
-	resp, err := http.Post(srv.URL+httpapi.RouteLogin, "application/json", bytes.NewReader([]byte(huge)))
+	resp, err := http.Post(srv.URL+httpapi.Route(transport.OpLogin), "application/json", bytes.NewReader([]byte(huge)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"github.com/iotbind/iotbind/internal/cloud"
 	"github.com/iotbind/iotbind/internal/httpapi"
+	"github.com/iotbind/iotbind/internal/transport"
 )
 
 // FuzzHTTPBody throws arbitrary bytes at every route: the server must
@@ -37,9 +38,9 @@ func FuzzHTTPBody(f *testing.F) {
 	f.Cleanup(srv.Close)
 
 	routes := []string{
-		httpapi.RouteLogin, httpapi.RouteStatus, httpapi.RouteBind,
-		httpapi.RouteUnbind, httpapi.RouteControl, httpapi.RouteShadow,
-		httpapi.RouteShare,
+		httpapi.Route(transport.OpLogin), httpapi.Route(transport.OpStatus), httpapi.Route(transport.OpBind),
+		httpapi.Route(transport.OpUnbind), httpapi.Route(transport.OpControl), httpapi.Route(transport.OpShadow),
+		httpapi.Route(transport.OpShare),
 	}
 	f.Fuzz(func(t *testing.T, body string) {
 		for _, route := range routes {

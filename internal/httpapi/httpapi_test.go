@@ -176,7 +176,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	srv, _ := newHTTPCloud(t, laxDesign())
 
 	// GET is rejected.
-	resp, err := http.Get(srv.URL + httpapi.RouteLogin)
+	resp, err := http.Get(srv.URL + httpapi.Route(transport.OpLogin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 
 	// Malformed JSON is rejected.
-	resp, err = http.Post(srv.URL+httpapi.RouteLogin, "application/json", strings.NewReader("{nope"))
+	resp, err = http.Post(srv.URL+httpapi.Route(transport.OpLogin), "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}

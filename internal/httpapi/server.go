@@ -7,7 +7,6 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -18,26 +17,16 @@ import (
 	"github.com/iotbind/iotbind/internal/transport"
 )
 
-// API routes.
-const (
-	RouteRegisterUser = "/api/v1/register-user"
-	RouteLogin        = "/api/v1/login"
-	RouteDeviceToken  = "/api/v1/device-token"
-	RouteBindToken    = "/api/v1/bind-token"
-	RouteStatus       = "/api/v1/status"
-	RouteStatusBatch  = "/api/v1/status-batch"
-	RouteBind         = "/api/v1/bind"
-	RouteUnbind       = "/api/v1/unbind"
-	RouteControl      = "/api/v1/control"
-	RouteUserData     = "/api/v1/user-data"
-	RouteReadings     = "/api/v1/readings"
-	RouteShare        = "/api/v1/share"
-	RouteShares       = "/api/v1/shares"
-	RouteDelegate     = "/api/v1/delegate"
-	RouteRevokeDeleg  = "/api/v1/revoke-delegation"
-	RouteDelegations  = "/api/v1/delegations"
-	RouteShadow       = "/api/v1/shadow"
-)
+// routes holds each operation's path: its wire name under /api/v1/.
+var routes = func() (r [len(transport.Ops)]string) {
+	for op := range r {
+		r[op] = "/api/v1/" + transport.Op(op).String()
+	}
+	return r
+}()
+
+// Route returns the path an operation is served at.
+func Route(op transport.Op) string { return routes[op] }
 
 // maxBody bounds a request or response body on this front end.
 const maxBody = 1 << 20
@@ -74,23 +63,12 @@ var _ http.Handler = (*Server)(nil)
 // NewServer wraps a cloud implementation (typically *cloud.Service).
 func NewServer(cloud transport.Cloud) *Server {
 	s := &Server{cloud: cloud, mux: http.NewServeMux()}
-	s.mux.HandleFunc(RouteRegisterUser, s.handleRegisterUser)
-	s.mux.HandleFunc(RouteLogin, s.handleLogin)
-	s.mux.HandleFunc(RouteDeviceToken, s.handleDeviceToken)
-	s.mux.HandleFunc(RouteBindToken, s.handleBindToken)
-	s.mux.HandleFunc(RouteStatus, s.handleStatus)
-	s.mux.HandleFunc(RouteStatusBatch, s.handleStatusBatch)
-	s.mux.HandleFunc(RouteBind, s.handleBind)
-	s.mux.HandleFunc(RouteUnbind, s.handleUnbind)
-	s.mux.HandleFunc(RouteControl, s.handleControl)
-	s.mux.HandleFunc(RouteUserData, s.handleUserData)
-	s.mux.HandleFunc(RouteReadings, s.handleReadings)
-	s.mux.HandleFunc(RouteShare, s.handleShare)
-	s.mux.HandleFunc(RouteShares, s.handleShares)
-	s.mux.HandleFunc(RouteDelegate, s.handleDelegate)
-	s.mux.HandleFunc(RouteRevokeDeleg, s.handleRevokeDelegation)
-	s.mux.HandleFunc(RouteDelegations, s.handleDelegations)
-	s.mux.HandleFunc(RouteShadow, s.handleShadow)
+	for op := range transport.Ops {
+		row := &transport.Ops[op]
+		s.mux.HandleFunc(Route(transport.Op(op)), func(w http.ResponseWriter, r *http.Request) {
+			s.serve(w, r, row)
+		})
+	}
 	return s
 }
 
@@ -99,165 +77,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-func (s *Server) handleRegisterUser(w http.ResponseWriter, r *http.Request) {
-	var req protocol.RegisterUserRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	respond(w, struct{}{}, s.cloud.RegisterUser(req))
-}
-
-func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
-	var req protocol.LoginRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	resp, err := s.cloud.Login(req)
-	respond(w, resp, err)
-}
-
-func (s *Server) handleDeviceToken(w http.ResponseWriter, r *http.Request) {
-	var req protocol.DeviceTokenRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	resp, err := s.cloud.RequestDeviceToken(req)
-	respond(w, resp, err)
-}
-
-func (s *Server) handleBindToken(w http.ResponseWriter, r *http.Request) {
-	var req protocol.BindTokenRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	resp, err := s.cloud.RequestBindToken(req)
-	respond(w, resp, err)
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	var req protocol.StatusRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	req.SourceIP = sourceIP(r)
-	resp, err := s.cloud.HandleStatus(req)
-	respond(w, resp, err)
-}
-
-func (s *Server) handleStatusBatch(w http.ResponseWriter, r *http.Request) {
-	var req protocol.StatusBatchRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	req.SourceIP = sourceIP(r)
-	resp, err := s.cloud.HandleStatusBatch(req)
-	respond(w, resp, err)
-}
-
-func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
-	var req protocol.BindRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	req.SourceIP = sourceIP(r)
-	resp, err := s.cloud.HandleBind(req)
-	respond(w, resp, err)
-}
-
-func (s *Server) handleUnbind(w http.ResponseWriter, r *http.Request) {
-	var req protocol.UnbindRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	req.SourceIP = sourceIP(r)
-	respond(w, struct{}{}, s.cloud.HandleUnbind(req))
-}
-
-func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
-	var req protocol.ControlRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	req.SourceIP = sourceIP(r)
-	resp, err := s.cloud.HandleControl(req)
-	respond(w, resp, err)
-}
-
-func (s *Server) handleUserData(w http.ResponseWriter, r *http.Request) {
-	var req protocol.PushUserDataRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	respond(w, struct{}{}, s.cloud.PushUserData(req))
-}
-
-func (s *Server) handleReadings(w http.ResponseWriter, r *http.Request) {
-	var req protocol.ReadingsRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	resp, err := s.cloud.Readings(req)
-	respond(w, resp, err)
-}
-
-func (s *Server) handleShare(w http.ResponseWriter, r *http.Request) {
-	var req protocol.ShareRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	respond(w, struct{}{}, s.cloud.HandleShare(req))
-}
-
-func (s *Server) handleShares(w http.ResponseWriter, r *http.Request) {
-	var req protocol.SharesRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	resp, err := s.cloud.Shares(req)
-	respond(w, resp, err)
-}
-
-func (s *Server) handleDelegate(w http.ResponseWriter, r *http.Request) {
-	var req protocol.DelegateRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	resp, err := s.cloud.HandleDelegate(req)
-	respond(w, resp, err)
-}
-
-func (s *Server) handleRevokeDelegation(w http.ResponseWriter, r *http.Request) {
-	var req protocol.RevokeDelegationRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	respond(w, struct{}{}, s.cloud.HandleRevokeDelegation(req))
-}
-
-func (s *Server) handleDelegations(w http.ResponseWriter, r *http.Request) {
-	var req protocol.ListDelegationsRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	resp, err := s.cloud.ListDelegations(req)
-	respond(w, resp, err)
-}
-
-func (s *Server) handleShadow(w http.ResponseWriter, r *http.Request) {
-	var req protocol.ShadowStateRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	resp, err := s.cloud.ShadowState(req)
-	respond(w, resp, err)
-}
-
-// decode parses the POST body; it writes the error response itself and
-// returns false on failure.
-func decode(w http.ResponseWriter, r *http.Request, into any) bool {
+// serve answers one POST through the operation's table row, stamping the
+// request with the connection's peer address.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, row *transport.OpRow) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST required")
-		return false
+		return
 	}
 	// Drain the body into a pooled buffer instead of io.ReadAll's fresh,
 	// growth-by-doubling slice: the steady-state heartbeat path reuses one
@@ -273,16 +98,19 @@ func decode(w http.ResponseWriter, r *http.Request, into any) bool {
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, "payload_too_large",
 				fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
-			return false
+			return
 		}
 		writeError(w, http.StatusBadRequest, "bad_request", "unreadable body")
-		return false
+		return
 	}
-	if err := json.Unmarshal(buf.Bytes(), into); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("malformed JSON: %v", err))
-		return false
+	if buf.Len() == 0 {
+		// A POST always carries its request; the table's "empty means
+		// zero request" is for envelopes that may omit the payload.
+		writeError(w, http.StatusBadRequest, "bad_request", "empty body")
+		return
 	}
-	return true
+	resp, err := row.Serve(s.cloud, buf.Bytes(), sourceIP(r))
+	respond(w, resp, err)
 }
 
 // respond writes either the success payload or the mapped error.

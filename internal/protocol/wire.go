@@ -3,7 +3,7 @@ package protocol
 import "errors"
 
 // Stable wire codes for the protocol error vocabulary, shared by every
-// remote front end (HTTP and raw TCP) so errors survive serialization and
+// remote front end (HTTP and binapi) so errors survive serialization and
 // errors.Is keeps working across process boundaries.
 var wireCodes = []struct {
 	err  error

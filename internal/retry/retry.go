@@ -187,7 +187,7 @@ func (t *Transport) wait(d time.Duration) bool {
 }
 
 // do drives one logical call through the attempt loop.
-func do[T any](t *Transport, op string, call func() (T, error)) (T, error) {
+func do[T any](t *Transport, op transport.Op, call func() (T, error)) (T, error) {
 	var out T
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -203,29 +203,29 @@ func do[T any](t *Transport, op string, call func() (T, error)) (T, error) {
 }
 
 // doErr adapts do for response-less operations.
-func doErr(t *Transport, op string, call func() error) error {
+func doErr(t *Transport, op transport.Op, call func() error) error {
 	_, err := do(t, op, func() (struct{}, error) { return struct{}{}, call() })
 	return err
 }
 
 // RegisterUser implements transport.Cloud.
 func (t *Transport) RegisterUser(req protocol.RegisterUserRequest) error {
-	return doErr(t, "register-user", func() error { return t.inner.RegisterUser(req) })
+	return doErr(t, transport.OpRegisterUser, func() error { return t.inner.RegisterUser(req) })
 }
 
 // Login implements transport.Cloud.
 func (t *Transport) Login(req protocol.LoginRequest) (protocol.LoginResponse, error) {
-	return do(t, "login", func() (protocol.LoginResponse, error) { return t.inner.Login(req) })
+	return do(t, transport.OpLogin, func() (protocol.LoginResponse, error) { return t.inner.Login(req) })
 }
 
 // RequestDeviceToken implements transport.Cloud.
 func (t *Transport) RequestDeviceToken(req protocol.DeviceTokenRequest) (protocol.DeviceTokenResponse, error) {
-	return do(t, "device-token", func() (protocol.DeviceTokenResponse, error) { return t.inner.RequestDeviceToken(req) })
+	return do(t, transport.OpDeviceToken, func() (protocol.DeviceTokenResponse, error) { return t.inner.RequestDeviceToken(req) })
 }
 
 // RequestBindToken implements transport.Cloud.
 func (t *Transport) RequestBindToken(req protocol.BindTokenRequest) (protocol.BindTokenResponse, error) {
-	return do(t, "bind-token", func() (protocol.BindTokenResponse, error) { return t.inner.RequestBindToken(req) })
+	return do(t, transport.OpBindToken, func() (protocol.BindTokenResponse, error) { return t.inner.RequestBindToken(req) })
 }
 
 // HandleStatus implements transport.Cloud. Status messages are naturally
@@ -234,7 +234,7 @@ func (t *Transport) RequestBindToken(req protocol.BindTokenRequest) (protocol.Bi
 // delivery whose response vanished; agents re-issue unacknowledged
 // commands, mirroring real apps.
 func (t *Transport) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
-	return do(t, "status", func() (protocol.StatusResponse, error) { return t.inner.HandleStatus(req) })
+	return do(t, transport.OpStatus, func() (protocol.StatusResponse, error) { return t.inner.HandleStatus(req) })
 }
 
 // HandleStatusBatch implements transport.Cloud, stamping a fresh
@@ -257,7 +257,7 @@ func (t *Transport) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol
 		}
 		req.Items = items
 	}
-	return do(t, "status-batch", func() (protocol.StatusBatchResponse, error) { return t.inner.HandleStatusBatch(req) })
+	return do(t, transport.OpStatusBatch, func() (protocol.StatusBatchResponse, error) { return t.inner.HandleStatusBatch(req) })
 }
 
 // HandleBind implements transport.Cloud, stamping one idempotency key
@@ -266,7 +266,7 @@ func (t *Transport) HandleBind(req protocol.BindRequest) (protocol.BindResponse,
 	if req.IdempotencyKey == "" {
 		req.IdempotencyKey = t.nextKey()
 	}
-	return do(t, "bind", func() (protocol.BindResponse, error) { return t.inner.HandleBind(req) })
+	return do(t, transport.OpBind, func() (protocol.BindResponse, error) { return t.inner.HandleBind(req) })
 }
 
 // HandleUnbind implements transport.Cloud, stamping one idempotency key
@@ -275,32 +275,32 @@ func (t *Transport) HandleUnbind(req protocol.UnbindRequest) error {
 	if req.IdempotencyKey == "" {
 		req.IdempotencyKey = t.nextKey()
 	}
-	return doErr(t, "unbind", func() error { return t.inner.HandleUnbind(req) })
+	return doErr(t, transport.OpUnbind, func() error { return t.inner.HandleUnbind(req) })
 }
 
 // HandleControl implements transport.Cloud.
 func (t *Transport) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
-	return do(t, "control", func() (protocol.ControlResponse, error) { return t.inner.HandleControl(req) })
+	return do(t, transport.OpControl, func() (protocol.ControlResponse, error) { return t.inner.HandleControl(req) })
 }
 
 // PushUserData implements transport.Cloud.
 func (t *Transport) PushUserData(req protocol.PushUserDataRequest) error {
-	return doErr(t, "user-data", func() error { return t.inner.PushUserData(req) })
+	return doErr(t, transport.OpUserData, func() error { return t.inner.PushUserData(req) })
 }
 
 // Readings implements transport.Cloud.
 func (t *Transport) Readings(req protocol.ReadingsRequest) (protocol.ReadingsResponse, error) {
-	return do(t, "readings", func() (protocol.ReadingsResponse, error) { return t.inner.Readings(req) })
+	return do(t, transport.OpReadings, func() (protocol.ReadingsResponse, error) { return t.inner.Readings(req) })
 }
 
 // HandleShare implements transport.Cloud.
 func (t *Transport) HandleShare(req protocol.ShareRequest) error {
-	return doErr(t, "share", func() error { return t.inner.HandleShare(req) })
+	return doErr(t, transport.OpShare, func() error { return t.inner.HandleShare(req) })
 }
 
 // Shares implements transport.Cloud.
 func (t *Transport) Shares(req protocol.SharesRequest) (protocol.SharesResponse, error) {
-	return do(t, "shares", func() (protocol.SharesResponse, error) { return t.inner.Shares(req) })
+	return do(t, transport.OpShares, func() (protocol.SharesResponse, error) { return t.inner.Shares(req) })
 }
 
 // HandleDelegate implements transport.Cloud, stamping one idempotency
@@ -311,7 +311,7 @@ func (t *Transport) HandleDelegate(req protocol.DelegateRequest) (protocol.Deleg
 	if req.IdempotencyKey == "" {
 		req.IdempotencyKey = t.nextKey()
 	}
-	return do(t, "delegate", func() (protocol.DelegateResponse, error) { return t.inner.HandleDelegate(req) })
+	return do(t, transport.OpDelegate, func() (protocol.DelegateResponse, error) { return t.inner.HandleDelegate(req) })
 }
 
 // HandleRevokeDelegation implements transport.Cloud, stamping one
@@ -321,15 +321,15 @@ func (t *Transport) HandleRevokeDelegation(req protocol.RevokeDelegationRequest)
 	if req.IdempotencyKey == "" {
 		req.IdempotencyKey = t.nextKey()
 	}
-	return doErr(t, "revoke-delegation", func() error { return t.inner.HandleRevokeDelegation(req) })
+	return doErr(t, transport.OpRevokeDelegation, func() error { return t.inner.HandleRevokeDelegation(req) })
 }
 
 // ListDelegations implements transport.Cloud.
 func (t *Transport) ListDelegations(req protocol.ListDelegationsRequest) (protocol.ListDelegationsResponse, error) {
-	return do(t, "delegations", func() (protocol.ListDelegationsResponse, error) { return t.inner.ListDelegations(req) })
+	return do(t, transport.OpDelegations, func() (protocol.ListDelegationsResponse, error) { return t.inner.ListDelegations(req) })
 }
 
 // ShadowState implements transport.Cloud.
 func (t *Transport) ShadowState(req protocol.ShadowStateRequest) (protocol.ShadowStateResponse, error) {
-	return do(t, "shadow", func() (protocol.ShadowStateResponse, error) { return t.inner.ShadowState(req) })
+	return do(t, transport.OpShadow, func() (protocol.ShadowStateResponse, error) { return t.inner.ShadowState(req) })
 }

@@ -28,6 +28,12 @@ const (
 	ConnLoadSocket ConnLoadMode = "socket"
 )
 
+// maxSocketConns is the largest socket-mode run: one loopback listener
+// serves about this many connections before the ~28k ephemeral-port
+// range per (src ip, dst ip, dst port) tuple gets tight. Larger fleets
+// run in pipe mode.
+const maxSocketConns = 16000
+
 // ConnLoadConfig parameterizes a connection-scale run against the
 // binapi front end: many persistent connections, each a registered
 // device delivering heartbeats over the multiplexed binary protocol.
@@ -113,6 +119,9 @@ func RunConnLoad(cfg ConnLoadConfig) (ConnLoadResult, error) {
 	if cfg.Mode == "" {
 		cfg.Mode = ConnLoadPipe
 	}
+	if cfg.Mode == ConnLoadSocket && cfg.Conns > maxSocketConns {
+		return res, fmt.Errorf("testbed: conn load: %d socket connections exceed the single-listener limit of %d (one loopback listener's ephemeral-port range)", cfg.Conns, maxSocketConns)
+	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8 * runtime.GOMAXPROCS(0)
 	}
@@ -159,24 +168,12 @@ func RunConnLoad(cfg ConnLoadConfig) (ConnLoadResult, error) {
 		if need := 2*cfg.Conns + 512; !EnsureFDLimit(need) {
 			return res, fmt.Errorf("testbed: conn load: cannot raise fd limit to %d (ulimit -n)", need)
 		}
-		// One loopback listener serves ~16k connections before the
-		// ~28k ephemeral-port range per (src ip, dst ip, dst port)
-		// tuple gets tight; larger fleets spread across aliased
-		// 127.0.0.N addresses. Platforms without implicit loopback
-		// aliases fall back to extra listeners on 127.0.0.1, which
-		// still splits the dst-port dimension of the tuple.
-		addrs := make([]string, 0, cfg.Conns/16000+1)
-		for k := 0; k <= cfg.Conns/16000; k++ {
-			ln, lerr := net.Listen("tcp", fmt.Sprintf("127.0.0.%d:0", k+1))
-			if lerr != nil {
-				ln, lerr = net.Listen("tcp", "127.0.0.1:0")
-			}
-			if lerr != nil {
-				return res, fmt.Errorf("testbed: conn load: listen: %w", lerr)
-			}
-			go func() { _ = srv.Serve(ln) }()
-			addrs = append(addrs, ln.Addr().String())
+		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
+		if lerr != nil {
+			return res, fmt.Errorf("testbed: conn load: listen: %w", lerr)
 		}
+		go func() { _ = srv.Serve(ln) }()
+		addr := ln.Addr().String()
 		var cp *binapi.ClientPoller
 		if srv.Readiness() == binapi.ReadinessEpoll {
 			p, perr := binapi.NewClientPoller()
@@ -186,8 +183,7 @@ func RunConnLoad(cfg ConnLoadConfig) (ConnLoadResult, error) {
 			cp = p
 			defer cp.Close()
 		}
-		dial = func(i int) (*binapi.Client, error) {
-			addr := addrs[i%len(addrs)]
+		dial = func(int) (*binapi.Client, error) {
 			if cp != nil {
 				return cp.Dial(addr)
 			}

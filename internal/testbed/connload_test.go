@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/iotbind/iotbind/internal/binapi"
@@ -111,5 +112,15 @@ func TestConnLoadSocketPump(t *testing.T) {
 	}
 	if res.ServerGoroutines < conns {
 		t.Fatalf("server goroutines = %d with %d pump conns, want ≥ conns", res.ServerGoroutines, conns)
+	}
+}
+
+// TestConnLoadSocketRefusesPastOneListener pins the socket-mode ceiling:
+// a run one listener's ephemeral-port range cannot hold is refused up
+// front, by name, instead of exhausting ports mid-dial.
+func TestConnLoadSocketRefusesPastOneListener(t *testing.T) {
+	_, err := RunConnLoad(ConnLoadConfig{Conns: maxSocketConns + 1, Mode: ConnLoadSocket})
+	if err == nil || !strings.Contains(err.Error(), "single-listener limit") {
+		t.Fatalf("oversized socket run = %v, want a refusal naming the single-listener limit", err)
 	}
 }

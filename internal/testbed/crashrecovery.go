@@ -1,13 +1,7 @@
 package testbed
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"math/rand"
-	"os"
-	"path/filepath"
-	"sync"
 	"time"
 
 	"github.com/iotbind/iotbind/internal/cloud"
@@ -88,47 +82,6 @@ type CrashRecoveryResult struct {
 	// ShardsUsed is how many distinct WAL shards the workload devices
 	// routed to — the blast surface the kill schedule sampled from.
 	ShardsUsed int
-}
-
-// killer is the seeded failpoint: armed with a countdown, it crashes
-// the WAL at the n-th staged event after arming. All shard logs share
-// it, so the crash lands on whichever shard's log is active when the
-// countdown expires — siblings keep their healthy tails.
-type killer struct {
-	mu        sync.Mutex
-	armed     bool
-	countdown int
-	crash     wal.Crash
-	lastStage wal.Stage
-}
-
-func (k *killer) fail(stage wal.Stage) wal.Crash {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if !k.armed {
-		return wal.CrashNone
-	}
-	k.countdown--
-	if k.countdown > 0 {
-		return wal.CrashNone
-	}
-	k.armed = false
-	k.lastStage = stage
-	return k.crash
-}
-
-func (k *killer) arm(countdown int, crash wal.Crash) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.armed = true
-	k.countdown = countdown
-	k.crash = crash
-}
-
-func (k *killer) disarm() {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.armed = false
 }
 
 // crashOp is one deterministic workload operation, addressed by index.
@@ -213,21 +166,8 @@ func crashSetupRecords(devices int) int { return 3 + 2*devices }
 // proves the final recovered state is byte-identical to a never-crashed
 // reference executing the same workload with the same entropy.
 //
-// The resume oracle is the WAL shard watermark vector. The workload is
-// sequential and every operation appends exactly one record, so
-// operation i's record always carries LSN setup+i+1 — re-executions
-// included, because a lost allocation never survives a restart — and
-// lands on the shard its device routes to. After a restart, operation i
-// is durable iff that LSN is at or below its shard's recovered
-// watermark (or the restored snapshot's anchor). The harness resumes at
-// the first non-durable operation: everything durable replayed (never
-// re-executed — that would double-apply), everything lost with a torn
-// or dropped shard tail re-executes, drawing the same per-LSN entropy
-// the lost execution drew. The harness additionally asserts the durable
-// set is a prefix of the executed workload — the invariant per-record
-// fsync must uphold even when individual shard logs crash
-// independently. Agents keep a single transport.Switchable across
-// restarts, the way a reconnecting client keeps its retry wrapper.
+// The loop itself — kill, restart, resume from the shard watermark
+// vector, final byte-compare — is runKillLoop's.
 func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 60
@@ -244,19 +184,13 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	if cfg.SegmentSize <= 0 {
 		cfg.SegmentSize = 4 << 10
 	}
-	res := CrashRecoveryResult{Ops: cfg.Ops, StagesHit: make(map[wal.Stage]int)}
+	res := CrashRecoveryResult{Ops: cfg.Ops}
 	fail := func(err error) (CrashRecoveryResult, error) {
 		return res, fmt.Errorf("testbed: crash recovery: %w", err)
 	}
 	if cfg.Devices > 1 && cfg.Policy != wal.SyncEveryRecord {
 		return fail(fmt.Errorf("multi-device runs require wal.SyncEveryRecord: grouped fsync can lose one shard's acknowledged tail independently, leaving a durable set that is not a workload prefix"))
 	}
-
-	root, err := os.MkdirTemp("", "crashrec-*")
-	if err != nil {
-		return fail(err)
-	}
-	defer os.RemoveAll(root)
 
 	devices := make([]string, cfg.Devices)
 	registry := cloud.NewRegistry()
@@ -266,208 +200,24 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 			return fail(err)
 		}
 	}
-	frozen := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
-	clock := func() time.Time { return frozen }
-	var svcOpts []cloud.Option
-	if cfg.PersistIdempotency {
-		svcOpts = append(svcOpts, cloud.WithPersistentIdempotency())
-	}
-
-	// The victim first: opening it mints the master seed the reference
-	// must share for replayed entropy (tokens, nonces) to line up.
-	kill := &killer{}
-	victimDir := filepath.Join(root, "victim")
-	openVictim := func() (*cloud.Durable, error) {
-		return cloud.OpenDurable(victimDir, cfg.Design, registry, cloud.DurableOptions{
-			Clock: clock,
-			WAL: wal.Options{
-				Policy: cfg.Policy, GroupEvery: cfg.GroupEvery,
-				SegmentSize: cfg.SegmentSize, Failpoint: kill.fail,
-			},
-			ServiceOptions: svcOpts,
-		})
-	}
-	victim, err := openVictim()
-	if err != nil {
-		return fail(err)
-	}
-	defer func() { victim.Close() }()
-
-	// Each operation's WAL shard is pinned by the device routing and the
-	// meta-persisted shard count, so the oracle computes it once.
-	setupRecs := crashSetupRecords(cfg.Devices)
-	opShard := make([]int, cfg.Ops)
-	shardSet := make(map[int]bool)
-	for i := range opShard {
-		opShard[i] = victim.WALShardOf(devices[i%len(devices)])
-		shardSet[opShard[i]] = true
-	}
-	res.ShardsUsed = len(shardSet)
-
-	refDir := filepath.Join(root, "ref")
-	if err := os.MkdirAll(refDir, 0o755); err != nil {
-		return fail(err)
-	}
-	meta, err := os.ReadFile(filepath.Join(victimDir, "meta.json"))
-	if err != nil {
-		return fail(err)
-	}
-	if err := os.WriteFile(filepath.Join(refDir, "meta.json"), meta, 0o644); err != nil {
-		return fail(err)
-	}
-	ref, err := cloud.OpenDurable(refDir, cfg.Design, registry, cloud.DurableOptions{
-		Clock:          clock,
-		WAL:            wal.Options{Policy: wal.SyncOff},
-		ServiceOptions: svcOpts,
+	out, err := runKillLoop(killLoop{
+		design: cfg.Design, registry: registry, devices: devices,
+		ops: cfg.Ops, killPoints: cfg.KillPoints, seed: cfg.Seed,
+		wal:                wal.Options{Policy: cfg.Policy, GroupEvery: cfg.GroupEvery, SegmentSize: cfg.SegmentSize},
+		persistIdempotency: cfg.PersistIdempotency, checkpointEvery: cfg.CheckpointEvery,
+		setup: func(c transport.Cloud) ([]string, error) {
+			token, err := crashSetup(c, devices)
+			return []string{token}, err
+		},
+		setupRecords: crashSetupRecords(cfg.Devices),
+		workload: func(tokens []string, now func() time.Time) []crashOp {
+			return crashWorkload(cfg.Ops, devices, tokens[0], now)
+		},
 	})
+	res.Crashes, res.TornTails, res.DroppedTails, res.MaxLostAcked = out.crashes, out.tornTails, out.droppedTails, out.maxLostAcked
+	res.Checkpoints, res.Replayed, res.StagesHit, res.ShardsUsed = out.checkpoints, out.replayed, out.stagesHit, out.shardsUsed
 	if err != nil {
 		return fail(err)
-	}
-	defer ref.Close()
-
-	// Reference run: the whole workload, no faults.
-	refToken, err := crashSetup(ref, devices)
-	if err != nil {
-		return fail(err)
-	}
-	for _, op := range crashWorkload(cfg.Ops, devices, refToken, clock) {
-		_ = op(ref) // app-level rejections are part of the workload
-	}
-
-	// Victim setup runs before the kill schedule arms.
-	sw := transport.NewSwitchable(victim)
-	token, err := crashSetup(sw, devices)
-	if err != nil {
-		return fail(err)
-	}
-	if token != refToken {
-		return fail(fmt.Errorf("replay determinism broken: victim token %q, reference token %q", token, refToken))
-	}
-	workload := crashWorkload(cfg.Ops, devices, token, clock)
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	armNext := func() {
-		crash := wal.CrashKeep
-		if rng.Intn(2) == 1 {
-			crash = wal.CrashDrop
-		}
-		kill.arm(1+rng.Intn(6), crash)
-	}
-	armNext()
-
-	restart := func() error {
-		res.Crashes++
-		if err := victim.Close(); err != nil {
-			return err
-		}
-		v, err := openVictim()
-		if err != nil {
-			return err
-		}
-		victim = v
-		sw.Swap(victim)
-		rec := victim.Recovery()
-		res.Replayed += rec.Replayed
-		res.TornTails += rec.TornTails()
-		res.StagesHit[kill.lastStage]++
-		if res.Crashes < cfg.KillPoints {
-			armNext()
-		} else {
-			kill.disarm()
-		}
-		return nil
-	}
-
-	// resumePoint inspects the recovered watermark vector and returns
-	// the first workload index to (re-)execute, given that operations
-	// 0..executed-1 were acknowledged before the crash. The crashed
-	// operation itself (index `executed`, never acknowledged) may still
-	// be durable — a keep-style crash after the frame reached the file —
-	// in which case it too is skipped: its record already replayed.
-	resumePoint := func(executed int) (int, error) {
-		marks := victim.ShardWatermarks()
-		floor := victim.Recovery().SnapshotLSN
-		durable := func(j int) bool {
-			lsn := uint64(setupRecs + j + 1)
-			return lsn <= floor || lsn <= marks[opShard[j]]
-		}
-		resume := 0
-		for resume <= executed && resume < cfg.Ops && durable(resume) {
-			resume++
-		}
-		for j := resume + 1; j <= executed && j < cfg.Ops; j++ {
-			if durable(j) {
-				return 0, fmt.Errorf("durable records are not a workload prefix: op %d survived on shard %d but op %d was lost from shard %d",
-					j, opShard[j], resume, opShard[resume])
-			}
-		}
-		if resume < executed {
-			res.DroppedTails++
-			if lost := uint64(executed - resume); lost > res.MaxLostAcked {
-				res.MaxLostAcked = lost
-			}
-		}
-		return resume, nil
-	}
-
-	i := 0
-	for i < cfg.Ops {
-		err := workload[i](sw)
-		if errors.Is(err, wal.ErrCrashed) {
-			if err := restart(); err != nil {
-				return fail(err)
-			}
-			resume, err := resumePoint(i)
-			if err != nil {
-				return fail(err)
-			}
-			i = resume
-			continue
-		}
-		i++
-		if cfg.CheckpointEvery > 0 && i%cfg.CheckpointEvery == 0 {
-			switch err := victim.Checkpoint(); {
-			case err == nil:
-				res.Checkpoints++
-			case errors.Is(err, wal.ErrCrashed):
-				if err := restart(); err != nil {
-					return fail(err)
-				}
-				resume, err := resumePoint(i)
-				if err != nil {
-					return fail(err)
-				}
-				i = resume
-			default:
-				return fail(err)
-			}
-		}
-	}
-	kill.disarm()
-
-	// One final restart through the full recovery path, then the
-	// verdict: the recovered state must encode byte-identically to the
-	// never-crashed reference.
-	if err := victim.Close(); err != nil {
-		return fail(err)
-	}
-	v, err := openVictim()
-	if err != nil {
-		return fail(err)
-	}
-	victim = v
-	res.Replayed += victim.Recovery().Replayed
-
-	var want, got bytes.Buffer
-	if err := cloud.EncodeSnapshot(&want, ref.Snapshot()); err != nil {
-		return fail(err)
-	}
-	if err := cloud.EncodeSnapshot(&got, victim.Snapshot()); err != nil {
-		return fail(err)
-	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		return fail(fmt.Errorf("recovered state diverged from reference after %d crashes:\nreference:\n%s\nrecovered:\n%s",
-			res.Crashes, want.Bytes(), got.Bytes()))
 	}
 	return res, nil
 }

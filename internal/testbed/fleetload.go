@@ -8,12 +8,12 @@ import (
 	"sync"
 	"time"
 
+	"github.com/iotbind/iotbind/internal/binapi"
 	"github.com/iotbind/iotbind/internal/cloud"
 	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/device"
 	"github.com/iotbind/iotbind/internal/httpapi"
 	"github.com/iotbind/iotbind/internal/localnet"
-	"github.com/iotbind/iotbind/internal/tcpapi"
 	"github.com/iotbind/iotbind/internal/transport"
 )
 
@@ -23,7 +23,7 @@ type FleetFrontEnd string
 // The two remote front ends.
 const (
 	FleetFrontEndHTTP FleetFrontEnd = "http"
-	FleetFrontEndTCP  FleetFrontEnd = "tcp"
+	FleetFrontEndBin  FleetFrontEnd = "bin"
 )
 
 // FleetLoadConfig parameterizes a status-path load run: a fleet of devices
@@ -130,13 +130,13 @@ func RunFleetLoad(cfg FleetLoadConfig) (FleetLoadResult, error) {
 		dial = func() (transport.Cloud, func(), error) {
 			return httpapi.NewClient(base), func() {}, nil
 		}
-	case FleetFrontEndTCP:
-		ts := tcpapi.NewServer(svc)
-		go func() { _ = ts.Serve(ln) }()
-		defer ts.Close()
+	case FleetFrontEndBin:
+		bs := binapi.NewServer(svc)
+		go func() { _ = bs.Serve(ln) }()
+		defer bs.Close()
 		addr := ln.Addr().String()
 		dial = func() (transport.Cloud, func(), error) {
-			c, err := tcpapi.Dial(addr)
+			c, err := binapi.Dial(addr)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -38,7 +38,7 @@ func TestRunFleetLoadPerMessage(t *testing.T) {
 	}
 }
 
-// TestRunFleetLoadBatched smoke-runs the TCP front end with coalescing:
+// TestRunFleetLoadBatched smoke-runs the binary front end with coalescing:
 // wire calls shrink by the batch factor (rounded up per device).
 func TestRunFleetLoadBatched(t *testing.T) {
 	res, err := RunFleetLoad(FleetLoadConfig{
@@ -46,7 +46,7 @@ func TestRunFleetLoadBatched(t *testing.T) {
 		Devices:    2,
 		Heartbeats: 9,
 		BatchSize:  4,
-		FrontEnd:   FleetFrontEndTCP,
+		FrontEnd:   FleetFrontEndBin,
 		Workers:    2,
 	})
 	if err != nil {

@@ -1,12 +1,7 @@
 package testbed
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"math/rand"
-	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/iotbind/iotbind/internal/cloud"
@@ -29,8 +24,7 @@ type ShareStormConfig struct {
 	// Ops is the storm length after setup (default 120). Every
 	// operation is a logged mutation — one WAL record each, rejections
 	// included — so operation index maps 1:1 onto LSNs and the shard
-	// watermark vector is the resume oracle, exactly as in
-	// RunCrashRecovery.
+	// watermark vector is the resume oracle (runKillLoop).
 	Ops int
 	// Guests is how many guest accounts churn through the lattice
 	// (default 3; minimum 2 so re-delegation chains form).
@@ -216,12 +210,6 @@ func RunShareStorm(cfg ShareStormConfig) (ShareStormResult, error) {
 		return res, fmt.Errorf("testbed: share storm: %w", err)
 	}
 
-	root, err := os.MkdirTemp("", "sharestorm-*")
-	if err != nil {
-		return fail(err)
-	}
-	defer os.RemoveAll(root)
-
 	const deviceID = "AA:BB:CC:0F:02:01"
 	registry := cloud.NewRegistry()
 	if err := registry.Add(cloud.DeviceRecord{ID: deviceID, FactorySecret: "factory-secret-storm", Model: cfg.Design.Name}); err != nil {
@@ -231,194 +219,34 @@ func RunShareStorm(cfg ShareStormConfig) (ShareStormResult, error) {
 	for i := range guests {
 		guests[i] = fmt.Sprintf("guest-%d@storm.example", i)
 	}
-	frozen := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
-	clock := func() time.Time { return frozen }
-	var svcOpts []cloud.Option
-	if cfg.PersistIdempotency {
-		svcOpts = append(svcOpts, cloud.WithPersistentIdempotency())
-	}
-
-	kill := &killer{}
-	victimDir := filepath.Join(root, "victim")
-	openVictim := func() (*cloud.Durable, error) {
-		return cloud.OpenDurable(victimDir, cfg.Design, registry, cloud.DurableOptions{
-			Clock: clock,
-			WAL: wal.Options{
-				Policy: cfg.Policy, SegmentSize: cfg.SegmentSize, Failpoint: kill.fail,
-			},
-			ServiceOptions: svcOpts,
-		})
-	}
-	victim, err := openVictim()
-	if err != nil {
-		return fail(err)
-	}
-	defer func() { victim.Close() }()
-
-	// One device: every storm record lands on its shard, so the oracle
-	// is a single watermark.
-	setupRecs := stormSetupRecords(cfg.Guests)
-	shard := victim.WALShardOf(deviceID)
-
-	refDir := filepath.Join(root, "ref")
-	if err := os.MkdirAll(refDir, 0o755); err != nil {
-		return fail(err)
-	}
-	meta, err := os.ReadFile(filepath.Join(victimDir, "meta.json"))
-	if err != nil {
-		return fail(err)
-	}
-	if err := os.WriteFile(filepath.Join(refDir, "meta.json"), meta, 0o644); err != nil {
-		return fail(err)
-	}
-	ref, err := cloud.OpenDurable(refDir, cfg.Design, registry, cloud.DurableOptions{
-		Clock:          clock,
-		WAL:            wal.Options{Policy: wal.SyncOff},
-		ServiceOptions: svcOpts,
+	// One device: every storm record lands on its shard, so the resume
+	// oracle is a single watermark.
+	out, err := runKillLoop(killLoop{
+		design: cfg.Design, registry: registry, devices: []string{deviceID},
+		ops: cfg.Ops, killPoints: cfg.KillPoints, seed: cfg.Seed,
+		wal:                wal.Options{Policy: cfg.Policy, SegmentSize: cfg.SegmentSize},
+		persistIdempotency: cfg.PersistIdempotency, checkpointEvery: cfg.CheckpointEvery,
+		setup:        func(c transport.Cloud) ([]string, error) { return stormSetup(c, deviceID, guests) },
+		setupRecords: stormSetupRecords(cfg.Guests),
+		workload: func(tokens []string, _ func() time.Time) []crashOp {
+			return stormWorkload(cfg.Ops, deviceID, guests, tokens)
+		},
+		// The recovered state — lattice, tokens, queues, idempotency
+		// log, stats — matched the storm-free reference; report its split.
+		inspect: func(victim *cloud.Durable, tokens []string) error {
+			stats := victim.Service().Stats()
+			res.Granted = stats.DelegationsGranted
+			res.Revoked = stats.DelegationsRevoked
+			res.Rejected = stats.DelegationsRejected
+			list, err := victim.ListDelegations(protocol.ListDelegationsRequest{DeviceID: deviceID, UserToken: tokens[0]})
+			res.FinalGrants = len(list.Grants)
+			return err
+		},
 	})
+	res.Crashes, res.TornTails, res.DroppedTails, res.MaxLostAcked = out.crashes, out.tornTails, out.droppedTails, out.maxLostAcked
+	res.Checkpoints, res.Replayed = out.checkpoints, out.replayed
 	if err != nil {
 		return fail(err)
 	}
-	defer ref.Close()
-
-	// Reference run: the whole storm, no kills. Policy rejections
-	// (escalation refused, revoked guests controlling) are part of the
-	// workload on both sides.
-	refTokens, err := stormSetup(ref, deviceID, guests)
-	if err != nil {
-		return fail(err)
-	}
-	for _, op := range stormWorkload(cfg.Ops, deviceID, guests, refTokens) {
-		_ = op(ref)
-	}
-
-	sw := transport.NewSwitchable(victim)
-	tokens, err := stormSetup(sw, deviceID, guests)
-	if err != nil {
-		return fail(err)
-	}
-	for i := range tokens {
-		if tokens[i] != refTokens[i] {
-			return fail(fmt.Errorf("replay determinism broken: victim token %d diverges from reference", i))
-		}
-	}
-	workload := stormWorkload(cfg.Ops, deviceID, guests, tokens)
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	armNext := func() {
-		crash := wal.CrashKeep
-		if rng.Intn(2) == 1 {
-			crash = wal.CrashDrop
-		}
-		kill.arm(1+rng.Intn(6), crash)
-	}
-	armNext()
-
-	restart := func() error {
-		res.Crashes++
-		if err := victim.Close(); err != nil {
-			return err
-		}
-		v, err := openVictim()
-		if err != nil {
-			return err
-		}
-		victim = v
-		sw.Swap(victim)
-		rec := victim.Recovery()
-		res.Replayed += rec.Replayed
-		res.TornTails += rec.TornTails()
-		if res.Crashes < cfg.KillPoints {
-			armNext()
-		} else {
-			kill.disarm()
-		}
-		return nil
-	}
-
-	// resumePoint mirrors RunCrashRecovery's oracle for the single-shard
-	// case: operation j is durable iff its LSN is at or below the shard's
-	// recovered watermark or the restored snapshot's anchor.
-	resumePoint := func(executed int) int {
-		marks := victim.ShardWatermarks()
-		floor := victim.Recovery().SnapshotLSN
-		durable := func(j int) bool {
-			lsn := uint64(setupRecs + j + 1)
-			return lsn <= floor || lsn <= marks[shard]
-		}
-		resume := 0
-		for resume <= executed && resume < cfg.Ops && durable(resume) {
-			resume++
-		}
-		if resume < executed {
-			res.DroppedTails++
-			if lost := uint64(executed - resume); lost > res.MaxLostAcked {
-				res.MaxLostAcked = lost
-			}
-		}
-		return resume
-	}
-
-	i := 0
-	for i < cfg.Ops {
-		err := workload[i](sw)
-		if errors.Is(err, wal.ErrCrashed) {
-			if err := restart(); err != nil {
-				return fail(err)
-			}
-			i = resumePoint(i)
-			continue
-		}
-		i++
-		if cfg.CheckpointEvery > 0 && i%cfg.CheckpointEvery == 0 {
-			switch err := victim.Checkpoint(); {
-			case err == nil:
-				res.Checkpoints++
-			case errors.Is(err, wal.ErrCrashed):
-				if err := restart(); err != nil {
-					return fail(err)
-				}
-				i = resumePoint(i)
-			default:
-				return fail(err)
-			}
-		}
-	}
-	kill.disarm()
-
-	// Final restart through the full recovery path, then the verdict:
-	// the recovered state — lattice, tokens, queues, idempotency log,
-	// stats — must encode byte-identically to the storm-free reference.
-	if err := victim.Close(); err != nil {
-		return fail(err)
-	}
-	v, err := openVictim()
-	if err != nil {
-		return fail(err)
-	}
-	victim = v
-	res.Replayed += victim.Recovery().Replayed
-
-	var want, got bytes.Buffer
-	if err := cloud.EncodeSnapshot(&want, ref.Snapshot()); err != nil {
-		return fail(err)
-	}
-	if err := cloud.EncodeSnapshot(&got, victim.Snapshot()); err != nil {
-		return fail(err)
-	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		return fail(fmt.Errorf("recovered state diverged from the storm-free reference after %d kills:\nreference:\n%s\nrecovered:\n%s",
-			res.Crashes, want.Bytes(), got.Bytes()))
-	}
-
-	stats := victim.Service().Stats()
-	res.Granted = stats.DelegationsGranted
-	res.Revoked = stats.DelegationsRevoked
-	res.Rejected = stats.DelegationsRejected
-	list, err := victim.ListDelegations(protocol.ListDelegationsRequest{DeviceID: deviceID, UserToken: tokens[0]})
-	if err != nil {
-		return fail(err)
-	}
-	res.FinalGrants = len(list.Grants)
 	return res, nil
 }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"github.com/iotbind/iotbind/internal/protocol"
 )
 
 // ErrPartitioned is injected while a party sits inside a partition window.
@@ -109,7 +107,9 @@ func NewFaultPlane(seed int64, opts ...FaultOption) *FaultPlane {
 // Wrap returns a Cloud view of inner whose calls are subjected to this
 // plane's faults, attributed to the named party.
 func (p *FaultPlane) Wrap(inner Cloud, party string) *Faults {
-	return &Faults{inner: inner, party: party, plane: p}
+	f := &Faults{inner: inner, party: party, plane: p}
+	f.Hopped = NewHopped(faultsHop{f})
+	return f
 }
 
 // Partition opens (or extends) a partition window for the named party:
@@ -159,7 +159,7 @@ func (p *FaultPlane) FailuresAfter() int {
 }
 
 // before applies latency, partition and fail-before faults for one call.
-func (p *FaultPlane) before(party, op string) error {
+func (p *FaultPlane) before(party string, op Op) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.calls++
@@ -186,7 +186,7 @@ func (p *FaultPlane) before(party, op string) error {
 
 // after applies the fail-after-delivery fault for one call that the inner
 // cloud has already processed.
-func (p *FaultPlane) after(party, op string) error {
+func (p *FaultPlane) after(party string, op Op) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.failAfter > 0 && p.rng.Float64() < p.failAfter {
@@ -200,123 +200,28 @@ func (p *FaultPlane) after(party, op string) error {
 // composes with the other wrappers: stamp the source first, then wrap the
 // stamped transport, then (outermost) a retry layer if the agent has one.
 type Faults struct {
+	Hopped
 	inner Cloud
 	party string
 	plane *FaultPlane
 }
 
-var _ Cloud = (*Faults)(nil)
+// faultsHop draws one fault-schedule slot per call: a batch is one wire
+// message, so the whole batch is dropped (before or after delivery) or
+// delivered together — exactly how a real coalesced frame fails. A call
+// the backend itself failed draws no fail-after fault.
+type faultsHop struct{ f *Faults }
 
-// faultCall runs one operation through the plane's fault schedule. On a
-// fail-after fault the inner response is discarded — the caller must not
-// see data from a delivery it will be told failed.
-func faultCall[T any](f *Faults, op string, call func() (T, error)) (T, error) {
-	var zero T
-	if err := f.plane.before(f.party, op); err != nil {
-		return zero, err
+func (h faultsHop) Begin(op Op, _ string) (Cloud, error) {
+	if err := h.f.plane.before(h.f.party, op); err != nil {
+		return nil, err
 	}
-	out, err := call()
+	return h.f.inner, nil
+}
+
+func (h faultsHop) End(op Op, err error) error {
 	if err != nil {
-		return out, err
+		return err
 	}
-	if err := f.plane.after(f.party, op); err != nil {
-		return zero, err
-	}
-	return out, nil
-}
-
-// faultCallErr adapts faultCall for response-less operations.
-func faultCallErr(f *Faults, op string, call func() error) error {
-	_, err := faultCall(f, op, func() (struct{}, error) {
-		return struct{}{}, call()
-	})
-	return err
-}
-
-// RegisterUser implements Cloud.
-func (f *Faults) RegisterUser(req protocol.RegisterUserRequest) error {
-	return faultCallErr(f, "register-user", func() error { return f.inner.RegisterUser(req) })
-}
-
-// Login implements Cloud.
-func (f *Faults) Login(req protocol.LoginRequest) (protocol.LoginResponse, error) {
-	return faultCall(f, "login", func() (protocol.LoginResponse, error) { return f.inner.Login(req) })
-}
-
-// RequestDeviceToken implements Cloud.
-func (f *Faults) RequestDeviceToken(req protocol.DeviceTokenRequest) (protocol.DeviceTokenResponse, error) {
-	return faultCall(f, "device-token", func() (protocol.DeviceTokenResponse, error) { return f.inner.RequestDeviceToken(req) })
-}
-
-// RequestBindToken implements Cloud.
-func (f *Faults) RequestBindToken(req protocol.BindTokenRequest) (protocol.BindTokenResponse, error) {
-	return faultCall(f, "bind-token", func() (protocol.BindTokenResponse, error) { return f.inner.RequestBindToken(req) })
-}
-
-// HandleStatus implements Cloud.
-func (f *Faults) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
-	return faultCall(f, "status", func() (protocol.StatusResponse, error) { return f.inner.HandleStatus(req) })
-}
-
-// HandleStatusBatch implements Cloud. A batch is one wire message: it
-// draws one fault schedule slot, so the whole batch is dropped (before or
-// after delivery) or delivered together — exactly how a real coalesced
-// frame fails.
-func (f *Faults) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	return faultCall(f, "status-batch", func() (protocol.StatusBatchResponse, error) { return f.inner.HandleStatusBatch(req) })
-}
-
-// HandleBind implements Cloud.
-func (f *Faults) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
-	return faultCall(f, "bind", func() (protocol.BindResponse, error) { return f.inner.HandleBind(req) })
-}
-
-// HandleUnbind implements Cloud.
-func (f *Faults) HandleUnbind(req protocol.UnbindRequest) error {
-	return faultCallErr(f, "unbind", func() error { return f.inner.HandleUnbind(req) })
-}
-
-// HandleControl implements Cloud.
-func (f *Faults) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
-	return faultCall(f, "control", func() (protocol.ControlResponse, error) { return f.inner.HandleControl(req) })
-}
-
-// PushUserData implements Cloud.
-func (f *Faults) PushUserData(req protocol.PushUserDataRequest) error {
-	return faultCallErr(f, "user-data", func() error { return f.inner.PushUserData(req) })
-}
-
-// Readings implements Cloud.
-func (f *Faults) Readings(req protocol.ReadingsRequest) (protocol.ReadingsResponse, error) {
-	return faultCall(f, "readings", func() (protocol.ReadingsResponse, error) { return f.inner.Readings(req) })
-}
-
-// HandleShare implements Cloud.
-func (f *Faults) HandleShare(req protocol.ShareRequest) error {
-	return faultCallErr(f, "share", func() error { return f.inner.HandleShare(req) })
-}
-
-// Shares implements Cloud.
-func (f *Faults) Shares(req protocol.SharesRequest) (protocol.SharesResponse, error) {
-	return faultCall(f, "shares", func() (protocol.SharesResponse, error) { return f.inner.Shares(req) })
-}
-
-// HandleDelegate implements Cloud.
-func (f *Faults) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
-	return faultCall(f, "delegate", func() (protocol.DelegateResponse, error) { return f.inner.HandleDelegate(req) })
-}
-
-// HandleRevokeDelegation implements Cloud.
-func (f *Faults) HandleRevokeDelegation(req protocol.RevokeDelegationRequest) error {
-	return faultCallErr(f, "revoke-delegation", func() error { return f.inner.HandleRevokeDelegation(req) })
-}
-
-// ListDelegations implements Cloud.
-func (f *Faults) ListDelegations(req protocol.ListDelegationsRequest) (protocol.ListDelegationsResponse, error) {
-	return faultCall(f, "delegations", func() (protocol.ListDelegationsResponse, error) { return f.inner.ListDelegations(req) })
-}
-
-// ShadowState implements Cloud.
-func (f *Faults) ShadowState(req protocol.ShadowStateRequest) (protocol.ShadowStateResponse, error) {
-	return faultCall(f, "shadow", func() (protocol.ShadowStateResponse, error) { return f.inner.ShadowState(req) })
+	return h.f.plane.after(h.f.party, op)
 }

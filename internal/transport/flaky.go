@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"github.com/iotbind/iotbind/internal/protocol"
 )
 
 // ErrUnavailable is the default injected transport failure.
@@ -15,6 +13,7 @@ var ErrUnavailable = errors.New("transport: cloud unavailable")
 // schedule — every Nth call fails — for exercising the agents' error
 // paths: half-finished setups, dropped heartbeats, rejected forgeries.
 type Flaky struct {
+	Hopped
 	inner Cloud
 
 	mu        sync.Mutex
@@ -24,12 +23,12 @@ type Flaky struct {
 	err       error
 }
 
-var _ Cloud = (*Flaky)(nil)
-
 // NewFlaky wraps a cloud so that every failEvery-th call (1-based) fails
 // with ErrUnavailable. failEvery <= 0 never fails.
 func NewFlaky(inner Cloud, failEvery int) *Flaky {
-	return &Flaky{inner: inner, failEvery: failEvery, err: ErrUnavailable}
+	f := &Flaky{inner: inner, failEvery: failEvery, err: ErrUnavailable}
+	f.Hopped = NewHopped(flakyHop{f})
+	return f
 }
 
 // SetError overrides the injected error. A nil err restores the default
@@ -61,7 +60,7 @@ func (f *Flaky) Failures() int {
 
 // tick advances the schedule, returning the injected error when this call
 // should fail.
-func (f *Flaky) tick(op string) error {
+func (f *Flaky) tick(op Op) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.calls++
@@ -72,139 +71,15 @@ func (f *Flaky) tick(op string) error {
 	return nil
 }
 
-// RegisterUser implements Cloud.
-func (f *Flaky) RegisterUser(req protocol.RegisterUserRequest) error {
-	if err := f.tick("register-user"); err != nil {
-		return err
+// flakyHop ticks the schedule once per call — a batch is one wire
+// message, so the whole batch is delivered or lost together.
+type flakyHop struct{ f *Flaky }
+
+func (h flakyHop) Begin(op Op, _ string) (Cloud, error) {
+	if err := h.f.tick(op); err != nil {
+		return nil, err
 	}
-	return f.inner.RegisterUser(req)
+	return h.f.inner, nil
 }
 
-// Login implements Cloud.
-func (f *Flaky) Login(req protocol.LoginRequest) (protocol.LoginResponse, error) {
-	if err := f.tick("login"); err != nil {
-		return protocol.LoginResponse{}, err
-	}
-	return f.inner.Login(req)
-}
-
-// RequestDeviceToken implements Cloud.
-func (f *Flaky) RequestDeviceToken(req protocol.DeviceTokenRequest) (protocol.DeviceTokenResponse, error) {
-	if err := f.tick("device-token"); err != nil {
-		return protocol.DeviceTokenResponse{}, err
-	}
-	return f.inner.RequestDeviceToken(req)
-}
-
-// RequestBindToken implements Cloud.
-func (f *Flaky) RequestBindToken(req protocol.BindTokenRequest) (protocol.BindTokenResponse, error) {
-	if err := f.tick("bind-token"); err != nil {
-		return protocol.BindTokenResponse{}, err
-	}
-	return f.inner.RequestBindToken(req)
-}
-
-// HandleStatus implements Cloud.
-func (f *Flaky) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
-	if err := f.tick("status"); err != nil {
-		return protocol.StatusResponse{}, err
-	}
-	return f.inner.HandleStatus(req)
-}
-
-// HandleStatusBatch implements Cloud. A batch is one wire message, so it
-// ticks the schedule once: the whole batch is delivered or lost together.
-func (f *Flaky) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	if err := f.tick("status-batch"); err != nil {
-		return protocol.StatusBatchResponse{}, err
-	}
-	return f.inner.HandleStatusBatch(req)
-}
-
-// HandleBind implements Cloud.
-func (f *Flaky) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
-	if err := f.tick("bind"); err != nil {
-		return protocol.BindResponse{}, err
-	}
-	return f.inner.HandleBind(req)
-}
-
-// HandleUnbind implements Cloud.
-func (f *Flaky) HandleUnbind(req protocol.UnbindRequest) error {
-	if err := f.tick("unbind"); err != nil {
-		return err
-	}
-	return f.inner.HandleUnbind(req)
-}
-
-// HandleControl implements Cloud.
-func (f *Flaky) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
-	if err := f.tick("control"); err != nil {
-		return protocol.ControlResponse{}, err
-	}
-	return f.inner.HandleControl(req)
-}
-
-// PushUserData implements Cloud.
-func (f *Flaky) PushUserData(req protocol.PushUserDataRequest) error {
-	if err := f.tick("user-data"); err != nil {
-		return err
-	}
-	return f.inner.PushUserData(req)
-}
-
-// Readings implements Cloud.
-func (f *Flaky) Readings(req protocol.ReadingsRequest) (protocol.ReadingsResponse, error) {
-	if err := f.tick("readings"); err != nil {
-		return protocol.ReadingsResponse{}, err
-	}
-	return f.inner.Readings(req)
-}
-
-// HandleShare implements Cloud.
-func (f *Flaky) HandleShare(req protocol.ShareRequest) error {
-	if err := f.tick("share"); err != nil {
-		return err
-	}
-	return f.inner.HandleShare(req)
-}
-
-// Shares implements Cloud.
-func (f *Flaky) Shares(req protocol.SharesRequest) (protocol.SharesResponse, error) {
-	if err := f.tick("shares"); err != nil {
-		return protocol.SharesResponse{}, err
-	}
-	return f.inner.Shares(req)
-}
-
-// HandleDelegate implements Cloud.
-func (f *Flaky) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
-	if err := f.tick("delegate"); err != nil {
-		return protocol.DelegateResponse{}, err
-	}
-	return f.inner.HandleDelegate(req)
-}
-
-// HandleRevokeDelegation implements Cloud.
-func (f *Flaky) HandleRevokeDelegation(req protocol.RevokeDelegationRequest) error {
-	if err := f.tick("revoke-delegation"); err != nil {
-		return err
-	}
-	return f.inner.HandleRevokeDelegation(req)
-}
-
-// ListDelegations implements Cloud.
-func (f *Flaky) ListDelegations(req protocol.ListDelegationsRequest) (protocol.ListDelegationsResponse, error) {
-	if err := f.tick("delegations"); err != nil {
-		return protocol.ListDelegationsResponse{}, err
-	}
-	return f.inner.ListDelegations(req)
-}
-
-// ShadowState implements Cloud.
-func (f *Flaky) ShadowState(req protocol.ShadowStateRequest) (protocol.ShadowStateResponse, error) {
-	if err := f.tick("shadow"); err != nil {
-		return protocol.ShadowStateResponse{}, err
-	}
-	return f.inner.ShadowState(req)
-}
+func (h flakyHop) End(_ Op, err error) error { return err }

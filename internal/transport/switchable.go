@@ -1,10 +1,6 @@
 package transport
 
-import (
-	"sync/atomic"
-
-	"github.com/iotbind/iotbind/internal/protocol"
-)
+import "sync/atomic"
 
 // Switchable is a Cloud whose backend can be replaced atomically while
 // agents hold the wrapper. Crash-recovery harnesses use it to model a
@@ -13,6 +9,7 @@ import (
 // instance for the recovered one, and in-flight redeliveries land on
 // the new backend exactly as a reconnecting client's would.
 type Switchable struct {
+	Hopped
 	cur atomic.Pointer[cloudBox]
 }
 
@@ -20,11 +17,10 @@ type Switchable struct {
 // atomic.Pointer.
 type cloudBox struct{ c Cloud }
 
-var _ Cloud = (*Switchable)(nil)
-
 // NewSwitchable returns a Switchable currently backed by c.
 func NewSwitchable(c Cloud) *Switchable {
 	s := &Switchable{}
+	s.Hopped = NewHopped(switchHop{s})
 	s.Swap(c)
 	return s
 }
@@ -36,70 +32,8 @@ func (s *Switchable) Swap(c Cloud) { s.cur.Store(&cloudBox{c: c}) }
 // Current returns the live backend.
 func (s *Switchable) Current() Cloud { return s.cur.Load().c }
 
-func (s *Switchable) RegisterUser(req protocol.RegisterUserRequest) error {
-	return s.Current().RegisterUser(req)
-}
+// switchHop sends each call to whichever backend is live when it starts.
+type switchHop struct{ s *Switchable }
 
-func (s *Switchable) Login(req protocol.LoginRequest) (protocol.LoginResponse, error) {
-	return s.Current().Login(req)
-}
-
-func (s *Switchable) RequestDeviceToken(req protocol.DeviceTokenRequest) (protocol.DeviceTokenResponse, error) {
-	return s.Current().RequestDeviceToken(req)
-}
-
-func (s *Switchable) RequestBindToken(req protocol.BindTokenRequest) (protocol.BindTokenResponse, error) {
-	return s.Current().RequestBindToken(req)
-}
-
-func (s *Switchable) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
-	return s.Current().HandleStatus(req)
-}
-
-func (s *Switchable) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	return s.Current().HandleStatusBatch(req)
-}
-
-func (s *Switchable) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
-	return s.Current().HandleBind(req)
-}
-
-func (s *Switchable) HandleUnbind(req protocol.UnbindRequest) error {
-	return s.Current().HandleUnbind(req)
-}
-
-func (s *Switchable) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
-	return s.Current().HandleControl(req)
-}
-
-func (s *Switchable) PushUserData(req protocol.PushUserDataRequest) error {
-	return s.Current().PushUserData(req)
-}
-
-func (s *Switchable) Readings(req protocol.ReadingsRequest) (protocol.ReadingsResponse, error) {
-	return s.Current().Readings(req)
-}
-
-func (s *Switchable) HandleShare(req protocol.ShareRequest) error {
-	return s.Current().HandleShare(req)
-}
-
-func (s *Switchable) Shares(req protocol.SharesRequest) (protocol.SharesResponse, error) {
-	return s.Current().Shares(req)
-}
-
-func (s *Switchable) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
-	return s.Current().HandleDelegate(req)
-}
-
-func (s *Switchable) HandleRevokeDelegation(req protocol.RevokeDelegationRequest) error {
-	return s.Current().HandleRevokeDelegation(req)
-}
-
-func (s *Switchable) ListDelegations(req protocol.ListDelegationsRequest) (protocol.ListDelegationsResponse, error) {
-	return s.Current().ListDelegations(req)
-}
-
-func (s *Switchable) ShadowState(req protocol.ShadowStateRequest) (protocol.ShadowStateResponse, error) {
-	return s.Current().ShadowState(req)
-}
+func (h switchHop) Begin(Op, string) (Cloud, error) { return h.s.Current(), nil }
+func (h switchHop) End(_ Op, err error) error       { return err }

@@ -7,139 +7,45 @@ package transport
 
 import "github.com/iotbind/iotbind/internal/protocol"
 
-// Cloud is the full operation surface of an emulated IoT cloud. The
-// in-process implementation is cloud.Service; the HTTP client in the
-// httpapi package implements the same interface over the wire.
-type Cloud interface {
-	// RegisterUser creates a user account.
-	RegisterUser(protocol.RegisterUserRequest) error
-	// Login authenticates a user and issues a UserToken.
-	Login(protocol.LoginRequest) (protocol.LoginResponse, error)
-	// RequestDeviceToken issues a dynamic device token (Figure 3 Type 1).
-	RequestDeviceToken(protocol.DeviceTokenRequest) (protocol.DeviceTokenResponse, error)
-	// RequestBindToken issues a capability binding token (Figure 4c).
-	RequestBindToken(protocol.BindTokenRequest) (protocol.BindTokenResponse, error)
-	// HandleStatus processes a device status message.
-	HandleStatus(protocol.StatusRequest) (protocol.StatusResponse, error)
-	// HandleStatusBatch processes many status messages in one round trip
-	// with per-item outcomes — the hot-path amortization for
-	// heartbeat-dominated traffic.
-	HandleStatusBatch(protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error)
-	// HandleBind processes a binding-creation message.
-	HandleBind(protocol.BindRequest) (protocol.BindResponse, error)
-	// HandleUnbind processes a binding-revocation message.
-	HandleUnbind(protocol.UnbindRequest) error
-	// HandleControl relays a command from the bound user to the device.
-	HandleControl(protocol.ControlRequest) (protocol.ControlResponse, error)
-	// PushUserData stores user state for delivery to the device.
-	PushUserData(protocol.PushUserDataRequest) error
-	// Readings returns device readings as visible to the bound user or a
-	// guest.
-	Readings(protocol.ReadingsRequest) (protocol.ReadingsResponse, error)
-	// HandleShare grants or revokes guest access (many-to-one binding).
-	HandleShare(protocol.ShareRequest) error
-	// Shares lists a device's guests, as the owner sees them.
-	Shares(protocol.SharesRequest) (protocol.SharesResponse, error)
-	// HandleDelegate records a scoped, expiring, depth-limited delegation
-	// grant and mints a delegation token from it.
-	HandleDelegate(protocol.DelegateRequest) (protocol.DelegateResponse, error)
-	// HandleRevokeDelegation withdraws a delegation grant (cascading to
-	// derived grants on designs that revoke cascades).
-	HandleRevokeDelegation(protocol.RevokeDelegationRequest) error
-	// ListDelegations lists a device's delegation grants as visible to
-	// the caller.
-	ListDelegations(protocol.ListDelegationsRequest) (protocol.ListDelegationsResponse, error)
-	// ShadowState inspects a device shadow (diagnostics).
-	ShadowState(protocol.ShadowStateRequest) (protocol.ShadowStateResponse, error)
-}
-
-// stamped wraps a Cloud and overwrites the SourceIP of every request with
-// the wrapped party's address.
+// stamped is the wrapped Cloud with the SourceIP of every network-facing
+// request overwritten by the wrapped party's address. The five methods
+// below are the operations whose request carries a SourceIP; every other
+// call reaches the embedded cloud untouched.
 type stamped struct {
-	cloud Cloud
-	ip    string
+	Cloud
+	ip string
 }
-
-var _ Cloud = (*stamped)(nil)
 
 // StampSource returns a Cloud view whose requests all carry the given
 // source address. Parties receive a stamped transport from the network
 // they sit on; they cannot choose the address themselves.
 func StampSource(cloud Cloud, ip string) Cloud {
-	return &stamped{cloud: cloud, ip: ip}
-}
-
-func (s *stamped) RegisterUser(req protocol.RegisterUserRequest) error {
-	return s.cloud.RegisterUser(req)
-}
-
-func (s *stamped) Login(req protocol.LoginRequest) (protocol.LoginResponse, error) {
-	return s.cloud.Login(req)
-}
-
-func (s *stamped) RequestDeviceToken(req protocol.DeviceTokenRequest) (protocol.DeviceTokenResponse, error) {
-	return s.cloud.RequestDeviceToken(req)
-}
-
-func (s *stamped) RequestBindToken(req protocol.BindTokenRequest) (protocol.BindTokenResponse, error) {
-	return s.cloud.RequestBindToken(req)
+	return &stamped{Cloud: cloud, ip: ip}
 }
 
 func (s *stamped) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
 	req.SourceIP = s.ip
-	return s.cloud.HandleStatus(req)
+	return s.Cloud.HandleStatus(req)
 }
 
 func (s *stamped) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
 	// The batch travels as one wire message from one network, so a single
 	// batch-level stamp covers every item; the cloud fans it out.
 	req.SourceIP = s.ip
-	return s.cloud.HandleStatusBatch(req)
+	return s.Cloud.HandleStatusBatch(req)
 }
 
 func (s *stamped) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
 	req.SourceIP = s.ip
-	return s.cloud.HandleBind(req)
+	return s.Cloud.HandleBind(req)
 }
 
 func (s *stamped) HandleUnbind(req protocol.UnbindRequest) error {
 	req.SourceIP = s.ip
-	return s.cloud.HandleUnbind(req)
+	return s.Cloud.HandleUnbind(req)
 }
 
 func (s *stamped) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
 	req.SourceIP = s.ip
-	return s.cloud.HandleControl(req)
-}
-
-func (s *stamped) PushUserData(req protocol.PushUserDataRequest) error {
-	return s.cloud.PushUserData(req)
-}
-
-func (s *stamped) Readings(req protocol.ReadingsRequest) (protocol.ReadingsResponse, error) {
-	return s.cloud.Readings(req)
-}
-
-func (s *stamped) HandleShare(req protocol.ShareRequest) error {
-	return s.cloud.HandleShare(req)
-}
-
-func (s *stamped) Shares(req protocol.SharesRequest) (protocol.SharesResponse, error) {
-	return s.cloud.Shares(req)
-}
-
-func (s *stamped) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
-	return s.cloud.HandleDelegate(req)
-}
-
-func (s *stamped) HandleRevokeDelegation(req protocol.RevokeDelegationRequest) error {
-	return s.cloud.HandleRevokeDelegation(req)
-}
-
-func (s *stamped) ListDelegations(req protocol.ListDelegationsRequest) (protocol.ListDelegationsResponse, error) {
-	return s.cloud.ListDelegations(req)
-}
-
-func (s *stamped) ShadowState(req protocol.ShadowStateRequest) (protocol.ShadowStateResponse, error) {
-	return s.cloud.ShadowState(req)
+	return s.Cloud.HandleControl(req)
 }
