@@ -30,14 +30,17 @@ race:
 	$(GO) test -race ./...
 
 # race-stress hammers the WAL group-commit queue, the sharded durable
-# hot path and the cluster's shipper under the race detector, repeated
-# so the leader/follower handoff, the background flusher, the
-# truncate-vs-append windows and the append-observer/drain/re-seed lock
-# order get re-dealt across runs.
+# hot path, the cluster's shipper and binapi's epoll pollers under the
+# race detector, repeated so the leader/follower handoff, the
+# background flusher, the truncate-vs-append windows, the
+# append-observer/drain/re-seed lock order and — for a poller that
+# serves its sockets in place — FIN vs epoll_wait, close vs dispatch and
+# short writes vs EPOLLOUT get re-dealt across runs.
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery' ./internal/cloud/
 	$(GO) test -race -count=3 -run='TestShipper|TestNode' ./internal/cluster/
+	$(GO) test -race -count=3 -run='TestReadinessEquivalence|TestEpoll|TestShortWrite|TestIdleTimeout|TestBackpressure' ./internal/binapi/
 
 # bench compiles and smoke-runs every benchmark (100 iterations, no unit
 # tests) so perf regressions in the hot path are caught by CI, not just

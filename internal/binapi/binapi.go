@@ -27,20 +27,22 @@
 //     the excess instead of ballooning server memory.
 //
 //   - Connection-striped event loop: N stripes each own a disjoint set
-//     of connections. A connection with readable bytes is handed off to
-//     its stripe's ready queue; the stripe drains every complete frame,
-//     dispatches synchronously (the handlers are sub-microsecond), and
-//     flushes all of the connection's responses in one write — so a
+//     of connections. Whoever serves a connection drains every complete
+//     frame, dispatches synchronously (the handlers are sub-microsecond),
+//     and flushes all of the connection's responses in one write — so a
 //     pipelined burst costs one syscall per direction, not one per
 //     message. In pipe mode (in-process duplex buffers, the 100k-
-//     connection testbed) the server runs zero goroutines per
-//     connection. Socket mode has two readiness sources: on Linux a
-//     raw-epoll poller goroutine per stripe (edge-triggered
-//     EPOLLIN|EPOLLRDHUP over non-blocking fds) drains sockets into the
-//     same stripe machinery, so 100k real sockets run on the stripe
-//     goroutines alone; elsewhere (or with WithReadiness(ReadinessPump))
-//     a minimal pump goroutine per connection blocks in Read with Go's
-//     netpoller acting as the readiness source.
+//     connection testbed) the client's writer hands the bytes to the
+//     stripe's ready queue and the stripe goroutine serves them: zero
+//     goroutines per connection. Socket mode has two readiness sources:
+//     on Linux a raw-epoll poller goroutine per stripe (edge-triggered
+//     EPOLLIN|EPOLLRDHUP over non-blocking fds) reads its sockets and
+//     serves them in place, with the same parser and dispatcher — one
+//     wake-up, one read and one write per request, no allocation — so
+//     100k real sockets run on stripes + pollers goroutines; elsewhere
+//     (or with WithReadiness(ReadinessPump)) a minimal pump goroutine
+//     per connection blocks in Read with Go's netpoller acting as the
+//     readiness source and feeds the stripe's ready queue like a pipe.
 //
 // The client implements transport.Cloud, so devices, apps, retry
 // wrappers and the cluster Router run over it unchanged.
@@ -123,9 +125,10 @@ const (
 	// Portable; goroutine count is O(connections).
 	ReadinessPump
 	// ReadinessEpoll runs one raw-epoll poller goroutine per stripe
-	// (edge-triggered EPOLLIN|EPOLLRDHUP); socket mode then has the same
-	// fixed goroutine count as pipe mode. Linux only: requesting it
-	// elsewhere makes the server reject socket connections.
+	// (edge-triggered EPOLLIN|EPOLLRDHUP) that reads and serves its
+	// sockets itself; socket mode then has a fixed goroutine count, as
+	// pipe mode does. Linux only: requesting it elsewhere makes the
+	// server reject socket connections.
 	ReadinessEpoll
 )
 

@@ -55,26 +55,23 @@ type pollClient struct {
 func (h *pollClient) onWritable()  {}
 func (h *pollClient) expire(int64) {}
 
-// onReadable drains the socket until EAGAIN into the client's frame
-// reassembly, on the poller goroutine.
-func (h *pollClient) onReadable(scratch []byte) {
-	for {
-		n, err := rawConnRead(h.rc, scratch)
-		if n > 0 {
-			if ferr := h.c.feed(scratch[:n]); ferr != nil {
+// onReadable drains the socket into the client's frame reassembly, on
+// the poller goroutine, until readChunk says the queue is empty.
+func (h *pollClient) onReadable(events uint32) {
+	for more := true; more; {
+		var b []byte
+		var err error
+		if b, more, err = h.ep.readChunk(h.rc, events); len(b) > 0 {
+			if ferr := h.c.feed(b); ferr != nil {
 				h.dead(ferr)
 				return
 			}
 		}
-		if err == errWouldBlock {
-			return
-		}
 		if err != nil {
-			h.dead(fmt.Errorf("binapi: read: %w", err))
-			return
-		}
-		if n == 0 {
-			h.dead(io.EOF)
+			if err != io.EOF {
+				err = fmt.Errorf("binapi: read: %w", err)
+			}
+			h.dead(err)
 			return
 		}
 	}
@@ -123,7 +120,7 @@ func (p *ClientPoller) Dial(addr string, opts ...Option) (*Client, error) {
 		p.ep.remove(idx, h)
 		_ = nc.Close()
 	}
-	if err := p.ep.register(rc, idx); err != nil {
+	if err := p.ep.register(rc, idx, epIN|epRDHUP|epET); err != nil {
 		p.ep.remove(idx, h)
 		_ = nc.Close()
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"reflect"
@@ -22,11 +23,11 @@ import (
 	"github.com/iotbind/iotbind/internal/wirecodec"
 )
 
-// startSocketServer serves svc on a fresh loopback listener and returns
+// startSocketServer serves cl on a fresh loopback listener and returns
 // the server and its address.
-func startSocketServer(t *testing.T, svc *cloud.Service, opts ...Option) (*Server, string) {
+func startSocketServer(t *testing.T, cl transport.Cloud, opts ...Option) (*Server, string) {
 	t.Helper()
-	srv := NewServer(svc, opts...)
+	srv := NewServer(cl, opts...)
 	t.Cleanup(func() { _ = srv.Close() })
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -174,6 +175,42 @@ func TestReadinessEquivalence(t *testing.T) {
 		}
 	}
 
+	// The arrival shapes that differ most between a poller that serves
+	// in place and a pump feeding a stripe, hand-driven over raw sockets:
+	// a frame torn across two readiness events, then a burst larger than
+	// readBudget. The two sockets must answer byte for byte alike; the
+	// pipe takes the same requests through its client, so the snapshots
+	// below still compare all three.
+	first := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(0)}
+	torn := protocol.StatusRequest{
+		Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(1),
+		Readings: []protocol.Reading{{Name: "temp_c", Value: 21.5, At: at}},
+	}
+	// Twice the budget: the yield path needs the writer to keep pace with
+	// the draining poller for a whole budget, which a barely larger burst
+	// manages in only about half the runs.
+	burst := make([]protocol.StatusBatchRequest, 16)
+	for i := range burst {
+		burst[i].Items = make([]protocol.StatusRequest, 4700)
+		for j := range burst[i].Items {
+			burst[i].Items[j] = protocol.StatusRequest{
+				Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID((i + j) % (devices + 1)),
+			}
+		}
+	}
+	epollAnswers := tornThenBurst(t, epollAddr, first, torn, burst)
+	pumpAnswers := tornThenBurst(t, pumpAddr, first, torn, burst)
+	if !reflect.DeepEqual(epollAnswers, pumpAnswers) {
+		t.Fatal("torn frame + burst: epoll and pump sockets answered differently")
+	}
+	_, _ = pipeCl.HandleStatus(first)
+	_, _ = pipeCl.HandleStatus(torn)
+	for _, b := range burst {
+		if _, err := pipeCl.HandleStatusBatch(b); err != nil {
+			t.Fatalf("pipe burst batch: %v", err)
+		}
+	}
+
 	var snaps [3]bytes.Buffer
 	for i, svc := range svcs {
 		if err := cloud.EncodeSnapshot(&snaps[i], svc.Snapshot()); err != nil {
@@ -189,6 +226,82 @@ func TestReadinessEquivalence(t *testing.T) {
 			t.Fatalf("stats diverged:\n%s: %+v\n%s: %+v", names[0], svcs[0].Stats(), names[i], svcs[i].Stats())
 		}
 	}
+}
+
+// statusFrame frames one status request for a hand-driven connection.
+func statusFrame(stream uint32, req protocol.StatusRequest) []byte {
+	var body bytes.Buffer
+	wirecodec.PutStatusBody(&body, &req)
+	return appendFrame(nil, stream, kindStatus, 0, body.Bytes())
+}
+
+// tornThenBurst hand-drives one raw socket connection: a complete
+// status frame with the first half of a second one behind it, the
+// second half only after the first frame's answer has come back (which
+// proves the server consumed the readiness event that carried the torn
+// half), then every batch in a single write — more bytes than one
+// readiness event may drain. It returns the response frames in arrival
+// order, kind byte first.
+func tornThenBurst(t *testing.T, addr string, first, torn protocol.StatusRequest, burst []protocol.StatusBatchRequest) [][]byte {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(30 * time.Second))
+	_, kind, _, _, rest := readFrame(t, nc, nil)
+	if kind != kindHello {
+		t.Fatalf("first frame kind = 0x%02x, want hello", kind)
+	}
+	var answers [][]byte
+	expect := func(wantStream uint32) {
+		t.Helper()
+		stream, kind, flags, pl, tail := readFrame(t, nc, rest)
+		if stream != wantStream || flags&flagResponse == 0 {
+			t.Fatalf("response = stream %d flags 0x%02x, want stream %d response", stream, flags, wantStream)
+		}
+		answers = append(answers, append([]byte{kind}, pl...))
+		rest = append([]byte(nil), tail...)
+	}
+
+	tornFrame := statusFrame(2, torn)
+	half := len(tornFrame) / 2
+	if _, err := nc.Write(append(statusFrame(1, first), tornFrame[:half]...)); err != nil {
+		t.Fatal(err)
+	}
+	expect(1)
+	if _, err := nc.Write(tornFrame[half:]); err != nil {
+		t.Fatal(err)
+	}
+	expect(2)
+
+	var wire []byte
+	var body bytes.Buffer
+	for i := range burst {
+		body.Reset()
+		wirecodec.PutStr(&body, "")
+		wirecodec.PutUvarint(&body, uint64(len(burst[i].Items)))
+		for j := range burst[i].Items {
+			wirecodec.PutStatusBody(&body, &burst[i].Items[j])
+		}
+		wire = appendFrame(wire, uint32(3+i), kindBatch, 0, body.Bytes())
+	}
+	if len(wire) <= readBudget {
+		t.Fatalf("burst is %d bytes, want more than readBudget = %d", len(wire), readBudget)
+	}
+	written := make(chan error, 1)
+	go func() {
+		_, werr := nc.Write(wire)
+		written <- werr
+	}()
+	for i := range burst {
+		expect(uint32(3 + i))
+	}
+	if err := <-written; err != nil {
+		t.Fatalf("writing the burst: %v", err)
+	}
+	return answers
 }
 
 // setSockBuf returns a Control func that pins a socket buffer option
@@ -398,5 +511,238 @@ func TestEpollCloseRaceStorm(t *testing.T) {
 			t.Fatalf("server still holds %d connections after churn", srv.Conns())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// statusCloud serves HandleStatus with the given function; any other
+// operation panics on the nil embedded Cloud.
+type statusCloud struct {
+	transport.Cloud
+	status func(protocol.StatusRequest) (protocol.StatusResponse, error)
+}
+
+func (c statusCloud) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
+	return c.status(req)
+}
+
+// TestEpollStatusRoundTripAllocatesNothing: a same-device heartbeat
+// through Dial → loopback socket → epoll poller → a no-op cloud and
+// back allocates nothing anywhere in the process, as the pipe round trip
+// does — every RawConn callback on the path is built once.
+func TestEpollStatusRoundTripAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	_, addr := startSocketServer(t, statusCloud{status: func(protocol.StatusRequest) (protocol.StatusResponse, error) {
+		return protocol.StatusResponse{}, nil
+	}}, WithStripes(1), WithReadiness(ReadinessEpoll))
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// The claimed SourceIP must cost nothing either: the server drops it
+	// undecoded and stamps the peer address.
+	req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(0), SourceIP: "203.0.113.9"}
+	beat := func() {
+		if _, err = c.HandleStatus(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		beat() // warm the pools and the device-ID cache
+	}
+	if avg := testing.AllocsPerRun(2000, beat); avg != 0 {
+		t.Fatalf("epoll socket status round trip allocates %.0f times, want 0", avg)
+	}
+}
+
+// fullListener hands out accepted sockets whose send buffer is already
+// full, so the server's very first write on them — the hello — comes up
+// short. filled receives the number of junk bytes ahead of the hello.
+type fullListener struct {
+	net.Listener
+	filled chan int
+}
+
+func (l fullListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	junk := make([]byte, 1024)
+	n := 0
+	_ = nc.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
+	for {
+		m, werr := nc.Write(junk)
+		n += m
+		if werr != nil {
+			break // the deadline: buffer full, the peer is not reading
+		}
+	}
+	_ = nc.SetWriteDeadline(time.Time{})
+	l.filled <- n
+	return nc, nil
+}
+
+// TestShortWriteOnHello: a hello that cannot be written at once
+// parks its tail and arms EPOLLOUT like any other flush — which needs
+// the connection's poller and slot, so they must be assigned before the
+// hello is flushed, and the registration must carry the arm. The hello
+// and a follow-up request still arrive once the peer starts reading.
+func TestShortWriteOnHello(t *testing.T) {
+	srv := NewServer(newLabService(t, 1), WithStripes(1), WithReadiness(ReadinessEpoll))
+	defer srv.Close()
+	lc := net.ListenConfig{Control: setSockBuf(syscall.SO_SNDBUF, 4096)}
+	ln, err := lc.Listen(nil, "tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := fullListener{Listener: ln, filled: make(chan int, 1)}
+	go func() { _ = srv.Serve(fl) }()
+
+	d := net.Dialer{Control: setSockBuf(syscall.SO_RCVBUF, 4096)}
+	nc, err := d.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(30 * time.Second))
+
+	junk := <-fl.filled
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.ShortWrites() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("hello was not short-written behind %d junk bytes", junk)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if _, err := io.CopyN(io.Discard, nc, int64(junk)); err != nil {
+		t.Fatalf("draining %d junk bytes: %v", junk, err)
+	}
+	_, kind, _, _, rest := readFrame(t, nc, nil)
+	if kind != kindHello {
+		t.Fatalf("first frame after the junk: kind 0x%02x, want the parked hello", kind)
+	}
+
+	if _, err := nc.Write(statusFrame(1, protocol.StatusRequest{
+		Kind: protocol.StatusRegister, DeviceID: testDeviceID(0),
+		Firmware: "1.0", Model: "binapi-lab",
+	})); err != nil {
+		t.Fatal(err)
+	}
+	stream, kind, flags, _, _ := readFrame(t, nc, rest)
+	if stream != 1 || kind != kindStatus || flags&flagResponse == 0 {
+		t.Fatalf("follow-up frame = stream %d kind 0x%02x flags 0x%02x, want status response", stream, kind, flags)
+	}
+}
+
+// TestEpollRequestThenClose: a peer that sends one short frame and
+// closes at once. Whichever way the FIN and the poller's epoll_wait are
+// dealt — FIN already there when the event is harvested (the event
+// carries EPOLLRDHUP, and the short read must not end the drain), or
+// arriving after (a fresh edge) — the close must be observed with no
+// idle timeout to fall back on. Even iterations slam the door; odd ones
+// only half-close and must get their answer before the server's EOF.
+func TestEpollRequestThenClose(t *testing.T) {
+	srv, addr := startSocketServer(t, newLabService(t, 1), WithStripes(1), WithReadiness(ReadinessEpoll))
+	frame := statusFrame(1, protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDeviceID(0)})
+	for i := 0; i < 200; i++ {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 >= 2 {
+			time.Sleep(200 * time.Microsecond) // let the data's event be harvested first
+		}
+		if i%2 == 0 {
+			_ = nc.Close()
+		} else {
+			if err := nc.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+			_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+			got, err := io.ReadAll(nc)
+			if err != nil {
+				t.Fatalf("iteration %d: server never closed a half-closed connection: %v", i, err)
+			}
+			_, kind, _, _, rest := readFrame(t, nc, got)
+			if kind != kindHello {
+				t.Fatalf("iteration %d: first frame kind 0x%02x, want hello", i, kind)
+			}
+			stream, kind, flags, _, _ := readFrame(t, nc, rest)
+			if stream != 1 || kind != kindStatus || flags&flagResponse == 0 {
+				t.Fatalf("iteration %d: answer = stream %d kind 0x%02x flags 0x%02x, want status response",
+					i, stream, kind, flags)
+			}
+			_ = nc.Close()
+		}
+		deadline := time.Now().Add(time.Second)
+		for srv.Conns() > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("iteration %d: server still holds %d connections a second after the peer closed", i, srv.Conns())
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+}
+
+// TestEpollBusyPollerKeepsEdges: with one stripe both connections share
+// one poller, and it serves in place — while it is parked inside the
+// cloud on the first connection's request it harvests nothing. A second
+// connection's request that arrives meanwhile must be answered as soon
+// as the first returns: its edge waits in the epoll set, it is not lost.
+func TestEpollBusyPollerKeepsEdges(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	_, addr := startSocketServer(t, statusCloud{status: func(req protocol.StatusRequest) (protocol.StatusResponse, error) {
+		if req.DeviceID == testDeviceID(0) {
+			close(entered)
+			<-release
+		}
+		return protocol.StatusResponse{}, nil
+	}}, WithStripes(1), WithReadiness(ReadinessEpoll))
+
+	var clients [2]*Client
+	for i := range clients {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients[i] = c
+	}
+	var done [2]chan error
+	call := func(i int) {
+		done[i] = make(chan error, 1)
+		go func() {
+			_, err := clients[i].HandleStatus(protocol.StatusRequest{
+				Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(i),
+			})
+			done[i] <- err
+		}()
+	}
+	call(0)
+	<-entered
+	call(1)
+	select {
+	case err := <-done[1]:
+		t.Fatalf("second connection answered (%v) while the only poller was parked in the cloud", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	for i := range done {
+		select {
+		case err := <-done[i]:
+			if err != nil {
+				t.Fatalf("connection %d: %v", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("connection %d never answered after the poller was released", i)
+		}
 	}
 }

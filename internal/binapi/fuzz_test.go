@@ -27,7 +27,7 @@ func fuzzStatusPayload() []byte {
 }
 
 // FuzzWireFrameDecode throws arbitrary bytes at both ends of the binary
-// protocol: the server-side stripe parser (frame splitting, credit
+// protocol: the server-side parser (frame splitting, credit
 // enforcement, status/batch/JSON body decoding) and the client-side mux
 // decoder (stream routing, hello handling, response decoding). Neither
 // may panic, and the server parser must never report more consumed
@@ -54,15 +54,14 @@ func FuzzWireFrameDecode(f *testing.F) {
 	helloFrame := srv.helloFrame()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Server side: a standalone stripe (no loop goroutine) parsing
-		// the input as one inbound burst on a fresh connection.
-		st := &stripe{srv: srv}
-		c := &conn{srv: srv, st: st, src: "203.0.113.9", flush: func([]byte) error { return nil }}
-		consumed, _ := st.process(c, data)
+		// Server side: a standalone worker (no goroutine) parsing the
+		// input as one inbound burst on a fresh connection.
+		w := &worker{srv: srv}
+		c := &conn{srv: srv, src: "203.0.113.9", flush: func([]byte) error { return nil }}
+		consumed, _ := w.process(c, data)
 		if consumed < 0 || consumed > len(data) {
 			t.Fatalf("process consumed %d of %d bytes", consumed, len(data))
 		}
-		st.out = st.out[:0]
 
 		// Client side: same bytes through the mux decoder, after a
 		// valid hello so the slot table exists.

@@ -3,11 +3,13 @@
 // Raw-epoll readiness source: one poller goroutine per stripe replaces
 // the per-connection pump, so socket mode runs with the same fixed
 // goroutine count as pipe mode. The poller owns an edge-triggered epoll
-// set (EPOLLIN|EPOLLRDHUP|EPOLLET) over the stripe's socket fds; on
-// readiness it drains the socket until EAGAIN and hands the bytes to
-// the existing deliver → double-buffered ready queue, so parsing,
-// dispatch and the coalesced flush stay on the stripe exactly as in
-// pipe mode.
+// set (EPOLLIN|EPOLLRDHUP|EPOLLET) over the stripe's socket fds and
+// serves them itself: on readiness it drains the socket into the
+// connection's inbound buffer and runs, with a worker of its own, the
+// same service → process → dispatch → flush a stripe runs for pipe and
+// pump connections. The bytes never change goroutine, so a request
+// costs the server one wake-up, one read and one write, and (every
+// RawConn callback being built once) no allocation.
 //
 // fd lifecycle rules (the hard part the netpoller was hiding):
 //
@@ -53,15 +55,16 @@ const (
 )
 
 // readBudget bounds how many bytes one readiness event drains from a
-// single connection before the poller re-arms the edge and moves on,
-// so one firehose connection cannot starve its stripe siblings.
+// single connection before the poller serves them, re-arms the edge and
+// moves on, so one firehose connection cannot starve its siblings.
 const readBudget = 1 << 20
 
 // epollHandler is what a poller slot points at: a server conn or a
 // ClientPoller's client. Callbacks run on the poller goroutine and
 // must tolerate spurious invocation (see the lifecycle rules above).
 type epollHandler interface {
-	onReadable(scratch []byte)
+	// onReadable gets the event's mask: readChunk needs its hang-up bits.
+	onReadable(events uint32)
 	onWritable()
 	expire(cutoff int64)
 }
@@ -90,8 +93,25 @@ type epoller struct {
 	eprc     syscall.RawConn
 	pollable bool
 
-	scratch  []byte
+	// Everything below is touched by the poller goroutine only. The
+	// callbacks handed to RawConn.Read are built once and report through
+	// fields: a closure literal there escapes together with the results
+	// it captures, three allocations a call.
+	events  []syscall.EpollEvent
+	waitFd  func(fd uintptr) bool
+	nready  int
+	waitErr error
+
+	rbuf    []byte
+	readFd  func(fd uintptr) bool
+	nread   int
+	readErr error
+
 	sweepBuf []epollHandler
+
+	// worker serves a Server's connections on this goroutine; a
+	// ClientPoller's epoller has none.
+	worker *worker
 }
 
 func newEpoller(idle time.Duration, onExit func()) (*epoller, error) {
@@ -105,13 +125,16 @@ func newEpoller(idle time.Duration, onExit func()) (*epoller, error) {
 		return nil, fmt.Errorf("binapi: wake pipe: %w", err)
 	}
 	ep := &epoller{
-		idle:    idle,
-		onExit:  onExit,
-		epfd:    epfd,
-		wakeR:   pipe[0],
-		wakeW:   pipe[1],
-		scratch: make([]byte, 64*1024),
+		idle:   idle,
+		onExit: onExit,
+		epfd:   epfd,
+		wakeR:  pipe[0],
+		wakeW:  pipe[1],
+		events: make([]syscall.EpollEvent, 128),
+		rbuf:   make([]byte, 64*1024),
 	}
+	ep.waitFd = ep.harvest
+	ep.readFd = ep.readOnce
 	// The wake pipe is level-triggered and tagged with slot -1.
 	ev := syscall.EpollEvent{Events: epIN, Fd: -1}
 	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, pipe[0], &ev); err != nil {
@@ -156,7 +179,7 @@ func (ep *epoller) alloc(h epollHandler) (uint32, error) {
 
 // register adds the fd to the epoll set, edge-triggered. Readiness
 // that predates registration is delivered immediately.
-func (ep *epoller) register(rc syscall.RawConn, idx uint32) error {
+func (ep *epoller) register(rc syscall.RawConn, idx uint32, events uint32) error {
 	var ctlErr error
 	cerr := rc.Control(func(fd uintptr) {
 		ep.mu.Lock()
@@ -165,7 +188,7 @@ func (ep *epoller) register(rc syscall.RawConn, idx uint32) error {
 			ctlErr = errPollerClosed
 			return
 		}
-		ev := syscall.EpollEvent{Events: epIN | epRDHUP | epET, Fd: int32(idx)}
+		ev := syscall.EpollEvent{Events: events, Fd: int32(idx)}
 		ctlErr = syscall.EpollCtl(ep.epfd, syscall.EPOLL_CTL_ADD, int(fd), &ev)
 	})
 	if cerr != nil {
@@ -260,9 +283,8 @@ func (ep *epoller) loop() {
 		nextSweep = time.Now().Add(granule)
 	}
 
-	events := make([]syscall.EpollEvent, 128)
 	for {
-		n, err := ep.wait(events, granule)
+		n, err := ep.wait(granule)
 		if err != nil {
 			return
 		}
@@ -270,7 +292,7 @@ func (ep *epoller) loop() {
 			return
 		}
 		for i := 0; i < n; i++ {
-			ev := &events[i]
+			ev := &ep.events[i]
 			if ev.Fd < 0 {
 				ep.drainWake()
 				continue
@@ -283,7 +305,7 @@ func (ep *epoller) loop() {
 				h.onWritable()
 			}
 			if ev.Events&(epIN|epRDHUP|epHUP|epERR) != 0 {
-				h.onReadable(ep.scratch)
+				h.onReadable(ev.Events)
 			}
 		}
 		if ep.idle > 0 {
@@ -301,14 +323,14 @@ func (ep *epoller) loop() {
 // costs a goroutine park, not an OS-thread block. granule bounds the
 // park (via a read deadline) to keep the idle sweep's cadence; a
 // deadline expiry returns (0, nil) like a timed-out epoll_wait.
-func (ep *epoller) wait(events []syscall.EpollEvent, granule time.Duration) (int, error) {
+func (ep *epoller) wait(granule time.Duration) (int, error) {
 	if !ep.pollable {
 		waitMs := -1
 		if granule > 0 {
 			waitMs = int(granule / time.Millisecond)
 		}
 		for {
-			n, err := syscall.EpollWait(ep.epfd, events, waitMs)
+			n, err := syscall.EpollWait(ep.epfd, ep.events, waitMs)
 			if err == syscall.EINTR {
 				continue
 			}
@@ -320,27 +342,69 @@ func (ep *epoller) wait(events []syscall.EpollEvent, granule time.Duration) (int
 			return 0, err
 		}
 	}
-	var n int
-	var werr error
-	rerr := ep.eprc.Read(func(fd uintptr) bool {
-		for {
-			m, e := syscall.EpollWait(int(fd), events, 0)
-			if e == syscall.EINTR {
-				continue
-			}
-			n, werr = m, e
-			// Park (return false) only on an empty set: the next
-			// inner event is then a fresh edge on the outer poll.
-			return m > 0 || e != nil
-		}
-	})
-	if rerr != nil {
+	if rerr := ep.eprc.Read(ep.waitFd); rerr != nil {
 		if errors.Is(rerr, os.ErrDeadlineExceeded) {
 			return 0, nil // sweep tick
 		}
 		return 0, rerr
 	}
-	return n, werr
+	return ep.nready, ep.waitErr
+}
+
+// harvest is wait's RawConn callback: one non-blocking epoll_wait.
+func (ep *epoller) harvest(fd uintptr) bool {
+	for {
+		n, err := syscall.EpollWait(int(fd), ep.events, 0)
+		if err == syscall.EINTR {
+			continue
+		}
+		ep.nready, ep.waitErr = n, err
+		// Park (return false) only on an empty set: the next inner
+		// event is then a fresh edge on the outer poll.
+		return n > 0 || err != nil
+	}
+}
+
+// readOnce is readChunk's RawConn callback: one non-blocking read.
+func (ep *epoller) readOnce(fd uintptr) bool {
+	for {
+		n, err := syscall.Read(int(fd), ep.rbuf)
+		if err == syscall.EINTR {
+			continue
+		}
+		ep.nread, ep.readErr = n, err
+		return true
+	}
+}
+
+// readChunk reads rc once without blocking, for the handler whose
+// readiness event carried events. b is what arrived, valid until the
+// poller's next read; more reports whether the receive queue may hold
+// more; err is io.EOF on an orderly close. The RawConn wrapper
+// refcounts the fd against a concurrent Close.
+//
+// A read that returns less than was asked of a stream socket has
+// emptied its receive queue, and the next arrival is a fresh edge
+// (epoll(7), "Questions and answers" 9), so the read that would only
+// confirm it with EAGAIN is not made — unless the event carried a
+// hang-up or error bit: a FIN or reset that rode in with the data posts
+// no further edge, and only reading on to EOF or the error finds it.
+func (ep *epoller) readChunk(rc syscall.RawConn, events uint32) (b []byte, more bool, err error) {
+	if cerr := rc.Read(ep.readFd); cerr != nil {
+		return nil, false, cerr
+	}
+	n, rerr := ep.nread, ep.readErr
+	switch {
+	case rerr == syscall.EAGAIN:
+		return nil, false, nil
+	case rerr != nil:
+		return nil, false, rerr
+	case n == 0:
+		return nil, false, io.EOF
+	default:
+		hungUp := events&(epRDHUP|epHUP|epERR) != 0
+		return ep.rbuf[:n], n == len(ep.rbuf) || hungUp, nil
+	}
 }
 
 func (ep *epoller) drainWake() {
@@ -394,6 +458,7 @@ func (s *Server) pollerFor(st *stripe) (*epoller, error) {
 	if err != nil {
 		return nil, err
 	}
+	pl.worker = &worker{srv: s}
 	st.pl = pl
 	s.wg.Add(1)
 	s.goros.Add(1)
@@ -402,9 +467,13 @@ func (s *Server) pollerFor(st *stripe) (*epoller, error) {
 }
 
 // startEpollConn wires one accepted socket into its stripe's epoll
-// poller: hello first (nothing inbound is parsed before registration
-// anyway), then slot allocation, then epoll registration — readiness
-// that arrived in between is delivered by the edge-triggered add.
+// poller: slot allocation, then the hello (nothing inbound is parsed
+// before registration, so it is the first frame out), then epoll
+// registration — readiness that arrived in between is delivered by the
+// edge-triggered add. The poller and slot are assigned before the hello
+// is flushed because a short write there already parks a tail and arms
+// EPOLLOUT through them; that arm cannot reach an fd not yet in the
+// set, so the registration mask carries it.
 func (s *Server) startEpollConn(nc net.Conn, sc syscall.Conn) error {
 	rc, err := sc.SyscallConn()
 	if err != nil {
@@ -412,6 +481,7 @@ func (s *Server) startEpollConn(nc net.Conn, sc syscall.Conn) error {
 	}
 	c := &conn{srv: s, src: remoteIP(nc), sock: nc, rc: rc}
 	c.flush = c.epollWrite
+	c.writeFd = c.writeAll
 	if err := s.addConn(c); err != nil {
 		return err
 	}
@@ -423,19 +493,19 @@ func (s *Server) startEpollConn(nc net.Conn, sc syscall.Conn) error {
 	if s.opts.idleTimeout > 0 {
 		c.lastAct.Store(time.Now().UnixNano())
 	}
+	c.pl = pl
+	if c.pidx, err = pl.alloc(c); err != nil {
+		c.close(err) // no slot yet: remove's identity check makes that a no-op
+		return err
+	}
 	if err := c.flush(s.helloFrame()); err != nil {
 		c.close(err)
 		return err
 	}
-	c.pl = pl
-	idx, err := pl.alloc(c)
+	c.wmu.Lock()
+	err = pl.register(rc, c.pidx, c.eventsLocked())
+	c.wmu.Unlock()
 	if err != nil {
-		c.pl = nil
-		c.close(err)
-		return err
-	}
-	c.pidx = idx
-	if err := pl.register(rc, idx); err != nil {
 		c.close(err)
 		return err
 	}
@@ -444,109 +514,95 @@ func (s *Server) startEpollConn(nc net.Conn, sc syscall.Conn) error {
 
 // ---- conn raw I/O (poller side) --------------------------------------------
 
-// errWouldBlock reports EAGAIN from a raw read or write.
-var errWouldBlock = errors.New("binapi: would block")
-
-// rawConnRead reads once without blocking. (0, nil) is EOF;
-// errWouldBlock is EAGAIN. The RawConn wrapper refcounts the fd against
-// concurrent Close.
-func rawConnRead(rc syscall.RawConn, buf []byte) (int, error) {
-	var n int
-	var rerr error
-	cerr := rc.Read(func(fd uintptr) bool {
-		for {
-			m, e := syscall.Read(int(fd), buf)
-			if e == syscall.EINTR {
-				continue
-			}
-			if e == syscall.EAGAIN {
-				rerr = errWouldBlock
-				return true
-			}
-			if m > 0 {
-				n = m
-			}
-			rerr = e
-			return true
-		}
-	})
-	if cerr != nil {
-		return 0, cerr
-	}
-	return n, rerr
-}
-
 // rawWrite writes as much of b as the socket accepts without blocking.
 // A nil error with n < len(b) means the socket buffer filled (EAGAIN).
+// Caller holds wmu.
 func (c *conn) rawWrite(b []byte) (int, error) {
-	var n int
-	var werr error
-	cerr := c.rc.Write(func(fd uintptr) bool {
-		for n < len(b) {
-			m, e := syscall.Write(int(fd), b[n:])
-			if m > 0 {
-				n += m
-			}
-			switch e {
-			case nil:
-			case syscall.EINTR:
-			case syscall.EAGAIN:
-				return true
-			default:
-				werr = e
-				return true
-			}
-		}
-		return true
-	})
+	c.wsrc, c.wn, c.werr = b, 0, nil
+	cerr := c.rc.Write(c.writeFd)
+	c.wsrc = nil
 	if cerr != nil {
-		return n, cerr
+		return c.wn, cerr
 	}
-	return n, werr
+	return c.wn, c.werr
 }
 
-// onReadable drains the socket until EAGAIN (edge-triggered contract),
-// delivering to the stripe's ready queue. A connection that outruns its
-// read budget yields: re-arming the edge redelivers readiness for the
-// bytes still queued, after the stripe's other connections got a turn.
-func (c *conn) onReadable(scratch []byte) {
+// writeAll is rawWrite's RawConn callback (conn.writeFd).
+func (c *conn) writeAll(fd uintptr) bool {
+	for c.wn < len(c.wsrc) {
+		m, e := syscall.Write(int(fd), c.wsrc[c.wn:])
+		if m > 0 {
+			c.wn += m
+		}
+		switch e {
+		case nil, syscall.EINTR:
+		case syscall.EAGAIN:
+			return true
+		default:
+			c.werr = e
+			return true
+		}
+	}
+	return true
+}
+
+// onReadable serves the connection on the poller goroutine: drain the
+// socket into the inbound buffer (until readChunk says the queue is
+// empty), then parse, dispatch and flush on the spot. A connection that
+// outruns its read budget yields after being served: re-arming the edge
+// redelivers readiness for the bytes still queued, once the poller's
+// other connections got a turn. Bytes that arrived ahead of a FIN or an
+// error are served before the connection closes.
+func (c *conn) onReadable(events uint32) {
 	budget := readBudget
-	for {
-		n, err := rawConnRead(c.rc, scratch)
-		if n > 0 {
-			budget -= n
-			if derr := c.deliver(scratch[:n]); derr != nil {
-				c.close(derr)
+	var err error
+	for more := true; more && budget > 0; {
+		var b []byte
+		if b, more, err = c.pl.readChunk(c.rc, events); len(b) > 0 {
+			budget -= len(b)
+			if aerr := c.absorb(b); aerr != nil {
+				c.close(aerr)
 				return
 			}
 		}
-		if err == errWouldBlock {
-			return
-		}
-		if err != nil {
-			c.close(err)
-			return
-		}
-		if n == 0 {
-			c.close(io.EOF)
-			return
-		}
-		if budget <= 0 {
-			c.rearmRead()
-			return
-		}
 	}
+	if budget < readBudget {
+		c.pl.worker.service(c)
+	}
+	switch {
+	case err != nil:
+		c.close(err)
+	case budget <= 0:
+		c.rearmRead()
+	}
+}
+
+// absorb appends bytes the poller read to the inbound buffer and
+// stamps the idle clock.
+func (c *conn) absorb(b []byte) error {
+	if c.srv.opts.idleTimeout > 0 {
+		c.lastAct.Store(time.Now().UnixNano())
+	}
+	c.inMu.Lock()
+	err := c.appendInLocked(b)
+	c.inMu.Unlock()
+	return err
+}
+
+// eventsLocked is the connection's epoll mask: always the read edge,
+// plus EPOLLOUT while a short-written tail is parked. Caller holds wmu.
+func (c *conn) eventsLocked() uint32 {
+	if c.outArmed {
+		return epIN | epRDHUP | epET | epOUT
+	}
+	return epIN | epRDHUP | epET
 }
 
 // rearmRead re-triggers readiness after a budget yield, preserving the
 // write arm.
 func (c *conn) rearmRead() {
 	c.wmu.Lock()
-	ev := uint32(epIN | epRDHUP | epET)
-	if c.outArmed {
-		ev |= epOUT
-	}
-	err := c.pl.mod(c.rc, c.pidx, ev)
+	err := c.pl.mod(c.rc, c.pidx, c.eventsLocked())
 	c.wmu.Unlock()
 	if err != nil {
 		c.close(err)
@@ -585,7 +641,7 @@ func (c *conn) epollWrite(b []byte) error {
 			c.wbuf = getInBuf()
 		}
 		c.wbuf = append(c.wbuf[:0], tail...)
-		c.armWriteLocked()
+		c.setOutArmedLocked(true)
 	}
 	return nil
 }
@@ -597,7 +653,7 @@ var errSlowReader = errors.New("binapi: client not reading responses")
 func (c *conn) onWritable() {
 	c.wmu.Lock()
 	if len(c.wbuf) == 0 {
-		c.disarmWriteLocked()
+		c.setOutArmedLocked(false)
 		c.wmu.Unlock()
 		return
 	}
@@ -607,7 +663,7 @@ func (c *conn) onWritable() {
 		c.wbuf = c.wbuf[:rem]
 	}
 	if err == nil && len(c.wbuf) == 0 {
-		c.disarmWriteLocked()
+		c.setOutArmedLocked(false)
 	}
 	c.wmu.Unlock()
 	if err != nil {
@@ -615,20 +671,13 @@ func (c *conn) onWritable() {
 	}
 }
 
-func (c *conn) armWriteLocked() {
-	if c.outArmed {
+// setOutArmedLocked arms or disarms EPOLLOUT. Caller holds wmu.
+func (c *conn) setOutArmedLocked(on bool) {
+	if c.outArmed == on {
 		return
 	}
-	c.outArmed = true
-	_ = c.pl.mod(c.rc, c.pidx, epIN|epRDHUP|epET|epOUT)
-}
-
-func (c *conn) disarmWriteLocked() {
-	if !c.outArmed {
-		return
-	}
-	c.outArmed = false
-	_ = c.pl.mod(c.rc, c.pidx, epIN|epRDHUP|epET)
+	c.outArmed = on
+	_ = c.pl.mod(c.rc, c.pidx, c.eventsLocked())
 }
 
 // expire implements the idle sweep: close if nothing arrived since the

@@ -21,9 +21,11 @@ import (
 )
 
 // Server serves a cloud over persistent binary connections. Connections
-// are striped over a fixed set of event-loop goroutines; each stripe
-// owns its connections' decode state and response buffers, so the hot
-// path runs without per-message goroutines or per-message locks.
+// are striped over a fixed set of event-loop goroutines — a stripe's own
+// loop for pipe and pump connections, the stripe's epoll poller for
+// epoll sockets; whichever serves a connection owns its decode state and
+// response buffers, so the hot path runs without per-message goroutines
+// or per-message locks.
 type Server struct {
 	cloud transport.Cloud
 	opts  options
@@ -72,9 +74,9 @@ func NewServer(cloud transport.Cloud, opts ...Option) *Server {
 	s.stripes = make([]*stripe, o.stripes)
 	for i := range s.stripes {
 		st := &stripe{
-			srv:  s,
-			wake: make(chan struct{}, 1),
-			quit: make(chan struct{}),
+			worker: worker{srv: s},
+			wake:   make(chan struct{}, 1),
+			quit:   make(chan struct{}),
 		}
 		s.stripes[i] = st
 		s.wg.Add(1)
@@ -137,9 +139,9 @@ func (s *Server) dropConn(c *conn) {
 }
 
 // Serve accepts socket connections on l until Close. It blocks. Each
-// accepted connection gets a hello frame, a pump goroutine feeding its
-// stripe (the Go netpoller acting as the readiness source), and the
-// same striped dispatch as pipe connections.
+// accepted connection gets a hello frame and is served through the
+// configured readiness source (startSocketConn), by the same parser and
+// dispatcher as pipe connections.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -281,9 +283,10 @@ func (s *Server) Close() error {
 }
 
 // conn is the server side of one connection. Inbound bytes accumulate
-// in a small double-buffered queue guarded by inMu; all parsing,
-// dispatch and response encoding happen on the owning stripe's
-// goroutine, which is the only reader of the decode-state fields.
+// in a buffer guarded by inMu; all parsing, dispatch and response
+// encoding happen on one goroutine — the stripe's loop, or for an epoll
+// socket the stripe's poller — which is the only reader of the
+// decode-state fields.
 type conn struct {
 	srv *Server
 	st  *stripe
@@ -306,23 +309,31 @@ type conn struct {
 	pidx    uint32
 	lastAct atomic.Int64
 
-	// wmu guards the short-write pending buffer and the EPOLLOUT arm
-	// state. Leaf lock: never held around parsing or dispatch.
+	// wmu guards the short-write pending buffer, the EPOLLOUT arm state
+	// and the raw-write state. Leaf lock: never held around parsing or
+	// dispatch.
 	wmu      sync.Mutex
 	wbuf     []byte
 	outArmed bool
+	// writeFd is the callback handed to rc.Write, built once per
+	// connection; it writes wsrc and reports through wn/werr, so a flush
+	// allocates nothing.
+	writeFd func(fd uintptr) bool
+	wsrc    []byte
+	wn      int
+	werr    error
 
 	inMu   sync.Mutex
 	in     []byte
 	queued bool
 	closed bool
-	// parsing marks a stripe holding a snapshot of in outside inMu;
+	// parsing marks a worker holding a snapshot of in outside inMu;
 	// a close arriving mid-parse defers buffer recycling to the parser
 	// (recycleIn) instead of racing it.
 	parsing   bool
 	recycleIn bool
 
-	// Device-ID interning cache, stripe-owned: a persistent connection
+	// Device-ID interning cache, worker-owned: a persistent connection
 	// speaks for one device (or a stable hub set), so the previous
 	// message's ID almost always matches and the per-message string
 	// allocation disappears.
@@ -361,23 +372,30 @@ func (c *conn) inboundCap() int {
 	return (c.srv.opts.window + 2) * (c.srv.opts.maxFrame + 64)
 }
 
-// deliver appends inbound bytes and marks the connection ready on its
-// stripe. Called from the stripe's epoll poller or the pump goroutine
-// (socket mode), or the client's writer (pipe mode).
-func (c *conn) deliver(b []byte) error {
-	if c.pl != nil && c.srv.opts.idleTimeout > 0 {
-		c.lastAct.Store(time.Now().UnixNano())
-	}
-	c.inMu.Lock()
+// appendInLocked appends inbound bytes under the inbound cap. Caller
+// holds inMu.
+func (c *conn) appendInLocked(b []byte) error {
 	if c.closed {
-		c.inMu.Unlock()
 		return errConnClosed
 	}
 	if len(c.in)+len(b) > c.inboundCap() {
-		c.inMu.Unlock()
 		return fmt.Errorf("%w: inbound buffer over %d bytes", protocol.ErrBackpressure, c.inboundCap())
 	}
 	c.in = append(c.in, b...)
+	return nil
+}
+
+// deliver appends inbound bytes and marks the connection ready on its
+// stripe. Called from goroutines that do not serve connections — the
+// pump (socket mode) or the client's writer (pipe mode); an epoll
+// connection's bytes are read by the goroutine that serves them (see
+// conn.onReadable) and never come through here.
+func (c *conn) deliver(b []byte) error {
+	c.inMu.Lock()
+	if err := c.appendInLocked(b); err != nil {
+		c.inMu.Unlock()
+		return err
+	}
 	enqueue := !c.queued
 	c.queued = true
 	c.inMu.Unlock()
@@ -390,8 +408,8 @@ func (c *conn) deliver(b []byte) error {
 var errConnClosed = errors.New("binapi: connection closed")
 
 // close tears the connection down once; safe from any goroutine. The
-// inbound buffer is recycled here unless a stripe is mid-parse on a
-// snapshot of it, in which case the stripe recycles it when done.
+// inbound buffer is recycled here unless a worker is mid-parse on a
+// snapshot of it, in which case the worker recycles it when done.
 func (c *conn) close(err error) {
 	c.inMu.Lock()
 	if c.closed {
@@ -425,26 +443,34 @@ func (c *conn) close(err error) {
 	c.srv.dropConn(c)
 }
 
-// stripe is one event-loop goroutine owning a set of connections. The
-// ready queue is double-buffered: producers append under mu, the loop
-// swaps the whole batch out and services it lock-free. out and scratch
-// are reused across every connection the stripe serves.
+// worker is what a goroutine that serves connections owns — a stripe's
+// loop, or an epoll poller: out collects one connection's response
+// frames for a single coalesced flush, scratch stages each payload.
+// Both are reused across every connection the goroutine serves.
+type worker struct {
+	srv     *Server
+	out     []byte
+	scratch bytes.Buffer
+}
+
+// stripe is one event-loop goroutine serving the pipe and pump
+// connections assigned to it, whose bytes arrive on foreign goroutines.
+// The ready queue is double-buffered: producers append under mu, the
+// loop swaps the whole batch out and services it lock-free.
 type stripe struct {
-	srv   *Server
+	worker
 	mu    sync.Mutex
 	ready []*conn
 	spare []*conn
 	wake  chan struct{}
 	quit  chan struct{}
 
-	// pl is the stripe's raw-epoll readiness source, created lazily
-	// (under Server.mu) by the first epoll-mode socket connection
-	// assigned here. Linux only; nil on the pump path and for
+	// pl is the stripe's raw-epoll poller, created lazily (under
+	// Server.mu) by the first epoll-mode socket connection assigned
+	// here. It serves those connections itself, with its own worker;
+	// they never enter ready. Linux only; nil on the pump path and for
 	// pipe-only servers.
 	pl *epoller
-
-	out     []byte
-	scratch bytes.Buffer
 }
 
 func (st *stripe) enqueue(c *conn) {
@@ -489,7 +515,7 @@ func (st *stripe) loop() {
 // service drains one connection: snapshot the inbound buffer, process
 // every complete frame, compact the unconsumed tail, and flush all
 // responses in one write.
-func (st *stripe) service(c *conn) {
+func (w *worker) service(c *conn) {
 	c.inMu.Lock()
 	if c.closed {
 		c.inMu.Unlock()
@@ -500,7 +526,7 @@ func (st *stripe) service(c *conn) {
 	c.parsing = true
 	c.inMu.Unlock()
 
-	consumed, fatal := st.process(c, data)
+	consumed, fatal := w.process(c, data)
 
 	c.inMu.Lock()
 	c.parsing = false
@@ -518,11 +544,11 @@ func (st *stripe) service(c *conn) {
 	}
 	c.inMu.Unlock()
 
-	if len(st.out) > 0 {
-		err := c.flush(st.out)
-		st.out = st.out[:0]
-		if cap(st.out) > 1<<22 {
-			st.out = nil
+	if len(w.out) > 0 {
+		err := c.flush(w.out)
+		w.out = w.out[:0]
+		if cap(w.out) > 1<<22 {
+			w.out = nil
 		}
 		if fatal == nil {
 			fatal = err
@@ -537,11 +563,11 @@ func (st *stripe) service(c *conn) {
 // window requests (the credit rule) and answering the excess with
 // wire_backpressure error frames. It returns the consumed byte count
 // and a fatal error if the byte stream itself is unframeable.
-func (st *stripe) process(c *conn, data []byte) (consumed int, fatal error) {
+func (w *worker) process(c *conn, data []byte) (consumed int, fatal error) {
 	off := 0
 	handled := 0
 	for off < len(data) {
-		hdr, payload, frameLen, err := wal.ParseFrame(data[off:], st.srv.opts.maxFrame)
+		hdr, payload, frameLen, err := wal.ParseFrame(data[off:], w.srv.opts.maxFrame)
 		if err != nil {
 			if errors.Is(err, wal.ErrShortFrame) {
 				break
@@ -557,130 +583,131 @@ func (st *stripe) process(c *conn, data []byte) (consumed int, fatal error) {
 			continue
 		}
 		handled++
-		if handled > st.srv.opts.window {
-			st.srv.backpressured.Add(1)
-			st.errorFrame(stream, protocol.ErrBackpressure,
-				fmt.Sprintf("more than %d requests in flight", st.srv.opts.window))
+		if handled > w.srv.opts.window {
+			w.srv.backpressured.Add(1)
+			w.errorFrame(stream, protocol.ErrBackpressure,
+				fmt.Sprintf("more than %d requests in flight", w.srv.opts.window))
 			continue
 		}
-		st.dispatch(c, stream, kind, payload)
+		w.dispatch(c, stream, kind, payload)
 	}
 	return off, nil
 }
 
 // errorFrame appends a kindError response: wire code string + message.
-func (st *stripe) errorFrame(stream uint32, err error, msg string) {
+func (w *worker) errorFrame(stream uint32, err error, msg string) {
 	code, ok := protocol.WireCode(err)
 	if !ok {
 		code = "internal"
 	}
-	st.scratch.Reset()
-	wirecodec.PutStr(&st.scratch, code)
-	wirecodec.PutStr(&st.scratch, msg)
-	st.out = appendFrame(st.out, stream, kindError, flagResponse, st.scratch.Bytes())
+	w.scratch.Reset()
+	wirecodec.PutStr(&w.scratch, code)
+	wirecodec.PutStr(&w.scratch, msg)
+	w.out = appendFrame(w.out, stream, kindError, flagResponse, w.scratch.Bytes())
 }
 
 // dispatch routes one request frame to the cloud and appends the
 // response frame.
-func (st *stripe) dispatch(c *conn, stream uint32, kind uint8, payload []byte) {
+func (w *worker) dispatch(c *conn, stream uint32, kind uint8, payload []byte) {
 	switch kind {
 	case kindStatus:
 		cur := wirecodec.NewCursor(payload, 0)
 		var req protocol.StatusRequest
-		st.readStatusInterned(cur, c, &req)
+		w.readStatusInterned(cur, c, &req)
 		if !cur.Done() {
-			st.errorFrame(stream, protocol.ErrBadRequest, "malformed status body")
+			w.errorFrame(stream, protocol.ErrBadRequest, "malformed status body")
 			return
 		}
-		req.SourceIP = c.src
-		resp, err := st.srv.cloud.HandleStatus(req)
+		resp, err := w.srv.cloud.HandleStatus(req)
 		if err != nil {
-			st.errorFrame(stream, err, err.Error())
+			w.errorFrame(stream, err, err.Error())
 			return
 		}
-		st.scratch.Reset()
-		wirecodec.PutStatusResponse(&st.scratch, &resp)
-		st.out = appendFrame(st.out, stream, kindStatus, flagResponse, st.scratch.Bytes())
+		w.scratch.Reset()
+		wirecodec.PutStatusResponse(&w.scratch, &resp)
+		w.out = appendFrame(w.out, stream, kindStatus, flagResponse, w.scratch.Bytes())
 
 	case kindBatch:
 		cur := wirecodec.NewCursor(payload, 0)
 		var req protocol.StatusBatchRequest
-		cur.Str() // sender's source IP claim: discarded, the transport stamps
+		cur.StrBytes() // sender's source IP claim: discarded, the transport stamps
 		n := cur.Count(wirecodec.MinStatusSize)
 		if cur.Err() == nil && n > 0 {
 			req.Items = make([]protocol.StatusRequest, n)
 			for i := range req.Items {
-				st.readStatusInterned(cur, c, &req.Items[i])
+				w.readStatusInterned(cur, c, &req.Items[i])
 			}
 		}
 		if !cur.Done() {
-			st.errorFrame(stream, protocol.ErrBadRequest, "malformed status batch body")
+			w.errorFrame(stream, protocol.ErrBadRequest, "malformed status batch body")
 			return
 		}
 		req.SourceIP = c.src
-		resp, err := st.srv.cloud.HandleStatusBatch(req)
+		resp, err := w.srv.cloud.HandleStatusBatch(req)
 		if err != nil {
-			st.errorFrame(stream, err, err.Error())
+			w.errorFrame(stream, err, err.Error())
 			return
 		}
-		st.scratch.Reset()
-		wirecodec.PutStatusBatchResponse(&st.scratch, &resp)
-		st.out = appendFrame(st.out, stream, kindBatch, flagResponse, st.scratch.Bytes())
+		w.scratch.Reset()
+		wirecodec.PutStatusBatchResponse(&w.scratch, &resp)
+		w.out = appendFrame(w.out, stream, kindBatch, flagResponse, w.scratch.Bytes())
 
 	case kindShare:
 		cur := wirecodec.NewCursor(payload, 0)
 		req := wirecodec.ReadShareBody(cur)
 		if !cur.Done() {
-			st.errorFrame(stream, protocol.ErrBadRequest, "malformed share body")
+			w.errorFrame(stream, protocol.ErrBadRequest, "malformed share body")
 			return
 		}
-		if err := st.srv.cloud.HandleShare(req); err != nil {
-			st.errorFrame(stream, err, err.Error())
+		if err := w.srv.cloud.HandleShare(req); err != nil {
+			w.errorFrame(stream, err, err.Error())
 			return
 		}
-		st.out = appendFrame(st.out, stream, kindShare, flagResponse, ackPayload)
+		w.out = appendFrame(w.out, stream, kindShare, flagResponse, ackPayload)
 
 	case kindDelegate:
 		cur := wirecodec.NewCursor(payload, 0)
 		req := wirecodec.ReadDelegateBody(cur)
 		if !cur.Done() {
-			st.errorFrame(stream, protocol.ErrBadRequest, "malformed delegate body")
+			w.errorFrame(stream, protocol.ErrBadRequest, "malformed delegate body")
 			return
 		}
-		resp, err := st.srv.cloud.HandleDelegate(req)
+		resp, err := w.srv.cloud.HandleDelegate(req)
 		if err != nil {
-			st.errorFrame(stream, err, err.Error())
+			w.errorFrame(stream, err, err.Error())
 			return
 		}
-		st.scratch.Reset()
-		wirecodec.PutDelegateResponse(&st.scratch, &resp)
-		st.out = appendFrame(st.out, stream, kindDelegate, flagResponse, st.scratch.Bytes())
+		w.scratch.Reset()
+		wirecodec.PutDelegateResponse(&w.scratch, &resp)
+		w.out = appendFrame(w.out, stream, kindDelegate, flagResponse, w.scratch.Bytes())
 
 	case kindRevokeDelegation:
 		cur := wirecodec.NewCursor(payload, 0)
 		req := wirecodec.ReadRevokeDelegationBody(cur)
 		if !cur.Done() {
-			st.errorFrame(stream, protocol.ErrBadRequest, "malformed revoke-delegation body")
+			w.errorFrame(stream, protocol.ErrBadRequest, "malformed revoke-delegation body")
 			return
 		}
-		if err := st.srv.cloud.HandleRevokeDelegation(req); err != nil {
-			st.errorFrame(stream, err, err.Error())
+		if err := w.srv.cloud.HandleRevokeDelegation(req); err != nil {
+			w.errorFrame(stream, err, err.Error())
 			return
 		}
-		st.out = appendFrame(st.out, stream, kindRevokeDelegation, flagResponse, ackPayload)
+		w.out = appendFrame(w.out, stream, kindRevokeDelegation, flagResponse, ackPayload)
 
 	case kindJSON:
-		st.dispatchJSON(c, stream, payload)
+		w.dispatchJSON(c, stream, payload)
 
 	default:
-		st.errorFrame(stream, protocol.ErrBadRequest, fmt.Sprintf("unknown frame kind 0x%02x", kind))
+		w.errorFrame(stream, protocol.ErrBadRequest, fmt.Sprintf("unknown frame kind 0x%02x", kind))
 	}
 }
 
 // readStatusInterned decodes one status body with the connection's
 // device-ID cache: when the raw ID bytes match the previous message's,
-// the cached string is reused and the decode allocates nothing.
-func (st *stripe) readStatusInterned(cur *wirecodec.Cursor, c *conn, req *protocol.StatusRequest) {
+// the cached string is reused and the decode allocates nothing. The
+// sender's source-address claim is dropped undecoded: the transport
+// stamps the connection's address.
+func (w *worker) readStatusInterned(cur *wirecodec.Cursor, c *conn, req *protocol.StatusRequest) {
 	req.Kind = protocol.StatusKind(cur.U8())
 	raw := cur.StrBytes()
 	if len(raw) > 0 && bytes.Equal(raw, c.devIDRaw) {
@@ -691,6 +718,7 @@ func (st *stripe) readStatusInterned(cur *wirecodec.Cursor, c *conn, req *protoc
 		c.devID = req.DeviceID
 	}
 	wirecodec.ReadStatusRest(cur, req)
+	req.SourceIP = c.src
 }
 
 // dispatchJSON handles an operation riding in a JSON envelope: the row
@@ -698,19 +726,19 @@ func (st *stripe) readStatusInterned(cur *wirecodec.Cursor, c *conn, req *protoc
 // stamped with the connection's peer address. Every operation is
 // reachable this way; the client sends the ones with a binary kind in
 // that form instead.
-func (st *stripe) dispatchJSON(c *conn, stream uint32, payload []byte) {
+func (w *worker) dispatchJSON(c *conn, stream uint32, payload []byte) {
 	var req struct {
 		Op      string          `json:"op"`
 		Payload json.RawMessage `json:"payload"`
 	}
 	if err := json.Unmarshal(payload, &req); err != nil {
-		st.errorFrame(stream, protocol.ErrBadRequest, "malformed json envelope")
+		w.errorFrame(stream, protocol.ErrBadRequest, "malformed json envelope")
 		return
 	}
 	resp := jsonResponse{OK: true}
 	if op, ok := transport.ParseOp(req.Op); !ok {
 		resp = jsonResponse{Code: "bad_request", Message: fmt.Sprintf("unknown op %q", req.Op)}
-	} else if result, err := transport.Ops[op].Serve(st.srv.cloud, req.Payload, c.src); err != nil {
+	} else if result, err := transport.Ops[op].Serve(w.srv.cloud, req.Payload, c.src); err != nil {
 		code, ok := protocol.WireCode(err)
 		if !ok {
 			code = "internal"
@@ -722,10 +750,10 @@ func (st *stripe) dispatchJSON(c *conn, stream uint32, payload []byte) {
 	buf := jsonpool.Get()
 	defer buf.Put()
 	if err := buf.Encode(resp); err != nil {
-		st.errorFrame(stream, err, err.Error())
+		w.errorFrame(stream, err, err.Error())
 		return
 	}
-	st.out = appendFrame(st.out, stream, kindJSON, flagResponse, buf.Bytes())
+	w.out = appendFrame(w.out, stream, kindJSON, flagResponse, buf.Bytes())
 }
 
 func remoteIP(conn net.Conn) string {

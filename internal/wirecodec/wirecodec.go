@@ -276,16 +276,18 @@ func ReadStatusBody(c *Cursor) protocol.StatusRequest {
 	var req protocol.StatusRequest
 	req.Kind = protocol.StatusKind(c.U8())
 	req.DeviceID = c.Str()
-	ReadStatusRest(c, &req)
+	req.SourceIP = string(ReadStatusRest(c, &req))
 	return req
 }
 
 // ReadStatusRest decodes the fields following Kind and DeviceID into
-// req. Split out so hot-path decoders (the binapi server) can read the
-// device ID through an interning cache — the one per-message string
-// allocation in an otherwise allocation-free decode — and delegate the
-// rest here.
-func ReadStatusRest(c *Cursor, req *protocol.StatusRequest) {
+// req, except the source address, which it returns raw (aliasing the
+// input) and leaves unset. Split out for the binapi server, the one
+// decoder that reads the device ID through an interning cache and
+// replaces the sender's address claim with the transport's: its decode
+// of a bare heartbeat allocates nothing. The record decoders, which
+// replay the address that was stamped, materialise it (ReadStatusBody).
+func ReadStatusRest(c *Cursor, req *protocol.StatusRequest) (sourceIP []byte) {
 	req.DevToken = c.Str()
 	req.Signature = c.Str()
 	req.SessionToken = c.Str()
@@ -293,7 +295,7 @@ func ReadStatusRest(c *Cursor, req *protocol.StatusRequest) {
 	req.IdempotencyKey = c.Str()
 	req.Firmware = c.Str()
 	req.Model = c.Str()
-	req.SourceIP = c.Str()
+	sourceIP = c.StrBytes()
 	req.ButtonPressed = c.U8() != 0
 	n := c.Count(MinReadingSize)
 	if c.err != nil {
@@ -307,6 +309,7 @@ func ReadStatusRest(c *Cursor, req *protocol.StatusRequest) {
 			req.Readings[i].At = DecodeTime(c.I64())
 		}
 	}
+	return sourceIP
 }
 
 // ---- status response body --------------------------------------------------
