@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build crossbuild fmt vet test race race-stress bench bench-stack bench-json bench-json-smoke fuzz-smoke wal-verify cluster-smoke conn-smoke delegation-smoke ci
+.PHONY: all build crossbuild fmt vet test race race-stress bench bench-stack bench-json bench-json-smoke fuzz-smoke wal-verify cluster-smoke conn-smoke delegation-smoke loc ci
 
 all: ci
 
@@ -144,6 +144,14 @@ delegation-smoke:
 	$(GO) run ./cmd/statecheck -delegation worst-case
 	$(GO) run ./cmd/statecheck -delegation secure
 
+# loc prints the three size figures ROADMAP.md re-anchors on (and a
+# simplicity PR reports its net lines in), so nobody hand-counts them:
+# non-test Go outside bench/, tests outside bench/, and all of bench/.
+loc:
+	@printf 'non-test Go outside bench/: %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
+	@printf '*_test.go outside bench/:   %s\n' "$$(find . -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
+	@printf 'bench/:                     %s\n' "$$(find ./bench -name '*.go' -exec cat {} + | wc -l)"
+
 # ci is the tier-1+ verification gate: formatting, vet, build (native
 # and a darwin cross-compile for the non-epoll fallback), the full
 # suite under the race detector (which already runs the failover,
@@ -152,7 +160,8 @@ delegation-smoke:
 # benchmark smoke run, the bench JSON pipeline smoke, the WAL+wire fuzz
 # smoke, the offline WAL integrity check and — the one part of those
 # gates no test runs — the A6 delegation sweep printed by statecheck on
-# both reference postures.
+# both reference postures. It ends by printing the size figures (loc).
 ci: fmt vet build crossbuild race race-stress bench bench-json-smoke fuzz-smoke wal-verify
 	$(GO) run ./cmd/statecheck -delegation worst-case
 	$(GO) run ./cmd/statecheck -delegation secure
+	@$(MAKE) --no-print-directory loc

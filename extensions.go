@@ -2,7 +2,6 @@ package iotbind
 
 import (
 	"io"
-	"time"
 
 	"github.com/iotbind/iotbind/internal/binapi"
 	"github.com/iotbind/iotbind/internal/campaign"
@@ -92,25 +91,6 @@ type VerificationResult = modelcheck.Result
 func VerifyDesign(design DesignSpec) ([]VerificationResult, error) {
 	return modelcheck.Check(design)
 }
-
-// DelegationAttack identifies one A6 delegation attack row.
-type DelegationAttack = modelcheck.DelegationAttack
-
-// The delegation attack rows.
-const (
-	// AttackResidualControl is A6-1: a credential derived from an
-	// evicted guest's authority still commands the device.
-	AttackResidualControl = modelcheck.AttackResidualControl
-	// AttackEscalation is A6-2: a re-delegation chain ends in a grantee
-	// exercising a scope its grantor never held.
-	AttackEscalation = modelcheck.AttackEscalation
-	// AttackRevocationRace is A6-3: a control that passed credential
-	// verification before a revocation lands after it.
-	AttackRevocationRace = modelcheck.AttackRevocationRace
-)
-
-// AllDelegationAttacks lists the A6 rows in table order.
-func AllDelegationAttacks() []DelegationAttack { return modelcheck.AllDelegationAttacks() }
 
 // DelegationVerdict is one A6 row's verdict, with a minimal
 // counterexample trace when the attack is reachable.
@@ -229,37 +209,16 @@ type BinServer = binapi.Server
 // unchanged.
 type BinClient = binapi.Client
 
-// BinOption configures a BinServer or BinClient.
-type BinOption = binapi.Option
-
-// WithBinWindow sets the per-connection credit window the server
-// advertises and enforces.
-func WithBinWindow(n int) BinOption { return binapi.WithWindow(n) }
-
-// WithBinMaxFrame sets the maximum accepted frame payload in bytes.
-func WithBinMaxFrame(n int) BinOption { return binapi.WithMaxFrame(n) }
-
-// WithBinStripes sets the server's event-loop stripe count.
-func WithBinStripes(n int) BinOption { return binapi.WithStripes(n) }
-
 // BinReadiness selects the server's socket readiness source.
 type BinReadiness = binapi.Readiness
 
 // Socket readiness sources: auto picks raw epoll on Linux and the
-// per-connection pump goroutine elsewhere.
+// per-connection pump goroutine elsewhere (ConnLoadConfig.Readiness).
 const (
 	BinReadinessAuto  = binapi.ReadinessAuto
 	BinReadinessPump  = binapi.ReadinessPump
 	BinReadinessEpoll = binapi.ReadinessEpoll
 )
-
-// WithBinReadiness pins the server's socket readiness source.
-func WithBinReadiness(r BinReadiness) BinOption { return binapi.WithReadiness(r) }
-
-// WithBinIdleTimeout drops socket connections that deliver no bytes for
-// d (0 disables; epoll mode sweeps on a coarse grid, pump mode uses
-// read deadlines).
-func WithBinIdleTimeout(d time.Duration) BinOption { return binapi.WithIdleTimeout(d) }
 
 // BinEpollSupported reports whether the raw-epoll readiness source is
 // available on this platform.
@@ -268,12 +227,10 @@ func BinEpollSupported() bool { return binapi.EpollSupported() }
 // NewBinServer wraps a cloud for the binary front end; call Serve with
 // a listener (socket mode), Pipe for in-process connections, and Close
 // to shut down.
-func NewBinServer(c CloudTransport, opts ...BinOption) *BinServer {
-	return binapi.NewServer(c, opts...)
-}
+func NewBinServer(c CloudTransport) *BinServer { return binapi.NewServer(c) }
 
 // DialBin connects a binapi client to a BinServer over TCP.
-func DialBin(addr string, opts ...BinOption) (*BinClient, error) { return binapi.Dial(addr, opts...) }
+func DialBin(addr string) (*BinClient, error) { return binapi.Dial(addr) }
 
 // ConnLoadConfig parameterizes a connection-scale run against the
 // binary front end.
@@ -298,32 +255,10 @@ func RunConnLoad(cfg ConnLoadConfig) (ConnLoadResult, error) { return testbed.Ru
 // socket rungs of BenchmarkConnLoad.
 func EnsureFDLimit(need int) bool { return testbed.EnsureFDLimit(need) }
 
-// ---- cloud observability and persistence ------------------------------------
+// ---- cloud observability ---------------------------------------------------
 
 // CloudStats is a snapshot of a cloud's activity counters.
 type CloudStats = cloud.Stats
-
-// CloudSnapshot is a cloud's full persisted state: accounts, live
-// credentials, shadows, bindings, shares and counters.
-type CloudSnapshot = cloud.Snapshot
-
-// ReadCloudSnapshot parses a persisted JSON snapshot.
-func ReadCloudSnapshot(r io.Reader) (CloudSnapshot, error) { return cloud.ReadSnapshot(r) }
-
-// ---- failure injection ----------------------------------------------------------
-
-// FlakyTransport wraps a transport and fails every Nth call — for
-// exercising agents' error paths under cloud outages.
-type FlakyTransport = transport.Flaky
-
-// NewFlakyTransport wraps a cloud so every failEvery-th call fails with
-// ErrCloudUnavailable; failEvery <= 0 never fails.
-func NewFlakyTransport(inner CloudTransport, failEvery int) *FlakyTransport {
-	return transport.NewFlaky(inner, failEvery)
-}
-
-// ErrCloudUnavailable is the injected transport failure.
-var ErrCloudUnavailable = transport.ErrUnavailable
 
 // ---- durability: write-ahead log and crash recovery ------------------------
 
@@ -372,33 +307,6 @@ const (
 // torn tail left by a crash.
 func OpenWAL(dir string, opts WALOptions) (*WAL, error) { return wal.Open(dir, opts) }
 
-// WALScanReport summarizes a read-only integrity scan of a WAL directory.
-type WALScanReport = wal.ScanReport
-
-// ScanWAL walks every record in a WAL directory without opening it for
-// writes, reporting integrity (including torn tails) and invoking fn,
-// when non-nil, per record.
-func ScanWAL(dir string, fn func(lsn uint64, payload []byte) error) (WALScanReport, error) {
-	return wal.Scan(dir, 0, fn)
-}
-
-// WALShardReport pairs one shard of a sharded WAL with its scan result.
-type WALShardReport = wal.ShardReport
-
-// ScanWALSparse is ScanWAL under sparse-LSN rules: records must be
-// strictly increasing but gaps are legal — the shape of one shard's
-// slice of a globally ordered stream.
-func ScanWALSparse(dir string, fn func(lsn uint64, payload []byte) error) (WALScanReport, error) {
-	return wal.ScanSparse(dir, 0, fn)
-}
-
-// MergeWALShards scans every shard-NNN subdirectory of root and streams
-// the union of their records in global LSN order through fn, rejecting
-// duplicate LSNs across shards and isolating torn tails per shard.
-func MergeWALShards(root string, fn func(shard int, lsn uint64, payload []byte) error) ([]WALShardReport, error) {
-	return wal.MergeShards(root, 0, 0, fn)
-}
-
 // ErrWALCorrupt reports corruption before the tail of a log — data that
 // was once acknowledged as synced and can no longer be read.
 var ErrWALCorrupt = wal.ErrCorrupt
@@ -431,16 +339,6 @@ type ShareStormResult = testbed.ShareStormResult
 // never-crashed reference with no acknowledged op lost.
 func RunShareStorm(cfg ShareStormConfig) (ShareStormResult, error) {
 	return testbed.RunShareStorm(cfg)
-}
-
-// SwitchableTransport is an atomically swappable cloud transport:
-// agents hold it across a backend restart while the harness swaps the
-// recovered instance in underneath their retries.
-type SwitchableTransport = transport.Switchable
-
-// NewSwitchableTransport wraps the initial backend.
-func NewSwitchableTransport(inner CloudTransport) *SwitchableTransport {
-	return transport.NewSwitchable(inner)
 }
 
 // Compile-time checks that the traced transport still satisfies the

@@ -662,3 +662,26 @@ func TestMaxFrameBoundsRequests(t *testing.T) {
 		srv.Close()
 	}
 }
+
+// TestServeOnClosedServerClosesListener: Serve on an already-closed
+// server must close the listener it was handed — every harness runs
+// `go srv.Serve(ln)` beside `defer srv.Close()`, so an early return can
+// close the server first, and then nobody else owns the fd.
+func TestServeOnClosedServerClosesListener(t *testing.T) {
+	srv := NewServer(newLabService(t, 1))
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if err := srv.Serve(ln); err == nil {
+		t.Fatal("Serve on a closed server returned nil")
+	}
+	if nc, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		nc.Close()
+		t.Error("the listener still accepts connections after Serve refused it")
+	}
+}

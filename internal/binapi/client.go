@@ -480,11 +480,7 @@ func (c *Client) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.St
 	}
 	eb := encPool.Get().(*encBuf)
 	eb.payload.Reset()
-	wirecodec.PutStr(&eb.payload, req.SourceIP)
-	wirecodec.PutUvarint(&eb.payload, uint64(len(req.Items)))
-	for i := range req.Items {
-		wirecodec.PutStatusBody(&eb.payload, &req.Items[i])
-	}
+	wirecodec.PutBatchBody(&eb.payload, &req)
 	eb.frame = appendFrame(eb.frame[:0], id, kindBatch, 0, eb.payload.Bytes())
 	err = c.send(eb.frame)
 	encPool.Put(eb)

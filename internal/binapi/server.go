@@ -141,11 +141,14 @@ func (s *Server) dropConn(c *conn) {
 // Serve accepts socket connections on l until Close. It blocks. Each
 // accepted connection gets a hello frame and is served through the
 // configured readiness source (startSocketConn), by the same parser and
-// dispatcher as pipe connections.
+// dispatcher as pipe connections. Serve always closes l: on a server that
+// was closed first — `go srv.Serve(ln)` beside `defer srv.Close()` and an
+// early return — nothing else ever would.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		_ = l.Close()
 		return errServerClosed
 	}
 	s.listeners[l] = struct{}{}
@@ -161,6 +164,7 @@ func (s *Server) Serve(l net.Listener) error {
 			if closed {
 				return nil
 			}
+			_ = l.Close()
 			return fmt.Errorf("binapi: accept: %w", err)
 		}
 		if err := s.startSocketConn(nc); err != nil {

@@ -46,7 +46,7 @@ func (s *Service) handleDelegate(req protocol.DelegateRequest) (protocol.Delegat
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	now := s.now()
-	sh.refresh(now, s.heartbeatTTL)
+	sh.refresh(now, DefaultHeartbeatTTL)
 
 	// A redelivered delegate replays the token it minted the first time
 	// rather than minting (and re-granting) again. Fingerprint-gated like
@@ -114,7 +114,7 @@ func (s *Service) handleRevokeDelegation(req protocol.RevokeDelegationRequest) e
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	now := s.now()
-	sh.refresh(now, s.heartbeatTTL)
+	sh.refresh(now, DefaultHeartbeatTTL)
 
 	// A redelivered revoke replays its recorded success instead of
 	// executing again — the regression this guards: grant, revoke, grant

@@ -24,6 +24,7 @@ import (
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/token"
 	"github.com/iotbind/iotbind/internal/wal"
+	"github.com/iotbind/iotbind/internal/wirecodec"
 )
 
 // Durable wraps a Service with write-ahead logging and snapshot-anchored
@@ -389,7 +390,7 @@ func (d *Durable) replayRecord(lsn uint64, payload []byte) error {
 // entropy: recovery (single-goroutine) and ShipRecord (under d.mu
 // exclusively).
 func (d *Durable) applyRecord(lsn uint64, payload []byte) error {
-	rec, err := decodeWALRecord(payload)
+	rec, err := wirecodec.DecodeRecord(payload)
 	if err != nil {
 		return fmt.Errorf("cloud: WAL record %d: %w", lsn, err)
 	}
@@ -643,7 +644,7 @@ func (d *Durable) flushShardLocked(ws *durableShard) error {
 	for _, id := range ids {
 		at, owner := d.svc.livenessOf(id)
 		buf.Writer().Reset()
-		encodeLivenessRecord(buf.Writer(), at, id, owner)
+		wirecodec.EncodeLivenessRecord(buf.Writer(), at, id, owner)
 		if _, err := d.appendLocked(ws, buf.Bytes()); err != nil {
 			return err
 		}
@@ -702,7 +703,7 @@ func logThenApply[T any](d *Durable, routeKey string, encode func(*jsonpool.Buff
 }
 
 // logJSON is logThenApply for the cold JSON-envelope operations.
-func logJSON[T any](d *Durable, op, src, routeKey string, fill func(*walEnvelope), apply func() (T, error)) (T, error) {
+func logJSON[T any](d *Durable, op, src, routeKey string, fill func(*wirecodec.Envelope), apply func() (T, error)) (T, error) {
 	var zero T
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -713,7 +714,7 @@ func logJSON[T any](d *Durable, op, src, routeKey string, fill func(*walEnvelope
 		return zero, ErrNotPrimary
 	}
 	return logThenApply(d, routeKey, func(buf *jsonpool.Buffer, at time.Time) error {
-		env := walEnvelope{Op: op, At: walEncodeTime(at), Src: src}
+		env := wirecodec.Envelope{Op: op, At: wirecodec.EncodeTime(at), Src: src}
 		fill(&env)
 		return buf.Encode(env)
 	}, apply)
@@ -752,38 +753,38 @@ func statusNeedsWAL(req *protocol.StatusRequest) bool {
 
 // RegisterUser creates a user account, durably.
 func (d *Durable) RegisterUser(req protocol.RegisterUserRequest) error {
-	_, err := logJSON(d, "register_user", "", req.UserID, func(env *walEnvelope) { env.RegisterUser = &req },
+	_, err := logJSON(d, "register_user", "", req.UserID, func(env *wirecodec.Envelope) { env.RegisterUser = &req },
 		func() (struct{}, error) { return struct{}{}, d.svc.RegisterUser(req) })
 	return err
 }
 
 // Login authenticates a user and durably issues a UserToken.
 func (d *Durable) Login(req protocol.LoginRequest) (protocol.LoginResponse, error) {
-	return logJSON(d, "login", "", req.UserID, func(env *walEnvelope) { env.Login = &req },
+	return logJSON(d, "login", "", req.UserID, func(env *wirecodec.Envelope) { env.Login = &req },
 		func() (protocol.LoginResponse, error) { return d.svc.Login(req) })
 }
 
 // RequestDeviceToken durably issues a dynamic device token.
 func (d *Durable) RequestDeviceToken(req protocol.DeviceTokenRequest) (protocol.DeviceTokenResponse, error) {
-	return logJSON(d, "device_token", "", req.DeviceID, func(env *walEnvelope) { env.DeviceToken = &req },
+	return logJSON(d, "device_token", "", req.DeviceID, func(env *wirecodec.Envelope) { env.DeviceToken = &req },
 		func() (protocol.DeviceTokenResponse, error) { return d.svc.RequestDeviceToken(req) })
 }
 
 // RequestBindToken durably issues a capability binding token.
 func (d *Durable) RequestBindToken(req protocol.BindTokenRequest) (protocol.BindTokenResponse, error) {
-	return logJSON(d, "bind_token", "", req.DeviceID, func(env *walEnvelope) { env.BindToken = &req },
+	return logJSON(d, "bind_token", "", req.DeviceID, func(env *wirecodec.Envelope) { env.BindToken = &req },
 		func() (protocol.BindTokenResponse, error) { return d.svc.RequestBindToken(req) })
 }
 
 // HandleBind processes a binding-creation message, durably.
 func (d *Durable) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
-	return logJSON(d, "bind", req.SourceIP, req.DeviceID, func(env *walEnvelope) { env.Bind = &req },
+	return logJSON(d, "bind", req.SourceIP, req.DeviceID, func(env *wirecodec.Envelope) { env.Bind = &req },
 		func() (protocol.BindResponse, error) { return d.svc.HandleBind(req) })
 }
 
 // HandleUnbind processes a binding-revocation message, durably.
 func (d *Durable) HandleUnbind(req protocol.UnbindRequest) error {
-	_, err := logJSON(d, "unbind", req.SourceIP, req.DeviceID, func(env *walEnvelope) { env.Unbind = &req },
+	_, err := logJSON(d, "unbind", req.SourceIP, req.DeviceID, func(env *wirecodec.Envelope) { env.Unbind = &req },
 		func() (struct{}, error) { return struct{}{}, d.svc.HandleUnbind(req) })
 	return err
 }
@@ -791,13 +792,13 @@ func (d *Durable) HandleUnbind(req protocol.UnbindRequest) error {
 // HandleControl relays a command, durably (the queued command is inbox
 // state a crash must not lose).
 func (d *Durable) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
-	return logJSON(d, "control", req.SourceIP, req.DeviceID, func(env *walEnvelope) { env.Control = &req },
+	return logJSON(d, "control", req.SourceIP, req.DeviceID, func(env *wirecodec.Envelope) { env.Control = &req },
 		func() (protocol.ControlResponse, error) { return d.svc.HandleControl(req) })
 }
 
 // PushUserData stores user state for the device, durably.
 func (d *Durable) PushUserData(req protocol.PushUserDataRequest) error {
-	_, err := logJSON(d, "push", "", req.DeviceID, func(env *walEnvelope) { env.Push = &req },
+	_, err := logJSON(d, "push", "", req.DeviceID, func(env *wirecodec.Envelope) { env.Push = &req },
 		func() (struct{}, error) { return struct{}{}, d.svc.PushUserData(req) })
 	return err
 }
@@ -807,7 +808,7 @@ func (d *Durable) PushUserData(req protocol.PushUserDataRequest) error {
 // form older logs carry).
 func (d *Durable) HandleShare(req protocol.ShareRequest) error {
 	_, err := logBinary(d, req.DeviceID, func(b *bytes.Buffer, at time.Time) {
-		encodeShareRecord(b, at, &req)
+		wirecodec.EncodeShareRecord(b, at, &req)
 	}, func() (struct{}, error) { return struct{}{}, d.svc.HandleShare(req) })
 	return err
 }
@@ -817,14 +818,14 @@ func (d *Durable) HandleShare(req protocol.ShareRequest) error {
 // byte-identical token with a byte-identical expiry.
 func (d *Durable) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
 	return logBinary(d, req.DeviceID, func(b *bytes.Buffer, at time.Time) {
-		encodeDelegateRecord(b, at, &req)
+		wirecodec.EncodeDelegateRecord(b, at, &req)
 	}, func() (protocol.DelegateResponse, error) { return d.svc.HandleDelegate(req) })
 }
 
 // HandleRevokeDelegation withdraws a grant, durably.
 func (d *Durable) HandleRevokeDelegation(req protocol.RevokeDelegationRequest) error {
 	_, err := logBinary(d, req.DeviceID, func(b *bytes.Buffer, at time.Time) {
-		encodeRevokeDelegationRecord(b, at, &req)
+		wirecodec.EncodeRevokeDelegationRecord(b, at, &req)
 	}, func() (struct{}, error) { return struct{}{}, d.svc.HandleRevokeDelegation(req) })
 	return err
 }
@@ -854,7 +855,7 @@ func (d *Durable) HandleStatus(req protocol.StatusRequest) (protocol.StatusRespo
 		at := d.wall().UTC()
 		buf := jsonpool.Get()
 		defer buf.Put()
-		encodeStatusRecord(buf.Writer(), at, &req)
+		wirecodec.EncodeStatusRecord(buf.Writer(), at, &req)
 		lsn, err := d.appendLocked(ws, buf.Bytes())
 		if err != nil {
 			return protocol.StatusResponse{}, fmt.Errorf("cloud: durable log: %w", err)
@@ -882,7 +883,7 @@ func (d *Durable) HandleStatus(req protocol.StatusRequest) (protocol.StatusRespo
 	}
 	if len(resp.Commands) > 0 || len(resp.UserData) > 0 {
 		buf := jsonpool.Get()
-		encodeStatusRecord(buf.Writer(), at, &req)
+		wirecodec.EncodeStatusRecord(buf.Writer(), at, &req)
 		_, lerr := d.appendLocked(ws, buf.Bytes())
 		buf.Put()
 		if lerr != nil {
@@ -932,7 +933,7 @@ func (d *Durable) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.S
 	}
 	if needsWAL {
 		return logThenApply(d, routeKey, func(buf *jsonpool.Buffer, at time.Time) error {
-			encodeBatchRecord(buf.Writer(), at, &req)
+			wirecodec.EncodeBatchRecord(buf.Writer(), at, &req)
 			return nil
 		}, func() (protocol.StatusBatchResponse, error) { return d.svc.HandleStatusBatch(req) })
 	}
@@ -966,7 +967,7 @@ func (d *Durable) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.S
 	}
 	buf := jsonpool.Get()
 	defer buf.Put()
-	encodeBatchRecord(buf.Writer(), at, &req)
+	wirecodec.EncodeBatchRecord(buf.Writer(), at, &req)
 	ws := d.walShardOf(routeKey)
 	ws.mu.Lock()
 	_, lerr := d.appendLocked(ws, buf.Bytes())

@@ -15,6 +15,7 @@ import (
 	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/wal"
+	"github.com/iotbind/iotbind/internal/wirecodec"
 )
 
 // newDurable opens a durable cloud in dir with a fixed manual clock and
@@ -724,7 +725,7 @@ func TestDurableRefusesUnshardedWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb bytes.Buffer
-	encodeStatusRecord(&sb, time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC),
+	wirecodec.EncodeStatusRecord(&sb, time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC),
 		&protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice})
 	if _, err := old.Append(sb.Bytes()); err != nil {
 		t.Fatal(err)
@@ -768,7 +769,7 @@ func TestDescribeWALRecords(t *testing.T) {
 
 	var lines []string
 	_, err := wal.MergeShards(filepath.Join(dir, "wal"), 0, 0, func(shard int, lsn uint64, payload []byte) error {
-		line, err := DescribeWALRecord(payload)
+		line, err := wirecodec.DescribeRecord(payload)
 		if err != nil {
 			t.Fatalf("record %d: %v", lsn, err)
 		}

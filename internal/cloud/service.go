@@ -48,8 +48,6 @@ type Service struct {
 
 	now               func() time.Time
 	randomHex         func() (string, error)
-	heartbeatTTL      time.Duration
-	buttonWindow      time.Duration
 	readingsRetention int
 	userTokenTTL      time.Duration
 	persistIdem       bool
@@ -69,16 +67,6 @@ func (f optionFunc) apply(s *Service) { f(s) }
 // WithClock injects a clock, for deterministic tests and testbeds.
 func WithClock(now func() time.Time) Option {
 	return optionFunc(func(s *Service) { s.now = now })
-}
-
-// WithHeartbeatTTL overrides the online-expiry interval.
-func WithHeartbeatTTL(ttl time.Duration) Option {
-	return optionFunc(func(s *Service) { s.heartbeatTTL = ttl })
-}
-
-// WithButtonWindow overrides the physical-button binding window.
-func WithButtonWindow(w time.Duration) Option {
-	return optionFunc(func(s *Service) { s.buttonWindow = w })
 }
 
 // WithReadingsRetention overrides how many recent readings the cloud
@@ -137,8 +125,6 @@ func NewService(design core.DesignSpec, registry *Registry, opts ...Option) (*Se
 			}
 			return hex.EncodeToString(b[:]), nil
 		},
-		heartbeatTTL:      DefaultHeartbeatTTL,
-		buttonWindow:      DefaultButtonWindow,
 		readingsRetention: DefaultReadingsRetention,
 	}
 	for _, o := range opts {
@@ -267,7 +253,7 @@ func (s *Service) handleStatus(req protocol.StatusRequest, env *opEnv) (protocol
 // the status kind and resolved the registry record.
 func (s *Service) statusLocked(sh *shadow, rec DeviceRecord, req protocol.StatusRequest, env *opEnv) (protocol.StatusResponse, error) {
 	now := s.envNow(env)
-	sh.refresh(now, s.heartbeatTTL)
+	sh.refresh(now, DefaultHeartbeatTTL)
 
 	// A redelivered keyed status replays its recorded response — commands
 	// drained by a delivery whose response vanished are re-delivered
@@ -342,7 +328,7 @@ func (s *Service) statusLocked(sh *shadow, rec DeviceRecord, req protocol.Status
 			resp.SessionNonce = nonce
 		}
 		if s.design.BindButtonWindow && req.ButtonPressed {
-			sh.buttonUntil = now.Add(s.buttonWindow)
+			sh.buttonUntil = now.Add(DefaultButtonWindow)
 		}
 	}
 
@@ -375,7 +361,7 @@ func (s *Service) handleBind(req protocol.BindRequest) (protocol.BindResponse, e
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	now := s.now()
-	sh.refresh(now, s.heartbeatTTL)
+	sh.refresh(now, DefaultHeartbeatTTL)
 
 	// A redelivered bind replays its recorded response without touching
 	// state or re-evaluating credentials — the first delivery may have
@@ -494,7 +480,7 @@ func (s *Service) handleUnbind(req protocol.UnbindRequest) error {
 	sh := s.store.get(req.DeviceID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.refresh(s.now(), s.heartbeatTTL)
+	sh.refresh(s.now(), DefaultHeartbeatTTL)
 
 	// A redelivered unbind whose first delivery already revoked the
 	// binding reports success again instead of ErrNotBound, so a retrying
@@ -543,7 +529,7 @@ func (s *Service) handleControl(req protocol.ControlRequest) (protocol.ControlRe
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	now := s.now()
-	sh.refresh(now, s.heartbeatTTL)
+	sh.refresh(now, DefaultHeartbeatTTL)
 
 	user, viaDelegation, err := s.controlPrincipal(req.DeviceID, req.UserToken, now)
 	if err != nil {
@@ -628,7 +614,7 @@ func (s *Service) ShadowState(req protocol.ShadowStateRequest) (protocol.ShadowS
 	sh := s.store.get(req.DeviceID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.refresh(s.now(), s.heartbeatTTL)
+	sh.refresh(s.now(), DefaultHeartbeatTTL)
 	return protocol.ShadowStateResponse{State: sh.state(), BoundUser: sh.boundUser}, nil
 }
 

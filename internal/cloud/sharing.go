@@ -31,7 +31,7 @@ func (s *Service) HandleShare(req protocol.ShareRequest) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	now := s.now()
-	sh.refresh(now, s.heartbeatTTL)
+	sh.refresh(now, DefaultHeartbeatTTL)
 
 	userTok, err := s.issuer.Verify(token.KindUser, req.UserToken)
 	if err != nil {

@@ -1,61 +1,17 @@
 package cloud
 
 import (
-	"bytes"
 	"fmt"
-	"time"
 
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/wirecodec"
 )
 
 // WAL record encoding lives in internal/wirecodec, shared with the
-// binary wire front end (binapi) so a status message is serialized by
-// exactly one encoder whether it is logged for durability or framed for
-// the wire. This file keeps thin aliases for the cloud package's own
-// call sites plus the one thing that is genuinely cloud-side: applying
-// a decoded record to a Service during replay.
-type walRecord = wirecodec.Record
-
-// walEnvelope is the JSON record for the cold operations.
-type walEnvelope = wirecodec.Envelope
-
-func walEncodeTime(t time.Time) int64 { return wirecodec.EncodeTime(t) }
-
-func encodeStatusRecord(b *bytes.Buffer, at time.Time, req *protocol.StatusRequest) {
-	wirecodec.EncodeStatusRecord(b, at, req)
-}
-
-func encodeLivenessRecord(b *bytes.Buffer, at time.Time, deviceID, owner string) {
-	wirecodec.EncodeLivenessRecord(b, at, deviceID, owner)
-}
-
-func encodeBatchRecord(b *bytes.Buffer, at time.Time, req *protocol.StatusBatchRequest) {
-	wirecodec.EncodeBatchRecord(b, at, req)
-}
-
-func encodeShareRecord(b *bytes.Buffer, at time.Time, req *protocol.ShareRequest) {
-	wirecodec.EncodeShareRecord(b, at, req)
-}
-
-func encodeDelegateRecord(b *bytes.Buffer, at time.Time, req *protocol.DelegateRequest) {
-	wirecodec.EncodeDelegateRecord(b, at, req)
-}
-
-func encodeRevokeDelegationRecord(b *bytes.Buffer, at time.Time, req *protocol.RevokeDelegationRequest) {
-	wirecodec.EncodeRevokeDelegationRecord(b, at, req)
-}
-
-func decodeWALRecord(payload []byte) (walRecord, error) {
-	return wirecodec.DecodeRecord(payload)
-}
-
-// DescribeWALRecord renders a one-line human summary of a WAL record
-// payload — kept as an alias so existing tooling call sites compile;
-// new consumers should use wirecodec.DescribeRecord directly.
-func DescribeWALRecord(payload []byte) (string, error) {
-	return wirecodec.DescribeRecord(payload)
-}
+// binary wire front end (binapi) so a message is serialized by exactly
+// one encoder whether it is logged for durability or framed for the
+// wire. What is genuinely cloud-side stays here: applying a decoded
+// record to a Service during replay.
 
 // applyWALRecord re-executes a decoded record against the service
 // through the exported (stat-counting) handlers, so replayed operations
@@ -63,7 +19,7 @@ func DescribeWALRecord(payload []byte) (string, error) {
 // Application-level errors are discarded: a logged operation that
 // failed live fails identically on replay, and that failure is part of
 // the state being rebuilt.
-func applyWALRecord(r walRecord, s *Service) error {
+func applyWALRecord(r wirecodec.Record, s *Service) error {
 	switch {
 	case r.Status != nil:
 		_, _ = s.HandleStatus(*r.Status)

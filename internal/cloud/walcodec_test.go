@@ -3,8 +3,7 @@ package cloud
 // The binary record codec moved to internal/wirecodec (shared with the
 // binapi wire front end); its round-trip, truncation and allocation-
 // bound tests moved with it. What stays here is the cloud-side glue:
-// the snapshot codec's pooled-buffer guard and the alias layer's replay
-// dispatch.
+// the snapshot codec's pooled-buffer guard and the replay dispatch.
 
 import (
 	"bytes"
@@ -13,19 +12,20 @@ import (
 	"time"
 
 	"github.com/iotbind/iotbind/internal/protocol"
+	"github.com/iotbind/iotbind/internal/wirecodec"
 )
 
-// TestWALRecordApplyRoundTrip proves a record encoded through the
-// wirecodec aliases decodes and applies against a live service — the
-// replay path exercised end to end without a WAL underneath.
+// TestWALRecordApplyRoundTrip proves a record encoded by wirecodec
+// decodes and applies against a live service — the replay path exercised
+// end to end without a WAL underneath.
 func TestWALRecordApplyRoundTrip(t *testing.T) {
 	svc, _, _, _ := newTestService(t, devIDDesign())
 	at := time.Date(2026, 7, 6, 12, 0, 1, 0, time.UTC)
 	var buf bytes.Buffer
-	encodeStatusRecord(&buf, at, &protocol.StatusRequest{
+	wirecodec.EncodeStatusRecord(&buf, at, &protocol.StatusRequest{
 		Kind: protocol.StatusRegister, DeviceID: testDevice,
 	})
-	rec, err := decodeWALRecord(buf.Bytes())
+	rec, err := wirecodec.DecodeRecord(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

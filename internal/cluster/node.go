@@ -68,30 +68,6 @@ type Node struct {
 	// exact rather than racing in-flight appends.
 	opMu   sync.RWMutex
 	killed bool
-
-	// Background ship ticker (WithShipInterval). The stop channel is
-	// closed — and the goroutine joined — before Kill/Promote/Close
-	// take the write lock, so shutdown never deadlocks against a
-	// ticking CatchUp holding the read side.
-	shipStop chan struct{}
-	shipOnce sync.Once
-	shipWG   sync.WaitGroup
-}
-
-// Option configures node behaviour beyond the NodeConfig fields.
-type Option func(*nodeOptions)
-
-type nodeOptions struct {
-	shipInterval time.Duration
-}
-
-// WithShipInterval starts a background ticker that ships the replica
-// up to the primary's watermark every d — async-mode replication that
-// bounds lag without coupling it to the request path. Explicit CatchUp
-// calls still work; the ticker stops cleanly on Kill, Promote and
-// Close. Zero or negative d disables the ticker (the default).
-func WithShipInterval(d time.Duration) Option {
-	return func(o *nodeOptions) { o.shipInterval = d }
 }
 
 // NewNode opens the node's primary and replica stores. The replica
@@ -101,13 +77,9 @@ func WithShipInterval(d time.Duration) Option {
 // up to the primary's segment files, then becomes the primary's append
 // observer; no request runs in between, so the in-memory feed starts
 // exactly where the files ended.
-func NewNode(cfg NodeConfig, opts ...Option) (*Node, error) {
+func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("cluster: node needs a name")
-	}
-	var no nodeOptions
-	for _, opt := range opts {
-		opt(&no)
 	}
 	primaryDir := filepath.Join(cfg.Dir, "primary")
 	replicaDir := filepath.Join(cfg.Dir, "replica")
@@ -153,41 +125,7 @@ func NewNode(cfg NodeConfig, opts ...Option) (*Node, error) {
 		ackRep:     cfg.AckAfterReplicate,
 	}
 	n.Hopped = transport.NewHopped(nodeHop{n})
-	if no.shipInterval > 0 {
-		n.shipStop = make(chan struct{})
-		n.shipWG.Add(1)
-		go n.shipLoop(no.shipInterval)
-	}
 	return n, nil
-}
-
-// shipLoop is the WithShipInterval ticker: each tick ships everything
-// the primary logged so far. A tick racing a kill simply observes
-// killed under the read lock and returns ErrNodeDown, which the loop
-// ignores; the stop channel ends the loop.
-func (n *Node) shipLoop(interval time.Duration) {
-	defer n.shipWG.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.shipStop:
-			return
-		case <-t.C:
-			_ = n.CatchUp()
-		}
-	}
-}
-
-// stopShipTicker ends the background ship loop and joins it. Must run
-// before taking opMu's write side: the loop's CatchUp holds the read
-// side, so waiting for it under the write lock would deadlock.
-func (n *Node) stopShipTicker() {
-	if n.shipStop == nil {
-		return
-	}
-	n.shipOnce.Do(func() { close(n.shipStop) })
-	n.shipWG.Wait()
 }
 
 // Name returns the node's ring identity.
@@ -237,7 +175,6 @@ func (n *Node) CatchUp() error {
 // received — the data loss a promotion inherits, zero under
 // ack-after-replicate.
 func (n *Node) Kill() (lost uint64, err error) {
-	n.stopShipTicker()
 	n.opMu.Lock()
 	defer n.opMu.Unlock()
 	if n.killed {
@@ -271,7 +208,6 @@ func (n *Node) Kill() (lost uint64, err error) {
 // Promote turns the replica into a primary and returns it, ready to be
 // swapped in behind the node's name. Only legal after Kill.
 func (n *Node) Promote() (*cloud.Durable, error) {
-	n.stopShipTicker()
 	n.opMu.Lock()
 	defer n.opMu.Unlock()
 	if !n.killed {
@@ -285,7 +221,6 @@ func (n *Node) Promote() (*cloud.Durable, error) {
 
 // Close shuts down whichever stores are still open.
 func (n *Node) Close() error {
-	n.stopShipTicker()
 	n.opMu.Lock()
 	defer n.opMu.Unlock()
 	var first error

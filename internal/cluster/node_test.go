@@ -182,59 +182,3 @@ func TestErrNodeDownHasNoWireCode(t *testing.T) {
 		t.Fatalf("ErrNodeDown carries wire code %q; the retry layer would give up on failovers", code)
 	}
 }
-
-// TestNodeShipIntervalDrainsLagInBackground: WithShipInterval turns
-// explicit CatchUp calls into a background ticker — lag drains without
-// anyone asking — and the ticker stops cleanly on Kill (no goroutine
-// racing the poisoned store) and on Promote.
-func TestNodeShipIntervalDrainsLagInBackground(t *testing.T) {
-	n, err := NewNode(NodeConfig{
-		Name:      "n0",
-		Dir:       filepath.Join(t.TempDir(), "n0"),
-		Design:    labDesign(),
-		Registry:  labRegistry(t, labDev),
-		Clock:     labClock(),
-		WALShards: 4,
-		WAL:       wal.Options{Policy: wal.SyncOff},
-	}, WithShipInterval(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-
-	driveNode(t, n)
-	deadline := time.Now().Add(5 * time.Second)
-	for n.ReplicationLag() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("background ticker never drained the lag (still %d)", n.ReplicationLag())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Explicit CatchUp still works alongside the ticker.
-	if _, err := n.HandleStatus(protocol.StatusRequest{
-		Kind: protocol.StatusHeartbeat, DeviceID: labDev, IdempotencyKey: "hb-x",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.CatchUp(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill stops the ticker before poisoning the store; the shipped
-	// replica promotes with the full history.
-	if _, err := n.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	promoted, err := n.Promote()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := promoted.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: labDev})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Bound {
-		t.Fatal("promoted replica lost the binding shipped by the ticker")
-	}
-}

@@ -22,6 +22,15 @@ const (
 	A4DeviceHijacking
 )
 
+// attackClasses holds each class's label and the consequence wording of
+// Table II, indexed by class (row 0 is the zero value).
+var attackClasses = [...]struct{ label, description string }{
+	A1DataInjectionStealing: {"A1", "The attacker can inject fake device data or steal private user data."},
+	A2BindingDoS:            {"A2", "The attacker can cause denial-of-service to the user's binding operation."},
+	A3DeviceUnbinding:       {"A3", "The attacker can disconnect the device with the user."},
+	A4DeviceHijacking:       {"A4", "The attacker can take absolute control of the device."},
+}
+
 // AllAttackClasses lists the four classes in declaration order.
 func AllAttackClasses() []AttackClass {
 	return []AttackClass{A1DataInjectionStealing, A2BindingDoS, A3DeviceUnbinding, A4DeviceHijacking}
@@ -29,34 +38,18 @@ func AllAttackClasses() []AttackClass {
 
 // String implements fmt.Stringer.
 func (c AttackClass) String() string {
-	switch c {
-	case A1DataInjectionStealing:
-		return "A1"
-	case A2BindingDoS:
-		return "A2"
-	case A3DeviceUnbinding:
-		return "A3"
-	case A4DeviceHijacking:
-		return "A4"
-	default:
+	if c < 1 || int(c) >= len(attackClasses) {
 		return fmt.Sprintf("AttackClass(%d)", int(c))
 	}
+	return attackClasses[c].label
 }
 
 // Description returns the consequence wording of Table II.
 func (c AttackClass) Description() string {
-	switch c {
-	case A1DataInjectionStealing:
-		return "The attacker can inject fake device data or steal private user data."
-	case A2BindingDoS:
-		return "The attacker can cause denial-of-service to the user's binding operation."
-	case A3DeviceUnbinding:
-		return "The attacker can disconnect the device with the user."
-	case A4DeviceHijacking:
-		return "The attacker can take absolute control of the device."
-	default:
+	if c < 1 || int(c) >= len(attackClasses) {
 		return ""
 	}
+	return attackClasses[c].description
 }
 
 // AttackVariant identifies a concrete attack procedure from Table II,
@@ -92,111 +85,68 @@ const (
 	VariantA4x3
 )
 
+// tableII is Table II: one row per attack variant, indexed by the variant
+// (row 0 is the zero value every column method returns for an unknown
+// variant). Adding a variant is one constant above and one row here.
+var tableII = [...]struct {
+	label   string
+	class   AttackClass
+	forged  string        // the "forged message types" column
+	targets []ShadowState // the "targeted states" column
+	end     ShadowState   // the "end states" column, for a successful launch
+}{
+	VariantA1:   {"A1", A1DataInjectionStealing, "Status : DevId", []ShadowState{StateControl, StateBound}, StateControl},
+	VariantA2:   {"A2", A2BindingDoS, "Bind : (DevId, UserToken)", []ShadowState{StateInitial}, StateBound},
+	VariantA3x1: {"A3-1", A3DeviceUnbinding, "Unbind : DevId", []ShadowState{StateControl}, StateOnline},
+	VariantA3x2: {"A3-2", A3DeviceUnbinding, "Unbind : (DevId, UserToken)", []ShadowState{StateControl}, StateOnline},
+	VariantA3x3: {"A3-3", A3DeviceUnbinding, "Bind : (DevId, UserToken)", []ShadowState{StateControl}, StateOnline},
+	VariantA3x4: {"A3-4", A3DeviceUnbinding, "Status : DevId", []ShadowState{StateControl}, StateOnline},
+	VariantA4x1: {"A4-1", A4DeviceHijacking, "Bind : (DevId, UserToken)", []ShadowState{StateControl}, StateControl},
+	VariantA4x2: {"A4-2", A4DeviceHijacking, "Bind : (DevId, UserToken)", []ShadowState{StateOnline}, StateControl},
+	VariantA4x3: {"A4-3", A4DeviceHijacking, "Unbind : DevId or (DevId, UserToken); then Bind : (DevId, UserToken)", []ShadowState{StateControl}, StateControl},
+}
+
+// row returns the variant's Table II row, the zero row when unknown.
+func (v AttackVariant) row() int {
+	if v < 1 || int(v) >= len(tableII) {
+		return 0
+	}
+	return int(v)
+}
+
 // AllAttackVariants lists the variants in Table II order.
 func AllAttackVariants() []AttackVariant {
-	return []AttackVariant{
-		VariantA1, VariantA2,
-		VariantA3x1, VariantA3x2, VariantA3x3, VariantA3x4,
-		VariantA4x1, VariantA4x2, VariantA4x3,
+	all := make([]AttackVariant, 0, len(tableII)-1)
+	for v := 1; v < len(tableII); v++ {
+		all = append(all, AttackVariant(v))
 	}
+	return all
 }
 
 // Class returns the attack class the variant belongs to.
-func (v AttackVariant) Class() AttackClass {
-	switch v {
-	case VariantA1:
-		return A1DataInjectionStealing
-	case VariantA2:
-		return A2BindingDoS
-	case VariantA3x1, VariantA3x2, VariantA3x3, VariantA3x4:
-		return A3DeviceUnbinding
-	case VariantA4x1, VariantA4x2, VariantA4x3:
-		return A4DeviceHijacking
-	default:
-		return 0
-	}
-}
+func (v AttackVariant) Class() AttackClass { return tableII[v.row()].class }
 
 // String implements fmt.Stringer using the paper's labels.
 func (v AttackVariant) String() string {
-	switch v {
-	case VariantA1:
-		return "A1"
-	case VariantA2:
-		return "A2"
-	case VariantA3x1:
-		return "A3-1"
-	case VariantA3x2:
-		return "A3-2"
-	case VariantA3x3:
-		return "A3-3"
-	case VariantA3x4:
-		return "A3-4"
-	case VariantA4x1:
-		return "A4-1"
-	case VariantA4x2:
-		return "A4-2"
-	case VariantA4x3:
-		return "A4-3"
-	default:
+	if v.row() == 0 {
 		return fmt.Sprintf("AttackVariant(%d)", int(v))
 	}
+	return tableII[v].label
 }
 
 // ForgedMessage returns the Table II "forged message types" column for the
 // variant.
-func (v AttackVariant) ForgedMessage() string {
-	switch v {
-	case VariantA1, VariantA3x4:
-		return "Status : DevId"
-	case VariantA2, VariantA3x3, VariantA4x1, VariantA4x2:
-		return "Bind : (DevId, UserToken)"
-	case VariantA3x1:
-		return "Unbind : DevId"
-	case VariantA3x2:
-		return "Unbind : (DevId, UserToken)"
-	case VariantA4x3:
-		return "Unbind : DevId or (DevId, UserToken); then Bind : (DevId, UserToken)"
-	default:
-		return ""
-	}
-}
+func (v AttackVariant) ForgedMessage() string { return tableII[v.row()].forged }
 
 // TargetStates returns the shadow states in which the variant is launched
 // (the Table II "targeted states" column).
 func (v AttackVariant) TargetStates() []ShadowState {
-	switch v {
-	case VariantA1:
-		return []ShadowState{StateControl, StateBound}
-	case VariantA2:
-		return []ShadowState{StateInitial}
-	case VariantA3x1, VariantA3x2, VariantA3x3, VariantA3x4:
-		return []ShadowState{StateControl}
-	case VariantA4x1, VariantA4x3:
-		return []ShadowState{StateControl}
-	case VariantA4x2:
-		return []ShadowState{StateOnline}
-	default:
-		return nil
-	}
+	return append([]ShadowState(nil), tableII[v.row()].targets...)
 }
 
 // EndState returns the shadow state a *successful* launch of the variant
 // leaves the victim's device shadow in (the Table II "end states" column).
-func (v AttackVariant) EndState() ShadowState {
-	switch v {
-	case VariantA1:
-		return StateControl
-	case VariantA2:
-		return StateBound
-	case VariantA3x1, VariantA3x2, VariantA3x3, VariantA3x4:
-		return StateOnline
-	case VariantA4x1, VariantA4x2, VariantA4x3:
-		return StateControl
-	default:
-		return 0
-	}
-}
+func (v AttackVariant) EndState() ShadowState { return tableII[v.row()].end }
 
 // Outcome is the result of attempting an attack against a design, matching
 // the cell vocabulary of Table III.

@@ -22,11 +22,6 @@ const (
 	MsgUnbind
 )
 
-// AllMessageKinds lists the primitive message kinds in declaration order.
-func AllMessageKinds() []MessageKind {
-	return []MessageKind{MsgStatus, MsgBind, MsgUnbind}
-}
-
 // Valid reports whether k is one of the defined message kinds.
 func (k MessageKind) Valid() bool { return k >= MsgStatus && k <= MsgUnbind }
 

@@ -159,9 +159,6 @@ func New(root string) *Lattice {
 	return &Lattice{root: root, grants: make(map[string]Grant)}
 }
 
-// Root returns the owner the lattice is rooted at.
-func (l *Lattice) Root() string { return l.root }
-
 // Len returns the number of live grants.
 func (l *Lattice) Len() int { return len(l.grants) }
 

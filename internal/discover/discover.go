@@ -9,35 +9,31 @@
 // chain the paper constructs manually against device #8 (A4-3) falls out
 // as the minimal sequence [forge-unbind-devid, forge-bind] for the hijack
 // goal, and the secure reference designs yield no sequence for any goal at
-// any depth.
+// any depth. What it shares with the Table II harness is the rig, not the
+// rows: the testbed owns the forged-message primitives, the victim
+// scenarios and the executor that launches one into the other
+// (testbed.Stage); the search, the goals and the minimality rule are here.
 package discover
 
 import (
 	"fmt"
 
 	"github.com/iotbind/iotbind/internal/core"
-	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/testbed"
 )
 
-// Action is one attacker primitive the searcher can compose.
-type Action int
+// Action is one attacker primitive the searcher can compose: a single
+// forged message built from nothing but the leaked device ID and the
+// attacker's own account.
+type Action = testbed.Step
 
-// The attacker's primitive moves, each a single forged message built from
-// nothing but the leaked device ID and the attacker's own account.
+// The attacker's primitive moves — the search alphabet.
 const (
-	// ActForgeRegister sends a forged registration status message.
-	ActForgeRegister Action = iota + 1
-	// ActForgeDataHeartbeat sends a forged heartbeat carrying a fake
-	// sensor reading (and collects whatever the cloud returns).
-	ActForgeDataHeartbeat
-	// ActForgeBind sends a forged binding message pairing the victim's
-	// device with the attacker's identity.
-	ActForgeBind
-	// ActForgeUnbindUserToken sends Unbind:(DevId, attacker's UserToken).
-	ActForgeUnbindUserToken
-	// ActForgeUnbindDevID sends Unbind:DevId.
-	ActForgeUnbindDevID
+	ActForgeRegister        = testbed.StepForgeRegister
+	ActForgeDataHeartbeat   = testbed.StepForgeDataHeartbeat
+	ActForgeBind            = testbed.StepForgeBind
+	ActForgeUnbindUserToken = testbed.StepForgeUnbindUserToken
+	ActForgeUnbindDevID     = testbed.StepForgeUnbindDevID
 )
 
 // AllActions lists the attacker primitives.
@@ -48,24 +44,6 @@ func AllActions() []Action {
 		ActForgeBind,
 		ActForgeUnbindUserToken,
 		ActForgeUnbindDevID,
-	}
-}
-
-// String implements fmt.Stringer.
-func (a Action) String() string {
-	switch a {
-	case ActForgeRegister:
-		return "forge-register"
-	case ActForgeDataHeartbeat:
-		return "forge-data-heartbeat"
-	case ActForgeBind:
-		return "forge-bind"
-	case ActForgeUnbindUserToken:
-		return "forge-unbind-usertoken"
-	case ActForgeUnbindDevID:
-		return "forge-unbind-devid"
-	default:
-		return fmt.Sprintf("Action(%d)", int(a))
 	}
 }
 
@@ -92,58 +70,35 @@ func AllGoals() []Goal {
 	return []Goal{GoalDisconnect, GoalHijack, GoalStealData, GoalInjectData, GoalOccupy}
 }
 
+var goalNames = [...]string{
+	GoalDisconnect: "disconnect-victim",
+	GoalHijack:     "hijack-device",
+	GoalStealData:  "steal-user-data",
+	GoalInjectData: "inject-fake-data",
+	GoalOccupy:     "occupy-binding",
+}
+
 // String implements fmt.Stringer.
 func (g Goal) String() string {
-	switch g {
-	case GoalDisconnect:
-		return "disconnect-victim"
-	case GoalHijack:
-		return "hijack-device"
-	case GoalStealData:
-		return "steal-user-data"
-	case GoalInjectData:
-		return "inject-fake-data"
-	case GoalOccupy:
-		return "occupy-binding"
-	default:
+	if g < 1 || int(g) >= len(goalNames) {
 		return fmt.Sprintf("Goal(%d)", int(g))
 	}
+	return goalNames[g]
 }
 
 // Scenario is the victim situation a sequence runs against.
-type Scenario int
+type Scenario = testbed.Scenario
 
 // Victim scenarios.
 const (
-	// ScenarioSteadyControl: the victim has completed setup and controls
-	// the device (the Table II control state).
-	ScenarioSteadyControl Scenario = iota + 1
-	// ScenarioPreSetup: the device is still in its box; the victim sets
-	// it up only after the attack sequence ran (the initial state).
-	ScenarioPreSetup
-	// ScenarioSetupWindow: the attack sequence runs inside the victim's
-	// setup, after the device comes online but before the app binds (the
-	// online-state window of A4-2).
-	ScenarioSetupWindow
+	ScenarioSteadyControl = testbed.ScenarioSteadyControl
+	ScenarioPreSetup      = testbed.ScenarioPreSetup
+	ScenarioSetupWindow   = testbed.ScenarioSetupWindow
 )
 
 // AllScenarios lists the scenarios.
 func AllScenarios() []Scenario {
 	return []Scenario{ScenarioSteadyControl, ScenarioPreSetup, ScenarioSetupWindow}
-}
-
-// String implements fmt.Stringer.
-func (s Scenario) String() string {
-	switch s {
-	case ScenarioSteadyControl:
-		return "steady-control"
-	case ScenarioPreSetup:
-		return "pre-setup"
-	case ScenarioSetupWindow:
-		return "setup-window"
-	default:
-		return fmt.Sprintf("Scenario(%d)", int(s))
-	}
 }
 
 // Attack is one discovered minimal attack: a scenario, a goal, and the
@@ -219,82 +174,38 @@ func searchScenario(design core.DesignSpec, scenario Scenario, maxDepth int) ([]
 	return attacks, nil
 }
 
-// execute replays one sequence against a fresh testbed and reports the
+// execute launches one sequence into the scenario on a fresh testbed —
+// non-strict: the adversary simply tries every step — and reports the
 // goals it achieved.
 func execute(design core.DesignSpec, scenario Scenario, seq []Action) ([]Goal, error) {
 	tb, err := testbed.New(design)
 	if err != nil {
 		return nil, err
 	}
+	if scenario == ScenarioSteadyControl {
+		// The victim parks private data for the device — the stealing
+		// target — before the adversary moves.
+		seq = append([]Action{testbed.StepParkSecret}, seq...)
+	}
+	launched, _, setupErr, err := tb.Stage(scenario, seq, false)
+	if err != nil || !launched {
+		return nil, err
+	}
 
 	switch scenario {
 	case ScenarioSteadyControl:
-		if err := tb.SetupVictim(); err != nil {
-			return nil, err
-		}
-		// The victim parks private data for the device — the stealing
-		// target.
-		if err := tb.VictimApp().PushSchedule(tb.DeviceID(), protocol.UserData{
-			Kind: "schedule", Body: "private-schedule",
-		}); err != nil {
-			return nil, err
-		}
-		replay(tb, seq)
 		return assessSteady(tb)
-
 	case ScenarioPreSetup:
-		replay(tb, seq)
-		setupErr := tb.SetupVictim()
 		if setupErr != nil || !tb.VictimHasControl() {
 			return []Goal{GoalOccupy}, nil
 		}
-		return nil, nil
-
 	case ScenarioSetupWindow:
-		ran := false
-		tb.SetPreBindHook(func() {
-			ran = true
-			replay(tb, seq)
-		})
-		_ = tb.VictimApp().SetupDevice(tb.VictimDevice().LocalName(), tbActionsOf(tb))
-		if !ran {
-			return nil, nil
-		}
 		if tb.AttackerHasControl() {
 			return []Goal{GoalHijack}, nil
 		}
-		return nil, nil
-
-	default:
-		return nil, fmt.Errorf("discover: unknown scenario %v", scenario)
 	}
+	return nil, nil
 }
-
-// replay performs the attack sequence, ignoring per-action failures: the
-// adversary simply tries.
-func replay(tb *testbed.Testbed, seq []Action) {
-	atk := tb.Attacker()
-	id := tb.DeviceID()
-	for _, act := range seq {
-		switch act {
-		case ActForgeRegister:
-			_, _ = atk.ForgeStatus(id, protocol.StatusRegister, nil)
-		case ActForgeDataHeartbeat:
-			_, _ = atk.ForgeStatus(id, protocol.StatusHeartbeat, []protocol.Reading{
-				{Name: "power_w", Value: injectedValue},
-			})
-		case ActForgeBind:
-			_, _ = atk.ForgeBind(id)
-		case ActForgeUnbindUserToken:
-			_ = atk.ForgeUnbind(id, core.UnbindDevIDUserToken)
-		case ActForgeUnbindDevID:
-			_ = atk.ForgeUnbind(id, core.UnbindDevIDAlone)
-		}
-	}
-}
-
-// injectedValue is the sentinel reading the injection goal looks for.
-const injectedValue = 31337
 
 // assessSteady checks all steady-scenario goals. Read-only goals are
 // evaluated before the hijack probe, which pumps device heartbeats.
@@ -305,24 +216,15 @@ func assessSteady(tb *testbed.Testbed) ([]Goal, error) {
 		achieved = append(achieved, GoalStealData)
 	}
 
-	st, err := tb.Shadow()
+	victimBound, err := tb.VictimBound()
 	if err != nil {
 		return nil, err
 	}
-	victimBound := st.BoundUser == testbed.DefaultVictimUser
-
 	if !victimBound {
 		achieved = append(achieved, GoalDisconnect)
-	} else {
-		readings, err := tb.VictimApp().Readings(tb.DeviceID())
-		if err == nil {
-			for _, r := range readings {
-				if r.Value == injectedValue {
-					achieved = append(achieved, GoalInjectData)
-					break
-				}
-			}
-		}
+	} else if injected, err := tb.VictimSeesInjectedReading(); err == nil && injected {
+		// A refused read is simply no injection the victim could see.
+		achieved = append(achieved, GoalInjectData)
 	}
 
 	if tb.AttackerHasControl() {
@@ -330,17 +232,3 @@ func assessSteady(tb *testbed.Testbed) ([]Goal, error) {
 	}
 	return achieved, nil
 }
-
-// tbActions adapts the testbed's device into the app's UserActions.
-type tbActions struct{ tb *testbed.Testbed }
-
-func (a tbActions) PressButton(localName string) error {
-	return a.tb.VictimDevice().PressButton()
-}
-
-func (a tbActions) ResetDevice(localName string) error {
-	a.tb.VictimDevice().Reset()
-	return nil
-}
-
-func tbActionsOf(tb *testbed.Testbed) tbActions { return tbActions{tb: tb} }

@@ -1,6 +1,9 @@
 package discover_test
 
 import (
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"github.com/iotbind/iotbind/internal/analysis"
@@ -247,5 +250,34 @@ func TestActionAndGoalStrings(t *testing.T) {
 	}
 	if a.String() == "" {
 		t.Error("attack string empty")
+	}
+}
+
+// TestDepth2Golden pins every (scenario, goal, sequence) the depth-2
+// search finds on the ten vendors and the three reference designs to
+// testdata/depth2.golden, recorded while discover still carried its own
+// copy of the stage/forge/probe loop: launching through testbed.Stage
+// must find the same attacks in the same order. To re-record after a
+// deliberate change, replace the file with the text this test logs on
+// failure.
+func TestDepth2Golden(t *testing.T) {
+	designs := append(vendors.Profiles(), vendors.SecureReference(), vendors.RecommendedPractice(), vendors.WorstCase())
+	var b strings.Builder
+	for _, p := range designs {
+		attacks, err := discover.Search(p.Design, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s: %d\n", p.Design.Name, len(attacks))
+		for _, a := range attacks {
+			fmt.Fprintf(&b, "  %v\n", a)
+		}
+	}
+	want, err := os.ReadFile("testdata/depth2.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("depth-2 discovery differs from testdata/depth2.golden; got:\n%s", got)
 	}
 }

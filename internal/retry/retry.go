@@ -57,16 +57,6 @@ type Policy struct {
 	Sleep func(time.Duration)
 }
 
-// Default returns the default policy with the given jitter seed.
-func Default(seed int64) Policy {
-	return Policy{
-		MaxAttempts: DefaultMaxAttempts,
-		BaseDelay:   DefaultBaseDelay,
-		MaxDelay:    DefaultMaxDelay,
-		Seed:        seed,
-	}
-}
-
 // DefaultRetryable retries transport-level failures only: any error that
 // carries a protocol wire code is the cloud's final answer for the
 // request, delivered intact — retrying it cannot change the outcome.

@@ -152,22 +152,13 @@ func RunClusterLoad(cfg ClusterLoadConfig) (ClusterLoadResult, error) {
 		cfg.WALShards = 4
 	}
 
-	// One frozen clock everywhere: liveness state (lastSeen) becomes a
-	// constant, so the merged compare is exact even though cluster and
-	// reference apply operations at different wall instants.
-	clock := &Clock{t: time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)}
-
-	registry := cloud.NewRegistry()
-	ids := make([]string, cfg.Devices)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("AA:BB:CC:%02X:%02X:%02X", (i>>16)&0xff, (i>>8)&0xff, i&0xff)
-		if err := registry.Add(cloud.DeviceRecord{
-			ID:            ids[i],
-			FactorySecret: "factory-secret-" + ids[i],
-			Model:         cfg.Design.Name,
-		}); err != nil {
-			return res, fmt.Errorf("testbed: cluster load: %w", err)
-		}
+	// One frozen clock everywhere (labEpoch), so the merged compare is
+	// exact even though cluster and reference apply operations at
+	// different wall instants.
+	clock := &Clock{t: labEpoch}
+	ids, registry, err := newFleet(cfg.Devices, cfg.Design.Name)
+	if err != nil {
+		return res, fmt.Errorf("testbed: cluster load: %w", err)
 	}
 
 	// The cluster: N nodes, each a primary + warm replica pair, behind
@@ -219,19 +210,30 @@ func RunClusterLoad(cfg ClusterLoadConfig) (ClusterLoadResult, error) {
 	defer front.Close()
 
 	// The single-node reference: an in-memory cloud fed every operation
-	// the cluster acknowledges. Same registry contents, same design,
-	// same frozen clock.
-	refReg := cloud.NewRegistry()
-	for _, id := range ids {
-		if err := refReg.Add(cloud.DeviceRecord{
-			ID: id, FactorySecret: "factory-secret-" + id, Model: cfg.Design.Name,
-		}); err != nil {
-			return res, fmt.Errorf("testbed: cluster load: %w", err)
-		}
-	}
-	ref, err := cloud.NewService(cfg.Design, refReg, cloud.WithClock(clock.Now))
+	// the cluster acknowledges. Same design, same frozen clock, and the
+	// same manufacturing registry the nodes already share (read-only once
+	// the fleet is built).
+	ref, err := cloud.NewService(cfg.Design, registry, cloud.WithClock(clock.Now))
 	if err != nil {
 		return res, fmt.Errorf("testbed: cluster load: %w", err)
+	}
+	// both performs one operation on the cluster and, once the cluster
+	// acknowledged it, on the reference. refMu serializes reference
+	// applies: the reference is thread-safe, but serializing keeps its
+	// stats deterministic if a future config compares them; per-device
+	// ordering is already guaranteed by each device belonging to one
+	// worker.
+	var refMu sync.Mutex
+	both := func(do func(transport.Cloud) error) error {
+		if err := do(front); err != nil {
+			return err
+		}
+		refMu.Lock()
+		defer refMu.Unlock()
+		if err := do(ref); err != nil {
+			return fmt.Errorf("reference: %w", err)
+		}
+		return nil
 	}
 
 	// Accounts exist everywhere before any traffic (and before any kill:
@@ -242,12 +244,11 @@ func RunClusterLoad(cfg ClusterLoadConfig) (ClusterLoadResult, error) {
 		return fmt.Sprintf("user-%d@cluster.example", k), fmt.Sprintf("pw-%d", k)
 	}
 	for k := 0; k < cfg.Users; k++ {
-		id, pw := fmt.Sprintf("user-%d@cluster.example", k), fmt.Sprintf("pw-%d", k)
-		if err := front.RegisterUser(protocol.RegisterUserRequest{UserID: id, Password: pw}); err != nil {
+		id, pw := userOf(k)
+		if err := both(func(c transport.Cloud) error {
+			return c.RegisterUser(protocol.RegisterUserRequest{UserID: id, Password: pw})
+		}); err != nil {
 			return res, fmt.Errorf("testbed: cluster load: register user: %w", err)
-		}
-		if err := ref.RegisterUser(protocol.RegisterUserRequest{UserID: id, Password: pw}); err != nil {
-			return res, fmt.Errorf("testbed: cluster load: reference register user: %w", err)
 		}
 	}
 
@@ -294,95 +295,37 @@ func RunClusterLoad(cfg ClusterLoadConfig) (ClusterLoadResult, error) {
 		return nil
 	}
 
-	var (
-		errMu    sync.Mutex
-		firstErr error
-		messages atomic.Int64
-		binds    atomic.Int64
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	// refMu serializes reference applies. The reference is thread-safe,
-	// but serializing keeps its stats deterministic if a future config
-	// compares them; per-device ordering is already guaranteed by each
-	// device belonging to one worker.
-	var refMu sync.Mutex
-	applyRef := func(do func() error) error {
-		refMu.Lock()
-		defer refMu.Unlock()
-		return do()
-	}
-
-	// forEachSlice fans the device range out over the workers and waits.
-	per := (cfg.Devices + cfg.Workers - 1) / cfg.Workers
-	forEachSlice := func(fn func(w, lo, hi int)) {
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			lo, hi := w*per, (w+1)*per
-			if hi > cfg.Devices {
-				hi = cfg.Devices
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				fn(w, lo, hi)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-	}
+	var messages, binds atomic.Int64
 
 	// Phase 1 — registration and binding, before any kill. Setup state
 	// is the baseline both modes need on every replica: binds that fail
 	// business-wise (unknown account on a freshly promoted replica)
 	// would pollute the loss accounting, whose subject is the
 	// steady-state traffic below.
-	forEachSlice(func(w, lo, hi int) {
+	if err := fanOut(cfg.Workers, cfg.Devices, func(_, lo, hi int) error {
 		for d := lo; d < hi; d++ {
 			id := ids[d]
-			if _, err := front.HandleStatus(protocol.StatusRequest{
-				Kind: protocol.StatusRegister, DeviceID: id,
-				Firmware: "1.0", Model: cfg.Design.Name,
-			}); err != nil {
-				fail(fmt.Errorf("register %s: %w", id, err))
-				return
-			}
 			user, pw := userOf(d)
-			if _, err := front.HandleBind(protocol.BindRequest{
-				DeviceID: id, UserID: user, UserPassword: pw,
-				IdempotencyKey: fmt.Sprintf("bind-%d", d),
-			}); err != nil {
-				fail(fmt.Errorf("bind %s: %w", id, err))
-				return
-			}
-			if err := applyRef(func() error {
-				if _, err := ref.HandleStatus(protocol.StatusRequest{
+			if err := both(func(c transport.Cloud) error {
+				if _, err := c.HandleStatus(protocol.StatusRequest{
 					Kind: protocol.StatusRegister, DeviceID: id,
 					Firmware: "1.0", Model: cfg.Design.Name,
 				}); err != nil {
-					return err
+					return fmt.Errorf("register: %w", err)
 				}
-				_, err := ref.HandleBind(protocol.BindRequest{
+				_, err := c.HandleBind(protocol.BindRequest{
 					DeviceID: id, UserID: user, UserPassword: pw,
 					IdempotencyKey: fmt.Sprintf("bind-%d", d),
 				})
 				return err
 			}); err != nil {
-				fail(fmt.Errorf("reference setup %s: %w", id, err))
-				return
+				return fmt.Errorf("setup %s: %w", id, err)
 			}
 			binds.Add(1)
 		}
-	})
-	if firstErr != nil {
-		return res, fmt.Errorf("testbed: cluster load: %w", firstErr)
+		return nil
+	}); err != nil {
+		return res, fmt.Errorf("testbed: cluster load: %w", err)
 	}
 	if !cfg.AckAfterReplicate {
 		// Async mode ships the setup baseline once, so a promotion
@@ -399,7 +342,7 @@ func RunClusterLoad(cfg ClusterLoadConfig) (ClusterLoadResult, error) {
 	// Phase 2 — steady-state heartbeats with mid-run kills, then the
 	// cross-owner batches.
 	start := time.Now()
-	forEachSlice(func(w, lo, hi int) {
+	err = fanOut(cfg.Workers, cfg.Devices, func(w, lo, hi int) error {
 		for d := lo; d < hi; d++ {
 			id := ids[d]
 			for n := 0; n < cfg.Heartbeats; n++ {
@@ -410,21 +353,15 @@ func RunClusterLoad(cfg ClusterLoadConfig) (ClusterLoadResult, error) {
 				if cfg.ReadingEvery > 0 && n%cfg.ReadingEvery == 0 {
 					req.Readings = []protocol.Reading{{Name: "power_w", Value: float64(n), At: clock.Now()}}
 				}
-				if _, err := front.HandleStatus(req); err != nil {
-					fail(fmt.Errorf("heartbeat %s/%d: %w", id, n, err))
-					return
-				}
-				if err := applyRef(func() error {
-					_, err := ref.HandleStatus(req)
+				if err := both(func(c transport.Cloud) error {
+					_, err := c.HandleStatus(req)
 					return err
 				}); err != nil {
-					fail(fmt.Errorf("reference heartbeat %s/%d: %w", id, n, err))
-					return
+					return fmt.Errorf("heartbeat %s/%d: %w", id, n, err)
 				}
 				messages.Add(1)
 				if err := maybeKill(); err != nil {
-					fail(err)
-					return
+					return err
 				}
 			}
 		}
@@ -438,31 +375,22 @@ func RunClusterLoad(cfg ClusterLoadConfig) (ClusterLoadResult, error) {
 					IdempotencyKey: fmt.Sprintf("batch-%d-%d-%d", w, b, d),
 				})
 			}
-			resp, err := front.HandleStatusBatch(req)
-			if err != nil {
-				fail(fmt.Errorf("batch %d/%d: %w", w, b, err))
-				return
-			}
-			if err := resp.FirstError(); err != nil {
-				fail(fmt.Errorf("batch %d/%d item: %w", w, b, err))
-				return
-			}
-			if err := applyRef(func() error {
-				rresp, err := ref.HandleStatusBatch(req)
+			if err := both(func(c transport.Cloud) error {
+				resp, err := c.HandleStatusBatch(req)
 				if err != nil {
 					return err
 				}
-				return rresp.FirstError()
+				return resp.FirstError()
 			}); err != nil {
-				fail(fmt.Errorf("reference batch %d/%d: %w", w, b, err))
-				return
+				return fmt.Errorf("batch %d/%d: %w", w, b, err)
 			}
 			messages.Add(int64(len(req.Items)))
 		}
+		return nil
 	})
 	res.Elapsed = time.Since(start)
-	if firstErr != nil {
-		return res, fmt.Errorf("testbed: cluster load: %w", firstErr)
+	if err != nil {
+		return res, fmt.Errorf("testbed: cluster load: %w", err)
 	}
 
 	res.Messages = int(messages.Load())

@@ -5,7 +5,6 @@ import (
 	"net"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/iotbind/iotbind/internal/binapi"
@@ -135,18 +134,10 @@ func RunConnLoad(cfg ConnLoadConfig) (ConnLoadResult, error) {
 		cfg.Stripes = runtime.GOMAXPROCS(0)
 	}
 
-	clock := &Clock{t: time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)}
-	registry := cloud.NewRegistry()
-	ids := make([]string, cfg.Conns)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("%02X:BB:CC:%02X:%02X:%02X", (i>>24)&0xff, (i>>16)&0xff, (i>>8)&0xff, i&0xff)
-		if err := registry.Add(cloud.DeviceRecord{
-			ID:            ids[i],
-			FactorySecret: "factory-secret-" + ids[i],
-			Model:         cfg.Design.Name,
-		}); err != nil {
-			return res, fmt.Errorf("testbed: conn load: %w", err)
-		}
+	clock := &Clock{t: labEpoch}
+	ids, registry, err := newFleet(cfg.Conns, cfg.Design.Name)
+	if err != nil {
+		return res, fmt.Errorf("testbed: conn load: %w", err)
 	}
 	svc, err := cloud.NewService(cfg.Design, registry, cloud.WithClock(clock.Now))
 	if err != nil {
@@ -205,56 +196,23 @@ func RunConnLoad(cfg ConnLoadConfig) (ConnLoadResult, error) {
 			}
 		}
 	}()
-	var (
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	per := (cfg.Conns + cfg.Workers - 1) / cfg.Workers
-	forEachSlice := func(fn func(lo, hi int)) {
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			lo, hi := w*per, (w+1)*per
-			if hi > cfg.Conns {
-				hi = cfg.Conns
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				fn(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-
-	forEachSlice(func(lo, hi int) {
+	if err := fanOut(cfg.Workers, cfg.Conns, func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			c, derr := dial(i)
 			if derr != nil {
-				fail(fmt.Errorf("dial conn %d: %w", i, derr))
-				return
+				return fmt.Errorf("dial conn %d: %w", i, derr)
 			}
 			conns[i] = c
 			if _, serr := c.HandleStatus(protocol.StatusRequest{
 				Kind: protocol.StatusRegister, DeviceID: ids[i],
 				Firmware: "1.0", Model: cfg.Design.Name,
 			}); serr != nil {
-				fail(fmt.Errorf("register conn %d: %w", i, serr))
-				return
+				return fmt.Errorf("register conn %d: %w", i, serr)
 			}
 		}
-	})
-	if firstErr != nil {
-		return res, fmt.Errorf("testbed: conn load: %w", firstErr)
+		return nil
+	}); err != nil {
+		return res, fmt.Errorf("testbed: conn load: %w", err)
 	}
 
 	// Every connection is now open and registered; this is the number
@@ -267,38 +225,25 @@ func RunConnLoad(cfg ConnLoadConfig) (ConnLoadResult, error) {
 	// one connection before touching the next.
 	lats := make([][]int64, cfg.Workers)
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > cfg.Conns {
-			hi = cfg.Conns
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			mine := make([]int64, 0, (hi-lo)*cfg.MsgsPerConn)
-			for n := 0; n < cfg.MsgsPerConn; n++ {
-				for i := lo; i < hi; i++ {
-					t0 := time.Now()
-					if _, herr := conns[i].HandleStatus(protocol.StatusRequest{
-						Kind: protocol.StatusHeartbeat, DeviceID: ids[i],
-					}); herr != nil {
-						fail(fmt.Errorf("heartbeat conn %d: %w", i, herr))
-						return
-					}
-					mine = append(mine, time.Since(t0).Microseconds())
+	err = fanOut(cfg.Workers, cfg.Conns, func(w, lo, hi int) error {
+		mine := make([]int64, 0, (hi-lo)*cfg.MsgsPerConn)
+		for n := 0; n < cfg.MsgsPerConn; n++ {
+			for i := lo; i < hi; i++ {
+				t0 := time.Now()
+				if _, herr := conns[i].HandleStatus(protocol.StatusRequest{
+					Kind: protocol.StatusHeartbeat, DeviceID: ids[i],
+				}); herr != nil {
+					return fmt.Errorf("heartbeat conn %d: %w", i, herr)
 				}
+				mine = append(mine, time.Since(t0).Microseconds())
 			}
-			lats[w] = mine
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		}
+		lats[w] = mine
+		return nil
+	})
 	elapsed := time.Since(start)
-	if firstErr != nil {
-		return res, fmt.Errorf("testbed: conn load: %w", firstErr)
+	if err != nil {
+		return res, fmt.Errorf("testbed: conn load: %w", err)
 	}
 
 	all := make([]int64, 0, cfg.Conns*cfg.MsgsPerConn)

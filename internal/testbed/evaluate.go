@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"github.com/iotbind/iotbind/internal/core"
-	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/vendors"
 )
 
@@ -30,28 +29,7 @@ func Evaluate(design core.DesignSpec, v core.AttackVariant, opts ...Option) (Res
 	if err != nil {
 		return Result{}, err
 	}
-	switch v {
-	case core.VariantA1:
-		return tb.runA1()
-	case core.VariantA2:
-		return tb.runA2()
-	case core.VariantA3x1:
-		return tb.runA3Unbind(core.VariantA3x1, core.UnbindDevIDAlone)
-	case core.VariantA3x2:
-		return tb.runA3Unbind(core.VariantA3x2, core.UnbindDevIDUserToken)
-	case core.VariantA3x3:
-		return tb.runA3x3()
-	case core.VariantA3x4:
-		return tb.runA3x4()
-	case core.VariantA4x1:
-		return tb.runA4x1()
-	case core.VariantA4x2:
-		return tb.runA4x2()
-	case core.VariantA4x3:
-		return tb.runA4x3()
-	default:
-		return Result{}, fmt.Errorf("testbed: unknown attack variant %v", v)
-	}
+	return tb.run(v)
 }
 
 // EvaluateAll runs every Table II variant against the design, each on a
@@ -188,290 +166,144 @@ func sameVariants(a, b []core.AttackVariant) bool {
 
 // ---- attack procedures ---------------------------------------------------
 
-// runA1 forges data-bearing device messages in the control state: fake
-// readings go up, and any pending user data comes back down.
-func (tb *Testbed) runA1() (Result, error) {
-	res := Result{Variant: core.VariantA1}
-	if err := tb.SetupVictim(); err != nil {
-		return Result{}, err
-	}
-	// The victim schedules something private — the stealing target.
-	if err := tb.victim.PushSchedule(tb.deviceID, protocol.UserData{
-		Kind: "schedule", Body: "unlock 08:00, lock 22:00",
-	}); err != nil {
-		return Result{}, err
-	}
-
-	const fakePower = 9999
-	_, err := tb.atk.ForgeStatus(tb.deviceID, protocol.StatusHeartbeat, []protocol.Reading{
-		{Name: "power_w", Value: fakePower},
-	})
-	if err != nil {
-		res.Outcome = classifyForgeErr(err)
-		res.Detail = fmt.Sprintf("forged status rejected: %v", err)
-		return res, nil
-	}
-
-	bound, err := tb.victimBound()
-	if err != nil {
-		return Result{}, err
-	}
-	injected := false
-	if bound {
-		readings, err := tb.victim.Readings(tb.deviceID)
-		if err != nil {
-			return Result{}, err
-		}
-		for _, r := range readings {
-			if r.Value == fakePower {
-				injected = true
-			}
-		}
-	}
-	stolen := len(tb.atk.StolenData()) > 0
-
-	switch {
-	case bound && injected && stolen:
-		res.Outcome = core.OutcomeSucceeded
-		res.Detail = "fake reading visible to the victim; victim's schedule exfiltrated"
-	case !bound:
-		res.Outcome = core.OutcomeFailed
-		res.Detail = "forged status disturbed the binding instead of impersonating the device"
-	default:
-		res.Outcome = core.OutcomeFailed
-		res.Detail = fmt.Sprintf("injection=%v stolen=%v", injected, stolen)
-	}
-	return res, nil
+// procedure is one Table II row made executable: the victim situation the
+// variant targets, the forged messages in order, and how its consequence
+// is observed once every message went through.
+type procedure struct {
+	scenario Scenario
+	steps    []Step
+	// landed probes for the consequence. setupErr is the outcome of a
+	// victim setup that ran after or around the steps (Stage). Read-only
+	// probes come before a control probe, which pumps a device heartbeat.
+	landed func(tb *Testbed, setupErr error) (bool, error)
+	// won and lost are the Detail of a ✓ and of a ✗ whose messages were
+	// all accepted.
+	won, lost string
 }
 
-// runA2 occupies the binding before the victim's first setup, then lets
-// the victim attempt a normal setup.
-func (tb *Testbed) runA2() (Result, error) {
-	res := Result{Variant: core.VariantA2}
-	_, err := tb.atk.ForgeBind(tb.deviceID)
-	if err != nil {
-		res.Outcome = classifyForgeErr(err)
-		res.Detail = fmt.Sprintf("forged bind rejected: %v", err)
-		if res.Outcome == core.OutcomeFailed {
-			// Sanity: the legitimate setup must still work.
-			if setupErr := tb.SetupVictim(); setupErr != nil {
-				return Result{}, fmt.Errorf("testbed: setup broken even without occupation: %w", setupErr)
-			}
-		}
-		return res, nil
-	}
-
-	setupErr := tb.SetupVictim()
-	if setupErr == nil && tb.VictimHasControl() {
-		res.Outcome = core.OutcomeFailed
-		res.Detail = "the victim's setup displaced the squatting binding"
-		return res, nil
-	}
-	res.Outcome = core.OutcomeSucceeded
-	if setupErr != nil {
-		res.Detail = fmt.Sprintf("victim setup failed: %v", setupErr)
-	} else {
-		res.Detail = "victim setup completed but control never reached the device"
-	}
-	return res, nil
+// procedures is the live counterpart of core's tableII, indexed by
+// variant: Evaluate launches a row through Stage instead of carrying a
+// hand-written procedure per variant.
+var procedures = [...]procedure{
+	core.VariantA1: {
+		// Fake readings go up, and the user's pending data comes back down.
+		ScenarioSteadyControl, []Step{StepParkSecret, StepForgeDataHeartbeat}, injectedAndStolen,
+		"fake reading visible to the victim; victim's schedule exfiltrated",
+		"the forged status did not both inject a reading the still-bound victim sees and exfiltrate the schedule",
+	},
+	core.VariantA2: {
+		// Occupy the binding before the victim's first setup.
+		ScenarioPreSetup, []Step{StepForgeBind}, setupDenied,
+		"the squatting binding keeps the victim from controlling the device",
+		"the victim's setup displaced the squatting binding",
+	},
+	core.VariantA3x1: {
+		ScenarioSteadyControl, []Step{StepForgeUnbindDevID}, victimUnbound,
+		"victim's binding revoked; device disconnected from the user",
+		"binding survived the forged unbind",
+	},
+	core.VariantA3x2: {
+		ScenarioSteadyControl, []Step{StepForgeUnbindUserToken}, victimUnbound,
+		"victim's binding revoked; device disconnected from the user",
+		"binding survived the forged unbind",
+	},
+	core.VariantA3x3: {
+		// Succeeds only when the replacement does NOT grant control;
+		// otherwise the episode classifies as A4-1.
+		ScenarioSteadyControl, []Step{StepForgeBind}, unboundWithoutTakeover,
+		"binding replaced; the attacker gains no control, leaving pure disconnection",
+		"binding survived the forged bind, or the replacement granted control (the episode classifies as A4-1)",
+	},
+	core.VariantA3x4: {
+		ScenarioSteadyControl, []Step{StepForgeRegister}, victimUnbound,
+		"cloud adopted the forged registration as a reset and revoked the binding",
+		"binding survived the forged registration",
+	},
+	core.VariantA4x1: {
+		ScenarioSteadyControl, []Step{StepForgeBind}, attackerControls,
+		"existing binding manipulated without checks; attacker commands the device",
+		"forged bind did not yield control of the real device",
+	},
+	core.VariantA4x2: {
+		ScenarioSetupWindow, []Step{StepForgeBind}, attackerControls,
+		"bound first in the setup window",
+		"window bind did not yield durable control",
+	},
+	core.VariantA4x3: {
+		ScenarioSteadyControl, []Step{StepForgeAnyUnbind, StepForgeBind}, attackerControls,
+		"unbind opened the online state; the follow-up bind hijacked the device",
+		"the chained bind did not yield control of the real device",
+	},
 }
 
-// runA3Unbind covers A3-1 (Unbind:DevId) and A3-2 (Unbind with the
-// attacker's own token): disconnect the victim via a forged unbind.
-func (tb *Testbed) runA3Unbind(v core.AttackVariant, form core.UnbindForm) (Result, error) {
+func injectedAndStolen(tb *Testbed, _ error) (bool, error) {
+	bound, err := tb.VictimBound()
+	if err != nil || !bound {
+		return false, err
+	}
+	injected, err := tb.VictimSeesInjectedReading()
+	if err != nil {
+		return false, err
+	}
+	return injected && len(tb.atk.StolenData()) > 0, nil
+}
+
+func setupDenied(tb *Testbed, setupErr error) (bool, error) {
+	return setupErr != nil || !tb.VictimHasControl(), nil
+}
+
+func victimUnbound(tb *Testbed, _ error) (bool, error) {
+	bound, err := tb.VictimBound()
+	return !bound, err
+}
+
+func unboundWithoutTakeover(tb *Testbed, _ error) (bool, error) {
+	bound, err := tb.VictimBound()
+	if err != nil || bound {
+		return false, err
+	}
+	return !tb.AttackerHasControl(), nil
+}
+
+func attackerControls(tb *Testbed, _ error) (bool, error) {
+	return tb.AttackerHasControl(), nil
+}
+
+// run launches the variant's procedure on this (fresh) testbed and
+// classifies what happened in Table III vocabulary.
+func (tb *Testbed) run(v core.AttackVariant) (Result, error) {
+	if v < 1 || int(v) >= len(procedures) {
+		return Result{}, fmt.Errorf("testbed: unknown attack variant %v", v)
+	}
+	p := &procedures[v]
 	res := Result{Variant: v}
-	if err := tb.SetupVictim(); err != nil {
+	launched, rejected, setupErr, err := tb.Stage(p.scenario, p.steps, true)
+	switch {
+	case err != nil:
 		return Result{}, err
-	}
-	if err := tb.atk.ForgeUnbind(tb.deviceID, form); err != nil {
-		res.Outcome = classifyForgeErr(err)
-		res.Detail = fmt.Sprintf("forged unbind rejected: %v", err)
-		return res, nil
-	}
-	bound, err := tb.victimBound()
-	if err != nil {
-		return Result{}, err
-	}
-	if bound {
-		res.Outcome = core.OutcomeFailed
-		res.Detail = "binding survived the forged unbind"
-		return res, nil
-	}
-	res.Outcome = core.OutcomeSucceeded
-	res.Detail = "victim's binding revoked; device disconnected from the user"
-	return res, nil
-}
-
-// runA3x3 replaces the victim's binding with a forged bind, succeeding
-// only when the replacement does NOT grant control (otherwise the episode
-// classifies as A4-1).
-func (tb *Testbed) runA3x3() (Result, error) {
-	res := Result{Variant: core.VariantA3x3}
-	if err := tb.SetupVictim(); err != nil {
-		return Result{}, err
-	}
-	if _, err := tb.atk.ForgeBind(tb.deviceID); err != nil {
-		res.Outcome = classifyForgeErr(err)
-		res.Detail = fmt.Sprintf("forged bind rejected: %v", err)
-		return res, nil
-	}
-	bound, err := tb.victimBound()
-	if err != nil {
-		return Result{}, err
-	}
-	if bound {
-		res.Outcome = core.OutcomeFailed
-		res.Detail = "binding survived the forged bind"
-		return res, nil
-	}
-	if tb.AttackerHasControl() {
-		res.Outcome = core.OutcomeFailed
-		res.Detail = "replacement granted control: the episode classifies as A4-1"
-		return res, nil
-	}
-	res.Outcome = core.OutcomeSucceeded
-	res.Detail = "binding replaced; the attacker gains no control, leaving pure disconnection"
-	return res, nil
-}
-
-// runA3x4 forges a registration status message so the cloud treats the
-// device as reset and drops the binding.
-func (tb *Testbed) runA3x4() (Result, error) {
-	res := Result{Variant: core.VariantA3x4}
-	if err := tb.SetupVictim(); err != nil {
-		return Result{}, err
-	}
-	if _, err := tb.atk.ForgeStatus(tb.deviceID, protocol.StatusRegister, nil); err != nil {
-		res.Outcome = classifyForgeErr(err)
-		res.Detail = fmt.Sprintf("forged registration rejected: %v", err)
-		return res, nil
-	}
-	bound, err := tb.victimBound()
-	if err != nil {
-		return Result{}, err
-	}
-	if bound {
-		res.Outcome = core.OutcomeFailed
-		res.Detail = "binding survived the forged registration"
-		return res, nil
-	}
-	res.Outcome = core.OutcomeSucceeded
-	res.Detail = "cloud adopted the forged registration as a reset and revoked the binding"
-	return res, nil
-}
-
-// runA4x1 replaces the victim's binding in the control state and checks
-// for takeover.
-func (tb *Testbed) runA4x1() (Result, error) {
-	res := Result{Variant: core.VariantA4x1}
-	if err := tb.SetupVictim(); err != nil {
-		return Result{}, err
-	}
-	if _, err := tb.atk.ForgeBind(tb.deviceID); err != nil {
-		res.Outcome = classifyForgeErr(err)
-		res.Detail = fmt.Sprintf("forged bind rejected: %v", err)
-		return res, nil
-	}
-	if tb.AttackerHasControl() {
-		res.Outcome = core.OutcomeSucceeded
-		res.Detail = "existing binding manipulated without checks; attacker commands the device"
-		return res, nil
-	}
-	res.Outcome = core.OutcomeFailed
-	res.Detail = "forged bind did not yield control of the real device"
-	return res, nil
-}
-
-// runA4x2 binds during the victim's setup window (device online, not yet
-// bound) and checks for durable takeover after the setup finishes.
-func (tb *Testbed) runA4x2() (Result, error) {
-	res := Result{Variant: core.VariantA4x2}
-	var (
-		hookRan bool
-		hookErr error
-	)
-	tb.SetPreBindHook(func() {
-		hookRan = true
-		_, hookErr = tb.atk.ForgeBind(tb.deviceID)
-	})
-	setupErr := tb.victim.SetupDevice(tb.dev.LocalName(), tb.actions)
-
-	if !hookRan {
-		res.Outcome = core.OutcomeFailed
-		res.Detail = "setup exposes no online-unbound window"
+	case !launched:
+		// Only the setup-window scenario can decline to launch.
 		if setupErr != nil {
 			return Result{}, fmt.Errorf("testbed: setup failed without attack: %w", setupErr)
 		}
+		res.Outcome = core.OutcomeFailed
+		res.Detail = "setup exposes no online-unbound window"
+		return res, nil
+	case rejected != nil:
+		res.Outcome = classifyForgeErr(rejected)
+		res.Detail = fmt.Sprintf("forged message rejected: %v", rejected)
 		return res, nil
 	}
-	if hookErr != nil {
-		res.Outcome = classifyForgeErr(hookErr)
-		res.Detail = fmt.Sprintf("forged bind in window rejected: %v", hookErr)
-		return res, nil
-	}
-	if tb.AttackerHasControl() {
-		res.Outcome = core.OutcomeSucceeded
-		res.Detail = fmt.Sprintf("bound first in the setup window (victim setup: %v)", setupErr)
-		return res, nil
-	}
-	res.Outcome = core.OutcomeFailed
-	res.Detail = "window bind did not yield durable control"
-	return res, nil
-}
-
-// runA4x3 chains a forged unbind (A3-1 or A3-2) with a forged bind to
-// hijack from the control state.
-func (tb *Testbed) runA4x3() (Result, error) {
-	res := Result{Variant: core.VariantA4x3}
-	if err := tb.SetupVictim(); err != nil {
+	landed, err := p.landed(tb, setupErr)
+	switch {
+	case err != nil:
 		return Result{}, err
+	case !landed:
+		res.Outcome, res.Detail = core.OutcomeFailed, p.lost
+	case setupErr != nil:
+		res.Outcome, res.Detail = core.OutcomeSucceeded, fmt.Sprintf("%s (victim setup: %v)", p.won, setupErr)
+	default:
+		res.Outcome, res.Detail = core.OutcomeSucceeded, p.won
 	}
-
-	unbound := false
-	sawUnavailable := false
-	var lastErr error
-	for _, form := range []core.UnbindForm{core.UnbindDevIDAlone, core.UnbindDevIDUserToken} {
-		if !tb.design.SupportsUnbind(form) {
-			continue
-		}
-		if err := tb.atk.ForgeUnbind(tb.deviceID, form); err != nil {
-			if classifyForgeErr(err) == core.OutcomeUnconfirmed {
-				sawUnavailable = true
-			}
-			lastErr = err
-			continue
-		}
-		stillBound, err := tb.victimBound()
-		if err != nil {
-			return Result{}, err
-		}
-		if !stillBound {
-			unbound = true
-			break
-		}
-	}
-	if !unbound {
-		if sawUnavailable {
-			res.Outcome = core.OutcomeUnconfirmed
-			res.Detail = "the unbinding step could not be confirmed"
-		} else {
-			res.Outcome = core.OutcomeFailed
-			res.Detail = fmt.Sprintf("no forged unbind disconnected the victim (last: %v)", lastErr)
-		}
-		return res, nil
-	}
-
-	if _, err := tb.atk.ForgeBind(tb.deviceID); err != nil {
-		res.Outcome = classifyForgeErr(err)
-		res.Detail = fmt.Sprintf("follow-up bind rejected: %v", err)
-		return res, nil
-	}
-	if tb.AttackerHasControl() {
-		res.Outcome = core.OutcomeSucceeded
-		res.Detail = "unbind opened the online state; the follow-up bind hijacked the device"
-		return res, nil
-	}
-	res.Outcome = core.OutcomeFailed
-	res.Detail = "the chained bind did not yield control of the real device"
 	return res, nil
 }

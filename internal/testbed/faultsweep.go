@@ -118,7 +118,7 @@ func runLossTrial(design core.DesignSpec, rate float64, seed int64, maxAttempts 
 }
 
 func runLossTrialObserved(design core.DesignSpec, rate float64, seed int64, maxAttempts int) (st lifecycleState, completed bool, injected int, deduped int64, err error) {
-	clock := &Clock{t: time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)}
+	clock := &Clock{t: labEpoch}
 	registry := cloud.NewRegistry()
 	if err := registry.Add(cloud.DeviceRecord{
 		ID:            DefaultDeviceID,

@@ -5,7 +5,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"sync"
 	"time"
 
 	"github.com/iotbind/iotbind/internal/binapi"
@@ -94,18 +93,10 @@ func RunFleetLoad(cfg FleetLoadConfig) (FleetLoadResult, error) {
 		cfg.Workers = cfg.Devices
 	}
 
-	clock := &Clock{t: time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)}
-	registry := cloud.NewRegistry()
-	ids := make([]string, cfg.Devices)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("AA:BB:CC:%02X:%02X:%02X", (i>>16)&0xff, (i>>8)&0xff, i&0xff)
-		if err := registry.Add(cloud.DeviceRecord{
-			ID:            ids[i],
-			FactorySecret: "factory-secret-" + ids[i],
-			Model:         cfg.Design.Name,
-		}); err != nil {
-			return FleetLoadResult{}, fmt.Errorf("testbed: fleet load: %w", err)
-		}
+	clock := &Clock{t: labEpoch}
+	ids, registry, err := newFleet(cfg.Devices, cfg.Design.Name)
+	if err != nil {
+		return FleetLoadResult{}, fmt.Errorf("testbed: fleet load: %w", err)
 	}
 	svc, err := cloud.NewService(cfg.Design, registry, cloud.WithClock(clock.Now))
 	if err != nil {
@@ -186,52 +177,26 @@ func RunFleetLoad(cfg FleetLoadConfig) (FleetLoadResult, error) {
 	}
 
 	// Timed phase: workers drive disjoint slices of the fleet.
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
 	start := time.Now()
-	per := (cfg.Devices + cfg.Workers - 1) / cfg.Workers
-	for w := 0; w < cfg.Workers; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > cfg.Devices {
-			hi = cfg.Devices
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(batch []*device.Device) {
-			defer wg.Done()
-			for _, dev := range batch {
-				for n := 0; n < cfg.Heartbeats; n++ {
-					if cfg.ReadingEvery > 0 && n%cfg.ReadingEvery == 0 {
-						dev.QueueReading("power_w", float64(n))
-					}
-					if err := dev.Heartbeat(); err != nil {
-						fail(err)
-						return
-					}
+	err = fanOut(cfg.Workers, cfg.Devices, func(_, lo, hi int) error {
+		for _, dev := range devs[lo:hi] {
+			for n := 0; n < cfg.Heartbeats; n++ {
+				if cfg.ReadingEvery > 0 && n%cfg.ReadingEvery == 0 {
+					dev.QueueReading("power_w", float64(n))
 				}
-				if err := dev.Flush(); err != nil {
-					fail(err)
-					return
+				if err := dev.Heartbeat(); err != nil {
+					return err
 				}
 			}
-		}(devs[lo:hi])
-	}
-	wg.Wait()
+			if err := dev.Flush(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	elapsed := time.Since(start)
-	if firstErr != nil {
-		return FleetLoadResult{}, fmt.Errorf("testbed: fleet load: %w", firstErr)
+	if err != nil {
+		return FleetLoadResult{}, fmt.Errorf("testbed: fleet load: %w", err)
 	}
 
 	res := FleetLoadResult{

@@ -125,8 +125,7 @@ func runKillLoop(cfg killLoop) (killOutcome, error) {
 	}
 	defer os.RemoveAll(root)
 
-	frozen := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
-	clock := func() time.Time { return frozen }
+	clock := func() time.Time { return labEpoch }
 	var svcOpts []cloud.Option
 	if cfg.persistIdempotency {
 		svcOpts = append(svcOpts, cloud.WithPersistentIdempotency())

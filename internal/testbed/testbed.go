@@ -105,7 +105,7 @@ func New(design core.DesignSpec, opts ...Option) (*Testbed, error) {
 		o.apply(&cfg)
 	}
 
-	clock := &Clock{t: time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)}
+	clock := &Clock{t: labEpoch}
 	registry := cloud.NewRegistry()
 	if err := registry.Add(cloud.DeviceRecord{
 		ID:            cfg.deviceID,
@@ -269,13 +269,30 @@ func (tb *Testbed) deviceExecuted(cmdID string) bool {
 	return false
 }
 
-// victimBound reports whether the victim still owns the binding.
-func (tb *Testbed) victimBound() (bool, error) {
+// VictimBound reports whether the victim still owns the binding — a
+// read-only probe, unlike the heartbeat-pumping control probes above.
+func (tb *Testbed) VictimBound() (bool, error) {
 	st, err := tb.Shadow()
 	if err != nil {
 		return false, err
 	}
 	return st.BoundUser == DefaultVictimUser, nil
+}
+
+// VictimSeesInjectedReading reports whether the fake reading of
+// StepForgeDataHeartbeat shows up among the readings the victim's app
+// fetches — the data-injection evidence, read-only.
+func (tb *Testbed) VictimSeesInjectedReading() (bool, error) {
+	readings, err := tb.victim.Readings(tb.deviceID)
+	if err != nil {
+		return false, err
+	}
+	for _, r := range readings {
+		if r.Value == injectedReading {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // classifyForgeErr maps an attack-step error to its Table III outcome.

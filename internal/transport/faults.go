@@ -1,11 +1,17 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 )
+
+// ErrUnavailable is the transport failure: the request, or its response,
+// was lost. FaultPlane injects it and httpapi.Client wraps it around
+// network errors, so agents and retry policies classify both alike.
+var ErrUnavailable = errors.New("transport: cloud unavailable")
 
 // ErrPartitioned is injected while a party sits inside a partition window.
 // It wraps ErrUnavailable so existing errors.Is(err, ErrUnavailable)
@@ -28,7 +34,7 @@ const (
 // Four fault kinds compose:
 //
 //   - fail-before-delivery: the call never reaches the inner cloud (the
-//     dropped-request case Flaky already models, but probabilistic);
+//     dropped-request case);
 //   - fail-after-delivery: the inner cloud runs — and may mutate state —
 //     but the caller sees ErrUnavailable, as if the response was lost.
 //     This is the at-least-once case that forces retry deduplication;
@@ -135,7 +141,7 @@ func (p *FaultPlane) Calls() int {
 }
 
 // Failures reports every injected failure — before-delivery, after-delivery
-// and partition drops — mirroring Flaky.Failures.
+// and partition drops.
 func (p *FaultPlane) Failures() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

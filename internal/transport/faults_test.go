@@ -5,6 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/iotbind/iotbind/internal/app"
+	"github.com/iotbind/iotbind/internal/core"
+	"github.com/iotbind/iotbind/internal/device"
+	"github.com/iotbind/iotbind/internal/localnet"
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/transport"
 )
@@ -51,9 +55,9 @@ func TestFaultsDeterministicSchedule(t *testing.T) {
 	}
 }
 
-// TestFaultsFailAfterDelivery proves the at-least-once case Flaky cannot
-// express: the inner cloud processes the call (state mutates) while the
-// caller sees ErrUnavailable and no response data.
+// TestFaultsFailAfterDelivery proves the at-least-once case a dropped
+// request cannot express: the inner cloud processes the call (state
+// mutates) while the caller sees ErrUnavailable and no response data.
 func TestFaultsFailAfterDelivery(t *testing.T) {
 	svc := newService(t)
 	if err := newServiceUser(t, svc); err != nil {
@@ -142,8 +146,8 @@ func TestFaultsAddedLatency(t *testing.T) {
 	}
 }
 
-// TestFaultsFailureAccounting proves Calls/Failures stay consistent with
-// the Flaky conventions: every injected failure is counted exactly once.
+// TestFaultsFailureAccounting proves Calls/Failures stay consistent:
+// every injected failure is counted exactly once.
 func TestFaultsFailureAccounting(t *testing.T) {
 	plane := transport.NewFaultPlane(3,
 		transport.WithFailBeforeRate(0.3),
@@ -171,20 +175,62 @@ func TestFaultsFailureAccounting(t *testing.T) {
 	}
 }
 
-// TestFlakySetErrorNilKeepsTypedFailures covers the SetError(nil) bug: a
-// nil injected error must not break errors.Is(err, ErrUnavailable)
-// classification with a wrapped nil target.
-func TestFlakySetErrorNilKeepsTypedFailures(t *testing.T) {
-	flaky := transport.NewFlaky(newService(t), 1)
-	flaky.SetError(nil)
-	_, err := flaky.ShadowState(protocol.ShadowStateRequest{DeviceID: "d"})
-	if err == nil {
-		t.Fatal("injected failure returned nil error")
+// TestAgentsSurfaceTransportFailures drives the device and app agents
+// through an outage: errors must propagate wrapped (so callers can match
+// ErrUnavailable) and, once the partition heals, the same agents finish
+// the setup — a half-finished one does not wedge them.
+func TestAgentsSurfaceTransportFailures(t *testing.T) {
+	svc := newService(t)
+	plane := transport.NewFaultPlane(1)
+	home := localnet.NewNetwork("home", "203.0.113.7")
+
+	dev, err := device.New(device.Config{
+		ID: "d", FactorySecret: "s", LocalName: "plug", Model: "plug",
+	}, svcDesign(), plane.Wrap(svc, transport.PartyDevice))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, transport.ErrUnavailable) {
-		t.Errorf("error after SetError(nil) = %v, want ErrUnavailable match", err)
+	if err := home.Join(dev); err != nil {
+		t.Fatal(err)
 	}
-	if flaky.Failures() != 1 {
-		t.Errorf("Failures = %d, want 1", flaky.Failures())
+	user, err := app.New("u@example.com", "pw", svcDesign(), plane.Wrap(svc, transport.PartyApp), home)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Outage: every step surfaces the injected failure.
+	plane.Partition(transport.PartyDevice, time.Hour)
+	plane.Partition(transport.PartyApp, time.Hour)
+	if err := user.RegisterAccount(); !errors.Is(err, transport.ErrUnavailable) {
+		t.Errorf("register during outage = %v", err)
+	}
+	if err := user.Login(); !errors.Is(err, transport.ErrUnavailable) {
+		t.Errorf("login during outage = %v", err)
+	}
+	if err := dev.Provision(localnet.Provisioning{WiFiSSID: "home", WiFiPassword: "pw"}); !errors.Is(err, transport.ErrUnavailable) {
+		t.Errorf("provision during outage = %v", err)
+	}
+
+	// Recovery.
+	plane.Heal(transport.PartyDevice)
+	plane.Heal(transport.PartyApp)
+	if err := user.RegisterAccount(); err != nil {
+		t.Fatal(err)
+	}
+	if err := user.Login(); err != nil {
+		t.Fatal(err)
+	}
+	if err := user.SetupDevice("plug", nil); err != nil {
+		t.Fatalf("setup after recovery: %v", err)
+	}
+}
+
+// svcDesign mirrors newService's design for agent construction.
+func svcDesign() core.DesignSpec {
+	return core.DesignSpec{
+		Name:        "t",
+		DeviceAuth:  core.AuthDevID,
+		Binding:     core.BindACLApp,
+		UnbindForms: []core.UnbindForm{core.UnbindDevIDUserToken},
 	}
 }

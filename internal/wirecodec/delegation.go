@@ -6,10 +6,36 @@ import (
 	"github.com/iotbind/iotbind/internal/protocol"
 )
 
-// Wire bodies for the sharing/delegation operations carried as binary
-// binapi frames. Unlike the WAL record forms these carry no tag byte
-// and no timestamp: the frame kind is the tag, and the cloud stamps
-// records with its own clock when it logs them.
+// Bodies of the batch, sharing and delegation operations, written once
+// for both carriers: a binapi frame is the bare body (the frame kind is
+// the tag, and the cloud stamps records with its own clock when it logs
+// them); a WAL record is tag + time + the same body (record.go).
+
+// PutBatchBody writes a status-batch request body. The envelope source
+// address and each item's own address are both kept: the handler only
+// overrides items when the envelope address is non-empty.
+func PutBatchBody(b *bytes.Buffer, req *protocol.StatusBatchRequest) {
+	PutStr(b, req.SourceIP)
+	PutUvarint(b, uint64(len(req.Items)))
+	for i := range req.Items {
+		PutStatusBody(b, &req.Items[i])
+	}
+}
+
+// ReadBatchBody reverses PutBatchBody.
+func ReadBatchBody(c *Cursor) protocol.StatusBatchRequest {
+	var req protocol.StatusBatchRequest
+	req.SourceIP = c.Str()
+	n := c.Count(MinStatusSize)
+	if c.Err() != nil {
+		return req
+	}
+	req.Items = make([]protocol.StatusRequest, n)
+	for i := range req.Items {
+		req.Items[i] = ReadStatusBody(c)
+	}
+	return req
+}
 
 // PutShareBody writes a share request body.
 func PutShareBody(b *bytes.Buffer, req *protocol.ShareRequest) {

@@ -68,48 +68,25 @@ func EncodeLivenessRecord(b *bytes.Buffer, at time.Time, deviceID, owner string)
 	PutStr(b, owner)
 }
 
-// EncodeBatchRecord writes a complete status-batch record into b. The
-// envelope source address and each item's own address are both kept:
-// the handler only overrides items when the envelope address is
-// non-empty.
+// EncodeBatchRecord writes a complete status-batch record into b.
 func EncodeBatchRecord(b *bytes.Buffer, at time.Time, req *protocol.StatusBatchRequest) {
 	PutU8(b, TagBatch)
 	PutI64(b, EncodeTime(at))
-	PutStr(b, req.SourceIP)
-	PutUvarint(b, uint64(len(req.Items)))
-	for i := range req.Items {
-		PutStatusBody(b, &req.Items[i])
-	}
+	PutBatchBody(b, req)
 }
 
 // EncodeShareRecord writes a complete share record into b.
 func EncodeShareRecord(b *bytes.Buffer, at time.Time, req *protocol.ShareRequest) {
 	PutU8(b, TagShare)
 	PutI64(b, EncodeTime(at))
-	PutStr(b, req.DeviceID)
-	PutStr(b, req.UserToken)
-	PutStr(b, req.Guest)
-	var revoke uint8
-	if req.Revoke {
-		revoke = 1
-	}
-	PutU8(b, revoke)
+	PutShareBody(b, req)
 }
 
 // EncodeDelegateRecord writes a complete delegation-grant record into b.
 func EncodeDelegateRecord(b *bytes.Buffer, at time.Time, req *protocol.DelegateRequest) {
 	PutU8(b, TagDelegate)
 	PutI64(b, EncodeTime(at))
-	PutStr(b, req.DeviceID)
-	PutStr(b, req.UserToken)
-	PutStr(b, req.Grantee)
-	PutUvarint(b, uint64(len(req.Scopes)))
-	for _, s := range req.Scopes {
-		PutStr(b, s)
-	}
-	PutI64(b, req.TTLSeconds)
-	PutI64(b, int64(req.Depth))
-	PutStr(b, req.IdempotencyKey)
+	PutDelegateBody(b, req)
 }
 
 // EncodeRevokeDelegationRecord writes a complete delegation-revocation
@@ -117,110 +94,51 @@ func EncodeDelegateRecord(b *bytes.Buffer, at time.Time, req *protocol.DelegateR
 func EncodeRevokeDelegationRecord(b *bytes.Buffer, at time.Time, req *protocol.RevokeDelegationRequest) {
 	PutU8(b, TagRevokeDelegation)
 	PutI64(b, EncodeTime(at))
-	PutStr(b, req.DeviceID)
-	PutStr(b, req.UserToken)
-	PutStr(b, req.Grantee)
-	PutStr(b, req.IdempotencyKey)
+	PutRevokeDelegationBody(b, req)
 }
 
-// DecodeRecord parses any record payload.
+// DecodeRecord parses any record payload. A binary record is its tag,
+// the time it was logged at, and the operation's wire body — the same
+// body a binapi frame of that kind carries — with nothing after it.
 func DecodeRecord(payload []byte) (Record, error) {
 	if len(payload) == 0 {
 		return Record{}, fmt.Errorf("wirecodec: %w: empty record", protocol.ErrBadRequest)
 	}
-	switch payload[0] {
-	case TagStatus:
-		c := NewCursor(payload, 1)
-		at := DecodeTime(c.I64())
-		req := ReadStatusBody(c)
-		if !c.Done() {
-			c.Fail()
-			return Record{}, c.Err()
-		}
-		return Record{Op: "status", At: at, Status: &req}, nil
-	case TagLiveness:
-		c := NewCursor(payload, 1)
-		at := DecodeTime(c.I64())
-		lv := Liveness{DeviceID: c.Str(), Owner: c.Str()}
-		if !c.Done() {
-			c.Fail()
-			return Record{}, c.Err()
-		}
-		return Record{Op: "liveness", At: at, Liveness: &lv}, nil
-	case TagBatch:
-		c := NewCursor(payload, 1)
-		at := DecodeTime(c.I64())
-		var req protocol.StatusBatchRequest
-		req.SourceIP = c.Str()
-		n := c.Count(MinStatusSize)
-		if err := c.Err(); err != nil {
-			return Record{}, err
-		}
-		req.Items = make([]protocol.StatusRequest, n)
-		for i := range req.Items {
-			req.Items[i] = ReadStatusBody(c)
-		}
-		if !c.Done() {
-			c.Fail()
-			return Record{}, c.Err()
-		}
-		return Record{Op: "status_batch", At: at, Batch: &req}, nil
-	case TagShare:
-		c := NewCursor(payload, 1)
-		at := DecodeTime(c.I64())
-		var req protocol.ShareRequest
-		req.DeviceID = c.Str()
-		req.UserToken = c.Str()
-		req.Guest = c.Str()
-		req.Revoke = c.U8() != 0
-		if !c.Done() {
-			c.Fail()
-			return Record{}, c.Err()
-		}
-		return Record{Op: "share", At: at, Share: &req}, nil
-	case TagDelegate:
-		c := NewCursor(payload, 1)
-		at := DecodeTime(c.I64())
-		var req protocol.DelegateRequest
-		req.DeviceID = c.Str()
-		req.UserToken = c.Str()
-		req.Grantee = c.Str()
-		if n := c.Count(MinStringSize); c.Err() == nil && n > 0 {
-			req.Scopes = make([]string, n)
-			for i := range req.Scopes {
-				req.Scopes[i] = c.Str()
-			}
-		}
-		req.TTLSeconds = c.I64()
-		req.Depth = int(c.I64())
-		req.IdempotencyKey = c.Str()
-		if !c.Done() {
-			c.Fail()
-			return Record{}, c.Err()
-		}
-		return Record{Op: "delegate", At: at, Delegate: &req}, nil
-	case TagRevokeDelegation:
-		c := NewCursor(payload, 1)
-		at := DecodeTime(c.I64())
-		var req protocol.RevokeDelegationRequest
-		req.DeviceID = c.Str()
-		req.UserToken = c.Str()
-		req.Grantee = c.Str()
-		req.IdempotencyKey = c.Str()
-		if !c.Done() {
-			c.Fail()
-			return Record{}, c.Err()
-		}
-		return Record{Op: "revoke_delegation", At: at, RevokeDelegation: &req}, nil
-	case TagJSON:
+	if payload[0] == TagJSON {
 		var env Envelope
 		if err := json.Unmarshal(payload, &env); err != nil {
 			return Record{}, fmt.Errorf("wirecodec: %w: envelope: %v", protocol.ErrBadRequest, err)
 		}
 		return Record{Op: env.Op, At: DecodeTime(env.At), Env: &env}, nil
+	}
+	c := NewCursor(payload, 1)
+	rec := Record{At: DecodeTime(c.I64())}
+	switch payload[0] {
+	case TagStatus:
+		req := ReadStatusBody(c)
+		rec.Op, rec.Status = "status", &req
+	case TagLiveness:
+		rec.Op, rec.Liveness = "liveness", &Liveness{DeviceID: c.Str(), Owner: c.Str()}
+	case TagBatch:
+		req := ReadBatchBody(c)
+		rec.Op, rec.Batch = "status_batch", &req
+	case TagShare:
+		req := ReadShareBody(c)
+		rec.Op, rec.Share = "share", &req
+	case TagDelegate:
+		req := ReadDelegateBody(c)
+		rec.Op, rec.Delegate = "delegate", &req
+	case TagRevokeDelegation:
+		req := ReadRevokeDelegationBody(c)
+		rec.Op, rec.RevokeDelegation = "revoke_delegation", &req
 	default:
 		return Record{}, fmt.Errorf("wirecodec: %w: unknown record tag 0x%02x", protocol.ErrBadRequest, payload[0])
 	}
+	if !c.Done() {
+		c.Fail()
+		return Record{}, c.Err()
+	}
+	return rec, nil
 }
 
 // DescribeRecord renders a one-line human summary of a record payload —

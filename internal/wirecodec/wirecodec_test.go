@@ -2,6 +2,7 @@ package wirecodec
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
@@ -218,5 +219,61 @@ func TestDescribeRecord(t *testing.T) {
 	}
 	if _, err := DescribeRecord([]byte{0x77}); err == nil {
 		t.Error("unknown tag described without error")
+	}
+}
+
+// TestRecordBytesPinned: a share, delegate, revoke-delegation or batch
+// record is tag + time + the wire body the Put*Body functions write, and
+// that is byte for byte what the field-by-field record encoders produced
+// before they were folded onto those functions (the literals were taken
+// from the commit before the fold). Logs written by either decode alike.
+func TestRecordBytesPinned(t *testing.T) {
+	at := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
+	share := protocol.ShareRequest{DeviceID: "dev-1", UserToken: "tok", Guest: "guest@x", Revoke: true}
+	delegate := protocol.DelegateRequest{DeviceID: "dev-1", UserToken: "tok", Grantee: "g@x",
+		Scopes: []string{"control", "read"}, TTLSeconds: 3600, Depth: 1, IdempotencyKey: "k1"}
+	revoke := protocol.RevokeDelegationRequest{DeviceID: "dev-1", UserToken: "tok", Grantee: "g@x", IdempotencyKey: "k2"}
+	batch := protocol.StatusBatchRequest{SourceIP: "203.0.113.7", Items: []protocol.StatusRequest{
+		{Kind: protocol.StatusHeartbeat, DeviceID: "dev-1", IdempotencyKey: "hb-1",
+			Readings: []protocol.Reading{{Name: "power_w", Value: 4.5, At: at}}},
+		{Kind: protocol.StatusRegister, DeviceID: "dev-2", Firmware: "1.0", Model: "m", SourceIP: "198.51.100.66"},
+	}}
+	for _, tc := range []struct {
+		name    string
+		encode  func(*bytes.Buffer)
+		want    string
+		decoded func(Record) any
+		req     any
+	}{
+		{"share", func(b *bytes.Buffer) { EncodeShareRecord(b, at, &share) },
+			"06008007ca8db1bf18056465762d3103746f6b076775657374407801",
+			func(r Record) any { return *r.Share }, share},
+		{"delegate", func(b *bytes.Buffer) { EncodeDelegateRecord(b, at, &delegate) },
+			"04008007ca8db1bf18056465762d3103746f6b036740780207636f6e74726f6c0472656164100e0000000000000100000000000000026b31",
+			func(r Record) any { return *r.Delegate }, delegate},
+		{"revoke_delegation", func(b *bytes.Buffer) { EncodeRevokeDelegationRecord(b, at, &revoke) },
+			"05008007ca8db1bf18056465762d3103746f6b03674078026b32",
+			func(r Record) any { return *r.RevokeDelegation }, revoke},
+		{"status_batch", func(b *bytes.Buffer) { EncodeBatchRecord(b, at, &batch) },
+			"02008007ca8db1bf180b3230332e302e3131332e370202056465762d31000000000468622d31000000000107706f7765725f770000000000001240008007ca8db1bf1801056465762d32000000000003312e30016d0d3139382e35312e3130302e36360000",
+			func(r Record) any { return *r.Batch }, batch},
+	} {
+		var b bytes.Buffer
+		tc.encode(&b)
+		if got := hex.EncodeToString(b.Bytes()); got != tc.want {
+			t.Errorf("%s record bytes changed:\n got  %s\n want %s", tc.name, got, tc.want)
+		}
+		raw, err := hex.DecodeString(tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := DecodeRecord(raw)
+		if err != nil {
+			t.Errorf("%s: decode pinned bytes: %v", tc.name, err)
+			continue
+		}
+		if rec.Op != tc.name || !rec.At.Equal(at) || !reflect.DeepEqual(tc.decoded(rec), tc.req) {
+			t.Errorf("%s: pinned bytes decode to %s at %v: %+v", tc.name, rec.Op, rec.At, tc.decoded(rec))
+		}
 	}
 }
