@@ -34,13 +34,14 @@ race:
 # race detector, repeated so the leader/follower handoff, the
 # background flusher, the truncate-vs-append windows, the
 # append-observer/drain/re-seed lock order and — for a poller that
-# serves its sockets in place — FIN vs epoll_wait, close vs dispatch and
-# short writes vs EPOLLOUT get re-dealt across runs.
+# serves its sockets in place — FIN vs epoll_wait, close vs dispatch,
+# short writes vs EPOLLOUT and a locally refused over-cap request beside
+# a call in flight get re-dealt across runs.
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery' ./internal/cloud/
 	$(GO) test -race -count=3 -run='TestShipper|TestNode' ./internal/cluster/
-	$(GO) test -race -count=3 -run='TestReadinessEquivalence|TestEpoll|TestShortWrite|TestIdleTimeout|TestBackpressure' ./internal/binapi/
+	$(GO) test -race -count=3 -run='TestReadinessEquivalence|TestEpoll|TestShortWrite|TestIdleTimeout|TestBackpressure|TestOverCap' ./internal/binapi/
 
 # bench compiles and smoke-runs every benchmark (100 iterations, no unit
 # tests) so perf regressions in the hot path are caught by CI, not just
@@ -95,14 +96,16 @@ bench-json:
 bench-json-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' . | $(GO) run ./cmd/benchjson -o /dev/null
 
-# fuzz-smoke runs the WAL frame-decode, shard-merge, binapi wire and
-# delegation record fuzzers briefly: long enough to shake out parser
-# and merge crashes on arbitrary bytes, short enough for CI.
+# fuzz-smoke runs the WAL frame-decode, shard-merge, binapi wire,
+# delegation record and operation body fuzzers briefly: long enough to
+# shake out parser and merge crashes on arbitrary bytes, short enough
+# for CI.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=5s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzMergeShards -fuzztime=5s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzWireFrameDecode -fuzztime=5s ./internal/binapi/
 	$(GO) test -run='^$$' -fuzz=FuzzDelegationRecordDecode -fuzztime=5s ./internal/wirecodec/
+	$(GO) test -run='^$$' -fuzz=FuzzBodyDecode -fuzztime=5s ./internal/wirecodec/
 
 # wal-verify regenerates the crash-test corpus — clean, torn-tail and
 # corrupt single-directory logs plus sharded layouts (clean merge, torn

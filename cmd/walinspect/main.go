@@ -4,9 +4,14 @@
 //
 // Usage:
 //
-//	walinspect dump <dir>      print every record (LSN, size, decoded op —
-//	                           including share, delegate and
-//	                           revoke_delegation lattice mutations)
+//	walinspect dump <dir>      print every record: LSN, size and the
+//	                           decoded operation. Every record is binary
+//	                           (tag, time, the operation's wirecodec
+//	                           body) and dump decodes all fourteen tags:
+//	                           status, status_batch, liveness, delegate,
+//	                           revoke_delegation, share, register_user,
+//	                           login, device_token, bind_token, bind,
+//	                           unbind, control and push
 //	walinspect verify <dir>    scan read-only and report integrity
 //	walinspect replica <replica-dir> <primary-dir>
 //	                           verify the replica's log is a byte-identical

@@ -70,7 +70,8 @@ func TestDumpAndVerifyDurableDir(t *testing.T) {
 	}
 	text := out.String()
 	for _, want := range []string{
-		"register_user", "login user=u@x", "status register", "bind",
+		"register_user user=u@x", "register_user user=g@x", "login user=u@x", "status register",
+		"bind device=AA:BB:CC:00:0E:01 sender=0 keyed=false",
 		"delegate device=AA:BB:CC:00:0E:01 grantee=g@x", "keyed=true",
 		"revoke_delegation device=AA:BB:CC:00:0E:01 grantee=g@x",
 		"7 record(s)", "shard(s)", "watermark",
@@ -78,6 +79,9 @@ func TestDumpAndVerifyDurableDir(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("dump output missing %q:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "undecodable") {
+		t.Errorf("dump could not decode a record the cloud wrote:\n%s", text)
 	}
 
 	out.Reset()

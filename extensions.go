@@ -274,8 +274,7 @@ type DurableCloudOptions = cloud.DurableOptions
 // DurableRecovery reports what recovery did when a durable cloud opened.
 type DurableRecovery = cloud.DurableRecovery
 
-// DurableShardRecovery is one WAL shard's slice of a durable recovery
-// (shard -1 is a migrated legacy single-directory log).
+// DurableShardRecovery is one WAL shard's slice of a durable recovery.
 type DurableShardRecovery = cloud.DurableShardRecovery
 
 // OpenDurableCloud opens (or creates) a durable cloud rooted at dir.

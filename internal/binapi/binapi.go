@@ -10,10 +10,12 @@
 //
 //   - Frames reuse the WAL's exact geometry (internal/wal.ParseFrame /
 //     AppendFrame: length u32, CRC32C u32, u64 word, payload) with the
-//     LSN slot carrying a (stream ID, kind, flags) header word. Hot
-//     payloads (status, status batch) are wirecodec binary bodies —
-//     encoded by the same code that logs them; cold operations travel
-//     as a JSON envelope inside a binary frame.
+//     LSN slot carrying a (stream ID, kind, flags) header word. Every
+//     operation has its own frame kind, and a frame's payload is the
+//     operation's wirecodec body — encoded by the same code that logs
+//     it; for a logged operation the kind is the WAL record tag. The
+//     per-operation fan-out is one table of rows (ops.go); only status
+//     and status batch, the hot pair, are written out by hand.
 //
 //   - Streams: a uint32 stream ID pairs each response with its request,
 //     so one connection carries many in-flight operations — the same
@@ -62,19 +64,23 @@ import (
 // epoll (ReadinessEpoll off-Linux, or NewClientPoller there).
 var ErrEpollUnsupported = errors.New("binapi: epoll readiness source requires linux")
 
-// Frame kinds. The wire reuses wirecodec's tag values for the binary
-// operations so a captured status payload is bit-identical to its WAL
-// record body and the sharing/delegation kinds line up with their
-// record tags.
+// Frame kinds: one per operation, the same value in the request and in
+// its response. A logged operation's kind is its wirecodec record tag
+// (the rows in ops.go name the tag itself), so a captured request payload
+// is bit-identical to the body of the WAL record it produced; 0x03, the
+// liveness record, is WAL-only and is never a kind. A request's payload
+// is the operation's wirecodec request body; a response's is its
+// response body, or the one ack byte for an operation that returns only
+// an error (TestKindsComplete holds the table to transport.Ops).
 const (
-	kindStatus           = 0x01 // payload: wirecodec status body / status response body
-	kindBatch            = 0x02 // payload: wirecodec batch items / batch response body
-	kindDelegate         = 0x04 // payload: wirecodec delegate body / delegate response body
-	kindRevokeDelegation = 0x05 // payload: wirecodec revoke-delegation body / empty response
-	kindShare            = 0x06 // payload: wirecodec share body / empty response
-	kindJSON             = 0x10 // payload: JSON request/response envelope (cold ops)
-	kindError            = 0x20 // response only: wire code string + message string
-	kindHello            = 0x30 // server → client greeting on stream 0
+	kindStatus      = wirecodec.TagStatus
+	kindBatch       = wirecodec.TagBatch
+	kindReadings    = 0x0f // the four reads are never logged: no tag
+	kindShares      = 0x10
+	kindDelegations = 0x11
+	kindShadow      = 0x12
+	kindError       = 0x20 // response only: wire code string + message string
+	kindHello       = 0x30 // server → client greeting on stream 0
 )
 
 // Flag bits (low byte of the header word).
@@ -95,7 +101,10 @@ func unpackHeader(hdr uint64) (stream uint32, kind, flags uint8) {
 // helloMagic opens the hello payload: protocol name + version byte.
 var helloMagic = [4]byte{'i', 'o', 't', 'b'}
 
-const helloVersion = 1
+// helloVersion names the frame-kind vocabulary. Version 1 carried the
+// cold operations as a JSON envelope in one kind; a client of either
+// version fails at the other's hello rather than on its first request.
+const helloVersion = 2
 
 // DefaultWindow is the per-connection credit window: the number of
 // requests that may be in flight on one connection before the sender
@@ -245,25 +254,4 @@ func decodeHello(payload []byte) (window, maxFrame int, err error) {
 // appendFrame frames one payload for the wire.
 func appendFrame(dst []byte, stream uint32, kind, flags uint8, payload []byte) []byte {
 	return wal.AppendFrame(dst, packHeader(stream, kind, flags), payload)
-}
-
-// ackPayload is the one-byte body of a success response that carries no
-// data (share, revoke-delegation). The frame layout forbids zero-length
-// payloads, so the ack is explicit.
-var ackPayload = []byte{1}
-
-// jsonRequest is the cold-path request envelope riding inside a
-// kindJSON frame. Op is the operation's wire name (transport.Op.String),
-// the same vocabulary as the HTTP routes.
-type jsonRequest struct {
-	Op      string `json:"op"`
-	Payload any    `json:"payload,omitempty"`
-}
-
-// jsonResponse is the cold-path response envelope.
-type jsonResponse struct {
-	OK      bool   `json:"ok"`
-	Code    string `json:"code,omitempty"`
-	Message string `json:"message,omitempty"`
-	Payload any    `json:"payload,omitempty"`
 }

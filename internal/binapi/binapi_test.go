@@ -358,12 +358,55 @@ func TestHelloValidation(t *testing.T) {
 	}
 }
 
-// TestEquivalenceWithHTTPAPI drives an identical randomized op mix
-// through binapi (binary mux over a pipe) and httpapi (JSON over HTTP)
-// against twin clouds, and requires the same error sentinel per op and
-// byte-identical snapshots and identical activity counters afterwards:
-// the two front ends share one operation table, and the binary fast
-// path must be an encoding change, not a semantics change.
+// TestHelloVersionMismatchFailsAtHello: the frame-kind vocabulary
+// changed with helloVersion 2 (kind 0x10 was the JSON envelope and is now
+// shares), so a peer of the other version must be turned away at the
+// hello, by name, not by a stream of per-request error frames.
+func TestHelloVersionMismatchFailsAtHello(t *testing.T) {
+	srv := &Server{opts: defaultOptions()}
+	hello := srv.helloFrame()
+	_, payload, _, err := wal.ParseFrame(hello, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payload[4] != 2 {
+		t.Fatalf("server greets with protocol version %d, want 2", payload[4])
+	}
+
+	// A version-1 server's greeting, as a current client sees it.
+	old := append([]byte(nil), payload...)
+	old[4] = 1
+	c := newClient(defaultOptions())
+	c.write = func([]byte) error { return nil }
+	_ = c.feed(appendFrame(nil, 0, kindHello, flagResponse, old))
+	select {
+	case <-c.helloCh:
+		t.Fatal("client accepted a version-1 hello")
+	default:
+	}
+	if err := c.fatalErr(); err == nil || !strings.Contains(err.Error(), "unsupported protocol version 1") {
+		t.Fatalf("version-1 hello failed the client with %v, want \"unsupported protocol version 1\"", err)
+	}
+	// And the same greeting with today's version is accepted.
+	c = newClient(defaultOptions())
+	if err := c.feed(hello); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-c.helloCh:
+	default:
+		t.Fatal("client did not accept the current hello")
+	}
+}
+
+// TestEquivalenceWithHTTPAPI drives an identical randomized mix of all
+// seventeen operations through binapi (binary frames over a pipe) and
+// httpapi (JSON over HTTP) against twin clouds, and requires the same
+// error sentinel per op, DeepEqual responses on success — what a binary
+// body decodes to is what JSON decodes to, nil or empty list, zero time
+// and all — and byte-identical snapshots and identical activity counters
+// afterwards: the two front ends share one operation table, and the
+// binary lane must be an encoding change, not a semantics change.
 func TestEquivalenceWithHTTPAPI(t *testing.T) {
 	const devices = 6
 	binSvc := newLabService(t, devices)
@@ -383,47 +426,44 @@ func TestEquivalenceWithHTTPAPI(t *testing.T) {
 	defer httpSrv.Close()
 
 	fronts := []transport.Cloud{binCl, httpapi.NewClient(httpSrv.URL)}
-	both := func(op string, do func(c transport.Cloud) error) {
+	succeeded := map[string]int{}
+	// both runs one operation on each front end and returns binapi's
+	// response, having required httpapi's to equal it.
+	both := func(op string, do func(c transport.Cloud) (any, error)) any {
 		t.Helper()
-		errs := make([]error, len(fronts))
+		resps, errs := make([]any, len(fronts)), make([]error, len(fronts))
 		for i, c := range fronts {
-			errs[i] = do(c)
+			resps[i], errs[i] = do(c)
 		}
 		if (errs[0] == nil) != (errs[1] == nil) {
 			t.Fatalf("%s: outcome diverged: binapi=%v httpapi=%v", op, errs[0], errs[1])
 		}
-		if errs[0] != nil && !errors.Is(errs[1], firstSentinel(errs[0])) {
-			t.Fatalf("%s: error class diverged: binapi=%v httpapi=%v", op, errs[0], errs[1])
+		if errs[0] != nil {
+			if !errors.Is(errs[1], firstSentinel(errs[0])) {
+				t.Fatalf("%s: error class diverged: binapi=%v httpapi=%v", op, errs[0], errs[1])
+			}
+			return nil
 		}
+		if !reflect.DeepEqual(resps[0], resps[1]) {
+			t.Fatalf("%s: response diverged:\nbinapi:  %#v\nhttpapi: %#v", op, resps[0], resps[1])
+		}
+		succeeded[op]++
+		return resps[0]
 	}
 
-	// Each front end logs into its own cloud; the delegation ops below use
-	// the per-front token so both sides speak with equivalent authority.
-	tokens := make([]map[string]string, len(fronts))
-	for i := range tokens {
-		tokens[i] = map[string]string{}
-	}
+	// The twin clouds draw the same deterministic entropy in the same
+	// order, so even the tokens they mint are equal, and one token map
+	// serves both front ends.
+	tokens := map[string]string{}
 	for u := 0; u < 2; u++ {
 		user, pw := fmt.Sprintf("user-%d@example.com", u), fmt.Sprintf("pw-%d", u)
-		both("register-user", func(c transport.Cloud) error {
-			return c.RegisterUser(protocol.RegisterUserRequest{UserID: user, Password: pw})
+		both("register-user", func(c transport.Cloud) (any, error) {
+			return nil, c.RegisterUser(protocol.RegisterUserRequest{UserID: user, Password: pw})
 		})
-		for i, c := range fronts {
-			login, err := c.Login(protocol.LoginRequest{UserID: user, Password: pw})
-			if err != nil {
-				t.Fatalf("login %s: %v", user, err)
-			}
-			tokens[i][user] = login.UserToken
-		}
-	}
-	tokenOf := func(c transport.Cloud, user string) string {
-		for i, f := range fronts {
-			if f == c {
-				return tokens[i][user]
-			}
-		}
-		t.Fatalf("unknown front end")
-		return ""
+		login := both("login", func(c transport.Cloud) (any, error) {
+			return c.Login(protocol.LoginRequest{UserID: user, Password: pw})
+		})
+		tokens[user] = login.(protocol.LoginResponse).UserToken
 	}
 	scopeMixes := [][]string{
 		{"control", "read", "share"},
@@ -433,19 +473,19 @@ func TestEquivalenceWithHTTPAPI(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	at := frozenClock()()
-	for op := 0; op < 400; op++ {
-		dev := testDeviceID(rng.Intn(devices))
+	for op := 0; op < 800; op++ {
+		n := rng.Intn(devices)
+		dev := testDeviceID(n)
 		user := fmt.Sprintf("user-%d@example.com", rng.Intn(2))
 		pw := "pw-" + user[5:6]
 		other := fmt.Sprintf("user-%d@example.com", rng.Intn(2))
-		switch rng.Intn(10) {
+		switch rng.Intn(16) {
 		case 0:
-			both("status-register", func(c transport.Cloud) error {
-				_, err := c.HandleStatus(protocol.StatusRequest{
+			both("status-register", func(c transport.Cloud) (any, error) {
+				return c.HandleStatus(protocol.StatusRequest{
 					Kind: protocol.StatusRegister, DeviceID: dev,
 					Firmware: "1.0", Model: "binapi-lab",
 				})
-				return err
 			})
 		case 1:
 			req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: dev}
@@ -453,10 +493,7 @@ func TestEquivalenceWithHTTPAPI(t *testing.T) {
 				req.Readings = []protocol.Reading{{Name: "temp_c", Value: float64(rng.Intn(100)) / 4, At: at}}
 			}
 			req.ButtonPressed = rng.Intn(4) == 0
-			both("heartbeat", func(c transport.Cloud) error {
-				_, err := c.HandleStatus(req)
-				return err
-			})
+			both("heartbeat", func(c transport.Cloud) (any, error) { return c.HandleStatus(req) })
 		case 2:
 			items := make([]protocol.StatusRequest, 1+rng.Intn(4))
 			for i := range items {
@@ -464,72 +501,99 @@ func TestEquivalenceWithHTTPAPI(t *testing.T) {
 					Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(rng.Intn(devices + 1)),
 				}
 			}
-			both("batch", func(c transport.Cloud) error {
-				resp, err := c.HandleStatusBatch(protocol.StatusBatchRequest{Items: items})
-				if err != nil {
-					return err
-				}
-				if len(resp.Results) != len(items) {
-					return fmt.Errorf("result count %d != %d", len(resp.Results), len(items))
-				}
-				return nil
+			both("status-batch", func(c transport.Cloud) (any, error) {
+				return c.HandleStatusBatch(protocol.StatusBatchRequest{Items: append([]protocol.StatusRequest(nil), items...)})
 			})
 		case 3:
-			both("bind", func(c transport.Cloud) error {
-				_, err := c.HandleBind(protocol.BindRequest{
+			both("bind", func(c transport.Cloud) (any, error) {
+				return c.HandleBind(protocol.BindRequest{
 					DeviceID: dev, UserID: user, UserPassword: pw,
 					IdempotencyKey: fmt.Sprintf("bind-%d", op),
 				})
-				return err
 			})
 		case 4:
-			both("unbind", func(c transport.Cloud) error {
-				return c.HandleUnbind(protocol.UnbindRequest{DeviceID: dev, Sender: core.SenderDevice})
+			both("unbind", func(c transport.Cloud) (any, error) {
+				return nil, c.HandleUnbind(protocol.UnbindRequest{DeviceID: dev, Sender: core.SenderDevice})
 			})
 		case 5:
-			s1, err1 := fronts[0].ShadowState(protocol.ShadowStateRequest{DeviceID: dev})
-			s2, err2 := fronts[1].ShadowState(protocol.ShadowStateRequest{DeviceID: dev})
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("shadow: outcome diverged: binapi=%v httpapi=%v", err1, err2)
-			}
-			if err1 == nil && !reflect.DeepEqual(s1, s2) {
-				t.Fatalf("shadow state diverged: %+v vs %+v", s1, s2)
-			}
+			both("shadow", func(c transport.Cloud) (any, error) {
+				return c.ShadowState(protocol.ShadowStateRequest{DeviceID: dev})
+			})
 		case 6:
 			revoke := rng.Intn(3) == 0
-			both("share", func(c transport.Cloud) error {
-				return c.HandleShare(protocol.ShareRequest{
-					DeviceID: dev, UserToken: tokenOf(c, user), Guest: other, Revoke: revoke,
+			both("share", func(c transport.Cloud) (any, error) {
+				return nil, c.HandleShare(protocol.ShareRequest{
+					DeviceID: dev, UserToken: tokens[user], Guest: other, Revoke: revoke,
 				})
 			})
 		case 7:
 			scopes := scopeMixes[rng.Intn(len(scopeMixes))]
 			depth := rng.Intn(2)
-			both("delegate", func(c transport.Cloud) error {
-				_, err := c.HandleDelegate(protocol.DelegateRequest{
-					DeviceID: dev, UserToken: tokenOf(c, user), Grantee: other,
+			both("delegate", func(c transport.Cloud) (any, error) {
+				return c.HandleDelegate(protocol.DelegateRequest{
+					DeviceID: dev, UserToken: tokens[user], Grantee: other,
 					Scopes: scopes, TTLSeconds: 3600, Depth: depth,
 					IdempotencyKey: fmt.Sprintf("deleg-%d", op),
 				})
-				return err
 			})
 		case 8:
-			both("revoke-delegation", func(c transport.Cloud) error {
-				return c.HandleRevokeDelegation(protocol.RevokeDelegationRequest{
-					DeviceID: dev, UserToken: tokenOf(c, user), Grantee: other,
+			both("revoke-delegation", func(c transport.Cloud) (any, error) {
+				return nil, c.HandleRevokeDelegation(protocol.RevokeDelegationRequest{
+					DeviceID: dev, UserToken: tokens[user], Grantee: other,
 					IdempotencyKey: fmt.Sprintf("revoke-%d", op),
 				})
 			})
 		case 9:
-			l1, err1 := fronts[0].ListDelegations(protocol.ListDelegationsRequest{DeviceID: dev, UserToken: tokens[0][user]})
-			l2, err2 := fronts[1].ListDelegations(protocol.ListDelegationsRequest{DeviceID: dev, UserToken: tokens[1][user]})
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("list-delegations: outcome diverged: binapi=%v httpapi=%v", err1, err2)
+			both("delegations", func(c transport.Cloud) (any, error) {
+				return c.ListDelegations(protocol.ListDelegationsRequest{DeviceID: dev, UserToken: tokens[user]})
+			})
+		case 10:
+			cmd := protocol.Command{ID: fmt.Sprintf("c-%d", op), Name: "set"}
+			if rng.Intn(2) == 0 {
+				cmd.Args = map[string]string{"level": fmt.Sprint(rng.Intn(10)), "mode": "eco"}
 			}
-			if err1 == nil && !reflect.DeepEqual(l1, l2) {
-				t.Fatalf("delegation lists diverged: %+v vs %+v", l1, l2)
+			both("control", func(c transport.Cloud) (any, error) {
+				return c.HandleControl(protocol.ControlRequest{DeviceID: dev, UserToken: tokens[user], Command: cmd})
+			})
+		case 11:
+			both("user-data", func(c transport.Cloud) (any, error) {
+				return nil, c.PushUserData(protocol.PushUserDataRequest{
+					DeviceID: dev, UserToken: tokens[user],
+					Data: protocol.UserData{Kind: "schedule", Body: fmt.Sprintf("%02d:00 on", op%24)},
+				})
+			})
+		case 12:
+			both("readings", func(c transport.Cloud) (any, error) {
+				return c.Readings(protocol.ReadingsRequest{DeviceID: dev, UserToken: tokens[user]})
+			})
+		case 13:
+			both("shares", func(c transport.Cloud) (any, error) {
+				return c.Shares(protocol.SharesRequest{DeviceID: dev, UserToken: tokens[user]})
+			})
+		case 14:
+			proof := protocol.PairingProof("factory-secret-"+dev, dev)
+			if rng.Intn(4) == 0 {
+				proof = "forged"
 			}
+			both("device-token", func(c transport.Cloud) (any, error) {
+				return c.RequestDeviceToken(protocol.DeviceTokenRequest{UserToken: tokens[user], DeviceID: dev, PairingProof: proof})
+			})
+		case 15:
+			maybeUnknown := testDeviceID(n + rng.Intn(2))
+			both("bind-token", func(c transport.Cloud) (any, error) {
+				return c.RequestBindToken(protocol.BindTokenRequest{UserToken: tokens[user], DeviceID: maybeUnknown})
+			})
 		}
+	}
+	// Every operation must have compared a real response at least once,
+	// or the DeepEqual above proved nothing about its body.
+	for i := range transport.Ops {
+		if name := transport.Op(i).String(); succeeded[name] == 0 && name != "status" {
+			t.Errorf("%s never succeeded on both front ends: its response was never compared", name)
+		}
+	}
+	if succeeded["status-register"] == 0 || succeeded["heartbeat"] == 0 {
+		t.Errorf("status never succeeded on both front ends: %v", succeeded)
 	}
 
 	var binSnap, httpSnap bytes.Buffer
@@ -557,11 +621,11 @@ func firstSentinel(err error) error {
 	return err
 }
 
-// TestJSONLaneRejections pins the JSON envelope's two refusals: an op
-// name outside the operation table and a payload that is not the op's
-// request type both come back as bad_request, and the connection keeps
-// serving.
-func TestJSONLaneRejections(t *testing.T) {
+// TestBadFramesRejected pins the dispatcher's refusals: a frame kind
+// outside the table, a body that is not the kind's request and a body
+// with bytes after it all come back as bad_request, naming what was
+// wrong, and the connection keeps serving.
+func TestBadFramesRejected(t *testing.T) {
 	srv := NewServer(newLabService(t, 1))
 	defer srv.Close()
 	c, err := srv.Pipe("127.0.0.1")
@@ -569,22 +633,42 @@ func TestJSONLaneRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	lane := jsonLane{c}
+	raw := func(kind uint8, payload []byte) error {
+		eb := getEncBuf()
+		eb.payload.Write(payload)
+		cl, id, err := c.roundTrip(kind, eb)
+		if err == nil {
+			c.finish(id, cl)
+		}
+		return err
+	}
+	var login bytes.Buffer
+	wirecodec.PutLoginBody(&login, protocol.LoginRequest{UserID: "u@example.com", Password: "pw"})
 
-	err = lane.RoundTrip(transport.Op(200), struct{}{}, nil)
-	if !errors.Is(err, protocol.ErrBadRequest) || !strings.Contains(err.Error(), `unknown op "unknown-op"`) {
-		t.Fatalf("unknown op = %v, want bad_request naming the op", err)
+	for _, tc := range []struct {
+		name    string
+		kind    uint8
+		payload []byte
+		want    string
+	}{
+		{"unknown kind", 0x7f, login.Bytes(), "unknown frame kind 0x7f"},
+		{"a version-1 JSON envelope (kind 0x10 then)", 0x10, []byte(`{"op":"shadow"}`), "malformed shares body"},
+		{"the WAL-only liveness tag", wirecodec.TagLiveness, login.Bytes(), "unknown frame kind 0x03"},
+		{"truncated body", wirecodec.TagLogin, login.Bytes()[:login.Len()-1], "malformed login body"},
+		{"trailing bytes", wirecodec.TagLogin, append(login.Bytes(), 0), "malformed login body"},
+		{"another kind's body", wirecodec.TagDelegate, login.Bytes(), "malformed delegate body"},
+		{"malformed status", kindStatus, []byte{0xff}, "malformed status body"},
+	} {
+		err := raw(tc.kind, tc.payload)
+		if !errors.Is(err, protocol.ErrBadRequest) || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s = %v, want bad_request %q", tc.name, err, tc.want)
+		}
 	}
-	err = lane.RoundTrip(transport.OpLogin, "not a login request", nil)
-	if !errors.Is(err, protocol.ErrBadRequest) || !strings.HasPrefix(err.Error(), "malformed payload") {
-		t.Fatalf("malformed payload = %v, want bad_request \"malformed payload\"", err)
+	if _, err := c.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDeviceID(0)}); err != nil {
+		t.Fatalf("status after the rejections: %v", err)
 	}
-	// A binary-kind op sent through the envelope is served by the same row.
-	var resp protocol.StatusResponse
-	if err := lane.RoundTrip(transport.OpStatus, protocol.StatusRequest{
-		Kind: protocol.StatusRegister, DeviceID: testDeviceID(0),
-	}, &resp); err != nil {
-		t.Fatalf("status through the envelope: %v", err)
+	if c.DroppedResponses() != 0 {
+		t.Errorf("dropped responses = %d", c.DroppedResponses())
 	}
 }
 
@@ -613,7 +697,7 @@ func TestClientWriteFailurePoisons(t *testing.T) {
 			t.Fatalf("call %d after a failed write = %v, want the original cause", i, err)
 		}
 		if err := c.HandleUnbind(protocol.UnbindRequest{DeviceID: req.DeviceID}); !errors.Is(err, torn) {
-			t.Fatalf("json-lane call %d after a failed write = %v, want the original cause", i, err)
+			t.Fatalf("cold call %d after a failed write = %v, want the original cause", i, err)
 		}
 	}
 	if writes != 1 {
@@ -622,22 +706,18 @@ func TestClientWriteFailurePoisons(t *testing.T) {
 }
 
 // TestMaxFrameBoundsRequests pins WithMaxFrame on the server: a frame
-// within the cap is served, one past it is unframeable by construction
-// and costs the sender its connection, the default cap admits the same
-// frame, and a non-positive value keeps the default.
+// within the cap is served, the default cap admits a 64-item batch, a
+// non-positive value keeps the default, and under a 512-byte cap the
+// client — which adopted the cap from the hello — refuses the batch
+// itself with ErrPayloadTooLarge and keeps its connection.
 func TestMaxFrameBoundsRequests(t *testing.T) {
-	big := protocol.StatusBatchRequest{Items: make([]protocol.StatusRequest, 64)}
-	for i := range big.Items {
-		big.Items[i] = protocol.StatusRequest{
-			Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(0), Firmware: strings.Repeat("f", 32),
-		}
-	}
+	big := bigBatch()
 	small := protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDeviceID(0)}
 
 	for _, tc := range []struct {
-		name     string
-		opts     []Option
-		wantDead bool
+		name    string
+		opts    []Option
+		refused bool
 	}{
 		{"default cap", nil, false},
 		{"non-positive keeps the default", []Option{WithMaxFrame(0), WithMaxFrame(-1)}, false},
@@ -652,15 +732,106 @@ func TestMaxFrameBoundsRequests(t *testing.T) {
 			t.Fatalf("%s: small frame: %v", tc.name, err)
 		}
 		_, err = c.HandleStatusBatch(big)
-		if dead := err != nil; dead != tc.wantDead {
-			t.Fatalf("%s: 64-item batch = %v, want failure %v", tc.name, err, tc.wantDead)
+		if tc.refused != errors.Is(err, protocol.ErrPayloadTooLarge) || (!tc.refused && err != nil) {
+			t.Fatalf("%s: 64-item batch = %v, want ErrPayloadTooLarge %v", tc.name, err, tc.refused)
 		}
-		if _, err := c.HandleStatus(small); (err != nil) != tc.wantDead {
-			t.Fatalf("%s: call after the batch = %v, want a dead connection %v", tc.name, err, tc.wantDead)
+		if _, err := c.HandleStatus(small); err != nil {
+			t.Fatalf("%s: call after the batch = %v, want a live connection", tc.name, err)
 		}
 		c.Close()
 		srv.Close()
 	}
+}
+
+// bigBatch is a 64-item batch whose body is a few KiB.
+func bigBatch() protocol.StatusBatchRequest {
+	big := protocol.StatusBatchRequest{Items: make([]protocol.StatusRequest, 64)}
+	for i := range big.Items {
+		big.Items[i] = protocol.StatusRequest{
+			Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(0), Firmware: strings.Repeat("f", 32),
+		}
+	}
+	return big
+}
+
+// gatedCloud parks every HandleStatus until release closes, after
+// announcing it on entered.
+type gatedCloud struct {
+	transport.Cloud
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g gatedCloud) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.Cloud.HandleStatus(req)
+}
+
+// TestOverCapRequestKeepsConnection: a well-behaved client cannot kill
+// its own connection. A request body over the cap the server advertised
+// is refused locally — ErrPayloadTooLarge, slot and credit returned —
+// while a call already in flight on the same client completes and later
+// calls succeed. A sender that ignores the hello and frames the same
+// bytes by hand still loses its connection: the server cannot
+// resynchronise past a frame it will not buffer.
+func TestOverCapRequestKeepsConnection(t *testing.T) {
+	gate := gatedCloud{Cloud: newLabService(t, 1), entered: make(chan struct{}, 1), release: make(chan struct{})}
+	srv, addr := startSocketServer(t, gate, WithMaxFrame(512), WithWindow(2))
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	small := protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDeviceID(0)}
+
+	inFlight := make(chan error, 1)
+	go func() {
+		_, err := c.HandleStatus(small)
+		inFlight <- err
+	}()
+	<-gate.entered // the first call is parked inside the cloud
+
+	for i := 0; i < 3; i++ { // more refusals than the window has credits
+		if _, err := c.HandleStatusBatch(bigBatch()); !errors.Is(err, protocol.ErrPayloadTooLarge) {
+			t.Fatalf("over-cap batch %d = %v, want ErrPayloadTooLarge", i, err)
+		}
+	}
+	close(gate.release)
+	if err := <-inFlight; err != nil {
+		t.Fatalf("the call in flight beside the refused batch = %v, want success", err)
+	}
+	if _, err := c.HandleStatus(small); err != nil {
+		t.Fatalf("call after the refused batch = %v, want a live connection", err)
+	}
+	if srv.Conns() != 1 {
+		t.Fatalf("server holds %d connections, want the one that stayed up", srv.Conns())
+	}
+
+	// Hand-framed over-cap bytes: the connection dies, as it always has.
+	var body bytes.Buffer
+	big := bigBatch()
+	wirecodec.PutBatchBody(&body, &big)
+	if err := c.send(appendFrame(nil, 1, kindBatch, 0, body.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.HandleStatus(small); err == nil {
+		t.Fatal("call after a raw over-cap frame succeeded, want a dead connection")
+	}
+}
+
+// startSocketServer serves cl on a fresh loopback listener and returns
+// the server and its address.
+func startSocketServer(t *testing.T, cl transport.Cloud, opts ...Option) (*Server, string) {
+	t.Helper()
+	srv := NewServer(cl, opts...)
+	t.Cleanup(func() { _ = srv.Close() })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	return srv, ln.Addr().String()
 }
 
 // TestServeOnClosedServerClosesListener: Serve on an already-closed

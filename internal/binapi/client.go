@@ -2,7 +2,6 @@ package binapi
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -10,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/iotbind/iotbind/internal/jsonpool"
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/transport"
 	"github.com/iotbind/iotbind/internal/wal"
@@ -27,15 +25,12 @@ import (
 // and the generation tag makes a late response to a recycled slot
 // detectable instead of delivered to the wrong caller.
 type Client struct {
-	// JSONLane sends every operation without a binary kind through the
-	// JSON envelope; the five binary methods below shadow it.
-	transport.JSONLane
-
 	write   func([]byte) error
 	closefn func()
 
 	// maxFrame starts at the local option and adopts the server's hello
-	// value; only the feed goroutine touches it after construction.
+	// value — written once, before helloCh closes — and bounds frames in
+	// both directions: what feed will parse and what roundTrip will send.
 	maxFrame int
 
 	helloCh   chan struct{}
@@ -49,7 +44,7 @@ type Client struct {
 	wmu sync.Mutex
 
 	// pmu guards the slot table and the closed/ferr pair. Response
-	// delivery (result copy + done signal) happens under pmu so that a
+	// delivery (body copy + done signal) happens under pmu so that a
 	// sender aborting a call can tell "already signalled" from "never
 	// will be" without racing.
 	pmu    sync.Mutex
@@ -76,18 +71,22 @@ type slot struct {
 
 // call is one in-flight request. Pooled: the done channel is reused
 // across calls, and delivery discipline (exactly one signal per call,
-// sent under pmu) keeps stale signals impossible.
+// sent under pmu) keeps stale signals impossible. The reader copies a
+// response's bytes into body and the caller decodes them on its own
+// goroutine, through cur when the decoder is a row's func value.
 type call struct {
-	done   chan struct{}
-	kind   uint8
-	err    error
-	status protocol.StatusResponse
-	batch  protocol.StatusBatchResponse
-	deleg  protocol.DelegateResponse
-	json   []byte
+	done chan struct{}
+	kind uint8
+	err  error
+	body []byte
+	cur  wirecodec.Cursor
 }
 
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
+
+// maxPooledBody bounds the response buffer a pooled call keeps: a rare
+// giant response must not pin its buffer for the process lifetime.
+const maxPooledBody = 64 << 10
 
 // encBuf pools the encode-side scratch: binary payload staging plus the
 // framed bytes handed to write.
@@ -98,16 +97,23 @@ type encBuf struct {
 
 var encPool = sync.Pool{New: func() any { return new(encBuf) }}
 
+// getEncBuf returns an empty pooled encode buffer; roundTrip returns it.
+func getEncBuf() *encBuf {
+	eb := encPool.Get().(*encBuf)
+	eb.payload.Reset()
+	return eb
+}
+
 var errClientClosed = errors.New("binapi: client closed")
 
+var _ transport.Cloud = (*Client)(nil)
+
 func newClient(o options) *Client {
-	c := &Client{
+	return &Client{
 		maxFrame: o.maxFrame,
 		helloCh:  make(chan struct{}),
 		closedCh: make(chan struct{}),
 	}
-	c.JSONLane = transport.NewJSONLane(jsonLane{c})
-	return c
 }
 
 // Dial connects to a binapi server over TCP and waits for its hello.
@@ -291,8 +297,8 @@ func (c *Client) handleHello(payload []byte) {
 	})
 }
 
-// route delivers one frame to its in-flight call. The result copy and
-// the done signal happen under pmu — see Client.pmu.
+// route delivers one frame to its in-flight call. The body copy and the
+// done signal happen under pmu — see Client.pmu.
 func (c *Client) route(stream uint32, kind, flags uint8, payload []byte) {
 	if stream == 0 && kind == kindHello {
 		c.handleHello(payload)
@@ -317,8 +323,8 @@ func (c *Client) route(stream uint32, kind, flags uint8, payload []byte) {
 		c.dropped.Add(1)
 		return
 	}
-	switch {
-	case kind == kindError:
+	switch kind {
+	case kindError:
 		cur := wirecodec.NewCursor(payload, 0)
 		code := cur.Str()
 		msg := cur.Str()
@@ -330,36 +336,10 @@ func (c *Client) route(stream uint32, kind, flags uint8, payload []byte) {
 		default:
 			cl.err = fmt.Errorf("binapi: %s: %s", code, msg)
 		}
-	case kind != cl.kind:
-		cl.err = fmt.Errorf("binapi: response kind 0x%02x for request kind 0x%02x", kind, cl.kind)
-	case kind == kindStatus:
-		cur := wirecodec.NewCursor(payload, 0)
-		cl.status = wirecodec.ReadStatusResponse(cur)
-		if !cur.Done() {
-			cl.err = errors.New("binapi: malformed status response")
-		}
-	case kind == kindBatch:
-		cur := wirecodec.NewCursor(payload, 0)
-		cl.batch = wirecodec.ReadStatusBatchResponse(cur)
-		if !cur.Done() {
-			cl.err = errors.New("binapi: malformed batch response")
-		}
-	case kind == kindDelegate:
-		cur := wirecodec.NewCursor(payload, 0)
-		cl.deleg = wirecodec.ReadDelegateResponse(cur)
-		if !cur.Done() {
-			cl.err = errors.New("binapi: malformed delegate response")
-		}
-	case kind == kindShare, kind == kindRevokeDelegation:
-		// Success responses for these carry only the explicit ack byte
-		// (the frame layout forbids empty payloads).
-		if len(payload) != 1 || payload[0] != ackPayload[0] {
-			cl.err = fmt.Errorf("binapi: malformed ack on response kind 0x%02x", kind)
-		}
-	case kind == kindJSON:
-		cl.json = append([]byte(nil), payload...)
+	case cl.kind:
+		cl.body = append(cl.body[:0], payload...)
 	default:
-		cl.err = fmt.Errorf("binapi: unexpected response kind 0x%02x", kind)
+		cl.err = fmt.Errorf("binapi: response kind 0x%02x for request kind 0x%02x", kind, cl.kind)
 	}
 	cl.done <- struct{}{}
 	c.pmu.Unlock()
@@ -391,8 +371,8 @@ func (c *Client) begin(kind uint8) (*call, uint32, error) {
 	return cl, id, nil
 }
 
-// finish returns the slot, credit and call after the caller has copied
-// the results out.
+// finish returns the slot, credit and call after the caller has decoded
+// the response body.
 func (c *Client) finish(id uint32, cl *call) {
 	c.pmu.Lock()
 	if !c.closed {
@@ -400,11 +380,11 @@ func (c *Client) finish(id uint32, cl *call) {
 	}
 	c.pmu.Unlock()
 	c.credits <- struct{}{}
-	cl.status = protocol.StatusResponse{}
-	cl.batch = protocol.StatusBatchResponse{}
-	cl.deleg = protocol.DelegateResponse{}
-	cl.json = nil
 	cl.err = nil
+	cl.cur.Reset(nil)
+	if cap(cl.body) > maxPooledBody {
+		cl.body = nil
+	}
 	callPool.Put(cl)
 }
 
@@ -450,168 +430,73 @@ func (c *Client) send(frame []byte) error {
 	return nil
 }
 
-// HandleStatus sends one status message in binary form.
-func (c *Client) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
-	cl, id, err := c.begin(kindStatus)
-	if err != nil {
-		return protocol.StatusResponse{}, err
+// roundTrip sends the request body staged in eb as one frame of kind and
+// waits for its response. On success the response body is in cl.body,
+// for the caller to decode before it calls finish; on any error the call
+// is already reclaimed. A body the server's advertised frame cap would
+// refuse is refused here instead: sent, it would cost the connection —
+// the server cannot resynchronise past a frame it will not buffer — and
+// every other call in flight on it.
+func (c *Client) roundTrip(kind uint8, eb *encBuf) (*call, uint32, error) {
+	if n := eb.payload.Len(); n > c.maxFrame {
+		encPool.Put(eb)
+		return nil, 0, fmt.Errorf("binapi: %w: %d-byte request body, the server accepts %d", protocol.ErrPayloadTooLarge, n, c.maxFrame)
 	}
-	eb := encPool.Get().(*encBuf)
-	eb.payload.Reset()
-	wirecodec.PutStatusBody(&eb.payload, &req)
-	eb.frame = appendFrame(eb.frame[:0], id, kindStatus, 0, eb.payload.Bytes())
-	err = c.send(eb.frame)
+	cl, id, err := c.begin(kind)
+	if err == nil {
+		eb.frame = appendFrame(eb.frame[:0], id, kind, 0, eb.payload.Bytes())
+		if err = c.send(eb.frame); err != nil {
+			c.abort(id, cl)
+		}
+	}
 	encPool.Put(eb)
 	if err != nil {
-		c.abort(id, cl)
-		return protocol.StatusResponse{}, err
+		return nil, 0, err
 	}
 	<-cl.done
-	resp, rerr := cl.status, cl.err
-	c.finish(id, cl)
-	return resp, rerr
+	if err := cl.err; err != nil {
+		c.finish(id, cl)
+		return nil, 0, err
+	}
+	return cl, id, nil
 }
 
-// HandleStatusBatch sends a status batch in binary form.
-func (c *Client) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	cl, id, err := c.begin(kindBatch)
+// HandleStatus sends one status message. Hand-written, like the batch
+// below and unlike the operations in ops.go: the status body encoder
+// takes a pointer, and the hot path is kept free of func values.
+func (c *Client) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
+	eb := getEncBuf()
+	wirecodec.PutStatusBody(&eb.payload, &req)
+	cl, id, err := c.roundTrip(kindStatus, eb)
 	if err != nil {
-		return protocol.StatusBatchResponse{}, err
+		return protocol.StatusResponse{}, err
 	}
-	eb := encPool.Get().(*encBuf)
-	eb.payload.Reset()
-	wirecodec.PutBatchBody(&eb.payload, &req)
-	eb.frame = appendFrame(eb.frame[:0], id, kindBatch, 0, eb.payload.Bytes())
-	err = c.send(eb.frame)
-	encPool.Put(eb)
-	if err != nil {
-		c.abort(id, cl)
-		return protocol.StatusBatchResponse{}, err
+	cur := wirecodec.NewCursor(cl.body, 0)
+	resp := wirecodec.ReadStatusResponse(cur)
+	if !cur.Done() {
+		resp, err = protocol.StatusResponse{}, errors.New("binapi: malformed status response")
 	}
-	<-cl.done
-	resp, rerr := cl.batch, cl.err
 	c.finish(id, cl)
-	if rerr != nil {
-		return protocol.StatusBatchResponse{}, rerr
+	return resp, err
+}
+
+// HandleStatusBatch sends a status batch.
+func (c *Client) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
+	eb := getEncBuf()
+	wirecodec.PutBatchBody(&eb.payload, &req)
+	cl, id, err := c.roundTrip(kindBatch, eb)
+	if err != nil {
+		return protocol.StatusBatchResponse{}, err
+	}
+	cur := wirecodec.NewCursor(cl.body, 0)
+	resp := wirecodec.ReadStatusBatchResponse(cur)
+	done := cur.Done()
+	c.finish(id, cl)
+	if !done {
+		return protocol.StatusBatchResponse{}, errors.New("binapi: malformed batch response")
 	}
 	if len(resp.Results) != len(req.Items) {
 		return resp, fmt.Errorf("%w: %d items, %d results", protocol.ErrBatchMismatch, len(req.Items), len(resp.Results))
 	}
 	return resp, nil
-}
-
-// jsonLane is the Client's JSON envelope round trip.
-type jsonLane struct{ c *Client }
-
-func (l jsonLane) RoundTrip(op transport.Op, payload, out any) error {
-	c := l.c
-	cl, id, err := c.begin(kindJSON)
-	if err != nil {
-		return err
-	}
-	buf := jsonpool.Get()
-	if err = buf.Encode(jsonRequest{Op: op.String(), Payload: payload}); err == nil {
-		eb := encPool.Get().(*encBuf)
-		eb.frame = appendFrame(eb.frame[:0], id, kindJSON, 0, buf.Bytes())
-		err = c.send(eb.frame)
-		encPool.Put(eb)
-	}
-	buf.Put()
-	if err != nil {
-		c.abort(id, cl)
-		return err
-	}
-	<-cl.done
-	raw, rerr := cl.json, cl.err
-	c.finish(id, cl)
-	if rerr != nil {
-		return rerr
-	}
-	var resp struct {
-		OK      bool            `json:"ok"`
-		Code    string          `json:"code"`
-		Message string          `json:"message"`
-		Payload json.RawMessage `json:"payload"`
-	}
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return fmt.Errorf("binapi: malformed json response: %w", err)
-	}
-	if !resp.OK {
-		if sentinel, ok := protocol.FromWireCode(resp.Code); ok {
-			return fmt.Errorf("%s: %w", resp.Message, sentinel)
-		}
-		return fmt.Errorf("binapi: %s: %s", resp.Code, resp.Message)
-	}
-	if out != nil && len(resp.Payload) > 0 {
-		if err := json.Unmarshal(resp.Payload, out); err != nil {
-			return fmt.Errorf("binapi: malformed json payload: %w", err)
-		}
-	}
-	return nil
-}
-
-// HandleShare sends a share grant/revoke in binary form.
-func (c *Client) HandleShare(req protocol.ShareRequest) error {
-	cl, id, err := c.begin(kindShare)
-	if err != nil {
-		return err
-	}
-	eb := encPool.Get().(*encBuf)
-	eb.payload.Reset()
-	wirecodec.PutShareBody(&eb.payload, &req)
-	eb.frame = appendFrame(eb.frame[:0], id, kindShare, 0, eb.payload.Bytes())
-	err = c.send(eb.frame)
-	encPool.Put(eb)
-	if err != nil {
-		c.abort(id, cl)
-		return err
-	}
-	<-cl.done
-	rerr := cl.err
-	c.finish(id, cl)
-	return rerr
-}
-
-// HandleDelegate sends a delegation grant in binary form.
-func (c *Client) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
-	cl, id, err := c.begin(kindDelegate)
-	if err != nil {
-		return protocol.DelegateResponse{}, err
-	}
-	eb := encPool.Get().(*encBuf)
-	eb.payload.Reset()
-	wirecodec.PutDelegateBody(&eb.payload, &req)
-	eb.frame = appendFrame(eb.frame[:0], id, kindDelegate, 0, eb.payload.Bytes())
-	err = c.send(eb.frame)
-	encPool.Put(eb)
-	if err != nil {
-		c.abort(id, cl)
-		return protocol.DelegateResponse{}, err
-	}
-	<-cl.done
-	resp, rerr := cl.deleg, cl.err
-	c.finish(id, cl)
-	return resp, rerr
-}
-
-// HandleRevokeDelegation sends a delegation revocation in binary form.
-func (c *Client) HandleRevokeDelegation(req protocol.RevokeDelegationRequest) error {
-	cl, id, err := c.begin(kindRevokeDelegation)
-	if err != nil {
-		return err
-	}
-	eb := encPool.Get().(*encBuf)
-	eb.payload.Reset()
-	wirecodec.PutRevokeDelegationBody(&eb.payload, &req)
-	eb.frame = appendFrame(eb.frame[:0], id, kindRevokeDelegation, 0, eb.payload.Bytes())
-	err = c.send(eb.frame)
-	encPool.Put(eb)
-	if err != nil {
-		c.abort(id, cl)
-		return err
-	}
-	<-cl.done
-	rerr := cl.err
-	c.finish(id, cl)
-	return rerr
 }

@@ -23,20 +23,6 @@ import (
 	"github.com/iotbind/iotbind/internal/wirecodec"
 )
 
-// startSocketServer serves cl on a fresh loopback listener and returns
-// the server and its address.
-func startSocketServer(t *testing.T, cl transport.Cloud, opts ...Option) (*Server, string) {
-	t.Helper()
-	srv := NewServer(cl, opts...)
-	t.Cleanup(func() { _ = srv.Close() })
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(ln) }()
-	return srv, ln.Addr().String()
-}
-
 // TestReadinessEquivalence drives an identical seeded op mix through
 // three binapi transports — epoll-readiness socket (dialed through a
 // ClientPoller), pump-readiness socket, and in-process pipe — against
@@ -555,6 +541,75 @@ func TestEpollStatusRoundTripAllocatesNothing(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(2000, beat); avg != 0 {
 		t.Fatalf("epoll socket status round trip allocates %.0f times, want 0", avg)
+	}
+}
+
+// coldCloud answers the four operations of a binding's life with fixed
+// responses; anything else panics on the nil embedded Cloud.
+type coldCloud struct{ transport.Cloud }
+
+func (coldCloud) HandleBind(protocol.BindRequest) (protocol.BindResponse, error) {
+	return protocol.BindResponse{BoundUser: "owner@example.com"}, nil
+}
+
+func (coldCloud) HandleControl(protocol.ControlRequest) (protocol.ControlResponse, error) {
+	return protocol.ControlResponse{Queued: true}, nil
+}
+
+var coldReadings = []protocol.Reading{{Name: "power_w", Value: 4.5}}
+
+func (coldCloud) Readings(protocol.ReadingsRequest) (protocol.ReadingsResponse, error) {
+	return protocol.ReadingsResponse{Readings: coldReadings}, nil
+}
+
+func (coldCloud) HandleUnbind(protocol.UnbindRequest) error { return nil }
+
+// TestColdCycleAllocatesOnlyItsStrings: the binary cold lane's price. A
+// bind → control → readings → unbind cycle through Dial → loopback socket
+// → epoll poller → a no-op cloud and back allocates the decoded requests'
+// and responses' own strings and lists and nothing else: twelve request
+// strings on the server (bind 3, control 4, readings 2, unbind 3 — the
+// source-address claim is sent empty), the bound user, the reading list
+// and its one name on the client. The JSON envelope this replaced cost
+// 29-35 allocations per operation on top of those.
+func TestColdCycleAllocatesOnlyItsStrings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	_, addr := startSocketServer(t, coldCloud{}, WithStripes(1), WithReadiness(ReadinessEpoll))
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	id, tok := testDeviceID(0), "user-token-0123456789abcdef"
+	cycle := func() {
+		if _, err = c.HandleBind(protocol.BindRequest{
+			DeviceID: id, UserToken: tok, Sender: core.SenderApp, SourceIP: "203.0.113.9", IdempotencyKey: "bind-1",
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err = c.HandleControl(protocol.ControlRequest{
+			DeviceID: id, UserToken: tok, SourceIP: "203.0.113.9", Command: protocol.Command{ID: "c1", Name: "turn_on"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err = c.Readings(protocol.ReadingsRequest{DeviceID: id, UserToken: tok}); err != nil {
+			t.Fatal(err)
+		}
+		if err = c.HandleUnbind(protocol.UnbindRequest{
+			DeviceID: id, UserToken: tok, Sender: core.SenderApp, SourceIP: "203.0.113.9", IdempotencyKey: "unbind-1",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		cycle() // warm the pools
+	}
+	const strings = 12 + 3
+	if avg := testing.AllocsPerRun(1000, cycle); avg > strings {
+		t.Fatalf("a four-operation cold cycle allocates %.1f times, want the %d strings and lists it decodes and no more", avg, strings)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/protocol"
+	"github.com/iotbind/iotbind/internal/transport"
 	"github.com/iotbind/iotbind/internal/wirecodec"
 )
 
@@ -26,10 +28,52 @@ func fuzzStatusPayload() []byte {
 	return buf.Bytes()
 }
 
+// fuzzBody encodes one request body with the row's own put func.
+func fuzzBody[Req any](put func(*bytes.Buffer, Req), req Req) []byte {
+	var buf bytes.Buffer
+	put(&buf, req)
+	return buf.Bytes()
+}
+
+// fuzzColdFrames is one well-formed request frame of every kind the
+// rows in ops.go serve.
+func fuzzColdFrames() [][]byte {
+	id, tok := testDeviceID(0), "tok"
+	bodies := map[uint8][]byte{
+		wirecodec.TagRegisterUser: fuzzBody(rowRegisterUser.putReq, protocol.RegisterUserRequest{UserID: "u@x", Password: "pw"}),
+		wirecodec.TagLogin:        fuzzBody(rowLogin.putReq, protocol.LoginRequest{UserID: "u@x", Password: "pw"}),
+		wirecodec.TagDeviceToken:  fuzzBody(rowDeviceToken.putReq, protocol.DeviceTokenRequest{UserToken: tok, DeviceID: id, PairingProof: "p"}),
+		wirecodec.TagBindToken:    fuzzBody(rowBindToken.putReq, protocol.BindTokenRequest{UserToken: tok, DeviceID: id}),
+		wirecodec.TagBind: fuzzBody(rowBind.putReq, protocol.BindRequest{
+			DeviceID: id, UserID: "u@x", UserPassword: "pw", Sender: core.SenderApp, IdempotencyKey: "k"}),
+		wirecodec.TagUnbind: fuzzBody(rowUnbind.putReq, protocol.UnbindRequest{DeviceID: id, Sender: core.SenderDevice}),
+		wirecodec.TagControl: fuzzBody(rowControl.putReq, protocol.ControlRequest{
+			DeviceID: id, UserToken: tok, Command: protocol.Command{ID: "c", Name: "on", Args: map[string]string{"level": "7"}}}),
+		wirecodec.TagUserData: fuzzBody(rowUserData.putReq, protocol.PushUserDataRequest{
+			DeviceID: id, UserToken: tok, Data: protocol.UserData{Kind: "schedule", Body: "09:00 on"}}),
+		kindReadings:       fuzzBody(rowReadings.putReq, protocol.ReadingsRequest{DeviceID: id, UserToken: tok}),
+		wirecodec.TagShare: fuzzBody(rowShare.putReq, protocol.ShareRequest{DeviceID: id, UserToken: tok, Guest: "g@x"}),
+		kindShares:         fuzzBody(rowShares.putReq, protocol.SharesRequest{DeviceID: id, UserToken: tok}),
+		wirecodec.TagDelegate: fuzzBody(rowDelegate.putReq, protocol.DelegateRequest{
+			DeviceID: id, UserToken: tok, Grantee: "g@x", Scopes: []string{"read"}, TTLSeconds: 60}),
+		wirecodec.TagRevokeDelegation: fuzzBody(rowRevokeDelegation.putReq, protocol.RevokeDelegationRequest{
+			DeviceID: id, UserToken: tok, Grantee: "g@x"}),
+		kindDelegations: fuzzBody(rowDelegations.putReq, protocol.ListDelegationsRequest{DeviceID: id, UserToken: tok}),
+		kindShadow:      fuzzBody(rowShadow.putReq, protocol.ShadowStateRequest{DeviceID: id}),
+	}
+	var frames [][]byte
+	for kind := 0; kind < len(kinds); kind++ { // table order, so the corpus is stable
+		if body, ok := bodies[uint8(kind)]; ok {
+			frames = append(frames, fuzzFrame(uint32(9+kind), uint8(kind), 0, body))
+		}
+	}
+	return frames
+}
+
 // FuzzWireFrameDecode throws arbitrary bytes at both ends of the binary
 // protocol: the server-side parser (frame splitting, credit
-// enforcement, status/batch/JSON body decoding) and the client-side mux
-// decoder (stream routing, hello handling, response decoding). Neither
+// enforcement, the body decoder of every kind) and the client-side mux
+// decoder (stream routing, hello handling, error frames). Neither
 // may panic, and the server parser must never report more consumed
 // bytes than it was given — corrupt input costs at most the connection.
 func FuzzWireFrameDecode(f *testing.F) {
@@ -38,7 +82,9 @@ func FuzzWireFrameDecode(f *testing.F) {
 	f.Add(fuzzFrame(1, kindStatus, 0, status)[:7]) // truncated mid-header
 	f.Add(fuzzFrame(2, kindStatus, flagResponse, status))
 	f.Add(fuzzFrame(3, kindBatch, 0, []byte{0, 1}))
-	f.Add(fuzzFrame(4, kindJSON, 0, []byte(`{"op":"shadow","payload":{}}`)))
+	for _, frame := range fuzzColdFrames() {
+		f.Add(frame)
+	}
 	f.Add(fuzzFrame(5, kindError, flagResponse, []byte{2, 'n', 'o'}))
 	f.Add((&Server{opts: defaultOptions()}).helloFrame())
 	f.Add(fuzzFrame(6, 0x7F, 0, nil)) // unknown kind
@@ -57,7 +103,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 		// Server side: a standalone worker (no goroutine) parsing the
 		// input as one inbound burst on a fresh connection.
 		w := &worker{srv: srv}
-		c := &conn{srv: srv, src: "203.0.113.9", flush: func([]byte) error { return nil }}
+		c := &conn{srv: srv, cloud: transport.StampSource(svc, "203.0.113.9"), flush: func([]byte) error { return nil }}
 		consumed, _ := w.process(c, data)
 		if consumed < 0 || consumed > len(data) {
 			t.Fatalf("process consumed %d of %d bytes", consumed, len(data))

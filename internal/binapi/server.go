@@ -2,7 +2,6 @@ package binapi
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -13,7 +12,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/iotbind/iotbind/internal/jsonpool"
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/transport"
 	"github.com/iotbind/iotbind/internal/wal"
@@ -117,7 +115,8 @@ func (s *Server) Conns() int {
 // errServerClosed reports an operation on a closed server.
 var errServerClosed = errors.New("binapi: server closed")
 
-// addConn registers a connection and assigns it a stripe round-robin.
+// addConn registers a connection, assigns it a stripe round-robin and
+// gives it its view of the cloud.
 func (s *Server) addConn(c *conn) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -125,6 +124,7 @@ func (s *Server) addConn(c *conn) error {
 		return errServerClosed
 	}
 	c.st = s.stripes[int(s.next.Add(1))%len(s.stripes)]
+	c.cloud = transport.StampSource(s.cloud, c.src)
 	if c.in == nil {
 		c.in = getInBuf()
 	}
@@ -295,6 +295,11 @@ type conn struct {
 	srv *Server
 	st  *stripe
 	src string
+	// cloud is the server's cloud behind transport.StampSource(src): every
+	// handler calls through it, so the source address of a network-facing
+	// request is the connection's whatever the sender claimed, and no
+	// per-kind code stamps anything.
+	cloud transport.Cloud
 
 	// flush writes one coalesced batch of response frames back to the
 	// client: a socket write in socket mode, a direct feed into the
@@ -449,12 +454,14 @@ func (c *conn) close(err error) {
 
 // worker is what a goroutine that serves connections owns — a stripe's
 // loop, or an epoll poller: out collects one connection's response
-// frames for a single coalesced flush, scratch stages each payload.
-// Both are reused across every connection the goroutine serves.
+// frames for a single coalesced flush, scratch stages each payload, cur
+// is the cursor a row's read func walks (ops.go). All are reused across
+// every connection the goroutine serves.
 type worker struct {
 	srv     *Server
 	out     []byte
 	scratch bytes.Buffer
+	cur     wirecodec.Cursor
 }
 
 // stripe is one event-loop goroutine serving the pipe and pump
@@ -610,108 +617,71 @@ func (w *worker) errorFrame(stream uint32, err error, msg string) {
 	w.out = appendFrame(w.out, stream, kindError, flagResponse, w.scratch.Bytes())
 }
 
-// dispatch routes one request frame to the cloud and appends the
-// response frame.
+// dispatch routes one request frame to its kind's handler, which
+// appends the response frame.
 func (w *worker) dispatch(c *conn, stream uint32, kind uint8, payload []byte) {
-	switch kind {
-	case kindStatus:
-		cur := wirecodec.NewCursor(payload, 0)
-		var req protocol.StatusRequest
-		w.readStatusInterned(cur, c, &req)
-		if !cur.Done() {
-			w.errorFrame(stream, protocol.ErrBadRequest, "malformed status body")
-			return
-		}
-		resp, err := w.srv.cloud.HandleStatus(req)
-		if err != nil {
-			w.errorFrame(stream, err, err.Error())
-			return
-		}
-		w.scratch.Reset()
-		wirecodec.PutStatusResponse(&w.scratch, &resp)
-		w.out = appendFrame(w.out, stream, kindStatus, flagResponse, w.scratch.Bytes())
-
-	case kindBatch:
-		cur := wirecodec.NewCursor(payload, 0)
-		var req protocol.StatusBatchRequest
-		cur.StrBytes() // sender's source IP claim: discarded, the transport stamps
-		n := cur.Count(wirecodec.MinStatusSize)
-		if cur.Err() == nil && n > 0 {
-			req.Items = make([]protocol.StatusRequest, n)
-			for i := range req.Items {
-				w.readStatusInterned(cur, c, &req.Items[i])
-			}
-		}
-		if !cur.Done() {
-			w.errorFrame(stream, protocol.ErrBadRequest, "malformed status batch body")
-			return
-		}
-		req.SourceIP = c.src
-		resp, err := w.srv.cloud.HandleStatusBatch(req)
-		if err != nil {
-			w.errorFrame(stream, err, err.Error())
-			return
-		}
-		w.scratch.Reset()
-		wirecodec.PutStatusBatchResponse(&w.scratch, &resp)
-		w.out = appendFrame(w.out, stream, kindBatch, flagResponse, w.scratch.Bytes())
-
-	case kindShare:
-		cur := wirecodec.NewCursor(payload, 0)
-		req := wirecodec.ReadShareBody(cur)
-		if !cur.Done() {
-			w.errorFrame(stream, protocol.ErrBadRequest, "malformed share body")
-			return
-		}
-		if err := w.srv.cloud.HandleShare(req); err != nil {
-			w.errorFrame(stream, err, err.Error())
-			return
-		}
-		w.out = appendFrame(w.out, stream, kindShare, flagResponse, ackPayload)
-
-	case kindDelegate:
-		cur := wirecodec.NewCursor(payload, 0)
-		req := wirecodec.ReadDelegateBody(cur)
-		if !cur.Done() {
-			w.errorFrame(stream, protocol.ErrBadRequest, "malformed delegate body")
-			return
-		}
-		resp, err := w.srv.cloud.HandleDelegate(req)
-		if err != nil {
-			w.errorFrame(stream, err, err.Error())
-			return
-		}
-		w.scratch.Reset()
-		wirecodec.PutDelegateResponse(&w.scratch, &resp)
-		w.out = appendFrame(w.out, stream, kindDelegate, flagResponse, w.scratch.Bytes())
-
-	case kindRevokeDelegation:
-		cur := wirecodec.NewCursor(payload, 0)
-		req := wirecodec.ReadRevokeDelegationBody(cur)
-		if !cur.Done() {
-			w.errorFrame(stream, protocol.ErrBadRequest, "malformed revoke-delegation body")
-			return
-		}
-		if err := w.srv.cloud.HandleRevokeDelegation(req); err != nil {
-			w.errorFrame(stream, err, err.Error())
-			return
-		}
-		w.out = appendFrame(w.out, stream, kindRevokeDelegation, flagResponse, ackPayload)
-
-	case kindJSON:
-		w.dispatchJSON(c, stream, payload)
-
-	default:
-		w.errorFrame(stream, protocol.ErrBadRequest, fmt.Sprintf("unknown frame kind 0x%02x", kind))
+	if serve := kinds[kind].serve; serve != nil {
+		serve(w, c, stream, payload)
+		return
 	}
+	w.errorFrame(stream, protocol.ErrBadRequest, fmt.Sprintf("unknown frame kind 0x%02x", kind))
+}
+
+// serveStatus is the hot handler, written by hand: the device ID is read
+// through the connection's interning cache and the sender's source
+// address claim is skipped undecoded, so a bare heartbeat's decode
+// allocates nothing.
+func (w *worker) serveStatus(c *conn, stream uint32, payload []byte) {
+	cur := wirecodec.NewCursor(payload, 0)
+	var req protocol.StatusRequest
+	readStatusInterned(cur, c, &req)
+	if !cur.Done() {
+		w.errorFrame(stream, protocol.ErrBadRequest, "malformed status body")
+		return
+	}
+	resp, err := c.cloud.HandleStatus(req)
+	if err != nil {
+		w.errorFrame(stream, err, err.Error())
+		return
+	}
+	w.scratch.Reset()
+	wirecodec.PutStatusResponse(&w.scratch, &resp)
+	w.out = appendFrame(w.out, stream, kindStatus, flagResponse, w.scratch.Bytes())
+}
+
+// serveBatch is serveStatus for a batch: every item through the same
+// interning cache, the envelope's address claim skipped like an item's.
+func (w *worker) serveBatch(c *conn, stream uint32, payload []byte) {
+	cur := wirecodec.NewCursor(payload, 0)
+	var req protocol.StatusBatchRequest
+	cur.StrBytes()
+	n := cur.Count(wirecodec.MinStatusSize)
+	if cur.Err() == nil && n > 0 {
+		req.Items = make([]protocol.StatusRequest, n)
+		for i := range req.Items {
+			readStatusInterned(cur, c, &req.Items[i])
+		}
+	}
+	if !cur.Done() {
+		w.errorFrame(stream, protocol.ErrBadRequest, "malformed status batch body")
+		return
+	}
+	resp, err := c.cloud.HandleStatusBatch(req)
+	if err != nil {
+		w.errorFrame(stream, err, err.Error())
+		return
+	}
+	w.scratch.Reset()
+	wirecodec.PutStatusBatchResponse(&w.scratch, &resp)
+	w.out = appendFrame(w.out, stream, kindBatch, flagResponse, w.scratch.Bytes())
 }
 
 // readStatusInterned decodes one status body with the connection's
 // device-ID cache: when the raw ID bytes match the previous message's,
 // the cached string is reused and the decode allocates nothing. The
-// sender's source-address claim is dropped undecoded: the transport
-// stamps the connection's address.
-func (w *worker) readStatusInterned(cur *wirecodec.Cursor, c *conn, req *protocol.StatusRequest) {
+// sender's source-address claim is dropped undecoded: conn.cloud stamps
+// the connection's address.
+func readStatusInterned(cur *wirecodec.Cursor, c *conn, req *protocol.StatusRequest) {
 	req.Kind = protocol.StatusKind(cur.U8())
 	raw := cur.StrBytes()
 	if len(raw) > 0 && bytes.Equal(raw, c.devIDRaw) {
@@ -722,42 +692,6 @@ func (w *worker) readStatusInterned(cur *wirecodec.Cursor, c *conn, req *protoco
 		c.devID = req.DeviceID
 	}
 	wirecodec.ReadStatusRest(cur, req)
-	req.SourceIP = c.src
-}
-
-// dispatchJSON handles an operation riding in a JSON envelope: the row
-// of the shared operation table named by the envelope's op serves it,
-// stamped with the connection's peer address. Every operation is
-// reachable this way; the client sends the ones with a binary kind in
-// that form instead.
-func (w *worker) dispatchJSON(c *conn, stream uint32, payload []byte) {
-	var req struct {
-		Op      string          `json:"op"`
-		Payload json.RawMessage `json:"payload"`
-	}
-	if err := json.Unmarshal(payload, &req); err != nil {
-		w.errorFrame(stream, protocol.ErrBadRequest, "malformed json envelope")
-		return
-	}
-	resp := jsonResponse{OK: true}
-	if op, ok := transport.ParseOp(req.Op); !ok {
-		resp = jsonResponse{Code: "bad_request", Message: fmt.Sprintf("unknown op %q", req.Op)}
-	} else if result, err := transport.Ops[op].Serve(w.srv.cloud, req.Payload, c.src); err != nil {
-		code, ok := protocol.WireCode(err)
-		if !ok {
-			code = "internal"
-		}
-		resp = jsonResponse{Code: code, Message: err.Error()}
-	} else {
-		resp.Payload = result
-	}
-	buf := jsonpool.Get()
-	defer buf.Put()
-	if err := buf.Encode(resp); err != nil {
-		w.errorFrame(stream, err, err.Error())
-		return
-	}
-	w.out = appendFrame(w.out, stream, kindJSON, flagResponse, buf.Bytes())
 }
 
 func remoteIP(conn net.Conn) string {

@@ -229,10 +229,13 @@ type durableMeta struct {
 	Version    int    `json:"version"`
 	Design     string `json:"design"`
 	MasterSeed string `json:"master_seed"`
-	WALShards  int    `json:"wal_shards,omitempty"`
+	WALShards  int    `json:"wal_shards"`
 }
 
-const durableMetaVersion = 1
+// durableMetaVersion names the WAL record vocabulary the directory's log
+// is written in. Version 1 logged the cold operations as JSON envelopes
+// ('{'-records), which nothing decodes any more.
+const durableMetaVersion = 2
 
 // defaultWALShards scales the shard count with available parallelism:
 // the smallest power of two covering GOMAXPROCS, clamped to [8, 64] —
@@ -414,9 +417,9 @@ func (d *Durable) closeShardLogs() {
 
 // loadOrCreateMeta reads dir/meta.json or writes a fresh one with a
 // random master seed, pinning the directory to the design and the WAL
-// shard count. A legacy meta without a shard count adopts *shardCount
-// and is rewritten; otherwise *shardCount is overwritten by the pinned
-// value.
+// shard count; for an existing directory *shardCount is overwritten by
+// the pinned value. It runs before any record is replayed, so a
+// directory written in another record vocabulary is refused whole.
 func (d *Durable) loadOrCreateMeta(designName string, shardCount *int) error {
 	path := filepath.Join(d.dir, "meta.json")
 	data, err := os.ReadFile(path)
@@ -427,7 +430,8 @@ func (d *Durable) loadOrCreateMeta(designName string, shardCount *int) error {
 			return fmt.Errorf("cloud: meta.json: %w", err)
 		}
 		if meta.Version != durableMetaVersion {
-			return fmt.Errorf("cloud: %w: meta version %d, want %d", protocol.ErrBadRequest, meta.Version, durableMetaVersion)
+			return fmt.Errorf("cloud: %w: meta.json version %d, want %d (the WAL record vocabulary changed between them)",
+				protocol.ErrBadRequest, meta.Version, durableMetaVersion)
 		}
 		if meta.Design != designName {
 			return fmt.Errorf("cloud: %w: directory belongs to design %q, not %q", protocol.ErrBadRequest, meta.Design, designName)
@@ -437,12 +441,11 @@ func (d *Durable) loadOrCreateMeta(designName string, shardCount *int) error {
 			return fmt.Errorf("cloud: %w: meta.json master seed malformed", protocol.ErrBadRequest)
 		}
 		copy(d.master[:], seed)
-		if meta.WALShards > 0 {
-			*shardCount = ceilPow2(meta.WALShards)
-			return nil
+		if meta.WALShards <= 0 {
+			return fmt.Errorf("cloud: %w: meta.json pins no WAL shard count", protocol.ErrBadRequest)
 		}
-		meta.WALShards = *shardCount
-		return d.writeMeta(path, meta)
+		*shardCount = ceilPow2(meta.WALShards)
+		return nil
 	case os.IsNotExist(err):
 		if _, err := rand.Read(d.master[:]); err != nil {
 			return fmt.Errorf("cloud: master seed: %w", err)
@@ -678,7 +681,7 @@ func (d *Durable) flushAllLocked() error {
 // pending liveness notes flush first, so the record replays against
 // the same liveness state the live execution observed — a cold
 // operation may depend on any device's liveness.
-func logThenApply[T any](d *Durable, routeKey string, encode func(*jsonpool.Buffer, time.Time) error, apply func() (T, error)) (T, error) {
+func logThenApply[T any](d *Durable, routeKey string, encode func(*bytes.Buffer, time.Time), apply func() (T, error)) (T, error) {
 	var zero T
 	if err := d.flushAllLocked(); err != nil {
 		return zero, fmt.Errorf("cloud: durable log: %w", err)
@@ -686,9 +689,7 @@ func logThenApply[T any](d *Durable, routeKey string, encode func(*jsonpool.Buff
 	at := d.wall().UTC()
 	buf := jsonpool.Get()
 	defer buf.Put()
-	if err := encode(buf, at); err != nil {
-		return zero, fmt.Errorf("cloud: encode WAL record: %w", err)
-	}
+	encode(buf.Writer(), at)
 	ws := d.walShardOf(routeKey)
 	ws.mu.Lock()
 	lsn, err := d.appendLocked(ws, buf.Bytes())
@@ -702,9 +703,11 @@ func logThenApply[T any](d *Durable, routeKey string, encode func(*jsonpool.Buff
 	return resp, aerr
 }
 
-// logJSON is logThenApply for the cold JSON-envelope operations.
-func logJSON[T any](d *Durable, op, src, routeKey string, fill func(*wirecodec.Envelope), apply func() (T, error)) (T, error) {
-	var zero T
+// logged runs one single-device cold operation: under the write lock,
+// req is logged on routeKey's shard as its record — tag, time, the wire
+// body put writes — and then applied.
+func logged[Req, Resp any](d *Durable, routeKey string, tag uint8, put func(*bytes.Buffer, Req), req Req, apply func(Req) (Resp, error)) (Resp, error) {
+	var zero Resp
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -713,29 +716,15 @@ func logJSON[T any](d *Durable, op, src, routeKey string, fill func(*wirecodec.E
 	if d.follower {
 		return zero, ErrNotPrimary
 	}
-	return logThenApply(d, routeKey, func(buf *jsonpool.Buffer, at time.Time) error {
-		env := wirecodec.Envelope{Op: op, At: wirecodec.EncodeTime(at), Src: src}
-		fill(&env)
-		return buf.Encode(env)
-	}, apply)
+	return logThenApply(d, routeKey, func(b *bytes.Buffer, at time.Time) {
+		wirecodec.EncodeRecord(b, tag, at, put, req)
+	}, func() (Resp, error) { return apply(req) })
 }
 
-// logBinary is logThenApply for the cold operations that carry
-// first-class binary record forms, under the same write lock as logJSON.
-func logBinary[T any](d *Durable, routeKey string, encode func(*bytes.Buffer, time.Time), apply func() (T, error)) (T, error) {
-	var zero T
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return zero, ErrDurableClosed
-	}
-	if d.follower {
-		return zero, ErrNotPrimary
-	}
-	return logThenApply(d, routeKey, func(buf *jsonpool.Buffer, at time.Time) error {
-		encode(buf.Writer(), at)
-		return nil
-	}, apply)
+// loggedErr is logged for an operation that returns only an error.
+func loggedErr[Req any](d *Durable, routeKey string, tag uint8, put func(*bytes.Buffer, Req), req Req, apply func(Req) error) error {
+	_, err := logged(d, routeKey, tag, put, req, func(req Req) (struct{}, error) { return struct{}{}, apply(req) })
+	return err
 }
 
 // statusNeedsWAL decides whether a status message is a durable mutation
@@ -753,81 +742,62 @@ func statusNeedsWAL(req *protocol.StatusRequest) bool {
 
 // RegisterUser creates a user account, durably.
 func (d *Durable) RegisterUser(req protocol.RegisterUserRequest) error {
-	_, err := logJSON(d, "register_user", "", req.UserID, func(env *wirecodec.Envelope) { env.RegisterUser = &req },
-		func() (struct{}, error) { return struct{}{}, d.svc.RegisterUser(req) })
-	return err
+	return loggedErr(d, req.UserID, wirecodec.TagRegisterUser, wirecodec.PutRegisterUserBody, req, d.svc.RegisterUser)
 }
 
 // Login authenticates a user and durably issues a UserToken.
 func (d *Durable) Login(req protocol.LoginRequest) (protocol.LoginResponse, error) {
-	return logJSON(d, "login", "", req.UserID, func(env *wirecodec.Envelope) { env.Login = &req },
-		func() (protocol.LoginResponse, error) { return d.svc.Login(req) })
+	return logged(d, req.UserID, wirecodec.TagLogin, wirecodec.PutLoginBody, req, d.svc.Login)
 }
 
 // RequestDeviceToken durably issues a dynamic device token.
 func (d *Durable) RequestDeviceToken(req protocol.DeviceTokenRequest) (protocol.DeviceTokenResponse, error) {
-	return logJSON(d, "device_token", "", req.DeviceID, func(env *wirecodec.Envelope) { env.DeviceToken = &req },
-		func() (protocol.DeviceTokenResponse, error) { return d.svc.RequestDeviceToken(req) })
+	return logged(d, req.DeviceID, wirecodec.TagDeviceToken, wirecodec.PutDeviceTokenBody, req, d.svc.RequestDeviceToken)
 }
 
 // RequestBindToken durably issues a capability binding token.
 func (d *Durable) RequestBindToken(req protocol.BindTokenRequest) (protocol.BindTokenResponse, error) {
-	return logJSON(d, "bind_token", "", req.DeviceID, func(env *wirecodec.Envelope) { env.BindToken = &req },
-		func() (protocol.BindTokenResponse, error) { return d.svc.RequestBindToken(req) })
+	return logged(d, req.DeviceID, wirecodec.TagBindToken, wirecodec.PutBindTokenBody, req, d.svc.RequestBindToken)
 }
 
-// HandleBind processes a binding-creation message, durably.
+// HandleBind processes a binding-creation message, durably. The record
+// keeps the source address the transport stamped, as every record whose
+// request carries one does.
 func (d *Durable) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
-	return logJSON(d, "bind", req.SourceIP, req.DeviceID, func(env *wirecodec.Envelope) { env.Bind = &req },
-		func() (protocol.BindResponse, error) { return d.svc.HandleBind(req) })
+	return logged(d, req.DeviceID, wirecodec.TagBind, wirecodec.PutBindBody, req, d.svc.HandleBind)
 }
 
 // HandleUnbind processes a binding-revocation message, durably.
 func (d *Durable) HandleUnbind(req protocol.UnbindRequest) error {
-	_, err := logJSON(d, "unbind", req.SourceIP, req.DeviceID, func(env *wirecodec.Envelope) { env.Unbind = &req },
-		func() (struct{}, error) { return struct{}{}, d.svc.HandleUnbind(req) })
-	return err
+	return loggedErr(d, req.DeviceID, wirecodec.TagUnbind, wirecodec.PutUnbindBody, req, d.svc.HandleUnbind)
 }
 
 // HandleControl relays a command, durably (the queued command is inbox
 // state a crash must not lose).
 func (d *Durable) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
-	return logJSON(d, "control", req.SourceIP, req.DeviceID, func(env *wirecodec.Envelope) { env.Control = &req },
-		func() (protocol.ControlResponse, error) { return d.svc.HandleControl(req) })
+	return logged(d, req.DeviceID, wirecodec.TagControl, wirecodec.PutControlBody, req, d.svc.HandleControl)
 }
 
 // PushUserData stores user state for the device, durably.
 func (d *Durable) PushUserData(req protocol.PushUserDataRequest) error {
-	_, err := logJSON(d, "push", "", req.DeviceID, func(env *wirecodec.Envelope) { env.Push = &req },
-		func() (struct{}, error) { return struct{}{}, d.svc.PushUserData(req) })
-	return err
+	return loggedErr(d, req.DeviceID, wirecodec.TagUserData, wirecodec.PutUserDataBody, req, d.svc.PushUserData)
 }
 
-// HandleShare grants or revokes guest access, durably, as a first-class
-// binary WAL record (replay still understands the legacy JSON-envelope
-// form older logs carry).
+// HandleShare grants or revokes guest access, durably.
 func (d *Durable) HandleShare(req protocol.ShareRequest) error {
-	_, err := logBinary(d, req.DeviceID, func(b *bytes.Buffer, at time.Time) {
-		wirecodec.EncodeShareRecord(b, at, &req)
-	}, func() (struct{}, error) { return struct{}{}, d.svc.HandleShare(req) })
-	return err
+	return loggedErr(d, req.DeviceID, wirecodec.TagShare, wirecodec.PutShareBody, req, d.svc.HandleShare)
 }
 
 // HandleDelegate records a delegation grant, durably. The grant's expiry
 // is derived from the record's pinned clock, so replay mints a
 // byte-identical token with a byte-identical expiry.
 func (d *Durable) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
-	return logBinary(d, req.DeviceID, func(b *bytes.Buffer, at time.Time) {
-		wirecodec.EncodeDelegateRecord(b, at, &req)
-	}, func() (protocol.DelegateResponse, error) { return d.svc.HandleDelegate(req) })
+	return logged(d, req.DeviceID, wirecodec.TagDelegate, wirecodec.PutDelegateBody, req, d.svc.HandleDelegate)
 }
 
 // HandleRevokeDelegation withdraws a grant, durably.
 func (d *Durable) HandleRevokeDelegation(req protocol.RevokeDelegationRequest) error {
-	_, err := logBinary(d, req.DeviceID, func(b *bytes.Buffer, at time.Time) {
-		wirecodec.EncodeRevokeDelegationRecord(b, at, &req)
-	}, func() (struct{}, error) { return struct{}{}, d.svc.HandleRevokeDelegation(req) })
-	return err
+	return loggedErr(d, req.DeviceID, wirecodec.TagRevokeDelegation, wirecodec.PutRevokeDelegationBody, req, d.svc.HandleRevokeDelegation)
 }
 
 // HandleStatus processes a device status message on the hot lane: a
@@ -932,9 +902,8 @@ func (d *Durable) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.S
 		}
 	}
 	if needsWAL {
-		return logThenApply(d, routeKey, func(buf *jsonpool.Buffer, at time.Time) error {
-			wirecodec.EncodeBatchRecord(buf.Writer(), at, &req)
-			return nil
+		return logThenApply(d, routeKey, func(b *bytes.Buffer, at time.Time) {
+			wirecodec.EncodeBatchRecord(b, at, &req)
 		}, func() (protocol.StatusBatchResponse, error) { return d.svc.HandleStatusBatch(req) })
 	}
 

@@ -583,6 +583,62 @@ func TestDurableMetaPinsDesign(t *testing.T) {
 	}
 }
 
+// TestDurableMetaPinsRecordVocabulary: meta.json's version names the WAL
+// record vocabulary. A version-1 directory — whose log holds the cold
+// operations as '{'-records no decoder reads any more — is refused by
+// version, before anything is replayed or rewritten; and a meta.json
+// without a shard count is malformed, not a legacy form to adopt.
+func TestDurableMetaPinsRecordVocabulary(t *testing.T) {
+	reg := NewRegistry()
+	if err := reg.Add(DeviceRecord{ID: testDevice, FactorySecret: testSecret}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, from, to, want string
+	}{
+		{"version 1", `"version": 2`, `"version": 1`, "meta.json version 1, want 2"},
+		{"no shard count", `"wal_shards": 8`, `"wal_shards": 0`, "pins no WAL shard count"},
+	} {
+		dir := t.TempDir()
+		d, clock := newDurable(t, dir, DurableOptions{WALShards: 8})
+		runLoggedWorkload(t, d, clock)
+		d.Close()
+		// A '{'-record in the log: a version-1 open would have replayed it.
+		shard, err := wal.Open(filepath.Join(dir, "wal", wal.ShardDirName(0)), wal.Options{SparseLSN: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := shard.AppendLSN(d.AppliedOps()+1, []byte(`{"op":"login","at":1,"login":{"user_id":"u"}}`)); err != nil {
+			t.Fatal(err)
+		}
+		shard.Close()
+
+		path := filepath.Join(dir, "meta.json")
+		meta, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited := bytes.Replace(meta, []byte(tc.from), []byte(tc.to), 1)
+		if bytes.Equal(edited, meta) {
+			t.Fatalf("%s: meta.json has no %s to edit:\n%s", tc.name, tc.from, meta)
+		}
+		if err := os.WriteFile(path, edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d2, err := OpenDurable(dir, devIDDesign(), reg, DurableOptions{})
+		if err == nil {
+			d2.Close()
+			t.Fatalf("%s: OpenDurable accepted the directory", tc.name)
+		}
+		if !errors.Is(err, protocol.ErrBadRequest) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: refusal = %v, want ErrBadRequest saying %q", tc.name, err, tc.want)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, edited) {
+			t.Errorf("%s: the refusal rewrote meta.json:\n%s", tc.name, after)
+		}
+	}
+}
+
 // TestDurableSkipsTornCheckpoint proves a checkpoint file torn by a
 // crash mid-write is skipped in favour of the WAL tail behind it.
 func TestDurableSkipsTornCheckpoint(t *testing.T) {
@@ -759,8 +815,10 @@ func TestDurableRefusesUnshardedWAL(t *testing.T) {
 	}
 }
 
-// TestDescribeWALRecords sanity-checks the walinspect rendering over a
-// real log: every record describes without error and carries its op.
+// TestDescribeWALRecords checks the walinspect rendering over a real
+// log: every record is binary and describes without error, one line per
+// record type with that type's fields — nothing falls through to an
+// envelope.
 func TestDescribeWALRecords(t *testing.T) {
 	dir := t.TempDir()
 	d, clock := newDurable(t, dir, DurableOptions{})
@@ -769,6 +827,9 @@ func TestDescribeWALRecords(t *testing.T) {
 
 	var lines []string
 	_, err := wal.MergeShards(filepath.Join(dir, "wal"), 0, 0, func(shard int, lsn uint64, payload []byte) error {
+		if payload[0] == '{' {
+			t.Errorf("record %d is a JSON envelope: %s", lsn, payload)
+		}
 		line, err := wirecodec.DescribeRecord(payload)
 		if err != nil {
 			t.Fatalf("record %d: %v", lsn, err)
@@ -779,13 +840,20 @@ func TestDescribeWALRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) == 0 {
-		t.Fatal("sharded WAL merge yielded no records")
-	}
 	joined := strings.Join(lines, "\n")
-	for _, op := range []string{"register_user", "login", "bind", "control", "push", "share", "status", "batch"} {
-		if !strings.Contains(joined, op) {
-			t.Errorf("no described record mentions %q:\n%s", op, joined)
+	for _, want := range []string{
+		"register_user user=victim@example.com",
+		"login user=guest@example.com",
+		"status register device=" + testDevice + " keyed=false readings=0",
+		"bind device=" + testDevice + " sender=0 keyed=true",
+		"control device=" + testDevice + " cmd=turn_on",
+		"push device=" + testDevice + " kind=schedule",
+		"share device=" + testDevice + " guest=guest@example.com revoke=false",
+		"status heartbeat device=" + testDevice + " keyed=true readings=1",
+		"status_batch items=2",
+	} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("no described record reads %q:\n%s", want, joined)
 		}
 	}
 }

@@ -20,55 +20,40 @@ import (
 // failed live fails identically on replay, and that failure is part of
 // the state being rebuilt.
 func applyWALRecord(r wirecodec.Record, s *Service) error {
-	switch {
-	case r.Status != nil:
-		_, _ = s.HandleStatus(*r.Status)
-	case r.Batch != nil:
+	switch req := r.Req.(type) {
+	case protocol.StatusRequest:
+		_, _ = s.HandleStatus(req)
+	case protocol.StatusBatchRequest:
 		// The handler mutates item source addresses in place; give it
 		// its own copy so the decoded record stays pristine.
-		req := *r.Batch
-		req.Items = append([]protocol.StatusRequest(nil), r.Batch.Items...)
+		req.Items = append([]protocol.StatusRequest(nil), req.Items...)
 		_, _ = s.HandleStatusBatch(req)
-	case r.Liveness != nil:
-		s.applyLiveness(r.Liveness.DeviceID, r.At, r.Liveness.Owner)
-	case r.Share != nil:
-		_ = s.HandleShare(*r.Share)
-	case r.Delegate != nil:
-		_, _ = s.HandleDelegate(*r.Delegate)
-	case r.RevokeDelegation != nil:
-		_ = s.HandleRevokeDelegation(*r.RevokeDelegation)
-	case r.Env != nil:
-		env := r.Env
-		switch {
-		case env.RegisterUser != nil:
-			_ = s.RegisterUser(*env.RegisterUser)
-		case env.Login != nil:
-			_, _ = s.Login(*env.Login)
-		case env.DeviceToken != nil:
-			_, _ = s.RequestDeviceToken(*env.DeviceToken)
-		case env.BindToken != nil:
-			_, _ = s.RequestBindToken(*env.BindToken)
-		case env.Bind != nil:
-			req := *env.Bind
-			req.SourceIP = env.Src
-			_, _ = s.HandleBind(req)
-		case env.Unbind != nil:
-			req := *env.Unbind
-			req.SourceIP = env.Src
-			_ = s.HandleUnbind(req)
-		case env.Control != nil:
-			req := *env.Control
-			req.SourceIP = env.Src
-			_, _ = s.HandleControl(req)
-		case env.Push != nil:
-			_ = s.PushUserData(*env.Push)
-		case env.Share != nil:
-			_ = s.HandleShare(*env.Share)
-		default:
-			return fmt.Errorf("cloud: %w: WAL envelope op %q carries no request", protocol.ErrBadRequest, env.Op)
-		}
+	case wirecodec.Liveness:
+		s.applyLiveness(req.DeviceID, r.At, req.Owner)
+	case protocol.RegisterUserRequest:
+		_ = s.RegisterUser(req)
+	case protocol.LoginRequest:
+		_, _ = s.Login(req)
+	case protocol.DeviceTokenRequest:
+		_, _ = s.RequestDeviceToken(req)
+	case protocol.BindTokenRequest:
+		_, _ = s.RequestBindToken(req)
+	case protocol.BindRequest:
+		_, _ = s.HandleBind(req)
+	case protocol.UnbindRequest:
+		_ = s.HandleUnbind(req)
+	case protocol.ControlRequest:
+		_, _ = s.HandleControl(req)
+	case protocol.PushUserDataRequest:
+		_ = s.PushUserData(req)
+	case protocol.ShareRequest:
+		_ = s.HandleShare(req)
+	case protocol.DelegateRequest:
+		_, _ = s.HandleDelegate(req)
+	case protocol.RevokeDelegationRequest:
+		_ = s.HandleRevokeDelegation(req)
 	default:
-		return fmt.Errorf("cloud: %w: empty WAL record", protocol.ErrBadRequest)
+		return fmt.Errorf("cloud: %w: WAL record carries no request", protocol.ErrBadRequest)
 	}
 	return nil
 }

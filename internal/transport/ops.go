@@ -8,12 +8,13 @@ import (
 
 // This file is the only place the per-operation fan-out of Cloud is
 // written out for code that treats every operation alike: the interface
-// itself, the Op enum and its wire names, the Ops table the
-// JSON-speaking servers dispatch through, the Hopped forwarder the
-// wrappers and routers embed, and the JSONLane the JSON-speaking clients
-// embed. Adding an operation means one entry in each of the five, next
-// to its protocol types and its Service / Durable / retry / trace
-// methods (DESIGN.md "Adding an operation"); TestOpsComplete names
+// itself, the Op enum and its wire names, the Ops table the JSON-speaking
+// server (httpapi) dispatches through, the Hopped forwarder the wrappers
+// and routers embed, and the JSONLane the JSON-speaking client embeds.
+// Adding an operation means one entry in each of the five, next to its
+// protocol types, its Service / Durable / retry / trace methods, its
+// wirecodec body pair and its binapi row (DESIGN.md "Adding an
+// operation"); TestOpsComplete here and TestKindsComplete in binapi name
 // whichever entry is missing.
 
 // Cloud is the full operation surface of an emulated IoT cloud. The
@@ -88,9 +89,8 @@ const (
 
 // OpRow describes one operation to a server that speaks JSON.
 type OpRow struct {
-	// Name is the operation's one wire name: the HTTP route suffix, the
-	// op field of binapi's JSON envelope and the label in injected-fault
-	// and retry errors.
+	// Name is the operation's one wire name: the HTTP route suffix and
+	// the label in injected-fault, retry and binapi decode errors.
 	Name string
 	// Serve decodes a JSON request (empty means the zero request),
 	// overwrites its SourceIP with the address the front end observed
@@ -129,16 +129,6 @@ func (o Op) String() string {
 		return "unknown-op"
 	}
 	return Ops[o].Name
-}
-
-// ParseOp resolves a wire name.
-func ParseOp(name string) (Op, bool) {
-	for i := range Ops {
-		if Ops[i].Name == name {
-			return Op(i), true
-		}
-	}
-	return 0, false
 }
 
 // errMalformedPayload is what a row's Serve returns for a request body

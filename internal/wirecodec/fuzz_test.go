@@ -18,21 +18,21 @@ import (
 // re-encodes byte-identically.
 func FuzzDelegationRecordDecode(f *testing.F) {
 	at := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
-	delegate := &protocol.DelegateRequest{
+	delegate := protocol.DelegateRequest{
 		DeviceID: "AA:BB:CC:00:00:01", UserToken: "tok", Grantee: "guest@x",
 		Scopes: []string{"control", "read", "share"}, TTLSeconds: 3600, Depth: 2,
 		IdempotencyKey: "k1",
 	}
-	revoke := &protocol.RevokeDelegationRequest{
+	revoke := protocol.RevokeDelegationRequest{
 		DeviceID: "AA:BB:CC:00:00:01", UserToken: "tok", Grantee: "guest@x",
 		IdempotencyKey: "k2",
 	}
-	share := &protocol.ShareRequest{
+	share := protocol.ShareRequest{
 		DeviceID: "AA:BB:CC:00:00:01", UserToken: "tok", Guest: "guest@x", Revoke: true,
 	}
 
 	var rec bytes.Buffer
-	EncodeDelegateRecord(&rec, at, delegate)
+	EncodeRecord(&rec, TagDelegate, at, PutDelegateBody, delegate)
 	f.Add(append([]byte(nil), rec.Bytes()...))
 	f.Add(append([]byte(nil), rec.Bytes()[:rec.Len()/2]...)) // truncated mid-record
 	huge := append([]byte(nil), rec.Bytes()...)
@@ -45,7 +45,7 @@ func FuzzDelegationRecordDecode(f *testing.F) {
 	}
 	f.Add(huge)
 	rec.Reset()
-	EncodeRevokeDelegationRecord(&rec, at, revoke)
+	EncodeRecord(&rec, TagRevokeDelegation, at, PutRevokeDelegationBody, revoke)
 	f.Add(append([]byte(nil), rec.Bytes()...))
 	rec.Reset()
 	PutDelegateBody(&rec, delegate)
@@ -54,7 +54,7 @@ func FuzzDelegationRecordDecode(f *testing.F) {
 	PutShareBody(&rec, share)
 	f.Add(append([]byte(nil), rec.Bytes()...))
 	rec.Reset()
-	PutDelegateResponse(&rec, &protocol.DelegateResponse{DelegationToken: "d", ExpiresAt: at})
+	PutDelegateResponse(&rec, protocol.DelegateResponse{DelegationToken: "d", ExpiresAt: at})
 	f.Add(append([]byte(nil), rec.Bytes()...))
 	f.Add([]byte{})
 	f.Add([]byte{TagDelegate})
@@ -73,11 +73,11 @@ func FuzzDelegationRecordDecode(f *testing.F) {
 			// accepted record re-encodes to something that decodes back
 			// to the same record.
 			var out bytes.Buffer
-			switch {
-			case record.Delegate != nil:
-				EncodeDelegateRecord(&out, record.At, record.Delegate)
-			case record.RevokeDelegation != nil:
-				EncodeRevokeDelegationRecord(&out, record.At, record.RevokeDelegation)
+			switch req := record.Req.(type) {
+			case protocol.DelegateRequest:
+				EncodeRecord(&out, TagDelegate, record.At, PutDelegateBody, req)
+			case protocol.RevokeDelegationRequest:
+				EncodeRecord(&out, TagRevokeDelegation, record.At, PutRevokeDelegationBody, req)
 			}
 			if out.Len() > 0 {
 				back, backErr := DecodeRecord(out.Bytes())
@@ -97,7 +97,7 @@ func FuzzDelegationRecordDecode(f *testing.F) {
 			req := ReadDelegateBody(c)
 			if c.Err() == nil && c.Done() {
 				var out bytes.Buffer
-				PutDelegateBody(&out, &req)
+				PutDelegateBody(&out, req)
 				back := ReadDelegateBody(NewCursor(out.Bytes(), 0))
 				if !reflect.DeepEqual(req, back) {
 					t.Fatalf("delegate body round trip:\n got %+v\nwant %+v", back, req)
@@ -111,7 +111,7 @@ func FuzzDelegationRecordDecode(f *testing.F) {
 				// The revoke flag is a bool: any nonzero byte decodes to
 				// true, so the round trip is semantic, not byte-exact.
 				var out bytes.Buffer
-				PutShareBody(&out, &req)
+				PutShareBody(&out, req)
 				back := ReadShareBody(NewCursor(out.Bytes(), 0))
 				if !reflect.DeepEqual(req, back) {
 					t.Fatalf("share body round trip:\n got %+v\nwant %+v", back, req)
@@ -125,6 +125,28 @@ func FuzzDelegationRecordDecode(f *testing.F) {
 		{
 			c := NewCursor(data, 0)
 			_ = ReadDelegateResponse(c)
+		}
+	})
+}
+
+// FuzzBodyDecode throws arbitrary bytes at every request- and
+// response-body decoder (bodyPairs): no input panics, no decoder sizes a
+// list beyond what Cursor.Count admits for the bytes it was given, and
+// anything a decoder accepts re-encodes to bytes that decode and
+// re-encode to themselves.
+func FuzzBodyDecode(f *testing.F) {
+	pairs := bodyPairs()
+	for _, p := range pairs {
+		f.Add(p.seed)
+		f.Add(p.seed[:len(p.seed)/2])
+	}
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 24)) // every count and length huge
+	f.Add([]byte{0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, p := range pairs {
+			p.decode(t, data)
 		}
 	})
 }

@@ -2,30 +2,11 @@ package wirecodec
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"github.com/iotbind/iotbind/internal/protocol"
 )
-
-// Envelope is the JSON record for the cold operations: exactly one
-// request pointer is set, per Op.
-type Envelope struct {
-	Op  string `json:"op"`
-	At  int64  `json:"at"`
-	Src string `json:"src,omitempty"`
-
-	RegisterUser *protocol.RegisterUserRequest `json:"register_user,omitempty"`
-	Login        *protocol.LoginRequest        `json:"login,omitempty"`
-	DeviceToken  *protocol.DeviceTokenRequest  `json:"device_token,omitempty"`
-	BindToken    *protocol.BindTokenRequest    `json:"bind_token,omitempty"`
-	Bind         *protocol.BindRequest         `json:"bind,omitempty"`
-	Unbind       *protocol.UnbindRequest       `json:"unbind,omitempty"`
-	Control      *protocol.ControlRequest      `json:"control,omitempty"`
-	Push         *protocol.PushUserDataRequest `json:"push,omitempty"`
-	Share        *protocol.ShareRequest        `json:"share,omitempty"`
-}
 
 // Liveness is a decoded liveness record body.
 type Liveness struct {
@@ -33,28 +14,39 @@ type Liveness struct {
 	Owner    string
 }
 
-// Record is one decoded record, ready to re-execute (WAL replay) or
-// dispatch (wire). Exactly one of the payload pointers is set. Share and
-// the delegation operations have first-class binary forms (share also
-// still decodes from legacy JSON envelopes).
+// Record is one decoded WAL record, ready to re-execute: the time the
+// operation was logged at and its request, as the operation's protocol
+// request type by value (a Liveness for the liveness record).
 type Record struct {
-	Op string
-	At time.Time
+	At  time.Time
+	Req any
+}
 
-	Status           *protocol.StatusRequest
-	Batch            *protocol.StatusBatchRequest
-	Liveness         *Liveness
-	Share            *protocol.ShareRequest
-	Delegate         *protocol.DelegateRequest
-	RevokeDelegation *protocol.RevokeDelegationRequest
-	Env              *Envelope
+// putHeader writes what precedes the body in every record: the tag and
+// the time the operation executed at.
+func putHeader(b *bytes.Buffer, tag uint8, at time.Time) {
+	PutU8(b, tag)
+	PutI64(b, EncodeTime(at))
+}
+
+// EncodeRecord writes a cold operation's complete record into b: its
+// tag, the time, and its wire body as put — the operation's Put*Body —
+// writes it.
+func EncodeRecord[Req any](b *bytes.Buffer, tag uint8, at time.Time, put func(*bytes.Buffer, Req), req Req) {
+	putHeader(b, tag, at)
+	put(b, req)
 }
 
 // EncodeStatusRecord writes a complete status record into b.
 func EncodeStatusRecord(b *bytes.Buffer, at time.Time, req *protocol.StatusRequest) {
-	PutU8(b, TagStatus)
-	PutI64(b, EncodeTime(at))
+	putHeader(b, TagStatus, at)
 	PutStatusBody(b, req)
+}
+
+// EncodeBatchRecord writes a complete status-batch record into b.
+func EncodeBatchRecord(b *bytes.Buffer, at time.Time, req *protocol.StatusBatchRequest) {
+	putHeader(b, TagBatch, at)
+	PutBatchBody(b, req)
 }
 
 // EncodeLivenessRecord writes a liveness record into b: the device
@@ -62,75 +54,49 @@ func EncodeStatusRecord(b *bytes.Buffer, at time.Time, req *protocol.StatusReque
 // the last one, and the session owner it authenticated (empty when the
 // design's device auth carries no owner).
 func EncodeLivenessRecord(b *bytes.Buffer, at time.Time, deviceID, owner string) {
-	PutU8(b, TagLiveness)
-	PutI64(b, EncodeTime(at))
+	putHeader(b, TagLiveness, at)
 	PutStr(b, deviceID)
 	PutStr(b, owner)
 }
 
-// EncodeBatchRecord writes a complete status-batch record into b.
-func EncodeBatchRecord(b *bytes.Buffer, at time.Time, req *protocol.StatusBatchRequest) {
-	PutU8(b, TagBatch)
-	PutI64(b, EncodeTime(at))
-	PutBatchBody(b, req)
-}
-
-// EncodeShareRecord writes a complete share record into b.
-func EncodeShareRecord(b *bytes.Buffer, at time.Time, req *protocol.ShareRequest) {
-	PutU8(b, TagShare)
-	PutI64(b, EncodeTime(at))
-	PutShareBody(b, req)
-}
-
-// EncodeDelegateRecord writes a complete delegation-grant record into b.
-func EncodeDelegateRecord(b *bytes.Buffer, at time.Time, req *protocol.DelegateRequest) {
-	PutU8(b, TagDelegate)
-	PutI64(b, EncodeTime(at))
-	PutDelegateBody(b, req)
-}
-
-// EncodeRevokeDelegationRecord writes a complete delegation-revocation
-// record into b.
-func EncodeRevokeDelegationRecord(b *bytes.Buffer, at time.Time, req *protocol.RevokeDelegationRequest) {
-	PutU8(b, TagRevokeDelegation)
-	PutI64(b, EncodeTime(at))
-	PutRevokeDelegationBody(b, req)
-}
-
-// DecodeRecord parses any record payload. A binary record is its tag,
-// the time it was logged at, and the operation's wire body — the same
-// body a binapi frame of that kind carries — with nothing after it.
+// DecodeRecord parses any record payload. A record is its tag, the time
+// it was logged at, and the operation's wire body — the same body a
+// binapi frame of that kind carries — with nothing after it.
 func DecodeRecord(payload []byte) (Record, error) {
 	if len(payload) == 0 {
 		return Record{}, fmt.Errorf("wirecodec: %w: empty record", protocol.ErrBadRequest)
-	}
-	if payload[0] == TagJSON {
-		var env Envelope
-		if err := json.Unmarshal(payload, &env); err != nil {
-			return Record{}, fmt.Errorf("wirecodec: %w: envelope: %v", protocol.ErrBadRequest, err)
-		}
-		return Record{Op: env.Op, At: DecodeTime(env.At), Env: &env}, nil
 	}
 	c := NewCursor(payload, 1)
 	rec := Record{At: DecodeTime(c.I64())}
 	switch payload[0] {
 	case TagStatus:
-		req := ReadStatusBody(c)
-		rec.Op, rec.Status = "status", &req
-	case TagLiveness:
-		rec.Op, rec.Liveness = "liveness", &Liveness{DeviceID: c.Str(), Owner: c.Str()}
+		rec.Req = ReadStatusBody(c)
 	case TagBatch:
-		req := ReadBatchBody(c)
-		rec.Op, rec.Batch = "status_batch", &req
-	case TagShare:
-		req := ReadShareBody(c)
-		rec.Op, rec.Share = "share", &req
+		rec.Req = ReadBatchBody(c)
+	case TagLiveness:
+		rec.Req = Liveness{DeviceID: c.Str(), Owner: c.Str()}
 	case TagDelegate:
-		req := ReadDelegateBody(c)
-		rec.Op, rec.Delegate = "delegate", &req
+		rec.Req = ReadDelegateBody(c)
 	case TagRevokeDelegation:
-		req := ReadRevokeDelegationBody(c)
-		rec.Op, rec.RevokeDelegation = "revoke_delegation", &req
+		rec.Req = ReadRevokeDelegationBody(c)
+	case TagShare:
+		rec.Req = ReadShareBody(c)
+	case TagRegisterUser:
+		rec.Req = ReadRegisterUserBody(c)
+	case TagLogin:
+		rec.Req = ReadLoginBody(c)
+	case TagDeviceToken:
+		rec.Req = ReadDeviceTokenBody(c)
+	case TagBindToken:
+		rec.Req = ReadBindTokenBody(c)
+	case TagBind:
+		rec.Req = ReadBindBody(c)
+	case TagUnbind:
+		rec.Req = ReadUnbindBody(c)
+	case TagControl:
+		rec.Req = ReadControlBody(c)
+	case TagUserData:
+		rec.Req = ReadUserDataBody(c)
 	default:
 		return Record{}, fmt.Errorf("wirecodec: %w: unknown record tag 0x%02x", protocol.ErrBadRequest, payload[0])
 	}
@@ -152,51 +118,39 @@ func DescribeRecord(payload []byte) (string, error) {
 	if !rec.At.IsZero() {
 		ts = rec.At.UTC().Format(time.RFC3339Nano)
 	}
-	switch {
-	case rec.Status != nil:
-		return fmt.Sprintf("%s status %s device=%s keyed=%t readings=%d",
-			ts, rec.Status.Kind, rec.Status.DeviceID,
-			rec.Status.IdempotencyKey != "", len(rec.Status.Readings)), nil
-	case rec.Batch != nil:
-		return fmt.Sprintf("%s status_batch items=%d", ts, len(rec.Batch.Items)), nil
-	case rec.Liveness != nil:
-		return fmt.Sprintf("%s liveness device=%s owner=%q", ts, rec.Liveness.DeviceID, rec.Liveness.Owner), nil
-	case rec.Share != nil:
-		return fmt.Sprintf("%s share device=%s guest=%s revoke=%t",
-			ts, rec.Share.DeviceID, rec.Share.Guest, rec.Share.Revoke), nil
-	case rec.Delegate != nil:
-		return fmt.Sprintf("%s delegate device=%s grantee=%s scopes=%v ttl=%ds depth=%d keyed=%t",
-			ts, rec.Delegate.DeviceID, rec.Delegate.Grantee, rec.Delegate.Scopes,
-			rec.Delegate.TTLSeconds, rec.Delegate.Depth, rec.Delegate.IdempotencyKey != ""), nil
-	case rec.RevokeDelegation != nil:
-		return fmt.Sprintf("%s revoke_delegation device=%s grantee=%s keyed=%t",
-			ts, rec.RevokeDelegation.DeviceID, rec.RevokeDelegation.Grantee,
-			rec.RevokeDelegation.IdempotencyKey != ""), nil
-	default:
-		env := rec.Env
-		switch {
-		case env.RegisterUser != nil:
-			return fmt.Sprintf("%s register_user user=%s", ts, env.RegisterUser.UserID), nil
-		case env.Login != nil:
-			return fmt.Sprintf("%s login user=%s", ts, env.Login.UserID), nil
-		case env.DeviceToken != nil:
-			return fmt.Sprintf("%s device_token device=%s", ts, env.DeviceToken.DeviceID), nil
-		case env.BindToken != nil:
-			return fmt.Sprintf("%s bind_token device=%s", ts, env.BindToken.DeviceID), nil
-		case env.Bind != nil:
-			return fmt.Sprintf("%s bind device=%s sender=%d keyed=%t",
-				ts, env.Bind.DeviceID, env.Bind.Sender, env.Bind.IdempotencyKey != ""), nil
-		case env.Unbind != nil:
-			return fmt.Sprintf("%s unbind device=%s sender=%d", ts, env.Unbind.DeviceID, env.Unbind.Sender), nil
-		case env.Control != nil:
-			return fmt.Sprintf("%s control device=%s cmd=%s", ts, env.Control.DeviceID, env.Control.Command.Name), nil
-		case env.Push != nil:
-			return fmt.Sprintf("%s push device=%s kind=%s", ts, env.Push.DeviceID, env.Push.Data.Kind), nil
-		case env.Share != nil:
-			return fmt.Sprintf("%s share device=%s guest=%s revoke=%t",
-				ts, env.Share.DeviceID, env.Share.Guest, env.Share.Revoke), nil
-		default:
-			return fmt.Sprintf("%s %s", ts, env.Op), nil
-		}
+	var desc string
+	switch r := rec.Req.(type) {
+	case protocol.StatusRequest:
+		desc = fmt.Sprintf("status %s device=%s keyed=%t readings=%d",
+			r.Kind, r.DeviceID, r.IdempotencyKey != "", len(r.Readings))
+	case protocol.StatusBatchRequest:
+		desc = fmt.Sprintf("status_batch items=%d", len(r.Items))
+	case Liveness:
+		desc = fmt.Sprintf("liveness device=%s owner=%q", r.DeviceID, r.Owner)
+	case protocol.DelegateRequest:
+		desc = fmt.Sprintf("delegate device=%s grantee=%s scopes=%v ttl=%ds depth=%d keyed=%t",
+			r.DeviceID, r.Grantee, r.Scopes, r.TTLSeconds, r.Depth, r.IdempotencyKey != "")
+	case protocol.RevokeDelegationRequest:
+		desc = fmt.Sprintf("revoke_delegation device=%s grantee=%s keyed=%t",
+			r.DeviceID, r.Grantee, r.IdempotencyKey != "")
+	case protocol.ShareRequest:
+		desc = fmt.Sprintf("share device=%s guest=%s revoke=%t", r.DeviceID, r.Guest, r.Revoke)
+	case protocol.RegisterUserRequest:
+		desc = fmt.Sprintf("register_user user=%s", r.UserID)
+	case protocol.LoginRequest:
+		desc = fmt.Sprintf("login user=%s", r.UserID)
+	case protocol.DeviceTokenRequest:
+		desc = fmt.Sprintf("device_token device=%s", r.DeviceID)
+	case protocol.BindTokenRequest:
+		desc = fmt.Sprintf("bind_token device=%s", r.DeviceID)
+	case protocol.BindRequest:
+		desc = fmt.Sprintf("bind device=%s sender=%d keyed=%t", r.DeviceID, r.Sender, r.IdempotencyKey != "")
+	case protocol.UnbindRequest:
+		desc = fmt.Sprintf("unbind device=%s sender=%d", r.DeviceID, r.Sender)
+	case protocol.ControlRequest:
+		desc = fmt.Sprintf("control device=%s cmd=%s", r.DeviceID, r.Command.Name)
+	case protocol.PushUserDataRequest:
+		desc = fmt.Sprintf("push device=%s kind=%s", r.DeviceID, r.Data.Kind)
 	}
+	return ts + " " + desc, nil
 }

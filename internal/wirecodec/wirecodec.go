@@ -1,29 +1,26 @@
-// Package wirecodec holds the compact binary record forms shared by the
-// write-ahead log (cloud.Durable) and the persistent-connection binary
-// front end (binapi). The encoders started life as internal/cloud's WAL
-// codec; extracting them means a status message is serialized by exactly
-// one piece of code whether it is being logged for durability or framed
-// for the wire — and walinspect's describe logic understands both.
+// Package wirecodec holds the binary forms of the seventeen cloud
+// operations, shared by the write-ahead log (cloud.Durable) and the
+// persistent-connection binary front end (binapi). Each operation has
+// one request body and, where it answers with data, one response body,
+// each written by exactly one piece of code; the two consumers differ
+// only in what they put in front of a body:
 //
-// Two payload formats share the record space, distinguished by the
-// first byte:
-//
-//   - 0x01 / 0x02: hand-rolled binary records for the hot operations
-//     (single status, status batch). The status path is the one that
-//     must stay within the durability and framing budgets, so its
-//     encoder is a flat length-prefixed field walk into a caller-owned
-//     buffer — no reflection, no intermediate allocations.
-//   - 0x03: a liveness record — the coalesced effect of a device's
+//   - a binapi frame of the operation's kind carries the bare body;
+//   - a WAL record is a tag byte, the wall-clock time the operation
+//     executed at, and the same request body (record.go). Tags 0x01 and
+//     0x02 are the hot operations (status, status batch), whose encoders
+//     are a flat length-prefixed field walk into a caller-owned buffer —
+//     no reflection, no intermediate allocations; 0x04-0x0e are the
+//     eleven logged cold operations; 0x03 is the liveness record, which
+//     has no wire counterpart — the coalesced effect of a device's
 //     unlogged bare heartbeats (lastSeen, session owner), flushed by
 //     cloud.Durable ahead of any logged record whose outcome could
 //     depend on that state.
-//   - '{' (0x7b): a JSON envelope for everything cold (accounts,
-//     logins, token issues, bind/unbind/control/push/share). These
-//     happen at human rates; clarity beats compactness.
 //
-// Every record carries the wall-clock time the operation executed at.
-// WAL replay pins the service clock to that instant; the wire carries
-// the same layout so one decoder serves both consumers. Decoders bound
+// For the logged operations binapi's frame kind equals the record tag,
+// so a captured request frame's payload is bit-identical to the body of
+// the record it produced (but for the source address the server stamps).
+// WAL replay pins the service clock to the record's time. Decoders bound
 // every count-prefixed allocation by remaining-bytes / minimum-item-
 // size, so a corrupt or crafted count cannot force an allocation orders
 // of magnitude larger than the record that carries it.
@@ -47,7 +44,14 @@ const (
 	TagDelegate         = 0x04
 	TagRevokeDelegation = 0x05
 	TagShare            = 0x06
-	TagJSON             = '{'
+	TagRegisterUser     = 0x07
+	TagLogin            = 0x08
+	TagDeviceToken      = 0x09
+	TagBindToken        = 0x0a
+	TagBind             = 0x0b
+	TagUnbind           = 0x0c
+	TagControl          = 0x0d
+	TagUserData         = 0x0e
 )
 
 // Minimum encoded item sizes, used with Cursor.Count to bound
@@ -70,6 +74,9 @@ const (
 	// message(1) + an all-empty status response (bound u8(1) + nonce(1)
 	// + command count(1) + user-data count(1)).
 	MinBatchResultSize = 6
+	// MinDelegationInfoSize is an empty listed grant: grantor(1) +
+	// grantee(1) + scope count(1) + expiry i64(8) + depth i64(8).
+	MinDelegationInfoSize = 19
 )
 
 // timeZero encodes time.Time{} — UnixNano is undefined for the zero
@@ -139,6 +146,11 @@ type Cursor struct {
 func NewCursor(data []byte, off int) *Cursor {
 	return &Cursor{data: data, off: off}
 }
+
+// Reset repositions the cursor at the start of data and clears any
+// failure, for a cursor that lives in a long-lived owner: a pointer to a
+// fresh cursor handed to a func value would escape to the heap.
+func (c *Cursor) Reset(data []byte) { *c = Cursor{data: data} }
 
 // Err returns the sticky decode failure, if any.
 func (c *Cursor) Err() error { return c.err }
@@ -258,16 +270,26 @@ func PutStatusBody(b *bytes.Buffer, req *protocol.StatusRequest) {
 	PutStr(b, req.Firmware)
 	PutStr(b, req.Model)
 	PutStr(b, req.SourceIP)
-	var button uint8
-	if req.ButtonPressed {
-		button = 1
+	putBool(b, req.ButtonPressed)
+	putReadings(b, req.Readings)
+}
+
+// putReadings writes a count-prefixed reading list; readReadings fills
+// one the caller sized with Cursor.Count(MinReadingSize).
+func putReadings(b *bytes.Buffer, list []protocol.Reading) {
+	PutUvarint(b, uint64(len(list)))
+	for i := range list {
+		PutStr(b, list[i].Name)
+		PutF64(b, list[i].Value)
+		PutI64(b, EncodeTime(list[i].At))
 	}
-	PutU8(b, button)
-	PutUvarint(b, uint64(len(req.Readings)))
-	for i := range req.Readings {
-		PutStr(b, req.Readings[i].Name)
-		PutF64(b, req.Readings[i].Value)
-		PutI64(b, EncodeTime(req.Readings[i].At))
+}
+
+func readReadings(c *Cursor, list []protocol.Reading) {
+	for i := range list {
+		list[i].Name = c.Str()
+		list[i].Value = c.F64()
+		list[i].At = DecodeTime(c.I64())
 	}
 }
 
@@ -297,17 +319,9 @@ func ReadStatusRest(c *Cursor, req *protocol.StatusRequest) (sourceIP []byte) {
 	req.Model = c.Str()
 	sourceIP = c.StrBytes()
 	req.ButtonPressed = c.U8() != 0
-	n := c.Count(MinReadingSize)
-	if c.err != nil {
-		return
-	}
-	if n > 0 {
+	if n := c.Count(MinReadingSize); n > 0 {
 		req.Readings = make([]protocol.Reading, n)
-		for i := range req.Readings {
-			req.Readings[i].Name = c.Str()
-			req.Readings[i].Value = c.F64()
-			req.Readings[i].At = DecodeTime(c.I64())
-		}
+		readReadings(c, req.Readings)
 	}
 	return sourceIP
 }
@@ -318,11 +332,7 @@ func ReadStatusRest(c *Cursor, req *protocol.StatusRequest) (sourceIP []byte) {
 // counterpart of PutStatusBody (responses are never logged, so this
 // form has no WAL tag).
 func PutStatusResponse(b *bytes.Buffer, resp *protocol.StatusResponse) {
-	var bound uint8
-	if resp.Bound {
-		bound = 1
-	}
-	PutU8(b, bound)
+	putBool(b, resp.Bound)
 	PutStr(b, resp.SessionNonce)
 	PutUvarint(b, uint64(len(resp.Commands)))
 	for i := range resp.Commands {

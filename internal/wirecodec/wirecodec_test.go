@@ -5,9 +5,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/protocol"
 )
 
@@ -41,11 +43,8 @@ func TestStatusRecordRoundTrip(t *testing.T) {
 	if !rec.At.Equal(at) {
 		t.Errorf("at = %v, want %v", rec.At, at)
 	}
-	if rec.Status == nil {
-		t.Fatal("decoded record has no status request")
-	}
-	if !reflect.DeepEqual(rec.Status, req) {
-		t.Errorf("round trip:\n got %+v\nwant %+v", rec.Status, req)
+	if !reflect.DeepEqual(rec.Req, *req) {
+		t.Errorf("round trip:\n got %+v\nwant %+v", rec.Req, *req)
 	}
 }
 
@@ -65,11 +64,8 @@ func TestBatchRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Batch == nil {
-		t.Fatal("decoded record has no batch request")
-	}
-	if !reflect.DeepEqual(rec.Batch, req) {
-		t.Errorf("round trip:\n got %+v\nwant %+v", rec.Batch, req)
+	if !reflect.DeepEqual(rec.Req, *req) {
+		t.Errorf("round trip:\n got %+v\nwant %+v", rec.Req, *req)
 	}
 }
 
@@ -104,11 +100,8 @@ func TestLivenessRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Liveness == nil {
-		t.Fatal("decoded record has no liveness body")
-	}
-	if !rec.At.Equal(at) || rec.Liveness.DeviceID != testDevice || rec.Liveness.Owner != "victim@example.com" {
-		t.Errorf("round trip = %v %+v, want %v device=%s owner=victim@example.com", rec.At, rec.Liveness, at, testDevice)
+	if want := (Liveness{DeviceID: testDevice, Owner: "victim@example.com"}); !rec.At.Equal(at) || rec.Req != want {
+		t.Errorf("round trip = %v %+v, want %v %+v", rec.At, rec.Req, at, want)
 	}
 	full := buf.Bytes()
 	for n := 0; n < len(full); n++ {
@@ -222,41 +215,65 @@ func TestDescribeRecord(t *testing.T) {
 	}
 }
 
-// TestRecordBytesPinned: a share, delegate, revoke-delegation or batch
-// record is tag + time + the wire body the Put*Body functions write, and
-// that is byte for byte what the field-by-field record encoders produced
-// before they were folded onto those functions (the literals were taken
-// from the commit before the fold). Logs written by either decode alike.
+// TestRecordBytesPinned: a record is tag + time + the wire body the
+// operation's Put*Body function writes, pinned byte for byte. The first
+// six literals are the record forms that predate the binary cold lane
+// (taken from the commits before each encoder was last touched): logs
+// written then decode alike now. The other eight were JSON envelopes
+// before; their literals pin the forms they were given.
 func TestRecordBytesPinned(t *testing.T) {
 	at := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
-	share := protocol.ShareRequest{DeviceID: "dev-1", UserToken: "tok", Guest: "guest@x", Revoke: true}
-	delegate := protocol.DelegateRequest{DeviceID: "dev-1", UserToken: "tok", Grantee: "g@x",
-		Scopes: []string{"control", "read"}, TTLSeconds: 3600, Depth: 1, IdempotencyKey: "k1"}
-	revoke := protocol.RevokeDelegationRequest{DeviceID: "dev-1", UserToken: "tok", Grantee: "g@x", IdempotencyKey: "k2"}
+	status := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: "dev-1", DevToken: "dt", Signature: "sg",
+		SessionToken: "st", DataProof: "dp", ButtonPressed: true, Firmware: "1.0", Model: "m", IdempotencyKey: "hb-1",
+		SourceIP: "203.0.113.7", Readings: []protocol.Reading{{Name: "power_w", Value: 4.5, At: at}}}
 	batch := protocol.StatusBatchRequest{SourceIP: "203.0.113.7", Items: []protocol.StatusRequest{
 		{Kind: protocol.StatusHeartbeat, DeviceID: "dev-1", IdempotencyKey: "hb-1",
 			Readings: []protocol.Reading{{Name: "power_w", Value: 4.5, At: at}}},
 		{Kind: protocol.StatusRegister, DeviceID: "dev-2", Firmware: "1.0", Model: "m", SourceIP: "198.51.100.66"},
 	}}
-	for _, tc := range []struct {
-		name    string
-		encode  func(*bytes.Buffer)
-		want    string
-		decoded func(Record) any
-		req     any
-	}{
-		{"share", func(b *bytes.Buffer) { EncodeShareRecord(b, at, &share) },
-			"06008007ca8db1bf18056465762d3103746f6b076775657374407801",
-			func(r Record) any { return *r.Share }, share},
-		{"delegate", func(b *bytes.Buffer) { EncodeDelegateRecord(b, at, &delegate) },
-			"04008007ca8db1bf18056465762d3103746f6b036740780207636f6e74726f6c0472656164100e0000000000000100000000000000026b31",
-			func(r Record) any { return *r.Delegate }, delegate},
-		{"revoke_delegation", func(b *bytes.Buffer) { EncodeRevokeDelegationRecord(b, at, &revoke) },
-			"05008007ca8db1bf18056465762d3103746f6b03674078026b32",
-			func(r Record) any { return *r.RevokeDelegation }, revoke},
+	for _, tc := range []pinnedRecord{
+		{"status", func(b *bytes.Buffer) { EncodeStatusRecord(b, at, &status) },
+			"01008007ca8db1bf1802056465762d310264740273670273740264700468622d3103312e30016d0b3230332e302e3131332e37010107706f7765725f770000000000001240008007ca8db1bf18",
+			status},
 		{"status_batch", func(b *bytes.Buffer) { EncodeBatchRecord(b, at, &batch) },
 			"02008007ca8db1bf180b3230332e302e3131332e370202056465762d31000000000468622d31000000000107706f7765725f770000000000001240008007ca8db1bf1801056465762d32000000000003312e30016d0d3139382e35312e3130302e36360000",
-			func(r Record) any { return *r.Batch }, batch},
+			batch},
+		{"liveness", func(b *bytes.Buffer) { EncodeLivenessRecord(b, at, "dev-1", "owner@x") },
+			"03008007ca8db1bf18056465762d31076f776e65724078",
+			Liveness{DeviceID: "dev-1", Owner: "owner@x"}},
+		pin("delegate", TagDelegate, at, PutDelegateBody, protocol.DelegateRequest{DeviceID: "dev-1", UserToken: "tok", Grantee: "g@x",
+			Scopes: []string{"control", "read"}, TTLSeconds: 3600, Depth: 1, IdempotencyKey: "k1"},
+			"04008007ca8db1bf18056465762d3103746f6b036740780207636f6e74726f6c0472656164100e0000000000000100000000000000026b31"),
+		pin("revoke_delegation", TagRevokeDelegation, at, PutRevokeDelegationBody,
+			protocol.RevokeDelegationRequest{DeviceID: "dev-1", UserToken: "tok", Grantee: "g@x", IdempotencyKey: "k2"},
+			"05008007ca8db1bf18056465762d3103746f6b03674078026b32"),
+		pin("share", TagShare, at, PutShareBody,
+			protocol.ShareRequest{DeviceID: "dev-1", UserToken: "tok", Guest: "guest@x", Revoke: true},
+			"06008007ca8db1bf18056465762d3103746f6b076775657374407801"),
+		pin("register_user", TagRegisterUser, at, PutRegisterUserBody,
+			protocol.RegisterUserRequest{UserID: "u@x", Password: "pw"},
+			"07008007ca8db1bf1803754078027077"),
+		pin("login", TagLogin, at, PutLoginBody,
+			protocol.LoginRequest{UserID: "u@x", Password: "pw"},
+			"08008007ca8db1bf1803754078027077"),
+		pin("device_token", TagDeviceToken, at, PutDeviceTokenBody,
+			protocol.DeviceTokenRequest{UserToken: "tok", DeviceID: "dev-1", PairingProof: "proof"},
+			"09008007ca8db1bf1803746f6b056465762d310570726f6f66"),
+		pin("bind_token", TagBindToken, at, PutBindTokenBody,
+			protocol.BindTokenRequest{UserToken: "tok", DeviceID: "dev-1"},
+			"0a008007ca8db1bf1803746f6b056465762d31"),
+		pin("bind", TagBind, at, PutBindBody, protocol.BindRequest{DeviceID: "dev-1", UserToken: "tok", UserID: "u@x",
+			UserPassword: "pw", BindToken: "bt", BindProof: "bp", Sender: core.SenderApp, IdempotencyKey: "k3", SourceIP: "203.0.113.7"},
+			"0b008007ca8db1bf18056465762d3103746f6b037540780270770262740262700200000000000000026b330b3230332e302e3131332e37"),
+		pin("unbind", TagUnbind, at, PutUnbindBody, protocol.UnbindRequest{DeviceID: "dev-1", UserToken: "tok",
+			Sender: core.SenderDevice, IdempotencyKey: "k4", SourceIP: "203.0.113.7"},
+			"0c008007ca8db1bf18056465762d3103746f6b0100000000000000026b340b3230332e302e3131332e37"),
+		pin("control", TagControl, at, PutControlBody, protocol.ControlRequest{DeviceID: "dev-1", UserToken: "tok", SessionToken: "st",
+			Command: protocol.Command{ID: "c1", Name: "set", Args: map[string]string{"mode": "eco", "level": "7"}}, SourceIP: "203.0.113.7"},
+			"0d008007ca8db1bf18056465762d3103746f6b0273740263310373657402056c6576656c0137046d6f64650365636f0b3230332e302e3131332e37"),
+		pin("push", TagUserData, at, PutUserDataBody, protocol.PushUserDataRequest{DeviceID: "dev-1", UserToken: "tok",
+			Data: protocol.UserData{Kind: "schedule", Body: "09:00 on"}},
+			"0e008007ca8db1bf18056465762d3103746f6b087363686564756c650830393a3030206f6e"),
 	} {
 		var b bytes.Buffer
 		tc.encode(&b)
@@ -272,8 +289,24 @@ func TestRecordBytesPinned(t *testing.T) {
 			t.Errorf("%s: decode pinned bytes: %v", tc.name, err)
 			continue
 		}
-		if rec.Op != tc.name || !rec.At.Equal(at) || !reflect.DeepEqual(tc.decoded(rec), tc.req) {
-			t.Errorf("%s: pinned bytes decode to %s at %v: %+v", tc.name, rec.Op, rec.At, tc.decoded(rec))
+		if !rec.At.Equal(at) || !reflect.DeepEqual(rec.Req, tc.req) {
+			t.Errorf("%s: pinned bytes decode at %v to %+v", tc.name, rec.At, rec.Req)
+		}
+		if desc, _ := DescribeRecord(raw); !strings.HasPrefix(desc, "2026-07-06T12:00:00Z "+tc.name+" ") {
+			t.Errorf("%s: pinned bytes describe as %q", tc.name, desc)
 		}
 	}
+}
+
+// pinnedRecord is one TestRecordBytesPinned row.
+type pinnedRecord struct {
+	name   string // the operation as DescribeRecord names it
+	encode func(*bytes.Buffer)
+	want   string
+	req    any
+}
+
+// pin is the row for a cold operation's record.
+func pin[Req any](name string, tag uint8, at time.Time, put func(*bytes.Buffer, Req), req Req, want string) pinnedRecord {
+	return pinnedRecord{name, func(b *bytes.Buffer) { EncodeRecord(b, tag, at, put, req) }, want, req}
 }
