@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build crossbuild fmt vet test race race-stress bench bench-stack bench-json bench-json-smoke fuzz-smoke wal-verify cluster-smoke conn-smoke delegation-smoke loc ci
+.PHONY: all build crossbuild fmt vet test race alloc-pins race-stress bench bench-stack bench-json bench-json-smoke fuzz-smoke wal-verify cluster-smoke conn-smoke delegation-smoke loc ci
 
 all: ci
 
@@ -28,6 +28,16 @@ test:
 # internal/cloud/concurrency_test.go and the campaign worker tests.
 race:
 	$(GO) test -race ./...
+
+# alloc-pins runs the allocation pins without the race detector. Every
+# one of them skips itself under -race (sync.Pool drops items there and
+# the counts mean nothing), and race is the only target in ci that runs
+# the suite, so this target is what enforces them: the binapi epoll round
+# trip and the hopped layers at 0, the cold cycle at its strings, the
+# node's bare-heartbeat ack, the status fingerprint at 0 and the keyed
+# status at what its shadows keep.
+alloc-pins:
+	$(GO) test -count=1 -run 'Alloc' ./internal/...
 
 # race-stress hammers the WAL group-commit queue, the sharded durable
 # hot path, the cluster's shipper and binapi's epoll pollers under the
@@ -97,15 +107,17 @@ bench-json-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' . | $(GO) run ./cmd/benchjson -o /dev/null
 
 # fuzz-smoke runs the WAL frame-decode, shard-merge, binapi wire,
-# delegation record and operation body fuzzers briefly: long enough to
-# shake out parser and merge crashes on arbitrary bytes, short enough
-# for CI.
+# delegation record, operation body and status-apply fuzzers briefly:
+# long enough to shake out parser and merge crashes on arbitrary bytes
+# (and, for the last, a typed status apply that disagrees with the
+# generic one), short enough for CI.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=5s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzMergeShards -fuzztime=5s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzWireFrameDecode -fuzztime=5s ./internal/binapi/
 	$(GO) test -run='^$$' -fuzz=FuzzDelegationRecordDecode -fuzztime=5s ./internal/wirecodec/
 	$(GO) test -run='^$$' -fuzz=FuzzBodyDecode -fuzztime=5s ./internal/wirecodec/
+	$(GO) test -run='^$$' -fuzz=FuzzApplyStatusRecord -fuzztime=5s ./internal/cloud/
 
 # wal-verify regenerates the crash-test corpus — clean, torn-tail and
 # corrupt single-directory logs plus sharded layouts (clean merge, torn
@@ -159,12 +171,13 @@ loc:
 # and a darwin cross-compile for the non-epoll fallback), the full
 # suite under the race detector (which already runs the failover,
 # connection-scale, share-storm and delegation tests the cluster-smoke,
-# conn-smoke and delegation-smoke targets select for humans), a
-# benchmark smoke run, the bench JSON pipeline smoke, the WAL+wire fuzz
-# smoke, the offline WAL integrity check and — the one part of those
+# conn-smoke and delegation-smoke targets select for humans), the
+# allocation pins that suite skips under -race, a benchmark smoke run,
+# the bench JSON pipeline smoke, the WAL+wire fuzz smoke, the offline
+# WAL integrity check and — the one part of those
 # gates no test runs — the A6 delegation sweep printed by statecheck on
 # both reference postures. It ends by printing the size figures (loc).
-ci: fmt vet build crossbuild race race-stress bench bench-json-smoke fuzz-smoke wal-verify
+ci: fmt vet build crossbuild race alloc-pins race-stress bench bench-json-smoke fuzz-smoke wal-verify
 	$(GO) run ./cmd/statecheck -delegation worst-case
 	$(GO) run ./cmd/statecheck -delegation secure
 	@$(MAKE) --no-print-directory loc

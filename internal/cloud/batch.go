@@ -70,8 +70,18 @@ func (s *Service) handleStatusBatch(req protocol.StatusBatchRequest) (protocol.S
 		}
 	}
 
-	// Pass 3: one lock round per shard, one lock round per device.
-	for idx, ids := range shardIDs {
+	// Pass 3: one lock round per shard, one lock round per device. Shards
+	// are visited in order of first appearance, not in map order: a
+	// register may draw a session nonce, and the draws of one batch come
+	// off one stream, so replay must make them in the order the live
+	// execution did.
+	for _, first := range order {
+		idx := s.store.shardIndex(first)
+		ids, pending := shardIDs[idx]
+		if !pending {
+			continue
+		}
+		delete(shardIDs, idx)
 		shadows := s.store.getMany(idx, ids)
 		for j, id := range ids {
 			g := groups[id]

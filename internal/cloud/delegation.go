@@ -1,9 +1,9 @@
 package cloud
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/iotbind/iotbind/internal/delegation"
@@ -216,11 +216,17 @@ func delegationError(err error) error {
 }
 
 func delegateFingerprint(req protocol.DelegateRequest) [32]byte {
-	fields := make([]string, 0, 6+len(req.Scopes))
-	fields = append(fields, "delegate", req.DeviceID, req.UserToken, req.Grantee,
-		strconv.FormatInt(req.TTLSeconds, 10), strconv.Itoa(req.Depth))
-	fields = append(fields, req.Scopes...)
-	return requestFingerprint(fields...)
+	var stack [fpStack]byte
+	b := fpStr(stack[:0], "delegate")
+	b = fpStr(b, req.DeviceID)
+	b = fpStr(b, req.UserToken)
+	b = fpStr(b, req.Grantee)
+	b = fpInt(b, req.TTLSeconds)
+	b = fpInt(b, int64(req.Depth))
+	for _, scope := range req.Scopes {
+		b = fpStr(b, scope)
+	}
+	return sha256.Sum256(b)
 }
 
 func revokeDelegationFingerprint(req protocol.RevokeDelegationRequest) [32]byte {

@@ -130,12 +130,13 @@ type Durable struct {
 	opAt atomic.Int64
 
 	// opG is the executing cold-lane or replayed operation's entropy
-	// stream, guarded by mu (write lock) exactly as before the WAL was
-	// sharded: every entropy consumer outside the hot path sits inside
-	// a cold handler or single-goroutine replay. The hot path's only
-	// entropy draw — the register session nonce — comes through its
-	// opEnv instead and never touches this field.
-	opG *drbg
+	// stream (unseeded outside one), guarded by mu (write lock) exactly
+	// as before the WAL was sharded: every entropy consumer outside the
+	// hot path sits inside a cold handler or single-goroutine replay.
+	// The hot path's only entropy draw — the register session nonce —
+	// comes from the stream in its opEnv instead and never touches this
+	// field.
+	opG drbg
 }
 
 // durableShard is one WAL shard: a lazily opened sparse log plus the
@@ -391,18 +392,55 @@ func (d *Durable) replayRecord(lsn uint64, payload []byte) error {
 
 // applyRecord executes one WAL record under its persisted clock and
 // entropy: recovery (single-goroutine) and ShipRecord (under d.mu
-// exclusively).
+// exclusively). A status record — the replica's steady-state traffic —
+// is decoded straight into the request the primary's hot lane executed
+// and handed to the same handler under the same operation environment.
+// Every other record goes through the generic decoder and the pinned
+// clock and stream the cold lane executes under.
 func (d *Durable) applyRecord(lsn uint64, payload []byte) error {
+	var err error
+	if len(payload) > 0 && payload[0] == wirecodec.TagStatus {
+		err = d.applyStatusRecord(lsn, payload)
+	} else {
+		err = d.applyDecodedRecord(lsn, payload)
+	}
+	if err != nil {
+		return fmt.Errorf("cloud: WAL record %d: %w", lsn, err)
+	}
+	return nil
+}
+
+// applyDecodedRecord applies a record of any tag through
+// wirecodec.DecodeRecord. It accepts status records too, which is how the
+// tests hold applyStatusRecord to it.
+func (d *Durable) applyDecodedRecord(lsn uint64, payload []byte) error {
 	rec, err := wirecodec.DecodeRecord(payload)
 	if err != nil {
-		return fmt.Errorf("cloud: WAL record %d: %w", lsn, err)
+		return err
 	}
-	d.beginOp(rec.At, newDRBG(&d.master, lsn))
+	d.beginOp(rec.At, d.stream(lsn))
 	err = applyWALRecord(rec, d.svc)
 	d.endOp()
-	if err != nil {
-		return fmt.Errorf("cloud: WAL record %d: %w", lsn, err)
+	return err
+}
+
+// applyStatusRecord is applyRecord for a TagStatus payload. The request
+// stays a local value (wirecodec.Record would box it) and its device ID
+// is the registry's own string, so what the apply allocates is what the
+// shadow retains. The outcome is discarded like applyWALRecord's: a
+// status that failed live fails identically here.
+func (d *Durable) applyStatusRecord(lsn uint64, payload []byte) error {
+	c := wirecodec.NewCursor(payload, 1)
+	env := opEnv{now: wirecodec.DecodeTime(c.I64()), g: d.stream(lsn)}
+	var req protocol.StatusRequest
+	req.Kind = protocol.StatusKind(c.U8())
+	req.DeviceID = d.svc.registry.canonicalID(c.StrBytes())
+	req.SourceIP = string(wirecodec.ReadStatusRest(c, &req))
+	if !c.Done() {
+		c.Fail()
+		return c.Err()
 	}
+	_, _ = d.svc.handleStatusCounted(req, &env)
 	return nil
 }
 
@@ -472,29 +510,38 @@ func (d *Durable) writeMeta(path string, meta durableMeta) error {
 
 // ---- deterministic replay plumbing -----------------------------------------
 
-// drbg is a deterministic SHA-256 counter generator. Each logged
-// operation gets its own stream seeded by (master seed, LSN): live
-// execution and replay of the same record draw identical bytes, and no
-// two records ever share a stream.
+// drbg is a deterministic SHA-256 counter generator: block n of a
+// stream is SHA-256(master seed || LSN || n). Each logged operation gets
+// its own stream, so live execution and replay of the same record draw
+// identical bytes and no two records ever share one. It is a value, made
+// by Durable.stream and copied into whatever owns the operation — an
+// opEnv on the hot lane, Durable.opG on the cold lane and in replay —
+// which must hold it for the whole operation: every draw continues where
+// the previous one stopped. Nothing is hashed until the first draw, so an
+// operation that draws nothing pays for two words. The zero drbg is
+// unseeded: it stands for "no pinned stream".
 type drbg struct {
-	seed [40]byte // master(32) || LSN(8)
-	blk  [32]byte
-	ctr  uint64
-	rem  int // unread bytes of blk
+	master *[32]byte
+	lsn    uint64
+	ctr    uint64   // next block
+	blk    [32]byte // current block
+	rem    int      // unread bytes of blk
 }
 
-func newDRBG(master *[32]byte, lsn uint64) *drbg {
-	g := &drbg{}
-	copy(g.seed[:32], master[:])
-	binary.LittleEndian.PutUint64(g.seed[32:], lsn)
-	return g
+// stream returns the entropy stream of the record at lsn, positioned at
+// its start.
+func (d *Durable) stream(lsn uint64) drbg {
+	return drbg{master: &d.master, lsn: lsn}
 }
+
+func (g *drbg) seeded() bool { return g.master != nil }
 
 func (g *drbg) read(p []byte) {
 	for len(p) > 0 {
 		if g.rem == 0 {
 			var in [48]byte
-			copy(in[:40], g.seed[:])
+			copy(in[:32], g.master[:])
+			binary.LittleEndian.PutUint64(in[32:], g.lsn)
 			binary.LittleEndian.PutUint64(in[40:], g.ctr)
 			g.blk = sha256.Sum256(in[:])
 			g.ctr++
@@ -508,20 +555,21 @@ func (g *drbg) read(p []byte) {
 
 // hexNonce draws the 16-byte session nonce a register status mints,
 // encoded exactly as Service.randomHex encodes it — live hot-lane
-// execution (through an opEnv) and replay (through d.randomHex) must
-// produce the same string from the same stream.
+// execution (through an opEnv) and replay of a batch's register (through
+// d.randomHex) must produce the same string from the same stream.
 func (g *drbg) hexNonce() (string, error) {
 	var b [16]byte
 	g.read(b[:])
 	return hex.EncodeToString(b[:]), nil
 }
 
-// beginOp pins the clock (and, for logged operations, the entropy
-// stream) of the cold-lane or replayed operation about to execute. The
-// caller holds d.mu exclusively; the clock travels through an atomic
-// only because pass-through reads sample it without the mutex (see the
-// opAt field comment).
-func (d *Durable) beginOp(at time.Time, g *drbg) {
+// beginOp pins the clock and the entropy stream (unseeded for an
+// operation that is not logged ahead of its apply) of the cold-lane or
+// replayed operation about to execute. The caller holds d.mu
+// exclusively; the clock travels through an atomic only because
+// pass-through reads sample it without the mutex (see the opAt field
+// comment).
+func (d *Durable) beginOp(at time.Time, g drbg) {
 	d.opG = g
 	d.opAt.Store(at.UnixNano())
 }
@@ -529,7 +577,7 @@ func (d *Durable) beginOp(at time.Time, g *drbg) {
 // endOp clears the operation context set by beginOp.
 func (d *Durable) endOp() {
 	d.opAt.Store(0)
-	d.opG = nil
+	d.opG = drbg{}
 }
 
 // now is the service clock: inside a cold-lane or replayed operation it
@@ -549,8 +597,8 @@ func (d *Durable) now() time.Time {
 // during single-goroutine replay, so reading opG without the atomic is
 // safe.
 func (d *Durable) readEntropy(p []byte) error {
-	if g := d.opG; g != nil {
-		g.read(p)
+	if d.opG.seeded() {
+		d.opG.read(p)
 		return nil
 	}
 	_, err := rand.Read(p)
@@ -559,8 +607,8 @@ func (d *Durable) readEntropy(p []byte) error {
 
 // randomHex feeds the service's nonce source from the same stream.
 func (d *Durable) randomHex() (string, error) {
-	if g := d.opG; g != nil {
-		return g.hexNonce()
+	if d.opG.seeded() {
+		return d.opG.hexNonce()
 	}
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -697,7 +745,7 @@ func logThenApply[T any](d *Durable, routeKey string, encode func(*bytes.Buffer,
 	if err != nil {
 		return zero, fmt.Errorf("cloud: durable log: %w", err)
 	}
-	d.beginOp(at, newDRBG(&d.master, lsn))
+	d.beginOp(at, d.stream(lsn))
 	resp, aerr := apply()
 	d.endOp()
 	return resp, aerr
@@ -833,9 +881,10 @@ func (d *Durable) HandleStatus(req protocol.StatusRequest) (protocol.StatusRespo
 		// The operation environment pins the record's clock and the
 		// LSN-seeded nonce stream without touching the process-wide
 		// pinned clock — other shards are mid-operation on their own
-		// environments. Replay reproduces both through beginOp.
-		env := &opEnv{now: at, nonce: newDRBG(&d.master, lsn).hexNonce}
-		return d.svc.handleStatusCounted(req, env)
+		// environments. Replay builds the same environment from the
+		// record (applyStatusRecord).
+		env := opEnv{now: at, g: d.stream(lsn)}
+		return d.svc.handleStatusCounted(req, &env)
 	}
 
 	// Liveness fast path: apply first, under a clock pinned to the time
@@ -908,7 +957,7 @@ func (d *Durable) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.S
 	}
 
 	at := d.wall().UTC()
-	d.beginOp(at, nil)
+	d.beginOp(at, drbg{})
 	resp, err := d.svc.HandleStatusBatch(req)
 	d.endOp()
 	if err != nil {

@@ -62,6 +62,20 @@ func (r *Registry) Lookup(id string) (DeviceRecord, bool) {
 	return rec, ok
 }
 
+// canonicalID returns raw as a string: the registry's own copy when raw
+// names a registered device (the map probe does not allocate), a fresh
+// one otherwise. A decoder that will look the device up anyway uses it
+// to keep a known device's ID off the heap.
+func (r *Registry) canonicalID(raw []byte) string {
+	r.mu.RLock()
+	rec, ok := r.devices[string(raw)]
+	r.mu.RUnlock()
+	if ok {
+		return rec.ID
+	}
+	return string(raw)
+}
+
 // IDs returns all registered device IDs in sorted order.
 func (r *Registry) IDs() []string {
 	r.mu.RLock()

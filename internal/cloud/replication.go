@@ -35,7 +35,9 @@ var ErrNotPrimary = errors.New("cloud: node is a replica (not primary)")
 // sound because the only records that can overtake each other are the
 // hot lane's, and those commute (a cold-lane record appends only after
 // every lower LSN completed).
-// Only legal on a follower.
+// payload is only read during the call — the shard log and the apply
+// copy what they keep — so the shipper may hand in a slice of a buffer
+// it reuses. Only legal on a follower.
 func (d *Durable) ShipRecord(shard int, lsn uint64, payload []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/wal"
 )
@@ -43,6 +44,12 @@ func tailPrimary(t *testing.T, tailers []*wal.Tailer) []shippedRecord {
 // follower sharing the primary's registry and clock.
 func openReplica(t *testing.T, primaryDir, replicaDir string, reg *Registry, clock *testClock) *Durable {
 	t.Helper()
+	return openReplicaDesign(t, primaryDir, replicaDir, devIDDesign(), reg, clock)
+}
+
+// openReplicaDesign is openReplica under an explicit design spec.
+func openReplicaDesign(t testing.TB, primaryDir, replicaDir string, design core.DesignSpec, reg *Registry, clock *testClock) *Durable {
+	t.Helper()
 	meta, err := os.ReadFile(filepath.Join(primaryDir, "meta.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +57,7 @@ func openReplica(t *testing.T, primaryDir, replicaDir string, reg *Registry, clo
 	if err := os.WriteFile(filepath.Join(replicaDir, "meta.json"), meta, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenDurable(replicaDir, devIDDesign(), reg, DurableOptions{
+	r, err := OpenDurable(replicaDir, design, reg, DurableOptions{
 		Clock: clock.Now, Follower: true, WAL: wal.Options{Policy: wal.SyncOff},
 	})
 	if err != nil {

@@ -202,15 +202,16 @@ func (s *Service) requestBindToken(req protocol.BindTokenRequest) (protocol.Bind
 }
 
 // opEnv pins one in-flight operation's observable environment — the
-// clock sample and the session-nonce source. The service's injected
-// s.now/s.randomHex are process-wide; a durable cloud running logged
-// status operations concurrently on different WAL shards cannot pin
-// them per operation through those globals, so it threads the pinned
-// values here instead. A nil env means "use the service's own
-// sources" — the path every non-durable caller takes.
+// clock sample and the entropy stream a session nonce is drawn from. The
+// service's injected s.now/s.randomHex are process-wide; a durable cloud
+// running logged status operations concurrently on different WAL shards
+// cannot pin them per operation through those globals, so it threads the
+// pinned values here instead: by value, no func, so building one costs
+// no allocation. A nil env means "use the service's own sources" — the
+// path every non-durable caller takes — and so does an unseeded g.
 type opEnv struct {
-	now   time.Time
-	nonce func() (string, error)
+	now time.Time
+	g   drbg
 }
 
 // envNow resolves the operation clock: the pinned sample when an env
@@ -222,10 +223,11 @@ func (s *Service) envNow(env *opEnv) time.Time {
 	return s.now()
 }
 
-// envNonce resolves the session-nonce source the same way.
+// envNonce resolves the session-nonce source the same way. Draws from
+// one env continue one stream.
 func (s *Service) envNonce(env *opEnv) (string, error) {
-	if env != nil && env.nonce != nil {
-		return env.nonce()
+	if env != nil && env.g.seeded() {
+		return env.g.hexNonce()
 	}
 	return s.randomHex()
 }
@@ -427,21 +429,38 @@ func (s *Service) handleBind(req protocol.BindRequest) (protocol.BindResponse, e
 	return resp, nil
 }
 
-// requestFingerprint hashes the fields that identify and authenticate a
-// request, length-delimited so adjacent fields cannot alias. Idempotency
-// replay is pinned to this fingerprint: a key only answers the exact
-// request that recorded it.
+// A request fingerprint is the SHA-256 of the fields that identify and
+// authenticate the request, each preceded by its length as eight
+// big-endian bytes so adjacent fields cannot alias; numbers and booleans
+// enter as their decimal / 'g' / "true"/"false" text. Idempotency replay
+// is pinned to it: a key only answers the exact request that recorded it.
+// The hash input is built with the fp* appenders in a buffer that starts
+// on the caller's stack (fpStack bytes cover every request the clients in
+// this repository send; a longer one spills to the heap) and hashed once,
+// so a keyed request pays for no intermediate strings. The bytes are
+// persisted in snapshots and pinned by TestFingerprintBytesPinned.
+const fpStack = 512
+
+// fpStr appends one field: its length, then its bytes.
+func fpStr[T string | []byte](b []byte, f T) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(len(f)))
+	return append(b, f...)
+}
+
+// fpInt appends an integer field as its decimal text.
+func fpInt(b []byte, v int64) []byte {
+	var text [20]byte
+	return fpStr(b, strconv.AppendInt(text[:0], v, 10))
+}
+
+// requestFingerprint fingerprints a request made of string fields only.
 func requestFingerprint(fields ...string) [32]byte {
-	h := sha256.New()
-	var n [8]byte
+	var stack [fpStack]byte
+	b := stack[:0]
 	for _, f := range fields {
-		binary.BigEndian.PutUint64(n[:], uint64(len(f)))
-		h.Write(n[:])
-		h.Write([]byte(f))
+		b = fpStr(b, f)
 	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(b)
 }
 
 func bindFingerprint(req protocol.BindRequest) [32]byte {
@@ -459,16 +478,23 @@ func unbindFingerprint(req protocol.UnbindRequest) [32]byte {
 // computed only for keyed requests, so the unkeyed hot path never pays for
 // the hashing.
 func statusFingerprint(req protocol.StatusRequest) [32]byte {
-	fields := make([]string, 0, 8+3*len(req.Readings))
-	fields = append(fields, "status", strconv.Itoa(int(req.Kind)), req.DeviceID,
-		req.DevToken, req.Signature, req.SessionToken, req.DataProof,
-		strconv.FormatBool(req.ButtonPressed))
-	for _, rd := range req.Readings {
-		fields = append(fields, rd.Name,
-			strconv.FormatFloat(rd.Value, 'g', -1, 64),
-			strconv.FormatInt(rd.At.UnixNano(), 10))
+	var stack [fpStack]byte
+	b := fpStr(stack[:0], "status")
+	b = fpInt(b, int64(req.Kind))
+	b = fpStr(b, req.DeviceID)
+	b = fpStr(b, req.DevToken)
+	b = fpStr(b, req.Signature)
+	b = fpStr(b, req.SessionToken)
+	b = fpStr(b, req.DataProof)
+	b = fpStr(b, strconv.FormatBool(req.ButtonPressed))
+	var text [32]byte // the longest 'g' text of a float64 is 24 bytes
+	for i := range req.Readings {
+		rd := &req.Readings[i]
+		b = fpStr(b, rd.Name)
+		b = fpStr(b, strconv.AppendFloat(text[:0], rd.Value, 'g', -1, 64))
+		b = fpInt(b, rd.At.UnixNano())
 	}
-	return requestFingerprint(fields...)
+	return sha256.Sum256(b)
 }
 
 // HandleUnbind processes a binding-revocation message (Section IV-C).

@@ -18,7 +18,10 @@ import (
 // may call Drain for a long time and the heap must not grow with the
 // backlog. Past the cap the feed forgets what it held and the next drain
 // re-reads the backlog from the primary's segment files — the log on
-// disk is the source of truth, the feed a cache of its tail.
+// disk is the source of truth, the feed a cache of its tail. Two arenas
+// rotate between the feed and the drain and each keeps the capacity of the
+// largest backlog it held, so what the shipper pins is at most twice this
+// (plus append's slack), whatever the backlog.
 const feedCapBytes = 4 << 20
 
 // Shipper moves a primary's WAL to its replica. In steady state the
@@ -74,6 +77,7 @@ type Shipper struct {
 	marks    []uint64  // per-shard highest LSN delivered to dst
 	shipped  uint64    // highest LSN delivered to dst across all shards
 	pending  []shipRec // taken off the feed or the files, not yet accepted by dst
+	arena    []byte    // the last take's arena, which the next take hands back to the feed
 }
 
 // shipRec is one record in transit to the replica.
@@ -81,30 +85,40 @@ type shipRec struct {
 	shard   int
 	lsn     uint64
 	payload []byte
+	// inArena: payload lies in the arena the drain took from the feed,
+	// which the next take gives back to be overwritten.
+	inArena bool
 }
 
 // feed is the queue between the primary's append path and the shipper.
+// The payloads it holds lie back to back in one arena, so offering a
+// record allocates nothing once the arena and the queue have grown to a
+// drain's worth. A take swaps the arena for the one the previous drain
+// is done with.
 type feed struct {
 	mu         sync.Mutex // leaf
 	queue      []shipRec
-	bytes      int  // payload bytes held by queue, at most feedCapBytes
-	overflowed bool // records were dropped since the last take
+	arena      []byte // the queue's payloads, at most feedCapBytes
+	overflowed bool   // records were dropped since the last take
 	// offered counts every record handed to Offer, retained or dropped.
 	// Advanced under mu, so take reads it consistently with the queue;
 	// atomic so the ack check reads it without the lock.
 	offered atomic.Uint64
 }
 
-// take moves the queue onto the end of pending and reports the offered
-// count that the moved records (plus any dropped ones) add up to.
-func (f *feed) take(pending []shipRec) (_ []shipRec, offered uint64, overflowed bool) {
+// take moves the queue onto the end of pending, swaps the arena those
+// records lie in for spent — an arena no record refers to any more — and
+// reports the offered count that the moved records (plus any dropped
+// ones) add up to.
+func (f *feed) take(pending []shipRec, spent []byte) (_ []shipRec, arena []byte, offered uint64, overflowed bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	pending = append(pending, f.queue...)
 	clear(f.queue)
-	f.queue, f.bytes = f.queue[:0], 0
+	f.queue = f.queue[:0]
+	arena, f.arena = f.arena, spent[:0]
 	overflowed, f.overflowed = f.overflowed, false
-	return pending, f.offered.Load(), overflowed
+	return pending, arena, f.offered.Load(), overflowed
 }
 
 // NewShipper ships the primary's sharded WAL under primaryDir (the
@@ -132,8 +146,9 @@ func NewShipper(primaryDir string, maxRecord int, dst *cloud.Durable, flush func
 }
 
 // Offer is the primary's append observer (cloud.Durable.SetAppendObserver):
-// it copies the pooled payload once and queues the record, or, past the
-// cap, drops the queue and leaves the backlog to a re-seed.
+// it copies the pooled payload once, onto the end of the feed's arena,
+// and queues the record, or, past the cap, drops the queue and the arena
+// and leaves the backlog to a re-seed.
 func (s *Shipper) Offer(shard int, lsn uint64, payload []byte) {
 	f := &s.feed
 	f.mu.Lock()
@@ -142,12 +157,16 @@ func (s *Shipper) Offer(shard int, lsn uint64, payload []byte) {
 	if f.overflowed {
 		return
 	}
-	if f.bytes+len(payload) > feedCapBytes {
-		f.queue, f.bytes, f.overflowed = nil, 0, true
+	at := len(f.arena)
+	if at+len(payload) > feedCapBytes {
+		f.queue, f.arena, f.overflowed = nil, nil, true
 		return
 	}
-	f.queue = append(f.queue, shipRec{shard: shard, lsn: lsn, payload: append([]byte(nil), payload...)})
-	f.bytes += len(payload)
+	// A record queued before the arena last grew keeps the array it was
+	// copied into; the cap keeps a consumer from appending into its
+	// neighbour.
+	f.arena = append(f.arena, payload...)
+	f.queue = append(f.queue, shipRec{shard: shard, lsn: lsn, payload: f.arena[at:len(f.arena):len(f.arena)], inArena: true})
 }
 
 // Drain delivers every record offered so far and returns once the
@@ -168,9 +187,17 @@ func (s *Shipper) Drain() error {
 }
 
 func (s *Shipper) drainLocked() error {
+	// The arena of the previous take goes back to the feed. Whatever that
+	// drain failed to deliver and left pending moves out of it first, so
+	// the pending buffer stays the only copy that outlives a failure.
+	for i := range s.pending {
+		if r := &s.pending[i]; r.inArena {
+			r.payload, r.inArena = append([]byte(nil), r.payload...), false
+		}
+	}
 	var offered uint64
 	var overflowed bool
-	s.pending, offered, overflowed = s.feed.take(s.pending)
+	s.pending, s.arena, offered, overflowed = s.feed.take(s.pending, s.arena)
 	s.reseed = s.reseed || overflowed
 	if s.detached && (len(s.pending) > 0 || s.reseed) {
 		// The primary's disk is gone: whatever was shipped is all there

@@ -198,6 +198,39 @@ func TestShipperRetriesPendingAfterTransientFailure(t *testing.T) {
 	}
 }
 
+// TestShipperPendingOutlivesTheArena: a record a drain took but could
+// not deliver lies in an arena the feed gets back and overwrites two
+// takes later, so the pending buffer must own its bytes by then. Two
+// failed drains with traffic in between put the first drain's records
+// through exactly that, and the replica's logs must still come out byte
+// for byte the primary's.
+func TestShipperPendingOutlivesTheArena(t *testing.T) {
+	n := newLabNode(t, "n0", false, labDev)
+	driveNode(t, n)
+	if err := n.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 4; i++ {
+			if _, err := n.HandleStatus(keyedStatus(labDev, fmt.Sprintf("hb-round-%d-%d", round, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round == 2 {
+			break
+		}
+		errInjected := failShip(n.ship, 1)
+		if err := n.CatchUp(); !errors.Is(err, errInjected) {
+			t.Fatalf("round %d: CatchUp = %v, want the injected failure", round, err)
+		}
+	}
+	if err := n.CatchUp(); err != nil {
+		t.Fatalf("CatchUp once the failure cleared = %v", err)
+	}
+	requireReplicaLogsMatch(t, n)
+	requireSnapshotsEqual(t, n.primary, n.replica)
+}
+
 // TestShipperAckRetriesStrandedRecord is the same contract on the ack
 // path: the request whose record could not be delivered fails, the
 // record stays pending, and the very next ack's drain — here a bare
@@ -348,8 +381,8 @@ func TestShipperOverflowReseedsFromDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.mu.Lock()
-		if f.bytes > feedCapBytes {
-			t.Fatalf("feed retains %d bytes, cap %d", f.bytes, feedCapBytes)
+		if len(f.arena) > feedCapBytes {
+			t.Fatalf("feed retains %d bytes, cap %d", len(f.arena), feedCapBytes)
 		}
 		overflowed = f.overflowed
 		if overflowed && len(f.queue) != 0 {
@@ -364,8 +397,8 @@ func TestShipperOverflowReseedsFromDisk(t *testing.T) {
 		}
 	}
 	f.mu.Lock()
-	if f.bytes != 0 || len(f.queue) != 0 {
-		t.Fatalf("overflowed feed retains %d bytes in %d records", f.bytes, len(f.queue))
+	if len(f.arena) != 0 || len(f.queue) != 0 {
+		t.Fatalf("overflowed feed retains %d bytes in %d records", len(f.arena), len(f.queue))
 	}
 	f.mu.Unlock()
 
@@ -558,4 +591,45 @@ func TestNodeBareHeartbeatAckAllocs(t *testing.T) {
 	if through > direct {
 		t.Fatalf("bare heartbeat allocates %.0f times through Node.HandleStatus, %.0f through Durable.HandleStatus", through, direct)
 	}
+}
+
+// TestKeyedStatusAllocations pins what a logged status costs below the
+// transport: a keyed heartbeat with one reading and a stamped source
+// address, logged on the primary, shipped and applied on the replica
+// before the ack. Each of the six allocations is state a shadow keeps.
+// The primary keeps the request's own strings and copies its reading
+// into a buffer it reuses, so it allocates only its idempotency record.
+// The replica decodes its own copy of the record: the idempotency key,
+// the readings slice, the reading's name, the source address, and its
+// idempotency record. Fingerprinting, the entropy stream, the decoded
+// request, the device ID and the shipper's feed account for none.
+func TestKeyedStatusAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	n := newLabNode(t, "n0", true, labDev)
+	driveNode(t, n)
+	// The warm-up fills the reading and idempotency windows and sizes the
+	// feed's arenas; AllocsPerRun makes one call more than it counts.
+	const warm, runs = 300, 1000
+	reqs := make([]protocol.StatusRequest, warm+runs+1)
+	for i := range reqs {
+		reqs[i] = keyedStatus(labDev, fmt.Sprintf("hb-alloc-%d", i))
+		reqs[i].SourceIP = "203.0.113.7"
+		reqs[i].Readings = []protocol.Reading{{Name: "power_w", Value: float64(i), At: labClock()()}}
+	}
+	next := 0
+	call := func() {
+		if _, err := n.HandleStatus(reqs[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for next < warm {
+		call()
+	}
+	if got := testing.AllocsPerRun(runs, call); got != 6 {
+		t.Errorf("a keyed status allocates %.0f times through Node.HandleStatus, want 6", got)
+	}
+	requireSnapshotsEqual(t, n.primary, n.replica)
 }

@@ -304,11 +304,14 @@ func ReadStatusBody(c *Cursor) protocol.StatusRequest {
 
 // ReadStatusRest decodes the fields following Kind and DeviceID into
 // req, except the source address, which it returns raw (aliasing the
-// input) and leaves unset. Split out for the binapi server, the one
-// decoder that reads the device ID through an interning cache and
-// replaces the sender's address claim with the transport's: its decode
-// of a bare heartbeat allocates nothing. The record decoders, which
-// replay the address that was stamped, materialise it (ReadStatusBody).
+// input) and leaves unset. Split out for the two callers that have a
+// string for the device ID already and so read it themselves: the binapi
+// server, through its connection's interning cache (it also replaces
+// the sender's address claim with the transport's, so its decode of a
+// bare heartbeat allocates nothing), and cloud.Durable's apply of a
+// status record, through the device registry. The record decoders,
+// which replay the address that was stamped, materialise it
+// (ReadStatusBody, and that apply).
 func ReadStatusRest(c *Cursor, req *protocol.StatusRequest) (sourceIP []byte) {
 	req.DevToken = c.Str()
 	req.Signature = c.Str()
