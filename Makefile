@@ -34,8 +34,10 @@ race:
 # the counts mean nothing), and race is the only target in ci that runs
 # the suite, so this target is what enforces them: the binapi epoll round
 # trip and the hopped layers at 0, the cold cycle at its strings, the
-# node's bare-heartbeat ack, the status fingerprint at 0 and the keyed
-# status at what its shadows keep.
+# node's bare-heartbeat ack, the status fingerprint at 0, the keyed
+# status at what its shadows keep, a proof at its one string, a
+# delegation check at its map and traces, and every live Table III cell
+# at its exact count.
 alloc-pins:
 	$(GO) test -count=1 -run 'Alloc' ./internal/...
 
@@ -107,10 +109,11 @@ bench-json-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' . | $(GO) run ./cmd/benchjson -o /dev/null
 
 # fuzz-smoke runs the WAL frame-decode, shard-merge, binapi wire,
-# delegation record, operation body and status-apply fuzzers briefly:
-# long enough to shake out parser and merge crashes on arbitrary bytes
-# (and, for the last, a typed status apply that disagrees with the
-# generic one), short enough for CI.
+# delegation record, operation body, status-apply and proof-HMAC fuzzers
+# briefly: long enough to shake out parser and merge crashes on arbitrary
+# bytes (and, for the last two, a typed status apply that disagrees with
+# the generic one and a spelled-out HMAC that disagrees with
+# crypto/hmac), short enough for CI.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=5s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzMergeShards -fuzztime=5s ./internal/wal/
@@ -118,6 +121,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDelegationRecordDecode -fuzztime=5s ./internal/wirecodec/
 	$(GO) test -run='^$$' -fuzz=FuzzBodyDecode -fuzztime=5s ./internal/wirecodec/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyStatusRecord -fuzztime=5s ./internal/cloud/
+	$(GO) test -run='^$$' -fuzz=FuzzHmacHex -fuzztime=5s ./internal/protocol/
 
 # wal-verify regenerates the crash-test corpus — clean, torn-tail and
 # corrupt single-directory logs plus sharded layouts (clean merge, torn

@@ -83,9 +83,13 @@ func WithWiFi(ssid, password string) Option {
 // online but before the app sends its binding message, in setup flows that
 // have such a window. The testbed uses it to inject attacks into the A4-2
 // setup window.
-func WithPreBindHook(hook func()) Option {
-	return optionFunc(func(a *App) { a.preBindHook = hook })
-}
+func WithPreBindHook(hook func()) Option { return hookOption(hook) }
+
+// hookOption is the hook itself: a func value boxes into an Option
+// without the closure an optionFunc would allocate per testbed.
+type hookOption func()
+
+func (hook hookOption) apply(a *App) { a.preBindHook = hook }
 
 // WithRetry makes the app re-send failed cloud calls under the policy
 // (see package retry), so logins, binds, unbinds and control survive

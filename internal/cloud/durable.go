@@ -560,7 +560,7 @@ func (g *drbg) read(p []byte) {
 func (g *drbg) hexNonce() (string, error) {
 	var b [16]byte
 	g.read(b[:])
-	return hex.EncodeToString(b[:]), nil
+	return hex16(&b), nil
 }
 
 // beginOp pins the clock and the entropy stream (unseeded for an
@@ -614,7 +614,7 @@ func (d *Durable) randomHex() (string, error) {
 	if _, err := rand.Read(b[:]); err != nil {
 		return "", err
 	}
-	return hex.EncodeToString(b[:]), nil
+	return hex16(&b), nil
 }
 
 // ---- sharded append plumbing -----------------------------------------------

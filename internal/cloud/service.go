@@ -64,10 +64,14 @@ type optionFunc func(*Service)
 
 func (f optionFunc) apply(s *Service) { f(s) }
 
+// clockOption is the clock itself: a func value boxes into an Option
+// without the closure an optionFunc would allocate per testbed.
+type clockOption func() time.Time
+
+func (now clockOption) apply(s *Service) { s.now = now }
+
 // WithClock injects a clock, for deterministic tests and testbeds.
-func WithClock(now func() time.Time) Option {
-	return optionFunc(func(s *Service) { s.now = now })
-}
+func WithClock(now func() time.Time) Option { return clockOption(now) }
 
 // WithReadingsRetention overrides how many recent readings the cloud
 // keeps per device.
@@ -123,7 +127,7 @@ func NewService(design core.DesignSpec, registry *Registry, opts ...Option) (*Se
 			if _, err := rand.Read(b[:]); err != nil {
 				return "", err
 			}
-			return hex.EncodeToString(b[:]), nil
+			return hex16(&b), nil
 		},
 		readingsRetention: DefaultReadingsRetention,
 	}
@@ -134,6 +138,15 @@ func NewService(design core.DesignSpec, registry *Registry, opts ...Option) (*Se
 		s.issuer = token.NewIssuer(token.WithClock(s.now))
 	}
 	return s, nil
+}
+
+// hex16 is the one encoding of a 16-byte session nonce — live, durable
+// and replayed draws must spell the same bytes the same way. It encodes on
+// the stack, so the string is the only allocation.
+func hex16(b *[16]byte) string {
+	var text [32]byte
+	hex.Encode(text[:], b[:])
+	return string(text[:])
 }
 
 // Design returns the design spec the cloud enforces.

@@ -38,7 +38,10 @@ type shadowStore struct {
 }
 
 type shadowShard struct {
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// shadows is nil until the first insert (put, under mu's write
+	// lock): a nil map reads as empty, so lookups need no check, and a
+	// cloud that serves one device does not pay for 4 × GOMAXPROCS maps.
 	shadows map[string]*shadow
 	// pad spaces shards across cache lines so neighbouring shard locks
 	// don't false-share under cross-core traffic.
@@ -47,11 +50,18 @@ type shadowShard struct {
 
 func newShadowStore() *shadowStore {
 	n := shardCount()
-	st := &shadowStore{shards: make([]shadowShard, n), mask: uint32(n - 1)}
-	for i := range st.shards {
-		st.shards[i].shadows = make(map[string]*shadow)
+	return &shadowStore{shards: make([]shadowShard, n), mask: uint32(n - 1)}
+}
+
+// put creates and stores the shadow for deviceID. The caller holds
+// sd.mu's write lock and has found no shadow under it.
+func (sd *shadowShard) put(deviceID string) *shadow {
+	if sd.shadows == nil {
+		sd.shadows = make(map[string]*shadow)
 	}
-	return st
+	sh := newShadow(deviceID)
+	sd.shadows[deviceID] = sh
+	return sh
 }
 
 // fnv1a is the 32-bit FNV-1a hash used for shard selection.
@@ -111,9 +121,7 @@ func (st *shadowStore) getMany(idx uint32, ids []string) []*shadow {
 			out[i] = sh
 			continue
 		}
-		sh := newShadow(id)
-		sd.shadows[id] = sh
-		out[i] = sh
+		out[i] = sd.put(id)
 	}
 	return out
 }
@@ -134,9 +142,7 @@ func (st *shadowStore) get(deviceID string) *shadow {
 	if sh, ok = sd.shadows[deviceID]; ok {
 		return sh
 	}
-	sh = newShadow(deviceID)
-	sd.shadows[deviceID] = sh
-	return sh
+	return sd.put(deviceID)
 }
 
 // peek returns the shadow for deviceID without creating one.

@@ -79,10 +79,14 @@ type optionFunc func(*Device)
 
 func (f optionFunc) apply(d *Device) { f(d) }
 
+// clockOption is the clock itself: a func value boxes into an Option
+// without the closure an optionFunc would allocate per testbed.
+type clockOption func() time.Time
+
+func (now clockOption) apply(d *Device) { d.now = now }
+
 // WithClock injects a clock for reading timestamps.
-func WithClock(now func() time.Time) Option {
-	return optionFunc(func(d *Device) { d.now = now })
-}
+func WithClock(now func() time.Time) Option { return clockOption(now) }
 
 // WithFirmware sets the reported firmware version.
 func WithFirmware(v string) Option {

@@ -13,7 +13,9 @@ package localnet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -90,11 +92,7 @@ var (
 
 // NewNetwork creates an open LAN with the given name and public address.
 func NewNetwork(name, publicIP string) *Network {
-	return &Network{
-		name:       name,
-		publicIP:   publicIP,
-		responders: make(map[string]Responder),
-	}
+	return &Network{name: name, publicIP: publicIP}
 }
 
 // NewProtectedNetwork creates a WPA2-protected LAN: devices join only
@@ -124,6 +122,11 @@ func (n *Network) Join(r Responder) error {
 	if _, exists := n.responders[name]; exists {
 		return fmt.Errorf("%w: %q", ErrDuplicateName, name)
 	}
+	if n.responders == nil {
+		// Made by the first Join: a network nobody joins (the attacker's,
+		// in every testbed) reads as empty without one.
+		n.responders = make(map[string]Responder)
+	}
 	n.responders[name] = r
 	return nil
 }
@@ -152,7 +155,7 @@ func (n *Network) Discover() []Announcement {
 			anns = append(anns, ann)
 		}
 	}
-	sort.Slice(anns, func(i, j int) bool { return anns[i].LocalName < anns[j].LocalName })
+	slices.SortFunc(anns, func(a, b Announcement) int { return strings.Compare(a.LocalName, b.LocalName) })
 	return anns
 }
 

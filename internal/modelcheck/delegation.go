@@ -113,10 +113,8 @@ func (s *dsystem) authorizedSub(st dstate, scope delegation.Scope) bool {
 	return st.bScope.Has(scope) && st.aScope != 0
 }
 
-// successors enumerates the enabled moves in st.
-func (s *dsystem) successors(st dstate) []edgeD {
-	var out []edgeD
-
+// successors appends the moves enabled in st to out.
+func (s *dsystem) successors(st dstate, out []edge[dstate]) []edge[dstate] {
 	// Owner delegates to the guest (replacing any existing grant —
 	// replacement severs the derived subtree, exactly as the lattice
 	// does). Minting accompanies every grant.
@@ -128,7 +126,7 @@ func (s *dsystem) successors(st dstate) []edgeD {
 		// Replacement severs B's derived grant and retires its token.
 		to.bScope = 0
 		to.bTok = false
-		out = append(out, edgeD{move, to})
+		out = append(out, edge[dstate]{move, to})
 	}
 	grant(MoveOwnerDelegateFull, delegation.ScopeControl|delegation.ScopeRead|delegation.ScopeShare)
 	grant(MoveOwnerDelegateReadOnly, delegation.ScopeRead|delegation.ScopeShare)
@@ -144,7 +142,7 @@ func (s *dsystem) successors(st dstate) []edgeD {
 			to := st
 			to.bScope = scope
 			to.bTok = true
-			out = append(out, edgeD{move, to})
+			out = append(out, edge[dstate]{move, to})
 		}
 		redelegate(MoveGuestRedelegateCtl, delegation.ScopeControl)
 		redelegate(MoveGuestRedelegateRead, delegation.ScopeRead)
@@ -162,7 +160,7 @@ func (s *dsystem) successors(st dstate) []edgeD {
 			to.bScope = 0
 			to.bTok = false
 		}
-		out = append(out, edgeD{MoveOwnerRevokeGuest, to})
+		out = append(out, edge[dstate]{MoveOwnerRevokeGuest, to})
 	}
 
 	// Guest control, split at the verification boundary: the token
@@ -172,7 +170,7 @@ func (s *dsystem) successors(st dstate) []edgeD {
 	if st.aTok && !st.inflight {
 		to := st
 		to.inflight = true
-		out = append(out, edgeD{MoveGuestControlBegin, to})
+		out = append(out, edge[dstate]{MoveGuestControlBegin, to})
 	}
 	if st.inflight {
 		to := st
@@ -184,7 +182,7 @@ func (s *dsystem) successors(st dstate) []edgeD {
 				// one-shot window.
 				to.stale = true
 			}
-			out = append(out, edgeD{MoveGuestControlLand, to})
+			out = append(out, edge[dstate]{MoveGuestControlLand, to})
 		}
 	}
 
@@ -194,7 +192,7 @@ func (s *dsystem) successors(st dstate) []edgeD {
 		if !s.d.DelegationCheckAtUse || s.authorizedSub(st, delegation.ScopeControl) {
 			to := st
 			s.markSubControl(&to, st)
-			out = append(out, edgeD{MoveSubguestControlToken, to})
+			out = append(out, edge[dstate]{MoveSubguestControlToken, to})
 		}
 	}
 
@@ -205,7 +203,7 @@ func (s *dsystem) successors(st dstate) []edgeD {
 		if s.authorizedSub(st, delegation.ScopeControl) {
 			to := st
 			s.markSubControl(&to, st)
-			out = append(out, edgeD{MoveSubguestControlUser, to})
+			out = append(out, edge[dstate]{MoveSubguestControlUser, to})
 		}
 	}
 
@@ -236,18 +234,6 @@ func (s *dsystem) realizes(a DelegationAttack, st dstate) bool {
 	}
 }
 
-// edgeD is one enabled delegation transition.
-type edgeD struct {
-	move Move
-	to   dstate
-}
-
-type parentLinkD struct {
-	prev dstate
-	move Move
-	root bool
-}
-
 // CheckDelegation explores the design's delegation sub-model to a
 // fixpoint and decides every A6 row. The exploration is exhaustive and
 // the successor order is fixed, so the verdicts — and the
@@ -257,69 +243,15 @@ func CheckDelegation(design core.DesignSpec) ([]DelegationResult, error) {
 		return nil, fmt.Errorf("modelcheck: %w", err)
 	}
 	sys := &dsystem{d: design}
-	start := dstate{}
-	reachable := map[dstate]bool{start: true}
-	parents := map[dstate]parentLinkD{start: {root: true}}
-	frontier := []dstate{start}
-	for len(frontier) > 0 {
-		var next []dstate
-		for _, st := range frontier {
-			for _, succ := range sys.successors(st) {
-				if reachable[succ.to] {
-					continue
-				}
-				reachable[succ.to] = true
-				parents[succ.to] = parentLinkD{prev: st, move: succ.move}
-				next = append(next, succ.to)
-			}
-		}
-		frontier = next
-	}
+	sp := explore(dstate{}, sys.successors)
 
 	results := make([]DelegationResult, 0, 3)
 	for _, a := range AllDelegationAttacks() {
-		res := DelegationResult{Attack: a, StatesExplored: len(reachable)}
-		for st := range reachable {
-			if sys.realizes(a, st) {
-				res.Succeeds = true
-				cex := traceToD(st, parents)
-				// Shortest trace wins; lexicographic order breaks length
-				// ties so the verdict does not depend on map iteration.
-				if res.Trace == nil || len(cex) < len(res.Trace) ||
-					(len(cex) == len(res.Trace) && movesLess(cex, res.Trace)) {
-					res.Trace = cex
-				}
-			}
-		}
-		results = append(results, res)
+		trace := sp.shortest(func(st dstate) bool { return sys.realizes(a, st) })
+		results = append(results, DelegationResult{
+			Attack: a, Succeeds: trace != nil,
+			Trace: trace, StatesExplored: len(sp.order),
+		})
 	}
 	return results, nil
-}
-
-// movesLess orders equal-length move sequences lexicographically.
-func movesLess(a, b []Move) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-// traceToD reconstructs the move sequence from the initial state to st.
-func traceToD(st dstate, parents map[dstate]parentLinkD) []Move {
-	var rev []Move
-	for {
-		link, ok := parents[st]
-		if !ok || link.root {
-			break
-		}
-		rev = append(rev, link.move)
-		st = link.prev
-	}
-	out := make([]Move, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
-	}
-	return out
 }

@@ -149,7 +149,7 @@ func Check(design core.DesignSpec) ([]Result, error) {
 		return nil, fmt.Errorf("modelcheck: %w", err)
 	}
 	sys := newSystem(design)
-	reachable, parents := sys.explore()
+	steady := explore(sys.initial(), sys.successors)
 
 	results := make([]Result, 0, len(AllProperties()))
 	for _, prop := range AllProperties() {
@@ -157,17 +157,11 @@ func Check(design core.DesignSpec) ([]Result, error) {
 			results = append(results, sys.checkSetup())
 			continue
 		}
-		res := Result{Property: prop, Holds: true, StatesExplored: len(reachable)}
-		for st := range reachable {
-			if sys.violates(prop, st) {
-				res.Holds = false
-				cex := traceTo(st, parents)
-				if res.Counterexample == nil || len(cex) < len(res.Counterexample) {
-					res.Counterexample = cex
-				}
-			}
-		}
-		results = append(results, res)
+		cex := steady.shortest(func(st state) bool { return sys.violates(prop, st) })
+		results = append(results, Result{
+			Property: prop, Holds: cex == nil,
+			Counterexample: cex, StatesExplored: len(steady.order),
+		})
 	}
 	return results, nil
 }
@@ -181,36 +175,15 @@ const MoveVictimSetup Move = "victim-setup"
 // flow from every reachable state; the property is violated when any of
 // those setups leaves the victim unbound.
 func (s *system) checkSetup() Result {
-	start := state{bound: nobody, deviceHasToken: true, deviceHasNonce: true}
-	reachable := map[state]bool{start: true}
-	parents := map[state]parentLink{start: {root: true}}
-	frontier := []state{start}
-	for len(frontier) > 0 {
-		var next []state
-		for _, st := range frontier {
-			for _, succ := range s.successors(st) {
-				if reachable[succ.to] {
-					continue
-				}
-				reachable[succ.to] = true
-				parents[succ.to] = parentLink{prev: st, move: succ.move}
-				next = append(next, succ.to)
-			}
-		}
-		frontier = next
+	factory := explore(state{bound: nobody, deviceHasToken: true, deviceHasNonce: true}, s.successors)
+	cex := factory.shortest(func(st state) bool {
+		_, lockedOut := s.applySetup(st)
+		return lockedOut
+	}, MoveVictimSetup)
+	return Result{
+		Property: PropVictimCanBind, Holds: cex == nil,
+		Counterexample: cex, StatesExplored: len(factory.order),
 	}
-
-	res := Result{Property: PropVictimCanBind, Holds: true, StatesExplored: len(reachable)}
-	for st := range reachable {
-		if _, lockedOut := s.applySetup(st); lockedOut {
-			res.Holds = false
-			cex := append(traceTo(st, parents), MoveVictimSetup)
-			if res.Counterexample == nil || len(cex) < len(res.Counterexample) {
-				res.Counterexample = cex
-			}
-		}
-	}
-	return res
 }
 
 // applySetup runs the victim's setup flow abstractly: an existing foreign
@@ -264,42 +237,6 @@ func (s *system) initial() state {
 	return st
 }
 
-// parentLink records how a state was first reached.
-type parentLink struct {
-	prev state
-	move Move
-	root bool
-}
-
-// explore runs breadth-first search to a fixpoint.
-func (s *system) explore() (map[state]bool, map[state]parentLink) {
-	start := s.initial()
-	reachable := map[state]bool{start: true}
-	parents := map[state]parentLink{start: {root: true}}
-	frontier := []state{start}
-	for len(frontier) > 0 {
-		var next []state
-		for _, st := range frontier {
-			for _, succ := range s.successors(st) {
-				if reachable[succ.to] {
-					continue
-				}
-				reachable[succ.to] = true
-				parents[succ.to] = parentLink{prev: st, move: succ.move}
-				next = append(next, succ.to)
-			}
-		}
-		frontier = next
-	}
-	return reachable, parents
-}
-
-// edge is one enabled transition.
-type edge struct {
-	move Move
-	to   state
-}
-
 // canForge reports whether the adversary reconstructed the device-side
 // message formats.
 func (s *system) canForge() bool { return !s.d.FirmwareOpaque }
@@ -329,10 +266,8 @@ func (s *system) windowBlocked() bool {
 	return s.d.BindButtonWindow || s.d.SourceIPCheck
 }
 
-// successors enumerates the enabled moves in st.
-func (s *system) successors(st state) []edge {
-	var out []edge
-
+// successors appends the moves enabled in st to out.
+func (s *system) successors(st state, out []edge[state]) []edge[state] {
 	// Adversary: forged registration (a device message).
 	if s.canForge() && s.deviceAuthForgeable() {
 		to := st
@@ -347,7 +282,7 @@ func (s *system) successors(st state) []edge {
 			// stale.
 			to.deviceHasNonce = false
 		}
-		out = append(out, edge{MoveForgeRegister, to})
+		out = append(out, edge[state]{MoveForgeRegister, to})
 	}
 
 	// Adversary: forged data-bearing heartbeat.
@@ -359,7 +294,7 @@ func (s *system) successors(st state) []edge {
 				to.stoleData = true
 				to.injectedData = true
 			}
-			out = append(out, edge{MoveForgeHeartbeat, to})
+			out = append(out, edge[state]{MoveForgeHeartbeat, to})
 		}
 	}
 
@@ -374,7 +309,7 @@ func (s *system) successors(st state) []edge {
 				to.sessTokenHolder = adversary
 				to.deviceHasToken = false // rotated; only the binder got it
 			}
-			out = append(out, edge{MoveForgeBind, to})
+			out = append(out, edge[state]{MoveForgeBind, to})
 		}
 	}
 
@@ -385,7 +320,7 @@ func (s *system) successors(st state) []edge {
 		if !s.d.CheckBoundUserOnUnbind || st.bound == adversary {
 			to := st
 			s.revokeBinding(&to)
-			out = append(out, edge{MoveForgeUnbindT1, to})
+			out = append(out, edge[state]{MoveForgeUnbindT1, to})
 		}
 	}
 
@@ -394,7 +329,7 @@ func (s *system) successors(st state) []edge {
 	if s.d.SupportsUnbind(core.UnbindDevIDAlone) && s.canForge() && st.bound != nobody {
 		to := st
 		s.revokeBinding(&to)
-		out = append(out, edge{MoveForgeUnbindT2, to})
+		out = append(out, edge[state]{MoveForgeUnbindT2, to})
 	}
 
 	// Environment: the real device reconnects and resumes its session,
@@ -405,7 +340,7 @@ func (s *system) successors(st state) []edge {
 	{
 		to := st
 		to.deviceHasNonce = true
-		out = append(out, edge{MoveDeviceRejoin, to})
+		out = append(out, edge[state]{MoveDeviceRejoin, to})
 	}
 
 	return out
@@ -456,22 +391,4 @@ func (s *system) violates(prop Property, st state) bool {
 	default:
 		return false
 	}
-}
-
-// traceTo reconstructs the move sequence from the initial state to st.
-func traceTo(st state, parents map[state]parentLink) []Move {
-	var rev []Move
-	for {
-		link, ok := parents[st]
-		if !ok || link.root {
-			break
-		}
-		rev = append(rev, link.move)
-		st = link.prev
-	}
-	out := make([]Move, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -72,40 +73,51 @@ func EvaluateVendor(p vendors.Profile) (VendorResult, error) {
 // Table III regeneration. Every profile gets fresh testbeds (one per
 // variant, exactly as EvaluateVendor builds them), so the runs share no
 // state; results are identical to a sequential sweep. The first error
-// aborts the sweep and is returned.
+// aborts the sweep — no profile is started once one has failed — and the
+// error of the lowest-index failing profile is returned, as a sequential
+// sweep would.
 func EvaluateVendors(profiles []vendors.Profile) ([]VendorResult, error) {
+	return evaluateEach(profiles, EvaluateVendor)
+}
+
+// evaluateEach is EvaluateVendors over any per-profile evaluation; the
+// abort tests count calls through it.
+func evaluateEach(profiles []vendors.Profile, eval func(vendors.Profile) (VendorResult, error)) ([]VendorResult, error) {
 	out := make([]VendorResult, len(profiles))
 	errs := make([]error, len(profiles))
+	var next atomic.Int64
+	var failed atomic.Bool
+	// Indices are claimed in order, so every profile below a failing one
+	// was claimed before it and runs to its end: the lowest-index error
+	// recorded is the lowest-index error there is.
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(profiles) {
+				return
+			}
+			if out[i], errs[i] = eval(profiles[i]); errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(profiles) {
 		workers = len(profiles)
 	}
 	if workers <= 1 {
-		for i, p := range profiles {
-			vr, err := EvaluateVendor(p)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = vr
+		work()
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				work()
+			}()
 		}
-		return out, nil
+		wg.Wait()
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(profiles) {
-					return
-				}
-				out[i], errs[i] = EvaluateVendor(profiles[i])
-			}
-		}()
-	}
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -148,20 +160,22 @@ func MatchesPaper(measured, published vendors.PaperRow) bool {
 	return sameVariants(measured.A3, published.A3) && sameVariants(measured.A4, published.A4)
 }
 
+// sameVariants compares two cells as sets. A cell lists each variant at
+// most once, so a list with a repeat is no cell and equals nothing: the
+// bitmask of each side must have as many bits as the side has entries.
 func sameVariants(a, b []core.AttackVariant) bool {
-	if len(a) != len(b) {
-		return false
+	set := variantMask(a)
+	return set == variantMask(b) && len(a) == bits.OnesCount64(set) && len(b) == len(a)
+}
+
+// variantMask folds variants (Table II numbers them 1 to 9) into a
+// bitmask; one that does not fit sets no bit, so its cell equals nothing.
+func variantMask(vs []core.AttackVariant) uint64 {
+	var set uint64
+	for _, v := range vs {
+		set |= 1 << uint(v)
 	}
-	set := make(map[core.AttackVariant]bool, len(a))
-	for _, v := range a {
-		set[v] = true
-	}
-	for _, v := range b {
-		if !set[v] {
-			return false
-		}
-	}
-	return true
+	return set
 }
 
 // ---- attack procedures ---------------------------------------------------

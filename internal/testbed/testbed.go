@@ -44,7 +44,7 @@ func (c *Clock) Advance(d time.Duration) { c.t = c.t.Add(d) }
 // remote attacker.
 type Testbed struct {
 	design core.DesignSpec
-	clock  *Clock
+	clock  Clock
 
 	svc     *cloud.Service
 	home    *localnet.Network
@@ -79,22 +79,25 @@ func (u userActions) ResetDevice(localName string) error {
 
 // Option configures a Testbed.
 type Option interface {
-	apply(*config)
+	// apply takes and returns the config by value, so New's stays on
+	// its stack.
+	apply(config) config
 }
 
 type config struct {
 	deviceID string
 }
 
-type optionFunc func(*config)
+type deviceIDOption string
 
-func (f optionFunc) apply(c *config) { f(c) }
+func (id deviceIDOption) apply(c config) config {
+	c.deviceID = string(id)
+	return c
+}
 
 // WithDeviceID overrides the victim's device ID (e.g. one generated from a
 // vendor's ID scheme).
-func WithDeviceID(id string) Option {
-	return optionFunc(func(c *config) { c.deviceID = id })
-}
+func WithDeviceID(id string) Option { return deviceIDOption(id) }
 
 // New builds a testbed for one design: the vendor cloud with the victim's
 // device registered, the victim's app logged in on the home network, and a
@@ -102,19 +105,21 @@ func WithDeviceID(id string) Option {
 func New(design core.DesignSpec, opts ...Option) (*Testbed, error) {
 	cfg := config{deviceID: DefaultDeviceID}
 	for _, o := range opts {
-		o.apply(&cfg)
+		cfg = o.apply(cfg)
 	}
 
-	clock := &Clock{t: labEpoch}
+	tb := &Testbed{design: design, clock: Clock{t: labEpoch}, deviceID: cfg.deviceID}
+	now := tb.clock.Now
+	secret := "factory-secret-" + cfg.deviceID
 	registry := cloud.NewRegistry()
 	if err := registry.Add(cloud.DeviceRecord{
 		ID:            cfg.deviceID,
-		FactorySecret: "factory-secret-" + cfg.deviceID,
+		FactorySecret: secret,
 		Model:         design.Name,
 	}); err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
-	svc, err := cloud.NewService(design, registry, cloud.WithClock(clock.Now))
+	svc, err := cloud.NewService(design, registry, cloud.WithClock(now))
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
@@ -126,10 +131,10 @@ func New(design core.DesignSpec, opts ...Option) (*Testbed, error) {
 
 	dev, err := device.New(device.Config{
 		ID:            cfg.deviceID,
-		FactorySecret: "factory-secret-" + cfg.deviceID,
+		FactorySecret: secret,
 		LocalName:     "victim-device",
 		Model:         design.Name,
-	}, design, homeTransport, device.WithClock(clock.Now))
+	}, design, homeTransport, device.WithClock(now))
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
@@ -137,16 +142,8 @@ func New(design core.DesignSpec, opts ...Option) (*Testbed, error) {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
 
-	tb := &Testbed{
-		design:   design,
-		clock:    clock,
-		svc:      svc,
-		home:     home,
-		remote:   remote,
-		dev:      dev,
-		actions:  userActions{dev: dev},
-		deviceID: cfg.deviceID,
-	}
+	tb.svc, tb.home, tb.remote = svc, home, remote
+	tb.dev, tb.actions = dev, userActions{dev: dev}
 
 	victim, err := app.New(DefaultVictimUser, "pw-victim", design, homeTransport, home,
 		app.WithPreBindHook(func() {
@@ -180,7 +177,7 @@ func New(design core.DesignSpec, opts ...Option) (*Testbed, error) {
 func (tb *Testbed) Design() core.DesignSpec { return tb.design }
 
 // Clock returns the manual clock.
-func (tb *Testbed) Clock() *Clock { return tb.clock }
+func (tb *Testbed) Clock() *Clock { return &tb.clock }
 
 // Cloud returns the emulated vendor cloud.
 func (tb *Testbed) Cloud() *cloud.Service { return tb.svc }

@@ -101,6 +101,10 @@ type Issuer struct {
 	tokens map[string]Token
 	now    func() time.Time
 	random func([]byte) error
+	// entropy is where random writes a draw, guarded by mu: a slice of
+	// a local array handed to an injected source would move to the heap
+	// once per token.
+	entropy [16]byte
 }
 
 // Option configures an Issuer.
@@ -141,12 +145,12 @@ func NewIssuer(opts ...Option) *Issuer {
 
 // Issue creates and registers a fresh token. A zero ttl means no expiry.
 func (i *Issuer) Issue(kind Kind, owner, subject string, ttl time.Duration) (Token, error) {
-	value, err := i.freshValue()
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	value, err := i.freshValueLocked()
 	if err != nil {
 		return Token{}, fmt.Errorf("issue %v: %w", kind, err)
 	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
 	now := i.now()
 	tok := Token{
 		Value:    value,
@@ -293,19 +297,18 @@ func (i *Issuer) lookupLocked(value string) (Token, bool) {
 	return tok, true
 }
 
-// freshValue produces a unique 128-bit random hex string.
-func (i *Issuer) freshValue() (string, error) {
+// freshValueLocked produces a unique 128-bit random hex string. i.mu is
+// held for writing, so the collision check and the caller's insert are
+// one critical section.
+func (i *Issuer) freshValueLocked() (string, error) {
+	var text [2 * len(i.entropy)]byte
 	for attempt := 0; attempt < 4; attempt++ {
-		var buf [16]byte
-		if err := i.random(buf[:]); err != nil {
+		if err := i.random(i.entropy[:]); err != nil {
 			return "", fmt.Errorf("read entropy: %w", err)
 		}
-		value := hex.EncodeToString(buf[:])
-		i.mu.RLock()
-		_, exists := i.tokens[value]
-		i.mu.RUnlock()
-		if !exists {
-			return value, nil
+		hex.Encode(text[:], i.entropy[:])
+		if _, exists := i.tokens[string(text[:])]; !exists {
+			return string(text[:]), nil
 		}
 	}
 	return "", errors.New("token: entropy source keeps colliding")

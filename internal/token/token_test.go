@@ -256,3 +256,44 @@ func TestKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestFreshValueIsHexOfEntropy: a token's value is the lowercase hex of
+// exactly the 16 bytes the entropy source supplied — 128 bits, nothing
+// derived, nothing truncated — and a draw that collides with a live
+// token is drawn again before anything is issued.
+func TestFreshValueIsHexOfEntropy(t *testing.T) {
+	draws := [][16]byte{
+		{0x00, 0x01, 0x7f, 0x80, 0xab, 0xcd, 0xef, 0xff, 0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe},
+		{0x00, 0x01, 0x7f, 0x80, 0xab, 0xcd, 0xef, 0xff, 0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe}, // collides
+		{0xde, 0xad, 0xbe, 0xef, 0xde, 0xad, 0xbe, 0xef, 0xde, 0xad, 0xbe, 0xef, 0xde, 0xad, 0xbe, 0xef},
+	}
+	var reads int
+	iss := NewIssuer(WithRandom(func(b []byte) error {
+		if len(b) != 16 {
+			t.Errorf("entropy read of %d bytes, want 16", len(b))
+		}
+		copy(b, draws[reads][:])
+		reads++
+		return nil
+	}))
+	first, err := iss.Issue(KindUser, "a", "a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "00017f80abcdefff1032547698badcfe"; first.Value != want {
+		t.Errorf("first value %q, want %q", first.Value, want)
+	}
+	second, err := iss.Issue(KindBind, "a", "dev", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "deadbeefdeadbeefdeadbeefdeadbeef"; second.Value != want {
+		t.Errorf("second value %q, want %q (the colliding draw re-drawn)", second.Value, want)
+	}
+	if reads != 3 {
+		t.Errorf("%d entropy reads for two tokens with one collision, want 3", reads)
+	}
+	if got, err := iss.Verify(KindUser, first.Value); err != nil || got.Kind != KindUser {
+		t.Errorf("the first token after the collision: %+v, %v", got, err)
+	}
+}
