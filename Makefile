@@ -35,7 +35,7 @@ race:
 # the suite, so this target is what enforces them: the binapi epoll round
 # trip and the hopped layers at 0, the cold cycle at its strings, the
 # node's bare-heartbeat ack, the status fingerprint at 0, the keyed
-# status at what its shadows keep, a proof at its one string, a
+# status and each cold-lane step at what its shadows keep, a proof at its one string, a
 # delegation check at its map and traces, and every live Table III cell
 # at its exact count.
 alloc-pins:
@@ -48,12 +48,15 @@ alloc-pins:
 # append-observer/drain/re-seed lock order and — for a poller that
 # serves its sockets in place — FIN vs epoll_wait, close vs dispatch,
 # short writes vs EPOLLOUT and a locally refused over-cap request beside
-# a call in flight get re-dealt across runs.
+# a call in flight get re-dealt across runs — and, ten times over, two
+# serving goroutines on one stripe decoding cold rows and heartbeats for
+# different connections, each through its own device-ID cache.
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery' ./internal/cloud/
 	$(GO) test -race -count=3 -run='TestShipper|TestNode' ./internal/cluster/
 	$(GO) test -race -count=3 -run='TestReadinessEquivalence|TestEpoll|TestShortWrite|TestIdleTimeout|TestBackpressure|TestOverCap' ./internal/binapi/
+	$(GO) test -race -count=10 -run='TestColdRowsInternPerConnection' ./internal/binapi/
 
 # bench compiles and smoke-runs every benchmark (100 iterations, no unit
 # tests) so perf regressions in the hot path are caught by CI, not just
@@ -109,18 +112,18 @@ bench-json-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' . | $(GO) run ./cmd/benchjson -o /dev/null
 
 # fuzz-smoke runs the WAL frame-decode, shard-merge, binapi wire,
-# delegation record, operation body, status-apply and proof-HMAC fuzzers
+# delegation record, operation body, record-apply and proof-HMAC fuzzers
 # briefly: long enough to shake out parser and merge crashes on arbitrary
-# bytes (and, for the last two, a typed status apply that disagrees with
-# the generic one and a spelled-out HMAC that disagrees with
-# crypto/hmac), short enough for CI.
+# bytes (and, for the last two, a table-driven record apply that
+# disagrees with the decode-and-switch reference on any tag and a
+# spelled-out HMAC that disagrees with crypto/hmac), short enough for CI.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=5s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzMergeShards -fuzztime=5s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzWireFrameDecode -fuzztime=5s ./internal/binapi/
 	$(GO) test -run='^$$' -fuzz=FuzzDelegationRecordDecode -fuzztime=5s ./internal/wirecodec/
 	$(GO) test -run='^$$' -fuzz=FuzzBodyDecode -fuzztime=5s ./internal/wirecodec/
-	$(GO) test -run='^$$' -fuzz=FuzzApplyStatusRecord -fuzztime=5s ./internal/cloud/
+	$(GO) test -run='^$$' -fuzz=FuzzApplyRecord -fuzztime=5s ./internal/cloud/
 	$(GO) test -run='^$$' -fuzz=FuzzHmacHex -fuzztime=5s ./internal/protocol/
 
 # wal-verify regenerates the crash-test corpus — clean, torn-tail and

@@ -567,11 +567,13 @@ func (coldCloud) HandleUnbind(protocol.UnbindRequest) error { return nil }
 // TestColdCycleAllocatesOnlyItsStrings: the binary cold lane's price. A
 // bind → control → readings → unbind cycle through Dial → loopback socket
 // → epoll poller → a no-op cloud and back allocates the decoded requests'
-// and responses' own strings and lists and nothing else: twelve request
-// strings on the server (bind 3, control 4, readings 2, unbind 3 — the
-// source-address claim is sent empty), the bound user, the reading list
-// and its one name on the client. The JSON envelope this replaced cost
-// 29-35 allocations per operation on top of those.
+// and responses' own strings and lists and nothing else: eight request
+// strings on the server (bind 2: token and key; control 3: token, command
+// ID and name; readings 1: token; unbind 2: token and key — the device ID
+// is the connection's cached string, and the source-address claim is
+// sent empty), the bound user, the reading list and its one name on the
+// client. The JSON envelope this replaced cost 29-35 allocations per
+// operation on top of those.
 func TestColdCycleAllocatesOnlyItsStrings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -607,9 +609,122 @@ func TestColdCycleAllocatesOnlyItsStrings(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		cycle() // warm the pools
 	}
-	const strings = 12 + 3
-	if avg := testing.AllocsPerRun(1000, cycle); avg > strings {
-		t.Fatalf("a four-operation cold cycle allocates %.1f times, want the %d strings and lists it decodes and no more", avg, strings)
+	const strings = 8 + 3
+	if avg := testing.AllocsPerRun(1000, cycle); avg != strings {
+		t.Fatalf("a four-operation cold cycle allocates %.1f times, want the %d strings and lists it decodes", avg, strings)
+	}
+}
+
+// pairedCloud accepts a request only when its credential is "tok-" and
+// the device ID it arrived with, so a request whose ID the server read
+// through another connection's cache would be refused. Status requests
+// carry the credential as their device token.
+type pairedCloud struct{ transport.Cloud }
+
+func pairedCheck(deviceID, credential string) error {
+	if credential != "tok-"+deviceID {
+		return fmt.Errorf("request for %q arrived carrying %q: %w", deviceID, credential, protocol.ErrBadRequest)
+	}
+	return nil
+}
+
+func (pairedCloud) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
+	return protocol.StatusResponse{Bound: true}, pairedCheck(req.DeviceID, req.DevToken)
+}
+
+func (pairedCloud) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
+	return protocol.BindResponse{BoundUser: req.DeviceID}, pairedCheck(req.DeviceID, req.UserToken)
+}
+
+func (pairedCloud) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
+	return protocol.DelegateResponse{DelegationToken: req.DeviceID}, pairedCheck(req.DeviceID, req.UserToken)
+}
+
+func (pairedCloud) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
+	return protocol.ControlResponse{Queued: true}, pairedCheck(req.DeviceID, req.UserToken)
+}
+
+func (pairedCloud) HandleUnbind(req protocol.UnbindRequest) error {
+	return pairedCheck(req.DeviceID, req.UserToken)
+}
+
+// TestColdRowsInternPerConnection: every request body's device ID is
+// read through its own connection's interning cache, cold rows and
+// status alike. Two epoll sockets (served by the stripe's poller) and a
+// pipe (served by the stripe's loop) share one stripe; each walks its own
+// devices through bind, delegate, control and unbind with a heartbeat on
+// another device between steps, so every cache keeps missing and
+// refilling. A request reaching the cloud with another device's ID fails
+// the paired check; a cursor left reading through another connection's
+// cache is a data race under -race.
+func TestColdRowsInternPerConnection(t *testing.T) {
+	srv, addr := startSocketServer(t, pairedCloud{}, WithStripes(1), WithReadiness(ReadinessEpoll))
+	var clients []*Client
+	for i := 0; i < 2; i++ {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients = append(clients, c)
+	}
+	pc, err := srv.Pipe("198.51.100.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	clients = append(clients, pc)
+
+	const rounds = 200
+	var wg sync.WaitGroup
+	errs := make(chan error, len(clients))
+	for n, c := range clients {
+		wg.Add(1)
+		go func(n int, c *Client) {
+			defer wg.Done()
+			heartbeat := func(i int) error {
+				id := testDeviceID(1000*n + 500 + i%7)
+				_, err := c.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: id, DevToken: "tok-" + id})
+				return err
+			}
+			for i := 0; i < rounds; i++ {
+				id := testDeviceID(1000*n + i%5)
+				tok := "tok-" + id
+				steps := []func() error{
+					func() error {
+						_, err := c.HandleBind(protocol.BindRequest{DeviceID: id, UserToken: tok, Sender: core.SenderApp})
+						return err
+					},
+					func() error {
+						_, err := c.HandleDelegate(protocol.DelegateRequest{DeviceID: id, UserToken: tok, Grantee: "g@x"})
+						return err
+					},
+					func() error {
+						_, err := c.HandleControl(protocol.ControlRequest{DeviceID: id, UserToken: tok,
+							Command: protocol.Command{ID: "c", Name: "on"}})
+						return err
+					},
+					func() error {
+						return c.HandleUnbind(protocol.UnbindRequest{DeviceID: id, UserToken: tok, Sender: core.SenderApp})
+					},
+				}
+				for j, step := range steps {
+					if err := step(); err != nil {
+						errs <- fmt.Errorf("connection %d round %d step %d: %w", n, i, j, err)
+						return
+					}
+					if err := heartbeat(i + j); err != nil {
+						errs <- fmt.Errorf("connection %d round %d heartbeat %d: %w", n, i, j, err)
+						return
+					}
+				}
+			}
+		}(n, c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

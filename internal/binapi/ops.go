@@ -15,13 +15,15 @@ import (
 // derived: the Client method is a one-line exchange over the row, and
 // the server's entry in kinds is the row's serve. Status and status
 // batch are the exception; their client methods (client.go) and handlers
-// (server.go) are written by hand around device-ID interning and the
-// undecoded source-address claim.
+// (server.go) are written by hand around the undecoded source-address
+// claim.
 //
 // Requests and responses pass through the rows' func values by value,
 // and the cursor the read funcs walk lives in the worker or the pooled
 // call: a *Req or a fresh *Cursor handed to a func value escapes, which
-// costs one heap allocation per operation per side.
+// costs one heap allocation per operation per side. The worker's cursor
+// reads every request's device ID through the connection's interning
+// cache, status and cold rows alike.
 
 // row is one operation's wire form and the call it carries.
 type row[Req, Resp any] struct {
@@ -128,9 +130,9 @@ var (
 
 // serve is the row's server half.
 func (r *row[Req, Resp]) serve(w *worker, c *conn, stream uint32, payload []byte) {
-	w.cur.Reset(payload)
-	req := r.readReq(&w.cur)
-	if !w.cur.Done() {
+	cur := w.cursor(c, payload)
+	req := r.readReq(cur)
+	if !cur.Done() {
 		w.errorFrame(stream, protocol.ErrBadRequest, "malformed "+r.op.String()+" body")
 		return
 	}

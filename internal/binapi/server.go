@@ -125,6 +125,7 @@ func (s *Server) addConn(c *conn) error {
 	}
 	c.st = s.stripes[int(s.next.Add(1))%len(s.stripes)]
 	c.cloud = transport.StampSource(s.cloud, c.src)
+	c.ids = c.internID
 	if c.in == nil {
 		c.in = getInBuf()
 	}
@@ -343,11 +344,14 @@ type conn struct {
 	recycleIn bool
 
 	// Device-ID interning cache, worker-owned: a persistent connection
-	// speaks for one device (or a stable hub set), so the previous
-	// message's ID almost always matches and the per-message string
-	// allocation disappears.
+	// speaks for one device (or a stable hub set), or an app walks one
+	// device through a binding's life, so the previous message's ID
+	// almost always matches and the per-message string allocation
+	// disappears. ids is internID as a func value, built once in addConn:
+	// every request's cursor reads device IDs through it (worker.cursor).
 	devIDRaw []byte
 	devID    string
+	ids      func(raw []byte) string
 }
 
 // inBufPool recycles per-connection inbound buffers (and pump/client
@@ -455,8 +459,8 @@ func (c *conn) close(err error) {
 // worker is what a goroutine that serves connections owns — a stripe's
 // loop, or an epoll poller: out collects one connection's response
 // frames for a single coalesced flush, scratch stages each payload, cur
-// is the cursor a row's read func walks (ops.go). All are reused across
-// every connection the goroutine serves.
+// is the cursor every request body is decoded with (worker.cursor). All
+// are reused across every connection the goroutine serves.
 type worker struct {
 	srv     *Server
 	out     []byte
@@ -627,14 +631,24 @@ func (w *worker) dispatch(c *conn, stream uint32, kind uint8, payload []byte) {
 	w.errorFrame(stream, protocol.ErrBadRequest, fmt.Sprintf("unknown frame kind 0x%02x", kind))
 }
 
-// serveStatus is the hot handler, written by hand: the device ID is read
-// through the connection's interning cache and the sender's source
-// address claim is skipped undecoded, so a bare heartbeat's decode
-// allocates nothing.
+// cursor positions the worker's cursor at one request payload of c,
+// reading device IDs through c's interning cache. The canonicaliser is
+// set on every request, so a cursor shared by the worker's connections
+// never consults another connection's cache.
+func (w *worker) cursor(c *conn, payload []byte) *wirecodec.Cursor {
+	w.cur.Reset(payload)
+	w.cur.SetIDs(c.ids)
+	return &w.cur
+}
+
+// serveStatus is the hot handler, written by hand: the sender's source
+// address claim is skipped undecoded, so with the device ID read through
+// the connection's interning cache a bare heartbeat's decode allocates
+// nothing.
 func (w *worker) serveStatus(c *conn, stream uint32, payload []byte) {
-	cur := wirecodec.NewCursor(payload, 0)
+	cur := w.cursor(c, payload)
 	var req protocol.StatusRequest
-	readStatusInterned(cur, c, &req)
+	readStatus(cur, &req)
 	if !cur.Done() {
 		w.errorFrame(stream, protocol.ErrBadRequest, "malformed status body")
 		return
@@ -652,14 +666,14 @@ func (w *worker) serveStatus(c *conn, stream uint32, payload []byte) {
 // serveBatch is serveStatus for a batch: every item through the same
 // interning cache, the envelope's address claim skipped like an item's.
 func (w *worker) serveBatch(c *conn, stream uint32, payload []byte) {
-	cur := wirecodec.NewCursor(payload, 0)
+	cur := w.cursor(c, payload)
 	var req protocol.StatusBatchRequest
 	cur.StrBytes()
 	n := cur.Count(wirecodec.MinStatusSize)
 	if cur.Err() == nil && n > 0 {
 		req.Items = make([]protocol.StatusRequest, n)
 		for i := range req.Items {
-			readStatusInterned(cur, c, &req.Items[i])
+			readStatus(cur, &req.Items[i])
 		}
 	}
 	if !cur.Done() {
@@ -676,22 +690,25 @@ func (w *worker) serveBatch(c *conn, stream uint32, payload []byte) {
 	w.out = appendFrame(w.out, stream, kindBatch, flagResponse, w.scratch.Bytes())
 }
 
-// readStatusInterned decodes one status body with the connection's
-// device-ID cache: when the raw ID bytes match the previous message's,
-// the cached string is reused and the decode allocates nothing. The
-// sender's source-address claim is dropped undecoded: conn.cloud stamps
-// the connection's address.
-func readStatusInterned(cur *wirecodec.Cursor, c *conn, req *protocol.StatusRequest) {
+// readStatus decodes one status body without the sender's
+// source-address claim, which is dropped undecoded: conn.cloud stamps the
+// connection's address.
+func readStatus(cur *wirecodec.Cursor, req *protocol.StatusRequest) {
 	req.Kind = protocol.StatusKind(cur.U8())
-	raw := cur.StrBytes()
-	if len(raw) > 0 && bytes.Equal(raw, c.devIDRaw) {
-		req.DeviceID = c.devID
-	} else if cur.Err() == nil {
-		req.DeviceID = string(raw)
-		c.devIDRaw = append(c.devIDRaw[:0], raw...)
-		c.devID = req.DeviceID
-	}
+	req.DeviceID = cur.ID()
 	wirecodec.ReadStatusRest(cur, req)
+}
+
+// internID is the connection's device-ID canonicaliser: when the raw ID
+// bytes match the previous request's, the cached string is reused and
+// the read allocates nothing; otherwise the new ID is copied and cached.
+func (c *conn) internID(raw []byte) string {
+	if bytes.Equal(raw, c.devIDRaw) {
+		return c.devID
+	}
+	c.devIDRaw = append(c.devIDRaw[:0], raw...)
+	c.devID = string(raw)
+	return c.devID
 }
 
 func remoteIP(conn net.Conn) string {

@@ -87,7 +87,8 @@ func (s *Service) handleDelegate(req protocol.DelegateRequest) (protocol.Delegat
 	// Replacement invalidates the grantee's previously minted tokens along
 	// with the severed subtree's: the fresh grant speaks through the fresh
 	// token only.
-	s.retireDelegationTokens(sh.deviceID, append(severed, req.Grantee))
+	s.retireDelegationTokens(sh.deviceID, severed)
+	s.issuer.RevokeOwnedSubject(token.KindDelegation, req.Grantee, sh.deviceID)
 
 	ttl := time.Duration(0)
 	if !expiry.IsZero() {

@@ -137,6 +137,12 @@ type Durable struct {
 	// comes from the stream in its opEnv instead and never touches this
 	// field.
 	opG drbg
+
+	// cur is the cursor record applies decode with: they run one at a
+	// time (recovery, or ShipRecord under mu), and a fresh *Cursor handed
+	// to a row's func values would escape. It reads device IDs through
+	// the registry (set once at open), so a known device costs no ID.
+	cur wirecodec.Cursor
 }
 
 // durableShard is one WAL shard: a lazily opened sparse log plus the
@@ -314,6 +320,7 @@ func OpenDurable(dir string, design core.DesignSpec, registry *Registry, opts Du
 		return nil, err
 	}
 	d.svc = svc
+	d.cur.SetIDs(registry.canonicalID)
 
 	if snapLSN > 0 {
 		if err := svc.Restore(snap); err != nil {
@@ -387,60 +394,6 @@ func (d *Durable) replayRecord(lsn uint64, payload []byte) error {
 		return err
 	}
 	d.recovery.Replayed++
-	return nil
-}
-
-// applyRecord executes one WAL record under its persisted clock and
-// entropy: recovery (single-goroutine) and ShipRecord (under d.mu
-// exclusively). A status record — the replica's steady-state traffic —
-// is decoded straight into the request the primary's hot lane executed
-// and handed to the same handler under the same operation environment.
-// Every other record goes through the generic decoder and the pinned
-// clock and stream the cold lane executes under.
-func (d *Durable) applyRecord(lsn uint64, payload []byte) error {
-	var err error
-	if len(payload) > 0 && payload[0] == wirecodec.TagStatus {
-		err = d.applyStatusRecord(lsn, payload)
-	} else {
-		err = d.applyDecodedRecord(lsn, payload)
-	}
-	if err != nil {
-		return fmt.Errorf("cloud: WAL record %d: %w", lsn, err)
-	}
-	return nil
-}
-
-// applyDecodedRecord applies a record of any tag through
-// wirecodec.DecodeRecord. It accepts status records too, which is how the
-// tests hold applyStatusRecord to it.
-func (d *Durable) applyDecodedRecord(lsn uint64, payload []byte) error {
-	rec, err := wirecodec.DecodeRecord(payload)
-	if err != nil {
-		return err
-	}
-	d.beginOp(rec.At, d.stream(lsn))
-	err = applyWALRecord(rec, d.svc)
-	d.endOp()
-	return err
-}
-
-// applyStatusRecord is applyRecord for a TagStatus payload. The request
-// stays a local value (wirecodec.Record would box it) and its device ID
-// is the registry's own string, so what the apply allocates is what the
-// shadow retains. The outcome is discarded like applyWALRecord's: a
-// status that failed live fails identically here.
-func (d *Durable) applyStatusRecord(lsn uint64, payload []byte) error {
-	c := wirecodec.NewCursor(payload, 1)
-	env := opEnv{now: wirecodec.DecodeTime(c.I64()), g: d.stream(lsn)}
-	var req protocol.StatusRequest
-	req.Kind = protocol.StatusKind(c.U8())
-	req.DeviceID = d.svc.registry.canonicalID(c.StrBytes())
-	req.SourceIP = string(wirecodec.ReadStatusRest(c, &req))
-	if !c.Done() {
-		c.Fail()
-		return c.Err()
-	}
-	_, _ = d.svc.handleStatusCounted(req, &env)
 	return nil
 }
 
@@ -881,8 +834,8 @@ func (d *Durable) HandleStatus(req protocol.StatusRequest) (protocol.StatusRespo
 		// The operation environment pins the record's clock and the
 		// LSN-seeded nonce stream without touching the process-wide
 		// pinned clock — other shards are mid-operation on their own
-		// environments. Replay builds the same environment from the
-		// record (applyStatusRecord).
+		// environments. Replay pins the same clock and stream from the
+		// record (applyRows).
 		env := opEnv{now: at, g: d.stream(lsn)}
 		return d.svc.handleStatusCounted(req, &env)
 	}

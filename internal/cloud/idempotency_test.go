@@ -1,9 +1,13 @@
 package cloud
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/protocol"
@@ -311,5 +315,114 @@ func TestRejectedBindLeavesCapabilityTokenValid(t *testing.T) {
 	fresh.IdempotencyKey = "btn-2"
 	if _, err := svc.HandleBind(fresh); !errors.Is(err, protocol.ErrAuthFailed) {
 		t.Errorf("token reuse after acceptance = %v, want ErrAuthFailed", err)
+	}
+}
+
+// TestIdemResultFitsMapSlot: a map stores a value of at most 128 bytes
+// in its slot (abi.SwissMapMaxElemBytes) and moves a larger one to the
+// heap, one allocation per recorded request on the primary and again on
+// every replica.
+func TestIdemResultFitsMapSlot(t *testing.T) {
+	if size := unsafe.Sizeof(idemResult{}); size > 128 {
+		t.Fatalf("idemResult is %d bytes: past 128 every recordIdem heap-allocates its map slot; keep large responses behind pointers", size)
+	}
+}
+
+// TestImportIdemRequiresItsOwnResponse: an imported record carries
+// exactly the response its operation replays — a bind its bind reply, a
+// status its status reply, a delegate its delegation, unbind and revoke
+// none — so a hand-edited snapshot can neither replay an empty reply nor
+// smuggle in another operation's. Every operation is tried with every
+// combination of the three responses.
+func TestImportIdemRequiresItsOwnResponse(t *testing.T) {
+	fp := strings.Repeat("ab", 32)
+	for op := idemBind; op <= idemRevokeDelegation; op++ {
+		for mask := 0; mask < 8; mask++ {
+			rec := IdemRecord{Key: "k", Op: uint8(op), Fingerprint: fp}
+			if mask&1 != 0 {
+				rec.Bind = &protocol.BindResponse{BoundUser: "u"}
+			}
+			if mask&2 != 0 {
+				rec.Status = &protocol.StatusResponse{Bound: true}
+			}
+			if mask&4 != 0 {
+				rec.Delegate = &protocol.DelegateResponse{DelegationToken: "d"}
+			}
+			want := 0
+			switch op {
+			case idemBind:
+				want = 1
+			case idemStatus:
+				want = 2
+			case idemDelegate:
+				want = 4
+			}
+			err := newShadow(testDevice).importIdem([]IdemRecord{rec})
+			if mask == want && err != nil {
+				t.Errorf("op %d with its own response refused: %v", op, err)
+			}
+			if mask != want && !errors.Is(err, protocol.ErrBadRequest) {
+				t.Errorf("op %d carrying responses %03b (want %03b) imported: err = %v", op, mask, want, err)
+			}
+		}
+	}
+}
+
+// TestIdemExportImportRoundTrip: the records real requests leave — a
+// bind, a keyed status that drained a command, a delegation, its
+// revocation and the unbind — export, import into a fresh shadow and
+// export again to the same bytes.
+func TestIdemExportImportRoundTrip(t *testing.T) {
+	svc, _, victim, _ := newTestService(t, devIDDesign())
+	if err := svc.RegisterUser(protocol.RegisterUserRequest{UserID: "guest@x", Password: "pw"}); err != nil {
+		t.Fatal(err)
+	}
+	mustStatus(t, svc, protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice})
+	if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: testDevice, UserToken: victim, IdempotencyKey: "k-bind"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.HandleControl(protocol.ControlRequest{DeviceID: testDevice, UserToken: victim,
+		Command: protocol.Command{ID: "c1", Name: "on", Args: map[string]string{"level": "7"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if resp := mustStatus(t, svc, protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDevice,
+		IdempotencyKey: "k-hb"}); len(resp.Commands) != 1 {
+		t.Fatalf("keyed heartbeat drained %d commands, want 1", len(resp.Commands))
+	}
+	if _, err := svc.HandleDelegate(protocol.DelegateRequest{DeviceID: testDevice, UserToken: victim, Grantee: "guest@x",
+		Scopes: []string{"read"}, TTLSeconds: 60, IdempotencyKey: "k-deleg"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.HandleRevokeDelegation(protocol.RevokeDelegationRequest{DeviceID: testDevice, UserToken: victim,
+		Grantee: "guest@x", IdempotencyKey: "k-revoke"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.HandleUnbind(protocol.UnbindRequest{DeviceID: testDevice, UserToken: victim, IdempotencyKey: "k-unbind"}); err != nil {
+		t.Fatal(err)
+	}
+	sh, ok := svc.store.peek(testDevice)
+	if !ok {
+		t.Fatal("no shadow")
+	}
+	sh.mu.Lock()
+	exported := sh.exportIdem()
+	sh.mu.Unlock()
+	if len(exported) != 5 {
+		t.Fatalf("exported %d idempotency records, want 5", len(exported))
+	}
+	fresh := newShadow(testDevice)
+	if err := fresh.importIdem(exported); err != nil {
+		t.Fatal(err)
+	}
+	first, err := json.Marshal(exported)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(fresh.exportIdem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, again) {
+		t.Errorf("idempotency records changed across export/import:\nbefore: %s\nafter:  %s", first, again)
 	}
 }

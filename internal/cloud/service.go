@@ -281,7 +281,7 @@ func (s *Service) statusLocked(sh *shadow, rec DeviceRecord, req protocol.Status
 		fp = statusFingerprint(req)
 		if r, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemStatus, fp); ok {
 			s.stats.statusDeduplicated.Add(1)
-			return r.status, nil
+			return *r.status, nil
 		} else if conflict {
 			return protocol.StatusResponse{}, fmt.Errorf("cloud: idempotency key reused by a different request: %w", protocol.ErrAuthFailed)
 		}
@@ -359,7 +359,10 @@ func (s *Service) statusLocked(sh *shadow, rec DeviceRecord, req protocol.Status
 		resp.Commands, resp.UserData = sh.drainForDevice()
 	}
 	if req.IdempotencyKey != "" {
-		sh.recordIdem(req.IdempotencyKey, idemResult{op: idemStatus, fingerprint: fp, status: resp})
+		// The record's copy, made here: taking &resp would move every
+		// bare heartbeat's reply to the heap.
+		kept := resp
+		sh.recordIdem(req.IdempotencyKey, idemResult{op: idemStatus, fingerprint: fp, status: &kept})
 	}
 	return resp, nil
 }

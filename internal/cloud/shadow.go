@@ -104,12 +104,14 @@ const (
 // the operation, and fingerprint pins the record to the exact request that
 // produced it: a key alone is not a credential, so replay requires
 // presenting the same credential-bearing fields the recorded delivery
-// carried.
+// carried. The status reply sits behind a pointer so the record stays
+// within the 128 bytes a map stores in its slot: a larger value gets a
+// heap allocation per insert (TestIdemResultFitsMapSlot).
 type idemResult struct {
 	op          idemOp
 	fingerprint [32]byte
 	bind        protocol.BindResponse
-	status      protocol.StatusResponse
+	status      *protocol.StatusResponse
 	delegate    protocol.DelegateResponse
 }
 
@@ -225,7 +227,7 @@ func (s *shadow) exportIdem() []IdemRecord {
 			bind := r.bind
 			rec.Bind = &bind
 		case idemStatus:
-			status := r.status
+			status := *r.status
 			rec.Status = &status
 		case idemDelegate:
 			delegate := r.delegate
@@ -238,11 +240,17 @@ func (s *shadow) exportIdem() []IdemRecord {
 
 // importIdem rebuilds the idempotency log from a persisted snapshot,
 // preserving FIFO eviction order. Malformed records are rejected so a
-// hand-edited snapshot cannot smuggle in an unverifiable entry.
+// hand-edited snapshot cannot smuggle in an unverifiable entry: a record
+// carries exactly the response its operation replays (exportIdem's
+// shape) — none for unbind and revoke-delegation, and never another
+// operation's.
 func (s *shadow) importIdem(records []IdemRecord) error {
 	for _, rec := range records {
 		op := idemOp(rec.Op)
-		if rec.Key == "" || op < idemBind || op > idemRevokeDelegation {
+		if rec.Key == "" || op < idemBind || op > idemRevokeDelegation ||
+			(rec.Bind != nil) != (op == idemBind) ||
+			(rec.Status != nil) != (op == idemStatus) ||
+			(rec.Delegate != nil) != (op == idemDelegate) {
 			return fmt.Errorf("idempotency record %q: %w", rec.Key, protocol.ErrBadRequest)
 		}
 		fp, err := hex.DecodeString(rec.Fingerprint)
@@ -251,13 +259,13 @@ func (s *shadow) importIdem(records []IdemRecord) error {
 		}
 		r := idemResult{op: op}
 		copy(r.fingerprint[:], fp)
-		if rec.Bind != nil {
+		switch op {
+		case idemBind:
 			r.bind = *rec.Bind
-		}
-		if rec.Status != nil {
-			r.status = *rec.Status
-		}
-		if rec.Delegate != nil {
+		case idemStatus:
+			status := *rec.Status
+			r.status = &status
+		case idemDelegate:
 			r.delegate = *rec.Delegate
 		}
 		s.recordIdem(rec.Key, r)

@@ -2,58 +2,89 @@ package cloud
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/wirecodec"
 )
 
-// WAL record encoding lives in internal/wirecodec, shared with the
-// binary wire front end (binapi) so a message is serialized by exactly
-// one encoder whether it is logged for durability or framed for the
-// wire. What is genuinely cloud-side stays here: applying a decoded
-// record to a Service during replay.
+// Record encoding lives in internal/wirecodec, shared with binapi; what
+// is cloud-side is applying a record to the Service during replay.
 
-// applyWALRecord re-executes a decoded record against the service
-// through the exported (stat-counting) handlers, so replayed operations
-// move the activity counters exactly as the live executions did.
-// Application-level errors are discarded: a logged operation that
-// failed live fails identically on replay, and that failure is part of
-// the state being rebuilt.
-func applyWALRecord(r wirecodec.Record, s *Service) error {
-	switch req := r.Req.(type) {
-	case protocol.StatusRequest:
-		_, _ = s.HandleStatus(req)
-	case protocol.StatusBatchRequest:
-		// The handler mutates item source addresses in place; give it
-		// its own copy so the decoded record stays pristine.
-		req.Items = append([]protocol.StatusRequest(nil), req.Items...)
-		_, _ = s.HandleStatusBatch(req)
-	case wirecodec.Liveness:
-		s.applyLiveness(req.DeviceID, r.At, req.Owner)
-	case protocol.RegisterUserRequest:
-		_ = s.RegisterUser(req)
-	case protocol.LoginRequest:
-		_, _ = s.Login(req)
-	case protocol.DeviceTokenRequest:
-		_, _ = s.RequestDeviceToken(req)
-	case protocol.BindTokenRequest:
-		_, _ = s.RequestBindToken(req)
-	case protocol.BindRequest:
-		_, _ = s.HandleBind(req)
-	case protocol.UnbindRequest:
-		_ = s.HandleUnbind(req)
-	case protocol.ControlRequest:
-		_, _ = s.HandleControl(req)
-	case protocol.PushUserDataRequest:
-		_ = s.PushUserData(req)
-	case protocol.ShareRequest:
-		_ = s.HandleShare(req)
-	case protocol.DelegateRequest:
-		_, _ = s.HandleDelegate(req)
-	case protocol.RevokeDelegationRequest:
-		_ = s.HandleRevokeDelegation(req)
-	default:
-		return fmt.Errorf("cloud: %w: WAL record carries no request", protocol.ErrBadRequest)
+// applyRow re-executes the body of one record tag, which c is positioned
+// at, under the record's time and its LSN's entropy stream. It fails only
+// on a body that does not decode: a logged operation that failed live
+// fails identically on replay, so the handler's answer is discarded.
+type applyRow func(d *Durable, c *wirecodec.Cursor, at time.Time, lsn uint64) error
+
+// applyRows is the replay dispatch table, indexed by record tag (nil: an
+// unknown tag). A row decodes into a local request — no boxed Record —
+// and calls the exported, stat-counting handler the live operation ran.
+var applyRows = [256]applyRow{
+	wirecodec.TagStatus:           replayed(wirecodec.ReadStatusBody, (*Service).HandleStatus),
+	wirecodec.TagBatch:            replayed(wirecodec.ReadBatchBody, (*Service).HandleStatusBatch),
+	wirecodec.TagLiveness:         applyLiveness,
+	wirecodec.TagDelegate:         replayed(wirecodec.ReadDelegateBody, (*Service).HandleDelegate),
+	wirecodec.TagRevokeDelegation: replayedErr(wirecodec.ReadRevokeDelegationBody, (*Service).HandleRevokeDelegation),
+	wirecodec.TagShare:            replayedErr(wirecodec.ReadShareBody, (*Service).HandleShare),
+	wirecodec.TagRegisterUser:     replayedErr(wirecodec.ReadRegisterUserBody, (*Service).RegisterUser),
+	wirecodec.TagLogin:            replayed(wirecodec.ReadLoginBody, (*Service).Login),
+	wirecodec.TagDeviceToken:      replayed(wirecodec.ReadDeviceTokenBody, (*Service).RequestDeviceToken),
+	wirecodec.TagBindToken:        replayed(wirecodec.ReadBindTokenBody, (*Service).RequestBindToken),
+	wirecodec.TagBind:             replayed(wirecodec.ReadBindBody, (*Service).HandleBind),
+	wirecodec.TagUnbind:           replayedErr(wirecodec.ReadUnbindBody, (*Service).HandleUnbind),
+	wirecodec.TagControl:          replayed(wirecodec.ReadControlBody, (*Service).HandleControl),
+	wirecodec.TagUserData:         replayedErr(wirecodec.ReadUserDataBody, (*Service).PushUserData),
+}
+
+// replayed builds an operation's row from its body decoder and handler:
+// decode, refuse trailing bytes, run under the record's clock and stream.
+func replayed[Req, Resp any](read func(*wirecodec.Cursor) Req, handle func(*Service, Req) (Resp, error)) applyRow {
+	return func(d *Durable, c *wirecodec.Cursor, at time.Time, lsn uint64) error {
+		req := read(c)
+		if !c.Done() {
+			c.Fail()
+			return c.Err()
+		}
+		d.beginOp(at, d.stream(lsn))
+		_, _ = handle(d.svc, req)
+		d.endOp()
+		return nil
+	}
+}
+
+// replayedErr is replayed for a handler that returns only an error.
+func replayedErr[Req any](read func(*wirecodec.Cursor) Req, handle func(*Service, Req) error) applyRow {
+	return replayed(read, func(s *Service, req Req) (struct{}, error) { return struct{}{}, handle(s, req) })
+}
+
+// applyLiveness is the liveness record's row (Service.applyLiveness).
+func applyLiveness(d *Durable, c *wirecodec.Cursor, at time.Time, _ uint64) error {
+	id, owner := c.ID(), c.Str()
+	if !c.Done() {
+		c.Fail()
+		return c.Err()
+	}
+	d.svc.applyLiveness(id, at, owner)
+	return nil
+}
+
+// applyRecord executes one WAL record — its tag, the time it was logged
+// at, then the operation's wire body with nothing after it — through the
+// tag's row: recovery (single-goroutine) and ShipRecord (under d.mu
+// exclusively).
+func (d *Durable) applyRecord(lsn uint64, payload []byte) error {
+	var row applyRow
+	if len(payload) > 0 {
+		row = applyRows[payload[0]]
+	}
+	if row == nil {
+		return fmt.Errorf("cloud: WAL record %d: %w: empty record or unknown tag", lsn, protocol.ErrBadRequest)
+	}
+	d.cur.Reset(payload)
+	d.cur.U8()
+	if err := row(d, &d.cur, wirecodec.DecodeTime(d.cur.I64()), lsn); err != nil {
+		return fmt.Errorf("cloud: WAL record %d: %w", lsn, err)
 	}
 	return nil
 }

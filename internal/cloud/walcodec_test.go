@@ -3,10 +3,12 @@ package cloud
 // The binary record codec moved to internal/wirecodec (shared with the
 // binapi wire front end); its round-trip, truncation and allocation-
 // bound tests moved with it. What stays here is the cloud-side glue:
-// the snapshot codec's pooled-buffer guard and the replay dispatch.
+// the snapshot codec's pooled-buffer guard and the reference replay
+// dispatch the apply table is held to (applyrecord_test.go).
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -14,6 +16,50 @@ import (
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/wirecodec"
 )
+
+// applyWALRecord is the reference replay: it re-executes a record
+// decoded by wirecodec.DecodeRecord against the service through the
+// exported (stat-counting) handlers, one case per request type.
+// Application-level errors are discarded: a logged operation that failed
+// live fails identically on replay.
+func applyWALRecord(r wirecodec.Record, s *Service) error {
+	switch req := r.Req.(type) {
+	case protocol.StatusRequest:
+		_, _ = s.HandleStatus(req)
+	case protocol.StatusBatchRequest:
+		// The handler mutates item source addresses in place; give it
+		// its own copy so the decoded record stays pristine.
+		req.Items = append([]protocol.StatusRequest(nil), req.Items...)
+		_, _ = s.HandleStatusBatch(req)
+	case wirecodec.Liveness:
+		s.applyLiveness(req.DeviceID, r.At, req.Owner)
+	case protocol.RegisterUserRequest:
+		_ = s.RegisterUser(req)
+	case protocol.LoginRequest:
+		_, _ = s.Login(req)
+	case protocol.DeviceTokenRequest:
+		_, _ = s.RequestDeviceToken(req)
+	case protocol.BindTokenRequest:
+		_, _ = s.RequestBindToken(req)
+	case protocol.BindRequest:
+		_, _ = s.HandleBind(req)
+	case protocol.UnbindRequest:
+		_ = s.HandleUnbind(req)
+	case protocol.ControlRequest:
+		_, _ = s.HandleControl(req)
+	case protocol.PushUserDataRequest:
+		_ = s.PushUserData(req)
+	case protocol.ShareRequest:
+		_ = s.HandleShare(req)
+	case protocol.DelegateRequest:
+		_, _ = s.HandleDelegate(req)
+	case protocol.RevokeDelegationRequest:
+		_ = s.HandleRevokeDelegation(req)
+	default:
+		return fmt.Errorf("cloud: %w: WAL record carries no request", protocol.ErrBadRequest)
+	}
+	return nil
+}
 
 // TestWALRecordApplyRoundTrip proves a record encoded by wirecodec
 // decodes and applies against a live service — the replay path exercised

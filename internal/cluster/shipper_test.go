@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/iotbind/iotbind/internal/cloud"
+	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/wal"
 )
@@ -598,10 +599,11 @@ func TestNodeBareHeartbeatAckAllocs(t *testing.T) {
 // address, logged on the primary, shipped and applied on the replica
 // before the ack. Each of the six allocations is state a shadow keeps.
 // The primary keeps the request's own strings and copies its reading
-// into a buffer it reuses, so it allocates only its idempotency record.
-// The replica decodes its own copy of the record: the idempotency key,
-// the readings slice, the reading's name, the source address, and its
-// idempotency record. Fingerprinting, the entropy stream, the decoded
+// into a buffer it reuses, so it allocates only the copy of its reply
+// that the idempotency record holds (the record itself sits in its map
+// slot). The replica decodes its own copy of the record: the idempotency
+// key, the readings slice, the reading's name, the source address, and
+// its reply copy. Fingerprinting, the entropy stream, the decoded
 // request, the device ID and the shipper's feed account for none.
 func TestKeyedStatusAllocations(t *testing.T) {
 	if raceEnabled {
@@ -630,6 +632,164 @@ func TestKeyedStatusAllocations(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(runs, call); got != 6 {
 		t.Errorf("a keyed status allocates %.0f times through Node.HandleStatus, want 6", got)
+	}
+	requireSnapshotsEqual(t, n.primary, n.replica)
+}
+
+// coldDesign is bind_churn's posture: app-side ACL binding by user token,
+// unbind by user token, bound-user checks, delegation with attenuation,
+// cascade and check-at-use.
+func coldDesign() core.DesignSpec {
+	return core.DesignSpec{
+		Name:                       "cluster-cold",
+		DeviceAuth:                 core.AuthDevID,
+		Binding:                    core.BindACLApp,
+		UnbindForms:                []core.UnbindForm{core.UnbindDevIDUserToken},
+		CheckBoundUserOnBind:       true,
+		CheckBoundUserOnUnbind:     true,
+		DelegationScopeAttenuation: true,
+		DelegationCascadeRevoke:    true,
+		DelegationCheckAtUse:       true,
+	}
+}
+
+// TestColdLaneAllocations pins what each step of bind_churn's cycle
+// costs below the transport on an ack-after-replicate node: logged on
+// the primary, shipped and applied on the replica before the ack — all
+// but the delegated read, which logs nothing. Each count is the usual
+// one for the step (its mode over the measured cycles): a device's state
+// machine trace, idempotency log and the token tables grow now and then,
+// and that amortized growth lands on one step in a few dozen. Every
+// allocation is state a side keeps. The device ID is the registry's
+// string on the replica and the caller's on the primary, the idempotency
+// records sit in their map slots, and the requests are built before the
+// count, so what is left is:
+//
+//   - bind 3: the replica's user token, idempotency key and source
+//     address (the primary keeps the caller's).
+//   - delegate 14: on each side the lattice (2), its grant (1) and the
+//     minted delegation token (1); on the replica also the user token,
+//     grantee, key, scope list and its two scopes.
+//   - control 5: the queued command on each side; the replica's user
+//     token, source address and command name (a one-byte command ID is
+//     a static string).
+//   - readings 2: the lattice's authorization memo, on the primary only.
+//   - revoke 5: the severed-grant list on each side; the replica's user
+//     token, grantee and key.
+//   - unbind 3: the replica's user token, key and source address.
+func TestColdLaneAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const devices, warm, measured = 8, 17, 10
+	var ids []string
+	for i := 0; i < devices; i++ {
+		ids = append(ids, fmt.Sprintf("AA:BB:CC:00:00:%02X", i))
+	}
+	n, err := NewNode(NodeConfig{
+		Name: "n0", Dir: filepath.Join(t.TempDir(), "n0"), Design: coldDesign(), Registry: labRegistry(t, ids...),
+		Clock: labClock(), WALShards: 4, WAL: wal.Options{Policy: wal.SyncOff}, AckAfterReplicate: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	login := func(user string) string {
+		if err := n.RegisterUser(protocol.RegisterUserRequest{UserID: user, Password: "pw"}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := n.Login(protocol.LoginRequest{UserID: user, Password: "pw"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.UserToken
+	}
+	owner := login("owner@lab")
+	login("guest@lab")
+	for _, id := range ids {
+		if _, err := n.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The six steps, each request built ahead of the count.
+	steps := []string{"bind", "delegate", "control", "readings", "revoke", "unbind"}
+	type cycle struct {
+		bind    protocol.BindRequest
+		deleg   protocol.DelegateRequest
+		control protocol.ControlRequest
+		revoke  protocol.RevokeDelegationRequest
+		unbind  protocol.UnbindRequest
+	}
+	key := 0
+	next := func() string { key++; return fmt.Sprintf("cold-%06d", key) }
+	mk := func(id string) cycle {
+		return cycle{
+			bind: protocol.BindRequest{DeviceID: id, UserToken: owner, Sender: core.SenderApp,
+				SourceIP: "203.0.113.7", IdempotencyKey: next()},
+			deleg: protocol.DelegateRequest{DeviceID: id, UserToken: owner, Grantee: "guest@lab",
+				Scopes: []string{"control", "read"}, TTLSeconds: 3600, IdempotencyKey: next()},
+			control: protocol.ControlRequest{DeviceID: id, UserToken: owner, SourceIP: "203.0.113.7",
+				Command: protocol.Command{ID: "c", Name: "turn_on"}},
+			revoke: protocol.RevokeDelegationRequest{DeviceID: id, UserToken: owner, Grantee: "guest@lab", IdempotencyKey: next()},
+			unbind: protocol.UnbindRequest{DeviceID: id, UserToken: owner, Sender: core.SenderApp,
+				SourceIP: "203.0.113.7", IdempotencyKey: next()},
+		}
+	}
+	var samples [6]map[uint64]int
+	for i := range samples {
+		samples[i] = map[uint64]int{}
+	}
+	var ms runtime.MemStats
+	run := func(c *cycle, count bool) {
+		var deleg string
+		for i, step := range []func() error{
+			func() error { _, err := n.HandleBind(c.bind); return err },
+			func() error {
+				resp, err := n.HandleDelegate(c.deleg)
+				deleg = resp.DelegationToken
+				return err
+			},
+			func() error { _, err := n.HandleControl(c.control); return err },
+			func() error {
+				_, err := n.Readings(protocol.ReadingsRequest{DeviceID: c.bind.DeviceID, UserToken: deleg})
+				return err
+			},
+			func() error { return n.HandleRevokeDelegation(c.revoke) },
+			func() error { return n.HandleUnbind(c.unbind) },
+		} {
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			err := step()
+			runtime.ReadMemStats(&ms)
+			if err != nil {
+				t.Fatalf("%s %s: %v", steps[i], c.bind.DeviceID, err)
+			}
+			if count {
+				samples[i][ms.Mallocs-before]++
+			}
+		}
+	}
+	for r := 0; r < warm+measured; r++ {
+		cycles := make([]cycle, len(ids))
+		for i, id := range ids {
+			cycles[i] = mk(id)
+		}
+		for i := range cycles {
+			run(&cycles[i], r >= warm)
+		}
+	}
+	want := [6]uint64{3, 14, 5, 2, 5, 3}
+	for i, name := range steps {
+		var mode uint64
+		for count, times := range samples[i] {
+			if times > samples[i][mode] || (times == samples[i][mode] && count < mode) {
+				mode = count
+			}
+		}
+		if mode != want[i] {
+			t.Errorf("%s allocates %d times (all counts: %v), want %d", name, mode, samples[i], want[i])
+		}
 	}
 	requireSnapshotsEqual(t, n.primary, n.replica)
 }

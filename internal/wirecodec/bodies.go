@@ -64,7 +64,7 @@ func PutDeviceTokenBody(b *bytes.Buffer, req protocol.DeviceTokenRequest) {
 
 // ReadDeviceTokenBody reverses PutDeviceTokenBody.
 func ReadDeviceTokenBody(c *Cursor) protocol.DeviceTokenRequest {
-	return protocol.DeviceTokenRequest{UserToken: c.Str(), DeviceID: c.Str(), PairingProof: c.Str()}
+	return protocol.DeviceTokenRequest{UserToken: c.Str(), DeviceID: c.ID(), PairingProof: c.Str()}
 }
 
 // PutDeviceTokenResponse writes a device-token response body.
@@ -85,7 +85,7 @@ func PutBindTokenBody(b *bytes.Buffer, req protocol.BindTokenRequest) {
 
 // ReadBindTokenBody reverses PutBindTokenBody.
 func ReadBindTokenBody(c *Cursor) protocol.BindTokenRequest {
-	return protocol.BindTokenRequest{UserToken: c.Str(), DeviceID: c.Str()}
+	return protocol.BindTokenRequest{UserToken: c.Str(), DeviceID: c.ID()}
 }
 
 // PutBindTokenResponse writes a bind-token response body.
@@ -143,7 +143,7 @@ func PutBindBody(b *bytes.Buffer, req protocol.BindRequest) {
 // ReadBindBody reverses PutBindBody.
 func ReadBindBody(c *Cursor) protocol.BindRequest {
 	return protocol.BindRequest{
-		DeviceID: c.Str(), UserToken: c.Str(), UserID: c.Str(), UserPassword: c.Str(),
+		DeviceID: c.ID(), UserToken: c.Str(), UserID: c.Str(), UserPassword: c.Str(),
 		BindToken: c.Str(), BindProof: c.Str(), Sender: core.Sender(c.I64()),
 		IdempotencyKey: c.Str(), SourceIP: c.Str(),
 	}
@@ -173,7 +173,7 @@ func PutUnbindBody(b *bytes.Buffer, req protocol.UnbindRequest) {
 // ReadUnbindBody reverses PutUnbindBody.
 func ReadUnbindBody(c *Cursor) protocol.UnbindRequest {
 	return protocol.UnbindRequest{
-		DeviceID: c.Str(), UserToken: c.Str(), Sender: core.Sender(c.I64()),
+		DeviceID: c.ID(), UserToken: c.Str(), Sender: core.Sender(c.I64()),
 		IdempotencyKey: c.Str(), SourceIP: c.Str(),
 	}
 }
@@ -191,7 +191,7 @@ func PutControlBody(b *bytes.Buffer, req protocol.ControlRequest) {
 // ReadControlBody reverses PutControlBody.
 func ReadControlBody(c *Cursor) protocol.ControlRequest {
 	return protocol.ControlRequest{
-		DeviceID: c.Str(), UserToken: c.Str(), SessionToken: c.Str(),
+		DeviceID: c.ID(), UserToken: c.Str(), SessionToken: c.Str(),
 		Command: ReadCommand(c), SourceIP: c.Str(),
 	}
 }
@@ -215,7 +215,7 @@ func PutUserDataBody(b *bytes.Buffer, req protocol.PushUserDataRequest) {
 // ReadUserDataBody reverses PutUserDataBody.
 func ReadUserDataBody(c *Cursor) protocol.PushUserDataRequest {
 	return protocol.PushUserDataRequest{
-		DeviceID: c.Str(), UserToken: c.Str(), Data: protocol.UserData{Kind: c.Str(), Body: c.Str()},
+		DeviceID: c.ID(), UserToken: c.Str(), Data: protocol.UserData{Kind: c.Str(), Body: c.Str()},
 	}
 }
 
@@ -227,7 +227,7 @@ func PutReadingsBody(b *bytes.Buffer, req protocol.ReadingsRequest) {
 
 // ReadReadingsBody reverses PutReadingsBody.
 func ReadReadingsBody(c *Cursor) protocol.ReadingsRequest {
-	return protocol.ReadingsRequest{DeviceID: c.Str(), UserToken: c.Str()}
+	return protocol.ReadingsRequest{DeviceID: c.ID(), UserToken: c.Str()}
 }
 
 // PutReadingsResponse writes a readings response body.
@@ -253,7 +253,7 @@ func PutShareBody(b *bytes.Buffer, req protocol.ShareRequest) {
 
 // ReadShareBody reverses PutShareBody.
 func ReadShareBody(c *Cursor) protocol.ShareRequest {
-	return protocol.ShareRequest{DeviceID: c.Str(), UserToken: c.Str(), Guest: c.Str(), Revoke: c.U8() != 0}
+	return protocol.ShareRequest{DeviceID: c.ID(), UserToken: c.Str(), Guest: c.Str(), Revoke: c.U8() != 0}
 }
 
 // PutSharesBody writes a shares (guest list) request body.
@@ -264,7 +264,7 @@ func PutSharesBody(b *bytes.Buffer, req protocol.SharesRequest) {
 
 // ReadSharesBody reverses PutSharesBody.
 func ReadSharesBody(c *Cursor) protocol.SharesRequest {
-	return protocol.SharesRequest{DeviceID: c.Str(), UserToken: c.Str()}
+	return protocol.SharesRequest{DeviceID: c.ID(), UserToken: c.Str()}
 }
 
 // PutSharesResponse writes a shares response body.
@@ -291,7 +291,7 @@ func PutDelegateBody(b *bytes.Buffer, req protocol.DelegateRequest) {
 // ReadDelegateBody reverses PutDelegateBody.
 func ReadDelegateBody(c *Cursor) protocol.DelegateRequest {
 	var req protocol.DelegateRequest
-	req.DeviceID = c.Str()
+	req.DeviceID = c.ID()
 	req.UserToken = c.Str()
 	req.Grantee = c.Str()
 	if n := c.Count(MinStringSize); n > 0 {
@@ -326,7 +326,7 @@ func PutRevokeDelegationBody(b *bytes.Buffer, req protocol.RevokeDelegationReque
 // ReadRevokeDelegationBody reverses PutRevokeDelegationBody.
 func ReadRevokeDelegationBody(c *Cursor) protocol.RevokeDelegationRequest {
 	return protocol.RevokeDelegationRequest{
-		DeviceID: c.Str(), UserToken: c.Str(), Grantee: c.Str(), IdempotencyKey: c.Str(),
+		DeviceID: c.ID(), UserToken: c.Str(), Grantee: c.Str(), IdempotencyKey: c.Str(),
 	}
 }
 
@@ -338,7 +338,7 @@ func PutDelegationsBody(b *bytes.Buffer, req protocol.ListDelegationsRequest) {
 
 // ReadDelegationsBody reverses PutDelegationsBody.
 func ReadDelegationsBody(c *Cursor) protocol.ListDelegationsRequest {
-	return protocol.ListDelegationsRequest{DeviceID: c.Str(), UserToken: c.Str()}
+	return protocol.ListDelegationsRequest{DeviceID: c.ID(), UserToken: c.Str()}
 }
 
 // PutDelegationsResponse writes a list-delegations response body.
@@ -375,7 +375,7 @@ func PutShadowBody(b *bytes.Buffer, req protocol.ShadowStateRequest) { PutStr(b,
 
 // ReadShadowBody reverses PutShadowBody.
 func ReadShadowBody(c *Cursor) protocol.ShadowStateRequest {
-	return protocol.ShadowStateRequest{DeviceID: c.Str()}
+	return protocol.ShadowStateRequest{DeviceID: c.ID()}
 }
 
 // PutShadowResponse writes a shadow-state response body.

@@ -14,9 +14,11 @@ type Liveness struct {
 	Owner    string
 }
 
-// Record is one decoded WAL record, ready to re-execute: the time the
-// operation was logged at and its request, as the operation's protocol
-// request type by value (a Liveness for the liveness record).
+// Record is one decoded WAL record: the time the operation was logged at
+// and its request, as the operation's protocol request type by value (a
+// Liveness for the liveness record). walinspect describes records
+// through it; replay (cloud.Durable) decodes each tag's body straight
+// into a local request instead, with no box.
 type Record struct {
 	At  time.Time
 	Req any
@@ -74,7 +76,7 @@ func DecodeRecord(payload []byte) (Record, error) {
 	case TagBatch:
 		rec.Req = ReadBatchBody(c)
 	case TagLiveness:
-		rec.Req = Liveness{DeviceID: c.Str(), Owner: c.Str()}
+		rec.Req = Liveness{DeviceID: c.ID(), Owner: c.Str()}
 	case TagDelegate:
 		rec.Req = ReadDelegateBody(c)
 	case TagRevokeDelegation:

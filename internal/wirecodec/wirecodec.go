@@ -134,12 +134,14 @@ func PutF64(b *bytes.Buffer, v float64) {
 // Cursor is a bounds-checked reader over a binary record. The first
 // failure sticks; every accessor afterwards returns a zero value, and
 // the caller checks Err once at the end. Strings alias nothing: each
-// Str copies out of the input, so decoded requests survive buffer
-// reuse.
+// Str copies out of the input, and each ID is either such a copy or a
+// string the cursor's owner already holds (SetIDs), so decoded requests
+// survive buffer reuse.
 type Cursor struct {
 	data []byte
 	off  int
 	err  error
+	ids  func(raw []byte) string
 }
 
 // NewCursor positions a cursor at off within data.
@@ -149,8 +151,17 @@ func NewCursor(data []byte, off int) *Cursor {
 
 // Reset repositions the cursor at the start of data and clears any
 // failure, for a cursor that lives in a long-lived owner: a pointer to a
-// fresh cursor handed to a func value would escape to the heap.
-func (c *Cursor) Reset(data []byte) { *c = Cursor{data: data} }
+// fresh cursor handed to a func value would escape to the heap. The
+// device-ID canonicaliser stays installed.
+func (c *Cursor) Reset(data []byte) { *c = Cursor{data: data, ids: c.ids} }
+
+// SetIDs installs the canonicaliser ID reads device IDs through: given
+// an ID's raw bytes (aliasing the input, valid only during the call) it
+// returns a string equal to them — one its owner holds already when it
+// can, so a device it knows costs no allocation. Nil restores copying.
+// Pass a func value built once per owner: a method value made per call
+// is an allocation of its own.
+func (c *Cursor) SetIDs(ids func(raw []byte) string) { c.ids = ids }
 
 // Err returns the sticky decode failure, if any.
 func (c *Cursor) Err() error { return c.err }
@@ -218,6 +229,16 @@ func (c *Cursor) Str() string {
 	s := string(c.data[c.off : c.off+int(n)])
 	c.off += int(n)
 	return s
+}
+
+// ID reads a length-prefixed device ID through the canonicaliser SetIDs
+// installed, or copies it like Str when there is none.
+func (c *Cursor) ID() string {
+	raw := c.StrBytes()
+	if c.ids == nil || c.err != nil {
+		return string(raw)
+	}
+	return c.ids(raw)
 }
 
 // StrBytes reads a length-prefixed string but returns the raw bytes,
@@ -297,21 +318,18 @@ func readReadings(c *Cursor, list []protocol.Reading) {
 func ReadStatusBody(c *Cursor) protocol.StatusRequest {
 	var req protocol.StatusRequest
 	req.Kind = protocol.StatusKind(c.U8())
-	req.DeviceID = c.Str()
+	req.DeviceID = c.ID()
 	req.SourceIP = string(ReadStatusRest(c, &req))
 	return req
 }
 
 // ReadStatusRest decodes the fields following Kind and DeviceID into
 // req, except the source address, which it returns raw (aliasing the
-// input) and leaves unset. Split out for the two callers that have a
-// string for the device ID already and so read it themselves: the binapi
-// server, through its connection's interning cache (it also replaces
-// the sender's address claim with the transport's, so its decode of a
-// bare heartbeat allocates nothing), and cloud.Durable's apply of a
-// status record, through the device registry. The record decoders,
-// which replay the address that was stamped, materialise it
-// (ReadStatusBody, and that apply).
+// input) and leaves unset. Split out for the binapi server, which drops
+// the sender's address claim undecoded (conn.cloud stamps the
+// transport's), so its decode of a bare heartbeat allocates nothing.
+// ReadStatusBody, which replays the address that was stamped,
+// materialises it.
 func ReadStatusRest(c *Cursor, req *protocol.StatusRequest) (sourceIP []byte) {
 	req.DevToken = c.Str()
 	req.Signature = c.Str()
