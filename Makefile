@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build crossbuild fmt vet test race alloc-pins race-stress bench bench-stack bench-json bench-json-smoke fuzz-smoke wal-verify cluster-smoke conn-smoke delegation-smoke loc ci
+.PHONY: all build crossbuild fmt vet test race alloc-pins race-stress bench bench-stack bench-json bench-json-smoke fuzz-smoke wal-verify loc ci
 
 all: ci
 
@@ -35,9 +35,11 @@ race:
 # the suite, so this target is what enforces them: the binapi epoll round
 # trip and the hopped layers at 0, the cold cycle at its strings, the
 # node's bare-heartbeat ack, the status fingerprint at 0, the keyed
-# status and each cold-lane step at what its shadows keep, a proof at its one string, a
-# delegation check at its map and traces, and every live Table III cell
-# at its exact count.
+# status and each cold-lane step at what its shadows keep, a status
+# across the composed stack (socket, binapi, router, node) at 0 bare and
+# at its five strings keyed, a proof at its one string, a delegation
+# check at its map and traces, and every live Table III cell at its
+# exact count.
 alloc-pins:
 	$(GO) test -count=1 -run 'Alloc' ./internal/...
 
@@ -49,14 +51,15 @@ alloc-pins:
 # serves its sockets in place — FIN vs epoll_wait, close vs dispatch,
 # short writes vs EPOLLOUT and a locally refused over-cap request beside
 # a call in flight get re-dealt across runs — and, ten times over, two
-# serving goroutines on one stripe decoding cold rows and heartbeats for
-# different connections, each through its own device-ID cache.
+# serving goroutines on one stripe decoding cold rows, heartbeats and
+# batches for different connections, every device ID through the cloud's
+# registry.
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery' ./internal/cloud/
 	$(GO) test -race -count=3 -run='TestShipper|TestNode' ./internal/cluster/
 	$(GO) test -race -count=3 -run='TestReadinessEquivalence|TestEpoll|TestShortWrite|TestIdleTimeout|TestBackpressure|TestOverCap' ./internal/binapi/
-	$(GO) test -race -count=10 -run='TestColdRowsInternPerConnection' ./internal/binapi/
+	$(GO) test -race -count=10 -run='TestServedDeviceIDsAreTheRegistrys' ./internal/binapi/
 
 # bench compiles and smoke-runs every benchmark (100 iterations, no unit
 # tests) so perf regressions in the hot path are caught by CI, not just
@@ -134,38 +137,6 @@ fuzz-smoke:
 wal-verify:
 	$(GO) run ./cmd/walinspect selfcheck
 
-# cluster-smoke runs the multi-node failover gate under the race
-# detector: three nodes behind the consistent-hash router, one primary
-# killed mid-run, its replica promoted and swapped in, and the merged
-# final state checked byte-for-byte against a single-node reference
-# with zero acknowledged operations lost.
-cluster-smoke:
-	$(GO) test -race -run='^TestClusterSmoke$$' -v ./internal/cluster/
-
-# conn-smoke runs the connection-scale harness at CI size: thousands of
-# multiplexed pipe connections plus socket runs through both readiness
-# sources (raw epoll and the pump fallback), verifying message counts,
-# latency metrics and the goroutine bounds — no per-connection server
-# goroutines in pipe or epoll mode. The second line is the epoll unit
-# gate: three-way readiness equivalence, the short-write/EPOLLOUT
-# re-arm path, idle-timeout behaviour and the fd-close-vs-ready storm.
-conn-smoke:
-	$(GO) test -run='^TestConnLoad' -v ./internal/testbed/
-	$(GO) test -race -run='^(TestReadinessEquivalence|TestShortWriteRearm|TestEpollCloseRaceStorm|TestIdleTimeout)' -v ./internal/binapi/
-
-# delegation-smoke runs the delegation gate: the share/revoke storm
-# under the race detector (seeded kills, per-record fsync, final state
-# byte-identical to a storm-without-kills reference, zero acknowledged
-# operations lost), the lattice/idempotency/revocation-race suite, and
-# the A6 sweep — the rule-based analyzer and the exhaustive delegation
-# sub-model printed side by side on the permissive and hardened
-# reference postures.
-delegation-smoke:
-	$(GO) test -race -run='^TestShareStorm' -v ./internal/testbed/
-	$(GO) test -race -run='^TestDeleg' -v ./internal/cloud/ ./internal/analysis/
-	$(GO) run ./cmd/statecheck -delegation worst-case
-	$(GO) run ./cmd/statecheck -delegation secure
-
 # loc prints the three size figures ROADMAP.md re-anchors on (and a
 # simplicity PR reports its net lines in), so nobody hand-counts them:
 # non-test Go outside bench/, tests outside bench/, and all of bench/.
@@ -176,10 +147,9 @@ loc:
 
 # ci is the tier-1+ verification gate: formatting, vet, build (native
 # and a darwin cross-compile for the non-epoll fallback), the full
-# suite under the race detector (which already runs the failover,
-# connection-scale, share-storm and delegation tests the cluster-smoke,
-# conn-smoke and delegation-smoke targets select for humans), the
-# allocation pins that suite skips under -race, a benchmark smoke run,
+# suite under the race detector (the failover, connection-scale,
+# share-storm and delegation tests included), the allocation pins that
+# suite skips under -race, a benchmark smoke run,
 # the bench JSON pipeline smoke, the WAL+wire fuzz smoke, the offline
 # WAL integrity check and — the one part of those
 # gates no test runs — the A6 delegation sweep printed by statecheck on

@@ -181,6 +181,66 @@ func TestSocketRoundTrip(t *testing.T) {
 	driveCloud(t, c)
 }
 
+// TestServedReadingsAreCopied: the server decodes each status request's
+// readings into memory its worker reuses for the next request, so a
+// cloud that kept the request's slice would see a later request's
+// readings in place of its own. Two keyed statuses, then two batches of
+// two, each carrying a different reading, through a socket into a real
+// Service: the readings read back are all six, in order.
+func TestServedReadingsAreCopied(t *testing.T) {
+	_, addr := startSocketServer(t, newLabService(t, 1), WithStripes(1))
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	id := testDeviceID(0)
+	if err := c.RegisterUser(protocol.RegisterUserRequest{UserID: "u@example.com", Password: "pw"}); err != nil {
+		t.Fatal(err)
+	}
+	login, err := c.Login(protocol.LoginRequest{UserID: "u@example.com", Password: "pw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: id}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.HandleBind(protocol.BindRequest{DeviceID: id, UserID: "u@example.com", UserPassword: "pw"}); err != nil {
+		t.Fatal(err)
+	}
+
+	var want []protocol.Reading
+	status := func(n int) protocol.StatusRequest {
+		r := protocol.Reading{Name: fmt.Sprintf("sensor-%d", n), Value: float64(n), At: frozenClock()()}
+		want = append(want, r)
+		return protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: id,
+			IdempotencyKey: fmt.Sprintf("k-%d", n), Readings: []protocol.Reading{r}}
+	}
+	for n := 0; n < 2; n++ {
+		if _, err := c.HandleStatus(status(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 2; n < 6; n += 2 {
+		resp, err := c.HandleStatusBatch(protocol.StatusBatchRequest{Items: []protocol.StatusRequest{status(n), status(n + 1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range resp.Results {
+			if err := resp.Results[i].Err(); err != nil {
+				t.Fatalf("batch from %d, item %d: %v", n, i, err)
+			}
+		}
+	}
+	got, err := c.Readings(protocol.ReadingsRequest{DeviceID: id, UserToken: login.UserToken})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Readings, want) {
+		t.Errorf("readings read back:\n%v\nwant:\n%v", got.Readings, want)
+	}
+}
+
 // TestPipelinedStreams hammers one connection from many goroutines:
 // the mux must stitch every response back to its caller.
 func TestPipelinedStreams(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/iotbind/iotbind/internal/cloud"
 	"github.com/iotbind/iotbind/internal/core"
@@ -511,10 +512,23 @@ func (c statusCloud) HandleStatus(req protocol.StatusRequest) (protocol.StatusRe
 	return c.status(req)
 }
 
-// TestEpollStatusRoundTripAllocatesNothing: a same-device heartbeat
-// through Dial → loopback socket → epoll poller → a no-op cloud and
-// back allocates nothing anywhere in the process, as the pipe round trip
-// does — every RawConn callback on the path is built once.
+// statusID is the one device statusCloud's registry holds.
+var statusID = testDeviceID(0)
+
+// DeviceID answers transport.DeviceIDs as a registry holding statusID
+// would.
+func (statusCloud) DeviceID(raw []byte) string {
+	if string(raw) == statusID {
+		return statusID
+	}
+	return string(raw)
+}
+
+// TestEpollStatusRoundTripAllocatesNothing: a registered device's
+// heartbeat through Dial → loopback socket → epoll poller → a no-op cloud
+// and back allocates nothing anywhere in the process, as the pipe round
+// trip does — every RawConn callback on the path is built once, and the
+// device ID is the cloud's registry string.
 func TestEpollStatusRoundTripAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -530,14 +544,14 @@ func TestEpollStatusRoundTripAllocatesNothing(t *testing.T) {
 
 	// The claimed SourceIP must cost nothing either: the server drops it
 	// undecoded and stamps the peer address.
-	req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(0), SourceIP: "203.0.113.9"}
+	req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: statusID, SourceIP: "203.0.113.9"}
 	beat := func() {
 		if _, err = c.HandleStatus(req); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 100; i++ {
-		beat() // warm the pools and the device-ID cache
+		beat() // warm the pools
 	}
 	if avg := testing.AllocsPerRun(2000, beat); avg != 0 {
 		t.Fatalf("epoll socket status round trip allocates %.0f times, want 0", avg)
@@ -567,11 +581,12 @@ func (coldCloud) HandleUnbind(protocol.UnbindRequest) error { return nil }
 // TestColdCycleAllocatesOnlyItsStrings: the binary cold lane's price. A
 // bind → control → readings → unbind cycle through Dial → loopback socket
 // → epoll poller → a no-op cloud and back allocates the decoded requests'
-// and responses' own strings and lists and nothing else: eight request
-// strings on the server (bind 2: token and key; control 3: token, command
-// ID and name; readings 1: token; unbind 2: token and key — the device ID
-// is the connection's cached string, and the source-address claim is
-// sent empty), the bound user, the reading list and its one name on the
+// and responses' own strings and lists and nothing else: twelve request
+// strings on the server (bind 3: device ID, token and key; control 4:
+// device ID, token, command ID and name; readings 2: device ID and token;
+// unbind 3: device ID, token and key — the no-op cloud holds no registry,
+// so each device ID is copied, and the source-address claim is sent
+// empty), the bound user, the reading list and its one name on the
 // client. The JSON envelope this replaced cost 29-35 allocations per
 // operation on top of those.
 func TestColdCycleAllocatesOnlyItsStrings(t *testing.T) {
@@ -609,56 +624,110 @@ func TestColdCycleAllocatesOnlyItsStrings(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		cycle() // warm the pools
 	}
-	const strings = 8 + 3
+	const strings = 12 + 3
 	if avg := testing.AllocsPerRun(1000, cycle); avg != strings {
 		t.Fatalf("a four-operation cold cycle allocates %.1f times, want the %d strings and lists it decodes", avg, strings)
 	}
 }
 
-// pairedCloud accepts a request only when its credential is "tok-" and
-// the device ID it arrived with, so a request whose ID the server read
-// through another connection's cache would be refused. Status requests
-// carry the credential as their device token.
-type pairedCloud struct{ transport.Cloud }
+// idCloud is a cloud with a registry: it answers transport.DeviceIDs
+// from reg and checks, for every request it serves, that a registered
+// device's ID arrived as the registry's own string and any other ID as a
+// fresh copy of its bytes — never the copy an earlier request delivered.
+// It also accepts a request only when its credential is "tok-" and the
+// device ID it arrived with, so an ID decoded from another connection's
+// request is refused too. Status requests carry the credential as their
+// device token.
+type idCloud struct {
+	transport.Cloud
+	reg map[string]string
 
-func pairedCheck(deviceID, credential string) error {
+	mu   sync.Mutex
+	last map[string]string // the previous delivery of each unregistered ID
+}
+
+func newIDCloud(registered []string) *idCloud {
+	c := &idCloud{reg: map[string]string{}, last: map[string]string{}}
+	for _, id := range registered {
+		c.reg[id] = id
+	}
+	return c
+}
+
+func (c *idCloud) DeviceID(raw []byte) string {
+	if id, ok := c.reg[string(raw)]; ok {
+		return id
+	}
+	return string(raw)
+}
+
+func (c *idCloud) check(deviceID, credential string) error {
 	if credential != "tok-"+deviceID {
 		return fmt.Errorf("request for %q arrived carrying %q: %w", deviceID, credential, protocol.ErrBadRequest)
 	}
+	if id, ok := c.reg[deviceID]; ok {
+		if unsafe.StringData(deviceID) != unsafe.StringData(id) {
+			return fmt.Errorf("registered %q arrived as a copy, not the registry's string: %w", deviceID, protocol.ErrBadRequest)
+		}
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if prev, ok := c.last[deviceID]; ok && unsafe.StringData(prev) == unsafe.StringData(deviceID) {
+		return fmt.Errorf("unregistered %q arrived as an earlier request's string: %w", deviceID, protocol.ErrBadRequest)
+	}
+	c.last[deviceID] = deviceID
 	return nil
 }
 
-func (pairedCloud) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
-	return protocol.StatusResponse{Bound: true}, pairedCheck(req.DeviceID, req.DevToken)
+func (c *idCloud) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
+	return protocol.StatusResponse{Bound: true}, c.check(req.DeviceID, req.DevToken)
 }
 
-func (pairedCloud) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
-	return protocol.BindResponse{BoundUser: req.DeviceID}, pairedCheck(req.DeviceID, req.UserToken)
+func (c *idCloud) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
+	resp := protocol.StatusBatchResponse{Results: make([]protocol.StatusBatchResult, len(req.Items))}
+	for i, it := range req.Items {
+		if err := c.check(it.DeviceID, it.DevToken); err != nil {
+			return protocol.StatusBatchResponse{}, err
+		}
+		resp.Results[i] = protocol.MakeBatchResult(protocol.StatusResponse{Bound: true}, nil)
+	}
+	return resp, nil
 }
 
-func (pairedCloud) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
-	return protocol.DelegateResponse{DelegationToken: req.DeviceID}, pairedCheck(req.DeviceID, req.UserToken)
+func (c *idCloud) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
+	return protocol.BindResponse{BoundUser: req.DeviceID}, c.check(req.DeviceID, req.UserToken)
 }
 
-func (pairedCloud) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
-	return protocol.ControlResponse{Queued: true}, pairedCheck(req.DeviceID, req.UserToken)
+func (c *idCloud) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
+	return protocol.DelegateResponse{DelegationToken: req.DeviceID}, c.check(req.DeviceID, req.UserToken)
 }
 
-func (pairedCloud) HandleUnbind(req protocol.UnbindRequest) error {
-	return pairedCheck(req.DeviceID, req.UserToken)
+func (c *idCloud) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
+	return protocol.ControlResponse{Queued: true}, c.check(req.DeviceID, req.UserToken)
 }
 
-// TestColdRowsInternPerConnection: every request body's device ID is
-// read through its own connection's interning cache, cold rows and
-// status alike. Two epoll sockets (served by the stripe's poller) and a
+func (c *idCloud) HandleUnbind(req protocol.UnbindRequest) error {
+	return c.check(req.DeviceID, req.UserToken)
+}
+
+// TestServedDeviceIDsAreTheRegistrys: every request body's device ID is
+// read through the cloud's registry, status, batch and cold rows alike —
+// a registered device's as the registry's own string, any other as a
+// fresh copy. Two epoll sockets (served by the stripe's poller) and a
 // pipe (served by the stripe's loop) share one stripe; each walks its own
-// devices through bind, delegate, control and unbind with a heartbeat on
-// another device between steps, so every cache keeps missing and
-// refilling. A request reaching the cloud with another device's ID fails
-// the paired check; a cursor left reading through another connection's
-// cache is a data race under -race.
-func TestColdRowsInternPerConnection(t *testing.T) {
-	srv, addr := startSocketServer(t, pairedCloud{}, WithStripes(1), WithReadiness(ReadinessEpoll))
+// devices, registered and not, through bind, delegate, control and
+// unbind, with a heartbeat and a two-item batch between steps. Under
+// -race, two serving goroutines reading IDs through one registry show
+// any unsynchronised state on that path.
+func TestServedDeviceIDsAreTheRegistrys(t *testing.T) {
+	var registered []string
+	for n := 0; n < 3; n++ {
+		for i := 0; i < 5; i += 2 {
+			registered = append(registered, testDeviceID(1000*n+i), testDeviceID(1000*n+500+i))
+		}
+	}
+	srv, addr := startSocketServer(t, newIDCloud(registered), WithStripes(1), WithReadiness(ReadinessEpoll))
 	var clients []*Client
 	for i := 0; i < 2; i++ {
 		c, err := Dial(addr)
@@ -682,9 +751,16 @@ func TestColdRowsInternPerConnection(t *testing.T) {
 		wg.Add(1)
 		go func(n int, c *Client) {
 			defer wg.Done()
-			heartbeat := func(i int) error {
+			heartbeats := func(i int) error {
 				id := testDeviceID(1000*n + 500 + i%7)
-				_, err := c.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: id, DevToken: "tok-" + id})
+				if _, err := c.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: id, DevToken: "tok-" + id}); err != nil {
+					return err
+				}
+				other := testDeviceID(1000*n + 500 + (i+1)%7)
+				_, err := c.HandleStatusBatch(protocol.StatusBatchRequest{Items: []protocol.StatusRequest{
+					{Kind: protocol.StatusHeartbeat, DeviceID: id, DevToken: "tok-" + id},
+					{Kind: protocol.StatusHeartbeat, DeviceID: other, DevToken: "tok-" + other},
+				}})
 				return err
 			}
 			for i := 0; i < rounds; i++ {
@@ -713,8 +789,8 @@ func TestColdRowsInternPerConnection(t *testing.T) {
 						errs <- fmt.Errorf("connection %d round %d step %d: %w", n, i, j, err)
 						return
 					}
-					if err := heartbeat(i + j); err != nil {
-						errs <- fmt.Errorf("connection %d round %d heartbeat %d: %w", n, i, j, err)
+					if err := heartbeats(i + j); err != nil {
+						errs <- fmt.Errorf("connection %d round %d heartbeats %d: %w", n, i, j, err)
 						return
 					}
 				}

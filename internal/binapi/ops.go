@@ -22,8 +22,8 @@ import (
 // and the cursor the read funcs walk lives in the worker or the pooled
 // call: a *Req or a fresh *Cursor handed to a func value escapes, which
 // costs one heap allocation per operation per side. The worker's cursor
-// reads every request's device ID through the connection's interning
-// cache, status and cold rows alike.
+// reads every request's device ID through the cloud's registry
+// (Server.ids), status and cold rows alike.
 
 // row is one operation's wire form and the call it carries.
 type row[Req, Resp any] struct {
@@ -130,7 +130,8 @@ var (
 
 // serve is the row's server half.
 func (r *row[Req, Resp]) serve(w *worker, c *conn, stream uint32, payload []byte) {
-	cur := w.cursor(c, payload)
+	cur := &w.cur
+	cur.Reset(payload)
 	req := r.readReq(cur)
 	if !cur.Done() {
 		w.errorFrame(stream, protocol.ErrBadRequest, "malformed "+r.op.String()+" body")

@@ -458,7 +458,7 @@ func (s *Server) pollerFor(st *stripe) (*epoller, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl.worker = &worker{srv: s}
+	pl.worker = s.newWorker()
 	st.pl = pl
 	s.wg.Add(1)
 	s.goros.Add(1)

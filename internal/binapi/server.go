@@ -27,6 +27,9 @@ import (
 type Server struct {
 	cloud transport.Cloud
 	opts  options
+	// ids is the cloud's transport.DeviceIDs, resolved once in NewServer;
+	// nil, when the cloud cannot answer, copies every device ID.
+	ids func(raw []byte) string
 
 	stripes []*stripe
 	next    atomic.Uint32
@@ -69,10 +72,13 @@ func NewServer(cloud transport.Cloud, opts ...Option) *Server {
 		conns:     make(map[*conn]struct{}),
 		listeners: make(map[net.Listener]struct{}),
 	}
+	if ids, ok := cloud.(transport.DeviceIDs); ok {
+		s.ids = ids.DeviceID
+	}
 	s.stripes = make([]*stripe, o.stripes)
 	for i := range s.stripes {
 		st := &stripe{
-			worker: worker{srv: s},
+			worker: *s.newWorker(),
 			wake:   make(chan struct{}, 1),
 			quit:   make(chan struct{}),
 		}
@@ -125,7 +131,6 @@ func (s *Server) addConn(c *conn) error {
 	}
 	c.st = s.stripes[int(s.next.Add(1))%len(s.stripes)]
 	c.cloud = transport.StampSource(s.cloud, c.src)
-	c.ids = c.internID
 	if c.in == nil {
 		c.in = getInBuf()
 	}
@@ -342,16 +347,6 @@ type conn struct {
 	// (recycleIn) instead of racing it.
 	parsing   bool
 	recycleIn bool
-
-	// Device-ID interning cache, worker-owned: a persistent connection
-	// speaks for one device (or a stable hub set), or an app walks one
-	// device through a binding's life, so the previous message's ID
-	// almost always matches and the per-message string allocation
-	// disappears. ids is internID as a func value, built once in addConn:
-	// every request's cursor reads device IDs through it (worker.cursor).
-	devIDRaw []byte
-	devID    string
-	ids      func(raw []byte) string
 }
 
 // inBufPool recycles per-connection inbound buffers (and pump/client
@@ -459,13 +454,20 @@ func (c *conn) close(err error) {
 // worker is what a goroutine that serves connections owns — a stripe's
 // loop, or an epoll poller: out collects one connection's response
 // frames for a single coalesced flush, scratch stages each payload, cur
-// is the cursor every request body is decoded with (worker.cursor). All
+// is the cursor every request body is decoded with. All
 // are reused across every connection the goroutine serves.
 type worker struct {
 	srv     *Server
 	out     []byte
 	scratch bytes.Buffer
 	cur     wirecodec.Cursor
+}
+
+// newWorker returns a worker whose cursor reads device IDs through ids.
+func (s *Server) newWorker() *worker {
+	w := &worker{srv: s}
+	w.cur.SetIDs(s.ids)
+	return w
 }
 
 // stripe is one event-loop goroutine serving the pipe and pump
@@ -631,22 +633,12 @@ func (w *worker) dispatch(c *conn, stream uint32, kind uint8, payload []byte) {
 	w.errorFrame(stream, protocol.ErrBadRequest, fmt.Sprintf("unknown frame kind 0x%02x", kind))
 }
 
-// cursor positions the worker's cursor at one request payload of c,
-// reading device IDs through c's interning cache. The canonicaliser is
-// set on every request, so a cursor shared by the worker's connections
-// never consults another connection's cache.
-func (w *worker) cursor(c *conn, payload []byte) *wirecodec.Cursor {
-	w.cur.Reset(payload)
-	w.cur.SetIDs(c.ids)
-	return &w.cur
-}
-
 // serveStatus is the hot handler, written by hand: the sender's source
-// address claim is skipped undecoded, so with the device ID read through
-// the connection's interning cache a bare heartbeat's decode allocates
-// nothing.
+// address claim is skipped undecoded, so with a registered device's ID
+// read from the registry a bare heartbeat's decode allocates nothing.
 func (w *worker) serveStatus(c *conn, stream uint32, payload []byte) {
-	cur := w.cursor(c, payload)
+	cur := &w.cur
+	cur.Reset(payload)
 	var req protocol.StatusRequest
 	readStatus(cur, &req)
 	if !cur.Done() {
@@ -663,10 +655,11 @@ func (w *worker) serveStatus(c *conn, stream uint32, payload []byte) {
 	w.out = appendFrame(w.out, stream, kindStatus, flagResponse, w.scratch.Bytes())
 }
 
-// serveBatch is serveStatus for a batch: every item through the same
-// interning cache, the envelope's address claim skipped like an item's.
+// serveBatch is serveStatus for a batch, the envelope's address claim
+// skipped like an item's.
 func (w *worker) serveBatch(c *conn, stream uint32, payload []byte) {
-	cur := w.cursor(c, payload)
+	cur := &w.cur
+	cur.Reset(payload)
 	var req protocol.StatusBatchRequest
 	cur.StrBytes()
 	n := cur.Count(wirecodec.MinStatusSize)
@@ -697,18 +690,6 @@ func readStatus(cur *wirecodec.Cursor, req *protocol.StatusRequest) {
 	req.Kind = protocol.StatusKind(cur.U8())
 	req.DeviceID = cur.ID()
 	wirecodec.ReadStatusRest(cur, req)
-}
-
-// internID is the connection's device-ID canonicaliser: when the raw ID
-// bytes match the previous request's, the cached string is reused and
-// the read allocates nothing; otherwise the new ID is copied and cached.
-func (c *conn) internID(raw []byte) string {
-	if bytes.Equal(raw, c.devIDRaw) {
-		return c.devID
-	}
-	c.devIDRaw = append(c.devIDRaw[:0], raw...)
-	c.devID = string(raw)
-	return c.devID
 }
 
 func remoteIP(conn net.Conn) string {

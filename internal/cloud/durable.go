@@ -1115,6 +1115,9 @@ func (d *Durable) ShardWatermarks() []uint64 {
 // during open, so reading it needs no lock.
 func (d *Durable) Recovery() DurableRecovery { return d.recovery }
 
+// DeviceID implements transport.DeviceIDs through the service's registry.
+func (d *Durable) DeviceID(raw []byte) string { return d.svc.DeviceID(raw) }
+
 // Service exposes the underlying in-memory service (snapshots,
 // diagnostics). Mutating it directly bypasses the WAL.
 func (d *Durable) Service() *Service { return d.svc }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -369,15 +370,17 @@ func TestImportIdemRequiresItsOwnResponse(t *testing.T) {
 }
 
 // TestIdemExportImportRoundTrip: the records real requests leave — a
-// bind, a keyed status that drained a command, a delegation, its
-// revocation and the unbind — export, import into a fresh shadow and
-// export again to the same bytes.
+// keyed status answered with the shared unbound reply, a bind, a keyed
+// status that drained a command, one answered with the shared bound
+// reply, a delegation, its revocation and the unbind — export, import
+// into a fresh shadow and export again to the same bytes.
 func TestIdemExportImportRoundTrip(t *testing.T) {
 	svc, _, victim, _ := newTestService(t, devIDDesign())
 	if err := svc.RegisterUser(protocol.RegisterUserRequest{UserID: "guest@x", Password: "pw"}); err != nil {
 		t.Fatal(err)
 	}
 	mustStatus(t, svc, protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice})
+	mustStatus(t, svc, protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDevice, IdempotencyKey: "k-unbound"})
 	if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: testDevice, UserToken: victim, IdempotencyKey: "k-bind"}); err != nil {
 		t.Fatal(err)
 	}
@@ -389,6 +392,7 @@ func TestIdemExportImportRoundTrip(t *testing.T) {
 		IdempotencyKey: "k-hb"}); len(resp.Commands) != 1 {
 		t.Fatalf("keyed heartbeat drained %d commands, want 1", len(resp.Commands))
 	}
+	mustStatus(t, svc, protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDevice, IdempotencyKey: "k-bound"})
 	if _, err := svc.HandleDelegate(protocol.DelegateRequest{DeviceID: testDevice, UserToken: victim, Grantee: "guest@x",
 		Scopes: []string{"read"}, TTLSeconds: 60, IdempotencyKey: "k-deleg"}); err != nil {
 		t.Fatal(err)
@@ -407,8 +411,8 @@ func TestIdemExportImportRoundTrip(t *testing.T) {
 	sh.mu.Lock()
 	exported := sh.exportIdem()
 	sh.mu.Unlock()
-	if len(exported) != 5 {
-		t.Fatalf("exported %d idempotency records, want 5", len(exported))
+	if len(exported) != 7 {
+		t.Fatalf("exported %d idempotency records, want 7", len(exported))
 	}
 	fresh := newShadow(testDevice)
 	if err := fresh.importIdem(exported); err != nil {
@@ -424,5 +428,82 @@ func TestIdemExportImportRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(first, again) {
 		t.Errorf("idempotency records changed across export/import:\nbefore: %s\nafter:  %s", first, again)
+	}
+}
+
+// TestStatusReplayMatchesFirstDelivery: a redelivered keyed status
+// answers exactly what its first delivery answered, whether the reply
+// was recorded as the shared bound-only one or as its own copy — bound
+// and unbound, plain, with delivered commands or user data, and with a
+// session nonce.
+func TestStatusReplayMatchesFirstDelivery(t *testing.T) {
+	session := devIDDesign()
+	session.Name = "devid-session"
+	session.DataRequiresSession = true
+	heartbeat := func(key string) protocol.StatusRequest {
+		return protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDevice, IdempotencyKey: key}
+	}
+	register := func(key string) protocol.StatusRequest {
+		return protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice, IdempotencyKey: key}
+	}
+	for _, tc := range []struct {
+		name   string
+		design core.DesignSpec
+		bound  bool
+		before func(*Service, string) error // run after the bind, if any
+		req    protocol.StatusRequest
+		shared *protocol.StatusResponse
+	}{
+		{name: "unbound", design: devIDDesign(), req: heartbeat("k"), shared: &replyUnbound},
+		{name: "bound", design: devIDDesign(), bound: true, req: heartbeat("k"), shared: &replyBound},
+		{name: "bound with a command", design: devIDDesign(), bound: true, req: heartbeat("k"),
+			before: func(svc *Service, tok string) error {
+				_, err := svc.HandleControl(protocol.ControlRequest{DeviceID: testDevice, UserToken: tok,
+					Command: protocol.Command{ID: "c1", Name: "on"}})
+				return err
+			}},
+		{name: "bound with user data", design: devIDDesign(), bound: true, req: heartbeat("k"),
+			before: func(svc *Service, tok string) error {
+				return svc.PushUserData(protocol.PushUserDataRequest{DeviceID: testDevice, UserToken: tok,
+					Data: protocol.UserData{Kind: "schedule", Body: "07:00"}})
+			}},
+		{name: "unbound with a nonce", design: session, req: register("k")},
+		{name: "bound with a nonce", design: session, bound: true, req: register("k")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, _, victim, _ := newTestService(t, tc.design)
+			mustStatus(t, svc, protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice})
+			if tc.bound {
+				if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: testDevice, UserToken: victim}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.before != nil {
+				if err := tc.before(svc, victim); err != nil {
+					t.Fatal(err)
+				}
+			}
+			first := mustStatus(t, svc, tc.req)
+			if first.Bound != tc.bound {
+				t.Fatalf("first delivery answered bound=%v, want %v", first.Bound, tc.bound)
+			}
+			replay := mustStatus(t, svc, tc.req)
+			if !reflect.DeepEqual(replay, first) {
+				t.Errorf("replay %#v, first delivery %#v", replay, first)
+			}
+			if got := svc.Stats().StatusDeduplicated; got != 1 {
+				t.Errorf("StatusDeduplicated = %d, want 1", got)
+			}
+			sh, _ := svc.store.peek(testDevice)
+			sh.mu.Lock()
+			kept := sh.idemResults[tc.req.IdempotencyKey].status
+			sh.mu.Unlock()
+			if shared := kept == &replyBound || kept == &replyUnbound; shared != (tc.shared != nil) || (shared && kept != tc.shared) {
+				t.Errorf("recorded reply %p %#v: shared = %v, want the shared %v reply", kept, *kept, shared, tc.shared != nil)
+			}
+		})
+	}
+	if !reflect.DeepEqual(replyBound, protocol.StatusResponse{Bound: true}) || !reflect.DeepEqual(replyUnbound, protocol.StatusResponse{}) {
+		t.Errorf("a shared reply was written through: bound %#v, unbound %#v", replyBound, replyUnbound)
 	}
 }

@@ -155,6 +155,9 @@ func (s *Service) Design() core.DesignSpec { return s.design }
 // Registry returns the vendor device registry.
 func (s *Service) Registry() *Registry { return s.registry }
 
+// DeviceID implements transport.DeviceIDs with the registry.
+func (s *Service) DeviceID(raw []byte) string { return s.registry.canonicalID(raw) }
+
 // RegisterUser creates a user account.
 func (s *Service) registerUser(req protocol.RegisterUserRequest) error {
 	return s.accounts.register(req.UserID, req.Password)
@@ -359,13 +362,23 @@ func (s *Service) statusLocked(sh *shadow, rec DeviceRecord, req protocol.Status
 		resp.Commands, resp.UserData = sh.drainForDevice()
 	}
 	if req.IdempotencyKey != "" {
-		// The record's copy, made here: taking &resp would move every
-		// bare heartbeat's reply to the heap.
-		kept := resp
-		sh.recordIdem(req.IdempotencyKey, idemResult{op: idemStatus, fingerprint: fp, status: &kept})
+		// A bound-only reply (nil tested exactly, so a replay stays
+		// DeepEqual) is shared; any other gets its own copy, made here:
+		// taking &resp would move every reply to the heap.
+		kept := &replyUnbound
+		if resp.SessionNonce != "" || resp.Commands != nil || resp.UserData != nil {
+			own := resp
+			kept = &own
+		} else if resp.Bound {
+			kept = &replyBound
+		}
+		sh.recordIdem(req.IdempotencyKey, idemResult{op: idemStatus, fingerprint: fp, status: kept})
 	}
 	return resp, nil
 }
+
+// Shared bound-only replies: replay and exportIdem copy them, never write.
+var replyBound, replyUnbound = protocol.StatusResponse{Bound: true}, protocol.StatusResponse{}
 
 // HandleBind processes a binding-creation message under the design's
 // mechanism and policy checks (Figure 4 / Sections IV-B, V-C, V-E).
@@ -713,8 +726,8 @@ func (s *Service) applyLiveness(deviceID string, at time.Time, owner string) {
 	}
 }
 
-// ShadowTrace returns the state-machine trace of a device shadow, for
-// experiment reporting.
+// ShadowTrace returns the most recent state-machine transitions of a
+// device shadow (core.MaxTrace), for experiment reporting.
 func (s *Service) ShadowTrace(deviceID string) []core.Transition {
 	sh, ok := s.store.peek(deviceID)
 	if !ok {

@@ -715,6 +715,33 @@ func TestShadowTraceRecordsLifecycle(t *testing.T) {
 	}
 }
 
+// TestShadowTraceKeepsTheMostRecent: a device that changes hands forever
+// keeps a bounded trace — after 10 000 bind/unbind cycles, the last
+// core.MaxTrace edges, oldest first.
+func TestShadowTraceKeepsTheMostRecent(t *testing.T) {
+	svc, _, victim, _ := newTestService(t, devIDDesign())
+	mustStatus(t, svc, protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice})
+	for i := 0; i < 10000; i++ {
+		if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: testDevice, UserToken: victim, Sender: core.SenderApp}); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.HandleUnbind(protocol.UnbindRequest{DeviceID: testDevice, UserToken: victim, Sender: core.SenderApp}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trace := svc.ShadowTrace(testDevice)
+	if len(trace) != core.MaxTrace {
+		t.Fatalf("trace holds %d edges after 20 001 transitions, want the last %d", len(trace), core.MaxTrace)
+	}
+	bind := core.Transition{From: core.StateOnline, Event: core.EventBind, To: core.StateControl}
+	unbind := core.Transition{From: core.StateControl, Event: core.EventUnbind, To: core.StateOnline}
+	for i, tr := range trace {
+		if want := []core.Transition{bind, unbind}[i%2]; tr != want {
+			t.Fatalf("edge %d of the kept trace is %v, want %v", i, tr, want)
+		}
+	}
+}
+
 func TestNewServiceValidation(t *testing.T) {
 	if _, err := NewService(core.DesignSpec{}, NewRegistry()); err == nil {
 		t.Error("invalid design accepted")

@@ -137,6 +137,9 @@ func (n *Node) Primary() *cloud.Durable { return n.primary }
 // Replica exposes the follower store.
 func (n *Node) Replica() *cloud.Durable { return n.replica }
 
+// DeviceID forwards transport.DeviceIDs to the primary's registry.
+func (n *Node) DeviceID(raw []byte) string { return n.primary.DeviceID(raw) }
+
 // ReplicationLag reports how many acked operations the replica is
 // missing. Approximate in both directions: both sides are max
 // watermarks, and a record is offered to the shipper — where a

@@ -74,8 +74,10 @@ func NewRing(nodes []string, virtual int) (*Ring, error) {
 
 // Owner returns the node owning key: the first ring point at or past
 // the key's hash, wrapping to the lowest point.
-func (r *Ring) Owner(key string) string {
-	h := fnv1a32(key)
+func (r *Ring) Owner(key string) string { return r.owner(fnv1a32(key)) }
+
+// owner is Owner for a hashed key: the router hashes raw wire bytes.
+func (r *Ring) owner(h uint32) string {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
@@ -91,7 +93,7 @@ func (r *Ring) Nodes() []string {
 // fnv1a32 is the same FNV-1a the cloud's store and WAL shards use for
 // device routing — one hash family end to end keeps placement reasoning
 // simple, though the ring's key space (node#vnode) is its own.
-func fnv1a32(s string) uint32 {
+func fnv1a32[K string | []byte](s K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])

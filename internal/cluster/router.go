@@ -57,6 +57,11 @@ func (h routerHop) Begin(_ transport.Op, key string) (transport.Cloud, error) {
 
 func (h routerHop) End(_ transport.Op, err error) error { return err }
 
+// DeviceID forwards transport.DeviceIDs to the ring owner of raw.
+func (r *Router) DeviceID(raw []byte) string {
+	return r.members[r.ring.owner(fnv1a32(raw))].DeviceID(raw)
+}
+
 // RegisterUser broadcasts: accounts must exist everywhere because a
 // bind authenticating (UserID, password) lands on the device's owner,
 // not the account's. First error wins; a retry after partial success

@@ -597,14 +597,14 @@ func TestNodeBareHeartbeatAckAllocs(t *testing.T) {
 // TestKeyedStatusAllocations pins what a logged status costs below the
 // transport: a keyed heartbeat with one reading and a stamped source
 // address, logged on the primary, shipped and applied on the replica
-// before the ack. Each of the six allocations is state a shadow keeps.
-// The primary keeps the request's own strings and copies its reading
-// into a buffer it reuses, so it allocates only the copy of its reply
-// that the idempotency record holds (the record itself sits in its map
-// slot). The replica decodes its own copy of the record: the idempotency
-// key, the readings slice, the reading's name, the source address, and
-// its reply copy. Fingerprinting, the entropy stream, the decoded
-// request, the device ID and the shipper's feed account for none.
+// before the ack. Each of the three allocations is state a shadow keeps.
+// The primary keeps the request's own strings, copies its reading into a
+// buffer it reuses and records the shared bound-only reply, so it
+// allocates nothing. The replica decodes its own copy of the record: the
+// idempotency key, the reading's name and the source address; the
+// readings slice is borrowed from its cursor's arena. Fingerprinting,
+// the entropy stream, the decoded request, the device ID, the replies and
+// the shipper's feed account for none.
 func TestKeyedStatusAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -630,8 +630,8 @@ func TestKeyedStatusAllocations(t *testing.T) {
 	for next < warm {
 		call()
 	}
-	if got := testing.AllocsPerRun(runs, call); got != 6 {
-		t.Errorf("a keyed status allocates %.0f times through Node.HandleStatus, want 6", got)
+	if got := testing.AllocsPerRun(runs, call); got != 3 {
+		t.Errorf("a keyed status allocates %.0f times through Node.HandleStatus, want 3", got)
 	}
 	requireSnapshotsEqual(t, n.primary, n.replica)
 }

@@ -15,7 +15,7 @@ import (
 	"github.com/iotbind/iotbind/internal/wal"
 )
 
-// TestClusterSmoke is the `make cluster-smoke` gate: three nodes, one
+// TestClusterSmoke is the cluster's failover gate: three nodes, one
 // mid-run primary kill, ack-after-replicate — the merged final state
 // must match the single-node reference byte for byte with zero acked
 // operations lost. Kept intentionally small so it earns a slot in ci.

@@ -132,10 +132,13 @@ func Figure2Edges() []Transition {
 	}
 }
 
+// MaxTrace is how many of its most recent transitions a Machine keeps.
+const MaxTrace = 64
+
 // Machine is a mutable device shadow that applies events and records the
-// trace of transitions it has taken. The zero value is not usable; create
-// one with NewMachine. Machine is not safe for concurrent use; the cloud
-// serialises access per device.
+// last MaxTrace transitions (a device may flap forever). The zero value
+// is not usable; create one with NewMachine. Machine is not safe for
+// concurrent use; the cloud serialises access per device.
 type Machine struct {
 	state ShadowState
 	trace []Transition
@@ -166,12 +169,15 @@ func (m *Machine) Apply(e Event) (ShadowState, error) {
 	if err != nil {
 		return m.state, err
 	}
+	if len(m.trace) == MaxTrace {
+		m.trace = append(m.trace[:0], m.trace[1:]...)
+	}
 	m.trace = append(m.trace, Transition{From: m.state, Event: e, To: next})
 	m.state = next
 	return next, nil
 }
 
-// Trace returns a copy of the transitions applied so far.
+// Trace returns a copy of the transitions kept, oldest first.
 func (m *Machine) Trace() []Transition {
 	out := make([]Transition, len(m.trace))
 	copy(out, m.trace)

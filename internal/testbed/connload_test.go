@@ -9,8 +9,7 @@ import (
 )
 
 // connSmokeConns keeps the unit-test scale modest; the 100k-connection
-// headline run lives in the root benchmark suite (BenchmarkConnLoad)
-// and `make conn-smoke`.
+// headline run lives in the root benchmark suite (BenchmarkConnLoad).
 func connSmokeConns() int {
 	if raceEnabled {
 		return 300

@@ -77,16 +77,16 @@ func EvaluateVendor(p vendors.Profile) (VendorResult, error) {
 // error of the lowest-index failing profile is returned, as a sequential
 // sweep would.
 func EvaluateVendors(profiles []vendors.Profile) ([]VendorResult, error) {
-	return evaluateEach(profiles, EvaluateVendor)
+	return evaluateEach(profiles, EvaluateVendor, new(atomic.Bool))
 }
 
-// evaluateEach is EvaluateVendors over any per-profile evaluation; the
-// abort tests count calls through it.
-func evaluateEach(profiles []vendors.Profile, eval func(vendors.Profile) (VendorResult, error)) ([]VendorResult, error) {
+// evaluateEach is EvaluateVendors over any per-profile evaluation, with
+// the sweep's failure flag passed in: the abort tests count calls through
+// it and hold evaluations until the flag shows a failure recorded.
+func evaluateEach(profiles []vendors.Profile, eval func(vendors.Profile) (VendorResult, error), failed *atomic.Bool) ([]VendorResult, error) {
 	out := make([]VendorResult, len(profiles))
 	errs := make([]error, len(profiles))
 	var next atomic.Int64
-	var failed atomic.Bool
 	// Indices are claimed in order, so every profile below a failing one
 	// was claimed before it and runs to its end: the lowest-index error
 	// recorded is the lowest-index error there is.

@@ -65,21 +65,22 @@ func TestEvaluateVendorsAbortsOnFirstError(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			_, err := EvaluateVendors(profiles)
 			// The counted sweep holds every profile past the broken one
-			// until the broken one has returned, so what the other workers
-			// get through meanwhile does not depend on the scheduler.
+			// until the sweep has recorded the failure, so each other
+			// worker starts at most the one it holds: how far it would get
+			// between the broken profile's return and that record does
+			// not depend on the scheduler.
 			var started atomic.Int64
-			brokenDone := make(chan struct{})
+			var failed atomic.Bool
 			_, countedErr := evaluateEach(profiles, func(p vendors.Profile) (VendorResult, error) {
 				started.Add(1)
 				if p.Vendor == "broken" {
-					defer close(brokenDone)
 					return EvaluateVendor(p)
 				}
-				if p.Number > badAt {
-					<-brokenDone
+				for p.Number > badAt && !failed.Load() {
+					runtime.Gosched()
 				}
 				return VendorResult{Profile: p}, nil
-			})
+			}, &failed)
 			runtime.GOMAXPROCS(prev)
 
 			if err == nil || !strings.Contains(err.Error(), "vendor broken") {
@@ -88,10 +89,9 @@ func TestEvaluateVendorsAbortsOnFirstError(t *testing.T) {
 			if countedErr == nil || countedErr.Error() != err.Error() {
 				t.Errorf("GOMAXPROCS %d, invalid design at %d: counted sweep returned %v, EvaluateVendors %v", procs, badAt, countedErr, err)
 			}
-			// Every profile up to the failing one runs; past it, the one
-			// each other worker held, and one more if it looked for the
-			// failure in the instant before it was recorded.
-			if got, max := int(started.Load()), badAt+1+2*(procs-1); got < badAt+1 || got > max {
+			// Every profile up to the failing one runs; past it, only the
+			// one each other worker held.
+			if got, max := int(started.Load()), badAt+1+(procs-1); got < badAt+1 || got > max {
 				t.Errorf("GOMAXPROCS %d, invalid design at %d: %d profiles started, want %d to %d", procs, badAt, got, badAt+1, max)
 			}
 		}

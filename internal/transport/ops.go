@@ -19,7 +19,9 @@ import (
 
 // Cloud is the full operation surface of an emulated IoT cloud. The
 // in-process implementation is cloud.Service; the HTTP client in the
-// httpapi package implements the same interface over the wire.
+// httpapi package implements the same interface over the wire. A
+// request's slices are borrowed for the call (binapi reuses them): an
+// implementation copies what it keeps. Strings are immutable and may be kept.
 type Cloud interface {
 	// RegisterUser creates a user account.
 	RegisterUser(protocol.RegisterUserRequest) error
@@ -62,6 +64,11 @@ type Cloud interface {
 	// ShadowState inspects a device shadow (diagnostics).
 	ShadowState(protocol.ShadowStateRequest) (protocol.ShadowStateResponse, error)
 }
+
+// DeviceIDs is offered by a Cloud holding the device registry, or one
+// forwarding to it: DeviceID returns raw as the registry's own string for
+// a registered device, else a fresh copy. raw is read only during the call.
+type DeviceIDs interface{ DeviceID(raw []byte) string }
 
 // Op identifies one Cloud operation.
 type Op uint8

@@ -32,6 +32,14 @@ func (s *Switchable) Swap(c Cloud) { s.cur.Store(&cloudBox{c: c}) }
 // Current returns the live backend.
 func (s *Switchable) Current() Cloud { return s.cur.Load().c }
 
+// DeviceID forwards DeviceIDs to the live backend, or copies raw.
+func (s *Switchable) DeviceID(raw []byte) string {
+	if ids, ok := s.Current().(DeviceIDs); ok {
+		return ids.DeviceID(raw)
+	}
+	return string(raw)
+}
+
 // switchHop sends each call to whichever backend is live when it starts.
 type switchHop struct{ s *Switchable }
 

@@ -133,15 +133,17 @@ func PutF64(b *bytes.Buffer, v float64) {
 
 // Cursor is a bounds-checked reader over a binary record. The first
 // failure sticks; every accessor afterwards returns a zero value, and
-// the caller checks Err once at the end. Strings alias nothing: each
-// Str copies out of the input, and each ID is either such a copy or a
-// string the cursor's owner already holds (SetIDs), so decoded requests
-// survive buffer reuse.
+// the caller checks Err once at the end. Strings alias nothing; readings
+// are borrowed until Reset. Each Str copies out of the input, each ID is
+// such a copy or a string the cursor's owner holds (SetIDs), and a status
+// request's readings are cut from an arena the cursor reuses after Reset
+// (ReadStatusRest), so whoever keeps a reading copies it.
 type Cursor struct {
-	data []byte
-	off  int
-	err  error
-	ids  func(raw []byte) string
+	data  []byte
+	off   int
+	err   error
+	ids   func(raw []byte) string
+	arena []protocol.Reading
 }
 
 // NewCursor positions a cursor at off within data.
@@ -152,8 +154,14 @@ func NewCursor(data []byte, off int) *Cursor {
 // Reset repositions the cursor at the start of data and clears any
 // failure, for a cursor that lives in a long-lived owner: a pointer to a
 // fresh cursor handed to a func value would escape to the heap. The
-// device-ID canonicaliser stays installed.
-func (c *Cursor) Reset(data []byte) { *c = Cursor{data: data, ids: c.ids} }
+// device-ID canonicaliser stays installed and the readings arena is
+// reused, unless it grew past 4 MiB (binapi drops worker.out there too).
+func (c *Cursor) Reset(data []byte) {
+	if cap(c.arena) > 4<<20/48 { // a reading is 48 bytes
+		c.arena = nil
+	}
+	*c = Cursor{data: data, ids: c.ids, arena: c.arena[:0]}
+}
 
 // SetIDs installs the canonicaliser ID reads device IDs through: given
 // an ID's raw bytes (aliasing the input, valid only during the call) it
@@ -329,7 +337,7 @@ func ReadStatusBody(c *Cursor) protocol.StatusRequest {
 // the sender's address claim undecoded (conn.cloud stamps the
 // transport's), so its decode of a bare heartbeat allocates nothing.
 // ReadStatusBody, which replays the address that was stamped,
-// materialises it.
+// materialises it. The readings are borrowed (see Cursor).
 func ReadStatusRest(c *Cursor, req *protocol.StatusRequest) (sourceIP []byte) {
 	req.DevToken = c.Str()
 	req.Signature = c.Str()
@@ -341,7 +349,10 @@ func ReadStatusRest(c *Cursor, req *protocol.StatusRequest) (sourceIP []byte) {
 	sourceIP = c.StrBytes()
 	req.ButtonPressed = c.U8() != 0
 	if n := c.Count(MinReadingSize); n > 0 {
-		req.Readings = make([]protocol.Reading, n)
+		// Cut from the arena and capped: no request appends into the next's.
+		i := len(c.arena)
+		c.arena = append(c.arena, make([]protocol.Reading, n)...)
+		req.Readings = c.arena[i:len(c.arena):len(c.arena)]
 		readReadings(c, req.Readings)
 	}
 	return sourceIP
