@@ -32,10 +32,10 @@ race:
 # alloc-pins runs the allocation pins without the race detector. Every
 # one of them skips itself under -race (sync.Pool drops items there and
 # the counts mean nothing), and race is the only target in ci that runs
-# the suite, so this target is what enforces them: the binapi epoll round
-# trip and the hopped layers at 0, the cold cycle at its strings, the
-# node's bare-heartbeat ack, the status fingerprint at 0, the keyed
-# status and each cold-lane step at what its shadows keep, a status
+# the suite, so this target is what enforces them: the binapi epoll and
+# pipe round trips and the hopped layers at 0, the cold cycle at its
+# strings, the node's bare-heartbeat ack, the status fingerprint at 0,
+# the keyed status and each cold-lane step at what its shadows keep, a status
 # across the composed stack (socket, binapi, router, node) at 0 bare and
 # at its five strings keyed, a proof at its one string, a delegation
 # check at its map and traces, and every live Table III cell at its
@@ -51,15 +51,17 @@ alloc-pins:
 # serves its sockets in place — FIN vs epoll_wait, close vs dispatch,
 # short writes vs EPOLLOUT and a locally refused over-cap request beside
 # a call in flight get re-dealt across runs — and, ten times over, two
-# serving goroutines on one stripe decoding cold rows, heartbeats and
-# batches for different connections, every device ID through the cloud's
-# registry.
+# serving goroutines (a poller and a pipe's writer) decoding cold rows,
+# heartbeats and batches for different connections, every device ID
+# through the cloud's registry, plus the pipe tests: many writers on one
+# pipe, a pipe call parked in the cloud beside Server.Close and
+# Client.Close, and the server's goroutine accounting.
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery' ./internal/cloud/
 	$(GO) test -race -count=3 -run='TestShipper|TestNode' ./internal/cluster/
 	$(GO) test -race -count=3 -run='TestReadinessEquivalence|TestEpoll|TestShortWrite|TestIdleTimeout|TestBackpressure|TestOverCap' ./internal/binapi/
-	$(GO) test -race -count=10 -run='TestServedDeviceIDsAreTheRegistrys' ./internal/binapi/
+	$(GO) test -race -count=10 -run='TestServedDeviceIDsAreTheRegistrys|TestPipe|TestServerGoroutines|TestEpollServerGoroutines' ./internal/binapi/
 
 # bench compiles and smoke-runs every benchmark (100 iterations, no unit
 # tests) so perf regressions in the hot path are caught by CI, not just

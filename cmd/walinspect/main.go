@@ -21,8 +21,8 @@
 //
 // <dir> is a WAL directory, or a cloud.Durable state directory (its
 // wal/ subdirectory is used). Both layouts are understood: a legacy
-// single-directory dense log, and the sharded layout (shard-NNN
-// subdirectories of sparse per-shard logs merged by global LSN, with
+// single-directory log, and the sharded layout (shard-NNN
+// subdirectories of per-shard logs merged by global LSN, with
 // per-shard watermarks reported and duplicate LSNs across shards
 // rejected). verify exits 0 on a clean log and on a torn tail — the
 // expected shape after a crash, truncated on the next open — and 1 on
@@ -115,8 +115,8 @@ func inspect(cmd, dir string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// inspectSharded handles the per-shard layout: each shard log scans
-// under sparse LSN rules, the records stream out merged in global LSN
+// inspectSharded handles the per-shard layout: each shard log scans on
+// its own, the records stream out merged in global LSN
 // order, and the summary reports every shard's durability watermark. A
 // duplicate LSN across shards — two logs claiming the same slot of the
 // global stream — is corruption and exits 1.
@@ -337,7 +337,7 @@ func selfcheck(stdout, stderr io.Writer) int {
 	// one global stream — merges whole, in order.
 	buildShard := func(parent string, idx int, lsns ...uint64) error {
 		log, err := wal.Open(filepath.Join(parent, wal.ShardDirName(idx)),
-			wal.Options{SparseLSN: true, SegmentSize: 256})
+			wal.Options{SegmentSize: 256})
 		if err != nil {
 			return err
 		}
@@ -413,7 +413,7 @@ func selfcheck(stdout, stderr io.Writer) int {
 	}
 	divergedRep := filepath.Join(root, "rep-diverged")
 	dlog, err := wal.Open(filepath.Join(divergedRep, wal.ShardDirName(0)),
-		wal.Options{SparseLSN: true, SegmentSize: 256})
+		wal.Options{SegmentSize: 256})
 	if err != nil {
 		return fail(err)
 	}
@@ -435,8 +435,8 @@ func selfcheck(stdout, stderr io.Writer) int {
 
 	// The verify command itself must classify the corpus the same way:
 	// exit 0 on the clean log and torn tails (single-dir or one shard of
-	// many), 1 on corruption. The reopen above truncated the dense torn
-	// tail, so tear it again first.
+	// many), 1 on corruption. The reopen above truncated the torn tail,
+	// so tear it again first.
 	if err := appendGarbage(torn, []byte{0x55, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
 		return fail(err)
 	}

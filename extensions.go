@@ -200,7 +200,7 @@ func WriteTrace(w io.Writer, rec *TraceRecorder, title string) error {
 
 // BinServer serves a cloud over the binapi wire protocol: persistent
 // connections carrying multiplexed binary frames (the WAL's frame
-// geometry), dispatched by a connection-striped event loop with
+// geometry), each dispatched by the goroutine that holds its bytes, with
 // credit-based per-connection backpressure.
 type BinServer = binapi.Server
 

@@ -28,23 +28,22 @@
 //     that ignores the window gets `wire_backpressure` error frames for
 //     the excess instead of ballooning server memory.
 //
-//   - Connection-striped event loop: N stripes each own a disjoint set
-//     of connections. Whoever serves a connection drains every complete
-//     frame, dispatches synchronously (the handlers are sub-microsecond),
-//     and flushes all of the connection's responses in one write — so a
+//   - One serving model: a connection is served by the goroutine that
+//     already holds its bytes. It drains every complete frame,
+//     dispatches synchronously (the handlers are sub-microsecond), and
+//     flushes all of the connection's responses in one write — so a
 //     pipelined burst costs one syscall per direction, not one per
 //     message. In pipe mode (in-process duplex buffers, the 100k-
-//     connection testbed) the client's writer hands the bytes to the
-//     stripe's ready queue and the stripe goroutine serves them: zero
-//     goroutines per connection. Socket mode has two readiness sources:
-//     on Linux a raw-epoll poller goroutine per stripe (edge-triggered
-//     EPOLLIN|EPOLLRDHUP over non-blocking fds) reads its sockets and
-//     serves them in place, with the same parser and dispatcher — one
-//     wake-up, one read and one write per request, no allocation — so
-//     100k real sockets run on stripes + pollers goroutines; elsewhere
-//     (or with WithReadiness(ReadinessPump)) a minimal pump goroutine
-//     per connection blocks in Read with Go's netpoller acting as the
-//     readiness source and feeds the stripe's ready queue like a pipe.
+//     connection testbed) that goroutine is the client's writer, so a
+//     pipe adds no goroutine at all. Socket mode has two readiness
+//     sources: on Linux up to GOMAXPROCS raw-epoll poller goroutines
+//     (edge-triggered EPOLLIN|EPOLLRDHUP over non-blocking fds), each
+//     reading its sockets and serving them in place — one wake-up, one
+//     read and one write per request, no allocation — so 100k real
+//     sockets run on the pollers alone; elsewhere (or with
+//     WithReadiness(ReadinessPump)) a pump goroutine per connection
+//     blocks in Read with Go's netpoller as the readiness source and
+//     serves what it read.
 //
 // The client implements transport.Cloud, so devices, apps, retry
 // wrappers and the cluster Router run over it unchanged.
@@ -121,7 +120,7 @@ const DefaultMaxFrame = 1 << 20
 const MaxWindow = 1 << 15
 
 // Readiness selects the server's readiness source for socket
-// connections: what tells a stripe that a connection has bytes to
+// connections: what tells the server that a connection has bytes to
 // parse.
 type Readiness int
 
@@ -133,10 +132,10 @@ const (
 	// blocking in Read with the Go netpoller as the readiness source.
 	// Portable; goroutine count is O(connections).
 	ReadinessPump
-	// ReadinessEpoll runs one raw-epoll poller goroutine per stripe
-	// (edge-triggered EPOLLIN|EPOLLRDHUP) that reads and serves its
-	// sockets itself; socket mode then has a fixed goroutine count, as
-	// pipe mode does. Linux only: requesting it elsewhere makes the
+	// ReadinessEpoll runs up to GOMAXPROCS raw-epoll poller goroutines
+	// (edge-triggered EPOLLIN|EPOLLRDHUP), each reading and serving the
+	// sockets assigned to it round-robin; socket mode then has a fixed
+	// goroutine count. Linux only: requesting it elsewhere makes the
 	// server reject socket connections.
 	ReadinessEpoll
 )
@@ -158,7 +157,6 @@ func (r Readiness) String() string {
 type options struct {
 	window      int
 	maxFrame    int
-	stripes     int
 	readiness   Readiness
 	idleTimeout time.Duration
 }
@@ -194,18 +192,9 @@ func WithMaxFrame(n int) Option {
 	}
 }
 
-// WithStripes sets the server's stripe count (default GOMAXPROCS).
-// Each stripe is one goroutine owning a disjoint set of connections.
-func WithStripes(n int) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.stripes = n
-		}
-	}
-}
-
 // WithReadiness selects the socket readiness source (see Readiness).
-// Pipe connections are unaffected; they have no socket to poll.
+// Pipe connections are unaffected: they have no socket to poll, and the
+// client goroutine that writes to one serves it.
 func WithReadiness(r Readiness) Option {
 	return func(o *options) { o.readiness = r }
 }
@@ -214,7 +203,7 @@ func WithReadiness(r Readiness) Option {
 // delivers no inbound bytes for d: a stalled or half-open client holds
 // a socket (and, on the pump path, a goroutine) forever otherwise, and
 // a fleet of them is a resource-exhaustion attack no status-path
-// defence sees. The epoll path arms a coarse per-stripe deadline sweep
+// defence sees. The epoll path arms a coarse per-poller deadline sweep
 // (granularity ~d/4); the pump path uses read deadlines. Zero (the
 // default) keeps connections indefinitely. Pipe connections are never
 // swept. Server-side only; clients ignore it.

@@ -146,7 +146,7 @@ func driveCloud(t *testing.T, c transport.Cloud) {
 }
 
 func TestPipeRoundTrip(t *testing.T) {
-	srv := NewServer(newLabService(t, 1), WithStripes(2))
+	srv := NewServer(newLabService(t, 1))
 	defer srv.Close()
 	c, err := srv.Pipe("127.0.0.1")
 	if err != nil {
@@ -188,7 +188,7 @@ func TestSocketRoundTrip(t *testing.T) {
 // two, each carrying a different reading, through a socket into a real
 // Service: the readings read back are all six, in order.
 func TestServedReadingsAreCopied(t *testing.T) {
-	_, addr := startSocketServer(t, newLabService(t, 1), WithStripes(1))
+	_, addr := startSocketServer(t, newLabService(t, 1))
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -291,6 +291,150 @@ func TestPipelinedStreams(t *testing.T) {
 	}
 }
 
+// statusCloud serves HandleStatus with the given function; any other
+// operation panics on the nil embedded Cloud.
+type statusCloud struct {
+	transport.Cloud
+	status func(protocol.StatusRequest) (protocol.StatusResponse, error)
+}
+
+func (c statusCloud) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
+	return c.status(req)
+}
+
+// statusID is the one device statusCloud's registry holds.
+var statusID = testDeviceID(0)
+
+// DeviceID answers transport.DeviceIDs as a registry holding statusID
+// would.
+func (statusCloud) DeviceID(raw []byte) string {
+	if string(raw) == statusID {
+		return statusID
+	}
+	return string(raw)
+}
+
+// TestPipeStatusRoundTripAllocatesNothing: a registered device's
+// heartbeat through a pipe — served on the calling goroutine with a
+// borrowed worker — to a no-op cloud and back allocates nothing, like the
+// epoll socket round trip.
+func TestPipeStatusRoundTripAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	srv := NewServer(statusCloud{status: func(protocol.StatusRequest) (protocol.StatusResponse, error) {
+		return protocol.StatusResponse{}, nil
+	}})
+	defer srv.Close()
+	c, err := srv.Pipe("198.51.100.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: statusID, SourceIP: "203.0.113.9"}
+	beat := func() {
+		if _, err = c.HandleStatus(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		beat() // warm the pools
+	}
+	if avg := testing.AllocsPerRun(2000, beat); avg != 0 {
+		t.Fatalf("pipe status round trip allocates %.0f times, want 0", avg)
+	}
+}
+
+// TestServerGoroutines: the server runs only the goroutines its
+// readiness source needs — none for pipes however many carry traffic,
+// one pump per socket on the pump path. (TestEpollServerGoroutines
+// covers the pollers.)
+func TestServerGoroutines(t *testing.T) {
+	const conns = 5
+	drive := func(t *testing.T, srv *Server, dial func() (*Client, error)) {
+		t.Helper()
+		for i := 0; i < conns; i++ {
+			c, err := dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = c.Close() })
+			if _, err := c.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDeviceID(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if srv.Conns() != conns {
+			t.Fatalf("server holds %d connections, want %d", srv.Conns(), conns)
+		}
+	}
+	t.Run("pipe", func(t *testing.T) {
+		srv := NewServer(newLabService(t, conns))
+		defer srv.Close()
+		drive(t, srv, func() (*Client, error) { return srv.Pipe("127.0.0.1") })
+		if got := srv.Goroutines(); got != 0 {
+			t.Fatalf("pipe-only server runs %d goroutines, want 0", got)
+		}
+	})
+	t.Run("pump", func(t *testing.T) {
+		srv, addr := startSocketServer(t, newLabService(t, conns), WithReadiness(ReadinessPump))
+		drive(t, srv, func() (*Client, error) { return Dial(addr) })
+		if got := srv.Goroutines(); got != conns {
+			t.Fatalf("pump server runs %d goroutines for %d sockets, want one each", got, conns)
+		}
+	})
+}
+
+// TestPipeParkedCallWedgesNoClose: a pipe call runs on its caller's
+// goroutine, so one parked inside the cloud holds up neither
+// Server.Close nor Client.Close, in either order. The parked call fails
+// with the close, and the cloud's late answer is dropped.
+func TestPipeParkedCallWedgesNoClose(t *testing.T) {
+	for _, serverFirst := range []bool{true, false} {
+		gate := gatedCloud{Cloud: newLabService(t, 1), entered: make(chan struct{}, 1), release: make(chan struct{})}
+		srv := NewServer(gate)
+		c, err := srv.Pipe("127.0.0.1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		parked := make(chan error, 1)
+		go func() {
+			_, err := c.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDeviceID(0)})
+			parked <- err
+		}()
+		<-gate.entered
+
+		closed := make(chan struct{})
+		go func() {
+			defer close(closed)
+			if serverFirst {
+				_ = srv.Close()
+				_ = c.Close()
+			} else {
+				_ = c.Close()
+				_ = srv.Close()
+			}
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			close(gate.release)
+			t.Fatalf("server first %v: Close wedged behind a pipe call parked in the cloud", serverFirst)
+		}
+		if srv.Conns() != 0 {
+			t.Fatalf("server first %v: %d connections left after Close", serverFirst, srv.Conns())
+		}
+		close(gate.release)
+		select {
+		case err := <-parked:
+			if err == nil {
+				t.Fatalf("server first %v: the parked call succeeded on a closed connection", serverFirst)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("server first %v: the parked call never returned after its cloud did", serverFirst)
+		}
+	}
+}
+
 // TestBackpressureExcessFrames bypasses the client's credit semaphore by
 // delivering raw frames straight into a server connection: everything
 // past the window in one drain must come back as wire_backpressure
@@ -298,7 +442,7 @@ func TestPipelinedStreams(t *testing.T) {
 func TestBackpressureExcessFrames(t *testing.T) {
 	const window = 4
 	svc := newLabService(t, 1)
-	srv := NewServer(svc, WithWindow(window), WithStripes(1))
+	srv := NewServer(svc, WithWindow(window))
 	defer srv.Close()
 
 	var mu sync.Mutex
@@ -374,7 +518,7 @@ func TestBackpressureExcessFrames(t *testing.T) {
 // TestPoisonedFramingClosesConnection: a CRC flip or garbage length
 // poisons the byte stream, so the server must drop the connection.
 func TestPoisonedFramingClosesConnection(t *testing.T) {
-	srv := NewServer(newLabService(t, 1), WithStripes(1))
+	srv := NewServer(newLabService(t, 1))
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -472,7 +616,7 @@ func TestEquivalenceWithHTTPAPI(t *testing.T) {
 	binSvc := newLabService(t, devices)
 	httpSvc := newLabService(t, devices)
 
-	binSrv := NewServer(binSvc, WithStripes(2))
+	binSrv := NewServer(binSvc)
 	defer binSrv.Close()
 	binCl, err := binSrv.Pipe("127.0.0.1")
 	if err != nil {
@@ -884,7 +1028,13 @@ func TestOverCapRequestKeepsConnection(t *testing.T) {
 // the server and its address.
 func startSocketServer(t *testing.T, cl transport.Cloud, opts ...Option) (*Server, string) {
 	t.Helper()
-	srv := NewServer(cl, opts...)
+	return serveSocket(t, NewServer(cl, opts...))
+}
+
+// serveSocket serves srv on a fresh loopback listener, closing it when
+// the test ends, and returns it and its address.
+func serveSocket(t *testing.T, srv *Server) (*Server, string) {
+	t.Helper()
 	t.Cleanup(func() { _ = srv.Close() })
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -54,7 +54,7 @@ type Client struct {
 	ferr   error
 
 	// fmu guards the inbound reassembly buffer; feed is called by one
-	// goroutine at a time (the socket reader or the server stripe) but
+	// goroutine at a time (the socket reader, or a pipe's writer) but
 	// the lock keeps misuse from corrupting framing state.
 	fmu  sync.Mutex
 	rbuf []byte

@@ -14,7 +14,7 @@ import (
 // epoll instance and one goroutine feed every connection dialed through
 // it, so a load harness holding 100k real sockets spends zero reader
 // goroutines per connection — the client-side mirror of the server's
-// per-stripe pollers. Writes still happen on the calling goroutine
+// pollers. Writes still happen on the calling goroutine
 // (blocking via the netpoller); only the read path is shared.
 type ClientPoller struct {
 	ep *epoller

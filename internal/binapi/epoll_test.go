@@ -35,7 +35,7 @@ func TestReadinessEquivalence(t *testing.T) {
 	svcs := [3]*cloud.Service{newLabService(t, devices), newLabService(t, devices), newLabService(t, devices)}
 	names := [3]string{"epoll", "pump", "pipe"}
 
-	epollSrv, epollAddr := startSocketServer(t, svcs[0], WithStripes(2), WithReadiness(ReadinessEpoll))
+	epollSrv, epollAddr := startSocketServer(t, svcs[0], WithReadiness(ReadinessEpoll))
 	if got := epollSrv.Readiness(); got != ReadinessEpoll {
 		t.Fatalf("readiness = %v, want epoll", got)
 	}
@@ -50,7 +50,7 @@ func TestReadinessEquivalence(t *testing.T) {
 	}
 	defer epollCl.Close()
 
-	pumpSrv, pumpAddr := startSocketServer(t, svcs[1], WithStripes(2), WithReadiness(ReadinessPump))
+	pumpSrv, pumpAddr := startSocketServer(t, svcs[1], WithReadiness(ReadinessPump))
 	if got := pumpSrv.Readiness(); got != ReadinessPump {
 		t.Fatalf("readiness = %v, want pump", got)
 	}
@@ -60,7 +60,7 @@ func TestReadinessEquivalence(t *testing.T) {
 	}
 	defer pumpCl.Close()
 
-	pipeSrv := NewServer(svcs[2], WithStripes(2))
+	pipeSrv := NewServer(svcs[2])
 	defer pipeSrv.Close()
 	pipeCl, err := pipeSrv.Pipe("127.0.0.1")
 	if err != nil {
@@ -163,7 +163,7 @@ func TestReadinessEquivalence(t *testing.T) {
 	}
 
 	// The arrival shapes that differ most between a poller that serves
-	// in place and a pump feeding a stripe, hand-driven over raw sockets:
+	// many sockets and a pump that serves one, hand-driven over raw sockets:
 	// a frame torn across two readiness events, then a burst larger than
 	// readBudget. The two sockets must answer byte for byte alike; the
 	// pipe takes the same requests through its client, so the snapshots
@@ -340,7 +340,7 @@ func readFrame(t *testing.T, nc net.Conn, buf []byte) (stream uint32, kind, flag
 func TestShortWriteRearm(t *testing.T) {
 	const items = 4500
 	svc := newLabService(t, 1)
-	srv := NewServer(svc, WithStripes(1), WithReadiness(ReadinessEpoll))
+	srv := NewServer(svc, WithReadiness(ReadinessEpoll))
 	defer srv.Close()
 	lc := net.ListenConfig{Control: setSockBuf(syscall.SO_SNDBUF, 4096)}
 	ln, err := lc.Listen(nil, "tcp", "127.0.0.1:0")
@@ -432,8 +432,7 @@ func TestShortWriteRearm(t *testing.T) {
 // closed fd's buffers. The server must drain to zero connections.
 func TestEpollCloseRaceStorm(t *testing.T) {
 	const devices = 64
-	srv, addr := startSocketServer(t, newLabService(t, devices),
-		WithStripes(2), WithReadiness(ReadinessEpoll))
+	srv, addr := startSocketServer(t, newLabService(t, devices), WithReadiness(ReadinessEpoll))
 	pl, err := NewClientPoller()
 	if err != nil {
 		t.Fatal(err)
@@ -501,29 +500,6 @@ func TestEpollCloseRaceStorm(t *testing.T) {
 	}
 }
 
-// statusCloud serves HandleStatus with the given function; any other
-// operation panics on the nil embedded Cloud.
-type statusCloud struct {
-	transport.Cloud
-	status func(protocol.StatusRequest) (protocol.StatusResponse, error)
-}
-
-func (c statusCloud) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
-	return c.status(req)
-}
-
-// statusID is the one device statusCloud's registry holds.
-var statusID = testDeviceID(0)
-
-// DeviceID answers transport.DeviceIDs as a registry holding statusID
-// would.
-func (statusCloud) DeviceID(raw []byte) string {
-	if string(raw) == statusID {
-		return statusID
-	}
-	return string(raw)
-}
-
 // TestEpollStatusRoundTripAllocatesNothing: a registered device's
 // heartbeat through Dial → loopback socket → epoll poller → a no-op cloud
 // and back allocates nothing anywhere in the process, as the pipe round
@@ -535,7 +511,7 @@ func TestEpollStatusRoundTripAllocatesNothing(t *testing.T) {
 	}
 	_, addr := startSocketServer(t, statusCloud{status: func(protocol.StatusRequest) (protocol.StatusResponse, error) {
 		return protocol.StatusResponse{}, nil
-	}}, WithStripes(1), WithReadiness(ReadinessEpoll))
+	}}, WithReadiness(ReadinessEpoll))
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -593,7 +569,7 @@ func TestColdCycleAllocatesOnlyItsStrings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	_, addr := startSocketServer(t, coldCloud{}, WithStripes(1), WithReadiness(ReadinessEpoll))
+	_, addr := startSocketServer(t, coldCloud{}, WithReadiness(ReadinessEpoll))
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -711,15 +687,55 @@ func (c *idCloud) HandleUnbind(req protocol.UnbindRequest) error {
 	return c.check(req.DeviceID, req.UserToken)
 }
 
+// withPollers gives an epoll server n pollers in place of GOMAXPROCS —
+// one, for the tests that need every socket on the same poller. Call it
+// before the server accepts anything.
+func withPollers(srv *Server, n int) *Server {
+	srv.pollers = make([]*epoller, n)
+	return srv
+}
+
+// TestEpollServerGoroutines: an epoll server runs one goroutine per live
+// poller and none per socket. Pollers start with the first socket
+// assigned to them, round-robin, so one socket starts one and five
+// sockets start both of two.
+func TestEpollServerGoroutines(t *testing.T) {
+	srv, addr := serveSocket(t, withPollers(NewServer(newLabService(t, 5), WithReadiness(ReadinessEpoll)), 2))
+	live := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		n := 0
+		for _, pl := range srv.pollers {
+			if pl != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for i, want := range []int{1, 2, 2, 2, 2} {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDeviceID(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Goroutines(); got != want || got != live() {
+			t.Fatalf("after %d sockets: %d server goroutines, %d live pollers, want %d", i+1, got, live(), want)
+		}
+	}
+}
+
 // TestServedDeviceIDsAreTheRegistrys: every request body's device ID is
 // read through the cloud's registry, status, batch and cold rows alike —
 // a registered device's as the registry's own string, any other as a
-// fresh copy. Two epoll sockets (served by the stripe's poller) and a
-// pipe (served by the stripe's loop) share one stripe; each walks its own
-// devices, registered and not, through bind, delegate, control and
-// unbind, with a heartbeat and a two-item batch between steps. Under
-// -race, two serving goroutines reading IDs through one registry show
-// any unsynchronised state on that path.
+// fresh copy. Two epoll sockets (served by the one poller) and a pipe
+// (served by its client's goroutine) each walk their own devices,
+// registered and not, through bind, delegate, control and unbind, with a
+// heartbeat and a two-item batch between steps. Under -race, two serving
+// goroutines reading IDs through one registry show any unsynchronised
+// state on that path.
 func TestServedDeviceIDsAreTheRegistrys(t *testing.T) {
 	var registered []string
 	for n := 0; n < 3; n++ {
@@ -727,7 +743,7 @@ func TestServedDeviceIDsAreTheRegistrys(t *testing.T) {
 			registered = append(registered, testDeviceID(1000*n+i), testDeviceID(1000*n+500+i))
 		}
 	}
-	srv, addr := startSocketServer(t, newIDCloud(registered), WithStripes(1), WithReadiness(ReadinessEpoll))
+	srv, addr := serveSocket(t, withPollers(NewServer(newIDCloud(registered), WithReadiness(ReadinessEpoll)), 1))
 	var clients []*Client
 	for i := 0; i < 2; i++ {
 		c, err := Dial(addr)
@@ -838,7 +854,7 @@ func (l fullListener) Accept() (net.Conn, error) {
 // hello is flushed, and the registration must carry the arm. The hello
 // and a follow-up request still arrive once the peer starts reading.
 func TestShortWriteOnHello(t *testing.T) {
-	srv := NewServer(newLabService(t, 1), WithStripes(1), WithReadiness(ReadinessEpoll))
+	srv := NewServer(newLabService(t, 1), WithReadiness(ReadinessEpoll))
 	defer srv.Close()
 	lc := net.ListenConfig{Control: setSockBuf(syscall.SO_SNDBUF, 4096)}
 	ln, err := lc.Listen(nil, "tcp", "127.0.0.1:0")
@@ -892,7 +908,7 @@ func TestShortWriteOnHello(t *testing.T) {
 // idle timeout to fall back on. Even iterations slam the door; odd ones
 // only half-close and must get their answer before the server's EOF.
 func TestEpollRequestThenClose(t *testing.T) {
-	srv, addr := startSocketServer(t, newLabService(t, 1), WithStripes(1), WithReadiness(ReadinessEpoll))
+	srv, addr := startSocketServer(t, newLabService(t, 1), WithReadiness(ReadinessEpoll))
 	frame := statusFrame(1, protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDeviceID(0)})
 	for i := 0; i < 200; i++ {
 		nc, err := net.Dial("tcp", addr)
@@ -937,21 +953,21 @@ func TestEpollRequestThenClose(t *testing.T) {
 	}
 }
 
-// TestEpollBusyPollerKeepsEdges: with one stripe both connections share
-// one poller, and it serves in place — while it is parked inside the
+// TestEpollBusyPollerKeepsEdges: with one poller both connections share
+// it, and it serves in place — while it is parked inside the
 // cloud on the first connection's request it harvests nothing. A second
 // connection's request that arrives meanwhile must be answered as soon
 // as the first returns: its edge waits in the epoll set, it is not lost.
 func TestEpollBusyPollerKeepsEdges(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	_, addr := startSocketServer(t, statusCloud{status: func(req protocol.StatusRequest) (protocol.StatusResponse, error) {
+	_, addr := serveSocket(t, withPollers(NewServer(statusCloud{status: func(req protocol.StatusRequest) (protocol.StatusResponse, error) {
 		if req.DeviceID == testDeviceID(0) {
 			close(entered)
 			<-release
 		}
 		return protocol.StatusResponse{}, nil
-	}}, WithStripes(1), WithReadiness(ReadinessEpoll))
+	}}, WithReadiness(ReadinessEpoll)), 1))
 
 	var clients [2]*Client
 	for i := range clients {

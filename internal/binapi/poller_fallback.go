@@ -21,7 +21,7 @@ func EpollSupported() bool { return false }
 // invokes it here.
 type epollHandler interface{}
 
-// epoller is a stub so conn and stripe compile; it is never
+// epoller is a stub so conn and Server compile; it is never
 // instantiated off-Linux.
 type epoller struct{}
 

@@ -1,15 +1,15 @@
 //go:build linux
 
-// Raw-epoll readiness source: one poller goroutine per stripe replaces
-// the per-connection pump, so socket mode runs with the same fixed
-// goroutine count as pipe mode. The poller owns an edge-triggered epoll
-// set (EPOLLIN|EPOLLRDHUP|EPOLLET) over the stripe's socket fds and
+// Raw-epoll readiness source: up to GOMAXPROCS poller goroutines replace
+// the per-connection pump, so socket mode runs on a fixed goroutine
+// count. Each poller owns an edge-triggered epoll set
+// (EPOLLIN|EPOLLRDHUP|EPOLLET) over the socket fds assigned to it and
 // serves them itself: on readiness it drains the socket into the
 // connection's inbound buffer and runs, with a worker of its own, the
-// same service → process → dispatch → flush a stripe runs for pipe and
-// pump connections. The bytes never change goroutine, so a request
-// costs the server one wake-up, one read and one write, and (every
-// RawConn callback being built once) no allocation.
+// same service → process → dispatch → flush a pump or a pipe delivery
+// runs. The bytes never change goroutine, so a request costs the server
+// one wake-up, one read and one write, and (every RawConn callback being
+// built once) no allocation.
 //
 // fd lifecycle rules (the hard part the netpoller was hiding):
 //
@@ -439,17 +439,18 @@ func (ep *epoller) sweep(cutoff int64) {
 
 // ---- server integration ----------------------------------------------------
 
-// pollerFor lazily creates the stripe's poller. Creation is under
-// Server.mu so Close, which forbids new pollers once closed, sees
-// every poller it must stop.
-func (s *Server) pollerFor(st *stripe) (*epoller, error) {
+// nextPoller returns the next poller round-robin, creating it on first
+// use. Creation is under Server.mu so Close, which forbids new pollers
+// once closed, sees every poller it must stop.
+func (s *Server) nextPoller() (*epoller, error) {
+	i := int(s.next.Add(1)) % len(s.pollers)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, errServerClosed
 	}
-	if st.pl != nil {
-		return st.pl, nil
+	if pl := s.pollers[i]; pl != nil {
+		return pl, nil
 	}
 	pl, err := newEpoller(s.opts.idleTimeout, func() {
 		s.goros.Add(-1)
@@ -459,21 +460,21 @@ func (s *Server) pollerFor(st *stripe) (*epoller, error) {
 		return nil, err
 	}
 	pl.worker = s.newWorker()
-	st.pl = pl
+	s.pollers[i] = pl
 	s.wg.Add(1)
 	s.goros.Add(1)
 	go pl.loop()
 	return pl, nil
 }
 
-// startEpollConn wires one accepted socket into its stripe's epoll
-// poller: slot allocation, then the hello (nothing inbound is parsed
-// before registration, so it is the first frame out), then epoll
-// registration — readiness that arrived in between is delivered by the
-// edge-triggered add. The poller and slot are assigned before the hello
-// is flushed because a short write there already parks a tail and arms
-// EPOLLOUT through them; that arm cannot reach an fd not yet in the
-// set, so the registration mask carries it.
+// startEpollConn wires one accepted socket into its epoll poller: slot
+// allocation, then the hello (nothing inbound is parsed before
+// registration, so it is the first frame out), then epoll registration —
+// readiness that arrived in between is delivered by the edge-triggered
+// add. The poller and slot are assigned before the hello is flushed
+// because a short write there already parks a tail and arms EPOLLOUT
+// through them; that arm cannot reach an fd not yet in the set, so the
+// registration mask carries it.
 func (s *Server) startEpollConn(nc net.Conn, sc syscall.Conn) error {
 	rc, err := sc.SyscallConn()
 	if err != nil {
@@ -485,7 +486,7 @@ func (s *Server) startEpollConn(nc net.Conn, sc syscall.Conn) error {
 	if err := s.addConn(c); err != nil {
 		return err
 	}
-	pl, err := s.pollerFor(c.st)
+	pl, err := s.nextPoller()
 	if err != nil {
 		c.close(err)
 		return err
@@ -575,18 +576,6 @@ func (c *conn) onReadable(events uint32) {
 	case budget <= 0:
 		c.rearmRead()
 	}
-}
-
-// absorb appends bytes the poller read to the inbound buffer and
-// stamps the idle clock.
-func (c *conn) absorb(b []byte) error {
-	if c.srv.opts.idleTimeout > 0 {
-		c.lastAct.Store(time.Now().UnixNano())
-	}
-	c.inMu.Lock()
-	err := c.appendInLocked(b)
-	c.inMu.Unlock()
-	return err
 }
 
 // eventsLocked is the connection's epoll mask: always the read edge,

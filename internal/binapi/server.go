@@ -18,12 +18,13 @@ import (
 	"github.com/iotbind/iotbind/internal/wirecodec"
 )
 
-// Server serves a cloud over persistent binary connections. Connections
-// are striped over a fixed set of event-loop goroutines — a stripe's own
-// loop for pipe and pump connections, the stripe's epoll poller for
-// epoll sockets; whichever serves a connection owns its decode state and
-// response buffers, so the hot path runs without per-message goroutines
-// or per-message locks.
+// Server serves a cloud over persistent binary connections. Each
+// connection is served by the goroutine that already holds its bytes —
+// an epoll socket by its poller, a pump socket by its pump goroutine, a
+// pipe by the client goroutine whose write delivered them — with a
+// worker that owns the decode state and response buffers, so the hot
+// path runs without hand-offs, per-message goroutines or per-message
+// locks.
 type Server struct {
 	cloud transport.Cloud
 	opts  options
@@ -31,8 +32,13 @@ type Server struct {
 	// nil, when the cloud cannot answer, copies every device ID.
 	ids func(raw []byte) string
 
-	stripes []*stripe
+	// pollers holds GOMAXPROCS epoll pollers, each created (under mu) by
+	// the first socket assigned to it; sockets are assigned round-robin
+	// through next. Linux only: always empty on the pump path.
+	pollers []*epoller
 	next    atomic.Uint32
+	// workers lends pipe connections a worker for one delivery.
+	workers sync.Pool
 
 	mu        sync.Mutex
 	conns     map[*conn]struct{}
@@ -42,22 +48,19 @@ type Server struct {
 
 	backpressured atomic.Uint64
 	shortWrites   atomic.Uint64
-	// goros counts the server's own goroutines — stripes, pollers, and
-	// (on the pump path) one per socket connection. The epoll path's
-	// whole point is that this stays at stripes + pollers however many
-	// sockets are open.
+	// goros counts the server's own goroutines: pollers and (on the pump
+	// path) one per socket connection. The epoll path's whole point is
+	// that this stays at the poller count however many sockets are open.
 	goros atomic.Int64
 }
 
-// NewServer wraps a cloud implementation and starts the stripe
-// goroutines. Callers must Close the server to stop them.
+// NewServer wraps a cloud implementation. It starts no goroutine: socket
+// pollers and pumps start with the connections that need them. Callers
+// must Close the server to stop them.
 func NewServer(cloud transport.Cloud, opts ...Option) *Server {
 	o := defaultOptions()
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.stripes <= 0 {
-		o.stripes = runtime.GOMAXPROCS(0)
 	}
 	if o.readiness == ReadinessAuto {
 		if EpollSupported() {
@@ -75,18 +78,10 @@ func NewServer(cloud transport.Cloud, opts ...Option) *Server {
 	if ids, ok := cloud.(transport.DeviceIDs); ok {
 		s.ids = ids.DeviceID
 	}
-	s.stripes = make([]*stripe, o.stripes)
-	for i := range s.stripes {
-		st := &stripe{
-			worker: *s.newWorker(),
-			wake:   make(chan struct{}, 1),
-			quit:   make(chan struct{}),
-		}
-		s.stripes[i] = st
-		s.wg.Add(1)
-		s.goros.Add(1)
-		go st.loop()
+	if o.readiness == ReadinessEpoll {
+		s.pollers = make([]*epoller, runtime.GOMAXPROCS(0))
 	}
+	s.workers.New = func() any { return s.newWorker() }
 	return s
 }
 
@@ -94,9 +89,6 @@ func NewServer(cloud transport.Cloud, opts ...Option) *Server {
 // connection's credit window and were answered with wire_backpressure
 // instead of being dispatched.
 func (s *Server) Backpressured() uint64 { return s.backpressured.Load() }
-
-// Stripes reports the configured stripe count.
-func (s *Server) Stripes() int { return len(s.stripes) }
 
 // Readiness reports the effective socket readiness source (never
 // ReadinessAuto).
@@ -106,9 +98,9 @@ func (s *Server) Readiness() Readiness { return s.opts.readiness }
 // buffer and parked their tail for EPOLLOUT (epoll mode only).
 func (s *Server) ShortWrites() uint64 { return s.shortWrites.Load() }
 
-// Goroutines reports the server's own live goroutine count: stripes,
-// epoll pollers, and pump goroutines. With the epoll readiness source
-// it is independent of the connection count.
+// Goroutines reports the server's own live goroutine count: epoll
+// pollers and pump goroutines. With the epoll readiness source it is
+// independent of the connection count; pipes add none.
 func (s *Server) Goroutines() int { return int(s.goros.Load()) }
 
 // Conns reports the number of live connections (all transports).
@@ -121,15 +113,13 @@ func (s *Server) Conns() int {
 // errServerClosed reports an operation on a closed server.
 var errServerClosed = errors.New("binapi: server closed")
 
-// addConn registers a connection, assigns it a stripe round-robin and
-// gives it its view of the cloud.
+// addConn registers a connection and gives it its view of the cloud.
 func (s *Server) addConn(c *conn) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return errServerClosed
 	}
-	c.st = s.stripes[int(s.next.Add(1))%len(s.stripes)]
 	c.cloud = transport.StampSource(s.cloud, c.src)
 	if c.in == nil {
 		c.in = getInBuf()
@@ -179,9 +169,9 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// startSocketConn wires one accepted socket into the stripe machinery
-// through the configured readiness source: the per-stripe epoll poller
-// on Linux, or a per-connection pump goroutine on the fallback path.
+// startSocketConn wires one accepted socket to the configured readiness
+// source: an epoll poller on Linux, or a pump goroutine of its own on the
+// fallback path.
 func (s *Server) startSocketConn(nc net.Conn) error {
 	if s.opts.readiness == ReadinessEpoll {
 		if sc, ok := nc.(syscall.Conn); ok {
@@ -223,12 +213,12 @@ func (s *Server) startSocketConn(nc net.Conn) error {
 // idle timeout.
 var ErrIdle = errors.New("binapi: connection idle timeout")
 
-// pump moves bytes from a socket into the stripe readiness queue. This
-// is the per-connection goroutine of the fallback readiness source —
-// it does no parsing or dispatch, it blocks in Read (parking on the
-// netpoller) and hands buffers to the owning stripe. The read buffer
-// is pooled across connection churn.
+// pump is the per-connection goroutine of the fallback readiness
+// source: it blocks in Read (parking on the netpoller) and serves what
+// arrived with a worker of its own, as a poller serves its sockets. The
+// read buffer is pooled across connection churn.
 func (c *conn) pump(nc net.Conn) {
+	w := c.srv.newWorker()
 	idle := c.srv.opts.idleTimeout
 	buf := getInBuf()
 	buf = buf[:cap(buf)]
@@ -239,10 +229,11 @@ func (c *conn) pump(nc net.Conn) {
 		}
 		n, err := nc.Read(buf)
 		if n > 0 {
-			if derr := c.deliver(buf[:n]); derr != nil {
-				c.close(derr)
+			if aerr := c.absorb(buf[:n]); aerr != nil {
+				c.close(aerr)
 				return
 			}
+			w.service(c)
 		}
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
@@ -261,8 +252,9 @@ func (s *Server) helloFrame() []byte {
 	return appendFrame(nil, 0, kindHello, flagResponse, payload.Bytes())
 }
 
-// Close stops accepting, closes every connection, and stops the
-// stripes.
+// Close stops accepting, closes every connection, and stops the pollers
+// and pumps. A pipe call parked in the cloud runs on its caller's
+// goroutine and does not hold Close up.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -282,10 +274,9 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		c.close(errServerClosed)
 	}
-	for _, st := range s.stripes {
-		close(st.quit)
-		if st.pl != nil {
-			st.pl.close()
+	for _, pl := range s.pollers {
+		if pl != nil {
+			pl.close()
 		}
 	}
 	s.wg.Wait()
@@ -293,13 +284,11 @@ func (s *Server) Close() error {
 }
 
 // conn is the server side of one connection. Inbound bytes accumulate
-// in a buffer guarded by inMu; all parsing, dispatch and response
-// encoding happen on one goroutine — the stripe's loop, or for an epoll
-// socket the stripe's poller — which is the only reader of the
-// decode-state fields.
+// in a buffer guarded by inMu; parsing, dispatch and response encoding
+// happen on the goroutine that holds the bytes, one goroutine at a time
+// per connection.
 type conn struct {
 	srv *Server
-	st  *stripe
 	src string
 	// cloud is the server's cloud behind transport.StampSource(src): every
 	// handler calls through it, so the source address of a network-facing
@@ -318,7 +307,7 @@ type conn struct {
 	// Epoll-mode plumbing. rc gives raw fd access with the runtime's
 	// fd refcounting, so a concurrent Close can never race a read or
 	// write onto a recycled fd number; pl/pidx tie the conn to its
-	// stripe poller's slot table.
+	// poller's slot table.
 	rc      syscall.RawConn
 	pl      *epoller
 	pidx    uint32
@@ -340,7 +329,6 @@ type conn struct {
 
 	inMu   sync.Mutex
 	in     []byte
-	queued bool
 	closed bool
 	// parsing marks a worker holding a snapshot of in outside inMu;
 	// a close arriving mid-parse defers buffer recycling to the parser
@@ -393,24 +381,16 @@ func (c *conn) appendInLocked(b []byte) error {
 	return nil
 }
 
-// deliver appends inbound bytes and marks the connection ready on its
-// stripe. Called from goroutines that do not serve connections — the
-// pump (socket mode) or the client's writer (pipe mode); an epoll
-// connection's bytes are read by the goroutine that serves them (see
-// conn.onReadable) and never come through here.
-func (c *conn) deliver(b []byte) error {
+// absorb appends bytes the serving goroutine read or was handed to the
+// inbound buffer and stamps the idle clock.
+func (c *conn) absorb(b []byte) error {
+	if c.srv.opts.idleTimeout > 0 {
+		c.lastAct.Store(time.Now().UnixNano())
+	}
 	c.inMu.Lock()
-	if err := c.appendInLocked(b); err != nil {
-		c.inMu.Unlock()
-		return err
-	}
-	enqueue := !c.queued
-	c.queued = true
+	err := c.appendInLocked(b)
 	c.inMu.Unlock()
-	if enqueue {
-		c.st.enqueue(c)
-	}
-	return nil
+	return err
 }
 
 var errConnClosed = errors.New("binapi: connection closed")
@@ -451,11 +431,11 @@ func (c *conn) close(err error) {
 	c.srv.dropConn(c)
 }
 
-// worker is what a goroutine that serves connections owns — a stripe's
-// loop, or an epoll poller: out collects one connection's response
-// frames for a single coalesced flush, scratch stages each payload, cur
-// is the cursor every request body is decoded with. All
-// are reused across every connection the goroutine serves.
+// worker is what a goroutine that serves connections owns — an epoll
+// poller, a pump, or a pipe delivery for its duration: out collects one
+// connection's response frames for a single coalesced flush, scratch
+// stages each payload, cur is the cursor every request body is decoded
+// with. All are reused across every connection the worker serves.
 type worker struct {
 	srv     *Server
 	out     []byte
@@ -470,65 +450,6 @@ func (s *Server) newWorker() *worker {
 	return w
 }
 
-// stripe is one event-loop goroutine serving the pipe and pump
-// connections assigned to it, whose bytes arrive on foreign goroutines.
-// The ready queue is double-buffered: producers append under mu, the
-// loop swaps the whole batch out and services it lock-free.
-type stripe struct {
-	worker
-	mu    sync.Mutex
-	ready []*conn
-	spare []*conn
-	wake  chan struct{}
-	quit  chan struct{}
-
-	// pl is the stripe's raw-epoll poller, created lazily (under
-	// Server.mu) by the first epoll-mode socket connection assigned
-	// here. It serves those connections itself, with its own worker;
-	// they never enter ready. Linux only; nil on the pump path and for
-	// pipe-only servers.
-	pl *epoller
-}
-
-func (st *stripe) enqueue(c *conn) {
-	st.mu.Lock()
-	st.ready = append(st.ready, c)
-	st.mu.Unlock()
-	select {
-	case st.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (st *stripe) take() []*conn {
-	st.mu.Lock()
-	batch := st.ready
-	st.ready = st.spare[:0]
-	st.spare = batch
-	st.mu.Unlock()
-	return batch
-}
-
-func (st *stripe) loop() {
-	defer st.srv.wg.Done()
-	for {
-		select {
-		case <-st.wake:
-		case <-st.quit:
-			return
-		}
-		for {
-			batch := st.take()
-			if len(batch) == 0 {
-				break
-			}
-			for _, c := range batch {
-				st.service(c)
-			}
-		}
-	}
-}
-
 // service drains one connection: snapshot the inbound buffer, process
 // every complete frame, compact the unconsumed tail, and flush all
 // responses in one write.
@@ -539,7 +460,6 @@ func (w *worker) service(c *conn) {
 		return
 	}
 	data := c.in
-	c.queued = false
 	c.parsing = true
 	c.inMu.Unlock()
 
@@ -548,9 +468,7 @@ func (w *worker) service(c *conn) {
 	c.inMu.Lock()
 	c.parsing = false
 	if !c.closed {
-		// The readiness source may have appended while we parsed; the
-		// consumed prefix is identical in either buffer, so shift the
-		// tail down.
+		// Shift the unconsumed tail, a partial frame, to the front.
 		n := copy(c.in, c.in[consumed:])
 		c.in = c.in[:n]
 	} else if c.recycleIn {

@@ -15,7 +15,7 @@ import (
 // device's delegation lattice and mints a delegation token from it.
 func (s *Service) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
 	resp, err := s.handleDelegate(req)
-	s.countOutcome(err, &s.stats.delegationsGranted, &s.stats.delegationsRejected)
+	s.countOutcome(err, &s.stats.DelegationsGranted, &s.stats.DelegationsRejected)
 	return resp, err
 }
 
@@ -23,7 +23,7 @@ func (s *Service) HandleDelegate(req protocol.DelegateRequest) (protocol.Delegat
 // derived from it when the design revokes cascades.
 func (s *Service) HandleRevokeDelegation(req protocol.RevokeDelegationRequest) error {
 	err := s.handleRevokeDelegation(req)
-	s.countOutcome(err, &s.stats.delegationsRevoked, &s.stats.delegationsRejected)
+	s.countOutcome(err, &s.stats.DelegationsRevoked, &s.stats.DelegationsRejected)
 	return err
 }
 
@@ -53,7 +53,7 @@ func (s *Service) handleDelegate(req protocol.DelegateRequest) (protocol.Delegat
 	// binds: the key alone must not read another request's token.
 	fp := delegateFingerprint(req)
 	if r, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemDelegate, fp); ok {
-		s.stats.delegationsDeduplicated.Add(1)
+		s.stats.DelegationsDeduplicated.Add(1)
 		return r.delegate, nil
 	} else if conflict {
 		return protocol.DelegateResponse{}, fmt.Errorf("cloud: idempotency key reused by a different request: %w", protocol.ErrAuthFailed)
@@ -123,7 +123,7 @@ func (s *Service) handleRevokeDelegation(req protocol.RevokeDelegationRequest) e
 	// grant alive where re-execution would silently sever it.
 	fp := revokeDelegationFingerprint(req)
 	if _, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemRevokeDelegation, fp); ok {
-		s.stats.delegationsDeduplicated.Add(1)
+		s.stats.DelegationsDeduplicated.Add(1)
 		return nil
 	} else if conflict {
 		return fmt.Errorf("cloud: idempotency key reused by a different request: %w", protocol.ErrAuthFailed)

@@ -94,7 +94,7 @@ type Durable struct {
 	svc     *Service
 	wall    func() time.Time
 	master  [32]byte
-	walOpts wal.Options // per-shard template: sparse, no LSN floor
+	walOpts wal.Options // per-shard template
 
 	// mu is the two-lane lock: RLock for sharded hot-path status
 	// operations, Lock for cold operations, checkpoints and close.
@@ -161,7 +161,6 @@ type DurableOptions struct {
 	// WAL configures each shard log (fsync policy, segment size,
 	// failpoint — a failpoint is shared by every shard, so a kill
 	// schedule can crash individual shard logs independently).
-	// InitialLSN and SparseLSN are overwritten by the sharded layout.
 	WAL wal.Options
 	// WALShards is the number of WAL shards for a fresh directory
 	// (rounded up to a power of two; 0 selects a GOMAXPROCS-scaled
@@ -298,8 +297,6 @@ func OpenDurable(dir string, design core.DesignSpec, registry *Registry, opts Du
 		d.shards[i] = &durableShard{index: i, pending: make(map[string]struct{})}
 	}
 	d.walOpts = opts.WAL
-	d.walOpts.SparseLSN = true
-	d.walOpts.InitialLSN = 0 // shard logs carry no dense floor; the global allocator does
 
 	// Latest valid snapshot first: a checkpoint torn by a crash is
 	// skipped in favour of its predecessor (the WAL behind it was only

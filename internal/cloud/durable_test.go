@@ -604,7 +604,7 @@ func TestDurableMetaPinsRecordVocabulary(t *testing.T) {
 		runLoggedWorkload(t, d, clock)
 		d.Close()
 		// A '{'-record in the log: a version-1 open would have replayed it.
-		shard, err := wal.Open(filepath.Join(dir, "wal", wal.ShardDirName(0)), wal.Options{SparseLSN: true})
+		shard, err := wal.Open(filepath.Join(dir, "wal", wal.ShardDirName(0)), wal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

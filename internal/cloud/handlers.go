@@ -12,7 +12,7 @@ import (
 func (s *Service) RegisterUser(req protocol.RegisterUserRequest) error {
 	err := s.registerUser(req)
 	if err == nil {
-		s.stats.usersRegistered.Add(1)
+		s.stats.UsersRegistered.Add(1)
 	}
 	return err
 }
@@ -20,7 +20,7 @@ func (s *Service) RegisterUser(req protocol.RegisterUserRequest) error {
 // Login authenticates a user and issues a UserToken.
 func (s *Service) Login(req protocol.LoginRequest) (protocol.LoginResponse, error) {
 	resp, err := s.login(req)
-	s.countOutcome(err, &s.stats.logins, &s.stats.loginFailures)
+	s.countOutcome(err, &s.stats.Logins, &s.stats.LoginFailures)
 	return resp, err
 }
 
@@ -31,7 +31,7 @@ func (s *Service) Login(req protocol.LoginRequest) (protocol.LoginResponse, erro
 func (s *Service) RequestDeviceToken(req protocol.DeviceTokenRequest) (protocol.DeviceTokenResponse, error) {
 	resp, err := s.requestDeviceToken(req)
 	if err == nil {
-		s.stats.deviceTokensIssued.Add(1)
+		s.stats.DeviceTokensIssued.Add(1)
 	}
 	return resp, err
 }
@@ -42,7 +42,7 @@ func (s *Service) RequestDeviceToken(req protocol.DeviceTokenRequest) (protocol.
 func (s *Service) RequestBindToken(req protocol.BindTokenRequest) (protocol.BindTokenResponse, error) {
 	resp, err := s.requestBindToken(req)
 	if err == nil {
-		s.stats.bindTokensIssued.Add(1)
+		s.stats.BindTokensIssued.Add(1)
 	}
 	return resp, err
 }
@@ -60,7 +60,7 @@ func (s *Service) HandleStatus(req protocol.StatusRequest) (protocol.StatusRespo
 // injected sources.
 func (s *Service) handleStatusCounted(req protocol.StatusRequest, env *opEnv) (protocol.StatusResponse, error) {
 	resp, err := s.handleStatus(req, env)
-	s.countOutcome(err, &s.stats.statusAccepted, &s.stats.statusRejected)
+	s.countOutcome(err, &s.stats.StatusAccepted, &s.stats.StatusRejected)
 	return resp, err
 }
 
@@ -71,10 +71,10 @@ func (s *Service) handleStatusCounted(req protocol.StatusRequest, env *opEnv) (p
 func (s *Service) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
 	resp, err := s.handleStatusBatch(req)
 	if err != nil {
-		s.stats.statusRejected.Add(int64(len(req.Items)))
+		s.stats.StatusRejected.Add(int64(len(req.Items)))
 		return resp, err
 	}
-	s.stats.statusBatches.Add(1)
+	s.stats.StatusBatches.Add(1)
 	var ok, fail int64
 	for i := range resp.Results {
 		if resp.Results[i].Code == "" {
@@ -83,8 +83,8 @@ func (s *Service) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.S
 			fail++
 		}
 	}
-	s.stats.statusAccepted.Add(ok)
-	s.stats.statusRejected.Add(fail)
+	s.stats.StatusAccepted.Add(ok)
+	s.stats.StatusRejected.Add(fail)
 	return resp, nil
 }
 
@@ -92,20 +92,20 @@ func (s *Service) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.S
 // mechanism and policy checks (Figure 4 / Sections IV-B, V-C, V-E).
 func (s *Service) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
 	resp, err := s.handleBind(req)
-	s.countOutcome(err, &s.stats.bindsAccepted, &s.stats.bindsRejected)
+	s.countOutcome(err, &s.stats.BindsAccepted, &s.stats.BindsRejected)
 	return resp, err
 }
 
 // HandleUnbind processes a binding-revocation message (Section IV-C).
 func (s *Service) HandleUnbind(req protocol.UnbindRequest) error {
 	err := s.handleUnbind(req)
-	s.countOutcome(err, &s.stats.unbindsAccepted, &s.stats.unbindsRejected)
+	s.countOutcome(err, &s.stats.UnbindsAccepted, &s.stats.UnbindsRejected)
 	return err
 }
 
 // HandleControl relays a command from the bound user to the device.
 func (s *Service) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
 	resp, err := s.handleControl(req)
-	s.countOutcome(err, &s.stats.controlsQueued, &s.stats.controlsRejected)
+	s.countOutcome(err, &s.stats.ControlsQueued, &s.stats.ControlsRejected)
 	return resp, err
 }

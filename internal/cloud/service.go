@@ -283,7 +283,7 @@ func (s *Service) statusLocked(sh *shadow, rec DeviceRecord, req protocol.Status
 	if req.IdempotencyKey != "" {
 		fp = statusFingerprint(req)
 		if r, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemStatus, fp); ok {
-			s.stats.statusDeduplicated.Add(1)
+			s.stats.StatusDeduplicated.Add(1)
 			return *r.status, nil
 		} else if conflict {
 			return protocol.StatusResponse{}, fmt.Errorf("cloud: idempotency key reused by a different request: %w", protocol.ErrAuthFailed)
@@ -403,7 +403,7 @@ func (s *Service) handleBind(req protocol.BindRequest) (protocol.BindResponse, e
 	// session token nor overwrite its record.
 	fp := bindFingerprint(req)
 	if r, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemBind, fp); ok {
-		s.stats.bindsDeduplicated.Add(1)
+		s.stats.BindsDeduplicated.Add(1)
 		return r.bind, nil
 	} else if conflict {
 		return protocol.BindResponse{}, fmt.Errorf("cloud: idempotency key reused by a different request: %w", protocol.ErrAuthFailed)
@@ -438,7 +438,7 @@ func (s *Service) handleBind(req protocol.BindRequest) (protocol.BindResponse, e
 			// Replace the previous binding — either the explicit Type 3
 			// design or a cloud that blindly manipulates bindings
 			// (Section V-E, A4-1).
-			s.stats.bindingsReplaced.Add(1)
+			s.stats.BindingsReplaced.Add(1)
 			s.revokeBinding(sh)
 		}
 	}
@@ -544,7 +544,7 @@ func (s *Service) handleUnbind(req protocol.UnbindRequest) error {
 	// that recorded the outcome may claim it.
 	fp := unbindFingerprint(req)
 	if _, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemUnbind, fp); ok {
-		s.stats.unbindsDeduplicated.Add(1)
+		s.stats.UnbindsDeduplicated.Add(1)
 		return nil
 	} else if conflict {
 		return fmt.Errorf("cloud: idempotency key reused by a different request: %w", protocol.ErrAuthFailed)

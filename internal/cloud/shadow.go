@@ -129,8 +129,7 @@ func (s *shadow) refresh(now time.Time, ttl time.Duration) {
 		return
 	}
 	if now.Sub(s.lastSeen) > ttl {
-		// The transition is valid by construction: the state is online.
-		_, _ = s.machine.Apply(core.EventStatusExpire)
+		s.apply(core.EventStatusExpire)
 	}
 }
 
@@ -138,7 +137,7 @@ func (s *shadow) refresh(now time.Time, ttl time.Duration) {
 func (s *shadow) markOnline(now time.Time) {
 	s.lastSeen = now
 	if !s.state().Online() {
-		_, _ = s.machine.Apply(core.EventStatus)
+		s.apply(core.EventStatus)
 	}
 }
 
@@ -146,7 +145,7 @@ func (s *shadow) markOnline(now time.Time) {
 func (s *shadow) bind(user string) {
 	s.boundUser = user
 	if !s.state().BoundToUser() {
-		_, _ = s.machine.Apply(core.EventBind)
+		s.apply(core.EventBind)
 	}
 }
 
@@ -161,7 +160,17 @@ func (s *shadow) unbind() {
 	s.dataInbox = nil
 	s.readings = nil
 	if s.state().BoundToUser() {
-		_, _ = s.machine.Apply(core.EventUnbind)
+		s.apply(core.EventUnbind)
+	}
+}
+
+// apply takes e's Figure 2 edge. Every caller guards it with the state
+// the edge leaves from, so a refused transition is a broken guard: it
+// panics, naming the state and the event, rather than leave the shadow
+// off the edge it claims to take.
+func (s *shadow) apply(e core.Event) {
+	if _, err := s.machine.Apply(e); err != nil {
+		panic(fmt.Sprintf("cloud: shadow %s in state %v refused event %v: %v", s.deviceID, s.state(), e, err))
 	}
 }
 

@@ -1,47 +1,55 @@
 package cloud
 
-import "sync/atomic"
+import (
+	"reflect"
+	"sync/atomic"
+)
 
 // Stats is a snapshot of cloud activity counters — the observability
 // surface an operator (or an intrusion analyst reproducing the paper's
 // experiments) watches. All counters are cumulative since service start.
-type Stats struct {
+// The counters are listed once, in statFields; Stats holds their values.
+type Stats = statFields[int64]
+
+// statFields lists the activity counters, each of type T: int64 in a
+// Stats snapshot, atomic.Int64 in the live statCounters.
+type statFields[T any] struct {
 	// UsersRegistered counts successful account creations.
-	UsersRegistered int64
+	UsersRegistered T
 	// Logins and LoginFailures count authentication outcomes.
-	Logins, LoginFailures int64
+	Logins, LoginFailures T
 	// DeviceTokensIssued and BindTokensIssued count credential grants.
-	DeviceTokensIssued, BindTokensIssued int64
+	DeviceTokensIssued, BindTokensIssued T
 	// StatusAccepted and StatusRejected count device status handling.
 	// Batched items count here individually, so the totals are invariant
 	// under re-batching.
-	StatusAccepted, StatusRejected int64
+	StatusAccepted, StatusRejected T
 	// StatusBatches counts batch envelopes processed; the items inside
 	// them land in StatusAccepted/StatusRejected.
-	StatusBatches int64
+	StatusBatches T
 	// StatusDeduplicated counts redelivered keyed status messages answered
 	// from the idempotency log instead of being executed again.
-	StatusDeduplicated int64
+	StatusDeduplicated T
 	// BindsAccepted and BindsRejected count binding creations;
 	// BindingsReplaced counts accepted binds that displaced a previous
 	// binding (the replace-on-bind path attackers abuse).
-	BindsAccepted, BindsRejected, BindingsReplaced int64
+	BindsAccepted, BindsRejected, BindingsReplaced T
 	// BindsDeduplicated counts redelivered binds answered from the
 	// idempotency log instead of being executed again.
-	BindsDeduplicated int64
+	BindsDeduplicated T
 	// UnbindsAccepted and UnbindsRejected count binding revocations;
 	// UnbindsDeduplicated counts redelivered unbinds answered from the
 	// idempotency log.
-	UnbindsAccepted, UnbindsRejected, UnbindsDeduplicated int64
+	UnbindsAccepted, UnbindsRejected, UnbindsDeduplicated T
 	// ControlsQueued and ControlsRejected count control relay outcomes.
-	ControlsQueued, ControlsRejected int64
+	ControlsQueued, ControlsRejected T
 	// DelegationsGranted and DelegationsRevoked count accepted delegation
 	// lattice mutations; DelegationsRejected counts refused ones (either
 	// kind), DelegationsDeduplicated the redeliveries answered from the
 	// idempotency log.
-	DelegationsGranted, DelegationsRevoked int64
-	DelegationsRejected                    int64
-	DelegationsDeduplicated                int64
+	DelegationsGranted, DelegationsRevoked T
+	DelegationsRejected                    T
+	DelegationsDeduplicated                T
 }
 
 // statCounters are the live counters behind Stats, kept as plain atomics
@@ -51,72 +59,26 @@ type Stats struct {
 // not cross-counter: a concurrent reader may observe an accepted bind
 // before the replaced-binding counter it implies. Totals are exact once
 // traffic quiesces.
-type statCounters struct {
-	usersRegistered                                       atomic.Int64
-	logins, loginFailures                                 atomic.Int64
-	deviceTokensIssued, bindTokensIssued                  atomic.Int64
-	statusAccepted, statusRejected                        atomic.Int64
-	statusBatches, statusDeduplicated                     atomic.Int64
-	bindsAccepted, bindsRejected, bindingsReplaced        atomic.Int64
-	bindsDeduplicated                                     atomic.Int64
-	unbindsAccepted, unbindsRejected, unbindsDeduplicated atomic.Int64
-	controlsQueued, controlsRejected                      atomic.Int64
-	delegationsGranted, delegationsRevoked                atomic.Int64
-	delegationsRejected, delegationsDeduplicated          atomic.Int64
-}
+type statCounters statFields[atomic.Int64]
 
-func (c *statCounters) snapshot() Stats {
-	return Stats{
-		UsersRegistered:     c.usersRegistered.Load(),
-		Logins:              c.logins.Load(),
-		LoginFailures:       c.loginFailures.Load(),
-		DeviceTokensIssued:  c.deviceTokensIssued.Load(),
-		BindTokensIssued:    c.bindTokensIssued.Load(),
-		StatusAccepted:      c.statusAccepted.Load(),
-		StatusRejected:      c.statusRejected.Load(),
-		StatusBatches:       c.statusBatches.Load(),
-		StatusDeduplicated:  c.statusDeduplicated.Load(),
-		BindsAccepted:       c.bindsAccepted.Load(),
-		BindsRejected:       c.bindsRejected.Load(),
-		BindingsReplaced:    c.bindingsReplaced.Load(),
-		BindsDeduplicated:   c.bindsDeduplicated.Load(),
-		UnbindsAccepted:     c.unbindsAccepted.Load(),
-		UnbindsRejected:     c.unbindsRejected.Load(),
-		UnbindsDeduplicated: c.unbindsDeduplicated.Load(),
-		ControlsQueued:      c.controlsQueued.Load(),
-		ControlsRejected:    c.controlsRejected.Load(),
-
-		DelegationsGranted:      c.delegationsGranted.Load(),
-		DelegationsRevoked:      c.delegationsRevoked.Load(),
-		DelegationsRejected:     c.delegationsRejected.Load(),
-		DelegationsDeduplicated: c.delegationsDeduplicated.Load(),
-	}
+// snapshot loads every live counter.
+func (c *statCounters) snapshot() (s Stats) {
+	c.each(&s, func(live *atomic.Int64, v *int64) { *v = live.Load() })
+	return s
 }
 
 // restore overwrites the live counters from a persisted snapshot.
 func (c *statCounters) restore(s Stats) {
-	c.usersRegistered.Store(s.UsersRegistered)
-	c.logins.Store(s.Logins)
-	c.loginFailures.Store(s.LoginFailures)
-	c.deviceTokensIssued.Store(s.DeviceTokensIssued)
-	c.bindTokensIssued.Store(s.BindTokensIssued)
-	c.statusAccepted.Store(s.StatusAccepted)
-	c.statusRejected.Store(s.StatusRejected)
-	c.statusBatches.Store(s.StatusBatches)
-	c.statusDeduplicated.Store(s.StatusDeduplicated)
-	c.bindsAccepted.Store(s.BindsAccepted)
-	c.bindsRejected.Store(s.BindsRejected)
-	c.bindingsReplaced.Store(s.BindingsReplaced)
-	c.bindsDeduplicated.Store(s.BindsDeduplicated)
-	c.unbindsAccepted.Store(s.UnbindsAccepted)
-	c.unbindsRejected.Store(s.UnbindsRejected)
-	c.unbindsDeduplicated.Store(s.UnbindsDeduplicated)
-	c.controlsQueued.Store(s.ControlsQueued)
-	c.controlsRejected.Store(s.ControlsRejected)
-	c.delegationsGranted.Store(s.DelegationsGranted)
-	c.delegationsRevoked.Store(s.DelegationsRevoked)
-	c.delegationsRejected.Store(s.DelegationsRejected)
-	c.delegationsDeduplicated.Store(s.DelegationsDeduplicated)
+	c.each(&s, func(live *atomic.Int64, v *int64) { live.Store(*v) })
+}
+
+// each pairs every live counter with the same counter in s: the two are
+// instances of one statFields, so field i is the same counter in both.
+func (c *statCounters) each(s *Stats, f func(live *atomic.Int64, v *int64)) {
+	live, vals := reflect.ValueOf(c).Elem(), reflect.ValueOf(s).Elem()
+	for i := 0; i < vals.NumField(); i++ {
+		f(live.Field(i).Addr().Interface().(*atomic.Int64), vals.Field(i).Addr().Interface().(*int64))
+	}
 }
 
 // Stats returns a snapshot of the service's activity counters.

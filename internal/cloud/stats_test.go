@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/iotbind/iotbind/internal/core"
@@ -86,5 +87,31 @@ func TestStatsCountTokenIssuance(t *testing.T) {
 	got := svc.Stats()
 	if got.DeviceTokensIssued != 1 || got.BindTokensIssued != 1 {
 		t.Errorf("token counters = %+v", got)
+	}
+}
+
+// TestStatsRestoreThenSnapshot: restore and snapshot pair each live
+// counter with its own Stats field — every counter set to a distinct
+// value comes back as it went in, and bumping one live counter moves
+// only its own field.
+func TestStatsRestoreThenSnapshot(t *testing.T) {
+	var in Stats
+	fields := reflect.ValueOf(&in).Elem()
+	for i := 0; i < fields.NumField(); i++ {
+		fields.Field(i).SetInt(int64(1000 + i))
+	}
+	var c statCounters
+	c.restore(in)
+	if got := c.snapshot(); got != in {
+		t.Fatalf("snapshot after restore = %+v, want %+v", got, in)
+	}
+	c.BindingsReplaced.Add(1)
+	want := in
+	want.BindingsReplaced++
+	if got := c.snapshot(); got != want {
+		t.Fatalf("after one BindingsReplaced: %+v, want %+v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.StatusAccepted.Add(1) }); allocs != 0 {
+		t.Fatalf("counting allocates %.0f times, want 0", allocs)
 	}
 }

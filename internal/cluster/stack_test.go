@@ -38,7 +38,7 @@ func TestStackStatusAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := binapi.NewServer(router, binapi.WithStripes(1))
+	srv := binapi.NewServer(router)
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

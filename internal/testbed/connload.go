@@ -55,8 +55,6 @@ type ConnLoadConfig struct {
 	// Window is the per-connection credit window the server advertises
 	// (default 8 — small, because slot tables are per-connection memory).
 	Window int
-	// Stripes is the server event-loop stripe count (default GOMAXPROCS).
-	Stripes int
 	// Readiness selects the server's socket readiness source (default
 	// auto: raw epoll on Linux, per-connection pump elsewhere). Pipe
 	// mode ignores it. Socket clients dial through a shared
@@ -67,11 +65,10 @@ type ConnLoadConfig struct {
 
 // ConnLoadResult reports one connection-scale run.
 type ConnLoadResult struct {
-	// Mode, Conns, Stripes, Window echo the effective configuration.
-	Mode    ConnLoadMode
-	Conns   int
-	Stripes int
-	Window  int
+	// Mode, Conns, Window echo the effective configuration.
+	Mode   ConnLoadMode
+	Conns  int
+	Window int
 	// Messages is the number of timed heartbeats delivered.
 	Messages int
 	// Elapsed is the wall-clock time of the timed phase.
@@ -86,11 +83,11 @@ type ConnLoadResult struct {
 	// directions) across the whole run, including registration.
 	BytesPerConn float64
 	// Goroutines is the process goroutine count while every connection
-	// was open — the stripe-architecture proof: in pipe mode it stays
-	// near Workers + Stripes regardless of Conns.
+	// was open — the serving-model proof: in pipe mode it stays near
+	// Workers regardless of Conns.
 	Goroutines int
-	// ServerGoroutines is the server's own accounting (stripes plus
-	// pollers plus, in pump mode, one goroutine per connection) at the
+	// ServerGoroutines is the server's own accounting (pollers or, in
+	// pump mode, one goroutine per connection; none for pipes) at the
 	// same instant — the readiness-source proof, independent of how
 	// many goroutines the client harness spends.
 	ServerGoroutines int
@@ -130,9 +127,6 @@ func RunConnLoad(cfg ConnLoadConfig) (ConnLoadResult, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = 8
 	}
-	if cfg.Stripes <= 0 {
-		cfg.Stripes = runtime.GOMAXPROCS(0)
-	}
 
 	clock := &Clock{t: labEpoch}
 	ids, registry, err := newFleet(cfg.Conns, cfg.Design.Name)
@@ -144,9 +138,7 @@ func RunConnLoad(cfg ConnLoadConfig) (ConnLoadResult, error) {
 		return res, fmt.Errorf("testbed: conn load: %w", err)
 	}
 
-	srv := binapi.NewServer(svc,
-		binapi.WithWindow(cfg.Window), binapi.WithStripes(cfg.Stripes),
-		binapi.WithReadiness(cfg.Readiness))
+	srv := binapi.NewServer(svc, binapi.WithWindow(cfg.Window), binapi.WithReadiness(cfg.Readiness))
 	defer srv.Close()
 
 	var dial func(i int) (*binapi.Client, error)
@@ -216,7 +208,7 @@ func RunConnLoad(cfg ConnLoadConfig) (ConnLoadResult, error) {
 	}
 
 	// Every connection is now open and registered; this is the number
-	// the stripe architecture is about.
+	// the serving model is about.
 	res.Goroutines = runtime.NumGoroutine()
 	res.ServerGoroutines = srv.Goroutines()
 
@@ -258,7 +250,6 @@ func RunConnLoad(cfg ConnLoadConfig) (ConnLoadResult, error) {
 
 	res.Mode = cfg.Mode
 	res.Conns = cfg.Conns
-	res.Stripes = cfg.Stripes
 	res.Window = cfg.Window
 	res.Messages = len(all)
 	res.Elapsed = elapsed

@@ -29,11 +29,15 @@ func TestConnLoadPipe(t *testing.T) {
 	if res.MsgsPerSec <= 0 || res.P99Micros <= 0 || res.BytesPerConn <= 0 {
 		t.Fatalf("degenerate metrics: %+v", res)
 	}
-	// The architecture claim: goroutines scale with workers+stripes, not
-	// connections. Allow generous slack for test-runner goroutines.
+	// The architecture claim: goroutines scale with workers, not
+	// connections, and the server spends none on pipes. Allow generous
+	// slack for test-runner goroutines.
 	if limit := res.Conns/4 + 200; res.Goroutines >= limit {
-		t.Fatalf("goroutines = %d with %d pipe conns (stripes=%d): per-connection goroutines crept in",
-			res.Goroutines, res.Conns, res.Stripes)
+		t.Fatalf("goroutines = %d with %d pipe conns: per-connection goroutines crept in",
+			res.Goroutines, res.Conns)
+	}
+	if res.ServerGoroutines != 0 {
+		t.Fatalf("server goroutines = %d with %d pipe conns, want 0", res.ServerGoroutines, res.Conns)
 	}
 }
 
@@ -58,8 +62,9 @@ func TestConnLoadSocket(t *testing.T) {
 }
 
 // TestConnLoadSocketEpoll is the raw-epoll readiness smoke: real
-// sockets, and the server's own goroutine count must stay at
-// stripes + pollers — not O(conns) — while every connection is open.
+// sockets, and the server's own goroutine count must stay at its
+// pollers — at most GOMAXPROCS, not O(conns) — while every connection is
+// open.
 func TestConnLoadSocketEpoll(t *testing.T) {
 	if !binapi.EpollSupported() {
 		t.Skip("raw-epoll readiness source requires linux")
@@ -82,11 +87,10 @@ func TestConnLoadSocketEpoll(t *testing.T) {
 	if res.Messages != conns*3 {
 		t.Fatalf("messages = %d, want %d", res.Messages, conns*3)
 	}
-	// The tentpole claim: server goroutines = stripes + one poller per
-	// active stripe, regardless of connection count.
-	if limit := 2*res.Stripes + 2; res.ServerGoroutines > limit {
-		t.Fatalf("server goroutines = %d with %d epoll conns (stripes=%d): per-connection goroutines crept in",
-			res.ServerGoroutines, res.Conns, res.Stripes)
+	// Server goroutines are the pollers, regardless of connection count.
+	if limit := runtime.GOMAXPROCS(0); res.ServerGoroutines < 1 || res.ServerGoroutines > limit {
+		t.Fatalf("server goroutines = %d with %d epoll conns, want 1..%d pollers: per-connection goroutines crept in",
+			res.ServerGoroutines, res.Conns, limit)
 	}
 }
 

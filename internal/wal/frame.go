@@ -1,6 +1,6 @@
 // Package wal implements a segmented append-only write-ahead log: the
 // durability substrate under cloud.Durable. Records are length-prefixed
-// CRC32C-protected frames carrying dense monotonic log sequence numbers
+// CRC32C-protected frames carrying strictly increasing log sequence numbers
 // (LSNs); segments rotate at a size threshold and recovery truncates a
 // torn tail instead of failing. Fsync behaviour is configurable per log:
 // per-record, grouped, or left to the OS entirely.

@@ -9,11 +9,11 @@ import (
 	"strings"
 )
 
-// Sharded layout: a root directory holding one sparse-LSN log per
-// store shard in subdirectories named shard-NNN. Every record carries
-// a globally allocated LSN, so each shard log is a strictly increasing
-// subsequence of one global stream; recovery merges the shard tails
-// back into that stream by LSN.
+// Sharded layout: a root directory holding one log per store shard in
+// subdirectories named shard-NNN. Every record carries a globally
+// allocated LSN, so each shard log is a strictly increasing subsequence
+// of one global stream; recovery merges the shard tails back into that
+// stream by LSN.
 const shardDirPrefix = "shard-"
 
 // ShardDirName names the subdirectory of shard i under a sharded WAL
@@ -75,7 +75,7 @@ type ShardReport struct {
 	Shard int
 	// Dir is the shard's log directory.
 	Dir string
-	// Report is the shard's sparse scan.
+	// Report is the shard's scan.
 	Report ScanReport
 }
 
@@ -90,9 +90,8 @@ type mergedRecord struct {
 	payload []byte
 }
 
-// MergeShards scans every shard-NNN subdirectory of root with sparse
-// LSN rules and streams the union of their records, in global LSN
-// order, through fn. Gaps in the merged sequence are legal — a gap is
+// MergeShards scans every shard-NNN subdirectory of root and streams the
+// union of their records, in global LSN order, through fn. Gaps in the merged sequence are legal — a gap is
 // a record that was never acknowledged (its append did not survive a
 // crash on its shard), so nothing observable is missing. A duplicate
 // LSN across shards is ErrCorrupt: the global allocator hands each
@@ -108,7 +107,7 @@ func MergeShards(root string, maxRecord int, from uint64, fn func(shard int, lsn
 	var reports []ShardReport
 	var records []mergedRecord
 	for _, d := range dirs {
-		report, err := ScanSparse(d.Path, maxRecord, func(lsn uint64, payload []byte) error {
+		report, err := Scan(d.Path, maxRecord, func(lsn uint64, payload []byte) error {
 			if lsn < from {
 				return nil
 			}

@@ -9,11 +9,10 @@ import (
 	"testing"
 )
 
-// sparseAppend writes the given LSNs into a fresh sparse log under
-// dir, payloads derived from the LSN, and closes it.
+// sparseAppend writes the given LSNs into a fresh log under dir,
+// payloads derived from the LSN, and closes it.
 func sparseAppend(t *testing.T, dir string, opts Options, lsns ...uint64) {
 	t.Helper()
-	opts.SparseLSN = true
 	l, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +35,7 @@ func TestSparseAppendScanRoundTrip(t *testing.T) {
 	sparseAppend(t, dir, Options{}, 3, 4, 9, 100, 101)
 
 	var got []uint64
-	report, err := ScanSparse(dir, 0, func(lsn uint64, payload []byte) error {
+	report, err := Scan(dir, 0, func(lsn uint64, payload []byte) error {
 		if want := fmt.Sprintf("lsn-%d", lsn); string(payload) != want {
 			return fmt.Errorf("payload %q, want %q", payload, want)
 		}
@@ -53,19 +52,7 @@ func TestSparseAppendScanRoundTrip(t *testing.T) {
 		t.Fatalf("scanned %v", got)
 	}
 
-	// A dense scan of the same directory must refuse the gaps — the
-	// first gap lands in the (single, last) segment, so it reads as a
-	// torn tail rather than a full-stop error.
-	denseReport, err := Scan(dir, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !denseReport.Torn || denseReport.Records != 2 {
-		t.Fatalf("dense scan accepted a sparse log: %d records torn=%v",
-			denseReport.Records, denseReport.Torn)
-	}
-
-	l, err := Open(dir, Options{SparseLSN: true})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +76,7 @@ func TestSparseAppendScanRoundTrip(t *testing.T) {
 // first record.
 func TestSparseRotationNamesSegmentsByLSN(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SparseLSN: true, SegmentSize: 64})
+	l, err := Open(dir, Options{SegmentSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +88,7 @@ func TestSparseRotationNamesSegmentsByLSN(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	report, err := ScanSparse(dir, 0, nil)
+	report, err := Scan(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +119,7 @@ func TestSparseOpenDropsDeadTailSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l, err := Open(dir, Options{SparseLSN: true})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +137,7 @@ func TestSparseOpenDropsDeadTailSegment(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	report, err := ScanSparse(dir, 0, nil)
+	report, err := Scan(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,9 +49,9 @@ func (t *Tailer) LastLSN() uint64 { return t.last }
 // Poll reads everything newly visible and hands each record to fn in
 // LSN order, returning how many records were delivered. The payload
 // slice is only valid during the call. An empty or still-unborn
-// directory is not an error — sparse shard logs defer their first
-// segment until the first append lands there. If fn fails, the record
-// counts as undelivered and the same record leads the next Poll.
+// directory is not an error — a log defers its first segment until the
+// first append lands there. If fn fails, the record counts as
+// undelivered and the same record leads the next Poll.
 func (t *Tailer) Poll(fn func(lsn uint64, payload []byte) error) (int, error) {
 	segs, err := listSegments(t.dir)
 	if err != nil {

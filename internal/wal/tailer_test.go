@@ -31,7 +31,7 @@ func pollAll(t *testing.T, tr *Tailer) []uint64 {
 // across rotation boundaries.
 func TestTailerFollowsLiveSparseLog(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SparseLSN: true, SegmentSize: 128, Policy: SyncOff})
+	l, err := Open(dir, Options{SegmentSize: 128, Policy: SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestTailerFollowsLiveSparseLog(t *testing.T) {
 // restart path — even when the watermark lands mid-segment.
 func TestTailerResumesFromWatermark(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SparseLSN: true, SegmentSize: 128, Policy: SyncOff})
+	l, err := Open(dir, Options{SegmentSize: 128, Policy: SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestTailerRejectsTornSealedSegment(t *testing.T) {
 // counts as undelivered and leads the next poll.
 func TestTailerRedeliversAfterCallbackError(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SparseLSN: true, Policy: SyncEveryRecord})
+	l, err := Open(dir, Options{Policy: SyncEveryRecord})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func (p SyncPolicy) String() string {
 }
 
 // Options configures a log. The zero value is usable: 4 MiB segments,
-// 1 MiB records, group commit every 32 appends, LSNs from 1.
+// 1 MiB records, group commit every 32 appends.
 type Options struct {
 	// SegmentSize is the rotation threshold in bytes.
 	SegmentSize int
@@ -75,18 +75,6 @@ type Options struct {
 	Policy SyncPolicy
 	// GroupEvery is the group-commit window under SyncGrouped.
 	GroupEvery int
-	// InitialLSN numbers the first record of an empty directory
-	// (default 1). A log reopened over existing segments continues from
-	// the scan instead. cloud.Durable passes snapshotLSN+1 here so LSNs
-	// stay dense across compactions that empty the directory.
-	InitialLSN uint64
-	// SparseLSN admits gaps in the LSN sequence: records must carry
-	// strictly increasing LSNs but need not be dense. Per-shard logs
-	// use this — each shard holds a subsequence of a globally allocated
-	// LSN stream, so any single log sees gaps where other shards own
-	// the missing numbers. Sparse logs are usually driven via AppendLSN
-	// and are scanned with ScanSparse.
-	SparseLSN bool
 	// Failpoint, when non-nil, is consulted at each write-path stage
 	// and may inject a simulated crash (crash-fault testing). Arming a
 	// failpoint also forces every fsync inline under the log lock (no
@@ -114,9 +102,6 @@ func (o Options) withDefaults() Options {
 	if o.GroupEvery <= 0 {
 		o.GroupEvery = DefaultGroupEvery
 	}
-	if o.InitialLSN == 0 {
-		o.InitialLSN = 1
-	}
 	return o
 }
 
@@ -137,12 +122,17 @@ type commitWaiter struct {
 
 // Log is a segmented append-only write-ahead log. All methods are safe
 // for concurrent use; appends are serialized internally.
+//
+// Records carry strictly increasing LSNs, which need not be dense: a
+// per-shard log holds a subsequence of one globally allocated LSN
+// stream, so it sees gaps where sibling shards own the missing numbers.
+// Each segment is named by the LSN of its first record.
 type Log struct {
 	dir  string
 	opts Options
 
 	mu         sync.Mutex
-	f          *os.File // nil in a sparse log before its first append
+	f          *os.File // nil before the first append names a segment
 	w          *bufio.Writer
 	segments   []segmentMeta // sorted; last is the active segment
 	segSize    int64         // bytes written to the active segment (incl. buffered)
@@ -184,7 +174,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	report, err := scanDir(dir, opts.MaxRecord, !opts.SparseLSN, nil)
+	report, err := Scan(dir, opts.MaxRecord, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -197,51 +187,27 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 
 	truncateTorn := report.Torn
-	if opts.SparseLSN {
-		// A sparse segment torn down to zero records is deleted rather
-		// than reused: its name pins a first LSN that a globally
-		// allocated sequence may never produce again after the crash
-		// (the record that named it was lost before any shard acked
-		// it), so keeping the file would break the name==first-frame
-		// invariant on a later, smaller LSN.
-		if n := len(l.segments); n > 0 {
-			if last := report.Segments[n-1]; last.Records == 0 {
-				if err := os.Remove(last.Path); err != nil {
-					return nil, fmt.Errorf("wal: remove dead segment: %w", err)
-				}
-				if err := syncDir(dir); err != nil {
-					return nil, err
-				}
-				l.segments = l.segments[:n-1]
-				if report.Torn && report.TornSegment == last.Path {
-					truncateTorn = false
-					l.recovery.TruncatedBytes = report.TornBytes
-				}
+	// A segment torn down to zero records is deleted rather than reused:
+	// its name pins a first LSN that a globally allocated sequence may
+	// never produce again after the crash (the record that named it was
+	// lost before any shard acked it), so keeping the file would break the
+	// name==first-frame invariant on a later, smaller LSN.
+	if n := len(l.segments); n > 0 {
+		if last := report.Segments[n-1]; last.Records == 0 {
+			if err := os.Remove(last.Path); err != nil {
+				return nil, fmt.Errorf("wal: remove dead segment: %w", err)
 			}
-		}
-		l.nextLSN = report.LastLSN + 1
-		if report.Records == 0 {
-			l.nextLSN = opts.InitialLSN
-		} else if l.nextLSN < opts.InitialLSN {
-			return nil, fmt.Errorf("%w: directory ends at LSN %d, caller expects at least %d",
-				ErrCorrupt, l.nextLSN-1, opts.InitialLSN)
-		}
-	} else {
-		l.nextLSN = report.LastLSN + 1
-		if n := len(report.Segments); n == 0 {
-			l.nextLSN = opts.InitialLSN
-		} else {
-			// A segment torn down to zero valid records still names the LSN
-			// its next append must carry.
-			if last := report.Segments[n-1]; last.Records == 0 {
-				l.nextLSN = last.FirstLSN
+			if err := syncDir(dir); err != nil {
+				return nil, err
 			}
-			if l.nextLSN < opts.InitialLSN {
-				return nil, fmt.Errorf("%w: directory ends at LSN %d, caller expects at least %d",
-					ErrCorrupt, l.nextLSN-1, opts.InitialLSN)
+			l.segments = l.segments[:n-1]
+			if report.Torn && report.TornSegment == last.Path {
+				truncateTorn = false
+				l.recovery.TruncatedBytes = report.TornBytes
 			}
 		}
 	}
+	l.nextLSN = report.LastLSN + 1
 
 	if truncateTorn {
 		if err := os.Truncate(report.TornSegment, report.TornOffset); err != nil {
@@ -271,13 +237,9 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.segSize = size
 		l.syncedSize = size
 		l.w = bufio.NewWriterSize(f, writerBufSize)
-	} else if !opts.SparseLSN {
-		if err := l.openSegmentLocked(l.nextLSN); err != nil {
-			return nil, err
-		}
 	}
-	// A sparse log with no surviving segments defers segment creation
-	// until the first append names the file (l.f stays nil).
+	// A log with no surviving segments defers segment creation until the
+	// first append names the file (l.f stays nil).
 
 	if opts.Policy == SyncGrouped && opts.Failpoint == nil {
 		l.flushC = make(chan struct{}, 1)
@@ -295,9 +257,9 @@ func (l *Log) Recovery() RecoveryInfo {
 	return l.recovery
 }
 
-// LastLSN returns the sequence number of the last appended record, or
-// InitialLSN-1 when the log is empty. For a sparse per-shard log this
-// is the shard's durability watermark.
+// LastLSN returns the sequence number of the last appended record, or 0
+// when the log is empty. For a per-shard log this is the shard's
+// durability watermark.
 func (l *Log) LastLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -344,9 +306,9 @@ func (l *Log) openSegmentLocked(first uint64) error {
 	return nil
 }
 
-// Append writes one record and returns its LSN. Depending on the sync
-// policy the record may or may not be on stable storage when Append
-// returns; Sync forces the matter.
+// Append writes one record under the LSN after the last and returns it.
+// Depending on the sync policy the record may or may not be on stable
+// storage when Append returns; Sync forces the matter.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -357,18 +319,14 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	return lsn, nil
 }
 
-// AppendLSN writes one record under a caller-allocated LSN. The LSN
-// must exceed every previously appended one. Dense logs additionally
-// require exactly the next LSN in sequence; sparse logs accept any
-// strictly larger value (the gap belongs to sibling shards).
+// AppendLSN writes one record under a caller-allocated LSN, which must
+// exceed every previously appended one (a gap belongs to sibling
+// shards).
 func (l *Log) AppendLSN(lsn uint64, payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if lsn < l.nextLSN {
 		return fmt.Errorf("%w: append LSN %d not past %d", ErrBadLSN, lsn, l.nextLSN-1)
-	}
-	if !l.opts.SparseLSN && lsn != l.nextLSN {
-		return fmt.Errorf("%w: dense log expects LSN %d, got %d", ErrBadLSN, l.nextLSN, lsn)
 	}
 	return l.appendLocked(lsn, payload)
 }
@@ -388,8 +346,7 @@ func (l *Log) appendLocked(lsn uint64, payload []byte) error {
 	frame := l.scratch
 
 	if l.f == nil {
-		// Deferred first segment of a sparse log: named by the record
-		// that creates it.
+		// Deferred first segment: named by the record that creates it.
 		if err := l.openSegmentLocked(lsn); err != nil {
 			return err
 		}
@@ -686,7 +643,7 @@ func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) err
 			return l.fail(err)
 		}
 	}
-	_, err := scanDir(l.dir, l.opts.MaxRecord, !l.opts.SparseLSN, func(lsn uint64, payload []byte) error {
+	_, err := Scan(l.dir, l.opts.MaxRecord, func(lsn uint64, payload []byte) error {
 		if lsn < from {
 			return nil
 		}
@@ -744,7 +701,7 @@ func (l *Log) Close() error {
 	case l.crashed:
 		// crashLocked already closed the file.
 	case l.f == nil:
-		// Nothing open (a sparse log before its first append, or a
+		// Nothing open (a log before its first append, or a
 		// failed rotation already spent the handle): report the sticky
 		// error, if any, rather than swallowing it.
 		err = l.err
@@ -814,24 +771,14 @@ type ScanReport struct {
 	TornReason string
 }
 
-// Scan reads every segment in dir in order, verifying frame checksums
-// and dense LSN continuity, optionally streaming payloads through fn.
-// Damage in the last segment is reported as a torn tail (recoverable
-// by truncation); damage anywhere else is ErrCorrupt. Scan never
-// mutates the directory — Open is the repairing entry point.
+// Scan reads every segment in dir in order, verifying frame checksums,
+// that LSNs strictly increase and that each segment's first record
+// matches the segment name, optionally streaming payloads through fn.
+// Gaps between consecutive LSNs are legal: the missing numbers belong to
+// sibling shards. Damage in the last segment is reported as a torn tail
+// (recoverable by truncation); damage anywhere else is ErrCorrupt. Scan
+// never mutates the directory — Open is the repairing entry point.
 func Scan(dir string, maxRecord int, fn func(lsn uint64, payload []byte) error) (ScanReport, error) {
-	return scanDir(dir, maxRecord, true, fn)
-}
-
-// ScanSparse is Scan for sparse-LSN (per-shard) logs: LSNs must be
-// strictly increasing and each segment's first record must match the
-// segment name, but gaps between consecutive records are legal — the
-// missing numbers belong to sibling shards.
-func ScanSparse(dir string, maxRecord int, fn func(lsn uint64, payload []byte) error) (ScanReport, error) {
-	return scanDir(dir, maxRecord, false, fn)
-}
-
-func scanDir(dir string, maxRecord int, dense bool, fn func(lsn uint64, payload []byte) error) (ScanReport, error) {
 	if maxRecord <= 0 {
 		maxRecord = DefaultMaxRecord
 	}
@@ -843,22 +790,15 @@ func scanDir(dir string, maxRecord int, dense bool, fn func(lsn uint64, payload 
 	}
 	for i, seg := range names {
 		last := i == len(names)-1
-		if report.Records > 0 {
-			if dense && seg.first != report.LastLSN+1 {
-				return report, fmt.Errorf("%w: segment %s starts at LSN %d, want %d",
-					ErrCorrupt, filepath.Base(seg.path), seg.first, report.LastLSN+1)
-			}
-			if !dense && seg.first <= report.LastLSN {
-				return report, fmt.Errorf("%w: segment %s starts at LSN %d, not past %d",
-					ErrCorrupt, filepath.Base(seg.path), seg.first, report.LastLSN)
-			}
+		if report.Records > 0 && seg.first <= report.LastLSN {
+			return report, fmt.Errorf("%w: segment %s starts at LSN %d, not past %d",
+				ErrCorrupt, filepath.Base(seg.path), seg.first, report.LastLSN)
 		}
 		data, err := os.ReadFile(seg.path)
 		if err != nil {
 			return report, fmt.Errorf("wal: scan: %w", err)
 		}
 		info := SegmentInfo{Path: seg.path, FirstLSN: seg.first}
-		next := seg.first
 		prev := uint64(0)
 		started := false
 		off := 0
@@ -866,13 +806,10 @@ func scanDir(dir string, maxRecord int, dense bool, fn func(lsn uint64, payload 
 			lsn, payload, frameLen, perr := ParseFrame(data[off:], maxRecord)
 			if perr == nil {
 				switch {
-				case dense && lsn != next:
-					perr = fmt.Errorf("%w: frame at offset %d has LSN %d, want %d",
-						ErrBadLSN, off, lsn, next)
-				case !dense && !started && lsn != seg.first:
+				case !started && lsn != seg.first:
 					perr = fmt.Errorf("%w: frame at offset %d has LSN %d, segment named %d",
 						ErrBadLSN, off, lsn, seg.first)
-				case !dense && started && lsn <= prev:
+				case started && lsn <= prev:
 					perr = fmt.Errorf("%w: frame at offset %d has LSN %d, not past %d",
 						ErrBadLSN, off, lsn, prev)
 				}
@@ -900,7 +837,6 @@ func scanDir(dir string, maxRecord int, dense bool, fn func(lsn uint64, payload 
 			report.LastLSN = lsn
 			report.Records++
 			info.Records++
-			next++
 			prev = lsn
 			started = true
 			off += frameLen

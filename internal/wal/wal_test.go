@@ -114,19 +114,6 @@ func TestSegmentRotationAndTruncateBefore(t *testing.T) {
 	}
 }
 
-func TestInitialLSNAnchorsEmptyDir(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{InitialLSN: 101})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	lsn, err := l.Append([]byte("first"))
-	if err != nil || lsn != 101 {
-		t.Fatalf("first append = %d, %v; want 101", lsn, err)
-	}
-}
-
 func TestTornTailTruncatedOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Policy: SyncOff})
