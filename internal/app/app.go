@@ -54,7 +54,7 @@ type App struct {
 
 	mu          sync.Mutex
 	userToken   string
-	sessions    map[string]string // deviceID -> post-binding session token
+	sessions    map[string]string // deviceID -> post-binding session token; nil until Bind gets one
 	preBindHook func()
 
 	retryPolicy *retry.Policy
@@ -114,7 +114,6 @@ func New(userID, password string, design core.DesignSpec, cloud transport.Cloud,
 		network:      network,
 		wifiSSID:     "home-wifi",
 		wifiPassword: "wpa2-passphrase",
-		sessions:     make(map[string]string),
 	}
 	for _, o := range opts {
 		o.apply(a)
@@ -298,6 +297,9 @@ func (a *App) Bind(deviceID string) (protocol.BindResponse, error) {
 	}
 	if resp.SessionToken != "" {
 		a.mu.Lock()
+		if a.sessions == nil {
+			a.sessions = make(map[string]string)
+		}
 		a.sessions[deviceID] = resp.SessionToken
 		a.mu.Unlock()
 	}

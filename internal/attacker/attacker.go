@@ -40,7 +40,7 @@ type Attacker struct {
 
 	mu        sync.Mutex
 	userToken string
-	sessions  map[string]string // deviceID -> session token from forged binds
+	sessions  map[string]string // deviceID -> session token from forged binds; nil until one returns one
 	stolen    []protocol.UserData
 }
 
@@ -73,7 +73,6 @@ func New(userID, password string, design core.DesignSpec, cloud transport.Cloud,
 		design:                 design,
 		cloud:                  cloud,
 		canForgeDeviceMessages: !design.FirmwareOpaque,
-		sessions:               make(map[string]string),
 	}
 	for _, o := range opts {
 		o.apply(a)
@@ -176,6 +175,9 @@ func (a *Attacker) ForgeBind(deviceID string) (protocol.BindResponse, error) {
 	}
 	if resp.SessionToken != "" {
 		a.mu.Lock()
+		if a.sessions == nil {
+			a.sessions = make(map[string]string)
+		}
 		a.sessions[deviceID] = resp.SessionToken
 		a.mu.Unlock()
 	}

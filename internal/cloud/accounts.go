@@ -15,14 +15,10 @@ type accountStore struct {
 	passwords map[string]string
 }
 
-func newAccountStore() *accountStore {
-	return &accountStore{passwords: make(map[string]string)}
-}
-
 // register creates an account.
 func (s *accountStore) register(userID, password string) error {
 	if userID == "" || password == "" {
-		return fmt.Errorf("accounts: %w: empty user ID or password", protocol.ErrBadRequest)
+		return errEmptyAccount
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -42,10 +38,10 @@ func (s *accountStore) authenticate(userID, password string) error {
 		// Burn comparable time for unknown users so account existence
 		// does not leak through timing.
 		subtle.ConstantTimeCompare([]byte(password), []byte(password))
-		return fmt.Errorf("accounts: %w", protocol.ErrAuthFailed)
+		return errAccountAuth
 	}
 	if subtle.ConstantTimeCompare([]byte(stored), []byte(password)) != 1 {
-		return fmt.Errorf("accounts: %w", protocol.ErrAuthFailed)
+		return errAccountAuth
 	}
 	return nil
 }

@@ -41,8 +41,7 @@ func (s *Service) handleStatusBatch(req protocol.StatusBatchRequest) (protocol.S
 			it.SourceIP = req.SourceIP
 		}
 		if it.Kind != protocol.StatusRegister && it.Kind != protocol.StatusHeartbeat {
-			resp.Results[i] = protocol.MakeBatchResult(protocol.StatusResponse{},
-				fmt.Errorf("cloud: status kind: %w", protocol.ErrBadRequest))
+			resp.Results[i] = protocol.MakeBatchResult(protocol.StatusResponse{}, errStatusKind)
 			continue
 		}
 		g, ok := groups[it.DeviceID]

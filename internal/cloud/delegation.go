@@ -56,7 +56,7 @@ func (s *Service) handleDelegate(req protocol.DelegateRequest) (protocol.Delegat
 		s.stats.DelegationsDeduplicated.Add(1)
 		return r.delegate, nil
 	} else if conflict {
-		return protocol.DelegateResponse{}, fmt.Errorf("cloud: idempotency key reused by a different request: %w", protocol.ErrAuthFailed)
+		return protocol.DelegateResponse{}, errIdemConflict
 	}
 
 	userTok, err := s.issuer.Verify(token.KindUser, req.UserToken)
@@ -64,7 +64,7 @@ func (s *Service) handleDelegate(req protocol.DelegateRequest) (protocol.Delegat
 		return protocol.DelegateResponse{}, fmt.Errorf("cloud: %w: %v", protocol.ErrAuthFailed, err)
 	}
 	if !sh.state().BoundToUser() {
-		return protocol.DelegateResponse{}, fmt.Errorf("cloud: %w", protocol.ErrNotBound)
+		return protocol.DelegateResponse{}, errNotBound
 	}
 
 	var expiry time.Time
@@ -126,7 +126,7 @@ func (s *Service) handleRevokeDelegation(req protocol.RevokeDelegationRequest) e
 		s.stats.DelegationsDeduplicated.Add(1)
 		return nil
 	} else if conflict {
-		return fmt.Errorf("cloud: idempotency key reused by a different request: %w", protocol.ErrAuthFailed)
+		return errIdemConflict
 	}
 
 	userTok, err := s.issuer.Verify(token.KindUser, req.UserToken)
@@ -134,7 +134,7 @@ func (s *Service) handleRevokeDelegation(req protocol.RevokeDelegationRequest) e
 		return fmt.Errorf("cloud: %w: %v", protocol.ErrAuthFailed, err)
 	}
 	if !sh.state().BoundToUser() {
-		return fmt.Errorf("cloud: %w", protocol.ErrNotBound)
+		return errNotBound
 	}
 	caller := userTok.Subject
 	if sh.deleg != nil {
@@ -171,7 +171,7 @@ func (s *Service) ListDelegations(req protocol.ListDelegationsRequest) (protocol
 		return protocol.ListDelegationsResponse{}, fmt.Errorf("cloud: %w: %v", protocol.ErrAuthFailed, err)
 	}
 	if !sh.state().BoundToUser() {
-		return protocol.ListDelegationsResponse{}, fmt.Errorf("cloud: %w", protocol.ErrNotBound)
+		return protocol.ListDelegationsResponse{}, errNotBound
 	}
 	caller := userTok.Subject
 	resp := protocol.ListDelegationsResponse{Grants: []protocol.DelegationInfo{}}

@@ -29,6 +29,35 @@ const (
 	DefaultReadingsRetention = 1024
 )
 
+// Refusals whose text names nothing from the request, built once: each
+// reads as, and errors.Is-matches, the fmt.Errorf its handler once formatted.
+var (
+	errIdemConflict       = fmt.Errorf("cloud: idempotency key reused by a different request: %w", protocol.ErrAuthFailed)
+	errStatusKind         = fmt.Errorf("cloud: status kind: %w", protocol.ErrBadRequest)
+	errReadingsOnRegister = fmt.Errorf("cloud: readings on register: %w", protocol.ErrBadRequest)
+	errDataProof          = fmt.Errorf("cloud: data proof: %w", protocol.ErrAuthFailed)
+	errPostBindingToken   = fmt.Errorf("cloud: post-binding token: %w", protocol.ErrAuthFailed)
+	errPairingProof       = fmt.Errorf("cloud: pairing proof: %w", protocol.ErrAuthFailed)
+	errDeviceToken        = fmt.Errorf("cloud: device token: %w", protocol.ErrAuthFailed)
+	errStatusSignature    = fmt.Errorf("cloud: status signature: %w", protocol.ErrAuthFailed)
+	errBindToken          = fmt.Errorf("cloud: bind token: %w", protocol.ErrAuthFailed)
+	errBindProof          = fmt.Errorf("cloud: bind proof: %w", protocol.ErrAuthFailed)
+	errNoCredential       = fmt.Errorf("cloud: %w: no user or delegation credential", protocol.ErrAuthFailed)
+	errAuthMode           = fmt.Errorf("cloud: %w: unsupported auth mode", protocol.ErrBadRequest)
+	errBindingMechanism   = fmt.Errorf("cloud: %w: unsupported binding mechanism", protocol.ErrBadRequest)
+	errButtonWindow       = fmt.Errorf("cloud: button window: %w", protocol.ErrOutsideWindow)
+	errSourceIP           = fmt.Errorf("cloud: source IP mismatch: %w", protocol.ErrOutsideWindow)
+	errBoundToAnother     = fmt.Errorf("cloud: bound to another user: %w", protocol.ErrAlreadyBound)
+	errNotBound           = fmt.Errorf("cloud: %w", protocol.ErrNotBound)
+	errNotPermitted       = fmt.Errorf("cloud: %w", protocol.ErrNotPermitted)
+	errDeviceOffline      = fmt.Errorf("cloud: %w", protocol.ErrDeviceOffline)
+	errUnbindByNonOwner   = fmt.Errorf("cloud: unbind by non-owner: %w", protocol.ErrNotPermitted)
+	errControlByNonOwner  = fmt.Errorf("cloud: control by non-owner: %w", protocol.ErrNotPermitted)
+	errSessionOwner       = fmt.Errorf("cloud: device session owned by another account: %w", protocol.ErrNotPermitted)
+	errEmptyAccount       = fmt.Errorf("accounts: %w: empty user ID or password", protocol.ErrBadRequest)
+	errAccountAuth        = fmt.Errorf("accounts: %w", protocol.ErrAuthFailed)
+)
+
 // Service is one vendor's emulated IoT cloud. All methods are safe for
 // concurrent use.
 //
@@ -42,9 +71,9 @@ type Service struct {
 	design   core.DesignSpec
 	registry *Registry
 
-	accounts *accountStore
+	accounts accountStore
 	issuer   *token.Issuer
-	store    *shadowStore
+	store    shadowStore
 
 	now               func() time.Time
 	randomHex         func() (string, error)
@@ -119,7 +148,7 @@ func NewService(design core.DesignSpec, registry *Registry, opts ...Option) (*Se
 	s := &Service{
 		design:   design,
 		registry: registry,
-		accounts: newAccountStore(),
+		accounts: accountStore{passwords: make(map[string]string)},
 		store:    newShadowStore(),
 		now:      time.Now,
 		randomHex: func() (string, error) {
@@ -190,7 +219,7 @@ func (s *Service) requestDeviceToken(req protocol.DeviceTokenRequest) (protocol.
 	}
 	want := protocol.PairingProof(rec.FactorySecret, rec.ID)
 	if !protocol.VerifyProof(req.PairingProof, want) {
-		return protocol.DeviceTokenResponse{}, fmt.Errorf("cloud: pairing proof: %w", protocol.ErrAuthFailed)
+		return protocol.DeviceTokenResponse{}, errPairingProof
 	}
 	devTok, err := s.issuer.Issue(token.KindDevice, userTok.Subject, rec.ID, 0)
 	if err != nil {
@@ -253,7 +282,7 @@ func (s *Service) envNonce(env *opEnv) (string, error) {
 // pending commands and user data.
 func (s *Service) handleStatus(req protocol.StatusRequest, env *opEnv) (protocol.StatusResponse, error) {
 	if req.Kind != protocol.StatusRegister && req.Kind != protocol.StatusHeartbeat {
-		return protocol.StatusResponse{}, fmt.Errorf("cloud: status kind: %w", protocol.ErrBadRequest)
+		return protocol.StatusResponse{}, errStatusKind
 	}
 	rec, ok := s.registry.Lookup(req.DeviceID)
 	if !ok {
@@ -286,7 +315,7 @@ func (s *Service) statusLocked(sh *shadow, rec DeviceRecord, req protocol.Status
 			s.stats.StatusDeduplicated.Add(1)
 			return *r.status, nil
 		} else if conflict {
-			return protocol.StatusResponse{}, fmt.Errorf("cloud: idempotency key reused by a different request: %w", protocol.ErrAuthFailed)
+			return protocol.StatusResponse{}, errIdemConflict
 		}
 	}
 
@@ -305,19 +334,19 @@ func (s *Service) statusLocked(sh *shadow, rec DeviceRecord, req protocol.Status
 	if s.design.PostBindingToken && req.Kind == protocol.StatusHeartbeat &&
 		sh.state().BoundToUser() && sh.sessionToken != "" &&
 		req.SessionToken != sh.sessionToken {
-		return protocol.StatusResponse{}, fmt.Errorf("cloud: post-binding token: %w", protocol.ErrAuthFailed)
+		return protocol.StatusResponse{}, errPostBindingToken
 	}
 
 	// In-session data proof (DataRequiresSession designs): registrations
 	// bootstrap a nonce; data-bearing heartbeats must prove it.
 	if s.design.DataRequiresSession {
 		if req.Kind == protocol.StatusRegister && len(req.Readings) > 0 {
-			return protocol.StatusResponse{}, fmt.Errorf("cloud: readings on register: %w", protocol.ErrBadRequest)
+			return protocol.StatusResponse{}, errReadingsOnRegister
 		}
 		if req.Kind == protocol.StatusHeartbeat {
 			want := protocol.DataProof(rec.FactorySecret, sh.sessionNonce)
 			if sh.sessionNonce == "" || !protocol.VerifyProof(req.DataProof, want) {
-				return protocol.StatusResponse{}, fmt.Errorf("cloud: data proof: %w", protocol.ErrAuthFailed)
+				return protocol.StatusResponse{}, errDataProof
 			}
 		}
 	}
@@ -351,10 +380,7 @@ func (s *Service) statusLocked(sh *shadow, rec DeviceRecord, req protocol.Status
 	}
 
 	if len(req.Readings) > 0 {
-		sh.readings = append(sh.readings, req.Readings...)
-		if excess := len(sh.readings) - s.readingsRetention; excess > 0 {
-			sh.readings = append(sh.readings[:0], sh.readings[excess:]...)
-		}
+		sh.readings = keepLast(append(sh.readings, req.Readings...), s.readingsRetention)
 	}
 
 	resp.Bound = sh.state().BoundToUser()
@@ -406,7 +432,7 @@ func (s *Service) handleBind(req protocol.BindRequest) (protocol.BindResponse, e
 		s.stats.BindsDeduplicated.Add(1)
 		return r.bind, nil
 	} else if conflict {
-		return protocol.BindResponse{}, fmt.Errorf("cloud: idempotency key reused by a different request: %w", protocol.ErrAuthFailed)
+		return protocol.BindResponse{}, errIdemConflict
 	}
 
 	user, err := s.bindUser(rec, req)
@@ -415,10 +441,10 @@ func (s *Service) handleBind(req protocol.BindRequest) (protocol.BindResponse, e
 	}
 
 	if s.design.BindButtonWindow && now.After(sh.buttonUntil) {
-		return protocol.BindResponse{}, fmt.Errorf("cloud: button window: %w", protocol.ErrOutsideWindow)
+		return protocol.BindResponse{}, errButtonWindow
 	}
 	if s.design.SourceIPCheck && (sh.deviceIP == "" || req.SourceIP != sh.deviceIP) {
-		return protocol.BindResponse{}, fmt.Errorf("cloud: source IP mismatch: %w", protocol.ErrOutsideWindow)
+		return protocol.BindResponse{}, errSourceIP
 	}
 
 	if sh.state().BoundToUser() {
@@ -433,7 +459,7 @@ func (s *Service) handleBind(req protocol.BindRequest) (protocol.BindResponse, e
 			sh.recordIdem(req.IdempotencyKey, idemResult{op: idemBind, fingerprint: fp, bind: resp})
 			return resp, nil
 		case s.design.CheckBoundUserOnBind && !s.design.ReplaceOnBind:
-			return protocol.BindResponse{}, fmt.Errorf("cloud: bound to another user: %w", protocol.ErrAlreadyBound)
+			return protocol.BindResponse{}, errBoundToAnother
 		default:
 			// Replace the previous binding — either the explicit Type 3
 			// design or a cloud that blindly manipulates bindings
@@ -547,7 +573,7 @@ func (s *Service) handleUnbind(req protocol.UnbindRequest) error {
 		s.stats.UnbindsDeduplicated.Add(1)
 		return nil
 	} else if conflict {
-		return fmt.Errorf("cloud: idempotency key reused by a different request: %w", protocol.ErrAuthFailed)
+		return errIdemConflict
 	}
 
 	form := core.UnbindDevIDUserToken
@@ -558,7 +584,7 @@ func (s *Service) handleUnbind(req protocol.UnbindRequest) error {
 		return fmt.Errorf("cloud: unbind form %v: %w", form, protocol.ErrUnsupported)
 	}
 	if !sh.state().BoundToUser() {
-		return fmt.Errorf("cloud: %w", protocol.ErrNotBound)
+		return errNotBound
 	}
 	if form == core.UnbindDevIDUserToken {
 		userTok, err := s.issuer.Verify(token.KindUser, req.UserToken)
@@ -566,7 +592,7 @@ func (s *Service) handleUnbind(req protocol.UnbindRequest) error {
 			return fmt.Errorf("cloud: %w: %v", protocol.ErrAuthFailed, err)
 		}
 		if s.design.CheckBoundUserOnUnbind && userTok.Subject != sh.boundUser {
-			return fmt.Errorf("cloud: unbind by non-owner: %w", protocol.ErrNotPermitted)
+			return errUnbindByNonOwner
 		}
 	}
 	s.revokeBinding(sh)
@@ -591,20 +617,20 @@ func (s *Service) handleControl(req protocol.ControlRequest) (protocol.ControlRe
 		return protocol.ControlResponse{}, err
 	}
 	if !sh.state().BoundToUser() {
-		return protocol.ControlResponse{}, fmt.Errorf("cloud: %w", protocol.ErrNotBound)
+		return protocol.ControlResponse{}, errNotBound
 	}
 	isOwner := sh.boundUser == user
 	if !isOwner && !s.delegatedAuthority(sh, user, viaDelegation, delegation.ScopeControl, now) {
-		return protocol.ControlResponse{}, fmt.Errorf("cloud: control by non-owner: %w", protocol.ErrNotPermitted)
+		return protocol.ControlResponse{}, errControlByNonOwner
 	}
 	if !sh.state().Online() {
-		return protocol.ControlResponse{}, fmt.Errorf("cloud: %w", protocol.ErrDeviceOffline)
+		return protocol.ControlResponse{}, errDeviceOffline
 	}
 	// Guests act under the owner's binding: their authorization is
 	// cloud-mediated (the share grant), so the post-binding session token
 	// is required from the owner only.
 	if isOwner && s.design.PostBindingToken && req.SessionToken != sh.sessionToken {
-		return protocol.ControlResponse{}, fmt.Errorf("cloud: post-binding token: %w", protocol.ErrAuthFailed)
+		return protocol.ControlResponse{}, errPostBindingToken
 	}
 	// With dynamic device tokens, the device's authenticated session
 	// belongs to the account that configured it locally. Commands for a
@@ -613,9 +639,9 @@ func (s *Service) handleControl(req protocol.ControlRequest) (protocol.ControlRe
 	// (Section V-E). Guests ride on the owner's binding, so the session
 	// must belong to the bound owner.
 	if s.design.EffectiveAuth() == core.AuthDevToken && sh.sessionOwner != sh.boundUser {
-		return protocol.ControlResponse{}, fmt.Errorf("cloud: device session owned by another account: %w", protocol.ErrNotPermitted)
+		return protocol.ControlResponse{}, errSessionOwner
 	}
-	sh.commandInbox = append(sh.commandInbox, req.Command)
+	sh.commandInbox = keepLast(append(sh.commandInbox, req.Command), maxInbox)
 	return protocol.ControlResponse{Queued: true}, nil
 }
 
@@ -632,9 +658,9 @@ func (s *Service) PushUserData(req protocol.PushUserDataRequest) error {
 		return fmt.Errorf("cloud: %w: %v", protocol.ErrAuthFailed, err)
 	}
 	if !sh.state().BoundToUser() || sh.boundUser != userTok.Subject {
-		return fmt.Errorf("cloud: %w", protocol.ErrNotPermitted)
+		return errNotPermitted
 	}
-	sh.dataInbox = append(sh.dataInbox, req.Data)
+	sh.dataInbox = keepLast(append(sh.dataInbox, req.Data), maxInbox)
 	return nil
 }
 
@@ -653,7 +679,7 @@ func (s *Service) Readings(req protocol.ReadingsRequest) (protocol.ReadingsRespo
 	}
 	if !sh.state().BoundToUser() ||
 		(sh.boundUser != user && !s.delegatedAuthority(sh, user, viaDelegation, delegation.ScopeRead, now)) {
-		return protocol.ReadingsResponse{}, fmt.Errorf("cloud: %w", protocol.ErrNotPermitted)
+		return protocol.ReadingsResponse{}, errNotPermitted
 	}
 	out := make([]protocol.Reading, len(sh.readings))
 	copy(out, sh.readings)
@@ -687,10 +713,10 @@ func (s *Service) requeueDeliveries(deviceID string, cmds []protocol.Command, da
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if len(cmds) > 0 {
-		sh.commandInbox = append(cmds, sh.commandInbox...)
+		sh.commandInbox = keepLast(append(cmds, sh.commandInbox...), maxInbox)
 	}
 	if len(data) > 0 {
-		sh.dataInbox = append(data, sh.dataInbox...)
+		sh.dataInbox = keepLast(append(data, sh.dataInbox...), maxInbox)
 	}
 }
 
@@ -752,17 +778,17 @@ func (s *Service) authenticateDevice(rec DeviceRecord, req protocol.StatusReques
 	case core.AuthDevToken:
 		devTok, err := s.issuer.Verify(token.KindDevice, req.DevToken)
 		if err != nil || devTok.Subject != rec.ID {
-			return "", fmt.Errorf("cloud: device token: %w", protocol.ErrAuthFailed)
+			return "", errDeviceToken
 		}
 		return devTok.Owner, nil
 	case core.AuthPublicKey:
 		want := protocol.StatusSignature(rec.FactorySecret, rec.ID, req.Kind)
 		if !protocol.VerifyProof(req.Signature, want) {
-			return "", fmt.Errorf("cloud: status signature: %w", protocol.ErrAuthFailed)
+			return "", errStatusSignature
 		}
 		return "", nil
 	default:
-		return "", fmt.Errorf("cloud: %w: unsupported auth mode", protocol.ErrBadRequest)
+		return "", errAuthMode
 	}
 }
 
@@ -785,11 +811,11 @@ func (s *Service) bindUser(rec DeviceRecord, req protocol.BindRequest) (string, 
 	case core.BindCapability:
 		bindTok, err := s.issuer.Verify(token.KindBind, req.BindToken)
 		if err != nil || bindTok.Subject != rec.ID {
-			return "", fmt.Errorf("cloud: bind token: %w", protocol.ErrAuthFailed)
+			return "", errBindToken
 		}
 		want := protocol.BindProof(rec.FactorySecret, req.BindToken)
 		if !protocol.VerifyProof(req.BindProof, want) {
-			return "", fmt.Errorf("cloud: bind proof: %w", protocol.ErrAuthFailed)
+			return "", errBindProof
 		}
 		// Single-use consumption is deferred to consumeBindToken: the
 		// token is spent only when the bind is fully accepted, so a
@@ -798,7 +824,7 @@ func (s *Service) bindUser(rec DeviceRecord, req protocol.BindRequest) (string, 
 		// rejection code instead of drifting to auth_failed.
 		return bindTok.Owner, nil
 	default:
-		return "", fmt.Errorf("cloud: %w: unsupported binding mechanism", protocol.ErrBadRequest)
+		return "", errBindingMechanism
 	}
 }
 
@@ -840,7 +866,7 @@ func (s *Service) controlPrincipal(deviceID, credential string, now time.Time) (
 			return tok.Owner, true, nil
 		}
 	}
-	return "", false, fmt.Errorf("cloud: %w: no user or delegation credential", protocol.ErrAuthFailed)
+	return "", false, errNoCredential
 }
 
 // delegatedAuthority decides whether a non-owner may exercise scope on

@@ -3,6 +3,7 @@ package cloud
 import (
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,7 +22,7 @@ type shadow struct {
 	mu sync.Mutex
 
 	deviceID string
-	machine  *core.Machine
+	machine  core.Machine
 
 	// lastSeen is the time of the last accepted status message; the
 	// device expires to offline when now-lastSeen exceeds the heartbeat
@@ -59,12 +60,13 @@ type shadow struct {
 	// (SourceIPCheck designs compare it with the bind request's source).
 	deviceIP string
 
-	// commandInbox holds control commands awaiting delivery to the device.
+	// commandInbox holds control commands awaiting delivery to the device,
+	// at most maxInbox of them.
 	commandInbox []protocol.Command
 
 	// dataInbox holds user data (schedules, ...) awaiting delivery to the
-	// device. Whoever successfully authenticates as the device receives
-	// it: the data-stealing half of A1.
+	// device, at most maxInbox of them. Whoever successfully authenticates
+	// as the device receives it: the data-stealing half of A1.
 	dataInbox []protocol.UserData
 
 	// readings holds sensor samples the cloud accepted from "the device".
@@ -115,8 +117,16 @@ type idemResult struct {
 	delegate    protocol.DelegateResponse
 }
 
+// maxInbox bounds each delivery inbox against a bound user queueing for a
+// device that never polls: past it the oldest entry is shed, as readings
+// past their retention are, so replica and recovery shed the same ones.
+const maxInbox = 256
+
+// keepLast trims q in place to its newest n entries.
+func keepLast[T any](q []T, n int) []T { return slices.Delete(q, 0, max(0, len(q)-n)) }
+
 func newShadow(deviceID string) *shadow {
-	return &shadow{deviceID: deviceID, machine: core.NewMachine()}
+	return &shadow{deviceID: deviceID, machine: *core.NewMachine()}
 }
 
 // state returns the shadow's state-machine position.

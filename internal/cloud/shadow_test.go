@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/iotbind/iotbind/internal/core"
+	"github.com/iotbind/iotbind/internal/protocol"
 )
 
 // TestShadowMutatorsTakeFigure2Edges: each of the four shadow mutators,
@@ -42,7 +43,7 @@ func TestShadowMutatorsTakeFigure2Edges(t *testing.T) {
 				t.Fatal(err)
 			}
 			// lastSeen a whole TTL before now: refresh finds it expired.
-			s := &shadow{deviceID: testDevice, machine: machine, lastSeen: now.Add(-2 * ttl)}
+			s := &shadow{deviceID: testDevice, machine: *machine, lastSeen: now.Add(-2 * ttl)}
 			want := from
 			if !m.skips(from) {
 				if want, err = core.Next(from, m.event); err != nil {
@@ -65,7 +66,7 @@ func TestShadowApplyPanicsOnRefusedEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &shadow{deviceID: testDevice, machine: machine}
+	s := &shadow{deviceID: testDevice, machine: *machine}
 	defer func() {
 		msg := fmt.Sprint(recover())
 		for _, want := range []string{testDevice, core.StateControl.String(), core.EventBind.String()} {
@@ -79,4 +80,36 @@ func TestShadowApplyPanicsOnRefusedEdge(t *testing.T) {
 	}()
 	s.apply(core.EventBind)
 	t.Fatal("bind on a bound shadow did not panic")
+}
+
+// TestInboxesShedTheOldest: a bound user queueing commands and data for a
+// device that never polls grows neither inbox past maxInbox — the oldest
+// entries are shed — and the next heartbeat delivers the newest maxInbox
+// of each, in order. A requeued delivery counts against the same cap.
+func TestInboxesShedTheOldest(t *testing.T) {
+	svc, _, victim, _ := newTestService(t, devIDDesign())
+	mustStatus(t, svc, protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice})
+	if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: testDevice, UserToken: victim, Sender: core.SenderApp}); err != nil {
+		t.Fatal(err)
+	}
+	const queued = maxInbox + 50
+	for i := 0; i < queued; i++ {
+		if _, err := svc.HandleControl(protocol.ControlRequest{DeviceID: testDevice, UserToken: victim, Command: protocol.Command{ID: fmt.Sprint(i)}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.PushUserData(protocol.PushUserDataRequest{DeviceID: testDevice, UserToken: victim, Data: protocol.UserData{Body: fmt.Sprint(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.requeueDeliveries(testDevice, []protocol.Command{{ID: "requeued"}}, []protocol.UserData{{Body: "requeued"}})
+	resp := mustStatus(t, svc, protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDevice})
+	if len(resp.Commands) != maxInbox || len(resp.UserData) != maxInbox {
+		t.Fatalf("heartbeat delivered %d commands and %d data, want %d of each", len(resp.Commands), len(resp.UserData), maxInbox)
+	}
+	for i := range resp.Commands {
+		want := fmt.Sprint(queued - maxInbox + i)
+		if resp.Commands[i].ID != want || resp.UserData[i].Body != want {
+			t.Fatalf("entry %d is command %q and data %q, want %q", i, resp.Commands[i].ID, resp.UserData[i].Body, want)
+		}
+	}
 }

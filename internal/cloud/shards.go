@@ -48,9 +48,9 @@ type shadowShard struct {
 	_ [40]byte
 }
 
-func newShadowStore() *shadowStore {
+func newShadowStore() shadowStore {
 	n := shardCount()
-	return &shadowStore{shards: make([]shadowShard, n), mask: uint32(n - 1)}
+	return shadowStore{shards: make([]shadowShard, n), mask: uint32(n - 1)}
 }
 
 // put creates and stores the shadow for deviceID. The caller holds

@@ -38,7 +38,7 @@ func (s *Service) HandleShare(req protocol.ShareRequest) error {
 		return fmt.Errorf("cloud: %w: %v", protocol.ErrAuthFailed, err)
 	}
 	if !sh.state().BoundToUser() {
-		return fmt.Errorf("cloud: %w", protocol.ErrNotBound)
+		return errNotBound
 	}
 	if sh.boundUser != userTok.Subject {
 		return fmt.Errorf("cloud: share by non-owner: %w", protocol.ErrNotPermitted)
@@ -86,7 +86,7 @@ func (s *Service) Shares(req protocol.SharesRequest) (protocol.SharesResponse, e
 		return protocol.SharesResponse{}, fmt.Errorf("cloud: %w: %v", protocol.ErrAuthFailed, err)
 	}
 	if !sh.state().BoundToUser() || sh.boundUser != userTok.Subject {
-		return protocol.SharesResponse{}, fmt.Errorf("cloud: %w", protocol.ErrNotPermitted)
+		return protocol.SharesResponse{}, errNotPermitted
 	}
 	var guests []string
 	if sh.deleg != nil {

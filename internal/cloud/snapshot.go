@@ -184,7 +184,7 @@ func (s *Service) Restore(snap Snapshot) error {
 		}
 		sh := &shadow{
 			deviceID:     ss.DeviceID,
-			machine:      machine,
+			machine:      *machine,
 			lastSeen:     ss.LastSeen,
 			boundUser:    ss.BoundUser,
 			sessionOwner: ss.SessionOwner,

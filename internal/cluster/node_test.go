@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -120,6 +121,38 @@ func TestNodeAckAfterReplicateKeepsReplicaCurrent(t *testing.T) {
 	if !resp.Bound {
 		t.Fatal("promoted replica lost the binding")
 	}
+}
+
+// TestNodeReplicaShedsInboxOverflowAlike: a bound user queueing more
+// commands and data than a device's inboxes hold overflows them on the
+// primary; the ack-after-replicate replica, applying the same records,
+// sheds the same entries and ends byte-identical.
+func TestNodeReplicaShedsInboxOverflowAlike(t *testing.T) {
+	n := newLabNode(t, "n0", true, labDev)
+	driveNode(t, n)
+	login, err := n.Login(protocol.LoginRequest{UserID: "u@lab", Password: "pw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queued = 300 // past the cloud's inbox cap
+	for i := 0; i < queued; i++ {
+		if _, err := n.HandleControl(protocol.ControlRequest{
+			DeviceID: labDev, UserToken: login.UserToken, Command: protocol.Command{ID: fmt.Sprintf("c%d", i), Name: "on"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.PushUserData(protocol.PushUserDataRequest{
+			DeviceID: labDev, UserToken: login.UserToken, Data: protocol.UserData{Kind: "schedule", Body: fmt.Sprint(i)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sh := range n.primary.Snapshot().Shadows {
+		if len(sh.CommandInbox) >= queued || len(sh.DataInbox) >= queued {
+			t.Fatalf("primary kept %d commands and %d data of %d queued: nothing overflowed", len(sh.CommandInbox), len(sh.DataInbox), queued)
+		}
+	}
+	requireSnapshotsEqual(t, n.primary, n.replica)
 }
 
 // TestNodeAsyncShippingLosesUnshippedAcks: without ack-after-replicate

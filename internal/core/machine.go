@@ -136,12 +136,14 @@ func Figure2Edges() []Transition {
 const MaxTrace = 64
 
 // Machine is a mutable device shadow that applies events and records the
-// last MaxTrace transitions (a device may flap forever). The zero value
-// is not usable; create one with NewMachine. Machine is not safe for
-// concurrent use; the cloud serialises access per device.
+// last MaxTrace transitions (a device may flap forever) in an inline ring,
+// so applying an event never allocates. The zero value is not usable;
+// create one with NewMachine. Machine is not safe for concurrent use; the
+// cloud serialises access per device.
 type Machine struct {
-	state ShadowState
-	trace []Transition
+	state   ShadowState
+	ring    [MaxTrace][3]uint8 // packed (from, event, to); the newest n end before next
+	next, n uint8
 }
 
 // NewMachine returns a shadow machine in the initial state.
@@ -169,23 +171,24 @@ func (m *Machine) Apply(e Event) (ShadowState, error) {
 	if err != nil {
 		return m.state, err
 	}
-	if len(m.trace) == MaxTrace {
-		m.trace = append(m.trace[:0], m.trace[1:]...)
-	}
-	m.trace = append(m.trace, Transition{From: m.state, Event: e, To: next})
+	m.ring[m.next] = [3]uint8{uint8(m.state), uint8(e), uint8(next)}
+	m.next, m.n = (m.next+1)%MaxTrace, min(m.n+1, MaxTrace)
 	m.state = next
 	return next, nil
 }
 
 // Trace returns a copy of the transitions kept, oldest first.
 func (m *Machine) Trace() []Transition {
-	out := make([]Transition, len(m.trace))
-	copy(out, m.trace)
+	out := make([]Transition, m.n)
+	oldest := int(m.next) + MaxTrace - int(m.n)
+	for i := range out {
+		edge := &m.ring[(oldest+i)%MaxTrace]
+		out[i] = Transition{From: ShadowState(edge[0]), Event: Event(edge[1]), To: ShadowState(edge[2])}
+	}
 	return out
 }
 
 // Reset returns the machine to the initial state and clears the trace.
 func (m *Machine) Reset() {
-	m.state = StateInitial
-	m.trace = nil
+	m.state, m.next, m.n = StateInitial, 0, 0
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -184,6 +185,80 @@ func TestMachineReset(t *testing.T) {
 	m.Reset()
 	if m.State() != StateInitial || len(m.Trace()) != 0 {
 		t.Errorf("after Reset: state=%v trace=%d, want initial, 0", m.State(), len(m.Trace()))
+	}
+}
+
+// TestMachineTraceMatchesReference holds the ring to the slice it
+// replaced: random events, enough to wrap the ring several times, keep
+// after every event exactly the last MaxTrace edges a growing slice
+// records — on a new machine, on one from RestoreMachine, and after a
+// Reset halfway through.
+func TestMachineTraceMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	events := AllEvents()
+	for round := 0; round < 40; round++ {
+		m := NewMachine()
+		if round%2 == 1 {
+			var err error
+			if m, err = RestoreMachine(AllStates()[rng.Intn(len(AllStates()))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ref []Transition
+		steps := 8*MaxTrace + rng.Intn(MaxTrace)
+		for i := 0; i < steps; i++ {
+			if i == steps/2 {
+				if len(ref) <= MaxTrace {
+					t.Fatalf("round %d took %d edges before Reset: the ring never wrapped", round, len(ref))
+				}
+				m.Reset()
+				ref = nil
+			}
+			e := events[rng.Intn(len(events))]
+			from := m.State()
+			if to, err := m.Apply(e); err == nil {
+				ref = append(ref, Transition{From: from, Event: e, To: to})
+			}
+			want := ref[max(0, len(ref)-MaxTrace):]
+			if got := m.Trace(); !slices.Equal(got, want) {
+				t.Fatalf("round %d, event %d: trace %v, want %v", round, i, got, want)
+			}
+		}
+		if len(ref) <= MaxTrace {
+			t.Fatalf("round %d took %d edges after Reset: the ring never wrapped", round, len(ref))
+		}
+	}
+}
+
+// TestMachineTraceDoesNotAlias: a returned trace is the caller's — writing
+// to it leaves the machine's ring as it was.
+func TestMachineTraceDoesNotAlias(t *testing.T) {
+	m := NewMachine()
+	for _, e := range []Event{EventStatus, EventBind} {
+		if _, err := m.Apply(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := m.Trace()
+	got := m.Trace()
+	got[0], got[1] = Transition{}, Transition{}
+	if again := m.Trace(); !slices.Equal(again, want) {
+		t.Errorf("trace after writing to a returned copy = %v, want %v", again, want)
+	}
+}
+
+// TestTraceValuesFitAByte: the ring packs each edge's states and event
+// into one byte apiece, so every value must survive the round trip.
+func TestTraceValuesFitAByte(t *testing.T) {
+	for _, s := range AllStates() {
+		if ShadowState(uint8(s)) != s {
+			t.Errorf("state %v does not fit a byte", s)
+		}
+	}
+	for _, e := range AllEvents() {
+		if Event(uint8(e)) != e {
+			t.Errorf("event %v does not fit a byte", e)
+		}
 	}
 }
 

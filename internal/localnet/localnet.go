@@ -142,8 +142,9 @@ func (n *Network) Leave(localName string) {
 // Discover broadcasts an SSDP-style search and collects announcements,
 // sorted by local name for determinism.
 func (n *Network) Discover() []Announcement {
+	var stack [8]Responder // a home network holds a handful of devices
+	responders := stack[:0]
 	n.mu.Lock()
-	responders := make([]Responder, 0, len(n.responders))
 	for _, r := range n.responders {
 		responders = append(responders, r)
 	}

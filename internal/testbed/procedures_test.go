@@ -35,22 +35,47 @@ func TestTable3Golden(t *testing.T) {
 			fmt.Fprintf(&b, "%s %v %v %+v\n", p.Design.Name, v, res.Outcome, tb.Cloud().Stats())
 		}
 	}
-	want, err := os.ReadFile("testdata/table3.golden")
+	matchGolden(t, "testdata/table3.golden", b.String())
+}
+
+// TestDetailsGolden pins the verdict text of every Table III cell — each
+// Result.Detail EvaluateVendors reports, the cloud's refusal quoted in it
+// — to testdata/details.golden, so how a refusal is built can change
+// while what the analyst reads cannot.
+func TestDetailsGolden(t *testing.T) {
+	rows, err := EvaluateVendors(vendors.Profiles())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := b.String()
+	var b strings.Builder
+	for _, row := range rows {
+		for _, r := range row.Results {
+			fmt.Fprintf(&b, "%s %v %v %s\n", row.Profile.Design.Name, r.Variant, r.Outcome, r.Detail)
+		}
+	}
+	matchGolden(t, "testdata/details.golden", b.String())
+}
+
+// matchGolden compares got with the golden file line by line. To
+// re-record after a deliberate change, replace the file with the text it
+// logs on failure.
+func matchGolden(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got == string(want) {
 		return
 	}
 	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
 		if gotLines[i] != wantLines[i] {
-			t.Errorf("cell %d differs:\n got  %s\n want %s", i+1, gotLines[i], wantLines[i])
+			t.Errorf("%s line %d differs:\n got  %s\n want %s", path, i+1, gotLines[i], wantLines[i])
 		}
 	}
 	if len(gotLines) != len(wantLines) {
-		t.Errorf("%d lines, golden has %d", len(gotLines), len(wantLines))
+		t.Errorf("%d lines, %s has %d", len(gotLines), path, len(wantLines))
 	}
 	t.Logf("full output:\n%s", got)
 }

@@ -1,7 +1,9 @@
 // Package testbed wires the full three-party emulation — vendor cloud,
-// victim home network with device and app, and a remote attacker on a
-// different network — and runs the paper's attack procedures end to end,
-// classifying each outcome in Table III vocabulary (✓ / ✗ / O).
+// victim home network with device and app, and a remote attacker — and
+// runs the paper's attack procedures end to end, classifying each outcome
+// in Table III vocabulary (✓ / ✗ / O). The attacker has an address, not a
+// network: nothing in the paper's adversary model sits on a LAN beside
+// them, so their transport stamps DefaultAttackerIP and nothing more.
 //
 // Experiments are deterministic: a manual clock drives heartbeat expiry
 // and every agent is stepped explicitly.
@@ -29,6 +31,8 @@ const (
 	DefaultDeviceID     = "AA:BB:CC:00:10:01"
 	DefaultHomeIP       = "203.0.113.7"
 	DefaultAttackerIP   = "198.51.100.66"
+	// defaultSecret is the default device's factory secret, spelled once.
+	defaultSecret = "factory-secret-" + DefaultDeviceID
 )
 
 // Clock is the testbed's manual clock.
@@ -46,9 +50,11 @@ type Testbed struct {
 	design core.DesignSpec
 	clock  Clock
 
-	svc     *cloud.Service
-	home    *localnet.Network
-	remote  *localnet.Network
+	svc  *cloud.Service
+	home *localnet.Network
+	// homeLink and atkLink stamp the home's and the attacker's address.
+	homeLink, atkLink transport.Stamped
+
 	victim  *app.App
 	dev     *device.Device
 	atk     *attacker.Attacker
@@ -85,13 +91,13 @@ type Option interface {
 }
 
 type config struct {
-	deviceID string
+	deviceID, secret string
 }
 
 type deviceIDOption string
 
 func (id deviceIDOption) apply(c config) config {
-	c.deviceID = string(id)
+	c.deviceID, c.secret = string(id), "factory-secret-"+string(id)
 	return c
 }
 
@@ -101,20 +107,19 @@ func WithDeviceID(id string) Option { return deviceIDOption(id) }
 
 // New builds a testbed for one design: the vendor cloud with the victim's
 // device registered, the victim's app logged in on the home network, and a
-// prepared attacker on a remote network who knows the victim's device ID.
+// prepared remote attacker who knows the victim's device ID.
 func New(design core.DesignSpec, opts ...Option) (*Testbed, error) {
-	cfg := config{deviceID: DefaultDeviceID}
+	cfg := config{deviceID: DefaultDeviceID, secret: defaultSecret}
 	for _, o := range opts {
 		cfg = o.apply(cfg)
 	}
 
 	tb := &Testbed{design: design, clock: Clock{t: labEpoch}, deviceID: cfg.deviceID}
 	now := tb.clock.Now
-	secret := "factory-secret-" + cfg.deviceID
 	registry := cloud.NewRegistry()
 	if err := registry.Add(cloud.DeviceRecord{
 		ID:            cfg.deviceID,
-		FactorySecret: secret,
+		FactorySecret: cfg.secret,
 		Model:         design.Name,
 	}); err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
@@ -125,16 +130,15 @@ func New(design core.DesignSpec, opts ...Option) (*Testbed, error) {
 	}
 
 	home := localnet.NewNetwork("victim-home", DefaultHomeIP)
-	remote := localnet.NewNetwork("attacker-lair", DefaultAttackerIP)
-	homeTransport := transport.StampSource(svc, home.PublicIP())
-	remoteTransport := transport.StampSource(svc, remote.PublicIP())
+	tb.homeLink = transport.Stamped{Cloud: svc, IP: home.PublicIP()}
+	tb.atkLink = transport.Stamped{Cloud: svc, IP: DefaultAttackerIP}
 
 	dev, err := device.New(device.Config{
 		ID:            cfg.deviceID,
-		FactorySecret: secret,
+		FactorySecret: cfg.secret,
 		LocalName:     "victim-device",
 		Model:         design.Name,
-	}, design, homeTransport, device.WithClock(now))
+	}, design, &tb.homeLink, device.WithClock(now))
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
@@ -142,10 +146,10 @@ func New(design core.DesignSpec, opts ...Option) (*Testbed, error) {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
 
-	tb.svc, tb.home, tb.remote = svc, home, remote
+	tb.svc, tb.home = svc, home
 	tb.dev, tb.actions = dev, userActions{dev: dev}
 
-	victim, err := app.New(DefaultVictimUser, "pw-victim", design, homeTransport, home,
+	victim, err := app.New(DefaultVictimUser, "pw-victim", design, &tb.homeLink, home,
 		app.WithPreBindHook(func() {
 			if tb.hook != nil {
 				tb.hook()
@@ -162,7 +166,7 @@ func New(design core.DesignSpec, opts ...Option) (*Testbed, error) {
 	}
 	tb.victim = victim
 
-	atk, err := attacker.New(DefaultAttackerUser, "pw-attacker", design, remoteTransport)
+	atk, err := attacker.New(DefaultAttackerUser, "pw-attacker", design, &tb.atkLink)
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}

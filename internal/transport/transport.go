@@ -7,45 +7,46 @@ package transport
 
 import "github.com/iotbind/iotbind/internal/protocol"
 
-// stamped is the wrapped Cloud with the SourceIP of every network-facing
-// request overwritten by the wrapped party's address. The five methods
+// Stamped is the embedded Cloud with the SourceIP of every network-facing
+// request overwritten by IP, the party's network address. The five methods
 // below are the operations whose request carries a SourceIP; every other
-// call reaches the embedded cloud untouched.
-type stamped struct {
+// call reaches the embedded cloud untouched. Their value receivers stamp
+// a Stamped passed by value or by pointer, so a rig may hold it inline.
+type Stamped struct {
 	Cloud
-	ip string
+	IP string
 }
 
 // StampSource returns a Cloud view whose requests all carry the given
 // source address. Parties receive a stamped transport from the network
 // they sit on; they cannot choose the address themselves.
 func StampSource(cloud Cloud, ip string) Cloud {
-	return &stamped{Cloud: cloud, ip: ip}
+	return &Stamped{Cloud: cloud, IP: ip}
 }
 
-func (s *stamped) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
-	req.SourceIP = s.ip
+func (s Stamped) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
+	req.SourceIP = s.IP
 	return s.Cloud.HandleStatus(req)
 }
 
-func (s *stamped) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
+func (s Stamped) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
 	// The batch travels as one wire message from one network, so a single
 	// batch-level stamp covers every item; the cloud fans it out.
-	req.SourceIP = s.ip
+	req.SourceIP = s.IP
 	return s.Cloud.HandleStatusBatch(req)
 }
 
-func (s *stamped) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
-	req.SourceIP = s.ip
+func (s Stamped) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
+	req.SourceIP = s.IP
 	return s.Cloud.HandleBind(req)
 }
 
-func (s *stamped) HandleUnbind(req protocol.UnbindRequest) error {
-	req.SourceIP = s.ip
+func (s Stamped) HandleUnbind(req protocol.UnbindRequest) error {
+	req.SourceIP = s.IP
 	return s.Cloud.HandleUnbind(req)
 }
 
-func (s *stamped) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
-	req.SourceIP = s.ip
+func (s Stamped) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
+	req.SourceIP = s.IP
 	return s.Cloud.HandleControl(req)
 }
