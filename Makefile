@@ -37,9 +37,9 @@ race:
 # strings, the node's bare-heartbeat ack, the status fingerprint at 0,
 # the keyed status and each cold-lane step at what its shadows keep, a status
 # across the composed stack (socket, binapi, router, node) at 0 bare and
-# at its five strings keyed, a proof at its one string, a delegation
-# check at its map and traces, and every live Table III cell at its
-# exact count.
+# at its five strings keyed, a proof at its one string, the model
+# checker's part of an attack_matrix op at its results and traces (an
+# exploration at none), and every live Table III cell at its exact count.
 alloc-pins:
 	$(GO) test -count=1 -run 'Alloc' ./internal/...
 
@@ -117,11 +117,13 @@ bench-json-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' . | $(GO) run ./cmd/benchjson -o /dev/null
 
 # fuzz-smoke runs the WAL frame-decode, shard-merge, binapi wire,
-# delegation record, operation body, record-apply and proof-HMAC fuzzers
-# briefly: long enough to shake out parser and merge crashes on arbitrary
-# bytes (and, for the last two, a table-driven record apply that
-# disagrees with the decode-and-switch reference on any tag and a
-# spelled-out HMAC that disagrees with crypto/hmac), short enough for CI.
+# delegation record, operation body, record-apply, proof-HMAC and
+# model-checker fuzzers briefly: long enough to shake out parser and merge
+# crashes on arbitrary bytes (and, for the last three, a table-driven
+# record apply that disagrees with the decode-and-switch reference on any
+# tag, a spelled-out HMAC that disagrees with crypto/hmac, and a packed
+# state search that disagrees with the reference search on any design),
+# short enough for CI.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=5s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzMergeShards -fuzztime=5s ./internal/wal/
@@ -130,6 +132,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBodyDecode -fuzztime=5s ./internal/wirecodec/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyRecord -fuzztime=5s ./internal/cloud/
 	$(GO) test -run='^$$' -fuzz=FuzzHmacHex -fuzztime=5s ./internal/protocol/
+	$(GO) test -run='^$$' -fuzz=FuzzCheckMatchesReference -fuzztime=5s ./internal/modelcheck/
 
 # wal-verify regenerates the crash-test corpus — clean, torn-tail and
 # corrupt single-directory logs plus sharded layouts (clean merge, torn
@@ -152,11 +155,9 @@ loc:
 # suite under the race detector (the failover, connection-scale,
 # share-storm and delegation tests included), the allocation pins that
 # suite skips under -race, a benchmark smoke run,
-# the bench JSON pipeline smoke, the WAL+wire fuzz smoke, the offline
-# WAL integrity check and — the one part of those
-# gates no test runs — the A6 delegation sweep printed by statecheck on
-# both reference postures. It ends by printing the size figures (loc).
+# the bench JSON pipeline smoke, the WAL+wire fuzz smoke and the offline
+# WAL integrity check. (The A6 delegation sweeps statecheck prints are
+# compared with goldens by cmd/statecheck's TestGoldens.) It ends by
+# printing the size figures (loc).
 ci: fmt vet build crossbuild race alloc-pins race-stress bench bench-json-smoke fuzz-smoke wal-verify
-	$(GO) run ./cmd/statecheck -delegation worst-case
-	$(GO) run ./cmd/statecheck -delegation secure
 	@$(MAKE) --no-print-directory loc

@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	iotbind "github.com/iotbind/iotbind"
@@ -35,15 +36,13 @@ func main() {
 	depth := flag.Int("depth", 2, "maximum forged-message sequence length for -discover")
 	flag.Parse()
 
-	if err := run(*analyze, *discoverFor, *verifyFor, *hardenFor, *delegationFor, *depth); err != nil {
+	if err := run(os.Stdout, *analyze, *discoverFor, *verifyFor, *hardenFor, *delegationFor, *depth); err != nil {
 		fmt.Fprintln(os.Stderr, "statecheck:", err)
 		os.Exit(1)
 	}
 }
 
-func run(analyze, discoverFor, verifyFor, hardenFor, delegationFor string, depth int) error {
-	out := os.Stdout
-
+func run(out io.Writer, analyze, discoverFor, verifyFor, hardenFor, delegationFor string, depth int) error {
 	if delegationFor != "" {
 		profile, err := lookupProfile(delegationFor)
 		if err != nil {

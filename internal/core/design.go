@@ -304,3 +304,36 @@ func (d DesignSpec) Validate() error {
 	}
 	return nil
 }
+
+// EachDesign calls yield with every design Validate admits, until yield
+// returns false: each auth mode, binding and set of unbind forms, under
+// every setting of the fourteen flags. Specs that differ only in what no
+// checker reads count once — the Name, the order or repetition of
+// UnbindForms, and AuthUnknown, which every checker reads through its
+// AssumedAuth. The yielded UnbindForms are shared; do not modify them.
+func EachDesign(yield func(DesignSpec) bool) {
+	for auth := AuthDevToken; auth <= AuthPublicKey; auth++ {
+		for bind := BindACLApp; bind <= BindCapability; bind++ {
+			for set := 0; set < 1<<3; set++ {
+				var forms []UnbindForm
+				for f := UnbindDevIDUserToken; f <= UnbindReplaceByBind; f++ {
+					if set>>(f-1)&1 != 0 {
+						forms = append(forms, f)
+					}
+				}
+				for flags := 0; flags < 1<<14; flags++ {
+					on := func(i int) bool { return flags>>i&1 != 0 }
+					d := DesignSpec{Name: "lattice", DeviceAuth: auth, Binding: bind, UnbindForms: forms,
+						ReplaceOnBind: on(0), PostBindingToken: on(1), CheckBoundUserOnBind: on(2),
+						CheckBoundUserOnUnbind: on(3), SourceIPCheck: on(4), BindButtonWindow: on(5),
+						OnlineBeforeBind: on(6), SessionTiedBinding: on(7), DataRequiresSession: on(8),
+						ResetUnbindsOnSetup: on(9), FirmwareOpaque: on(10), DelegationScopeAttenuation: on(11),
+						DelegationCascadeRevoke: on(12), DelegationCheckAtUse: on(13)}
+					if d.Validate() == nil && !yield(d) {
+						return
+					}
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -129,5 +131,86 @@ func TestEnumStrings(t *testing.T) {
 	}
 	if SenderDevice.String() != "device" || SenderApp.String() != "app" {
 		t.Error("Sender strings are wrong")
+	}
+}
+
+// latticeCode numbers a design by what EachDesign tells apart: its
+// effective auth mode, its binding, its set of unbind forms and every
+// flag. It is below 1<<21.
+func latticeCode(d DesignSpec) int {
+	forms := 0
+	for _, f := range d.UnbindForms {
+		forms |= 1 << (f - 1)
+	}
+	c := (int(d.EffectiveAuth())*4+int(d.Binding))*8 + forms
+	v := reflect.ValueOf(d)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Bool {
+			c *= 2
+			if f.Bool() {
+				c++
+			}
+		}
+	}
+	return c
+}
+
+// TestEachDesign: every yielded spec validates and none repeats; the
+// count is the product Validate's rules give; and a seeded sample of raw
+// field draws that Validate accepts is always found among the yields.
+func TestEachDesign(t *testing.T) {
+	yielded := make([]bool, 1<<21)
+	count := 0
+	EachDesign(func(d DesignSpec) bool {
+		if err := d.Validate(); err != nil {
+			t.Fatalf("%+v: %v", d, err)
+		}
+		c := latticeCode(d)
+		if yielded[c] {
+			t.Fatalf("%+v yielded twice", d)
+		}
+		yielded[c] = true
+		count++
+		return true
+	})
+	// Three concrete auth modes (AuthUnknown only relabels one); a
+	// post-binding token only beside app-sent ACL binding, so 2 + 1 + 1
+	// binding choices; the unbind forms as a set, where the replace form
+	// forces ReplaceOnBind: 4 sets without it × 2 + 4 with it × 1 = 12;
+	// the other twelve flags free.
+	if want := 3 * 4 * 12 << 12; count != want {
+		t.Errorf("%d designs, want %d", count, want)
+	}
+
+	rng := rand.New(rand.NewSource(31))
+	for accepted := 0; accepted < 5000; {
+		d := DesignSpec{
+			Name:        "draw",
+			DeviceAuth:  DeviceAuthMode(rng.Intn(6)),
+			AssumedAuth: DeviceAuthMode(rng.Intn(6)),
+			Binding:     BindMechanism(rng.Intn(5)),
+		}
+		for n := rng.Intn(5); n > 0; n-- {
+			d.UnbindForms = append(d.UnbindForms, UnbindForm(rng.Intn(5)))
+		}
+		v := reflect.ValueOf(&d).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Bool {
+				f.SetBool(rng.Intn(2) == 0)
+			}
+		}
+		if d.Validate() != nil {
+			continue
+		}
+		accepted++
+		if !yielded[latticeCode(d)] {
+			t.Fatalf("%+v validates but was never yielded", d)
+		}
+	}
+
+	n := 0
+	EachDesign(func(DesignSpec) bool { n++; return n < 3 })
+	if n != 3 {
+		t.Errorf("yield returned false at the third design, EachDesign went on to %d", n)
 	}
 }

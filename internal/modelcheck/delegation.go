@@ -80,6 +80,27 @@ const (
 	MoveSubguestControlUser   Move = "subguest-controls-with-usertoken"
 )
 
+// The sub-model's moves by the number an edge carries, in the order
+// successors tries them, and the table that names them.
+const (
+	ownerDelegateFull uint8 = iota
+	ownerDelegateReadOnly
+	guestRedelegateCtl
+	guestRedelegateRead
+	ownerRevokeGuest
+	guestControlBegin
+	guestControlLand
+	subguestControlToken
+	subguestControlUser
+)
+
+var dmoves = [...]Move{
+	MoveOwnerDelegateFull, MoveOwnerDelegateReadOnly, MoveGuestRedelegateCtl, MoveGuestRedelegateRead,
+	MoveOwnerRevokeGuest, MoveGuestControlBegin, MoveGuestControlLand, MoveSubguestControlToken, MoveSubguestControlUser,
+}
+
+func (dstate) moveName(move uint8) Move { return dmoves[move] }
+
 // dstate is the abstract delegation state. Scope fields use the concrete
 // bitmask; zero means no grant.
 type dstate struct {
@@ -94,6 +115,13 @@ type dstate struct {
 	inflight bool
 	// Monotone achievement flags.
 	residual, escalated, stale bool
+}
+
+// key numbers st below 1<<13: three bits for each scope, then one for
+// each flag.
+func (st dstate) key() uint16 {
+	return uint16(st.aScope) | uint16(st.bScope)<<3 | bit(st.aTok)<<6 | bit(st.bTok)<<7 |
+		bit(st.aRevoked)<<8 | bit(st.inflight)<<9 | bit(st.residual)<<10 | bit(st.escalated)<<11 | bit(st.stale)<<12
 }
 
 // dsystem is the design-specific delegation transition relation.
@@ -113,12 +141,12 @@ func (s *dsystem) authorizedSub(st dstate, scope delegation.Scope) bool {
 	return st.bScope.Has(scope) && st.aScope != 0
 }
 
-// successors appends the moves enabled in st to out.
-func (s *dsystem) successors(st dstate, out []edge[dstate]) []edge[dstate] {
+// successors returns the moves enabled in st.
+func (s *dsystem) successors(st dstate) (out edges[dstate]) {
 	// Owner delegates to the guest (replacing any existing grant —
 	// replacement severs the derived subtree, exactly as the lattice
 	// does). Minting accompanies every grant.
-	grant := func(move Move, scope delegation.Scope) {
+	grant := func(move uint8, scope delegation.Scope) {
 		to := st
 		to.aScope = scope
 		to.aTok = true
@@ -126,26 +154,26 @@ func (s *dsystem) successors(st dstate, out []edge[dstate]) []edge[dstate] {
 		// Replacement severs B's derived grant and retires its token.
 		to.bScope = 0
 		to.bTok = false
-		out = append(out, edge[dstate]{move, to})
+		out.add(move, to)
 	}
-	grant(MoveOwnerDelegateFull, delegation.ScopeControl|delegation.ScopeRead|delegation.ScopeShare)
-	grant(MoveOwnerDelegateReadOnly, delegation.ScopeRead|delegation.ScopeShare)
+	grant(ownerDelegateFull, delegation.ScopeControl|delegation.ScopeRead|delegation.ScopeShare)
+	grant(ownerDelegateReadOnly, delegation.ScopeRead|delegation.ScopeShare)
 
 	// Guest re-delegates to the sub-guest. Requires the share scope;
 	// under attenuation the derived scopes must be a subset of the
 	// guest's own.
 	if st.aScope.Has(delegation.ScopeShare) {
-		redelegate := func(move Move, scope delegation.Scope) {
+		redelegate := func(move uint8, scope delegation.Scope) {
 			if s.d.DelegationScopeAttenuation && !st.aScope.Has(scope) {
 				return
 			}
 			to := st
 			to.bScope = scope
 			to.bTok = true
-			out = append(out, edge[dstate]{move, to})
+			out.add(move, to)
 		}
-		redelegate(MoveGuestRedelegateCtl, delegation.ScopeControl)
-		redelegate(MoveGuestRedelegateRead, delegation.ScopeRead)
+		redelegate(guestRedelegateCtl, delegation.ScopeControl)
+		redelegate(guestRedelegateRead, delegation.ScopeRead)
 	}
 
 	// Owner revokes the guest. The target's grant and token always go;
@@ -160,7 +188,7 @@ func (s *dsystem) successors(st dstate, out []edge[dstate]) []edge[dstate] {
 			to.bScope = 0
 			to.bTok = false
 		}
-		out = append(out, edge[dstate]{MoveOwnerRevokeGuest, to})
+		out.add(ownerRevokeGuest, to)
 	}
 
 	// Guest control, split at the verification boundary: the token
@@ -170,7 +198,7 @@ func (s *dsystem) successors(st dstate, out []edge[dstate]) []edge[dstate] {
 	if st.aTok && !st.inflight {
 		to := st
 		to.inflight = true
-		out = append(out, edge[dstate]{MoveGuestControlBegin, to})
+		out.add(guestControlBegin, to)
 	}
 	if st.inflight {
 		to := st
@@ -182,7 +210,7 @@ func (s *dsystem) successors(st dstate, out []edge[dstate]) []edge[dstate] {
 				// one-shot window.
 				to.stale = true
 			}
-			out = append(out, edge[dstate]{MoveGuestControlLand, to})
+			out.add(guestControlLand, to)
 		}
 	}
 
@@ -192,7 +220,7 @@ func (s *dsystem) successors(st dstate, out []edge[dstate]) []edge[dstate] {
 		if !s.d.DelegationCheckAtUse || s.authorizedSub(st, delegation.ScopeControl) {
 			to := st
 			s.markSubControl(&to, st)
-			out = append(out, edge[dstate]{MoveSubguestControlToken, to})
+			out.add(subguestControlToken, to)
 		}
 	}
 
@@ -203,7 +231,7 @@ func (s *dsystem) successors(st dstate, out []edge[dstate]) []edge[dstate] {
 		if s.authorizedSub(st, delegation.ScopeControl) {
 			to := st
 			s.markSubControl(&to, st)
-			out = append(out, edge[dstate]{MoveSubguestControlUser, to})
+			out.add(subguestControlUser, to)
 		}
 	}
 
@@ -243,14 +271,15 @@ func CheckDelegation(design core.DesignSpec) ([]DelegationResult, error) {
 		return nil, fmt.Errorf("modelcheck: %w", err)
 	}
 	sys := &dsystem{d: design}
-	sp := explore(dstate{}, sys.successors)
+	sp := space[dstate]{next: sys.successors}
+	sp.explore("delegation", dstate{})
 
 	results := make([]DelegationResult, 0, 3)
 	for _, a := range AllDelegationAttacks() {
 		trace := sp.shortest(func(st dstate) bool { return sys.realizes(a, st) })
 		results = append(results, DelegationResult{
 			Attack: a, Succeeds: trace != nil,
-			Trace: trace, StatesExplored: len(sp.order),
+			Trace: trace, StatesExplored: sp.n,
 		})
 	}
 	return results, nil

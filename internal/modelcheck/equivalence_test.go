@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -13,100 +12,117 @@ import (
 	"github.com/iotbind/iotbind/internal/vendors"
 )
 
-// equivalenceCorpus is what the rewritten search is held to the old one
-// on: the three reference postures, the permissive one under all eight
-// settings of the delegation flags, every vendor, and 300 seeded random
-// valid designs with random delegation flags.
-func equivalenceCorpus() []core.DesignSpec {
-	designs := []core.DesignSpec{
-		vendors.SecureReference().Design,
-		vendors.RecommendedPractice().Design,
-		vendors.WorstCase().Design,
-	}
+// TestCheckDelegationMatchesReference: under all eight settings of the
+// delegation flags — the only fields the sub-model reads — the same
+// verdicts, state counts and traces as the search that rebuilt a trace
+// per state, and, by the digest, as the commit before states were packed
+// printed them.
+func TestCheckDelegationMatchesReference(t *testing.T) {
+	digest := sha256.New()
 	for flags := 0; flags < 8; flags++ {
 		d := vendors.WorstCase().Design
 		d.DelegationScopeAttenuation = flags&1 != 0
 		d.DelegationCascadeRevoke = flags&2 != 0
 		d.DelegationCheckAtUse = flags&4 != 0
-		designs = append(designs, d)
-	}
-	for _, p := range vendors.Profiles() {
-		designs = append(designs, p.Design)
-	}
-	rng := rand.New(rand.NewSource(23))
-	for i := 0; i < 300; i++ {
-		d := randomDesign(rng)
-		d.DelegationScopeAttenuation = rng.Intn(2) == 0
-		d.DelegationCascadeRevoke = rng.Intn(2) == 0
-		d.DelegationCheckAtUse = rng.Intn(2) == 0
-		designs = append(designs, d)
-	}
-	return designs
-}
-
-// TestCheckDelegationMatchesReference: same verdicts, same state counts
-// and the very same traces as the search that rebuilt a trace per state —
-// and, by the digest, as the commit before the rewrite printed them.
-func TestCheckDelegationMatchesReference(t *testing.T) {
-	digest := sha256.New()
-	for i, d := range equivalenceCorpus() {
 		got, err := modelcheck.CheckDelegation(d)
 		if err != nil {
-			t.Fatalf("design %d: %v", i, err)
+			t.Fatalf("flags %03b: %v", flags, err)
 		}
 		if want := modelcheck.ReferenceCheckDelegation(d); !reflect.DeepEqual(got, want) {
-			t.Fatalf("design %d (%+v):\n got %v\nwant %v", i, d, got, want)
+			t.Fatalf("flags %03b:\n got %v\nwant %v", flags, got, want)
 		}
-		fmt.Fprintf(digest, "%d %v\n", i, got)
+		fmt.Fprintf(digest, "%d %v\n", flags, got)
 	}
-	const parent = "6ea2e4892156f1397d4ea32485fd3592f2b0693220a6ee836724cecd771e7172"
+	const parent = "83951c73b78bd4eff1c6c50aee1c988b28ea978dd81ec77b015f9311d5a3578c"
 	if got := hex.EncodeToString(digest.Sum(nil)); got != parent {
-		t.Errorf("corpus digest %s, the parent commit's CheckDelegation gave %s", got, parent)
+		t.Errorf("digest %s, the parent commit's CheckDelegation gave %s", got, parent)
 	}
 }
 
-// TestCheckMatchesReference is the same for Check.
+// TestCheckMatchesReference is the same for Check, on every design the
+// lattice admits with the delegation flags unset (Check reads none of
+// them): 73 728 designs.
 func TestCheckMatchesReference(t *testing.T) {
 	digest := sha256.New()
-	for i, d := range equivalenceCorpus() {
+	n := 0
+	core.EachDesign(func(d core.DesignSpec) bool {
+		if d.DelegationScopeAttenuation || d.DelegationCascadeRevoke || d.DelegationCheckAtUse {
+			return true
+		}
 		got, err := modelcheck.Check(d)
 		if err != nil {
-			t.Fatalf("design %d: %v", i, err)
+			t.Fatalf("design %d: %v", n, err)
 		}
 		if want := modelcheck.ReferenceCheck(d); !reflect.DeepEqual(got, want) {
-			t.Fatalf("design %d (%+v):\n got %v\nwant %v", i, d, got, want)
+			t.Fatalf("design %d (%+v):\n got %v\nwant %v", n, d, got, want)
 		}
-		fmt.Fprintf(digest, "%d %v\n", i, got)
+		fmt.Fprintf(digest, "%d %v\n", n, got)
+		n++
+		return true
+	})
+	if n != 73728 {
+		t.Errorf("%d designs, want 73 728", n)
 	}
-	const parent = "483f2fb117acc4f5b6b51ec212277969f3bcf4ff441a41e1fcbd1e0f7fcfa288"
+	const parent = "828bc2b2f32b357c742affdc3ae57ae6f8f33650168a9214953b7ddeb8fe7701"
 	if got := hex.EncodeToString(digest.Sum(nil)); got != parent {
-		t.Errorf("corpus digest %s, the parent commit's reference search gave %s", got, parent)
+		t.Errorf("lattice digest %s, the parent commit's Check gave %s", got, parent)
 	}
 }
 
-// TestCheckDelegationAllocations: an exploration keeps its state map, its
-// search order and one trace per succeeding row — not a trace per
-// reachable state (1 731 allocations on the permissive posture before).
-func TestCheckDelegationAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are meaningless under the race detector")
+// FuzzCheckMatchesReference holds Check and CheckDelegation to the
+// reference search on designs drawn field by field from the input.
+func FuzzCheckMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x09, 0x41, 0xff, 0x0f})
+	f.Add([]byte{0x1a, 0x52, 0x3c, 0xa5, 0x7e})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		d := designFromBytes(b)
+		if d.Validate() != nil {
+			return
+		}
+		got, err := modelcheck.Check(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := modelcheck.ReferenceCheck(d); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v:\n got %v\nwant %v", d, got, want)
+		}
+		gotD, err := modelcheck.CheckDelegation(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := modelcheck.ReferenceCheckDelegation(d); !reflect.DeepEqual(gotD, want) {
+			t.Fatalf("%+v:\n got %v\nwant %v", d, gotD, want)
+		}
+	})
+}
+
+// designFromBytes draws every field of a design from the bits of b, the
+// values Validate refuses included; bits past b's end read as zero.
+func designFromBytes(b []byte) core.DesignSpec {
+	var bits uint64
+	for i := 0; i < len(b) && i < 8; i++ {
+		bits |= uint64(b[i]) << (8 * i)
 	}
-	for _, c := range []struct {
-		p   vendors.Profile
-		max float64
-	}{
-		{vendors.WorstCase(), 40},       // 145 states, three traces; 27 measured
-		{vendors.SecureReference(), 20}, // 13 states, no trace; 12 measured
-		{vendors.RecommendedPractice(), 20},
-	} {
-		n := testing.AllocsPerRun(20, func() {
-			if _, err := modelcheck.CheckDelegation(c.p.Design); err != nil {
-				t.Fatal(err)
-			}
-		})
-		t.Logf("%s: %v allocations", c.p.Design.Name, n)
-		if n > c.max {
-			t.Errorf("%s: %v allocations, want at most %v", c.p.Design.Name, n, c.max)
+	take := func(n uint) int {
+		v := int(bits & (1<<n - 1))
+		bits >>= n
+		return v
+	}
+	d := core.DesignSpec{
+		Name:        "fuzz",
+		DeviceAuth:  core.DeviceAuthMode(take(3)),
+		AssumedAuth: core.DeviceAuthMode(take(2)),
+		Binding:     core.BindMechanism(take(2)),
+	}
+	for n := take(2); n > 0; n-- {
+		d.UnbindForms = append(d.UnbindForms, core.UnbindForm(take(2)))
+	}
+	v := reflect.ValueOf(&d).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Bool {
+			f.SetBool(take(1) == 1)
 		}
 	}
+	return d
 }

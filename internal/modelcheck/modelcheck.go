@@ -8,13 +8,14 @@
 // session credentials, and what the adversary has achieved; the moves are
 // the adversary's forgeries plus the device's own re-registration. Because
 // the abstraction is finite, the checker explores it to a fixpoint —
-// every reachable state, not a bounded prefix — and decides four safety
+// every reachable state, not a bounded prefix — and decides five safety
 // properties, producing a minimal counterexample trace for each violation.
 //
 // The abstraction is the third independent formalization of the binding
 // semantics in this repository (after the rule-based analyzer and the
 // concrete emulation); the test suite proves all three agree on every
-// vendor profile and on randomly generated designs.
+// vendor profile and on a seeded sample of the design lattice — every
+// design DesignSpec.Validate admits, as core.EachDesign enumerates it.
 package modelcheck
 
 import (
@@ -33,17 +34,6 @@ const (
 	victim
 	adversary
 )
-
-func (p principal) String() string {
-	switch p {
-	case victim:
-		return "victim"
-	case adversary:
-		return "attacker"
-	default:
-		return "nobody"
-	}
-}
 
 // state is the abstract protocol state. It is small and comparable, so
 // the reachable set is explored exactly.
@@ -64,6 +54,13 @@ type state struct {
 	injectedData bool
 }
 
+// key numbers st below 1<<8: two bits for who is bound, two for who holds
+// the session token, then one for each flag.
+func (st state) key() uint16 {
+	return uint16(st.bound) | uint16(st.sessTokenHolder)<<2 | bit(st.deviceHasToken)<<4 |
+		bit(st.deviceHasNonce)<<5 | bit(st.stoleData)<<6 | bit(st.injectedData)<<7
+}
+
 // Move is one transition label in a counterexample trace.
 type Move string
 
@@ -76,6 +73,21 @@ const (
 	MoveForgeUnbindT2  Move = "forge-unbind-devid"
 	MoveDeviceRejoin   Move = "device-reregisters"
 )
+
+// The abstract moves by the number an edge carries, in the order
+// successors tries them, and the table that names them.
+const (
+	forgeRegister uint8 = iota
+	forgeHeartbeat
+	forgeBind
+	forgeUnbindT1
+	forgeUnbindT2
+	deviceRejoin
+)
+
+var moves = [...]Move{MoveForgeRegister, MoveForgeHeartbeat, MoveForgeBind, MoveForgeUnbindT1, MoveForgeUnbindT2, MoveDeviceRejoin}
+
+func (state) moveName(move uint8) Move { return moves[move] }
 
 // Property is a verified safety property.
 type Property int
@@ -149,7 +161,8 @@ func Check(design core.DesignSpec) ([]Result, error) {
 		return nil, fmt.Errorf("modelcheck: %w", err)
 	}
 	sys := newSystem(design)
-	steady := explore(sys.initial(), sys.successors)
+	steady := space[state]{next: sys.successors}
+	steady.explore("binding", sys.initial())
 
 	results := make([]Result, 0, len(AllProperties()))
 	for _, prop := range AllProperties() {
@@ -160,7 +173,7 @@ func Check(design core.DesignSpec) ([]Result, error) {
 		cex := steady.shortest(func(st state) bool { return sys.violates(prop, st) })
 		results = append(results, Result{
 			Property: prop, Holds: cex == nil,
-			Counterexample: cex, StatesExplored: len(steady.order),
+			Counterexample: cex, StatesExplored: steady.n,
 		})
 	}
 	return results, nil
@@ -175,14 +188,15 @@ const MoveVictimSetup Move = "victim-setup"
 // flow from every reachable state; the property is violated when any of
 // those setups leaves the victim unbound.
 func (s *system) checkSetup() Result {
-	factory := explore(state{bound: nobody, deviceHasToken: true, deviceHasNonce: true}, s.successors)
+	factory := space[state]{next: s.successors}
+	factory.explore("binding", state{bound: nobody, deviceHasToken: true, deviceHasNonce: true})
 	cex := factory.shortest(func(st state) bool {
 		_, lockedOut := s.applySetup(st)
 		return lockedOut
 	}, MoveVictimSetup)
 	return Result{
 		Property: PropVictimCanBind, Holds: cex == nil,
-		Counterexample: cex, StatesExplored: len(factory.order),
+		Counterexample: cex, StatesExplored: factory.n,
 	}
 }
 
@@ -195,7 +209,7 @@ func (s *system) applySetup(st state) (state, bool) {
 	if st.bound == adversary {
 		onlineFirst := s.d.OnlineBeforeBind || s.d.BindButtonWindow || s.d.SourceIPCheck
 		switch {
-		case s.d.ResetUnbindsOnSetup && s.d.SupportsUnbind(core.UnbindDevIDAlone):
+		case s.d.ResetUnbindsOnSetup && s.unbindAlone:
 			// The setup-time factory reset emits Unbind:DevId.
 		case s.d.SessionTiedBinding && (s.d.Binding == core.BindACLDevice || onlineFirst):
 			// The device's own fresh registration evicts the squatter.
@@ -215,12 +229,32 @@ func (s *system) applySetup(st state) (state, bool) {
 	return st, false
 }
 
-// system is the design-specific transition relation.
+// system is the design-specific transition relation. newSystem folds the
+// design's capabilities once, because DesignSpec's methods copy the whole
+// spec and every state's successors read them.
 type system struct {
-	d core.DesignSpec
+	d                                                 core.DesignSpec
+	canForge, authForgeable, authToken, bindForgeable bool
+	windowBlocked, unbindToken, unbindAlone           bool
 }
 
-func newSystem(d core.DesignSpec) *system { return &system{d: d} }
+func newSystem(d core.DesignSpec) system {
+	auth := d.EffectiveAuth()
+	return system{
+		d:             d,
+		canForge:      !d.FirmwareOpaque,
+		authForgeable: auth == core.AuthDevID,
+		authToken:     auth == core.AuthDevToken,
+		// An app-sent bind is a plain API call, a device-sent one needs
+		// the device's message format, a capability the factory secret.
+		bindForgeable: d.Binding == core.BindACLApp || d.Binding == core.BindACLDevice && !d.FirmwareOpaque,
+		// Co-location defences refuse a remote bind: any setup window has
+		// long closed in the steady state.
+		windowBlocked: d.BindButtonWindow || d.SourceIPCheck,
+		unbindToken:   d.SupportsUnbind(core.UnbindDevIDUserToken),
+		unbindAlone:   d.SupportsUnbind(core.UnbindDevIDAlone),
+	}
+}
 
 // initial is the steady control state: victim bound, every credential in
 // place. Unused credential dimensions are normalized so equal behaviours
@@ -237,39 +271,10 @@ func (s *system) initial() state {
 	return st
 }
 
-// canForge reports whether the adversary reconstructed the device-side
-// message formats.
-func (s *system) canForge() bool { return !s.d.FirmwareOpaque }
-
-// deviceAuthForgeable reports whether a bare device ID passes device
-// authentication.
-func (s *system) deviceAuthForgeable() bool {
-	return s.d.EffectiveAuth() == core.AuthDevID
-}
-
-// bindForgeable reports whether the adversary can emit an accepted-shape
-// bind message at all.
-func (s *system) bindForgeable() bool {
-	switch s.d.Binding {
-	case core.BindACLApp:
-		return true
-	case core.BindACLDevice:
-		return s.canForge()
-	default: // capability: needs the factory secret
-		return false
-	}
-}
-
-// windowBlocked reports bind-time co-location defences; in the steady
-// state any setup-time window has long closed.
-func (s *system) windowBlocked() bool {
-	return s.d.BindButtonWindow || s.d.SourceIPCheck
-}
-
-// successors appends the moves enabled in st to out.
-func (s *system) successors(st state, out []edge[state]) []edge[state] {
+// successors returns the moves enabled in st.
+func (s *system) successors(st state) (out edges[state]) {
 	// Adversary: forged registration (a device message).
-	if s.canForge() && s.deviceAuthForgeable() {
+	if s.canForge && s.authForgeable {
 		to := st
 		if s.d.SessionTiedBinding && st.bound != nobody {
 			s.revokeBinding(&to)
@@ -282,11 +287,11 @@ func (s *system) successors(st state, out []edge[state]) []edge[state] {
 			// stale.
 			to.deviceHasNonce = false
 		}
-		out = append(out, edge[state]{MoveForgeRegister, to})
+		out.add(forgeRegister, to)
 	}
 
 	// Adversary: forged data-bearing heartbeat.
-	if s.canForge() && s.deviceAuthForgeable() && !s.d.DataRequiresSession {
+	if s.canForge && s.authForgeable && !s.d.DataRequiresSession {
 		gated := s.d.PostBindingToken && st.bound != nobody && st.sessTokenHolder != adversary
 		if !gated {
 			to := st
@@ -294,12 +299,12 @@ func (s *system) successors(st state, out []edge[state]) []edge[state] {
 				to.stoleData = true
 				to.injectedData = true
 			}
-			out = append(out, edge[state]{MoveForgeHeartbeat, to})
+			out.add(forgeHeartbeat, to)
 		}
 	}
 
 	// Adversary: forged bind.
-	if s.bindForgeable() && !s.windowBlocked() {
+	if s.bindForgeable && !s.windowBlocked {
 		replace := s.d.ReplaceOnBind || !s.d.CheckBoundUserOnBind
 		if st.bound == nobody || (st.bound != adversary && replace) {
 			to := st
@@ -309,27 +314,27 @@ func (s *system) successors(st state, out []edge[state]) []edge[state] {
 				to.sessTokenHolder = adversary
 				to.deviceHasToken = false // rotated; only the binder got it
 			}
-			out = append(out, edge[state]{MoveForgeBind, to})
+			out.add(forgeBind, to)
 		}
 	}
 
 	// Adversary: forged Type 1 unbind with their own token. It succeeds
 	// against the victim's binding when the bound-user check is absent,
 	// and trivially against their own binding.
-	if s.d.SupportsUnbind(core.UnbindDevIDUserToken) && st.bound != nobody {
+	if s.unbindToken && st.bound != nobody {
 		if !s.d.CheckBoundUserOnUnbind || st.bound == adversary {
 			to := st
 			s.revokeBinding(&to)
-			out = append(out, edge[state]{MoveForgeUnbindT1, to})
+			out.add(forgeUnbindT1, to)
 		}
 	}
 
 	// Adversary: forged Type 2 unbind (a device message with no
 	// authorization at all).
-	if s.d.SupportsUnbind(core.UnbindDevIDAlone) && s.canForge() && st.bound != nobody {
+	if s.unbindAlone && s.canForge && st.bound != nobody {
 		to := st
 		s.revokeBinding(&to)
-		out = append(out, edge[state]{MoveForgeUnbindT2, to})
+		out.add(forgeUnbindT2, to)
 	}
 
 	// Environment: the real device reconnects and resumes its session,
@@ -340,7 +345,7 @@ func (s *system) successors(st state, out []edge[state]) []edge[state] {
 	{
 		to := st
 		to.deviceHasNonce = true
-		out = append(out, edge[state]{MoveDeviceRejoin, to})
+		out.add(deviceRejoin, to)
 	}
 
 	return out
@@ -362,7 +367,7 @@ func (s *system) deviceObeysAdversary(st state) bool {
 	// Dynamic device tokens: the device's session belongs to the account
 	// that configured it; the cloud refuses to relay for a foreign
 	// binding.
-	if s.d.EffectiveAuth() == core.AuthDevToken {
+	if s.authToken {
 		return false
 	}
 	// Post-binding tokens: both the controller and the device must hold

@@ -21,7 +21,7 @@ func resultFor(t *testing.T, results []modelcheck.Result, p modelcheck.Property)
 	return modelcheck.Result{}
 }
 
-// TestSecureDesignsVerify: the reference designs satisfy all four
+// TestSecureDesignsVerify: the reference designs satisfy all five
 // properties in every reachable state.
 func TestSecureDesignsVerify(t *testing.T) {
 	for _, p := range []vendors.Profile{vendors.SecureReference(), vendors.RecommendedPractice()} {
@@ -129,12 +129,21 @@ func TestCheckerAgreesWithAnalyzerOnVendors(t *testing.T) {
 	}
 }
 
-// TestCheckerAgreesWithAnalyzerOnRandomDesigns extends the agreement to
-// randomly generated designs.
+// TestCheckerAgreesWithAnalyzerOnRandomDesigns extends the agreement to a
+// seeded sample of 300 designs from the whole lattice (core.EachDesign).
 func TestCheckerAgreesWithAnalyzerOnRandomDesigns(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 300; i++ {
-		d := randomDesign(rng)
+	var sample []core.DesignSpec
+	seen := 0
+	core.EachDesign(func(d core.DesignSpec) bool { // reservoir sampling
+		if seen++; len(sample) < 300 {
+			sample = append(sample, d)
+		} else if j := rng.Intn(seen); j < len(sample) {
+			sample[j] = d
+		}
+		return true
+	})
+	for i, d := range sample {
 		if !assertAgreement(t, d) {
 			t.Logf("design %d: %+v", i, d)
 			return
@@ -181,37 +190,6 @@ func assertAgreement(t *testing.T, d core.DesignSpec) bool {
 	check(modelcheck.PropNoDataInjection, wantData)
 	check(modelcheck.PropVictimCanBind, wantDoS)
 	return ok
-}
-
-// randomDesign mirrors the analyzer test's generator constraints.
-func randomDesign(rng *rand.Rand) core.DesignSpec {
-	auths := []core.DeviceAuthMode{core.AuthDevToken, core.AuthDevID, core.AuthPublicKey}
-	binds := []core.BindMechanism{core.BindACLApp, core.BindACLDevice, core.BindCapability}
-	d := core.DesignSpec{
-		Name:                   "mc-random",
-		DeviceAuth:             auths[rng.Intn(len(auths))],
-		Binding:                binds[rng.Intn(len(binds))],
-		CheckBoundUserOnBind:   rng.Intn(2) == 0,
-		CheckBoundUserOnUnbind: rng.Intn(2) == 0,
-		ReplaceOnBind:          rng.Intn(2) == 0,
-		OnlineBeforeBind:       rng.Intn(2) == 0,
-		SessionTiedBinding:     rng.Intn(2) == 0,
-		DataRequiresSession:    rng.Intn(2) == 0,
-		ResetUnbindsOnSetup:    rng.Intn(2) == 0,
-		FirmwareOpaque:         rng.Intn(3) == 0,
-	}
-	if rng.Intn(2) == 0 {
-		d.UnbindForms = append(d.UnbindForms, core.UnbindDevIDUserToken)
-	}
-	if rng.Intn(2) == 0 {
-		d.UnbindForms = append(d.UnbindForms, core.UnbindDevIDAlone)
-	}
-	if d.Binding == core.BindACLApp {
-		d.PostBindingToken = rng.Intn(2) == 0
-		d.BindButtonWindow = rng.Intn(4) == 0
-		d.SourceIPCheck = rng.Intn(4) == 0
-	}
-	return d
 }
 
 func TestCheckRejectsInvalidDesign(t *testing.T) {

@@ -1,5 +1,5 @@
 //go:build !race
 
-package modelcheck_test
+package modelcheck
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package modelcheck_test
+package modelcheck
 
 // raceEnabled reports that the race detector is active; the allocation
 // pins skip themselves there.

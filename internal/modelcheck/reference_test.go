@@ -23,18 +23,19 @@ type refSpace[S comparable] struct {
 	parents   map[S]refLink[S]
 }
 
-func refExplore[S comparable](start S, successors func(S, []edge[S]) []edge[S]) refSpace[S] {
+func refExplore[S packed](start S, successors func(S) edges[S]) refSpace[S] {
 	sp := refSpace[S]{map[S]bool{start: true}, map[S]refLink[S]{start: {root: true}}}
 	frontier := []S{start}
 	for len(frontier) > 0 {
 		var next []S
 		for _, st := range frontier {
-			for _, succ := range successors(st, nil) {
+			es := successors(st)
+			for _, succ := range es.list[:es.n] {
 				if sp.reachable[succ.to] {
 					continue
 				}
 				sp.reachable[succ.to] = true
-				sp.parents[succ.to] = refLink[S]{prev: st, move: succ.move}
+				sp.parents[succ.to] = refLink[S]{prev: st, move: succ.to.moveName(succ.move)}
 				next = append(next, succ.to)
 			}
 		}
@@ -72,6 +73,16 @@ func (sp refSpace[S]) shortest(bad func(S) bool, suffix ...Move) []Move {
 		}
 	}
 	return best
+}
+
+// movesLess orders equal-length move sequences lexicographically.
+func movesLess(a, b []Move) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
 }
 
 // ReferenceCheck is Check on the reference search.
