@@ -44,7 +44,7 @@ alloc-pins:
 	$(GO) test -count=1 -run 'Alloc' ./internal/...
 
 # race-stress hammers the WAL group-commit queue, the sharded durable
-# hot path, the cluster's shipper and binapi's epoll pollers under the
+# hot path (alone, and against cold-lane enqueues), the cluster's shipper and binapi's epoll pollers under the
 # race detector, repeated so the leader/follower handoff, the
 # background flusher, the truncate-vs-append windows, the
 # append-observer/drain/re-seed lock order and — for a poller that
@@ -58,7 +58,7 @@ alloc-pins:
 # Client.Close, and the server's goroutine accounting.
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
-	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery' ./internal/cloud/
+	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery|TestDurableMixedLaneRecovery' ./internal/cloud/
 	$(GO) test -race -count=3 -run='TestShipper|TestNode' ./internal/cluster/
 	$(GO) test -race -count=3 -run='TestReadinessEquivalence|TestEpoll|TestShortWrite|TestIdleTimeout|TestBackpressure|TestOverCap' ./internal/binapi/
 	$(GO) test -race -count=10 -run='TestServedDeviceIDsAreTheRegistrys|TestPipe|TestServerGoroutines|TestEpollServerGoroutines' ./internal/binapi/

@@ -140,8 +140,8 @@ func BenchmarkRecovery(b *testing.B) {
 
 // BenchmarkDurableStatus compares the status hot path with and without
 // the write-ahead log (grouped fsync). Bare heartbeats ride the liveness
-// fast path — applied first, logged only if they drained state — so the
-// durable bare case is the ≤20%-overhead acceptance bar. Keyed
+// fast path — nothing queued to drain, so applied and noted, not logged —
+// so the durable bare case is the ≤20%-overhead acceptance bar. Keyed
 // heartbeats are idempotent (replay-logged) and always write-ahead.
 func BenchmarkDurableStatus(b *testing.B) {
 	design := benchDesign(iotbind.AuthDevID, iotbind.BindACLApp)

@@ -124,7 +124,7 @@ func lifecycleRecords(tb testing.TB, design core.DesignSpec) (dir string, recs [
 	step(d.PushUserData(protocol.PushUserDataRequest{DeviceID: applyDevice, UserToken: tok,
 		Data: protocol.UserData{Kind: "schedule", Body: "09:00 on"}}))
 	_, err = d.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: applyDevice, DataProof: proof})
-	step(err) // drains the inboxes: logged after the fact
+	step(err) // drains the inboxes: logged ahead
 	_, err = d.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: applyDevice, DataProof: proof,
 		IdempotencyKey: "k-hb", Readings: []protocol.Reading{{Name: "power_w", Value: 4.5, At: clock.Now()}}})
 	step(err)

@@ -70,21 +70,21 @@ import (
 //
 // One deliberate exception keeps the durability tax off the liveness
 // path: a pure keep-alive heartbeat (unkeyed, no readings, no button,
-// not a registration) mutates only lastSeen, the online flip, the
-// session owner and the status counters, so it is applied without a
-// WAL record. Its durable-relevant effect is remembered as a pending
-// per-device liveness note on the device's WAL shard (coalesced,
-// last-wins) and flushed as a compact liveness record immediately
-// before the next logged record appends to that shard — cold-lane
-// operations flush every shard first, since a control's online check
-// may depend on any device's liveness. A heartbeat that drains queued
-// commands or user data — a durable mutation — is itself appended
-// after the fact so the drain survives a restart; if that append
-// fails, the drained items are requeued and the delivery fails, so
-// nothing acknowledged is lost either way. Pending liveness that never
-// gets flushed (no dependent logged operation before a crash) is
-// re-established by the next heartbeat, and the skipped status
-// counters are durable only as of the last checkpoint.
+// not a registration, and nothing queued for the device to drain)
+// mutates only lastSeen, the online flip, the session owner and the
+// status counters, so it is applied without a WAL record. A heartbeat
+// that finds commands or user data queued is a durable mutation and is
+// logged ahead like any other, so a failed append leaves the inbox as
+// it was. The keep-alive's durable-relevant effect is remembered as a
+// pending per-device liveness note on the device's WAL shard
+// (coalesced, last-wins) and flushed as a compact liveness record
+// immediately before the next logged record appends to that shard —
+// cold-lane operations flush every shard first, since a control's
+// online check may depend on any device's liveness. Those flushes are
+// the only records that describe state already applied. Pending
+// liveness that never gets flushed (no dependent logged operation
+// before a crash) is re-established by the next heartbeat, and the
+// skipped status counters are durable only as of the last checkpoint.
 //
 // Durable implements the same handler surface as Service (the
 // transport.Cloud contract) and is safe for concurrent use.
@@ -215,15 +215,6 @@ func (r DurableRecovery) TornTails() int {
 		if s.Info.Report.Torn {
 			n++
 		}
-	}
-	return n
-}
-
-// TruncatedBytes sums the torn bytes cut across all shard logs.
-func (r DurableRecovery) TruncatedBytes() int64 {
-	var n int64
-	for _, s := range r.WALShards {
-		n += s.Info.TruncatedBytes
 	}
 	return n
 }
@@ -583,15 +574,12 @@ func (d *Durable) walShardOf(key string) *durableShard {
 // gap in the stream, which recovery tolerates because the operation
 // was never acknowledged or applied.
 func (d *Durable) appendLocked(ws *durableShard, payload []byte) (uint64, error) {
-	if ws.log == nil {
-		log, err := wal.Open(filepath.Join(d.walRoot, wal.ShardDirName(ws.index)), d.walOpts)
-		if err != nil {
-			return 0, err
-		}
-		ws.log = log
+	log, err := d.shardLogLocked(ws)
+	if err != nil {
+		return 0, err
 	}
 	lsn := d.nextLSN.Add(1)
-	if err := ws.log.AppendLSN(lsn, payload); err != nil {
+	if err := log.AppendLSN(lsn, payload); err != nil {
 		return 0, err
 	}
 	if d.observe != nil {
@@ -605,15 +593,29 @@ func (d *Durable) appendLocked(ws *durableShard, payload []byte) (uint64, error)
 	}
 }
 
+// shardLogLocked returns the shard's log, opening it on first use. The
+// caller holds ws.mu.
+func (d *Durable) shardLogLocked(ws *durableShard) (*wal.Log, error) {
+	if ws.log == nil {
+		log, err := wal.Open(filepath.Join(d.walRoot, wal.ShardDirName(ws.index)), d.walOpts)
+		if err != nil {
+			return nil, err
+		}
+		ws.log = log
+	}
+	return ws.log, nil
+}
+
 // notePendingLocked records that an accepted-but-unlogged heartbeat
 // moved the device's liveness state. The note is pure membership: the
 // lastSeen and session owner it stands for are read back from the
 // service when the note is flushed, which is legal because everything
-// that could move them in between — another status on this device, a
-// cold-lane operation — flushes this shard's notes first (or, for the
-// drain path, supersedes the note with a full record). Keeping the
-// note value-free keeps the bare-heartbeat hot path to one map probe
-// instead of a second shadow lookup per heartbeat.
+// that could move them in between — another logged status on this
+// device, a cold-lane operation — flushes this shard's notes first.
+// Keeping the note value-free means a repeated keep-alive costs one map
+// probe and stores nothing: a note holding the values would lock the
+// shadow a third time per heartbeat (after the delivery peek and the
+// apply) to read them back, and rewrite the entry on every heartbeat.
 func (d *Durable) notePendingLocked(ws *durableShard, deviceID string) {
 	if _, ok := ws.pending[deviceID]; !ok {
 		ws.pending[deviceID] = struct{}{}
@@ -726,14 +728,21 @@ func loggedErr[Req any](d *Durable, routeKey string, tag uint8, put func(*bytes.
 }
 
 // statusNeedsWAL decides whether a status message is a durable mutation
-// (log-before) or pure liveness (apply, log only on drain). Registers
-// always log: they set the device address, may open button windows,
-// mint session nonces and revoke session-tied bindings.
-func statusNeedsWAL(req *protocol.StatusRequest) bool {
+// (log-before) or pure liveness (apply, then note). Registers always
+// log: they set the device address, may open button windows, mint
+// session nonces and revoke session-tied bindings. A bare heartbeat logs
+// when the device has deliveries queued, since it may drain them. That
+// peek still holds when the status applies: only cold-lane operations
+// (HandleControl, PushUserData) enqueue, and the caller's hold on d.mu
+// excludes them; another status for the device waits on the same
+// WAL-shard mutex; and unbind clears both inboxes, so a queued delivery
+// means a bound device.
+func (d *Durable) statusNeedsWAL(req *protocol.StatusRequest) bool {
 	return req.Kind != protocol.StatusHeartbeat ||
 		req.IdempotencyKey != "" ||
 		len(req.Readings) > 0 ||
-		req.ButtonPressed
+		req.ButtonPressed ||
+		d.svc.hasDeliveries(req.DeviceID)
 }
 
 // ---- the handler surface ---------------------------------------------------
@@ -801,8 +810,9 @@ func (d *Durable) HandleRevokeDelegation(req protocol.RevokeDelegationRequest) e
 // HandleStatus processes a device status message on the hot lane: a
 // read lock plus the device's WAL-shard mutex, so statuses for devices
 // on different shards append and apply in parallel. Durable mutations
-// (registers, keyed or data-bearing heartbeats) are logged before they
-// apply; pure keep-alives take the liveness path documented on Durable.
+// (registers, keyed, data-bearing or draining heartbeats) are logged
+// before they apply; pure keep-alives take the liveness path documented
+// on Durable.
 func (d *Durable) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -816,7 +826,7 @@ func (d *Durable) HandleStatus(req protocol.StatusRequest) (protocol.StatusRespo
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 
-	if statusNeedsWAL(&req) {
+	if d.statusNeedsWAL(&req) {
 		if err := d.flushShardLocked(ws); err != nil {
 			return protocol.StatusResponse{}, fmt.Errorf("cloud: durable log: %w", err)
 		}
@@ -837,49 +847,24 @@ func (d *Durable) HandleStatus(req protocol.StatusRequest) (protocol.StatusRespo
 		return d.svc.handleStatusCounted(req, &env)
 	}
 
-	// Liveness fast path: apply first, under a clock pinned to the time
-	// any after-the-fact record will carry, so the lastSeen the service
-	// stores and the time replay restores are the same instant. A drain
-	// makes the heartbeat durable after the fact; anything else leaves a
-	// pending liveness note for the next logged record on this shard to
-	// flush. The shard mutex covers the apply so a record's log position
-	// matches its apply order relative to logged operations on the same
-	// shard — replay must not drain items queued after it.
-	at := d.wall().UTC()
-	resp, err := d.svc.handleStatusCounted(req, &opEnv{now: at})
-	if err != nil {
-		return resp, err
-	}
-	if len(resp.Commands) > 0 || len(resp.UserData) > 0 {
-		buf := jsonpool.Get()
-		wirecodec.EncodeStatusRecord(buf.Writer(), at, &req)
-		_, lerr := d.appendLocked(ws, buf.Bytes())
-		buf.Put()
-		if lerr != nil {
-			// The WAL refused the record, so the drain never became
-			// durable. Requeue the drained items — the live process must
-			// not lose deliveries the device never received just because
-			// the log is sick — note the liveness effect, and fail the
-			// delivery; a recovered cloud redelivers from the same inbox.
-			d.svc.requeueDeliveries(req.DeviceID, resp.Commands, resp.UserData)
-			d.notePendingLocked(ws, req.DeviceID)
-			return protocol.StatusResponse{}, fmt.Errorf("cloud: durable log: %w", lerr)
-		}
-		// The record replays the full heartbeat, superseding any pending
-		// note for this device.
-		delete(ws.pending, req.DeviceID)
-	} else {
+	// Liveness fast path: nothing to log and, by statusNeedsWAL, nothing
+	// queued to drain. The apply leaves a pending liveness note for the
+	// next logged record on this shard to flush. The shard mutex covers
+	// the apply: it keeps the delivery peek true until the apply (another
+	// status for the device waits on it) and orders the apply against the
+	// logged records on this shard.
+	resp, err := d.svc.handleStatusCounted(req, &opEnv{now: d.wall().UTC()})
+	if err == nil {
 		d.notePendingLocked(ws, req.DeviceID)
 	}
-	return resp, nil
+	return resp, err
 }
 
 // HandleStatusBatch processes a status batch on the cold lane: a batch
 // is one WAL record with one LSN, but its items may span many store
 // shards, so it serializes against the hot lane rather than racing it.
 // A batch containing any durable item is logged whole before applying;
-// an all-liveness batch applies first and is logged only if some item
-// drained inbox state.
+// an all-liveness batch applies and notes each accepted item's device.
 func (d *Durable) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -889,85 +874,32 @@ func (d *Durable) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.S
 	if d.follower {
 		return protocol.StatusBatchResponse{}, ErrNotPrimary
 	}
-	routeKey := "batch"
-	if len(req.Items) > 0 {
-		routeKey = req.Items[0].DeviceID
-	}
 	needsWAL := false
 	for i := range req.Items {
-		if statusNeedsWAL(&req.Items[i]) {
+		if d.statusNeedsWAL(&req.Items[i]) {
 			needsWAL = true
 			break
 		}
 	}
 	if needsWAL {
-		return logThenApply(d, routeKey, func(b *bytes.Buffer, at time.Time) {
+		return logThenApply(d, req.Items[0].DeviceID, func(b *bytes.Buffer, at time.Time) {
 			wirecodec.EncodeBatchRecord(b, at, &req)
 		}, func() (protocol.StatusBatchResponse, error) { return d.svc.HandleStatusBatch(req) })
 	}
 
-	at := d.wall().UTC()
-	d.beginOp(at, drbg{})
+	d.beginOp(d.wall().UTC(), drbg{})
 	resp, err := d.svc.HandleStatusBatch(req)
 	d.endOp()
 	if err != nil {
 		return resp, err
 	}
-	drained := false
-	for i := range resp.Results {
-		r := &resp.Results[i]
-		if len(r.Response.Commands) > 0 || len(r.Response.UserData) > 0 {
-			drained = true
-			break
-		}
-	}
-	if !drained {
-		for i := range resp.Results {
-			if resp.Results[i].Code == "" {
-				id := req.Items[i].DeviceID
-				ws := d.walShardOf(id)
-				ws.mu.Lock()
-				d.notePendingLocked(ws, id)
-				ws.mu.Unlock()
-			}
-		}
-		return resp, nil
-	}
-	buf := jsonpool.Get()
-	defer buf.Put()
-	wirecodec.EncodeBatchRecord(buf.Writer(), at, &req)
-	ws := d.walShardOf(routeKey)
-	ws.mu.Lock()
-	_, lerr := d.appendLocked(ws, buf.Bytes())
-	ws.mu.Unlock()
-	if lerr != nil {
-		// Same contract as the single-status path: the drains never
-		// became durable, so requeue every accepted item's deliveries,
-		// note the liveness effects, and fail the batch.
-		for i := range resp.Results {
-			r := &resp.Results[i]
-			if r.Code != "" {
-				continue
-			}
-			id := req.Items[i].DeviceID
-			d.svc.requeueDeliveries(id, r.Response.Commands, r.Response.UserData)
-			iws := d.walShardOf(id)
-			iws.mu.Lock()
-			d.notePendingLocked(iws, id)
-			iws.mu.Unlock()
-		}
-		return protocol.StatusBatchResponse{}, fmt.Errorf("cloud: durable log: %w", lerr)
-	}
-	// The record replays every accepted item, superseding those
-	// devices' pending notes; a rejected item replays to the same
-	// rejection and re-establishes nothing, so its device's note stays.
 	for i := range resp.Results {
 		if resp.Results[i].Code == "" {
 			id := req.Items[i].DeviceID
-			iws := d.walShardOf(id)
-			iws.mu.Lock()
-			delete(iws.pending, id)
-			iws.mu.Unlock()
+			ws := d.walShardOf(id)
+			ws.mu.Lock()
+			d.notePendingLocked(ws, id)
+			ws.mu.Unlock()
 		}
 	}
 	return resp, nil
@@ -1119,16 +1051,8 @@ func (d *Durable) DeviceID(raw []byte) string { return d.svc.DeviceID(raw) }
 // diagnostics). Mutating it directly bypasses the WAL.
 func (d *Durable) Service() *Service { return d.svc }
 
-// Design returns the design spec the cloud enforces.
-func (d *Durable) Design() core.DesignSpec { return d.svc.Design() }
-
 // Snapshot captures the current state (see Service.Snapshot).
 func (d *Durable) Snapshot() Snapshot { return d.svc.Snapshot() }
-
-// WriteSnapshot serializes the current state as JSON.
-func (d *Durable) WriteSnapshot(w interface{ Write([]byte) (int, error) }) error {
-	return d.svc.WriteSnapshot(w)
-}
 
 // Close flushes pending liveness notes, then syncs and closes every
 // shard log. The directory reopens with OpenDurable; a clean close

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -500,12 +501,11 @@ func TestDurableUnloggedSessionOwnerReplays(t *testing.T) {
 	}
 }
 
-// TestDurableDrainAppendFailureRequeues pins the fast-path failure
-// contract: when a bare heartbeat drains queued deliveries but the
-// after-the-fact WAL append fails, the delivery errors AND the drained
-// items go back into the inbox — the live process must not limp along
-// with deliveries the device never received already removed.
-func TestDurableDrainAppendFailureRequeues(t *testing.T) {
+// TestDurableDrainAppendFailureKeepsInbox pins the write-ahead contract
+// for a draining bare heartbeat: it is logged before it applies, so when
+// that append fails the delivery errors and nothing was drained — the
+// live inbox and the recovered one both still hold the command.
+func TestDurableDrainAppendFailureKeepsInbox(t *testing.T) {
 	for _, mode := range []string{"single", "batch"} {
 		t.Run(mode, func(t *testing.T) {
 			dir := t.TempDir()
@@ -514,7 +514,7 @@ func TestDurableDrainAppendFailureRequeues(t *testing.T) {
 				if stage == wal.StageFramePayload {
 					appends++
 					// register_user, login, register, bind, control land;
-					// the drain's after-the-fact record tears.
+					// the draining heartbeat's record tears.
 					if appends == 6 {
 						return wal.CrashKeep
 					}
@@ -550,10 +550,10 @@ func TestDurableDrainAppendFailureRequeues(t *testing.T) {
 				t.Fatalf("draining heartbeat during crash = %v, want ErrCrashed", err)
 			}
 
-			// The drained command is back in the live inbox.
+			// The command is still in the live inbox.
 			snap := d.Snapshot()
 			if len(snap.Shadows) != 1 || len(snap.Shadows[0].CommandInbox) != 1 || snap.Shadows[0].CommandInbox[0].ID != "c1" {
-				t.Fatalf("live inbox after failed drain append = %+v, want the requeued command", snap.Shadows)
+				t.Fatalf("live inbox after failed drain append = %+v, want the command still queued", snap.Shadows)
 			}
 			d.Close()
 
@@ -564,6 +564,51 @@ func TestDurableDrainAppendFailureRequeues(t *testing.T) {
 				t.Errorf("recovered inbox = %+v, want the undrained command", snap.Shadows)
 			}
 		})
+	}
+}
+
+// TestDurableRejectedDrainIsLoggedAhead: a bare heartbeat against a
+// device with a command queued is logged before it applies even when the
+// service then rejects it (a bad data proof), and replays to the same
+// rejection — the command stays queued live and after recovery.
+func TestDurableRejectedDrainIsLoggedAhead(t *testing.T) {
+	design := devIDDesign()
+	design.Name = "data-session"
+	design.DataRequiresSession = true
+	dir := t.TempDir()
+	d, clock := newDurableDesign(t, dir, design, DurableOptions{})
+	victim := durableLogin(t, d, "victim@example.com", "pw-victim")
+	if _, err := d.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.HandleBind(protocol.BindRequest{DeviceID: testDevice, UserToken: victim, Sender: core.SenderApp}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.HandleControl(protocol.ControlRequest{
+		DeviceID: testDevice, UserToken: victim, Command: protocol.Command{ID: "c1", Name: "turn_on"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	base := d.AppliedOps()
+
+	clock.Advance(time.Second)
+	_, err := d.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDevice, DataProof: "bad"})
+	if !errors.Is(err, protocol.ErrAuthFailed) {
+		t.Fatalf("heartbeat with a bad data proof = %v, want ErrAuthFailed", err)
+	}
+	if got := d.AppliedOps(); got != base+1 {
+		t.Errorf("AppliedOps = %d, want %d (the rejected heartbeat logged ahead, once)", got, base+1)
+	}
+	snap := d.Snapshot()
+	if len(snap.Shadows) != 1 || len(snap.Shadows[0].CommandInbox) != 1 {
+		t.Fatalf("live inbox after the rejected heartbeat = %+v, want the command still queued", snap.Shadows)
+	}
+	want := encodeStateNoStats(t, d)
+	d.Close()
+
+	d2, _ := newDurableDesign(t, dir, design, DurableOptions{Clock: clock.Now})
+	if got := encodeStateNoStats(t, d2); !bytes.Equal(want, got) {
+		t.Errorf("recovered snapshot differs from live snapshot:\nlive:\n%s\nrecovered:\n%s", want, got)
 	}
 }
 
@@ -766,6 +811,108 @@ func TestDurableConcurrentStatusRecovery(t *testing.T) {
 	}
 	if used < 2 {
 		t.Errorf("records landed on %d WAL shards, want the load spread across several: %v", used, marks)
+	}
+}
+
+// TestDurableMixedLaneRecovery races the cold lane's enqueues against
+// the hot lane's bare heartbeats on bound devices spread over every WAL
+// shard. A heartbeat is logged ahead only when its peek finds deliveries
+// queued; the peek holds because enqueues take d.mu exclusively and a
+// device's statuses share its WAL-shard mutex. If a drain ever slipped
+// through unlogged, the recovered inboxes would still hold what the live
+// ones delivered.
+func TestDurableMixedLaneRecovery(t *testing.T) {
+	dir := t.TempDir()
+	clock := newTestClock()
+	reg := NewRegistry()
+	const devs = 24
+	ids := make([]string, devs)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("AA:BB:CC:0E:00:%02X", i)
+		if err := reg.Add(DeviceRecord{ID: ids[i], FactorySecret: testSecret, Model: "plug"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := func() *Durable {
+		d, err := OpenDurable(dir, devIDDesign(), reg, DurableOptions{
+			Clock: clock.Now, WALShards: 8,
+			WAL: wal.Options{Policy: wal.SyncGrouped, GroupEvery: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	d := open()
+	shards := map[int]bool{}
+	for _, id := range ids {
+		shards[d.WALShardOf(id)] = true
+	}
+	if len(shards) != d.WALShards() {
+		t.Fatalf("devices route to %d of %d WAL shards, want all", len(shards), d.WALShards())
+	}
+	user := durableLogin(t, d, "owner@example.com", "pw-owner")
+	for _, id := range ids {
+		if _, err := d.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: id}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.HandleBind(protocol.BindRequest{DeviceID: id, UserToken: user, Sender: core.SenderApp}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const coldWorkers, hotWorkers, perWorker = 4, 16, 40
+	var wg sync.WaitGroup
+	var drained atomic.Int64
+	for w := 0; w < coldWorkers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < perWorker; k++ {
+				id := ids[(w*7+k)%devs]
+				var err error
+				if k%2 == 0 {
+					_, err = d.HandleControl(protocol.ControlRequest{DeviceID: id, UserToken: user, Command: protocol.Command{ID: fmt.Sprintf("c%d-%d", w, k), Name: "on"}})
+				} else {
+					err = d.PushUserData(protocol.PushUserDataRequest{DeviceID: id, UserToken: user, Data: protocol.UserData{Body: fmt.Sprintf("u%d-%d", w, k)}})
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < hotWorkers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < perWorker; k++ {
+				resp, err := d.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: ids[(w*31+k)%devs]})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				drained.Add(int64(len(resp.Commands) + len(resp.UserData)))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if drained.Load() == 0 {
+		t.Error("no heartbeat drained anything; the race exercised only the liveness path")
+	}
+	want := encodeStateNoStats(t, d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := open()
+	defer d2.Close()
+	if got := encodeStateNoStats(t, d2); !bytes.Equal(want, got) {
+		t.Errorf("recovered state differs from the live state built by racing lanes:\nlive:\n%s\nrecovered:\n%s", want, got)
 	}
 }
 

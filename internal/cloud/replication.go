@@ -3,9 +3,6 @@ package cloud
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
-
-	"github.com/iotbind/iotbind/internal/wal"
 )
 
 // ErrNotPrimary is returned by mutating handlers on a follower Durable.
@@ -52,19 +49,14 @@ func (d *Durable) ShipRecord(shard int, lsn uint64, payload []byte) error {
 	}
 	ws := d.shards[shard]
 	ws.mu.Lock()
-	if ws.log == nil {
-		log, err := wal.Open(filepath.Join(d.walRoot, wal.ShardDirName(ws.index)), d.walOpts)
-		if err != nil {
+	log, err := d.shardLogLocked(ws)
+	if err == nil {
+		if lsn <= log.LastLSN() {
 			ws.mu.Unlock()
-			return fmt.Errorf("cloud: ship record %d: %w", lsn, err)
+			return nil
 		}
-		ws.log = log
+		err = log.AppendLSN(lsn, payload)
 	}
-	if lsn <= ws.log.LastLSN() {
-		ws.mu.Unlock()
-		return nil
-	}
-	err := ws.log.AppendLSN(lsn, payload)
 	ws.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("cloud: ship record %d: %w", lsn, err)
@@ -108,11 +100,12 @@ func (d *Durable) IsFollower() bool {
 
 // SetAppendObserver installs fn as the primary's append observer: every
 // record that lands in a shard log — hot lane, cold lane, liveness
-// flushes, after-the-fact drains — is handed to fn right after its
-// AppendLSN succeeded (so under SyncEveryRecord after its fsync), before
-// the ack watermark advances and before the operation applies. It is the
-// in-process source of WAL shipping; the segment files stay the source of
-// truth for anything the observer's owner drops.
+// flushes — is handed to fn right after its AppendLSN succeeded (so under
+// SyncEveryRecord after its fsync), before the ack watermark advances and
+// before the operation applies (a liveness flush describes heartbeats
+// already applied, and precedes the logged operation that needed it). It
+// is the in-process source of WAL shipping; the segment files stay the
+// source of truth for anything the observer's owner drops.
 //
 // fn runs under the shard's mutex and under d.mu (held exclusively on the
 // cold lane), so it may take only leaf locks and must not call back into

@@ -178,9 +178,6 @@ func hex16(b *[16]byte) string {
 	return string(text[:])
 }
 
-// Design returns the design spec the cloud enforces.
-func (s *Service) Design() core.DesignSpec { return s.design }
-
 // Registry returns the vendor device registry.
 func (s *Service) Registry() *Registry { return s.registry }
 
@@ -699,25 +696,17 @@ func (s *Service) ShadowState(req protocol.ShadowStateRequest) (protocol.ShadowS
 	return protocol.ShadowStateResponse{State: sh.state(), BoundUser: sh.boundUser}, nil
 }
 
-// requeueDeliveries returns drained-but-undelivered commands and user
-// data to the front of the device's inboxes, in their original order.
-// The durable layer calls it when the WAL refuses the record that would
-// have made a fast-path drain durable: the delivery fails back to the
-// device, so the items must stay queued — otherwise the live process
-// keeps running without them while a recovered one still has them.
-func (s *Service) requeueDeliveries(deviceID string, cmds []protocol.Command, data []protocol.UserData) {
-	if len(cmds) == 0 && len(data) == 0 {
-		return
+// hasDeliveries reports whether the device has commands or user data
+// queued, without creating its shadow: a bare heartbeat that would drain
+// them is logged ahead (Durable.statusNeedsWAL).
+func (s *Service) hasDeliveries(deviceID string) bool {
+	sh, ok := s.store.peek(deviceID)
+	if !ok {
+		return false
 	}
-	sh := s.store.get(deviceID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if len(cmds) > 0 {
-		sh.commandInbox = keepLast(append(cmds, sh.commandInbox...), maxInbox)
-	}
-	if len(data) > 0 {
-		sh.dataInbox = keepLast(append(data, sh.dataInbox...), maxInbox)
-	}
+	return len(sh.commandInbox) > 0 || len(sh.dataInbox) > 0
 }
 
 // livenessOf reports the device's current liveness state — its
@@ -736,9 +725,10 @@ func (s *Service) livenessOf(deviceID string) (time.Time, string) {
 // liveness record: the coalesced effect of the bare heartbeats the
 // durable layer applied without individual records. It bypasses the
 // status handler deliberately — no credential re-evaluation (the live
-// heartbeats already passed), no inbox drain (they drained nothing, or
-// the drain got its own record), no counters (the skipped heartbeats'
-// counters are durable only as of the last checkpoint).
+// heartbeats already passed), no inbox drain (they found nothing queued:
+// a heartbeat that could drain is logged ahead instead), no counters (the
+// skipped heartbeats' counters are durable only as of the last
+// checkpoint).
 func (s *Service) applyLiveness(deviceID string, at time.Time, owner string) {
 	if _, ok := s.registry.Lookup(deviceID); !ok {
 		return

@@ -85,7 +85,7 @@ func TestShadowApplyPanicsOnRefusedEdge(t *testing.T) {
 // TestInboxesShedTheOldest: a bound user queueing commands and data for a
 // device that never polls grows neither inbox past maxInbox — the oldest
 // entries are shed — and the next heartbeat delivers the newest maxInbox
-// of each, in order. A requeued delivery counts against the same cap.
+// of each, in order.
 func TestInboxesShedTheOldest(t *testing.T) {
 	svc, _, victim, _ := newTestService(t, devIDDesign())
 	mustStatus(t, svc, protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice})
@@ -101,7 +101,6 @@ func TestInboxesShedTheOldest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	svc.requeueDeliveries(testDevice, []protocol.Command{{ID: "requeued"}}, []protocol.UserData{{Body: "requeued"}})
 	resp := mustStatus(t, svc, protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDevice})
 	if len(resp.Commands) != maxInbox || len(resp.UserData) != maxInbox {
 		t.Fatalf("heartbeat delivered %d commands and %d data, want %d of each", len(resp.Commands), len(resp.UserData), maxInbox)
