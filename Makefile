@@ -55,13 +55,15 @@ alloc-pins:
 # heartbeats and batches for different connections, every device ID
 # through the cloud's registry, plus the pipe tests: many writers on one
 # pipe, a pipe call parked in the cloud beside Server.Close and
-# Client.Close, and the server's goroutine accounting.
+# Client.Close, the server's goroutine accounting, and a window of
+# callers sharing one socket client's read token, pipelined and parked
+# in the read beside Client.Close.
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery|TestDurableMixedLaneRecovery' ./internal/cloud/
 	$(GO) test -race -count=3 -run='TestShipper|TestNode' ./internal/cluster/
 	$(GO) test -race -count=3 -run='TestReadinessEquivalence|TestEpoll|TestShortWrite|TestIdleTimeout|TestBackpressure|TestOverCap' ./internal/binapi/
-	$(GO) test -race -count=10 -run='TestServedDeviceIDsAreTheRegistrys|TestPipe|TestServerGoroutines|TestEpollServerGoroutines' ./internal/binapi/
+	$(GO) test -race -count=10 -run='TestServedDeviceIDsAreTheRegistrys|TestPipe|TestServerGoroutines|TestEpollServerGoroutines|TestReadToken' ./internal/binapi/
 
 # bench compiles and smoke-runs every benchmark (100 iterations, no unit
 # tests) so perf regressions in the hot path are caught by CI, not just

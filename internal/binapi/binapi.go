@@ -60,7 +60,8 @@ import (
 )
 
 // ErrEpollUnsupported reports a raw-epoll request on a platform without
-// epoll (ReadinessEpoll off-Linux, or NewClientPoller there).
+// epoll: a server asked for ReadinessEpoll off-Linux refuses its socket
+// connections with it. Clients need no readiness source of their own.
 var ErrEpollUnsupported = errors.New("binapi: epoll readiness source requires linux")
 
 // Frame kinds: one per operation, the same value in the request and in

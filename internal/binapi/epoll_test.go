@@ -25,8 +25,8 @@ import (
 )
 
 // TestReadinessEquivalence drives an identical seeded op mix through
-// three binapi transports — epoll-readiness socket (dialed through a
-// ClientPoller), pump-readiness socket, and in-process pipe — against
+// three binapi transports — epoll-readiness socket, pump-readiness
+// socket, and in-process pipe — against
 // twin clouds, and requires byte-identical snapshots and identical
 // activity counters afterwards: the readiness source must be a
 // scheduling change, not a semantics change.
@@ -39,12 +39,7 @@ func TestReadinessEquivalence(t *testing.T) {
 	if got := epollSrv.Readiness(); got != ReadinessEpoll {
 		t.Fatalf("readiness = %v, want epoll", got)
 	}
-	pl, err := NewClientPoller()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pl.Close()
-	epollCl, err := pl.Dial(epollAddr)
+	epollCl, err := Dial(epollAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,11 +428,6 @@ func TestShortWriteRearm(t *testing.T) {
 func TestEpollCloseRaceStorm(t *testing.T) {
 	const devices = 64
 	srv, addr := startSocketServer(t, newLabService(t, devices), WithReadiness(ReadinessEpoll))
-	pl, err := NewClientPoller()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pl.Close()
 
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
@@ -461,8 +451,8 @@ func TestEpollCloseRaceStorm(t *testing.T) {
 					_, _ = nc.Write(frame[:len(frame)/2])
 					_ = nc.Close()
 				case 1:
-					// Dial through the poller and close with zero traffic.
-					c, derr := pl.Dial(addr)
+					// Dial and close with zero traffic.
+					c, derr := Dial(addr)
 					if derr != nil {
 						t.Error(derr)
 						return
@@ -470,7 +460,7 @@ func TestEpollCloseRaceStorm(t *testing.T) {
 					_ = c.Close()
 				default:
 					// Real request racing a concurrent Close.
-					c, derr := pl.Dial(addr)
+					c, derr := Dial(addr)
 					if derr != nil {
 						t.Error(derr)
 						return

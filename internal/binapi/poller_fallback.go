@@ -17,29 +17,13 @@ import (
 // available on this platform.
 func EpollSupported() bool { return false }
 
-// epollHandler mirrors the Linux interface; nothing implements or
-// invokes it here.
-type epollHandler interface{}
-
 // epoller is a stub so conn and Server compile; it is never
 // instantiated off-Linux.
 type epoller struct{}
 
-func (ep *epoller) close()                      {}
-func (ep *epoller) remove(uint32, epollHandler) {}
+func (ep *epoller) close()               {}
+func (ep *epoller) remove(uint32, *conn) {}
 
 func (s *Server) startEpollConn(nc net.Conn, sc syscall.Conn) error {
 	return ErrEpollUnsupported
 }
-
-// ClientPoller is unavailable off-Linux; NewClientPoller reports so and
-// callers fall back to Dial's per-connection reader.
-type ClientPoller struct{}
-
-func NewClientPoller() (*ClientPoller, error) { return nil, ErrEpollUnsupported }
-
-func (p *ClientPoller) Dial(addr string, opts ...Option) (*Client, error) {
-	return nil, ErrEpollUnsupported
-}
-
-func (p *ClientPoller) Close() error { return nil }

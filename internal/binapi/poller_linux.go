@@ -59,16 +59,6 @@ const (
 // moves on, so one firehose connection cannot starve its siblings.
 const readBudget = 1 << 20
 
-// epollHandler is what a poller slot points at: a server conn or a
-// ClientPoller's client. Callbacks run on the poller goroutine and
-// must tolerate spurious invocation (see the lifecycle rules above).
-type epollHandler interface {
-	// onReadable gets the event's mask: readChunk needs its hang-up bits.
-	onReadable(events uint32)
-	onWritable()
-	expire(cutoff int64)
-}
-
 // epoller is one epoll instance plus its goroutine.
 type epoller struct {
 	idle   time.Duration
@@ -78,7 +68,7 @@ type epoller struct {
 	epfd   int
 	wakeR  int
 	wakeW  int
-	slots  []epollHandler
+	slots  []*conn
 	free   []uint32
 	closed bool
 
@@ -107,10 +97,9 @@ type epoller struct {
 	nread   int
 	readErr error
 
-	sweepBuf []epollHandler
+	sweepBuf []*conn
 
-	// worker serves a Server's connections on this goroutine; a
-	// ClientPoller's epoller has none.
+	// worker serves the poller's connections on this goroutine.
 	worker *worker
 }
 
@@ -161,7 +150,7 @@ var errPollerClosed = errors.New("binapi: poller closed")
 // alloc reserves a handler slot. The caller records the index (the
 // handler's callbacks may need it for re-arms) before register makes
 // events possible.
-func (ep *epoller) alloc(h epollHandler) (uint32, error) {
+func (ep *epoller) alloc(h *conn) (uint32, error) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if ep.closed {
@@ -220,7 +209,7 @@ func (ep *epoller) mod(rc syscall.RawConn, idx uint32, events uint32) error {
 // double-remove (teardown racing Close) a no-op instead of freeing a
 // slot that was already recycled to another handler. The fd itself is
 // dropped from the epoll set by its own close.
-func (ep *epoller) remove(idx uint32, h epollHandler) {
+func (ep *epoller) remove(idx uint32, h *conn) {
 	ep.mu.Lock()
 	if int(idx) < len(ep.slots) && ep.slots[idx] == h {
 		ep.slots[idx] = nil
@@ -231,7 +220,7 @@ func (ep *epoller) remove(idx uint32, h epollHandler) {
 
 // lookup resolves an event's slot to its live handler, or nil for a
 // stale event.
-func (ep *epoller) lookup(idx uint32) epollHandler {
+func (ep *epoller) lookup(idx uint32) *conn {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if int(idx) < len(ep.slots) {

@@ -57,9 +57,9 @@ type ConnLoadConfig struct {
 	Window int
 	// Readiness selects the server's socket readiness source (default
 	// auto: raw epoll on Linux, per-connection pump elsewhere). Pipe
-	// mode ignores it. Socket clients dial through a shared
-	// ClientPoller whenever the effective source is epoll, so neither
-	// side spends a goroutine per connection.
+	// mode ignores it. The client side spends no goroutine per
+	// connection with either: a Dial'd client's caller reads its own
+	// response.
 	Readiness binapi.Readiness
 }
 
@@ -157,21 +157,7 @@ func RunConnLoad(cfg ConnLoadConfig) (ConnLoadResult, error) {
 		}
 		go func() { _ = srv.Serve(ln) }()
 		addr := ln.Addr().String()
-		var cp *binapi.ClientPoller
-		if srv.Readiness() == binapi.ReadinessEpoll {
-			p, perr := binapi.NewClientPoller()
-			if perr != nil {
-				return res, fmt.Errorf("testbed: conn load: client poller: %w", perr)
-			}
-			cp = p
-			defer cp.Close()
-		}
-		dial = func(int) (*binapi.Client, error) {
-			if cp != nil {
-				return cp.Dial(addr)
-			}
-			return binapi.Dial(addr)
-		}
+		dial = func(int) (*binapi.Client, error) { return binapi.Dial(addr) }
 		res.Readiness = srv.Readiness().String()
 	default:
 		return res, fmt.Errorf("testbed: conn load: unknown mode %q", cfg.Mode)

@@ -96,9 +96,11 @@ func TestConnLoadSocketEpoll(t *testing.T) {
 
 // TestConnLoadSocketPump pins the fallback readiness source and checks
 // its server-goroutine accounting scales with connections (one pump
-// goroutine each) — the before-side of the epoll comparison.
+// goroutine each) — the before-side of the epoll comparison — while the
+// clients' does not. 300 connections put a goroutine per client over
+// the bound below.
 func TestConnLoadSocketPump(t *testing.T) {
-	conns := 100
+	conns := 300
 	if raceEnabled {
 		conns = 40
 	}
@@ -115,6 +117,11 @@ func TestConnLoadSocketPump(t *testing.T) {
 	}
 	if res.ServerGoroutines < conns {
 		t.Fatalf("server goroutines = %d with %d pump conns, want ≥ conns", res.ServerGoroutines, conns)
+	}
+	// The clients spend none per connection either: a Dial'd client's
+	// caller reads its own response.
+	if client, limit := res.Goroutines-res.ServerGoroutines, res.Conns/4+200; client >= limit {
+		t.Fatalf("client goroutines = %d with %d socket conns: per-connection goroutines crept in", client, res.Conns)
 	}
 }
 
