@@ -35,9 +35,12 @@ race:
 # the suite, so this target is what enforces them: the binapi epoll and
 # pipe round trips and the hopped layers at 0, the cold cycle at its
 # strings, the node's bare-heartbeat ack, the status fingerprint at 0,
-# the keyed status and each cold-lane step at what its shadows keep, a status
-# across the composed stack (socket, binapi, router, node) at 0 bare and
-# at its five strings keyed, a proof at its one string, the model
+# the keyed status and each cold-lane step at what its shadows keep
+# (TestColdLaneAllocations), a status across the composed stack (socket,
+# binapi, router, node) at 0 bare and at its five strings keyed, each
+# step of bind_churn's cycle across that stack with every held string
+# the cloud's own (TestStackColdCycleAllocations), a proof at its one
+# string, the model
 # checker's part of an attack_matrix op at its results and traces (an
 # exploration at none), and every live Table III cell at its exact count.
 alloc-pins:
@@ -57,13 +60,16 @@ alloc-pins:
 # pipe, a pipe call parked in the cloud beside Server.Close and
 # Client.Close, the server's goroutine accounting, and a window of
 # callers sharing one socket client's read token, pipelined and parked
-# in the read beside Client.Close.
+# in the read beside Client.Close; and, ten times, the canonicaliser
+# reading the token issuer and the account store while other goroutines
+# sign up, log in and revoke (TestCanonicalRacesLoginAndRevoke).
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery|TestDurableMixedLaneRecovery' ./internal/cloud/
 	$(GO) test -race -count=3 -run='TestShipper|TestNode' ./internal/cluster/
 	$(GO) test -race -count=3 -run='TestReadinessEquivalence|TestEpoll|TestShortWrite|TestIdleTimeout|TestBackpressure|TestOverCap' ./internal/binapi/
 	$(GO) test -race -count=10 -run='TestServedDeviceIDsAreTheRegistrys|TestPipe|TestServerGoroutines|TestEpollServerGoroutines|TestReadToken' ./internal/binapi/
+	$(GO) test -race -count=10 -run='TestCanonicalRacesLoginAndRevoke' ./internal/cloud/
 
 # bench compiles and smoke-runs every benchmark (100 iterations, no unit
 # tests) so perf regressions in the hot path are caught by CI, not just

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -305,10 +306,10 @@ func (c statusCloud) HandleStatus(req protocol.StatusRequest) (protocol.StatusRe
 // statusID is the one device statusCloud's registry holds.
 var statusID = testDeviceID(0)
 
-// DeviceID answers transport.DeviceIDs as a registry holding statusID
+// Canonical answers transport.Canonical as a registry holding statusID
 // would.
-func (statusCloud) DeviceID(raw []byte) string {
-	if string(raw) == statusID {
+func (statusCloud) Canonical(kind protocol.Held, raw []byte) string {
+	if kind == protocol.HeldDevice && string(raw) == statusID {
 		return statusID
 	}
 	return string(raw)
@@ -342,6 +343,40 @@ func TestPipeStatusRoundTripAllocatesNothing(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(2000, beat); avg != 0 {
 		t.Fatalf("pipe status round trip allocates %.0f times, want 0", avg)
+	}
+}
+
+// TestClientSparesOutliveGC: a client called by one goroutine at a time
+// reuses its own call and encode buffer, so the GC that empties callPool
+// and encPool costs it nothing: neither pool makes a new object however
+// many cycles run between calls.
+func TestClientSparesOutliveGC(t *testing.T) {
+	srv := NewServer(statusCloud{status: func(protocol.StatusRequest) (protocol.StatusResponse, error) {
+		return protocol.StatusResponse{}, nil
+	}})
+	defer srv.Close()
+	c, err := srv.Pipe("198.51.100.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: statusID}
+	if _, err := c.HandleStatus(req); err != nil {
+		t.Fatal(err)
+	}
+	news := 0
+	callNew, encNew := callPool.New, encPool.New
+	callPool.New = func() any { news++; return callNew() }
+	encPool.New = func() any { news++; return encNew() }
+	defer func() { callPool.New, encPool.New = callNew, encNew }()
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		if _, err := c.HandleStatus(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if news != 0 {
+		t.Fatalf("the pools made %d objects for a client with one caller, want 0", news)
 	}
 }
 
@@ -838,7 +873,7 @@ func TestBadFramesRejected(t *testing.T) {
 	}
 	defer c.Close()
 	raw := func(kind uint8, payload []byte) error {
-		eb := getEncBuf()
+		eb := c.getEncBuf()
 		eb.payload.Write(payload)
 		cl, id, err := c.roundTrip(kind, eb)
 		if err == nil {

@@ -78,6 +78,12 @@ type Client struct {
 	dropped  atomic.Uint64
 	bytesIn  atomic.Int64
 	bytesOut atomic.Int64
+
+	// spareCall and spareEnc keep one call and one encode buffer ahead of
+	// callPool and encPool, which every GC empties (refilling them costs a
+	// varying few allocations): one caller at a time never reaches them.
+	spareCall atomic.Pointer[call]
+	spareEnc  atomic.Pointer[encBuf]
 }
 
 type slot struct {
@@ -113,11 +119,26 @@ type encBuf struct {
 
 var encPool = sync.Pool{New: func() any { return new(encBuf) }}
 
-// getEncBuf returns an empty pooled encode buffer; roundTrip returns it.
-func getEncBuf() *encBuf {
-	eb := encPool.Get().(*encBuf)
+// getEncBuf returns an empty encode buffer; roundTrip returns it.
+func (c *Client) getEncBuf() *encBuf {
+	eb := getSpare(&c.spareEnc, &encPool)
 	eb.payload.Reset()
 	return eb
+}
+
+// getSpare takes the client's spare from slot, else an object from pool;
+// putSpare gives v back to whichever of the two has room.
+func getSpare[T any](slot *atomic.Pointer[T], pool *sync.Pool) *T {
+	if v := slot.Swap(nil); v != nil {
+		return v
+	}
+	return pool.Get().(*T)
+}
+
+func putSpare[T any](slot *atomic.Pointer[T], pool *sync.Pool, v *T) {
+	if !slot.CompareAndSwap(nil, v) {
+		pool.Put(v)
+	}
 }
 
 var errClientClosed = errors.New("binapi: client closed")
@@ -409,13 +430,13 @@ func (c *Client) begin(kind uint8) (*call, uint32, error) {
 	case <-c.closedCh:
 		return nil, 0, c.fatalErr()
 	}
-	cl := callPool.Get().(*call)
+	cl := getSpare(&c.spareCall, &callPool)
 	cl.kind = kind
 	cl.err = nil
 	c.pmu.Lock()
 	if c.closed {
 		c.pmu.Unlock()
-		callPool.Put(cl)
+		putSpare(&c.spareCall, &callPool, cl)
 		return nil, 0, c.fatalErr()
 	}
 	idx := c.free[len(c.free)-1]
@@ -442,7 +463,7 @@ func (c *Client) finish(id uint32, cl *call) {
 	if cap(cl.body) > maxPooledBody {
 		cl.body = nil
 	}
-	callPool.Put(cl)
+	putSpare(&c.spareCall, &callPool, cl)
 }
 
 // abort reclaims a call whose request never made it to the wire. If a
@@ -496,7 +517,7 @@ func (c *Client) send(frame []byte) error {
 // every other call in flight on it.
 func (c *Client) roundTrip(kind uint8, eb *encBuf) (*call, uint32, error) {
 	if n := eb.payload.Len(); n > c.maxFrame {
-		encPool.Put(eb)
+		putSpare(&c.spareEnc, &encPool, eb)
 		return nil, 0, fmt.Errorf("binapi: %w: %d-byte request body, the server accepts %d", protocol.ErrPayloadTooLarge, n, c.maxFrame)
 	}
 	cl, id, err := c.begin(kind)
@@ -506,7 +527,7 @@ func (c *Client) roundTrip(kind uint8, eb *encBuf) (*call, uint32, error) {
 			c.abort(id, cl)
 		}
 	}
-	encPool.Put(eb)
+	putSpare(&c.spareEnc, &encPool, eb)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -522,7 +543,7 @@ func (c *Client) roundTrip(kind uint8, eb *encBuf) (*call, uint32, error) {
 // below and unlike the operations in ops.go: the status body encoder
 // takes a pointer, and the hot path is kept free of func values.
 func (c *Client) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
-	eb := getEncBuf()
+	eb := c.getEncBuf()
 	wirecodec.PutStatusBody(&eb.payload, &req)
 	cl, id, err := c.roundTrip(kindStatus, eb)
 	if err != nil {
@@ -539,7 +560,7 @@ func (c *Client) HandleStatus(req protocol.StatusRequest) (protocol.StatusRespon
 
 // HandleStatusBatch sends a status batch.
 func (c *Client) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	eb := getEncBuf()
+	eb := c.getEncBuf()
 	wirecodec.PutBatchBody(&eb.payload, &req)
 	cl, id, err := c.roundTrip(kindBatch, eb)
 	if err != nil {

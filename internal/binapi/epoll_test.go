@@ -596,10 +596,11 @@ func TestColdCycleAllocatesOnlyItsStrings(t *testing.T) {
 	}
 }
 
-// idCloud is a cloud with a registry: it answers transport.DeviceIDs
-// from reg and checks, for every request it serves, that a registered
-// device's ID arrived as the registry's own string and any other ID as a
-// fresh copy of its bytes — never the copy an earlier request delivered.
+// idCloud is a cloud with a registry: it answers transport.Canonical
+// for device IDs from reg, copying any other kind, and checks, for every
+// request it serves, that a registered device's ID arrived as the
+// registry's own string and any other ID as a fresh copy of its bytes —
+// never the copy an earlier request delivered.
 // It also accepts a request only when its credential is "tok-" and the
 // device ID it arrived with, so an ID decoded from another connection's
 // request is refused too. Status requests carry the credential as their
@@ -620,8 +621,8 @@ func newIDCloud(registered []string) *idCloud {
 	return c
 }
 
-func (c *idCloud) DeviceID(raw []byte) string {
-	if id, ok := c.reg[string(raw)]; ok {
+func (c *idCloud) Canonical(kind protocol.Held, raw []byte) string {
+	if id, ok := c.reg[string(raw)]; ok && kind == protocol.HeldDevice {
 		return id
 	}
 	return string(raw)

@@ -22,8 +22,9 @@ import (
 // and the cursor the read funcs walk lives in the worker or the pooled
 // call: a *Req or a fresh *Cursor handed to a func value escapes, which
 // costs one heap allocation per operation per side. The worker's cursor
-// reads every request's device ID through the cloud's registry
-// (Server.ids), status and cold rows alike.
+// reads every request's device ID, user token, grantee and guest through
+// the cloud's transport.Canonical (newWorker), status and cold rows
+// alike.
 
 // row is one operation's wire form and the call it carries.
 type row[Req, Resp any] struct {
@@ -151,7 +152,7 @@ func (r *row[Req, Resp]) serve(w *worker, c *conn, stream uint32, payload []byte
 // body decoded on the caller's goroutine.
 func exchange[Req, Resp any](c *Client, r *row[Req, Resp], req Req) (Resp, error) {
 	var zero Resp
-	eb := getEncBuf()
+	eb := c.getEncBuf()
 	r.putReq(&eb.payload, req)
 	cl, id, err := c.roundTrip(r.kind, eb)
 	if err != nil {

@@ -483,8 +483,15 @@ func (s *Server) startEpollConn(nc net.Conn, sc syscall.Conn) error {
 	if s.opts.idleTimeout > 0 {
 		c.lastAct.Store(time.Now().UnixNano())
 	}
+	c.inMu.Lock() // close reads the slot under inMu, so a closed conn takes none
+	if c.closed {
+		c.inMu.Unlock()
+		return errServerClosed
+	}
 	c.pl = pl
-	if c.pidx, err = pl.alloc(c); err != nil {
+	c.pidx, err = pl.alloc(c)
+	c.inMu.Unlock()
+	if err != nil {
 		c.close(err) // no slot yet: remove's identity check makes that a no-op
 		return err
 	}

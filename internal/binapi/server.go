@@ -28,9 +28,6 @@ import (
 type Server struct {
 	cloud transport.Cloud
 	opts  options
-	// ids is the cloud's transport.DeviceIDs, resolved once in NewServer;
-	// nil, when the cloud cannot answer, copies every device ID.
-	ids func(raw []byte) string
 
 	// pollers holds GOMAXPROCS epoll pollers, each created (under mu) by
 	// the first socket assigned to it; sockets are assigned round-robin
@@ -74,9 +71,6 @@ func NewServer(cloud transport.Cloud, opts ...Option) *Server {
 		opts:      o,
 		conns:     make(map[*conn]struct{}),
 		listeners: make(map[net.Listener]struct{}),
-	}
-	if ids, ok := cloud.(transport.DeviceIDs); ok {
-		s.ids = ids.DeviceID
 	}
 	if o.readiness == ReadinessEpoll {
 		s.pollers = make([]*epoller, runtime.GOMAXPROCS(0))
@@ -411,12 +405,13 @@ func (c *conn) close(err error) {
 		putInBuf(c.in)
 	}
 	c.in = nil
+	pl, pidx := c.pl, c.pidx
 	c.inMu.Unlock()
-	if c.pl != nil {
+	if pl != nil {
 		// Clear the poller slot before the fd closes: events already
 		// pulled from the kernel then resolve to nothing instead of a
 		// recycled slot.
-		c.pl.remove(c.pidx, c)
+		pl.remove(pidx, c)
 	}
 	c.wmu.Lock()
 	putInBuf(c.wbuf)
@@ -443,10 +438,13 @@ type worker struct {
 	cur     wirecodec.Cursor
 }
 
-// newWorker returns a worker whose cursor reads device IDs through ids.
+// newWorker returns a worker whose cursor reads held strings through the
+// cloud's transport.Canonical, or copies them when the cloud cannot answer.
 func (s *Server) newWorker() *worker {
 	w := &worker{srv: s}
-	w.cur.SetIDs(s.ids)
+	if c, ok := s.cloud.(transport.Canonical); ok {
+		w.cur.SetCanonical(c.Canonical)
+	}
 	return w
 }
 

@@ -11,9 +11,12 @@ import (
 // accountStore holds user accounts with password-based authentication, the
 // scheme IoT vendors typically deploy (Section II-B).
 type accountStore struct {
-	mu        sync.RWMutex
-	passwords map[string]string
+	mu       sync.RWMutex
+	accounts map[string]account
 }
+
+// account keeps the ID beside the password, for canonical to hand out.
+type account struct{ id, password string }
 
 // register creates an account.
 func (s *accountStore) register(userID, password string) error {
@@ -22,17 +25,17 @@ func (s *accountStore) register(userID, password string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.passwords[userID]; exists {
+	if _, exists := s.accounts[userID]; exists {
 		return fmt.Errorf("accounts: %q: %w", userID, protocol.ErrUserExists)
 	}
-	s.passwords[userID] = password
+	s.accounts[userID] = account{userID, password}
 	return nil
 }
 
 // authenticate verifies a password in constant time.
 func (s *accountStore) authenticate(userID, password string) error {
 	s.mu.RLock()
-	stored, ok := s.passwords[userID]
+	stored, ok := s.accounts[userID]
 	s.mu.RUnlock()
 	if !ok {
 		// Burn comparable time for unknown users so account existence
@@ -40,7 +43,7 @@ func (s *accountStore) authenticate(userID, password string) error {
 		subtle.ConstantTimeCompare([]byte(password), []byte(password))
 		return errAccountAuth
 	}
-	if subtle.ConstantTimeCompare([]byte(stored), []byte(password)) != 1 {
+	if subtle.ConstantTimeCompare([]byte(stored.password), []byte(password)) != 1 {
 		return errAccountAuth
 	}
 	return nil
@@ -50,17 +53,29 @@ func (s *accountStore) authenticate(userID, password string) error {
 func (s *accountStore) exists(userID string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.passwords[userID]
+	_, ok := s.accounts[userID]
 	return ok
+}
+
+// canonical returns the store's own string for the account raw names, or
+// a copy of raw. Never ask it for a UserID authenticate will check.
+func (s *accountStore) canonical(raw []byte) string {
+	s.mu.RLock()
+	a, ok := s.accounts[string(raw)]
+	s.mu.RUnlock()
+	if ok {
+		return a.id
+	}
+	return string(raw)
 }
 
 // export copies the account table, for persistence.
 func (s *accountStore) export() map[string]string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[string]string, len(s.passwords))
-	for u, p := range s.passwords {
-		out[u] = p
+	out := make(map[string]string, len(s.accounts))
+	for u, a := range s.accounts {
+		out[u] = a.password
 	}
 	return out
 }
@@ -69,8 +84,8 @@ func (s *accountStore) export() map[string]string {
 func (s *accountStore) replace(accounts map[string]string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.passwords = make(map[string]string, len(accounts))
+	s.accounts = make(map[string]account, len(accounts))
 	for u, p := range accounts {
-		s.passwords[u] = p
+		s.accounts[u] = account{u, p}
 	}
 }

@@ -337,10 +337,11 @@ func FuzzApplyRecord(f *testing.F) {
 }
 
 // TestRecordIDsCanonicalOnlyOnExactMatch: the replay cursor reads a
-// device ID through the registry, which hands back its own string only
-// for an ID that matches a manufactured device byte for byte. An
-// unregistered ID, a prefix or an extension of a registered one, and the
-// empty ID each decode to their own bytes.
+// device ID through the registry, a credential through the token issuer
+// and an account through the account store, and each hands back its own
+// string only for bytes that match an entry exactly. An unknown string,
+// a prefix or an extension of a held one, and the empty string each
+// decode to their own bytes.
 func TestRecordIDsCanonicalOnlyOnExactMatch(t *testing.T) {
 	registered := strings.Clone(applyDevice)
 	reg := NewRegistry()
@@ -362,6 +363,32 @@ func TestRecordIDsCanonicalOnlyOnExactMatch(t *testing.T) {
 		}
 		if shared := len(got) > 0 && unsafe.StringData(got) == unsafe.StringData(registered); shared != (id == applyDevice) {
 			t.Errorf("ID %q: registry's string returned = %t, want %t", id, shared, id == applyDevice)
+		}
+	}
+	account := strings.Clone("owner@x")
+	if err := d.RegisterUser(protocol.RegisterUserRequest{UserID: account, Password: "pw"}); err != nil {
+		t.Fatal(err)
+	}
+	login, err := d.Login(protocol.LoginRequest{UserID: account, Password: "pw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok := login.UserToken
+	for _, c := range []struct {
+		read func() string
+		held string
+	}{{d.cur.Cred, tok}, {d.cur.Account, account}} {
+		for _, s := range []string{c.held, c.held[:len(c.held)-1], c.held + "0", "unknown", ""} {
+			var b bytes.Buffer
+			wirecodec.PutStr(&b, s)
+			d.cur.Reset(b.Bytes())
+			got := c.read()
+			if !d.cur.Done() || got != s {
+				t.Fatalf("%q decoded to %q (done %t)", s, got, d.cur.Done())
+			}
+			if shared := len(got) > 0 && unsafe.StringData(got) == unsafe.StringData(c.held); shared != (s == c.held) {
+				t.Errorf("%q: the store's string returned = %t, want %t", s, shared, s == c.held)
+			}
 		}
 	}
 	if raceEnabled {

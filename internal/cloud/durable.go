@@ -308,7 +308,7 @@ func OpenDurable(dir string, design core.DesignSpec, registry *Registry, opts Du
 		return nil, err
 	}
 	d.svc = svc
-	d.cur.SetIDs(registry.canonicalID)
+	d.cur.SetCanonical(svc.Canonical)
 
 	if snapLSN > 0 {
 		if err := svc.Restore(snap); err != nil {
@@ -1044,8 +1044,8 @@ func (d *Durable) ShardWatermarks() []uint64 {
 // during open, so reading it needs no lock.
 func (d *Durable) Recovery() DurableRecovery { return d.recovery }
 
-// DeviceID implements transport.DeviceIDs through the service's registry.
-func (d *Durable) DeviceID(raw []byte) string { return d.svc.DeviceID(raw) }
+// Canonical implements transport.Canonical through the service.
+func (d *Durable) Canonical(kind protocol.Held, raw []byte) string { return d.svc.Canonical(kind, raw) }
 
 // Service exposes the underlying in-memory service (snapshots,
 // diagnostics). Mutating it directly bypasses the WAL.

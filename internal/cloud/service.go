@@ -148,7 +148,7 @@ func NewService(design core.DesignSpec, registry *Registry, opts ...Option) (*Se
 	s := &Service{
 		design:   design,
 		registry: registry,
-		accounts: accountStore{passwords: make(map[string]string)},
+		accounts: accountStore{accounts: make(map[string]account)},
 		store:    newShadowStore(),
 		now:      time.Now,
 		randomHex: func() (string, error) {
@@ -181,8 +181,16 @@ func hex16(b *[16]byte) string {
 // Registry returns the vendor device registry.
 func (s *Service) Registry() *Registry { return s.registry }
 
-// DeviceID implements transport.DeviceIDs with the registry.
-func (s *Service) DeviceID(raw []byte) string { return s.registry.canonicalID(raw) }
+// Canonical implements transport.Canonical from the service's tables.
+func (s *Service) Canonical(kind protocol.Held, raw []byte) string {
+	switch kind {
+	case protocol.HeldCred:
+		return s.issuer.Canonical(raw)
+	case protocol.HeldAccount:
+		return s.accounts.canonical(raw)
+	}
+	return s.registry.canonicalID(raw)
+}
 
 // RegisterUser creates a user account.
 func (s *Service) registerUser(req protocol.RegisterUserRequest) error {

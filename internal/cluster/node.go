@@ -10,6 +10,7 @@ import (
 
 	"github.com/iotbind/iotbind/internal/cloud"
 	"github.com/iotbind/iotbind/internal/core"
+	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/transport"
 	"github.com/iotbind/iotbind/internal/wal"
 )
@@ -137,8 +138,10 @@ func (n *Node) Primary() *cloud.Durable { return n.primary }
 // Replica exposes the follower store.
 func (n *Node) Replica() *cloud.Durable { return n.replica }
 
-// DeviceID forwards transport.DeviceIDs to the primary's registry.
-func (n *Node) DeviceID(raw []byte) string { return n.primary.DeviceID(raw) }
+// Canonical forwards transport.Canonical to the primary.
+func (n *Node) Canonical(kind protocol.Held, raw []byte) string {
+	return n.primary.Canonical(kind, raw)
+}
 
 // ReplicationLag reports how many acked operations the replica is
 // missing. Approximate in both directions: both sides are max

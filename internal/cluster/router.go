@@ -57,9 +57,14 @@ func (h routerHop) Begin(_ transport.Op, key string) (transport.Cloud, error) {
 
 func (h routerHop) End(_ transport.Op, err error) error { return err }
 
-// DeviceID forwards transport.DeviceIDs to the ring owner of raw.
-func (r *Router) DeviceID(raw []byte) string {
-	return r.members[r.ring.owner(fnv1a32(raw))].DeviceID(raw)
+// Canonical forwards to a member holding raw: a device ID to its owner, an
+// account to any (RegisterUser broadcasts), a credential only on a
+// one-member ring (tokens are node-affine; the router knows no issuer).
+func (r *Router) Canonical(kind protocol.Held, raw []byte) string {
+	if kind == protocol.HeldCred && len(r.members) > 1 {
+		return string(raw)
+	}
+	return r.members[r.ring.owner(fnv1a32(raw))].Canonical(kind, raw)
 }
 
 // RegisterUser broadcasts: accounts must exist everywhere because a

@@ -16,6 +16,7 @@ import (
 	"github.com/iotbind/iotbind/internal/cloud"
 	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/protocol"
+	"github.com/iotbind/iotbind/internal/transport"
 	"github.com/iotbind/iotbind/internal/wal"
 )
 
@@ -656,49 +657,63 @@ func coldDesign() core.DesignSpec {
 // TestColdLaneAllocations pins what each step of bind_churn's cycle
 // costs below the transport on an ack-after-replicate node: logged on
 // the primary, shipped and applied on the replica before the ack — all
-// but the delegated read, which logs nothing. Each count is the usual
-// one for the step (its mode over the measured cycles): a device's state
-// machine trace, idempotency log and the token tables grow now and then,
-// and that amortized growth lands on one step in a few dozen. Every
-// allocation is state a side keeps. The device ID is the registry's
-// string on the replica and the caller's on the primary, the idempotency
-// records sit in their map slots, and the requests are built before the
-// count, so what is left is:
+// but the delegated read, which logs nothing. Every allocation is state
+// a side keeps. The primary keeps the caller's strings; the replica
+// decodes its own copy of each record, but reads the device ID, the user
+// token and the grantee through its own registry, token issuer and
+// account store, and a scope name through the delegation scope table, so
+// none of those costs it a string. The idempotency records sit in their
+// map slots, and the requests are built before the count. What is left:
 //
-//   - bind 3: the replica's user token, idempotency key and source
-//     address (the primary keeps the caller's).
-//   - delegate 14: on each side the lattice (2), its grant (1) and the
-//     minted delegation token (1); on the replica also the user token,
-//     grantee, key, scope list and its two scopes.
-//   - control 5: the queued command on each side; the replica's user
-//     token, source address and command name (a one-byte command ID is
-//     a static string).
+//   - bind 2: the replica's idempotency key and source address.
+//   - delegate 10: on each side the lattice (2), its grant (1) and the
+//     minted delegation token (1); on the replica also the key and the
+//     scope list.
+//   - control 4: the queued command on each side; the replica's source
+//     address and command name (a one-byte command ID is a static
+//     string).
 //   - readings 2: the lattice's authorization memo, on the primary only.
-//   - revoke 5: the severed-grant list on each side; the replica's user
-//     token, grantee and key.
-//   - unbind 3: the replica's user token, key and source address.
+//   - revoke 3: the severed-grant list on each side; the replica's key.
+//   - unbind 2: the replica's key and source address.
+//
+// Before the replica read held strings through the canonicaliser the
+// counts were 3, 14, 5, 2, 5 and 3: its user tokens, grantees and scope
+// names were copies.
 func TestColdLaneAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const devices, warm, measured = 8, 17, 10
+	ids := coldDevices(8)
+	n := newColdNode(t, "n0", labClock(), ids...)
+	coldStepAllocs(t, n, ids, [6]uint64{2, 10, 4, 2, 3, 2})
+	requireSnapshotsEqual(t, n.primary, n.replica)
+}
+
+// coldDevices names n devices for the cold-cycle pins.
+func coldDevices(n int) []string {
 	var ids []string
-	for i := 0; i < devices; i++ {
+	for i := 0; i < n; i++ {
 		ids = append(ids, fmt.Sprintf("AA:BB:CC:00:00:%02X", i))
 	}
-	n, err := NewNode(NodeConfig{
-		Name: "n0", Dir: filepath.Join(t.TempDir(), "n0"), Design: coldDesign(), Registry: labRegistry(t, ids...),
-		Clock: labClock(), WALShards: 4, WAL: wal.Options{Policy: wal.SyncOff}, AckAfterReplicate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
+	return ids
+}
+
+// coldStepAllocs signs up and logs in owner@lab and guest@lab through
+// c, registers the devices ids, then runs bind_churn's six-step cycle
+// (bind, delegate, control, delegated readings, revoke, unbind) over
+// every device, warm rounds and then measured ones, each request built
+// ahead of the count. It requires each step's usual count over the
+// measured cycles — its mode: a device's state machine trace, the
+// idempotency log and the token tables grow now and then, and that
+// amortized growth lands on one step in a few dozen — to be want's.
+func coldStepAllocs(t *testing.T, c transport.Cloud, ids []string, want [6]uint64) {
+	t.Helper()
+	const warm, measured = 17, 10
 	login := func(user string) string {
-		if err := n.RegisterUser(protocol.RegisterUserRequest{UserID: user, Password: "pw"}); err != nil {
+		if err := c.RegisterUser(protocol.RegisterUserRequest{UserID: user, Password: "pw"}); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := n.Login(protocol.LoginRequest{UserID: user, Password: "pw"})
+		resp, err := c.Login(protocol.LoginRequest{UserID: user, Password: "pw"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -707,12 +722,11 @@ func TestColdLaneAllocations(t *testing.T) {
 	owner := login("owner@lab")
 	login("guest@lab")
 	for _, id := range ids {
-		if _, err := n.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: id}); err != nil {
+		if _, err := c.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: id}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// The six steps, each request built ahead of the count.
 	steps := []string{"bind", "delegate", "control", "readings", "revoke", "unbind"}
 	type cycle struct {
 		bind    protocol.BindRequest
@@ -741,29 +755,29 @@ func TestColdLaneAllocations(t *testing.T) {
 		samples[i] = map[uint64]int{}
 	}
 	var ms runtime.MemStats
-	run := func(c *cycle, count bool) {
+	run := func(cy *cycle, count bool) {
 		var deleg string
 		for i, step := range []func() error{
-			func() error { _, err := n.HandleBind(c.bind); return err },
+			func() error { _, err := c.HandleBind(cy.bind); return err },
 			func() error {
-				resp, err := n.HandleDelegate(c.deleg)
+				resp, err := c.HandleDelegate(cy.deleg)
 				deleg = resp.DelegationToken
 				return err
 			},
-			func() error { _, err := n.HandleControl(c.control); return err },
+			func() error { _, err := c.HandleControl(cy.control); return err },
 			func() error {
-				_, err := n.Readings(protocol.ReadingsRequest{DeviceID: c.bind.DeviceID, UserToken: deleg})
+				_, err := c.Readings(protocol.ReadingsRequest{DeviceID: cy.bind.DeviceID, UserToken: deleg})
 				return err
 			},
-			func() error { return n.HandleRevokeDelegation(c.revoke) },
-			func() error { return n.HandleUnbind(c.unbind) },
+			func() error { return c.HandleRevokeDelegation(cy.revoke) },
+			func() error { return c.HandleUnbind(cy.unbind) },
 		} {
 			runtime.ReadMemStats(&ms)
 			before := ms.Mallocs
 			err := step()
 			runtime.ReadMemStats(&ms)
 			if err != nil {
-				t.Fatalf("%s %s: %v", steps[i], c.bind.DeviceID, err)
+				t.Fatalf("%s %s: %v", steps[i], cy.bind.DeviceID, err)
 			}
 			if count {
 				samples[i][ms.Mallocs-before]++
@@ -779,7 +793,6 @@ func TestColdLaneAllocations(t *testing.T) {
 			run(&cycles[i], r >= warm)
 		}
 	}
-	want := [6]uint64{3, 14, 5, 2, 5, 3}
 	for i, name := range steps {
 		var mode uint64
 		for count, times := range samples[i] {
@@ -791,5 +804,4 @@ func TestColdLaneAllocations(t *testing.T) {
 			t.Errorf("%s allocates %d times (all counts: %v), want %d", name, mode, samples[i], want[i])
 		}
 	}
-	requireSnapshotsEqual(t, n.primary, n.replica)
 }

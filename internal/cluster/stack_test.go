@@ -2,12 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"net"
 	"path/filepath"
 	"testing"
 	"unsafe"
 
-	"github.com/iotbind/iotbind/internal/binapi"
+	"github.com/iotbind/iotbind/internal/cloud"
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/transport"
 	"github.com/iotbind/iotbind/internal/wal"
@@ -30,26 +29,7 @@ func TestStackStatusAllocations(t *testing.T) {
 	}
 	n := newLabNode(t, "n0", true, labDev)
 	driveNode(t, n)
-	ring, err := NewRing([]string{"n0"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	router, err := NewRouter(ring, map[string]*transport.Switchable{"n0": transport.NewSwitchable(n)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := binapi.NewServer(router)
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(ln) }()
-	c, err := binapi.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := serveSocket(t, newRouterOver(t, map[string]transport.Cloud{"n0": n}))
 
 	// The warm-up fills the reading and idempotency windows and sizes the
 	// feed's and the cursors' arenas; AllocsPerRun makes one call more
@@ -93,19 +73,34 @@ func TestStackStatusAllocations(t *testing.T) {
 }
 
 // TestRouterDeviceIDsAreTheRegistrys: a front end asking the router for a
-// device ID gets the registry's own string for a registered device — from
-// the ring owner's Switchable and the node behind it — and a fresh copy
-// for any other. After Kill → Promote → Swap the promoted replica answers
-// from the same registry; a Switchable whose live backend cannot answer
-// copies.
+// held string gets, on rings of one, two and three nodes:
+//
+//   - for a device ID, the registry's own string when the device is
+//     registered — from the ring owner's Switchable and the node behind
+//     it — and a fresh copy for any other;
+//   - for an account, the string the account store of the member it was
+//     sent to holds (every member holds every account);
+//   - for a credential, on a one-member ring the issuing store's own
+//     string, on a larger one a fresh copy: the router does not know
+//     which node issued it.
+//
+// After Kill → Promote → Swap of n0 the promoted replica answers from
+// the same registry and from its own token issuer and account store; a
+// Switchable whose live backend cannot answer copies all three.
 func TestRouterDeviceIDsAreTheRegistrys(t *testing.T) {
 	var ids []string
 	for i := 0; i < 32; i++ {
 		ids = append(ids, fmt.Sprintf("AA:BB:CC:04:00:%02X", i))
 	}
 	reg := labRegistry(t, ids...)
-	names := []string{"n0", "n1"}
+	for _, names := range [][]string{{"n0"}, {"n0", "n1"}, {"n0", "n1", "n2"}} {
+		t.Run(fmt.Sprintf("%d nodes", len(names)), func(t *testing.T) { routerHeldStrings(t, reg, ids, names) })
+	}
+}
+
+func routerHeldStrings(t *testing.T, reg *cloud.Registry, ids, names []string) {
 	nodes := make(map[string]*Node, len(names))
+	serving := make(map[string]*cloud.Durable, len(names))
 	members := make(map[string]*transport.Switchable, len(names))
 	for _, name := range names {
 		n, err := NewNode(NodeConfig{
@@ -116,7 +111,7 @@ func TestRouterDeviceIDsAreTheRegistrys(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { n.Close() })
-		nodes[name] = n
+		nodes[name], serving[name] = n, n.Primary()
 		members[name] = transport.NewSwitchable(n)
 	}
 	ring, err := NewRing(names, 0)
@@ -127,28 +122,52 @@ func TestRouterDeviceIDsAreTheRegistrys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const victim = "n0"
-	check := func(stage string, registry bool) {
+	const user, victim = "u@lab", "n0"
+	if err := r.RegisterUser(protocol.RegisterUserRequest{UserID: user, Password: "pw"}); err != nil {
+		t.Fatal(err)
+	}
+	login, err := r.Login(protocol.LoginRequest{UserID: user, Password: "pw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok := login.UserToken
+
+	// canonical asks the router for raw's kind and requires its bytes
+	// back, never aliasing raw; it reports whether the answer is held's.
+	canonical := func(stage string, kind protocol.Held, raw string, held map[string]string) bool {
+		t.Helper()
+		b := []byte(raw)
+		got := r.Canonical(kind, b)
+		if got != raw || unsafe.StringData(got) == unsafe.SliceData(b) {
+			t.Errorf("%s: %q came back as %q, or aliasing the raw bytes", stage, raw, got)
+		}
+		return isHeld(held, raw, got)
+	}
+	check := func(stage string, answers bool) {
 		t.Helper()
 		owners := map[string]bool{}
 		for _, id := range ids {
 			owners[ring.Owner(id)] = true
-			raw := []byte(id)
-			got := r.DeviceID(raw)
-			if got != id || unsafe.StringData(got) == unsafe.SliceData(raw) {
-				t.Errorf("%s: %q came back as %q, or aliasing the raw bytes", stage, id, got)
-			}
-			if want := registry || ring.Owner(id) != victim; (unsafe.StringData(got) == unsafe.StringData(id)) != want {
-				t.Errorf("%s: %q (owner %s) is the registry's string: %v, want %v",
-					stage, id, ring.Owner(id), !want, want)
+			want := answers || ring.Owner(id) != victim
+			if got := canonical(stage, protocol.HeldDevice, id, map[string]string{id: id}); got != want {
+				t.Errorf("%s: %q (owner %s) is the registry's string: %v, want %v", stage, id, ring.Owner(id), got, want)
 			}
 		}
 		if len(owners) != len(names) {
 			t.Fatalf("the fleet landed on %d of %d nodes", len(owners), len(names))
 		}
-		raw := []byte("AA:BB:CC:04:FF:FF")
-		if got := r.DeviceID(raw); got != string(raw) || unsafe.StringData(got) == unsafe.SliceData(raw) {
-			t.Errorf("%s: an unregistered ID came back as %q, or aliasing the raw bytes", stage, got)
+		canonical(stage, protocol.HeldDevice, "AA:BB:CC:04:FF:FF", nil)
+
+		owner := ring.Owner(user)
+		want := answers || owner != victim
+		if got := canonical(stage, protocol.HeldAccount, user, heldStrings(serving[owner])); got != want {
+			t.Errorf("%s: account %q is %s's store's string: %v, want %v", stage, user, owner, got, want)
+		}
+		want = answers && len(names) == 1
+		for _, name := range names {
+			if got := canonical(stage, protocol.HeldCred, tok, heldStrings(serving[name])); got != (want && name == owner) {
+				t.Errorf("%s: the token is %s's issuer's string: %v, want %v", stage, name, got, want && name == owner)
+			}
 		}
 	}
 	check("live", true)
@@ -160,7 +179,35 @@ func TestRouterDeviceIDsAreTheRegistrys(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Member(victim).Swap(promoted)
+	serving[victim] = promoted
 	check("after failover", true)
 	r.Member(victim).Swap(transport.NewFaultPlane(1).Wrap(promoted, transport.PartyDevice))
 	check("behind a backend that cannot answer", false)
+}
+
+// TestStackColdCycleAllocations pins what each step of bind_churn's
+// cycle costs across the whole composed stack: client → loopback socket
+// → binapi → one-member Router → Switchable → ack-after-replicate Node
+// and back, both ends in this process, each request built ahead of the
+// count. binapi reads every device ID, user token, delegation token and
+// grantee through the router as the primary's own string, and each scope
+// name as the delegation scope table's, so on top of
+// TestColdLaneAllocations' counts below the transport (2, 10, 4, 2, 3,
+// 2) the front end decodes only what no table holds — the idempotency
+// key of bind, delegate, revoke and unbind, the delegate's scope list
+// and the control's command name — and the client reads back the bound
+// user and the delegation token: 4, 13, 5, 2, 4 and 3, 31 a cycle.
+// Before the canonicaliser answered credentials and accounts the counts
+// were 6, 21, 7, 3, 8 and 5, 50 a cycle: the 19 between are the user
+// tokens (6 decoded by the front end, 5 by the replica), the grantees
+// (2 and 2) and the scope names (2 and 2).
+func TestStackColdCycleAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ids := coldDevices(8)
+	n := newColdNode(t, "n0", labClock(), ids...)
+	c := serveSocket(t, newRouterOver(t, map[string]transport.Cloud{"n0": n}))
+	coldStepAllocs(t, c, ids, [6]uint64{4, 13, 5, 2, 4, 3})
+	requireSnapshotsEqual(t, n.primary, n.replica)
 }

@@ -75,6 +75,17 @@ func (s Scope) String() string {
 	return out
 }
 
+// ScopeName returns the table's own string for the scope name raw
+// spells, or a copy of raw for any other bytes.
+func ScopeName(raw []byte) string {
+	for _, sn := range scopeNames {
+		if string(raw) == sn.name {
+			return sn.name
+		}
+	}
+	return string(raw)
+}
+
 // ParseScopes converts capability names to a Scope. Unknown names and
 // empty sets are rejected.
 func ParseScopes(names []string) (Scope, error) {

@@ -43,6 +43,18 @@ func (k StatusKind) String() string {
 	}
 }
 
+// Held names a kind of request string the cloud holds its own copy of
+// (transport.Canonical): a device ID (the registry's), a credential (the
+// token issuer's) or an account ID (the account store's).
+type Held uint8
+
+// Held kinds.
+const (
+	HeldDevice Held = iota
+	HeldCred
+	HeldAccount
+)
+
 // Reading is one sensor sample reported by a device.
 type Reading struct {
 	// Name is the metric name, e.g. "power_w" or "temperature_c".

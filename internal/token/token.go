@@ -204,6 +204,20 @@ func (i *Issuer) Resolve(value string, now time.Time) (Token, error) {
 	return tok, nil
 }
 
+// Canonical returns the issuer's own string for the live token whose
+// value is raw, or a copy of raw for an unknown, revoked or expired one.
+// It probes as lookupLocked does, so it discloses nothing Verify does not.
+func (i *Issuer) Canonical(raw []byte) string {
+	i.mu.RLock()
+	tok, ok := i.tokens[string(raw)]
+	i.mu.RUnlock()
+	if ok && subtle.ConstantTimeCompare([]byte(tok.Value), raw) == 1 &&
+		(tok.ExpiresAt.IsZero() || !tok.Expired(i.now())) {
+		return tok.Value
+	}
+	return string(raw)
+}
+
 // Revoke invalidates a token. Revoking an unknown value is a no-op.
 func (i *Issuer) Revoke(value string) {
 	i.mu.Lock()

@@ -65,10 +65,13 @@ type Cloud interface {
 	ShadowState(protocol.ShadowStateRequest) (protocol.ShadowStateResponse, error)
 }
 
-// DeviceIDs is offered by a Cloud holding the device registry, or one
-// forwarding to it: DeviceID returns raw as the registry's own string for
-// a registered device, else a fresh copy. raw is read only during the call.
-type DeviceIDs interface{ DeviceID(raw []byte) string }
+// Canonical is offered by a Cloud holding the tables a request's strings
+// name (protocol.Held), or one forwarding to it: Canonical returns the
+// table's own string equal to raw, else a fresh copy. raw is non-empty
+// and read only during the call.
+type Canonical interface {
+	Canonical(protocol.Held, []byte) string
+}
 
 // Op identifies one Cloud operation.
 type Op uint8

@@ -1,6 +1,10 @@
 package transport
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"github.com/iotbind/iotbind/internal/protocol"
+)
 
 // Switchable is a Cloud whose backend can be replaced atomically while
 // agents hold the wrapper. Crash-recovery harnesses use it to model a
@@ -32,10 +36,10 @@ func (s *Switchable) Swap(c Cloud) { s.cur.Store(&cloudBox{c: c}) }
 // Current returns the live backend.
 func (s *Switchable) Current() Cloud { return s.cur.Load().c }
 
-// DeviceID forwards DeviceIDs to the live backend, or copies raw.
-func (s *Switchable) DeviceID(raw []byte) string {
-	if ids, ok := s.Current().(DeviceIDs); ok {
-		return ids.DeviceID(raw)
+// Canonical forwards to the live backend, or copies raw.
+func (s *Switchable) Canonical(kind protocol.Held, raw []byte) string {
+	if c, ok := s.Current().(Canonical); ok {
+		return c.Canonical(kind, raw)
 	}
 	return string(raw)
 }

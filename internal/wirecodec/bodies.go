@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"github.com/iotbind/iotbind/internal/core"
+	"github.com/iotbind/iotbind/internal/delegation"
 	"github.com/iotbind/iotbind/internal/protocol"
 )
 
@@ -64,7 +65,7 @@ func PutDeviceTokenBody(b *bytes.Buffer, req protocol.DeviceTokenRequest) {
 
 // ReadDeviceTokenBody reverses PutDeviceTokenBody.
 func ReadDeviceTokenBody(c *Cursor) protocol.DeviceTokenRequest {
-	return protocol.DeviceTokenRequest{UserToken: c.Str(), DeviceID: c.ID(), PairingProof: c.Str()}
+	return protocol.DeviceTokenRequest{UserToken: c.Cred(), DeviceID: c.ID(), PairingProof: c.Str()}
 }
 
 // PutDeviceTokenResponse writes a device-token response body.
@@ -85,7 +86,7 @@ func PutBindTokenBody(b *bytes.Buffer, req protocol.BindTokenRequest) {
 
 // ReadBindTokenBody reverses PutBindTokenBody.
 func ReadBindTokenBody(c *Cursor) protocol.BindTokenRequest {
-	return protocol.BindTokenRequest{UserToken: c.Str(), DeviceID: c.ID()}
+	return protocol.BindTokenRequest{UserToken: c.Cred(), DeviceID: c.ID()}
 }
 
 // PutBindTokenResponse writes a bind-token response body.
@@ -143,7 +144,7 @@ func PutBindBody(b *bytes.Buffer, req protocol.BindRequest) {
 // ReadBindBody reverses PutBindBody.
 func ReadBindBody(c *Cursor) protocol.BindRequest {
 	return protocol.BindRequest{
-		DeviceID: c.ID(), UserToken: c.Str(), UserID: c.Str(), UserPassword: c.Str(),
+		DeviceID: c.ID(), UserToken: c.Cred(), UserID: c.Str(), UserPassword: c.Str(),
 		BindToken: c.Str(), BindProof: c.Str(), Sender: core.Sender(c.I64()),
 		IdempotencyKey: c.Str(), SourceIP: c.Str(),
 	}
@@ -173,7 +174,7 @@ func PutUnbindBody(b *bytes.Buffer, req protocol.UnbindRequest) {
 // ReadUnbindBody reverses PutUnbindBody.
 func ReadUnbindBody(c *Cursor) protocol.UnbindRequest {
 	return protocol.UnbindRequest{
-		DeviceID: c.ID(), UserToken: c.Str(), Sender: core.Sender(c.I64()),
+		DeviceID: c.ID(), UserToken: c.Cred(), Sender: core.Sender(c.I64()),
 		IdempotencyKey: c.Str(), SourceIP: c.Str(),
 	}
 }
@@ -191,7 +192,7 @@ func PutControlBody(b *bytes.Buffer, req protocol.ControlRequest) {
 // ReadControlBody reverses PutControlBody.
 func ReadControlBody(c *Cursor) protocol.ControlRequest {
 	return protocol.ControlRequest{
-		DeviceID: c.ID(), UserToken: c.Str(), SessionToken: c.Str(),
+		DeviceID: c.ID(), UserToken: c.Cred(), SessionToken: c.Str(),
 		Command: ReadCommand(c), SourceIP: c.Str(),
 	}
 }
@@ -215,7 +216,7 @@ func PutUserDataBody(b *bytes.Buffer, req protocol.PushUserDataRequest) {
 // ReadUserDataBody reverses PutUserDataBody.
 func ReadUserDataBody(c *Cursor) protocol.PushUserDataRequest {
 	return protocol.PushUserDataRequest{
-		DeviceID: c.ID(), UserToken: c.Str(), Data: protocol.UserData{Kind: c.Str(), Body: c.Str()},
+		DeviceID: c.ID(), UserToken: c.Cred(), Data: protocol.UserData{Kind: c.Str(), Body: c.Str()},
 	}
 }
 
@@ -227,7 +228,7 @@ func PutReadingsBody(b *bytes.Buffer, req protocol.ReadingsRequest) {
 
 // ReadReadingsBody reverses PutReadingsBody.
 func ReadReadingsBody(c *Cursor) protocol.ReadingsRequest {
-	return protocol.ReadingsRequest{DeviceID: c.ID(), UserToken: c.Str()}
+	return protocol.ReadingsRequest{DeviceID: c.ID(), UserToken: c.Cred()}
 }
 
 // PutReadingsResponse writes a readings response body.
@@ -253,7 +254,7 @@ func PutShareBody(b *bytes.Buffer, req protocol.ShareRequest) {
 
 // ReadShareBody reverses PutShareBody.
 func ReadShareBody(c *Cursor) protocol.ShareRequest {
-	return protocol.ShareRequest{DeviceID: c.ID(), UserToken: c.Str(), Guest: c.Str(), Revoke: c.U8() != 0}
+	return protocol.ShareRequest{DeviceID: c.ID(), UserToken: c.Cred(), Guest: c.Account(), Revoke: c.U8() != 0}
 }
 
 // PutSharesBody writes a shares (guest list) request body.
@@ -264,7 +265,7 @@ func PutSharesBody(b *bytes.Buffer, req protocol.SharesRequest) {
 
 // ReadSharesBody reverses PutSharesBody.
 func ReadSharesBody(c *Cursor) protocol.SharesRequest {
-	return protocol.SharesRequest{DeviceID: c.ID(), UserToken: c.Str()}
+	return protocol.SharesRequest{DeviceID: c.ID(), UserToken: c.Cred()}
 }
 
 // PutSharesResponse writes a shares response body.
@@ -292,11 +293,13 @@ func PutDelegateBody(b *bytes.Buffer, req protocol.DelegateRequest) {
 func ReadDelegateBody(c *Cursor) protocol.DelegateRequest {
 	var req protocol.DelegateRequest
 	req.DeviceID = c.ID()
-	req.UserToken = c.Str()
-	req.Grantee = c.Str()
+	req.UserToken = c.Cred()
+	req.Grantee = c.Account()
 	if n := c.Count(MinStringSize); n > 0 {
 		req.Scopes = make([]string, n)
-		readStrs(c, req.Scopes)
+		for i := range req.Scopes {
+			req.Scopes[i] = delegation.ScopeName(c.StrBytes())
+		}
 	}
 	req.TTLSeconds = c.I64()
 	req.Depth = int(c.I64())
@@ -326,7 +329,7 @@ func PutRevokeDelegationBody(b *bytes.Buffer, req protocol.RevokeDelegationReque
 // ReadRevokeDelegationBody reverses PutRevokeDelegationBody.
 func ReadRevokeDelegationBody(c *Cursor) protocol.RevokeDelegationRequest {
 	return protocol.RevokeDelegationRequest{
-		DeviceID: c.ID(), UserToken: c.Str(), Grantee: c.Str(), IdempotencyKey: c.Str(),
+		DeviceID: c.ID(), UserToken: c.Cred(), Grantee: c.Account(), IdempotencyKey: c.Str(),
 	}
 }
 
@@ -338,7 +341,7 @@ func PutDelegationsBody(b *bytes.Buffer, req protocol.ListDelegationsRequest) {
 
 // ReadDelegationsBody reverses PutDelegationsBody.
 func ReadDelegationsBody(c *Cursor) protocol.ListDelegationsRequest {
-	return protocol.ListDelegationsRequest{DeviceID: c.ID(), UserToken: c.Str()}
+	return protocol.ListDelegationsRequest{DeviceID: c.ID(), UserToken: c.Cred()}
 }
 
 // PutDelegationsResponse writes a list-delegations response body.

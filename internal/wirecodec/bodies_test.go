@@ -2,7 +2,9 @@ package wirecodec
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -61,6 +63,17 @@ func pair[T any](name string, put func(*bytes.Buffer, T), read func(*Cursor) T, 
 			if n := items(reflect.ValueOf(got)); n > len(data) {
 				t.Fatalf("%s decoded %d list items from %d bytes", name, n, len(data))
 			}
+			// A canonicaliser changes where a string is stored, never what
+			// the body decodes to. (A NaN reading is not DeepEqual to
+			// itself; the same bits print the same.)
+			hc := NewCursor(data, 0)
+			hc.SetCanonical(heldHook)
+			held := read(hc)
+			if hc.Done() != c.Done() || fmt.Sprint(hc.Err()) != fmt.Sprint(c.Err()) ||
+				!reflect.DeepEqual(held, got) && fmt.Sprintf("%#v", held) != fmt.Sprintf("%#v", got) {
+				t.Fatalf("%s decodes differently through a canonicaliser (done %t/%t, err %v/%v):\n%+v\n%+v",
+					name, hc.Done(), c.Done(), hc.Err(), c.Err(), held, got)
+			}
 			if !c.Done() {
 				return
 			}
@@ -75,6 +88,36 @@ func pair[T any](name string, put func(*bytes.Buffer, T), read func(*Cursor) T, 
 			}
 		},
 	}
+}
+
+// heldTable is what heldHook holds, by kind: bodyPairs' own device ID,
+// token and accounts, a prefix and an extension of each, and the empty
+// string. Each entry is its own allocation, so a hit hands back a string
+// the input does not alias.
+var heldTable = func() map[protocol.Held]map[string]string {
+	table := map[protocol.Held]map[string]string{}
+	for kind, held := range map[protocol.Held][]string{
+		protocol.HeldDevice:  {testDevice},
+		protocol.HeldCred:    {"tok", "d"},
+		protocol.HeldAccount: {"u@x", "g@x", "h@x"},
+	} {
+		table[kind] = map[string]string{"": ""}
+		for _, s := range held {
+			for _, v := range []string{s, s[:len(s)-1], s + "0"} {
+				table[kind][v] = strings.Clone(v)
+			}
+		}
+	}
+	return table
+}()
+
+// heldHook canonicalises through heldTable: the table's own string on an
+// exact match, a copy of raw otherwise.
+func heldHook(kind protocol.Held, raw []byte) string {
+	if s, ok := heldTable[kind][string(raw)]; ok {
+		return s
+	}
+	return string(raw)
 }
 
 // items counts the elements of every slice and map inside v.

@@ -131,9 +131,11 @@ func FuzzDelegationRecordDecode(f *testing.F) {
 
 // FuzzBodyDecode throws arbitrary bytes at every request- and
 // response-body decoder (bodyPairs): no input panics, no decoder sizes a
-// list beyond what Cursor.Count admits for the bytes it was given, and
-// anything a decoder accepts re-encodes to bytes that decode and
-// re-encode to themselves.
+// list beyond what Cursor.Count admits for the bytes it was given, a
+// cursor reading through a canonicaliser (heldHook) decodes the same
+// value with the same Err and Done as one that copies, and anything a
+// decoder accepts re-encodes to bytes that decode and re-encode to
+// themselves.
 func FuzzBodyDecode(f *testing.F) {
 	pairs := bodyPairs()
 	for _, p := range pairs {

@@ -134,15 +134,15 @@ func PutF64(b *bytes.Buffer, v float64) {
 // Cursor is a bounds-checked reader over a binary record. The first
 // failure sticks; every accessor afterwards returns a zero value, and
 // the caller checks Err once at the end. Strings alias nothing; readings
-// are borrowed until Reset. Each Str copies out of the input, each ID is
-// such a copy or a string the cursor's owner holds (SetIDs), and a status
-// request's readings are cut from an arena the cursor reuses after Reset
-// (ReadStatusRest), so whoever keeps a reading copies it.
+// are borrowed until Reset. Each Str copies out of the input; ID, Cred
+// and Account return the string the cursor's owner holds for the bytes
+// (SetCanonical) or such a copy. A status request's readings are cut
+// from an arena reused after Reset (ReadStatusRest): keepers copy them.
 type Cursor struct {
 	data  []byte
 	off   int
 	err   error
-	ids   func(raw []byte) string
+	canon func(kind protocol.Held, raw []byte) string
 	arena []protocol.Reading
 }
 
@@ -154,22 +154,20 @@ func NewCursor(data []byte, off int) *Cursor {
 // Reset repositions the cursor at the start of data and clears any
 // failure, for a cursor that lives in a long-lived owner: a pointer to a
 // fresh cursor handed to a func value would escape to the heap. The
-// device-ID canonicaliser stays installed and the readings arena is
-// reused, unless it grew past 4 MiB (binapi drops worker.out there too).
+// canonicaliser stays installed and the readings arena is reused, unless
+// it grew past 4 MiB (binapi drops worker.out there too).
 func (c *Cursor) Reset(data []byte) {
 	if cap(c.arena) > 4<<20/48 { // a reading is 48 bytes
 		c.arena = nil
 	}
-	*c = Cursor{data: data, ids: c.ids, arena: c.arena[:0]}
+	*c = Cursor{data: data, canon: c.canon, arena: c.arena[:0]}
 }
 
-// SetIDs installs the canonicaliser ID reads device IDs through: given
-// an ID's raw bytes (aliasing the input, valid only during the call) it
-// returns a string equal to them — one its owner holds already when it
-// can, so a device it knows costs no allocation. Nil restores copying.
-// Pass a func value built once per owner: a method value made per call
-// is an allocation of its own.
-func (c *Cursor) SetIDs(ids func(raw []byte) string) { c.ids = ids }
+// SetCanonical installs the canonicaliser ID, Cred and Account read
+// through: given a kind and non-empty raw bytes (valid only during the
+// call) it returns an equal string, its owner's when it can; nil copies.
+// Pass a func value built once per owner: one made per call allocates.
+func (c *Cursor) SetCanonical(canon func(kind protocol.Held, raw []byte) string) { c.canon = canon }
 
 // Err returns the sticky decode failure, if any.
 func (c *Cursor) Err() error { return c.err }
@@ -239,14 +237,22 @@ func (c *Cursor) Str() string {
 	return s
 }
 
-// ID reads a length-prefixed device ID through the canonicaliser SetIDs
-// installed, or copies it like Str when there is none.
-func (c *Cursor) ID() string {
+// ID reads a length-prefixed device ID through the canonicaliser.
+func (c *Cursor) ID() string { return c.held(protocol.HeldDevice) }
+
+// Cred reads a length-prefixed credential through the canonicaliser.
+func (c *Cursor) Cred() string { return c.held(protocol.HeldCred) }
+
+// Account reads a length-prefixed account ID through the canonicaliser.
+func (c *Cursor) Account() string { return c.held(protocol.HeldAccount) }
+
+// held reads through the canonicaliser, or copies like Str without one.
+func (c *Cursor) held(kind protocol.Held) string {
 	raw := c.StrBytes()
-	if c.ids == nil || c.err != nil {
+	if c.canon == nil || len(raw) == 0 {
 		return string(raw)
 	}
-	return c.ids(raw)
+	return c.canon(kind, raw)
 }
 
 // StrBytes reads a length-prefixed string but returns the raw bytes,
