@@ -39,8 +39,9 @@ race:
 # (TestColdLaneAllocations), a status across the composed stack (socket,
 # binapi, router, node) at 0 bare and at its five strings keyed, each
 # step of bind_churn's cycle across that stack with every held string
-# the cloud's own (TestStackColdCycleAllocations), a proof at its one
-# string, the model
+# the cloud's own (TestStackColdCycleAllocations), a warm delegation
+# lattice's reset-grant-authorize-revoke cycle at 0
+# (TestLatticeCycleAllocations), a proof at its one string, the model
 # checker's part of an attack_matrix op at its results and traces (an
 # exploration at none), and every live Table III cell at its exact count.
 alloc-pins:
@@ -62,14 +63,19 @@ alloc-pins:
 # callers sharing one socket client's read token, pipelined and parked
 # in the read beside Client.Close; and, ten times, the canonicaliser
 # reading the token issuer and the account store while other goroutines
-# sign up, log in and revoke (TestCanonicalRacesLoginAndRevoke).
+# sign up, log in and revoke (TestCanonicalRacesLoginAndRevoke), a
+# delegated control racing its revocation
+# (TestDelegationRevocationRaceOneWinner), and one device changing hands
+# again and again while delegations, re-delegations, cascading revokes,
+# share flips and delegated controls run on it, each using the lattice's
+# severed list only under the shadow's lock (TestOwnershipTransferStorm).
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery|TestDurableMixedLaneRecovery' ./internal/cloud/
 	$(GO) test -race -count=3 -run='TestShipper|TestNode' ./internal/cluster/
 	$(GO) test -race -count=3 -run='TestReadinessEquivalence|TestEpoll|TestShortWrite|TestIdleTimeout|TestBackpressure|TestOverCap' ./internal/binapi/
 	$(GO) test -race -count=10 -run='TestServedDeviceIDsAreTheRegistrys|TestPipe|TestServerGoroutines|TestEpollServerGoroutines|TestReadToken' ./internal/binapi/
-	$(GO) test -race -count=10 -run='TestCanonicalRacesLoginAndRevoke' ./internal/cloud/
+	$(GO) test -race -count=10 -run='TestCanonicalRacesLoginAndRevoke|TestDelegationRevocationRaceOneWinner|TestOwnershipTransferStorm' ./internal/cloud/
 
 # bench compiles and smoke-runs every benchmark (100 iterations, no unit
 # tests) so perf regressions in the hot path are caught by CI, not just

@@ -242,6 +242,96 @@ func TestServedReadingsAreCopied(t *testing.T) {
 	}
 }
 
+// scopeCloud keeps every delegate request's scope list as it arrived,
+// without copying it: the keeper transport.Cloud's contract forbids.
+type scopeCloud struct {
+	transport.Cloud
+	mu   sync.Mutex
+	kept [][]string
+}
+
+func (c *scopeCloud) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.kept = append(c.kept, req.Scopes)
+	return protocol.DelegateResponse{DelegationToken: "d"}, nil
+}
+
+// TestServedScopesAreBorrowed: the server cuts each delegate request's
+// scope list from memory its worker reuses for the next request. A cloud
+// that keeps the slice sees the next request's scopes in place of its
+// own; cloud.Service parses the list into a bitmask and keeps none, so
+// two grants made through one connection keep their own scopes.
+func TestServedScopesAreBorrowed(t *testing.T) {
+	id := testDeviceID(0)
+	first, second := []string{"control", "read"}, []string{"share", "control"}
+
+	keeper := &scopeCloud{}
+	_, addr := startSocketServer(t, keeper)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, scopes := range [][]string{first, second} {
+		if _, err := c.HandleDelegate(protocol.DelegateRequest{DeviceID: id, UserToken: "u", Grantee: "g", Scopes: scopes}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keeper.mu.Lock()
+	kept := keeper.kept
+	keeper.mu.Unlock()
+	if !reflect.DeepEqual(kept, [][]string{second, second}) {
+		t.Errorf("a kept scope list is not the server's to reuse: kept %v, want the second request's twice", kept)
+	}
+
+	_, addr = startSocketServer(t, newLabService(t, 1))
+	svc, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	var owner string
+	for _, user := range []string{"u@example.com", "g1@example.com", "g2@example.com"} {
+		if err := svc.RegisterUser(protocol.RegisterUserRequest{UserID: user, Password: "pw"}); err != nil {
+			t.Fatal(err)
+		}
+		if owner == "" {
+			login, err := svc.Login(protocol.LoginRequest{UserID: user, Password: "pw"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			owner = login.UserToken
+		}
+	}
+	if _, err := svc.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: id}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: id, UserID: "u@example.com", UserPassword: "pw"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		grantee string
+		scopes  []string
+	}{{"g1@example.com", first}, {"g2@example.com", second}} {
+		if _, err := svc.HandleDelegate(protocol.DelegateRequest{DeviceID: id, UserToken: owner, Grantee: g.grantee,
+			Scopes: g.scopes, Depth: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	list, err := svc.ListDelegations(protocol.ListDelegationsRequest{DeviceID: id, UserToken: owner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []protocol.DelegationInfo{
+		{Grantor: "u@example.com", Grantee: "g1@example.com", Scopes: []string{"control", "read"}, Depth: 1},
+		{Grantor: "u@example.com", Grantee: "g2@example.com", Scopes: []string{"control", "share"}, Depth: 1},
+	}
+	if !reflect.DeepEqual(list.Grants, want) {
+		t.Errorf("grants read back:\n%+v\nwant:\n%+v", list.Grants, want)
+	}
+}
+
 // TestPipelinedStreams hammers one connection from many goroutines:
 // the mux must stitch every response back to its caller.
 func TestPipelinedStreams(t *testing.T) {

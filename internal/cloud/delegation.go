@@ -71,8 +71,8 @@ func (s *Service) handleDelegate(req protocol.DelegateRequest) (protocol.Delegat
 	if req.TTLSeconds > 0 {
 		expiry = now.Add(time.Duration(req.TTLSeconds) * time.Second)
 	}
-	if sh.deleg == nil {
-		sh.deleg = delegation.New(sh.boundUser)
+	if sh.deleg.Len() == 0 {
+		sh.deleg.Reset(sh.boundUser)
 	}
 	severed, err := sh.deleg.Grant(delegation.Grant{
 		Grantor: userTok.Subject,
@@ -137,14 +137,12 @@ func (s *Service) handleRevokeDelegation(req protocol.RevokeDelegationRequest) e
 		return errNotBound
 	}
 	caller := userTok.Subject
-	if sh.deleg != nil {
-		if g, ok := sh.deleg.Get(req.Grantee); ok {
-			if caller != sh.boundUser && caller != g.Grantor {
-				return fmt.Errorf("cloud: revoke by neither owner nor grantor: %w", protocol.ErrNotPermitted)
-			}
-			severed := sh.deleg.Revoke(req.Grantee, s.design.DelegationCascadeRevoke)
-			s.retireDelegationTokens(sh.deviceID, severed)
+	if g, ok := sh.deleg.Get(req.Grantee); ok {
+		if caller != sh.boundUser && caller != g.Grantor {
+			return fmt.Errorf("cloud: revoke by neither owner nor grantor: %w", protocol.ErrNotPermitted)
 		}
+		severed := sh.deleg.Revoke(req.Grantee, s.design.DelegationCascadeRevoke)
+		s.retireDelegationTokens(sh.deviceID, severed)
 	}
 	// Revoking an absent grant succeeds (like share revocation): the goal
 	// state — no grant — already holds, and redeliveries must agree.
@@ -175,9 +173,6 @@ func (s *Service) ListDelegations(req protocol.ListDelegationsRequest) (protocol
 	}
 	caller := userTok.Subject
 	resp := protocol.ListDelegationsResponse{Grants: []protocol.DelegationInfo{}}
-	if sh.deleg == nil {
-		return resp, nil
-	}
 	for _, g := range sh.deleg.Grants() {
 		if caller != sh.boundUser && caller != g.Grantee && caller != g.Grantor {
 			continue

@@ -346,3 +346,100 @@ func TestDelegationRevocationRaceOneWinner(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnershipTransferStorm: on one device, delegations, re-delegations,
+// cascading revocations, share flips and delegated controls run while
+// another goroutine unbinds and rebinds the device between two owners.
+// Each lattice mutation returns its severed grantees in the lattice's own
+// list, valid only until the next mutation, so the race detector sees any
+// use of it outside the shadow's lock. Once the storm settles and the
+// device changes hands once more, no credential minted or granted during
+// it commands the device.
+func TestOwnershipTransferStorm(t *testing.T) {
+	svc, _, victim, guest, sub := delegFixture(t, delegDesign())
+	other := loginUser(t, svc, "other@example.com", "pw-other")
+	owners := []string{victim, other}
+
+	const rounds = 150
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		minted []string
+	)
+	keep := func(tok string) {
+		mu.Lock()
+		minted = append(minted, tok)
+		mu.Unlock()
+	}
+	wg.Add(4)
+	go func() { // the transfers
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			from, to := owners[i%2], owners[(i+1)%2]
+			_ = svc.HandleUnbind(protocol.UnbindRequest{DeviceID: testDevice, UserToken: from, Sender: core.SenderApp})
+			_, _ = svc.HandleBind(protocol.BindRequest{DeviceID: testDevice, UserToken: to, Sender: core.SenderApp})
+		}
+	}()
+	for w := 0; w < 2; w++ {
+		go func(w int) { // grants, re-grants, delegated use and revocations
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				owner := owners[(i+w)%2]
+				resp, err := svc.HandleDelegate(protocol.DelegateRequest{DeviceID: testDevice, UserToken: owner,
+					Grantee: "guest@example.com", Scopes: []string{"control", "read", "share"}, Depth: 1})
+				if err == nil {
+					keep(resp.DelegationToken)
+					_ = control(svc, resp.DelegationToken, "by-guest")
+				}
+				if resp, err := svc.HandleDelegate(protocol.DelegateRequest{DeviceID: testDevice, UserToken: guest,
+					Grantee: "sub@example.com", Scopes: []string{"control"}}); err == nil {
+					keep(resp.DelegationToken)
+					_ = control(svc, resp.DelegationToken, "by-sub")
+				}
+				_ = control(svc, sub, "by-sub-user")
+				_ = svc.HandleRevokeDelegation(protocol.RevokeDelegationRequest{DeviceID: testDevice, UserToken: owner,
+					Grantee: "guest@example.com"})
+			}
+		}(w)
+	}
+	go func() { // share flips, which sever what was derived from the guest
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			_ = svc.HandleShare(protocol.ShareRequest{DeviceID: testDevice, UserToken: owners[i%2],
+				Guest: "guest@example.com", Revoke: i%3 == 0})
+			_ = control(svc, guest, "by-guest-user")
+		}
+	}()
+	wg.Wait()
+
+	// One more transfer, to whichever owner does not hold the device.
+	st, err := svc.ShadowState(protocol.ShadowStateRequest{DeviceID: testDevice})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := victim
+	if st.BoundUser == "victim@example.com" {
+		_ = svc.HandleUnbind(protocol.UnbindRequest{DeviceID: testDevice, UserToken: victim, Sender: core.SenderApp})
+		next = other
+	} else if st.BoundUser != "" {
+		_ = svc.HandleUnbind(protocol.UnbindRequest{DeviceID: testDevice, UserToken: other, Sender: core.SenderApp})
+	}
+	if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: testDevice, UserToken: next, Sender: core.SenderApp}); err != nil {
+		t.Fatal(err)
+	}
+	for _, cred := range append(minted, guest, sub) {
+		if err := control(svc, cred, "stale"); err == nil {
+			t.Fatal("a credential from before the last transfer commands the device")
+		}
+	}
+	list, err := svc.ListDelegations(protocol.ListDelegationsRequest{DeviceID: testDevice, UserToken: next})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Grants) != 0 {
+		t.Fatalf("grants survived the transfer: %+v", list.Grants)
+	}
+	if err := control(svc, next, "owner"); err != nil {
+		t.Fatalf("the new owner cannot control: %v", err)
+	}
+}

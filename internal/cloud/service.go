@@ -878,5 +878,5 @@ func (s *Service) delegatedAuthority(sh *shadow, user string, viaDelegation bool
 	if viaDelegation && !s.design.DelegationCheckAtUse {
 		return true
 	}
-	return sh.deleg != nil && sh.deleg.Authorize(user, scope, now)
+	return sh.deleg.Authorize(user, scope, now)
 }

@@ -33,10 +33,11 @@ type shadow struct {
 	boundUser string
 
 	// deleg is the device's delegation lattice (many-to-one binding and
-	// its re-delegation chains), rooted at the bound owner and created
-	// lazily on the first grant. All delegated authority derives from
-	// the owner's binding and vanishes with it.
-	deleg *delegation.Lattice
+	// its re-delegation chains). An empty one is rooted at no one; the
+	// first grant roots it at the bound owner. All delegated authority
+	// derives from the owner's binding and vanishes with it: unbind
+	// empties the lattice in place.
+	deleg delegation.Lattice
 
 	// sessionOwner is the account that owns the device token the device
 	// most recently authenticated with (AuthDevToken designs). Control is
@@ -122,6 +123,10 @@ type idemResult struct {
 // past their retention are, so replica and recovery shed the same ones.
 const maxInbox = 256
 
+// keptInbox is the largest command inbox array unbind keeps, emptied,
+// for the next owner's commands; a larger one is dropped.
+const keptInbox = 8
+
 // keepLast trims q in place to its newest n entries.
 func keepLast[T any](q []T, n int) []T { return slices.Delete(q, 0, max(0, len(q)-n)) }
 
@@ -161,12 +166,18 @@ func (s *shadow) bind(user string) {
 
 // unbind revokes the binding and clears all user-coupled state so the next
 // owner cannot observe the previous owner's data. Shares and delegation
-// grants die with the binding they derive from.
+// grants die with the binding they derive from. The lattice and a small
+// command inbox are emptied in place, their memory kept for the next
+// owner.
 func (s *shadow) unbind() {
 	s.boundUser = ""
-	s.deleg = nil
+	s.deleg.Reset("")
 	s.sessionToken = ""
-	s.commandInbox = nil
+	clear(s.commandInbox)
+	s.commandInbox = s.commandInbox[:0]
+	if cap(s.commandInbox) > keptInbox {
+		s.commandInbox = nil
+	}
 	s.dataInbox = nil
 	s.readings = nil
 	if s.state().BoundToUser() {

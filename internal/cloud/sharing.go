@@ -48,14 +48,11 @@ func (s *Service) HandleShare(req protocol.ShareRequest) error {
 	}
 
 	if req.Revoke {
-		if sh.deleg != nil {
-			severed := sh.deleg.Revoke(req.Guest, s.design.DelegationCascadeRevoke)
-			s.retireDelegationTokens(sh.deviceID, severed)
-		}
+		s.retireDelegationTokens(sh.deviceID, sh.deleg.Revoke(req.Guest, s.design.DelegationCascadeRevoke))
 		return nil
 	}
-	if sh.deleg == nil {
-		sh.deleg = delegation.New(sh.boundUser)
+	if sh.deleg.Len() == 0 {
+		sh.deleg.Reset(sh.boundUser)
 	}
 	severed, err := sh.deleg.Grant(delegation.Grant{
 		Grantor: sh.boundUser,
@@ -88,10 +85,7 @@ func (s *Service) Shares(req protocol.SharesRequest) (protocol.SharesResponse, e
 	if !sh.state().BoundToUser() || sh.boundUser != userTok.Subject {
 		return protocol.SharesResponse{}, errNotPermitted
 	}
-	var guests []string
-	if sh.deleg != nil {
-		guests = sh.deleg.DirectGrantees()
-	}
+	guests := sh.deleg.DirectGrantees()
 	if guests == nil {
 		guests = []string{}
 	}

@@ -125,16 +125,14 @@ func (s *Service) Snapshot() Snapshot {
 		if s.persistIdem {
 			ss.IdemLog = sh.exportIdem()
 		}
-		if sh.deleg != nil {
-			for _, g := range sh.deleg.Grants() {
-				ss.Grants = append(ss.Grants, GrantSnapshot{
-					Grantor: g.Grantor,
-					Grantee: g.Grantee,
-					Scopes:  g.Scopes.Names(),
-					Expiry:  g.Expiry,
-					Depth:   g.Depth,
-				})
-			}
+		for _, g := range sh.deleg.Grants() {
+			ss.Grants = append(ss.Grants, GrantSnapshot{
+				Grantor: g.Grantor,
+				Grantee: g.Grantee,
+				Scopes:  g.Scopes.Names(),
+				Expiry:  g.Expiry,
+				Depth:   g.Depth,
+			})
 		}
 		sh.mu.Unlock()
 		snap.Shadows = append(snap.Shadows, ss)
@@ -215,7 +213,7 @@ func (s *Service) Restore(snap Snapshot) error {
 			if err != nil {
 				return fmt.Errorf("cloud: restore %q: %w", ss.DeviceID, err)
 			}
-			sh.deleg = lat
+			sh.deleg = *lat
 		}
 		if err := sh.importIdem(ss.IdemLog); err != nil {
 			return fmt.Errorf("cloud: restore %q: %w", ss.DeviceID, err)

@@ -657,35 +657,40 @@ func coldDesign() core.DesignSpec {
 // TestColdLaneAllocations pins what each step of bind_churn's cycle
 // costs below the transport on an ack-after-replicate node: logged on
 // the primary, shipped and applied on the replica before the ack — all
-// but the delegated read, which logs nothing. Every allocation is state
-// a side keeps. The primary keeps the caller's strings; the replica
-// decodes its own copy of each record, but reads the device ID, the user
-// token and the grantee through its own registry, token issuer and
-// account store, and a scope name through the delegation scope table, so
-// none of those costs it a string. The idempotency records sit in their
-// map slots, and the requests are built before the count. What is left:
+// but the delegated read, which logs nothing. The primary keeps the
+// caller's strings; the replica decodes its own copy of each record, but
+// reads the device ID, the user token and the grantee through its own
+// registry, token issuer and account store, a scope name through the
+// delegation scope table and the scope list from its cursor's arena, so
+// none of those costs it an allocation. Each side's delegation state is
+// emptied in place at unbind and reused by the next owner: the lattice's
+// grant and memo maps, its severed-grant list and a small command
+// inbox. The idempotency records sit in their map slots, and the
+// requests are built before the count. What is left is strings:
 //
 //   - bind 2: the replica's idempotency key and source address.
-//   - delegate 10: on each side the lattice (2), its grant (1) and the
-//     minted delegation token (1); on the replica also the key and the
-//     scope list.
-//   - control 4: the queued command on each side; the replica's source
-//     address and command name (a one-byte command ID is a static
-//     string).
-//   - readings 2: the lattice's authorization memo, on the primary only.
-//   - revoke 3: the severed-grant list on each side; the replica's key.
+//   - delegate 3: the minted delegation token on each side; the
+//     replica's key.
+//   - control 2: the replica's source address and command name (a
+//     one-byte command ID is a static string).
+//   - readings 0.
+//   - revoke 1: the replica's key.
 //   - unbind 2: the replica's key and source address.
 //
 // Before the replica read held strings through the canonicaliser the
 // counts were 3, 14, 5, 2, 5 and 3: its user tokens, grantees and scope
-// names were copies.
+// names were copies. Before unbind emptied the delegation state in place
+// they were 2, 10, 4, 2, 3 and 2: each cycle built a new lattice (2) and
+// grant slot (1) on each side, a new inbox on each side, an
+// authorization memo (2) on the primary, a severed-grant list on each
+// side, and the replica decoded a new scope list.
 func TestColdLaneAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	ids := coldDevices(8)
 	n := newColdNode(t, "n0", labClock(), ids...)
-	coldStepAllocs(t, n, ids, [6]uint64{2, 10, 4, 2, 3, 2})
+	coldStepAllocs(t, n, ids, [6]uint64{2, 3, 2, 0, 1, 2})
 	requireSnapshotsEqual(t, n.primary, n.replica)
 }
 

@@ -190,17 +190,21 @@ func routerHeldStrings(t *testing.T, reg *cloud.Registry, ids, names []string) {
 // → binapi → one-member Router → Switchable → ack-after-replicate Node
 // and back, both ends in this process, each request built ahead of the
 // count. binapi reads every device ID, user token, delegation token and
-// grantee through the router as the primary's own string, and each scope
-// name as the delegation scope table's, so on top of
-// TestColdLaneAllocations' counts below the transport (2, 10, 4, 2, 3,
-// 2) the front end decodes only what no table holds — the idempotency
-// key of bind, delegate, revoke and unbind, the delegate's scope list
-// and the control's command name — and the client reads back the bound
-// user and the delegation token: 4, 13, 5, 2, 4 and 3, 31 a cycle.
-// Before the canonicaliser answered credentials and accounts the counts
-// were 6, 21, 7, 3, 8 and 5, 50 a cycle: the 19 between are the user
-// tokens (6 decoded by the front end, 5 by the replica), the grantees
-// (2 and 2) and the scope names (2 and 2).
+// grantee through the router as the primary's own string, each scope
+// name as the delegation scope table's and the scope list from its
+// worker cursor's arena, so on top of TestColdLaneAllocations' counts
+// below the transport (2, 3, 2, 0, 1, 2) the front end decodes only
+// the strings no table holds — the idempotency key of bind, delegate,
+// revoke and unbind and the control's command name — and the client
+// reads back the bound user and the minted delegation token: 4, 5, 3,
+// 0, 2 and 3, 17 a cycle. Before the canonicaliser answered credentials
+// and accounts the counts were 6, 21, 7, 3, 8 and 5, 50 a cycle: the 19
+// between are the user tokens (6 decoded by the front end, 5 by the
+// replica), the grantees (2 and 2) and the scope names (2 and 2). Before
+// unbind emptied the delegation state in place they were 4, 13, 5, 2, 4
+// and 3, 31 a cycle: the 14 between are the lattices, grant slots,
+// inboxes, memo and severed lists the cold-lane pin names, and the
+// front end's scope list.
 func TestStackColdCycleAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -208,6 +212,6 @@ func TestStackColdCycleAllocations(t *testing.T) {
 	ids := coldDevices(8)
 	n := newColdNode(t, "n0", labClock(), ids...)
 	c := serveSocket(t, newRouterOver(t, map[string]transport.Cloud{"n0": n}))
-	coldStepAllocs(t, c, ids, [6]uint64{4, 13, 5, 2, 4, 3})
+	coldStepAllocs(t, c, ids, [6]uint64{4, 5, 3, 0, 2, 3})
 	requireSnapshotsEqual(t, n.primary, n.replica)
 }

@@ -21,6 +21,7 @@ package delegation
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -143,10 +144,14 @@ var (
 )
 
 // Lattice is one device's delegation forest, rooted at the bound owner.
-// It is not self-synchronizing: the owning shadow's lock guards it.
+// It is not self-synchronizing: the owning shadow's lock guards it. The
+// zero Lattice, like one Reset to "", is rooted at no one: it holds no
+// grant and authorizes nobody until Reset roots it.
 type Lattice struct {
 	root   string
 	grants map[string]Grant // by grantee
+	// severed is the scratch list Grant and Revoke return.
+	severed []string
 	// gen counts mutations; memo entries stamped with an older gen are
 	// dead. Memoization keeps the use-time chain walk off the steady
 	// hot path: a verified (grantee, chain) pair is summarized as its
@@ -170,6 +175,16 @@ func New(root string) *Lattice {
 	return &Lattice{root: root, grants: make(map[string]Grant)}
 }
 
+// Reset empties the lattice in place and roots it at root ("" roots it
+// at no one): every grant and memoized verdict goes, the maps and the
+// scratch list stay for the next owner's grants.
+func (l *Lattice) Reset(root string) {
+	clear(l.grants)
+	clear(l.memo)
+	l.root = root
+	l.gen++
+}
+
 // Len returns the number of live grants.
 func (l *Lattice) Len() int { return len(l.grants) }
 
@@ -186,7 +201,8 @@ func (l *Lattice) Get(grantee string) (Grant, bool) {
 // budget, expiry no later than the grantor's. Without it, a grantee
 // holding the share scope may mint any grant — the A6-2 escalation.
 // It returns the grantees severed by replacement, sorted, so the caller
-// can retire their minted tokens.
+// can retire their minted tokens; the list is the lattice's, valid until
+// its next mutation.
 func (l *Lattice) Grant(g Grant, now time.Time, attenuate bool) ([]string, error) {
 	if g.Grantor == "" || g.Grantee == "" {
 		return nil, fmt.Errorf("%w: empty party", ErrBadGrant)
@@ -242,7 +258,10 @@ func (l *Lattice) Grant(g Grant, now time.Time, attenuate bool) ([]string, error
 	}
 	var severed []string
 	if _, exists := l.grants[g.Grantee]; exists {
-		severed = l.severSubtree(g.Grantee)
+		severed = l.severSubtree(g.Grantee)[1:]
+	}
+	if l.grants == nil {
+		l.grants = make(map[string]Grant)
 	}
 	l.grants[g.Grantee] = g
 	l.gen++
@@ -252,8 +271,9 @@ func (l *Lattice) Grant(g Grant, now time.Time, attenuate bool) ([]string, error
 // Revoke removes the grantee's grant. With cascade, every grant derived
 // from it is severed atomically with it; without (the A6-1 permissive
 // mode), derived grants survive their parent's revocation. It returns
-// the severed grantees (the target first when present, the rest
-// sorted); revoking an account holding no grant is a no-op.
+// the severed grantees (the target first, the rest sorted) in the
+// lattice's list, valid until its next mutation; revoking an account
+// holding no grant is a no-op.
 func (l *Lattice) Revoke(grantee string, cascade bool) []string {
 	if _, ok := l.grants[grantee]; !ok {
 		return nil
@@ -261,44 +281,44 @@ func (l *Lattice) Revoke(grantee string, cascade bool) []string {
 	l.gen++
 	if !cascade {
 		delete(l.grants, grantee)
-		return []string{grantee}
+		l.severed = append(l.severed[:0], grantee)
+		return l.severed
 	}
-	sub := l.severSubtree(grantee)
+	severed := l.severSubtree(grantee)
 	delete(l.grants, grantee)
-	return append([]string{grantee}, sub...)
+	return severed
 }
 
 // severSubtree removes every grant transitively derived from grantee's
-// grant (not the grant itself), returning the severed grantees sorted.
+// grant (not the grant itself). It returns the lattice's severed list:
+// grantee, then the severed grantees sorted. The list is its own
+// breadth-first frontier: each round scans for the grants whose grantor
+// the previous round cut.
 func (l *Lattice) severSubtree(grantee string) []string {
-	var severed []string
-	frontier := []string{grantee}
-	for len(frontier) > 0 {
-		next := frontier[:0:0]
+	l.severed = append(l.severed[:0], grantee)
+	for lo := 0; lo < len(l.severed); {
+		hi := len(l.severed)
 		for holder, g := range l.grants {
-			for _, cut := range frontier {
-				if g.Grantor == cut && holder != grantee {
-					next = append(next, holder)
-					break
-				}
+			if holder != grantee && slices.Contains(l.severed[lo:hi], g.Grantor) {
+				l.severed = append(l.severed, holder)
 			}
 		}
-		for _, holder := range next {
+		for _, holder := range l.severed[hi:] {
 			delete(l.grants, holder)
-			severed = append(severed, holder)
 		}
-		frontier = next
+		lo = hi
 	}
-	sort.Strings(severed)
-	return severed
+	slices.Sort(l.severed[1:])
+	return l.severed
 }
 
 // Authorize reports whether user may exercise scope at now: the user
 // holds a live grant carrying the scope, and every grant on the chain
-// from it to the owner is itself unexpired. The owner always may.
+// from it to the owner is itself unexpired. The owner always may; a
+// lattice rooted at no one has no owner.
 func (l *Lattice) Authorize(user string, scope Scope, now time.Time) bool {
 	if user == l.root {
-		return true
+		return user != ""
 	}
 	// A memoized verification from the current generation answers
 	// without re-walking the chain; expiry can only move the verdict

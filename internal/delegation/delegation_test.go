@@ -236,3 +236,70 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("duplicate grantee imported: %v", err)
 	}
 }
+
+// TestResetEmptiesInPlace: a reset lattice keeps nothing of its previous
+// owner — no grant, no memoized verdict, no authority for the old root —
+// and, rooted at no one, authorizes nobody and accepts no grant until it
+// is rooted again.
+func TestResetEmptiesInPlace(t *testing.T) {
+	l := New("owner")
+	all := ScopeControl | ScopeRead | ScopeShare
+	mustGrant(t, l, Grant{Grantor: "owner", Grantee: "guest", Scopes: all, Depth: 1}, true)
+	mustGrant(t, l, Grant{Grantor: "guest", Grantee: "sub", Scopes: ScopeControl}, true)
+	if !l.Authorize("guest", ScopeControl, t0) || !l.Authorize("sub", ScopeControl, t0) {
+		t.Fatal("chain not live before reset")
+	}
+
+	l.Reset("")
+	if l.Len() != 0 || len(l.memo) != 0 {
+		t.Fatalf("reset kept %d grants and %d memoized verdicts", l.Len(), len(l.memo))
+	}
+	for _, user := range []string{"owner", "guest", "sub", ""} {
+		if l.Authorize(user, ScopeRead, t0) {
+			t.Fatalf("%q authorized by a lattice rooted at no one", user)
+		}
+	}
+	if _, err := l.Grant(Grant{Grantor: "owner", Grantee: "guest", Scopes: ScopeRead}, t0, true); !errors.Is(err, ErrNoAuthority) {
+		t.Fatalf("previous owner granted on a rootless lattice: %v", err)
+	}
+
+	l.Reset("next")
+	mustGrant(t, l, Grant{Grantor: "next", Grantee: "owner", Scopes: ScopeRead}, true)
+	if l.Authorize("owner", ScopeControl, t0) || !l.Authorize("owner", ScopeRead, t0) {
+		t.Fatal("previous owner's authority is not the new grant's")
+	}
+	if l.Authorize("guest", ScopeRead, t0) {
+		t.Fatal("previous owner's guest authorized after the reset")
+	}
+}
+
+// TestLatticeCycleAllocations pins a warm lattice's ownership cycle at
+// zero allocations: Reset, grant, authorize (memoizing), a derived
+// grant, a cascading revoke that returns the lattice's own severed list,
+// and Reset again. The maps and the list are kept across Reset.
+func TestLatticeCycleAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	var l Lattice
+	all := ScopeControl | ScopeRead | ScopeShare
+	cycle := func() {
+		l.Reset("owner")
+		if _, err := l.Grant(Grant{Grantor: "owner", Grantee: "guest", Scopes: all, Depth: 1}, t0, true); err != nil {
+			t.Fatal(err)
+		}
+		if !l.Authorize("guest", ScopeControl, t0) {
+			t.Fatal("guest not authorized")
+		}
+		if _, err := l.Grant(Grant{Grantor: "guest", Grantee: "sub", Scopes: ScopeRead}, t0, true); err != nil {
+			t.Fatal(err)
+		}
+		if severed := l.Revoke("guest", true); len(severed) != 2 || severed[0] != "guest" || severed[1] != "sub" {
+			t.Fatalf("cascade severed %v", severed)
+		}
+		l.Reset("")
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("warm lattice cycle allocates %v times, want 0", n)
+	}
+}

@@ -289,14 +289,15 @@ func PutDelegateBody(b *bytes.Buffer, req protocol.DelegateRequest) {
 	PutStr(b, req.IdempotencyKey)
 }
 
-// ReadDelegateBody reverses PutDelegateBody.
+// ReadDelegateBody reverses PutDelegateBody. The scope list is
+// borrowed (see Cursor).
 func ReadDelegateBody(c *Cursor) protocol.DelegateRequest {
 	var req protocol.DelegateRequest
 	req.DeviceID = c.ID()
 	req.UserToken = c.Cred()
 	req.Grantee = c.Account()
 	if n := c.Count(MinStringSize); n > 0 {
-		req.Scopes = make([]string, n)
+		req.Scopes = cut(&c.scopes, n)
 		for i := range req.Scopes {
 			req.Scopes[i] = delegation.ScopeName(c.StrBytes())
 		}

@@ -3,6 +3,7 @@ package wirecodec
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -135,7 +136,9 @@ func FuzzDelegationRecordDecode(f *testing.F) {
 // cursor reading through a canonicaliser (heldHook) decodes the same
 // value with the same Err and Done as one that copies, and anything a
 // decoder accepts re-encodes to bytes that decode and re-encode to
-// themselves.
+// themselves. Two delegate bodies decoded through one reused cursor,
+// without a Reset between, get scope slices of their own: each capped,
+// so an append cannot reach the next one's, and apart.
 func FuzzBodyDecode(f *testing.F) {
 	pairs := bodyPairs()
 	for _, p := range pairs {
@@ -145,10 +148,33 @@ func FuzzBodyDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 24)) // every count and length huge
 	f.Add([]byte{0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	// A body of many scopes leaves a cursor's arena with room to spare
+	// after Reset, where an uncapped cut would show.
+	var warm bytes.Buffer
+	PutDelegateBody(&warm, protocol.DelegateRequest{Scopes: make([]string, 16)})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, p := range pairs {
 			p.decode(t, data)
+		}
+		var c Cursor
+		c.Reset(warm.Bytes())
+		ReadDelegateBody(&c)
+		c.Reset(append(append([]byte(nil), data...), data...))
+		first, second := ReadDelegateBody(&c), ReadDelegateBody(&c)
+		if c.Err() != nil {
+			return
+		}
+		if cap(first.Scopes) != len(first.Scopes) || cap(second.Scopes) != len(second.Scopes) {
+			t.Fatalf("scope slices not capped: len %d cap %d, len %d cap %d",
+				len(first.Scopes), cap(first.Scopes), len(second.Scopes), cap(second.Scopes))
+		}
+		want := slices.Clone(second.Scopes)
+		for i := range first.Scopes {
+			first.Scopes[i] = "overwritten"
+		}
+		if !slices.Equal(second.Scopes, want) {
+			t.Fatalf("the first body's scope slice overlaps the second's: %q, want %q", second.Scopes, want)
 		}
 	})
 }

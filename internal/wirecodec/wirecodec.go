@@ -134,16 +134,19 @@ func PutF64(b *bytes.Buffer, v float64) {
 // Cursor is a bounds-checked reader over a binary record. The first
 // failure sticks; every accessor afterwards returns a zero value, and
 // the caller checks Err once at the end. Strings alias nothing; readings
-// are borrowed until Reset. Each Str copies out of the input; ID, Cred
-// and Account return the string the cursor's owner holds for the bytes
-// (SetCanonical) or such a copy. A status request's readings are cut
-// from an arena reused after Reset (ReadStatusRest): keepers copy them.
+// and scope lists are borrowed until Reset. Each Str copies out of the
+// input; ID, Cred and Account return the string the cursor's owner holds
+// for the bytes (SetCanonical) or such a copy. A status request's
+// readings (ReadStatusRest) and a delegate request's scope list
+// (ReadDelegateBody) are cut from arenas reused after Reset: keepers
+// copy them.
 type Cursor struct {
-	data  []byte
-	off   int
-	err   error
-	canon func(kind protocol.Held, raw []byte) string
-	arena []protocol.Reading
+	data   []byte
+	off    int
+	err    error
+	canon  func(kind protocol.Held, raw []byte) string
+	arena  []protocol.Reading
+	scopes []string
 }
 
 // NewCursor positions a cursor at off within data.
@@ -154,13 +157,24 @@ func NewCursor(data []byte, off int) *Cursor {
 // Reset repositions the cursor at the start of data and clears any
 // failure, for a cursor that lives in a long-lived owner: a pointer to a
 // fresh cursor handed to a func value would escape to the heap. The
-// canonicaliser stays installed and the readings arena is reused, unless
-// it grew past 4 MiB (binapi drops worker.out there too).
+// canonicaliser stays installed and each arena is reused, unless it grew
+// past 4 MiB (binapi drops worker.out there too).
 func (c *Cursor) Reset(data []byte) {
 	if cap(c.arena) > 4<<20/48 { // a reading is 48 bytes
 		c.arena = nil
 	}
-	*c = Cursor{data: data, canon: c.canon, arena: c.arena[:0]}
+	if cap(c.scopes) > 4<<20/16 { // a string header is 16 bytes
+		c.scopes = nil
+	}
+	*c = Cursor{data: data, canon: c.canon, arena: c.arena[:0], scopes: c.scopes[:0]}
+}
+
+// cut extends *arena by n zero items and returns them, capped: no
+// request appends into the next's.
+func cut[T any](arena *[]T, n uint64) []T {
+	i := len(*arena)
+	*arena = append(*arena, make([]T, n)...)
+	return (*arena)[i:len(*arena):len(*arena)]
 }
 
 // SetCanonical installs the canonicaliser ID, Cred and Account read
@@ -355,10 +369,7 @@ func ReadStatusRest(c *Cursor, req *protocol.StatusRequest) (sourceIP []byte) {
 	sourceIP = c.StrBytes()
 	req.ButtonPressed = c.U8() != 0
 	if n := c.Count(MinReadingSize); n > 0 {
-		// Cut from the arena and capped: no request appends into the next's.
-		i := len(c.arena)
-		c.arena = append(c.arena, make([]protocol.Reading, n)...)
-		req.Readings = c.arena[i:len(c.arena):len(c.arena)]
+		req.Readings = cut(&c.arena, n)
 		readReadings(c, req.Readings)
 	}
 	return sourceIP
