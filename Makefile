@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build crossbuild fmt vet test race alloc-pins race-stress bench bench-stack bench-json bench-json-smoke fuzz-smoke wal-verify loc ci
+.PHONY: all build crossbuild examples fmt vet test race alloc-pins race-stress bench bench-stack bench-json bench-json-smoke fuzz-smoke wal-verify loc ci
 
 all: ci
 
@@ -11,6 +11,19 @@ build:
 # readiness source and its pump fallback both stay compilable.
 crossbuild:
 	GOOS=darwin $(GO) build ./...
+
+# examples builds every program under examples/ into a temporary
+# directory and runs it, failing (with the program's output) on a
+# non-zero exit. The examples and cmd/ are the root package's callers
+# (TestRootNamesHaveCallers), so this runs its surface end to end.
+examples:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	for e in examples/*/; do n="$$(basename "$$e")"; \
+		$(GO) build -o "$$dir/$$n" "./$$e" || exit 1; \
+		"$$dir/$$n" > "$$dir/$$n.out" 2>&1; rc=$$?; \
+		if [ $$rc -ne 0 ]; then cat "$$dir/$$n.out"; echo "examples/$$n: exit $$rc"; exit 1; fi; \
+		echo "ok   examples/$$n"; \
+	done
 
 # fmt fails (listing the offenders) if any file is not gofmt-clean.
 fmt:
@@ -165,13 +178,14 @@ loc:
 	@printf 'bench/:                     %s\n' "$$(find ./bench -name '*.go' -exec cat {} + | wc -l)"
 
 # ci is the tier-1+ verification gate: formatting, vet, build (native
-# and a darwin cross-compile for the non-epoll fallback), the full
-# suite under the race detector (the failover, connection-scale,
-# share-storm and delegation tests included), the allocation pins that
+# and a darwin cross-compile for the non-epoll fallback), a run of every
+# example program, the full suite under the race detector (the
+# failover, connection-scale, share-storm and delegation tests
+# included), the allocation pins that
 # suite skips under -race, a benchmark smoke run,
 # the bench JSON pipeline smoke, the WAL+wire fuzz smoke and the offline
 # WAL integrity check. (The A6 delegation sweeps statecheck prints are
 # compared with goldens by cmd/statecheck's TestGoldens.) It ends by
 # printing the size figures (loc).
-ci: fmt vet build crossbuild race alloc-pins race-stress bench bench-json-smoke fuzz-smoke wal-verify
+ci: fmt vet build crossbuild examples race alloc-pins race-stress bench bench-json-smoke fuzz-smoke wal-verify
 	@$(MAKE) --no-print-directory loc

@@ -15,24 +15,9 @@ import (
 // Finding is one predicted attack outcome with its reasoning.
 type Finding = analysis.Finding
 
-// TaxonomyRow is one row of the derived Table II.
-type TaxonomyRow = analysis.TaxonomyRow
-
-// Predict evaluates one attack variant against a design from its policy
-// rules alone — no emulation.
-func Predict(d DesignSpec, v AttackVariant) Finding { return analysis.Predict(d, v) }
-
-// PredictAll evaluates every Table II variant against a design.
+// PredictAll evaluates every Table II variant against a design from its
+// policy rules alone — no emulation.
 func PredictAll(d DesignSpec) []Finding { return analysis.PredictAll(d) }
-
-// PredictMany evaluates every Table II variant against each design
-// concurrently, returning findings in the input order. Output is
-// identical to calling PredictAll per design.
-func PredictMany(designs []DesignSpec) [][]Finding { return analysis.PredictMany(designs) }
-
-// DeriveTaxonomy regenerates Table II from the device-shadow state
-// machine, returning an error if the taxonomy were inconsistent with it.
-func DeriveTaxonomy() ([]TaxonomyRow, error) { return analysis.DeriveTaxonomy() }
 
 // DelegationFinding is one predicted A6 (delegation) attack outcome
 // with its reasoning.
@@ -52,9 +37,6 @@ type Profile = vendors.Profile
 // PaperRow is one vendor's published Table III row.
 type PaperRow = vendors.PaperRow
 
-// IDScheme describes a vendor's device-ID assignment.
-type IDScheme = vendors.IDScheme
-
 // Profiles returns the ten Table III products in row order.
 func Profiles() []Profile { return vendors.Profiles() }
 
@@ -71,10 +53,6 @@ func RecommendedPractice() Profile { return vendors.RecommendedPractice() }
 // WorstCase combines every flawed design choice the paper observed.
 func WorstCase() Profile { return vendors.WorstCase() }
 
-// EvaluateVendor runs the full attack suite against a vendor profile and
-// collapses the outcomes into a Table III row.
-func EvaluateVendor(p Profile) (VendorResult, error) { return testbed.EvaluateVendor(p) }
-
 // EvaluateVendors runs the full attack suite against each profile
 // concurrently — the parallel Table III regeneration. Rows come back in
 // the input order and match a sequential sweep exactly.
@@ -86,9 +64,6 @@ func EvaluateVendors(profiles []Profile) ([]VendorResult, error) {
 func MatchesPaper(measured, published PaperRow) bool {
 	return testbed.MatchesPaper(measured, published)
 }
-
-// CollapseRow folds per-variant results into Table III cells.
-func CollapseRow(results []AttackResult) PaperRow { return testbed.CollapseRow(results) }
 
 // ---- device-ID schemes --------------------------------------------------------
 
@@ -124,14 +99,6 @@ func NewRandomIDGenerator(seed uint64) IDGenerator { return devid.NewRandomGener
 func EstimateEnumeration(g IDGenerator, ratePerSecond float64) (EnumerationEstimate, error) {
 	return devid.Estimate(g, ratePerSecond)
 }
-
-// IDClassification is the reconnaissance result for one observed device
-// ID: the inferred scheme and the search space it implies.
-type IDClassification = devid.Classification
-
-// ClassifyDeviceID infers the ID scheme of one observed identifier — the
-// attacker's Section III-A reconnaissance step.
-func ClassifyDeviceID(id string) (IDClassification, error) { return devid.Classify(id) }
 
 // ---- report rendering -----------------------------------------------------------
 
@@ -172,9 +139,4 @@ func WriteDelegation(w io.Writer, design DesignSpec, findings []DelegationFindin
 // WriteDiscovery renders automatic attack-discovery results.
 func WriteDiscovery(w io.Writer, design DesignSpec, attacks []DiscoveredAttack) error {
 	return report.WriteDiscovery(w, design, attacks)
-}
-
-// WriteStats renders a cloud's activity counters.
-func WriteStats(w io.Writer, name string, stats CloudStats) error {
-	return report.WriteStats(w, name, stats)
 }

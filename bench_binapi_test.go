@@ -17,11 +17,14 @@ import (
 	"testing"
 
 	iotbind "github.com/iotbind/iotbind"
+	"github.com/iotbind/iotbind/internal/binapi"
+	"github.com/iotbind/iotbind/internal/protocol"
+	"github.com/iotbind/iotbind/internal/testbed"
 )
 
 // benchBinPipeClient stands up the binary front end around a one-device
 // cloud with an in-process pipe connection.
-func benchBinPipeClient(b *testing.B) (*iotbind.BinClient, func()) {
+func benchBinPipeClient(b *testing.B) (*binapi.Client, func()) {
 	b.Helper()
 	svc, _ := benchCloud(b, benchDesign(iotbind.AuthDevID, iotbind.BindACLApp))
 	server := iotbind.NewBinServer(svc)
@@ -36,7 +39,7 @@ func benchBinPipeClient(b *testing.B) (*iotbind.BinClient, func()) {
 }
 
 // benchBinSocketClient stands up the binary front end over loopback TCP.
-func benchBinSocketClient(b *testing.B) (*iotbind.BinClient, func()) {
+func benchBinSocketClient(b *testing.B) (*binapi.Client, func()) {
 	b.Helper()
 	svc, _ := benchCloud(b, benchDesign(iotbind.AuthDevID, iotbind.BindACLApp))
 	server := iotbind.NewBinServer(svc)
@@ -49,7 +52,7 @@ func benchBinSocketClient(b *testing.B) (*iotbind.BinClient, func()) {
 		defer close(done)
 		_ = server.Serve(l)
 	}()
-	client, err := iotbind.DialBin(l.Addr().String())
+	client, err := binapi.Dial(l.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -66,7 +69,7 @@ func benchBinSocketClient(b *testing.B) (*iotbind.BinClient, func()) {
 func BenchmarkBinStatus(b *testing.B) {
 	fronts := []struct {
 		name  string
-		setup func(*testing.B) (*iotbind.BinClient, func())
+		setup func(*testing.B) (*binapi.Client, func())
 	}{
 		{"pipe", benchBinPipeClient},
 		{"socket", benchBinSocketClient},
@@ -76,7 +79,7 @@ func BenchmarkBinStatus(b *testing.B) {
 		b.Run(fe.name, func(b *testing.B) {
 			client, closeFE := fe.setup(b)
 			defer closeFE()
-			req := iotbind.StatusRequest{Kind: iotbind.StatusHeartbeat, DeviceID: benchDeviceID}
+			req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: benchDeviceID}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -96,28 +99,28 @@ func BenchmarkBinStatus(b *testing.B) {
 func BenchmarkConnLoad(b *testing.B) {
 	runs := []struct {
 		name string
-		cfg  iotbind.ConnLoadConfig
+		cfg  testbed.ConnLoadConfig
 	}{
-		{"pipe100k", iotbind.ConnLoadConfig{Conns: 100_000, MsgsPerConn: 5, Mode: iotbind.ConnLoadPipe}},
-		{"socket2k-pump", iotbind.ConnLoadConfig{Conns: 2_000, MsgsPerConn: 5, Mode: iotbind.ConnLoadSocket,
-			Readiness: iotbind.BinReadinessPump}},
-		{"socket2k-epoll", iotbind.ConnLoadConfig{Conns: 2_000, MsgsPerConn: 5, Mode: iotbind.ConnLoadSocket,
-			Readiness: iotbind.BinReadinessEpoll}},
-		{"socket9k-pump", iotbind.ConnLoadConfig{Conns: 9_000, MsgsPerConn: 5, Mode: iotbind.ConnLoadSocket,
-			Readiness: iotbind.BinReadinessPump}},
-		{"socket9k-epoll", iotbind.ConnLoadConfig{Conns: 9_000, MsgsPerConn: 5, Mode: iotbind.ConnLoadSocket,
-			Readiness: iotbind.BinReadinessEpoll}},
+		{"pipe100k", testbed.ConnLoadConfig{Conns: 100_000, MsgsPerConn: 5, Mode: testbed.ConnLoadPipe}},
+		{"socket2k-pump", testbed.ConnLoadConfig{Conns: 2_000, MsgsPerConn: 5, Mode: testbed.ConnLoadSocket,
+			Readiness: binapi.ReadinessPump}},
+		{"socket2k-epoll", testbed.ConnLoadConfig{Conns: 2_000, MsgsPerConn: 5, Mode: testbed.ConnLoadSocket,
+			Readiness: binapi.ReadinessEpoll}},
+		{"socket9k-pump", testbed.ConnLoadConfig{Conns: 9_000, MsgsPerConn: 5, Mode: testbed.ConnLoadSocket,
+			Readiness: binapi.ReadinessPump}},
+		{"socket9k-epoll", testbed.ConnLoadConfig{Conns: 9_000, MsgsPerConn: 5, Mode: testbed.ConnLoadSocket,
+			Readiness: binapi.ReadinessEpoll}},
 	}
 	for _, run := range runs {
 		run := run
 		b.Run(run.name, func(b *testing.B) {
-			if run.cfg.Readiness == iotbind.BinReadinessEpoll && !iotbind.BinEpollSupported() {
+			if run.cfg.Readiness == binapi.ReadinessEpoll && !binapi.EpollSupported() {
 				b.Skip("raw-epoll readiness source requires linux")
 			}
-			if run.cfg.Mode == iotbind.ConnLoadSocket && !iotbind.EnsureFDLimit(2*run.cfg.Conns+512) {
+			if run.cfg.Mode == testbed.ConnLoadSocket && !testbed.EnsureFDLimit(2*run.cfg.Conns+512) {
 				b.Skipf("cannot raise fd limit to %d", 2*run.cfg.Conns+512)
 			}
-			res, err := iotbind.RunConnLoad(run.cfg)
+			res, err := testbed.RunConnLoad(run.cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -18,6 +18,9 @@ import (
 	"time"
 
 	iotbind "github.com/iotbind/iotbind"
+	"github.com/iotbind/iotbind/internal/protocol"
+	"github.com/iotbind/iotbind/internal/testbed"
+	"github.com/iotbind/iotbind/internal/wal"
 )
 
 // benchDelegationDesign is the strict delegation posture on top of the
@@ -40,16 +43,16 @@ func BenchmarkDelegatedStatus(b *testing.B) {
 	setup := func(b *testing.B) (*iotbind.Cloud, string, string, string) {
 		b.Helper()
 		svc, owner := benchCloud(b, benchDelegationDesign())
-		if _, err := svc.HandleStatus(iotbind.StatusRequest{Kind: iotbind.StatusRegister, DeviceID: benchDeviceID}); err != nil {
+		if _, err := svc.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: benchDeviceID}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := svc.HandleBind(iotbind.BindRequest{DeviceID: benchDeviceID, UserToken: owner}); err != nil {
+		if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: benchDeviceID, UserToken: owner}); err != nil {
 			b.Fatal(err)
 		}
 		// A handful of reported readings so the read copies real data.
-		hb := iotbind.StatusRequest{Kind: iotbind.StatusHeartbeat, DeviceID: benchDeviceID}
+		hb := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: benchDeviceID}
 		for i := 0; i < 8; i++ {
-			hb.Readings = []iotbind.Reading{{Name: "temp", Value: float64(i), At: time.Unix(int64(i), 0)}}
+			hb.Readings = []protocol.Reading{{Name: "temp", Value: float64(i), At: time.Unix(int64(i), 0)}}
 			if _, err := svc.HandleStatus(hb); err != nil {
 				b.Fatal(err)
 			}
@@ -61,7 +64,7 @@ func BenchmarkDelegatedStatus(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		grant, err := svc.HandleDelegate(iotbind.DelegateRequest{
+		grant, err := svc.HandleDelegate(protocol.DelegateRequest{
 			DeviceID: benchDeviceID, UserToken: owner, Grantee: "guest@example.com",
 			Scopes: []string{"control", "read"}, TTLSeconds: 24 * 3600, Depth: 1,
 		})
@@ -73,7 +76,7 @@ func BenchmarkDelegatedStatus(b *testing.B) {
 
 	read := func(b *testing.B, svc *iotbind.Cloud, cred string) {
 		b.Helper()
-		req := iotbind.ReadingsRequest{DeviceID: benchDeviceID, UserToken: cred}
+		req := protocol.ReadingsRequest{DeviceID: benchDeviceID, UserToken: cred}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -106,13 +109,13 @@ func BenchmarkShareStorm(b *testing.B) {
 	b.ReportAllocs()
 	var crashes, replayed, granted, revoked int
 	for i := 0; i < b.N; i++ {
-		res, err := iotbind.RunShareStorm(iotbind.ShareStormConfig{
+		res, err := testbed.RunShareStorm(testbed.ShareStormConfig{
 			Design:     benchDelegationDesign(),
 			Ops:        96,
 			Guests:     3,
 			KillPoints: 8,
 			Seed:       int64(1000 + i),
-			Policy:     iotbind.WALSyncEveryRecord,
+			Policy:     wal.SyncEveryRecord,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -27,6 +27,11 @@ import (
 	"time"
 
 	iotbind "github.com/iotbind/iotbind"
+	"github.com/iotbind/iotbind/internal/analysis"
+	"github.com/iotbind/iotbind/internal/core"
+	"github.com/iotbind/iotbind/internal/localnet"
+	"github.com/iotbind/iotbind/internal/protocol"
+	"github.com/iotbind/iotbind/internal/testbed"
 )
 
 const (
@@ -34,7 +39,7 @@ const (
 	benchSecret   = "bench-factory-secret"
 )
 
-func benchDesign(auth iotbind.DeviceAuthMode, mech iotbind.BindMechanism) iotbind.DesignSpec {
+func benchDesign(auth core.DeviceAuthMode, mech core.BindMechanism) iotbind.DesignSpec {
 	return iotbind.DesignSpec{
 		Name:                   "bench",
 		DeviceAuth:             auth,
@@ -70,21 +75,21 @@ func benchCloud(b *testing.B, design iotbind.DesignSpec) (*iotbind.Cloud, string
 // full initial->online->control->online->initial walk.
 func BenchmarkFig2StateMachine(b *testing.B) {
 	b.Run("Next", func(b *testing.B) {
-		states := []iotbind.ShadowState{iotbind.StateInitial, iotbind.StateOnline, iotbind.StateControl, iotbind.StateBound}
-		events := []iotbind.Event{iotbind.EventStatus, iotbind.EventStatusExpire, iotbind.EventBind, iotbind.EventUnbind}
+		states := []core.ShadowState{core.StateInitial, core.StateOnline, core.StateControl, core.StateBound}
+		events := []core.Event{core.EventStatus, core.EventStatusExpire, core.EventBind, core.EventUnbind}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _ = iotbind.Next(states[i%4], events[(i/4)%4])
+			_, _ = core.Next(states[i%4], events[(i/4)%4])
 		}
 	})
 	b.Run("LifecycleWalk", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m := iotbind.NewMachine()
-			_, _ = m.Apply(iotbind.EventStatus)
-			_, _ = m.Apply(iotbind.EventBind)
-			_, _ = m.Apply(iotbind.EventUnbind)
-			_, _ = m.Apply(iotbind.EventStatusExpire)
+			m := core.NewMachine()
+			_, _ = m.Apply(core.EventStatus)
+			_, _ = m.Apply(core.EventBind)
+			_, _ = m.Apply(core.EventUnbind)
+			_, _ = m.Apply(core.EventStatusExpire)
 		}
 	})
 }
@@ -94,7 +99,7 @@ func BenchmarkFig2StateMachine(b *testing.B) {
 func BenchmarkFig3DeviceAuth(b *testing.B) {
 	b.Run("DevId", func(b *testing.B) {
 		svc, _ := benchCloud(b, benchDesign(iotbind.AuthDevID, iotbind.BindACLApp))
-		req := iotbind.StatusRequest{Kind: iotbind.StatusHeartbeat, DeviceID: benchDeviceID}
+		req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: benchDeviceID}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -104,17 +109,17 @@ func BenchmarkFig3DeviceAuth(b *testing.B) {
 		}
 	})
 	b.Run("DevToken", func(b *testing.B) {
-		design := benchDesign(iotbind.AuthDevToken, iotbind.BindACLApp)
+		design := benchDesign(core.AuthDevToken, iotbind.BindACLApp)
 		svc, userToken := benchCloud(b, design)
-		tok, err := svc.RequestDeviceToken(iotbind.DeviceTokenRequest{
+		tok, err := svc.RequestDeviceToken(protocol.DeviceTokenRequest{
 			UserToken:    userToken,
 			DeviceID:     benchDeviceID,
-			PairingProof: iotbind.PairingProof(benchSecret, benchDeviceID),
+			PairingProof: protocol.PairingProof(benchSecret, benchDeviceID),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		req := iotbind.StatusRequest{Kind: iotbind.StatusHeartbeat, DeviceID: benchDeviceID, DevToken: tok.DevToken}
+		req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: benchDeviceID, DevToken: tok.DevToken}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -124,11 +129,11 @@ func BenchmarkFig3DeviceAuth(b *testing.B) {
 		}
 	})
 	b.Run("PublicKey", func(b *testing.B) {
-		svc, _ := benchCloud(b, benchDesign(iotbind.AuthPublicKey, iotbind.BindACLApp))
-		req := iotbind.StatusRequest{
-			Kind:      iotbind.StatusHeartbeat,
+		svc, _ := benchCloud(b, benchDesign(core.AuthPublicKey, iotbind.BindACLApp))
+		req := protocol.StatusRequest{
+			Kind:      protocol.StatusHeartbeat,
 			DeviceID:  benchDeviceID,
-			Signature: iotbind.StatusSignature(benchSecret, benchDeviceID, iotbind.StatusHeartbeat),
+			Signature: protocol.StatusSignature(benchSecret, benchDeviceID, protocol.StatusHeartbeat),
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -148,46 +153,46 @@ func BenchmarkFig4BindingCreation(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := svc.HandleBind(iotbind.BindRequest{DeviceID: benchDeviceID, UserToken: userToken}); err != nil {
+			if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: benchDeviceID, UserToken: userToken}); err != nil {
 				b.Fatal(err)
 			}
-			if err := svc.HandleUnbind(iotbind.UnbindRequest{DeviceID: benchDeviceID, UserToken: userToken}); err != nil {
+			if err := svc.HandleUnbind(protocol.UnbindRequest{DeviceID: benchDeviceID, UserToken: userToken}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("ACLDevice", func(b *testing.B) {
-		svc, userToken := benchCloud(b, benchDesign(iotbind.AuthDevID, iotbind.BindACLDevice))
+		svc, userToken := benchCloud(b, benchDesign(iotbind.AuthDevID, core.BindACLDevice))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := svc.HandleBind(iotbind.BindRequest{
+			if _, err := svc.HandleBind(protocol.BindRequest{
 				DeviceID: benchDeviceID, UserID: "u@example.com", UserPassword: "pw",
 			}); err != nil {
 				b.Fatal(err)
 			}
-			if err := svc.HandleUnbind(iotbind.UnbindRequest{DeviceID: benchDeviceID, UserToken: userToken}); err != nil {
+			if err := svc.HandleUnbind(protocol.UnbindRequest{DeviceID: benchDeviceID, UserToken: userToken}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Capability", func(b *testing.B) {
-		svc, userToken := benchCloud(b, benchDesign(iotbind.AuthDevID, iotbind.BindCapability))
+		svc, userToken := benchCloud(b, benchDesign(iotbind.AuthDevID, core.BindCapability))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tok, err := svc.RequestBindToken(iotbind.BindTokenRequest{UserToken: userToken, DeviceID: benchDeviceID})
+			tok, err := svc.RequestBindToken(protocol.BindTokenRequest{UserToken: userToken, DeviceID: benchDeviceID})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := svc.HandleBind(iotbind.BindRequest{
+			if _, err := svc.HandleBind(protocol.BindRequest{
 				DeviceID:  benchDeviceID,
 				BindToken: tok.BindToken,
-				BindProof: iotbind.BindProof(benchSecret, tok.BindToken),
+				BindProof: protocol.BindProof(benchSecret, tok.BindToken),
 			}); err != nil {
 				b.Fatal(err)
 			}
-			if err := svc.HandleUnbind(iotbind.UnbindRequest{DeviceID: benchDeviceID, UserToken: userToken}); err != nil {
+			if err := svc.HandleUnbind(protocol.UnbindRequest{DeviceID: benchDeviceID, UserToken: userToken}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -200,7 +205,7 @@ func BenchmarkTable2Analysis(b *testing.B) {
 	b.Run("DeriveTaxonomy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := iotbind.DeriveTaxonomy(); err != nil {
+			if _, err := analysis.DeriveTaxonomy(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -227,7 +232,7 @@ func BenchmarkTable3Evaluation(b *testing.B) {
 			var successes int
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				vr, err := iotbind.EvaluateVendor(p)
+				vr, err := testbed.EvaluateVendor(p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -311,7 +316,7 @@ func BenchmarkAblationPolicyFlags(b *testing.B) {
 	hardened := func() iotbind.DesignSpec {
 		return iotbind.DesignSpec{
 			Name:                   "ablation",
-			DeviceAuth:             iotbind.AuthDevToken,
+			DeviceAuth:             core.AuthDevToken,
 			Binding:                iotbind.BindACLApp,
 			UnbindForms:            []iotbind.UnbindForm{iotbind.UnbindDevIDUserToken},
 			CheckBoundUserOnBind:   true,
@@ -531,7 +536,7 @@ func BenchmarkHubFanout(b *testing.B) {
 			if err := h.Device().Provision(provisioning()); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := svc.HandleBind(iotbind.BindRequest{DeviceID: benchDeviceID, UserToken: userToken}); err != nil {
+			if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: benchDeviceID, UserToken: userToken}); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -539,7 +544,7 @@ func BenchmarkHubFanout(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for j, s := range subs {
 					s.Report("v", float64(j))
-					if _, err := svc.HandleControl(iotbind.ControlRequest{
+					if _, err := svc.HandleControl(protocol.ControlRequest{
 						DeviceID:  benchDeviceID,
 						UserToken: userToken,
 						Command: iotbind.Command{
@@ -559,7 +564,7 @@ func BenchmarkHubFanout(b *testing.B) {
 	}
 }
 
-func provisioning() (p iotbind.Provisioning) {
+func provisioning() (p localnet.Provisioning) {
 	p.WiFiSSID = "home"
 	p.WiFiPassword = "pw"
 	return p
@@ -603,7 +608,7 @@ func BenchmarkParallelStatusStorm(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		id := ids[int(next.Add(1))%devices]
-		req := iotbind.StatusRequest{Kind: iotbind.StatusHeartbeat, DeviceID: id}
+		req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: id}
 		for pb.Next() {
 			if _, err := svc.HandleStatus(req); err != nil {
 				b.Fatal(err)
@@ -624,10 +629,10 @@ func BenchmarkParallelBindChurn(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		id := ids[int(next.Add(1))%devices]
 		for pb.Next() {
-			if _, err := svc.HandleBind(iotbind.BindRequest{DeviceID: id, UserToken: userToken}); err != nil {
+			if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: id, UserToken: userToken}); err != nil {
 				b.Fatal(err)
 			}
-			if err := svc.HandleUnbind(iotbind.UnbindRequest{DeviceID: id, UserToken: userToken}); err != nil {
+			if err := svc.HandleUnbind(protocol.UnbindRequest{DeviceID: id, UserToken: userToken}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -641,10 +646,10 @@ func BenchmarkParallelMixedFleet(b *testing.B) {
 	const devices = 64
 	svc, ids, userToken := benchFleetCloud(b, benchDesign(iotbind.AuthDevID, iotbind.BindACLApp), devices)
 	for _, id := range ids {
-		if _, err := svc.HandleStatus(iotbind.StatusRequest{Kind: iotbind.StatusRegister, DeviceID: id}); err != nil {
+		if _, err := svc.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: id}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := svc.HandleBind(iotbind.BindRequest{DeviceID: id, UserToken: userToken}); err != nil {
+		if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: id, UserToken: userToken}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -657,11 +662,11 @@ func BenchmarkParallelMixedFleet(b *testing.B) {
 		for pb.Next() {
 			switch i % 4 {
 			case 0, 1:
-				if _, err := svc.HandleStatus(iotbind.StatusRequest{Kind: iotbind.StatusHeartbeat, DeviceID: id}); err != nil {
+				if _, err := svc.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: id}); err != nil {
 					b.Fatal(err)
 				}
 			case 2:
-				if _, err := svc.HandleControl(iotbind.ControlRequest{
+				if _, err := svc.HandleControl(protocol.ControlRequest{
 					DeviceID: id, UserToken: userToken,
 					Command: iotbind.Command{ID: "c", Name: "poke"},
 				}); err != nil {
@@ -715,7 +720,7 @@ func BenchmarkHTTPStatusRoundTrip(b *testing.B) {
 	server := httptest.NewServer(iotbind.NewHTTPServer(svc))
 	defer server.Close()
 	client := iotbind.NewHTTPClient(server.URL)
-	req := iotbind.StatusRequest{Kind: iotbind.StatusHeartbeat, DeviceID: benchDeviceID}
+	req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: benchDeviceID}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -760,7 +765,7 @@ func BenchmarkStatusBatch(b *testing.B) {
 			b.Run("PerMessage", func(b *testing.B) {
 				client, closeFE := fe.setup(b)
 				defer closeFE()
-				req := iotbind.StatusRequest{Kind: iotbind.StatusHeartbeat, DeviceID: benchDeviceID}
+				req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: benchDeviceID}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -773,14 +778,14 @@ func BenchmarkStatusBatch(b *testing.B) {
 			b.Run(fmt.Sprintf("Batch%d", batchSize), func(b *testing.B) {
 				client, closeFE := fe.setup(b)
 				defer closeFE()
-				req := iotbind.StatusRequest{Kind: iotbind.StatusHeartbeat, DeviceID: benchDeviceID}
-				items := make([]iotbind.StatusRequest, 0, batchSize)
+				req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: benchDeviceID}
+				items := make([]protocol.StatusRequest, 0, batchSize)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					items = append(items, req)
 					if len(items) == batchSize {
-						resp, err := client.HandleStatusBatch(iotbind.StatusBatchRequest{Items: items})
+						resp, err := client.HandleStatusBatch(protocol.StatusBatchRequest{Items: items})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -791,7 +796,7 @@ func BenchmarkStatusBatch(b *testing.B) {
 					}
 				}
 				if len(items) > 0 {
-					if _, err := client.HandleStatusBatch(iotbind.StatusBatchRequest{Items: items}); err != nil {
+					if _, err := client.HandleStatusBatch(protocol.StatusBatchRequest{Items: items}); err != nil {
 						b.Fatal(err)
 					}
 				}

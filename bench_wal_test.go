@@ -19,6 +19,9 @@ import (
 	"testing"
 
 	iotbind "github.com/iotbind/iotbind"
+	"github.com/iotbind/iotbind/internal/cloud"
+	"github.com/iotbind/iotbind/internal/protocol"
+	"github.com/iotbind/iotbind/internal/wal"
 )
 
 // BenchmarkWALAppend measures the raw append cost of the segmented log
@@ -28,14 +31,14 @@ func BenchmarkWALAppend(b *testing.B) {
 	payload := bytes.Repeat([]byte{0xA5}, 256)
 	for _, tc := range []struct {
 		name   string
-		policy iotbind.WALSyncPolicy
+		policy wal.SyncPolicy
 	}{
-		{"off", iotbind.WALSyncOff},
-		{"grouped", iotbind.WALSyncGrouped},
-		{"every-record", iotbind.WALSyncEveryRecord},
+		{"off", wal.SyncOff},
+		{"grouped", wal.SyncGrouped},
+		{"every-record", wal.SyncEveryRecord},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			log, err := iotbind.OpenWAL(b.TempDir(), iotbind.WALOptions{Policy: tc.policy})
+			log, err := wal.Open(b.TempDir(), wal.Options{Policy: tc.policy})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -68,17 +71,17 @@ func benchDurableDir(b *testing.B, ops int, checkpoint bool) (string, iotbind.De
 	if err := registry.Add(iotbind.DeviceRecord{ID: benchDeviceID, FactorySecret: benchSecret, Model: "plug"}); err != nil {
 		b.Fatal(err)
 	}
-	d, err := iotbind.OpenDurableCloud(dir, design, registry, iotbind.DurableCloudOptions{})
+	d, err := cloud.OpenDurable(dir, design, registry, cloud.DurableOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer d.Close()
-	if _, err := d.HandleStatus(iotbind.StatusRequest{Kind: iotbind.StatusRegister, DeviceID: benchDeviceID}); err != nil {
+	if _, err := d.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: benchDeviceID}); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < ops; i++ {
-		req := iotbind.StatusRequest{
-			Kind:           iotbind.StatusHeartbeat,
+		req := protocol.StatusRequest{
+			Kind:           protocol.StatusHeartbeat,
 			DeviceID:       benchDeviceID,
 			IdempotencyKey: fmt.Sprintf("bench-%d", i),
 		}
@@ -108,7 +111,7 @@ func BenchmarkRecovery(b *testing.B) {
 		dir, design, registry := benchDurableDir(b, ops, false)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			d, err := iotbind.OpenDurableCloud(dir, design, registry, iotbind.DurableCloudOptions{})
+			d, err := cloud.OpenDurable(dir, design, registry, cloud.DurableOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -124,7 +127,7 @@ func BenchmarkRecovery(b *testing.B) {
 		dir, design, registry := benchDurableDir(b, ops, true)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			d, err := iotbind.OpenDurableCloud(dir, design, registry, iotbind.DurableCloudOptions{})
+			d, err := cloud.OpenDurable(dir, design, registry, cloud.DurableOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -146,11 +149,11 @@ func BenchmarkRecovery(b *testing.B) {
 func BenchmarkDurableStatus(b *testing.B) {
 	design := benchDesign(iotbind.AuthDevID, iotbind.BindACLApp)
 	type handler interface {
-		HandleStatus(iotbind.StatusRequest) (iotbind.StatusResponse, error)
+		HandleStatus(protocol.StatusRequest) (protocol.StatusResponse, error)
 	}
 	register := func(b *testing.B, h handler) {
 		b.Helper()
-		if _, err := h.HandleStatus(iotbind.StatusRequest{Kind: iotbind.StatusRegister, DeviceID: benchDeviceID}); err != nil {
+		if _, err := h.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: benchDeviceID}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,7 +162,7 @@ func BenchmarkDurableStatus(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			req := iotbind.StatusRequest{Kind: iotbind.StatusHeartbeat, DeviceID: benchDeviceID}
+			req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: benchDeviceID}
 			if keyed {
 				req.IdempotencyKey = fmt.Sprintf("bench-%d", i)
 			}
@@ -186,8 +189,8 @@ func BenchmarkDurableStatus(b *testing.B) {
 		if err := registry.Add(iotbind.DeviceRecord{ID: benchDeviceID, FactorySecret: benchSecret, Model: "plug"}); err != nil {
 			b.Fatal(err)
 		}
-		d, err := iotbind.OpenDurableCloud(b.TempDir(), design, registry, iotbind.DurableCloudOptions{
-			WAL: iotbind.WALOptions{Policy: iotbind.WALSyncGrouped},
+		d, err := cloud.OpenDurable(b.TempDir(), design, registry, cloud.DurableOptions{
+			WAL: wal.Options{Policy: wal.SyncGrouped},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -233,7 +236,7 @@ func BenchmarkDurableStatusParallel(b *testing.B) {
 		ids[i] = fmt.Sprintf("AA:BB:CC:00:98:%02X", i)
 	}
 	type handler interface {
-		HandleStatus(iotbind.StatusRequest) (iotbind.StatusResponse, error)
+		HandleStatus(protocol.StatusRequest) (protocol.StatusResponse, error)
 	}
 	newRegistry := func(b *testing.B) *iotbind.Registry {
 		b.Helper()
@@ -248,7 +251,7 @@ func BenchmarkDurableStatusParallel(b *testing.B) {
 	registerAll := func(b *testing.B, h handler) {
 		b.Helper()
 		for _, id := range ids {
-			if _, err := h.HandleStatus(iotbind.StatusRequest{Kind: iotbind.StatusRegister, DeviceID: id}); err != nil {
+			if _, err := h.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: id}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -269,8 +272,8 @@ func BenchmarkDurableStatusParallel(b *testing.B) {
 			k := 0
 			for pb.Next() {
 				k++
-				if _, err := h.HandleStatus(iotbind.StatusRequest{
-					Kind: iotbind.StatusHeartbeat, DeviceID: id,
+				if _, err := h.HandleStatus(protocol.StatusRequest{
+					Kind: protocol.StatusHeartbeat, DeviceID: id,
 					IdempotencyKey: fmt.Sprintf("c%d-%d", client, k),
 				}); err != nil {
 					b.Error(err)
@@ -289,9 +292,9 @@ func BenchmarkDurableStatusParallel(b *testing.B) {
 	}
 	durable := func(b *testing.B, shards int) handler {
 		b.Helper()
-		d, err := iotbind.OpenDurableCloud(b.TempDir(), design, newRegistry(b), iotbind.DurableCloudOptions{
+		d, err := cloud.OpenDurable(b.TempDir(), design, newRegistry(b), cloud.DurableOptions{
 			WALShards: shards,
-			WAL:       iotbind.WALOptions{Policy: iotbind.WALSyncGrouped},
+			WAL:       wal.Options{Policy: wal.SyncGrouped},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -10,7 +10,9 @@
 //	curl -s localhost:8080/api/v1/register-user -d '{"user_id":"u","password":"p"}'
 //
 //	bindcloud -proto bin -addr :9090      # the binary persistent-connection front end instead
-//	c, _ := iotbind.DialBin("localhost:9090"); c.Login(iotbind.LoginRequest{UserID: "u", Password: "p"})
+//
+// Inside this module, binapi.Dial connects a client to the binary front
+// end; the client implements the same cloud transport as the HTTP one.
 package main
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	iotbind "github.com/iotbind/iotbind"
+	"github.com/iotbind/iotbind/internal/discover"
 )
 
 // ExamplePredictAll analyzes a remote-binding design on paper — no
@@ -31,37 +32,6 @@ func ExamplePredictAll() {
 	// A4-3: forged unbind opens the online state; a forged bind then hijacks the device
 }
 
-// ExampleEvaluate launches one live attack experiment against an emulated
-// vendor cloud.
-func ExampleEvaluate() {
-	profile, _ := iotbind.ByVendor("E-Link Smart")
-	result, err := iotbind.Evaluate(profile.Design, iotbind.VariantA4x1)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("%v against %s: %v\n", result.Variant, profile.Vendor, result.Outcome)
-	// Output:
-	// A4-1 against E-Link Smart: ✓
-}
-
-// ExampleNext walks the Figure 2 state machine.
-func ExampleNext() {
-	state := iotbind.StateInitial
-	for _, e := range []iotbind.Event{iotbind.EventStatus, iotbind.EventBind} {
-		next, err := iotbind.Next(state, e)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		fmt.Printf("%v --%v--> %v\n", state, e, next)
-		state = next
-	}
-	// Output:
-	// initial --status--> online
-	// online --bind--> control
-}
-
 // ExampleDiscoverAttacks lets the searcher find the minimal hijack chain
 // against the TP-LINK design with no taxonomy knowledge.
 func ExampleDiscoverAttacks() {
@@ -72,7 +42,7 @@ func ExampleDiscoverAttacks() {
 		return
 	}
 	for _, a := range attacks {
-		if a.Goal == iotbind.GoalHijack {
+		if a.Goal == discover.GoalHijack {
 			fmt.Println(a)
 		}
 	}

@@ -5,16 +5,12 @@ import (
 
 	"github.com/iotbind/iotbind/internal/binapi"
 	"github.com/iotbind/iotbind/internal/campaign"
-	"github.com/iotbind/iotbind/internal/cloud"
 	"github.com/iotbind/iotbind/internal/device"
 	"github.com/iotbind/iotbind/internal/discover"
 	"github.com/iotbind/iotbind/internal/harden"
 	"github.com/iotbind/iotbind/internal/hub"
 	"github.com/iotbind/iotbind/internal/modelcheck"
-	"github.com/iotbind/iotbind/internal/testbed"
 	"github.com/iotbind/iotbind/internal/trace"
-	"github.com/iotbind/iotbind/internal/transport"
-	"github.com/iotbind/iotbind/internal/wal"
 )
 
 // ---- automatic attack discovery (Section VIII future work) ---------------
@@ -23,40 +19,6 @@ import (
 // scenario, an adversarial goal, and the shortest forged-message sequence
 // achieving it.
 type DiscoveredAttack = discover.Attack
-
-// AttackAction is one attacker primitive the searcher composes.
-type AttackAction = discover.Action
-
-// The attacker primitives.
-const (
-	ActForgeRegister        = discover.ActForgeRegister
-	ActForgeDataHeartbeat   = discover.ActForgeDataHeartbeat
-	ActForgeBind            = discover.ActForgeBind
-	ActForgeUnbindUserToken = discover.ActForgeUnbindUserToken
-	ActForgeUnbindDevID     = discover.ActForgeUnbindDevID
-)
-
-// AttackGoal is an adversarial objective.
-type AttackGoal = discover.Goal
-
-// The adversarial goals.
-const (
-	GoalDisconnect = discover.GoalDisconnect
-	GoalHijack     = discover.GoalHijack
-	GoalStealData  = discover.GoalStealData
-	GoalInjectData = discover.GoalInjectData
-	GoalOccupy     = discover.GoalOccupy
-)
-
-// AttackScenario is the victim situation a discovered sequence runs in.
-type AttackScenario = discover.Scenario
-
-// The victim scenarios.
-const (
-	ScenarioSteadyControl = discover.ScenarioSteadyControl
-	ScenarioPreSetup      = discover.ScenarioPreSetup
-	ScenarioSetupWindow   = discover.ScenarioSetupWindow
-)
 
 // DiscoverAttacks searches attacker action sequences up to maxDepth
 // against the design on live emulations, returning minimal sequences per
@@ -68,17 +30,6 @@ func DiscoverAttacks(design DesignSpec, maxDepth int) ([]DiscoveredAttack, error
 }
 
 // ---- formal verification (Section IX future work) --------------------------
-
-// VerifiedProperty is a safety property the model checker decides.
-type VerifiedProperty = modelcheck.Property
-
-// The verified safety properties.
-const (
-	PropNoHijack         = modelcheck.PropNoHijack
-	PropBindingPreserved = modelcheck.PropBindingPreserved
-	PropNoDataTheft      = modelcheck.PropNoDataTheft
-	PropNoDataInjection  = modelcheck.PropNoDataInjection
-)
 
 // VerificationResult is one property's verdict, with a minimal
 // counterexample trace when violated.
@@ -125,20 +76,6 @@ func WriteCampaign(w io.Writer, title string, points []CampaignPoint) error {
 
 // ---- hardening recommendations (Section VII lessons, as a repair engine) ----
 
-// HardeningStep is one repair measure from the Section VII lesson
-// vocabulary.
-type HardeningStep = harden.Step
-
-// The hardening measures.
-const (
-	StepDynamicDeviceToken   = harden.StepDynamicDeviceToken
-	StepCapabilityBinding    = harden.StepCapabilityBinding
-	StepCheckBindOwner       = harden.StepCheckBindOwner
-	StepCheckUnbindOwner     = harden.StepCheckUnbindOwner
-	StepDropDeviceOnlyUnbind = harden.StepDropDeviceOnlyUnbind
-	StepPostBindingToken     = harden.StepPostBindingToken
-)
-
 // HardeningPlan is a minimal repair recommendation with the hardened
 // design and its verification status.
 type HardeningPlan = harden.Plan
@@ -179,9 +116,6 @@ func NewSubDevice(name, kind string) *SubDevice { return hub.NewSubDevice(name, 
 // cloud — the executable form of the paper's Figure 1/3/4 diagrams.
 type TraceRecorder = trace.Recorder
 
-// TraceEvent is one recorded message arrow.
-type TraceEvent = trace.Event
-
 // NewTraceRecorder returns an empty recorder.
 func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
 
@@ -204,142 +138,7 @@ func WriteTrace(w io.Writer, rec *TraceRecorder, title string) error {
 // credit-based per-connection backpressure.
 type BinServer = binapi.Server
 
-// BinClient is a multiplexed binapi connection; it implements
-// CloudTransport, so devices, apps and the cluster router run over it
-// unchanged.
-type BinClient = binapi.Client
-
-// BinReadiness selects the server's socket readiness source.
-type BinReadiness = binapi.Readiness
-
-// Socket readiness sources: auto picks raw epoll on Linux and the
-// per-connection pump goroutine elsewhere (ConnLoadConfig.Readiness).
-const (
-	BinReadinessAuto  = binapi.ReadinessAuto
-	BinReadinessPump  = binapi.ReadinessPump
-	BinReadinessEpoll = binapi.ReadinessEpoll
-)
-
-// BinEpollSupported reports whether the raw-epoll readiness source is
-// available on this platform.
-func BinEpollSupported() bool { return binapi.EpollSupported() }
-
 // NewBinServer wraps a cloud for the binary front end; call Serve with
 // a listener (socket mode), Pipe for in-process connections, and Close
 // to shut down.
 func NewBinServer(c CloudTransport) *BinServer { return binapi.NewServer(c) }
-
-// DialBin connects a binapi client to a BinServer over TCP.
-func DialBin(addr string) (*BinClient, error) { return binapi.Dial(addr) }
-
-// ConnLoadConfig parameterizes a connection-scale run against the
-// binary front end.
-type ConnLoadConfig = testbed.ConnLoadConfig
-
-// ConnLoadResult reports a connection-scale run.
-type ConnLoadResult = testbed.ConnLoadResult
-
-// Connection-load transport modes.
-const (
-	ConnLoadPipe   = testbed.ConnLoadPipe
-	ConnLoadSocket = testbed.ConnLoadSocket
-)
-
-// RunConnLoad opens many persistent binapi connections against one
-// cloud and reports throughput, latency percentiles and per-connection
-// wire cost.
-func RunConnLoad(cfg ConnLoadConfig) (ConnLoadResult, error) { return testbed.RunConnLoad(cfg) }
-
-// EnsureFDLimit raises RLIMIT_NOFILE until at least need descriptors
-// are available, reporting whether it succeeded — the gate for the
-// socket rungs of BenchmarkConnLoad.
-func EnsureFDLimit(need int) bool { return testbed.EnsureFDLimit(need) }
-
-// ---- cloud observability ---------------------------------------------------
-
-// CloudStats is a snapshot of a cloud's activity counters.
-type CloudStats = cloud.Stats
-
-// ---- durability: write-ahead log and crash recovery ------------------------
-
-// DurableCloud is a cloud service with crash durability: every mutation
-// is logged to a write-ahead log before it is applied, state is
-// checkpointed into snapshots, and reopening the same directory
-// recovers the exact pre-crash state (latest snapshot + WAL replay).
-type DurableCloud = cloud.Durable
-
-// DurableCloudOptions configures a durable cloud.
-type DurableCloudOptions = cloud.DurableOptions
-
-// DurableRecovery reports what recovery did when a durable cloud opened.
-type DurableRecovery = cloud.DurableRecovery
-
-// DurableShardRecovery is one WAL shard's slice of a durable recovery.
-type DurableShardRecovery = cloud.DurableShardRecovery
-
-// OpenDurableCloud opens (or creates) a durable cloud rooted at dir.
-func OpenDurableCloud(dir string, design DesignSpec, registry *Registry, opts DurableCloudOptions) (*DurableCloud, error) {
-	return cloud.OpenDurable(dir, design, registry, opts)
-}
-
-// WithPersistentIdempotency includes per-shadow idempotency replay logs
-// in snapshots, keeping keyed requests at-most-once across restarts.
-func WithPersistentIdempotency() CloudOption { return cloud.WithPersistentIdempotency() }
-
-// WAL is a segmented, checksummed write-ahead log.
-type WAL = wal.Log
-
-// WALOptions configures a write-ahead log.
-type WALOptions = wal.Options
-
-// WALSyncPolicy selects when appends reach stable storage.
-type WALSyncPolicy = wal.SyncPolicy
-
-// The fsync policies, ordered from weakest to strongest durability.
-const (
-	WALSyncOff         = wal.SyncOff
-	WALSyncGrouped     = wal.SyncGrouped
-	WALSyncEveryRecord = wal.SyncEveryRecord
-)
-
-// OpenWAL opens (or creates) a write-ahead log in dir, recovering any
-// torn tail left by a crash.
-func OpenWAL(dir string, opts WALOptions) (*WAL, error) { return wal.Open(dir, opts) }
-
-// ErrWALCorrupt reports corruption before the tail of a log — data that
-// was once acknowledged as synced and can no longer be read.
-var ErrWALCorrupt = wal.ErrCorrupt
-
-// CrashRecoveryConfig parameterizes a seeded crash-fault run.
-type CrashRecoveryConfig = testbed.CrashRecoveryConfig
-
-// CrashRecoveryResult reports one crash-fault run.
-type CrashRecoveryResult = testbed.CrashRecoveryResult
-
-// RunCrashRecovery drives a workload against a durable cloud while a
-// seeded kill schedule crashes it at WAL write stages, recovering after
-// every crash, and proves the survivor's final state byte-identical to a
-// never-crashed reference.
-func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
-	return testbed.RunCrashRecovery(cfg)
-}
-
-// ShareStormConfig parameterizes a seeded share/revoke storm run.
-type ShareStormConfig = testbed.ShareStormConfig
-
-// ShareStormResult reports one share/revoke storm run.
-type ShareStormResult = testbed.ShareStormResult
-
-// RunShareStorm drives a delegation share/revoke storm — grants,
-// chained re-delegations, cascading revocations and delegated control
-// interleaved with owner traffic — against a durable cloud while a
-// seeded kill schedule crashes it mid-storm, recovering after every
-// crash, and proves the survivor's final state byte-identical to a
-// never-crashed reference with no acknowledged op lost.
-func RunShareStorm(cfg ShareStormConfig) (ShareStormResult, error) {
-	return testbed.RunShareStorm(cfg)
-}
-
-// Compile-time checks that the traced transport still satisfies the
-// transport contract.
-var _ transport.Cloud = (CloudTransport)(nil)

@@ -50,6 +50,9 @@ func TestTable2Vocabulary(t *testing.T) {
 }
 
 func TestAllAttackVariantsCoverAllClasses(t *testing.T) {
+	if n := len(AllAttackVariants()); n != 9 {
+		t.Fatalf("AllAttackVariants() has %d variants, want the nine of Table II", n)
+	}
 	byClass := make(map[AttackClass]int)
 	for _, v := range AllAttackVariants() {
 		byClass[v.Class()]++

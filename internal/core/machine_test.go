@@ -122,6 +122,9 @@ func TestTransitionTableIsComplete(t *testing.T) {
 }
 
 func TestFigure2EdgesAreSubsetOfTable(t *testing.T) {
+	if n := len(Figure2Edges()); n != 6 {
+		t.Fatalf("Figure2Edges() has %d edges, want the six numbered edges", n)
+	}
 	valid := make(map[Transition]bool)
 	for _, tr := range TransitionTable() {
 		valid[tr] = true

@@ -22,28 +22,16 @@ import (
 	"github.com/iotbind/iotbind/internal/testbed"
 )
 
-// Action is one attacker primitive the searcher can compose: a single
-// forged message built from nothing but the leaked device ID and the
-// attacker's own account.
-type Action = testbed.Step
-
-// The attacker's primitive moves — the search alphabet.
-const (
-	ActForgeRegister        = testbed.StepForgeRegister
-	ActForgeDataHeartbeat   = testbed.StepForgeDataHeartbeat
-	ActForgeBind            = testbed.StepForgeBind
-	ActForgeUnbindUserToken = testbed.StepForgeUnbindUserToken
-	ActForgeUnbindDevID     = testbed.StepForgeUnbindDevID
-)
-
-// AllActions lists the attacker primitives.
-func AllActions() []Action {
-	return []Action{
-		ActForgeRegister,
-		ActForgeDataHeartbeat,
-		ActForgeBind,
-		ActForgeUnbindUserToken,
-		ActForgeUnbindDevID,
+// AllActions lists the attacker primitives the searcher composes — the
+// search alphabet: single forged messages built from nothing but the
+// leaked device ID and the attacker's own account.
+func AllActions() []testbed.Step {
+	return []testbed.Step{
+		testbed.StepForgeRegister,
+		testbed.StepForgeDataHeartbeat,
+		testbed.StepForgeBind,
+		testbed.StepForgeUnbindUserToken,
+		testbed.StepForgeUnbindDevID,
 	}
 }
 
@@ -86,30 +74,21 @@ func (g Goal) String() string {
 	return goalNames[g]
 }
 
-// Scenario is the victim situation a sequence runs against.
-type Scenario = testbed.Scenario
-
-// Victim scenarios.
-const (
-	ScenarioSteadyControl = testbed.ScenarioSteadyControl
-	ScenarioPreSetup      = testbed.ScenarioPreSetup
-	ScenarioSetupWindow   = testbed.ScenarioSetupWindow
-)
-
-// AllScenarios lists the scenarios.
-func AllScenarios() []Scenario {
-	return []Scenario{ScenarioSteadyControl, ScenarioPreSetup, ScenarioSetupWindow}
+// AllScenarios lists the victim situations the searcher runs sequences
+// against.
+func AllScenarios() []testbed.Scenario {
+	return []testbed.Scenario{testbed.ScenarioSteadyControl, testbed.ScenarioPreSetup, testbed.ScenarioSetupWindow}
 }
 
 // Attack is one discovered minimal attack: a scenario, a goal, and the
 // shortest action sequence that achieves it.
 type Attack struct {
 	// Scenario is the victim situation.
-	Scenario Scenario
+	Scenario testbed.Scenario
 	// Goal is the objective achieved.
 	Goal Goal
 	// Sequence is a minimal-length action sequence achieving the goal.
-	Sequence []Action
+	Sequence []testbed.Step
 }
 
 // String renders "scenario: goal via [actions]".
@@ -137,18 +116,18 @@ func Search(design core.DesignSpec, maxDepth int) ([]Attack, error) {
 }
 
 // searchScenario runs the per-scenario breadth-first search.
-func searchScenario(design core.DesignSpec, scenario Scenario, maxDepth int) ([]Attack, error) {
+func searchScenario(design core.DesignSpec, scenario testbed.Scenario, maxDepth int) ([]Attack, error) {
 	var (
 		attacks []Attack
 		solved  = make(map[Goal]bool)
 	)
-	frontier := [][]Action{nil}
+	frontier := [][]testbed.Step{nil}
 	for depth := 1; depth <= maxDepth; depth++ {
-		var next [][]Action
+		var next [][]testbed.Step
 		var solvedThisDepth []Goal
 		for _, prefix := range frontier {
 			for _, act := range AllActions() {
-				seq := append(append([]Action(nil), prefix...), act)
+				seq := append(append([]testbed.Step(nil), prefix...), act)
 				next = append(next, seq)
 				achieved, err := execute(design, scenario, seq)
 				if err != nil {
@@ -177,15 +156,15 @@ func searchScenario(design core.DesignSpec, scenario Scenario, maxDepth int) ([]
 // execute launches one sequence into the scenario on a fresh testbed —
 // non-strict: the adversary simply tries every step — and reports the
 // goals it achieved.
-func execute(design core.DesignSpec, scenario Scenario, seq []Action) ([]Goal, error) {
+func execute(design core.DesignSpec, scenario testbed.Scenario, seq []testbed.Step) ([]Goal, error) {
 	tb, err := testbed.New(design)
 	if err != nil {
 		return nil, err
 	}
-	if scenario == ScenarioSteadyControl {
+	if scenario == testbed.ScenarioSteadyControl {
 		// The victim parks private data for the device — the stealing
 		// target — before the adversary moves.
-		seq = append([]Action{testbed.StepParkSecret}, seq...)
+		seq = append([]testbed.Step{testbed.StepParkSecret}, seq...)
 	}
 	launched, _, setupErr, err := tb.Stage(scenario, seq, false)
 	if err != nil || !launched {
@@ -193,13 +172,13 @@ func execute(design core.DesignSpec, scenario Scenario, seq []Action) ([]Goal, e
 	}
 
 	switch scenario {
-	case ScenarioSteadyControl:
+	case testbed.ScenarioSteadyControl:
 		return assessSteady(tb)
-	case ScenarioPreSetup:
+	case testbed.ScenarioPreSetup:
 		if setupErr != nil || !tb.VictimHasControl() {
 			return []Goal{GoalOccupy}, nil
 		}
-	case ScenarioSetupWindow:
+	case testbed.ScenarioSetupWindow:
 		if tb.AttackerHasControl() {
 			return []Goal{GoalHijack}, nil
 		}

@@ -9,11 +9,12 @@ import (
 	"github.com/iotbind/iotbind/internal/analysis"
 	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/discover"
+	"github.com/iotbind/iotbind/internal/testbed"
 	"github.com/iotbind/iotbind/internal/vendors"
 )
 
 // findAttack returns the discovered attacks for one (scenario, goal).
-func findAttack(attacks []discover.Attack, s discover.Scenario, g discover.Goal) []discover.Attack {
+func findAttack(attacks []discover.Attack, s testbed.Scenario, g discover.Goal) []discover.Attack {
 	var out []discover.Attack
 	for _, a := range attacks {
 		if a.Scenario == s && a.Goal == g {
@@ -23,7 +24,7 @@ func findAttack(attacks []discover.Attack, s discover.Scenario, g discover.Goal)
 	return out
 }
 
-func sameSequence(a []discover.Action, b ...discover.Action) bool {
+func sameSequence(a []testbed.Step, b ...testbed.Step) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -49,7 +50,7 @@ func TestDiscoverA4x3ChainOnTPLink(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hijacks := findAttack(attacks, discover.ScenarioSteadyControl, discover.GoalHijack)
+	hijacks := findAttack(attacks, testbed.ScenarioSteadyControl, discover.GoalHijack)
 	if len(hijacks) == 0 {
 		t.Fatalf("no hijack discovered; attacks: %v", attacks)
 	}
@@ -58,7 +59,7 @@ func TestDiscoverA4x3ChainOnTPLink(t *testing.T) {
 		if len(h.Sequence) != 2 {
 			t.Errorf("hijack sequence %v has length %d, want minimal 2", h.Sequence, len(h.Sequence))
 		}
-		if sameSequence(h.Sequence, discover.ActForgeUnbindDevID, discover.ActForgeBind) {
+		if sameSequence(h.Sequence, testbed.StepForgeUnbindDevID, testbed.StepForgeBind) {
 			foundChain = true
 		}
 	}
@@ -67,7 +68,7 @@ func TestDiscoverA4x3ChainOnTPLink(t *testing.T) {
 	}
 
 	// Disconnection falls out at depth 1 (A3-1 and A3-4).
-	disconnects := findAttack(attacks, discover.ScenarioSteadyControl, discover.GoalDisconnect)
+	disconnects := findAttack(attacks, testbed.ScenarioSteadyControl, discover.GoalDisconnect)
 	if len(disconnects) == 0 {
 		t.Fatal("no disconnection discovered")
 	}
@@ -94,8 +95,8 @@ func TestDiscoverA4x1OnELink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hijacks := findAttack(attacks, discover.ScenarioSteadyControl, discover.GoalHijack)
-	if len(hijacks) != 1 || !sameSequence(hijacks[0].Sequence, discover.ActForgeBind) {
+	hijacks := findAttack(attacks, testbed.ScenarioSteadyControl, discover.GoalHijack)
+	if len(hijacks) != 1 || !sameSequence(hijacks[0].Sequence, testbed.StepForgeBind) {
 		t.Errorf("E-Link hijack = %v, want single [forge-bind]", hijacks)
 	}
 }
@@ -112,16 +113,16 @@ func TestDiscoverA1OnDLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, goal := range []discover.Goal{discover.GoalStealData, discover.GoalInjectData} {
-		found := findAttack(attacks, discover.ScenarioSteadyControl, goal)
+		found := findAttack(attacks, testbed.ScenarioSteadyControl, goal)
 		if len(found) == 0 {
 			t.Errorf("%v not discovered", goal)
 			continue
 		}
-		if !sameSequence(found[0].Sequence, discover.ActForgeDataHeartbeat) {
+		if !sameSequence(found[0].Sequence, testbed.StepForgeDataHeartbeat) {
 			t.Errorf("%v via %v, want [forge-data-heartbeat]", goal, found[0].Sequence)
 		}
 	}
-	occupations := findAttack(attacks, discover.ScenarioPreSetup, discover.GoalOccupy)
+	occupations := findAttack(attacks, testbed.ScenarioPreSetup, discover.GoalOccupy)
 	if len(occupations) == 0 {
 		t.Error("binding occupation not discovered pre-setup")
 	}
@@ -138,8 +139,8 @@ func TestDiscoverA4x2WindowOnOZWI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	window := findAttack(attacks, discover.ScenarioSetupWindow, discover.GoalHijack)
-	if len(window) != 1 || !sameSequence(window[0].Sequence, discover.ActForgeBind) {
+	window := findAttack(attacks, testbed.ScenarioSetupWindow, discover.GoalHijack)
+	if len(window) != 1 || !sameSequence(window[0].Sequence, testbed.StepForgeBind) {
 		t.Errorf("OZWI window hijack = %v, want [forge-bind]", window)
 	}
 }
@@ -184,16 +185,16 @@ func TestDiscoveryAgreesWithAnalyzer(t *testing.T) {
 
 			checks := []struct {
 				name     string
-				scenario discover.Scenario
+				scenario testbed.Scenario
 				goal     discover.Goal
 				want     bool
 			}{
-				{"hijack-steady", discover.ScenarioSteadyControl, discover.GoalHijack, wantHijackSteady},
-				{"hijack-window", discover.ScenarioSetupWindow, discover.GoalHijack, wantHijackWindow},
-				{"disconnect", discover.ScenarioSteadyControl, discover.GoalDisconnect, wantDisconnect},
-				{"steal", discover.ScenarioSteadyControl, discover.GoalStealData, wantData},
-				{"inject", discover.ScenarioSteadyControl, discover.GoalInjectData, wantData},
-				{"occupy", discover.ScenarioPreSetup, discover.GoalOccupy, wantOccupy},
+				{"hijack-steady", testbed.ScenarioSteadyControl, discover.GoalHijack, wantHijackSteady},
+				{"hijack-window", testbed.ScenarioSetupWindow, discover.GoalHijack, wantHijackWindow},
+				{"disconnect", testbed.ScenarioSteadyControl, discover.GoalDisconnect, wantDisconnect},
+				{"steal", testbed.ScenarioSteadyControl, discover.GoalStealData, wantData},
+				{"inject", testbed.ScenarioSteadyControl, discover.GoalInjectData, wantData},
+				{"occupy", testbed.ScenarioPreSetup, discover.GoalOccupy, wantOccupy},
 			}
 			for _, c := range checks {
 				got := len(findAttack(attacks, c.scenario, c.goal)) > 0
@@ -244,9 +245,9 @@ func TestActionAndGoalStrings(t *testing.T) {
 		}
 	}
 	a := discover.Attack{
-		Scenario: discover.ScenarioSteadyControl,
+		Scenario: testbed.ScenarioSteadyControl,
 		Goal:     discover.GoalHijack,
-		Sequence: []discover.Action{discover.ActForgeBind},
+		Sequence: []testbed.Step{testbed.StepForgeBind},
 	}
 	if a.String() == "" {
 		t.Error("attack string empty")

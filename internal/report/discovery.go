@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"github.com/iotbind/iotbind/internal/cloud"
 	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/discover"
 )
@@ -26,19 +25,4 @@ func WriteDiscovery(w io.Writer, design core.DesignSpec, attacks []discover.Atta
 		tw.row(a.Scenario.String(), a.Goal.String(), strings.Join(parts, " , "))
 	}
 	return tw.flush(fmt.Sprintf("Automatic attack discovery: %s", design.Name))
-}
-
-// WriteStats renders a cloud's activity counters.
-func WriteStats(w io.Writer, name string, stats cloud.Stats) error {
-	tw := newTableWriter(w, "Counter", "Value")
-	tw.row("users registered", fmt.Sprintf("%d", stats.UsersRegistered))
-	tw.row("logins ok / failed", fmt.Sprintf("%d / %d", stats.Logins, stats.LoginFailures))
-	tw.row("device tokens issued", fmt.Sprintf("%d", stats.DeviceTokensIssued))
-	tw.row("bind tokens issued", fmt.Sprintf("%d", stats.BindTokensIssued))
-	tw.row("status ok / rejected", fmt.Sprintf("%d / %d", stats.StatusAccepted, stats.StatusRejected))
-	tw.row("binds ok / rejected", fmt.Sprintf("%d / %d", stats.BindsAccepted, stats.BindsRejected))
-	tw.row("bindings replaced", fmt.Sprintf("%d", stats.BindingsReplaced))
-	tw.row("unbinds ok / rejected", fmt.Sprintf("%d / %d", stats.UnbindsAccepted, stats.UnbindsRejected))
-	tw.row("controls ok / rejected", fmt.Sprintf("%d / %d", stats.ControlsQueued, stats.ControlsRejected))
-	return tw.flush(fmt.Sprintf("Cloud activity: %s", name))
 }

@@ -4,9 +4,9 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/iotbind/iotbind/internal/cloud"
 	"github.com/iotbind/iotbind/internal/discover"
 	"github.com/iotbind/iotbind/internal/modelcheck"
+	"github.com/iotbind/iotbind/internal/testbed"
 	"github.com/iotbind/iotbind/internal/vendors"
 )
 
@@ -14,9 +14,9 @@ func TestWriteDiscovery(t *testing.T) {
 	p := vendors.WorstCase()
 	attacks := []discover.Attack{
 		{
-			Scenario: discover.ScenarioSteadyControl,
+			Scenario: testbed.ScenarioSteadyControl,
 			Goal:     discover.GoalHijack,
-			Sequence: []discover.Action{discover.ActForgeUnbindDevID, discover.ActForgeBind},
+			Sequence: []testbed.Step{testbed.StepForgeUnbindDevID, testbed.StepForgeBind},
 		},
 	}
 	var b strings.Builder
@@ -56,26 +56,6 @@ func TestWriteVerification(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{"Formal verification", "VIOLATED", "HOLDS", "forge-unbind-devid , forge-bind"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestWriteStats(t *testing.T) {
-	stats := cloud.Stats{
-		UsersRegistered: 2,
-		Logins:          3,
-		LoginFailures:   1,
-		StatusAccepted:  10,
-		BindsAccepted:   1,
-	}
-	var b strings.Builder
-	if err := WriteStats(&b, "demo-cloud", stats); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"demo-cloud", "3 / 1", "users registered", "bindings replaced"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

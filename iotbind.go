@@ -14,168 +14,65 @@
 // (A2), device unbinding (A3), and device hijacking (A4) — against ten
 // commercial products.
 //
-// The toolkit provides, as a single public API:
+// The package exports what the commands under cmd/ and the programs
+// under examples/ use, and the types their signatures name:
 //
-//   - the device-shadow state machine and the design-description
-//     vocabulary for remote-binding solutions (DesignSpec);
+//   - the design-description vocabulary for remote-binding solutions
+//     (DesignSpec, UnbindForm);
 //   - an attack-surface analyzer that predicts, from a design description
-//     alone, which attacks succeed (Predict, PredictAll) and derives the
-//     paper's Table II taxonomy from the state machine (DeriveTaxonomy);
-//   - a full three-party emulation: vendor cloud (NewCloud), device
-//     firmware agent (NewDevice), mobile-app agent (NewApp), simulated
-//     home networks (NewNetwork), and a remote attacker toolkit
+//     alone, which attacks succeed (PredictAll, PredictDelegation);
+//   - a full three-party emulation: vendor cloud (NewRegistry, NewCloud),
+//     device firmware agent (NewDevice), mobile-app agent (NewApp),
+//     simulated home networks (NewNetwork), and a remote attacker toolkit
 //     (NewAttacker);
 //   - a deterministic experiment testbed that launches every attack
 //     against a live emulated cloud and classifies outcomes exactly as
-//     Table III does (NewTestbed, Evaluate, EvaluateVendor);
+//     Table III does (NewTestbed, EvaluateAll, EvaluateVendors,
+//     MatchesPaper);
 //   - the ten vendor profiles of Table III with the paper's published
-//     results (Profiles), plus reference designs (SecureReference,
-//     RecommendedPractice, WorstCase);
+//     results (Profiles, ByVendor), plus reference designs
+//     (SecureReference, RecommendedPractice, WorstCase);
 //   - device-ID scheme generators with search-space and enumeration-time
-//     analysis (NewMACGenerator, Estimate, ...);
-//   - an HTTP/JSON front end and client so every agent can run against a
-//     cloud across a real network boundary (NewHTTPServer, NewHTTPClient);
+//     analysis (NewMACGenerator, EstimateEnumeration, ...) and fleet
+//     exposure campaigns (RunCampaign);
+//   - attack discovery, model checking and hardening (DiscoverAttacks,
+//     VerifyDesign, VerifyDelegation, RecommendHardening);
+//   - the four-party hub architecture (NewHub, NewSubDevice) and
+//     protocol tracing (NewTraceRecorder, TraceTransport, WriteTrace);
+//   - HTTP/JSON and binary front ends so a cloud can be served across a
+//     real network boundary (NewHTTPServer, NewHTTPClient, NewBinServer);
 //   - report renderers that regenerate the paper's tables from live
 //     experiment output (WriteTable3, WriteTaxonomy, ...).
 //
-// Everything is deterministic under an injected clock, uses only the
-// standard library, and spawns no background goroutines: experiments step
-// every agent explicitly.
+// Experiments run under an injected clock, step every agent explicitly,
+// and use only the standard library. Three entry points start
+// goroutines: a BinServer's Serve (its epoll pollers, or a pump goroutine
+// per connection where epoll is unavailable), EvaluateVendors (up to
+// GOMAXPROCS workers, rows still in input order), and RunCampaign with
+// Workers > 1 (that many sweep workers, the same curve as a sequential
+// run).
 package iotbind
 
 import (
 	"github.com/iotbind/iotbind/internal/core"
 )
 
-// Device-shadow states (Figure 2).
-type ShadowState = core.ShadowState
-
-// The four shadow states: offline/unbound, online/unbound, online/bound
-// (the only state allowing control), and offline/bound.
-const (
-	StateInitial = core.StateInitial
-	StateOnline  = core.StateOnline
-	StateControl = core.StateControl
-	StateBound   = core.StateBound
-)
-
-// Primitive message kinds (Section III-B).
-type MessageKind = core.MessageKind
-
-// The three primitive messages that drive shadow transitions.
-const (
-	MsgStatus = core.MsgStatus
-	MsgBind   = core.MsgBind
-	MsgUnbind = core.MsgUnbind
-)
-
-// Event is an accepted primitive action applied to a device shadow.
-type Event = core.Event
-
-// Shadow events: status reception, heartbeat expiry, binding creation and
-// revocation.
-const (
-	EventStatus       = core.EventStatus
-	EventStatusExpire = core.EventStatusExpire
-	EventBind         = core.EventBind
-	EventUnbind       = core.EventUnbind
-)
-
-// Transition is one labelled edge of the shadow state machine.
-type Transition = core.Transition
-
-// Machine is a mutable device shadow with trace recording.
-type Machine = core.Machine
-
-// NewMachine returns a shadow machine in the initial state.
-func NewMachine() *Machine { return core.NewMachine() }
-
-// Next returns the state following from applying an event, reproducing
-// Figure 2 exactly.
-func Next(s ShadowState, e Event) (ShadowState, error) { return core.Next(s, e) }
-
-// TransitionTable enumerates every valid (state, event) transition.
-func TransitionTable() []Transition { return core.TransitionTable() }
-
-// Figure2Edges returns the six numbered edges of Figure 2.
-func Figure2Edges() []Transition { return core.Figure2Edges() }
-
-// ErrInvalidTransition reports an event that does not apply in a state.
-var ErrInvalidTransition = core.ErrInvalidTransition
-
 // DesignSpec describes one remote-binding solution: identifier and message
 // designs plus the cloud-side policy checks that decide every attack
 // outcome.
 type DesignSpec = core.DesignSpec
 
-// DeviceAuthMode is the device-authentication design (Figure 3).
-type DeviceAuthMode = core.DeviceAuthMode
-
-// Device-authentication modes.
-const (
-	AuthDevToken  = core.AuthDevToken
-	AuthDevID     = core.AuthDevID
-	AuthPublicKey = core.AuthPublicKey
-	AuthUnknown   = core.AuthUnknown
-)
-
-// BindMechanism is the binding-creation design (Figure 4).
-type BindMechanism = core.BindMechanism
-
-// Binding-creation mechanisms.
-const (
-	BindACLApp     = core.BindACLApp
-	BindACLDevice  = core.BindACLDevice
-	BindCapability = core.BindCapability
-)
-
 // UnbindForm is one accepted unbinding request shape (Section IV-C).
 type UnbindForm = core.UnbindForm
 
-// Unbinding forms.
+// Design values the examples spell out: static device-ID authentication
+// (Figure 3), app-side ACL binding (Figure 4), and two unbinding forms.
 const (
+	AuthDevID            = core.AuthDevID
+	BindACLApp           = core.BindACLApp
 	UnbindDevIDUserToken = core.UnbindDevIDUserToken
 	UnbindDevIDAlone     = core.UnbindDevIDAlone
-	UnbindReplaceByBind  = core.UnbindReplaceByBind
 )
 
-// AttackClass is one of the four attack classes of Table II.
-type AttackClass = core.AttackClass
-
-// The four attack classes.
-const (
-	A1DataInjectionStealing = core.A1DataInjectionStealing
-	A2BindingDoS            = core.A2BindingDoS
-	A3DeviceUnbinding       = core.A3DeviceUnbinding
-	A4DeviceHijacking       = core.A4DeviceHijacking
-)
-
-// AttackVariant identifies a concrete attack procedure from Table II.
-type AttackVariant = core.AttackVariant
-
-// The attack variants of Table II.
-const (
-	VariantA1   = core.VariantA1
-	VariantA2   = core.VariantA2
-	VariantA3x1 = core.VariantA3x1
-	VariantA3x2 = core.VariantA3x2
-	VariantA3x3 = core.VariantA3x3
-	VariantA3x4 = core.VariantA3x4
-	VariantA4x1 = core.VariantA4x1
-	VariantA4x2 = core.VariantA4x2
-	VariantA4x3 = core.VariantA4x3
-)
-
-// AllAttackVariants lists the Table II variants in order.
-func AllAttackVariants() []AttackVariant { return core.AllAttackVariants() }
-
-// Outcome is an attack result in Table III vocabulary (✓ / ✗ / O / N.A.).
-type Outcome = core.Outcome
-
-// Attack outcomes.
-const (
-	OutcomeFailed        = core.OutcomeFailed
-	OutcomeSucceeded     = core.OutcomeSucceeded
-	OutcomeUnconfirmed   = core.OutcomeUnconfirmed
-	OutcomeNotApplicable = core.OutcomeNotApplicable
-)
+// OutcomeSucceeded is the ✓ of Table III: the attack worked.
+const OutcomeSucceeded = core.OutcomeSucceeded

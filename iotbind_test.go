@@ -2,11 +2,20 @@ package iotbind_test
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	iotbind "github.com/iotbind/iotbind"
+	"github.com/iotbind/iotbind/internal/analysis"
+	"github.com/iotbind/iotbind/internal/cloud"
+	"github.com/iotbind/iotbind/internal/core"
+	"github.com/iotbind/iotbind/internal/protocol"
 )
 
 // TestPublicAPILifecycle drives the whole public surface the way a
@@ -34,13 +43,13 @@ func TestPublicAPILifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
-	cloud, err := iotbind.NewCloud(design, registry, iotbind.WithCloudClock(func() time.Time { return now }))
+	svc, err := iotbind.NewCloud(design, registry, cloud.WithClock(func() time.Time { return now }))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	home := iotbind.NewNetwork("home", "203.0.113.7")
-	homeTransport := iotbind.StampSource(cloud, home.PublicIP())
+	homeTransport := iotbind.StampSource(svc, home.PublicIP())
 
 	dev, err := iotbind.NewDevice(iotbind.DeviceConfig{
 		ID: victimID, FactorySecret: "s", LocalName: "plug", Model: "plug",
@@ -78,18 +87,18 @@ func TestPublicAPILifecycle(t *testing.T) {
 	// A remote attacker abuses the lax unbinding... D-LINK checks, so
 	// the forged unbind must fail.
 	lair := iotbind.NewNetwork("lair", "198.51.100.66")
-	atk, err := iotbind.NewAttacker("evil@example.com", "pw", design, iotbind.StampSource(cloud, lair.PublicIP()))
+	atk, err := iotbind.NewAttacker("evil@example.com", "pw", design, iotbind.StampSource(svc, lair.PublicIP()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := atk.Prepare(); err != nil {
 		t.Fatal(err)
 	}
-	if err := atk.ForgeUnbind(victimID, iotbind.UnbindDevIDUserToken); !errors.Is(err, iotbind.ErrNotPermitted) {
+	if err := atk.ForgeUnbind(victimID, iotbind.UnbindDevIDUserToken); !errors.Is(err, protocol.ErrNotPermitted) {
 		t.Errorf("forged unbind = %v, want ErrNotPermitted", err)
 	}
 	// But a forged status message passes DevId authentication (A1).
-	if _, err := atk.ForgeStatus(victimID, iotbind.StatusHeartbeat, nil); err != nil {
+	if _, err := atk.ForgeStatus(victimID, protocol.StatusHeartbeat, nil); err != nil {
 		t.Errorf("forged status = %v, want success on a DevId design", err)
 	}
 }
@@ -97,7 +106,7 @@ func TestPublicAPILifecycle(t *testing.T) {
 // TestPublicAPIAnalysisAndReports exercises the analyzer and rendering
 // surface.
 func TestPublicAPIAnalysisAndReports(t *testing.T) {
-	rows, err := iotbind.DeriveTaxonomy()
+	rows, err := analysis.DeriveTaxonomy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,26 +144,28 @@ func TestPublicAPIAnalysisAndReports(t *testing.T) {
 	}
 }
 
-// TestPublicAPIEvaluate runs one live evaluation through the façade.
+// TestPublicAPIEvaluate runs live evaluations through the façade.
 func TestPublicAPIEvaluate(t *testing.T) {
 	p, ok := iotbind.ByVendor("E-Link Smart")
 	if !ok {
 		t.Fatal("no E-Link profile")
 	}
-	res, err := iotbind.Evaluate(p.Design, iotbind.VariantA4x1)
+	results, err := iotbind.EvaluateAll(p.Design)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != iotbind.OutcomeSucceeded {
-		t.Errorf("A4-1 on E-Link = %v (%s), want ✓", res.Outcome, res.Detail)
+	for _, res := range results {
+		if res.Variant == core.VariantA4x1 && res.Outcome != iotbind.OutcomeSucceeded {
+			t.Errorf("A4-1 on E-Link = %v (%s), want ✓", res.Outcome, res.Detail)
+		}
 	}
 
-	vr, err := iotbind.EvaluateVendor(p)
+	rows, err := iotbind.EvaluateVendors([]iotbind.Profile{p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !iotbind.MatchesPaper(vr.Row, p.Paper) {
-		t.Errorf("E-Link row does not match paper: %+v", vr.Row)
+	if !iotbind.MatchesPaper(rows[0].Row, p.Paper) {
+		t.Errorf("E-Link row does not match paper: %+v", rows[0].Row)
 	}
 }
 
@@ -177,25 +188,103 @@ func TestPublicAPIIDSchemes(t *testing.T) {
 	}
 }
 
-// TestStateMachineFacade covers the re-exported model.
-func TestStateMachineFacade(t *testing.T) {
-	m := iotbind.NewMachine()
-	if _, err := m.Apply(iotbind.EventStatus); err != nil {
+// TestRootNamesHaveCallers holds the root package to the surface cmd/ and
+// examples/ use: every exported declaration in a non-test root file is
+// referenced as iotbind.Name by a .go file under cmd/ or examples/, or is
+// named in the type of another kept exported declaration, so that a kept
+// signature stays nameable.
+func TestRootNamesHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	decls := map[string]ast.Expr{} // exported name -> its declared type, nil if none
+	where := map[string]token.Position{}
+	add := func(id *ast.Ident, typ ast.Expr) {
+		if id.IsExported() {
+			decls[id.Name] = typ
+			where[id.Name] = fset.Position(id.Pos())
+		}
+	}
+	roots, err := filepath.Glob("*.go")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Apply(iotbind.EventBind); err != nil {
-		t.Fatal(err)
+	for _, name := range roots {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name, d.Type)
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						add(s.Name, s.Type)
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							add(n, s.Type)
+						}
+					}
+				}
+			}
+		}
 	}
-	if m.State() != iotbind.StateControl {
-		t.Errorf("state = %v, want control", m.State())
+
+	kept := map[string]bool{}
+	for _, dir := range []string{"cmd", "examples"} {
+		err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+			if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "iotbind" {
+						kept[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := iotbind.Next(iotbind.StateInitial, iotbind.EventUnbind); !errors.Is(err, iotbind.ErrInvalidTransition) {
-		t.Errorf("Next error = %v", err)
+	// A root name a kept type mentions bare (not as another package's
+	// pkg.Name) is kept too, to a fixed point.
+	for grew := true; grew; {
+		grew = false
+		for name := range kept {
+			if decls[name] == nil {
+				continue
+			}
+			ast.Inspect(decls[name], func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					return false
+				case *ast.Ident:
+					if _, ok := decls[n.Name]; ok && !kept[n.Name] {
+						kept[n.Name] = true
+						grew = true
+					}
+				}
+				return true
+			})
+		}
 	}
-	if len(iotbind.Figure2Edges()) != 6 || len(iotbind.TransitionTable()) != 10 {
-		t.Error("figure-2 edge counts wrong")
-	}
-	if len(iotbind.AllAttackVariants()) != 9 {
-		t.Error("variant count wrong")
+	for name, pos := range where {
+		if !kept[name] {
+			t.Errorf("%s: %s is exported, but nothing under cmd/ or examples/ references iotbind.%s and no kept declaration's type names it", pos, name, name)
+		}
 	}
 }
