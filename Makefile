@@ -81,7 +81,11 @@ alloc-pins:
 # (TestDelegationRevocationRaceOneWinner), and one device changing hands
 # again and again while delegations, re-delegations, cascading revokes,
 # share flips and delegated controls run on it, each using the lattice's
-# severed list only under the shadow's lock (TestOwnershipTransferStorm).
+# severed list only under the shadow's lock (TestOwnershipTransferStorm);
+# and, ten times, retry's Close landing in a backoff wait, real-timer and
+# injected (TestRetryClose*): the wait runs inside the forwarding loop's
+# End, so the call must still come back with ErrClosed and no further
+# delivery.
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery|TestDurableMixedLaneRecovery' ./internal/cloud/
@@ -89,6 +93,7 @@ race-stress:
 	$(GO) test -race -count=3 -run='TestReadinessEquivalence|TestEpoll|TestShortWrite|TestIdleTimeout|TestBackpressure|TestOverCap' ./internal/binapi/
 	$(GO) test -race -count=10 -run='TestServedDeviceIDsAreTheRegistrys|TestPipe|TestServerGoroutines|TestEpollServerGoroutines|TestReadToken' ./internal/binapi/
 	$(GO) test -race -count=10 -run='TestCanonicalRacesLoginAndRevoke|TestDelegationRevocationRaceOneWinner|TestOwnershipTransferStorm' ./internal/cloud/
+	$(GO) test -race -count=10 -run='TestRetryClose' ./internal/retry/
 
 # bench compiles and smoke-runs every benchmark (100 iterations, no unit
 # tests) so perf regressions in the hot path are caught by CI, not just

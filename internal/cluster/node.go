@@ -260,18 +260,18 @@ func (h nodeHop) Begin(transport.Op, string) (transport.Cloud, error) {
 	return n.primary, nil
 }
 
-func (h nodeHop) End(_ transport.Op, err error) error {
+func (h nodeHop) End(_ transport.Op, _ int, err error) (bool, error) {
 	n := h.n
 	defer n.opMu.RUnlock()
 	if err != nil || !n.ackRep {
-		return err
+		return false, err
 	}
 	if serr := n.ship.Drain(); serr != nil {
 		// The operation applied on the primary but its record never
 		// reached the replica: under ack-after-replicate that is a
 		// failed request (the caller retries; keyed operations dedup on
 		// redelivery).
-		return fmt.Errorf("cluster: node %s replicate: %w", n.name, serr)
+		return false, fmt.Errorf("cluster: node %s replicate: %w", n.name, serr)
 	}
-	return nil
+	return false, nil
 }

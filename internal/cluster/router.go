@@ -55,7 +55,7 @@ func (h routerHop) Begin(_ transport.Op, key string) (transport.Cloud, error) {
 	return h.r.members[h.r.ring.Owner(key)], nil
 }
 
-func (h routerHop) End(_ transport.Op, err error) error { return err }
+func (h routerHop) End(_ transport.Op, _ int, err error) (bool, error) { return false, err }
 
 // Canonical forwards to a member holding raw: a device ID to its owner, an
 // account to any (RegisterUser broadcasts), a credential only on a

@@ -1,0 +1,7 @@
+//go:build race
+
+package retry_test
+
+// raceEnabled reports that the race detector is active: the allocation
+// pins skip themselves, as the other packages' pins do.
+const raceEnabled = true

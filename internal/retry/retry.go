@@ -4,16 +4,18 @@
 // survive a lossy network instead of failing on the first dropped packet.
 //
 // Retrying a mutation is only safe if redelivery cannot apply it twice, so
-// the wrapper stamps every Bind and Unbind request with a fresh
-// idempotency key (the same key across all attempts of one logical
-// request); the cloud deduplicates redeliveries by that key. Protocol
-// errors — the cloud's definitive application-level answers, recognized by
-// their wire codes — are never retried: only transport-level failures are.
+// the wrapper stamps every Bind, Unbind, Delegate and RevokeDelegation
+// request, and every item of a status batch, with a fresh idempotency key
+// (the same key across all attempts of one logical request); the cloud
+// deduplicates redeliveries by that key. Protocol errors — the cloud's
+// definitive application-level answers, recognized by their wire codes —
+// are never retried: only transport-level failures are.
 package retry
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -69,10 +71,12 @@ func DefaultRetryable(err error) bool {
 // agents in one process can never collide.
 var instanceSeq atomic.Uint64
 
-// Transport wraps a transport.Cloud with the retry policy. It is safe for
-// concurrent use; Close is idempotent and aborts any in-flight backoff
-// waits.
+// Transport wraps a transport.Cloud with the retry policy: the embedded
+// forwarder runs every call through retryHop's attempt loop, and the
+// keyed operations stamp their key first. It is safe for concurrent use;
+// Close is idempotent and aborts any in-flight backoff waits.
 type Transport struct {
+	transport.Hopped
 	inner  transport.Cloud
 	policy Policy
 
@@ -97,13 +101,15 @@ func Wrap(inner transport.Cloud, p Policy) *Transport {
 		p.Retryable = DefaultRetryable
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
-	return &Transport{
+	t := &Transport{
 		inner:     inner,
 		policy:    p,
 		rng:       rng,
 		keyPrefix: fmt.Sprintf("retry-%d-%08x", instanceSeq.Add(1), rng.Uint32()),
 		done:      make(chan struct{}),
 	}
+	t.Hopped = transport.NewHopped(retryHop{t})
+	return t
 }
 
 // Close aborts in-flight backoff waits; subsequent calls still make one
@@ -126,8 +132,15 @@ func (t *Transport) nextKey() string {
 }
 
 // backoff returns the jittered wait before retry number attempt (1-based).
+// The doubling saturates at the largest Duration, so an uncapped backoff
+// never wraps round to a zero wait.
 func (t *Transport) backoff(attempt int) time.Duration {
-	d := t.policy.BaseDelay << (attempt - 1)
+	d := t.policy.BaseDelay
+	if shift := uint(attempt - 1); d > 0 && (shift >= 63 || d > math.MaxInt64>>shift) {
+		d = math.MaxInt64
+	} else {
+		d <<= shift
+	}
 	if t.policy.MaxDelay > 0 && (d > t.policy.MaxDelay || d <= 0) {
 		d = t.policy.MaxDelay
 	}
@@ -136,6 +149,9 @@ func (t *Transport) backoff(attempt int) time.Duration {
 	}
 	t.rngMu.Lock()
 	defer t.rngMu.Unlock()
+	if d == math.MaxInt64 {
+		return time.Duration(t.rng.Int63())
+	}
 	return time.Duration(t.rng.Int63n(int64(d) + 1))
 }
 
@@ -144,87 +160,51 @@ func (t *Transport) backoff(attempt int) time.Duration {
 // returns, so Close during (or between) injected sleeps still aborts the
 // attempt loop — the Close contract holds on the injected-clock path too.
 func (t *Transport) wait(d time.Duration) bool {
+	if t.policy.Sleep == nil && d > 0 {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+			return true
+		case <-t.done:
+			return false
+		}
+	}
+	if t.closed() {
+		return false
+	}
 	if t.policy.Sleep != nil {
-		select {
-		case <-t.done:
-			return false
-		default:
-		}
 		t.policy.Sleep(d)
-		select {
-		case <-t.done:
-			return false
-		default:
-			return true
-		}
 	}
-	if d <= 0 {
-		select {
-		case <-t.done:
-			return false
-		default:
-			return true
-		}
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	return !t.closed()
+}
+
+// closed reports whether Close has run.
+func (t *Transport) closed() bool {
 	select {
-	case <-timer.C:
-		return true
 	case <-t.done:
+		return true
+	default:
 		return false
 	}
 }
 
-// do drives one logical call through the attempt loop.
-func do[T any](t *Transport, op transport.Op, call func() (T, error)) (T, error) {
-	var out T
-	var err error
-	for attempt := 1; ; attempt++ {
-		out, err = call()
-		if err == nil || !t.policy.Retryable(err) || attempt >= t.policy.MaxAttempts {
-			return out, err
-		}
-		if !t.wait(t.backoff(attempt)) {
-			var zero T
-			return zero, fmt.Errorf("retry: %s after %d attempts: %w (last: %w)", op, attempt, ErrClosed, err)
-		}
+// retryHop sends every attempt to the wrapped cloud; End re-runs an
+// attempt that failed retryably while attempts are left, after its
+// backoff.
+type retryHop struct{ t *Transport }
+
+func (h retryHop) Begin(transport.Op, string) (transport.Cloud, error) { return h.t.inner, nil }
+
+func (h retryHop) End(op transport.Op, attempt int, err error) (bool, error) {
+	t := h.t
+	if err == nil || !t.policy.Retryable(err) || attempt >= t.policy.MaxAttempts {
+		return false, err
 	}
-}
-
-// doErr adapts do for response-less operations.
-func doErr(t *Transport, op transport.Op, call func() error) error {
-	_, err := do(t, op, func() (struct{}, error) { return struct{}{}, call() })
-	return err
-}
-
-// RegisterUser implements transport.Cloud.
-func (t *Transport) RegisterUser(req protocol.RegisterUserRequest) error {
-	return doErr(t, transport.OpRegisterUser, func() error { return t.inner.RegisterUser(req) })
-}
-
-// Login implements transport.Cloud.
-func (t *Transport) Login(req protocol.LoginRequest) (protocol.LoginResponse, error) {
-	return do(t, transport.OpLogin, func() (protocol.LoginResponse, error) { return t.inner.Login(req) })
-}
-
-// RequestDeviceToken implements transport.Cloud.
-func (t *Transport) RequestDeviceToken(req protocol.DeviceTokenRequest) (protocol.DeviceTokenResponse, error) {
-	return do(t, transport.OpDeviceToken, func() (protocol.DeviceTokenResponse, error) { return t.inner.RequestDeviceToken(req) })
-}
-
-// RequestBindToken implements transport.Cloud.
-func (t *Transport) RequestBindToken(req protocol.BindTokenRequest) (protocol.BindTokenResponse, error) {
-	return do(t, transport.OpBindToken, func() (protocol.BindTokenResponse, error) { return t.inner.RequestBindToken(req) })
-}
-
-// HandleStatus implements transport.Cloud. Status messages are naturally
-// idempotent — re-marking a device online is a no-op — so they carry no
-// key. A redelivered heartbeat can still lose commands drained by a
-// delivery whose response vanished; agents re-issue unacknowledged
-// commands, mirroring real apps.
-func (t *Transport) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
-	return do(t, transport.OpStatus, func() (protocol.StatusResponse, error) { return t.inner.HandleStatus(req) })
+	if !t.wait(t.backoff(attempt)) {
+		return false, fmt.Errorf("retry: %s after %d attempts: %w (last: %w)", op, attempt, ErrClosed, err)
+	}
+	return true, nil
 }
 
 // HandleStatusBatch implements transport.Cloud, stamping a fresh
@@ -232,7 +212,9 @@ func (t *Transport) HandleStatus(req protocol.StatusRequest) (protocol.StatusRes
 // delivery attempts of this logical batch. A batch that was delivered but
 // whose response vanished is then answered item-by-item from the cloud's
 // replay log on redelivery: commands drained by the lost delivery are
-// re-delivered and piggybacked readings are not ingested twice.
+// re-delivered and piggybacked readings are not ingested twice. A bare
+// status carries no key: re-marking a device online is a no-op, and
+// agents re-issue commands a lost heartbeat response drained.
 func (t *Transport) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
 	if len(req.Items) > 0 {
 		// Copy the item slice before stamping: the caller may retain (and
@@ -247,7 +229,7 @@ func (t *Transport) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol
 		}
 		req.Items = items
 	}
-	return do(t, transport.OpStatusBatch, func() (protocol.StatusBatchResponse, error) { return t.inner.HandleStatusBatch(req) })
+	return t.Hopped.HandleStatusBatch(req)
 }
 
 // HandleBind implements transport.Cloud, stamping one idempotency key
@@ -256,7 +238,7 @@ func (t *Transport) HandleBind(req protocol.BindRequest) (protocol.BindResponse,
 	if req.IdempotencyKey == "" {
 		req.IdempotencyKey = t.nextKey()
 	}
-	return do(t, transport.OpBind, func() (protocol.BindResponse, error) { return t.inner.HandleBind(req) })
+	return t.Hopped.HandleBind(req)
 }
 
 // HandleUnbind implements transport.Cloud, stamping one idempotency key
@@ -265,32 +247,7 @@ func (t *Transport) HandleUnbind(req protocol.UnbindRequest) error {
 	if req.IdempotencyKey == "" {
 		req.IdempotencyKey = t.nextKey()
 	}
-	return doErr(t, transport.OpUnbind, func() error { return t.inner.HandleUnbind(req) })
-}
-
-// HandleControl implements transport.Cloud.
-func (t *Transport) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
-	return do(t, transport.OpControl, func() (protocol.ControlResponse, error) { return t.inner.HandleControl(req) })
-}
-
-// PushUserData implements transport.Cloud.
-func (t *Transport) PushUserData(req protocol.PushUserDataRequest) error {
-	return doErr(t, transport.OpUserData, func() error { return t.inner.PushUserData(req) })
-}
-
-// Readings implements transport.Cloud.
-func (t *Transport) Readings(req protocol.ReadingsRequest) (protocol.ReadingsResponse, error) {
-	return do(t, transport.OpReadings, func() (protocol.ReadingsResponse, error) { return t.inner.Readings(req) })
-}
-
-// HandleShare implements transport.Cloud.
-func (t *Transport) HandleShare(req protocol.ShareRequest) error {
-	return doErr(t, transport.OpShare, func() error { return t.inner.HandleShare(req) })
-}
-
-// Shares implements transport.Cloud.
-func (t *Transport) Shares(req protocol.SharesRequest) (protocol.SharesResponse, error) {
-	return do(t, transport.OpShares, func() (protocol.SharesResponse, error) { return t.inner.Shares(req) })
+	return t.Hopped.HandleUnbind(req)
 }
 
 // HandleDelegate implements transport.Cloud, stamping one idempotency
@@ -301,7 +258,7 @@ func (t *Transport) HandleDelegate(req protocol.DelegateRequest) (protocol.Deleg
 	if req.IdempotencyKey == "" {
 		req.IdempotencyKey = t.nextKey()
 	}
-	return do(t, transport.OpDelegate, func() (protocol.DelegateResponse, error) { return t.inner.HandleDelegate(req) })
+	return t.Hopped.HandleDelegate(req)
 }
 
 // HandleRevokeDelegation implements transport.Cloud, stamping one
@@ -311,15 +268,5 @@ func (t *Transport) HandleRevokeDelegation(req protocol.RevokeDelegationRequest)
 	if req.IdempotencyKey == "" {
 		req.IdempotencyKey = t.nextKey()
 	}
-	return doErr(t, transport.OpRevokeDelegation, func() error { return t.inner.HandleRevokeDelegation(req) })
-}
-
-// ListDelegations implements transport.Cloud.
-func (t *Transport) ListDelegations(req protocol.ListDelegationsRequest) (protocol.ListDelegationsResponse, error) {
-	return do(t, transport.OpDelegations, func() (protocol.ListDelegationsResponse, error) { return t.inner.ListDelegations(req) })
-}
-
-// ShadowState implements transport.Cloud.
-func (t *Transport) ShadowState(req protocol.ShadowStateRequest) (protocol.ShadowStateResponse, error) {
-	return do(t, transport.OpShadow, func() (protocol.ShadowStateResponse, error) { return t.inner.ShadowState(req) })
+	return t.Hopped.HandleRevokeDelegation(req)
 }

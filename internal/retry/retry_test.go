@@ -214,6 +214,70 @@ func TestRetryCloseDuringInjectedSleep(t *testing.T) {
 	}
 }
 
+// TestRetryUncappedBackoffSaturates proves an uncapped backoff
+// (MaxDelay 0) stops growing at the largest wait instead of wrapping
+// round: past the attempt where BaseDelay's doubling overflows, no wait
+// collapses to zero (a hot retry loop) or below the base delay.
+func TestRetryUncappedBackoffSaturates(t *testing.T) {
+	const base = 50 * time.Millisecond
+	var waits []time.Duration
+	stub := &scripted{errs: errUnavailable(100)}
+	tr := retry.Wrap(stub, retry.Policy{
+		MaxAttempts: 70, BaseDelay: base, Seed: 1,
+		Sleep: func(d time.Duration) { waits = append(waits, d) },
+	})
+	defer tr.Close()
+
+	if _, err := tr.Login(protocol.LoginRequest{UserID: "u", Password: "p"}); !errors.Is(err, transport.ErrUnavailable) {
+		t.Fatalf("error = %v, want ErrUnavailable", err)
+	}
+	if len(waits) != 69 {
+		t.Fatalf("waits = %d, want 69 (one before each retry)", len(waits))
+	}
+	for i, d := range waits[30:] {
+		if d < base {
+			t.Errorf("wait before attempt %d = %v, want at least the base delay %v", i+32, d, base)
+		}
+	}
+}
+
+// TestRetryAllocatesNothing holds the retry layer's own path at zero: a
+// successful bare status, and an unbind that already carries the
+// caller's key, cost no allocation through the wrapper.
+func TestRetryAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	tr := retry.Wrap(quiet{}, retry.Policy{MaxAttempts: 3, Seed: 1, Sleep: noSleep})
+	defer tr.Close()
+
+	status := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: "d"}
+	if avg := testing.AllocsPerRun(1000, func() {
+		if _, err := tr.HandleStatus(status); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("bare status through retry = %.1f allocs/op, want 0", avg)
+	}
+	unbind := protocol.UnbindRequest{DeviceID: "d", IdempotencyKey: "mine"}
+	if avg := testing.AllocsPerRun(1000, func() {
+		if err := tr.HandleUnbind(unbind); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("keyed unbind through retry = %.1f allocs/op, want 0", avg)
+	}
+}
+
+// quiet answers a status and an unbind with success and records nothing.
+type quiet struct{ transport.Cloud }
+
+func (quiet) HandleStatus(protocol.StatusRequest) (protocol.StatusResponse, error) {
+	return protocol.StatusResponse{}, nil
+}
+
+func (quiet) HandleUnbind(protocol.UnbindRequest) error { return nil }
+
 // TestRetryKeysNotBareCounters proves minted keys are not a guessable
 // global sequence: wrappers with different seeds produce different keys at
 // the same sequence position, and two wrappers never share a key even in

@@ -225,9 +225,9 @@ func (h faultsHop) Begin(op Op, _ string) (Cloud, error) {
 	return h.f.inner, nil
 }
 
-func (h faultsHop) End(op Op, err error) error {
+func (h faultsHop) End(op Op, _ int, err error) (bool, error) {
 	if err != nil {
-		return err
+		return false, err
 	}
-	return h.f.plane.after(h.f.party, op)
+	return false, h.f.plane.after(h.f.party, op)
 }

@@ -9,13 +9,14 @@ import (
 // This file is the only place the per-operation fan-out of Cloud is
 // written out for code that treats every operation alike: the interface
 // itself, the Op enum and its wire names, the Ops table the JSON-speaking
-// server (httpapi) dispatches through, the Hopped forwarder the wrappers
-// and routers embed, and the JSONLane the JSON-speaking client embeds.
-// Adding an operation means one entry in each of the five, next to its
-// protocol types, its Service / Durable / retry / trace methods, its
-// wirecodec body pair and its binapi row (DESIGN.md "Adding an
-// operation"); TestOpsComplete here and TestKindsComplete in binapi name
-// whichever entry is missing.
+// server (httpapi) dispatches through, the Hopped forwarder the wrappers,
+// routers and the retry layer embed, and the JSONLane the JSON-speaking
+// client embeds. Adding an operation means one entry in each of the five,
+// next to its protocol types, its Service / Durable / trace methods (and
+// a retry method if its request carries an IdempotencyKey), its wirecodec
+// body pair and its binapi row (DESIGN.md "Adding an operation");
+// TestOpsComplete here and TestKindsComplete in binapi name whichever
+// entry is missing.
 
 // Cloud is the full operation surface of an emulated IoT cloud. The
 // in-process implementation is cloud.Service; the HTTP client in the
@@ -171,18 +172,21 @@ func rowErr[Req any](name string, call func(Cloud, Req) error, stamp func(*Req, 
 // Hop is what a wrapper or router decides per call; Hopped does the
 // forwarding around it.
 type Hop interface {
-	// Begin picks the backend for one call, or refuses it. routingKey is
-	// the account ID for register-user and login, the device ID for
+	// Begin picks the backend for one attempt, or refuses it. routingKey
+	// is the account ID for register-user and login, the device ID for
 	// every other single-device operation, and empty for a batch.
 	Begin(op Op, routingKey string) (Cloud, error)
-	// End observes the outcome of a call Begin admitted — exactly once,
-	// with the backend's error — and returns the error the caller sees.
-	End(op Op, err error) error
+	// End observes the outcome of an attempt Begin admitted — exactly
+	// once, with the backend's error and the attempt's number from 1 —
+	// and returns the error the caller sees, or again to run the call
+	// once more from Begin.
+	End(op Op, attempt int, err error) (again bool, _ error)
 }
 
-// Hopped implements every Cloud method as Begin, the same method on
-// the backend Begin returned, End. A type embeds it to become a Cloud
-// and declares only the methods it treats differently.
+// Hopped implements every Cloud method as the attempt loop: Begin, the
+// same method on the backend Begin returned, End, until End stops. A
+// type embeds it to become a Cloud and declares only the methods it
+// treats differently.
 type Hopped struct{ hop Hop }
 
 var _ Cloud = Hopped{}
@@ -190,166 +194,110 @@ var _ Cloud = Hopped{}
 // NewHopped returns the forwarder over h.
 func NewHopped(h Hop) Hopped { return Hopped{hop: h} }
 
-// ended closes one admitted call. When End fails a call the backend
-// completed, the response is dropped: the caller must not see data from
-// a delivery it is told failed.
-func ended[Resp any](h Hop, op Op, resp Resp, err error) (Resp, error) {
-	endErr := h.End(op, err)
-	if endErr != nil && err == nil {
-		var zero Resp
-		return zero, endErr
+// forward runs one call through h's attempt loop. When End fails an
+// attempt the backend completed, the response is dropped: the caller
+// must not see data from a delivery it is told failed.
+func forward[Req, Resp any](h Hop, op Op, key string, call func(Cloud, Req) (Resp, error), req Req) (Resp, error) {
+	for attempt := 1; ; attempt++ {
+		c, err := h.Begin(op, key)
+		if err != nil {
+			var zero Resp
+			return zero, err
+		}
+		resp, err := call(c, req)
+		again, endErr := h.End(op, attempt, err)
+		if again {
+			continue
+		}
+		if endErr != nil && err == nil {
+			var zero Resp
+			return zero, endErr
+		}
+		return resp, endErr
 	}
-	return resp, endErr
+}
+
+// forwardErr is forward for an operation that answers only an error.
+func forwardErr[Req any](h Hop, op Op, key string, call func(Cloud, Req) error, req Req) error {
+	for attempt := 1; ; attempt++ {
+		c, err := h.Begin(op, key)
+		if err != nil {
+			return err
+		}
+		if again, err := h.End(op, attempt, call(c, req)); !again {
+			return err
+		}
+	}
 }
 
 func (h Hopped) RegisterUser(req protocol.RegisterUserRequest) error {
-	c, err := h.hop.Begin(OpRegisterUser, req.UserID)
-	if err != nil {
-		return err
-	}
-	return h.hop.End(OpRegisterUser, c.RegisterUser(req))
+	return forwardErr(h.hop, OpRegisterUser, req.UserID, Cloud.RegisterUser, req)
 }
 
 func (h Hopped) Login(req protocol.LoginRequest) (protocol.LoginResponse, error) {
-	c, err := h.hop.Begin(OpLogin, req.UserID)
-	if err != nil {
-		return protocol.LoginResponse{}, err
-	}
-	resp, err := c.Login(req)
-	return ended(h.hop, OpLogin, resp, err)
+	return forward(h.hop, OpLogin, req.UserID, Cloud.Login, req)
 }
 
 func (h Hopped) RequestDeviceToken(req protocol.DeviceTokenRequest) (protocol.DeviceTokenResponse, error) {
-	c, err := h.hop.Begin(OpDeviceToken, req.DeviceID)
-	if err != nil {
-		return protocol.DeviceTokenResponse{}, err
-	}
-	resp, err := c.RequestDeviceToken(req)
-	return ended(h.hop, OpDeviceToken, resp, err)
+	return forward(h.hop, OpDeviceToken, req.DeviceID, Cloud.RequestDeviceToken, req)
 }
 
 func (h Hopped) RequestBindToken(req protocol.BindTokenRequest) (protocol.BindTokenResponse, error) {
-	c, err := h.hop.Begin(OpBindToken, req.DeviceID)
-	if err != nil {
-		return protocol.BindTokenResponse{}, err
-	}
-	resp, err := c.RequestBindToken(req)
-	return ended(h.hop, OpBindToken, resp, err)
+	return forward(h.hop, OpBindToken, req.DeviceID, Cloud.RequestBindToken, req)
 }
 
 func (h Hopped) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
-	c, err := h.hop.Begin(OpStatus, req.DeviceID)
-	if err != nil {
-		return protocol.StatusResponse{}, err
-	}
-	resp, err := c.HandleStatus(req)
-	return ended(h.hop, OpStatus, resp, err)
+	return forward(h.hop, OpStatus, req.DeviceID, Cloud.HandleStatus, req)
 }
 
 // HandleStatusBatch forwards the batch whole: it is one wire message,
-// so it is one Begin and one End.
+// so each attempt is one Begin and one End.
 func (h Hopped) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	c, err := h.hop.Begin(OpStatusBatch, "")
-	if err != nil {
-		return protocol.StatusBatchResponse{}, err
-	}
-	resp, err := c.HandleStatusBatch(req)
-	return ended(h.hop, OpStatusBatch, resp, err)
+	return forward(h.hop, OpStatusBatch, "", Cloud.HandleStatusBatch, req)
 }
 
 func (h Hopped) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
-	c, err := h.hop.Begin(OpBind, req.DeviceID)
-	if err != nil {
-		return protocol.BindResponse{}, err
-	}
-	resp, err := c.HandleBind(req)
-	return ended(h.hop, OpBind, resp, err)
+	return forward(h.hop, OpBind, req.DeviceID, Cloud.HandleBind, req)
 }
 
 func (h Hopped) HandleUnbind(req protocol.UnbindRequest) error {
-	c, err := h.hop.Begin(OpUnbind, req.DeviceID)
-	if err != nil {
-		return err
-	}
-	return h.hop.End(OpUnbind, c.HandleUnbind(req))
+	return forwardErr(h.hop, OpUnbind, req.DeviceID, Cloud.HandleUnbind, req)
 }
 
 func (h Hopped) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
-	c, err := h.hop.Begin(OpControl, req.DeviceID)
-	if err != nil {
-		return protocol.ControlResponse{}, err
-	}
-	resp, err := c.HandleControl(req)
-	return ended(h.hop, OpControl, resp, err)
+	return forward(h.hop, OpControl, req.DeviceID, Cloud.HandleControl, req)
 }
 
 func (h Hopped) PushUserData(req protocol.PushUserDataRequest) error {
-	c, err := h.hop.Begin(OpUserData, req.DeviceID)
-	if err != nil {
-		return err
-	}
-	return h.hop.End(OpUserData, c.PushUserData(req))
+	return forwardErr(h.hop, OpUserData, req.DeviceID, Cloud.PushUserData, req)
 }
 
 func (h Hopped) Readings(req protocol.ReadingsRequest) (protocol.ReadingsResponse, error) {
-	c, err := h.hop.Begin(OpReadings, req.DeviceID)
-	if err != nil {
-		return protocol.ReadingsResponse{}, err
-	}
-	resp, err := c.Readings(req)
-	return ended(h.hop, OpReadings, resp, err)
+	return forward(h.hop, OpReadings, req.DeviceID, Cloud.Readings, req)
 }
 
 func (h Hopped) HandleShare(req protocol.ShareRequest) error {
-	c, err := h.hop.Begin(OpShare, req.DeviceID)
-	if err != nil {
-		return err
-	}
-	return h.hop.End(OpShare, c.HandleShare(req))
+	return forwardErr(h.hop, OpShare, req.DeviceID, Cloud.HandleShare, req)
 }
 
 func (h Hopped) Shares(req protocol.SharesRequest) (protocol.SharesResponse, error) {
-	c, err := h.hop.Begin(OpShares, req.DeviceID)
-	if err != nil {
-		return protocol.SharesResponse{}, err
-	}
-	resp, err := c.Shares(req)
-	return ended(h.hop, OpShares, resp, err)
+	return forward(h.hop, OpShares, req.DeviceID, Cloud.Shares, req)
 }
 
 func (h Hopped) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
-	c, err := h.hop.Begin(OpDelegate, req.DeviceID)
-	if err != nil {
-		return protocol.DelegateResponse{}, err
-	}
-	resp, err := c.HandleDelegate(req)
-	return ended(h.hop, OpDelegate, resp, err)
+	return forward(h.hop, OpDelegate, req.DeviceID, Cloud.HandleDelegate, req)
 }
 
 func (h Hopped) HandleRevokeDelegation(req protocol.RevokeDelegationRequest) error {
-	c, err := h.hop.Begin(OpRevokeDelegation, req.DeviceID)
-	if err != nil {
-		return err
-	}
-	return h.hop.End(OpRevokeDelegation, c.HandleRevokeDelegation(req))
+	return forwardErr(h.hop, OpRevokeDelegation, req.DeviceID, Cloud.HandleRevokeDelegation, req)
 }
 
 func (h Hopped) ListDelegations(req protocol.ListDelegationsRequest) (protocol.ListDelegationsResponse, error) {
-	c, err := h.hop.Begin(OpDelegations, req.DeviceID)
-	if err != nil {
-		return protocol.ListDelegationsResponse{}, err
-	}
-	resp, err := c.ListDelegations(req)
-	return ended(h.hop, OpDelegations, resp, err)
+	return forward(h.hop, OpDelegations, req.DeviceID, Cloud.ListDelegations, req)
 }
 
 func (h Hopped) ShadowState(req protocol.ShadowStateRequest) (protocol.ShadowStateResponse, error) {
-	c, err := h.hop.Begin(OpShadow, req.DeviceID)
-	if err != nil {
-		return protocol.ShadowStateResponse{}, err
-	}
-	resp, err := c.ShadowState(req)
-	return ended(h.hop, OpShadow, resp, err)
+	return forward(h.hop, OpShadow, req.DeviceID, Cloud.ShadowState, req)
 }
 
 // RoundTripper carries one JSON-encodable request to a remote cloud and

@@ -36,9 +36,9 @@ func (h *passHop) Begin(op Op, _ string) (Cloud, error) {
 	return h.backend, nil
 }
 
-func (h *passHop) End(op Op, err error) error {
+func (h *passHop) End(op Op, _ int, err error) (bool, error) {
 	h.ended = append(h.ended, op)
-	return err
+	return false, err
 }
 
 // callZero invokes the named method of a Cloud with the zero request.
@@ -158,7 +158,7 @@ func TestHoppedEndDecidesTheOutcome(t *testing.T) {
 	backend := loginCloud{resp: protocol.LoginResponse{UserToken: "tok"}}
 	h = NewHopped(hopFuncs{
 		begin: func() (Cloud, error) { return backend, nil },
-		end:   func(error) error { return lost },
+		end:   func(int, error) (bool, error) { return false, lost },
 	})
 	if resp, err := h.Login(protocol.LoginRequest{}); !errors.Is(err, lost) || resp.UserToken != "" {
 		t.Fatalf("End-failed call = %+v, %v, want a zero response and the End error", resp, err)
@@ -167,7 +167,7 @@ func TestHoppedEndDecidesTheOutcome(t *testing.T) {
 	backend.err = protocol.ErrAuthFailed
 	h = NewHopped(hopFuncs{
 		begin: func() (Cloud, error) { return backend, nil },
-		end:   func(err error) error { return err },
+		end:   func(_ int, err error) (bool, error) { return false, err },
 	})
 	if resp, err := h.Login(protocol.LoginRequest{}); !errors.Is(err, protocol.ErrAuthFailed) || resp.UserToken != "tok" {
 		t.Fatalf("backend-failed call = %+v, %v, want the backend's response and error", resp, err)
@@ -176,11 +176,74 @@ func TestHoppedEndDecidesTheOutcome(t *testing.T) {
 
 type hopFuncs struct {
 	begin func() (Cloud, error)
-	end   func(error) error
+	end   func(attempt int, err error) (bool, error)
 }
 
 func (h hopFuncs) Begin(Op, string) (Cloud, error) { return h.begin() }
-func (h hopFuncs) End(_ Op, err error) error       { return h.end(err) }
+func (h hopFuncs) End(_ Op, attempt int, err error) (bool, error) {
+	return h.end(attempt, err)
+}
+
+// TestHoppedEndRunsAgain pins the attempt loop: an End that answers
+// again re-runs Begin and the backend call with the next attempt number,
+// a Begin refused on a later attempt ends the call with its error and no
+// further End, and End failing a later completed attempt still drops
+// that attempt's response.
+func TestHoppedEndRunsAgain(t *testing.T) {
+	rec := &recorder{}
+	var begun int
+	var attempts []int
+	h := NewHopped(hopFuncs{
+		begin: func() (Cloud, error) { begun++; return NewJSONLane(rec), nil },
+		end: func(attempt int, err error) (bool, error) {
+			attempts = append(attempts, attempt)
+			return attempt < 3, err
+		},
+	})
+	if err := h.HandleUnbind(protocol.UnbindRequest{}); err != nil {
+		t.Fatal(err)
+	}
+	if begun != 3 || rec.calls != 3 || !reflect.DeepEqual(attempts, []int{1, 2, 3}) {
+		t.Fatalf("three attempts: Begin ran %d times, the backend %d, End saw attempts %v; want 3, 3, [1 2 3]",
+			begun, rec.calls, attempts)
+	}
+
+	refused := errors.New("refused")
+	begun, attempts = 0, nil
+	backend := loginCloud{resp: protocol.LoginResponse{UserToken: "tok"}}
+	h = NewHopped(hopFuncs{
+		begin: func() (Cloud, error) {
+			if begun++; begun == 2 {
+				return nil, refused
+			}
+			return backend, nil
+		},
+		end: func(attempt int, err error) (bool, error) {
+			attempts = append(attempts, attempt)
+			return true, err
+		},
+	})
+	if resp, err := h.Login(protocol.LoginRequest{}); !errors.Is(err, refused) || resp.UserToken != "" {
+		t.Fatalf("refused second attempt = %+v, %v, want a zero response and the Begin error", resp, err)
+	}
+	if !reflect.DeepEqual(attempts, []int{1}) {
+		t.Fatalf("End saw attempts %v, want [1]: a refused attempt is never ended", attempts)
+	}
+
+	lost := errors.New("response lost")
+	h = NewHopped(hopFuncs{
+		begin: func() (Cloud, error) { return backend, nil },
+		end: func(attempt int, err error) (bool, error) {
+			if attempt < 2 {
+				return true, err
+			}
+			return false, lost
+		},
+	})
+	if resp, err := h.Login(protocol.LoginRequest{}); !errors.Is(err, lost) || resp.UserToken != "" {
+		t.Fatalf("End-failed second attempt = %+v, %v, want a zero response and the End error", resp, err)
+	}
+}
 
 // loginCloud answers Login; every other method panics through the nil
 // embedded interface.
@@ -204,8 +267,8 @@ func (noopCloud) HandleStatus(protocol.StatusRequest) (protocol.StatusResponse, 
 // keyedHop picks a backend by routing key, as cluster.Router does.
 type keyedHop struct{ members map[string]Cloud }
 
-func (h keyedHop) Begin(_ Op, key string) (Cloud, error) { return h.members[key], nil }
-func (h keyedHop) End(_ Op, err error) error             { return err }
+func (h keyedHop) Begin(_ Op, key string) (Cloud, error)    { return h.members[key], nil }
+func (h keyedHop) End(_ Op, _ int, err error) (bool, error) { return false, err }
 
 // lockedHop holds a read lock across the call, as cluster.Node does.
 type lockedHop struct {
@@ -218,9 +281,9 @@ func (h lockedHop) Begin(Op, string) (Cloud, error) {
 	return h.backend, nil
 }
 
-func (h lockedHop) End(_ Op, err error) error {
+func (h lockedHop) End(_ Op, _ int, err error) (bool, error) {
 	h.mu.RUnlock()
-	return err
+	return false, err
 }
 
 // TestHoppedLayersAllocateNothing is the serving-path bar the typed seam

@@ -47,5 +47,5 @@ func (s *Switchable) Canonical(kind protocol.Held, raw []byte) string {
 // switchHop sends each call to whichever backend is live when it starts.
 type switchHop struct{ s *Switchable }
 
-func (h switchHop) Begin(Op, string) (Cloud, error) { return h.s.Current(), nil }
-func (h switchHop) End(_ Op, err error) error       { return err }
+func (h switchHop) Begin(Op, string) (Cloud, error)          { return h.s.Current(), nil }
+func (h switchHop) End(_ Op, _ int, err error) (bool, error) { return false, err }
