@@ -56,7 +56,9 @@ race:
 # lattice's reset-grant-authorize-revoke cycle at 0
 # (TestLatticeCycleAllocations), a proof at its one string, the model
 # checker's part of an attack_matrix op at its results and traces (an
-# exploration at none), and every live Table III cell at its exact count.
+# exploration at none), every live Table III cell at its exact count, a
+# used testbed's Reset at its two login tokens and the ten-vendor sweep on
+# one worker (TestEvaluateVendorsAllocations) at its exact count.
 alloc-pins:
 	$(GO) test -count=1 -run 'Alloc' ./internal/...
 
@@ -85,7 +87,11 @@ alloc-pins:
 # and, ten times, retry's Close landing in a backoff wait, real-timer and
 # injected (TestRetryClose*): the wait runs inside the forwarding loop's
 # End, so the call must still come back with ErrClosed and no further
-# delivery.
+# delivery; and, three times, a reset testbed against a fresh one on every
+# vendor cell and a lattice sample (TestResetMatchesFresh) and the
+# parallel Table III sweep against the sequential one with at least four
+# workers, each resetting its own testbed
+# (TestEvaluateVendorsMatchesSequential).
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery|TestDurableMixedLaneRecovery' ./internal/cloud/
@@ -94,6 +100,7 @@ race-stress:
 	$(GO) test -race -count=10 -run='TestServedDeviceIDsAreTheRegistrys|TestPipe|TestServerGoroutines|TestEpollServerGoroutines|TestReadToken' ./internal/binapi/
 	$(GO) test -race -count=10 -run='TestCanonicalRacesLoginAndRevoke|TestDelegationRevocationRaceOneWinner|TestOwnershipTransferStorm' ./internal/cloud/
 	$(GO) test -race -count=10 -run='TestRetryClose' ./internal/retry/
+	$(GO) test -race -count=3 -run='TestResetMatchesFresh|TestEvaluateVendorsMatchesSequential' ./internal/testbed/
 
 # bench compiles and smoke-runs every benchmark (100 iterations, no unit
 # tests) so perf regressions in the hot path are caught by CI, not just

@@ -120,8 +120,9 @@ func NewTestbed(design DesignSpec, opts ...testbed.Option) (*Testbed, error) {
 // WithDeviceID overrides the victim's device ID in a testbed.
 func WithDeviceID(id string) testbed.Option { return testbed.WithDeviceID(id) }
 
-// EvaluateAll runs every Table II variant against a fresh testbed for the
-// design and classifies each outcome as the paper does.
+// EvaluateAll runs every Table II variant against the design, on one
+// testbed reset in place before each variant, and classifies each outcome
+// as the paper does.
 func EvaluateAll(design DesignSpec, opts ...testbed.Option) ([]AttackResult, error) {
 	return testbed.EvaluateAll(design, opts...)
 }

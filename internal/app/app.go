@@ -54,7 +54,7 @@ type App struct {
 
 	mu          sync.Mutex
 	userToken   string
-	sessions    map[string]string // deviceID -> post-binding session token; nil until Bind gets one
+	sessions    map[string]string // deviceID -> post-binding session token; nil until Bind gets one, kept (emptied) by Init
 	preBindHook func()
 
 	retryPolicy *retry.Policy
@@ -100,13 +100,24 @@ func WithRetry(p retry.Policy) Option {
 
 // New creates an app for a user account on the given home network.
 func New(userID, password string, design core.DesignSpec, cloud transport.Cloud, network *localnet.Network, opts ...Option) (*App, error) {
+	a := new(App)
+	if err := a.Init(userID, password, design, cloud, network, opts...); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Init re-initialises a in place as New builds it, keeping only the memory
+// of its session map; nothing else may use a meanwhile.
+func (a *App) Init(userID, password string, design core.DesignSpec, cloud transport.Cloud, network *localnet.Network, opts ...Option) error {
 	if err := design.Validate(); err != nil {
-		return nil, fmt.Errorf("app: %w", err)
+		return fmt.Errorf("app: %w", err)
 	}
 	if userID == "" {
-		return nil, fmt.Errorf("app: %w", errors.New("empty user ID"))
+		return fmt.Errorf("app: %w", errors.New("empty user ID"))
 	}
-	a := &App{
+	clear(a.sessions)
+	*a = App{
 		userID:       userID,
 		password:     password,
 		design:       design,
@@ -114,6 +125,7 @@ func New(userID, password string, design core.DesignSpec, cloud transport.Cloud,
 		network:      network,
 		wifiSSID:     "home-wifi",
 		wifiPassword: "wpa2-passphrase",
+		sessions:     a.sessions,
 	}
 	for _, o := range opts {
 		o.apply(a)
@@ -122,7 +134,7 @@ func New(userID, password string, design core.DesignSpec, cloud transport.Cloud,
 		a.retrier = retry.Wrap(a.cloud, *a.retryPolicy)
 		a.cloud = a.retrier
 	}
-	return a, nil
+	return nil
 }
 
 // Close releases the app's transport-side resources: an in-flight retry

@@ -40,7 +40,7 @@ type Attacker struct {
 
 	mu        sync.Mutex
 	userToken string
-	sessions  map[string]string // deviceID -> session token from forged binds; nil until one returns one
+	sessions  map[string]string // deviceID -> session token from forged binds; nil until one returns one, kept (emptied) by Init
 	stolen    []protocol.UserData
 }
 
@@ -64,20 +64,33 @@ func WithDeviceMessageForgery(can bool) Option {
 // transport must be stamped with the attacker's own network address — the
 // adversary cannot spoof the victim's source IP.
 func New(userID, password string, design core.DesignSpec, cloud transport.Cloud, opts ...Option) (*Attacker, error) {
-	if err := design.Validate(); err != nil {
-		return nil, fmt.Errorf("attacker: %w", err)
+	a := new(Attacker)
+	if err := a.Init(userID, password, design, cloud, opts...); err != nil {
+		return nil, err
 	}
-	a := &Attacker{
+	return a, nil
+}
+
+// Init re-initialises a in place as New builds it, keeping only the memory
+// of its session map and loot; nothing else may use a meanwhile.
+func (a *Attacker) Init(userID, password string, design core.DesignSpec, cloud transport.Cloud, opts ...Option) error {
+	if err := design.Validate(); err != nil {
+		return fmt.Errorf("attacker: %w", err)
+	}
+	clear(a.sessions)
+	*a = Attacker{
 		userID:                 userID,
 		password:               password,
 		design:                 design,
 		cloud:                  cloud,
 		canForgeDeviceMessages: !design.FirmwareOpaque,
+		sessions:               a.sessions,
+		stolen:                 a.stolen[:0],
 	}
 	for _, o := range opts {
 		o.apply(a)
 	}
-	return a, nil
+	return nil
 }
 
 // UserID returns the attacker's account name.

@@ -80,11 +80,11 @@ func (s *accountStore) export() map[string]string {
 	return out
 }
 
-// replace swaps in a persisted account table.
+// replace swaps in a persisted account table, emptying the map in place.
 func (s *accountStore) replace(accounts map[string]string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.accounts = make(map[string]account, len(accounts))
+	clear(s.accounts)
 	for u, p := range accounts {
 		s.accounts[u] = account{u, p}
 	}

@@ -54,6 +54,13 @@ func (r *Registry) Add(rec DeviceRecord) error {
 	return nil
 }
 
+// reset empties the registry in place.
+func (r *Registry) reset() {
+	r.mu.Lock()
+	clear(r.devices)
+	r.mu.Unlock()
+}
+
 // Lookup fetches a device record by ID.
 func (r *Registry) Lookup(id string) (DeviceRecord, bool) {
 	r.mu.RLock()

@@ -56,12 +56,18 @@ func newShadowStore() shadowStore {
 // put creates and stores the shadow for deviceID. The caller holds
 // sd.mu's write lock and has found no shadow under it.
 func (sd *shadowShard) put(deviceID string) *shadow {
+	sh := newShadow(deviceID)
+	sd.insert(deviceID, sh)
+	return sh
+}
+
+// insert stores sh under deviceID, making the shard's map if this is its
+// first shadow. The caller holds sd.mu's write lock.
+func (sd *shadowShard) insert(deviceID string, sh *shadow) {
 	if sd.shadows == nil {
 		sd.shadows = make(map[string]*shadow)
 	}
-	sh := newShadow(deviceID)
 	sd.shadows[deviceID] = sh
-	return sh
 }
 
 // fnv1a is the 32-bit FNV-1a hash used for shard selection.
@@ -169,21 +175,22 @@ func (st *shadowStore) ids() []string {
 	return out
 }
 
-// replaceAll swaps in a full shadow set (snapshot restore). Callers must
-// not race device traffic: in-flight handlers that already fetched a
-// shadow pointer keep mutating the retired shadow.
+// replaceAll swaps in a full shadow set (snapshot restore; nil empties the
+// store). Every shard's map is emptied in place and only a shard that
+// receives a shadow gets one made, so a restored store keeps the lazy rule
+// put follows. Callers must not race device traffic: in-flight handlers
+// that already fetched a shadow pointer keep mutating the retired shadow.
 func (st *shadowStore) replaceAll(shadows map[string]*shadow) {
-	fresh := make([]map[string]*shadow, len(st.shards))
-	for i := range fresh {
-		fresh[i] = make(map[string]*shadow)
-	}
-	for id, sh := range shadows {
-		fresh[fnv1a(id)&st.mask][id] = sh
-	}
 	for i := range st.shards {
 		sd := &st.shards[i]
 		sd.mu.Lock()
-		sd.shadows = fresh[i]
+		clear(sd.shadows)
+		sd.mu.Unlock()
+	}
+	for id, sh := range shadows {
+		sd := st.shard(id)
+		sd.mu.Lock()
+		sd.insert(id, sh)
 		sd.mu.Unlock()
 	}
 }

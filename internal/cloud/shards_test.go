@@ -43,6 +43,47 @@ func TestShardMapsAppearOnFirstInsert(t *testing.T) {
 		t.Errorf("ids() = %v after restoring the empty snapshot", ids)
 	}
 
+	// A restored cloud has a map only in the shards its snapshot filled.
+	filled := []string{testDevice, "dev-restore-1", "dev-restore-2"}
+	for _, id := range filled {
+		if id != testDevice {
+			if err := reg.Add(DeviceRecord{ID: id, FactorySecret: testSecret}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := svc.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restored, err := NewService(devIDDesign(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(svc.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[uint32]bool)
+	for _, id := range filled {
+		want[restored.store.shardIndex(id)] = true
+	}
+	for i := range restored.store.shards {
+		if has := restored.store.shards[i].shadows != nil; has != want[uint32(i)] {
+			t.Errorf("restored shard %d has a map: %v, want %v", i, has, want[uint32(i)])
+		}
+	}
+	if ids := restored.store.ids(); len(ids) != len(filled) {
+		t.Errorf("restored ids() = %v, want %d shadows", ids, len(filled))
+	}
+	// Restoring the empty snapshot over them empties those maps in place.
+	if err := restored.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for i := range restored.store.shards {
+		if sd := &restored.store.shards[i]; len(sd.shadows) != 0 || (sd.shadows != nil) != want[uint32(i)] {
+			t.Errorf("shard %d after restoring the empty snapshot: %d shadows, map kept %v, want 0 and %v", i, len(sd.shadows), sd.shadows != nil, want[uint32(i)])
+		}
+	}
+
 	// First inserts, racing: single gets and a batch on one empty shard.
 	st := newShadowStore()
 	var same []string // device IDs that all map to shard 0

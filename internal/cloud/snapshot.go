@@ -230,6 +230,23 @@ func (s *Service) Restore(snap Snapshot) error {
 	return nil
 }
 
+// Reset empties the service in place for a new design, as NewService
+// built it but keeping its maps' memory and its options: Restore's replace
+// helpers with nothing to put back, and the registry emptied too. Callers
+// must not race traffic.
+func (s *Service) Reset(design core.DesignSpec) error {
+	if err := design.Validate(); err != nil {
+		return fmt.Errorf("cloud: %w", err)
+	}
+	s.design = design
+	s.registry.reset()
+	_ = s.issuer.Import(nil) // no token, so nothing to refuse
+	s.accounts.replace(nil)
+	s.store.replaceAll(nil)
+	s.stats = statCounters{} // restore(Stats{}) would put its argument on the heap
+	return nil
+}
+
 // ReadSnapshot parses a JSON snapshot. The input is staged through a
 // pooled buffer so repeated recovery reads reuse one backing array.
 func ReadSnapshot(r io.Reader) (Snapshot, error) {

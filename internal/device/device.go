@@ -135,13 +135,24 @@ type Config struct {
 // New creates a device in factory state (setup mode). The cloud transport
 // must be the one stamped with the device's home network address.
 func New(cfg Config, design core.DesignSpec, cloud transport.Cloud, opts ...Option) (*Device, error) {
+	d := new(Device)
+	if err := d.Init(cfg, design, cloud, opts...); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Init re-initialises d in place as New builds it, keeping only the memory
+// of its command and data logs; nothing else may use d meanwhile. Unlike
+// Reset, the factory reset, it leaves no reset notification for the cloud.
+func (d *Device) Init(cfg Config, design core.DesignSpec, cloud transport.Cloud, opts ...Option) error {
 	if err := design.Validate(); err != nil {
-		return nil, fmt.Errorf("device: %w", err)
+		return fmt.Errorf("device: %w", err)
 	}
 	if cfg.ID == "" || cfg.LocalName == "" {
-		return nil, fmt.Errorf("device: %w", errors.New("missing ID or local name"))
+		return fmt.Errorf("device: %w", errors.New("missing ID or local name"))
 	}
-	d := &Device{
+	*d = Device{
 		id:            cfg.ID,
 		factorySecret: cfg.FactorySecret,
 		localName:     cfg.LocalName,
@@ -150,6 +161,8 @@ func New(cfg Config, design core.DesignSpec, cloud transport.Cloud, opts ...Opti
 		design:        design,
 		cloud:         cloud,
 		setupMode:     true,
+		executed:      d.executed[:0],
+		received:      d.received[:0],
 		now:           time.Now,
 	}
 	for _, o := range opts {
@@ -159,7 +172,7 @@ func New(cfg Config, design core.DesignSpec, cloud transport.Cloud, opts ...Opti
 		d.retrier = retry.Wrap(d.cloud, *d.retryPolicy)
 		d.cloud = d.retrier
 	}
-	return d, nil
+	return nil
 }
 
 // Close releases the agent's transport-side resources: an in-flight retry

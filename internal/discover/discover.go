@@ -2,8 +2,8 @@
 // lists as future work (Section VIII): instead of hand-coding the Table II
 // attack procedures, it searches breadth-first over sequences of attacker
 // primitives — forged registrations, data heartbeats, binds and unbinds —
-// executing every candidate sequence against a fresh live emulation and
-// checking which adversarial goals it achieves.
+// executing every candidate sequence against the live emulation, reset
+// in place for each, and checking which adversarial goals it achieves.
 //
 // The search needs no knowledge of the taxonomy: the two-step hijack
 // chain the paper constructs manually against device #8 (A4-3) falls out
@@ -105,8 +105,9 @@ func Search(design core.DesignSpec, maxDepth int) ([]Attack, error) {
 		return nil, fmt.Errorf("discover: maxDepth %d must be at least 1", maxDepth)
 	}
 	var attacks []Attack
+	tb := new(testbed.Testbed) // every sequence runs on it, reset
 	for _, scenario := range AllScenarios() {
-		found, err := searchScenario(design, scenario, maxDepth)
+		found, err := searchScenario(tb, design, scenario, maxDepth)
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +117,7 @@ func Search(design core.DesignSpec, maxDepth int) ([]Attack, error) {
 }
 
 // searchScenario runs the per-scenario breadth-first search.
-func searchScenario(design core.DesignSpec, scenario testbed.Scenario, maxDepth int) ([]Attack, error) {
+func searchScenario(tb *testbed.Testbed, design core.DesignSpec, scenario testbed.Scenario, maxDepth int) ([]Attack, error) {
 	var (
 		attacks []Attack
 		solved  = make(map[Goal]bool)
@@ -129,7 +130,7 @@ func searchScenario(design core.DesignSpec, scenario testbed.Scenario, maxDepth 
 			for _, act := range AllActions() {
 				seq := append(append([]testbed.Step(nil), prefix...), act)
 				next = append(next, seq)
-				achieved, err := execute(design, scenario, seq)
+				achieved, err := execute(tb, design, scenario, seq)
 				if err != nil {
 					return nil, fmt.Errorf("discover: %v %v: %w", scenario, seq, err)
 				}
@@ -153,12 +154,11 @@ func searchScenario(design core.DesignSpec, scenario testbed.Scenario, maxDepth 
 	return attacks, nil
 }
 
-// execute launches one sequence into the scenario on a fresh testbed —
-// non-strict: the adversary simply tries every step — and reports the
-// goals it achieved.
-func execute(design core.DesignSpec, scenario testbed.Scenario, seq []testbed.Step) ([]Goal, error) {
-	tb, err := testbed.New(design)
-	if err != nil {
+// execute launches one sequence into the scenario on tb, reset for the
+// design — non-strict: the adversary simply tries every step — and
+// reports the goals it achieved.
+func execute(tb *testbed.Testbed, design core.DesignSpec, scenario testbed.Scenario, seq []testbed.Step) ([]Goal, error) {
+	if err := tb.Reset(design); err != nil {
 		return nil, err
 	}
 	if scenario == testbed.ScenarioSteadyControl {

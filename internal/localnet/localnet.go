@@ -139,6 +139,14 @@ func (n *Network) Leave(localName string) {
 	delete(n.responders, localName)
 }
 
+// Reset empties the network in place: every device leaves, and the
+// responder map keeps its memory for the next Join.
+func (n *Network) Reset() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	clear(n.responders)
+}
+
 // Discover broadcasts an SSDP-style search and collects announcements,
 // sorted by local name for determinism.
 func (n *Network) Discover() []Announcement {

@@ -9,8 +9,18 @@ import (
 	"github.com/iotbind/iotbind/internal/vendors"
 )
 
-// newAllocs is what building one testbed allocates; every cell pays it.
+// newAllocs is what building one testbed allocates: a fresh cell
+// (Evaluate) pays it, a sweep once per worker.
 const newAllocs = 21
+
+// resetAllocs is what resetting a used testbed allocates, which every
+// cell of a sweep pays: the victim's and the attacker's login tokens.
+const resetAllocs = 2
+
+// sweepAllocs is what one worker's sweep of the ten vendors allocates
+// (AllocsPerRun runs at GOMAXPROCS 1, so EvaluateVendors has one worker):
+// one testbed built, 90 cells on it reset, staged and probed, and the rows.
+const sweepAllocs = 938
 
 // cellAllocs is what one live cell — a fresh testbed, the variant staged
 // on it, the probe — allocates, per vendor in Table III order and per
@@ -42,6 +52,17 @@ func TestTestbedCellAllocations(t *testing.T) {
 		}
 	}); n != newAllocs {
 		t.Errorf("testbed.New: %v allocations, want %v", n, newAllocs)
+	}
+	tb, err := New(profiles[0].Design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := tb.Reset(profiles[1].Design); err != nil {
+			t.Fatal(err)
+		}
+	}); n != resetAllocs {
+		t.Errorf("Testbed.Reset: %v allocations, want %v", n, resetAllocs)
 	}
 
 	variants := core.AllAttackVariants()
@@ -75,5 +96,22 @@ func TestTestbedCellAllocations(t *testing.T) {
 			fmt.Fprintf(&b, "}, // %s\n", profiles[i].Vendor)
 		}
 		t.Errorf("cell allocations drifted; if intended, cellAllocs is now:\n%s", b.String())
+	}
+}
+
+// TestEvaluateVendorsAllocations pins the attack_matrix workload's live
+// part — the whole ten-vendor sweep on one worker — at its exact count, so
+// a regression of the reset-in-place sweep is named before bench runs.
+func TestEvaluateVendorsAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	profiles := vendors.Profiles()
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := EvaluateVendors(profiles); err != nil {
+			t.Fatal(err)
+		}
+	}); n != sweepAllocs {
+		t.Errorf("EvaluateVendors on one worker: %v allocations, want %v", n, sweepAllocs)
 	}
 }

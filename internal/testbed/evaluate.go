@@ -26,20 +26,29 @@ type Result struct {
 // demonstrably lands, ✗ when it is blocked, O when the adversary lacks the
 // device-protocol knowledge to even try.
 func Evaluate(design core.DesignSpec, v core.AttackVariant, opts ...Option) (Result, error) {
-	tb, err := New(design, opts...)
-	if err != nil {
+	return new(Testbed).evaluate(design, v, opts...)
+}
+
+// evaluate is Evaluate on this testbed, reset for the design.
+func (tb *Testbed) evaluate(design core.DesignSpec, v core.AttackVariant, opts ...Option) (Result, error) {
+	if err := tb.Reset(design, opts...); err != nil {
 		return Result{}, err
 	}
 	return tb.run(v)
 }
 
-// EvaluateAll runs every Table II variant against the design, each on a
-// fresh testbed.
+// EvaluateAll runs every Table II variant against the design, on one
+// testbed reset in place before each variant.
 func EvaluateAll(design core.DesignSpec, opts ...Option) ([]Result, error) {
+	return new(Testbed).evaluateAll(design, opts...)
+}
+
+// evaluateAll is EvaluateAll on this testbed.
+func (tb *Testbed) evaluateAll(design core.DesignSpec, opts ...Option) ([]Result, error) {
 	variants := core.AllAttackVariants()
 	results := make([]Result, 0, len(variants))
 	for _, v := range variants {
-		r, err := Evaluate(design, v, opts...)
+		r, err := tb.evaluate(design, v, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("testbed: %v: %w", v, err)
 		}
@@ -61,7 +70,12 @@ type VendorResult struct {
 // EvaluateVendor runs the full attack suite against a vendor profile and
 // collapses the outcomes into a Table III row.
 func EvaluateVendor(p vendors.Profile) (VendorResult, error) {
-	results, err := EvaluateAll(p.Design)
+	return new(Testbed).evaluateVendor(p)
+}
+
+// evaluateVendor is EvaluateVendor on this testbed.
+func (tb *Testbed) evaluateVendor(p vendors.Profile) (VendorResult, error) {
+	results, err := tb.evaluateAll(p.Design)
 	if err != nil {
 		return VendorResult{}, fmt.Errorf("testbed: vendor %s: %w", p.Vendor, err)
 	}
@@ -70,20 +84,19 @@ func EvaluateVendor(p vendors.Profile) (VendorResult, error) {
 
 // EvaluateVendors runs the full attack suite against each profile
 // concurrently and returns the rows in the input order — the parallel
-// Table III regeneration. Every profile gets fresh testbeds (one per
-// variant, exactly as EvaluateVendor builds them), so the runs share no
-// state; results are identical to a sequential sweep. The first error
-// aborts the sweep — no profile is started once one has failed — and the
-// error of the lowest-index failing profile is returned, as a sequential
-// sweep would.
+// Table III regeneration. Each worker owns one testbed and resets it for
+// every cell it runs, so the workers share no state; results are
+// identical to a sequential sweep. The first error aborts the sweep — no
+// profile is started once one has failed — and the error of the
+// lowest-index failing profile is returned, as a sequential sweep would.
 func EvaluateVendors(profiles []vendors.Profile) ([]VendorResult, error) {
-	return evaluateEach(profiles, EvaluateVendor, new(atomic.Bool))
+	return evaluateEach(profiles, (*Testbed).evaluateVendor, new(atomic.Bool))
 }
 
 // evaluateEach is EvaluateVendors over any per-profile evaluation, with
 // the sweep's failure flag passed in: the abort tests count calls through
 // it and hold evaluations until the flag shows a failure recorded.
-func evaluateEach(profiles []vendors.Profile, eval func(vendors.Profile) (VendorResult, error), failed *atomic.Bool) ([]VendorResult, error) {
+func evaluateEach(profiles []vendors.Profile, eval func(*Testbed, vendors.Profile) (VendorResult, error), failed *atomic.Bool) ([]VendorResult, error) {
 	out := make([]VendorResult, len(profiles))
 	errs := make([]error, len(profiles))
 	var next atomic.Int64
@@ -91,12 +104,13 @@ func evaluateEach(profiles []vendors.Profile, eval func(vendors.Profile) (Vendor
 	// was claimed before it and runs to its end: the lowest-index error
 	// recorded is the lowest-index error there is.
 	work := func() {
+		var tb Testbed // this worker's own
 		for !failed.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= len(profiles) {
 				return
 			}
-			if out[i], errs[i] = eval(profiles[i]); errs[i] != nil {
+			if out[i], errs[i] = eval(&tb, profiles[i]); errs[i] != nil {
 				failed.Store(true)
 			}
 		}
@@ -283,7 +297,7 @@ func attackerControls(tb *Testbed, _ error) (bool, error) {
 	return tb.AttackerHasControl(), nil
 }
 
-// run launches the variant's procedure on this (fresh) testbed and
+// run launches the variant's procedure on this (just reset) testbed and
 // classifies what happened in Table III vocabulary.
 func (tb *Testbed) run(v core.AttackVariant) (Result, error) {
 	if v < 1 || int(v) >= len(procedures) {

@@ -1,6 +1,8 @@
 package testbed
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/iotbind/iotbind/internal/core"
@@ -140,9 +142,12 @@ func TestByVendor(t *testing.T) {
 }
 
 // TestEvaluateVendorsMatchesSequential: the concurrent Table III
-// regeneration reproduces the sequential sweep row for row.
+// regeneration reproduces the sequential sweep row for row and cell for
+// cell. At least four workers each reset their own testbed, so a testbed
+// two workers shared would show here (and under -race).
 func TestEvaluateVendorsMatchesSequential(t *testing.T) {
 	profiles := vendors.Profiles()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
 	got, err := EvaluateVendors(profiles)
 	if err != nil {
 		t.Fatal(err)
@@ -160,6 +165,9 @@ func TestEvaluateVendorsMatchesSequential(t *testing.T) {
 		}
 		if !MatchesPaper(got[i].Row, want.Row) {
 			t.Errorf("vendor %s: concurrent row %+v != sequential row %+v", p.Vendor, got[i].Row, want.Row)
+		}
+		if !reflect.DeepEqual(got[i].Results, want.Results) {
+			t.Errorf("vendor %s: concurrent cells %+v != sequential cells %+v", p.Vendor, got[i].Results, want.Results)
 		}
 	}
 }

@@ -63,6 +63,10 @@ type Testbed struct {
 	deviceID string
 	seq      int
 	hook     func()
+	// now (the clock's Now) and preBind (the app's pre-bind hook, which
+	// runs hook) are made by the first Reset and handed out by every one.
+	now     func() time.Time
+	preBind func()
 }
 
 // userActions gives the victim's app "hands" on the home devices.
@@ -109,72 +113,80 @@ func WithDeviceID(id string) Option { return deviceIDOption(id) }
 // device registered, the victim's app logged in on the home network, and a
 // prepared remote attacker who knows the victim's device ID.
 func New(design core.DesignSpec, opts ...Option) (*Testbed, error) {
+	tb := new(Testbed)
+	if err := tb.Reset(design, opts...); err != nil {
+		return nil, err
+	}
+	return tb, nil
+}
+
+// Reset readies the testbed for a new experiment on design, as New builds
+// one, but in place: the cloud, the home network and the three agents are
+// emptied keeping their maps and arrays, the clock returns to the lab
+// epoch, the pre-bind hook goes, and the one setup path runs again. After
+// a failed Reset the testbed is unusable until one succeeds.
+func (tb *Testbed) Reset(design core.DesignSpec, opts ...Option) error {
 	cfg := config{deviceID: DefaultDeviceID, secret: defaultSecret}
 	for _, o := range opts {
 		cfg = o.apply(cfg)
 	}
+	tb.design, tb.clock, tb.deviceID, tb.seq, tb.hook = design, Clock{t: labEpoch}, cfg.deviceID, 0, nil
+	if tb.svc == nil { // a zero Testbed: make the world
+		tb.now = tb.clock.Now
+		tb.preBind = func() {
+			if tb.hook != nil {
+				tb.hook()
+			}
+		}
+		svc, err := cloud.NewService(design, cloud.NewRegistry(), cloud.WithClock(tb.now))
+		if err != nil {
+			return fmt.Errorf("testbed: %w", err)
+		}
+		tb.svc, tb.home = svc, localnet.NewNetwork("victim-home", DefaultHomeIP)
+		tb.homeLink = transport.Stamped{Cloud: svc, IP: tb.home.PublicIP()}
+		tb.atkLink = transport.Stamped{Cloud: svc, IP: DefaultAttackerIP}
+		tb.dev, tb.victim, tb.atk = new(device.Device), new(app.App), new(attacker.Attacker)
+		tb.actions = userActions{dev: tb.dev}
+	} else if err := tb.svc.Reset(design); err != nil {
+		return fmt.Errorf("testbed: %w", err)
+	}
+	tb.home.Reset()
 
-	tb := &Testbed{design: design, clock: Clock{t: labEpoch}, deviceID: cfg.deviceID}
-	now := tb.clock.Now
-	registry := cloud.NewRegistry()
-	if err := registry.Add(cloud.DeviceRecord{
+	if err := tb.svc.Registry().Add(cloud.DeviceRecord{
 		ID:            cfg.deviceID,
 		FactorySecret: cfg.secret,
 		Model:         design.Name,
 	}); err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
+		return fmt.Errorf("testbed: %w", err)
 	}
-	svc, err := cloud.NewService(design, registry, cloud.WithClock(now))
-	if err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
-	}
-
-	home := localnet.NewNetwork("victim-home", DefaultHomeIP)
-	tb.homeLink = transport.Stamped{Cloud: svc, IP: home.PublicIP()}
-	tb.atkLink = transport.Stamped{Cloud: svc, IP: DefaultAttackerIP}
-
-	dev, err := device.New(device.Config{
+	if err := tb.dev.Init(device.Config{
 		ID:            cfg.deviceID,
 		FactorySecret: cfg.secret,
 		LocalName:     "victim-device",
 		Model:         design.Name,
-	}, design, &tb.homeLink, device.WithClock(now))
-	if err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
+	}, design, &tb.homeLink, device.WithClock(tb.now)); err != nil {
+		return fmt.Errorf("testbed: %w", err)
 	}
-	if err := home.Join(dev); err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
+	if err := tb.home.Join(tb.dev); err != nil {
+		return fmt.Errorf("testbed: %w", err)
 	}
-
-	tb.svc, tb.home = svc, home
-	tb.dev, tb.actions = dev, userActions{dev: dev}
-
-	victim, err := app.New(DefaultVictimUser, "pw-victim", design, &tb.homeLink, home,
-		app.WithPreBindHook(func() {
-			if tb.hook != nil {
-				tb.hook()
-			}
-		}))
-	if err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
+	if err := tb.victim.Init(DefaultVictimUser, "pw-victim", design, &tb.homeLink, tb.home,
+		app.WithPreBindHook(tb.preBind)); err != nil {
+		return fmt.Errorf("testbed: %w", err)
 	}
-	if err := victim.RegisterAccount(); err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
+	if err := tb.victim.RegisterAccount(); err != nil {
+		return fmt.Errorf("testbed: %w", err)
 	}
-	if err := victim.Login(); err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
+	if err := tb.victim.Login(); err != nil {
+		return fmt.Errorf("testbed: %w", err)
 	}
-	tb.victim = victim
-
-	atk, err := attacker.New(DefaultAttackerUser, "pw-attacker", design, &tb.atkLink)
-	if err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
+	if err := tb.atk.Init(DefaultAttackerUser, "pw-attacker", design, &tb.atkLink); err != nil {
+		return fmt.Errorf("testbed: %w", err)
 	}
-	if err := atk.Prepare(); err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
+	if err := tb.atk.Prepare(); err != nil {
+		return fmt.Errorf("testbed: %w", err)
 	}
-	tb.atk = atk
-	return tb, nil
+	return nil
 }
 
 // Design returns the design under test.

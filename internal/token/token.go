@@ -271,7 +271,8 @@ func (i *Issuer) Export() []Token {
 }
 
 // Import replaces the issuer's live token set, for restoring a persisted
-// snapshot. Tokens with empty values are rejected.
+// snapshot; Import(nil) empties it. The map is emptied in place and keeps
+// its memory. Tokens with empty values are rejected.
 func (i *Issuer) Import(tokens []Token) error {
 	for _, tok := range tokens {
 		if tok.Value == "" {
@@ -280,7 +281,7 @@ func (i *Issuer) Import(tokens []Token) error {
 	}
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.tokens = make(map[string]Token, len(tokens))
+	clear(i.tokens)
 	for _, tok := range tokens {
 		i.tokens[tok.Value] = tok
 	}
