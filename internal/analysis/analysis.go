@@ -127,13 +127,6 @@ func bindReplacePossible(d core.DesignSpec) bool {
 	return d.ReplaceOnBind || !d.CheckBoundUserOnBind
 }
 
-// onlineFirstSetup reports whether the legitimate setup flow brings the
-// device online before the app binds (which is when session-tied clouds
-// get a chance to evict a squatting binding during the victim's setup).
-func onlineFirstSetup(d core.DesignSpec) bool {
-	return d.OnlineBeforeBind || d.BindButtonWindow || d.SourceIPCheck
-}
-
 // attackerGainsControl reports whether an attacker whose forged binding
 // was accepted can actually command the real device. Dynamic device tokens
 // tie the device's session to the configuring account, so a foreign
@@ -169,6 +162,23 @@ func bindForgeable(d core.DesignSpec) forgeability {
 	default:
 		return notForgeable
 	}
+}
+
+// remoteBindRefused decides the cases every bind-forging row but A2
+// shares: a bind the adversary cannot craft, or one a co-location
+// defence refuses from afar. It fills f and reports whether it did.
+func remoteBindRefused(d core.DesignSpec, f *Finding) bool {
+	switch {
+	case bindForgeable(d) == notForgeable:
+		f.Outcome, f.Reason = core.OutcomeFailed, "capability binding: a bind needs the factory-secret proof"
+	case bindForgeable(d) == unknownForgeable:
+		f.Outcome, f.Reason = core.OutcomeUnconfirmed, "device-initiated bind message could not be reconstructed"
+	case bindWindowBlocked(d):
+		f.Outcome, f.Reason = core.OutcomeFailed, "bind-time co-location defence rejects remote binds"
+	default:
+		return false
+	}
+	return true
 }
 
 // ---- per-variant rules ---------------------------------------------------
@@ -210,10 +220,10 @@ func predictA2(d core.DesignSpec) Finding {
 	case d.ReplaceOnBind || !d.CheckBoundUserOnBind:
 		f.Outcome = core.OutcomeFailed
 		f.Reason = "the user's own bind displaces the squatting binding, so no denial of service"
-	case d.ResetUnbindsOnSetup && d.SupportsUnbind(core.UnbindDevIDAlone):
+	case d.Setup().Reset && d.SupportsUnbind(core.UnbindDevIDAlone):
 		f.Outcome = core.OutcomeFailed
 		f.Reason = "normal setup resets the device, which revokes the squatting binding"
-	case d.SessionTiedBinding && (d.Binding == core.BindACLDevice || onlineFirstSetup(d)):
+	case d.SessionTiedBinding && d.Setup().RegisterFirst:
 		f.Outcome = core.OutcomeFailed
 		f.Reason = "the victim device's own registration evicts the squatting binding during setup"
 	default:
@@ -261,15 +271,7 @@ func predictA3x2(d core.DesignSpec) Finding {
 func predictA3x3(d core.DesignSpec) Finding {
 	f := Finding{Variant: core.VariantA3x3}
 	switch {
-	case bindForgeable(d) == notForgeable:
-		f.Outcome = core.OutcomeFailed
-		f.Reason = "capability binding: a bind needs the factory-secret proof"
-	case bindForgeable(d) == unknownForgeable:
-		f.Outcome = core.OutcomeUnconfirmed
-		f.Reason = "device-initiated bind message could not be reconstructed"
-	case bindWindowBlocked(d):
-		f.Outcome = core.OutcomeFailed
-		f.Reason = "bind-time co-location defence rejects remote binds"
+	case remoteBindRefused(d, &f):
 	case !bindReplacePossible(d):
 		f.Outcome = core.OutcomeFailed
 		f.Reason = "the cloud rejects binds for devices bound to another user"
@@ -305,15 +307,7 @@ func predictA3x4(d core.DesignSpec) Finding {
 func predictA4x1(d core.DesignSpec) Finding {
 	f := Finding{Variant: core.VariantA4x1}
 	switch {
-	case bindForgeable(d) == notForgeable:
-		f.Outcome = core.OutcomeFailed
-		f.Reason = "capability binding: a bind needs the factory-secret proof"
-	case bindForgeable(d) == unknownForgeable:
-		f.Outcome = core.OutcomeUnconfirmed
-		f.Reason = "device-initiated bind message could not be reconstructed"
-	case bindWindowBlocked(d):
-		f.Outcome = core.OutcomeFailed
-		f.Reason = "bind-time co-location defence rejects remote binds"
+	case remoteBindRefused(d, &f):
 	case !bindReplacePossible(d):
 		f.Outcome = core.OutcomeFailed
 		f.Reason = "the cloud rejects binds for devices bound to another user"
@@ -330,21 +324,13 @@ func predictA4x1(d core.DesignSpec) Finding {
 func predictA4x2(d core.DesignSpec) Finding {
 	f := Finding{Variant: core.VariantA4x2}
 	switch {
-	// The window exists only in app-initiated flows where the device
-	// registers before the user's bind; device-initiated and capability
-	// flows bind atomically on activation.
-	case !d.OnlineBeforeBind || d.Binding != core.BindACLApp:
+	// The window exists only in setup sequences where the device
+	// registers before the app's bind; a device-sent bind follows the
+	// device's registration at once.
+	case !d.Setup().OnlineUnbound():
 		f.Outcome = core.OutcomeFailed
 		f.Reason = "setup leaves no online-unbound window: the binding exists before the device connects"
-	case bindForgeable(d) == notForgeable:
-		f.Outcome = core.OutcomeFailed
-		f.Reason = "capability binding: a bind needs the factory-secret proof"
-	case bindForgeable(d) == unknownForgeable:
-		f.Outcome = core.OutcomeUnconfirmed
-		f.Reason = "device-initiated bind message could not be reconstructed"
-	case bindWindowBlocked(d):
-		f.Outcome = core.OutcomeFailed
-		f.Reason = "bind-time co-location defence rejects remote binds"
+	case remoteBindRefused(d, &f):
 	case !attackerGainsControl(d):
 		f.Outcome = core.OutcomeFailed
 		f.Reason = "token-based sessions deny the foreign binding any control"
@@ -373,7 +359,7 @@ func predictA4x3(d core.DesignSpec) Finding {
 		}
 	}
 	if d.SupportsUnbind(core.UnbindDevIDUserToken) && !d.CheckBoundUserOnUnbind {
-		unbindStep = bestOutcome(unbindStep, core.OutcomeSucceeded)
+		unbindStep = core.OutcomeSucceeded
 	}
 	switch {
 	case unbindStep == core.OutcomeFailed:
@@ -386,15 +372,7 @@ func predictA4x3(d core.DesignSpec) Finding {
 		return f
 	}
 	switch {
-	case bindForgeable(d) == notForgeable:
-		f.Outcome = core.OutcomeFailed
-		f.Reason = "capability binding: a bind needs the factory-secret proof"
-	case bindForgeable(d) == unknownForgeable:
-		f.Outcome = core.OutcomeUnconfirmed
-		f.Reason = "device-initiated bind message could not be reconstructed"
-	case bindWindowBlocked(d):
-		f.Outcome = core.OutcomeFailed
-		f.Reason = "bind-time co-location defence rejects remote binds"
+	case remoteBindRefused(d, &f):
 	case !attackerGainsControl(d):
 		f.Outcome = core.OutcomeFailed
 		f.Reason = "token-based sessions deny the foreign binding any control"
@@ -403,23 +381,4 @@ func predictA4x3(d core.DesignSpec) Finding {
 		f.Reason = "forged unbind opens the online state; a forged bind then hijacks the device"
 	}
 	return f
-}
-
-// bestOutcome returns the strongest of two step outcomes: success beats
-// unconfirmed beats failure.
-func bestOutcome(a, b core.Outcome) core.Outcome {
-	rank := func(o core.Outcome) int {
-		switch o {
-		case core.OutcomeSucceeded:
-			return 2
-		case core.OutcomeUnconfirmed:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if rank(a) >= rank(b) {
-		return a
-	}
-	return b
 }

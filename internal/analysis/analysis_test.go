@@ -124,15 +124,14 @@ func randomDesign(rng *rand.Rand, i int) core.DesignSpec {
 		d.FirmwareOpaque = true
 	}
 
+	d.BindButtonWindow = rng.Intn(4) == 0
+	d.SourceIPCheck = rng.Intn(4) == 0
+
 	// Constraints that keep the legitimate setup flow buildable (the
-	// combinations real products use):
-	// - post-binding tokens pair with app-initiated binding;
-	// - bind-time co-location defences pair with app-initiated binding
-	//   (a device-submitted bind cannot follow a user button press).
+	// combinations real products use): post-binding tokens pair with
+	// app-initiated binding.
 	if d.Binding == core.BindACLApp {
 		d.PostBindingToken = rng.Intn(2) == 0
-		d.BindButtonWindow = rng.Intn(4) == 0
-		d.SourceIPCheck = rng.Intn(4) == 0
 
 		// A cloud that treats registrations as resets (or whose setup
 		// resets the device) is incompatible with bind-before-connect

@@ -2,11 +2,11 @@
 // remote binding: account login, local discovery and configuration, binding
 // creation under the vendor's design, control, data access, and unbinding.
 //
-// SetupDevice runs the exact setup choreography the vendor's design calls
-// for — bind-then-configure, configure-then-bind with or without a physical
-// button press, device-initiated binding, or capability-token delivery —
-// so the testbed can reproduce the setup-time attack windows the paper
-// exploits (e.g. A4-2's online-unbound window).
+// SetupDevice walks the setup sequence the design calls for (core.Setup):
+// a factory reset if any, then bind-then-configure, or configure, press
+// the button if any, then bind — the app, the device with the user's
+// credential, or the device with a capability token sending the bind — so
+// the testbed reproduces the setup-time windows the paper exploits.
 package app
 
 import (
@@ -185,7 +185,8 @@ func (a *App) Discover() []localnet.Announcement {
 
 // SetupDevice runs the vendor's full setup flow for the named device on
 // the app's home network, leaving it bound (to this user) and online when
-// the flow succeeds.
+// the flow succeeds. A flow that needs the user's hands fails before its
+// first step when actions is nil.
 func (a *App) SetupDevice(localName string, actions UserActions) error {
 	tok, err := a.token()
 	if err != nil {
@@ -194,11 +195,11 @@ func (a *App) SetupDevice(localName string, actions UserActions) error {
 	if a.network == nil {
 		return fmt.Errorf("app %s: %w", a.userID, ErrDeviceNotFound)
 	}
-
-	if a.design.ResetUnbindsOnSetup {
-		if actions == nil {
-			return fmt.Errorf("app %s: setup requires a factory reset but no user actions available", a.userID)
-		}
+	setup := a.design.Setup()
+	if (setup.Reset || setup.Press) && actions == nil {
+		return fmt.Errorf("app %s: setup needs a factory reset or a button press but no user actions available", a.userID)
+	}
+	if setup.Reset {
 		if err := actions.ResetDevice(localName); err != nil {
 			return fmt.Errorf("app %s: reset device: %w", a.userID, err)
 		}
@@ -241,54 +242,33 @@ func (a *App) SetupDevice(localName string, actions UserActions) error {
 		prov.BindToken = resp.BindToken
 	}
 
-	if a.design.Binding != core.BindACLApp {
-		// The device performs the binding itself once provisioned.
-		if err := a.network.Provision(localName, prov); err != nil {
-			return fmt.Errorf("app %s: provision: %w", a.userID, err)
+	// One pass before the device joins (registering, and binding if it
+	// sends the bind) and one after: the app's bind lands in the pass the
+	// sequence puts it in, and each pass delivers what the device lacks —
+	// everything at the join, a post-binding token after it.
+	appBinds := setup.Binder == core.SenderApp
+	for _, joined := range [...]bool{false, true} {
+		if appBinds && setup.RegisterFirst == joined {
+			if joined && a.preBindHook != nil {
+				a.preBindHook() // online and unbound: A4-2's window (Section V-E)
+			}
+			if joined && setup.Press {
+				if err := actions.PressButton(localName); err != nil {
+					return fmt.Errorf("app %s: press button: %w", a.userID, err)
+				}
+			}
+			resp, err := a.Bind(ann.DeviceID)
+			if err != nil {
+				return err
+			}
+			prov.SessionToken = resp.SessionToken
 		}
-		return nil
-	}
-
-	onlineFirst := a.design.OnlineBeforeBind || a.design.BindButtonWindow || a.design.SourceIPCheck
-	if !onlineFirst {
-		// Bind first (initial -> bound), then configure the device
-		// (bound -> control).
-		resp, err := a.Bind(ann.DeviceID)
-		if err != nil {
-			return err
+		if prov != (localnet.Provisioning{}) {
+			if err := a.network.Provision(localName, prov); err != nil {
+				return fmt.Errorf("app %s: provision: %w", a.userID, err)
+			}
 		}
-		prov.SessionToken = resp.SessionToken
-		if err := a.network.Provision(localName, prov); err != nil {
-			return fmt.Errorf("app %s: provision: %w", a.userID, err)
-		}
-		return nil
-	}
-
-	// Configure first: the device registers and sits online-unbound —
-	// the setup window attack A4-2 exploits (Section V-E).
-	if err := a.network.Provision(localName, prov); err != nil {
-		return fmt.Errorf("app %s: provision: %w", a.userID, err)
-	}
-	if a.preBindHook != nil {
-		a.preBindHook()
-	}
-	if a.design.BindButtonWindow {
-		if actions == nil {
-			return fmt.Errorf("app %s: setup requires a button press but no user actions available", a.userID)
-		}
-		if err := actions.PressButton(localName); err != nil {
-			return fmt.Errorf("app %s: press button: %w", a.userID, err)
-		}
-	}
-	resp, err := a.Bind(ann.DeviceID)
-	if err != nil {
-		return err
-	}
-	if resp.SessionToken != "" {
-		// Deliver the post-binding token to the device locally.
-		if err := a.network.Provision(localName, localnet.Provisioning{SessionToken: resp.SessionToken}); err != nil {
-			return fmt.Errorf("app %s: deliver session token: %w", a.userID, err)
-		}
+		prov = localnet.Provisioning{}
 	}
 	return nil
 }

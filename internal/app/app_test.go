@@ -224,17 +224,47 @@ func TestLifecycleCapability(t *testing.T) {
 	assertFullControl(t, r)
 }
 
-// TestLifecycleButtonWindow covers the device #7 flow: configure, press
-// the physical button, bind within the window from the same network.
+// TestLifecycleButtonWindow covers the device #7 flow under each binding
+// mechanism: configure, press the physical button, bind within the window
+// from the same network. When the device sends the bind, the owner holds
+// the button while it joins.
 func TestLifecycleButtonWindow(t *testing.T) {
+	for _, b := range []core.BindMechanism{core.BindACLApp, core.BindACLDevice, core.BindCapability} {
+		t.Run(b.String(), func(t *testing.T) {
+			d := designBase()
+			d.Binding = b
+			d.BindButtonWindow = true
+			d.SourceIPCheck = true
+			r, acts := newRig(t, d)
+			if err := r.victim.SetupDevice("plug-1", acts); err != nil {
+				t.Fatal(err)
+			}
+			assertFullControl(t, r)
+		})
+	}
+}
+
+// TestSetupWithoutHandsTouchesNothing: a setup that needs the user's
+// hands is refused before its first step when there are none — the
+// device stays in setup mode and the cloud never sees it register.
+func TestSetupWithoutHandsTouchesNothing(t *testing.T) {
 	d := designBase()
 	d.BindButtonWindow = true
-	d.SourceIPCheck = true
-	r, acts := newRig(t, d)
-	if err := r.victim.SetupDevice("plug-1", acts); err != nil {
+	r, _ := newRig(t, d)
+	if err := r.victim.SetupDevice("plug-1", nil); err == nil {
+		t.Fatal("setup needing a button press ran without user actions")
+	}
+	if !r.dev.InSetupMode() || r.dev.Active() {
+		t.Error("the refused setup provisioned the device")
+	}
+	st, err := r.svc.ShadowState(protocol.ShadowStateRequest{DeviceID: devID})
+	if err != nil {
 		t.Fatal(err)
 	}
-	assertFullControl(t, r)
+	if stats := r.svc.Stats(); st.State != core.StateInitial || stats.StatusAccepted+stats.StatusRejected != 0 {
+		t.Errorf("after the refused setup the cloud saw the device: state %v, %d status messages",
+			st.State, stats.StatusAccepted+stats.StatusRejected)
+	}
 }
 
 // TestLifecyclePostBindingToken covers the KONKE-like design: the session

@@ -157,16 +157,24 @@ type DesignSpec struct {
 	// SourceIPCheck makes the cloud compare the source IP address of the
 	// device registration triggered by a physical button press with the
 	// source IP of the user's bind request, accepting the bind only when
-	// they match (the Philips Hue defence, Section VI-B).
+	// they match (the Philips Hue defence, Section VI-B). In the setup
+	// sequence it places the device's registration before an app-sent
+	// bind, since the cloud must have seen the device's address first.
 	SourceIPCheck bool
 
 	// BindButtonWindow requires a physical button press on the device to
-	// open a short binding window (Philips Hue).
+	// open a short binding window (Philips Hue). In the setup sequence it
+	// places the press before the bind: after the device's registration
+	// when the app binds, during the device's joining registration when
+	// the device binds.
 	BindButtonWindow bool
 
 	// OnlineBeforeBind reports whether the device connects and
 	// authenticates to the cloud before any binding exists, exposing the
 	// online-unbound setup window that attack A4-2 exploits (device #6).
+	// In the setup sequence it places the device's registration before
+	// an app-sent bind; a device-sent bind follows the registration
+	// anyway.
 	OnlineBeforeBind bool
 
 	// SessionTiedBinding ties the binding's validity to the device's
@@ -230,6 +238,45 @@ func (d DesignSpec) EffectiveAuth() DeviceAuthMode {
 	}
 	return d.DeviceAuth
 }
+
+// Setup is the owner's setup sequence for a design (Figures 3 and 4,
+// Section V-E): a factory reset if Reset, then the device's join — its
+// registration — and the bind in the order RegisterFirst gives, the
+// button pressed before the bind if Press. It is the one place the order
+// is decided; the app walks it, the device reads its press from it, and
+// the model checker and the analyzer read its windows off it.
+type Setup struct {
+	// Reset: the owner factory-resets the device before anything else
+	// (ResetUnbindsOnSetup).
+	Reset bool
+	// Binder sends the bind: the app for BindACLApp, the device itself
+	// (with the user's credential or a capability) otherwise.
+	Binder Sender
+	// RegisterFirst: the device registers before the bind. A device-sent
+	// bind always follows the device's registration; an app-sent one
+	// follows it under OnlineBeforeBind, BindButtonWindow or
+	// SourceIPCheck and precedes it otherwise.
+	RegisterFirst bool
+	// Press: the owner presses the device's button before the bind
+	// (BindButtonWindow) — after the registration for an app-sent bind,
+	// held while the device joins for a device-sent one.
+	Press bool
+}
+
+// Setup returns the design's setup sequence.
+func (d DesignSpec) Setup() Setup {
+	s := Setup{Reset: d.ResetUnbindsOnSetup, Binder: SenderDevice, RegisterFirst: true, Press: d.BindButtonWindow}
+	if d.Binding == BindACLApp {
+		s.Binder = SenderApp
+		s.RegisterFirst = d.OnlineBeforeBind || d.BindButtonWindow || d.SourceIPCheck
+	}
+	return s
+}
+
+// OnlineUnbound reports whether the sequence leaves the device online and
+// unbound for a while: registered, waiting for the app's bind. That
+// window is where A4-2 binds first.
+func (s Setup) OnlineUnbound() bool { return s.Binder == SenderApp && s.RegisterFirst }
 
 // SupportsUnbind reports whether the cloud accepts the given unbind form.
 func (d DesignSpec) SupportsUnbind(f UnbindForm) bool {

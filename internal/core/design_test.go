@@ -83,6 +83,33 @@ func TestSupportsUnbind(t *testing.T) {
 	}
 }
 
+// TestSetup places each step of the owner's setup sequence: the app binds
+// before the device registers unless OnlineBeforeBind, the button window
+// or the source-IP check asks for the registration first; a device-sent
+// bind always follows it; the press and the reset come from their flags.
+func TestSetup(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*DesignSpec)
+		want Setup
+	}{
+		{"app binds first", func(*DesignSpec) {}, Setup{Binder: SenderApp}},
+		{"online before bind", func(d *DesignSpec) { d.OnlineBeforeBind = true }, Setup{Binder: SenderApp, RegisterFirst: true}},
+		{"source IP", func(d *DesignSpec) { d.SourceIPCheck = true }, Setup{Binder: SenderApp, RegisterFirst: true}},
+		{"button window", func(d *DesignSpec) { d.BindButtonWindow = true }, Setup{Binder: SenderApp, RegisterFirst: true, Press: true}},
+		{"reset", func(d *DesignSpec) { d.ResetUnbindsOnSetup = true }, Setup{Reset: true, Binder: SenderApp}},
+		{"device binds", func(d *DesignSpec) { d.Binding = BindACLDevice }, Setup{Binder: SenderDevice, RegisterFirst: true}},
+		{"capability with button", func(d *DesignSpec) { d.Binding, d.BindButtonWindow = BindCapability, true },
+			Setup{Binder: SenderDevice, RegisterFirst: true, Press: true}},
+	} {
+		d := validSpec()
+		tc.set(&d)
+		if got := d.Setup(); got != tc.want {
+			t.Errorf("%s: Setup() = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestUnbindNotation(t *testing.T) {
 	tests := []struct {
 		forms []UnbindForm

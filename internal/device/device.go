@@ -261,8 +261,9 @@ func (d *Device) Provision(p localnet.Provisioning) error {
 
 // Activate connects the device to the cloud: the reset notification (when
 // pending and the design supports device-sent unbinds), the registration
-// status message, and the device-initiated or capability binding step if
-// the design uses one.
+// status message (pressed, when the design's setup sequence has the owner
+// press the button before a device-sent bind), and the device-initiated
+// or capability binding step if the design uses one.
 func (d *Device) Activate() error {
 	d.mu.Lock()
 	if !d.provisioned {
@@ -276,6 +277,11 @@ func (d *Device) Activate() error {
 	cloud := d.cloud
 	sendReset := d.resetNotify && d.design.SupportsUnbind(core.UnbindDevIDAlone)
 	d.resetNotify = false
+	// When the device sends the bind and the setup sequence puts a
+	// button press before it, the owner holds the button while the
+	// device joins: the joining registration opens the window.
+	setup := d.design.Setup()
+	pressed := setup.Press && setup.Binder == core.SenderDevice
 	d.mu.Unlock()
 
 	if sendReset {
@@ -288,7 +294,7 @@ func (d *Device) Activate() error {
 		}
 	}
 
-	if err := d.register(false /* buttonPressed */); err != nil {
+	if err := d.register(pressed); err != nil {
 		return err
 	}
 

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/iotbind/iotbind/internal/analysis"
 	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/modelcheck"
 	"github.com/iotbind/iotbind/internal/vendors"
@@ -66,6 +67,32 @@ func TestCheckMatchesReference(t *testing.T) {
 	const parent = "828bc2b2f32b357c742affdc3ae57ae6f8f33650168a9214953b7ddeb8fe7701"
 	if got := hex.EncodeToString(digest.Sum(nil)); got != parent {
 		t.Errorf("lattice digest %s, the parent commit's Check gave %s", got, parent)
+	}
+}
+
+// TestPredictMatchesParentDigest pins the analyzer's verdicts — each
+// variant's outcome under PredictAll — on the same 73 728 designs to the
+// digest the parent commit's analyzer printed, so a change that moves no
+// verdict on purpose is seen to move none.
+func TestPredictMatchesParentDigest(t *testing.T) {
+	digest := sha256.New()
+	n := 0
+	core.EachDesign(func(d core.DesignSpec) bool {
+		if d.DelegationScopeAttenuation || d.DelegationCascadeRevoke || d.DelegationCheckAtUse {
+			return true
+		}
+		for _, f := range analysis.PredictAll(d) {
+			fmt.Fprintf(digest, "%d %v %v\n", n, f.Variant, f.Outcome)
+		}
+		n++
+		return true
+	})
+	if n != 73728 {
+		t.Errorf("%d designs, want 73 728", n)
+	}
+	const parent = "3929d95c2e45ef7f66d18403b631baabf7964905538a2b2b162ec310fd925a7f"
+	if got := hex.EncodeToString(digest.Sum(nil)); got != parent {
+		t.Errorf("lattice digest %s, the parent commit's PredictAll gave %s", got, parent)
 	}
 }
 

@@ -200,18 +200,18 @@ func (s *system) checkSetup() Result {
 	}
 }
 
-// applySetup runs the victim's setup flow abstractly: an existing foreign
-// binding is displaced exactly when the design's own mechanics displace
-// it (setup-time reset unbind, a session-tied cloud evicting on the
-// device's fresh registration in flows that register before binding, or
-// replace-on-bind semantics); otherwise the victim is locked out.
+// applySetup runs the victim's setup sequence (core.Setup) abstractly: an
+// existing foreign binding is displaced exactly when the design's own
+// mechanics displace it (setup-time reset unbind, a session-tied cloud
+// evicting on the device's fresh registration in sequences that register
+// before binding, or replace-on-bind semantics); otherwise the victim is
+// locked out.
 func (s *system) applySetup(st state) (state, bool) {
 	if st.bound == adversary {
-		onlineFirst := s.d.OnlineBeforeBind || s.d.BindButtonWindow || s.d.SourceIPCheck
 		switch {
-		case s.d.ResetUnbindsOnSetup && s.unbindAlone:
+		case s.setup.Reset && s.unbindAlone:
 			// The setup-time factory reset emits Unbind:DevId.
-		case s.d.SessionTiedBinding && (s.d.Binding == core.BindACLDevice || onlineFirst):
+		case s.d.SessionTiedBinding && s.setup.RegisterFirst:
 			// The device's own fresh registration evicts the squatter.
 		case s.d.ReplaceOnBind || !s.d.CheckBoundUserOnBind:
 			// The victim's bind displaces the squatter.
@@ -234,6 +234,7 @@ func (s *system) applySetup(st state) (state, bool) {
 // spec and every state's successors read them.
 type system struct {
 	d                                                 core.DesignSpec
+	setup                                             core.Setup
 	canForge, authForgeable, authToken, bindForgeable bool
 	windowBlocked, unbindToken, unbindAlone           bool
 }
@@ -242,6 +243,7 @@ func newSystem(d core.DesignSpec) system {
 	auth := d.EffectiveAuth()
 	return system{
 		d:             d,
+		setup:         d.Setup(),
 		canForge:      !d.FirmwareOpaque,
 		authForgeable: auth == core.AuthDevID,
 		authToken:     auth == core.AuthDevToken,
