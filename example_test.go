@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	iotbind "github.com/iotbind/iotbind"
-	"github.com/iotbind/iotbind/internal/discover"
+	"github.com/iotbind/iotbind/internal/core"
 )
 
 // ExamplePredictAll analyzes a remote-binding design on paper — no
@@ -42,7 +42,7 @@ func ExampleDiscoverAttacks() {
 		return
 	}
 	for _, a := range attacks {
-		if a.Goal == discover.GoalHijack {
+		if a.Goal == core.GoalHijack {
 			fmt.Println(a)
 		}
 	}

@@ -37,7 +37,7 @@ type VerificationResult = modelcheck.Result
 
 // VerifyDesign formally verifies a design by exhaustive exploration of
 // its abstract protocol state space: every reachable state is checked
-// against the four safety properties, and each violation comes with a
+// against the five safety properties, and each violation comes with a
 // minimal counterexample (e.g. the A4-3 chain on the TP-LINK profile).
 func VerifyDesign(design DesignSpec) ([]VerificationResult, error) {
 	return modelcheck.Check(design)

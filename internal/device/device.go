@@ -392,14 +392,22 @@ func (d *Device) bindFromDevice() error {
 // PressButton models the user pressing the physical button: the device
 // sends a registration message with the button flag, opening the binding
 // window on BindButtonWindow clouds (device #7).
-func (d *Device) PressButton() error {
+func (d *Device) PressButton() error { return d.reregister(true) }
+
+// Reregister models the device reconnecting to the cloud: it sends the
+// registration status message and nothing else — unlike Activate, no
+// reset notice and no device-sent bind.
+func (d *Device) Reregister() error { return d.reregister(false) }
+
+// reregister sends a registration from a provisioned device.
+func (d *Device) reregister(buttonPressed bool) error {
 	d.mu.Lock()
-	if !d.provisioned {
-		d.mu.Unlock()
+	provisioned := d.provisioned
+	d.mu.Unlock()
+	if !provisioned {
 		return ErrNotProvisioned
 	}
-	d.mu.Unlock()
-	return d.register(true)
+	return d.register(buttonPressed)
 }
 
 // QueueReading queues a sensor sample for the next heartbeat.

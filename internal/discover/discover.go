@@ -10,9 +10,11 @@
 // as the minimal sequence [forge-unbind-devid, forge-bind] for the hijack
 // goal, and the secure reference designs yield no sequence for any goal at
 // any depth. What it shares with the Table II harness is the rig, not the
-// rows: the testbed owns the forged-message primitives, the victim
-// scenarios and the executor that launches one into the other
-// (testbed.Stage); the search, the goals and the minimality rule are here.
+// rows: the moves and the goals are core's (core.Move, core.Goal), the
+// vocabulary the model checker's counterexamples are written in; the
+// testbed owns the victim scenarios, the executor that launches moves into
+// them (testbed.Stage) and each goal's live probe (testbed.Reached); the
+// search alphabet and the minimality rule are here.
 package discover
 
 import (
@@ -25,53 +27,14 @@ import (
 // AllActions lists the attacker primitives the searcher composes — the
 // search alphabet: single forged messages built from nothing but the
 // leaked device ID and the attacker's own account.
-func AllActions() []testbed.Step {
-	return []testbed.Step{
-		testbed.StepForgeRegister,
-		testbed.StepForgeDataHeartbeat,
-		testbed.StepForgeBind,
-		testbed.StepForgeUnbindUserToken,
-		testbed.StepForgeUnbindDevID,
+func AllActions() []core.Move {
+	return []core.Move{
+		core.MoveForgeRegister,
+		core.MoveForgeDataHeartbeat,
+		core.MoveForgeBind,
+		core.MoveForgeUnbindUserToken,
+		core.MoveForgeUnbindDevID,
 	}
-}
-
-// Goal is an adversarial objective the searcher tries to reach.
-type Goal int
-
-// Adversarial goals, mirroring the consequences of Table II.
-const (
-	// GoalDisconnect: the victim loses the binding to their device.
-	GoalDisconnect Goal = iota + 1
-	// GoalHijack: the attacker commands the victim's real device.
-	GoalHijack
-	// GoalStealData: the attacker receives the victim's private data.
-	GoalStealData
-	// GoalInjectData: a fake reading reaches the still-bound victim.
-	GoalInjectData
-	// GoalOccupy: the victim cannot complete a fresh setup (binding
-	// denial of service; evaluated in the pre-setup scenario).
-	GoalOccupy
-)
-
-// AllGoals lists the goals.
-func AllGoals() []Goal {
-	return []Goal{GoalDisconnect, GoalHijack, GoalStealData, GoalInjectData, GoalOccupy}
-}
-
-var goalNames = [...]string{
-	GoalDisconnect: "disconnect-victim",
-	GoalHijack:     "hijack-device",
-	GoalStealData:  "steal-user-data",
-	GoalInjectData: "inject-fake-data",
-	GoalOccupy:     "occupy-binding",
-}
-
-// String implements fmt.Stringer.
-func (g Goal) String() string {
-	if g < 1 || int(g) >= len(goalNames) {
-		return fmt.Sprintf("Goal(%d)", int(g))
-	}
-	return goalNames[g]
 }
 
 // AllScenarios lists the victim situations the searcher runs sequences
@@ -86,14 +49,14 @@ type Attack struct {
 	// Scenario is the victim situation.
 	Scenario testbed.Scenario
 	// Goal is the objective achieved.
-	Goal Goal
+	Goal core.Goal
 	// Sequence is a minimal-length action sequence achieving the goal.
-	Sequence []testbed.Step
+	Sequence []core.Move
 }
 
-// String renders "scenario: goal via [actions]".
+// String renders "scenario: objective via [actions]".
 func (a Attack) String() string {
-	return fmt.Sprintf("%v: %v via %v", a.Scenario, a.Goal, a.Sequence)
+	return fmt.Sprintf("%v: %s via %v", a.Scenario, a.Goal.Objective(), a.Sequence)
 }
 
 // Search explores attacker action sequences up to maxDepth against the
@@ -120,15 +83,15 @@ func Search(design core.DesignSpec, maxDepth int) ([]Attack, error) {
 func searchScenario(tb *testbed.Testbed, design core.DesignSpec, scenario testbed.Scenario, maxDepth int) ([]Attack, error) {
 	var (
 		attacks []Attack
-		solved  = make(map[Goal]bool)
+		solved  = make(map[core.Goal]bool)
 	)
-	frontier := [][]testbed.Step{nil}
+	frontier := [][]core.Move{nil}
 	for depth := 1; depth <= maxDepth; depth++ {
-		var next [][]testbed.Step
-		var solvedThisDepth []Goal
+		var next [][]core.Move
+		var solvedThisDepth []core.Goal
 		for _, prefix := range frontier {
 			for _, act := range AllActions() {
-				seq := append(append([]testbed.Step(nil), prefix...), act)
+				seq := append(append([]core.Move(nil), prefix...), act)
 				next = append(next, seq)
 				achieved, err := execute(tb, design, scenario, seq)
 				if err != nil {
@@ -155,59 +118,30 @@ func searchScenario(tb *testbed.Testbed, design core.DesignSpec, scenario testbe
 }
 
 // execute launches one sequence into the scenario on tb, reset for the
-// design — non-strict: the adversary simply tries every step — and
-// reports the goals it achieved.
-func execute(tb *testbed.Testbed, design core.DesignSpec, scenario testbed.Scenario, seq []testbed.Step) ([]Goal, error) {
+// design — non-strict: the adversary simply tries every move — and
+// reports the goals it achieved, probed in the scenario's probe order.
+func execute(tb *testbed.Testbed, design core.DesignSpec, scenario testbed.Scenario, seq []core.Move) ([]core.Goal, error) {
 	if err := tb.Reset(design); err != nil {
 		return nil, err
 	}
 	if scenario == testbed.ScenarioSteadyControl {
 		// The victim parks private data for the device — the stealing
 		// target — before the adversary moves.
-		seq = append([]testbed.Step{testbed.StepParkSecret}, seq...)
+		seq = append([]core.Move{core.MoveParkSecret}, seq...)
 	}
 	launched, _, setupErr, err := tb.Stage(scenario, seq, false)
 	if err != nil || !launched {
 		return nil, err
 	}
-
-	switch scenario {
-	case testbed.ScenarioSteadyControl:
-		return assessSteady(tb)
-	case testbed.ScenarioPreSetup:
-		if setupErr != nil || !tb.VictimHasControl() {
-			return []Goal{GoalOccupy}, nil
+	var achieved []core.Goal
+	for _, goal := range scenario.Goals() {
+		reached, err := tb.Reached(goal, setupErr)
+		if err != nil {
+			return nil, err
 		}
-	case testbed.ScenarioSetupWindow:
-		if tb.AttackerHasControl() {
-			return []Goal{GoalHijack}, nil
+		if reached {
+			achieved = append(achieved, goal)
 		}
-	}
-	return nil, nil
-}
-
-// assessSteady checks all steady-scenario goals. Read-only goals are
-// evaluated before the hijack probe, which pumps device heartbeats.
-func assessSteady(tb *testbed.Testbed) ([]Goal, error) {
-	var achieved []Goal
-
-	if len(tb.Attacker().StolenData()) > 0 {
-		achieved = append(achieved, GoalStealData)
-	}
-
-	victimBound, err := tb.VictimBound()
-	if err != nil {
-		return nil, err
-	}
-	if !victimBound {
-		achieved = append(achieved, GoalDisconnect)
-	} else if injected, err := tb.VictimSeesInjectedReading(); err == nil && injected {
-		// A refused read is simply no injection the victim could see.
-		achieved = append(achieved, GoalInjectData)
-	}
-
-	if tb.AttackerHasControl() {
-		achieved = append(achieved, GoalHijack)
 	}
 	return achieved, nil
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // findAttack returns the discovered attacks for one (scenario, goal).
-func findAttack(attacks []discover.Attack, s testbed.Scenario, g discover.Goal) []discover.Attack {
+func findAttack(attacks []discover.Attack, s testbed.Scenario, g core.Goal) []discover.Attack {
 	var out []discover.Attack
 	for _, a := range attacks {
 		if a.Scenario == s && a.Goal == g {
@@ -24,7 +24,7 @@ func findAttack(attacks []discover.Attack, s testbed.Scenario, g discover.Goal) 
 	return out
 }
 
-func sameSequence(a []testbed.Step, b ...testbed.Step) bool {
+func sameSequence(a []core.Move, b ...core.Move) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -50,7 +50,7 @@ func TestDiscoverA4x3ChainOnTPLink(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hijacks := findAttack(attacks, testbed.ScenarioSteadyControl, discover.GoalHijack)
+	hijacks := findAttack(attacks, testbed.ScenarioSteadyControl, core.GoalHijack)
 	if len(hijacks) == 0 {
 		t.Fatalf("no hijack discovered; attacks: %v", attacks)
 	}
@@ -59,7 +59,7 @@ func TestDiscoverA4x3ChainOnTPLink(t *testing.T) {
 		if len(h.Sequence) != 2 {
 			t.Errorf("hijack sequence %v has length %d, want minimal 2", h.Sequence, len(h.Sequence))
 		}
-		if sameSequence(h.Sequence, testbed.StepForgeUnbindDevID, testbed.StepForgeBind) {
+		if sameSequence(h.Sequence, core.MoveForgeUnbindDevID, core.MoveForgeBind) {
 			foundChain = true
 		}
 	}
@@ -68,7 +68,7 @@ func TestDiscoverA4x3ChainOnTPLink(t *testing.T) {
 	}
 
 	// Disconnection falls out at depth 1 (A3-1 and A3-4).
-	disconnects := findAttack(attacks, testbed.ScenarioSteadyControl, discover.GoalDisconnect)
+	disconnects := findAttack(attacks, testbed.ScenarioSteadyControl, core.GoalDisconnect)
 	if len(disconnects) == 0 {
 		t.Fatal("no disconnection discovered")
 	}
@@ -95,8 +95,8 @@ func TestDiscoverA4x1OnELink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hijacks := findAttack(attacks, testbed.ScenarioSteadyControl, discover.GoalHijack)
-	if len(hijacks) != 1 || !sameSequence(hijacks[0].Sequence, testbed.StepForgeBind) {
+	hijacks := findAttack(attacks, testbed.ScenarioSteadyControl, core.GoalHijack)
+	if len(hijacks) != 1 || !sameSequence(hijacks[0].Sequence, core.MoveForgeBind) {
 		t.Errorf("E-Link hijack = %v, want single [forge-bind]", hijacks)
 	}
 }
@@ -112,17 +112,17 @@ func TestDiscoverA1OnDLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, goal := range []discover.Goal{discover.GoalStealData, discover.GoalInjectData} {
+	for _, goal := range []core.Goal{core.GoalStealData, core.GoalInjectData} {
 		found := findAttack(attacks, testbed.ScenarioSteadyControl, goal)
 		if len(found) == 0 {
 			t.Errorf("%v not discovered", goal)
 			continue
 		}
-		if !sameSequence(found[0].Sequence, testbed.StepForgeDataHeartbeat) {
+		if !sameSequence(found[0].Sequence, core.MoveForgeDataHeartbeat) {
 			t.Errorf("%v via %v, want [forge-data-heartbeat]", goal, found[0].Sequence)
 		}
 	}
-	occupations := findAttack(attacks, testbed.ScenarioPreSetup, discover.GoalOccupy)
+	occupations := findAttack(attacks, testbed.ScenarioPreSetup, core.GoalOccupy)
 	if len(occupations) == 0 {
 		t.Error("binding occupation not discovered pre-setup")
 	}
@@ -139,8 +139,8 @@ func TestDiscoverA4x2WindowOnOZWI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	window := findAttack(attacks, testbed.ScenarioSetupWindow, discover.GoalHijack)
-	if len(window) != 1 || !sameSequence(window[0].Sequence, testbed.StepForgeBind) {
+	window := findAttack(attacks, testbed.ScenarioSetupWindow, core.GoalHijack)
+	if len(window) != 1 || !sameSequence(window[0].Sequence, core.MoveForgeBind) {
 		t.Errorf("OZWI window hijack = %v, want [forge-bind]", window)
 	}
 }
@@ -186,15 +186,15 @@ func TestDiscoveryAgreesWithAnalyzer(t *testing.T) {
 			checks := []struct {
 				name     string
 				scenario testbed.Scenario
-				goal     discover.Goal
+				goal     core.Goal
 				want     bool
 			}{
-				{"hijack-steady", testbed.ScenarioSteadyControl, discover.GoalHijack, wantHijackSteady},
-				{"hijack-window", testbed.ScenarioSetupWindow, discover.GoalHijack, wantHijackWindow},
-				{"disconnect", testbed.ScenarioSteadyControl, discover.GoalDisconnect, wantDisconnect},
-				{"steal", testbed.ScenarioSteadyControl, discover.GoalStealData, wantData},
-				{"inject", testbed.ScenarioSteadyControl, discover.GoalInjectData, wantData},
-				{"occupy", testbed.ScenarioPreSetup, discover.GoalOccupy, wantOccupy},
+				{"hijack-steady", testbed.ScenarioSteadyControl, core.GoalHijack, wantHijackSteady},
+				{"hijack-window", testbed.ScenarioSetupWindow, core.GoalHijack, wantHijackWindow},
+				{"disconnect", testbed.ScenarioSteadyControl, core.GoalDisconnect, wantDisconnect},
+				{"steal", testbed.ScenarioSteadyControl, core.GoalStealData, wantData},
+				{"inject", testbed.ScenarioSteadyControl, core.GoalInjectData, wantData},
+				{"occupy", testbed.ScenarioPreSetup, core.GoalOccupy, wantOccupy},
 			}
 			for _, c := range checks {
 				got := len(findAttack(attacks, c.scenario, c.goal)) > 0
@@ -228,14 +228,16 @@ func TestSearchValidatesDepth(t *testing.T) {
 	}
 }
 
+// TestActionAndGoalStrings: every action, goal and scenario the searcher
+// composes has a name, and a discovered attack renders as text.
 func TestActionAndGoalStrings(t *testing.T) {
 	for _, a := range discover.AllActions() {
 		if a.String() == "" {
 			t.Errorf("action %d has empty name", int(a))
 		}
 	}
-	for _, g := range discover.AllGoals() {
-		if g.String() == "" {
+	for _, g := range core.AllGoals() {
+		if g.String() == "" || g.Objective() == "" {
 			t.Errorf("goal %d has empty name", int(g))
 		}
 	}
@@ -246,8 +248,8 @@ func TestActionAndGoalStrings(t *testing.T) {
 	}
 	a := discover.Attack{
 		Scenario: testbed.ScenarioSteadyControl,
-		Goal:     discover.GoalHijack,
-		Sequence: []testbed.Step{testbed.StepForgeBind},
+		Goal:     core.GoalHijack,
+		Sequence: []core.Move{core.MoveForgeBind},
 	}
 	if a.String() == "" {
 		t.Error("attack string empty")

@@ -156,7 +156,7 @@ type Plan struct {
 	// AttacksBefore and AttacksAfter count the analyzer-predicted
 	// successful attacks.
 	AttacksBefore, AttacksAfter int
-	// Verified reports that the model checker proves all four safety
+	// Verified reports that the model checker proves all five safety
 	// properties on the hardened design.
 	Verified bool
 }

@@ -62,44 +62,10 @@ type DelegationResult struct {
 	Succeeds bool
 	// Trace is a minimal move sequence reaching a realizing state (nil
 	// when the attack is blocked).
-	Trace []Move
+	Trace []core.Move
 	// StatesExplored is the size of the reachable state space.
 	StatesExplored int
 }
-
-// The delegation sub-model's moves.
-const (
-	MoveOwnerDelegateFull     Move = "owner-delegates-guest-control"
-	MoveOwnerDelegateReadOnly Move = "owner-delegates-guest-readonly"
-	MoveGuestRedelegateCtl    Move = "guest-redelegates-control"
-	MoveGuestRedelegateRead   Move = "guest-redelegates-read"
-	MoveOwnerRevokeGuest      Move = "owner-revokes-guest"
-	MoveGuestControlBegin     Move = "guest-control-verifies-token"
-	MoveGuestControlLand      Move = "guest-control-lands"
-	MoveSubguestControlToken  Move = "subguest-controls-with-token"
-	MoveSubguestControlUser   Move = "subguest-controls-with-usertoken"
-)
-
-// The sub-model's moves by the number an edge carries, in the order
-// successors tries them, and the table that names them.
-const (
-	ownerDelegateFull uint8 = iota
-	ownerDelegateReadOnly
-	guestRedelegateCtl
-	guestRedelegateRead
-	ownerRevokeGuest
-	guestControlBegin
-	guestControlLand
-	subguestControlToken
-	subguestControlUser
-)
-
-var dmoves = [...]Move{
-	MoveOwnerDelegateFull, MoveOwnerDelegateReadOnly, MoveGuestRedelegateCtl, MoveGuestRedelegateRead,
-	MoveOwnerRevokeGuest, MoveGuestControlBegin, MoveGuestControlLand, MoveSubguestControlToken, MoveSubguestControlUser,
-}
-
-func (dstate) moveName(move uint8) Move { return dmoves[move] }
 
 // dstate is the abstract delegation state. Scope fields use the concrete
 // bitmask; zero means no grant.
@@ -146,7 +112,7 @@ func (s *dsystem) successors(st dstate) (out edges[dstate]) {
 	// Owner delegates to the guest (replacing any existing grant —
 	// replacement severs the derived subtree, exactly as the lattice
 	// does). Minting accompanies every grant.
-	grant := func(move uint8, scope delegation.Scope) {
+	grant := func(move core.Move, scope delegation.Scope) {
 		to := st
 		to.aScope = scope
 		to.aTok = true
@@ -156,14 +122,14 @@ func (s *dsystem) successors(st dstate) (out edges[dstate]) {
 		to.bTok = false
 		out.add(move, to)
 	}
-	grant(ownerDelegateFull, delegation.ScopeControl|delegation.ScopeRead|delegation.ScopeShare)
-	grant(ownerDelegateReadOnly, delegation.ScopeRead|delegation.ScopeShare)
+	grant(core.MoveOwnerDelegateFull, delegation.ScopeControl|delegation.ScopeRead|delegation.ScopeShare)
+	grant(core.MoveOwnerDelegateReadOnly, delegation.ScopeRead|delegation.ScopeShare)
 
 	// Guest re-delegates to the sub-guest. Requires the share scope;
 	// under attenuation the derived scopes must be a subset of the
 	// guest's own.
 	if st.aScope.Has(delegation.ScopeShare) {
-		redelegate := func(move uint8, scope delegation.Scope) {
+		redelegate := func(move core.Move, scope delegation.Scope) {
 			if s.d.DelegationScopeAttenuation && !st.aScope.Has(scope) {
 				return
 			}
@@ -172,8 +138,8 @@ func (s *dsystem) successors(st dstate) (out edges[dstate]) {
 			to.bTok = true
 			out.add(move, to)
 		}
-		redelegate(guestRedelegateCtl, delegation.ScopeControl)
-		redelegate(guestRedelegateRead, delegation.ScopeRead)
+		redelegate(core.MoveGuestRedelegateCtl, delegation.ScopeControl)
+		redelegate(core.MoveGuestRedelegateRead, delegation.ScopeRead)
 	}
 
 	// Owner revokes the guest. The target's grant and token always go;
@@ -188,7 +154,7 @@ func (s *dsystem) successors(st dstate) (out edges[dstate]) {
 			to.bScope = 0
 			to.bTok = false
 		}
-		out.add(ownerRevokeGuest, to)
+		out.add(core.MoveOwnerRevokeGuest, to)
 	}
 
 	// Guest control, split at the verification boundary: the token
@@ -198,7 +164,7 @@ func (s *dsystem) successors(st dstate) (out edges[dstate]) {
 	if st.aTok && !st.inflight {
 		to := st
 		to.inflight = true
-		out.add(guestControlBegin, to)
+		out.add(core.MoveGuestControlBegin, to)
 	}
 	if st.inflight {
 		to := st
@@ -210,7 +176,7 @@ func (s *dsystem) successors(st dstate) (out edges[dstate]) {
 				// one-shot window.
 				to.stale = true
 			}
-			out.add(guestControlLand, to)
+			out.add(core.MoveGuestControlLand, to)
 		}
 	}
 
@@ -220,7 +186,7 @@ func (s *dsystem) successors(st dstate) (out edges[dstate]) {
 		if !s.d.DelegationCheckAtUse || s.authorizedSub(st, delegation.ScopeControl) {
 			to := st
 			s.markSubControl(&to, st)
-			out.add(subguestControlToken, to)
+			out.add(core.MoveSubguestControlToken, to)
 		}
 	}
 
@@ -231,7 +197,7 @@ func (s *dsystem) successors(st dstate) (out edges[dstate]) {
 		if s.authorizedSub(st, delegation.ScopeControl) {
 			to := st
 			s.markSubControl(&to, st)
-			out.add(subguestControlUser, to)
+			out.add(core.MoveSubguestControlUser, to)
 		}
 	}
 

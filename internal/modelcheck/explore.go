@@ -1,14 +1,16 @@
 package modelcheck
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/iotbind/iotbind/internal/core"
+)
 
 // packed is a model state that numbers itself below 1<<keyBits, so the
-// explorer keeps the reachable set as a bitset on its stack, and names its
-// model's moves by the numbers edges carry.
+// explorer keeps the reachable set as a bitset on its stack.
 type packed interface {
 	comparable
 	key() uint16
-	moveName(move uint8) Move
 }
 
 const (
@@ -17,27 +19,27 @@ const (
 	maxEdges  = 9   // the most moves either model enables in one state
 )
 
-// edges is the moves a model enables in one state, in a fixed order, each
-// by its number in the model's move table. A model returns it by value, so
-// enumerating a state's moves allocates nothing.
+// edges is the moves a model enables in one state, in a fixed order. A
+// model returns it by value, so enumerating a state's moves allocates
+// nothing.
 type edges[S any] struct {
 	n    int
 	list [maxEdges]struct {
-		move uint8
+		move core.Move
 		to   S
 	}
 }
 
-func (es *edges[S]) add(move uint8, to S) {
+func (es *edges[S]) add(move core.Move, to S) {
 	es.list[es.n].move, es.list[es.n].to = move, to
 	es.n++
 }
 
 // link records how the search first reached a state: its predecessor's
-// position in the search order, the move's number, and how deep.
+// position in the search order, the move, and how deep.
 type link struct {
 	prev, depth uint16
-	move        uint8
+	move        core.Move
 }
 
 // space is a model's reachable set, held entirely in the struct. A caller
@@ -78,11 +80,11 @@ func (sp *space[S]) explore(model string, start S) {
 }
 
 // shortest returns the moves leading to a bad state, followed by suffix,
-// or nil when no reachable state is bad. The shortest trace wins and
-// lexicographic order breaks length ties, so the verdict's trace is a
-// function of the design alone. Candidates are compared in place; only
-// the winner's trace is built.
-func (sp *space[S]) shortest(bad func(S) bool, suffix ...Move) []Move {
+// or nil when no reachable state is bad. The shortest trace wins and the
+// lexicographic order of the moves' names breaks length ties, so the
+// verdict's trace is a function of the design alone. Candidates are
+// compared in place; only the winner's trace is built.
+func (sp *space[S]) shortest(bad func(S) bool, suffix ...core.Move) []core.Move {
 	best := -1
 	for p := 0; p < sp.n; p++ {
 		if !bad(sp.order[p]) {
@@ -98,25 +100,23 @@ func (sp *space[S]) shortest(bad func(S) bool, suffix ...Move) []Move {
 	if best < 0 {
 		return nil
 	}
-	var st S
 	depth := int(sp.links[best].depth)
-	out := make([]Move, depth+len(suffix))
+	out := make([]core.Move, depth+len(suffix))
 	copy(out[depth:], suffix)
 	for i, p := depth-1, best; i >= 0; i, p = i-1, int(sp.links[p].prev) {
-		out[i] = st.moveName(sp.links[p].move)
+		out[i] = sp.links[p].move
 	}
 	return out
 }
 
 // less reports whether the trace to p sorts before the equally deep trace
-// to q. Walking both back until they meet, the last difference seen is
-// the first in trace order.
+// to q, comparing moves by name. Walking both back until they meet, the
+// last difference seen is the first in trace order.
 func (sp *space[S]) less(p, q int) bool {
-	var st S
 	less := false
 	for p != q {
-		if a, b := st.moveName(sp.links[p].move), st.moveName(sp.links[q].move); a != b {
-			less = a < b
+		if a, b := sp.links[p].move, sp.links[q].move; a != b {
+			less = a.String() < b.String()
 		}
 		p, q = int(sp.links[p].prev), int(sp.links[q].prev)
 	}

@@ -85,8 +85,6 @@ type counter uint16
 
 func (c counter) key() uint16 { return uint16(c) }
 
-func (counter) moveName(uint8) Move { return "count" }
-
 // TestExploreNamesAnOversizedModel: a model that reaches more states than
 // the explorer holds stops the search with a panic naming it, rather than
 // wrapping around its fixed arrays.
@@ -99,7 +97,7 @@ func TestExploreNamesAnOversizedModel(t *testing.T) {
 	}()
 	sp := space[counter]{next: func(c counter) (out edges[counter]) {
 		if c < 1000 {
-			out.add(0, c+1)
+			out.add(core.MoveForgeRegister, c+1)
 		}
 		return out
 	}}

@@ -8,8 +8,14 @@
 // session credentials, and what the adversary has achieved; the moves are
 // the adversary's forgeries plus the device's own re-registration. Because
 // the abstraction is finite, the checker explores it to a fixpoint —
-// every reachable state, not a bounded prefix — and decides five safety
-// properties, producing a minimal counterexample trace for each violation.
+// every reachable state, not a bounded prefix — and decides the safety
+// property of each of core's five goals, producing a minimal
+// counterexample trace for each violation.
+//
+// Moves and goals are core's (core.Move, core.Goal), the vocabulary the
+// live rig and the discovery searcher speak too: a counterexample is a
+// move sequence testbed.Stage runs as it stands, and the goal's live probe
+// (testbed.Reached) says whether it landed.
 //
 // The abstraction is the third independent formalization of the binding
 // semantics in this repository (after the rule-based analyzer and the
@@ -61,94 +67,29 @@ func (st state) key() uint16 {
 		bit(st.deviceHasNonce)<<5 | bit(st.stoleData)<<6 | bit(st.injectedData)<<7
 }
 
-// Move is one transition label in a counterexample trace.
-type Move string
+// Property and the five Prop names are core's goals under the names the
+// benchmark's attack matrix reads; ROADMAP item 2(b) deletes them with the
+// rest of what only bench/ keeps.
+type Property = core.Goal
 
-// The abstract moves.
+// The properties, as the benchmark names them.
 const (
-	MoveForgeRegister  Move = "forge-register"
-	MoveForgeHeartbeat Move = "forge-data-heartbeat"
-	MoveForgeBind      Move = "forge-bind"
-	MoveForgeUnbindT1  Move = "forge-unbind-usertoken"
-	MoveForgeUnbindT2  Move = "forge-unbind-devid"
-	MoveDeviceRejoin   Move = "device-reregisters"
+	PropNoHijack         = core.GoalHijack
+	PropBindingPreserved = core.GoalDisconnect
+	PropNoDataTheft      = core.GoalStealData
+	PropNoDataInjection  = core.GoalInjectData
+	PropVictimCanBind    = core.GoalOccupy
 )
-
-// The abstract moves by the number an edge carries, in the order
-// successors tries them, and the table that names them.
-const (
-	forgeRegister uint8 = iota
-	forgeHeartbeat
-	forgeBind
-	forgeUnbindT1
-	forgeUnbindT2
-	deviceRejoin
-)
-
-var moves = [...]Move{MoveForgeRegister, MoveForgeHeartbeat, MoveForgeBind, MoveForgeUnbindT1, MoveForgeUnbindT2, MoveDeviceRejoin}
-
-func (state) moveName(move uint8) Move { return moves[move] }
-
-// Property is a verified safety property.
-type Property int
-
-// The verified properties.
-const (
-	// PropNoHijack: in no reachable state does the adversary hold the
-	// binding while the real device would execute their commands.
-	PropNoHijack Property = iota + 1
-	// PropBindingPreserved: the victim's binding survives every
-	// adversary behaviour (its violation is the A2/A3/A4 family's
-	// disconnection effect).
-	PropBindingPreserved
-	// PropNoDataTheft: the adversary never receives the victim's
-	// pending user data.
-	PropNoDataTheft
-	// PropNoDataInjection: no forged reading is ever attributed to the
-	// victim's device while the victim is bound.
-	PropNoDataInjection
-	// PropVictimCanBind: starting from the factory state, the legitimate
-	// user's setup always ends with them bound, whatever the adversary
-	// did first (its violation is binding denial-of-service, A2).
-	PropVictimCanBind
-)
-
-// AllProperties lists the verified properties.
-func AllProperties() []Property {
-	return []Property{
-		PropNoHijack, PropBindingPreserved,
-		PropNoDataTheft, PropNoDataInjection,
-		PropVictimCanBind,
-	}
-}
-
-// String implements fmt.Stringer.
-func (p Property) String() string {
-	switch p {
-	case PropNoHijack:
-		return "no-hijack"
-	case PropBindingPreserved:
-		return "binding-preserved"
-	case PropNoDataTheft:
-		return "no-data-theft"
-	case PropNoDataInjection:
-		return "no-data-injection"
-	case PropVictimCanBind:
-		return "victim-can-bind"
-	default:
-		return fmt.Sprintf("Property(%d)", int(p))
-	}
-}
 
 // Result is the verdict for one property.
 type Result struct {
-	// Property is the property checked.
-	Property Property
+	// Property is the goal whose safety property was checked.
+	Property core.Goal
 	// Holds reports whether the property holds in every reachable state.
 	Holds bool
 	// Counterexample is a minimal move sequence reaching a violating
 	// state (nil when the property holds).
-	Counterexample []Move
+	Counterexample []core.Move
 	// StatesExplored is the size of the reachable state space.
 	StatesExplored int
 }
@@ -164,9 +105,9 @@ func Check(design core.DesignSpec) ([]Result, error) {
 	steady := space[state]{next: sys.successors}
 	steady.explore("binding", sys.initial())
 
-	results := make([]Result, 0, len(AllProperties()))
-	for _, prop := range AllProperties() {
-		if prop == PropVictimCanBind {
+	results := make([]Result, 0, len(core.AllGoals()))
+	for _, prop := range core.AllGoals() {
+		if prop == core.GoalOccupy {
 			results = append(results, sys.checkSetup())
 			continue
 		}
@@ -179,23 +120,19 @@ func Check(design core.DesignSpec) ([]Result, error) {
 	return results, nil
 }
 
-// MoveVictimSetup labels the victim's complete setup flow in setup-time
-// counterexamples.
-const MoveVictimSetup Move = "victim-setup"
-
-// checkSetup verifies PropVictimCanBind: explore the adversary's moves
-// from the factory state, then let the victim run their design's setup
-// flow from every reachable state; the property is violated when any of
-// those setups leaves the victim unbound.
+// checkSetup verifies victim-can-bind (core.GoalOccupy): explore the
+// adversary's moves from the factory state, then let the victim run their
+// design's setup flow from every reachable state; the property is
+// violated when any of those setups leaves the victim unbound.
 func (s *system) checkSetup() Result {
 	factory := space[state]{next: s.successors}
 	factory.explore("binding", state{bound: nobody, deviceHasToken: true, deviceHasNonce: true})
 	cex := factory.shortest(func(st state) bool {
 		_, lockedOut := s.applySetup(st)
 		return lockedOut
-	}, MoveVictimSetup)
+	}, core.MoveVictimSetup)
 	return Result{
-		Property: PropVictimCanBind, Holds: cex == nil,
+		Property: core.GoalOccupy, Holds: cex == nil,
 		Counterexample: cex, StatesExplored: factory.n,
 	}
 }
@@ -289,7 +226,7 @@ func (s *system) successors(st state) (out edges[state]) {
 			// stale.
 			to.deviceHasNonce = false
 		}
-		out.add(forgeRegister, to)
+		out.add(core.MoveForgeRegister, to)
 	}
 
 	// Adversary: forged data-bearing heartbeat.
@@ -301,7 +238,7 @@ func (s *system) successors(st state) (out edges[state]) {
 				to.stoleData = true
 				to.injectedData = true
 			}
-			out.add(forgeHeartbeat, to)
+			out.add(core.MoveForgeDataHeartbeat, to)
 		}
 	}
 
@@ -316,7 +253,7 @@ func (s *system) successors(st state) (out edges[state]) {
 				to.sessTokenHolder = adversary
 				to.deviceHasToken = false // rotated; only the binder got it
 			}
-			out.add(forgeBind, to)
+			out.add(core.MoveForgeBind, to)
 		}
 	}
 
@@ -327,7 +264,7 @@ func (s *system) successors(st state) (out edges[state]) {
 		if !s.d.CheckBoundUserOnUnbind || st.bound == adversary {
 			to := st
 			s.revokeBinding(&to)
-			out.add(forgeUnbindT1, to)
+			out.add(core.MoveForgeUnbindUserToken, to)
 		}
 	}
 
@@ -336,7 +273,7 @@ func (s *system) successors(st state) (out edges[state]) {
 	if s.unbindAlone && s.canForge && st.bound != nobody {
 		to := st
 		s.revokeBinding(&to)
-		out.add(forgeUnbindT2, to)
+		out.add(core.MoveForgeUnbindDevID, to)
 	}
 
 	// Environment: the real device reconnects and resumes its session,
@@ -347,7 +284,7 @@ func (s *system) successors(st state) (out edges[state]) {
 	{
 		to := st
 		to.deviceHasNonce = true
-		out.add(deviceRejoin, to)
+		out.add(core.MoveDeviceReregisters, to)
 	}
 
 	return out
@@ -384,16 +321,16 @@ func (s *system) deviceObeysAdversary(st state) bool {
 	return true
 }
 
-// violates decides whether st violates prop.
-func (s *system) violates(prop Property, st state) bool {
-	switch prop {
-	case PropNoHijack:
+// violates decides whether st violates the safety property of goal.
+func (s *system) violates(goal core.Goal, st state) bool {
+	switch goal {
+	case core.GoalHijack:
 		return s.deviceObeysAdversary(st)
-	case PropBindingPreserved:
+	case core.GoalDisconnect:
 		return st.bound != victim
-	case PropNoDataTheft:
+	case core.GoalStealData:
 		return st.stoleData
-	case PropNoDataInjection:
+	case core.GoalInjectData:
 		return st.injectedData
 	default:
 		return false

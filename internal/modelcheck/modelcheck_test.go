@@ -10,7 +10,7 @@ import (
 	"github.com/iotbind/iotbind/internal/vendors"
 )
 
-func resultFor(t *testing.T, results []modelcheck.Result, p modelcheck.Property) modelcheck.Result {
+func resultFor(t *testing.T, results []modelcheck.Result, p core.Goal) modelcheck.Result {
 	t.Helper()
 	for _, r := range results {
 		if r.Property == p {
@@ -19,6 +19,29 @@ func resultFor(t *testing.T, results []modelcheck.Result, p modelcheck.Property)
 	}
 	t.Fatalf("no result for %v", p)
 	return modelcheck.Result{}
+}
+
+// TestPropertyStrings: Check reports one named verdict per goal, and no
+// two properties share a name.
+func TestPropertyStrings(t *testing.T) {
+	results, err := modelcheck.Check(vendors.SecureReference().Design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(core.AllGoals()) {
+		t.Errorf("Check returned %d verdicts, want %d", len(results), len(core.AllGoals()))
+	}
+	seen := make(map[string]bool)
+	for _, r := range results {
+		name := r.Property.String()
+		if name == "" {
+			t.Errorf("property %d unnamed", int(r.Property))
+		}
+		if seen[name] {
+			t.Errorf("property name %q reported twice", name)
+		}
+		seen[name] = true
+	}
 }
 
 // TestSecureDesignsVerify: the reference designs satisfy all five
@@ -54,11 +77,11 @@ func TestTPLinkCounterexampleIsTheA4x3Chain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hijack := resultFor(t, results, modelcheck.PropNoHijack)
+	hijack := resultFor(t, results, core.GoalHijack)
 	if hijack.Holds {
 		t.Fatal("no-hijack holds on TP-LINK, want violation")
 	}
-	want := []modelcheck.Move{modelcheck.MoveForgeUnbindT2, modelcheck.MoveForgeBind}
+	want := []core.Move{core.MoveForgeUnbindDevID, core.MoveForgeBind}
 	if len(hijack.Counterexample) != len(want) {
 		t.Fatalf("counterexample = %v, want %v", hijack.Counterexample, want)
 	}
@@ -69,12 +92,12 @@ func TestTPLinkCounterexampleIsTheA4x3Chain(t *testing.T) {
 	}
 
 	// Binding preservation falls with one move.
-	bp := resultFor(t, results, modelcheck.PropBindingPreserved)
+	bp := resultFor(t, results, core.GoalDisconnect)
 	if bp.Holds || len(bp.Counterexample) != 1 {
 		t.Errorf("binding-preserved = %+v, want one-move violation", bp)
 	}
 	// Data stays safe: the in-session protection holds formally.
-	if theft := resultFor(t, results, modelcheck.PropNoDataTheft); !theft.Holds {
+	if theft := resultFor(t, results, core.GoalStealData); !theft.Holds {
 		t.Errorf("no-data-theft violated: %v", theft.Counterexample)
 	}
 }
@@ -90,26 +113,26 @@ func TestDLinkDataProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, prop := range []modelcheck.Property{modelcheck.PropNoDataTheft, modelcheck.PropNoDataInjection} {
+	for _, prop := range []core.Goal{core.GoalStealData, core.GoalInjectData} {
 		r := resultFor(t, results, prop)
 		if r.Holds {
 			t.Errorf("%v holds on D-LINK, want violation", prop)
 			continue
 		}
-		if len(r.Counterexample) != 1 || r.Counterexample[0] != modelcheck.MoveForgeHeartbeat {
+		if len(r.Counterexample) != 1 || r.Counterexample[0] != core.MoveForgeDataHeartbeat {
 			t.Errorf("%v counterexample = %v, want [forge-data-heartbeat]", prop, r.Counterexample)
 		}
 	}
 	// No hijack path exists on D-LINK.
-	if r := resultFor(t, results, modelcheck.PropNoHijack); !r.Holds {
+	if r := resultFor(t, results, core.GoalHijack); !r.Holds {
 		t.Errorf("no-hijack violated on D-LINK: %v", r.Counterexample)
 	}
 	// But the setup property falls to the one-move squat (A2).
-	setup := resultFor(t, results, modelcheck.PropVictimCanBind)
+	setup := resultFor(t, results, core.GoalOccupy)
 	if setup.Holds {
 		t.Fatal("victim-can-bind holds on D-LINK, want the A2 violation")
 	}
-	want := []modelcheck.Move{modelcheck.MoveForgeBind, modelcheck.MoveVictimSetup}
+	want := []core.Move{core.MoveForgeBind, core.MoveVictimSetup}
 	if len(setup.Counterexample) != len(want) ||
 		setup.Counterexample[0] != want[0] || setup.Counterexample[1] != want[1] {
 		t.Errorf("A2 counterexample = %v, want %v", setup.Counterexample, want)
@@ -176,7 +199,7 @@ func assertAgreement(t *testing.T, d core.DesignSpec) bool {
 	wantDoS := pred[core.VariantA2]
 
 	ok := true
-	check := func(prop modelcheck.Property, wantViolated bool) {
+	check := func(prop core.Goal, wantViolated bool) {
 		r := resultFor(t, results, prop)
 		if r.Holds == wantViolated {
 			t.Errorf("design %q: %v holds=%v but analyzer implies violated=%v (cex %v)",
@@ -184,24 +207,16 @@ func assertAgreement(t *testing.T, d core.DesignSpec) bool {
 			ok = false
 		}
 	}
-	check(modelcheck.PropNoHijack, wantHijack)
-	check(modelcheck.PropBindingPreserved, wantBindingLoss)
-	check(modelcheck.PropNoDataTheft, wantData)
-	check(modelcheck.PropNoDataInjection, wantData)
-	check(modelcheck.PropVictimCanBind, wantDoS)
+	check(core.GoalHijack, wantHijack)
+	check(core.GoalDisconnect, wantBindingLoss)
+	check(core.GoalStealData, wantData)
+	check(core.GoalInjectData, wantData)
+	check(core.GoalOccupy, wantDoS)
 	return ok
 }
 
 func TestCheckRejectsInvalidDesign(t *testing.T) {
 	if _, err := modelcheck.Check(core.DesignSpec{}); err == nil {
 		t.Error("invalid design accepted")
-	}
-}
-
-func TestPropertyStrings(t *testing.T) {
-	for _, p := range modelcheck.AllProperties() {
-		if p.String() == "" {
-			t.Errorf("property %d unnamed", int(p))
-		}
 	}
 }

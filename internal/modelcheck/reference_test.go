@@ -14,7 +14,7 @@ import "github.com/iotbind/iotbind/internal/core"
 
 type refLink[S comparable] struct {
 	prev S
-	move Move
+	move core.Move
 	root bool
 }
 
@@ -35,7 +35,7 @@ func refExplore[S packed](start S, successors func(S) edges[S]) refSpace[S] {
 					continue
 				}
 				sp.reachable[succ.to] = true
-				sp.parents[succ.to] = refLink[S]{prev: st, move: succ.to.moveName(succ.move)}
+				sp.parents[succ.to] = refLink[S]{prev: st, move: succ.move}
 				next = append(next, succ.to)
 			}
 		}
@@ -44,8 +44,8 @@ func refExplore[S packed](start S, successors func(S) edges[S]) refSpace[S] {
 	return sp
 }
 
-func (sp refSpace[S]) traceTo(st S) []Move {
-	var rev []Move
+func (sp refSpace[S]) traceTo(st S) []core.Move {
+	var rev []core.Move
 	for {
 		link, ok := sp.parents[st]
 		if !ok || link.root {
@@ -54,15 +54,15 @@ func (sp refSpace[S]) traceTo(st S) []Move {
 		rev = append(rev, link.move)
 		st = link.prev
 	}
-	out := make([]Move, 0, len(rev))
+	out := make([]core.Move, 0, len(rev))
 	for i := len(rev) - 1; i >= 0; i-- {
 		out = append(out, rev[i])
 	}
 	return out
 }
 
-func (sp refSpace[S]) shortest(bad func(S) bool, suffix ...Move) []Move {
-	var best []Move
+func (sp refSpace[S]) shortest(bad func(S) bool, suffix ...core.Move) []core.Move {
+	var best []core.Move
 	for st := range sp.reachable {
 		if !bad(st) {
 			continue
@@ -75,11 +75,11 @@ func (sp refSpace[S]) shortest(bad func(S) bool, suffix ...Move) []Move {
 	return best
 }
 
-// movesLess orders equal-length move sequences lexicographically.
-func movesLess(a, b []Move) bool {
+// movesLess orders equal-length move sequences lexicographically by name.
+func movesLess(a, b []core.Move) bool {
 	for i := range a {
 		if a[i] != b[i] {
-			return a[i] < b[i]
+			return a[i].String() < b[i].String()
 		}
 	}
 	return false
@@ -91,10 +91,10 @@ func ReferenceCheck(design core.DesignSpec) []Result {
 	steady := refExplore(sys.initial(), sys.successors)
 	factory := refExplore(state{bound: nobody, deviceHasToken: true, deviceHasNonce: true}, sys.successors)
 	var results []Result
-	for _, prop := range AllProperties() {
-		sp, bad, suffix := steady, func(st state) bool { return sys.violates(prop, st) }, []Move(nil)
-		if prop == PropVictimCanBind {
-			sp, suffix = factory, []Move{MoveVictimSetup}
+	for _, prop := range core.AllGoals() {
+		sp, bad, suffix := steady, func(st state) bool { return sys.violates(prop, st) }, []core.Move(nil)
+		if prop == core.GoalOccupy {
+			sp, suffix = factory, []core.Move{core.MoveVictimSetup}
 			bad = func(st state) bool {
 				_, lockedOut := sys.applySetup(st)
 				return lockedOut

@@ -22,7 +22,7 @@ func WriteDiscovery(w io.Writer, design core.DesignSpec, attacks []discover.Atta
 		for _, act := range a.Sequence {
 			parts = append(parts, act.String())
 		}
-		tw.row(a.Scenario.String(), a.Goal.String(), strings.Join(parts, " , "))
+		tw.row(a.Scenario.String(), a.Goal.Objective(), strings.Join(parts, " , "))
 	}
 	return tw.flush(fmt.Sprintf("Automatic attack discovery: %s", design.Name))
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/discover"
 	"github.com/iotbind/iotbind/internal/modelcheck"
 	"github.com/iotbind/iotbind/internal/testbed"
@@ -15,8 +16,8 @@ func TestWriteDiscovery(t *testing.T) {
 	attacks := []discover.Attack{
 		{
 			Scenario: testbed.ScenarioSteadyControl,
-			Goal:     discover.GoalHijack,
-			Sequence: []testbed.Step{testbed.StepForgeUnbindDevID, testbed.StepForgeBind},
+			Goal:     core.GoalHijack,
+			Sequence: []core.Move{core.MoveForgeUnbindDevID, core.MoveForgeBind},
 		},
 	}
 	var b strings.Builder

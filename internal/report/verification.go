@@ -20,7 +20,7 @@ func WriteVerification(w io.Writer, design core.DesignSpec, results []modelcheck
 		}
 		moves := make([]string, 0, len(r.Counterexample))
 		for _, m := range r.Counterexample {
-			moves = append(moves, string(m))
+			moves = append(moves, m.String())
 		}
 		tw.row(r.Property.String(), "VIOLATED", strings.Join(moves, " , "))
 	}

@@ -195,15 +195,15 @@ func variantMask(vs []core.AttackVariant) uint64 {
 // ---- attack procedures ---------------------------------------------------
 
 // procedure is one Table II row made executable: the victim situation the
-// variant targets, the forged messages in order, and how its consequence
-// is observed once every message went through.
+// variant targets, the moves in order, and the goals whose live probes
+// (Reached) observe its consequence once every move went through.
 type procedure struct {
 	scenario Scenario
-	steps    []Step
-	// landed probes for the consequence. setupErr is the outcome of a
-	// victim setup that ran after or around the steps (Stage). Read-only
-	// probes come before a control probe, which pumps a device heartbeat.
-	landed func(tb *Testbed, setupErr error) (bool, error)
+	moves    []core.Move
+	// landed when every goal is reached, probed in order up to the first
+	// that is not, and then unless (if set) is not.
+	goals  []core.Goal
+	unless core.Goal
 	// won and lost are the Detail of a ✓ and of a ✗ whose messages were
 	// all accepted.
 	won, lost string
@@ -215,86 +215,68 @@ type procedure struct {
 var procedures = [...]procedure{
 	core.VariantA1: {
 		// Fake readings go up, and the user's pending data comes back down.
-		ScenarioSteadyControl, []Step{StepParkSecret, StepForgeDataHeartbeat}, injectedAndStolen,
+		ScenarioSteadyControl, []core.Move{core.MoveParkSecret, core.MoveForgeDataHeartbeat},
+		[]core.Goal{core.GoalInjectData, core.GoalStealData}, 0,
 		"fake reading visible to the victim; victim's schedule exfiltrated",
 		"the forged status did not both inject a reading the still-bound victim sees and exfiltrate the schedule",
 	},
 	core.VariantA2: {
 		// Occupy the binding before the victim's first setup.
-		ScenarioPreSetup, []Step{StepForgeBind}, setupDenied,
+		ScenarioPreSetup, []core.Move{core.MoveForgeBind}, []core.Goal{core.GoalOccupy}, 0,
 		"the squatting binding keeps the victim from controlling the device",
 		"the victim's setup displaced the squatting binding",
 	},
 	core.VariantA3x1: {
-		ScenarioSteadyControl, []Step{StepForgeUnbindDevID}, victimUnbound,
+		ScenarioSteadyControl, []core.Move{core.MoveForgeUnbindDevID}, []core.Goal{core.GoalDisconnect}, 0,
 		"victim's binding revoked; device disconnected from the user",
 		"binding survived the forged unbind",
 	},
 	core.VariantA3x2: {
-		ScenarioSteadyControl, []Step{StepForgeUnbindUserToken}, victimUnbound,
+		ScenarioSteadyControl, []core.Move{core.MoveForgeUnbindUserToken}, []core.Goal{core.GoalDisconnect}, 0,
 		"victim's binding revoked; device disconnected from the user",
 		"binding survived the forged unbind",
 	},
 	core.VariantA3x3: {
 		// Succeeds only when the replacement does NOT grant control;
 		// otherwise the episode classifies as A4-1.
-		ScenarioSteadyControl, []Step{StepForgeBind}, unboundWithoutTakeover,
+		ScenarioSteadyControl, []core.Move{core.MoveForgeBind}, []core.Goal{core.GoalDisconnect}, core.GoalHijack,
 		"binding replaced; the attacker gains no control, leaving pure disconnection",
 		"binding survived the forged bind, or the replacement granted control (the episode classifies as A4-1)",
 	},
 	core.VariantA3x4: {
-		ScenarioSteadyControl, []Step{StepForgeRegister}, victimUnbound,
+		ScenarioSteadyControl, []core.Move{core.MoveForgeRegister}, []core.Goal{core.GoalDisconnect}, 0,
 		"cloud adopted the forged registration as a reset and revoked the binding",
 		"binding survived the forged registration",
 	},
 	core.VariantA4x1: {
-		ScenarioSteadyControl, []Step{StepForgeBind}, attackerControls,
+		ScenarioSteadyControl, []core.Move{core.MoveForgeBind}, []core.Goal{core.GoalHijack}, 0,
 		"existing binding manipulated without checks; attacker commands the device",
 		"forged bind did not yield control of the real device",
 	},
 	core.VariantA4x2: {
-		ScenarioSetupWindow, []Step{StepForgeBind}, attackerControls,
+		ScenarioSetupWindow, []core.Move{core.MoveForgeBind}, []core.Goal{core.GoalHijack}, 0,
 		"bound first in the setup window",
 		"window bind did not yield durable control",
 	},
 	core.VariantA4x3: {
-		ScenarioSteadyControl, []Step{StepForgeAnyUnbind, StepForgeBind}, attackerControls,
+		ScenarioSteadyControl, []core.Move{core.MoveForgeAnyUnbind, core.MoveForgeBind}, []core.Goal{core.GoalHijack}, 0,
 		"unbind opened the online state; the follow-up bind hijacked the device",
 		"the chained bind did not yield control of the real device",
 	},
 }
 
-func injectedAndStolen(tb *Testbed, _ error) (bool, error) {
-	bound, err := tb.VictimBound()
-	if err != nil || !bound {
-		return false, err
+// landed probes the procedure's consequence on this rig.
+func (tb *Testbed) landed(p *procedure, setupErr error) (bool, error) {
+	for _, g := range p.goals {
+		if ok, err := tb.Reached(g, setupErr); err != nil || !ok {
+			return false, err
+		}
 	}
-	injected, err := tb.VictimSeesInjectedReading()
-	if err != nil {
-		return false, err
+	if p.unless == 0 {
+		return true, nil
 	}
-	return injected && len(tb.atk.StolenData()) > 0, nil
-}
-
-func setupDenied(tb *Testbed, setupErr error) (bool, error) {
-	return setupErr != nil || !tb.VictimHasControl(), nil
-}
-
-func victimUnbound(tb *Testbed, _ error) (bool, error) {
-	bound, err := tb.VictimBound()
-	return !bound, err
-}
-
-func unboundWithoutTakeover(tb *Testbed, _ error) (bool, error) {
-	bound, err := tb.VictimBound()
-	if err != nil || bound {
-		return false, err
-	}
-	return !tb.AttackerHasControl(), nil
-}
-
-func attackerControls(tb *Testbed, _ error) (bool, error) {
-	return tb.AttackerHasControl(), nil
+	ok, err := tb.Reached(p.unless, setupErr)
+	return !ok, err
 }
 
 // run launches the variant's procedure on this (just reset) testbed and
@@ -305,14 +287,18 @@ func (tb *Testbed) run(v core.AttackVariant) (Result, error) {
 	}
 	p := &procedures[v]
 	res := Result{Variant: v}
-	launched, rejected, setupErr, err := tb.Stage(p.scenario, p.steps, true)
+	launched, rejected, setupErr, err := tb.Stage(p.scenario, p.moves, true)
 	switch {
 	case err != nil:
 		return Result{}, err
 	case !launched:
-		// Only the setup-window scenario can decline to launch.
+		// Only the setup-window scenario can decline to launch; its ✗
+		// needs a setup that ended with the victim in control.
 		if setupErr != nil {
 			return Result{}, fmt.Errorf("testbed: setup failed without attack: %w", setupErr)
+		}
+		if err := tb.victimInControl(); err != nil {
+			return Result{}, err
 		}
 		res.Outcome = core.OutcomeFailed
 		res.Detail = "setup exposes no online-unbound window"
@@ -322,7 +308,7 @@ func (tb *Testbed) run(v core.AttackVariant) (Result, error) {
 		res.Detail = fmt.Sprintf("forged message rejected: %v", rejected)
 		return res, nil
 	}
-	landed, err := p.landed(tb, setupErr)
+	landed, err := tb.landed(p, setupErr)
 	switch {
 	case err != nil:
 		return Result{}, err

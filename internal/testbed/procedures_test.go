@@ -3,6 +3,7 @@ package testbed
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,7 +83,7 @@ func matchGolden(t *testing.T, path, got string) {
 
 // TestProceduresCoverTableII: every Table II variant has exactly one
 // executable row, launched into the victim situation its targeted states
-// name.
+// name and observed by goals that situation is probed for.
 func TestProceduresCoverTableII(t *testing.T) {
 	variants := core.AllAttackVariants()
 	if len(procedures) != len(variants)+1 {
@@ -100,8 +101,13 @@ func TestProceduresCoverTableII(t *testing.T) {
 			continue
 		}
 		p := procedures[v]
-		if len(p.steps) == 0 || p.landed == nil || p.won == "" || p.lost == "" {
+		if len(p.moves) == 0 || len(p.goals) == 0 || p.won == "" || p.lost == "" {
 			t.Errorf("%v: incomplete procedure %+v", v, p)
+		}
+		for _, g := range append(p.goals, p.unless) {
+			if g != 0 && !slices.Contains(p.scenario.Goals(), g) {
+				t.Errorf("%v probes %v, which %v is not probed for", v, g, p.scenario)
+			}
 		}
 		for _, target := range v.TargetStates() {
 			if scenarioOf[target] != p.scenario {

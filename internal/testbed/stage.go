@@ -9,56 +9,8 @@ import (
 	"github.com/iotbind/iotbind/internal/protocol"
 )
 
-// Step is one move of an attack procedure: a message the remote adversary
-// forges from nothing but the leaked device ID and their own account, or
-// the one victim move a procedure needs staged for it.
-type Step int
-
-// The steps. The first five are the single forged messages the discovery
-// search composes; their values and names are part of discover's output.
-const (
-	// StepForgeRegister sends a forged registration status message.
-	StepForgeRegister Step = iota + 1
-	// StepForgeDataHeartbeat sends a forged heartbeat carrying a fake
-	// sensor reading (and collects whatever the cloud returns).
-	StepForgeDataHeartbeat
-	// StepForgeBind sends a forged binding message pairing the victim's
-	// device with the attacker's identity.
-	StepForgeBind
-	// StepForgeUnbindUserToken sends Unbind:(DevId, attacker's UserToken).
-	StepForgeUnbindUserToken
-	// StepForgeUnbindDevID sends Unbind:DevId.
-	StepForgeUnbindDevID
-	// StepForgeAnyUnbind is A4-3's "Unbind : DevId or (DevId, UserToken)":
-	// it tries each unbind form the design supports until the victim is
-	// unbound, and is unavailable (O) if the adversary could not even
-	// craft one of them.
-	StepForgeAnyUnbind
-	// StepParkSecret is the victim's own move: the app parks a private
-	// schedule for the device — the data-stealing target.
-	StepParkSecret
-)
-
-var stepNames = [...]string{
-	StepForgeRegister:        "forge-register",
-	StepForgeDataHeartbeat:   "forge-data-heartbeat",
-	StepForgeBind:            "forge-bind",
-	StepForgeUnbindUserToken: "forge-unbind-usertoken",
-	StepForgeUnbindDevID:     "forge-unbind-devid",
-	StepForgeAnyUnbind:       "forge-any-unbind",
-	StepParkSecret:           "park-secret",
-}
-
-// String implements fmt.Stringer.
-func (s Step) String() string {
-	if s < 1 || int(s) >= len(stepNames) {
-		return fmt.Sprintf("Step(%d)", int(s))
-	}
-	return stepNames[s]
-}
-
 // Scenario is the victim situation an attack is launched into — where in
-// the device's life cycle the steps run.
+// the device's life cycle the moves run.
 type Scenario int
 
 // Victim scenarios.
@@ -67,9 +19,9 @@ const (
 	// the device (the Table II control state).
 	ScenarioSteadyControl Scenario = iota + 1
 	// ScenarioPreSetup: the device is still in its box; the victim sets
-	// it up only after the steps ran (the initial state).
+	// it up only after the moves ran (the initial state).
 	ScenarioPreSetup
-	// ScenarioSetupWindow: the steps run inside the victim's setup, after
+	// ScenarioSetupWindow: the moves run inside the victim's setup, after
 	// the device comes online but before the app binds (the online-state
 	// window of A4-2).
 	ScenarioSetupWindow
@@ -89,11 +41,28 @@ func (s Scenario) String() string {
 	return scenarioNames[s]
 }
 
+// Goals lists the goals the scenario is probed for (Reached), in probe
+// order: the read-only probes before the hijack probe, which pumps a
+// device heartbeat.
+func (s Scenario) Goals() []core.Goal {
+	if s < 1 || int(s) >= len(scenarioGoals) {
+		return nil
+	}
+	return scenarioGoals[s]
+}
+
+var scenarioGoals = [...][]core.Goal{
+	ScenarioSteadyControl: {core.GoalStealData, core.GoalDisconnect, core.GoalInjectData, core.GoalHijack},
+	ScenarioPreSetup:      {core.GoalOccupy},
+	ScenarioSetupWindow:   {core.GoalHijack},
+}
+
 // injectedReading is the sentinel value of the fake reading
-// StepForgeDataHeartbeat reports and VictimSeesInjectedReading looks for.
+// MoveForgeDataHeartbeat reports and the injection probe (Reached) looks
+// for.
 const injectedReading = 9999
 
-// Pre-built refusals of StepForgeAnyUnbind: a blocked cell of the attack
+// Pre-built refusals of MoveForgeAnyUnbind: a blocked cell of the attack
 // matrix should cost no more allocations than a landed one.
 var (
 	errUnbindUnconfirmed = fmt.Errorf("testbed: the unbinding step could not be confirmed: %w", attacker.ErrForgeryUnavailable)
@@ -104,30 +73,38 @@ var (
 // move, a shadow probe — so it is never filed as a rejected forgery.
 type rigError struct{ error }
 
-// Forge performs one step against the victim's device. A nil error means
-// the step went through; otherwise it is the cloud's rejection, or wraps
-// attacker.ErrForgeryUnavailable when the adversary lacks the
-// device-protocol knowledge to craft the message.
-func (tb *Testbed) Forge(s Step) error {
-	switch s {
-	case StepForgeRegister:
+// Forge performs one move against the victim's device: an adversary's
+// forgery, or the victim's or their device's own move. A nil error means
+// the move went through; otherwise it is the cloud's rejection of a
+// forgery, or wraps attacker.ErrForgeryUnavailable when the adversary
+// lacks the device-protocol knowledge to craft the message.
+// MoveVictimSetup is the pre-setup scenario's own setup (Stage), and the
+// delegation sub-model's moves have no live counterpart here.
+func (tb *Testbed) Forge(m core.Move) error {
+	switch m {
+	case core.MoveForgeRegister:
 		_, err := tb.atk.ForgeStatus(tb.deviceID, protocol.StatusRegister, nil)
 		return err
-	case StepForgeDataHeartbeat:
+	case core.MoveForgeDataHeartbeat:
 		_, err := tb.atk.ForgeStatus(tb.deviceID, protocol.StatusHeartbeat, []protocol.Reading{
 			{Name: "power_w", Value: injectedReading},
 		})
 		return err
-	case StepForgeBind:
+	case core.MoveForgeBind:
 		_, err := tb.atk.ForgeBind(tb.deviceID)
 		return err
-	case StepForgeUnbindUserToken:
+	case core.MoveForgeUnbindUserToken:
 		return tb.atk.ForgeUnbind(tb.deviceID, core.UnbindDevIDUserToken)
-	case StepForgeUnbindDevID:
+	case core.MoveForgeUnbindDevID:
 		return tb.atk.ForgeUnbind(tb.deviceID, core.UnbindDevIDAlone)
-	case StepForgeAnyUnbind:
+	case core.MoveForgeAnyUnbind:
 		return tb.forgeAnyUnbind()
-	case StepParkSecret:
+	case core.MoveDeviceReregisters:
+		if err := tb.dev.Reregister(); err != nil {
+			return rigError{err}
+		}
+		return nil
+	case core.MoveParkSecret:
 		if err := tb.victim.PushSchedule(tb.deviceID, protocol.UserData{
 			Kind: "schedule", Body: "unlock 08:00, lock 22:00",
 		}); err != nil {
@@ -135,11 +112,11 @@ func (tb *Testbed) Forge(s Step) error {
 		}
 		return nil
 	default:
-		return rigError{fmt.Errorf("testbed: unknown step %v", s)}
+		return rigError{fmt.Errorf("testbed: no live move %v", m)}
 	}
 }
 
-// forgeAnyUnbind is StepForgeAnyUnbind. The probe after each accepted
+// forgeAnyUnbind is MoveForgeAnyUnbind. The probe after each accepted
 // unbind is read-only.
 func (tb *Testbed) forgeAnyUnbind() error {
 	var (
@@ -175,13 +152,13 @@ func (tb *Testbed) forgeAnyUnbind() error {
 	}
 }
 
-// launch performs the steps in order. Strict (the harness) it stops at the
-// first rejected step; otherwise (the searcher) the adversary simply tries
+// launch performs the moves in order. Strict (the harness) it stops at the
+// first rejected move; otherwise (the searcher) the adversary simply tries
 // them all and rejected is the first refusal. A rig failure ends the
 // launch either way and is returned as err.
-func (tb *Testbed) launch(steps []Step, strict bool) (rejected, err error) {
-	for _, s := range steps {
-		ferr := tb.Forge(s)
+func (tb *Testbed) launch(moves []core.Move, strict bool) (rejected, err error) {
+	for _, m := range moves {
+		ferr := tb.Forge(m)
 		if ferr == nil {
 			continue
 		}
@@ -199,31 +176,36 @@ func (tb *Testbed) launch(steps []Step, strict bool) (rejected, err error) {
 }
 
 // Stage is the one live attack executor: it puts the victim into the
-// scenario, launches the steps at the scenario's injection point, and
+// scenario, launches the moves at the scenario's injection point, and
 // finishes the victim's side.
 //
-//   - steady-control: the victim's complete setup, then the steps.
-//   - pre-setup: the steps, then the victim's setup.
-//   - setup-window: the victim's raw device setup, the steps running from
+//   - steady-control: the victim's complete setup, then the moves.
+//   - pre-setup: the moves, then the victim's setup; a trailing
+//     victim-setup names that setup, as the checker's setup-time
+//     counterexamples end in it.
+//   - setup-window: the victim's raw device setup, the moves running from
 //     its pre-bind hook; launched is false when the design's setup never
 //     opens that window.
 //
-// rejected is a step the cloud refused or the adversary could not craft.
+// rejected is a move the cloud refused or the adversary could not craft.
 // setupErr is the outcome of a victim setup that ran after or around the
-// steps, where failing can be the attack's doing. err is a failure of the
+// moves, where failing can be the attack's doing. err is a failure of the
 // rig itself — the victim's own move, or a setup the attack cannot have
 // touched — and never an attack outcome.
-func (tb *Testbed) Stage(sc Scenario, steps []Step, strict bool) (launched bool, rejected, setupErr, err error) {
+func (tb *Testbed) Stage(sc Scenario, moves []core.Move, strict bool) (launched bool, rejected, setupErr, err error) {
 	switch sc {
 	case ScenarioSteadyControl:
 		if err := tb.SetupVictim(); err != nil {
 			return false, nil, nil, err
 		}
-		rejected, err = tb.launch(steps, strict)
+		rejected, err = tb.launch(moves, strict)
 		return true, rejected, nil, err
 
 	case ScenarioPreSetup:
-		rejected, err = tb.launch(steps, strict)
+		if n := len(moves); n > 0 && moves[n-1] == core.MoveVictimSetup {
+			moves = moves[:n-1]
+		}
+		rejected, err = tb.launch(moves, strict)
 		if err != nil {
 			return true, rejected, nil, err
 		}
@@ -250,7 +232,7 @@ func (tb *Testbed) Stage(sc Scenario, steps []Step, strict bool) (launched bool,
 		}
 		tb.hook = func() {
 			w.ran = true
-			w.rejected, w.err = tb.launch(steps, strict)
+			w.rejected, w.err = tb.launch(moves, strict)
 		}
 		setupErr = tb.victim.SetupDevice(tb.dev.LocalName(), tb.actions)
 		tb.hook = nil

@@ -12,6 +12,7 @@ package testbed
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/iotbind/iotbind/internal/app"
@@ -228,6 +229,12 @@ func (tb *Testbed) SetupVictim() error {
 	if err := tb.dev.Heartbeat(); err != nil {
 		return fmt.Errorf("testbed: settle heartbeat: %w", err)
 	}
+	return tb.victimInControl()
+}
+
+// victimInControl checks that the victim's setup left the shadow in the
+// control state, bound to the victim.
+func (tb *Testbed) victimInControl() error {
 	st, err := tb.Shadow()
 	if err != nil {
 		return err
@@ -292,23 +299,40 @@ func (tb *Testbed) VictimBound() (bool, error) {
 	return st.BoundUser == DefaultVictimUser, nil
 }
 
-// VictimSeesInjectedReading reports whether the fake reading of
-// StepForgeDataHeartbeat shows up among the readings the victim's app
-// fetches — the data-injection evidence, read-only.
-func (tb *Testbed) VictimSeesInjectedReading() (bool, error) {
-	readings, err := tb.victim.Readings(tb.deviceID)
-	if err != nil {
-		return false, err
-	}
-	for _, r := range readings {
-		if r.Value == injectedReading {
-			return true, nil
+// Reached is the live probe for goal: whether the adversary reached it on
+// this rig. setupErr is the outcome of a victim setup that ran after or
+// around the moves (Stage); only occupation reads it. The steal,
+// disconnect and inject probes only read — injection is the fake reading
+// of MoveForgeDataHeartbeat among those the still-bound victim's app
+// fetches, and a fetch the cloud refuses is no injection they could see;
+// the hijack and occupy probes pump a device heartbeat. err is a failed
+// shadow read.
+func (tb *Testbed) Reached(goal core.Goal, setupErr error) (bool, error) {
+	switch goal {
+	case core.GoalStealData:
+		return len(tb.atk.StolenData()) > 0, nil
+	case core.GoalDisconnect:
+		bound, err := tb.VictimBound()
+		return !bound, err
+	case core.GoalInjectData:
+		bound, err := tb.VictimBound()
+		if err != nil || !bound {
+			return false, err
 		}
+		readings, err := tb.victim.Readings(tb.deviceID)
+		return err == nil && slices.ContainsFunc(readings, func(r protocol.Reading) bool {
+			return r.Value == injectedReading
+		}), nil
+	case core.GoalHijack:
+		return tb.AttackerHasControl(), nil
+	case core.GoalOccupy:
+		return setupErr != nil || !tb.VictimHasControl(), nil
+	default:
+		return false, fmt.Errorf("testbed: no live probe for %v", goal)
 	}
-	return false, nil
 }
 
-// classifyForgeErr maps an attack-step error to its Table III outcome.
+// classifyForgeErr maps a rejected move to its Table III outcome.
 func classifyForgeErr(err error) core.Outcome {
 	if errors.Is(err, attacker.ErrForgeryUnavailable) {
 		return core.OutcomeUnconfirmed
