@@ -56,7 +56,8 @@ race:
 # lattice's reset-grant-authorize-revoke cycle at 0
 # (TestLatticeCycleAllocations), a proof at its one string, the model
 # checker's part of an attack_matrix op at its results and traces (an
-# exploration at none), every live Table III cell at its exact count, a
+# exploration at none), the analyzer's part at one findings slice a design
+# (TestPredictAllAllocations), every live Table III cell at its exact count, a
 # used testbed's Reset at its two login tokens and the ten-vendor sweep on
 # one worker (TestEvaluateVendorsAllocations) at its exact count.
 alloc-pins:

@@ -15,8 +15,8 @@ import (
 // Finding is one predicted attack outcome with its reasoning.
 type Finding = analysis.Finding
 
-// PredictAll evaluates every Table II variant against a design from its
-// policy rules alone — no emulation.
+// PredictAll evaluates every Table II variant against a design by asking
+// the binding model each row — no emulation.
 func PredictAll(d DesignSpec) []Finding { return analysis.PredictAll(d) }
 
 // DelegationFinding is one predicted A6 (delegation) attack outcome

@@ -23,17 +23,17 @@ type DelegationFinding struct {
 // agree on every profile and on randomly generated designs.
 func PredictDelegation(d core.DesignSpec) []DelegationFinding {
 	return []DelegationFinding{
-		predictA6x1(d),
-		predictA6x2(d),
-		predictA6x3(d),
+		predictResidualControl(d),
+		predictEscalation(d),
+		predictRevocationRace(d),
 	}
 }
 
-// predictA6x1: evicted-guest residual control. An orphaned sub-grant
+// predictResidualControl: evicted-guest residual control. An orphaned sub-grant
 // (no cascade) is inert while the cloud re-walks the chain at use time;
 // it becomes live authority only when the token fast path skips the
 // walk.
-func predictA6x1(d core.DesignSpec) DelegationFinding {
+func predictResidualControl(d core.DesignSpec) DelegationFinding {
 	f := DelegationFinding{Attack: modelcheck.AttackResidualControl}
 	switch {
 	case d.DelegationCascadeRevoke:
@@ -49,11 +49,11 @@ func predictA6x1(d core.DesignSpec) DelegationFinding {
 	return f
 }
 
-// predictA6x2: re-delegation privilege escalation. Grant-time
+// predictEscalation: re-delegation privilege escalation. Grant-time
 // attenuation is the only guard — the use-time chain walk checks link
 // liveness, not scope monotonicity, so an over-wide derived grant
 // authorizes even under strict checking.
-func predictA6x2(d core.DesignSpec) DelegationFinding {
+func predictEscalation(d core.DesignSpec) DelegationFinding {
 	f := DelegationFinding{Attack: modelcheck.AttackEscalation}
 	if d.DelegationScopeAttenuation {
 		f.Outcome = core.OutcomeFailed
@@ -65,11 +65,11 @@ func predictA6x2(d core.DesignSpec) DelegationFinding {
 	return f
 }
 
-// predictA6x3: revocation-race window. With use-time checking, the
+// predictRevocationRace: revocation-race window. With use-time checking, the
 // lattice walk happens under the shadow lock that revocation takes, so
 // a control racing a revocation loses deterministically; without it, a
 // token that passed verification before the revocation still lands.
-func predictA6x3(d core.DesignSpec) DelegationFinding {
+func predictRevocationRace(d core.DesignSpec) DelegationFinding {
 	f := DelegationFinding{Attack: modelcheck.AttackRevocationRace}
 	if d.DelegationCheckAtUse {
 		f.Outcome = core.OutcomeFailed

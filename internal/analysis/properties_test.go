@@ -113,28 +113,3 @@ func TestHardeningMonotonic(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestPredictManyMatchesSequential: the concurrent design sweep is
-// observationally identical to per-design PredictAll, in input order.
-func TestPredictManyMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	designs := make([]core.DesignSpec, 100)
-	for i := range designs {
-		designs[i] = randomDesign(rng, i)
-	}
-	got := analysis.PredictMany(designs)
-	if len(got) != len(designs) {
-		t.Fatalf("PredictMany returned %d rows, want %d", len(got), len(designs))
-	}
-	for i, d := range designs {
-		want := analysis.PredictAll(d)
-		if len(got[i]) != len(want) {
-			t.Fatalf("design %d: %d findings, want %d", i, len(got[i]), len(want))
-		}
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Errorf("design %d finding %d = %+v, want %+v", i, j, got[i][j], want[j])
-			}
-		}
-	}
-}

@@ -20,12 +20,12 @@ type TaxonomyRow struct {
 	Consequence string
 }
 
-// DeriveTaxonomy regenerates Table II by replaying each attack variant's
-// forged-message events on the device-shadow state machine and checking
-// that the reachable end state matches the taxonomy. The A3 rows use the
-// victim's-binding view of the machine (the paper's "disconnect the device
-// with the user" means the victim's binding is gone while the device stays
-// online); the A2 and A4 rows use the raw shadow view (any binding counts).
+// DeriveTaxonomy regenerates Table II by replaying on the device-shadow
+// state machine the events by which each row's goals show there, checking
+// that the end state matches the taxonomy. The A3 rows use the victim's-
+// binding view of the machine (the paper's "disconnect the device with the
+// user" means the victim's binding is gone while the device stays online);
+// the A2 and A4 rows use the raw shadow view (any binding counts).
 //
 // It returns an error if any variant's declared states are inconsistent
 // with the state machine — i.e. if the taxonomy could not have been
@@ -51,62 +51,45 @@ func DeriveTaxonomy() ([]TaxonomyRow, error) {
 	return rows, nil
 }
 
-// deriveEndState replays the variant's event sequence from each of its
-// target states and returns the common end state.
-func deriveEndState(v core.AttackVariant) (core.ShadowState, error) {
-	var sequences [][]core.Event
-	switch v {
-	case core.VariantA1:
-		// A forged status keeps or makes the device online; the victim's
-		// binding is untouched.
-		sequences = [][]core.Event{{core.EventStatus}}
-	case core.VariantA2:
-		// A forged bind creates the (attacker's) binding while the
-		// device is offline.
-		sequences = [][]core.Event{{core.EventBind}}
-	case core.VariantA3x1, core.VariantA3x2:
-		// A forged unbind revokes the victim's binding.
-		sequences = [][]core.Event{{core.EventUnbind}}
-	case core.VariantA3x3:
-		// Replacement: the victim's binding is revoked (the attacker's
-		// new binding belongs to the attacker's view; tokens deny it
-		// control, so the victim-facing outcome is pure disconnection).
-		sequences = [][]core.Event{{core.EventUnbind}}
-	case core.VariantA3x4:
-		// A forged registration triggers the cloud's reset handling:
-		// the binding is revoked, the device observed online.
-		sequences = [][]core.Event{{core.EventStatus, core.EventUnbind}}
-	case core.VariantA4x1:
-		// Replacement with takeover: revoke the victim's binding, create
-		// the attacker's.
-		sequences = [][]core.Event{{core.EventUnbind, core.EventBind}}
-	case core.VariantA4x2:
-		// Bind into the online-unbound setup window.
-		sequences = [][]core.Event{{core.EventBind}}
-	case core.VariantA4x3:
-		// Chained: forged unbind, then forged bind.
-		sequences = [][]core.Event{{core.EventUnbind, core.EventBind}}
-	default:
-		return 0, fmt.Errorf("analysis: no event sequence for variant %v", v)
-	}
+// shows is how the victim's shadow sees each goal reached, as Figure 2
+// events from a bound state; from an unbound one a leading unbind has
+// nothing to revoke and is skipped.
+var shows = [...][]core.Event{
+	// A forged status keeps or makes the device online.
+	core.GoalInjectData: {core.EventStatus},
+	core.GoalStealData:  {core.EventStatus},
+	// The attacker's binding, made while the device is offline.
+	core.GoalOccupy: {core.EventBind},
+	// The victim's binding revoked; the device stays online.
+	core.GoalDisconnect: {core.EventUnbind},
+	// The attacker's binding, in place of the victim's.
+	core.GoalHijack: {core.EventUnbind, core.EventBind},
+}
 
+// deriveEndState replays, from each of the variant's target states, the
+// events by which its goals show on the shadow, and returns the common end
+// state.
+func deriveEndState(v core.AttackVariant) (core.ShadowState, error) {
 	var end core.ShadowState
 	for _, target := range v.TargetStates() {
-		for _, seq := range sequences {
-			state := target
-			for _, e := range seq {
+		state := target
+		for _, g := range v.Goals() {
+			events := shows[g]
+			if events[0] == core.EventUnbind && !target.BoundToUser() {
+				events = events[1:]
+			}
+			for _, e := range events {
 				next, err := core.Next(state, e)
 				if err != nil {
 					return 0, fmt.Errorf("analysis: variant %v from %v: %w", v, target, err)
 				}
 				state = next
 			}
-			if end == 0 {
-				end = state
-			} else if end != state {
-				return 0, fmt.Errorf("analysis: variant %v reaches both %v and %v", v, end, state)
-			}
 		}
+		if end != 0 && end != state {
+			return 0, fmt.Errorf("analysis: variant %v reaches both %v and %v", v, end, state)
+		}
+		end = state
 	}
 	return end, nil
 }

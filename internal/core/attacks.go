@@ -87,23 +87,37 @@ const (
 
 // tableII is Table II: one row per attack variant, indexed by the variant
 // (row 0 is the zero value every column method returns for an unknown
-// variant). Adding a variant is one constant above and one row here.
+// variant). Past the paper's columns each row states its launch in the
+// attacker vocabulary, which the live rig runs and the model checker
+// answers. Adding a variant is one constant above and one row here.
 var tableII = [...]struct {
 	label   string
 	class   AttackClass
 	forged  string        // the "forged message types" column
-	targets []ShadowState // the "targeted states" column
+	targets []ShadowState // the "targeted states" column; the first is where a launch starts
 	end     ShadowState   // the "end states" column, for a successful launch
+	moves   []Move        // the forged messages, as moves
+	goals   []Goal        // all reached by a successful launch
+	unless  Goal          // if set, not reached by a successful launch
 }{
-	VariantA1:   {"A1", A1DataInjectionStealing, "Status : DevId", []ShadowState{StateControl, StateBound}, StateControl},
-	VariantA2:   {"A2", A2BindingDoS, "Bind : (DevId, UserToken)", []ShadowState{StateInitial}, StateBound},
-	VariantA3x1: {"A3-1", A3DeviceUnbinding, "Unbind : DevId", []ShadowState{StateControl}, StateOnline},
-	VariantA3x2: {"A3-2", A3DeviceUnbinding, "Unbind : (DevId, UserToken)", []ShadowState{StateControl}, StateOnline},
-	VariantA3x3: {"A3-3", A3DeviceUnbinding, "Bind : (DevId, UserToken)", []ShadowState{StateControl}, StateOnline},
-	VariantA3x4: {"A3-4", A3DeviceUnbinding, "Status : DevId", []ShadowState{StateControl}, StateOnline},
-	VariantA4x1: {"A4-1", A4DeviceHijacking, "Bind : (DevId, UserToken)", []ShadowState{StateControl}, StateControl},
-	VariantA4x2: {"A4-2", A4DeviceHijacking, "Bind : (DevId, UserToken)", []ShadowState{StateOnline}, StateControl},
-	VariantA4x3: {"A4-3", A4DeviceHijacking, "Unbind : DevId or (DevId, UserToken); then Bind : (DevId, UserToken)", []ShadowState{StateControl}, StateControl},
+	VariantA1: {"A1", A1DataInjectionStealing, "Status : DevId", []ShadowState{StateControl, StateBound}, StateControl,
+		[]Move{MoveForgeDataHeartbeat}, []Goal{GoalInjectData, GoalStealData}, 0},
+	VariantA2: {"A2", A2BindingDoS, "Bind : (DevId, UserToken)", []ShadowState{StateInitial}, StateBound,
+		[]Move{MoveForgeBind}, []Goal{GoalOccupy}, 0},
+	VariantA3x1: {"A3-1", A3DeviceUnbinding, "Unbind : DevId", []ShadowState{StateControl}, StateOnline,
+		[]Move{MoveForgeUnbindDevID}, []Goal{GoalDisconnect}, 0},
+	VariantA3x2: {"A3-2", A3DeviceUnbinding, "Unbind : (DevId, UserToken)", []ShadowState{StateControl}, StateOnline,
+		[]Move{MoveForgeUnbindUserToken}, []Goal{GoalDisconnect}, 0},
+	VariantA3x3: {"A3-3", A3DeviceUnbinding, "Bind : (DevId, UserToken)", []ShadowState{StateControl}, StateOnline,
+		[]Move{MoveForgeBind}, []Goal{GoalDisconnect}, GoalHijack},
+	VariantA3x4: {"A3-4", A3DeviceUnbinding, "Status : DevId", []ShadowState{StateControl}, StateOnline,
+		[]Move{MoveForgeRegister}, []Goal{GoalDisconnect}, 0},
+	VariantA4x1: {"A4-1", A4DeviceHijacking, "Bind : (DevId, UserToken)", []ShadowState{StateControl}, StateControl,
+		[]Move{MoveForgeBind}, []Goal{GoalHijack}, 0},
+	VariantA4x2: {"A4-2", A4DeviceHijacking, "Bind : (DevId, UserToken)", []ShadowState{StateOnline}, StateControl,
+		[]Move{MoveForgeBind}, []Goal{GoalHijack}, 0},
+	VariantA4x3: {"A4-3", A4DeviceHijacking, "Unbind : DevId or (DevId, UserToken); then Bind : (DevId, UserToken)", []ShadowState{StateControl}, StateControl,
+		[]Move{MoveForgeAnyUnbind, MoveForgeBind}, []Goal{GoalHijack}, 0},
 }
 
 // row returns the variant's Table II row, the zero row when unknown.
@@ -147,6 +161,28 @@ func (v AttackVariant) TargetStates() []ShadowState {
 // EndState returns the shadow state a *successful* launch of the variant
 // leaves the victim's device shadow in (the Table II "end states" column).
 func (v AttackVariant) EndState() ShadowState { return tableII[v.row()].end }
+
+// LaunchState returns the targeted state a launch of the variant starts
+// from — the first of TargetStates: the steady control state, the initial
+// state before the owner's setup, or the online state inside it.
+func (v AttackVariant) LaunchState() ShadowState {
+	if v.row() == 0 {
+		return 0
+	}
+	return tableII[v].targets[0]
+}
+
+// Moves returns the variant's forged messages as moves, in launch order.
+// The slice is shared; do not modify it.
+func (v AttackVariant) Moves() []Move { return tableII[v.row()].moves }
+
+// Goals returns the goals a successful launch reaches, all of them. The
+// slice is shared; do not modify it.
+func (v AttackVariant) Goals() []Goal { return tableII[v.row()].goals }
+
+// Unless returns the goal a successful launch must not reach, or 0: A3-3's
+// replacement binding must not hand the attacker control (that is A4-1).
+func (v AttackVariant) Unless() Goal { return tableII[v.row()].unless }
 
 // Outcome is the result of attempting an attack against a design, matching
 // the cell vocabulary of Table III.

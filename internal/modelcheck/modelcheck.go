@@ -17,14 +17,16 @@
 // move sequence testbed.Stage runs as it stands, and the goal's live probe
 // (testbed.Reached) says whether it landed.
 //
-// The abstraction is the third independent formalization of the binding
-// semantics in this repository (after the rule-based analyzer and the
-// concrete emulation); the test suite proves all three agree on every
-// vendor profile and on a seeded sample of the design lattice — every
-// design DesignSpec.Validate admits, as core.EachDesign enumerates it.
+// Verdict asks the same model one Table II row at a time, as a path
+// query along the row's moves (core's tableII); the analyzer's
+// predictions are its answers. So the model and the concrete emulation
+// are the two independent formalizations of the binding semantics here,
+// and the test suite holds them to each other on every vendor profile and
+// on the whole design lattice core.EachDesign enumerates.
 package modelcheck
 
 import (
+	"cmp"
 	"fmt"
 
 	"github.com/iotbind/iotbind/internal/core"
@@ -111,7 +113,7 @@ func Check(design core.DesignSpec) ([]Result, error) {
 			results = append(results, sys.checkSetup())
 			continue
 		}
-		cex := steady.shortest(func(st state) bool { return sys.violates(prop, st) })
+		cex := steady.shortest(func(st state) bool { return sys.missed(prop, st) == "" })
 		results = append(results, Result{
 			Property: prop, Holds: cex == nil,
 			Counterexample: cex, StatesExplored: steady.n,
@@ -120,16 +122,130 @@ func Check(design core.DesignSpec) ([]Result, error) {
 	return results, nil
 }
 
+// Verdict answers one Table II row on the design with a path query over
+// the model, the row's own small Check. From the row's launch state
+// (core.AttackVariant.LaunchState) — the steady state, the factory state,
+// or the setup window where the design's setup opens one — it takes the
+// row's moves in order, forge-any-unbind being each unbind form the
+// design exposes, and lets the device re-register after each. Then the
+// victim finishes the scenario: the factory state's setup (applySetup),
+// the window's bind (ownerBinds). The row succeeds when some state reaches
+// all its goals and not its Unless. Otherwise it fails (✗), with the
+// refusal or the shortfall the model names as reason — unconfirmed (O)
+// where a step was stopped by a device message the adversary could not
+// craft. reason is "" on success. Verdict allocates nothing.
+func Verdict(d core.DesignSpec, v core.AttackVariant) (outcome core.Outcome, reason string) {
+	s := newSystem(d)
+	at := states{n: 1, list: [8]state{s.initial()}}
+	switch v.LaunchState() {
+	case core.StateControl:
+	case core.StateOnline:
+		if !s.setup.OnlineUnbound() {
+			return core.OutcomeFailed, "setup leaves no online-unbound window: the binding exists before the device connects"
+		}
+		fallthrough
+	case core.StateInitial:
+		at.list[0] = unboxed
+	default:
+		return core.OutcomeNotApplicable, "no Table II row"
+	}
+	for _, m := range v.Moves() {
+		next, refused, unknown := s.step(&at, m)
+		switch {
+		case next.n == 0 && unknown:
+			return core.OutcomeUnconfirmed, refused
+		case next.n == 0:
+			return core.OutcomeFailed, refused
+		}
+		at = next
+	}
+	for _, st := range at.list[:at.n] {
+		why := ""
+		switch v.LaunchState() {
+		case core.StateInitial:
+			st, why = s.applySetup(st)
+		case core.StateOnline:
+			st, why = s.ownerBinds(st)
+		}
+		missed := ""
+		for _, g := range v.Goals() {
+			if missed = s.missed(g, st); missed != "" {
+				break
+			}
+		}
+		if missed == "" && v.Unless() != 0 && s.missed(v.Unless(), st) == "" {
+			missed = "the replacement binding hands the adversary control: the episode is a hijack"
+		}
+		if missed == "" {
+			return core.OutcomeSucceeded, ""
+		}
+		reason = cmp.Or(why, missed)
+	}
+	return core.OutcomeFailed, reason
+}
+
+// step applies m to every state in at — for forge-any-unbind, each unbind
+// form the design exposes — and the device's resume after it. When no
+// state goes on, refused is why, unknown when some form was out of the
+// adversary's reach, and then its refusal is the one given.
+func (s *system) step(at *states, m core.Move) (next states, refused string, unknown bool) {
+	forms, n := [2]core.Move{m}, 1
+	if m == core.MoveForgeAnyUnbind {
+		n = 0
+		if s.unbindAlone {
+			forms[n], n = core.MoveForgeUnbindDevID, n+1
+		}
+		if s.unbindToken {
+			forms[n], n = core.MoveForgeUnbindUserToken, n+1
+		}
+		if n == 0 {
+			return next, "the cloud accepts no unbind message", false
+		}
+	}
+	for _, st := range at.list[:at.n] {
+		for _, f := range forms[:n] {
+			to, why, unk := s.forge(f, st)
+			if why == "" {
+				next.add(to)
+				next.add(resume(to))
+				continue
+			}
+			if refused == "" || unk && !unknown {
+				refused = why
+			}
+			unknown = unknown || unk
+		}
+	}
+	return next, refused, unknown
+}
+
+// states is a set of model states a row's launch may be in, held in
+// place.
+type states struct {
+	n    int
+	list [8]state
+}
+
+func (ss *states) add(st state) {
+	for _, have := range ss.list[:ss.n] {
+		if have == st {
+			return
+		}
+	}
+	ss.list[ss.n] = st
+	ss.n++
+}
+
 // checkSetup verifies victim-can-bind (core.GoalOccupy): explore the
 // adversary's moves from the factory state, then let the victim run their
 // design's setup flow from every reachable state; the property is
 // violated when any of those setups leaves the victim unbound.
 func (s *system) checkSetup() Result {
 	factory := space[state]{next: s.successors}
-	factory.explore("binding", state{bound: nobody, deviceHasToken: true, deviceHasNonce: true})
+	factory.explore("binding", unboxed)
 	cex := factory.shortest(func(st state) bool {
-		_, lockedOut := s.applySetup(st)
-		return lockedOut
+		after, _ := s.applySetup(st)
+		return s.missed(core.GoalOccupy, after) == ""
 	}, core.MoveVictimSetup)
 	return Result{
 		Property: core.GoalOccupy, Holds: cex == nil,
@@ -137,24 +253,43 @@ func (s *system) checkSetup() Result {
 	}
 }
 
-// applySetup runs the victim's setup sequence (core.Setup) abstractly: an
-// existing foreign binding is displaced exactly when the design's own
-// mechanics displace it (setup-time reset unbind, a session-tied cloud
+// unboxed is the factory state: nobody bound, the device's credentials in
+// place. The online-unbound setup window is the same abstract state.
+var unboxed = state{bound: nobody, deviceHasToken: true, deviceHasNonce: true}
+
+// applySetup runs the victim's setup sequence (core.Setup) abstractly and
+// returns the state it leaves, with what displaced a foreign binding on
+// the way: the setup-time reset's Unbind:DevId, a session-tied cloud
 // evicting on the device's fresh registration in sequences that register
-// before binding, or replace-on-bind semantics); otherwise the victim is
-// locked out.
-func (s *system) applySetup(st state) (state, bool) {
+// before binding, or the victim's own bind (ownerBinds). Where nothing
+// does, the victim is locked out and st comes back as it was.
+func (s *system) applySetup(st state) (state, string) {
+	evicted := ""
+	switch {
+	case st.bound != adversary:
+	case s.setup.Reset && s.unbindAlone:
+		evicted = "normal setup resets the device, which revokes the squatting binding"
+	case s.d.SessionTiedBinding && s.setup.RegisterFirst:
+		evicted = "the victim device's own registration evicts the squatting binding during setup"
+	}
+	if evicted != "" {
+		s.revokeBinding(&st)
+	}
+	st, displaced := s.ownerBinds(st)
+	return st, cmp.Or(evicted, displaced)
+}
+
+// ownerBinds is the victim's bind, the last step of their setup: it binds
+// the victim with fresh credentials, over the adversary's binding only
+// where the cloud replaces on bind — saying so — and otherwise leaves st
+// as it was.
+func (s *system) ownerBinds(st state) (state, string) {
+	displaced := ""
 	if st.bound == adversary {
-		switch {
-		case s.setup.Reset && s.unbindAlone:
-			// The setup-time factory reset emits Unbind:DevId.
-		case s.d.SessionTiedBinding && s.setup.RegisterFirst:
-			// The device's own fresh registration evicts the squatter.
-		case s.d.ReplaceOnBind || !s.d.CheckBoundUserOnBind:
-			// The victim's bind displaces the squatter.
-		default:
-			return st, true
+		if !s.replace {
+			return st, ""
 		}
+		displaced = "the owner's bind displaces the adversary's binding"
 	}
 	st.bound = victim
 	st.deviceHasToken = true
@@ -163,17 +298,18 @@ func (s *system) applySetup(st state) (state, bool) {
 	if s.d.PostBindingToken {
 		st.sessTokenHolder = victim
 	}
-	return st, false
+	return st, displaced
 }
 
 // system is the design-specific transition relation. newSystem folds the
 // design's capabilities once, because DesignSpec's methods copy the whole
 // spec and every state's successors read them.
 type system struct {
-	d                                                 core.DesignSpec
-	setup                                             core.Setup
-	canForge, authForgeable, authToken, bindForgeable bool
-	windowBlocked, unbindToken, unbindAlone           bool
+	d                                  core.DesignSpec
+	setup                              core.Setup
+	canForge, authForgeable, authToken bool
+	windowBlocked, replace             bool
+	unbindToken, unbindAlone           bool
 }
 
 func newSystem(d core.DesignSpec) system {
@@ -184,12 +320,8 @@ func newSystem(d core.DesignSpec) system {
 		canForge:      !d.FirmwareOpaque,
 		authForgeable: auth == core.AuthDevID,
 		authToken:     auth == core.AuthDevToken,
-		// An app-sent bind is a plain API call, a device-sent one needs
-		// the device's message format, a capability the factory secret.
-		bindForgeable: d.Binding == core.BindACLApp || d.Binding == core.BindACLDevice && !d.FirmwareOpaque,
-		// Co-location defences refuse a remote bind: any setup window has
-		// long closed in the steady state.
 		windowBlocked: d.BindButtonWindow || d.SourceIPCheck,
+		replace:       d.ReplaceOnBind || !d.CheckBoundUserOnBind,
 		unbindToken:   d.SupportsUnbind(core.UnbindDevIDUserToken),
 		unbindAlone:   d.SupportsUnbind(core.UnbindDevIDAlone),
 	}
@@ -210,84 +342,138 @@ func (s *system) initial() state {
 	return st
 }
 
-// successors returns the moves enabled in st.
+// successors returns the moves enabled in st: each forgery that goes
+// through — core numbers the five from forge-register to
+// forge-unbind-devid — then the environment's resume.
 func (s *system) successors(st state) (out edges[state]) {
-	// Adversary: forged registration (a device message).
-	if s.canForge && s.authForgeable {
-		to := st
+	for m := core.MoveForgeRegister; m <= core.MoveForgeUnbindDevID; m++ {
+		if to, refused, _ := s.forge(m, st); refused == "" {
+			out.add(m, to)
+		}
+	}
+	out.add(core.MoveDeviceReregisters, resume(st))
+	return out
+}
+
+// noBinding refuses an unbind of a device bound to nobody.
+const noBinding = "there is no binding to revoke"
+
+// forge applies the adversary's forgery m to st. refused says why it does
+// not go through, "" when it does: the cloud's refusal, or — unknown — the
+// adversary's own, who cannot craft a device message the firmware did not
+// give away. The adversary's knowledge gates the attempt itself: without
+// the device protocol there is nothing to send, whether or not the cloud
+// would accept the form. Each refusal is written once, at the guard that
+// decides it, and a failed Table II row (Verdict) gives it as its reason.
+func (s *system) forge(m core.Move, st state) (to state, refused string, unknown bool) {
+	switch m {
+	case core.MoveForgeRegister:
+		if refused, unknown = s.statusRefused(); refused != "" {
+			return st, refused, unknown
+		}
 		if s.d.SessionTiedBinding && st.bound != nobody {
-			s.revokeBinding(&to)
+			s.revokeBinding(&st)
 		}
 		if s.d.DataRequiresSession {
 			// The registration rotates the data-session nonce; the new
-			// nonce answers to the adversary's connection, and the
-			// proof it would need requires the factory secret the
-			// adversary lacks — but the real device's nonce is now
-			// stale.
-			to.deviceHasNonce = false
+			// nonce answers to the adversary's connection, and the proof
+			// it would need requires the factory secret the adversary
+			// lacks — but the real device's nonce is now stale.
+			st.deviceHasNonce = false
 		}
-		out.add(core.MoveForgeRegister, to)
-	}
 
-	// Adversary: forged data-bearing heartbeat.
-	if s.canForge && s.authForgeable && !s.d.DataRequiresSession {
-		gated := s.d.PostBindingToken && st.bound != nobody && st.sessTokenHolder != adversary
-		if !gated {
-			to := st
-			if st.bound == victim {
-				to.stoleData = true
-				to.injectedData = true
-			}
-			out.add(core.MoveForgeDataHeartbeat, to)
+	case core.MoveForgeDataHeartbeat:
+		switch refused, unknown = s.statusRefused(); {
+		case refused != "":
+			return st, refused, unknown
+		case s.d.PostBindingToken && st.bound != nobody && st.sessTokenHolder != adversary:
+			return st, "device messages must carry the post-binding session token", false
+		case s.d.DataRequiresSession:
+			return st, "data-bearing messages require the factory-secret session proof", false
 		}
-	}
-
-	// Adversary: forged bind.
-	if s.bindForgeable && !s.windowBlocked {
-		replace := s.d.ReplaceOnBind || !s.d.CheckBoundUserOnBind
-		if st.bound == nobody || (st.bound != adversary && replace) {
-			to := st
-			s.revokeBinding(&to)
-			to.bound = adversary
-			if s.d.PostBindingToken {
-				to.sessTokenHolder = adversary
-				to.deviceHasToken = false // rotated; only the binder got it
-			}
-			out.add(core.MoveForgeBind, to)
+		if st.bound == victim {
+			st.stoleData = true
+			st.injectedData = true
 		}
-	}
 
-	// Adversary: forged Type 1 unbind with their own token. It succeeds
-	// against the victim's binding when the bound-user check is absent,
-	// and trivially against their own binding.
-	if s.unbindToken && st.bound != nobody {
-		if !s.d.CheckBoundUserOnUnbind || st.bound == adversary {
-			to := st
-			s.revokeBinding(&to)
-			out.add(core.MoveForgeUnbindUserToken, to)
+	case core.MoveForgeBind:
+		// An app-sent bind is a plain API call, a device-sent one needs
+		// the device's message format, a capability the factory secret.
+		switch {
+		case s.d.Binding != core.BindACLApp && s.d.Binding != core.BindACLDevice:
+			return st, "capability binding: a bind needs the factory-secret proof", false
+		case s.d.Binding == core.BindACLDevice && !s.canForge:
+			return st, "device-initiated bind message could not be reconstructed", true
+		case s.windowBlocked:
+			// The button is pressed, and the bind sent, from the
+			// victim's home, never from afar.
+			return st, "bind-time co-location defence rejects remote binds", false
+		case st.bound == adversary:
+			return st, "the adversary holds the binding already", false
+		case st.bound == victim && !s.replace:
+			return st, "the cloud rejects binds for devices bound to another user", false
 		}
-	}
+		s.revokeBinding(&st)
+		st.bound = adversary
+		if s.d.PostBindingToken {
+			st.sessTokenHolder = adversary
+			st.deviceHasToken = false // rotated; only the binder got it
+		}
 
-	// Adversary: forged Type 2 unbind (a device message with no
-	// authorization at all).
-	if s.unbindAlone && s.canForge && st.bound != nobody {
-		to := st
-		s.revokeBinding(&to)
-		out.add(core.MoveForgeUnbindDevID, to)
-	}
+	case core.MoveForgeUnbindUserToken:
+		// The Type 1 unbind with the adversary's own token: against
+		// their own binding, an ordinary unbind.
+		switch {
+		case !s.unbindToken:
+			return st, "the cloud does not accept Unbind:(DevId, UserToken)", false
+		case st.bound == nobody:
+			return st, noBinding, false
+		case st.bound == victim && s.d.CheckBoundUserOnUnbind:
+			return st, "the cloud verifies the unbinding user is the bound user", false
+		}
+		s.revokeBinding(&st)
 
-	// Environment: the real device reconnects and resumes its session,
-	// refreshing its data-session nonce. A resume is not a fresh boot:
-	// it does not trigger the session-tied reset handling — that is what
-	// distinguishes the real firmware's reconnect from the adversary's
-	// forged registration.
-	{
-		to := st
-		to.deviceHasNonce = true
-		out.add(core.MoveDeviceReregisters, to)
-	}
+	case core.MoveForgeUnbindDevID:
+		// The Type 2 unbind: a device message with no authorization.
+		switch {
+		case !s.canForge:
+			return st, "the device-sent unbind message could not be reconstructed", true
+		case !s.unbindAlone:
+			return st, "the cloud does not accept Unbind:DevId", false
+		case st.bound == nobody:
+			return st, noBinding, false
+		}
+		s.revokeBinding(&st)
 
-	return out
+	default:
+		return st, "no forgery of the binding model", false
+	}
+	return st, "", false
+}
+
+// statusRefused says why a forged status message does not pass as the
+// device's own: the adversary cannot craft it, or the device
+// authenticates with more than its ID.
+func (s *system) statusRefused() (string, bool) {
+	switch {
+	case !s.canForge:
+		return "device messages could not be reconstructed from the firmware", true
+	case s.authToken:
+		return "forged status rejected: device authenticates with DevToken", false
+	case !s.authForgeable:
+		return "forged status rejected: device authenticates with PublicKey", false
+	}
+	return "", false
+}
+
+// resume is the environment's move: the real device reconnects and
+// resumes its session, refreshing its data-session nonce. A resume is not
+// a fresh boot: it does not trigger the session-tied reset handling —
+// that is what distinguishes the real firmware's reconnect from the
+// adversary's forged registration.
+func resume(st state) state {
+	st.deviceHasNonce = true
+	return st
 }
 
 // revokeBinding clears the binding and retires its session token, exactly
@@ -297,42 +483,48 @@ func (s *system) revokeBinding(st *state) {
 	st.sessTokenHolder = nobody
 }
 
-// deviceObeysAdversary reports whether, in st, commands issued under the
-// adversary's binding reach and run on the real device.
-func (s *system) deviceObeysAdversary(st state) bool {
-	if st.bound != adversary {
-		return false
-	}
-	// Dynamic device tokens: the device's session belongs to the account
-	// that configured it; the cloud refuses to relay for a foreign
-	// binding.
-	if s.authToken {
-		return false
-	}
-	// Post-binding tokens: both the controller and the device must hold
-	// the current token.
-	if s.d.PostBindingToken && (st.sessTokenHolder != adversary || !st.deviceHasToken) {
-		return false
-	}
-	// Data-session designs: the device fetches commands in-session.
-	if s.d.DataRequiresSession && !st.deviceHasNonce {
-		return false
-	}
-	return true
-}
-
-// violates decides whether st violates the safety property of goal.
-func (s *system) violates(goal core.Goal, st state) bool {
+// missed says why st does not reach goal — does not violate the goal's
+// safety property — and is "" when it does. Occupation is judged on what
+// the victim's setup left (applySetup).
+func (s *system) missed(goal core.Goal, st state) string {
 	switch goal {
 	case core.GoalHijack:
-		return s.deviceObeysAdversary(st)
+		// Whether commands issued under the adversary's binding reach and
+		// run on the real device.
+		switch {
+		case st.bound != adversary:
+			return "the adversary holds no binding"
+		case s.authToken:
+			// Dynamic device tokens: the device's session belongs to the
+			// account that configured it; the cloud refuses to relay for
+			// a foreign binding.
+			return "token-based sessions deny the foreign binding any control"
+		case s.d.PostBindingToken && (st.sessTokenHolder != adversary || !st.deviceHasToken):
+			// Both the controller and the device must hold the current
+			// post-binding token.
+			return "the post-binding token went only to the binder, so the real device ignores the foreign binding"
+		case s.d.DataRequiresSession && !st.deviceHasNonce:
+			// Data-session designs: the device fetches commands in-session.
+			return "the real device's data session is stale, so it fetches no commands"
+		}
 	case core.GoalDisconnect:
-		return st.bound != victim
+		if st.bound == victim {
+			return "the cloud keeps the victim's binding through the forged messages"
+		}
 	case core.GoalStealData:
-		return st.stoleData
+		if !st.stoleData {
+			return "no private data reached the adversary"
+		}
 	case core.GoalInjectData:
-		return st.injectedData
+		if !st.injectedData {
+			return "no forged reading reached the bound victim"
+		}
+	case core.GoalOccupy:
+		if st.bound == victim {
+			return "the victim's setup binds the device"
+		}
 	default:
-		return false
+		return "no goal of the binding model"
 	}
+	return ""
 }

@@ -92,12 +92,12 @@ func ReferenceCheck(design core.DesignSpec) []Result {
 	factory := refExplore(state{bound: nobody, deviceHasToken: true, deviceHasNonce: true}, sys.successors)
 	var results []Result
 	for _, prop := range core.AllGoals() {
-		sp, bad, suffix := steady, func(st state) bool { return sys.violates(prop, st) }, []core.Move(nil)
+		sp, bad, suffix := steady, func(st state) bool { return sys.missed(prop, st) == "" }, []core.Move(nil)
 		if prop == core.GoalOccupy {
 			sp, suffix = factory, []core.Move{core.MoveVictimSetup}
 			bad = func(st state) bool {
-				_, lockedOut := sys.applySetup(st)
-				return lockedOut
+				after, _ := sys.applySetup(st)
+				return sys.missed(core.GoalOccupy, after) == ""
 			}
 		}
 		cex := sp.shortest(bad, suffix...)

@@ -194,88 +194,59 @@ func variantMask(vs []core.AttackVariant) uint64 {
 
 // ---- attack procedures ---------------------------------------------------
 
-// procedure is one Table II row made executable: the victim situation the
-// variant targets, the moves in order, and the goals whose live probes
-// (Reached) observe its consequence once every move went through.
+// procedure is the rig's own part of one Table II row; the rest — where
+// the row is launched, its moves and the goals whose live probes (Reached)
+// observe its consequence once every move went through — is core's
+// tableII, which the model checker answers too.
 type procedure struct {
-	scenario Scenario
-	moves    []core.Move
-	// landed when every goal is reached, probed in order up to the first
-	// that is not, and then unless (if set) is not.
-	goals  []core.Goal
-	unless core.Goal
 	// won and lost are the Detail of a ✓ and of a ✗ whose messages were
 	// all accepted.
 	won, lost string
+	// moves, when set, replaces the row's moves with what the rig runs.
+	moves []core.Move
 }
 
-// procedures is the live counterpart of core's tableII, indexed by
-// variant: Evaluate launches a row through Stage instead of carrying a
-// hand-written procedure per variant.
+// procedures is indexed by variant.
 var procedures = [...]procedure{
 	core.VariantA1: {
-		// Fake readings go up, and the user's pending data comes back down.
-		ScenarioSteadyControl, []core.Move{core.MoveParkSecret, core.MoveForgeDataHeartbeat},
-		[]core.Goal{core.GoalInjectData, core.GoalStealData}, 0,
 		"fake reading visible to the victim; victim's schedule exfiltrated",
 		"the forged status did not both inject a reading the still-bound victim sees and exfiltrate the schedule",
+		// The victim parks private data for the forged status to steal.
+		append([]core.Move{core.MoveParkSecret}, core.VariantA1.Moves()...),
 	},
-	core.VariantA2: {
-		// Occupy the binding before the victim's first setup.
-		ScenarioPreSetup, []core.Move{core.MoveForgeBind}, []core.Goal{core.GoalOccupy}, 0,
-		"the squatting binding keeps the victim from controlling the device",
-		"the victim's setup displaced the squatting binding",
-	},
-	core.VariantA3x1: {
-		ScenarioSteadyControl, []core.Move{core.MoveForgeUnbindDevID}, []core.Goal{core.GoalDisconnect}, 0,
-		"victim's binding revoked; device disconnected from the user",
-		"binding survived the forged unbind",
-	},
-	core.VariantA3x2: {
-		ScenarioSteadyControl, []core.Move{core.MoveForgeUnbindUserToken}, []core.Goal{core.GoalDisconnect}, 0,
-		"victim's binding revoked; device disconnected from the user",
-		"binding survived the forged unbind",
-	},
+	core.VariantA2:   {"the squatting binding keeps the victim from controlling the device", "the victim's setup displaced the squatting binding", nil},
+	core.VariantA3x1: {"victim's binding revoked; device disconnected from the user", "binding survived the forged unbind", nil},
+	core.VariantA3x2: {"victim's binding revoked; device disconnected from the user", "binding survived the forged unbind", nil},
 	core.VariantA3x3: {
-		// Succeeds only when the replacement does NOT grant control;
-		// otherwise the episode classifies as A4-1.
-		ScenarioSteadyControl, []core.Move{core.MoveForgeBind}, []core.Goal{core.GoalDisconnect}, core.GoalHijack,
 		"binding replaced; the attacker gains no control, leaving pure disconnection",
-		"binding survived the forged bind, or the replacement granted control (the episode classifies as A4-1)",
+		"binding survived the forged bind, or the replacement granted control (the episode classifies as A4-1)", nil,
 	},
-	core.VariantA3x4: {
-		ScenarioSteadyControl, []core.Move{core.MoveForgeRegister}, []core.Goal{core.GoalDisconnect}, 0,
-		"cloud adopted the forged registration as a reset and revoked the binding",
-		"binding survived the forged registration",
-	},
-	core.VariantA4x1: {
-		ScenarioSteadyControl, []core.Move{core.MoveForgeBind}, []core.Goal{core.GoalHijack}, 0,
-		"existing binding manipulated without checks; attacker commands the device",
-		"forged bind did not yield control of the real device",
-	},
-	core.VariantA4x2: {
-		ScenarioSetupWindow, []core.Move{core.MoveForgeBind}, []core.Goal{core.GoalHijack}, 0,
-		"bound first in the setup window",
-		"window bind did not yield durable control",
-	},
-	core.VariantA4x3: {
-		ScenarioSteadyControl, []core.Move{core.MoveForgeAnyUnbind, core.MoveForgeBind}, []core.Goal{core.GoalHijack}, 0,
-		"unbind opened the online state; the follow-up bind hijacked the device",
-		"the chained bind did not yield control of the real device",
-	},
+	core.VariantA3x4: {"cloud adopted the forged registration as a reset and revoked the binding", "binding survived the forged registration", nil},
+	core.VariantA4x1: {"existing binding manipulated without checks; attacker commands the device", "forged bind did not yield control of the real device", nil},
+	core.VariantA4x2: {"bound first in the setup window", "window bind did not yield durable control", nil},
+	core.VariantA4x3: {"unbind opened the online state; the follow-up bind hijacked the device", "the chained bind did not yield control of the real device", nil},
 }
 
-// landed probes the procedure's consequence on this rig.
-func (tb *Testbed) landed(p *procedure, setupErr error) (bool, error) {
-	for _, g := range p.goals {
+// scenarios launches each targeted state's rows, indexed by the state.
+var scenarios = [...]Scenario{
+	core.StateInitial: ScenarioPreSetup,
+	core.StateOnline:  ScenarioSetupWindow,
+	core.StateControl: ScenarioSteadyControl,
+}
+
+// landed probes the row's consequence on this rig: every goal reached,
+// probed in order up to the first that is not, and then the row's Unless
+// (if set) not.
+func (tb *Testbed) landed(v core.AttackVariant, setupErr error) (bool, error) {
+	for _, g := range v.Goals() {
 		if ok, err := tb.Reached(g, setupErr); err != nil || !ok {
 			return false, err
 		}
 	}
-	if p.unless == 0 {
+	if v.Unless() == 0 {
 		return true, nil
 	}
-	ok, err := tb.Reached(p.unless, setupErr)
+	ok, err := tb.Reached(v.Unless(), setupErr)
 	return !ok, err
 }
 
@@ -286,8 +257,12 @@ func (tb *Testbed) run(v core.AttackVariant) (Result, error) {
 		return Result{}, fmt.Errorf("testbed: unknown attack variant %v", v)
 	}
 	p := &procedures[v]
+	moves := p.moves
+	if moves == nil {
+		moves = v.Moves()
+	}
 	res := Result{Variant: v}
-	launched, rejected, setupErr, err := tb.Stage(p.scenario, p.moves, true)
+	launched, rejected, setupErr, err := tb.Stage(scenarios[v.LaunchState()], moves, true)
 	switch {
 	case err != nil:
 		return Result{}, err
@@ -308,7 +283,7 @@ func (tb *Testbed) run(v core.AttackVariant) (Result, error) {
 		res.Detail = fmt.Sprintf("forged message rejected: %v", rejected)
 		return res, nil
 	}
-	landed, err := tb.landed(p, setupErr)
+	landed, err := tb.landed(v, setupErr)
 	switch {
 	case err != nil:
 		return Result{}, err

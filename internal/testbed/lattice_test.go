@@ -44,22 +44,27 @@ func liveLattice(fn func(d core.DesignSpec, buildable bool)) (designs, unbuildab
 
 // TestLiveLattice runs every Table II variant live on every design of the
 // live lattice and holds each cell to the analyzer. On a design whose
-// owner cannot set it up every variant, the setup-window one included,
-// fails with the rig's error rather than reporting a verdict — all but
-// A2, whose setup runs after the squatter's bind, so its failure is
-// counted as the attack's. The whole sweep takes about 3 s without the
-// race detector.
+// owner cannot set it up every variant fails with the rig's error rather
+// than reporting a verdict — the setup-window one included, and A2 where
+// the victim's setup after the squatter's bind ends with the device bound
+// to nobody. Only where the cloud refuses the victim's bind over the
+// squatter's (no replace on bind, 240 designs) does A2 land: the setup
+// stops at that refusal with the squatter bound. The whole sweep takes
+// about 3 s without the race detector.
 func TestLiveLattice(t *testing.T) {
 	tb := new(Testbed)
-	ran := 0
+	ran, squatted := 0, 0
 	designs, unbuildable := liveLattice(func(d core.DesignSpec, buildable bool) {
 		ran++
 		if !buildable {
 			for _, v := range core.AllAttackVariants() {
-				if v == core.VariantA2 {
+				r, err := tb.evaluate(d, v)
+				if v == core.VariantA2 && err == nil && d.CheckBoundUserOnBind && !d.ReplaceOnBind &&
+					r.Outcome == core.OutcomeSucceeded && strings.Contains(r.Detail, "bound to another user") {
+					squatted++
 					continue
 				}
-				if r, err := tb.evaluate(d, v); err == nil || !strings.Contains(err.Error(), `setup ended in online bound to ""`) {
+				if err == nil || !strings.Contains(err.Error(), `setup ended in online bound to ""`) {
 					t.Fatalf("%+v: setup drops the owner's own binding, want %v refused, got %v (%s)", d, v, err, r.Detail)
 				}
 			}
@@ -77,6 +82,9 @@ func TestLiveLattice(t *testing.T) {
 	})
 	if designs != 36864 || unbuildable != 1440 {
 		t.Errorf("%d designs, %d of them unbuildable; want 36 864 and 1 440", designs, unbuildable)
+	}
+	if !raceEnabled && squatted != 240 {
+		t.Errorf("A2 landed on %d unbuildable designs, want the 240 that refuse the victim's bind", squatted)
 	}
 	t.Logf("%d designs run live", ran)
 }

@@ -82,8 +82,9 @@ func matchGolden(t *testing.T, path, got string) {
 }
 
 // TestProceduresCoverTableII: every Table II variant has exactly one
-// executable row, launched into the victim situation its targeted states
-// name and observed by goals that situation is probed for.
+// procedure, and its row — read from core — is launched into the victim
+// situation its targeted states name and observed by goals that situation
+// is probed for.
 func TestProceduresCoverTableII(t *testing.T) {
 	variants := core.AllAttackVariants()
 	if len(procedures) != len(variants)+1 {
@@ -100,18 +101,21 @@ func TestProceduresCoverTableII(t *testing.T) {
 			t.Errorf("%v has no procedure", v)
 			continue
 		}
-		p := procedures[v]
-		if len(p.moves) == 0 || len(p.goals) == 0 || p.won == "" || p.lost == "" {
-			t.Errorf("%v: incomplete procedure %+v", v, p)
+		p, sc := procedures[v], scenarios[v.LaunchState()]
+		if len(v.Moves()) == 0 || len(v.Goals()) == 0 || p.won == "" || p.lost == "" {
+			t.Errorf("%v: incomplete row: moves %v, goals %v, procedure %+v", v, v.Moves(), v.Goals(), p)
 		}
-		for _, g := range append(p.goals, p.unless) {
-			if g != 0 && !slices.Contains(p.scenario.Goals(), g) {
-				t.Errorf("%v probes %v, which %v is not probed for", v, g, p.scenario)
+		if p.moves != nil && !slices.Equal(p.moves[len(p.moves)-len(v.Moves()):], v.Moves()) {
+			t.Errorf("%v runs %v live, which does not end in the row's moves %v", v, p.moves, v.Moves())
+		}
+		for _, g := range append(v.Goals(), v.Unless()) {
+			if g != 0 && !slices.Contains(sc.Goals(), g) {
+				t.Errorf("%v probes %v, which %v is not probed for", v, g, sc)
 			}
 		}
 		for _, target := range v.TargetStates() {
-			if scenarioOf[target] != p.scenario {
-				t.Errorf("%v targets %v but launches into %v", v, target, p.scenario)
+			if scenarioOf[target] != sc {
+				t.Errorf("%v targets %v but launches into %v", v, target, sc)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -175,6 +176,19 @@ func (tb *Testbed) launch(moves []core.Move, strict bool) (rejected, err error) 
 	return rejected, nil
 }
 
+// setupAfterMoves is the victim's setup after the adversary's moves. One
+// that ends with the device bound to nobody, so not to the adversary,
+// failed on its own: the rig's error. Any other failure is the attack's.
+func (tb *Testbed) setupAfterMoves() (setupErr, err error) {
+	if setupErr = tb.SetupVictim(); setupErr == nil {
+		return nil, nil
+	}
+	if st, err := tb.Shadow(); err != nil || st.BoundUser == "" {
+		return nil, cmp.Or(err, setupErr)
+	}
+	return setupErr, nil
+}
+
 // Stage is the one live attack executor: it puts the victim into the
 // scenario, launches the moves at the scenario's injection point, and
 // finishes the victim's side.
@@ -190,8 +204,8 @@ func (tb *Testbed) launch(moves []core.Move, strict bool) (rejected, err error) 
 // rejected is a move the cloud refused or the adversary could not craft.
 // setupErr is the outcome of a victim setup that ran after or around the
 // moves, where failing can be the attack's doing. err is a failure of the
-// rig itself — the victim's own move, or a setup the attack cannot have
-// touched — and never an attack outcome.
+// rig itself — the victim's own move, a setup the attack cannot have
+// touched or one left bound to nobody — and never an attack outcome.
 func (tb *Testbed) Stage(sc Scenario, moves []core.Move, strict bool) (launched bool, rejected, setupErr, err error) {
 	switch sc {
 	case ScenarioSteadyControl:
@@ -210,7 +224,8 @@ func (tb *Testbed) Stage(sc Scenario, moves []core.Move, strict bool) (launched 
 			return true, rejected, nil, err
 		}
 		if !strict || rejected == nil {
-			return true, rejected, tb.SetupVictim(), nil
+			setupErr, err = tb.setupAfterMoves()
+			return true, rejected, setupErr, err
 		}
 		// Blocked. A forgery the adversary could not craft sent nothing;
 		// after a refusal by the cloud the legitimate setup must still
