@@ -88,10 +88,12 @@ alloc-pins:
 # and, ten times, retry's Close landing in a backoff wait, real-timer and
 # injected (TestRetryClose*): the wait runs inside the forwarding loop's
 # End, so the call must still come back with ErrClosed and no further
-# delivery; and, three times, a reset testbed against a fresh one on every
-# vendor cell and a lattice sample (TestResetMatchesFresh) and the
-# parallel Table III sweep against the sequential one with at least four
-# workers, each resetting its own testbed
+# delivery; and, three times, a reused testbed against a fresh one on
+# every vendor cell and a lattice sample, in orders that group each
+# design's cells so most are rewound from the rig's checkpoints
+# (TestResetMatchesFresh), and the parallel Table III sweep against the
+# sequential one with at least four workers, each resetting and
+# rewinding its own testbed with checkpoints it shares with no other
 # (TestEvaluateVendorsMatchesSequential).
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/

@@ -12,6 +12,7 @@ package app
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 
 	"github.com/iotbind/iotbind/internal/core"
@@ -135,6 +136,22 @@ func (a *App) Init(userID, password string, design core.DesignSpec, cloud transp
 		a.cloud = a.retrier
 	}
 	return nil
+}
+
+// CopyFrom makes a a copy of src, field by field but the lock, the
+// session map in a's own; both keep the transport, network, hook and
+// retrier they share. Neither may be in use meanwhile.
+func (a *App) CopyFrom(src *App) {
+	a.userID, a.password, a.design = src.userID, src.password, src.design
+	a.cloud, a.network = src.cloud, src.network
+	a.wifiSSID, a.wifiPassword = src.wifiSSID, src.wifiPassword
+	a.userToken = src.userToken
+	clear(a.sessions)
+	if a.sessions == nil && len(src.sessions) > 0 {
+		a.sessions = make(map[string]string, len(src.sessions))
+	}
+	maps.Copy(a.sessions, src.sessions)
+	a.preBindHook, a.retryPolicy, a.retrier = src.preBindHook, src.retryPolicy, src.retrier
 }
 
 // Close releases the app's transport-side resources: an in-flight retry

@@ -13,6 +13,8 @@ package attacker
 import (
 	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"sync"
 
 	"github.com/iotbind/iotbind/internal/core"
@@ -25,6 +27,38 @@ import (
 // messages the attacker could not reconstruct (the paper's firmware-opaque
 // products, reported as "O" in Table III).
 var ErrForgeryUnavailable = errors.New("attacker: device-message forgery unavailable (firmware resisted analysis)")
+
+// errNotQueued is a control the cloud accepted without queueing it.
+var errNotQueued = errors.New("attacker: control not queued")
+
+// Refusal is the cloud's refusal of one of the attacker's messages: the
+// step that sent it and the cloud's error, which it wraps. It reads
+// "attacker: <step>: <cloud error>". Formatting one with %v or %s writes
+// those parts straight into the formatter, so quoting a refusal in a
+// verdict builds no string of its own.
+type Refusal struct {
+	// Step names the message: "forge status", "forge bind", "bind
+	// token", "forge unbind type1", "forge unbind type2" or "control".
+	Step string
+	// Err is the cloud's error.
+	Err error
+}
+
+func (r *Refusal) Error() string { return "attacker: " + r.Step + ": " + r.Err.Error() }
+
+// Unwrap returns the cloud's error.
+func (r *Refusal) Unwrap() error { return r.Err }
+
+// Format implements fmt.Formatter.
+func (r *Refusal) Format(f fmt.State, verb rune) {
+	if _, width := f.Width(); !width && (verb == 'v' || verb == 's') {
+		for _, part := range [...]string{"attacker: ", r.Step, ": ", r.Err.Error()} {
+			_, _ = io.WriteString(f, part)
+		}
+		return
+	}
+	fmt.Fprintf(f, fmt.FormatString(f, verb), r.Error())
+}
 
 // Attacker is a remote adversary against one vendor's cloud.
 type Attacker struct {
@@ -93,6 +127,20 @@ func (a *Attacker) Init(userID, password string, design core.DesignSpec, cloud t
 	return nil
 }
 
+// CopyFrom makes a a copy of src, field by field but the lock, the
+// session map and the loot in a's own memory; both keep the transport
+// they share. Neither may be in use meanwhile.
+func (a *Attacker) CopyFrom(src *Attacker) {
+	a.userID, a.password, a.design, a.cloud = src.userID, src.password, src.design, src.cloud
+	a.canForgeDeviceMessages, a.userToken = src.canForgeDeviceMessages, src.userToken
+	clear(a.sessions)
+	if a.sessions == nil && len(src.sessions) > 0 {
+		a.sessions = make(map[string]string, len(src.sessions))
+	}
+	maps.Copy(a.sessions, src.sessions)
+	a.stolen = append(a.stolen[:0], src.stolen...)
+}
+
 // UserID returns the attacker's account name.
 func (a *Attacker) UserID() string { return a.userID }
 
@@ -131,7 +179,7 @@ func (a *Attacker) ForgeStatus(deviceID string, kind protocol.StatusKind, readin
 		Readings: readings,
 	})
 	if err != nil {
-		return protocol.StatusResponse{}, fmt.Errorf("attacker: forge status: %w", err)
+		return protocol.StatusResponse{}, &Refusal{"forge status", err}
 	}
 	if len(resp.UserData) > 0 {
 		a.mu.Lock()
@@ -173,7 +221,7 @@ func (a *Attacker) ForgeBind(deviceID string) (protocol.BindResponse, error) {
 		}
 		resp, err := a.cloud.RequestBindToken(protocol.BindTokenRequest{UserToken: tok, DeviceID: deviceID})
 		if err != nil {
-			return protocol.BindResponse{}, fmt.Errorf("attacker: bind token: %w", err)
+			return protocol.BindResponse{}, &Refusal{"bind token", err}
 		}
 		req.BindToken = resp.BindToken
 		req.BindProof = "forged-proof"
@@ -184,7 +232,7 @@ func (a *Attacker) ForgeBind(deviceID string) (protocol.BindResponse, error) {
 
 	resp, err := a.cloud.HandleBind(req)
 	if err != nil {
-		return protocol.BindResponse{}, fmt.Errorf("attacker: forge bind: %w", err)
+		return protocol.BindResponse{}, &Refusal{"forge bind", err}
 	}
 	if resp.SessionToken != "" {
 		a.mu.Lock()
@@ -212,7 +260,7 @@ func (a *Attacker) ForgeUnbind(deviceID string, form core.UnbindForm) error {
 			UserToken: tok,
 			Sender:    core.SenderApp,
 		}); err != nil {
-			return fmt.Errorf("attacker: forge unbind type1: %w", err)
+			return &Refusal{"forge unbind type1", err}
 		}
 		return nil
 	case core.UnbindDevIDAlone:
@@ -223,7 +271,7 @@ func (a *Attacker) ForgeUnbind(deviceID string, form core.UnbindForm) error {
 			DeviceID: deviceID,
 			Sender:   core.SenderDevice,
 		}); err != nil {
-			return fmt.Errorf("attacker: forge unbind type2: %w", err)
+			return &Refusal{"forge unbind type2", err}
 		}
 		return nil
 	default:
@@ -248,10 +296,10 @@ func (a *Attacker) Control(deviceID string, cmd protocol.Command) error {
 		Command:      cmd,
 	})
 	if err != nil {
-		return fmt.Errorf("attacker: control: %w", err)
+		return &Refusal{"control", err}
 	}
 	if !resp.Queued {
-		return errors.New("attacker: control not queued")
+		return errNotQueued
 	}
 	return nil
 }

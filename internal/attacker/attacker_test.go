@@ -2,6 +2,7 @@ package attacker_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/iotbind/iotbind/internal/attacker"
@@ -317,5 +318,29 @@ func TestUnpreparedAttackerFailsGracefully(t *testing.T) {
 func TestNewValidatesDesign(t *testing.T) {
 	if _, err := attacker.New("a", "p", core.DesignSpec{}, nil); err == nil {
 		t.Error("invalid design accepted")
+	}
+}
+
+// TestRefusalReadsAsBefore: a Refusal reads, under every verb, exactly as
+// the fmt.Errorf("attacker: <step>: %w") it replaced — verdicts quote it
+// (testbed's details.golden) — and errors.Is and errors.As find the
+// cloud's error through it as through the wrapped one.
+func TestRefusalReadsAsBefore(t *testing.T) {
+	cloudErr := fmt.Errorf("cloud: bound to another user: %w", protocol.ErrAlreadyBound)
+	for _, step := range []string{"forge status", "forge bind", "bind token", "forge unbind type1", "forge unbind type2", "control"} {
+		var err error = &attacker.Refusal{Step: step, Err: cloudErr}
+		old := fmt.Errorf("attacker: "+step+": %w", cloudErr)
+		if err.Error() != old.Error() {
+			t.Errorf("%s: reads %q, want %q", step, err.Error(), old.Error())
+		}
+		for _, verb := range []string{"%v", "%s", "%+v", "%q", "%x", "%60v", "%-60s", "forged message rejected: %v"} {
+			if got, want := fmt.Sprintf(verb, err), fmt.Sprintf(verb, old); got != want {
+				t.Errorf("%s under %q: %q, want %q", step, verb, got, want)
+			}
+		}
+		var r *attacker.Refusal
+		if !errors.Is(err, protocol.ErrAlreadyBound) || !errors.As(err, &r) || r.Step != step || r.Err != cloudErr {
+			t.Errorf("%s: errors.Is/As do not see through the refusal", step)
+		}
 	}
 }

@@ -89,3 +89,23 @@ func (s *accountStore) replace(accounts map[string]string) {
 		s.accounts[u] = account{u, p}
 	}
 }
+
+// appendTo appends every account to dst, in no particular order.
+func (s *accountStore) appendTo(dst []account) []account {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, a := range s.accounts {
+		dst = append(dst, a)
+	}
+	return dst
+}
+
+// put empties the table in place and puts accounts in it.
+func (s *accountStore) put(accounts []account) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	clear(s.accounts)
+	for _, a := range accounts {
+		s.accounts[a.id] = a
+	}
+}

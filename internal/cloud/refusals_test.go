@@ -2,8 +2,10 @@ package cloud
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"github.com/iotbind/iotbind/internal/attacker"
 	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/protocol"
 )
@@ -57,11 +59,13 @@ func TestPrebuiltRefusals(t *testing.T) {
 // checking design refuses — bound to another user, unbind and control by
 // a non-owner — allocate nothing below the transport. The refusal is
 // built once; the fingerprint and the token lookup stay on the stack.
+// Above it, the attacker's agent adds one allocation, its Refusal, and
+// quoting that in a verdict only the verdict's own string.
 func TestRefusedForgeryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	svc, _, victim, attacker := newTestService(t, devIDDesign())
+	svc, _, victim, intruder := newTestService(t, devIDDesign())
 	mustStatus(t, svc, protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice})
 	if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: testDevice, UserToken: victim, Sender: core.SenderApp}); err != nil {
 		t.Fatal(err)
@@ -73,14 +77,14 @@ func TestRefusedForgeryAllocations(t *testing.T) {
 		allocs float64
 	}{
 		{"bind", func() error {
-			_, err := svc.HandleBind(protocol.BindRequest{DeviceID: testDevice, UserToken: attacker, Sender: core.SenderApp})
+			_, err := svc.HandleBind(protocol.BindRequest{DeviceID: testDevice, UserToken: intruder, Sender: core.SenderApp})
 			return err
 		}, errBoundToAnother, 0},
 		{"unbind", func() error {
-			return svc.HandleUnbind(protocol.UnbindRequest{DeviceID: testDevice, UserToken: attacker, Sender: core.SenderApp})
+			return svc.HandleUnbind(protocol.UnbindRequest{DeviceID: testDevice, UserToken: intruder, Sender: core.SenderApp})
 		}, errUnbindByNonOwner, 0},
 		{"control", func() error {
-			_, err := svc.HandleControl(protocol.ControlRequest{DeviceID: testDevice, UserToken: attacker, Command: protocol.Command{ID: "c1", Name: "on"}})
+			_, err := svc.HandleControl(protocol.ControlRequest{DeviceID: testDevice, UserToken: intruder, Command: protocol.Command{ID: "c1", Name: "on"}})
 			return err
 		}, errControlByNonOwner, 0},
 	} {
@@ -90,5 +94,41 @@ func TestRefusedForgeryAllocations(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { _ = c.forge() }); n != c.allocs {
 			t.Errorf("refused forged %s: %v allocations, want %v", c.name, n, c.allocs)
 		}
+	}
+
+	atk, err := attacker.New("attacker@example.com", "pw-attacker", devIDDesign(), svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := atk.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	var detail string
+	for _, c := range []struct {
+		name   string
+		forge  func() error
+		want   error
+		allocs float64
+	}{
+		{"agent bind", func() error { _, err := atk.ForgeBind(testDevice); return err }, errBoundToAnother, 1},
+		{"agent unbind", func() error { return atk.ForgeUnbind(testDevice, core.UnbindDevIDUserToken) }, errUnbindByNonOwner, 1},
+		{"agent control", func() error { return atk.Control(testDevice, protocol.Command{ID: "c1", Name: "on"}) }, errControlByNonOwner, 1},
+		{"agent bind quoted", func() error {
+			_, err := atk.ForgeBind(testDevice)
+			detail = fmt.Sprintf("forged message rejected: %v", err)
+			return err
+		}, errBoundToAnother, 2},
+	} {
+		err := c.forge()
+		var refusal *attacker.Refusal
+		if !errors.Is(err, c.want) || !errors.As(err, &refusal) || refusal.Err != c.want {
+			t.Fatalf("forged %s: %v, want an attacker refusal of %v", c.name, err, c.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = c.forge() }); n != c.allocs {
+			t.Errorf("refused forged %s: %v allocations, want %v", c.name, n, c.allocs)
+		}
+	}
+	if want := "forged message rejected: attacker: forge bind: " + errBoundToAnother.Error(); detail != want {
+		t.Errorf("quoted refusal reads %q, want %q", detail, want)
 	}
 }

@@ -26,6 +26,10 @@ type DeviceRecord struct {
 	FactorySecret string
 	// Model is the reported model name.
 	Model string
+
+	// pairingProof is the local-possession proof of the device's setup
+	// mode (protocol.PairingProof), derived once by Add.
+	pairingProof string
 }
 
 // Registry is the vendor's database of manufactured devices. The cloud
@@ -45,6 +49,7 @@ func (r *Registry) Add(rec DeviceRecord) error {
 	if rec.ID == "" {
 		return fmt.Errorf("registry: %w: empty device ID", protocol.ErrBadRequest)
 	}
+	rec.pairingProof = protocol.PairingProof(rec.FactorySecret, rec.ID)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, exists := r.devices[rec.ID]; exists {
@@ -54,11 +59,25 @@ func (r *Registry) Add(rec DeviceRecord) error {
 	return nil
 }
 
-// reset empties the registry in place.
-func (r *Registry) reset() {
+// appendTo appends every record to dst, in no particular order.
+func (r *Registry) appendTo(dst []DeviceRecord) []DeviceRecord {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, rec := range r.devices {
+		dst = append(dst, rec)
+	}
+	return dst
+}
+
+// replace empties the registry in place and puts recs in it as they
+// are, their pairing proofs included.
+func (r *Registry) replace(recs []DeviceRecord) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	clear(r.devices)
-	r.mu.Unlock()
+	for _, rec := range recs {
+		r.devices[rec.ID] = rec
+	}
 }
 
 // Lookup fetches a device record by ID.

@@ -82,6 +82,10 @@ type Service struct {
 	persistIdem       bool
 
 	stats statCounters
+
+	// spare holds the shadows Rewind took out of the store, for a later
+	// Rewind to reuse before it makes one.
+	spare []*shadow
 }
 
 // Option configures a Service.
@@ -222,8 +226,7 @@ func (s *Service) requestDeviceToken(req protocol.DeviceTokenRequest) (protocol.
 	if !ok {
 		return protocol.DeviceTokenResponse{}, fmt.Errorf("cloud: %q: %w", req.DeviceID, protocol.ErrUnknownDevice)
 	}
-	want := protocol.PairingProof(rec.FactorySecret, rec.ID)
-	if !protocol.VerifyProof(req.PairingProof, want) {
+	if !protocol.VerifyProof(req.PairingProof, rec.pairingProof) {
 		return protocol.DeviceTokenResponse{}, errPairingProof
 	}
 	devTok, err := s.issuer.Issue(token.KindDevice, userTok.Subject, rec.ID, 0)

@@ -3,6 +3,7 @@ package cloud
 import (
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -132,6 +133,39 @@ func keepLast[T any](q []T, n int) []T { return slices.Delete(q, 0, max(0, len(q
 
 func newShadow(deviceID string) *shadow {
 	return &shadow{deviceID: deviceID, machine: *core.NewMachine()}
+}
+
+// copyFrom makes s a copy of src, field by field but the lock, in memory
+// of s's own: the Figure 2 machine with its trace ring, the lattice, the
+// inboxes, the readings and the idempotency log. A nil list stays nil.
+// Neither shadow may be in use meanwhile. The recorded status replies are
+// shared: nothing writes one after it is recorded.
+func (s *shadow) copyFrom(src *shadow) {
+	s.deviceID, s.machine, s.lastSeen, s.boundUser = src.deviceID, src.machine, src.lastSeen, src.boundUser
+	s.deleg.CopyFrom(&src.deleg)
+	s.sessionOwner, s.sessionToken, s.sessionNonce = src.sessionOwner, src.sessionToken, src.sessionNonce
+	s.buttonUntil, s.deviceIP = src.buttonUntil, src.deviceIP
+	s.commandInbox = copyList(s.commandInbox, src.commandInbox)
+	s.dataInbox = copyList(s.dataInbox, src.dataInbox)
+	s.readings = copyList(s.readings, src.readings)
+	clear(s.idemResults)
+	if s.idemResults == nil && len(src.idemResults) > 0 {
+		s.idemResults = make(map[string]idemResult, len(src.idemResults))
+	}
+	maps.Copy(s.idemResults, src.idemResults)
+	s.idemOrder = copyList(s.idemOrder, src.idemOrder)
+}
+
+// copyList returns src's elements in dst's memory (growing it if need
+// be), nil when src is nil.
+func copyList[T any](dst, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	if dst == nil {
+		dst = make([]T, 0, len(src))
+	}
+	return append(dst[:0], src...)
 }
 
 // state returns the shadow's state-machine position.

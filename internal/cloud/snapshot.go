@@ -231,19 +231,14 @@ func (s *Service) Restore(snap Snapshot) error {
 }
 
 // Reset empties the service in place for a new design, as NewService
-// built it but keeping its maps' memory and its options: Restore's replace
-// helpers with nothing to put back, and the registry emptied too. Callers
-// must not race traffic.
+// built it but keeping its maps' memory and its options: a rewind to an
+// empty checkpoint, the registry emptied too. Callers must not race
+// traffic.
 func (s *Service) Reset(design core.DesignSpec) error {
 	if err := design.Validate(); err != nil {
 		return fmt.Errorf("cloud: %w", err)
 	}
-	s.design = design
-	s.registry.reset()
-	_ = s.issuer.Import(nil) // no token, so nothing to refuse
-	s.accounts.replace(nil)
-	s.store.replaceAll(nil)
-	s.stats = statCounters{} // restore(Stats{}) would put its argument on the heap
+	s.Rewind(&Checkpoint{design: design})
 	return nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -277,6 +278,22 @@ func (d DesignSpec) Setup() Setup {
 // unbound for a while: registered, waiting for the app's bind. That
 // window is where A4-2 binds first.
 func (s Setup) OnlineUnbound() bool { return s.Binder == SenderApp && s.RegisterFirst }
+
+// Equal reports whether d and o are the same design: every field equal,
+// UnbindForms by content (the same forms in the same order), so two
+// designs that share a Name but not their forms differ.
+func (d DesignSpec) Equal(o DesignSpec) bool {
+	return d.Name == o.Name && d.DeviceAuth == o.DeviceAuth && d.AssumedAuth == o.AssumedAuth &&
+		d.Binding == o.Binding && slices.Equal(d.UnbindForms, o.UnbindForms) &&
+		d.CheckBoundUserOnBind == o.CheckBoundUserOnBind && d.CheckBoundUserOnUnbind == o.CheckBoundUserOnUnbind &&
+		d.ReplaceOnBind == o.ReplaceOnBind && d.PostBindingToken == o.PostBindingToken &&
+		d.SourceIPCheck == o.SourceIPCheck && d.BindButtonWindow == o.BindButtonWindow &&
+		d.OnlineBeforeBind == o.OnlineBeforeBind && d.SessionTiedBinding == o.SessionTiedBinding &&
+		d.DataRequiresSession == o.DataRequiresSession &&
+		d.DelegationScopeAttenuation == o.DelegationScopeAttenuation &&
+		d.DelegationCascadeRevoke == o.DelegationCascadeRevoke && d.DelegationCheckAtUse == o.DelegationCheckAtUse &&
+		d.ResetUnbindsOnSetup == o.ResetUnbindsOnSetup && d.FirmwareOpaque == o.FirmwareOpaque
+}
 
 // SupportsUnbind reports whether the cloud accepts the given unbind form.
 func (d DesignSpec) SupportsUnbind(f UnbindForm) bool {

@@ -241,3 +241,36 @@ func TestEachDesign(t *testing.T) {
 		t.Errorf("yield returned false at the third design, EachDesign went on to %d", n)
 	}
 }
+
+// TestDesignSpecEqual: Equal tells apart two designs that differ in any
+// one field — a field added to DesignSpec and forgotten by Equal fails
+// here — and compares UnbindForms by content, not by slice identity.
+func TestDesignSpecEqual(t *testing.T) {
+	d := validSpec()
+	same := d
+	same.UnbindForms = append([]UnbindForm(nil), d.UnbindForms...)
+	if !d.Equal(same) {
+		t.Error("a design with a copy of its unbind forms is not Equal to it")
+	}
+	typ := reflect.TypeOf(d)
+	for i := 0; i < typ.NumField(); i++ {
+		other := d
+		other.UnbindForms = append([]UnbindForm(nil), d.UnbindForms...)
+		f := reflect.ValueOf(&other).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		case reflect.String:
+			f.SetString(f.String() + "'")
+		case reflect.Slice:
+			f.Set(reflect.Append(f, reflect.ValueOf(UnbindDevIDAlone)))
+		default:
+			t.Fatalf("field %s: kind %v not covered", typ.Field(i).Name, f.Kind())
+		}
+		if d.Equal(other) || other.Equal(d) {
+			t.Errorf("designs differing in %s are Equal", typ.Field(i).Name)
+		}
+	}
+}

@@ -21,6 +21,7 @@ package delegation
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -183,6 +184,27 @@ func (l *Lattice) Reset(root string) {
 	clear(l.memo)
 	l.root = root
 	l.gen++
+}
+
+// CopyFrom makes l a copy of src — root, grants and memoized verdicts —
+// in l's own maps, so neither lattice sees the other's later mutations.
+// Copying into maps that held as many entries allocates nothing.
+func (l *Lattice) CopyFrom(src *Lattice) {
+	l.root, l.gen = src.root, src.gen
+	l.grants = copyMap(l.grants, src.grants)
+	l.memo = copyMap(l.memo, src.memo)
+	clear(l.severed)
+	l.severed = l.severed[:0]
+}
+
+// copyMap returns src's entries in dst, made only when src has some.
+func copyMap[V any](dst, src map[string]V) map[string]V {
+	clear(dst)
+	if dst == nil && len(src) > 0 {
+		dst = make(map[string]V, len(src))
+	}
+	maps.Copy(dst, src)
+	return dst
 }
 
 // Len returns the number of live grants.

@@ -303,3 +303,29 @@ func TestLatticeCycleAllocations(t *testing.T) {
 		t.Fatalf("warm lattice cycle allocates %v times, want 0", n)
 	}
 }
+
+// TestCopyFrom: a copied lattice authorizes exactly as its source, keeps
+// nothing of its own past — not a memoized verdict stamped with the
+// generation it takes over — and shares nothing with the source after.
+func TestCopyFrom(t *testing.T) {
+	src, dst := New("owner"), New("other-owner")
+	mustGrant(t, src, Grant{Grantor: "owner", Grantee: "a", Scopes: ScopeControl}, true)
+	mustGrant(t, dst, Grant{Grantor: "other-owner", Grantee: "b", Scopes: ScopeControl}, true)
+	if !src.Authorize("a", ScopeControl, t0) || !dst.Authorize("b", ScopeControl, t0) {
+		t.Fatal("grants do not authorize")
+	}
+	dst.CopyFrom(src)
+	if dst.Authorize("b", ScopeControl, t0) {
+		t.Error("the copy kept its own memoized verdict for b")
+	}
+	if !dst.Authorize("a", ScopeControl, t0) || !dst.Authorize("owner", ScopeControl, t0) {
+		t.Error("the copy does not authorize as its source")
+	}
+	if !reflect.DeepEqual(dst.Grants(), src.Grants()) {
+		t.Errorf("copied grants %+v, want %+v", dst.Grants(), src.Grants())
+	}
+	src.Revoke("a", true)
+	if !dst.Authorize("a", ScopeControl, t0) {
+		t.Error("revoking on the source revoked on the copy")
+	}
+}

@@ -53,6 +53,9 @@ type Device struct {
 	bindUserID   string
 	bindUserPw   string
 	bindToken    string
+	// pairingProof is what Announce reveals in setup mode, derived by the
+	// first announcement and kept while the ID and secret are unchanged.
+	pairingProof string
 
 	pendingReadings []protocol.Reading
 	executed        []protocol.Command
@@ -152,6 +155,10 @@ func (d *Device) Init(cfg Config, design core.DesignSpec, cloud transport.Cloud,
 	if cfg.ID == "" || cfg.LocalName == "" {
 		return fmt.Errorf("device: %w", errors.New("missing ID or local name"))
 	}
+	proof := d.pairingProof
+	if cfg.ID != d.id || cfg.FactorySecret != d.factorySecret {
+		proof = ""
+	}
 	*d = Device{
 		id:            cfg.ID,
 		factorySecret: cfg.FactorySecret,
@@ -161,6 +168,7 @@ func (d *Device) Init(cfg Config, design core.DesignSpec, cloud transport.Cloud,
 		design:        design,
 		cloud:         cloud,
 		setupMode:     true,
+		pairingProof:  proof,
 		executed:      d.executed[:0],
 		received:      d.received[:0],
 		now:           time.Now,
@@ -173,6 +181,26 @@ func (d *Device) Init(cfg Config, design core.DesignSpec, cloud transport.Cloud,
 		d.cloud = d.retrier
 	}
 	return nil
+}
+
+// CopyFrom makes d a copy of src, field by field but the lock: the
+// tokens, the setup flags, the queued readings and batch, and the command
+// and data logs, the lists in d's own memory so that neither device sees
+// what the other does next (an empty list may come out nil). Both keep
+// the transport, clock and retrier they share. Neither may be in use
+// meanwhile.
+func (d *Device) CopyFrom(src *Device) {
+	d.id, d.factorySecret, d.localName, d.model, d.firmware = src.id, src.factorySecret, src.localName, src.model, src.firmware
+	d.design, d.cloud = src.design, src.cloud
+	d.setupMode, d.provisioned, d.resetNotify, d.active = src.setupMode, src.provisioned, src.resetNotify, src.active
+	d.devToken, d.sessionToken, d.sessionNonce = src.devToken, src.sessionToken, src.sessionNonce
+	d.bindUserID, d.bindUserPw, d.bindToken, d.pairingProof = src.bindUserID, src.bindUserPw, src.bindToken, src.pairingProof
+	d.pendingReadings = append(d.pendingReadings[:0], src.pendingReadings...)
+	d.executed = append(d.executed[:0], src.executed...)
+	d.received = append(d.received[:0], src.received...)
+	d.batchSize, d.flushInterval, d.batchStart = src.batchSize, src.flushInterval, src.batchStart
+	d.batchQueue = append(d.batchQueue[:0], src.batchQueue...)
+	d.now, d.retryPolicy, d.retrier = src.now, src.retryPolicy, src.retrier
 }
 
 // Close releases the agent's transport-side resources: an in-flight retry
@@ -221,7 +249,10 @@ func (d *Device) Announce() (localnet.Announcement, bool) {
 		SetupMode: d.setupMode,
 	}
 	if d.setupMode {
-		ann.PairingProof = protocol.PairingProof(d.factorySecret, d.id)
+		if d.pairingProof == "" {
+			d.pairingProof = protocol.PairingProof(d.factorySecret, d.id)
+		}
+		ann.PairingProof = d.pairingProof
 	}
 	return ann, true
 }

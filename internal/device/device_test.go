@@ -334,3 +334,37 @@ func TestTokenIssuerSharing(t *testing.T) {
 		t.Errorf("shared issuer does not know the issued token: %v", err)
 	}
 }
+
+// TestPairingProofDerivedOnce: a device in setup mode announces the
+// pairing proof of its ID and secret, derives it once — later
+// announcements, a factory reset and a re-Init with the same ID and
+// secret allocate nothing for it — and derives it anew when Init changes
+// the secret.
+func TestPairingProofDerivedOnce(t *testing.T) {
+	d := design(core.AuthDevToken, core.BindACLApp)
+	svc, _ := newCloud(t, d)
+	dev := newDevice(t, d, svc)
+	ann, _ := dev.Announce()
+	if want := protocol.PairingProof(devSecret, devID); ann.PairingProof != want {
+		t.Fatalf("announced proof %q, want %q", ann.PairingProof, want)
+	}
+	cfg := device.Config{ID: devID, FactorySecret: devSecret, LocalName: "plug", Model: "plug"}
+	if n := testing.AllocsPerRun(20, func() {
+		dev.Reset()
+		if err := dev.Init(cfg, d, svc); err != nil {
+			t.Fatal(err)
+		}
+		if ann, _ := dev.Announce(); ann.PairingProof == "" {
+			t.Fatal("no proof in setup mode")
+		}
+	}); n != 0 {
+		t.Errorf("re-announcing an unchanged device: %v allocations, want 0", n)
+	}
+	cfg.FactorySecret = "another-secret"
+	if err := dev.Init(cfg, d, svc); err != nil {
+		t.Fatal(err)
+	}
+	if ann, _ := dev.Announce(); ann.PairingProof != protocol.PairingProof("another-secret", devID) {
+		t.Errorf("after a new secret the device announces %q, the old secret's proof", ann.PairingProof)
+	}
+}

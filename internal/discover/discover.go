@@ -117,19 +117,17 @@ func searchScenario(tb *testbed.Testbed, design core.DesignSpec, scenario testbe
 	return attacks, nil
 }
 
-// execute launches one sequence into the scenario on tb, reset for the
-// design — non-strict: the adversary simply tries every move — and
-// reports the goals it achieved, probed in the scenario's probe order.
+// execute launches one sequence into the scenario on tb, which Stage
+// resets for the design — non-strict: the adversary simply tries every
+// move — and reports the goals it achieved, probed in the scenario's
+// probe order.
 func execute(tb *testbed.Testbed, design core.DesignSpec, scenario testbed.Scenario, seq []core.Move) ([]core.Goal, error) {
-	if err := tb.Reset(design); err != nil {
-		return nil, err
-	}
 	if scenario == testbed.ScenarioSteadyControl {
 		// The victim parks private data for the device — the stealing
 		// target — before the adversary moves.
 		seq = append([]core.Move{core.MoveParkSecret}, seq...)
 	}
-	launched, _, setupErr, err := tb.Stage(scenario, seq, false)
+	launched, _, setupErr, err := tb.Stage(design, scenario, seq, false)
 	if err != nil || !launched {
 		return nil, err
 	}

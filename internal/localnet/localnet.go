@@ -13,6 +13,7 @@ package localnet
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -145,6 +146,18 @@ func (n *Network) Reset() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	clear(n.responders)
+}
+
+// CopyFrom makes n a copy of src, field by field but the lock, the
+// member map in n's own; the members themselves are shared. Neither may
+// be in use meanwhile.
+func (n *Network) CopyFrom(src *Network) {
+	n.name, n.publicIP, n.ssid, n.passphrase = src.name, src.publicIP, src.ssid, src.passphrase
+	clear(n.responders)
+	if n.responders == nil && len(src.responders) > 0 {
+		n.responders = make(map[string]Responder, len(src.responders))
+	}
+	maps.Copy(n.responders, src.responders)
 }
 
 // Discover broadcasts an SSDP-style search and collects announcements,

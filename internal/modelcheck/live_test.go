@@ -37,10 +37,7 @@ func TestLiveRigTakesEveryMove(t *testing.T) {
 	tb := new(testbed.Testbed)
 	for m := range emitted {
 		for _, p := range profiles {
-			if err := tb.Reset(p.Design); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, _, err := tb.Stage(testbed.ScenarioSteadyControl, []core.Move{m}, false); err != nil {
+			if _, _, _, err := tb.Stage(p.Design, testbed.ScenarioSteadyControl, []core.Move{m}, false); err != nil {
 				t.Errorf("%s: %v: %v", p.Design.Name, m, err)
 			}
 		}

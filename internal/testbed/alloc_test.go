@@ -9,36 +9,39 @@ import (
 	"github.com/iotbind/iotbind/internal/vendors"
 )
 
-// newAllocs is what building one testbed allocates: a fresh cell
-// (Evaluate) pays it, a sweep once per worker.
-const newAllocs = 21
+// newAllocs is what building one testbed allocates: a sweep pays it once
+// per worker.
+const newAllocs = 22
 
-// resetAllocs is what resetting a used testbed allocates, which every
-// cell of a sweep pays: the victim's and the attacker's login tokens.
-const resetAllocs = 2
+// resetAllocs is what resetting a used testbed allocates: the victim's
+// and the attacker's login tokens and the registry's pairing proof.
+const resetAllocs = 3
 
 // sweepAllocs is what one worker's sweep of the ten vendors allocates
 // (AllocsPerRun runs at GOMAXPROCS 1, so EvaluateVendors has one worker):
-// one testbed built, 90 cells on it reset, staged and probed, and the rows.
-const sweepAllocs = 938
+// one testbed built, each vendor's reset and setup run and captured once,
+// its 90 cells staged — seven of them from the set-up world rewound, two
+// from the reset one — and probed, and the rows.
+const sweepAllocs = 445
 
-// cellAllocs is what one live cell — a fresh testbed, the variant staged
-// on it, the probe — allocates, per vendor in Table III order and per
-// variant in Table II order. Exact counts, so a regression names its
-// cell; on a mismatch the test logs the table to paste here, and
-// EXPERIMENTS.md ("Layer budget — the attack matrix", parts 1 and 2) says
-// where the remaining ones go.
+// cellAllocs is what one live cell allocates on a testbed that ran it
+// before — the world rewound from Stage's checkpoint, the variant staged,
+// the probes: what each cell of a sweep pays after its vendor's first.
+// Per vendor in Table III order and per variant in Table II order. Exact
+// counts, so a regression names its cell; on a mismatch the test logs
+// the table to paste here, and EXPERIMENTS.md ("Layer budget — the attack
+// matrix", parts 1, 2 and 4) says where the remaining ones go.
 var cellAllocs = [][9]float64{
-	{33, 36, 33, 28, 31, 31, 31, 30, 31}, // Belkin
-	{31, 36, 29, 31, 31, 29, 31, 30, 31}, // BroadLink
-	{36, 38, 36, 36, 37, 34, 37, 33, 32}, // KONKE
-	{33, 36, 33, 31, 31, 31, 31, 30, 31}, // Lightstory
-	{31, 36, 29, 28, 31, 29, 31, 30, 31}, // Orvibo
-	{29, 34, 27, 29, 29, 27, 29, 38, 29}, // OZWI
-	{31, 31, 29, 31, 31, 29, 31, 33, 31}, // Philips Hue
-	{35, 35, 29, 32, 32, 30, 32, 29, 35}, // TP-LINK
-	{29, 30, 27, 29, 30, 27, 30, 28, 29}, // E-Link Smart
-	{32, 34, 31, 29, 29, 26, 29, 28, 29}, // D-LINK
+	{4, 12, 4, 0, 2, 2, 2, 6, 2},  // Belkin
+	{3, 11, 1, 2, 2, 1, 2, 5, 2},  // BroadLink
+	{4, 8, 4, 4, 3, 2, 3, 6, 1},   // KONKE
+	{4, 11, 4, 2, 2, 2, 2, 5, 2},  // Lightstory
+	{3, 11, 1, 0, 2, 1, 2, 5, 2},  // Orvibo
+	{3, 10, 1, 2, 2, 1, 2, 13, 2}, // OZWI
+	{3, 5, 1, 2, 2, 1, 2, 7, 2},   // Philips Hue
+	{5, 11, 0, 2, 2, 1, 2, 5, 5},  // TP-LINK
+	{3, 5, 1, 2, 3, 1, 3, 4, 2},   // E-Link Smart
+	{5, 10, 4, 2, 2, 0, 2, 4, 2},  // D-LINK
 }
 
 func TestTestbedCellAllocations(t *testing.T) {
@@ -73,7 +76,7 @@ func TestTestbedCellAllocations(t *testing.T) {
 			// Twenty runs: AllocsPerRun floors the mean, which absorbs the
 			// runtime's own rare allocations (about 1 run in 200 reads high).
 			got[i][j] = testing.AllocsPerRun(20, func() {
-				if _, err := Evaluate(p.Design, v); err != nil {
+				if _, err := tb.evaluate(p.Design, v); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -113,5 +116,35 @@ func TestEvaluateVendorsAllocations(t *testing.T) {
 		}
 	}); n != sweepAllocs {
 		t.Errorf("EvaluateVendors on one worker: %v allocations, want %v", n, sweepAllocs)
+	}
+}
+
+// TestRewindAllocatesNothing pins Stage's checkpoints at zero allocations
+// once warm: rewinding the rig to the reset world (no shadow) and to the
+// set-up one (a shadow, taken back from the store's spares), and
+// capturing into a checkpoint that held a world as large.
+func TestRewindAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	tb := new(Testbed)
+	for _, p := range vendors.Profiles() {
+		for _, v := range []core.AttackVariant{core.VariantA2, core.VariantA1} {
+			if _, err := tb.evaluate(p.Design, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !tb.afterReset.holds(p.Design, config{DefaultDeviceID}) || !tb.afterSetup.holds(p.Design, config{DefaultDeviceID}) {
+			t.Fatalf("%s: a pre-setup and a steady cell left no checkpoints", p.Vendor)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			tb.rewind(&tb.afterReset, p.Design)
+			tb.rewind(&tb.afterSetup, p.Design)
+		}); n != 0 {
+			t.Errorf("%s: rewinding to the reset and the set-up world: %v allocations, want 0", p.Vendor, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { tb.capture(&tb.afterSetup) }); n != 0 {
+			t.Errorf("%s: capturing the set-up world again: %v allocations, want 0", p.Vendor, n)
+		}
 	}
 }

@@ -29,16 +29,9 @@ func Evaluate(design core.DesignSpec, v core.AttackVariant, opts ...Option) (Res
 	return new(Testbed).evaluate(design, v, opts...)
 }
 
-// evaluate is Evaluate on this testbed, reset for the design.
-func (tb *Testbed) evaluate(design core.DesignSpec, v core.AttackVariant, opts ...Option) (Result, error) {
-	if err := tb.Reset(design, opts...); err != nil {
-		return Result{}, err
-	}
-	return tb.run(v)
-}
-
-// EvaluateAll runs every Table II variant against the design, on one
-// testbed reset in place before each variant.
+// EvaluateAll runs every Table II variant against the design on one
+// testbed: the reset and the victim's setup run once, and each later
+// variant starts from the world they left, rewound in place (Stage).
 func EvaluateAll(design core.DesignSpec, opts ...Option) ([]Result, error) {
 	return new(Testbed).evaluateAll(design, opts...)
 }
@@ -84,8 +77,9 @@ func (tb *Testbed) evaluateVendor(p vendors.Profile) (VendorResult, error) {
 
 // EvaluateVendors runs the full attack suite against each profile
 // concurrently and returns the rows in the input order — the parallel
-// Table III regeneration. Each worker owns one testbed and resets it for
-// every cell it runs, so the workers share no state; results are
+// Table III regeneration. Each worker owns one testbed, with its
+// checkpoints, and resets it for every cell it runs, so the workers share
+// no state; results are
 // identical to a sequential sweep. The first error aborts the sweep — no
 // profile is started once one has failed — and the error of the
 // lowest-index failing profile is returned, as a sequential sweep would.
@@ -250,9 +244,10 @@ func (tb *Testbed) landed(v core.AttackVariant, setupErr error) (bool, error) {
 	return !ok, err
 }
 
-// run launches the variant's procedure on this (just reset) testbed and
-// classifies what happened in Table III vocabulary.
-func (tb *Testbed) run(v core.AttackVariant) (Result, error) {
+// evaluate is Evaluate on this testbed: Stage resets it for the design,
+// launches the variant's procedure, and what happened is classified in
+// Table III vocabulary.
+func (tb *Testbed) evaluate(design core.DesignSpec, v core.AttackVariant, opts ...Option) (Result, error) {
 	if v < 1 || int(v) >= len(procedures) {
 		return Result{}, fmt.Errorf("testbed: unknown attack variant %v", v)
 	}
@@ -262,7 +257,7 @@ func (tb *Testbed) run(v core.AttackVariant) (Result, error) {
 		moves = v.Moves()
 	}
 	res := Result{Variant: v}
-	launched, rejected, setupErr, err := tb.Stage(scenarios[v.LaunchState()], moves, true)
+	launched, rejected, setupErr, err := tb.Stage(design, scenarios[v.LaunchState()], moves, true, opts...)
 	switch {
 	case err != nil:
 		return Result{}, err

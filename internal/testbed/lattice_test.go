@@ -89,20 +89,17 @@ func TestLiveLattice(t *testing.T) {
 	t.Logf("%d designs run live", ran)
 }
 
-// replay stages a violated checker result's counterexample on tb, reset
-// for d, exactly as the checker wrote it, and reports whether the goal's
+// replay stages a violated checker result's counterexample on tb for d,
+// exactly as the checker wrote it, and reports whether the goal's
 // live probe fires: a steady-state property behind the victim's parked
 // secret in the steady control state, victim-can-bind in the pre-setup
 // scenario, whose own setup is the counterexample's trailing victim-setup.
 func replay(tb *Testbed, d core.DesignSpec, r modelcheck.Result) (bool, error) {
-	if err := tb.Reset(d); err != nil {
-		return false, err
-	}
 	sc, moves := ScenarioSteadyControl, append([]core.Move{core.MoveParkSecret}, r.Counterexample...)
 	if r.Property == core.GoalOccupy {
 		sc, moves = ScenarioPreSetup, r.Counterexample
 	}
-	_, _, setupErr, err := tb.Stage(sc, moves, true)
+	_, _, setupErr, err := tb.Stage(d, sc, moves, true)
 	if err != nil {
 		return false, err
 	}

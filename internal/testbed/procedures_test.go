@@ -25,11 +25,8 @@ func TestTable3Golden(t *testing.T) {
 	var b strings.Builder
 	for _, p := range designs {
 		for _, v := range core.AllAttackVariants() {
-			tb, err := New(p.Design)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := tb.run(v)
+			tb := new(Testbed)
+			res, err := tb.evaluate(p.Design, v)
 			if err != nil {
 				t.Fatalf("%s %v: %v", p.Design.Name, v, err)
 			}

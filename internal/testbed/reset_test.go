@@ -7,8 +7,12 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/iotbind/iotbind/internal/app"
+	"github.com/iotbind/iotbind/internal/attacker"
 	"github.com/iotbind/iotbind/internal/cloud"
 	"github.com/iotbind/iotbind/internal/core"
+	"github.com/iotbind/iotbind/internal/device"
+	"github.com/iotbind/iotbind/internal/localnet"
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/vendors"
 )
@@ -94,16 +98,38 @@ func masked(snap cloud.Snapshot) cloud.Snapshot {
 	return snap
 }
 
-// TestResetMatchesFresh is Reset's residue gate: a cell run on a testbed
-// that earlier cells used must leave exactly the world the cell leaves on
-// a fresh testbed. One testbed runs every vendor cell in forward, reverse
-// and seeded-shuffled order, then a seeded sample of the design lattice
-// with a device ID per cell, so that a shard Reset skipped keeps a shadow
-// the next snapshot shows.
+// TestResetMatchesFresh is the residue gate of Reset and of Stage's
+// checkpoints: a cell run on a testbed that earlier cells used must leave
+// exactly the world the cell leaves on a fresh testbed, set up live. One
+// testbed runs every vendor cell in forward, reverse and seeded-shuffled
+// order, then grouped — each vendor's nine cells back to back, its
+// variants in seeded-shuffled order, so every steady cell after its
+// vendor's first starts from the rewound set-up world — then crossed, a
+// vendor's steady cells rewound after a cell that reset the rig for
+// another vendor and device ID, then a seeded
+// sample of the design lattice, shuffled with a device ID per cell (so
+// that a shard Reset skipped keeps a shadow the next snapshot shows) and
+// grouped by design with one device ID each, and last two designs of one
+// Name whose unbind forms differ only in content, interleaved: neither
+// may be rewound to the other's world.
 func TestResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	variants := core.AllAttackVariants()
+	grouped := func(designs []core.DesignSpec, id func(i int) string) []cell {
+		var cells []cell
+		for i, d := range designs {
+			deviceID := id(i)
+			for _, j := range rng.Perm(len(variants)) {
+				cells = append(cells, cell{d, variants[j], deviceID})
+			}
+		}
+		return cells
+	}
+	var vendorDesigns []core.DesignSpec
 	var vendorCells []cell
 	for _, p := range vendors.Profiles() {
-		for _, v := range core.AllAttackVariants() {
+		vendorDesigns = append(vendorDesigns, p.Design)
+		for _, v := range variants {
 			vendorCells = append(vendorCells, cell{p.Design, v, DefaultDeviceID})
 		}
 	}
@@ -111,9 +137,18 @@ func TestResetMatchesFresh(t *testing.T) {
 	for i, c := range vendorCells {
 		reversed[len(reversed)-1-i] = c
 	}
-	rng := rand.New(rand.NewSource(41))
 	shuffled := append([]cell(nil), vendorCells...)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	vendorGrouped := grouped(vendorDesigns, func(int) string { return DefaultDeviceID })
+	// Crossed: each vendor's steady cells with, between them, a cell that
+	// resets the next vendor under another device ID, so each is rewound
+	// from a world the rig no longer holds.
+	var crossed []cell
+	for i, a := range vendorDesigns {
+		b, idA, idB := vendorDesigns[(i+1)%len(vendorDesigns)], fmt.Sprintf("AA:BB:CC:00:20:%02X", i), fmt.Sprintf("AA:BB:CC:00:21:%02X", i)
+		crossed = append(crossed, cell{a, core.VariantA3x1, idA}, cell{b, core.VariantA2, idB},
+			cell{a, core.VariantA1, idA}, cell{b, core.VariantA4x2, idB}, cell{a, core.VariantA4x3, idA})
+	}
 
 	var sample []core.DesignSpec
 	seen := 0
@@ -127,26 +162,79 @@ func TestResetMatchesFresh(t *testing.T) {
 	})
 	var latticeCells []cell
 	for i, d := range sample {
-		for _, v := range core.AllAttackVariants() {
+		for _, v := range variants {
 			id := fmt.Sprintf("AA:BB:CC:%02X:%02X:%02X", i, int(v), rng.Intn(256))
 			latticeCells = append(latticeCells, cell{d, v, id})
 		}
 	}
 	rng.Shuffle(len(latticeCells), func(i, j int) { latticeCells[i], latticeCells[j] = latticeCells[j], latticeCells[i] })
+	latticeGrouped := grouped(sample, func(i int) string { return fmt.Sprintf("AA:BB:CC:%02X:00:%02X", i, rng.Intn(256)) })
+
+	// Two designs that share their Name and differ in one unbind form.
+	devID, tokenOnly := vendors.Profiles()[0].Design, vendors.Profiles()[0].Design
+	devID.UnbindForms = []core.UnbindForm{core.UnbindDevIDAlone}
+	tokenOnly.UnbindForms = []core.UnbindForm{core.UnbindDevIDUserToken}
+	var twins []cell
+	for _, v := range variants {
+		twins = append(twins, cell{devID, v, DefaultDeviceID}, cell{tokenOnly, v, DefaultDeviceID})
+	}
 
 	tb := new(Testbed)
 	for _, order := range []struct {
 		name  string
 		cells []cell
 	}{
-		{"forward", vendorCells}, {"reverse", reversed}, {"shuffled", shuffled}, {"lattice", latticeCells},
+		{"forward", vendorCells}, {"reverse", reversed}, {"shuffled", shuffled}, {"grouped", vendorGrouped}, {"crossed", crossed},
+		{"lattice", latticeCells}, {"lattice grouped", latticeGrouped}, {"twins", twins},
 	} {
+		rewound := 0
 		for i, c := range order.cells {
+			if c.variant.LaunchState() == core.StateControl && tb.afterSetup.holds(c.design, config{c.deviceID}) {
+				rewound++
+			}
 			fresh, reset := runCell(new(Testbed), c, false), runCell(tb, c, true)
 			if !reflect.DeepEqual(fresh, reset) {
 				t.Fatalf("%s cell %d, %s × %v on %s: the reset testbed differs from a fresh one\nfresh: %+v\nreset: %+v",
 					order.name, i, c.design.Name, c.variant, c.deviceID, fresh, reset)
 			}
+		}
+		t.Logf("%s: %d of %d cells started from the rewound set-up world", order.name, rewound, len(order.cells))
+		if want := map[string]int{"grouped": 60, "crossed": 20}[order.name]; want != 0 && rewound != want {
+			t.Errorf("%s: %d steady cells rewound, want %d", order.name, rewound, want)
+		}
+	}
+
+	// The twins differ where an unbind form decides the cell, so a world
+	// rewound for the wrong twin would have shown above.
+	a, err := EvaluateAll(devID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := EvaluateAll(tokenOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(a, b) {
+		t.Error("the two designs sharing a Name give the same results; pick twins that an unbind form tells apart")
+	}
+}
+
+// TestCopiesCoverEveryField: a checkpoint copies the agents and the home
+// network field by field (their CopyFrom, which skips only the lock). A
+// field added to one of these types must be copied there as well, and
+// its count here moved with it.
+func TestCopiesCoverEveryField(t *testing.T) {
+	for _, c := range []struct {
+		typ    reflect.Type
+		fields int
+	}{
+		{reflect.TypeOf((*device.Device)(nil)).Elem(), 29},
+		{reflect.TypeOf((*app.App)(nil)).Elem(), 13},
+		{reflect.TypeOf((*attacker.Attacker)(nil)).Elem(), 9},
+		{reflect.TypeOf((*localnet.Network)(nil)).Elem(), 6},
+	} {
+		if n := c.typ.NumField(); n != c.fields {
+			t.Errorf("%v has %d fields, its CopyFrom copies %d and the lock", c.typ, n, c.fields-1)
 		}
 	}
 }

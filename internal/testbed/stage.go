@@ -189,9 +189,12 @@ func (tb *Testbed) setupAfterMoves() (setupErr, err error) {
 	return setupErr, nil
 }
 
-// Stage is the one live attack executor: it puts the victim into the
-// scenario, launches the moves at the scenario's injection point, and
-// finishes the victim's side.
+// Stage is the one live attack executor: it resets the testbed for the
+// design, as Reset does with opts, puts the victim into the scenario,
+// launches the moves at the scenario's injection point, and finishes the
+// victim's side. The reset, and the steady scenario's setup after it, run
+// once per design and device ID on a testbed: the next Stage for the
+// same ones rewinds the rig to the world they left (checkpoint).
 //
 //   - steady-control: the victim's complete setup, then the moves.
 //   - pre-setup: the moves, then the victim's setup; a trailing
@@ -206,12 +209,12 @@ func (tb *Testbed) setupAfterMoves() (setupErr, err error) {
 // moves, where failing can be the attack's doing. err is a failure of the
 // rig itself — the victim's own move, a setup the attack cannot have
 // touched or one left bound to nobody — and never an attack outcome.
-func (tb *Testbed) Stage(sc Scenario, moves []core.Move, strict bool) (launched bool, rejected, setupErr, err error) {
+func (tb *Testbed) Stage(design core.DesignSpec, sc Scenario, moves []core.Move, strict bool, opts ...Option) (launched bool, rejected, setupErr, err error) {
+	if err := tb.enter(design, configure(opts), sc == ScenarioSteadyControl); err != nil {
+		return false, nil, nil, err
+	}
 	switch sc {
 	case ScenarioSteadyControl:
-		if err := tb.SetupVictim(); err != nil {
-			return false, nil, nil, err
-		}
 		rejected, err = tb.launch(moves, strict)
 		return true, rejected, nil, err
 
@@ -240,7 +243,7 @@ func (tb *Testbed) Stage(sc Scenario, moves []core.Move, strict bool) (launched 
 	case ScenarioSetupWindow:
 		// The window's results live in one local the hook captures, so
 		// only this scenario pays for a closure: the attack matrix's
-		// allocation budget is ~2 per cell (DESIGN.md §3).
+		// gate leaves about 0.13 allocations a cell (DESIGN.md §3).
 		var w struct {
 			ran           bool
 			rejected, err error

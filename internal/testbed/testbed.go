@@ -68,6 +68,82 @@ type Testbed struct {
 	// runs hook) are made by the first Reset and handed out by every one.
 	now     func() time.Time
 	preBind func()
+
+	// afterReset and afterSetup are Stage's checkpoints: the world right
+	// after a reset and right after the victim's setup that follows one.
+	afterReset, afterSetup checkpoint
+}
+
+// checkpoint is the whole rig as it stood at one point of one design's
+// experiment — the cloud, the device, the victim's app, the attacker, the
+// home network, the clock and the probe sequence — in memory of its own,
+// which a later capture reuses. It is rewound only for the design (by
+// every field) and the device ID it was captured for.
+type checkpoint struct {
+	valid    bool
+	design   core.DesignSpec
+	deviceID string
+	clock    Clock
+	seq      int
+	cloud    cloud.Checkpoint
+	dev      device.Device
+	victim   app.App
+	atk      attacker.Attacker
+	home     localnet.Network
+}
+
+// holds reports whether c was captured for design and cfg's device.
+func (c *checkpoint) holds(design core.DesignSpec, cfg config) bool {
+	return c.valid && cfg.deviceID == c.deviceID && design.Equal(c.design)
+}
+
+// capture copies the rig into c.
+func (tb *Testbed) capture(c *checkpoint) {
+	c.design, c.deviceID, c.clock, c.seq = tb.design, tb.deviceID, tb.clock, tb.seq
+	tb.svc.Capture(&c.cloud)
+	c.dev.CopyFrom(tb.dev)
+	c.victim.CopyFrom(tb.victim)
+	c.atk.CopyFrom(tb.atk)
+	c.home.CopyFrom(tb.home)
+	c.valid = true
+}
+
+// rewind puts the rig back to c, which holds design, copying into the
+// rig's own memory; the pre-bind hook goes, as Reset drops it.
+func (tb *Testbed) rewind(c *checkpoint, design core.DesignSpec) {
+	tb.design, tb.deviceID, tb.clock, tb.seq, tb.hook = design, c.deviceID, c.clock, c.seq, nil
+	tb.svc.Rewind(&c.cloud)
+	tb.dev.CopyFrom(&c.dev)
+	tb.victim.CopyFrom(&c.victim)
+	tb.atk.CopyFrom(&c.atk)
+	tb.home.CopyFrom(&c.home)
+}
+
+// enter readies the rig for an experiment on design: reset, and set up
+// by the victim when setUp is true. Each step is rewound from its
+// checkpoint when that holds design and the device ID, and run and
+// captured when it does not.
+func (tb *Testbed) enter(design core.DesignSpec, cfg config, setUp bool) error {
+	if setUp && tb.afterSetup.holds(design, cfg) {
+		tb.rewind(&tb.afterSetup, design)
+		return nil
+	}
+	if tb.afterReset.holds(design, cfg) {
+		tb.rewind(&tb.afterReset, design)
+	} else {
+		if err := tb.resetTo(design, cfg); err != nil {
+			return err
+		}
+		tb.capture(&tb.afterReset)
+	}
+	if !setUp {
+		return nil
+	}
+	if err := tb.SetupVictim(); err != nil {
+		return err
+	}
+	tb.capture(&tb.afterSetup)
+	return nil
 }
 
 // userActions gives the victim's app "hands" on the home devices.
@@ -96,13 +172,22 @@ type Option interface {
 }
 
 type config struct {
-	deviceID, secret string
+	deviceID string
+}
+
+// secret is the factory secret of the config's device, derived from its
+// ID; the default device's is a constant.
+func (c config) secret() string {
+	if c.deviceID == DefaultDeviceID {
+		return defaultSecret
+	}
+	return "factory-secret-" + c.deviceID
 }
 
 type deviceIDOption string
 
 func (id deviceIDOption) apply(c config) config {
-	c.deviceID, c.secret = string(id), "factory-secret-"+string(id)
+	c.deviceID = string(id)
 	return c
 }
 
@@ -127,10 +212,20 @@ func New(design core.DesignSpec, opts ...Option) (*Testbed, error) {
 // epoch, the pre-bind hook goes, and the one setup path runs again. After
 // a failed Reset the testbed is unusable until one succeeds.
 func (tb *Testbed) Reset(design core.DesignSpec, opts ...Option) error {
-	cfg := config{deviceID: DefaultDeviceID, secret: defaultSecret}
+	return tb.resetTo(design, configure(opts))
+}
+
+// configure applies opts to the default config.
+func configure(opts []Option) config {
+	cfg := config{deviceID: DefaultDeviceID}
 	for _, o := range opts {
 		cfg = o.apply(cfg)
 	}
+	return cfg
+}
+
+// resetTo is Reset with its options applied.
+func (tb *Testbed) resetTo(design core.DesignSpec, cfg config) error {
 	tb.design, tb.clock, tb.deviceID, tb.seq, tb.hook = design, Clock{t: labEpoch}, cfg.deviceID, 0, nil
 	if tb.svc == nil { // a zero Testbed: make the world
 		tb.now = tb.clock.Now
@@ -153,16 +248,17 @@ func (tb *Testbed) Reset(design core.DesignSpec, opts ...Option) error {
 	}
 	tb.home.Reset()
 
+	secret := cfg.secret()
 	if err := tb.svc.Registry().Add(cloud.DeviceRecord{
 		ID:            cfg.deviceID,
-		FactorySecret: cfg.secret,
+		FactorySecret: secret,
 		Model:         design.Name,
 	}); err != nil {
 		return fmt.Errorf("testbed: %w", err)
 	}
 	if err := tb.dev.Init(device.Config{
 		ID:            cfg.deviceID,
-		FactorySecret: cfg.secret,
+		FactorySecret: secret,
 		LocalName:     "victim-device",
 		Model:         design.Name,
 	}, design, &tb.homeLink, device.WithClock(tb.now)); err != nil {

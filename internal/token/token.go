@@ -270,6 +270,17 @@ func (i *Issuer) Export() []Token {
 	return out
 }
 
+// AppendTo appends every live token to dst and returns the result, in an
+// unspecified order: Export into memory the caller keeps.
+func (i *Issuer) AppendTo(dst []Token) []Token {
+	i.mu.RLock()
+	defer i.mu.RUnlock()
+	for _, tok := range i.tokens {
+		dst = append(dst, tok)
+	}
+	return dst
+}
+
 // Import replaces the issuer's live token set, for restoring a persisted
 // snapshot; Import(nil) empties it. The map is emptied in place and keeps
 // its memory. Tokens with empty values are rejected.
