@@ -7,10 +7,12 @@ all: ci
 build:
 	$(GO) build ./...
 
-# crossbuild compiles for a non-Linux target so the build-tagged epoll
-# readiness source and its pump fallback both stay compilable.
+# crossbuild compiles and vets for a non-Linux target so the build-tagged
+# epoll readiness source and its pump fallback both stay compilable, and so
+# do the test files built only there (vet type-checks them; build does not).
 crossbuild:
 	GOOS=darwin $(GO) build ./...
+	GOOS=darwin $(GO) vet ./...
 
 # examples builds every program under examples/ into a temporary
 # directory and runs it, failing (with the program's output) on a

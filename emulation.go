@@ -96,8 +96,8 @@ func NewApp(userID, password string, design DesignSpec, cloudTransport CloudTran
 type Attacker = attacker.Attacker
 
 // NewAttacker creates a remote attacker with their own account.
-func NewAttacker(userID, password string, design DesignSpec, cloudTransport CloudTransport, opts ...attacker.Option) (*Attacker, error) {
-	return attacker.New(userID, password, design, cloudTransport, opts...)
+func NewAttacker(userID, password string, design DesignSpec, cloudTransport CloudTransport) (*Attacker, error) {
+	return attacker.New(userID, password, design, cloudTransport)
 }
 
 // ---- testbed ------------------------------------------------------------------
@@ -140,6 +140,6 @@ type HTTPClient = httpapi.Client
 func NewHTTPServer(c CloudTransport) *HTTPServer { return httpapi.NewServer(c) }
 
 // NewHTTPClient creates a client for the cloud served at baseURL.
-func NewHTTPClient(baseURL string, opts ...httpapi.ClientOption) *HTTPClient {
-	return httpapi.NewClient(baseURL, opts...)
+func NewHTTPClient(baseURL string) *HTTPClient {
+	return httpapi.NewClient(baseURL)
 }

@@ -70,18 +70,17 @@ func TestPredictionsMatchEmulationOnRandomDesigns(t *testing.T) {
 
 func assertAgreement(t *testing.T, d core.DesignSpec) bool {
 	t.Helper()
+	results, err := testbed.EvaluateAll(d)
+	if err != nil {
+		t.Errorf("design %q: emulation error: %v", d.Name, err)
+		return false
+	}
 	ok := true
-	for _, v := range core.AllAttackVariants() {
-		predicted := analysis.Predict(d, v)
-		measured, err := testbed.Evaluate(d, v)
-		if err != nil {
-			t.Errorf("design %q variant %v: emulation error: %v", d.Name, v, err)
-			ok = false
-			continue
-		}
+	for _, measured := range results {
+		predicted := analysis.Predict(d, measured.Variant)
 		if predicted.Outcome != measured.Outcome {
 			t.Errorf("design %q variant %v: predicted %v (%s) but measured %v (%s)",
-				d.Name, v, predicted.Outcome, predicted.Reason, measured.Outcome, measured.Detail)
+				d.Name, measured.Variant, predicted.Outcome, predicted.Reason, measured.Outcome, measured.Detail)
 			ok = false
 		}
 	}

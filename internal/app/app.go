@@ -35,11 +35,17 @@ type UserActions interface {
 
 // Errors returned by the app agent.
 var (
-	// ErrNotLoggedIn is returned by operations that need a user token.
-	ErrNotLoggedIn = errors.New("app: not logged in")
-	// ErrDeviceNotFound is returned when setup cannot discover the
+	// errNotLoggedIn is returned by operations that need a user token.
+	errNotLoggedIn = errors.New("app: not logged in")
+	// errDeviceNotFound is returned when setup cannot discover the
 	// target device on the LAN.
-	ErrDeviceNotFound = errors.New("app: device not found on local network")
+	errDeviceNotFound = errors.New("app: device not found on local network")
+)
+
+// The home Wi-Fi credentials the app provisions devices with.
+const (
+	homeSSID       = "home-wifi"
+	homePassphrase = "wpa2-passphrase"
 )
 
 // App is one user's instance of the vendor app.
@@ -49,9 +55,6 @@ type App struct {
 	design   core.DesignSpec
 	cloud    transport.Cloud
 	network  *localnet.Network
-
-	wifiSSID     string
-	wifiPassword string
 
 	mu          sync.Mutex
 	userToken   string
@@ -70,15 +73,6 @@ type Option interface {
 type optionFunc func(*App)
 
 func (f optionFunc) apply(a *App) { f(a) }
-
-// WithWiFi sets the home Wi-Fi credentials the app provisions devices
-// with.
-func WithWiFi(ssid, password string) Option {
-	return optionFunc(func(a *App) {
-		a.wifiSSID = ssid
-		a.wifiPassword = password
-	})
-}
 
 // WithPreBindHook installs a callback that runs after the device comes
 // online but before the app sends its binding message, in setup flows that
@@ -119,14 +113,12 @@ func (a *App) Init(userID, password string, design core.DesignSpec, cloud transp
 	}
 	clear(a.sessions)
 	*a = App{
-		userID:       userID,
-		password:     password,
-		design:       design,
-		cloud:        cloud,
-		network:      network,
-		wifiSSID:     "home-wifi",
-		wifiPassword: "wpa2-passphrase",
-		sessions:     a.sessions,
+		userID:   userID,
+		password: password,
+		design:   design,
+		cloud:    cloud,
+		network:  network,
+		sessions: a.sessions,
 	}
 	for _, o := range opts {
 		o.apply(a)
@@ -144,7 +136,6 @@ func (a *App) Init(userID, password string, design core.DesignSpec, cloud transp
 func (a *App) CopyFrom(src *App) {
 	a.userID, a.password, a.design = src.userID, src.password, src.design
 	a.cloud, a.network = src.cloud, src.network
-	a.wifiSSID, a.wifiPassword = src.wifiSSID, src.wifiPassword
 	a.userToken = src.userToken
 	clear(a.sessions)
 	if a.sessions == nil && len(src.sessions) > 0 {
@@ -165,9 +156,6 @@ func (a *App) Close() {
 		r.Close()
 	}
 }
-
-// UserID returns the account the app is logged into.
-func (a *App) UserID() string { return a.userID }
 
 // RegisterAccount creates the user's cloud account.
 func (a *App) RegisterAccount() error {
@@ -210,7 +198,7 @@ func (a *App) SetupDevice(localName string, actions UserActions) error {
 		return err
 	}
 	if a.network == nil {
-		return fmt.Errorf("app %s: %w", a.userID, ErrDeviceNotFound)
+		return fmt.Errorf("app %s: %w", a.userID, errDeviceNotFound)
 	}
 	setup := a.design.Setup()
 	if (setup.Reset || setup.Press) && actions == nil {
@@ -228,8 +216,8 @@ func (a *App) SetupDevice(localName string, actions UserActions) error {
 	}
 
 	prov := localnet.Provisioning{
-		WiFiSSID:     a.wifiSSID,
-		WiFiPassword: a.wifiPassword,
+		WiFiSSID:     homeSSID,
+		WiFiPassword: homePassphrase,
 	}
 
 	// Credential preparation per the design (Figures 3 and 4).
@@ -523,7 +511,7 @@ func (a *App) token() (string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.userToken == "" {
-		return "", fmt.Errorf("app %s: %w", a.userID, ErrNotLoggedIn)
+		return "", fmt.Errorf("app %s: %w", a.userID, errNotLoggedIn)
 	}
 	return a.userToken, nil
 }
@@ -534,5 +522,5 @@ func (a *App) findDevice(localName string) (localnet.Announcement, error) {
 			return ann, nil
 		}
 	}
-	return localnet.Announcement{}, fmt.Errorf("app %s: %q: %w", a.userID, localName, ErrDeviceNotFound)
+	return localnet.Announcement{}, fmt.Errorf("app %s: %q: %w", a.userID, localName, errDeviceNotFound)
 }

@@ -1,11 +1,10 @@
-package app_test
+package app
 
 import (
 	"errors"
 	"testing"
 	"time"
 
-	"github.com/iotbind/iotbind/internal/app"
 	"github.com/iotbind/iotbind/internal/cloud"
 	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/device"
@@ -27,7 +26,7 @@ type rig struct {
 	clock  *clockT
 	home   *localnet.Network
 	dev    *device.Device
-	victim *app.App
+	victim *App
 }
 
 type clockT struct{ t time.Time }
@@ -35,7 +34,7 @@ type clockT struct{ t time.Time }
 func (c *clockT) Now() time.Time          { return c.t }
 func (c *clockT) Advance(d time.Duration) { c.t = c.t.Add(d) }
 
-// actions implements app.UserActions with direct device references — the
+// actions implements UserActions with direct device references — the
 // "user's hands" in the home.
 type actions struct{ devs map[string]*device.Device }
 
@@ -56,7 +55,7 @@ func (a actions) ResetDevice(name string) error {
 	return nil
 }
 
-func newRig(t *testing.T, design core.DesignSpec, appOpts ...app.Option) (*rig, actions) {
+func newRig(t *testing.T, design core.DesignSpec, appOpts ...Option) (*rig, actions) {
 	t.Helper()
 	clock := &clockT{t: time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)}
 	reg := cloud.NewRegistry()
@@ -80,7 +79,7 @@ func newRig(t *testing.T, design core.DesignSpec, appOpts ...app.Option) (*rig, 
 		t.Fatal(err)
 	}
 
-	victim, err := app.New("victim@example.com", "pw-victim", design, homeTransport, home, appOpts...)
+	victim, err := New("victim@example.com", "pw-victim", design, homeTransport, home, appOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +178,7 @@ func TestLifecyclePreBindHookWindow(t *testing.T) {
 
 	var stateInWindow core.ShadowState
 	var svcRef *cloud.Service
-	r, acts := newRig(t, d, app.WithPreBindHook(func() {
+	r, acts := newRig(t, d, WithPreBindHook(func() {
 		st, err := svcRef.ShadowState(protocol.ShadowStateRequest{DeviceID: devID})
 		if err == nil {
 			stateInWindow = st.State
@@ -366,21 +365,21 @@ func TestHeartbeatKeepsDeviceOnline(t *testing.T) {
 func TestAppErrors(t *testing.T) {
 	r, acts := newRig(t, designBase())
 
-	fresh, err := app.New("other@example.com", "pw", designBase(), transport.StampSource(r.svc, homeIP), r.home)
+	fresh, err := New("other@example.com", "pw", designBase(), transport.StampSource(r.svc, homeIP), r.home)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Not logged in.
-	if err := fresh.SetupDevice("plug-1", acts); !errors.Is(err, app.ErrNotLoggedIn) {
-		t.Errorf("setup without login = %v, want ErrNotLoggedIn", err)
+	if err := fresh.SetupDevice("plug-1", acts); !errors.Is(err, errNotLoggedIn) {
+		t.Errorf("setup without login = %v, want errNotLoggedIn", err)
 	}
-	if _, err := fresh.Bind(devID); !errors.Is(err, app.ErrNotLoggedIn) {
-		t.Errorf("bind without login = %v, want ErrNotLoggedIn", err)
+	if _, err := fresh.Bind(devID); !errors.Is(err, errNotLoggedIn) {
+		t.Errorf("bind without login = %v, want errNotLoggedIn", err)
 	}
 
 	// Unknown device on the LAN.
-	if err := r.victim.SetupDevice("ghost", acts); !errors.Is(err, app.ErrDeviceNotFound) {
-		t.Errorf("setup unknown device = %v, want ErrDeviceNotFound", err)
+	if err := r.victim.SetupDevice("ghost", acts); !errors.Is(err, errDeviceNotFound) {
+		t.Errorf("setup unknown device = %v, want errDeviceNotFound", err)
 	}
 }
 
@@ -419,7 +418,7 @@ func TestSharingThroughApps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	guest, err := app.New("guest@example.com", "pw-guest", designBase(),
+	guest, err := New("guest@example.com", "pw-guest", designBase(),
 		transport.StampSource(r.svc, "203.0.113.99"), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -474,63 +473,50 @@ func TestSharingThroughApps(t *testing.T) {
 }
 
 // TestSetupOnProtectedNetwork runs the standard setup against a
-// WPA2-protected home whose credentials match the app's configuration —
-// and shows a mismatched app cannot provision the device onto it.
+// WPA2-protected home whose credentials match the app's — and shows the app
+// cannot provision the device onto a home whose passphrase differs.
 func TestSetupOnProtectedNetwork(t *testing.T) {
-	design := designBase()
-	// Provision-first flow: the Wi-Fi failure hits before any binding is
-	// created, so the failed attempt leaves no cloud-side residue.
-	design.OnlineBeforeBind = true
-	reg := cloud.NewRegistry()
-	if err := reg.Add(cloud.DeviceRecord{ID: devID, FactorySecret: devSecret, Model: "plug"}); err != nil {
-		t.Fatal(err)
-	}
-	svc, err := cloud.NewService(design, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	home := localnet.NewProtectedNetwork("home", homeIP, "my-ssid", "my-pass")
-	homeTransport := transport.StampSource(svc, home.PublicIP())
-	dev, err := device.New(device.Config{
-		ID: devID, FactorySecret: devSecret, LocalName: "plug-1", Model: "plug",
-	}, design, homeTransport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := home.Join(dev); err != nil {
-		t.Fatal(err)
-	}
-
-	// An app configured with the wrong passphrase cannot set up.
-	wrong, err := app.New("w@example.com", "pw", design, homeTransport, home,
-		app.WithWiFi("my-ssid", "guessed"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wrong.RegisterAccount(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wrong.Login(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wrong.SetupDevice("plug-1", nil); !errors.Is(err, localnet.ErrWrongCredentials) {
-		t.Fatalf("setup with wrong passphrase = %v, want ErrWrongCredentials", err)
-	}
-
-	// The matching app succeeds.
-	right, err := app.New("r@example.com", "pw", design, homeTransport, home,
-		app.WithWiFi("my-ssid", "my-pass"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := right.RegisterAccount(); err != nil {
-		t.Fatal(err)
-	}
-	if err := right.Login(); err != nil {
-		t.Fatal(err)
-	}
-	if err := right.SetupDevice("plug-1", nil); err != nil {
-		t.Fatalf("setup with matching credentials: %v", err)
+	for _, passphrase := range []string{"guessed", homePassphrase} {
+		design := designBase()
+		// Provision-first flow: the Wi-Fi failure hits before any binding is
+		// created, so the failed attempt leaves no cloud-side residue.
+		design.OnlineBeforeBind = true
+		reg := cloud.NewRegistry()
+		if err := reg.Add(cloud.DeviceRecord{ID: devID, FactorySecret: devSecret, Model: "plug"}); err != nil {
+			t.Fatal(err)
+		}
+		svc, err := cloud.NewService(design, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		home := localnet.NewProtectedNetwork("home", homeIP, homeSSID, passphrase)
+		homeTransport := transport.StampSource(svc, home.PublicIP())
+		dev, err := device.New(device.Config{
+			ID: devID, FactorySecret: devSecret, LocalName: "plug-1", Model: "plug",
+		}, design, homeTransport)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := home.Join(dev); err != nil {
+			t.Fatal(err)
+		}
+		user, err := New("u@example.com", "pw", design, homeTransport, home)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := user.RegisterAccount(); err != nil {
+			t.Fatal(err)
+		}
+		if err := user.Login(); err != nil {
+			t.Fatal(err)
+		}
+		err = user.SetupDevice("plug-1", nil)
+		if passphrase == homePassphrase && err != nil {
+			t.Fatalf("setup with matching credentials: %v", err)
+		}
+		if passphrase != homePassphrase && !errors.Is(err, localnet.ErrWrongCredentials) {
+			t.Fatalf("setup on a home with passphrase %q = %v, want ErrWrongCredentials", passphrase, err)
+		}
 	}
 }
 

@@ -67,39 +67,18 @@ type Attacker struct {
 	design   core.DesignSpec
 	cloud    transport.Cloud
 
-	// canForgeDeviceMessages reports whether firmware analysis yielded
-	// the device-side message formats (Section VI-A: possible for 3 of
-	// the 10 products).
-	canForgeDeviceMessages bool
-
 	mu        sync.Mutex
 	userToken string
 	sessions  map[string]string // deviceID -> session token from forged binds; nil until one returns one, kept (emptied) by Init
 	stolen    []protocol.UserData
 }
 
-// Option configures an Attacker.
-type Option interface {
-	apply(*Attacker)
-}
-
-type optionFunc func(*Attacker)
-
-func (f optionFunc) apply(a *Attacker) { f(a) }
-
-// WithDeviceMessageForgery declares whether the attacker reverse-engineered
-// the device protocol. It defaults to the design's FirmwareOpaque flag
-// being false.
-func WithDeviceMessageForgery(can bool) Option {
-	return optionFunc(func(a *Attacker) { a.canForgeDeviceMessages = can })
-}
-
 // New creates an attacker with their own account credentials. The cloud
 // transport must be stamped with the attacker's own network address — the
 // adversary cannot spoof the victim's source IP.
-func New(userID, password string, design core.DesignSpec, cloud transport.Cloud, opts ...Option) (*Attacker, error) {
+func New(userID, password string, design core.DesignSpec, cloud transport.Cloud) (*Attacker, error) {
 	a := new(Attacker)
-	if err := a.Init(userID, password, design, cloud, opts...); err != nil {
+	if err := a.Init(userID, password, design, cloud); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -107,22 +86,18 @@ func New(userID, password string, design core.DesignSpec, cloud transport.Cloud,
 
 // Init re-initialises a in place as New builds it, keeping only the memory
 // of its session map and loot; nothing else may use a meanwhile.
-func (a *Attacker) Init(userID, password string, design core.DesignSpec, cloud transport.Cloud, opts ...Option) error {
+func (a *Attacker) Init(userID, password string, design core.DesignSpec, cloud transport.Cloud) error {
 	if err := design.Validate(); err != nil {
 		return fmt.Errorf("attacker: %w", err)
 	}
 	clear(a.sessions)
 	*a = Attacker{
-		userID:                 userID,
-		password:               password,
-		design:                 design,
-		cloud:                  cloud,
-		canForgeDeviceMessages: !design.FirmwareOpaque,
-		sessions:               a.sessions,
-		stolen:                 a.stolen[:0],
-	}
-	for _, o := range opts {
-		o.apply(a)
+		userID:   userID,
+		password: password,
+		design:   design,
+		cloud:    cloud,
+		sessions: a.sessions,
+		stolen:   a.stolen[:0],
 	}
 	return nil
 }
@@ -132,7 +107,7 @@ func (a *Attacker) Init(userID, password string, design core.DesignSpec, cloud t
 // they share. Neither may be in use meanwhile.
 func (a *Attacker) CopyFrom(src *Attacker) {
 	a.userID, a.password, a.design, a.cloud = src.userID, src.password, src.design, src.cloud
-	a.canForgeDeviceMessages, a.userToken = src.canForgeDeviceMessages, src.userToken
+	a.userToken = src.userToken
 	clear(a.sessions)
 	if a.sessions == nil && len(src.sessions) > 0 {
 		a.sessions = make(map[string]string, len(src.sessions))
@@ -144,8 +119,10 @@ func (a *Attacker) CopyFrom(src *Attacker) {
 // UserID returns the attacker's account name.
 func (a *Attacker) UserID() string { return a.userID }
 
-// CanForgeDeviceMessages reports whether device-side forgery is available.
-func (a *Attacker) CanForgeDeviceMessages() bool { return a.canForgeDeviceMessages }
+// CanForgeDeviceMessages reports whether firmware analysis yielded the
+// device-side message formats (Section VI-A: possible for 3 of the 10
+// products), that is whether the design's firmware is not opaque.
+func (a *Attacker) CanForgeDeviceMessages() bool { return !a.design.FirmwareOpaque }
 
 // Prepare registers (if needed) and logs in the attacker's own account —
 // ordinary use of the public cloud API.
@@ -169,7 +146,7 @@ func (a *Attacker) Prepare() error {
 // the adversary has none of those. Any returned user data is recorded as
 // stolen (the A1 data-stealing evidence).
 func (a *Attacker) ForgeStatus(deviceID string, kind protocol.StatusKind, readings []protocol.Reading) (protocol.StatusResponse, error) {
-	if !a.canForgeDeviceMessages {
+	if !a.CanForgeDeviceMessages() {
 		return protocol.StatusResponse{}, ErrForgeryUnavailable
 	}
 	resp, err := a.cloud.HandleStatus(protocol.StatusRequest{
@@ -205,7 +182,7 @@ func (a *Attacker) ForgeBind(deviceID string) (protocol.BindResponse, error) {
 	case core.BindACLDevice:
 		// The bind message is a device message; forging it needs the
 		// reverse-engineered device protocol.
-		if !a.canForgeDeviceMessages {
+		if !a.CanForgeDeviceMessages() {
 			return protocol.BindResponse{}, ErrForgeryUnavailable
 		}
 		req.UserID = a.userID
@@ -264,7 +241,7 @@ func (a *Attacker) ForgeUnbind(deviceID string, form core.UnbindForm) error {
 		}
 		return nil
 	case core.UnbindDevIDAlone:
-		if !a.canForgeDeviceMessages {
+		if !a.CanForgeDeviceMessages() {
 			return ErrForgeryUnavailable
 		}
 		if err := a.cloud.HandleUnbind(protocol.UnbindRequest{

@@ -106,27 +106,6 @@ func TestForgeStatusUnavailableWithOpaqueFirmware(t *testing.T) {
 	}
 }
 
-func TestForgeryOverride(t *testing.T) {
-	d := laxDesign()
-	d.FirmwareOpaque = true
-	reg := cloud.NewRegistry()
-	if err := reg.Add(cloud.DeviceRecord{ID: victimDev, FactorySecret: devSecret}); err != nil {
-		t.Fatal(err)
-	}
-	svc, err := cloud.NewService(d, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	atk, err := attacker.New("a", "p", d, transport.StampSource(svc, lairIP),
-		attacker.WithDeviceMessageForgery(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !atk.CanForgeDeviceMessages() {
-		t.Error("override ignored")
-	}
-}
-
 func TestForgeBindPerMechanism(t *testing.T) {
 	t.Run("acl-app uses attacker token", func(t *testing.T) {
 		svc, atk, _ := newRig(t, laxDesign())

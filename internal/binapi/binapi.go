@@ -59,10 +59,10 @@ import (
 	"github.com/iotbind/iotbind/internal/wirecodec"
 )
 
-// ErrEpollUnsupported reports a raw-epoll request on a platform without
+// errEpollUnsupported reports a raw-epoll request on a platform without
 // epoll: a server asked for ReadinessEpoll off-Linux refuses its socket
 // connections with it. Clients need no readiness source of their own.
-var ErrEpollUnsupported = errors.New("binapi: epoll readiness source requires linux")
+var errEpollUnsupported = errors.New("binapi: epoll readiness source requires linux")
 
 // Frame kinds: one per operation, the same value in the request and in
 // its response. A logged operation's kind is its wirecodec record tag
@@ -106,19 +106,19 @@ var helloMagic = [4]byte{'i', 'o', 't', 'b'}
 // version fails at the other's hello rather than on its first request.
 const helloVersion = 2
 
-// DefaultWindow is the per-connection credit window: the number of
+// defaultWindow is the per-connection credit window: the number of
 // requests that may be in flight on one connection before the sender
 // must wait for responses. It bounds the server's per-connection buffer
 // to window × frame size.
-const DefaultWindow = 64
+const defaultWindow = 64
 
-// DefaultMaxFrame bounds a single frame's payload unless overridden
-// with WithMaxFrame — the same default as the WAL record bound.
-const DefaultMaxFrame = 1 << 20
+// defaultMaxFrame bounds a single frame's payload unless overridden
+// with withMaxFrame — the same default as the WAL record bound.
+const defaultMaxFrame = 1 << 20
 
-// MaxWindow bounds configurable windows; stream slot indices must fit
+// maxWindow bounds configurable windows; stream slot indices must fit
 // in the low 16 bits of the stream ID.
-const MaxWindow = 1 << 15
+const maxWindow = 1 << 15
 
 // Readiness selects the server's readiness source for socket
 // connections: what tells the server that a connection has bytes to
@@ -126,9 +126,9 @@ const MaxWindow = 1 << 15
 type Readiness int
 
 const (
-	// ReadinessAuto picks raw epoll on Linux and the netpoller pump
+	// readinessAuto picks raw epoll on Linux and the netpoller pump
 	// elsewhere. This is the default.
-	ReadinessAuto Readiness = iota
+	readinessAuto Readiness = iota
 	// ReadinessPump runs one pump goroutine per socket connection,
 	// blocking in Read with the Go netpoller as the readiness source.
 	// Portable; goroutine count is O(connections).
@@ -163,29 +163,29 @@ type options struct {
 }
 
 func defaultOptions() options {
-	return options{window: DefaultWindow, maxFrame: DefaultMaxFrame}
+	return options{window: defaultWindow, maxFrame: defaultMaxFrame}
 }
 
 // Option configures a Server or Client.
 type Option func(*options)
 
 // WithWindow sets the per-connection credit window the server
-// advertises (and enforces). Values are clamped to [1, MaxWindow];
+// advertises (and enforces). Values are clamped to [1, maxWindow];
 // non-positive keeps the default.
 func WithWindow(n int) Option {
 	return func(o *options) {
 		if n > 0 {
-			if n > MaxWindow {
-				n = MaxWindow
+			if n > maxWindow {
+				n = maxWindow
 			}
 			o.window = n
 		}
 	}
 }
 
-// WithMaxFrame sets the maximum accepted frame payload in bytes on
+// withMaxFrame sets the maximum accepted frame payload in bytes on
 // either side. Non-positive values keep the default.
-func WithMaxFrame(n int) Option {
+func withMaxFrame(n int) Option {
 	return func(o *options) {
 		if n > 0 {
 			o.maxFrame = n
@@ -200,7 +200,7 @@ func WithReadiness(r Readiness) Option {
 	return func(o *options) { o.readiness = r }
 }
 
-// WithIdleTimeout makes the server drop a socket connection that
+// withIdleTimeout makes the server drop a socket connection that
 // delivers no inbound bytes for d: a stalled or half-open client holds
 // a socket (and, on the pump path, a goroutine) forever otherwise, and
 // a fleet of them is a resource-exhaustion attack no status-path
@@ -208,7 +208,7 @@ func WithReadiness(r Readiness) Option {
 // (granularity ~d/4); the pump path uses read deadlines. Zero (the
 // default) keeps connections indefinitely. Pipe connections are never
 // swept. Server-side only; clients ignore it.
-func WithIdleTimeout(d time.Duration) Option {
+func withIdleTimeout(d time.Duration) Option {
 	return func(o *options) {
 		if d > 0 {
 			o.idleTimeout = d
@@ -235,7 +235,7 @@ func decodeHello(payload []byte) (window, maxFrame int, err error) {
 	c := wirecodec.NewCursor(payload, 5)
 	w := c.Uvarint()
 	m := c.Uvarint()
-	if !c.Done() || w == 0 || w > MaxWindow || m == 0 || m > 1<<30 {
+	if !c.Done() || w == 0 || w > maxWindow || m == 0 || m > 1<<30 {
 		return 0, 0, fmt.Errorf("binapi: malformed hello")
 	}
 	return int(w), int(m), nil

@@ -154,8 +154,8 @@ func TestPipeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Window() != DefaultWindow {
-		t.Fatalf("window = %d, want %d", c.Window(), DefaultWindow)
+	if c.Window() != defaultWindow {
+		t.Fatalf("window = %d, want %d", c.Window(), defaultWindow)
 	}
 	driveCloud(t, c)
 	if c.BytesIn() == 0 || c.BytesOut() == 0 {
@@ -669,8 +669,8 @@ func TestPoisonedFramingClosesConnection(t *testing.T) {
 
 func TestHelloValidation(t *testing.T) {
 	var good bytes.Buffer
-	encodeHello(&good, DefaultWindow, DefaultMaxFrame)
-	if w, m, err := decodeHello(good.Bytes()); err != nil || w != DefaultWindow || m != DefaultMaxFrame {
+	encodeHello(&good, defaultWindow, defaultMaxFrame)
+	if w, m, err := decodeHello(good.Bytes()); err != nil || w != defaultWindow || m != defaultMaxFrame {
 		t.Fatalf("decodeHello(good) = %d, %d, %v", w, m, err)
 	}
 	bad := [][]byte{
@@ -1034,7 +1034,7 @@ func TestClientWriteFailurePoisons(t *testing.T) {
 	}
 }
 
-// TestMaxFrameBoundsRequests pins WithMaxFrame on the server: a frame
+// TestMaxFrameBoundsRequests pins withMaxFrame on the server: a frame
 // within the cap is served, the default cap admits a 64-item batch, a
 // non-positive value keeps the default, and under a 512-byte cap the
 // client — which adopted the cap from the hello — refuses the batch
@@ -1049,8 +1049,8 @@ func TestMaxFrameBoundsRequests(t *testing.T) {
 		refused bool
 	}{
 		{"default cap", nil, false},
-		{"non-positive keeps the default", []Option{WithMaxFrame(0), WithMaxFrame(-1)}, false},
-		{"512-byte cap", []Option{WithMaxFrame(512)}, true},
+		{"non-positive keeps the default", []Option{withMaxFrame(0), withMaxFrame(-1)}, false},
+		{"512-byte cap", []Option{withMaxFrame(512)}, true},
 	} {
 		srv := NewServer(newLabService(t, 1), tc.opts...)
 		c, err := srv.Pipe("127.0.0.1")
@@ -1106,7 +1106,7 @@ func (g gatedCloud) HandleStatus(req protocol.StatusRequest) (protocol.StatusRes
 // resynchronise past a frame it will not buffer.
 func TestOverCapRequestKeepsConnection(t *testing.T) {
 	gate := gatedCloud{Cloud: newLabService(t, 1), entered: make(chan struct{}, 1), release: make(chan struct{})}
-	srv, addr := startSocketServer(t, gate, WithMaxFrame(512), WithWindow(2))
+	srv, addr := startSocketServer(t, gate, withMaxFrame(512), WithWindow(2))
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -69,7 +69,7 @@ func TestReadTokenCloseWakesParkedCallers(t *testing.T) {
 	for _, mode := range readinessModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			const callers = DefaultWindow
+			const callers = defaultWindow
 			gate := gatedCloud{Cloud: echoCloud(), entered: make(chan struct{}, callers), release: make(chan struct{})}
 			srv, addr := startSocketServer(t, gate, WithReadiness(mode))
 			release := sync.OnceFunc(func() { close(gate.release) })
@@ -119,41 +119,6 @@ func TestReadTokenCloseWakesParkedCallers(t *testing.T) {
 	}
 }
 
-// TestDialStartsNoGoroutine: a Dial'd client runs no goroutine of its
-// own, idle or after a call — its caller reads its response. The
-// server's one poller is started by a first client before the count.
-func TestDialStartsNoGoroutine(t *testing.T) {
-	if !EpollSupported() {
-		t.Skip("a pump server starts a goroutine per socket")
-	}
-	const clients = 20
-	_, addr := serveSocket(t, withPollers(NewServer(echoCloud(), WithReadiness(ReadinessEpoll)), 1))
-	warm, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer warm.Close()
-	if _, err := warm.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: statusID}); err != nil {
-		t.Fatal(err)
-	}
-	// Goroutines a previous test left may still be exiting, so the count
-	// may fall; it must not rise.
-	base := runtime.NumGoroutine()
-	for i := 0; i < clients; i++ {
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if _, err := c.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := runtime.NumGoroutine(); got > base {
-		t.Fatalf("%d goroutines with %d more clients open, %d before them", got, clients, base)
-	}
-}
-
 // TestIdleTimeoutFailsNextCall: nothing reads an idle client's socket,
 // so a client the server dropped for silence learns of it at its next
 // call — which fails instead of hanging — and every later call fails at
@@ -162,7 +127,7 @@ func TestIdleTimeoutFailsNextCall(t *testing.T) {
 	const idle = 100 * time.Millisecond
 	for _, mode := range readinessModes() {
 		t.Run(mode.String(), func(t *testing.T) {
-			srv, addr := startSocketServer(t, echoCloud(), WithReadiness(mode), WithIdleTimeout(idle))
+			srv, addr := startSocketServer(t, echoCloud(), WithReadiness(mode), withIdleTimeout(idle))
 			c, err := Dial(addr)
 			if err != nil {
 				t.Fatal(err)

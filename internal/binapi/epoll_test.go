@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"syscall"
 	"testing"
@@ -684,6 +685,41 @@ func (c *idCloud) HandleUnbind(req protocol.UnbindRequest) error {
 func withPollers(srv *Server, n int) *Server {
 	srv.pollers = make([]*epoller, n)
 	return srv
+}
+
+// TestDialStartsNoGoroutine: a Dial'd client runs no goroutine of its
+// own, idle or after a call — its caller reads its response. The
+// server's one poller is started by a first client before the count.
+func TestDialStartsNoGoroutine(t *testing.T) {
+	if !EpollSupported() {
+		t.Skip("a pump server starts a goroutine per socket")
+	}
+	const clients = 20
+	_, addr := serveSocket(t, withPollers(NewServer(echoCloud(), WithReadiness(ReadinessEpoll)), 1))
+	warm, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	if _, err := warm.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: statusID}); err != nil {
+		t.Fatal(err)
+	}
+	// Goroutines a previous test left may still be exiting, so the count
+	// may fall; it must not rise.
+	base := runtime.NumGoroutine()
+	for i := 0; i < clients; i++ {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines with %d more clients open, %d before them", got, clients, base)
+	}
 }
 
 // TestEpollServerGoroutines: an epoll server runs one goroutine per live

@@ -25,5 +25,5 @@ func (ep *epoller) close()               {}
 func (ep *epoller) remove(uint32, *conn) {}
 
 func (s *Server) startEpollConn(nc net.Conn, sc syscall.Conn) error {
-	return ErrEpollUnsupported
+	return errEpollUnsupported
 }

@@ -669,6 +669,6 @@ func (c *conn) setOutArmedLocked(on bool) {
 // cutoff.
 func (c *conn) expire(cutoff int64) {
 	if la := c.lastAct.Load(); la != 0 && la < cutoff {
-		c.close(ErrIdle)
+		c.close(errIdle)
 	}
 }

@@ -59,7 +59,7 @@ func NewServer(cloud transport.Cloud, opts ...Option) *Server {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.readiness == ReadinessAuto {
+	if o.readiness == readinessAuto {
 		if EpollSupported() {
 			o.readiness = ReadinessEpoll
 		} else {
@@ -85,7 +85,7 @@ func NewServer(cloud transport.Cloud, opts ...Option) *Server {
 func (s *Server) Backpressured() uint64 { return s.backpressured.Load() }
 
 // Readiness reports the effective socket readiness source (never
-// ReadinessAuto).
+// readinessAuto).
 func (s *Server) Readiness() Readiness { return s.opts.readiness }
 
 // ShortWrites reports how many coalesced flushes hit a full socket
@@ -203,9 +203,9 @@ func (s *Server) startSocketConn(nc net.Conn) error {
 	return nil
 }
 
-// ErrIdle closes a connection that delivered no bytes for the server's
+// errIdle closes a connection that delivered no bytes for the server's
 // idle timeout.
-var ErrIdle = errors.New("binapi: connection idle timeout")
+var errIdle = errors.New("binapi: connection idle timeout")
 
 // pump is the per-connection goroutine of the fallback readiness
 // source: it blocks in Read (parking on the netpoller) and serves what
@@ -231,7 +231,7 @@ func (c *conn) pump(nc net.Conn) {
 		}
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
-				err = ErrIdle
+				err = errIdle
 			}
 			c.close(err)
 			return

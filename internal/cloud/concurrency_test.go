@@ -21,10 +21,11 @@ func TestUserTokenExpiry(t *testing.T) {
 	if err := reg.Add(DeviceRecord{ID: testDevice, FactorySecret: testSecret}); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewService(devIDDesign(), reg, WithClock(clock.Now), WithUserTokenTTL(time.Hour))
+	svc, err := NewService(devIDDesign(), reg, WithClock(clock.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc.userTokenTTL = time.Hour
 	tok := loginUser(t, svc, "u@example.com", "pw")
 	mustStatus(t, svc, protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice})
 	if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: testDevice, UserToken: tok, Sender: core.SenderApp}); err != nil {

@@ -171,7 +171,7 @@ type DurableOptions struct {
 	// Clock overrides the wall clock (tests, testbeds).
 	Clock func() time.Time
 	// Follower opens the directory as a replica: every mutating handler
-	// returns ErrNotPrimary and state arrives solely through ShipRecord
+	// returns errNotPrimary and state arrives solely through ShipRecord
 	// until Promote. The directory must carry the primary's meta.json
 	// (same master seed, design and shard count) for shipped records to
 	// replay byte-identically.
@@ -255,8 +255,29 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// ErrDurableClosed is returned by operations on a closed Durable.
-var ErrDurableClosed = errors.New("cloud: durable cloud closed")
+// errDurableClosed is returned by operations on a closed Durable.
+var errDurableClosed = errors.New("cloud: durable cloud closed")
+
+// recordBufs holds the buffers WAL records are encoded into. A buffer a
+// rare giant record grew past maxRetainedRecordBuf is dropped at putRecordBuf
+// rather than pinned in the pool.
+var recordBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxRetainedRecordBuf = 1 << 18 // 256 KiB
+
+// getRecordBuf returns an empty pooled record buffer.
+func getRecordBuf() *bytes.Buffer {
+	b := recordBufs.Get().(*bytes.Buffer)
+	b.Reset()
+	return b
+}
+
+// putRecordBuf returns b to the pool; its bytes must not be used after.
+func putRecordBuf(b *bytes.Buffer) {
+	if b.Cap() <= maxRetainedRecordBuf {
+		recordBufs.Put(b)
+	}
+}
 
 // OpenDurable opens (creating if necessary) a durable cloud rooted at
 // dir: meta.json, snap-*.json checkpoints, and a wal/ directory of
@@ -642,12 +663,12 @@ func (d *Durable) flushShardLocked(ws *durableShard) error {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	buf := jsonpool.Get()
-	defer buf.Put()
+	buf := getRecordBuf()
+	defer putRecordBuf(buf)
 	for _, id := range ids {
 		at, owner := d.svc.livenessOf(id)
-		buf.Writer().Reset()
-		wirecodec.EncodeLivenessRecord(buf.Writer(), at, id, owner)
+		buf.Reset()
+		wirecodec.EncodeLivenessRecord(buf, at, id, owner)
 		if _, err := d.appendLocked(ws, buf.Bytes()); err != nil {
 			return err
 		}
@@ -687,9 +708,9 @@ func logThenApply[T any](d *Durable, routeKey string, encode func(*bytes.Buffer,
 		return zero, fmt.Errorf("cloud: durable log: %w", err)
 	}
 	at := d.wall().UTC()
-	buf := jsonpool.Get()
-	defer buf.Put()
-	encode(buf.Writer(), at)
+	buf := getRecordBuf()
+	defer putRecordBuf(buf)
+	encode(buf, at)
 	ws := d.walShardOf(routeKey)
 	ws.mu.Lock()
 	lsn, err := d.appendLocked(ws, buf.Bytes())
@@ -711,10 +732,10 @@ func logged[Req, Resp any](d *Durable, routeKey string, tag uint8, put func(*byt
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return zero, ErrDurableClosed
+		return zero, errDurableClosed
 	}
 	if d.follower {
-		return zero, ErrNotPrimary
+		return zero, errNotPrimary
 	}
 	return logThenApply(d, routeKey, func(b *bytes.Buffer, at time.Time) {
 		wirecodec.EncodeRecord(b, tag, at, put, req)
@@ -817,10 +838,10 @@ func (d *Durable) HandleStatus(req protocol.StatusRequest) (protocol.StatusRespo
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if d.closed {
-		return protocol.StatusResponse{}, ErrDurableClosed
+		return protocol.StatusResponse{}, errDurableClosed
 	}
 	if d.follower {
-		return protocol.StatusResponse{}, ErrNotPrimary
+		return protocol.StatusResponse{}, errNotPrimary
 	}
 	ws := d.walShardOf(req.DeviceID)
 	ws.mu.Lock()
@@ -831,9 +852,9 @@ func (d *Durable) HandleStatus(req protocol.StatusRequest) (protocol.StatusRespo
 			return protocol.StatusResponse{}, fmt.Errorf("cloud: durable log: %w", err)
 		}
 		at := d.wall().UTC()
-		buf := jsonpool.Get()
-		defer buf.Put()
-		wirecodec.EncodeStatusRecord(buf.Writer(), at, &req)
+		buf := getRecordBuf()
+		defer putRecordBuf(buf)
+		wirecodec.EncodeStatusRecord(buf, at, &req)
 		lsn, err := d.appendLocked(ws, buf.Bytes())
 		if err != nil {
 			return protocol.StatusResponse{}, fmt.Errorf("cloud: durable log: %w", err)
@@ -869,10 +890,10 @@ func (d *Durable) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.S
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return protocol.StatusBatchResponse{}, ErrDurableClosed
+		return protocol.StatusBatchResponse{}, errDurableClosed
 	}
 	if d.follower {
-		return protocol.StatusBatchResponse{}, ErrNotPrimary
+		return protocol.StatusBatchResponse{}, errNotPrimary
 	}
 	needsWAL := false
 	for i := range req.Items {
@@ -949,7 +970,7 @@ func (d *Durable) Checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return ErrDurableClosed
+		return errDurableClosed
 	}
 	for _, ws := range d.shards {
 		ws.mu.Lock()
@@ -1123,7 +1144,7 @@ func loadLatestSnapshot(dir string) (uint64, Snapshot, int, error) {
 			skipped++
 			continue
 		}
-		snap, err := ReadSnapshot(f)
+		snap, err := readSnapshot(f)
 		f.Close()
 		if err != nil {
 			skipped++

@@ -720,14 +720,14 @@ func TestDurableClosedRefusesOperations(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Errorf("second close = %v, want nil", err)
 	}
-	if _, err := d.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice}); !errors.Is(err, ErrDurableClosed) {
-		t.Errorf("status after close = %v, want ErrDurableClosed", err)
+	if _, err := d.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice}); !errors.Is(err, errDurableClosed) {
+		t.Errorf("status after close = %v, want errDurableClosed", err)
 	}
-	if err := d.RegisterUser(protocol.RegisterUserRequest{UserID: "u", Password: "p"}); !errors.Is(err, ErrDurableClosed) {
-		t.Errorf("register after close = %v, want ErrDurableClosed", err)
+	if err := d.RegisterUser(protocol.RegisterUserRequest{UserID: "u", Password: "p"}); !errors.Is(err, errDurableClosed) {
+		t.Errorf("register after close = %v, want errDurableClosed", err)
 	}
-	if err := d.Checkpoint(); !errors.Is(err, ErrDurableClosed) {
-		t.Errorf("checkpoint after close = %v, want ErrDurableClosed", err)
+	if err := d.Checkpoint(); !errors.Is(err, errDurableClosed) {
+		t.Errorf("checkpoint after close = %v, want errDurableClosed", err)
 	}
 }
 

@@ -5,11 +5,11 @@ import (
 	"fmt"
 )
 
-// ErrNotPrimary is returned by mutating handlers on a follower Durable.
+// errNotPrimary is returned by mutating handlers on a follower Durable.
 // It deliberately carries no protocol wire code: the retry layer treats
 // it as transient, which is exactly right during a failover window —
 // the request succeeds once the router swaps in the promoted replica.
-var ErrNotPrimary = errors.New("cloud: node is a replica (not primary)")
+var errNotPrimary = errors.New("cloud: node is a replica (not primary)")
 
 // ShipRecord applies one WAL record shipped from the primary: append it
 // to the follower's own shard log at the original LSN (so the replica's
@@ -39,7 +39,7 @@ func (d *Durable) ShipRecord(shard int, lsn uint64, payload []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return ErrDurableClosed
+		return errDurableClosed
 	}
 	if !d.follower {
 		return fmt.Errorf("cloud: ShipRecord on a primary")
@@ -85,7 +85,7 @@ func (d *Durable) Promote() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return ErrDurableClosed
+		return errDurableClosed
 	}
 	d.follower = false
 	return nil
@@ -129,7 +129,7 @@ func (d *Durable) FlushWAL() error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if d.closed {
-		return ErrDurableClosed
+		return errDurableClosed
 	}
 	for _, ws := range d.shards {
 		ws.mu.Lock()

@@ -154,7 +154,7 @@ func TestFollowerShipReplaysByteIdentical(t *testing.T) {
 }
 
 // TestFollowerRejectsMutationsUntilPromoted pins the follower contract:
-// every mutating handler returns ErrNotPrimary (retryable — no wire
+// every mutating handler returns errNotPrimary (retryable — no wire
 // code, so the retry layer keeps the request alive across a failover),
 // reads pass through, and Promote flips the node to a serving primary
 // whose LSNs continue above the shipped watermark.
@@ -180,19 +180,19 @@ func TestFollowerRejectsMutationsUntilPromoted(t *testing.T) {
 	}
 	if _, err := replica.HandleStatus(protocol.StatusRequest{
 		Kind: protocol.StatusHeartbeat, DeviceID: testDevice,
-	}); !errors.Is(err, ErrNotPrimary) {
-		t.Fatalf("follower HandleStatus = %v, want ErrNotPrimary", err)
+	}); !errors.Is(err, errNotPrimary) {
+		t.Fatalf("follower HandleStatus = %v, want errNotPrimary", err)
 	}
 	if _, err := replica.HandleStatusBatch(protocol.StatusBatchRequest{
 		Items: []protocol.StatusRequest{{Kind: protocol.StatusHeartbeat, DeviceID: testDevice}},
-	}); !errors.Is(err, ErrNotPrimary) {
-		t.Fatalf("follower HandleStatusBatch = %v, want ErrNotPrimary", err)
+	}); !errors.Is(err, errNotPrimary) {
+		t.Fatalf("follower HandleStatusBatch = %v, want errNotPrimary", err)
 	}
-	if err := replica.RegisterUser(protocol.RegisterUserRequest{UserID: "x@y", Password: "p"}); !errors.Is(err, ErrNotPrimary) {
-		t.Fatalf("follower RegisterUser = %v, want ErrNotPrimary", err)
+	if err := replica.RegisterUser(protocol.RegisterUserRequest{UserID: "x@y", Password: "p"}); !errors.Is(err, errNotPrimary) {
+		t.Fatalf("follower RegisterUser = %v, want errNotPrimary", err)
 	}
-	if code, ok := protocol.WireCode(ErrNotPrimary); ok {
-		t.Fatalf("ErrNotPrimary carries wire code %q (the retry layer would treat it as final)", code)
+	if code, ok := protocol.WireCode(errNotPrimary); ok {
+		t.Fatalf("errNotPrimary carries wire code %q (the retry layer would treat it as final)", code)
 	}
 	if _, err := replica.ShadowState(protocol.ShadowStateRequest{DeviceID: testDevice}); err != nil {
 		t.Fatalf("follower read = %v, want pass-through", err)

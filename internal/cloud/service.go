@@ -23,10 +23,10 @@ const (
 	// DefaultButtonWindow is the binding window opened by a physical
 	// button press (the paper observes 30 seconds on device #7).
 	DefaultButtonWindow = 30 * time.Second
-	// DefaultReadingsRetention is how many of a device's most recent
-	// readings the cloud keeps; older samples are discarded so
-	// long-running shadows stay bounded.
-	DefaultReadingsRetention = 1024
+	// readingsRetention is how many of a device's most recent readings
+	// the cloud keeps; older samples are discarded so long-running
+	// shadows stay bounded.
+	readingsRetention = 1024
 )
 
 // Refusals whose text names nothing from the request, built once: each
@@ -75,11 +75,12 @@ type Service struct {
 	issuer   *token.Issuer
 	store    shadowStore
 
-	now               func() time.Time
-	randomHex         func() (string, error)
-	readingsRetention int
-	userTokenTTL      time.Duration
-	persistIdem       bool
+	now       func() time.Time
+	randomHex func() (string, error)
+	// userTokenTTL makes user tokens expire that long after login; zero,
+	// which NewService leaves, means sessions never expire.
+	userTokenTTL time.Duration
+	persistIdem  bool
 
 	stats statCounters
 
@@ -105,18 +106,6 @@ func (now clockOption) apply(s *Service) { s.now = now }
 
 // WithClock injects a clock, for deterministic tests and testbeds.
 func WithClock(now func() time.Time) Option { return clockOption(now) }
-
-// WithReadingsRetention overrides how many recent readings the cloud
-// keeps per device.
-func WithReadingsRetention(n int) Option {
-	return optionFunc(func(s *Service) { s.readingsRetention = n })
-}
-
-// WithUserTokenTTL makes user tokens expire after the given duration
-// (zero, the default, means sessions never expire).
-func WithUserTokenTTL(ttl time.Duration) Option {
-	return optionFunc(func(s *Service) { s.userTokenTTL = ttl })
-}
 
 // WithTokenIssuer injects the credential issuer (shared with tests that
 // need deterministic tokens).
@@ -162,7 +151,6 @@ func NewService(design core.DesignSpec, registry *Registry, opts ...Option) (*Se
 			}
 			return hex16(&b), nil
 		},
-		readingsRetention: DefaultReadingsRetention,
 	}
 	for _, o := range opts {
 		o.apply(s)
@@ -388,7 +376,7 @@ func (s *Service) statusLocked(sh *shadow, rec DeviceRecord, req protocol.Status
 	}
 
 	if len(req.Readings) > 0 {
-		sh.readings = keepLast(append(sh.readings, req.Readings...), s.readingsRetention)
+		sh.readings = keepLast(append(sh.readings, req.Readings...), readingsRetention)
 	}
 
 	resp.Bound = sh.state().BoundToUser()

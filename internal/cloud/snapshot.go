@@ -14,8 +14,8 @@ import (
 	"github.com/iotbind/iotbind/internal/token"
 )
 
-// SnapshotVersion identifies the persisted format.
-const SnapshotVersion = 1
+// snapshotVersion identifies the persisted format.
+const snapshotVersion = 1
 
 // Snapshot is the cloud's full persisted state: accounts, live
 // credentials, per-device shadows and the activity counters. It restores
@@ -93,7 +93,7 @@ type IdemRecord struct {
 // device B. Quiesce traffic for a bit-exact global image.
 func (s *Service) Snapshot() Snapshot {
 	snap := Snapshot{
-		Version:    SnapshotVersion,
+		Version:    snapshotVersion,
 		DesignName: s.design.Name,
 		TakenAt:    s.now(),
 		Accounts:   s.accounts.export(),
@@ -164,8 +164,8 @@ func EncodeSnapshot(w io.Writer, snap Snapshot) error {
 // come from a service with the same design name, and every persisted
 // shadow must name a device present in the registry.
 func (s *Service) Restore(snap Snapshot) error {
-	if snap.Version != SnapshotVersion {
-		return fmt.Errorf("cloud: %w: snapshot version %d, want %d", protocol.ErrBadRequest, snap.Version, SnapshotVersion)
+	if snap.Version != snapshotVersion {
+		return fmt.Errorf("cloud: %w: snapshot version %d, want %d", protocol.ErrBadRequest, snap.Version, snapshotVersion)
 	}
 	if snap.DesignName != s.design.Name {
 		return fmt.Errorf("cloud: %w: snapshot for design %q, service runs %q", protocol.ErrBadRequest, snap.DesignName, s.design.Name)
@@ -242,9 +242,9 @@ func (s *Service) Reset(design core.DesignSpec) error {
 	return nil
 }
 
-// ReadSnapshot parses a JSON snapshot. The input is staged through a
+// readSnapshot parses a JSON snapshot. The input is staged through a
 // pooled buffer so repeated recovery reads reuse one backing array.
-func ReadSnapshot(r io.Reader) (Snapshot, error) {
+func readSnapshot(r io.Reader) (Snapshot, error) {
 	buf := jsonpool.Get()
 	defer buf.Put()
 	if _, err := buf.Writer().ReadFrom(r); err != nil {

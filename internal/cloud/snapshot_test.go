@@ -48,7 +48,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := svc.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := ReadSnapshot(&buf)
+	snap, err := readSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSnapshotRejectsMismatches(t *testing.T) {
 }
 
 func TestReadSnapshotMalformed(t *testing.T) {
-	if _, err := ReadSnapshot(bytes.NewBufferString("{nope")); err == nil {
+	if _, err := readSnapshot(bytes.NewBufferString("{nope")); err == nil {
 		t.Error("malformed snapshot parsed")
 	}
 }

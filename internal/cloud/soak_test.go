@@ -45,8 +45,8 @@ func TestSoakThirtyDaysOfHeartbeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(readings.Readings) != DefaultReadingsRetention {
-		t.Errorf("retained %d readings, want retention cap %d", len(readings.Readings), DefaultReadingsRetention)
+	if len(readings.Readings) != readingsRetention {
+		t.Errorf("retained %d readings, want retention cap %d", len(readings.Readings), readingsRetention)
 	}
 	// The newest reading survived, the oldest did not.
 	last := readings.Readings[len(readings.Readings)-1]
@@ -63,23 +63,16 @@ func TestSoakThirtyDaysOfHeartbeats(t *testing.T) {
 	}
 }
 
-// TestReadingsRetentionOption checks the configurable cap.
+// TestReadingsRetentionOption checks the retention cap keeps exactly the
+// newest readingsRetention readings, in order.
 func TestReadingsRetentionOption(t *testing.T) {
-	clock := newTestClock()
-	reg := NewRegistry()
-	if err := reg.Add(DeviceRecord{ID: testDevice, FactorySecret: testSecret}); err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewService(devIDDesign(), reg, WithClock(clock.Now), WithReadingsRetention(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := loginUser(t, svc, "v@example.com", "pw")
+	svc, _, victim, _ := newTestService(t, devIDDesign())
 	mustStatus(t, svc, protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice})
 	if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: testDevice, UserToken: victim, Sender: core.SenderApp}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	const extra = 7
+	for i := 0; i < readingsRetention+extra; i++ {
 		mustStatus(t, svc, protocol.StatusRequest{
 			Kind: protocol.StatusHeartbeat, DeviceID: testDevice,
 			Readings: []protocol.Reading{{Name: "v", Value: float64(i)}},
@@ -89,10 +82,10 @@ func TestReadingsRetentionOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(readings.Readings) != 3 {
-		t.Fatalf("retained %d, want 3", len(readings.Readings))
+	if len(readings.Readings) != readingsRetention {
+		t.Fatalf("retained %d, want %d", len(readings.Readings), readingsRetention)
 	}
-	if readings.Readings[0].Value != 7 || readings.Readings[2].Value != 9 {
-		t.Errorf("retained window = %+v, want values 7..9", readings.Readings)
+	if first, last := readings.Readings[0].Value, readings.Readings[readingsRetention-1].Value; first != extra || last != readingsRetention+extra-1 {
+		t.Errorf("retained window = %v..%v, want %d..%d", first, last, extra, readingsRetention+extra-1)
 	}
 }

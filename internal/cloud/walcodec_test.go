@@ -89,7 +89,7 @@ func TestWALRecordApplyRoundTrip(t *testing.T) {
 
 // TestSnapshotCodecSteadyStateAllocations extends the jsonpool
 // allocation guard to the snapshot codec: repeated EncodeSnapshot /
-// ReadSnapshot cycles must reuse pooled buffers rather than grow a
+// readSnapshot cycles must reuse pooled buffers rather than grow a
 // fresh encoder and staging array per checkpoint.
 func TestSnapshotCodecSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
@@ -123,11 +123,11 @@ func TestSnapshotCodecSteadyStateAllocations(t *testing.T) {
 
 	data := encoded.Bytes()
 	readAvg := testing.AllocsPerRun(100, func() {
-		if _, err := ReadSnapshot(bytes.NewReader(data)); err != nil {
+		if _, err := readSnapshot(bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if readAvg > 300 {
-		t.Errorf("steady-state ReadSnapshot = %.1f allocs/op, want <= 300", readAvg)
+		t.Errorf("steady-state readSnapshot = %.1f allocs/op, want <= 300", readAvg)
 	}
 }

@@ -15,10 +15,10 @@ import (
 	"github.com/iotbind/iotbind/internal/wal"
 )
 
-// ErrNodeDown is returned by a killed node. Like cloud.ErrNotPrimary it
+// errNodeDown is returned by a killed node. Like cloud's errNotPrimary it
 // carries no protocol wire code, so the retry layer keeps the request
 // alive until the router swaps the promoted replica in.
-var ErrNodeDown = errors.New("cluster: node is down")
+var errNodeDown = errors.New("cluster: node is down")
 
 // NodeConfig configures one cluster node (primary + warm replica).
 type NodeConfig struct {
@@ -49,7 +49,7 @@ type NodeConfig struct {
 // Node is one cluster member: a primary Durable serving traffic, a
 // follower Durable absorbing its WAL, and the Shipper between them.
 // Node itself implements transport.Cloud so the router can treat it as
-// a backend; after Kill every call returns ErrNodeDown until the
+// a backend; after Kill every call returns errNodeDown until the
 // harness promotes the replica and swaps it in.
 type Node struct {
 	// Hopped serves every operation from the primary between nodeHop's
@@ -109,7 +109,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		primary.Close()
 		return nil, fmt.Errorf("cluster: node %s replica: %w", cfg.Name, err)
 	}
-	ship, err := NewShipper(primaryDir, cfg.WAL.MaxRecord, replica, primary.FlushWAL)
+	ship, err := newShipper(primaryDir, cfg.WAL.MaxRecord, replica, primary.FlushWAL)
 	if err != nil {
 		primary.Close()
 		replica.Close()
@@ -169,7 +169,7 @@ func (n *Node) CatchUp() error {
 	n.opMu.RLock()
 	defer n.opMu.RUnlock()
 	if n.killed {
-		return ErrNodeDown
+		return errNodeDown
 	}
 	return n.ship.Drain()
 }
@@ -177,7 +177,7 @@ func (n *Node) CatchUp() error {
 // Kill models losing the primary process and its disk: in-flight
 // requests drain, the shipper detaches (nothing more is delivered from a
 // dead process), the primary closes, and every later request fails with
-// ErrNodeDown. Returns how many acked operations the replica never
+// errNodeDown. Returns how many acked operations the replica never
 // received — the data loss a promotion inherits, zero under
 // ack-after-replicate.
 func (n *Node) Kill() (lost uint64, err error) {
@@ -255,7 +255,7 @@ func (h nodeHop) Begin(transport.Op, string) (transport.Cloud, error) {
 	n.opMu.RLock()
 	if n.killed {
 		n.opMu.RUnlock()
-		return nil, ErrNodeDown
+		return nil, errNodeDown
 	}
 	return n.primary, nil
 }

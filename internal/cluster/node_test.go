@@ -101,8 +101,8 @@ func TestNodeAckAfterReplicateKeepsReplicaCurrent(t *testing.T) {
 	}
 
 	// Down means down, with the retryable marker error.
-	if _, err := n.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: labDev}); !errors.Is(err, ErrNodeDown) {
-		t.Fatalf("killed node returned %v, want ErrNodeDown", err)
+	if _, err := n.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: labDev}); !errors.Is(err, errNodeDown) {
+		t.Fatalf("killed node returned %v, want errNodeDown", err)
 	}
 
 	promoted, err := n.Promote()
@@ -197,8 +197,8 @@ func TestNodeLifecycleGuards(t *testing.T) {
 	if _, err := n.Kill(); err == nil {
 		t.Fatal("double kill accepted")
 	}
-	if err := n.CatchUp(); !errors.Is(err, ErrNodeDown) {
-		t.Fatalf("CatchUp on killed node: %v, want ErrNodeDown", err)
+	if err := n.CatchUp(); !errors.Is(err, errNodeDown) {
+		t.Fatalf("CatchUp on killed node: %v, want errNodeDown", err)
 	}
 	if _, err := n.Promote(); err != nil {
 		t.Fatal(err)
@@ -208,10 +208,10 @@ func TestNodeLifecycleGuards(t *testing.T) {
 	}
 }
 
-// ErrNodeDown must stay retryable: the failover story depends on the
+// errNodeDown must stay retryable: the failover story depends on the
 // retry layer carrying requests across the kill→promote→swap window.
 func TestErrNodeDownHasNoWireCode(t *testing.T) {
-	if code, ok := protocol.WireCode(ErrNodeDown); ok {
-		t.Fatalf("ErrNodeDown carries wire code %q; the retry layer would give up on failovers", code)
+	if code, ok := protocol.WireCode(errNodeDown); ok {
+		t.Fatalf("errNodeDown carries wire code %q; the retry layer would give up on failovers", code)
 	}
 }

@@ -31,7 +31,7 @@ const feedCapBytes = 4 << 20
 // the same watermark-merge recovery performs offline, run continuously,
 // without re-reading from the filesystem what this process just wrote.
 // The segment files are read in the two cases only they can serve: once
-// at NewShipper, when the replica may be behind the primary's files, and
+// at newShipper, when the replica may be behind the primary's files, and
 // after the feed overflowed its cap.
 //
 // Delivery is tracked per shard, never as one global high-water LSN.
@@ -121,7 +121,7 @@ func (f *feed) take(pending []shipRec, spent []byte) (_ []shipRec, arena []byte,
 	return pending, arena, f.offered.Load(), overflowed
 }
 
-// NewShipper ships the primary's sharded WAL under primaryDir (the
+// newShipper ships the primary's sharded WAL under primaryDir (the
 // durable directory, not the wal/ subdirectory) into dst. It first
 // closes whatever gap the files show — each shard resumes at dst's own
 // watermark for that shard, because the replica's logs record exactly
@@ -129,7 +129,7 @@ func (f *feed) take(pending []shipRec, spent []byte) (_ []shipRec, arena []byte,
 // files do. The caller then installs Offer as the primary's append
 // observer, before the primary serves traffic, so the feed continues
 // where the files ended with no gap. flush is the primary's FlushWAL.
-func NewShipper(primaryDir string, maxRecord int, dst *cloud.Durable, flush func() error) (*Shipper, error) {
+func newShipper(primaryDir string, maxRecord int, dst *cloud.Durable, flush func() error) (*Shipper, error) {
 	s := &Shipper{
 		primaryDir: primaryDir,
 		maxRecord:  maxRecord,

@@ -538,7 +538,7 @@ func TestNodeKillUnderConcurrentAcks(t *testing.T) {
 				} else {
 					_, err = n.HandleStatus(keyedStatus(id, fmt.Sprintf("hb-%d", i)))
 				}
-				if errors.Is(err, ErrNodeDown) {
+				if errors.Is(err, errNodeDown) {
 					return
 				}
 				if err != nil {

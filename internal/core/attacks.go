@@ -11,9 +11,9 @@ const (
 	// as the user's device, injecting fake sensor data or receiving the
 	// user's private data.
 	A1DataInjectionStealing AttackClass = iota + 1
-	// A2BindingDoS: the attacker occupies the binding of a user's device
+	// a2BindingDoS: the attacker occupies the binding of a user's device
 	// before the user binds, denying the legitimate binding.
-	A2BindingDoS
+	a2BindingDoS
 	// A3DeviceUnbinding: the attacker disconnects the user from the
 	// user's device.
 	A3DeviceUnbinding
@@ -26,14 +26,9 @@ const (
 // Table II, indexed by class (row 0 is the zero value).
 var attackClasses = [...]struct{ label, description string }{
 	A1DataInjectionStealing: {"A1", "The attacker can inject fake device data or steal private user data."},
-	A2BindingDoS:            {"A2", "The attacker can cause denial-of-service to the user's binding operation."},
+	a2BindingDoS:            {"A2", "The attacker can cause denial-of-service to the user's binding operation."},
 	A3DeviceUnbinding:       {"A3", "The attacker can disconnect the device with the user."},
 	A4DeviceHijacking:       {"A4", "The attacker can take absolute control of the device."},
-}
-
-// AllAttackClasses lists the four classes in declaration order.
-func AllAttackClasses() []AttackClass {
-	return []AttackClass{A1DataInjectionStealing, A2BindingDoS, A3DeviceUnbinding, A4DeviceHijacking}
 }
 
 // String implements fmt.Stringer.
@@ -102,7 +97,7 @@ var tableII = [...]struct {
 }{
 	VariantA1: {"A1", A1DataInjectionStealing, "Status : DevId", []ShadowState{StateControl, StateBound}, StateControl,
 		[]Move{MoveForgeDataHeartbeat}, []Goal{GoalInjectData, GoalStealData}, 0},
-	VariantA2: {"A2", A2BindingDoS, "Bind : (DevId, UserToken)", []ShadowState{StateInitial}, StateBound,
+	VariantA2: {"A2", a2BindingDoS, "Bind : (DevId, UserToken)", []ShadowState{StateInitial}, StateBound,
 		[]Move{MoveForgeBind}, []Goal{GoalOccupy}, 0},
 	VariantA3x1: {"A3-1", A3DeviceUnbinding, "Unbind : DevId", []ShadowState{StateControl}, StateOnline,
 		[]Move{MoveForgeUnbindDevID}, []Goal{GoalDisconnect}, 0},

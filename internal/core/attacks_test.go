@@ -13,7 +13,7 @@ func TestTable2Vocabulary(t *testing.T) {
 		end     ShadowState
 	}{
 		{VariantA1, A1DataInjectionStealing, "A1", []ShadowState{StateControl, StateBound}, StateControl},
-		{VariantA2, A2BindingDoS, "A2", []ShadowState{StateInitial}, StateBound},
+		{VariantA2, a2BindingDoS, "A2", []ShadowState{StateInitial}, StateBound},
 		{VariantA3x1, A3DeviceUnbinding, "A3-1", []ShadowState{StateControl}, StateOnline},
 		{VariantA3x2, A3DeviceUnbinding, "A3-2", []ShadowState{StateControl}, StateOnline},
 		{VariantA3x3, A3DeviceUnbinding, "A3-3", []ShadowState{StateControl}, StateOnline},
@@ -59,7 +59,7 @@ func TestAllAttackVariantsCoverAllClasses(t *testing.T) {
 	}
 	want := map[AttackClass]int{
 		A1DataInjectionStealing: 1,
-		A2BindingDoS:            1,
+		a2BindingDoS:            1,
 		A3DeviceUnbinding:       4,
 		A4DeviceHijacking:       3,
 	}
@@ -71,7 +71,7 @@ func TestAllAttackVariantsCoverAllClasses(t *testing.T) {
 }
 
 func TestAttackClassDescriptions(t *testing.T) {
-	for _, c := range AllAttackClasses() {
+	for _, c := range []AttackClass{A1DataInjectionStealing, a2BindingDoS, A3DeviceUnbinding, A4DeviceHijacking} {
 		if c.Description() == "" {
 			t.Errorf("class %v has empty description", c)
 		}

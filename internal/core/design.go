@@ -319,19 +319,19 @@ func (d DesignSpec) UnbindNotation() string {
 
 // Validation errors returned by DesignSpec.Validate.
 var (
-	ErrNoName          = errors.New("design: missing name")
-	ErrBadAuthMode     = errors.New("design: invalid device authentication mode")
-	ErrBadAssumedAuth  = errors.New("design: AuthUnknown requires a concrete AssumedAuth")
-	ErrBadBinding      = errors.New("design: invalid binding mechanism")
-	ErrBadUnbindForm   = errors.New("design: invalid unbind form")
-	ErrReplaceConflict = errors.New("design: UnbindReplaceByBind form requires ReplaceOnBind")
-	ErrPostBindingMech = errors.New("design: PostBindingToken requires app-initiated ACL binding")
+	errNoName          = errors.New("design: missing name")
+	errBadAuthMode     = errors.New("design: invalid device authentication mode")
+	errBadAssumedAuth  = errors.New("design: AuthUnknown requires a concrete AssumedAuth")
+	errBadBinding      = errors.New("design: invalid binding mechanism")
+	errBadUnbindForm   = errors.New("design: invalid unbind form")
+	errReplaceConflict = errors.New("design: UnbindReplaceByBind form requires ReplaceOnBind")
+	errPostBindingMech = errors.New("design: PostBindingToken requires app-initiated ACL binding")
 )
 
 // Validate checks internal consistency of the spec.
 func (d DesignSpec) Validate() error {
 	if d.Name == "" {
-		return ErrNoName
+		return errNoName
 	}
 	switch d.DeviceAuth {
 	case AuthDevToken, AuthDevID, AuthPublicKey:
@@ -339,31 +339,31 @@ func (d DesignSpec) Validate() error {
 		switch d.AssumedAuth {
 		case AuthDevToken, AuthDevID, AuthPublicKey:
 		default:
-			return fmt.Errorf("%w (got %v)", ErrBadAssumedAuth, d.AssumedAuth)
+			return fmt.Errorf("%w (got %v)", errBadAssumedAuth, d.AssumedAuth)
 		}
 	default:
-		return fmt.Errorf("%w (got %v)", ErrBadAuthMode, d.DeviceAuth)
+		return fmt.Errorf("%w (got %v)", errBadAuthMode, d.DeviceAuth)
 	}
 	switch d.Binding {
 	case BindACLApp, BindACLDevice, BindCapability:
 	default:
-		return fmt.Errorf("%w (got %v)", ErrBadBinding, d.Binding)
+		return fmt.Errorf("%w (got %v)", errBadBinding, d.Binding)
 	}
 	if d.PostBindingToken && d.Binding != BindACLApp {
 		// The post-binding token is returned to the binder and must also
 		// reach the user's app for control; the designs the paper
 		// observed pair it with app-initiated binding.
-		return ErrPostBindingMech
+		return errPostBindingMech
 	}
 	for _, f := range d.UnbindForms {
 		switch f {
 		case UnbindDevIDUserToken, UnbindDevIDAlone:
 		case UnbindReplaceByBind:
 			if !d.ReplaceOnBind {
-				return ErrReplaceConflict
+				return errReplaceConflict
 			}
 		default:
-			return fmt.Errorf("%w (got %v)", ErrBadUnbindForm, f)
+			return fmt.Errorf("%w (got %v)", errBadUnbindForm, f)
 		}
 	}
 	return nil

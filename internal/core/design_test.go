@@ -25,18 +25,18 @@ func TestDesignSpecValidate(t *testing.T) {
 		wantErr error
 	}{
 		{"valid", func(d *DesignSpec) {}, nil},
-		{"missing name", func(d *DesignSpec) { d.Name = "" }, ErrNoName},
-		{"bad auth", func(d *DesignSpec) { d.DeviceAuth = 0 }, ErrBadAuthMode},
-		{"unknown auth without assumption", func(d *DesignSpec) { d.DeviceAuth = AuthUnknown }, ErrBadAssumedAuth},
+		{"missing name", func(d *DesignSpec) { d.Name = "" }, errNoName},
+		{"bad auth", func(d *DesignSpec) { d.DeviceAuth = 0 }, errBadAuthMode},
+		{"unknown auth without assumption", func(d *DesignSpec) { d.DeviceAuth = AuthUnknown }, errBadAssumedAuth},
 		{"unknown auth with assumption", func(d *DesignSpec) {
 			d.DeviceAuth = AuthUnknown
 			d.AssumedAuth = AuthDevID
 		}, nil},
-		{"bad binding", func(d *DesignSpec) { d.Binding = 0 }, ErrBadBinding},
-		{"bad unbind form", func(d *DesignSpec) { d.UnbindForms = []UnbindForm{99} }, ErrBadUnbindForm},
+		{"bad binding", func(d *DesignSpec) { d.Binding = 0 }, errBadBinding},
+		{"bad unbind form", func(d *DesignSpec) { d.UnbindForms = []UnbindForm{99} }, errBadUnbindForm},
 		{"replace form without replace flag", func(d *DesignSpec) {
 			d.UnbindForms = []UnbindForm{UnbindReplaceByBind}
-		}, ErrReplaceConflict},
+		}, errReplaceConflict},
 		{"replace form with replace flag", func(d *DesignSpec) {
 			d.UnbindForms = []UnbindForm{UnbindReplaceByBind}
 			d.ReplaceOnBind = true
@@ -133,7 +133,7 @@ func TestNotationTable(t *testing.T) {
 	if len(table) != 9 {
 		t.Fatalf("NotationTable() has %d rows, want 9 (Table I)", len(table))
 	}
-	wantFirst, wantLast := NotationStatus, NotationUserPw
+	wantFirst, wantLast := "Status", "UserPw"
 	if table[0].Notation != wantFirst || table[len(table)-1].Notation != wantLast {
 		t.Errorf("table order = %v .. %v, want %v .. %v",
 			table[0].Notation, table[len(table)-1].Notation, wantFirst, wantLast)
@@ -152,9 +152,6 @@ func TestEnumStrings(t *testing.T) {
 	}
 	if BindACLApp.String() != "ACL (sent by the app)" {
 		t.Errorf("BindACLApp.String() = %q", BindACLApp.String())
-	}
-	if MsgStatus.String() != "Status" || MsgBind.String() != "Bind" || MsgUnbind.String() != "Unbind" {
-		t.Error("MessageKind strings do not match Table I")
 	}
 	if SenderDevice.String() != "device" || SenderApp.String() != "app" {
 		t.Error("Sender strings are wrong")

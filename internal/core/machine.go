@@ -25,8 +25,8 @@ const (
 	EventUnbind
 )
 
-// AllEvents lists every shadow event in declaration order.
-func AllEvents() []Event {
+// allEvents lists every shadow event in declaration order.
+func allEvents() []Event {
 	return []Event{EventStatus, EventStatusExpire, EventBind, EventUnbind}
 }
 
@@ -46,40 +46,40 @@ func (e Event) String() string {
 	}
 }
 
-// ErrInvalidTransition reports an event that is not meaningful in the
+// errInvalidTransition reports an event that is not meaningful in the
 // current state (e.g. unbinding an unbound device).
-var ErrInvalidTransition = errors.New("core: invalid shadow transition")
+var errInvalidTransition = errors.New("core: invalid shadow transition")
 
 // Next returns the state that follows from applying event e in state s.
 // The mapping is exactly Figure 2 of the paper: status messages flip the
 // online axis, bind/unbind flip the bound axis. Events that do not apply in
 // s (EventBind in a bound state, EventUnbind in an unbound state, and
-// EventStatusExpire while already offline) return ErrInvalidTransition;
+// EventStatusExpire while already offline) return errInvalidTransition;
 // EventStatus in an online state is a heartbeat and keeps the state.
 func Next(s ShadowState, e Event) (ShadowState, error) {
 	if !s.Valid() {
-		return 0, fmt.Errorf("%w: invalid state %v", ErrInvalidTransition, s)
+		return 0, fmt.Errorf("%w: invalid state %v", errInvalidTransition, s)
 	}
 	switch e {
 	case EventStatus:
-		return StateOf(true, s.BoundToUser()), nil
+		return stateOf(true, s.BoundToUser()), nil
 	case EventStatusExpire:
 		if !s.Online() {
-			return 0, fmt.Errorf("%w: %v is already offline", ErrInvalidTransition, s)
+			return 0, fmt.Errorf("%w: %v is already offline", errInvalidTransition, s)
 		}
-		return StateOf(false, s.BoundToUser()), nil
+		return stateOf(false, s.BoundToUser()), nil
 	case EventBind:
 		if s.BoundToUser() {
-			return 0, fmt.Errorf("%w: %v is already bound", ErrInvalidTransition, s)
+			return 0, fmt.Errorf("%w: %v is already bound", errInvalidTransition, s)
 		}
-		return StateOf(s.Online(), true), nil
+		return stateOf(s.Online(), true), nil
 	case EventUnbind:
 		if !s.BoundToUser() {
-			return 0, fmt.Errorf("%w: %v is not bound", ErrInvalidTransition, s)
+			return 0, fmt.Errorf("%w: %v is not bound", errInvalidTransition, s)
 		}
-		return StateOf(s.Online(), false), nil
+		return stateOf(s.Online(), false), nil
 	default:
-		return 0, fmt.Errorf("%w: unknown event %v", ErrInvalidTransition, e)
+		return 0, fmt.Errorf("%w: unknown event %v", errInvalidTransition, e)
 	}
 }
 
@@ -101,7 +101,7 @@ func (t Transition) String() string {
 func TransitionTable() []Transition {
 	var table []Transition
 	for _, s := range AllStates() {
-		for _, e := range AllEvents() {
+		for _, e := range allEvents() {
 			next, err := Next(s, e)
 			if err != nil {
 				continue
@@ -155,7 +155,7 @@ func NewMachine() *Machine {
 // state. The trace of the original machine is not restored.
 func RestoreMachine(state ShadowState) (*Machine, error) {
 	if !state.Valid() {
-		return nil, fmt.Errorf("%w: cannot restore state %v", ErrInvalidTransition, state)
+		return nil, fmt.Errorf("%w: cannot restore state %v", errInvalidTransition, state)
 	}
 	return &Machine{state: state}, nil
 }
@@ -164,7 +164,7 @@ func RestoreMachine(state ShadowState) (*Machine, error) {
 func (m *Machine) State() ShadowState { return m.state }
 
 // Apply transitions the machine on event e, recording the edge. It returns
-// the new state, or ErrInvalidTransition (leaving the state unchanged) when
+// the new state, or errInvalidTransition (leaving the state unchanged) when
 // the event does not apply.
 func (m *Machine) Apply(e Event) (ShadowState, error) {
 	next, err := Next(m.state, e)

@@ -36,8 +36,8 @@ func TestNextRejectsInvalidTransitions(t *testing.T) {
 		{StateBound, EventStatusExpire},   // already offline
 	}
 	for _, tt := range tests {
-		if _, err := Next(tt.state, tt.event); !errors.Is(err, ErrInvalidTransition) {
-			t.Errorf("Next(%v, %v) error = %v, want ErrInvalidTransition", tt.state, tt.event, err)
+		if _, err := Next(tt.state, tt.event); !errors.Is(err, errInvalidTransition) {
+			t.Errorf("Next(%v, %v) error = %v, want errInvalidTransition", tt.state, tt.event, err)
 		}
 	}
 }
@@ -73,11 +73,11 @@ func TestNextStatusExpire(t *testing.T) {
 }
 
 func TestNextRejectsInvalidInputs(t *testing.T) {
-	if _, err := Next(ShadowState(0), EventStatus); !errors.Is(err, ErrInvalidTransition) {
-		t.Errorf("invalid state error = %v, want ErrInvalidTransition", err)
+	if _, err := Next(ShadowState(0), EventStatus); !errors.Is(err, errInvalidTransition) {
+		t.Errorf("invalid state error = %v, want errInvalidTransition", err)
 	}
-	if _, err := Next(StateInitial, Event(99)); !errors.Is(err, ErrInvalidTransition) {
-		t.Errorf("invalid event error = %v, want ErrInvalidTransition", err)
+	if _, err := Next(StateInitial, Event(99)); !errors.Is(err, errInvalidTransition) {
+		t.Errorf("invalid event error = %v, want errInvalidTransition", err)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestNextRejectsInvalidInputs(t *testing.T) {
 // the bound axis.
 func TestTransitionsPreserveAxes(t *testing.T) {
 	for _, s := range AllStates() {
-		for _, e := range AllEvents() {
+		for _, e := range allEvents() {
 			next, err := Next(s, e)
 			if err != nil {
 				continue
@@ -169,8 +169,8 @@ func TestMachineApplyAndTrace(t *testing.T) {
 
 func TestMachineInvalidEventKeepsState(t *testing.T) {
 	m := NewMachine()
-	if _, err := m.Apply(EventUnbind); !errors.Is(err, ErrInvalidTransition) {
-		t.Fatalf("Apply(unbind) error = %v, want ErrInvalidTransition", err)
+	if _, err := m.Apply(EventUnbind); !errors.Is(err, errInvalidTransition) {
+		t.Fatalf("Apply(unbind) error = %v, want errInvalidTransition", err)
 	}
 	if m.State() != StateInitial {
 		t.Errorf("state after failed event = %v, want initial", m.State())
@@ -198,7 +198,7 @@ func TestMachineReset(t *testing.T) {
 // Reset halfway through.
 func TestMachineTraceMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
-	events := AllEvents()
+	events := allEvents()
 	for round := 0; round < 40; round++ {
 		m := NewMachine()
 		if round%2 == 1 {
@@ -258,7 +258,7 @@ func TestTraceValuesFitAByte(t *testing.T) {
 			t.Errorf("state %v does not fit a byte", s)
 		}
 	}
-	for _, e := range AllEvents() {
+	for _, e := range allEvents() {
 		if Event(uint8(e)) != e {
 			t.Errorf("event %v does not fit a byte", e)
 		}
@@ -276,7 +276,7 @@ func TestMachineStaysValidUnderRandomEvents(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := NewMachine()
-		events := AllEvents()
+		events := allEvents()
 		for i := 0; i < int(n); i++ {
 			e := events[rng.Intn(len(events))]
 			before := m.State()

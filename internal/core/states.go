@@ -70,10 +70,10 @@ func (s ShadowState) String() string {
 	}
 }
 
-// StateOf returns the shadow state encoding the two status booleans the
+// stateOf returns the shadow state encoding the two status booleans the
 // cloud tracks for a device: online (device authenticated recently) and
 // bound (a binding exists).
-func StateOf(online, bound bool) ShadowState {
+func stateOf(online, bound bool) ShadowState {
 	switch {
 	case online && bound:
 		return StateControl

@@ -16,8 +16,8 @@ func TestStateOf(t *testing.T) {
 		{false, true, StateBound},
 	}
 	for _, tt := range tests {
-		if got := StateOf(tt.online, tt.bound); got != tt.want {
-			t.Errorf("StateOf(%v, %v) = %v, want %v", tt.online, tt.bound, got, tt.want)
+		if got := stateOf(tt.online, tt.bound); got != tt.want {
+			t.Errorf("stateOf(%v, %v) = %v, want %v", tt.online, tt.bound, got, tt.want)
 		}
 	}
 }
@@ -49,9 +49,9 @@ func TestStatePredicates(t *testing.T) {
 }
 
 func TestStateOfRoundTrip(t *testing.T) {
-	// StateOf is the inverse of the (Online, BoundToUser) projection.
+	// stateOf is the inverse of the (Online, BoundToUser) projection.
 	f := func(online, bound bool) bool {
-		s := StateOf(online, bound)
+		s := stateOf(online, bound)
 		return s.Online() == online && s.BoundToUser() == bound
 	}
 	if err := quick.Check(f, nil); err != nil {

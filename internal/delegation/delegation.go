@@ -102,11 +102,11 @@ func ParseScopes(names []string) (Scope, error) {
 			}
 		}
 		if !found {
-			return 0, fmt.Errorf("%w: unknown scope %q", ErrBadGrant, name)
+			return 0, fmt.Errorf("%w: unknown scope %q", errBadGrant, name)
 		}
 	}
 	if s == 0 {
-		return 0, fmt.Errorf("%w: empty scope set", ErrBadGrant)
+		return 0, fmt.Errorf("%w: empty scope set", errBadGrant)
 	}
 	return s, nil
 }
@@ -129,10 +129,10 @@ func (g Grant) Expired(now time.Time) bool {
 
 // Lattice errors.
 var (
-	// ErrBadGrant covers structurally invalid grants (empty parties,
+	// errBadGrant covers structurally invalid grants (empty parties,
 	// self-grants, grants to the owner, empty or unknown scopes,
 	// negative depth).
-	ErrBadGrant = errors.New("delegation: invalid grant")
+	errBadGrant = errors.New("delegation: invalid grant")
 	// ErrNoAuthority is returned when the grantor is neither the owner
 	// nor the holder of a live grant carrying the share scope.
 	ErrNoAuthority = errors.New("delegation: grantor holds no delegation authority")
@@ -227,19 +227,19 @@ func (l *Lattice) Get(grantee string) (Grant, bool) {
 // its next mutation.
 func (l *Lattice) Grant(g Grant, now time.Time, attenuate bool) ([]string, error) {
 	if g.Grantor == "" || g.Grantee == "" {
-		return nil, fmt.Errorf("%w: empty party", ErrBadGrant)
+		return nil, fmt.Errorf("%w: empty party", errBadGrant)
 	}
 	if g.Grantee == l.root {
-		return nil, fmt.Errorf("%w: owner cannot be their own grantee", ErrBadGrant)
+		return nil, fmt.Errorf("%w: owner cannot be their own grantee", errBadGrant)
 	}
 	if g.Grantee == g.Grantor {
-		return nil, fmt.Errorf("%w: self-grant", ErrBadGrant)
+		return nil, fmt.Errorf("%w: self-grant", errBadGrant)
 	}
 	if g.Scopes == 0 {
-		return nil, fmt.Errorf("%w: empty scope set", ErrBadGrant)
+		return nil, fmt.Errorf("%w: empty scope set", errBadGrant)
 	}
 	if g.Depth < 0 {
-		return nil, fmt.Errorf("%w: negative depth", ErrBadGrant)
+		return nil, fmt.Errorf("%w: negative depth", errBadGrant)
 	}
 	if g.Grantor != l.root {
 		parent, ok := l.grants[g.Grantor]
@@ -273,7 +273,7 @@ func (l *Lattice) Grant(g Grant, now time.Time, attenuate bool) ([]string, error
 				break
 			}
 			if p.Grantor == g.Grantee {
-				return nil, fmt.Errorf("%w: grant would create a delegation cycle", ErrBadGrant)
+				return nil, fmt.Errorf("%w: grant would create a delegation cycle", errBadGrant)
 			}
 			cur = p.Grantor
 		}
@@ -435,10 +435,10 @@ func Import(root string, grants []Grant) (*Lattice, error) {
 	l := New(root)
 	for _, g := range grants {
 		if g.Grantor == "" || g.Grantee == "" || g.Grantee == root || g.Grantee == g.Grantor || g.Scopes == 0 {
-			return nil, fmt.Errorf("%w: grant %q->%q", ErrBadGrant, g.Grantor, g.Grantee)
+			return nil, fmt.Errorf("%w: grant %q->%q", errBadGrant, g.Grantor, g.Grantee)
 		}
 		if _, dup := l.grants[g.Grantee]; dup {
-			return nil, fmt.Errorf("%w: duplicate grantee %q", ErrBadGrant, g.Grantee)
+			return nil, fmt.Errorf("%w: duplicate grantee %q", errBadGrant, g.Grantee)
 		}
 		l.grants[g.Grantee] = g
 	}

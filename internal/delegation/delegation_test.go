@@ -26,10 +26,10 @@ func TestScopeParsing(t *testing.T) {
 	if got := s.Names(); !reflect.DeepEqual(got, []string{"control", "share"}) {
 		t.Fatalf("Names() = %v", got)
 	}
-	if _, err := ParseScopes([]string{"root"}); !errors.Is(err, ErrBadGrant) {
+	if _, err := ParseScopes([]string{"root"}); !errors.Is(err, errBadGrant) {
 		t.Fatalf("unknown scope accepted: %v", err)
 	}
-	if _, err := ParseScopes(nil); !errors.Is(err, ErrBadGrant) {
+	if _, err := ParseScopes(nil); !errors.Is(err, errBadGrant) {
 		t.Fatalf("empty scope set accepted: %v", err)
 	}
 	if (ScopeControl | ScopeRead).String() != "control+read" {
@@ -65,10 +65,10 @@ func TestGrantValidation(t *testing.T) {
 		g    Grant
 		want error
 	}{
-		{Grant{Grantor: "owner", Grantee: "owner", Scopes: ScopeControl}, ErrBadGrant},
-		{Grant{Grantor: "x", Grantee: "x", Scopes: ScopeControl}, ErrBadGrant},
-		{Grant{Grantor: "owner", Grantee: "g"}, ErrBadGrant},
-		{Grant{Grantor: "owner", Grantee: "g", Scopes: ScopeControl, Depth: -1}, ErrBadGrant},
+		{Grant{Grantor: "owner", Grantee: "owner", Scopes: ScopeControl}, errBadGrant},
+		{Grant{Grantor: "x", Grantee: "x", Scopes: ScopeControl}, errBadGrant},
+		{Grant{Grantor: "owner", Grantee: "g"}, errBadGrant},
+		{Grant{Grantor: "owner", Grantee: "g", Scopes: ScopeControl, Depth: -1}, errBadGrant},
 		{Grant{Grantor: "stranger", Grantee: "g", Scopes: ScopeControl}, ErrNoAuthority},
 	}
 	for i, c := range cases {
@@ -203,7 +203,7 @@ func TestCycleRejected(t *testing.T) {
 	all := ScopeControl | ScopeShare
 	mustGrant(t, l, Grant{Grantor: "owner", Grantee: "a", Scopes: all, Depth: 3}, false)
 	mustGrant(t, l, Grant{Grantor: "a", Grantee: "b", Scopes: all, Depth: 2}, false)
-	if _, err := l.Grant(Grant{Grantor: "b", Grantee: "a", Scopes: ScopeControl}, t0, false); !errors.Is(err, ErrBadGrant) {
+	if _, err := l.Grant(Grant{Grantor: "b", Grantee: "a", Scopes: ScopeControl}, t0, false); !errors.Is(err, errBadGrant) {
 		t.Fatalf("cycle accepted: %v", err)
 	}
 }
@@ -229,10 +229,10 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatal("imported chain dead")
 	}
 
-	if _, err := Import("owner", []Grant{{Grantor: "x", Grantee: "owner", Scopes: ScopeRead}}); !errors.Is(err, ErrBadGrant) {
+	if _, err := Import("owner", []Grant{{Grantor: "x", Grantee: "owner", Scopes: ScopeRead}}); !errors.Is(err, errBadGrant) {
 		t.Fatalf("grant to root imported: %v", err)
 	}
-	if _, err := Import("owner", append(grants, grants[0])); !errors.Is(err, ErrBadGrant) {
+	if _, err := Import("owner", append(grants, grants[0])); !errors.Is(err, errBadGrant) {
 		t.Fatalf("duplicate grantee imported: %v", err)
 	}
 }

@@ -27,9 +27,12 @@ var (
 	// ErrNotProvisioned is returned when activating a device that has no
 	// Wi-Fi configuration yet.
 	ErrNotProvisioned = errors.New("device: not provisioned")
-	// ErrNoCloud is returned when the device has no transport attached.
-	ErrNoCloud = errors.New("device: no cloud transport attached")
+	// errNoCloud is returned when the device has no transport attached.
+	errNoCloud = errors.New("device: no cloud transport attached")
 )
+
+// firmwareVersion is the firmware version the device reports.
+const firmwareVersion = "1.0.0"
 
 // Device is one emulated IoT device.
 type Device struct {
@@ -37,7 +40,6 @@ type Device struct {
 	factorySecret string
 	localName     string
 	model         string
-	firmware      string
 	design        core.DesignSpec
 
 	mu          sync.Mutex
@@ -90,11 +92,6 @@ func (now clockOption) apply(d *Device) { d.now = now }
 
 // WithClock injects a clock for reading timestamps.
 func WithClock(now func() time.Time) Option { return clockOption(now) }
-
-// WithFirmware sets the reported firmware version.
-func WithFirmware(v string) Option {
-	return optionFunc(func(d *Device) { d.firmware = v })
-}
 
 // WithBatching makes the device coalesce heartbeats instead of sending
 // each one immediately: Heartbeat queues the status message and the queue
@@ -164,7 +161,6 @@ func (d *Device) Init(cfg Config, design core.DesignSpec, cloud transport.Cloud,
 		factorySecret: cfg.FactorySecret,
 		localName:     cfg.LocalName,
 		model:         cfg.Model,
-		firmware:      "1.0.0",
 		design:        design,
 		cloud:         cloud,
 		setupMode:     true,
@@ -190,7 +186,7 @@ func (d *Device) Init(cfg Config, design core.DesignSpec, cloud transport.Cloud,
 // the transport, clock and retrier they share. Neither may be in use
 // meanwhile.
 func (d *Device) CopyFrom(src *Device) {
-	d.id, d.factorySecret, d.localName, d.model, d.firmware = src.id, src.factorySecret, src.localName, src.model, src.firmware
+	d.id, d.factorySecret, d.localName, d.model = src.id, src.factorySecret, src.localName, src.model
 	d.design, d.cloud = src.design, src.cloud
 	d.setupMode, d.provisioned, d.resetNotify, d.active = src.setupMode, src.provisioned, src.resetNotify, src.active
 	d.devToken, d.sessionToken, d.sessionNonce = src.devToken, src.sessionToken, src.sessionNonce
@@ -303,7 +299,7 @@ func (d *Device) Activate() error {
 	}
 	if d.cloud == nil {
 		d.mu.Unlock()
-		return ErrNoCloud
+		return errNoCloud
 	}
 	cloud := d.cloud
 	sendReset := d.resetNotify && d.design.SupportsUnbind(core.UnbindDevIDAlone)
@@ -350,7 +346,7 @@ func (d *Device) register(buttonPressed bool) error {
 		DevToken:      d.devToken,
 		SessionToken:  d.sessionToken,
 		ButtonPressed: buttonPressed,
-		Firmware:      d.firmware,
+		Firmware:      firmwareVersion,
 		Model:         d.model,
 	}
 	if d.design.EffectiveAuth() == core.AuthPublicKey {
@@ -505,7 +501,7 @@ func (d *Device) heartbeatRequestLocked() protocol.StatusRequest {
 		DeviceID:     d.id,
 		DevToken:     d.devToken,
 		SessionToken: d.sessionToken,
-		Firmware:     d.firmware,
+		Firmware:     firmwareVersion,
 		Model:        d.model,
 		Readings:     d.pendingReadings,
 	}

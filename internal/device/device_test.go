@@ -300,16 +300,6 @@ func TestWithClockStampsReadings(t *testing.T) {
 	}
 }
 
-func TestWithFirmwareOption(t *testing.T) {
-	d := design(core.AuthDevID, core.BindACLApp)
-	svc, _ := newCloud(t, d)
-	dev := newDevice(t, d, svc, device.WithFirmware("9.9.9"))
-	if err := dev.Provision(localnet.Provisioning{WiFiSSID: "home", WiFiPassword: "pw"}); err != nil {
-		t.Fatal(err)
-	}
-	_ = dev // the version travels in status requests; acceptance is enough here
-}
-
 // TestTokenIssuerSharing checks the WithTokenIssuer option wires a shared
 // issuer.
 func TestTokenIssuerSharing(t *testing.T) {

@@ -68,9 +68,9 @@ type Generator interface {
 	SearchSpace() *big.Int
 }
 
-// ErrIndexOutOfRange is returned when an assignment index exceeds the
+// errIndexOutOfRange is returned when an assignment index exceeds the
 // scheme's capacity.
-var ErrIndexOutOfRange = errors.New("devid: assignment index out of range")
+var errIndexOutOfRange = errors.New("devid: assignment index out of range")
 
 // MACGenerator assigns MAC addresses under a fixed vendor OUI. The
 // attacker-relevant search space is the 3 assigned bytes (2^24), as the OUI
@@ -90,7 +90,7 @@ func (g *MACGenerator) Scheme() Scheme { return SchemeMAC }
 // Generate implements Generator. Index maps to the 3 assigned bytes.
 func (g *MACGenerator) Generate(index uint64) (string, error) {
 	if index >= 1<<24 {
-		return "", fmt.Errorf("%w: %d >= 2^24", ErrIndexOutOfRange, index)
+		return "", fmt.Errorf("%w: %d >= 2^24", errIndexOutOfRange, index)
 	}
 	return fmt.Sprintf("%02X:%02X:%02X:%02X:%02X:%02X",
 		g.oui[0], g.oui[1], g.oui[2],
@@ -132,7 +132,7 @@ func (g *SerialGenerator) Scheme() Scheme { return SchemeSequentialSerial }
 // Generate implements Generator.
 func (g *SerialGenerator) Generate(index uint64) (string, error) {
 	if index >= pow10(g.digits) {
-		return "", fmt.Errorf("%w: %d exceeds %d digits", ErrIndexOutOfRange, index, g.digits)
+		return "", fmt.Errorf("%w: %d exceeds %d digits", errIndexOutOfRange, index, g.digits)
 	}
 	return fmt.Sprintf("%s%0*d", g.prefix, g.digits, index), nil
 }
@@ -164,7 +164,7 @@ func (g *ShortDigitsGenerator) Scheme() Scheme { return SchemeShortDigits }
 // Generate implements Generator.
 func (g *ShortDigitsGenerator) Generate(index uint64) (string, error) {
 	if index >= pow10(g.digits) {
-		return "", fmt.Errorf("%w: %d exceeds %d digits", ErrIndexOutOfRange, index, g.digits)
+		return "", fmt.Errorf("%w: %d exceeds %d digits", errIndexOutOfRange, index, g.digits)
 	}
 	return fmt.Sprintf("%0*d", g.digits, index), nil
 }
@@ -212,7 +212,7 @@ func Enumerate(g Generator, start, count uint64, fn func(id string) bool) (uint6
 	for i := uint64(0); i < count; i++ {
 		id, err := g.Generate(start + i)
 		if err != nil {
-			if errors.Is(err, ErrIndexOutOfRange) {
+			if errors.Is(err, errIndexOutOfRange) {
 				return produced, nil
 			}
 			return produced, err

@@ -17,7 +17,7 @@ func TestMACGenerator(t *testing.T) {
 	if id != "B4:75:0E:00:00:FF" {
 		t.Errorf("Generate = %q", id)
 	}
-	if _, err := g.Generate(1 << 24); !errors.Is(err, ErrIndexOutOfRange) {
+	if _, err := g.Generate(1 << 24); !errors.Is(err, errIndexOutOfRange) {
 		t.Errorf("out-of-range error = %v", err)
 	}
 	if g.SearchSpace().Cmp(big.NewInt(1<<24)) != 0 {
@@ -50,7 +50,7 @@ func TestSerialGenerator(t *testing.T) {
 	if g.SearchSpace().Cmp(big.NewInt(150_000)) != 0 {
 		t.Errorf("SearchSpace = %v, want shipped volume", g.SearchSpace())
 	}
-	if _, err := g.Generate(1_000_000); !errors.Is(err, ErrIndexOutOfRange) {
+	if _, err := g.Generate(1_000_000); !errors.Is(err, errIndexOutOfRange) {
 		t.Errorf("out-of-range error = %v", err)
 	}
 }

@@ -24,10 +24,10 @@ import (
 	"github.com/iotbind/iotbind/internal/testbed"
 )
 
-// AllActions lists the attacker primitives the searcher composes — the
+// allActions lists the attacker primitives the searcher composes — the
 // search alphabet: single forged messages built from nothing but the
 // leaked device ID and the attacker's own account.
-func AllActions() []core.Move {
+func allActions() []core.Move {
 	return []core.Move{
 		core.MoveForgeRegister,
 		core.MoveForgeDataHeartbeat,
@@ -37,9 +37,9 @@ func AllActions() []core.Move {
 	}
 }
 
-// AllScenarios lists the victim situations the searcher runs sequences
+// allScenarios lists the victim situations the searcher runs sequences
 // against.
-func AllScenarios() []testbed.Scenario {
+func allScenarios() []testbed.Scenario {
 	return []testbed.Scenario{testbed.ScenarioSteadyControl, testbed.ScenarioPreSetup, testbed.ScenarioSetupWindow}
 }
 
@@ -69,7 +69,7 @@ func Search(design core.DesignSpec, maxDepth int) ([]Attack, error) {
 	}
 	var attacks []Attack
 	tb := new(testbed.Testbed) // every sequence runs on it, reset
-	for _, scenario := range AllScenarios() {
+	for _, scenario := range allScenarios() {
 		found, err := searchScenario(tb, design, scenario, maxDepth)
 		if err != nil {
 			return nil, err
@@ -90,7 +90,7 @@ func searchScenario(tb *testbed.Testbed, design core.DesignSpec, scenario testbe
 		var next [][]core.Move
 		var solvedThisDepth []core.Goal
 		for _, prefix := range frontier {
-			for _, act := range AllActions() {
+			for _, act := range allActions() {
 				seq := append(append([]core.Move(nil), prefix...), act)
 				next = append(next, seq)
 				achieved, err := execute(tb, design, scenario, seq)

@@ -1,4 +1,4 @@
-package discover_test
+package discover
 
 import (
 	"fmt"
@@ -8,14 +8,13 @@ import (
 
 	"github.com/iotbind/iotbind/internal/analysis"
 	"github.com/iotbind/iotbind/internal/core"
-	"github.com/iotbind/iotbind/internal/discover"
 	"github.com/iotbind/iotbind/internal/testbed"
 	"github.com/iotbind/iotbind/internal/vendors"
 )
 
 // findAttack returns the discovered attacks for one (scenario, goal).
-func findAttack(attacks []discover.Attack, s testbed.Scenario, g core.Goal) []discover.Attack {
-	var out []discover.Attack
+func findAttack(attacks []Attack, s testbed.Scenario, g core.Goal) []Attack {
+	var out []Attack
 	for _, a := range attacks {
 		if a.Scenario == s && a.Goal == g {
 			out = append(out, a)
@@ -45,7 +44,7 @@ func TestDiscoverA4x3ChainOnTPLink(t *testing.T) {
 	if !ok {
 		t.Fatal("no TP-LINK profile")
 	}
-	attacks, err := discover.Search(p.Design, 2)
+	attacks, err := Search(p.Design, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func TestDiscoverA4x1OnELink(t *testing.T) {
 	if !ok {
 		t.Fatal("no E-Link profile")
 	}
-	attacks, err := discover.Search(p.Design, 2)
+	attacks, err := Search(p.Design, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestDiscoverA1OnDLink(t *testing.T) {
 	if !ok {
 		t.Fatal("no D-LINK profile")
 	}
-	attacks, err := discover.Search(p.Design, 2)
+	attacks, err := Search(p.Design, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +134,7 @@ func TestDiscoverA4x2WindowOnOZWI(t *testing.T) {
 	if !ok {
 		t.Fatal("no OZWI profile")
 	}
-	attacks, err := discover.Search(p.Design, 1)
+	attacks, err := Search(p.Design, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +147,7 @@ func TestDiscoverA4x2WindowOnOZWI(t *testing.T) {
 // TestDiscoverNothingAgainstSecureDesigns: the references resist search.
 func TestDiscoverNothingAgainstSecureDesigns(t *testing.T) {
 	for _, p := range []vendors.Profile{vendors.SecureReference(), vendors.RecommendedPractice()} {
-		attacks, err := discover.Search(p.Design, 2)
+		attacks, err := Search(p.Design, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +164,7 @@ func TestDiscoveryAgreesWithAnalyzer(t *testing.T) {
 	for _, p := range vendors.Profiles() {
 		p := p
 		t.Run(p.Vendor, func(t *testing.T) {
-			attacks, err := discover.Search(p.Design, 2)
+			attacks, err := Search(p.Design, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +212,7 @@ func TestSecureDesignsResistDeeperSearch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("depth-3 search is slow")
 	}
-	attacks, err := discover.Search(vendors.SecureReference().Design, 3)
+	attacks, err := Search(vendors.SecureReference().Design, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +222,7 @@ func TestSecureDesignsResistDeeperSearch(t *testing.T) {
 }
 
 func TestSearchValidatesDepth(t *testing.T) {
-	if _, err := discover.Search(vendors.WorstCase().Design, 0); err == nil {
+	if _, err := Search(vendors.WorstCase().Design, 0); err == nil {
 		t.Error("depth 0 accepted")
 	}
 }
@@ -231,7 +230,7 @@ func TestSearchValidatesDepth(t *testing.T) {
 // TestActionAndGoalStrings: every action, goal and scenario the searcher
 // composes has a name, and a discovered attack renders as text.
 func TestActionAndGoalStrings(t *testing.T) {
-	for _, a := range discover.AllActions() {
+	for _, a := range allActions() {
 		if a.String() == "" {
 			t.Errorf("action %d has empty name", int(a))
 		}
@@ -241,12 +240,12 @@ func TestActionAndGoalStrings(t *testing.T) {
 			t.Errorf("goal %d has empty name", int(g))
 		}
 	}
-	for _, s := range discover.AllScenarios() {
+	for _, s := range allScenarios() {
 		if s.String() == "" {
 			t.Errorf("scenario %d has empty name", int(s))
 		}
 	}
-	a := discover.Attack{
+	a := Attack{
 		Scenario: testbed.ScenarioSteadyControl,
 		Goal:     core.GoalHijack,
 		Sequence: []core.Move{core.MoveForgeBind},
@@ -267,7 +266,7 @@ func TestDepth2Golden(t *testing.T) {
 	designs := append(vendors.Profiles(), vendors.SecureReference(), vendors.RecommendedPractice(), vendors.WorstCase())
 	var b strings.Builder
 	for _, p := range designs {
-		attacks, err := discover.Search(p.Design, 2)
+		attacks, err := Search(p.Design, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

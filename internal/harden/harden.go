@@ -19,52 +19,52 @@ type Step int
 
 // The hardening measures, each mapping to a lesson of Section VII.
 const (
-	// StepDynamicDeviceToken replaces static-ID device authentication
+	// stepDynamicDeviceToken replaces static-ID device authentication
 	// with dynamic tokens obtained through the user (lesson 1).
-	StepDynamicDeviceToken Step = iota + 1
-	// StepCapabilityBinding replaces ACL binding with capability tokens
+	stepDynamicDeviceToken Step = iota + 1
+	// stepCapabilityBinding replaces ACL binding with capability tokens
 	// that prove local ownership (lesson 2).
-	StepCapabilityBinding
-	// StepCheckBindOwner makes the cloud reject binds for devices bound
+	stepCapabilityBinding
+	// stepCheckBindOwner makes the cloud reject binds for devices bound
 	// to another user, and stops replacing bindings blindly (lesson 2).
-	StepCheckBindOwner
-	// StepCheckUnbindOwner makes the cloud verify the unbinding user is
+	stepCheckBindOwner
+	// stepCheckUnbindOwner makes the cloud verify the unbinding user is
 	// the bound user (lesson 3).
-	StepCheckUnbindOwner
-	// StepDropDeviceOnlyUnbind removes the authorization-free
+	stepCheckUnbindOwner
+	// stepDropDeviceOnlyUnbind removes the authorization-free
 	// Unbind:DevId form (lesson 3).
-	StepDropDeviceOnlyUnbind
-	// StepPostBindingToken adds the post-binding session token that cuts
+	stepDropDeviceOnlyUnbind
+	// stepPostBindingToken adds the post-binding session token that cuts
 	// forged bindings off from the real device (Section IV-B).
-	StepPostBindingToken
+	stepPostBindingToken
 )
 
-// AllSteps lists the hardening measures.
-func AllSteps() []Step {
+// allSteps lists the hardening measures.
+func allSteps() []Step {
 	return []Step{
-		StepDynamicDeviceToken,
-		StepCapabilityBinding,
-		StepCheckBindOwner,
-		StepCheckUnbindOwner,
-		StepDropDeviceOnlyUnbind,
-		StepPostBindingToken,
+		stepDynamicDeviceToken,
+		stepCapabilityBinding,
+		stepCheckBindOwner,
+		stepCheckUnbindOwner,
+		stepDropDeviceOnlyUnbind,
+		stepPostBindingToken,
 	}
 }
 
 // String implements fmt.Stringer.
 func (s Step) String() string {
 	switch s {
-	case StepDynamicDeviceToken:
+	case stepDynamicDeviceToken:
 		return "use-dynamic-device-tokens"
-	case StepCapabilityBinding:
+	case stepCapabilityBinding:
 		return "use-capability-binding"
-	case StepCheckBindOwner:
+	case stepCheckBindOwner:
 		return "check-bound-user-on-bind"
-	case StepCheckUnbindOwner:
+	case stepCheckUnbindOwner:
 		return "check-bound-user-on-unbind"
-	case StepDropDeviceOnlyUnbind:
+	case stepDropDeviceOnlyUnbind:
 		return "drop-unbind-by-devid"
-	case StepPostBindingToken:
+	case stepPostBindingToken:
 		return "add-post-binding-token"
 	default:
 		return fmt.Sprintf("Step(%d)", int(s))
@@ -75,14 +75,14 @@ func (s Step) String() string {
 // does not apply (already in place).
 func (s Step) apply(d core.DesignSpec) (core.DesignSpec, bool) {
 	switch s {
-	case StepDynamicDeviceToken:
+	case stepDynamicDeviceToken:
 		if d.EffectiveAuth() == core.AuthDevToken || d.EffectiveAuth() == core.AuthPublicKey {
 			return d, false
 		}
 		d.DeviceAuth = core.AuthDevToken
 		d.AssumedAuth = 0
 		return d, true
-	case StepCapabilityBinding:
+	case stepCapabilityBinding:
 		if d.Binding == core.BindCapability {
 			return d, false
 		}
@@ -92,7 +92,7 @@ func (s Step) apply(d core.DesignSpec) (core.DesignSpec, bool) {
 		// supersedes it.
 		d.PostBindingToken = false
 		return d, true
-	case StepCheckBindOwner:
+	case stepCheckBindOwner:
 		if d.CheckBoundUserOnBind && !d.ReplaceOnBind {
 			return d, false
 		}
@@ -111,13 +111,13 @@ func (s Step) apply(d core.DesignSpec) (core.DesignSpec, bool) {
 		}
 		d.UnbindForms = forms
 		return d, true
-	case StepCheckUnbindOwner:
+	case stepCheckUnbindOwner:
 		if d.CheckBoundUserOnUnbind || !d.SupportsUnbind(core.UnbindDevIDUserToken) {
 			return d, false
 		}
 		d.CheckBoundUserOnUnbind = true
 		return d, true
-	case StepDropDeviceOnlyUnbind:
+	case stepDropDeviceOnlyUnbind:
 		if !d.SupportsUnbind(core.UnbindDevIDAlone) {
 			return d, false
 		}
@@ -136,7 +136,7 @@ func (s Step) apply(d core.DesignSpec) (core.DesignSpec, bool) {
 		// behaviour that depended on it.
 		d.ResetUnbindsOnSetup = false
 		return d, true
-	case StepPostBindingToken:
+	case stepPostBindingToken:
 		if d.PostBindingToken || d.Binding != core.BindACLApp {
 			return d, false
 		}
@@ -178,7 +178,7 @@ func Recommend(design core.DesignSpec) (Plan, error) {
 		return Plan{Hardened: design, AttacksBefore: 0, AttacksAfter: 0, Verified: verified}, nil
 	}
 
-	steps := AllSteps()
+	steps := allSteps()
 	// Enumerate subsets by increasing size: the first fixing subset is
 	// minimal. The vocabulary is small (2^6 subsets).
 	for size := 1; size <= len(steps); size++ {

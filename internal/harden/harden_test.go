@@ -1,11 +1,10 @@
-package harden_test
+package harden
 
 import (
 	"testing"
 
 	"github.com/iotbind/iotbind/internal/analysis"
 	"github.com/iotbind/iotbind/internal/core"
-	"github.com/iotbind/iotbind/internal/harden"
 	"github.com/iotbind/iotbind/internal/testbed"
 	"github.com/iotbind/iotbind/internal/vendors"
 )
@@ -16,7 +15,7 @@ func TestRecommendRepairsEveryVendor(t *testing.T) {
 	for _, p := range vendors.Profiles() {
 		p := p
 		t.Run(p.Vendor, func(t *testing.T) {
-			plan, err := harden.Recommend(p.Design)
+			plan, err := Recommend(p.Design)
 			if err != nil {
 				t.Fatalf("Recommend: %v", err)
 			}
@@ -43,7 +42,7 @@ func TestRecommendPlansAreMinimal(t *testing.T) {
 		if !ok {
 			t.Fatalf("no %s profile", name)
 		}
-		plan, err := harden.Recommend(p.Design)
+		plan, err := Recommend(p.Design)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +67,7 @@ func TestRecommendPlansAreMinimal(t *testing.T) {
 // empty plan.
 func TestRecommendSecureDesignNeedsNothing(t *testing.T) {
 	for _, p := range []vendors.Profile{vendors.SecureReference(), vendors.RecommendedPractice()} {
-		plan, err := harden.Recommend(p.Design)
+		plan, err := Recommend(p.Design)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +87,7 @@ func TestHardenedDesignsSurviveLiveAttacks(t *testing.T) {
 			if !ok {
 				t.Fatalf("no %s profile", name)
 			}
-			plan, err := harden.Recommend(p.Design)
+			plan, err := Recommend(p.Design)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +107,7 @@ func TestHardenedDesignsSurviveLiveAttacks(t *testing.T) {
 // TestStepApplicationDetails pins individual step semantics.
 func TestStepApplicationDetails(t *testing.T) {
 	konke, _ := vendors.ByVendor("KONKE")
-	plan, err := harden.Recommend(konke.Design)
+	plan, err := Recommend(konke.Design)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +122,7 @@ func TestStepApplicationDetails(t *testing.T) {
 	}
 
 	tplink, _ := vendors.ByVendor("TP-LINK")
-	plan, err = harden.Recommend(tplink.Design)
+	plan, err = Recommend(tplink.Design)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +132,13 @@ func TestStepApplicationDetails(t *testing.T) {
 }
 
 func TestRecommendRejectsInvalidDesign(t *testing.T) {
-	if _, err := harden.Recommend(core.DesignSpec{}); err == nil {
+	if _, err := Recommend(core.DesignSpec{}); err == nil {
 		t.Error("invalid design accepted")
 	}
 }
 
 func TestStepStrings(t *testing.T) {
-	for _, s := range harden.AllSteps() {
+	for _, s := range allSteps() {
 		if s.String() == "" {
 			t.Errorf("step %d unnamed", int(s))
 		}

@@ -67,7 +67,7 @@ func TestStatusDecodeAllocations(t *testing.T) {
 	srv := NewServer(sink{})
 	w := nullResponseWriter{h: make(http.Header)}
 	reader := bytes.NewReader(body)
-	req := httptest.NewRequest(http.MethodPost, Route(transport.OpStatus), nil)
+	req := httptest.NewRequest(http.MethodPost, routes[transport.OpStatus], nil)
 	req.Body = io.NopCloser(reader)
 
 	avg := testing.AllocsPerRun(200, func() {

@@ -14,11 +14,10 @@ import (
 	"github.com/iotbind/iotbind/internal/transport"
 )
 
-// DefaultTimeout bounds every request a Client makes unless overridden.
-// Without it a stalled server would park the calling agent forever —
+// defaultTimeout bounds every request a Client makes. Without it a stalled server would park the calling agent forever —
 // http.DefaultClient has no timeout — and one hung heartbeat would freeze
 // a whole emulated fleet.
-const DefaultTimeout = 15 * time.Second
+const defaultTimeout = 15 * time.Second
 
 // Client talks to a Server over HTTP and implements transport.Cloud, so
 // device agents, apps and attackers can run unchanged against a remote
@@ -30,44 +29,13 @@ type Client struct {
 	httpc   *http.Client
 }
 
-// ClientOption configures a Client.
-type ClientOption interface {
-	apply(*Client)
-}
-
-type clientOptionFunc func(*Client)
-
-func (f clientOptionFunc) apply(c *Client) { f(c) }
-
-// WithHTTPClient overrides the underlying *http.Client. The caller owns
-// the client's timeout configuration — no default is imposed on it.
-func WithHTTPClient(h *http.Client) ClientOption {
-	return clientOptionFunc(func(c *Client) { c.httpc = h })
-}
-
-// WithTimeout overrides the per-request timeout on whatever client is in
-// use, preserving a custom transport, cookie jar, or redirect policy
-// installed by an earlier WithHTTPClient (the client is shallow-cloned, so
-// a caller-owned *http.Client is never mutated). Zero disables the timeout
-// altogether (the pre-fix behaviour; useful only for debugging).
-func WithTimeout(d time.Duration) ClientOption {
-	return clientOptionFunc(func(c *Client) {
-		clone := *c.httpc
-		clone.Timeout = d
-		c.httpc = &clone
-	})
-}
-
 // NewClient creates a client for the cloud at baseURL.
-func NewClient(baseURL string, opts ...ClientOption) *Client {
+func NewClient(baseURL string) *Client {
 	c := &Client{
 		baseURL: strings.TrimSuffix(baseURL, "/"),
-		httpc:   &http.Client{Timeout: DefaultTimeout},
+		httpc:   &http.Client{Timeout: defaultTimeout},
 	}
 	c.JSONLane = transport.NewJSONLane(poster{c})
-	for _, o := range opts {
-		o.apply(c)
-	}
 	return c
 }
 
@@ -77,7 +45,7 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 type poster struct{ c *Client }
 
 func (p poster) RoundTrip(op transport.Op, in, out any) error {
-	c, route := p.c, Route(op)
+	c, route := p.c, routes[op]
 	// Encode the request into a pooled buffer instead of json.Marshal's
 	// fresh slice. The buffer is released only after the response has been
 	// fully read: by then the server handler has consumed the request body,

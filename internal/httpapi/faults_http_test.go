@@ -1,9 +1,8 @@
-package httpapi_test
+package httpapi
 
 import (
 	"bytes"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -11,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/iotbind/iotbind/internal/httpapi"
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/transport"
 )
@@ -29,7 +27,8 @@ func TestClientTimeoutAgainstStalledServer(t *testing.T) {
 	defer close(release)
 
 	before := runtime.NumGoroutine()
-	client := httpapi.NewClient(stalled.URL, httpapi.WithTimeout(50*time.Millisecond))
+	client := NewClient(stalled.URL)
+	client.httpc.Timeout = 50 * time.Millisecond
 
 	start := time.Now()
 	_, err := client.Login(protocol.LoginRequest{UserID: "u", Password: "p"})
@@ -60,41 +59,8 @@ func TestClientTimeoutAgainstStalledServer(t *testing.T) {
 // TestClientDefaultTimeoutConfigured proves NewClient no longer inherits
 // http.DefaultClient's unbounded behaviour.
 func TestClientDefaultTimeoutConfigured(t *testing.T) {
-	if httpapi.DefaultTimeout <= 0 {
-		t.Fatalf("DefaultTimeout = %v, want a positive bound", httpapi.DefaultTimeout)
-	}
-}
-
-// markingTransport is a RoundTripper that records it was used and answers
-// every request with an empty JSON object.
-type markingTransport struct{ used bool }
-
-func (m *markingTransport) RoundTrip(*http.Request) (*http.Response, error) {
-	m.used = true
-	return &http.Response{
-		StatusCode: http.StatusOK,
-		Header:     http.Header{"Content-Type": []string{"application/json"}},
-		Body:       io.NopCloser(strings.NewReader("{}")),
-	}, nil
-}
-
-// TestWithTimeoutPreservesCustomClient proves WithTimeout composes with
-// WithHTTPClient instead of replacing it: the custom client's transport
-// survives, and the caller-owned *http.Client is not mutated.
-func TestWithTimeoutPreservesCustomClient(t *testing.T) {
-	mt := &markingTransport{}
-	custom := &http.Client{Transport: mt}
-
-	client := httpapi.NewClient("http://cloud.invalid",
-		httpapi.WithHTTPClient(custom), httpapi.WithTimeout(5*time.Second))
-	if err := client.RegisterUser(protocol.RegisterUserRequest{UserID: "u", Password: "p"}); err != nil {
-		t.Fatalf("request through custom transport: %v", err)
-	}
-	if !mt.used {
-		t.Error("WithTimeout discarded the custom client's transport")
-	}
-	if custom.Timeout != 0 {
-		t.Errorf("caller's client mutated: Timeout = %v, want untouched 0", custom.Timeout)
+	if got := NewClient("http://cloud.invalid").httpc.Timeout; got != defaultTimeout || got <= 0 {
+		t.Fatalf("client timeout = %v, want the positive defaultTimeout %v", got, defaultTimeout)
 	}
 }
 
@@ -106,7 +72,7 @@ func TestOversizedBodyRoundTripsAsPayloadTooLarge(t *testing.T) {
 	srv, client := newHTTPCloud(t, laxDesign())
 
 	huge := `{"user_id":"` + strings.Repeat("x", 1<<20) + `"}`
-	resp, err := http.Post(srv.URL+httpapi.Route(transport.OpLogin), "application/json", bytes.NewReader([]byte(huge)))
+	resp, err := http.Post(srv.URL+routes[transport.OpLogin], "application/json", bytes.NewReader([]byte(huge)))
 	if err != nil {
 		t.Fatal(err)
 	}

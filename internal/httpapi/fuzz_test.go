@@ -1,4 +1,4 @@
-package httpapi_test
+package httpapi
 
 import (
 	"net/http"
@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/iotbind/iotbind/internal/cloud"
-	"github.com/iotbind/iotbind/internal/httpapi"
 	"github.com/iotbind/iotbind/internal/transport"
 )
 
@@ -34,16 +33,16 @@ func FuzzHTTPBody(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	srv := httptest.NewServer(httpapi.NewServer(svc))
+	srv := httptest.NewServer(NewServer(svc))
 	f.Cleanup(srv.Close)
 
-	routes := []string{
-		httpapi.Route(transport.OpLogin), httpapi.Route(transport.OpStatus), httpapi.Route(transport.OpBind),
-		httpapi.Route(transport.OpUnbind), httpapi.Route(transport.OpControl), httpapi.Route(transport.OpShadow),
-		httpapi.Route(transport.OpShare),
+	paths := []string{
+		routes[transport.OpLogin], routes[transport.OpStatus], routes[transport.OpBind],
+		routes[transport.OpUnbind], routes[transport.OpControl], routes[transport.OpShadow],
+		routes[transport.OpShare],
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		for _, route := range routes {
+		for _, route := range paths {
 			resp, err := http.Post(srv.URL+route, "application/json", strings.NewReader(body))
 			if err != nil {
 				t.Fatalf("%s: transport error: %v", route, err)

@@ -1,4 +1,4 @@
-package httpapi_test
+package httpapi
 
 import (
 	"errors"
@@ -11,7 +11,6 @@ import (
 	"github.com/iotbind/iotbind/internal/cloud"
 	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/device"
-	"github.com/iotbind/iotbind/internal/httpapi"
 	"github.com/iotbind/iotbind/internal/localnet"
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/transport"
@@ -34,7 +33,7 @@ func laxDesign() core.DesignSpec {
 	}
 }
 
-func newHTTPCloud(t *testing.T, design core.DesignSpec) (*httptest.Server, *httpapi.Client) {
+func newHTTPCloud(t *testing.T, design core.DesignSpec) (*httptest.Server, *Client) {
 	t.Helper()
 	reg := cloud.NewRegistry()
 	if err := reg.Add(cloud.DeviceRecord{ID: devID, FactorySecret: devSecret, Model: "plug"}); err != nil {
@@ -44,9 +43,9 @@ func newHTTPCloud(t *testing.T, design core.DesignSpec) (*httptest.Server, *http
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(httpapi.NewServer(svc))
+	srv := httptest.NewServer(NewServer(svc))
 	t.Cleanup(srv.Close)
-	return srv, httpapi.NewClient(srv.URL)
+	return srv, NewClient(srv.URL)
 }
 
 // TestFullLifecycleOverHTTP runs login, binding, heartbeat, control and
@@ -176,7 +175,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	srv, _ := newHTTPCloud(t, laxDesign())
 
 	// GET is rejected.
-	resp, err := http.Get(srv.URL + httpapi.Route(transport.OpLogin))
+	resp, err := http.Get(srv.URL + routes[transport.OpLogin])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 
 	// Malformed JSON is rejected.
-	resp, err = http.Post(srv.URL+httpapi.Route(transport.OpLogin), "application/json", strings.NewReader("{nope"))
+	resp, err = http.Post(srv.URL+routes[transport.OpLogin], "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,5 +197,5 @@ func TestServerRejectsBadRequests(t *testing.T) {
 
 // TestClientImplementsTransport pins the interface contract.
 func TestClientImplementsTransport(t *testing.T) {
-	var _ transport.Cloud = (*httpapi.Client)(nil)
+	var _ transport.Cloud = (*Client)(nil)
 }

@@ -25,9 +25,6 @@ var routes = func() (r [len(transport.Ops)]string) {
 	return r
 }()
 
-// Route returns the path an operation is served at.
-func Route(op transport.Op) string { return routes[op] }
-
 // maxBody bounds a request or response body on this front end.
 const maxBody = 1 << 20
 
@@ -65,7 +62,7 @@ func NewServer(cloud transport.Cloud) *Server {
 	s := &Server{cloud: cloud, mux: http.NewServeMux()}
 	for op := range transport.Ops {
 		row := &transport.Ops[op]
-		s.mux.HandleFunc(Route(transport.Op(op)), func(w http.ResponseWriter, r *http.Request) {
+		s.mux.HandleFunc(routes[op], func(w http.ResponseWriter, r *http.Request) {
 			s.serve(w, r, row)
 		})
 	}

@@ -28,14 +28,14 @@ import (
 
 // Errors returned by the hub.
 var (
-	// ErrJoinClosed is returned when pairing is attempted outside a
+	// errJoinClosed is returned when pairing is attempted outside a
 	// permit-join window.
-	ErrJoinClosed = errors.New("hub: pairing window closed (call PermitJoin first)")
-	// ErrDuplicateSub is returned when a sub-device name is taken.
-	ErrDuplicateSub = errors.New("hub: sub-device name already paired")
-	// ErrUnknownSub is returned when routing targets a sub-device that
+	errJoinClosed = errors.New("hub: pairing window closed (call PermitJoin first)")
+	// errDuplicateSub is returned when a sub-device name is taken.
+	errDuplicateSub = errors.New("hub: sub-device name already paired")
+	// errUnknownSub is returned when routing targets a sub-device that
 	// is not paired.
-	ErrUnknownSub = errors.New("hub: unknown sub-device")
+	errUnknownSub = errors.New("hub: unknown sub-device")
 )
 
 // TargetArg is the command argument naming the sub-device a command is
@@ -146,10 +146,10 @@ func (h *Hub) Pair(s *SubDevice) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if !h.permitJoin {
-		return ErrJoinClosed
+		return errJoinClosed
 	}
 	if _, exists := h.subs[s.Name()]; exists {
-		return fmt.Errorf("%w: %q", ErrDuplicateSub, s.Name())
+		return fmt.Errorf("%w: %q", errDuplicateSub, s.Name())
 	}
 	h.subs[s.Name()] = s
 	return nil
@@ -238,7 +238,7 @@ func (h *Hub) routeNewCommands() error {
 		s, ok := subs[target]
 		if !ok {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("%w: %q", ErrUnknownSub, target)
+				firstErr = fmt.Errorf("%w: %q", errUnknownSub, target)
 			}
 			continue
 		}

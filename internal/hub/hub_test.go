@@ -1,4 +1,4 @@
-package hub_test
+package hub
 
 import (
 	"errors"
@@ -10,7 +10,6 @@ import (
 	"github.com/iotbind/iotbind/internal/cloud"
 	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/device"
-	"github.com/iotbind/iotbind/internal/hub"
 	"github.com/iotbind/iotbind/internal/localnet"
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/transport"
@@ -43,11 +42,11 @@ func tpLinkLike() core.DesignSpec {
 type rig struct {
 	svc    *cloud.Service
 	home   *localnet.Network
-	h      *hub.Hub
+	h      *Hub
 	victim *app.App
 }
 
-type hubActions struct{ h *hub.Hub }
+type hubActions struct{ h *Hub }
 
 func (a hubActions) PressButton(string) error { return a.h.Device().PressButton() }
 func (a hubActions) ResetDevice(string) error { a.h.Device().Reset(); return nil }
@@ -65,7 +64,7 @@ func newRig(t *testing.T, design core.DesignSpec) *rig {
 	home := localnet.NewNetwork("home", "203.0.113.7")
 	homeTransport := transport.StampSource(svc, home.PublicIP())
 
-	h, err := hub.New(device.Config{
+	h, err := New(device.Config{
 		ID: hubID, FactorySecret: hubSecret, LocalName: "hub-1", Model: "hub",
 	}, design, homeTransport)
 	if err != nil {
@@ -88,14 +87,14 @@ func newRig(t *testing.T, design core.DesignSpec) *rig {
 	return &rig{svc: svc, home: home, h: h, victim: victim}
 }
 
-func pairThree(t *testing.T, h *hub.Hub) []*hub.SubDevice {
+func pairThree(t *testing.T, h *Hub) []*SubDevice {
 	t.Helper()
 	h.PermitJoin(true)
 	defer h.PermitJoin(false)
-	subs := []*hub.SubDevice{
-		hub.NewSubDevice("door-1", "contact"),
-		hub.NewSubDevice("temp-1", "thermometer"),
-		hub.NewSubDevice("lock-1", "lock"),
+	subs := []*SubDevice{
+		NewSubDevice("door-1", "contact"),
+		NewSubDevice("temp-1", "thermometer"),
+		NewSubDevice("lock-1", "lock"),
 	}
 	for _, s := range subs {
 		if err := h.Pair(s); err != nil {
@@ -107,16 +106,16 @@ func pairThree(t *testing.T, h *hub.Hub) []*hub.SubDevice {
 
 func TestPairingWindow(t *testing.T) {
 	r := newRig(t, tpLinkLike())
-	s := hub.NewSubDevice("door-1", "contact")
-	if err := r.h.Pair(s); !errors.Is(err, hub.ErrJoinClosed) {
-		t.Errorf("pair outside window = %v, want ErrJoinClosed", err)
+	s := NewSubDevice("door-1", "contact")
+	if err := r.h.Pair(s); !errors.Is(err, errJoinClosed) {
+		t.Errorf("pair outside window = %v, want errJoinClosed", err)
 	}
 	r.h.PermitJoin(true)
 	if err := r.h.Pair(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.h.Pair(hub.NewSubDevice("door-1", "contact")); !errors.Is(err, hub.ErrDuplicateSub) {
-		t.Errorf("duplicate pair = %v, want ErrDuplicateSub", err)
+	if err := r.h.Pair(NewSubDevice("door-1", "contact")); !errors.Is(err, errDuplicateSub) {
+		t.Errorf("duplicate pair = %v, want errDuplicateSub", err)
 	}
 	if got := r.h.Subs(); len(got) != 1 || got[0] != "door-1" {
 		t.Errorf("Subs() = %v", got)
@@ -154,7 +153,7 @@ func TestFourPartyLifecycle(t *testing.T) {
 	// Fan-out: a targeted command reaches exactly its node.
 	if err := r.victim.Control(hubID, protocol.Command{
 		ID: "c1", Name: "lock",
-		Args: map[string]string{hub.TargetArg: "lock-1"},
+		Args: map[string]string{TargetArg: "lock-1"},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +182,12 @@ func TestUnknownTargetReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := r.victim.Control(hubID, protocol.Command{
-		ID: "c1", Name: "x", Args: map[string]string{hub.TargetArg: "ghost"},
+		ID: "c1", Name: "x", Args: map[string]string{TargetArg: "ghost"},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.h.Sync(); !errors.Is(err, hub.ErrUnknownSub) {
-		t.Errorf("Sync with ghost target = %v, want ErrUnknownSub", err)
+	if err := r.h.Sync(); !errors.Is(err, errUnknownSub) {
+		t.Errorf("Sync with ghost target = %v, want errUnknownSub", err)
 	}
 }
 
@@ -227,7 +226,7 @@ func TestHubHijackAmplification(t *testing.T) {
 	for i, name := range []string{"door-1", "temp-1", "lock-1"} {
 		if err := atk.Control(hubID, protocol.Command{
 			ID: "evil-" + name, Name: "actuate",
-			Args: map[string]string{hub.TargetArg: name},
+			Args: map[string]string{TargetArg: name},
 		}); err != nil {
 			t.Fatalf("attacker control %s: %v", name, err)
 		}
@@ -282,7 +281,7 @@ func TestSyncReturnsCloudRejection(t *testing.T) {
 }
 
 func TestSubDeviceAccessors(t *testing.T) {
-	s := hub.NewSubDevice("door-1", "contact")
+	s := NewSubDevice("door-1", "contact")
 	if s.Name() != "door-1" || s.Kind() != "contact" {
 		t.Error("accessors wrong")
 	}

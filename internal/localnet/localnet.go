@@ -81,11 +81,11 @@ type Network struct {
 
 // Errors returned by Network operations.
 var (
-	// ErrNotPresent is returned when addressing a device that is not on
+	// errNotPresent is returned when addressing a device that is not on
 	// this network.
-	ErrNotPresent = errors.New("localnet: device not present on this network")
-	// ErrDuplicateName is returned when two members share a local name.
-	ErrDuplicateName = errors.New("localnet: duplicate local name")
+	errNotPresent = errors.New("localnet: device not present on this network")
+	// errDuplicateName is returned when two members share a local name.
+	errDuplicateName = errors.New("localnet: duplicate local name")
 	// ErrWrongCredentials is returned when provisioning carries Wi-Fi
 	// credentials that do not match a protected network.
 	ErrWrongCredentials = errors.New("localnet: Wi-Fi credentials rejected")
@@ -118,10 +118,10 @@ func (n *Network) Join(r Responder) error {
 	defer n.mu.Unlock()
 	name := r.LocalName()
 	if name == "" {
-		return fmt.Errorf("localnet: %w: empty name", ErrDuplicateName)
+		return fmt.Errorf("localnet: %w: empty name", errDuplicateName)
 	}
 	if _, exists := n.responders[name]; exists {
-		return fmt.Errorf("%w: %q", ErrDuplicateName, name)
+		return fmt.Errorf("%w: %q", errDuplicateName, name)
 	}
 	if n.responders == nil {
 		// Made by the first Join: a network nobody joins (the attacker's,
@@ -190,7 +190,7 @@ func (n *Network) Provision(localName string, p Provisioning) error {
 	r, ok := n.responders[localName]
 	n.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotPresent, localName)
+		return fmt.Errorf("%w: %q", errNotPresent, localName)
 	}
 	if n.ssid != "" && p.WiFiSSID != "" &&
 		(p.WiFiSSID != n.ssid || p.WiFiPassword != n.passphrase) {

@@ -70,18 +70,18 @@ func TestJoinDuplicateAndEmptyNames(t *testing.T) {
 	if err := n.Join(&fakeDevice{name: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Join(&fakeDevice{name: "x"}); !errors.Is(err, ErrDuplicateName) {
-		t.Errorf("duplicate join = %v, want ErrDuplicateName", err)
+	if err := n.Join(&fakeDevice{name: "x"}); !errors.Is(err, errDuplicateName) {
+		t.Errorf("duplicate join = %v, want errDuplicateName", err)
 	}
-	if err := n.Join(&fakeDevice{name: ""}); !errors.Is(err, ErrDuplicateName) {
+	if err := n.Join(&fakeDevice{name: ""}); !errors.Is(err, errDuplicateName) {
 		t.Errorf("empty-name join = %v, want error", err)
 	}
 }
 
 func TestProvisionAbsentDevice(t *testing.T) {
 	n := NewNetwork("home", "203.0.113.7")
-	if err := n.Provision("ghost", Provisioning{}); !errors.Is(err, ErrNotPresent) {
-		t.Errorf("provision absent = %v, want ErrNotPresent", err)
+	if err := n.Provision("ghost", Provisioning{}); !errors.Is(err, errNotPresent) {
+		t.Errorf("provision absent = %v, want errNotPresent", err)
 	}
 }
 

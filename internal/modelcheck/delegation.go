@@ -49,8 +49,8 @@ func (a DelegationAttack) String() string {
 	}
 }
 
-// AllDelegationAttacks lists the A6 rows in table order.
-func AllDelegationAttacks() []DelegationAttack {
+// allDelegationAttacks lists the A6 rows in table order.
+func allDelegationAttacks() []DelegationAttack {
 	return []DelegationAttack{AttackResidualControl, AttackEscalation, AttackRevocationRace}
 }
 
@@ -241,7 +241,7 @@ func CheckDelegation(design core.DesignSpec) ([]DelegationResult, error) {
 	sp.explore("delegation", dstate{})
 
 	results := make([]DelegationResult, 0, 3)
-	for _, a := range AllDelegationAttacks() {
+	for _, a := range allDelegationAttacks() {
 		trace := sp.shortest(func(st dstate) bool { return sys.realizes(a, st) })
 		results = append(results, DelegationResult{
 			Attack: a, Succeeds: trace != nil,

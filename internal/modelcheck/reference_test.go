@@ -111,7 +111,7 @@ func ReferenceCheckDelegation(design core.DesignSpec) []DelegationResult {
 	sys := &dsystem{d: design}
 	sp := refExplore(dstate{}, sys.successors)
 	var results []DelegationResult
-	for _, a := range AllDelegationAttacks() {
+	for _, a := range allDelegationAttacks() {
 		trace := sp.shortest(func(st dstate) bool { return sys.realizes(a, st) })
 		results = append(results, DelegationResult{a, trace != nil, trace, len(sp.reachable)})
 	}

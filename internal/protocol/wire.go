@@ -43,22 +43,3 @@ func FromWireCode(code string) (error, bool) {
 	}
 	return nil, false
 }
-
-// WireCodes lists every (error, code) pair, for front ends that need to
-// attach extra metadata (e.g. HTTP status codes).
-func WireCodes() []struct {
-	Err  error
-	Code string
-} {
-	out := make([]struct {
-		Err  error
-		Code string
-	}, 0, len(wireCodes))
-	for _, c := range wireCodes {
-		out = append(out, struct {
-			Err  error
-			Code string
-		}{c.err, c.code})
-	}
-	return out
-}

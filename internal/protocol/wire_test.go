@@ -6,20 +6,20 @@ import (
 )
 
 func TestWireCodeRoundTrip(t *testing.T) {
-	for _, pair := range WireCodes() {
-		code, ok := WireCode(pair.Err)
-		if !ok || code != pair.Code {
-			t.Errorf("WireCode(%v) = %q, %v; want %q", pair.Err, code, ok, pair.Code)
+	for _, pair := range wireCodes {
+		code, ok := WireCode(pair.err)
+		if !ok || code != pair.code {
+			t.Errorf("WireCode(%v) = %q, %v; want %q", pair.err, code, ok, pair.code)
 		}
 		// Wrapped errors still map.
-		wrapped := fmt.Errorf("cloud: something: %w", pair.Err)
+		wrapped := fmt.Errorf("cloud: something: %w", pair.err)
 		code, ok = WireCode(wrapped)
-		if !ok || code != pair.Code {
-			t.Errorf("WireCode(wrapped %v) = %q, %v", pair.Err, code, ok)
+		if !ok || code != pair.code {
+			t.Errorf("WireCode(wrapped %v) = %q, %v", pair.err, code, ok)
 		}
-		sentinel, ok := FromWireCode(pair.Code)
-		if !ok || sentinel != pair.Err {
-			t.Errorf("FromWireCode(%q) = %v, %v", pair.Code, sentinel, ok)
+		sentinel, ok := FromWireCode(pair.code)
+		if !ok || sentinel != pair.err {
+			t.Errorf("FromWireCode(%q) = %v, %v", pair.code, sentinel, ok)
 		}
 	}
 }
@@ -38,11 +38,11 @@ func TestWireCodeUnknown(t *testing.T) {
 
 func TestWireCodesAreUnique(t *testing.T) {
 	seen := make(map[string]bool)
-	for _, pair := range WireCodes() {
-		if seen[pair.Code] {
-			t.Errorf("duplicate wire code %q", pair.Code)
+	for _, pair := range wireCodes {
+		if seen[pair.code] {
+			t.Errorf("duplicate wire code %q", pair.code)
 		}
-		seen[pair.Code] = true
+		seen[pair.code] = true
 	}
 	if len(seen) != 12 {
 		t.Errorf("have %d wire codes, want 12", len(seen))

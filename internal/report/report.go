@@ -22,7 +22,7 @@ import (
 func WriteNotationTable(w io.Writer) error {
 	tw := newTableWriter(w, "Notation", "Meaning")
 	for _, row := range core.NotationTable() {
-		tw.row(string(row.Notation), row.Description)
+		tw.row(row.Notation, row.Description)
 	}
 	return tw.flush("Table I: Notations")
 }
@@ -63,8 +63,8 @@ func WriteTaxonomy(w io.Writer) error {
 	return tw.flush("Table II: The taxonomy of attacks in remote binding (derived)")
 }
 
-// VendorRowCells renders one vendor's Table III cells from a measured row.
-func VendorRowCells(row vendors.PaperRow) (a1, a2, a3, a4 string) {
+// vendorRowCells renders one vendor's Table III cells from a measured row.
+func vendorRowCells(row vendors.PaperRow) (a1, a2, a3, a4 string) {
 	return row.A1.String(), row.A2.String(), variantCell(row.A3), variantCell(row.A4)
 }
 
@@ -86,7 +86,7 @@ func WriteTable3(w io.Writer, results []testbed.VendorResult) error {
 	matches := 0
 	for _, vr := range results {
 		p := vr.Profile
-		a1, a2, a3, a4 := VendorRowCells(vr.Row)
+		a1, a2, a3, a4 := vendorRowCells(vr.Row)
 		verdict := "MATCH"
 		if testbed.MatchesPaper(vr.Row, p.Paper) {
 			matches++

@@ -117,7 +117,7 @@ func TestVendorRowCells(t *testing.T) {
 		A2: core.OutcomeSucceeded,
 		A3: []core.AttackVariant{core.VariantA3x1, core.VariantA3x4},
 	}
-	a1, a2, a3, a4 := VendorRowCells(row)
+	a1, a2, a3, a4 := vendorRowCells(row)
 	if a1 != "O" || a2 != "✓" || a3 != "A3-1 & A3-4" || a4 != "✗" {
 		t.Errorf("cells = %q %q %q %q", a1, a2, a3, a4)
 	}

@@ -1,5 +1,5 @@
 //go:build !race
 
-package retry_test
+package retry
 
 const raceEnabled = false

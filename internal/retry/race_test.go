@@ -1,6 +1,6 @@
 //go:build race
 
-package retry_test
+package retry
 
 // raceEnabled reports that the race detector is active: the allocation
 // pins skip themselves, as the other packages' pins do.

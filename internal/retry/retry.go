@@ -25,9 +25,9 @@ import (
 	"github.com/iotbind/iotbind/internal/transport"
 )
 
-// ErrClosed is returned (wrapping the last transport error, if any) when
+// errClosed is returned (wrapping the last transport error, if any) when
 // the wrapper is closed while a call is waiting to retry.
-var ErrClosed = errors.New("retry: transport closed")
+var errClosed = errors.New("retry: transport closed")
 
 // Default policy parameters.
 const (
@@ -202,7 +202,7 @@ func (h retryHop) End(op transport.Op, attempt int, err error) (bool, error) {
 		return false, err
 	}
 	if !t.wait(t.backoff(attempt)) {
-		return false, fmt.Errorf("retry: %s after %d attempts: %w (last: %w)", op, attempt, ErrClosed, err)
+		return false, fmt.Errorf("retry: %s after %d attempts: %w (last: %w)", op, attempt, errClosed, err)
 	}
 	return true, nil
 }

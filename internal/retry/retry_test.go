@@ -1,4 +1,4 @@
-package retry_test
+package retry
 
 import (
 	"errors"
@@ -10,7 +10,6 @@ import (
 	"github.com/iotbind/iotbind/internal/cloud"
 	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/protocol"
-	"github.com/iotbind/iotbind/internal/retry"
 	"github.com/iotbind/iotbind/internal/transport"
 )
 
@@ -70,7 +69,7 @@ func errUnavailable(n int) []error {
 // then succeeds is transparent to the caller.
 func TestRetryRecoversFromTransientLoss(t *testing.T) {
 	stub := &scripted{errs: errUnavailable(2)}
-	tr := retry.Wrap(stub, retry.Policy{MaxAttempts: 5, BaseDelay: time.Millisecond, Seed: 1, Sleep: noSleep})
+	tr := Wrap(stub, Policy{MaxAttempts: 5, BaseDelay: time.Millisecond, Seed: 1, Sleep: noSleep})
 	defer tr.Close()
 
 	resp, err := tr.Login(protocol.LoginRequest{UserID: "u", Password: "p"})
@@ -89,7 +88,7 @@ func TestRetryRecoversFromTransientLoss(t *testing.T) {
 // the last transport error surfaces to the caller.
 func TestRetryBoundedAttempts(t *testing.T) {
 	stub := &scripted{errs: errUnavailable(100)}
-	tr := retry.Wrap(stub, retry.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 1, Sleep: noSleep})
+	tr := Wrap(stub, Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 1, Sleep: noSleep})
 	defer tr.Close()
 
 	_, err := tr.Login(protocol.LoginRequest{UserID: "u", Password: "p"})
@@ -105,7 +104,7 @@ func TestRetryBoundedAttempts(t *testing.T) {
 // definitive answer, delivered intact — is never redelivered.
 func TestRetryProtocolErrorsAreFinal(t *testing.T) {
 	stub := &scripted{errs: []error{fmt.Errorf("cloud: %w", protocol.ErrAuthFailed)}}
-	tr := retry.Wrap(stub, retry.Policy{MaxAttempts: 5, BaseDelay: time.Millisecond, Seed: 1, Sleep: noSleep})
+	tr := Wrap(stub, Policy{MaxAttempts: 5, BaseDelay: time.Millisecond, Seed: 1, Sleep: noSleep})
 	defer tr.Close()
 
 	_, err := tr.Login(protocol.LoginRequest{UserID: "u", Password: "bad"})
@@ -121,7 +120,7 @@ func TestRetryProtocolErrorsAreFinal(t *testing.T) {
 // across every delivery, and distinct logical binds carry distinct keys.
 func TestRetryStableIdempotencyKey(t *testing.T) {
 	stub := &scripted{errs: errUnavailable(2)}
-	tr := retry.Wrap(stub, retry.Policy{MaxAttempts: 5, BaseDelay: time.Millisecond, Seed: 1, Sleep: noSleep})
+	tr := Wrap(stub, Policy{MaxAttempts: 5, BaseDelay: time.Millisecond, Seed: 1, Sleep: noSleep})
 	defer tr.Close()
 
 	if _, err := tr.HandleBind(protocol.BindRequest{DeviceID: "d"}); err != nil {
@@ -152,7 +151,7 @@ func TestRetryStableIdempotencyKey(t *testing.T) {
 // untouched, so app-level dedup domains survive the wrapper.
 func TestRetryCallerKeyWins(t *testing.T) {
 	stub := &scripted{}
-	tr := retry.Wrap(stub, retry.Policy{MaxAttempts: 3, Seed: 1, Sleep: noSleep})
+	tr := Wrap(stub, Policy{MaxAttempts: 3, Seed: 1, Sleep: noSleep})
 	defer tr.Close()
 
 	if err := tr.HandleUnbind(protocol.UnbindRequest{DeviceID: "d", IdempotencyKey: "mine"}); err != nil {
@@ -164,13 +163,13 @@ func TestRetryCallerKeyWins(t *testing.T) {
 }
 
 // TestRetryCloseAbortsBackoff proves Close unblocks an in-flight wait:
-// the call returns promptly with a typed ErrClosed still carrying the last
+// the call returns promptly with a typed errClosed still carrying the last
 // transport error.
 func TestRetryCloseAbortsBackoff(t *testing.T) {
 	stub := &scripted{errs: errUnavailable(100)}
 	// No Sleep injection: real timers, long enough that only Close can
 	// explain a prompt return.
-	tr := retry.Wrap(stub, retry.Policy{MaxAttempts: 10, BaseDelay: time.Hour, MaxDelay: time.Hour, Seed: 1})
+	tr := Wrap(stub, Policy{MaxAttempts: 10, BaseDelay: time.Hour, MaxDelay: time.Hour, Seed: 1})
 
 	done := make(chan error, 1)
 	go func() {
@@ -182,8 +181,8 @@ func TestRetryCloseAbortsBackoff(t *testing.T) {
 
 	select {
 	case err := <-done:
-		if !errors.Is(err, retry.ErrClosed) {
-			t.Errorf("error = %v, want ErrClosed", err)
+		if !errors.Is(err, errClosed) {
+			t.Errorf("error = %v, want errClosed", err)
 		}
 		if !errors.Is(err, transport.ErrUnavailable) {
 			t.Errorf("error = %v, want the last transport error preserved", err)
@@ -196,18 +195,18 @@ func TestRetryCloseAbortsBackoff(t *testing.T) {
 // TestRetryCloseDuringInjectedSleep proves the Close contract holds on the
 // injected-clock path too: a Close that lands while (or after) an injected
 // Sleep runs is observed before the next delivery, so the call aborts with
-// ErrClosed instead of burning through its remaining attempts.
+// errClosed instead of burning through its remaining attempts.
 func TestRetryCloseDuringInjectedSleep(t *testing.T) {
 	stub := &scripted{errs: errUnavailable(100)}
-	var tr *retry.Transport
-	tr = retry.Wrap(stub, retry.Policy{
+	var tr *Transport
+	tr = Wrap(stub, Policy{
 		MaxAttempts: 10, BaseDelay: time.Millisecond, Seed: 1,
 		Sleep: func(time.Duration) { tr.Close() },
 	})
 
 	_, err := tr.Login(protocol.LoginRequest{UserID: "u", Password: "p"})
-	if !errors.Is(err, retry.ErrClosed) {
-		t.Fatalf("error = %v, want ErrClosed", err)
+	if !errors.Is(err, errClosed) {
+		t.Fatalf("error = %v, want errClosed", err)
 	}
 	if stub.calls != 1 {
 		t.Errorf("deliveries = %d, want 1 (no delivery after Close)", stub.calls)
@@ -222,7 +221,7 @@ func TestRetryUncappedBackoffSaturates(t *testing.T) {
 	const base = 50 * time.Millisecond
 	var waits []time.Duration
 	stub := &scripted{errs: errUnavailable(100)}
-	tr := retry.Wrap(stub, retry.Policy{
+	tr := Wrap(stub, Policy{
 		MaxAttempts: 70, BaseDelay: base, Seed: 1,
 		Sleep: func(d time.Duration) { waits = append(waits, d) },
 	})
@@ -248,7 +247,7 @@ func TestRetryAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	tr := retry.Wrap(quiet{}, retry.Policy{MaxAttempts: 3, Seed: 1, Sleep: noSleep})
+	tr := Wrap(quiet{}, Policy{MaxAttempts: 3, Seed: 1, Sleep: noSleep})
 	defer tr.Close()
 
 	status := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: "d"}
@@ -285,7 +284,7 @@ func (quiet) HandleUnbind(protocol.UnbindRequest) error { return nil }
 func TestRetryKeysNotBareCounters(t *testing.T) {
 	keysFor := func(seed int64) []string {
 		stub := &scripted{}
-		tr := retry.Wrap(stub, retry.Policy{MaxAttempts: 1, Seed: seed, Sleep: noSleep})
+		tr := Wrap(stub, Policy{MaxAttempts: 1, Seed: seed, Sleep: noSleep})
 		defer tr.Close()
 		for i := 0; i < 3; i++ {
 			if _, err := tr.HandleBind(protocol.BindRequest{DeviceID: "d"}); err != nil {
@@ -357,7 +356,7 @@ func TestRetryRedeliveredBindBindsExactlyOnce(t *testing.T) {
 
 	lossy := &failAfterOnce{Cloud: svc}
 	lossy.remaining.Store(1)
-	tr := retry.Wrap(lossy, retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1, Sleep: noSleep})
+	tr := Wrap(lossy, Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1, Sleep: noSleep})
 	defer tr.Close()
 
 	resp, err := tr.HandleBind(protocol.BindRequest{DeviceID: "d", UserToken: login.UserToken})
@@ -386,7 +385,7 @@ func TestRetryRedeliveredBindBindsExactlyOnce(t *testing.T) {
 	// answered from the log instead of ErrNotBound.
 	lossyUnbind := &failAfterOnceUnbind{Cloud: svc}
 	lossyUnbind.remaining.Store(1)
-	tru := retry.Wrap(lossyUnbind, retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 2, Sleep: noSleep})
+	tru := Wrap(lossyUnbind, Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 2, Sleep: noSleep})
 	defer tru.Close()
 	if err := tru.HandleUnbind(protocol.UnbindRequest{DeviceID: "d", UserToken: login.UserToken}); err != nil {
 		t.Fatalf("unbind through lossy transport: %v", err)

@@ -134,7 +134,7 @@ func TestRewindAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !tb.afterReset.holds(p.Design, config{DefaultDeviceID}) || !tb.afterSetup.holds(p.Design, config{DefaultDeviceID}) {
+		if !tb.afterReset.holds(p.Design, config{defaultDeviceID}) || !tb.afterSetup.holds(p.Design, config{defaultDeviceID}) {
 			t.Fatalf("%s: a pre-setup and a steady cell left no checkpoints", p.Vendor)
 		}
 		if n := testing.AllocsPerRun(20, func() {

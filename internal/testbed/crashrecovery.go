@@ -11,11 +11,11 @@ import (
 	"github.com/iotbind/iotbind/internal/wal"
 )
 
-// CrashRecoveryConfig parameterizes a crash-fault run: a deterministic
+// crashRecoveryConfig parameterizes a crash-fault run: a deterministic
 // workload of logged operations driven against a durable cloud whose
 // WAL is armed with seeded kill-points, each crash followed by a
 // restart that must recover exactly the durable prefix.
-type CrashRecoveryConfig struct {
+type crashRecoveryConfig struct {
 	// Design is the vendor design under test.
 	Design core.DesignSpec
 	// Ops is the workload length after setup (default 60). Every
@@ -56,8 +56,8 @@ type CrashRecoveryConfig struct {
 	CheckpointEvery int
 }
 
-// CrashRecoveryResult reports a crash-fault run.
-type CrashRecoveryResult struct {
+// crashRecoveryResult reports a crash-fault run.
+type crashRecoveryResult struct {
 	// Ops is the workload length executed.
 	Ops int
 	// Crashes is how many kill-points actually fired.
@@ -161,14 +161,14 @@ func crashSetup(c transport.Cloud, devices []string) (string, error) {
 
 func crashSetupRecords(devices int) int { return 3 + 2*devices }
 
-// RunCrashRecovery drives the configured workload against a durable
+// runCrashRecovery drives the configured workload against a durable
 // cloud under seeded kill-points, restarting after every crash, and
 // proves the final recovered state is byte-identical to a never-crashed
 // reference executing the same workload with the same entropy.
 //
 // The loop itself — kill, restart, resume from the shard watermark
 // vector, final byte-compare — is runKillLoop's.
-func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
+func runCrashRecovery(cfg crashRecoveryConfig) (crashRecoveryResult, error) {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 60
 	}
@@ -184,8 +184,8 @@ func RunCrashRecovery(cfg CrashRecoveryConfig) (CrashRecoveryResult, error) {
 	if cfg.SegmentSize <= 0 {
 		cfg.SegmentSize = 4 << 10
 	}
-	res := CrashRecoveryResult{Ops: cfg.Ops}
-	fail := func(err error) (CrashRecoveryResult, error) {
+	res := crashRecoveryResult{Ops: cfg.Ops}
+	fail := func(err error) (crashRecoveryResult, error) {
 		return res, fmt.Errorf("testbed: crash recovery: %w", err)
 	}
 	if cfg.Devices > 1 && cfg.Policy != wal.SyncEveryRecord {

@@ -27,7 +27,7 @@ func crashDesign() core.DesignSpec {
 // harness re-executes them deterministically and the final state still
 // matches.
 func TestCrashRecoveryGroupedFsync(t *testing.T) {
-	res, err := RunCrashRecovery(CrashRecoveryConfig{
+	res, err := runCrashRecovery(crashRecoveryConfig{
 		Design: crashDesign(), Ops: 80, KillPoints: 24, Seed: 1,
 		Policy: wal.SyncGrouped,
 	})
@@ -52,7 +52,7 @@ func TestCrashRecoveryGroupedFsync(t *testing.T) {
 // every append means no acknowledged operation is ever lost, at any
 // kill-point.
 func TestCrashRecoveryPerRecordFsync(t *testing.T) {
-	res, err := RunCrashRecovery(CrashRecoveryConfig{
+	res, err := runCrashRecovery(crashRecoveryConfig{
 		Design: crashDesign(), Ops: 60, KillPoints: 20, Seed: 2,
 		Policy: wal.SyncEveryRecord,
 	})
@@ -75,7 +75,7 @@ func TestCrashRecoveryPerRecordFsync(t *testing.T) {
 // stay byte-identical to the never-crashed reference, with the
 // per-shard watermark vector as the resume oracle.
 func TestCrashRecoveryShardedPerRecord(t *testing.T) {
-	res, err := RunCrashRecovery(CrashRecoveryConfig{
+	res, err := runCrashRecovery(crashRecoveryConfig{
 		Design: crashDesign(), Ops: 80, Devices: 8, KillPoints: 24, Seed: 4,
 		Policy: wal.SyncEveryRecord,
 	})
@@ -103,7 +103,7 @@ func TestCrashRecoveryShardedPerRecord(t *testing.T) {
 // multi-shard schedule: snapshots anchor all shards at once while
 // individual shard logs keep crashing independently.
 func TestCrashRecoveryShardedWithCheckpoints(t *testing.T) {
-	res, err := RunCrashRecovery(CrashRecoveryConfig{
+	res, err := runCrashRecovery(crashRecoveryConfig{
 		Design: crashDesign(), Ops: 80, Devices: 6, KillPoints: 18, Seed: 5,
 		Policy: wal.SyncEveryRecord, CheckpointEvery: 12, PersistIdempotency: true,
 	})
@@ -125,7 +125,7 @@ func TestCrashRecoveryShardedWithCheckpoints(t *testing.T) {
 // multi-device run under grouped fsync has no valid prefix oracle and
 // must be refused up front rather than diverging mid-run.
 func TestCrashRecoveryRejectsShardedGrouped(t *testing.T) {
-	_, err := RunCrashRecovery(CrashRecoveryConfig{
+	_, err := runCrashRecovery(crashRecoveryConfig{
 		Design: crashDesign(), Devices: 4, Policy: wal.SyncGrouped,
 	})
 	if err == nil {
@@ -139,7 +139,7 @@ func TestCrashRecoveryRejectsShardedGrouped(t *testing.T) {
 // idempotency log keeps keyed redeliveries at-most-once across every
 // restart.
 func TestCrashRecoveryWithCheckpoints(t *testing.T) {
-	res, err := RunCrashRecovery(CrashRecoveryConfig{
+	res, err := runCrashRecovery(crashRecoveryConfig{
 		Design: crashDesign(), Ops: 80, KillPoints: 20, Seed: 3,
 		Policy: wal.SyncGrouped, CheckpointEvery: 10, PersistIdempotency: true,
 	})

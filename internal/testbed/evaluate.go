@@ -21,17 +21,12 @@ type Result struct {
 	Detail string
 }
 
-// Evaluate runs one attack variant against a fresh testbed for the design
-// and classifies the outcome exactly as the paper does: ✓ when the attack
-// demonstrably lands, ✗ when it is blocked, O when the adversary lacks the
-// device-protocol knowledge to even try.
-func Evaluate(design core.DesignSpec, v core.AttackVariant, opts ...Option) (Result, error) {
-	return new(Testbed).evaluate(design, v, opts...)
-}
-
 // EvaluateAll runs every Table II variant against the design on one
-// testbed: the reset and the victim's setup run once, and each later
-// variant starts from the world they left, rewound in place (Stage).
+// testbed and classifies each outcome exactly as the paper does: ✓ when
+// the attack demonstrably lands, ✗ when it is blocked, O when the
+// adversary lacks the device-protocol knowledge to even try. The reset and
+// the victim's setup run once, and each later variant starts from the
+// world they left, rewound in place (Stage).
 func EvaluateAll(design core.DesignSpec, opts ...Option) ([]Result, error) {
 	return new(Testbed).evaluateAll(design, opts...)
 }

@@ -3,21 +3,30 @@ package testbed_test
 import (
 	"fmt"
 
-	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/testbed"
 	"github.com/iotbind/iotbind/internal/vendors"
 )
 
-// ExampleEvaluate launches one live attack experiment against an emulated
-// vendor cloud.
-func ExampleEvaluate() {
+// ExampleEvaluateAll launches every live attack experiment against an
+// emulated vendor cloud.
+func ExampleEvaluateAll() {
 	profile, _ := vendors.ByVendor("E-Link Smart")
-	result, err := testbed.Evaluate(profile.Design, core.VariantA4x1)
+	results, err := testbed.EvaluateAll(profile.Design)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Printf("%v against %s: %v\n", result.Variant, profile.Vendor, result.Outcome)
+	for _, result := range results {
+		fmt.Printf("%v against %s: %v\n", result.Variant, profile.Vendor, result.Outcome)
+	}
 	// Output:
+	// A1 against E-Link Smart: O
+	// A2 against E-Link Smart: ✗
+	// A3-1 against E-Link Smart: O
+	// A3-2 against E-Link Smart: ✗
+	// A3-3 against E-Link Smart: ✗
+	// A3-4 against E-Link Smart: O
 	// A4-1 against E-Link Smart: ✓
+	// A4-2 against E-Link Smart: ✗
+	// A4-3 against E-Link Smart: ✗
 }

@@ -15,11 +15,11 @@ import (
 	"github.com/iotbind/iotbind/internal/transport"
 )
 
-// LossConfig parameterizes a binding-under-loss sweep: the full binding
+// lossConfig parameterizes a binding-under-loss sweep: the full binding
 // life cycle (register, login, setup, heartbeat, control round-trip,
 // unbind) is run repeatedly against a cloud behind a seeded fault plane,
 // at each injected failure rate, with retrying agents.
-type LossConfig struct {
+type lossConfig struct {
 	// Design is the vendor design under test. It must support the
 	// app-sent Unbind:(DevId,UserToken) form, since the life cycle ends
 	// with the owner unbinding.
@@ -37,8 +37,8 @@ type LossConfig struct {
 	MaxAttempts int
 }
 
-// LossPoint is one observation of the sweep.
-type LossPoint struct {
+// lossPoint is one observation of the sweep.
+type lossPoint struct {
 	// FailureRate is the injected per-call failure probability.
 	FailureRate float64
 	// Trials and Succeeded count life cycles run and completed with the
@@ -64,13 +64,13 @@ type lifecycleState struct {
 	bindEvents int // EventBind count in the shadow trace
 }
 
-// RunBindingUnderLoss sweeps the binding life cycle across injected
+// runBindingUnderLoss sweeps the binding life cycle across injected
 // failure rates. A trial succeeds only if every life-cycle step completes
 // (through retries) and the shadow's checkpoints — state-machine position,
 // bound user, and the number of bind transitions — are identical to a
 // fault-free run's: retries must never change the state a reliable
 // network would have produced, and a bind must never apply twice.
-func RunBindingUnderLoss(cfg LossConfig) ([]LossPoint, error) {
+func runBindingUnderLoss(cfg lossConfig) ([]lossPoint, error) {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 1
 	}
@@ -87,9 +87,9 @@ func RunBindingUnderLoss(cfg LossConfig) ([]LossPoint, error) {
 		return nil, fmt.Errorf("testbed: fault-free life cycle failed for design %q", cfg.Design.Name)
 	}
 
-	points := make([]LossPoint, 0, len(cfg.Rates))
+	points := make([]lossPoint, 0, len(cfg.Rates))
 	for i, rate := range cfg.Rates {
-		pt := LossPoint{FailureRate: rate, Trials: cfg.Trials}
+		pt := lossPoint{FailureRate: rate, Trials: cfg.Trials}
 		for trial := 0; trial < cfg.Trials; trial++ {
 			seed := cfg.Seed + int64(1+i*cfg.Trials+trial)
 			got, completed, injected, deduped, err := runLossTrialObserved(cfg.Design, rate, seed, cfg.MaxAttempts)
@@ -121,8 +121,8 @@ func runLossTrialObserved(design core.DesignSpec, rate float64, seed int64, maxA
 	clock := &Clock{t: labEpoch}
 	registry := cloud.NewRegistry()
 	if err := registry.Add(cloud.DeviceRecord{
-		ID:            DefaultDeviceID,
-		FactorySecret: "factory-secret-" + DefaultDeviceID,
+		ID:            defaultDeviceID,
+		FactorySecret: "factory-secret-" + defaultDeviceID,
 		Model:         design.Name,
 	}); err != nil {
 		return st, false, 0, 0, fmt.Errorf("testbed: %w", err)
@@ -135,9 +135,9 @@ func runLossTrialObserved(design core.DesignSpec, rate float64, seed int64, maxA
 	plane := transport.NewFaultPlane(seed,
 		transport.WithFailBeforeRate(rate/2),
 		transport.WithFailAfterRate(rate/2),
-		transport.WithFaultClock(clock.Now, nil))
+		transport.WithFaultClock(clock.Now))
 
-	home := localnet.NewNetwork("victim-home", DefaultHomeIP)
+	home := localnet.NewNetwork("victim-home", defaultHomeIP)
 	stamped := transport.StampSource(svc, home.PublicIP())
 	policy := retry.Policy{
 		MaxAttempts: maxAttempts,
@@ -151,8 +151,8 @@ func runLossTrialObserved(design core.DesignSpec, rate float64, seed int64, maxA
 	}
 
 	dev, err := device.New(device.Config{
-		ID:            DefaultDeviceID,
-		FactorySecret: "factory-secret-" + DefaultDeviceID,
+		ID:            defaultDeviceID,
+		FactorySecret: "factory-secret-" + defaultDeviceID,
 		LocalName:     "victim-device",
 		Model:         design.Name,
 	}, design, plane.Wrap(stamped, transport.PartyDevice),
@@ -167,7 +167,7 @@ func runLossTrialObserved(design core.DesignSpec, rate float64, seed int64, maxA
 
 	appPolicy := policy
 	appPolicy.Seed = seed + 2
-	victim, err := app.New(DefaultVictimUser, "pw-victim", design,
+	victim, err := app.New(defaultVictimUser, "pw-victim", design,
 		plane.Wrap(stamped, transport.PartyApp), home, app.WithRetry(appPolicy))
 	if err != nil {
 		return st, false, 0, 0, fmt.Errorf("testbed: %w", err)
@@ -178,7 +178,7 @@ func runLossTrialObserved(design core.DesignSpec, rate float64, seed int64, maxA
 	shadow := func() (protocol.ShadowStateResponse, error) {
 		// Read the shadow through the service directly: diagnostics are
 		// not subject to the faulted network.
-		return svc.ShadowState(protocol.ShadowStateRequest{DeviceID: DefaultDeviceID})
+		return svc.ShadowState(protocol.ShadowStateRequest{DeviceID: defaultDeviceID})
 	}
 	fail := func() (lifecycleState, bool, int, int64, error) {
 		return st, false, plane.Failures(), svc.Stats().BindsDeduplicated + svc.Stats().UnbindsDeduplicated, nil
@@ -209,7 +209,7 @@ func runLossTrialObserved(design core.DesignSpec, rate float64, seed int64, maxA
 	controlled := false
 	for i := 0; i < 5 && !controlled; i++ {
 		id := fmt.Sprintf("loss-probe-%d", i)
-		if err := victim.Control(DefaultDeviceID, protocol.Command{ID: id, Name: "probe"}); err != nil {
+		if err := victim.Control(defaultDeviceID, protocol.Command{ID: id, Name: "probe"}); err != nil {
 			continue
 		}
 		_ = dev.Heartbeat()
@@ -231,7 +231,7 @@ func runLossTrialObserved(design core.DesignSpec, rate float64, seed int64, maxA
 	st.boundState = mid.State
 	st.boundUser = mid.BoundUser
 
-	if err := victim.Unbind(DefaultDeviceID); err != nil {
+	if err := victim.Unbind(defaultDeviceID); err != nil {
 		return fail()
 	}
 	fin, err := shadow()
@@ -240,7 +240,7 @@ func runLossTrialObserved(design core.DesignSpec, rate float64, seed int64, maxA
 	}
 	st.finalState = fin.State
 	st.finalUser = fin.BoundUser
-	for _, tr := range svc.ShadowTrace(DefaultDeviceID) {
+	for _, tr := range svc.ShadowTrace(defaultDeviceID) {
 		if tr.Event == core.EventBind {
 			st.bindEvents++
 		}

@@ -26,14 +26,14 @@ func lossDesign() core.DesignSpec {
 // identical to a fault-free run's. The at-least-once redeliveries that
 // the idempotency log absorbed are counted to prove that path ran.
 func TestBindingUnderLossLifecycleSurvives(t *testing.T) {
-	cfg := LossConfig{
+	cfg := lossConfig{
 		Design:      lossDesign(),
 		Rates:       []float64{0.25},
 		Trials:      8,
 		Seed:        42,
 		MaxAttempts: 8,
 	}
-	points, err := RunBindingUnderLoss(cfg)
+	points, err := runBindingUnderLoss(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,17 +56,17 @@ func TestBindingUnderLossLifecycleSurvives(t *testing.T) {
 // TestBindingUnderLossDeterministic proves the whole sweep is a pure
 // function of its config: same seed, same points.
 func TestBindingUnderLossDeterministic(t *testing.T) {
-	cfg := LossConfig{
+	cfg := lossConfig{
 		Design: lossDesign(),
 		Rates:  []float64{0.1, 0.3},
 		Trials: 4,
 		Seed:   7,
 	}
-	a, err := RunBindingUnderLoss(cfg)
+	a, err := runBindingUnderLoss(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunBindingUnderLoss(cfg)
+	b, err := runBindingUnderLoss(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestBindingUnderLossDeterministic(t *testing.T) {
 func TestBindingUnderLossRequiresUnbindForm(t *testing.T) {
 	d := lossDesign()
 	d.UnbindForms = []core.UnbindForm{core.UnbindDevIDAlone}
-	if _, err := RunBindingUnderLoss(LossConfig{Design: d, Rates: []float64{0.1}, Trials: 1, Seed: 1}); err == nil {
+	if _, err := runBindingUnderLoss(lossConfig{Design: d, Rates: []float64{0.1}, Trials: 1, Seed: 1}); err == nil {
 		t.Fatal("sweep accepted a design without the owner-unbind form")
 	}
 }

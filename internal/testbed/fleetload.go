@@ -16,19 +16,19 @@ import (
 	"github.com/iotbind/iotbind/internal/transport"
 )
 
-// FleetFrontEnd selects the wire front end a fleet load run drives.
-type FleetFrontEnd string
+// fleetFrontEnd selects the wire front end a fleet load run drives.
+type fleetFrontEnd string
 
 // The two remote front ends.
 const (
-	FleetFrontEndHTTP FleetFrontEnd = "http"
-	FleetFrontEndBin  FleetFrontEnd = "bin"
+	fleetFrontEndHTTP fleetFrontEnd = "http"
+	fleetFrontEndBin  fleetFrontEnd = "bin"
 )
 
-// FleetLoadConfig parameterizes a status-path load run: a fleet of devices
+// fleetLoadConfig parameterizes a status-path load run: a fleet of devices
 // each delivering a stream of heartbeats to one cloud through a real
 // network front end, per-message or coalesced into StatusBatch frames.
-type FleetLoadConfig struct {
+type fleetLoadConfig struct {
 	// Design is the vendor design under test. Its device-authentication
 	// mode must let a registered device send status messages without extra
 	// provisioning (device-ID or public-key auth).
@@ -41,7 +41,7 @@ type FleetLoadConfig struct {
 	// values coalesce via device.WithBatching.
 	BatchSize int
 	// FrontEnd picks the wire protocol (default HTTP).
-	FrontEnd FleetFrontEnd
+	FrontEnd fleetFrontEnd
 	// Workers bounds the concurrent device drivers (default 4, capped at
 	// Devices).
 	Workers int
@@ -55,8 +55,8 @@ type FleetLoadConfig struct {
 	OnService func(*cloud.Service)
 }
 
-// FleetLoadResult reports one load run.
-type FleetLoadResult struct {
+// fleetLoadResult reports one load run.
+type fleetLoadResult struct {
 	// Messages is the number of heartbeats delivered (Devices×Heartbeats).
 	Messages int
 	// WireCalls is the number of wire round-trips that carried them —
@@ -70,10 +70,10 @@ type FleetLoadResult struct {
 	MsgsPerSec float64
 }
 
-// RunFleetLoad drives the configured fleet and reports throughput. The
+// runFleetLoad drives the configured fleet and reports throughput. The
 // run fails on the first rejected heartbeat: a load number measured while
 // messages were silently bouncing would be meaningless.
-func RunFleetLoad(cfg FleetLoadConfig) (FleetLoadResult, error) {
+func runFleetLoad(cfg fleetLoadConfig) (fleetLoadResult, error) {
 	if cfg.Devices <= 0 {
 		cfg.Devices = 1
 	}
@@ -84,7 +84,7 @@ func RunFleetLoad(cfg FleetLoadConfig) (FleetLoadResult, error) {
 		cfg.BatchSize = 1
 	}
 	if cfg.FrontEnd == "" {
-		cfg.FrontEnd = FleetFrontEndHTTP
+		cfg.FrontEnd = fleetFrontEndHTTP
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -96,11 +96,11 @@ func RunFleetLoad(cfg FleetLoadConfig) (FleetLoadResult, error) {
 	clock := &Clock{t: labEpoch}
 	ids, registry, err := newFleet(cfg.Devices, cfg.Design.Name)
 	if err != nil {
-		return FleetLoadResult{}, fmt.Errorf("testbed: fleet load: %w", err)
+		return fleetLoadResult{}, fmt.Errorf("testbed: fleet load: %w", err)
 	}
 	svc, err := cloud.NewService(cfg.Design, registry, cloud.WithClock(clock.Now))
 	if err != nil {
-		return FleetLoadResult{}, fmt.Errorf("testbed: fleet load: %w", err)
+		return fleetLoadResult{}, fmt.Errorf("testbed: fleet load: %w", err)
 	}
 	if cfg.OnService != nil {
 		cfg.OnService(svc)
@@ -109,11 +109,11 @@ func RunFleetLoad(cfg FleetLoadConfig) (FleetLoadResult, error) {
 	// Stand up the requested front end on a loopback listener.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return FleetLoadResult{}, fmt.Errorf("testbed: fleet load: listen: %w", err)
+		return fleetLoadResult{}, fmt.Errorf("testbed: fleet load: listen: %w", err)
 	}
 	var dial func() (transport.Cloud, func(), error)
 	switch cfg.FrontEnd {
-	case FleetFrontEndHTTP:
+	case fleetFrontEndHTTP:
 		hs := &http.Server{Handler: httpapi.NewServer(svc)}
 		go func() { _ = hs.Serve(ln) }()
 		defer hs.Close()
@@ -121,7 +121,7 @@ func RunFleetLoad(cfg FleetLoadConfig) (FleetLoadResult, error) {
 		dial = func() (transport.Cloud, func(), error) {
 			return httpapi.NewClient(base), func() {}, nil
 		}
-	case FleetFrontEndBin:
+	case fleetFrontEndBin:
 		bs := binapi.NewServer(svc)
 		go func() { _ = bs.Serve(ln) }()
 		defer bs.Close()
@@ -135,7 +135,7 @@ func RunFleetLoad(cfg FleetLoadConfig) (FleetLoadResult, error) {
 		}
 	default:
 		_ = ln.Close()
-		return FleetLoadResult{}, fmt.Errorf("testbed: fleet load: unknown front end %q", cfg.FrontEnd)
+		return fleetLoadResult{}, fmt.Errorf("testbed: fleet load: unknown front end %q", cfg.FrontEnd)
 	}
 
 	// Build and register the fleet before the timed phase. Each device
@@ -152,7 +152,7 @@ func RunFleetLoad(cfg FleetLoadConfig) (FleetLoadResult, error) {
 	for i, id := range ids {
 		cl, closeClient, err := dial()
 		if err != nil {
-			return FleetLoadResult{}, fmt.Errorf("testbed: fleet load: dial: %w", err)
+			return fleetLoadResult{}, fmt.Errorf("testbed: fleet load: dial: %w", err)
 		}
 		closers[i] = closeClient
 		opts := []device.Option{device.WithClock(clock.Now)}
@@ -168,10 +168,10 @@ func RunFleetLoad(cfg FleetLoadConfig) (FleetLoadResult, error) {
 			Model:         cfg.Design.Name,
 		}, cfg.Design, cl, opts...)
 		if err != nil {
-			return FleetLoadResult{}, fmt.Errorf("testbed: fleet load: %w", err)
+			return fleetLoadResult{}, fmt.Errorf("testbed: fleet load: %w", err)
 		}
 		if err := dev.Provision(localnet.Provisioning{WiFiSSID: "fleet-lab"}); err != nil {
-			return FleetLoadResult{}, fmt.Errorf("testbed: fleet load: register %s: %w", id, err)
+			return fleetLoadResult{}, fmt.Errorf("testbed: fleet load: register %s: %w", id, err)
 		}
 		devs[i] = dev
 	}
@@ -196,10 +196,10 @@ func RunFleetLoad(cfg FleetLoadConfig) (FleetLoadResult, error) {
 	})
 	elapsed := time.Since(start)
 	if err != nil {
-		return FleetLoadResult{}, fmt.Errorf("testbed: fleet load: %w", err)
+		return fleetLoadResult{}, fmt.Errorf("testbed: fleet load: %w", err)
 	}
 
-	res := FleetLoadResult{
+	res := fleetLoadResult{
 		Messages: cfg.Devices * cfg.Heartbeats,
 		Elapsed:  elapsed,
 	}

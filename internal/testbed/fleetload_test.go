@@ -21,11 +21,11 @@ func fleetDesign() core.DesignSpec {
 // TestRunFleetLoadPerMessage smoke-runs the HTTP front end per-message:
 // every heartbeat is its own wire call.
 func TestRunFleetLoadPerMessage(t *testing.T) {
-	res, err := RunFleetLoad(FleetLoadConfig{
+	res, err := runFleetLoad(fleetLoadConfig{
 		Design:     fleetDesign(),
 		Devices:    3,
 		Heartbeats: 5,
-		FrontEnd:   FleetFrontEndHTTP,
+		FrontEnd:   fleetFrontEndHTTP,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,12 +41,12 @@ func TestRunFleetLoadPerMessage(t *testing.T) {
 // TestRunFleetLoadBatched smoke-runs the binary front end with coalescing:
 // wire calls shrink by the batch factor (rounded up per device).
 func TestRunFleetLoadBatched(t *testing.T) {
-	res, err := RunFleetLoad(FleetLoadConfig{
+	res, err := runFleetLoad(fleetLoadConfig{
 		Design:     fleetDesign(),
 		Devices:    2,
 		Heartbeats: 9,
 		BatchSize:  4,
-		FrontEnd:   FleetFrontEndBin,
+		FrontEnd:   fleetFrontEndBin,
 		Workers:    2,
 	})
 	if err != nil {
@@ -64,7 +64,7 @@ func TestRunFleetLoadBatched(t *testing.T) {
 // TestRunFleetLoadDefaults proves the zero config still runs one device
 // through one heartbeat over HTTP.
 func TestRunFleetLoadDefaults(t *testing.T) {
-	res, err := RunFleetLoad(FleetLoadConfig{Design: fleetDesign()})
+	res, err := runFleetLoad(fleetLoadConfig{Design: fleetDesign()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRunFleetLoadDefaults(t *testing.T) {
 }
 
 func TestRunFleetLoadUnknownFrontEnd(t *testing.T) {
-	_, err := RunFleetLoad(FleetLoadConfig{Design: fleetDesign(), FrontEnd: "carrier-pigeon"})
+	_, err := runFleetLoad(fleetLoadConfig{Design: fleetDesign(), FrontEnd: "carrier-pigeon"})
 	if err == nil || !strings.Contains(err.Error(), "unknown front end") {
 		t.Errorf("unknown front end = %v, want rejection", err)
 	}

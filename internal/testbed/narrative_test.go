@@ -98,7 +98,7 @@ func TestNarrativePhilipsHueButtonAndIP(t *testing.T) {
 	// The bulb registers from the home network with the button pressed.
 	if _, err := svc.HandleStatus(protocol.StatusRequest{
 		Kind: protocol.StatusRegister, DeviceID: devID,
-		DevToken: tok.DevToken, ButtonPressed: true, SourceIP: DefaultHomeIP,
+		DevToken: tok.DevToken, ButtonPressed: true, SourceIP: defaultHomeIP,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestNarrativePhilipsHueButtonAndIP(t *testing.T) {
 	// The co-located user binds fine inside the window.
 	if _, err := svc.HandleBind(protocol.BindRequest{
 		DeviceID: devID, UserToken: login.UserToken,
-		Sender: core.SenderApp, SourceIP: DefaultHomeIP,
+		Sender: core.SenderApp, SourceIP: defaultHomeIP,
 	}); err != nil {
 		t.Fatalf("co-located bind in window: %v", err)
 	}
@@ -126,13 +126,13 @@ func TestNarrativePhilipsHueButtonAndIP(t *testing.T) {
 	tb.Clock().Advance(cloud.DefaultButtonWindow + time.Second)
 	if _, err := svc.HandleStatus(protocol.StatusRequest{
 		Kind: protocol.StatusHeartbeat, DeviceID: devID,
-		DevToken: tok.DevToken, SourceIP: DefaultHomeIP,
+		DevToken: tok.DevToken, SourceIP: defaultHomeIP,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.HandleBind(protocol.BindRequest{
 		DeviceID: devID, UserToken: login.UserToken,
-		Sender: core.SenderApp, SourceIP: DefaultHomeIP,
+		Sender: core.SenderApp, SourceIP: defaultHomeIP,
 	}); !errors.Is(err, protocol.ErrOutsideWindow) {
 		t.Errorf("bind after 30s = %v, want ErrOutsideWindow", err)
 	}
@@ -148,7 +148,7 @@ func TestNarrativeKonkeReplaceQuirk(t *testing.T) {
 
 	// Immunity to A2: even with the attacker squatting first, the user's
 	// own binding displaces them.
-	a2, err := Evaluate(p.Design, core.VariantA2)
+	a2, err := new(Testbed).evaluate(p.Design, core.VariantA2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestNarrativeKonkeReplaceQuirk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.BoundUser != DefaultAttackerUser {
+	if st.BoundUser != defaultAttackerUser {
 		t.Fatalf("binding not replaced: %+v", st)
 	}
 	// ...but not control: "it uses the device token for device
@@ -233,7 +233,8 @@ func TestNarrativeTPLinkStatusForgeryUnbinds(t *testing.T) {
 // hijacked when it is in the online state and not bound with any users."
 func TestNarrativeOzwiOnlineWindow(t *testing.T) {
 	p, _ := vendors.ByVendor("OZWI")
-	res, err := Evaluate(p.Design, core.VariantA4x2)
+	tb := new(Testbed)
+	res, err := tb.evaluate(p.Design, core.VariantA4x2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestNarrativeOzwiOnlineWindow(t *testing.T) {
 
 	// In contrast, once the user is bound, the same bind forgery fails:
 	// the window is the online-unbound state only.
-	a41, err := Evaluate(p.Design, core.VariantA4x1)
+	a41, err := tb.evaluate(p.Design, core.VariantA4x1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func TestProceduresCoverTableII(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Evaluate(vendors.WorstCase().Design, core.AttackVariant(len(procedures))); err == nil {
-		t.Error("Evaluate accepted a variant with no procedure")
+	if _, err := new(Testbed).evaluate(vendors.WorstCase().Design, core.AttackVariant(len(procedures))); err == nil {
+		t.Error("evaluate accepted a variant with no procedure")
 	}
 }

@@ -144,7 +144,7 @@ func TestResaleStaleBinding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.BoundUser != DefaultVictimUser {
+		if st.BoundUser != defaultVictimUser {
 			t.Errorf("bound to %q, want the (absent) seller", st.BoundUser)
 		}
 	})
@@ -204,7 +204,7 @@ func TestResaleLeakedIDRisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.BoundUser != DefaultAttackerUser {
+	if st.BoundUser != defaultAttackerUser {
 		t.Errorf("bound to %q, want the attacker (A4-1 against the buyer)", st.BoundUser)
 	}
 }

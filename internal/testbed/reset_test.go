@@ -130,7 +130,7 @@ func TestResetMatchesFresh(t *testing.T) {
 	for _, p := range vendors.Profiles() {
 		vendorDesigns = append(vendorDesigns, p.Design)
 		for _, v := range variants {
-			vendorCells = append(vendorCells, cell{p.Design, v, DefaultDeviceID})
+			vendorCells = append(vendorCells, cell{p.Design, v, defaultDeviceID})
 		}
 	}
 	reversed := make([]cell, len(vendorCells))
@@ -139,7 +139,7 @@ func TestResetMatchesFresh(t *testing.T) {
 	}
 	shuffled := append([]cell(nil), vendorCells...)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	vendorGrouped := grouped(vendorDesigns, func(int) string { return DefaultDeviceID })
+	vendorGrouped := grouped(vendorDesigns, func(int) string { return defaultDeviceID })
 	// Crossed: each vendor's steady cells with, between them, a cell that
 	// resets the next vendor under another device ID, so each is rewound
 	// from a world the rig no longer holds.
@@ -176,7 +176,7 @@ func TestResetMatchesFresh(t *testing.T) {
 	tokenOnly.UnbindForms = []core.UnbindForm{core.UnbindDevIDUserToken}
 	var twins []cell
 	for _, v := range variants {
-		twins = append(twins, cell{devID, v, DefaultDeviceID}, cell{tokenOnly, v, DefaultDeviceID})
+		twins = append(twins, cell{devID, v, defaultDeviceID}, cell{tokenOnly, v, defaultDeviceID})
 	}
 
 	tb := new(Testbed)
@@ -228,9 +228,9 @@ func TestCopiesCoverEveryField(t *testing.T) {
 		typ    reflect.Type
 		fields int
 	}{
-		{reflect.TypeOf((*device.Device)(nil)).Elem(), 29},
-		{reflect.TypeOf((*app.App)(nil)).Elem(), 13},
-		{reflect.TypeOf((*attacker.Attacker)(nil)).Elem(), 9},
+		{reflect.TypeOf((*device.Device)(nil)).Elem(), 28},
+		{reflect.TypeOf((*app.App)(nil)).Elem(), 11},
+		{reflect.TypeOf((*attacker.Attacker)(nil)).Elem(), 8},
 		{reflect.TypeOf((*localnet.Network)(nil)).Elem(), 6},
 	} {
 		if n := c.typ.NumField(); n != c.fields {

@@ -21,7 +21,7 @@ func TestSnapshotUnderFleetLoad(t *testing.T) {
 		stop  = make(chan struct{})
 		done  = make(chan struct{})
 	)
-	cfg := FleetLoadConfig{
+	cfg := fleetLoadConfig{
 		Design:       fleetDesign(),
 		Devices:      8,
 		Heartbeats:   40,
@@ -45,7 +45,7 @@ func TestSnapshotUnderFleetLoad(t *testing.T) {
 			}()
 		},
 	}
-	res, err := RunFleetLoad(cfg)
+	res, err := runFleetLoad(cfg)
 	close(stop)
 	<-done
 	if err != nil {

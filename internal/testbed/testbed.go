@@ -3,7 +3,7 @@
 // runs the paper's attack procedures end to end, classifying each outcome
 // in Table III vocabulary (✓ / ✗ / O). The attacker has an address, not a
 // network: nothing in the paper's adversary model sits on a LAN beside
-// them, so their transport stamps DefaultAttackerIP and nothing more.
+// them, so their transport stamps defaultAttackerIP and nothing more.
 //
 // Experiments are deterministic: a manual clock drives heartbeat expiry
 // and every agent is stepped explicitly.
@@ -27,13 +27,13 @@ import (
 
 // Default experiment identities.
 const (
-	DefaultVictimUser   = "victim@example.com"
-	DefaultAttackerUser = "attacker@example.com"
-	DefaultDeviceID     = "AA:BB:CC:00:10:01"
-	DefaultHomeIP       = "203.0.113.7"
-	DefaultAttackerIP   = "198.51.100.66"
+	defaultVictimUser   = "victim@example.com"
+	defaultAttackerUser = "attacker@example.com"
+	defaultDeviceID     = "AA:BB:CC:00:10:01"
+	defaultHomeIP       = "203.0.113.7"
+	defaultAttackerIP   = "198.51.100.66"
 	// defaultSecret is the default device's factory secret, spelled once.
-	defaultSecret = "factory-secret-" + DefaultDeviceID
+	defaultSecret = "factory-secret-" + defaultDeviceID
 )
 
 // Clock is the testbed's manual clock.
@@ -178,7 +178,7 @@ type config struct {
 // secret is the factory secret of the config's device, derived from its
 // ID; the default device's is a constant.
 func (c config) secret() string {
-	if c.deviceID == DefaultDeviceID {
+	if c.deviceID == defaultDeviceID {
 		return defaultSecret
 	}
 	return "factory-secret-" + c.deviceID
@@ -217,7 +217,7 @@ func (tb *Testbed) Reset(design core.DesignSpec, opts ...Option) error {
 
 // configure applies opts to the default config.
 func configure(opts []Option) config {
-	cfg := config{deviceID: DefaultDeviceID}
+	cfg := config{deviceID: defaultDeviceID}
 	for _, o := range opts {
 		cfg = o.apply(cfg)
 	}
@@ -238,9 +238,9 @@ func (tb *Testbed) resetTo(design core.DesignSpec, cfg config) error {
 		if err != nil {
 			return fmt.Errorf("testbed: %w", err)
 		}
-		tb.svc, tb.home = svc, localnet.NewNetwork("victim-home", DefaultHomeIP)
+		tb.svc, tb.home = svc, localnet.NewNetwork("victim-home", defaultHomeIP)
 		tb.homeLink = transport.Stamped{Cloud: svc, IP: tb.home.PublicIP()}
-		tb.atkLink = transport.Stamped{Cloud: svc, IP: DefaultAttackerIP}
+		tb.atkLink = transport.Stamped{Cloud: svc, IP: defaultAttackerIP}
 		tb.dev, tb.victim, tb.atk = new(device.Device), new(app.App), new(attacker.Attacker)
 		tb.actions = userActions{dev: tb.dev}
 	} else if err := tb.svc.Reset(design); err != nil {
@@ -267,7 +267,7 @@ func (tb *Testbed) resetTo(design core.DesignSpec, cfg config) error {
 	if err := tb.home.Join(tb.dev); err != nil {
 		return fmt.Errorf("testbed: %w", err)
 	}
-	if err := tb.victim.Init(DefaultVictimUser, "pw-victim", design, &tb.homeLink, tb.home,
+	if err := tb.victim.Init(defaultVictimUser, "pw-victim", design, &tb.homeLink, tb.home,
 		app.WithPreBindHook(tb.preBind)); err != nil {
 		return fmt.Errorf("testbed: %w", err)
 	}
@@ -277,7 +277,7 @@ func (tb *Testbed) resetTo(design core.DesignSpec, cfg config) error {
 	if err := tb.victim.Login(); err != nil {
 		return fmt.Errorf("testbed: %w", err)
 	}
-	if err := tb.atk.Init(DefaultAttackerUser, "pw-attacker", design, &tb.atkLink); err != nil {
+	if err := tb.atk.Init(defaultAttackerUser, "pw-attacker", design, &tb.atkLink); err != nil {
 		return fmt.Errorf("testbed: %w", err)
 	}
 	if err := tb.atk.Prepare(); err != nil {
@@ -285,9 +285,6 @@ func (tb *Testbed) resetTo(design core.DesignSpec, cfg config) error {
 	}
 	return nil
 }
-
-// Design returns the design under test.
-func (tb *Testbed) Design() core.DesignSpec { return tb.design }
 
 // Clock returns the manual clock.
 func (tb *Testbed) Clock() *Clock { return &tb.clock }
@@ -335,7 +332,7 @@ func (tb *Testbed) victimInControl() error {
 	if err != nil {
 		return err
 	}
-	if st.State != core.StateControl || st.BoundUser != DefaultVictimUser {
+	if st.State != core.StateControl || st.BoundUser != defaultVictimUser {
 		return fmt.Errorf("testbed: setup ended in %v bound to %q, want control/victim", st.State, st.BoundUser)
 	}
 	return nil
@@ -392,7 +389,7 @@ func (tb *Testbed) VictimBound() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return st.BoundUser == DefaultVictimUser, nil
+	return st.BoundUser == defaultVictimUser, nil
 }
 
 // Reached is the live probe for goal: whether the adversary reached it on

@@ -82,14 +82,14 @@ func (t Token) Expired(now time.Time) bool {
 
 // Verification errors.
 var (
-	// ErrUnknownToken is returned for values that were never issued or
+	// errUnknownToken is returned for values that were never issued or
 	// were revoked.
-	ErrUnknownToken = errors.New("token: unknown or revoked token")
-	// ErrWrongKind is returned when a valid token of another family is
+	errUnknownToken = errors.New("token: unknown or revoked token")
+	// errWrongKind is returned when a valid token of another family is
 	// presented.
-	ErrWrongKind = errors.New("token: wrong token kind")
-	// ErrExpired is returned for tokens past their expiry.
-	ErrExpired = errors.New("token: expired")
+	errWrongKind = errors.New("token: wrong token kind")
+	// errExpired is returned for tokens past their expiry.
+	errExpired = errors.New("token: expired")
 )
 
 // Issuer issues and verifies tokens. It is safe for concurrent use: the
@@ -173,13 +173,13 @@ func (i *Issuer) Verify(kind Kind, value string) (Token, error) {
 	defer i.mu.RUnlock()
 	tok, ok := i.lookupLocked(value)
 	if !ok {
-		return Token{}, ErrUnknownToken
+		return Token{}, errUnknownToken
 	}
 	if tok.Kind != kind {
-		return Token{}, fmt.Errorf("%w: have %v, want %v", ErrWrongKind, tok.Kind, kind)
+		return Token{}, fmt.Errorf("%w: have %v, want %v", errWrongKind, tok.Kind, kind)
 	}
 	if tok.Expired(i.now()) {
-		return Token{}, ErrExpired
+		return Token{}, errExpired
 	}
 	return tok, nil
 }
@@ -196,10 +196,10 @@ func (i *Issuer) Resolve(value string, now time.Time) (Token, error) {
 	defer i.mu.RUnlock()
 	tok, ok := i.lookupLocked(value)
 	if !ok {
-		return Token{}, ErrUnknownToken
+		return Token{}, errUnknownToken
 	}
 	if tok.Expired(now) {
-		return Token{}, ErrExpired
+		return Token{}, errExpired
 	}
 	return tok, nil
 }

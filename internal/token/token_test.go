@@ -32,8 +32,8 @@ func TestIssueAndVerify(t *testing.T) {
 
 func TestVerifyUnknown(t *testing.T) {
 	iss := NewIssuer()
-	if _, err := iss.Verify(KindUser, "no-such-token"); !errors.Is(err, ErrUnknownToken) {
-		t.Errorf("Verify(unknown) = %v, want ErrUnknownToken", err)
+	if _, err := iss.Verify(KindUser, "no-such-token"); !errors.Is(err, errUnknownToken) {
+		t.Errorf("Verify(unknown) = %v, want errUnknownToken", err)
 	}
 }
 
@@ -43,8 +43,8 @@ func TestVerifyWrongKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := iss.Verify(KindUser, tok.Value); !errors.Is(err, ErrWrongKind) {
-		t.Errorf("Verify(wrong kind) = %v, want ErrWrongKind", err)
+	if _, err := iss.Verify(KindUser, tok.Value); !errors.Is(err, errWrongKind) {
+		t.Errorf("Verify(wrong kind) = %v, want errWrongKind", err)
 	}
 }
 
@@ -60,8 +60,8 @@ func TestVerifyExpired(t *testing.T) {
 		t.Fatalf("Verify before expiry: %v", err)
 	}
 	clock = now.Add(2 * time.Minute)
-	if _, err := iss.Verify(KindUser, tok.Value); !errors.Is(err, ErrExpired) {
-		t.Errorf("Verify after expiry = %v, want ErrExpired", err)
+	if _, err := iss.Verify(KindUser, tok.Value); !errors.Is(err, errExpired) {
+		t.Errorf("Verify after expiry = %v, want errExpired", err)
 	}
 }
 
@@ -88,8 +88,8 @@ func TestRevoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	iss.Revoke(tok.Value)
-	if _, err := iss.Verify(KindUser, tok.Value); !errors.Is(err, ErrUnknownToken) {
-		t.Errorf("Verify(revoked) = %v, want ErrUnknownToken", err)
+	if _, err := iss.Verify(KindUser, tok.Value); !errors.Is(err, errUnknownToken) {
+		t.Errorf("Verify(revoked) = %v, want errUnknownToken", err)
 	}
 	iss.Revoke("never-issued") // must not panic
 }
@@ -236,7 +236,7 @@ func TestVerifyOnlyAcceptsExactValue(t *testing.T) {
 			return true
 		}
 		_, err := iss.Verify(KindUser, mutated)
-		return errors.Is(err, ErrUnknownToken)
+		return errors.Is(err, errUnknownToken)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

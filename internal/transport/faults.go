@@ -13,17 +13,16 @@ import (
 // network errors, so agents and retry policies classify both alike.
 var ErrUnavailable = errors.New("transport: cloud unavailable")
 
-// ErrPartitioned is injected while a party sits inside a partition window.
-// It wraps ErrUnavailable so existing errors.Is(err, ErrUnavailable)
-// callers keep matching.
-var ErrPartitioned = fmt.Errorf("transport: network partitioned: %w", ErrUnavailable)
+// errPartitioned is injected while a party sits inside a partition window.
+// It wraps ErrUnavailable so errors.Is(err, ErrUnavailable) callers match
+// it like any other lost call.
+var errPartitioned = fmt.Errorf("transport: network partitioned: %w", ErrUnavailable)
 
 // Well-known party names for fault targeting. A FaultPlane keys partition
 // windows by these, matching the three parties of the paper's threat model.
 const (
-	PartyDevice   = "device"
-	PartyApp      = "app"
-	PartyAttacker = "attacker"
+	PartyDevice = "device"
+	PartyApp    = "app"
 )
 
 // FaultPlane is the shared scheduler behind a set of Faults wrappers: one
@@ -31,28 +30,22 @@ const (
 // network degrades under a single reproducible plan. All methods are safe
 // for concurrent use.
 //
-// Four fault kinds compose:
+// Three fault kinds compose:
 //
 //   - fail-before-delivery: the call never reaches the inner cloud (the
 //     dropped-request case);
 //   - fail-after-delivery: the inner cloud runs — and may mutate state —
 //     but the caller sees ErrUnavailable, as if the response was lost.
 //     This is the at-least-once case that forces retry deduplication;
-//   - added latency: each delivered call advances the injected clock, so
-//     time-coupled policies (heartbeat TTLs, button windows) feel the
-//     slow network;
 //   - partitions: a per-party window during which every call from that
-//     party fails with ErrPartitioned before delivery.
+//     party fails with errPartitioned before delivery.
 type FaultPlane struct {
-	mu            sync.Mutex
-	rng           *rand.Rand
-	now           func() time.Time
-	advance       func(time.Duration)
-	failBefore    float64
-	failAfter     float64
-	latency       time.Duration
-	latencyJitter time.Duration
-	partitions    map[string]time.Time
+	mu         sync.Mutex
+	rng        *rand.Rand
+	now        func() time.Time
+	failBefore float64
+	failAfter  float64
+	partitions map[string]time.Time
 
 	calls       int
 	droppedPre  int
@@ -75,25 +68,10 @@ func WithFailAfterRate(rate float64) FaultOption {
 	return func(p *FaultPlane) { p.failAfter = rate }
 }
 
-// WithAddedLatency advances the injected clock by base plus a uniform
-// jitter in [0, jitter) on every delivered call. Without a clock (see
-// WithFaultClock) latency is a no-op.
-func WithAddedLatency(base, jitter time.Duration) FaultOption {
-	return func(p *FaultPlane) {
-		p.latency = base
-		p.latencyJitter = jitter
-	}
-}
-
-// WithFaultClock injects the experiment clock: now positions partition
-// windows, advance applies added latency. Both may be nil.
-func WithFaultClock(now func() time.Time, advance func(time.Duration)) FaultOption {
-	return func(p *FaultPlane) {
-		if now != nil {
-			p.now = now
-		}
-		p.advance = advance
-	}
+// WithFaultClock injects the experiment clock that positions partition
+// windows.
+func WithFaultClock(now func() time.Time) FaultOption {
+	return func(p *FaultPlane) { p.now = now }
 }
 
 // NewFaultPlane builds a fault plane whose schedule is a pure function of
@@ -119,7 +97,7 @@ func (p *FaultPlane) Wrap(inner Cloud, party string) *Faults {
 }
 
 // Partition opens (or extends) a partition window for the named party:
-// every call it makes before now+d fails with ErrPartitioned.
+// every call it makes before now+d fails with errPartitioned.
 func (p *FaultPlane) Partition(party string, d time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -164,22 +142,15 @@ func (p *FaultPlane) FailuresAfter() int {
 	return p.droppedPost
 }
 
-// before applies latency, partition and fail-before faults for one call.
+// before applies partition and fail-before faults for one call.
 func (p *FaultPlane) before(party string, op Op) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.calls++
-	if p.advance != nil && (p.latency > 0 || p.latencyJitter > 0) {
-		d := p.latency
-		if p.latencyJitter > 0 {
-			d += time.Duration(p.rng.Int63n(int64(p.latencyJitter)))
-		}
-		p.advance(d)
-	}
 	if until, ok := p.partitions[party]; ok {
 		if p.now().Before(until) {
 			p.partitioned++
-			return fmt.Errorf("faults %s %s: %w", party, op, ErrPartitioned)
+			return fmt.Errorf("faults %s %s: %w", party, op, errPartitioned)
 		}
 		delete(p.partitions, party)
 	}

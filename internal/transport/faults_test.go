@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -96,18 +97,16 @@ func TestFaultsFailAfterDelivery(t *testing.T) {
 func TestFaultsPartitionWindow(t *testing.T) {
 	now := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	plane := transport.NewFaultPlane(1, transport.WithFaultClock(clock, nil))
+	plane := transport.NewFaultPlane(1, transport.WithFaultClock(clock))
 	svc := newService(t)
 	dev := plane.Wrap(svc, transport.PartyDevice)
 	app := plane.Wrap(svc, transport.PartyApp)
 
 	plane.Partition(transport.PartyDevice, time.Minute)
 
-	if _, err := dev.ShadowState(protocol.ShadowStateRequest{DeviceID: "d"}); !errors.Is(err, transport.ErrPartitioned) {
-		t.Fatalf("partitioned device error = %v, want ErrPartitioned", err)
-	}
-	if _, err := dev.ShadowState(protocol.ShadowStateRequest{DeviceID: "d"}); !errors.Is(err, transport.ErrUnavailable) {
-		t.Error("ErrPartitioned must also match ErrUnavailable for existing callers")
+	// The plane drops nothing at random, so the partition alone fails it.
+	if _, err := dev.ShadowState(protocol.ShadowStateRequest{DeviceID: "d"}); !errors.Is(err, transport.ErrUnavailable) || !strings.Contains(err.Error(), "partitioned") {
+		t.Fatalf("partitioned device error = %v, want a partition's ErrUnavailable", err)
 	}
 	if _, err := app.ShadowState(protocol.ShadowStateRequest{DeviceID: "d"}); err != nil {
 		t.Fatalf("partition leaked to another party: %v", err)
@@ -122,27 +121,6 @@ func TestFaultsPartitionWindow(t *testing.T) {
 	plane.Heal(transport.PartyDevice)
 	if _, err := dev.ShadowState(protocol.ShadowStateRequest{DeviceID: "d"}); err != nil {
 		t.Fatalf("call after heal: %v", err)
-	}
-}
-
-// TestFaultsAddedLatency proves delivered calls advance the injected
-// clock, so time-coupled policies feel the slow network.
-func TestFaultsAddedLatency(t *testing.T) {
-	now := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
-	advance := func(d time.Duration) { now = now.Add(d) }
-	plane := transport.NewFaultPlane(1,
-		transport.WithAddedLatency(250*time.Millisecond, 0),
-		transport.WithFaultClock(func() time.Time { return now }, advance))
-	faulted := plane.Wrap(newService(t), transport.PartyDevice)
-
-	start := now
-	for i := 0; i < 4; i++ {
-		if _, err := faulted.ShadowState(protocol.ShadowStateRequest{DeviceID: "d"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := now.Sub(start), time.Second; got != want {
-		t.Errorf("clock advanced %v over 4 calls, want %v", got, want)
 	}
 }
 

@@ -4,35 +4,35 @@ import "errors"
 
 // Stage identifies a point in the append/sync path where a crash
 // failpoint may fire. The stages bracket the interesting durability
-// boundaries: a crash between StageFrameHeader and StageFramePayload
-// leaves a torn frame; a crash at StageBeforeSync loses acknowledged
-// group-commit records; a crash at StageAfterSync loses nothing that
+// boundaries: a crash between stageFrameHeader and StageFramePayload
+// leaves a torn frame; a crash at stageBeforeSync loses acknowledged
+// group-commit records; a crash at stageAfterSync loses nothing that
 // was synced.
 type Stage uint8
 
 // The failpoint stages, in write-path order.
 const (
-	// StageFrameHeader fires after a frame's header bytes are buffered
+	// stageFrameHeader fires after a frame's header bytes are buffered
 	// but before any payload byte.
-	StageFrameHeader Stage = iota + 1
+	stageFrameHeader Stage = iota + 1
 	// StageFramePayload fires with roughly half the payload buffered.
 	StageFramePayload
-	// StageBeforeSync fires immediately before an fsync.
-	StageBeforeSync
-	// StageAfterSync fires immediately after a completed fsync.
-	StageAfterSync
+	// stageBeforeSync fires immediately before an fsync.
+	stageBeforeSync
+	// stageAfterSync fires immediately after a completed fsync.
+	stageAfterSync
 )
 
 // String implements fmt.Stringer.
 func (s Stage) String() string {
 	switch s {
-	case StageFrameHeader:
+	case stageFrameHeader:
 		return "frame_header"
 	case StageFramePayload:
 		return "frame_payload"
-	case StageBeforeSync:
+	case stageBeforeSync:
 		return "before_sync"
-	case StageAfterSync:
+	case stageAfterSync:
 		return "after_sync"
 	default:
 		return "unknown"

@@ -25,10 +25,10 @@ import (
 // verification with a sequence number it was never written under.
 const frameHeaderSize = 16
 
-// DefaultMaxRecord bounds a single record's payload. The bound is a
+// defaultMaxRecord bounds a single record's payload. The bound is a
 // parsing defence as much as a write-side check: a torn or bit-flipped
 // length field must not make recovery attempt a multi-gigabyte read.
-const DefaultMaxRecord = 1 << 20
+const defaultMaxRecord = 1 << 20
 
 // Typed frame-parsing errors. Decoding never panics: every malformed
 // input maps onto one of these.
@@ -36,17 +36,17 @@ var (
 	// ErrShortFrame reports a buffer that ends mid-frame — the torn-tail
 	// signature.
 	ErrShortFrame = errors.New("wal: short frame")
-	// ErrFrameTooLarge reports a length field exceeding the record bound.
-	ErrFrameTooLarge = errors.New("wal: frame exceeds max record size")
-	// ErrChecksum reports a CRC32C mismatch.
-	ErrChecksum = errors.New("wal: frame checksum mismatch")
-	// ErrBadFrame reports a structurally invalid frame (zero-length
+	// errFrameTooLarge reports a length field exceeding the record bound.
+	errFrameTooLarge = errors.New("wal: frame exceeds max record size")
+	// errChecksum reports a CRC32C mismatch.
+	errChecksum = errors.New("wal: frame checksum mismatch")
+	// errBadFrame reports a structurally invalid frame (zero-length
 	// payload — appends never write one, so zeroed disk regions cannot
 	// parse as records).
-	ErrBadFrame = errors.New("wal: invalid frame")
-	// ErrBadLSN reports a sequence break: a CRC-valid frame whose LSN is
+	errBadFrame = errors.New("wal: invalid frame")
+	// errBadLSN reports a sequence break: a CRC-valid frame whose LSN is
 	// not the expected successor.
-	ErrBadLSN = errors.New("wal: non-monotonic LSN")
+	errBadLSN = errors.New("wal: non-monotonic LSN")
 	// ErrCorrupt reports damage outside the replaceable tail — a bad
 	// frame in a fully synced region of the log.
 	ErrCorrupt = errors.New("wal: corrupt segment")
@@ -74,21 +74,21 @@ func AppendFrame(dst []byte, lsn uint64, payload []byte) []byte {
 
 // ParseFrame decodes the frame at the start of buf. It returns the
 // frame's LSN, its payload (aliasing buf), and the total encoded frame
-// length. maxRecord <= 0 selects DefaultMaxRecord. Errors are always
+// length. maxRecord <= 0 selects defaultMaxRecord. Errors are always
 // one of the typed vocabulary above; no input panics.
 func ParseFrame(buf []byte, maxRecord int) (lsn uint64, payload []byte, frameLen int, err error) {
 	if maxRecord <= 0 {
-		maxRecord = DefaultMaxRecord
+		maxRecord = defaultMaxRecord
 	}
 	if len(buf) < frameHeaderSize {
 		return 0, nil, 0, ErrShortFrame
 	}
 	length := binary.LittleEndian.Uint32(buf)
 	if length == 0 {
-		return 0, nil, 0, ErrBadFrame
+		return 0, nil, 0, errBadFrame
 	}
 	if length > uint32(maxRecord) {
-		return 0, nil, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, length)
+		return 0, nil, 0, fmt.Errorf("%w: %d bytes", errFrameTooLarge, length)
 	}
 	total := frameHeaderSize + int(length)
 	if len(buf) < total {
@@ -96,7 +96,7 @@ func ParseFrame(buf []byte, maxRecord int) (lsn uint64, payload []byte, frameLen
 	}
 	want := binary.LittleEndian.Uint32(buf[4:])
 	if crc32.Checksum(buf[8:total], castagnoli) != want {
-		return 0, nil, 0, ErrChecksum
+		return 0, nil, 0, errChecksum
 	}
 	lsn = binary.LittleEndian.Uint64(buf[8:])
 	return lsn, buf[frameHeaderSize:total], total, nil

@@ -29,10 +29,10 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(make([]byte, 64))
 	f.Add([]byte{})
 
-	typed := []error{ErrShortFrame, ErrFrameTooLarge, ErrChecksum, ErrBadFrame}
+	typed := []error{ErrShortFrame, errFrameTooLarge, errChecksum, errBadFrame}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lsn, payload, frameLen, err := ParseFrame(data, DefaultMaxRecord)
+		lsn, payload, frameLen, err := ParseFrame(data, defaultMaxRecord)
 		if err != nil {
 			ok := false
 			for _, want := range typed {
@@ -72,7 +72,7 @@ func FuzzScanDir(f *testing.F) {
 		if err := writeSegment(dir, 1, data); err != nil {
 			t.Skip()
 		}
-		report, err := Scan(dir, DefaultMaxRecord, nil)
+		report, err := Scan(dir, defaultMaxRecord, nil)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("scan error not ErrCorrupt: %v", err)
@@ -121,7 +121,7 @@ func FuzzMergeShards(f *testing.F) {
 		}
 		var prev uint64
 		seen := false
-		_, err := MergeShards(root, DefaultMaxRecord, 0, func(shard int, lsn uint64, payload []byte) error {
+		_, err := MergeShards(root, defaultMaxRecord, 0, func(shard int, lsn uint64, payload []byte) error {
 			if shard != 0 && shard != 1 {
 				t.Fatalf("merged record from unknown shard %d", shard)
 			}
@@ -147,7 +147,7 @@ func segmentDirForBlob(t *testing.T, root string, i int, blob []byte) string {
 		t.Skip()
 	}
 	first := uint64(1)
-	if lsn, _, _, err := ParseFrame(blob, DefaultMaxRecord); err == nil {
+	if lsn, _, _, err := ParseFrame(blob, defaultMaxRecord); err == nil {
 		first = lsn
 	}
 	if first == 0 {

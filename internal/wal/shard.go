@@ -22,9 +22,9 @@ func ShardDirName(i int) string {
 	return fmt.Sprintf("%s%03d", shardDirPrefix, i)
 }
 
-// ParseShardDir extracts the shard index from a shard subdirectory
+// parseShardDir extracts the shard index from a shard subdirectory
 // name, reporting whether the name is one.
-func ParseShardDir(name string) (int, bool) {
+func parseShardDir(name string) (int, bool) {
 	rest, ok := strings.CutPrefix(name, shardDirPrefix)
 	if !ok {
 		return 0, false
@@ -59,7 +59,7 @@ func ListShardDirs(root string) ([]ShardDir, error) {
 		if !e.IsDir() {
 			continue
 		}
-		idx, ok := ParseShardDir(e.Name())
+		idx, ok := parseShardDir(e.Name())
 		if !ok {
 			continue
 		}

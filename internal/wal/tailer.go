@@ -34,10 +34,10 @@ type Tailer struct {
 
 // NewTailer tails dir, delivering records with LSN > from. Pass the
 // replica's watermark as from to resume shipping; 0 tails from the
-// start. maxRecord <= 0 selects DefaultMaxRecord.
+// start. maxRecord <= 0 selects defaultMaxRecord.
 func NewTailer(dir string, maxRecord int, from uint64) *Tailer {
 	if maxRecord <= 0 {
-		maxRecord = DefaultMaxRecord
+		maxRecord = defaultMaxRecord
 	}
 	return &Tailer{dir: dir, maxRecord: maxRecord, last: from}
 }

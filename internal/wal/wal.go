@@ -15,13 +15,13 @@ import (
 
 // Defaults for Options fields left zero.
 const (
-	// DefaultSegmentSize rotates segments at 4 MiB — large enough to
+	// defaultSegmentSize rotates segments at 4 MiB — large enough to
 	// amortize file creation, small enough that snapshot-anchored
 	// truncation reclaims space promptly.
-	DefaultSegmentSize = 4 << 20
-	// DefaultGroupEvery is the group-commit window: under SyncGrouped
+	defaultSegmentSize = 4 << 20
+	// defaultGroupEvery is the group-commit window: under SyncGrouped
 	// the log fsyncs once per this many appends.
-	DefaultGroupEvery = 32
+	defaultGroupEvery = 32
 	// writerBufSize is the bufio buffer in front of the segment file.
 	writerBufSize = 64 << 10
 )
@@ -94,19 +94,19 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.SegmentSize <= 0 {
-		o.SegmentSize = DefaultSegmentSize
+		o.SegmentSize = defaultSegmentSize
 	}
 	if o.MaxRecord <= 0 {
-		o.MaxRecord = DefaultMaxRecord
+		o.MaxRecord = defaultMaxRecord
 	}
 	if o.GroupEvery <= 0 {
-		o.GroupEvery = DefaultGroupEvery
+		o.GroupEvery = defaultGroupEvery
 	}
 	return o
 }
 
-// ErrClosed is returned by operations on a closed log.
-var ErrClosed = errors.New("wal: log closed")
+// errClosed is returned by operations on a closed log.
+var errClosed = errors.New("wal: log closed")
 
 // segmentMeta tracks one on-disk segment.
 type segmentMeta struct {
@@ -326,7 +326,7 @@ func (l *Log) AppendLSN(lsn uint64, payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if lsn < l.nextLSN {
-		return fmt.Errorf("%w: append LSN %d not past %d", ErrBadLSN, lsn, l.nextLSN-1)
+		return fmt.Errorf("%w: append LSN %d not past %d", errBadLSN, lsn, l.nextLSN-1)
 	}
 	return l.appendLocked(lsn, payload)
 }
@@ -336,10 +336,10 @@ func (l *Log) appendLocked(lsn uint64, payload []byte) error {
 		return err
 	}
 	if len(payload) == 0 {
-		return fmt.Errorf("wal: append: %w: empty record", ErrBadFrame)
+		return fmt.Errorf("wal: append: %w: empty record", errBadFrame)
 	}
 	if len(payload) > l.opts.MaxRecord {
-		return fmt.Errorf("wal: append: %w: %d bytes", ErrFrameTooLarge, len(payload))
+		return fmt.Errorf("wal: append: %w: %d bytes", errFrameTooLarge, len(payload))
 	}
 
 	l.scratch = AppendFrame(l.scratch[:0], lsn, payload)
@@ -492,7 +492,7 @@ func (l *Log) writeFrameLocked(frame []byte) error {
 	if _, err := l.w.Write(hdr); err != nil {
 		return l.fail(err)
 	}
-	if c := fp(StageFrameHeader); c != CrashNone {
+	if c := fp(stageFrameHeader); c != CrashNone {
 		return l.crashLocked(c)
 	}
 	half := len(payload) / 2
@@ -548,7 +548,7 @@ func (l *Log) syncLocked() error {
 		return nil
 	}
 	if fp := l.opts.Failpoint; fp != nil {
-		if c := fp(StageBeforeSync); c != CrashNone {
+		if c := fp(stageBeforeSync); c != CrashNone {
 			return l.crashLocked(c)
 		}
 	}
@@ -561,7 +561,7 @@ func (l *Log) syncLocked() error {
 	l.syncedSize = l.segSize
 	l.sinceSync = 0
 	if fp := l.opts.Failpoint; fp != nil {
-		if c := fp(StageAfterSync); c != CrashNone {
+		if c := fp(stageAfterSync); c != CrashNone {
 			return l.crashLocked(c)
 		}
 	}
@@ -619,7 +619,7 @@ func (l *Log) fail(err error) error {
 func (l *Log) usableLocked() error {
 	switch {
 	case l.closed:
-		return ErrClosed
+		return errClosed
 	case l.crashed:
 		return ErrCrashed
 	case l.err != nil:
@@ -780,7 +780,7 @@ type ScanReport struct {
 // never mutates the directory — Open is the repairing entry point.
 func Scan(dir string, maxRecord int, fn func(lsn uint64, payload []byte) error) (ScanReport, error) {
 	if maxRecord <= 0 {
-		maxRecord = DefaultMaxRecord
+		maxRecord = defaultMaxRecord
 	}
 	var report ScanReport
 
@@ -808,10 +808,10 @@ func Scan(dir string, maxRecord int, fn func(lsn uint64, payload []byte) error) 
 				switch {
 				case !started && lsn != seg.first:
 					perr = fmt.Errorf("%w: frame at offset %d has LSN %d, segment named %d",
-						ErrBadLSN, off, lsn, seg.first)
+						errBadLSN, off, lsn, seg.first)
 				case started && lsn <= prev:
 					perr = fmt.Errorf("%w: frame at offset %d has LSN %d, not past %d",
-						ErrBadLSN, off, lsn, prev)
+						errBadLSN, off, lsn, prev)
 				}
 			}
 			if perr != nil {

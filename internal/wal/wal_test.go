@@ -248,7 +248,7 @@ func TestCrashDropLosesUnsyncedSuffixOnly(t *testing.T) {
 		Policy:     SyncGrouped,
 		GroupEvery: 4,
 		Failpoint: func(st Stage) Crash {
-			if st == StageBeforeSync {
+			if st == stageBeforeSync {
 				event++
 				if event == 3 { // let two groups commit, kill the third
 					return CrashDrop
@@ -296,7 +296,7 @@ func TestSyncEveryRecordSurvivesCrashDropComplete(t *testing.T) {
 	l, err := Open(dir, Options{
 		Policy: SyncEveryRecord,
 		Failpoint: func(st Stage) Crash {
-			if st == StageBeforeSync {
+			if st == stageBeforeSync {
 				event++
 				if event == 6 {
 					return CrashDrop
@@ -361,10 +361,10 @@ func TestAppendRejectsOversizedAndEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Append(nil); !errors.Is(err, ErrBadFrame) {
+	if _, err := l.Append(nil); !errors.Is(err, errBadFrame) {
 		t.Errorf("empty append = %v", err)
 	}
-	if _, err := l.Append(bytes.Repeat([]byte{1}, 65)); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := l.Append(bytes.Repeat([]byte{1}, 65)); !errors.Is(err, errFrameTooLarge) {
 		t.Errorf("oversized append = %v", err)
 	}
 	if _, err := l.Append([]byte("fits")); err != nil {
@@ -380,7 +380,7 @@ func TestClosedLogRefusesOperations(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("x")); !errors.Is(err, ErrClosed) {
+	if _, err := l.Append([]byte("x")); !errors.Is(err, errClosed) {
 		t.Errorf("append on closed = %v", err)
 	}
 	if err := l.Close(); err != nil {

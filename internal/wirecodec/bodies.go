@@ -136,7 +136,7 @@ func PutBindBody(b *bytes.Buffer, req protocol.BindRequest) {
 	PutStr(b, req.UserPassword)
 	PutStr(b, req.BindToken)
 	PutStr(b, req.BindProof)
-	PutI64(b, int64(req.Sender))
+	putI64(b, int64(req.Sender))
 	PutStr(b, req.IdempotencyKey)
 	PutStr(b, req.SourceIP)
 }
@@ -166,7 +166,7 @@ func ReadBindResponse(c *Cursor) protocol.BindResponse {
 func PutUnbindBody(b *bytes.Buffer, req protocol.UnbindRequest) {
 	PutStr(b, req.DeviceID)
 	PutStr(b, req.UserToken)
-	PutI64(b, int64(req.Sender))
+	putI64(b, int64(req.Sender))
 	PutStr(b, req.IdempotencyKey)
 	PutStr(b, req.SourceIP)
 }
@@ -185,7 +185,7 @@ func PutControlBody(b *bytes.Buffer, req protocol.ControlRequest) {
 	PutStr(b, req.DeviceID)
 	PutStr(b, req.UserToken)
 	PutStr(b, req.SessionToken)
-	PutCommand(b, &req.Command)
+	putCommand(b, &req.Command)
 	PutStr(b, req.SourceIP)
 }
 
@@ -193,7 +193,7 @@ func PutControlBody(b *bytes.Buffer, req protocol.ControlRequest) {
 func ReadControlBody(c *Cursor) protocol.ControlRequest {
 	return protocol.ControlRequest{
 		DeviceID: c.ID(), UserToken: c.Cred(), SessionToken: c.Str(),
-		Command: ReadCommand(c), SourceIP: c.Str(),
+		Command: readCommand(c), SourceIP: c.Str(),
 	}
 }
 
@@ -238,7 +238,7 @@ func PutReadingsResponse(b *bytes.Buffer, resp protocol.ReadingsResponse) {
 
 // ReadReadingsResponse reverses PutReadingsResponse.
 func ReadReadingsResponse(c *Cursor) protocol.ReadingsResponse {
-	n := c.Count(MinReadingSize)
+	n := c.Count(minReadingSize)
 	resp := protocol.ReadingsResponse{Readings: make([]protocol.Reading, n)}
 	readReadings(c, resp.Readings)
 	return resp
@@ -273,7 +273,7 @@ func PutSharesResponse(b *bytes.Buffer, resp protocol.SharesResponse) { putStrs(
 
 // ReadSharesResponse reverses PutSharesResponse.
 func ReadSharesResponse(c *Cursor) protocol.SharesResponse {
-	resp := protocol.SharesResponse{Guests: make([]string, c.Count(MinStringSize))}
+	resp := protocol.SharesResponse{Guests: make([]string, c.Count(minStringSize))}
 	readStrs(c, resp.Guests)
 	return resp
 }
@@ -284,8 +284,8 @@ func PutDelegateBody(b *bytes.Buffer, req protocol.DelegateRequest) {
 	PutStr(b, req.UserToken)
 	PutStr(b, req.Grantee)
 	putStrs(b, req.Scopes)
-	PutI64(b, req.TTLSeconds)
-	PutI64(b, int64(req.Depth))
+	putI64(b, req.TTLSeconds)
+	putI64(b, int64(req.Depth))
 	PutStr(b, req.IdempotencyKey)
 }
 
@@ -296,7 +296,7 @@ func ReadDelegateBody(c *Cursor) protocol.DelegateRequest {
 	req.DeviceID = c.ID()
 	req.UserToken = c.Cred()
 	req.Grantee = c.Account()
-	if n := c.Count(MinStringSize); n > 0 {
+	if n := c.Count(minStringSize); n > 0 {
 		req.Scopes = cut(&c.scopes, n)
 		for i := range req.Scopes {
 			req.Scopes[i] = delegation.ScopeName(c.StrBytes())
@@ -311,7 +311,7 @@ func ReadDelegateBody(c *Cursor) protocol.DelegateRequest {
 // PutDelegateResponse writes a delegation-grant response body.
 func PutDelegateResponse(b *bytes.Buffer, resp protocol.DelegateResponse) {
 	PutStr(b, resp.DelegationToken)
-	PutI64(b, EncodeTime(resp.ExpiresAt))
+	putI64(b, encodeTime(resp.ExpiresAt))
 }
 
 // ReadDelegateResponse reverses PutDelegateResponse.
@@ -353,20 +353,20 @@ func PutDelegationsResponse(b *bytes.Buffer, resp protocol.ListDelegationsRespon
 		PutStr(b, g.Grantor)
 		PutStr(b, g.Grantee)
 		putStrs(b, g.Scopes)
-		PutI64(b, EncodeTime(g.ExpiresAt))
-		PutI64(b, int64(g.Depth))
+		putI64(b, encodeTime(g.ExpiresAt))
+		putI64(b, int64(g.Depth))
 	}
 }
 
 // ReadDelegationsResponse reverses PutDelegationsResponse. A grant's
 // scope list is one JSON always carries, so it too decodes non-nil.
 func ReadDelegationsResponse(c *Cursor) protocol.ListDelegationsResponse {
-	resp := protocol.ListDelegationsResponse{Grants: make([]protocol.DelegationInfo, c.Count(MinDelegationInfoSize))}
+	resp := protocol.ListDelegationsResponse{Grants: make([]protocol.DelegationInfo, c.Count(minDelegationInfoSize))}
 	for i := range resp.Grants {
 		g := &resp.Grants[i]
 		g.Grantor = c.Str()
 		g.Grantee = c.Str()
-		g.Scopes = make([]string, c.Count(MinStringSize))
+		g.Scopes = make([]string, c.Count(minStringSize))
 		readStrs(c, g.Scopes)
 		g.ExpiresAt = DecodeTime(c.I64())
 		g.Depth = int(c.I64())
@@ -384,7 +384,7 @@ func ReadShadowBody(c *Cursor) protocol.ShadowStateRequest {
 
 // PutShadowResponse writes a shadow-state response body.
 func PutShadowResponse(b *bytes.Buffer, resp protocol.ShadowStateResponse) {
-	PutI64(b, int64(resp.State))
+	putI64(b, int64(resp.State))
 	PutStr(b, resp.BoundUser)
 }
 
@@ -402,7 +402,7 @@ func putBool(b *bytes.Buffer, v bool) {
 }
 
 // putStrs writes a count-prefixed string list; readStrs fills one the
-// caller sized with Cursor.Count(MinStringSize).
+// caller sized with Cursor.Count(minStringSize).
 func putStrs(b *bytes.Buffer, list []string) {
 	PutUvarint(b, uint64(len(list)))
 	for _, s := range list {

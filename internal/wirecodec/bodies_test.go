@@ -185,7 +185,7 @@ func bodyPairs() []bodyPair {
 		pair("status-batch response", func(b *bytes.Buffer, r protocol.StatusBatchResponse) { PutStatusBatchResponse(b, &r) }, ReadStatusBatchResponse,
 			protocol.StatusBatchResponse{Results: []protocol.StatusBatchResult{{Response: statusResp}, {Code: "unknown_device", Message: "no such device"}}},
 			protocol.StatusBatchResponse{}),
-		pair("command", func(b *bytes.Buffer, r protocol.Command) { PutCommand(b, &r) }, ReadCommand, cmd, protocol.Command{}),
+		pair("command", func(b *bytes.Buffer, r protocol.Command) { putCommand(b, &r) }, readCommand, cmd, protocol.Command{}),
 		pair("bind", PutBindBody, ReadBindBody,
 			protocol.BindRequest{DeviceID: testDevice, UserToken: "tok", UserID: "u@x", UserPassword: "pw", BindToken: "bt",
 				BindProof: "bp", Sender: core.SenderApp, IdempotencyKey: "k", SourceIP: "10.0.0.7"},

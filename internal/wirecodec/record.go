@@ -28,7 +28,7 @@ type Record struct {
 // the time the operation executed at.
 func putHeader(b *bytes.Buffer, tag uint8, at time.Time) {
 	PutU8(b, tag)
-	PutI64(b, EncodeTime(at))
+	putI64(b, encodeTime(at))
 }
 
 // EncodeRecord writes a cold operation's complete record into b: its

@@ -57,41 +57,41 @@ const (
 // Minimum encoded item sizes, used with Cursor.Count to bound
 // count-prefixed allocations.
 const (
-	// MinReadingSize is an empty-name reading: name uvarint(1) +
+	// minReadingSize is an empty-name reading: name uvarint(1) +
 	// value f64(8) + time i64(8).
-	MinReadingSize = 17
+	minReadingSize = 17
 	// MinStatusSize is an all-empty status body: kind u8(1) + nine
 	// empty strings (1 each) + button u8(1) + readings count uvarint(1).
 	MinStatusSize = 12
-	// MinCommandSize is an empty command: id(1) + name(1) + args
+	// minCommandSize is an empty command: id(1) + name(1) + args
 	// count(1).
-	MinCommandSize = 3
-	// MinUserDataSize is an empty user-data item: kind(1) + body(1).
-	MinUserDataSize = 2
-	// MinStringSize is an empty length-prefixed string.
-	MinStringSize = 1
-	// MinBatchResultSize is an empty batch item outcome: code(1) +
+	minCommandSize = 3
+	// minUserDataSize is an empty user-data item: kind(1) + body(1).
+	minUserDataSize = 2
+	// minStringSize is an empty length-prefixed string.
+	minStringSize = 1
+	// minBatchResultSize is an empty batch item outcome: code(1) +
 	// message(1) + an all-empty status response (bound u8(1) + nonce(1)
 	// + command count(1) + user-data count(1)).
-	MinBatchResultSize = 6
-	// MinDelegationInfoSize is an empty listed grant: grantor(1) +
+	minBatchResultSize = 6
+	// minDelegationInfoSize is an empty listed grant: grantor(1) +
 	// grantee(1) + scope count(1) + expiry i64(8) + depth i64(8).
-	MinDelegationInfoSize = 19
+	minDelegationInfoSize = 19
 )
 
 // timeZero encodes time.Time{} — UnixNano is undefined for the zero
 // time, so it travels as a sentinel.
 const timeZero = math.MinInt64
 
-// EncodeTime converts a wall-clock instant to its wire form.
-func EncodeTime(t time.Time) int64 {
+// encodeTime converts a wall-clock instant to its wire form.
+func encodeTime(t time.Time) int64 {
 	if t.IsZero() {
 		return timeZero
 	}
 	return t.UnixNano()
 }
 
-// DecodeTime reverses EncodeTime.
+// DecodeTime reverses encodeTime.
 func DecodeTime(v int64) time.Time {
 	if v == timeZero {
 		return time.Time{}
@@ -104,8 +104,8 @@ func DecodeTime(v int64) time.Time {
 // PutU8 appends one byte.
 func PutU8(b *bytes.Buffer, v uint8) { b.WriteByte(v) }
 
-// PutI64 appends a little-endian int64.
-func PutI64(b *bytes.Buffer, v int64) {
+// putI64 appends a little-endian int64.
+func putI64(b *bytes.Buffer, v int64) {
 	var tmp [8]byte
 	binary.LittleEndian.PutUint64(tmp[:], uint64(v))
 	b.Write(tmp[:])
@@ -124,8 +124,8 @@ func PutStr(b *bytes.Buffer, s string) {
 	b.WriteString(s)
 }
 
-// PutF64 appends a little-endian float64.
-func PutF64(b *bytes.Buffer, v float64) {
+// putF64 appends a little-endian float64.
+func putF64(b *bytes.Buffer, v float64) {
 	var tmp [8]byte
 	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
 	b.Write(tmp[:])
@@ -324,13 +324,13 @@ func PutStatusBody(b *bytes.Buffer, req *protocol.StatusRequest) {
 }
 
 // putReadings writes a count-prefixed reading list; readReadings fills
-// one the caller sized with Cursor.Count(MinReadingSize).
+// one the caller sized with Cursor.Count(minReadingSize).
 func putReadings(b *bytes.Buffer, list []protocol.Reading) {
 	PutUvarint(b, uint64(len(list)))
 	for i := range list {
 		PutStr(b, list[i].Name)
-		PutF64(b, list[i].Value)
-		PutI64(b, EncodeTime(list[i].At))
+		putF64(b, list[i].Value)
+		putI64(b, encodeTime(list[i].At))
 	}
 }
 
@@ -368,7 +368,7 @@ func ReadStatusRest(c *Cursor, req *protocol.StatusRequest) (sourceIP []byte) {
 	req.Model = c.Str()
 	sourceIP = c.StrBytes()
 	req.ButtonPressed = c.U8() != 0
-	if n := c.Count(MinReadingSize); n > 0 {
+	if n := c.Count(minReadingSize); n > 0 {
 		req.Readings = cut(&c.arena, n)
 		readReadings(c, req.Readings)
 	}
@@ -385,7 +385,7 @@ func PutStatusResponse(b *bytes.Buffer, resp *protocol.StatusResponse) {
 	PutStr(b, resp.SessionNonce)
 	PutUvarint(b, uint64(len(resp.Commands)))
 	for i := range resp.Commands {
-		PutCommand(b, &resp.Commands[i])
+		putCommand(b, &resp.Commands[i])
 	}
 	PutUvarint(b, uint64(len(resp.UserData)))
 	for i := range resp.UserData {
@@ -399,13 +399,13 @@ func ReadStatusResponse(c *Cursor) protocol.StatusResponse {
 	var resp protocol.StatusResponse
 	resp.Bound = c.U8() != 0
 	resp.SessionNonce = c.Str()
-	if n := c.Count(MinCommandSize); c.err == nil && n > 0 {
+	if n := c.Count(minCommandSize); c.err == nil && n > 0 {
 		resp.Commands = make([]protocol.Command, n)
 		for i := range resp.Commands {
-			resp.Commands[i] = ReadCommand(c)
+			resp.Commands[i] = readCommand(c)
 		}
 	}
-	if n := c.Count(MinUserDataSize); c.err == nil && n > 0 {
+	if n := c.Count(minUserDataSize); c.err == nil && n > 0 {
 		resp.UserData = make([]protocol.UserData, n)
 		for i := range resp.UserData {
 			resp.UserData[i].Kind = c.Str()
@@ -431,7 +431,7 @@ func PutStatusBatchResponse(b *bytes.Buffer, resp *protocol.StatusBatchResponse)
 // batch.
 func ReadStatusBatchResponse(c *Cursor) protocol.StatusBatchResponse {
 	var resp protocol.StatusBatchResponse
-	n := c.Count(MinBatchResultSize)
+	n := c.Count(minBatchResultSize)
 	if c.err != nil || n == 0 {
 		return resp
 	}
@@ -444,8 +444,8 @@ func ReadStatusBatchResponse(c *Cursor) protocol.StatusBatchResponse {
 	return resp
 }
 
-// PutCommand serializes one control command.
-func PutCommand(b *bytes.Buffer, cmd *protocol.Command) {
+// putCommand serializes one control command.
+func putCommand(b *bytes.Buffer, cmd *protocol.Command) {
 	PutStr(b, cmd.ID)
 	PutStr(b, cmd.Name)
 	PutUvarint(b, uint64(len(cmd.Args)))
@@ -464,12 +464,12 @@ func PutCommand(b *bytes.Buffer, cmd *protocol.Command) {
 	}
 }
 
-// ReadCommand decodes one control command.
-func ReadCommand(c *Cursor) protocol.Command {
+// readCommand decodes one control command.
+func readCommand(c *Cursor) protocol.Command {
 	var cmd protocol.Command
 	cmd.ID = c.Str()
 	cmd.Name = c.Str()
-	if n := c.Count(2 * MinStringSize); c.err == nil && n > 0 {
+	if n := c.Count(2 * minStringSize); c.err == nil && n > 0 {
 		cmd.Args = make(map[string]string, n)
 		for i := uint64(0); i < n; i++ {
 			k := c.Str()

@@ -120,7 +120,7 @@ func TestHugeCountsRejected(t *testing.T) {
 
 	var status bytes.Buffer
 	PutU8(&status, TagStatus)
-	PutI64(&status, at.UnixNano())
+	putI64(&status, at.UnixNano())
 	PutU8(&status, uint8(protocol.StatusHeartbeat))
 	for i := 0; i < 9; i++ { // device ID through source IP, all empty
 		PutStr(&status, "")
@@ -133,7 +133,7 @@ func TestHugeCountsRejected(t *testing.T) {
 
 	var batch bytes.Buffer
 	PutU8(&batch, TagBatch)
-	PutI64(&batch, at.UnixNano())
+	putI64(&batch, at.UnixNano())
 	PutStr(&batch, "") // envelope source IP
 	PutUvarint(&batch, uint64(1)<<40)
 	if _, err := DecodeRecord(batch.Bytes()); !errors.Is(err, protocol.ErrBadRequest) {

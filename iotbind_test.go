@@ -2,11 +2,15 @@ package iotbind_test
 
 import (
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -188,103 +192,172 @@ func TestPublicAPIIDSchemes(t *testing.T) {
 	}
 }
 
-// TestRootNamesHaveCallers holds the root package to the surface cmd/ and
-// examples/ use: every exported declaration in a non-test root file is
-// referenced as iotbind.Name by a .go file under cmd/ or examples/, or is
-// named in the type of another kept exported declaration, so that a kept
-// signature stays nameable.
+// TestRootNamesHaveCallers holds every exported top-level name to a caller
+// in another package. One go/parser walk reads every .go file, whatever
+// its build tags, and feeds two rules:
+//
+//   - a root name must be referenced as iotbind.Name by a file under cmd/
+//     or examples/, the surface those programs use;
+//   - a name under internal/ must be referenced as pkg.Name by a file in
+//     another directory, test or not (a same-directory package x_test
+//     counts as package x).
+//
+// A name that a kept declaration's type names bare, a kept type's exported
+// method signatures included, is kept too, to a fixed point, so that a kept
+// signature stays nameable. Only top-level names are held: a syntactic scan
+// cannot see interface dispatch, so methods such as attacker.Refusal's
+// Format and Unwrap or httpapi.Server.ServeHTTP would look dead while fmt,
+// errors and net/http call them.
 func TestRootNamesHaveCallers(t *testing.T) {
+	const module = "github.com/iotbind/iotbind"
+	type name struct{ dir, id string }
+	type decl struct {
+		pos   token.Position
+		types []ast.Node // the declared type and its methods' signatures
+	}
 	fset := token.NewFileSet()
-	decls := map[string]ast.Expr{} // exported name -> its declared type, nil if none
-	where := map[string]token.Position{}
-	add := func(id *ast.Ident, typ ast.Expr) {
-		if id.IsExported() {
-			decls[id.Name] = typ
-			where[id.Name] = fset.Position(id.Pos())
+	decls := map[name]*decl{}
+	kept := map[name]bool{}
+	declare := func(n name, typ ast.Node, at token.Pos) {
+		d := decls[n]
+		if d == nil {
+			d = &decl{}
+			decls[n] = d
+		}
+		if at.IsValid() {
+			d.pos = fset.Position(at)
+		}
+		if typ != nil {
+			d.types = append(d.types, typ)
 		}
 	}
-	roots, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range roots {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, 0)
+
+	err := filepath.WalkDir(".", func(file string, e fs.DirEntry, err error) error {
 		if err != nil {
-			t.Fatal(err)
+			return err
+		}
+		if e.IsDir() {
+			if file != "." && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(file, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(file))
+		imported := map[string]string{} // local name -> directory
+		for _, im := range f.Imports {
+			p, _ := strconv.Unquote(im.Path.Value)
+			if p == module || strings.HasPrefix(p, module+"/internal/") {
+				local := path.Base(p)
+				if im.Name != nil {
+					local = im.Name.Name
+				}
+				imported[local] = path.Join(".", strings.TrimPrefix(p, module))
+			}
+		}
+		fromProgram := strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "examples/")
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok {
+					if to, ok := imported[x.Name]; ok && to != dir && (to != "." || fromProgram) {
+						kept[name{to, sel.Sel.Name}] = true
+					}
+				}
+			}
+			return true
+		})
+
+		if strings.HasSuffix(file, "_test.go") || dir != "." && !strings.HasPrefix(dir, "internal/") {
+			return nil
 		}
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
+				if !d.Name.IsExported() {
+					continue
+				}
 				if d.Recv == nil {
-					add(d.Name, d.Type)
+					declare(name{dir, d.Name.Name}, d.Type, d.Name.Pos())
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
+					declare(name{dir, id.Name}, d.Type, token.NoPos)
 				}
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
-						add(s.Name, s.Type)
+						if s.Name.IsExported() {
+							declare(name{dir, s.Name.Name}, s.Type, s.Name.Pos())
+						}
 					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							add(n, s.Type)
+						for _, id := range s.Names {
+							if id.IsExported() {
+								declare(name{dir, id.Name}, s.Type, id.Pos())
+							}
 						}
 					}
 				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	kept := map[string]bool{}
-	for _, dir := range []string{"cmd", "examples"} {
-		err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
-			if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") {
-				return err
-			}
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				return err
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok {
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "iotbind" {
-						kept[sel.Sel.Name] = true
-					}
-				}
-				return true
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A root name a kept type mentions bare (not as another package's
-	// pkg.Name) is kept too, to a fixed point.
+	// A name a kept declaration's type mentions bare (not as another
+	// package's pkg.Name, which the walk saw) is kept too.
 	for grew := true; grew; {
 		grew = false
-		for name := range kept {
-			if decls[name] == nil {
+		for n := range kept {
+			d := decls[n]
+			if d == nil {
 				continue
 			}
-			ast.Inspect(decls[name], func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					return false
-				case *ast.Ident:
-					if _, ok := decls[n.Name]; ok && !kept[n.Name] {
-						kept[n.Name] = true
-						grew = true
+			for _, typ := range d.types {
+				ast.Inspect(typ, func(x ast.Node) bool {
+					switch x := x.(type) {
+					case *ast.SelectorExpr:
+						return false
+					case *ast.Ident:
+						if m := (name{n.dir, x.Name}); decls[m] != nil && !kept[m] {
+							kept[m] = true
+							grew = true
+						}
 					}
-				}
-				return true
-			})
+					return true
+				})
+			}
 		}
 	}
-	for name, pos := range where {
-		if !kept[name] {
-			t.Errorf("%s: %s is exported, but nothing under cmd/ or examples/ references iotbind.%s and no kept declaration's type names it", pos, name, name)
+
+	var failures []string
+	internal := 0
+	for n, d := range decls {
+		switch {
+		case n.dir != ".":
+			internal++
+			if !kept[n] {
+				failures = append(failures, fmt.Sprintf("%s: %s is exported, but no file outside %s references %s.%s and no kept declaration's type names it", d.pos, n.id, n.dir, path.Base(n.dir), n.id))
+			}
+		case !kept[n]:
+			failures = append(failures, fmt.Sprintf("%s: %s is exported, but nothing under cmd/ or examples/ references iotbind.%s and no kept declaration's type names it", d.pos, n.id, n.id))
 		}
 	}
+	sort.Strings(failures)
+	for _, f := range failures {
+		t.Error(f)
+	}
+	t.Logf("%d exported top-level names under internal/", internal)
 }
