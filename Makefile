@@ -59,7 +59,8 @@ race:
 # (TestLatticeCycleAllocations), a proof at its one string, the model
 # checker's part of an attack_matrix op at its results and traces (an
 # exploration at none), the analyzer's part at one findings slice a design
-# (TestPredictAllAllocations), every live Table III cell at its exact count, a
+# (TestPredictAllAllocations) and its A6 part at one, each A6 row query at
+# none (TestPredictDelegationAllocations), every live Table III cell at its exact count, a
 # used testbed's Reset at its two login tokens and the ten-vendor sweep on
 # one worker (TestEvaluateVendorsAllocations) at its exact count.
 alloc-pins:

@@ -19,15 +19,6 @@ type Finding = analysis.Finding
 // the binding model each row — no emulation.
 func PredictAll(d DesignSpec) []Finding { return analysis.PredictAll(d) }
 
-// DelegationFinding is one predicted A6 (delegation) attack outcome
-// with its reasoning.
-type DelegationFinding = analysis.DelegationFinding
-
-// PredictDelegation evaluates the A6 delegation rows — evicted-guest
-// residual control, re-delegation escalation, revocation race — against
-// a design from its policy rules alone, no emulation.
-func PredictDelegation(d DesignSpec) []DelegationFinding { return analysis.PredictDelegation(d) }
-
 // ---- vendor profiles --------------------------------------------------------
 
 // Profile is one evaluated product: design, ID scheme and published
@@ -130,10 +121,10 @@ func WriteVerification(w io.Writer, design DesignSpec, results []VerificationRes
 	return report.WriteVerification(w, design, results)
 }
 
-// WriteDelegation renders the A6 delegation sweep for one design: the
-// analyzer's prediction next to the delegation sub-model's verdict.
-func WriteDelegation(w io.Writer, design DesignSpec, findings []DelegationFinding, verdicts []DelegationVerdict) error {
-	return report.WriteDelegation(w, design, findings, verdicts)
+// WriteDelegation renders the A6 delegation sweep for one design: each
+// row's query next to the delegation sub-model's exhaustive verdict.
+func WriteDelegation(w io.Writer, design DesignSpec, verdicts []DelegationVerdict) error {
+	return report.WriteDelegation(w, design, verdicts)
 }
 
 // WriteDiscovery renders automatic attack-discovery results.

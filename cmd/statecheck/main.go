@@ -15,7 +15,7 @@
 //	statecheck -analyze TP-LINK
 //	statecheck -analyze worst-case
 //	statecheck -discover TP-LINK -depth 2
-//	statecheck -delegation secure   # A6 sweep: analyzer vs sub-model
+//	statecheck -delegation secure   # A6 sweep: row query vs exhaustive sub-model
 package main
 
 import (
@@ -32,7 +32,7 @@ func main() {
 	discoverFor := flag.String("discover", "", "run automatic attack discovery against the named profile")
 	verifyFor := flag.String("formal", "", "formally verify the named profile by exhaustive state-space search")
 	hardenFor := flag.String("harden", "", "compute a minimal verified repair plan for the named profile")
-	delegationFor := flag.String("delegation", "", "sweep the A6 delegation rows against the named profile (analyzer vs sub-model)")
+	delegationFor := flag.String("delegation", "", "sweep the A6 delegation rows against the named profile (row query vs exhaustive sub-model)")
 	depth := flag.Int("depth", 2, "maximum forged-message sequence length for -discover")
 	flag.Parse()
 
@@ -52,7 +52,7 @@ func run(out io.Writer, analyze, discoverFor, verifyFor, hardenFor, delegationFo
 		if err != nil {
 			return err
 		}
-		return iotbind.WriteDelegation(out, profile.Design, iotbind.PredictDelegation(profile.Design), verdicts)
+		return iotbind.WriteDelegation(out, profile.Design, verdicts)
 	}
 
 	if hardenFor != "" {

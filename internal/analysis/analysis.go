@@ -7,8 +7,11 @@
 // A prediction is the model checker's answer to the row's query
 // (modelcheck.Verdict): each row is written once, in core's tableII, and
 // a failed row's reason is the model's. The testbed package launches the
-// same rows against live emulated clouds, and the test suite holds the two
-// independent oracles, the model and the live cloud, to each other.
+// same A1–A4 rows against live emulated clouds, and the test suite holds
+// the two independent oracles, the model and the live cloud, to each
+// other. The A6 delegation rows are the same row query over the
+// delegation sub-model, held to that sub-model's exhaustive search
+// (modelcheck.CheckDelegation): row query vs exhaustive sub-model.
 package analysis
 
 import (
@@ -37,9 +40,13 @@ var won = [...]string{
 	core.VariantA4x1: "the cloud manipulates the existing binding without checks; the attacker takes over",
 	core.VariantA4x2: "the attacker binds first during the setup window and controls the device",
 	core.VariantA4x3: "forged unbind opens the online state; a forged bind then hijacks the device",
+	core.VariantA6x1: "no cascade leaves the sub-guest's grant and token alive, and no use-time walk notices the severed chain",
+	core.VariantA6x2: "a read-only guest with the share scope mints a control-scoped sub-grant the chain walk accepts",
+	core.VariantA6x3: "a delegation token verified before the revocation authorizes the control that lands after it",
 }
 
-// Predict evaluates one attack variant against a design.
+// Predict evaluates one attack variant, a Table II row or an A6 row,
+// against a design.
 func Predict(d core.DesignSpec, v core.AttackVariant) Finding {
 	if v < 1 || int(v) >= len(won) {
 		return Finding{Variant: v, Outcome: core.OutcomeNotApplicable, Reason: "unknown variant"}
@@ -69,4 +76,24 @@ func PredictMany(designs []core.DesignSpec) [][]Finding {
 		out[i] = PredictAll(d)
 	}
 	return out
+}
+
+// DelegationFinding is an A6 finding under the names the benchmark's
+// attack matrix reads; ROADMAP item 2(b) deletes it with the rest of what
+// only bench/ keeps.
+type DelegationFinding struct {
+	Attack  core.AttackVariant
+	Outcome core.Outcome
+	Reason  string
+}
+
+// PredictDelegation is Predict over the A6 rows, for the benchmark's
+// attack matrix; ROADMAP item 2(b) deletes it.
+func PredictDelegation(d core.DesignSpec) []DelegationFinding {
+	findings := make([]DelegationFinding, 0, 3)
+	for _, v := range core.DelegationVariants() {
+		f := Predict(d, v)
+		findings = append(findings, DelegationFinding{f.Variant, f.Outcome, f.Reason})
+	}
+	return findings
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestPredictionsMatchPaperRows checks the analyzer against the published
-// Table III: for every vendor, the rule-based prediction must collapse to
+// Table III: for every vendor, the model's prediction must collapse to
 // the paper's row.
 func TestPredictionsMatchPaperRows(t *testing.T) {
 	for _, p := range vendors.Profiles() {
@@ -50,7 +50,7 @@ func TestPredictionsMatchEmulationOnVendors(t *testing.T) {
 
 // TestPredictionsMatchEmulationOnRandomDesigns is the central
 // cross-validation property: for randomly generated (but buildable)
-// designs, the independently implemented rule-based analyzer and the live
+// designs, the analyzer's row queries over the model and the live
 // emulation must classify every attack variant identically.
 func TestPredictionsMatchEmulationOnRandomDesigns(t *testing.T) {
 	if testing.Short() {

@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/iotbind/iotbind/internal/analysis"
@@ -10,6 +11,15 @@ import (
 	"github.com/iotbind/iotbind/internal/modelcheck"
 	"github.com/iotbind/iotbind/internal/vendors"
 )
+
+// withDelegation returns d under the delegation setting flags: bit 0
+// attenuation, bit 1 cascade revocation, bit 2 use-time checking.
+func withDelegation(d core.DesignSpec, flags int) core.DesignSpec {
+	d.DelegationScopeAttenuation = flags&1 != 0
+	d.DelegationCascadeRevoke = flags&2 != 0
+	d.DelegationCheckAtUse = flags&4 != 0
+	return d
+}
 
 // TestDelegationSecureBaselineBlocksA6: the capability baseline (and the
 // recommended practice) enable all three delegation guards, so every A6
@@ -32,40 +42,30 @@ func TestDelegationSecureBaselineBlocksA6(t *testing.T) {
 	}
 }
 
-// TestDelegationPredictionsMatchModel is the delegation counterpart of
-// the analyzer/emulation agreement suite: the rule-based A6 predictions
-// and the exhaustive delegation sub-model must agree on every vendor
-// profile, both references, and a sweep of random designs.
+// TestDelegationPredictionsMatchModel holds the row query to the
+// exhaustive sub-model on all eight delegation settings, the only fields
+// the sub-model reads: a row succeeds exactly when CheckDelegation finds
+// its goals reachable, and then no longer than the row's own moves.
 func TestDelegationPredictionsMatchModel(t *testing.T) {
-	designs := []core.DesignSpec{
-		vendors.SecureReference().Design,
-		vendors.RecommendedPractice().Design,
-		vendors.WorstCase().Design,
-	}
-	for _, p := range vendors.Profiles() {
-		designs = append(designs, p.Design)
-	}
-	rng := rand.New(rand.NewSource(0xA6))
-	for i := 0; i < 300; i++ {
-		designs = append(designs, randomDesign(rng, i))
-	}
-
-	for _, d := range designs {
-		findings := analysis.PredictDelegation(d)
+	for flags := 0; flags < 8; flags++ {
+		d := withDelegation(vendors.WorstCase().Design, flags)
 		results, err := modelcheck.CheckDelegation(d)
 		if err != nil {
-			t.Fatalf("%s: %v", d.Name, err)
+			t.Fatalf("flags %03b: %v", flags, err)
 		}
-		if len(findings) != len(results) {
-			t.Fatalf("%s: %d findings, %d model results", d.Name, len(findings), len(results))
+		variants := core.DelegationVariants()
+		if len(results) != len(variants) {
+			t.Fatalf("flags %03b: %d model results for %d A6 rows", flags, len(results), len(variants))
 		}
-		for i := range findings {
-			if findings[i].Attack != results[i].Attack {
-				t.Fatalf("%s: row %d is %v in the analyzer, %v in the model", d.Name, i, findings[i].Attack, results[i].Attack)
-			}
-			if findings[i].Outcome.Succeeded() != results[i].Succeeds {
-				t.Errorf("%s: %v: analyzer says %v, model says %v (%s)",
-					d.Name, findings[i].Attack, findings[i].Outcome, results[i].Succeeds, findings[i].Reason)
+		for i, v := range variants {
+			f, r := analysis.Predict(d, v), results[i]
+			switch {
+			case r.Attack != v:
+				t.Fatalf("flags %03b: row %d is %v in the model, %v in core", flags, i, r.Attack, v)
+			case f.Outcome.Succeeded() != r.Succeeds:
+				t.Errorf("flags %03b: %v: row query says %v (%s), model says %v (%v)", flags, v, f.Outcome, f.Reason, r.Succeeds, r.Trace)
+			case r.Succeeds && len(r.Trace) > len(v.Moves()):
+				t.Errorf("flags %03b: %v: minimal trace %v is longer than the row's moves %v", flags, v, r.Trace, v.Moves())
 			}
 		}
 	}
@@ -74,9 +74,8 @@ func TestDelegationPredictionsMatchModel(t *testing.T) {
 // TestDelegationModelDeterministic: two explorations of the same design
 // produce identical verdicts and identical minimal traces.
 func TestDelegationModelDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 50; i++ {
-		d := randomDesign(rng, i)
+	for flags := 0; flags < 8; flags++ {
+		d := withDelegation(vendors.WorstCase().Design, flags)
 		a, err := modelcheck.CheckDelegation(d)
 		if err != nil {
 			t.Fatal(err)
@@ -86,7 +85,47 @@ func TestDelegationModelDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: non-deterministic delegation check:\n%v\n%v", d.Name, a, b)
+			t.Fatalf("flags %03b: non-deterministic delegation check:\n%v\n%v", flags, a, b)
 		}
+	}
+}
+
+// TestDelegationFlagsChangeOnlyA6 holds the delegation flags factored
+// from the rest of a design on the live lattice (the delegation flags and
+// FirmwareOpaque unset, 36 864 designs): on each design all eight
+// delegation settings give the same nine Table II findings, and under
+// each setting every design gives the same A6 findings. Under the race
+// detector it runs on a seeded tenth of the designs.
+func TestDelegationFlagsChangeOnlyA6(t *testing.T) {
+	var a6 [8][]analysis.DelegationFinding
+	for flags := range a6 {
+		a6[flags] = analysis.PredictDelegation(withDelegation(vendors.WorstCase().Design, flags))
+	}
+	rng := rand.New(rand.NewSource(42))
+	designs := 0
+	core.EachDesign(func(d core.DesignSpec) bool {
+		if d.DelegationScopeAttenuation || d.DelegationCascadeRevoke || d.DelegationCheckAtUse || d.FirmwareOpaque {
+			return true
+		}
+		designs++
+		if raceEnabled && rng.Intn(10) != 0 {
+			return true
+		}
+		base := analysis.PredictAll(d)
+		for flags := range a6 {
+			dd := withDelegation(d, flags)
+			if flags > 0 {
+				if got := analysis.PredictAll(dd); !slices.Equal(got, base) {
+					t.Fatalf("%+v: delegation setting %03b moves the Table II findings:\n got %v\nwant %v", d, flags, got, base)
+				}
+			}
+			if got := analysis.PredictDelegation(dd); !slices.Equal(got, a6[flags]) {
+				t.Fatalf("%+v: delegation setting %03b gives A6 findings\n%v\nnot the worst case's\n%v", d, flags, got, a6[flags])
+			}
+		}
+		return true
+	})
+	if designs != 36864 {
+		t.Errorf("%d designs, want 36 864", designs)
 	}
 }

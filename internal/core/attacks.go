@@ -20,6 +20,9 @@ const (
 	// A4DeviceHijacking: the attacker takes absolute control of the
 	// user's device.
 	A4DeviceHijacking
+	// A6DelegationAbuse: authority the owner delegated outlives, outgrows
+	// or outraces the owner's grant.
+	A6DelegationAbuse
 )
 
 // attackClasses holds each class's label and the consequence wording of
@@ -29,6 +32,7 @@ var attackClasses = [...]struct{ label, description string }{
 	a2BindingDoS:            {"A2", "The attacker can cause denial-of-service to the user's binding operation."},
 	A3DeviceUnbinding:       {"A3", "The attacker can disconnect the device with the user."},
 	A4DeviceHijacking:       {"A4", "The attacker can take absolute control of the device."},
+	A6DelegationAbuse:       {"A6", "A guest or sub-guest can command the device beyond the owner's grant."},
 }
 
 // String implements fmt.Stringer.
@@ -78,13 +82,24 @@ const (
 	// VariantA4x3 chains an unbind forgery (A3-1 or A3-2) with a bind
 	// forgery to hijack a device from the control state.
 	VariantA4x3
+	// VariantA6x1: after the owner evicts the guest, the sub-guest's
+	// grant derived from the guest's authority still commands the device.
+	VariantA6x1
+	// VariantA6x2: a read-only guest re-delegates control, and the
+	// sub-guest exercises a scope its grantor never held.
+	VariantA6x2
+	// VariantA6x3: a guest control that passed token verification before
+	// the owner's revocation lands after it.
+	VariantA6x3
 )
 
 // tableII is Table II: one row per attack variant, indexed by the variant
 // (row 0 is the zero value every column method returns for an unknown
 // variant). Past the paper's columns each row states its launch in the
 // attacker vocabulary, which the live rig runs and the model checker
-// answers. Adding a variant is one constant above and one row here.
+// answers. Adding a variant is one constant above and one row here. The
+// A6 rows, extending the table to sub-user bindings, have no paper
+// columns: they launch in the delegation sub-model's empty lattice.
 var tableII = [...]struct {
 	label   string
 	class   AttackClass
@@ -113,6 +128,12 @@ var tableII = [...]struct {
 		[]Move{MoveForgeBind}, []Goal{GoalHijack}, 0},
 	VariantA4x3: {"A4-3", A4DeviceHijacking, "Unbind : DevId or (DevId, UserToken); then Bind : (DevId, UserToken)", []ShadowState{StateControl}, StateControl,
 		[]Move{MoveForgeAnyUnbind, MoveForgeBind}, []Goal{GoalHijack}, 0},
+	VariantA6x1: {"A6-1 evicted-guest-residual-control", A6DelegationAbuse, "", nil, 0,
+		[]Move{MoveOwnerDelegateFull, MoveGuestRedelegateCtl, MoveOwnerRevokeGuest, MoveSubguestControlToken}, []Goal{GoalResidualControl}, 0},
+	VariantA6x2: {"A6-2 re-delegation-privilege-escalation", A6DelegationAbuse, "", nil, 0,
+		[]Move{MoveOwnerDelegateReadOnly, MoveGuestRedelegateCtl, MoveSubguestControlUser}, []Goal{GoalEscalate}, 0},
+	VariantA6x3: {"A6-3 revocation-race-window", A6DelegationAbuse, "", nil, 0,
+		[]Move{MoveOwnerDelegateFull, MoveGuestControlBegin, MoveOwnerRevokeGuest, MoveGuestControlLand}, []Goal{GoalStaleControl}, 0},
 }
 
 // row returns the variant's Table II row, the zero row when unknown.
@@ -123,13 +144,18 @@ func (v AttackVariant) row() int {
 	return int(v)
 }
 
-// AllAttackVariants lists the variants in Table II order.
+// AllAttackVariants lists the paper's nine variants in Table II order.
 func AllAttackVariants() []AttackVariant {
-	all := make([]AttackVariant, 0, len(tableII)-1)
-	for v := 1; v < len(tableII); v++ {
-		all = append(all, AttackVariant(v))
+	all := make([]AttackVariant, 0, VariantA4x3)
+	for v := VariantA1; v <= VariantA4x3; v++ {
+		all = append(all, v)
 	}
 	return all
+}
+
+// DelegationVariants lists the A6 rows in order.
+func DelegationVariants() []AttackVariant {
+	return []AttackVariant{VariantA6x1, VariantA6x2, VariantA6x3}
 }
 
 // Class returns the attack class the variant belongs to.
@@ -159,12 +185,13 @@ func (v AttackVariant) EndState() ShadowState { return tableII[v.row()].end }
 
 // LaunchState returns the targeted state a launch of the variant starts
 // from — the first of TargetStates: the steady control state, the initial
-// state before the owner's setup, or the online state inside it.
+// state before the owner's setup, or the online state inside it; 0 for an
+// A6 row.
 func (v AttackVariant) LaunchState() ShadowState {
-	if v.row() == 0 {
-		return 0
+	if targets := tableII[v.row()].targets; len(targets) > 0 {
+		return targets[0]
 	}
-	return tableII[v].targets[0]
+	return 0
 }
 
 // Moves returns the variant's forged messages as moves, in launch order.

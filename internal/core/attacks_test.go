@@ -70,8 +70,36 @@ func TestAllAttackVariantsCoverAllClasses(t *testing.T) {
 	}
 }
 
+// TestDelegationRows: the A6 rows follow the paper's nine, each of class
+// A6, with delegation moves, one goal outside AllGoals and no paper
+// columns.
+func TestDelegationRows(t *testing.T) {
+	want := map[AttackVariant]string{
+		VariantA6x1: "A6-1 evicted-guest-residual-control",
+		VariantA6x2: "A6-2 re-delegation-privilege-escalation",
+		VariantA6x3: "A6-3 revocation-race-window",
+	}
+	all := DelegationVariants()
+	if len(all) != len(want) || len(tableII) != len(AllAttackVariants())+len(all)+1 {
+		t.Fatalf("DelegationVariants() = %v, tableII %d rows", all, len(tableII)-1)
+	}
+	for _, v := range all {
+		if v.String() != want[v] || v.Class() != A6DelegationAbuse || v.LaunchState() != 0 || v.ForgedMessage() != "" {
+			t.Errorf("%d: %q, class %v, launch %v, forged %q", int(v), v.String(), v.Class(), v.LaunchState(), v.ForgedMessage())
+		}
+		for _, m := range v.Moves() {
+			if m < MoveOwnerDelegateFull {
+				t.Errorf("%v: %v is no delegation move", v, m)
+			}
+		}
+		if g := v.Goals(); len(g) != 1 || g[0] <= GoalOccupy {
+			t.Errorf("%v: goals %v, want one delegation goal", v, g)
+		}
+	}
+}
+
 func TestAttackClassDescriptions(t *testing.T) {
-	for _, c := range []AttackClass{A1DataInjectionStealing, a2BindingDoS, A3DeviceUnbinding, A4DeviceHijacking} {
+	for _, c := range []AttackClass{A1DataInjectionStealing, a2BindingDoS, A3DeviceUnbinding, A4DeviceHijacking, A6DelegationAbuse} {
 		if c.Description() == "" {
 			t.Errorf("class %v has empty description", c)
 		}

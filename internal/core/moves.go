@@ -102,6 +102,15 @@ const (
 	// GoalOccupy: the victim cannot complete a fresh setup, whatever the
 	// adversary did first (binding denial of service, A2).
 	GoalOccupy
+	// GoalResidualControl: a credential derived from the evicted guest's
+	// authority commands the device (A6-1).
+	GoalResidualControl
+	// GoalEscalate: a grantee exercises a scope its grantor lacks (A6-2).
+	GoalEscalate
+	// GoalStaleControl: a control verified before the guest's revocation
+	// lands after it (A6-3). The three delegation goals are not among the
+	// properties Check reports.
+	GoalStaleControl
 )
 
 // goals names each goal twice, indexed by goal (row 0 is the zero value).
@@ -111,9 +120,14 @@ var goals = [...]struct{ property, objective string }{
 	GoalStealData:  {"no-data-theft", "steal-user-data"},
 	GoalInjectData: {"no-data-injection", "inject-fake-data"},
 	GoalOccupy:     {"victim-can-bind", "occupy-binding"},
+
+	GoalResidualControl: {"eviction-revokes-derived-grants", "keep-control-after-eviction"},
+	GoalEscalate:        {"no-scope-escalation", "escalate-delegated-scope"},
+	GoalStaleControl:    {"revocation-stops-inflight-control", "land-control-after-revocation"},
 }
 
-// AllGoals lists the goals in declaration order.
+// AllGoals lists the binding model's goals, the five Check reports, in
+// declaration order.
 func AllGoals() []Goal {
 	return []Goal{GoalHijack, GoalDisconnect, GoalStealData, GoalInjectData, GoalOccupy}
 }

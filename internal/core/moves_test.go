@@ -49,13 +49,23 @@ func TestVocabularyNames(t *testing.T) {
 		GoalStealData:  {"no-data-theft", "steal-user-data"},
 		GoalInjectData: {"no-data-injection", "inject-fake-data"},
 		GoalOccupy:     {"victim-can-bind", "occupy-binding"},
+
+		GoalResidualControl: {"eviction-revokes-derived-grants", "keep-control-after-eviction"},
+		GoalEscalate:        {"no-scope-escalation", "escalate-delegated-scope"},
+		GoalStaleControl:    {"revocation-stops-inflight-control", "land-control-after-revocation"},
 	}
+	// AllGoals is the binding model's five; the delegation goals follow.
 	all := AllGoals()
-	if len(all) != len(goalNames) || len(goals) != len(all)+1 {
-		t.Errorf("AllGoals lists %d goals, the table %d; want %d", len(all), len(goals)-1, len(goalNames))
+	if len(all) != 5 || len(goals) != len(goalNames)+1 {
+		t.Errorf("AllGoals lists %d goals, the table %d; want 5 of %d", len(all), len(goals)-1, len(goalNames))
+	}
+	for i, g := range all {
+		if g != Goal(i+1) {
+			t.Errorf("AllGoals()[%d] is %v", i, g)
+		}
 	}
 	clear(seen)
-	for _, g := range all {
+	for g := Goal(1); int(g) < len(goals); g++ {
 		want := goalNames[g]
 		if g.String() != want[0] || g.Objective() != want[1] {
 			t.Errorf("goal %d is %q / %q, want %q / %q", int(g), g.String(), g.Objective(), want[0], want[1])

@@ -158,7 +158,7 @@ func TestDiscoverNothingAgainstSecureDesigns(t *testing.T) {
 }
 
 // TestDiscoveryAgreesWithAnalyzer cross-validates the searcher against
-// the rule-based analyzer on every vendor profile: a goal is discoverable
+// the analyzer on every vendor profile: a goal is discoverable
 // exactly when the analyzer predicts a corresponding variant succeeds.
 func TestDiscoveryAgreesWithAnalyzer(t *testing.T) {
 	for _, p := range vendors.Profiles() {

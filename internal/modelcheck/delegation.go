@@ -18,50 +18,15 @@ import (
 	"github.com/iotbind/iotbind/internal/delegation"
 )
 
-// DelegationAttack identifies one A6 attack row.
-type DelegationAttack int
-
-// The delegation attack rows.
-const (
-	// AttackResidualControl is A6-1: after the owner evicts the guest,
-	// some credential derived from the guest's authority still commands
-	// the device.
-	AttackResidualControl DelegationAttack = iota + 1
-	// AttackEscalation is A6-2: a re-delegation chain ends in a grantee
-	// exercising a scope its grantor never held.
-	AttackEscalation
-	// AttackRevocationRace is A6-3: a control that passed credential
-	// verification before a revocation lands after it.
-	AttackRevocationRace
-)
-
-// String implements fmt.Stringer.
-func (a DelegationAttack) String() string {
-	switch a {
-	case AttackResidualControl:
-		return "A6-1 evicted-guest-residual-control"
-	case AttackEscalation:
-		return "A6-2 re-delegation-privilege-escalation"
-	case AttackRevocationRace:
-		return "A6-3 revocation-race-window"
-	default:
-		return fmt.Sprintf("DelegationAttack(%d)", int(a))
-	}
-}
-
-// allDelegationAttacks lists the A6 rows in table order.
-func allDelegationAttacks() []DelegationAttack {
-	return []DelegationAttack{AttackResidualControl, AttackEscalation, AttackRevocationRace}
-}
-
 // DelegationResult is the verdict for one A6 row.
 type DelegationResult struct {
 	// Attack is the row checked.
-	Attack DelegationAttack
-	// Succeeds reports whether some reachable state realizes the attack.
+	Attack core.AttackVariant
+	// Succeeds reports whether some reachable state reaches the row's
+	// goals.
 	Succeeds bool
-	// Trace is a minimal move sequence reaching a realizing state (nil
-	// when the attack is blocked).
+	// Trace is a minimal move sequence reaching such a state (nil when
+	// the attack is blocked).
 	Trace []core.Move
 	// StatesExplored is the size of the reachable state space.
 	StatesExplored int
@@ -90,161 +55,208 @@ func (st dstate) key() uint16 {
 		bit(st.aRevoked)<<8 | bit(st.inflight)<<9 | bit(st.residual)<<10 | bit(st.escalated)<<11 | bit(st.stale)<<12
 }
 
-// dsystem is the design-specific delegation transition relation.
-type dsystem struct {
-	d core.DesignSpec
+// dsystem is the design-specific delegation transition relation: the
+// design's three delegation flags, the only fields the sub-model reads.
+type dsystem struct{ attenuate, cascade, checkAtUse bool }
+
+func newDSystem(d core.DesignSpec) *dsystem {
+	return &dsystem{d.DelegationScopeAttenuation, d.DelegationCascadeRevoke, d.DelegationCheckAtUse}
 }
 
-// authorized mirrors Lattice.Authorize for the two-hop abstraction: the
-// holder's own grant carries the scope and every link of the chain to
-// the owner exists. (Expiry is not modelled; the race window subsumes
-// the stale-credential dimension.)
-func (s *dsystem) authorizedGuest(st dstate, scope delegation.Scope) bool {
-	return st.aScope.Has(scope)
-}
-
-func (s *dsystem) authorizedSub(st dstate, scope delegation.Scope) bool {
-	return st.bScope.Has(scope) && st.aScope != 0
-}
-
-// successors returns the moves enabled in st.
+// successors returns the moves enabled in st: each delegation move core
+// numbers, from owner-delegates-guest-control to
+// subguest-controls-with-usertoken, that step does not refuse.
 func (s *dsystem) successors(st dstate) (out edges[dstate]) {
-	// Owner delegates to the guest (replacing any existing grant —
-	// replacement severs the derived subtree, exactly as the lattice
-	// does). Minting accompanies every grant.
-	grant := func(move core.Move, scope delegation.Scope) {
-		to := st
-		to.aScope = scope
-		to.aTok = true
-		to.aRevoked = false
-		// Replacement severs B's derived grant and retires its token.
-		to.bScope = 0
-		to.bTok = false
-		out.add(move, to)
-	}
-	grant(core.MoveOwnerDelegateFull, delegation.ScopeControl|delegation.ScopeRead|delegation.ScopeShare)
-	grant(core.MoveOwnerDelegateReadOnly, delegation.ScopeRead|delegation.ScopeShare)
-
-	// Guest re-delegates to the sub-guest. Requires the share scope;
-	// under attenuation the derived scopes must be a subset of the
-	// guest's own.
-	if st.aScope.Has(delegation.ScopeShare) {
-		redelegate := func(move core.Move, scope delegation.Scope) {
-			if s.d.DelegationScopeAttenuation && !st.aScope.Has(scope) {
-				return
-			}
-			to := st
-			to.bScope = scope
-			to.bTok = true
-			out.add(move, to)
-		}
-		redelegate(core.MoveGuestRedelegateCtl, delegation.ScopeControl)
-		redelegate(core.MoveGuestRedelegateRead, delegation.ScopeRead)
-	}
-
-	// Owner revokes the guest. The target's grant and token always go;
-	// the derived subtree is severed only under cascade revocation —
-	// without it, B's grant and minted token survive their parent.
-	if st.aScope != 0 {
-		to := st
-		to.aScope = 0
-		to.aTok = false
-		to.aRevoked = true
-		if s.d.DelegationCascadeRevoke {
-			to.bScope = 0
-			to.bTok = false
-		}
-		out.add(core.MoveOwnerRevokeGuest, to)
-	}
-
-	// Guest control, split at the verification boundary: the token
-	// passes issuer verification first (begin), authority is decided
-	// when the request lands (land). A revocation between the two is
-	// the race; DelegationCheckAtUse decides who wins it.
-	if st.aTok && !st.inflight {
-		to := st
-		to.inflight = true
-		out.add(core.MoveGuestControlBegin, to)
-	}
-	if st.inflight {
-		to := st
-		to.inflight = false
-		if !s.d.DelegationCheckAtUse || s.authorizedGuest(st, delegation.ScopeControl) {
-			if st.aRevoked {
-				// The race realizes A6-3; A6-1 is reserved for durable
-				// residual authority (the orphaned subtree), not the
-				// one-shot window.
-				to.stale = true
-			}
-			out.add(core.MoveGuestControlLand, to)
+	for m := core.MoveOwnerDelegateFull; m <= core.MoveSubguestControlUser; m++ {
+		if to := st; s.step(m, &to) == "" {
+			out.add(m, to)
 		}
 	}
-
-	// Sub-guest control with its minted delegation token: skips the
-	// chain walk entirely when use-time checking is off.
-	if st.bTok {
-		if !s.d.DelegationCheckAtUse || s.authorizedSub(st, delegation.ScopeControl) {
-			to := st
-			s.markSubControl(&to, st)
-			out.add(core.MoveSubguestControlToken, to)
-		}
-	}
-
-	// Sub-guest control with its own user token: always walks the
-	// lattice (the use-time flag gates only the token fast path), so it
-	// realizes pure scope escalation even under strict checking.
-	if st.bScope != 0 {
-		if s.authorizedSub(st, delegation.ScopeControl) {
-			to := st
-			s.markSubControl(&to, st)
-			out.add(core.MoveSubguestControlUser, to)
-		}
-	}
-
 	return out
 }
 
-// markSubControl records what a landed sub-guest control achieves in st.
-func (s *dsystem) markSubControl(to *dstate, st dstate) {
+// step applies the delegation move m to st in place, or leaves st as it
+// was and says why the move does not go through. Each refusal is written
+// once, at the guard that decides it, and a failed A6 row (Verdict) gives
+// it as its reason.
+func (s *dsystem) step(m core.Move, st *dstate) string {
+	switch m {
+	case core.MoveOwnerDelegateFull, core.MoveOwnerDelegateReadOnly:
+		// The owner grants the guest (replacing any existing grant, which
+		// severs the derived subtree and retires its token, exactly as the
+		// lattice does). Minting accompanies every grant.
+		st.aScope = delegation.ScopeRead | delegation.ScopeShare
+		if m == core.MoveOwnerDelegateFull {
+			st.aScope |= delegation.ScopeControl
+		}
+		st.aTok, st.aRevoked = true, false
+		st.bScope, st.bTok = 0, false
+
+	case core.MoveGuestRedelegateCtl, core.MoveGuestRedelegateRead:
+		// The guest re-delegates to the sub-guest, with a minted token.
+		scope := delegation.ScopeRead
+		if m == core.MoveGuestRedelegateCtl {
+			scope = delegation.ScopeControl
+		}
+		switch {
+		case !st.aScope.Has(delegation.ScopeShare):
+			return "the guest holds no share scope to re-delegate"
+		case s.attenuate && !st.aScope.Has(scope):
+			return "attenuation rejects any derived grant whose scopes, depth or lifetime exceed the grantor's"
+		}
+		st.bScope, st.bTok = scope, true
+
+	case core.MoveOwnerRevokeGuest:
+		// The guest's grant and token always go; the derived subtree only
+		// under cascade revocation — without it, the sub-guest's grant and
+		// minted token survive their parent.
+		if st.aScope == 0 {
+			return "the guest holds no grant to revoke"
+		}
+		st.aScope, st.aTok, st.aRevoked = 0, false, true
+		if s.cascade {
+			st.bScope, st.bTok = 0, false
+		}
+
+	case core.MoveGuestControlBegin:
+		// A guest control split at the verification boundary: the token
+		// passes issuer verification here, authority is decided when the
+		// request lands. A revocation between the two is the race.
+		if !st.aTok || st.inflight {
+			return "the guest holds no delegation token, or its control is in flight"
+		}
+		st.inflight = true
+
+	case core.MoveGuestControlLand:
+		// Only a use-time walk sees a revocation since the token was
+		// verified; inflight with no grant left means the guest was
+		// revoked.
+		switch {
+		case !st.inflight:
+			return "no guest control is in flight"
+		case s.checkAtUse && st.aScope == 0:
+			return "use-time chain verification is atomic with revocation under the shadow lock; the racer observes the post-revocation lattice"
+		case s.checkAtUse && !st.aScope.Has(delegation.ScopeControl):
+			return "the guest's grant carries no control scope"
+		}
+		st.inflight = false
+		// The race is A6-3; A6-1 is reserved for durable residual
+		// authority (the orphaned subtree), not the one-shot window.
+		st.stale = st.stale || st.aRevoked
+
+	case core.MoveSubguestControlToken:
+		// The sub-guest's minted delegation token skips the chain walk
+		// unless use-time checking is on.
+		switch {
+		case !st.bTok && st.aRevoked && s.cascade:
+			return "cascade revocation severs the evicted guest's subtree and retires its minted tokens atomically"
+		case !st.bTok:
+			return "the sub-guest holds no delegation token"
+		case s.checkAtUse:
+			if refused := chainRefused(*st); refused != "" {
+				return refused
+			}
+		}
+		markSubControl(st)
+
+	case core.MoveSubguestControlUser:
+		// The sub-guest's own user token always walks the lattice (the
+		// use-time flag gates only the token fast path), so pure scope
+		// escalation lands even under strict checking.
+		if st.bScope == 0 {
+			return "the sub-guest holds no grant"
+		}
+		if refused := chainRefused(*st); refused != "" {
+			return refused
+		}
+		markSubControl(st)
+
+	default:
+		return "no move of the delegation model"
+	}
+	return ""
+}
+
+// chainRefused mirrors Lattice.Authorize's walk for the sub-guest's
+// control: its own grant must carry the scope and the link to the owner
+// must still exist. A sub-grant left without that link is orphaned: its
+// grantor was revoked. (Expiry is not modelled; the race window subsumes
+// the stale-credential dimension.)
+func chainRefused(st dstate) string {
+	switch {
+	case st.aScope == 0:
+		return "the orphaned sub-grant survives but every use re-walks the chain, which is broken at the evicted guest"
+	case !st.bScope.Has(delegation.ScopeControl):
+		return "the sub-guest's grant carries no control scope"
+	}
+	return ""
+}
+
+// markSubControl records what a landed sub-guest control achieves.
+func markSubControl(st *dstate) {
 	if st.aRevoked {
-		to.residual = true
+		st.residual = true
 	}
 	if st.aScope != 0 && !st.aScope.Has(delegation.ScopeControl) && st.bScope.Has(delegation.ScopeControl) {
-		to.escalated = true
+		st.escalated = true
 	}
 }
 
-// realizes decides whether st realizes the attack.
-func (s *dsystem) realizes(a DelegationAttack, st dstate) bool {
-	switch a {
-	case AttackResidualControl:
-		return st.residual
-	case AttackEscalation:
-		return st.escalated
-	case AttackRevocationRace:
-		return st.stale
-	default:
-		return false
+// rowMissed says why st does not reach every goal of the A6 row v, "" when
+// it does.
+func rowMissed(v core.AttackVariant, st dstate) string {
+	for _, g := range v.Goals() {
+		reached, why := false, "no goal of the delegation model"
+		switch g {
+		case core.GoalResidualControl:
+			reached, why = st.residual, "no credential derived from the evicted guest commands the device"
+		case core.GoalEscalate:
+			reached, why = st.escalated, "no grantee exercises a scope its grantor lacks"
+		case core.GoalStaleControl:
+			reached, why = st.stale, "no control verified before a revocation lands after it"
+		}
+		if !reached {
+			return why
+		}
 	}
+	return ""
+}
+
+// verdict is Verdict for an A6 row: from the empty lattice it takes the
+// row's moves in order, each one state to one, and the row succeeds when
+// the last state reaches the row's goals.
+func (s *dsystem) verdict(v core.AttackVariant) (core.Outcome, string) {
+	var st dstate
+	for _, m := range v.Moves() {
+		if refused := s.step(m, &st); refused != "" {
+			return core.OutcomeFailed, refused
+		}
+	}
+	if why := rowMissed(v, st); why != "" {
+		return core.OutcomeFailed, why
+	}
+	return core.OutcomeSucceeded, ""
 }
 
 // CheckDelegation explores the design's delegation sub-model to a
-// fixpoint and decides every A6 row. The exploration is exhaustive and
-// the successor order is fixed, so the verdicts — and the
-// counterexample traces — are deterministic for a given design.
+// fixpoint and decides every A6 row, its goals reached in some reachable
+// state or in none. The exploration is exhaustive and the successor
+// order is fixed, so the verdicts — and the counterexample traces — are
+// deterministic for a given design.
 func CheckDelegation(design core.DesignSpec) ([]DelegationResult, error) {
 	if err := design.Validate(); err != nil {
 		return nil, fmt.Errorf("modelcheck: %w", err)
 	}
-	sys := &dsystem{d: design}
+	sys := newDSystem(design)
 	sp := space[dstate]{next: sys.successors}
 	sp.explore("delegation", dstate{})
 
-	results := make([]DelegationResult, 0, 3)
-	for _, a := range allDelegationAttacks() {
-		trace := sp.shortest(func(st dstate) bool { return sys.realizes(a, st) })
+	variants := core.DelegationVariants()
+	results := make([]DelegationResult, 0, len(variants))
+	for _, v := range variants {
+		trace := sp.shortest(func(st dstate) bool { return rowMissed(v, st) == "" })
 		results = append(results, DelegationResult{
-			Attack: a, Succeeds: trace != nil,
+			Attack: v, Succeeds: trace != nil,
 			Trace: trace, StatesExplored: sp.n,
 		})
 	}

@@ -96,6 +96,30 @@ func TestPredictMatchesParentDigest(t *testing.T) {
 	}
 }
 
+// TestPredictDelegationMatchesParentDigest pins the A6 findings — each
+// row's outcome and reason under PredictDelegation — on all eight
+// delegation settings of the ten vendors and three references to the
+// digest the parent commit's analyzer printed.
+func TestPredictDelegationMatchesParentDigest(t *testing.T) {
+	digest := sha256.New()
+	profiles := append(vendors.Profiles(), vendors.SecureReference(), vendors.RecommendedPractice(), vendors.WorstCase())
+	for _, p := range profiles {
+		for flags := 0; flags < 8; flags++ {
+			d := p.Design
+			d.DelegationScopeAttenuation = flags&1 != 0
+			d.DelegationCascadeRevoke = flags&2 != 0
+			d.DelegationCheckAtUse = flags&4 != 0
+			for _, f := range analysis.PredictDelegation(d) {
+				fmt.Fprintf(digest, "%s %03b %v %v %s\n", d.Name, flags, f.Attack, f.Outcome, f.Reason)
+			}
+		}
+	}
+	const parent = "84cfe9d1ba8f4f9a01933369ca685a2a58262d7c85dbf213f590c38f2d98c6b1"
+	if got := hex.EncodeToString(digest.Sum(nil)); got != parent {
+		t.Errorf("digest %s, the parent commit's PredictDelegation gave %s", got, parent)
+	}
+}
+
 // FuzzCheckMatchesReference holds Check and CheckDelegation to the
 // reference search on designs drawn field by field from the input.
 func FuzzCheckMatchesReference(f *testing.F) {

@@ -42,7 +42,7 @@ func TestCheckAllocations(t *testing.T) {
 		t.Errorf("%v allocations, want 38: 16 result slices and 22 traces", n)
 	}
 
-	sys, dsys := newSystem(vendors.WorstCase().Design), &dsystem{d: vendors.WorstCase().Design}
+	sys, dsys := newSystem(vendors.WorstCase().Design), newDSystem(vendors.WorstCase().Design)
 	if n := testing.AllocsPerRun(20, func() {
 		steady := space[state]{next: sys.successors}
 		steady.explore("binding", sys.initial())

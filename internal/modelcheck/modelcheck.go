@@ -133,8 +133,12 @@ func Check(design core.DesignSpec) ([]Result, error) {
 // all its goals and not its Unless. Otherwise it fails (✗), with the
 // refusal or the shortfall the model names as reason — unconfirmed (O)
 // where a step was stopped by a device message the adversary could not
-// craft. reason is "" on success. Verdict allocates nothing.
+// craft. reason is "" on success. An A6 row is the same query over the
+// delegation sub-model, from its empty lattice. Verdict allocates nothing.
 func Verdict(d core.DesignSpec, v core.AttackVariant) (outcome core.Outcome, reason string) {
+	if v.Class() == core.A6DelegationAbuse {
+		return newDSystem(d).verdict(v)
+	}
 	s := newSystem(d)
 	at := states{n: 1, list: [8]state{s.initial()}}
 	switch v.LaunchState() {

@@ -106,14 +106,21 @@ func ReferenceCheck(design core.DesignSpec) []Result {
 	return results
 }
 
-// ReferenceCheckDelegation is CheckDelegation on the reference search.
+// ReferenceCheckDelegation is CheckDelegation on the reference search,
+// each A6 row decided by the achievement flag it sets, as before the rows
+// had goals.
 func ReferenceCheckDelegation(design core.DesignSpec) []DelegationResult {
-	sys := &dsystem{d: design}
+	sys := newDSystem(design)
 	sp := refExplore(dstate{}, sys.successors)
+	flag := map[core.AttackVariant]func(dstate) bool{
+		core.VariantA6x1: func(st dstate) bool { return st.residual },
+		core.VariantA6x2: func(st dstate) bool { return st.escalated },
+		core.VariantA6x3: func(st dstate) bool { return st.stale },
+	}
 	var results []DelegationResult
-	for _, a := range allDelegationAttacks() {
-		trace := sp.shortest(func(st dstate) bool { return sys.realizes(a, st) })
-		results = append(results, DelegationResult{a, trace != nil, trace, len(sp.reachable)})
+	for _, v := range []core.AttackVariant{core.VariantA6x1, core.VariantA6x2, core.VariantA6x3} {
+		trace := sp.shortest(flag[v])
+		results = append(results, DelegationResult{v, trace != nil, trace, len(sp.reachable)})
 	}
 	return results
 }

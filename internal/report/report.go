@@ -127,18 +127,14 @@ func WriteFindings(w io.Writer, design core.DesignSpec, findings []analysis.Find
 	return tw.flush(fmt.Sprintf("Attack-surface analysis: %s", design.Name))
 }
 
-// WriteDelegation renders the A6 delegation sweep for one design: the
-// analyzer's rule-based prediction next to the exhaustive delegation
-// sub-model's verdict per attack row, with the analyzer's reason.
-func WriteDelegation(w io.Writer, design core.DesignSpec, findings []analysis.DelegationFinding, verdicts []modelcheck.DelegationResult) error {
+// WriteDelegation renders the A6 delegation sweep for one design: each
+// row the exhaustive delegation sub-model decided, next to the analyzer's
+// row query (analysis.Predict) and its reason.
+func WriteDelegation(w io.Writer, design core.DesignSpec, verdicts []modelcheck.DelegationResult) error {
 	tw := newTableWriter(w, "Attack", "Predicted", "Model", "States", "Reason")
-	for i, f := range findings {
-		model, states := "-", "-"
-		if i < len(verdicts) {
-			model = outcomeWord(verdicts[i].Succeeds)
-			states = fmt.Sprintf("%d", verdicts[i].StatesExplored)
-		}
-		tw.row(f.Attack.String(), outcomeWord(f.Outcome.Succeeded()), model, states, f.Reason)
+	for _, r := range verdicts {
+		f := analysis.Predict(design, r.Attack)
+		tw.row(r.Attack.String(), outcomeWord(f.Outcome.Succeeded()), outcomeWord(r.Succeeds), fmt.Sprintf("%d", r.StatesExplored), f.Reason)
 	}
 	return tw.flush(fmt.Sprintf("Delegation (A6) sweep: %s", design.Name))
 }

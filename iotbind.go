@@ -20,7 +20,9 @@
 //   - the design-description vocabulary for remote-binding solutions
 //     (DesignSpec, UnbindForm);
 //   - an attack-surface analyzer that predicts, from a design description
-//     alone, which attacks succeed (PredictAll, PredictDelegation);
+//     alone, which attacks succeed by asking the model each row's query
+//     (PredictAll; WriteDelegation sets the A6 rows' queries beside the
+//     delegation sub-model's exhaustive verdicts);
 //   - a full three-party emulation: vendor cloud (NewRegistry, NewCloud),
 //     device firmware agent (NewDevice), mobile-app agent (NewApp),
 //     simulated home networks (NewNetwork), and a remote attacker toolkit
