@@ -61,8 +61,10 @@ race:
 # exploration at none), the analyzer's part at one findings slice a design
 # (TestPredictAllAllocations) and its A6 part at one, each A6 row query at
 # none (TestPredictDelegationAllocations), every live Table III cell at its exact count, a
-# used testbed's Reset at its two login tokens and the ten-vendor sweep on
-# one worker (TestEvaluateVendorsAllocations) at its exact count.
+# used testbed's Reset at its two login tokens, the ten-vendor sweep on
+# one worker, its rigs taken from the pool (TestEvaluateVendorsAllocations),
+# at its exact count, and on two workers (TestTwoWorkerSweepAllocations)
+# within a bound, since which pooled rig runs which vendor is scheduling.
 alloc-pins:
 	$(GO) test -count=1 -run 'Alloc' ./internal/...
 
@@ -97,7 +99,10 @@ alloc-pins:
 # (TestResetMatchesFresh), and the parallel Table III sweep against the
 # sequential one with at least four workers, each resetting and
 # rewinding its own testbed with checkpoints it shares with no other
-# (TestEvaluateVendorsMatchesSequential).
+# (TestEvaluateVendorsMatchesSequential), and sweeps back to back on the
+# pooled rigs, in shuffled orders, subsets and with same-Name twins and
+# lattice designs under other device IDs staged between them, against
+# fresh testbeds (TestPooledSweepsMatchFresh).
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery|TestDurableMixedLaneRecovery' ./internal/cloud/
@@ -106,7 +111,7 @@ race-stress:
 	$(GO) test -race -count=10 -run='TestServedDeviceIDsAreTheRegistrys|TestPipe|TestServerGoroutines|TestEpollServerGoroutines|TestReadToken' ./internal/binapi/
 	$(GO) test -race -count=10 -run='TestCanonicalRacesLoginAndRevoke|TestDelegationRevocationRaceOneWinner|TestOwnershipTransferStorm' ./internal/cloud/
 	$(GO) test -race -count=10 -run='TestRetryClose' ./internal/retry/
-	$(GO) test -race -count=3 -run='TestResetMatchesFresh|TestEvaluateVendorsMatchesSequential' ./internal/testbed/
+	$(GO) test -race -count=3 -run='TestResetMatchesFresh|TestEvaluateVendorsMatchesSequential|TestPooledSweepsMatchFresh' ./internal/testbed/
 
 # bench compiles and smoke-runs every benchmark (100 iterations, no unit
 # tests) so perf regressions in the hot path are caught by CI, not just

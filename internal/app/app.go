@@ -12,6 +12,7 @@ package app
 import (
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"sync"
 
@@ -290,7 +291,7 @@ func (a *App) Bind(deviceID string) (protocol.BindResponse, error) {
 		Sender:    core.SenderApp,
 	})
 	if err != nil {
-		return protocol.BindResponse{}, fmt.Errorf("app %s: bind %s: %w", a.userID, deviceID, err)
+		return protocol.BindResponse{}, &bindError{a.userID, deviceID, err}
 	}
 	if resp.SessionToken != "" {
 		a.mu.Lock()
@@ -301,6 +302,35 @@ func (a *App) Bind(deviceID string) (protocol.BindResponse, error) {
 		a.mu.Unlock()
 	}
 	return resp, nil
+}
+
+// bindError is the cloud's refusal of the app's bind. It reads "app
+// <user>: bind <device>: <cloud error>" and wraps the cloud's error.
+// Formatting one with %v or %s writes those parts straight into the
+// formatter, as attacker.Refusal does, so quoting a failed setup in a
+// verdict builds no string of its own.
+type bindError struct {
+	user, device string
+	err          error
+}
+
+func (e *bindError) Error() string {
+	return "app " + e.user + ": bind " + e.device + ": " + e.err.Error()
+}
+
+// Unwrap returns the cloud's error.
+func (e *bindError) Unwrap() error { return e.err }
+
+// Format implements fmt.Formatter.
+func (e *bindError) Format(f fmt.State, verb rune) {
+	if _, width := f.Width(); width || (verb != 'v' && verb != 's') {
+		fmt.Fprintf(f, fmt.FormatString(f, verb), e.Error())
+		return
+	}
+	for _, part := range [...]string{"app ", e.user, ": bind ", e.device, ": "} {
+		_, _ = io.WriteString(f, part)
+	}
+	fmt.Fprint(f, e.err)
 }
 
 // Control sends a command to a bound device.
@@ -517,10 +547,8 @@ func (a *App) token() (string, error) {
 }
 
 func (a *App) findDevice(localName string) (localnet.Announcement, error) {
-	for _, ann := range a.network.Discover() {
-		if ann.LocalName == localName {
-			return ann, nil
-		}
+	if ann, ok := a.network.Announce(localName); ok {
+		return ann, nil
 	}
 	return localnet.Announcement{}, fmt.Errorf("app %s: %q: %w", a.userID, localName, errDeviceNotFound)
 }

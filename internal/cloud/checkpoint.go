@@ -65,28 +65,31 @@ func (s *Service) Rewind(c *Checkpoint) {
 
 // rewindShadows makes the store hold exactly saved's shadows, each a copy
 // (shadow.copyFrom) in a shadow the service held before: every shadow
-// goes to the spares, and each of saved's is copied into one taken back.
-// With as many spares as saved has shadows it allocates nothing.
+// goes to its shard's spares, and each of saved's is copied into one
+// taken back. A shard that holds no shadow is not touched: Rewind races no
+// traffic, so it stays empty. With as many spares as saved has shadows in
+// each shard it allocates nothing.
 func (s *Service) rewindShadows(saved []*shadow) {
 	for i := range s.store.shards {
 		sd := &s.store.shards[i]
+		if len(sd.shadows) == 0 {
+			continue
+		}
 		sd.mu.Lock()
 		for _, sh := range sd.shadows {
-			s.spare = append(s.spare, sh)
+			sd.spare = append(sd.spare, sh)
 		}
 		clear(sd.shadows)
 		sd.mu.Unlock()
 	}
 	for _, src := range saved {
-		var sh *shadow
-		if n := len(s.spare); n > 0 {
-			sh, s.spare = s.spare[n-1], s.spare[:n-1]
-		} else {
+		sd := s.store.shard(src.deviceID)
+		sd.mu.Lock()
+		sh := sd.takeSpare()
+		if sh == nil {
 			sh = new(shadow)
 		}
 		sh.copyFrom(src)
-		sd := s.store.shard(src.deviceID)
-		sd.mu.Lock()
 		sd.insert(src.deviceID, sh)
 		sd.mu.Unlock()
 	}

@@ -56,6 +56,12 @@ var (
 	errSessionOwner       = fmt.Errorf("cloud: device session owned by another account: %w", protocol.ErrNotPermitted)
 	errEmptyAccount       = fmt.Errorf("accounts: %w: empty user ID or password", protocol.ErrBadRequest)
 	errAccountAuth        = fmt.Errorf("accounts: %w", protocol.ErrAuthFailed)
+	// errUnbindForm is the refusal of each unbind form a design does not
+	// accept, indexed by the form.
+	errUnbindForm = [...]error{
+		core.UnbindDevIDUserToken: fmt.Errorf("cloud: unbind form %v: %w", core.UnbindDevIDUserToken, protocol.ErrUnsupported),
+		core.UnbindDevIDAlone:     fmt.Errorf("cloud: unbind form %v: %w", core.UnbindDevIDAlone, protocol.ErrUnsupported),
+	}
 )
 
 // Service is one vendor's emulated IoT cloud. All methods are safe for
@@ -83,10 +89,6 @@ type Service struct {
 	persistIdem  bool
 
 	stats statCounters
-
-	// spare holds the shadows Rewind took out of the store, for a later
-	// Rewind to reuse before it makes one.
-	spare []*shadow
 }
 
 // Option configures a Service.
@@ -577,7 +579,7 @@ func (s *Service) handleUnbind(req protocol.UnbindRequest) error {
 		form = core.UnbindDevIDAlone
 	}
 	if !s.design.SupportsUnbind(form) {
-		return fmt.Errorf("cloud: unbind form %v: %w", form, protocol.ErrUnsupported)
+		return errUnbindForm[form]
 	}
 	if !sh.state().BoundToUser() {
 		return errNotBound

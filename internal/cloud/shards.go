@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+
+	"github.com/iotbind/iotbind/internal/core"
 )
 
 // shardCount picks the store's shard count: the smallest power of two at
@@ -43,9 +45,13 @@ type shadowShard struct {
 	// lock): a nil map reads as empty, so lookups need no check, and a
 	// cloud that serves one device does not pay for 4 × GOMAXPROCS maps.
 	shadows map[string]*shadow
+	// spare holds shadows a Rewind took out of this shard, for put and a
+	// later Rewind to reuse before they make one; under mu's write lock
+	// like shadows, so the serving path takes no other lock.
+	spare []*shadow
 	// pad spaces shards across cache lines so neighbouring shard locks
 	// don't false-share under cross-core traffic.
-	_ [40]byte
+	_ [8]byte
 }
 
 func newShadowStore() shadowStore {
@@ -53,11 +59,29 @@ func newShadowStore() shadowStore {
 	return shadowStore{shards: make([]shadowShard, n), mask: uint32(n - 1)}
 }
 
-// put creates and stores the shadow for deviceID. The caller holds
-// sd.mu's write lock and has found no shadow under it.
+// put creates and stores the shadow for deviceID: a spare made new in
+// its own memory when the shard holds one. The caller holds sd.mu's write
+// lock and has found no shadow under it.
 func (sd *shadowShard) put(deviceID string) *shadow {
-	sh := newShadow(deviceID)
+	sh := sd.takeSpare()
+	if sh == nil {
+		sh = newShadow(deviceID)
+	} else {
+		sh.copyFrom(&shadow{deviceID: deviceID, machine: *core.NewMachine()})
+	}
 	sd.insert(deviceID, sh)
+	return sh
+}
+
+// takeSpare pops a spare shadow, nil when the shard has none. The caller
+// holds sd.mu's write lock.
+func (sd *shadowShard) takeSpare() *shadow {
+	n := len(sd.spare)
+	if n == 0 {
+		return nil
+	}
+	sh := sd.spare[n-1]
+	sd.spare = sd.spare[:n-1]
 	return sh
 }
 

@@ -181,6 +181,19 @@ func (n *Network) Discover() []Announcement {
 	return anns
 }
 
+// Announce asks the one device that joined under localName to announce
+// itself, as Discover asks them all; ok is false when no such device is on
+// the network or it stays silent.
+func (n *Network) Announce(localName string) (ann Announcement, ok bool) {
+	n.mu.Lock()
+	r, present := n.responders[localName]
+	n.mu.Unlock()
+	if !present {
+		return Announcement{}, false
+	}
+	return r.Announce()
+}
+
 // Provision delivers configuration to a named device on this network. On
 // a protected network, provisioning that carries Wi-Fi credentials must
 // match the network's; credential-free deliveries (e.g. a post-binding

@@ -2,6 +2,8 @@ package testbed
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -22,7 +24,7 @@ const resetAllocs = 3
 // one testbed built, each vendor's reset and setup run and captured once,
 // its 90 cells staged — seven of them from the set-up world rewound, two
 // from the reset one — and probed, and the rows.
-const sweepAllocs = 445
+const sweepAllocs = 179
 
 // cellAllocs is what one live cell allocates on a testbed that ran it
 // before — the world rewound from Stage's checkpoint, the variant staged,
@@ -32,16 +34,16 @@ const sweepAllocs = 445
 // the table to paste here, and EXPERIMENTS.md ("Layer budget — the attack
 // matrix", parts 1, 2 and 4) says where the remaining ones go.
 var cellAllocs = [][9]float64{
-	{4, 12, 4, 0, 2, 2, 2, 6, 2},  // Belkin
-	{3, 11, 1, 2, 2, 1, 2, 5, 2},  // BroadLink
-	{4, 8, 4, 4, 3, 2, 3, 6, 1},   // KONKE
-	{4, 11, 4, 2, 2, 2, 2, 5, 2},  // Lightstory
-	{3, 11, 1, 0, 2, 1, 2, 5, 2},  // Orvibo
-	{3, 10, 1, 2, 2, 1, 2, 13, 2}, // OZWI
-	{3, 5, 1, 2, 2, 1, 2, 7, 2},   // Philips Hue
-	{5, 11, 0, 2, 2, 1, 2, 5, 5},  // TP-LINK
-	{3, 5, 1, 2, 3, 1, 3, 4, 2},   // E-Link Smart
-	{5, 10, 4, 2, 2, 0, 2, 4, 2},  // D-LINK
+	{2, 4, 1, 0, 1, 1, 1, 2, 1}, // Belkin
+	{1, 3, 0, 1, 1, 0, 1, 1, 1}, // BroadLink
+	{2, 5, 1, 1, 2, 1, 2, 2, 0}, // KONKE
+	{2, 3, 1, 1, 1, 1, 1, 1, 1}, // Lightstory
+	{1, 3, 0, 0, 1, 0, 1, 1, 1}, // Orvibo
+	{1, 2, 0, 1, 1, 0, 1, 3, 1}, // OZWI
+	{1, 2, 0, 1, 1, 0, 1, 2, 1}, // Philips Hue
+	{3, 8, 0, 1, 1, 1, 1, 1, 4}, // TP-LINK
+	{1, 2, 0, 1, 2, 0, 2, 0, 1}, // E-Link Smart
+	{4, 2, 1, 1, 1, 0, 1, 0, 1}, // D-LINK
 }
 
 func TestTestbedCellAllocations(t *testing.T) {
@@ -116,6 +118,48 @@ func TestEvaluateVendorsAllocations(t *testing.T) {
 		}
 	}); n != sweepAllocs {
 		t.Errorf("EvaluateVendors on one worker: %v allocations, want %v", n, sweepAllocs)
+	}
+}
+
+// twoWorkerSweepAllocs bounds what one ten-vendor sweep on two workers
+// allocates: the one-worker sweep's count, the two workers' goroutines
+// and their WaitGroup, and slack for the pool. A bound, not an exact count,
+// because sync.Pool steals only from another P's shared list: when both
+// workers run on one P while a rig sits in the other P's private slot, the
+// second worker builds a rig, whose first sweeps allocate cold; and which
+// rig runs which vendor is scheduling. Twenty-sweep means read 179–186
+// over a hundred runs on a 2-CPU host.
+const twoWorkerSweepAllocs = sweepAllocs + 3 + 8
+
+// TestTwoWorkerSweepAllocations bounds the sweep at GOMAXPROCS 2, which
+// AllocsPerRun cannot (it forces one worker), from runtime.MemStats: the
+// mean over twenty sweeps after five that warm the pooled rigs, floored as
+// AllocsPerRun floors it. The collector is off while it counts, as a cycle
+// would empty the pool (a rig survives one in its victim cache).
+func TestTwoWorkerSweepAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	profiles := vendors.Profiles()
+	sweep := func() {
+		if _, err := EvaluateVendors(profiles); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 5 {
+		sweep()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		sweep()
+	}
+	runtime.ReadMemStats(&after)
+	if n := (after.Mallocs - before.Mallocs) / runs; n > twoWorkerSweepAllocs {
+		t.Errorf("EvaluateVendors on two workers: %v allocations, want at most %v", n, twoWorkerSweepAllocs)
 	}
 }
 

@@ -73,14 +73,19 @@ func (tb *Testbed) evaluateVendor(p vendors.Profile) (VendorResult, error) {
 // EvaluateVendors runs the full attack suite against each profile
 // concurrently and returns the rows in the input order — the parallel
 // Table III regeneration. Each worker owns one testbed, with its
-// checkpoints, and resets it for every cell it runs, so the workers share
-// no state; results are
+// checkpoints, for the sweep (rigs) and resets it for every cell it runs,
+// so the workers share no state; results are
 // identical to a sequential sweep. The first error aborts the sweep — no
 // profile is started once one has failed — and the error of the
 // lowest-index failing profile is returned, as a sequential sweep would.
 func EvaluateVendors(profiles []vendors.Profile) ([]VendorResult, error) {
 	return evaluateEach(profiles, (*Testbed).evaluateVendor, new(atomic.Bool))
 }
+
+// rigs keeps the sweep workers' testbeds from one sweep to the next, with
+// their memory and checkpoints: Stage resets or rewinds a rig for every
+// cell, so what a rig ran before changes no result.
+var rigs = sync.Pool{New: func() any { return new(Testbed) }}
 
 // evaluateEach is EvaluateVendors over any per-profile evaluation, with
 // the sweep's failure flag passed in: the abort tests count calls through
@@ -93,16 +98,17 @@ func evaluateEach(profiles []vendors.Profile, eval func(*Testbed, vendors.Profil
 	// was claimed before it and runs to its end: the lowest-index error
 	// recorded is the lowest-index error there is.
 	work := func() {
-		var tb Testbed // this worker's own
+		tb := rigs.Get().(*Testbed) // this worker's own until it is put back
 		for !failed.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= len(profiles) {
-				return
+				break
 			}
-			if out[i], errs[i] = eval(&tb, profiles[i]); errs[i] != nil {
+			if out[i], errs[i] = eval(tb, profiles[i]); errs[i] != nil {
 				failed.Store(true)
 			}
 		}
+		rigs.Put(tb)
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(profiles) {
@@ -270,7 +276,7 @@ func (tb *Testbed) evaluate(design core.DesignSpec, v core.AttackVariant, opts .
 		return res, nil
 	case rejected != nil:
 		res.Outcome = classifyForgeErr(rejected)
-		res.Detail = fmt.Sprintf("forged message rejected: %v", rejected)
+		res.Detail = tb.text(fmt.Appendf(tb.buf[:0], "forged message rejected: %v", rejected))
 		return res, nil
 	}
 	landed, err := tb.landed(v, setupErr)
@@ -280,9 +286,29 @@ func (tb *Testbed) evaluate(design core.DesignSpec, v core.AttackVariant, opts .
 	case !landed:
 		res.Outcome, res.Detail = core.OutcomeFailed, p.lost
 	case setupErr != nil:
-		res.Outcome, res.Detail = core.OutcomeSucceeded, fmt.Sprintf("%s (victim setup: %v)", p.won, setupErr)
+		res.Outcome, res.Detail = core.OutcomeSucceeded, tb.text(fmt.Appendf(append(tb.buf[:0], p.won...), " (victim setup: %v)", setupErr))
 	default:
 		res.Outcome, res.Detail = core.OutcomeSucceeded, p.won
 	}
 	return res, nil
+}
+
+// maxTexts bounds the Details a rig keeps for reuse (text); a lattice
+// sweep's refusals quote device IDs, so the set is not the vendors' few.
+const maxTexts = 256
+
+// text returns the Detail this run just formatted into b, which becomes
+// the rig's buffer: a string this rig made before with the same bytes, or
+// else a new one, kept for the next cell that formats them again.
+func (tb *Testbed) text(b []byte) string {
+	tb.buf = b
+	if s, ok := tb.texts[string(b)]; ok {
+		return s
+	}
+	if tb.texts == nil || len(tb.texts) == maxTexts {
+		tb.texts = make(map[string]string)
+	}
+	s := string(b)
+	tb.texts[s] = s
+	return s
 }

@@ -1,7 +1,11 @@
 package testbed
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -107,6 +111,80 @@ func TestEvaluateVendorsAbortsOnFirstError(t *testing.T) {
 		runtime.GOMAXPROCS(prev)
 		if err == nil || !strings.Contains(err.Error(), "vendor broken-2") {
 			t.Errorf("GOMAXPROCS %d: error %v, want broken-2's (the lowest index)", procs, err)
+		}
+	}
+}
+
+// TestPooledSweepsMatchFresh is the residue gate of the sweep's pooled
+// rigs (rigs): a sweep's workers take testbeds that earlier sweeps left
+// behind, with their checkpoints, spares and texts. Sweeps run back to
+// back — the ten vendors and TestResetMatchesFresh's same-Name twins in
+// seeded-shuffled orders, seeded subsets of them, and the twins alone —
+// and between them a lattice design is staged on the pooled rigs under
+// another device ID. Every row must equal EvaluateAll on a fresh testbed,
+// field for field, Detail included.
+func TestPooledSweepsMatchFresh(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	rng := rand.New(rand.NewSource(49))
+	devID, tokenOnly := vendors.Profiles()[0].Design, vendors.Profiles()[0].Design
+	devID.UnbindForms = []core.UnbindForm{core.UnbindDevIDAlone}
+	tokenOnly.UnbindForms = []core.UnbindForm{core.UnbindDevIDUserToken}
+	twins := []vendors.Profile{{Vendor: "twin DevId", Design: devID}, {Vendor: "twin UserToken", Design: tokenOnly}}
+	all := append(vendors.Profiles(), twins...)
+	want := make(map[string][]Result, len(all))
+	for _, p := range all {
+		r, err := EvaluateAll(p.Design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[p.Vendor] = r
+	}
+
+	var lattice []core.DesignSpec
+	seen := 0
+	core.EachDesign(func(d core.DesignSpec) bool { // reservoir sampling
+		if seen++; len(lattice) < 8 {
+			lattice = append(lattice, d)
+		} else if j := rng.Intn(seen); j < len(lattice) {
+			lattice[j] = d
+		}
+		return true
+	})
+	// stageLattice runs a lattice design on as many pooled rigs as a sweep
+	// has workers, each under a device ID of its own, against a fresh rig.
+	stageLattice := func(round int) {
+		d := lattice[round%len(lattice)]
+		held := make([]*Testbed, runtime.GOMAXPROCS(0))
+		for i := range held {
+			held[i] = rigs.Get().(*Testbed)
+			opt := WithDeviceID(fmt.Sprintf("AA:BB:CC:49:%02X:%02X", round, i))
+			got, gotErr := held[i].evaluateAll(d, opt)
+			fresh, freshErr := EvaluateAll(d, opt)
+			if fmt.Sprint(gotErr) != fmt.Sprint(freshErr) || !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("round %d, lattice design on pooled rig %d: %v %+v, fresh %v %+v", round, i, gotErr, got, freshErr, fresh)
+			}
+		}
+		for _, tb := range held {
+			rigs.Put(tb)
+		}
+	}
+
+	for round := 0; round < 4; round++ {
+		shuffled := slices.Clone(all)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		subset := slices.Clone(shuffled[:1+rng.Intn(len(shuffled))])
+		rng.Shuffle(len(subset), func(i, j int) { subset[i], subset[j] = subset[j], subset[i] })
+		for _, sweep := range [][]vendors.Profile{shuffled, twins, subset} {
+			stageLattice(round)
+			got, err := EvaluateVendors(sweep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range sweep {
+				if !reflect.DeepEqual(got[i].Results, want[p.Vendor]) {
+					t.Errorf("round %d, %s in a sweep of %d: pooled %+v, fresh %+v", round, p.Vendor, len(sweep), got[i].Results, want[p.Vendor])
+				}
+			}
 		}
 	}
 }

@@ -87,6 +87,9 @@ type killLoop struct {
 	inspect func(victim *cloud.Durable, tokens []string) error
 }
 
+// crashOp is one deterministic workload operation, addressed by index.
+type crashOp func(c transport.Cloud) error
+
 // killOutcome reports a run.
 type killOutcome struct {
 	crashes, tornTails, droppedTails int

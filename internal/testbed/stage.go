@@ -87,9 +87,9 @@ func (tb *Testbed) Forge(m core.Move) error {
 		_, err := tb.atk.ForgeStatus(tb.deviceID, protocol.StatusRegister, nil)
 		return err
 	case core.MoveForgeDataHeartbeat:
-		_, err := tb.atk.ForgeStatus(tb.deviceID, protocol.StatusHeartbeat, []protocol.Reading{
-			{Name: "power_w", Value: injectedReading},
-		})
+		// The cloud copies readings in, so the rig's own slice serves.
+		tb.injected[0] = protocol.Reading{Name: "power_w", Value: injectedReading}
+		_, err := tb.atk.ForgeStatus(tb.deviceID, protocol.StatusHeartbeat, tb.injected[:])
 		return err
 	case core.MoveForgeBind:
 		_, err := tb.atk.ForgeBind(tb.deviceID)
@@ -151,6 +151,14 @@ func (tb *Testbed) forgeAnyUnbind() error {
 	default:
 		return errStillBound
 	}
+}
+
+// window is the setup-window scenario's launch: armed, the rig's pre-bind
+// hook launches moves and records that it ran and what launch returned.
+type window struct {
+	armed, strict, ran bool
+	moves              []core.Move
+	rejected, err      error
 }
 
 // launch performs the moves in order. Strict (the harness) it stops at the
@@ -241,19 +249,13 @@ func (tb *Testbed) Stage(design core.DesignSpec, sc Scenario, moves []core.Move,
 		return true, rejected, nil, err
 
 	case ScenarioSetupWindow:
-		// The window's results live in one local the hook captures, so
-		// only this scenario pays for a closure: the attack matrix's
-		// gate leaves about 0.13 allocations a cell (DESIGN.md §3).
-		var w struct {
-			ran           bool
-			rejected, err error
-		}
-		tb.hook = func() {
-			w.ran = true
-			w.rejected, w.err = tb.launch(moves, strict)
-		}
+		// The rig's pre-bind hook runs the armed window: no closure per
+		// cell, since the attack matrix's gate leaves about 0.06
+		// allocations a cell (DESIGN.md §3).
+		tb.window = window{armed: true, moves: moves, strict: strict}
 		setupErr = tb.victim.SetupDevice(tb.dev.LocalName(), tb.actions)
-		tb.hook = nil
+		w := tb.window
+		tb.window = window{}
 		return w.ran, w.rejected, setupErr, w.err
 
 	default:

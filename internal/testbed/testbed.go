@@ -12,7 +12,9 @@ package testbed
 import (
 	"errors"
 	"fmt"
+	"io"
 	"slices"
+	"strconv"
 	"time"
 
 	"github.com/iotbind/iotbind/internal/app"
@@ -65,9 +67,21 @@ type Testbed struct {
 	seq      int
 	hook     func()
 	// now (the clock's Now) and preBind (the app's pre-bind hook, which
-	// runs hook) are made by the first Reset and handed out by every one.
+	// runs the armed window's moves, or else hook) are made by the first
+	// Reset and handed out by every one.
 	now     func() time.Time
 	preBind func()
+	// window is the setup-window scenario's launch (Stage), which preBind
+	// runs while armed.
+	window window
+
+	// Memory a cell reuses rather than allocates: the injected reading,
+	// the probes' command IDs (probeID), and the buffer a Detail is
+	// formatted into with the Details made so far (text).
+	injected [1]protocol.Reading
+	probeIDs [][2]string
+	buf      []byte
+	texts    map[string]string
 
 	// afterReset and afterSetup are Stage's checkpoints: the world right
 	// after a reset and right after the victim's setup that follows one.
@@ -230,7 +244,11 @@ func (tb *Testbed) resetTo(design core.DesignSpec, cfg config) error {
 	if tb.svc == nil { // a zero Testbed: make the world
 		tb.now = tb.clock.Now
 		tb.preBind = func() {
-			if tb.hook != nil {
+			switch w := &tb.window; {
+			case w.armed:
+				w.ran = true
+				w.rejected, w.err = tb.launch(w.moves, w.strict)
+			case tb.hook != nil:
 				tb.hook()
 			}
 		}
@@ -314,7 +332,7 @@ func (tb *Testbed) SetPreBindHook(hook func()) { tb.hook = hook }
 // shadow in the steady control state attacks launch against.
 func (tb *Testbed) SetupVictim() error {
 	if err := tb.victim.SetupDevice(tb.dev.LocalName(), tb.actions); err != nil {
-		return fmt.Errorf("testbed: victim setup: %w", err)
+		return &setupError{err}
 	}
 	// Attacks run at an arbitrary later time: any setup-time binding
 	// window has long closed.
@@ -323,6 +341,27 @@ func (tb *Testbed) SetupVictim() error {
 		return fmt.Errorf("testbed: settle heartbeat: %w", err)
 	}
 	return tb.victimInControl()
+}
+
+// setupError is the failure of SetupVictim's device setup. It reads
+// "testbed: victim setup: <err>" and wraps err; formatting one with %v or
+// %s writes into the formatter, as attacker.Refusal does, so quoting it in
+// a Detail builds no string of its own.
+type setupError struct{ err error }
+
+func (e *setupError) Error() string { return "testbed: victim setup: " + e.err.Error() }
+
+// Unwrap returns the setup's error.
+func (e *setupError) Unwrap() error { return e.err }
+
+// Format implements fmt.Formatter.
+func (e *setupError) Format(f fmt.State, verb rune) {
+	if _, width := f.Width(); width || (verb != 'v' && verb != 's') {
+		fmt.Fprintf(f, fmt.FormatString(f, verb), e.Error())
+		return
+	}
+	_, _ = io.WriteString(f, "testbed: victim setup: ")
+	fmt.Fprint(f, e.err)
 }
 
 // victimInControl checks that the victim's setup left the shadow in the
@@ -351,8 +390,7 @@ func (tb *Testbed) Shadow() (protocol.ShadowStateResponse, error) {
 // device: a uniquely identified command must round-trip to the device's
 // executed log.
 func (tb *Testbed) VictimHasControl() bool {
-	tb.seq++
-	id := fmt.Sprintf("victim-probe-%d", tb.seq)
+	id := tb.probeID(victimProbe)
 	if err := tb.victim.Control(tb.deviceID, protocol.Command{ID: id, Name: "probe"}); err != nil {
 		return false
 	}
@@ -362,12 +400,30 @@ func (tb *Testbed) VictimHasControl() bool {
 // AttackerHasControl probes whether the attacker can command the real
 // device.
 func (tb *Testbed) AttackerHasControl() bool {
-	tb.seq++
-	id := fmt.Sprintf("attacker-probe-%d", tb.seq)
+	id := tb.probeID(attackerProbe)
 	if err := tb.atk.Control(tb.deviceID, protocol.Command{ID: id, Name: "probe"}); err != nil {
 		return false
 	}
 	return tb.deviceExecuted(id)
+}
+
+// The two control probes, in probeIDs' columns.
+const (
+	victimProbe = iota
+	attackerProbe
+)
+
+// probeID advances the probe sequence and returns the command ID of the
+// who probe ("victim-probe-7", "attacker-probe-7") at it. Each ID is made
+// once, into the rig's table indexed by the sequence, which every rewind
+// of a cell puts back to the same few values.
+func (tb *Testbed) probeID(who int) string {
+	tb.seq++
+	for len(tb.probeIDs) <= tb.seq {
+		n := strconv.Itoa(len(tb.probeIDs))
+		tb.probeIDs = append(tb.probeIDs, [2]string{"victim-probe-" + n, "attacker-probe-" + n})
+	}
+	return tb.probeIDs[tb.seq][who]
 }
 
 // deviceExecuted pumps one device heartbeat (tolerating rejection — a
