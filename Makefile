@@ -51,20 +51,24 @@ race:
 # pipe round trips and the hopped layers at 0, the cold cycle at its
 # strings, the node's bare-heartbeat ack, the status fingerprint at 0,
 # the keyed status and each cold-lane step at what its shadows keep
-# (TestColdLaneAllocations), a status across the composed stack (socket,
+# (TestColdLaneAllocations), a forgery the cloud refuses at 0 below the
+# transport and at 0 through the attacker's agent, whose refusals are
+# built once (TestRefusedForgeryAllocations), a status across the composed stack (socket,
 # binapi, router, node) at 0 bare and at its five strings keyed, each
 # step of bind_churn's cycle across that stack with every held string
 # the cloud's own (TestStackColdCycleAllocations), a warm delegation
 # lattice's reset-grant-authorize-revoke cycle at 0
-# (TestLatticeCycleAllocations), a proof at its one string, the model
+# (TestLatticeCycleAllocations), a proof at its one string and each of
+# the cloud's four proof checks at none (TestProofChecksAllocateNothing), the model
 # checker's part of an attack_matrix op at its results and traces (an
 # exploration at none), the analyzer's part at one findings slice a design
 # (TestPredictAllAllocations) and its A6 part at one, each A6 row query at
 # none (TestPredictDelegationAllocations), every live Table III cell at its exact count, a
 # used testbed's Reset at its two login tokens, the ten-vendor sweep on
 # one worker, its rigs taken from the pool (TestEvaluateVendorsAllocations),
-# at its exact count, and on two workers (TestTwoWorkerSweepAllocations)
-# within a bound, since which pooled rig runs which vendor is scheduling.
+# at its exact count — fresh tokens, nonces, drained inboxes and its rows —
+# and on two workers (TestTwoWorkerSweepAllocations) within a bound that
+# follows it, since which pooled rig runs which vendor is scheduling.
 alloc-pins:
 	$(GO) test -count=1 -run 'Alloc' ./internal/...
 
@@ -102,7 +106,9 @@ alloc-pins:
 # (TestEvaluateVendorsMatchesSequential), and sweeps back to back on the
 # pooled rigs, in shuffled orders, subsets and with same-Name twins and
 # lattice designs under other device IDs staged between them, against
-# fresh testbeds (TestPooledSweepsMatchFresh).
+# fresh testbeds (TestPooledSweepsMatchFresh), and the refusals a warm
+# rig's agents hand out again against ones a fresh rig builds
+# (TestCachedRefusalsMatchFresh).
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery|TestDurableMixedLaneRecovery' ./internal/cloud/
@@ -111,7 +117,7 @@ race-stress:
 	$(GO) test -race -count=10 -run='TestServedDeviceIDsAreTheRegistrys|TestPipe|TestServerGoroutines|TestEpollServerGoroutines|TestReadToken' ./internal/binapi/
 	$(GO) test -race -count=10 -run='TestCanonicalRacesLoginAndRevoke|TestDelegationRevocationRaceOneWinner|TestOwnershipTransferStorm' ./internal/cloud/
 	$(GO) test -race -count=10 -run='TestRetryClose' ./internal/retry/
-	$(GO) test -race -count=3 -run='TestResetMatchesFresh|TestEvaluateVendorsMatchesSequential|TestPooledSweepsMatchFresh' ./internal/testbed/
+	$(GO) test -race -count=3 -run='TestResetMatchesFresh|TestEvaluateVendorsMatchesSequential|TestPooledSweepsMatchFresh|TestCachedRefusalsMatchFresh' ./internal/testbed/
 
 # bench compiles and smoke-runs every benchmark (100 iterations, no unit
 # tests) so perf regressions in the hot path are caught by CI, not just

@@ -102,12 +102,34 @@ func run(vendor, addr string, fleet int, proto string) error {
 	if err != nil {
 		return err
 	}
+	return frontEnd(proto, cloud, idleTimeout).Serve(l)
+}
+
+// idleTimeout is how long either front end keeps a connection that sends
+// nothing: past it a silent or half-open client is dropped, so a fleet of
+// them cannot hold sockets (and, on the binary pump path, goroutines)
+// forever.
+const idleTimeout = 2 * time.Minute
+
+// readTimeout bounds reading one HTTP request, its body included.
+const readTimeout = 30 * time.Second
+
+// server is what both front ends are to run: serve on a listener, close.
+type server interface {
+	Serve(net.Listener) error
+	Close() error
+}
+
+// frontEnd builds proto's front end over cloud, dropping a connection
+// that stays idle for idle.
+func frontEnd(proto string, cloud *iotbind.Cloud, idle time.Duration) server {
 	if proto == "bin" {
-		return iotbind.NewBinServer(cloud).Serve(l)
+		return iotbind.NewBinServer(cloud, iotbind.WithIdleTimeout(idle))
 	}
-	server := &http.Server{
+	return &http.Server{
 		Handler:           iotbind.NewHTTPServer(cloud),
 		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idle,
 	}
-	return server.Serve(l)
 }

@@ -2,6 +2,7 @@ package iotbind
 
 import (
 	"io"
+	"time"
 
 	"github.com/iotbind/iotbind/internal/binapi"
 	"github.com/iotbind/iotbind/internal/campaign"
@@ -141,4 +142,12 @@ type BinServer = binapi.Server
 // NewBinServer wraps a cloud for the binary front end; call Serve with
 // a listener (socket mode), Pipe for in-process connections, and Close
 // to shut down.
-func NewBinServer(c CloudTransport) *BinServer { return binapi.NewServer(c) }
+func NewBinServer(c CloudTransport, opts ...binapi.Option) *BinServer {
+	return binapi.NewServer(c, opts...)
+}
+
+// WithIdleTimeout makes a BinServer drop a socket connection that sends
+// nothing for d, so a silent or half-open client cannot hold a socket
+// (and, on the pump path, a goroutine) forever. Zero keeps connections
+// indefinitely.
+func WithIdleTimeout(d time.Duration) binapi.Option { return binapi.WithIdleTimeout(d) }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"reflect"
 	"sync"
 
 	"github.com/iotbind/iotbind/internal/core"
@@ -64,6 +65,10 @@ type App struct {
 
 	retryPolicy *retry.Policy
 	retrier     *retry.Transport
+
+	// bindErrs are the bind refusals built so far (refuseBind): a cache,
+	// not state, so Init keeps it and CopyFrom leaves it alone.
+	bindErrs map[bindError]*bindError
 }
 
 // Option configures an App.
@@ -120,6 +125,7 @@ func (a *App) Init(userID, password string, design core.DesignSpec, cloud transp
 		cloud:    cloud,
 		network:  network,
 		sessions: a.sessions,
+		bindErrs: a.bindErrs,
 	}
 	for _, o := range opts {
 		o.apply(a)
@@ -131,9 +137,10 @@ func (a *App) Init(userID, password string, design core.DesignSpec, cloud transp
 	return nil
 }
 
-// CopyFrom makes a a copy of src, field by field but the lock, the
-// session map in a's own; both keep the transport, network, hook and
-// retrier they share. Neither may be in use meanwhile.
+// CopyFrom makes a a copy of src, field by field but the lock and the
+// bind-refusal cache, the session map in a's own; both keep the
+// transport, network, hook and retrier they share. Neither may be in use
+// meanwhile.
 func (a *App) CopyFrom(src *App) {
 	a.userID, a.password, a.design = src.userID, src.password, src.design
 	a.cloud, a.network = src.cloud, src.network
@@ -291,7 +298,7 @@ func (a *App) Bind(deviceID string) (protocol.BindResponse, error) {
 		Sender:    core.SenderApp,
 	})
 	if err != nil {
-		return protocol.BindResponse{}, &bindError{a.userID, deviceID, err}
+		return protocol.BindResponse{}, a.refuseBind(deviceID, err)
 	}
 	if resp.SessionToken != "" {
 		a.mu.Lock()
@@ -331,6 +338,33 @@ func (e *bindError) Format(f fmt.State, verb rune) {
 		_, _ = io.WriteString(f, part)
 	}
 	fmt.Fprint(f, e.err)
+}
+
+// maxBindErrs bounds the bind refusals an app keeps for reuse; a full
+// cache is dropped and started again.
+const maxBindErrs = 64
+
+// refuseBind returns the refusal of this app's bind of deviceID with the
+// cloud's err: the one built before for the same user, device and error,
+// or a new one, kept for the next. A bindError is never written after it
+// is built, and only a pointer error is kept, as attacker.Refusal's cache
+// keeps them.
+func (a *App) refuseBind(deviceID string, err error) error {
+	if reflect.TypeOf(err).Kind() != reflect.Pointer {
+		return &bindError{a.userID, deviceID, err}
+	}
+	key := bindError{a.userID, deviceID, err}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if kept, ok := a.bindErrs[key]; ok {
+		return kept
+	}
+	if a.bindErrs == nil || len(a.bindErrs) == maxBindErrs {
+		a.bindErrs = make(map[bindError]*bindError)
+	}
+	kept := &bindError{a.userID, deviceID, err}
+	a.bindErrs[key] = kept
+	return kept
 }
 
 // Control sends a command to a bound device.

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"reflect"
 	"sync"
 
 	"github.com/iotbind/iotbind/internal/core"
@@ -71,6 +72,9 @@ type Attacker struct {
 	userToken string
 	sessions  map[string]string // deviceID -> session token from forged binds; nil until one returns one, kept (emptied) by Init
 	stolen    []protocol.UserData
+	// refusals are the Refusals built so far (refuse): a cache, not
+	// state, so Init keeps it and CopyFrom leaves it alone.
+	refusals map[Refusal]*Refusal
 }
 
 // New creates an attacker with their own account credentials. The cloud
@@ -98,13 +102,14 @@ func (a *Attacker) Init(userID, password string, design core.DesignSpec, cloud t
 		cloud:    cloud,
 		sessions: a.sessions,
 		stolen:   a.stolen[:0],
+		refusals: a.refusals,
 	}
 	return nil
 }
 
-// CopyFrom makes a a copy of src, field by field but the lock, the
-// session map and the loot in a's own memory; both keep the transport
-// they share. Neither may be in use meanwhile.
+// CopyFrom makes a a copy of src, field by field but the lock and the
+// refusal cache, the session map and the loot in a's own memory; both
+// keep the transport they share. Neither may be in use meanwhile.
 func (a *Attacker) CopyFrom(src *Attacker) {
 	a.userID, a.password, a.design, a.cloud = src.userID, src.password, src.design, src.cloud
 	a.userToken = src.userToken
@@ -156,7 +161,7 @@ func (a *Attacker) ForgeStatus(deviceID string, kind protocol.StatusKind, readin
 		Readings: readings,
 	})
 	if err != nil {
-		return protocol.StatusResponse{}, &Refusal{"forge status", err}
+		return protocol.StatusResponse{}, a.refuse("forge status", err)
 	}
 	if len(resp.UserData) > 0 {
 		a.mu.Lock()
@@ -198,7 +203,7 @@ func (a *Attacker) ForgeBind(deviceID string) (protocol.BindResponse, error) {
 		}
 		resp, err := a.cloud.RequestBindToken(protocol.BindTokenRequest{UserToken: tok, DeviceID: deviceID})
 		if err != nil {
-			return protocol.BindResponse{}, &Refusal{"bind token", err}
+			return protocol.BindResponse{}, a.refuse("bind token", err)
 		}
 		req.BindToken = resp.BindToken
 		req.BindProof = "forged-proof"
@@ -209,7 +214,7 @@ func (a *Attacker) ForgeBind(deviceID string) (protocol.BindResponse, error) {
 
 	resp, err := a.cloud.HandleBind(req)
 	if err != nil {
-		return protocol.BindResponse{}, &Refusal{"forge bind", err}
+		return protocol.BindResponse{}, a.refuse("forge bind", err)
 	}
 	if resp.SessionToken != "" {
 		a.mu.Lock()
@@ -237,7 +242,7 @@ func (a *Attacker) ForgeUnbind(deviceID string, form core.UnbindForm) error {
 			UserToken: tok,
 			Sender:    core.SenderApp,
 		}); err != nil {
-			return &Refusal{"forge unbind type1", err}
+			return a.refuse("forge unbind type1", err)
 		}
 		return nil
 	case core.UnbindDevIDAlone:
@@ -248,7 +253,7 @@ func (a *Attacker) ForgeUnbind(deviceID string, form core.UnbindForm) error {
 			DeviceID: deviceID,
 			Sender:   core.SenderDevice,
 		}); err != nil {
-			return &Refusal{"forge unbind type2", err}
+			return a.refuse("forge unbind type2", err)
 		}
 		return nil
 	default:
@@ -273,7 +278,7 @@ func (a *Attacker) Control(deviceID string, cmd protocol.Command) error {
 		Command:      cmd,
 	})
 	if err != nil {
-		return &Refusal{"control", err}
+		return a.refuse("control", err)
 	}
 	if !resp.Queued {
 		return errNotQueued
@@ -289,6 +294,14 @@ func (a *Attacker) StolenData() []protocol.UserData {
 	out := make([]protocol.UserData, len(a.stolen))
 	copy(out, a.stolen)
 	return out
+}
+
+// HasStolen reports whether forged device messages have captured any
+// user data, without copying the loot.
+func (a *Attacker) HasStolen() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.stolen) > 0
 }
 
 // ProbeDeviceID checks whether a candidate ID exists in the vendor's
@@ -344,6 +357,34 @@ func (a *Attacker) SweepBindDoS(gen devid.Generator, start, count uint64) (Sweep
 		return result, probeErr
 	}
 	return result, err
+}
+
+// maxRefusals bounds the Refusals an attacker keeps for reuse; a full
+// cache is dropped and started again.
+const maxRefusals = 64
+
+// refuse returns the Refusal of step with the cloud's err: the one this
+// attacker built before for the same step and error, or a new one, kept
+// for the next. A Refusal is never written after it is built, so handing
+// one out again is safe, and one of another step or error is another
+// pointer. Only a pointer error is kept (a cloud refusal is a sentinel):
+// a map key of a type that == cannot compare would panic.
+func (a *Attacker) refuse(step string, err error) error {
+	if reflect.TypeOf(err).Kind() != reflect.Pointer {
+		return &Refusal{step, err}
+	}
+	key := Refusal{step, err}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if kept, ok := a.refusals[key]; ok {
+		return kept
+	}
+	if a.refusals == nil || len(a.refusals) == maxRefusals {
+		a.refusals = make(map[Refusal]*Refusal)
+	}
+	kept := &Refusal{step, err}
+	a.refusals[key] = kept
+	return kept
 }
 
 func (a *Attacker) token() (string, error) {

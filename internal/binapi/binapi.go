@@ -200,7 +200,7 @@ func WithReadiness(r Readiness) Option {
 	return func(o *options) { o.readiness = r }
 }
 
-// withIdleTimeout makes the server drop a socket connection that
+// WithIdleTimeout makes the server drop a socket connection that
 // delivers no inbound bytes for d: a stalled or half-open client holds
 // a socket (and, on the pump path, a goroutine) forever otherwise, and
 // a fleet of them is a resource-exhaustion attack no status-path
@@ -208,7 +208,7 @@ func WithReadiness(r Readiness) Option {
 // (granularity ~d/4); the pump path uses read deadlines. Zero (the
 // default) keeps connections indefinitely. Pipe connections are never
 // swept. Server-side only; clients ignore it.
-func withIdleTimeout(d time.Duration) Option {
+func WithIdleTimeout(d time.Duration) Option {
 	return func(o *options) {
 		if d > 0 {
 			o.idleTimeout = d

@@ -127,7 +127,7 @@ func TestIdleTimeoutFailsNextCall(t *testing.T) {
 	const idle = 100 * time.Millisecond
 	for _, mode := range readinessModes() {
 		t.Run(mode.String(), func(t *testing.T) {
-			srv, addr := startSocketServer(t, echoCloud(), WithReadiness(mode), withIdleTimeout(idle))
+			srv, addr := startSocketServer(t, echoCloud(), WithReadiness(mode), WithIdleTimeout(idle))
 			c, err := Dial(addr)
 			if err != nil {
 				t.Fatal(err)

@@ -25,7 +25,7 @@ func readinessModes() []Readiness {
 // source and idle timeout, and returns its address.
 func startIdleServer(t *testing.T, mode Readiness, idle time.Duration) string {
 	t.Helper()
-	srv := NewServer(newLabService(t, 1), WithReadiness(mode), withIdleTimeout(idle))
+	srv := NewServer(newLabService(t, 1), WithReadiness(mode), WithIdleTimeout(idle))
 	t.Cleanup(func() { _ = srv.Close() })
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -59,8 +59,9 @@ func TestPrebuiltRefusals(t *testing.T) {
 // checking design refuses — bound to another user, unbind and control by
 // a non-owner — allocate nothing below the transport. The refusal is
 // built once; the fingerprint and the token lookup stay on the stack.
-// Above it, the attacker's agent adds one allocation, its Refusal, and
-// quoting that in a verdict only the verdict's own string.
+// Above it, the attacker's agent adds none either: it builds each
+// step's Refusal of one cloud error once and hands that out again, and
+// quoting it in a verdict allocates only the verdict's own string.
 func TestRefusedForgeryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -110,14 +111,14 @@ func TestRefusedForgeryAllocations(t *testing.T) {
 		want   error
 		allocs float64
 	}{
-		{"agent bind", func() error { _, err := atk.ForgeBind(testDevice); return err }, errBoundToAnother, 1},
-		{"agent unbind", func() error { return atk.ForgeUnbind(testDevice, core.UnbindDevIDUserToken) }, errUnbindByNonOwner, 1},
-		{"agent control", func() error { return atk.Control(testDevice, protocol.Command{ID: "c1", Name: "on"}) }, errControlByNonOwner, 1},
+		{"agent bind", func() error { _, err := atk.ForgeBind(testDevice); return err }, errBoundToAnother, 0},
+		{"agent unbind", func() error { return atk.ForgeUnbind(testDevice, core.UnbindDevIDUserToken) }, errUnbindByNonOwner, 0},
+		{"agent control", func() error { return atk.Control(testDevice, protocol.Command{ID: "c1", Name: "on"}) }, errControlByNonOwner, 0},
 		{"agent bind quoted", func() error {
 			_, err := atk.ForgeBind(testDevice)
 			detail = fmt.Sprintf("forged message rejected: %v", err)
 			return err
-		}, errBoundToAnother, 2},
+		}, errBoundToAnother, 1},
 	} {
 		err := c.forge()
 		var refusal *attacker.Refusal

@@ -26,10 +26,6 @@ type DeviceRecord struct {
 	FactorySecret string
 	// Model is the reported model name.
 	Model string
-
-	// pairingProof is the local-possession proof of the device's setup
-	// mode (protocol.PairingProof), derived once by Add.
-	pairingProof string
 }
 
 // Registry is the vendor's database of manufactured devices. The cloud
@@ -49,7 +45,6 @@ func (r *Registry) Add(rec DeviceRecord) error {
 	if rec.ID == "" {
 		return fmt.Errorf("registry: %w: empty device ID", protocol.ErrBadRequest)
 	}
-	rec.pairingProof = protocol.PairingProof(rec.FactorySecret, rec.ID)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, exists := r.devices[rec.ID]; exists {
@@ -70,7 +65,7 @@ func (r *Registry) appendTo(dst []DeviceRecord) []DeviceRecord {
 }
 
 // replace empties the registry in place and puts recs in it as they
-// are, their pairing proofs included.
+// are.
 func (r *Registry) replace(recs []DeviceRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

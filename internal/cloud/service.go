@@ -216,7 +216,7 @@ func (s *Service) requestDeviceToken(req protocol.DeviceTokenRequest) (protocol.
 	if !ok {
 		return protocol.DeviceTokenResponse{}, fmt.Errorf("cloud: %q: %w", req.DeviceID, protocol.ErrUnknownDevice)
 	}
-	if !protocol.VerifyProof(req.PairingProof, rec.pairingProof) {
+	if !protocol.VerifyPairingProof(req.PairingProof, rec.FactorySecret, rec.ID) {
 		return protocol.DeviceTokenResponse{}, errPairingProof
 	}
 	devTok, err := s.issuer.Issue(token.KindDevice, userTok.Subject, rec.ID, 0)
@@ -342,8 +342,7 @@ func (s *Service) statusLocked(sh *shadow, rec DeviceRecord, req protocol.Status
 			return protocol.StatusResponse{}, errReadingsOnRegister
 		}
 		if req.Kind == protocol.StatusHeartbeat {
-			want := protocol.DataProof(rec.FactorySecret, sh.sessionNonce)
-			if sh.sessionNonce == "" || !protocol.VerifyProof(req.DataProof, want) {
+			if sh.sessionNonce == "" || !protocol.VerifyDataProof(req.DataProof, rec.FactorySecret, sh.sessionNonce) {
 				return protocol.StatusResponse{}, errDataProof
 			}
 		}
@@ -773,8 +772,7 @@ func (s *Service) authenticateDevice(rec DeviceRecord, req protocol.StatusReques
 		}
 		return devTok.Owner, nil
 	case core.AuthPublicKey:
-		want := protocol.StatusSignature(rec.FactorySecret, rec.ID, req.Kind)
-		if !protocol.VerifyProof(req.Signature, want) {
+		if !protocol.VerifyStatusSignature(req.Signature, rec.FactorySecret, rec.ID, req.Kind) {
 			return "", errStatusSignature
 		}
 		return "", nil
@@ -804,8 +802,7 @@ func (s *Service) bindUser(rec DeviceRecord, req protocol.BindRequest) (string, 
 		if err != nil || bindTok.Subject != rec.ID {
 			return "", errBindToken
 		}
-		want := protocol.BindProof(rec.FactorySecret, req.BindToken)
-		if !protocol.VerifyProof(req.BindProof, want) {
+		if !protocol.VerifyBindProof(req.BindProof, rec.FactorySecret, req.BindToken) {
 			return "", errBindProof
 		}
 		// Single-use consumption is deferred to consumeBindToken: the

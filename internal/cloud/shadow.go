@@ -137,9 +137,12 @@ func newShadow(deviceID string) *shadow {
 
 // copyFrom makes s a copy of src, field by field but the lock, in memory
 // of s's own: the Figure 2 machine with its trace ring, the lattice, the
-// inboxes, the readings and the idempotency log. A nil list stays nil.
-// Neither shadow may be in use meanwhile. The recorded status replies are
-// shared: nothing writes one after it is recorded.
+// inboxes, the readings and the idempotency log. A list keeps s's array
+// even where src's is empty or nil, so a rewound inbox takes its next
+// entry without growing one; what reads a list (Snapshot, the drain)
+// treats an empty one as nil. Neither shadow may be in use meanwhile. The
+// recorded status replies are shared: nothing writes one after it is
+// recorded.
 func (s *shadow) copyFrom(src *shadow) {
 	s.deviceID, s.machine, s.lastSeen, s.boundUser = src.deviceID, src.machine, src.lastSeen, src.boundUser
 	s.deleg.CopyFrom(&src.deleg)
@@ -156,11 +159,12 @@ func (s *shadow) copyFrom(src *shadow) {
 	s.idemOrder = copyList(s.idemOrder, src.idemOrder)
 }
 
-// copyList returns src's elements in dst's memory (growing it if need
-// be), nil when src is nil.
+// copyList returns src's elements in dst's memory, growing it if need
+// be; the entries dst held past them are zeroed, so the array keeps no
+// stale strings alive.
 func copyList[T any](dst, src []T) []T {
-	if src == nil {
-		return nil
+	if len(dst) > len(src) {
+		clear(dst[len(src):])
 	}
 	if dst == nil {
 		dst = make([]T, 0, len(src))
@@ -338,10 +342,14 @@ func (s *shadow) importIdem(records []IdemRecord) error {
 }
 
 // drainForDevice hands the pending commands and user data to whatever
-// authenticated as the device.
-func (s *shadow) drainForDevice() ([]protocol.Command, []protocol.UserData) {
-	cmds, data := s.commandInbox, s.dataInbox
-	s.commandInbox = nil
-	s.dataInbox = nil
+// authenticated as the device: a non-empty inbox goes with its array, an
+// empty one is handed out as nil and keeps its array for the next entry.
+func (s *shadow) drainForDevice() (cmds []protocol.Command, data []protocol.UserData) {
+	if len(s.commandInbox) > 0 {
+		cmds, s.commandInbox = s.commandInbox, nil
+	}
+	if len(s.dataInbox) > 0 {
+		data, s.dataInbox = s.dataInbox, nil
+	}
 	return cmds, data
 }

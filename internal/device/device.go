@@ -12,6 +12,7 @@ package device
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -587,8 +588,10 @@ func (d *Device) Reset() {
 	d.bindToken = ""
 	d.pendingReadings = nil
 	d.batchQueue = nil
-	d.executed = nil
-	d.received = nil
+	// The logs are emptied keeping their arrays, as Init keeps them.
+	clear(d.executed)
+	clear(d.received)
+	d.executed, d.received = d.executed[:0], d.received[:0]
 }
 
 // Executed returns the commands the device has executed.
@@ -598,6 +601,14 @@ func (d *Device) Executed() []protocol.Command {
 	out := make([]protocol.Command, len(d.executed))
 	copy(out, d.executed)
 	return out
+}
+
+// HasExecuted reports whether the device has executed the command with
+// the given ID: a probe's question, answered without copying the log.
+func (d *Device) HasExecuted(cmdID string) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return slices.ContainsFunc(d.executed, func(c protocol.Command) bool { return c.ID == cmdID })
 }
 
 // ExecutedSince returns a copy of the commands executed at index n or

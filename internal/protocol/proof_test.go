@@ -108,3 +108,34 @@ func TestHmacHexAllocatesOnlyItsResult(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestProofChecksAllocateNothing: the cloud's side of each proof computes
+// the expected one on the stack, so a check allocates nothing, whether it
+// passes or fails.
+func TestProofChecksAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const secret, dev = "factory-secret-AA:BB:CC:00:10:01", "AA:BB:CC:00:10:01"
+	nonce := patterned(32, 0)
+	pairing, status := PairingProof(secret, dev), StatusSignature(secret, dev, StatusHeartbeat)
+	data, bind := DataProof(secret, nonce), BindProof(secret, nonce)
+	var ok bool
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"VerifyPairingProof", func() { ok = VerifyPairingProof(pairing, secret, dev) }},
+		{"VerifyStatusSignature", func() { ok = VerifyStatusSignature(status, secret, dev, StatusHeartbeat) }},
+		{"VerifyDataProof", func() { ok = VerifyDataProof(data, secret, nonce) }},
+		{"VerifyBindProof", func() { ok = VerifyBindProof(bind, secret, nonce) }},
+		{"VerifyBindProof/forged", func() { ok = !VerifyBindProof("forged-proof", secret, nonce) }},
+	} {
+		if n := testing.AllocsPerRun(200, c.f); n != 0 {
+			t.Errorf("%s: %v allocations, want 0", c.name, n)
+		}
+		if !ok {
+			t.Errorf("%s: wrong verdict", c.name)
+		}
+	}
+}

@@ -98,15 +98,35 @@ func TestProofsAreDeterministicAndDistinct(t *testing.T) {
 }
 
 func TestVerifyProof(t *testing.T) {
-	p := DataProof("s", "n")
-	if !VerifyProof(p, p) {
-		t.Error("VerifyProof rejects equal proofs")
+	const secret, dev, nonce = "s", "AA:BB", "n"
+	for _, c := range []struct {
+		name   string
+		proof  string
+		verify func(got string) bool
+	}{
+		{"pairing", PairingProof(secret, dev), func(got string) bool { return VerifyPairingProof(got, secret, dev) }},
+		{"status", StatusSignature(secret, dev, StatusHeartbeat), func(got string) bool {
+			return VerifyStatusSignature(got, secret, dev, StatusHeartbeat)
+		}},
+		{"data", DataProof(secret, nonce), func(got string) bool { return VerifyDataProof(got, secret, nonce) }},
+		{"bind", BindProof(secret, nonce), func(got string) bool { return VerifyBindProof(got, secret, nonce) }},
+	} {
+		if !c.verify(c.proof) {
+			t.Errorf("%s: the derived proof does not verify", c.name)
+		}
+		if c.verify(DataProof(secret, "m")) {
+			t.Errorf("%s: a different proof verifies", c.name)
+		}
+		if c.verify("") || c.verify(c.proof[:len(c.proof)-1]) || c.verify(c.proof+"0") {
+			t.Errorf("%s: a proof of another length verifies", c.name)
+		}
+		last := c.proof[len(c.proof)-1] ^ 1
+		if c.verify(c.proof[:len(c.proof)-1] + string(last)) {
+			t.Errorf("%s: a proof one bit off verifies", c.name)
+		}
 	}
-	if VerifyProof(p, DataProof("s", "m")) {
-		t.Error("VerifyProof accepts different proofs")
-	}
-	if VerifyProof("", p) {
-		t.Error("VerifyProof accepts empty proof")
+	if VerifyStatusSignature(StatusSignature(secret, dev, StatusRegister), secret, dev, StatusHeartbeat) {
+		t.Error("a register signature verifies as a heartbeat's")
 	}
 }
 
@@ -117,7 +137,7 @@ func TestProofForgeryResistance(t *testing.T) {
 		if secret == forged {
 			return true
 		}
-		return !VerifyProof(PairingProof(forged, devID), PairingProof(secret, devID))
+		return !VerifyPairingProof(PairingProof(forged, devID), secret, devID)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

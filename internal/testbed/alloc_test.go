@@ -13,18 +13,24 @@ import (
 
 // newAllocs is what building one testbed allocates: a sweep pays it once
 // per worker.
-const newAllocs = 22
+const newAllocs = 21
 
 // resetAllocs is what resetting a used testbed allocates: the victim's
-// and the attacker's login tokens and the registry's pairing proof.
-const resetAllocs = 3
+// and the attacker's login tokens (the registry derives no pairing proof:
+// the cloud checks one in place).
+const resetAllocs = 2
 
 // sweepAllocs is what one worker's sweep of the ten vendors allocates
 // (AllocsPerRun runs at GOMAXPROCS 1, so EvaluateVendors has one worker):
 // one testbed built, each vendor's reset and setup run and captured once,
 // its 90 cells staged — seven of them from the set-up world rewound, two
-// from the reset one — and probed, and the rows.
-const sweepAllocs = 179
+// from the reset one — and probed, and the rows. What remains is what the
+// sweep keeps: fresh tokens and session nonces, the inboxes and readings
+// a device drains or a probe returns, the two arrays every row is cut
+// from, and the sweep's own bookkeeping; refusals, rewound lists and
+// proof checks allocate nothing (EXPERIMENTS.md, "Layer budget — the
+// attack matrix", part 6).
+const sweepAllocs = 74
 
 // cellAllocs is what one live cell allocates on a testbed that ran it
 // before — the world rewound from Stage's checkpoint, the variant staged,
@@ -32,18 +38,18 @@ const sweepAllocs = 179
 // Per vendor in Table III order and per variant in Table II order. Exact
 // counts, so a regression names its cell; on a mismatch the test logs
 // the table to paste here, and EXPERIMENTS.md ("Layer budget — the attack
-// matrix", parts 1, 2 and 4) says where the remaining ones go.
+// matrix", parts 1, 2, 4 and 6) says where the remaining ones go.
 var cellAllocs = [][9]float64{
-	{2, 4, 1, 0, 1, 1, 1, 2, 1}, // Belkin
-	{1, 3, 0, 1, 1, 0, 1, 1, 1}, // BroadLink
-	{2, 5, 1, 1, 2, 1, 2, 2, 0}, // KONKE
-	{2, 3, 1, 1, 1, 1, 1, 1, 1}, // Lightstory
-	{1, 3, 0, 0, 1, 0, 1, 1, 1}, // Orvibo
-	{1, 2, 0, 1, 1, 0, 1, 3, 1}, // OZWI
-	{1, 2, 0, 1, 1, 0, 1, 2, 1}, // Philips Hue
-	{3, 8, 0, 1, 1, 1, 1, 1, 4}, // TP-LINK
-	{1, 2, 0, 1, 2, 0, 2, 0, 1}, // E-Link Smart
-	{4, 2, 1, 1, 1, 0, 1, 0, 1}, // D-LINK
+	{0, 2, 0, 0, 0, 0, 0, 2, 0}, // Belkin
+	{0, 1, 0, 0, 0, 0, 0, 1, 0}, // BroadLink
+	{0, 4, 0, 0, 1, 0, 1, 2, 0}, // KONKE
+	{0, 1, 0, 0, 0, 0, 0, 1, 0}, // Lightstory
+	{0, 1, 0, 0, 0, 0, 0, 1, 0}, // Orvibo
+	{0, 0, 0, 0, 0, 0, 0, 1, 0}, // OZWI
+	{0, 1, 0, 0, 0, 0, 0, 1, 0}, // Philips Hue
+	{0, 4, 0, 0, 0, 1, 0, 1, 2}, // TP-LINK
+	{0, 1, 0, 0, 1, 0, 1, 0, 0}, // E-Link Smart
+	{2, 0, 0, 0, 0, 0, 0, 0, 0}, // D-LINK
 }
 
 func TestTestbedCellAllocations(t *testing.T) {
@@ -127,7 +133,7 @@ func TestEvaluateVendorsAllocations(t *testing.T) {
 // because sync.Pool steals only from another P's shared list: when both
 // workers run on one P while a rig sits in the other P's private slot, the
 // second worker builds a rig, whose first sweeps allocate cold; and which
-// rig runs which vendor is scheduling. Twenty-sweep means read 179–186
+// rig runs which vendor is scheduling. Twenty-sweep means read 75–78
 // over a hundred runs on a 2-CPU host.
 const twoWorkerSweepAllocs = sweepAllocs + 3 + 8
 

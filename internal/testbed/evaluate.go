@@ -33,8 +33,16 @@ func EvaluateAll(design core.DesignSpec, opts ...Option) ([]Result, error) {
 
 // evaluateAll is EvaluateAll on this testbed.
 func (tb *Testbed) evaluateAll(design core.DesignSpec, opts ...Option) ([]Result, error) {
+	return tb.evaluateInto(nil, design, opts...)
+}
+
+// evaluateInto is evaluateAll appending the results to results, which has
+// room for every variant, or is nil for a slice of their own.
+func (tb *Testbed) evaluateInto(results []Result, design core.DesignSpec, opts ...Option) ([]Result, error) {
 	variants := core.AllAttackVariants()
-	results := make([]Result, 0, len(variants))
+	if results == nil {
+		results = make([]Result, 0, len(variants))
+	}
 	for _, v := range variants {
 		r, err := tb.evaluate(design, v, opts...)
 		if err != nil {
@@ -58,16 +66,27 @@ type VendorResult struct {
 // EvaluateVendor runs the full attack suite against a vendor profile and
 // collapses the outcomes into a Table III row.
 func EvaluateVendor(p vendors.Profile) (VendorResult, error) {
-	return new(Testbed).evaluateVendor(p)
+	return new(Testbed).evaluateVendor(p, rowRoom{})
 }
 
-// evaluateVendor is EvaluateVendor on this testbed.
-func (tb *Testbed) evaluateVendor(p vendors.Profile) (VendorResult, error) {
-	results, err := tb.evaluateAll(p.Design)
+// rowRoom is the memory one vendor's row is cut from: room for each
+// variant's Result, and cells for the row's A3 and A4 lists. The zero
+// rowRoom has none, and the row gets slices of its own.
+type rowRoom struct {
+	results []Result
+	cells   []core.AttackVariant
+}
+
+// evaluateVendor is EvaluateVendor on this testbed, its row in room.
+func (tb *Testbed) evaluateVendor(p vendors.Profile, room rowRoom) (VendorResult, error) {
+	results, err := tb.evaluateInto(room.results, p.Design)
 	if err != nil {
 		return VendorResult{}, fmt.Errorf("testbed: vendor %s: %w", p.Vendor, err)
 	}
-	return VendorResult{Profile: p, Results: results, Row: CollapseRow(results)}, nil
+	if room.cells == nil {
+		room.cells = make([]core.AttackVariant, len(results))
+	}
+	return VendorResult{Profile: p, Results: results, Row: collapseRow(results, room.cells)}, nil
 }
 
 // EvaluateVendors runs the full attack suite against each profile
@@ -90,9 +109,16 @@ var rigs = sync.Pool{New: func() any { return new(Testbed) }}
 // evaluateEach is EvaluateVendors over any per-profile evaluation, with
 // the sweep's failure flag passed in: the abort tests count calls through
 // it and hold evaluations until the flag shows a failure recorded.
-func evaluateEach(profiles []vendors.Profile, eval func(*Testbed, vendors.Profile) (VendorResult, error), failed *atomic.Bool) ([]VendorResult, error) {
+//
+// Every row is cut from two arrays the sweep makes once (rowRoom), each
+// vendor's part a slice capped at its end, so a caller appending to one
+// row's Results or A3/A4 list copies it rather than write a neighbour's.
+func evaluateEach(profiles []vendors.Profile, eval func(*Testbed, vendors.Profile, rowRoom) (VendorResult, error), failed *atomic.Bool) ([]VendorResult, error) {
 	out := make([]VendorResult, len(profiles))
 	errs := make([]error, len(profiles))
+	nv := len(core.AllAttackVariants())
+	results := make([]Result, len(profiles)*nv)
+	cells := make([]core.AttackVariant, len(profiles)*nv)
 	var next atomic.Int64
 	// Indices are claimed in order, so every profile below a failing one
 	// was claimed before it and runs to its end: the lowest-index error
@@ -104,7 +130,9 @@ func evaluateEach(profiles []vendors.Profile, eval func(*Testbed, vendors.Profil
 			if i >= len(profiles) {
 				break
 			}
-			if out[i], errs[i] = eval(tb, profiles[i]); errs[i] != nil {
+			lo, hi := i*nv, (i+1)*nv
+			room := rowRoom{results: results[lo:lo:hi], cells: cells[lo:hi:hi]}
+			if out[i], errs[i] = eval(tb, profiles[i], room); errs[i] != nil {
 				failed.Store(true)
 			}
 		}
@@ -139,6 +167,13 @@ func evaluateEach(profiles []vendors.Profile, eval func(*Testbed, vendors.Profil
 // the A1 and A2 cells carry the single variant's outcome; the A3 and A4
 // cells list the succeeded variants.
 func CollapseRow(results []Result) vendors.PaperRow {
+	return collapseRow(results, make([]core.AttackVariant, len(results)))
+}
+
+// collapseRow is CollapseRow with the A3 and A4 lists cut from cells,
+// which has room for every result: each list is a capped slice of it, nil
+// when no variant of its class succeeded.
+func collapseRow(results []Result, cells []core.AttackVariant) vendors.PaperRow {
 	var row vendors.PaperRow
 	for _, r := range results {
 		switch r.Variant {
@@ -146,19 +181,27 @@ func CollapseRow(results []Result) vendors.PaperRow {
 			row.A1 = r.Outcome
 		case core.VariantA2:
 			row.A2 = r.Outcome
-		default:
-			if !r.Outcome.Succeeded() {
-				continue
-			}
-			switch r.Variant.Class() {
-			case core.A3DeviceUnbinding:
-				row.A3 = append(row.A3, r.Variant)
-			case core.A4DeviceHijacking:
-				row.A4 = append(row.A4, r.Variant)
-			}
 		}
 	}
+	row.A3 = succeeded(results, core.A3DeviceUnbinding, cells)
+	row.A4 = succeeded(results, core.A4DeviceHijacking, cells[len(row.A3):])
 	return row
+}
+
+// succeeded lists the variants of class among results that succeeded, in
+// cells' memory, capped at its length; nil when none did.
+func succeeded(results []Result, class core.AttackClass, cells []core.AttackVariant) []core.AttackVariant {
+	n := 0
+	for _, r := range results {
+		if r.Outcome.Succeeded() && r.Variant.Class() == class {
+			cells[n] = r.Variant
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	return cells[:n:n]
 }
 
 // MatchesPaper compares a measured row with the paper's published row.

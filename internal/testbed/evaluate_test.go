@@ -75,7 +75,7 @@ func TestEvaluateVendorsAbortsOnFirstError(t *testing.T) {
 			// not depend on the scheduler.
 			var started atomic.Int64
 			var failed atomic.Bool
-			_, countedErr := evaluateEach(profiles, func(_ *Testbed, p vendors.Profile) (VendorResult, error) {
+			_, countedErr := evaluateEach(profiles, func(_ *Testbed, p vendors.Profile, _ rowRoom) (VendorResult, error) {
 				started.Add(1)
 				if p.Vendor == "broken" {
 					return EvaluateVendor(p)

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"slices"
 	"strconv"
 	"time"
@@ -82,6 +83,9 @@ type Testbed struct {
 	probeIDs [][2]string
 	buf      []byte
 	texts    map[string]string
+	// setupErrs are the setup failures built so far (setupFailed): a
+	// cache, not state, so no checkpoint holds it.
+	setupErrs map[setupError]*setupError
 
 	// afterReset and afterSetup are Stage's checkpoints: the world right
 	// after a reset and right after the victim's setup that follows one.
@@ -332,7 +336,7 @@ func (tb *Testbed) SetPreBindHook(hook func()) { tb.hook = hook }
 // shadow in the steady control state attacks launch against.
 func (tb *Testbed) SetupVictim() error {
 	if err := tb.victim.SetupDevice(tb.dev.LocalName(), tb.actions); err != nil {
-		return &setupError{err}
+		return tb.setupFailed(err)
 	}
 	// Attacks run at an arbitrary later time: any setup-time binding
 	// window has long closed.
@@ -362,6 +366,25 @@ func (e *setupError) Format(f fmt.State, verb rune) {
 	}
 	_, _ = io.WriteString(f, "testbed: victim setup: ")
 	fmt.Fprint(f, e.err)
+}
+
+// setupFailed returns the setupError wrapping err: the one this rig built
+// before for the same error, or a new one, kept for the next (bounded by
+// maxTexts, as the Details are). Only a pointer error is kept, as
+// attacker.Refusal's cache keeps them.
+func (tb *Testbed) setupFailed(err error) error {
+	if reflect.TypeOf(err).Kind() != reflect.Pointer {
+		return &setupError{err}
+	}
+	if kept, ok := tb.setupErrs[setupError{err}]; ok {
+		return kept
+	}
+	if tb.setupErrs == nil || len(tb.setupErrs) == maxTexts {
+		tb.setupErrs = make(map[setupError]*setupError)
+	}
+	kept := &setupError{err}
+	tb.setupErrs[setupError{err}] = kept
+	return kept
 }
 
 // victimInControl checks that the victim's setup left the shadow in the
@@ -430,12 +453,7 @@ func (tb *Testbed) probeID(who int) string {
 // cut-off device simply fetches nothing) and checks the executed log.
 func (tb *Testbed) deviceExecuted(cmdID string) bool {
 	_ = tb.dev.Heartbeat()
-	for _, c := range tb.dev.Executed() {
-		if c.ID == cmdID {
-			return true
-		}
-	}
-	return false
+	return tb.dev.HasExecuted(cmdID)
 }
 
 // VictimBound reports whether the victim still owns the binding — a
@@ -459,7 +477,7 @@ func (tb *Testbed) VictimBound() (bool, error) {
 func (tb *Testbed) Reached(goal core.Goal, setupErr error) (bool, error) {
 	switch goal {
 	case core.GoalStealData:
-		return len(tb.atk.StolenData()) > 0, nil
+		return tb.atk.HasStolen(), nil
 	case core.GoalDisconnect:
 		bound, err := tb.VictimBound()
 		return !bound, err
