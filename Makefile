@@ -54,7 +54,8 @@ race:
 # (TestColdLaneAllocations), a forgery the cloud refuses at 0 below the
 # transport and at 0 through the attacker's agent, whose refusals are
 # built once (TestRefusedForgeryAllocations), a status across the composed stack (socket,
-# binapi, router, node) at 0 bare and at its five strings keyed, each
+# binapi, router, node) at 0 bare and at its two strings keyed (the
+# front end's idempotency key, the replica's source address), each
 # step of bind_churn's cycle across that stack with every held string
 # the cloud's own (TestStackColdCycleAllocations), a warm delegation
 # lattice's reset-grant-authorize-revoke cycle at 0
@@ -68,9 +69,14 @@ race:
 # one worker, its rigs taken from the pool (TestEvaluateVendorsAllocations),
 # at its exact count — fresh tokens, nonces, drained inboxes and its rows —
 # and on two workers (TestTwoWorkerSweepAllocations) within a bound that
-# follows it, since which pooled rig runs which vendor is scheduling.
+# follows it, since which pooled rig runs which vendor is scheduling; a
+# keyed status at a full readings window at 0
+# (TestFullWindowStatusMovesAndAllocatesNothing);
+# and the footprint pins, which skip under -race too: the bytes a
+# registered, bound and warm device costs one store (TestDeviceFootprint)
+# and a primary with its replica (TestPairFootprint), each within a bound.
 alloc-pins:
-	$(GO) test -count=1 -run 'Alloc' ./internal/...
+	$(GO) test -count=1 -run 'Alloc|Footprint' ./internal/...
 
 # race-stress hammers the WAL group-commit queue, the sharded durable
 # hot path (alone, and against cold-lane enqueues), the cluster's shipper and binapi's epoll pollers under the
@@ -88,8 +94,9 @@ alloc-pins:
 # callers sharing one socket client's read token, pipelined and parked
 # in the read beside Client.Close; and, ten times, the canonicaliser
 # reading the token issuer and the account store while other goroutines
-# sign up, log in and revoke (TestCanonicalRacesLoginAndRevoke), a
-# delegated control racing its revocation
+# sign up, log in and revoke (TestCanonicalRacesLoginAndRevoke), the
+# service's reading-name table filled by several goroutines at once
+# (TestCanonicalReadingNames), a delegated control racing its revocation
 # (TestDelegationRevocationRaceOneWinner), and one device changing hands
 # again and again while delegations, re-delegations, cascading revokes,
 # share flips and delegated controls run on it, each using the lattice's
@@ -115,7 +122,7 @@ race-stress:
 	$(GO) test -race -count=3 -run='TestShipper|TestNode' ./internal/cluster/
 	$(GO) test -race -count=3 -run='TestReadinessEquivalence|TestEpoll|TestShortWrite|TestIdleTimeout|TestBackpressure|TestOverCap' ./internal/binapi/
 	$(GO) test -race -count=10 -run='TestServedDeviceIDsAreTheRegistrys|TestPipe|TestServerGoroutines|TestEpollServerGoroutines|TestReadToken' ./internal/binapi/
-	$(GO) test -race -count=10 -run='TestCanonicalRacesLoginAndRevoke|TestDelegationRevocationRaceOneWinner|TestOwnershipTransferStorm' ./internal/cloud/
+	$(GO) test -race -count=10 -run='TestCanonicalRacesLoginAndRevoke|TestCanonicalReadingNames|TestDelegationRevocationRaceOneWinner|TestOwnershipTransferStorm' ./internal/cloud/
 	$(GO) test -race -count=10 -run='TestRetryClose' ./internal/retry/
 	$(GO) test -race -count=3 -run='TestResetMatchesFresh|TestEvaluateVendorsMatchesSequential|TestPooledSweepsMatchFresh|TestCachedRefusalsMatchFresh' ./internal/testbed/
 

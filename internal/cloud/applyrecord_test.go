@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -398,5 +399,74 @@ func TestRecordIDsCanonicalOnlyOnExactMatch(t *testing.T) {
 	wirecodec.PutStr(&b, applyDevice)
 	if n := testing.AllocsPerRun(100, func() { d.cur.Reset(b.Bytes()); _ = d.cur.ID() }); n != 0 {
 		t.Errorf("reading a registered ID allocates %.0f times, want 0", n)
+	}
+}
+
+// TestReplayedKeysOutliveTheirRecord: a replica's apply borrows each
+// idempotency key from the record it decodes, so the shadow must copy
+// what it keeps. A keyed bind and a keyed status with a reading are
+// applied from buffers overwritten right after each apply; the replica
+// still equals the primary, snapshot for snapshot (its idempotency log
+// included), and still replays both requests from their records.
+func TestReplayedKeysOutliveTheirRecord(t *testing.T) {
+	dir, clock := t.TempDir(), newTestClock()
+	reg := applyRegistry(t)
+	primary := openApplyDurable(t, dir, devIDDesign(), reg, clock, false)
+	var recs []loggedRecord
+	primary.SetAppendObserver(func(_ int, lsn uint64, payload []byte) {
+		recs = append(recs, loggedRecord{lsn, append([]byte(nil), payload...)})
+	})
+	if err := primary.RegisterUser(protocol.RegisterUserRequest{UserID: "owner@x", Password: "pw"}); err != nil {
+		t.Fatal(err)
+	}
+	login, err := primary.Login(protocol.LoginRequest{UserID: "owner@x", Password: "pw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: applyDevice, SourceIP: "203.0.113.7"}); err != nil {
+		t.Fatal(err)
+	}
+	bind := protocol.BindRequest{DeviceID: applyDevice, UserToken: login.UserToken, Sender: core.SenderApp,
+		IdempotencyKey: "k-bind-borrowed", SourceIP: "203.0.113.7"}
+	bound, err := primary.HandleBind(bind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: applyDevice, IdempotencyKey: "k-status-borrowed",
+		Readings: []protocol.Reading{{Name: "power_w", Value: 4.5, At: clock.Now()}}}
+	beat, err := primary.HandleStatus(status)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	replicaDir := t.TempDir()
+	meta, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(replicaDir, "meta.json"), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	replica := openApplyDurable(t, replicaDir, devIDDesign(), reg, clock, true)
+	for _, rec := range recs {
+		buf := append([]byte(nil), rec.payload...)
+		if err := replica.applyRecord(rec.lsn, buf); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xee
+		}
+	}
+	if got, want := snapshotBytes(t, replica), snapshotBytes(t, primary); !bytes.Equal(got, want) {
+		t.Fatalf("the replica's snapshot differs once its records are overwritten:\nreplica:\n%s\nprimary:\n%s", got, want)
+	}
+	if resp, err := replica.svc.HandleBind(bind); err != nil || resp != bound {
+		t.Errorf("replica bind replay = %+v, %v; want %+v", resp, err, bound)
+	}
+	if resp, err := replica.svc.HandleStatus(status); err != nil || !reflect.DeepEqual(resp, beat) {
+		t.Errorf("replica status replay = %+v, %v; want %+v", resp, err, beat)
+	}
+	if st := replica.svc.Stats(); st.BindsDeduplicated != 1 || st.StatusDeduplicated != 1 {
+		t.Errorf("replica deduplicated %d binds and %d statuses, want 1 and 1", st.BindsDeduplicated, st.StatusDeduplicated)
 	}
 }

@@ -140,8 +140,11 @@ type Durable struct {
 
 	// cur is the cursor record applies decode with: they run one at a
 	// time (recovery, or ShipRecord under mu), and a fresh *Cursor handed
-	// to a row's func values would escape. It reads device IDs through
-	// the registry (set once at open), so a known device costs no ID.
+	// to a row's func values would escape. It reads held strings through
+	// the service (set once at open), so a known device costs no ID, and
+	// borrows each idempotency key from the payload: the apply returns
+	// before the payload changes, and the shadow's log copies what it
+	// keeps.
 	cur wirecodec.Cursor
 }
 
@@ -330,6 +333,7 @@ func OpenDurable(dir string, design core.DesignSpec, registry *Registry, opts Du
 	}
 	d.svc = svc
 	d.cur.SetCanonical(svc.Canonical)
+	d.cur.BorrowKeys()
 
 	if snapLSN > 0 {
 		if err := svc.Restore(snap); err != nil {

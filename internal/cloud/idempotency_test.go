@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/protocol"
@@ -143,32 +142,148 @@ func TestUnbindIdempotencyReplay(t *testing.T) {
 	}
 }
 
-// TestIdempotencyLogEviction proves the per-shadow log is bounded: the
-// oldest record is evicted FIFO past the cap, and the map and order slice
-// stay consistent.
+// TestIdempotencyLogEviction proves the per-shadow log is a bounded FIFO
+// ring: past the cap the newest maxIdemResults records survive, oldest
+// first, each replaying under its own key; re-recording a logged key
+// changes its record in place, neither duplicating nor reordering it;
+// an empty key is never recorded.
 func TestIdempotencyLogEviction(t *testing.T) {
 	sh := &shadow{}
-	for i := 0; i < maxIdemResults+10; i++ {
-		sh.recordIdem(fmt.Sprintf("k%d", i), idemResult{op: idemBind})
+	const extra = 10
+	for i := 0; i < maxIdemResults+extra; i++ {
+		sh.recordIdem(fmt.Sprintf("k%d", i), idemResult{op: idemBind, fingerprint: [32]byte{byte(i)}})
 	}
-	if len(sh.idemResults) != maxIdemResults || len(sh.idemOrder) != maxIdemResults {
-		t.Fatalf("log size = %d/%d entries, want %d", len(sh.idemResults), len(sh.idemOrder), maxIdemResults)
+	order := func() []string {
+		var keys []string
+		for _, rec := range sh.exportIdem() {
+			keys = append(keys, rec.Key)
+		}
+		return keys
 	}
-	if _, ok, _ := sh.replayIdem("k0", idemBind, [32]byte{}); ok {
-		t.Error("oldest record survived past the cap")
+	var want []string
+	for i := extra; i < maxIdemResults+extra; i++ {
+		want = append(want, fmt.Sprintf("k%d", i))
 	}
-	if _, ok, _ := sh.replayIdem(fmt.Sprintf("k%d", maxIdemResults+9), idemBind, [32]byte{}); !ok {
-		t.Error("newest record missing")
+	if got := order(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("log holds %d records %v..., want k%d..k%d oldest first", len(got), got[:min(3, len(got))], extra, maxIdemResults+extra-1)
 	}
-	// Re-recording an existing key must not duplicate it in the order.
-	sh.recordIdem(fmt.Sprintf("k%d", maxIdemResults+9), idemResult{op: idemBind})
-	if len(sh.idemOrder) != maxIdemResults {
-		t.Errorf("order grew to %d on re-record", len(sh.idemOrder))
+	for i := 0; i < maxIdemResults+extra; i++ {
+		_, ok, _ := sh.replayIdem(fmt.Sprintf("k%d", i), idemBind, [32]byte{byte(i)})
+		if ok != (i >= extra) {
+			t.Errorf("k%d replays %t, want %t", i, ok, i >= extra)
+		}
+	}
+	// Re-recording a logged key changes its record in place.
+	sh.recordIdem("k20", idemResult{op: idemUnbind})
+	if got := order(); !reflect.DeepEqual(got, want) {
+		t.Errorf("re-record reordered or duplicated the log: %d records", len(got))
+	}
+	if _, ok, _ := sh.replayIdem("k20", idemUnbind, [32]byte{}); !ok {
+		t.Error("re-recorded key does not replay its new record")
 	}
 	// Empty keys are never recorded.
 	sh.recordIdem("", idemResult{op: idemBind})
-	if _, ok, _ := sh.replayIdem("", idemBind, [32]byte{}); ok {
+	if _, ok, _ := sh.replayIdem("", idemBind, [32]byte{}); ok || len(order()) != maxIdemResults {
 		t.Error("empty key recorded")
+	}
+}
+
+// collidingKeys returns two distinct keys with one keyHash, found by a
+// birthday search.
+func collidingKeys(t *testing.T) (string, string) {
+	t.Helper()
+	seen := map[uint32]string{}
+	x := uint64(7)
+	for i := 0; i < 1<<20; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		key := fmt.Sprintf("c%016x", x)
+		if prev, ok := seen[keyHash(key)]; ok {
+			return prev, key
+		}
+		seen[keyHash(key)] = key
+	}
+	t.Fatal("no keyHash collision among 2^20 keys")
+	return "", ""
+}
+
+// TestIdemLogMatchesReference holds the ring to the map and FIFO order
+// slice it replaced over a seeded stream of records: keys drawn from a
+// pool twice the cap, so records are evicted, re-recorded and recorded
+// again, with two keys of one hash among them. After every record the recorded key replays, and every few the
+// whole pool answers as the reference does, in the reference's FIFO
+// order — from the log and from a copy of it made over a larger or a
+// smaller log. A key whose hash alone matches a record never replays it.
+func TestIdemLogMatchesReference(t *testing.T) {
+	a, b := collidingKeys(t)
+	pool := []string{a, b}
+	for i := len(pool); i < 2*maxIdemResults; i++ {
+		pool = append(pool, fmt.Sprintf("key-%d", i))
+	}
+	var (
+		sh, spare shadow
+		ref       = map[string]idemResult{}
+		order     []string
+		rng       = uint64(1)
+	)
+	// check holds sh, and spare made a copy of it over whatever log spare
+	// held before, to the reference.
+	check := func(step int) {
+		t.Helper()
+		spare.copyFrom(&sh)
+		for _, s := range []*shadow{&sh, &spare} {
+			for _, key := range pool {
+				want, logged := ref[key]
+				i := s.idem.find(key)
+				if (i >= 0) != logged || logged && s.idem.ents.buf[i].idemResult != want {
+					t.Fatalf("step %d: %q found at %d, reference logged %t", step, key, i, logged)
+				}
+			}
+			var got []string
+			for _, rec := range s.exportIdem() {
+				got = append(got, rec.Key)
+			}
+			if !reflect.DeepEqual(got, order) && len(got)+len(order) > 0 {
+				t.Fatalf("step %d: log order differs from the reference's", step)
+			}
+		}
+	}
+	for step := 0; step < 20000; step++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		key := pool[rng>>33%uint64(len(pool))]
+		if step%7 == 0 {
+			key = pool[step/7%2] // the colliding pair, often
+		}
+		r := idemResult{op: idemBind, fingerprint: [32]byte{byte(step), byte(step >> 8)}}
+		sh.recordIdem(key, r)
+		if _, exists := ref[key]; !exists {
+			order = append(order, key)
+			if len(order) > maxIdemResults {
+				delete(ref, order[0])
+				order = order[1:]
+			}
+		}
+		ref[key] = r
+		if got, ok, _ := sh.replayIdem(key, idemBind, r.fingerprint); !ok || got != r {
+			t.Fatalf("step %d: %q does not replay the record just made", step, key)
+		}
+		if step%97 == 0 || step < 16 {
+			check(step)
+		}
+	}
+	check(-1)
+	// A copy of a small log over a full one.
+	sh, ref, order = shadow{}, map[string]idemResult{}, nil
+	for _, key := range pool[:3] {
+		sh.recordIdem(key, idemResult{op: idemUnbind})
+		ref[key], order = idemResult{op: idemUnbind}, append(order, key)
+	}
+	check(-2)
+
+	// A record under a alone: b shares its hash, never its record.
+	var fresh shadow
+	fresh.recordIdem(a, idemResult{op: idemBind})
+	if _, ok, conflict := fresh.replayIdem(b, idemBind, [32]byte{}); ok || conflict {
+		t.Errorf("%q replays (%t) or conflicts (%t) with %q's record: a hash match is not a key match", b, ok, conflict, a)
 	}
 }
 
@@ -316,16 +431,6 @@ func TestRejectedBindLeavesCapabilityTokenValid(t *testing.T) {
 	fresh.IdempotencyKey = "btn-2"
 	if _, err := svc.HandleBind(fresh); !errors.Is(err, protocol.ErrAuthFailed) {
 		t.Errorf("token reuse after acceptance = %v, want ErrAuthFailed", err)
-	}
-}
-
-// TestIdemResultFitsMapSlot: a map stores a value of at most 128 bytes
-// in its slot (abi.SwissMapMaxElemBytes) and moves a larger one to the
-// heap, one allocation per recorded request on the primary and again on
-// every replica.
-func TestIdemResultFitsMapSlot(t *testing.T) {
-	if size := unsafe.Sizeof(idemResult{}); size > 128 {
-		t.Fatalf("idemResult is %d bytes: past 128 every recordIdem heap-allocates its map slot; keep large responses behind pointers", size)
 	}
 }
 
@@ -496,7 +601,7 @@ func TestStatusReplayMatchesFirstDelivery(t *testing.T) {
 			}
 			sh, _ := svc.store.peek(testDevice)
 			sh.mu.Lock()
-			kept := sh.idemResults[tc.req.IdempotencyKey].status
+			kept := sh.idem.ents.buf[sh.idem.find(tc.req.IdempotencyKey)].status
 			sh.mu.Unlock()
 			if shared := kept == &replyBound || kept == &replyUnbound; shared != (tc.shared != nil) || (shared && kept != tc.shared) {
 				t.Errorf("recorded reply %p %#v: shared = %v, want the shared %v reply", kept, *kept, shared, tc.shared != nil)

@@ -80,6 +80,7 @@ type Service struct {
 	accounts accountStore
 	issuer   *token.Issuer
 	store    shadowStore
+	names    readingNames
 
 	now       func() time.Time
 	randomHex func() (string, error)
@@ -182,6 +183,8 @@ func (s *Service) Canonical(kind protocol.Held, raw []byte) string {
 		return s.issuer.Canonical(raw)
 	case protocol.HeldAccount:
 		return s.accounts.canonical(raw)
+	case protocol.HeldReading:
+		return s.names.lookup(raw)
 	}
 	return s.registry.canonicalID(raw)
 }
@@ -377,7 +380,7 @@ func (s *Service) statusLocked(sh *shadow, rec DeviceRecord, req protocol.Status
 	}
 
 	if len(req.Readings) > 0 {
-		sh.readings = keepLast(append(sh.readings, req.Readings...), readingsRetention)
+		sh.readings.add(req.Readings, &s.names)
 	}
 
 	resp.Bound = sh.state().BoundToUser()
@@ -678,8 +681,10 @@ func (s *Service) Readings(req protocol.ReadingsRequest) (protocol.ReadingsRespo
 		(sh.boundUser != user && !s.delegatedAuthority(sh, user, viaDelegation, delegation.ScopeRead, now)) {
 		return protocol.ReadingsResponse{}, errNotPermitted
 	}
-	out := make([]protocol.Reading, len(sh.readings))
-	copy(out, sh.readings)
+	out := sh.readings.list()
+	if out == nil {
+		out = []protocol.Reading{}
+	}
 	return protocol.ReadingsResponse{Readings: out}, nil
 }
 

@@ -3,7 +3,6 @@ package cloud
 import (
 	"encoding/hex"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -71,10 +70,11 @@ type shadow struct {
 	// as the device receives it: the data-stealing half of A1.
 	dataInbox []protocol.UserData
 
-	// readings holds sensor samples the cloud accepted from "the device".
-	readings []protocol.Reading
+	// readings holds the sensor samples the cloud accepted from "the
+	// device", the newest readingsRetention of them.
+	readings readingRing
 
-	// idemResults replays the outcome of accepted Bind/Unbind and keyed
+	// idem replays the outcome of accepted Bind/Unbind and keyed
 	// Status requests to retried deliveries carrying the same idempotency
 	// key, making the agents' at-least-once retry layer exactly-once for
 	// binding mutations and for status side effects (command drains,
@@ -82,9 +82,8 @@ type shadow struct {
 	// nothing, so redelivering it re-evaluates honestly. The log is
 	// transport-recovery state, not binding state — it survives unbind
 	// (the unbind's own replay record must outlive the revocation) and is
-	// bounded by maxIdemResults with FIFO eviction (idemOrder).
-	idemResults map[string]idemResult
-	idemOrder   []string
+	// bounded by maxIdemResults with FIFO eviction.
+	idem idemLog
 }
 
 // maxIdemResults bounds the per-shadow idempotency log. A retry layer
@@ -108,9 +107,8 @@ const (
 // the operation, and fingerprint pins the record to the exact request that
 // produced it: a key alone is not a credential, so replay requires
 // presenting the same credential-bearing fields the recorded delivery
-// carried. The status reply sits behind a pointer so the record stays
-// within the 128 bytes a map stores in its slot: a larger value gets a
-// heap allocation per insert (TestIdemResultFitsMapSlot).
+// carried. The status reply sits behind a pointer: most are one of the
+// two shared bound-only replies.
 type idemResult struct {
 	op          idemOp
 	fingerprint [32]byte
@@ -128,7 +126,8 @@ const maxInbox = 256
 // for the next owner's commands; a larger one is dropped.
 const keptInbox = 8
 
-// keepLast trims q in place to its newest n entries.
+// keepLast trims an inbox in place to its newest n entries. (A ring
+// would not fit: a drain hands the inbox's array to the reply.)
 func keepLast[T any](q []T, n int) []T { return slices.Delete(q, 0, max(0, len(q)-n)) }
 
 func newShadow(deviceID string) *shadow {
@@ -150,13 +149,8 @@ func (s *shadow) copyFrom(src *shadow) {
 	s.buttonUntil, s.deviceIP = src.buttonUntil, src.deviceIP
 	s.commandInbox = copyList(s.commandInbox, src.commandInbox)
 	s.dataInbox = copyList(s.dataInbox, src.dataInbox)
-	s.readings = copyList(s.readings, src.readings)
-	clear(s.idemResults)
-	if s.idemResults == nil && len(src.idemResults) > 0 {
-		s.idemResults = make(map[string]idemResult, len(src.idemResults))
-	}
-	maps.Copy(s.idemResults, src.idemResults)
-	s.idemOrder = copyList(s.idemOrder, src.idemOrder)
+	s.readings.copyFrom(&src.readings.ring)
+	s.idem.copyFrom(&src.idem)
 }
 
 // copyList returns src's elements in dst's memory, growing it if need
@@ -217,7 +211,7 @@ func (s *shadow) unbind() {
 		s.commandInbox = nil
 	}
 	s.dataInbox = nil
-	s.readings = nil
+	s.readings = readingRing{}
 	if s.state().BoundToUser() {
 		s.apply(core.EventUnbind)
 	}
@@ -233,23 +227,12 @@ func (s *shadow) apply(e core.Event) {
 	}
 }
 
-// recordIdem stores an accepted Bind/Unbind outcome under its idempotency
-// key, evicting the oldest record past the cap.
+// recordIdem stores an accepted outcome under its idempotency key, a
+// copy of which the log keeps, evicting the oldest record past the cap.
 func (s *shadow) recordIdem(key string, r idemResult) {
-	if key == "" {
-		return
+	if key != "" {
+		s.idem.record(key, r)
 	}
-	if s.idemResults == nil {
-		s.idemResults = make(map[string]idemResult)
-	}
-	if _, exists := s.idemResults[key]; !exists {
-		s.idemOrder = append(s.idemOrder, key)
-		if len(s.idemOrder) > maxIdemResults {
-			delete(s.idemResults, s.idemOrder[0])
-			s.idemOrder = s.idemOrder[1:]
-		}
-	}
-	s.idemResults[key] = r
 }
 
 // replayIdem returns the recorded outcome for a key, matched against the
@@ -263,30 +246,29 @@ func (s *shadow) replayIdem(key string, op idemOp, fp [32]byte) (r idemResult, o
 	if key == "" {
 		return idemResult{}, false, false
 	}
-	rec, found := s.idemResults[key]
-	if !found || rec.op != op {
+	i := s.idem.find(key)
+	if i < 0 || s.idem.ents.buf[i].op != op {
 		return idemResult{}, false, false
 	}
-	if rec.fingerprint != fp {
-		return idemResult{}, false, true
+	if rec := s.idem.ents.buf[i].idemResult; rec.fingerprint == fp {
+		return rec, true, false
 	}
-	return rec, true, false
+	return idemResult{}, false, true
 }
 
 // exportIdem copies the idempotency log in FIFO order for persistence
 // (WithPersistentIdempotency snapshots). The caller holds s.mu.
 func (s *shadow) exportIdem() []IdemRecord {
-	if len(s.idemOrder) == 0 {
+	if len(s.idem.ents.buf) == 0 {
 		return nil
 	}
-	out := make([]IdemRecord, 0, len(s.idemOrder))
-	for _, key := range s.idemOrder {
-		r, ok := s.idemResults[key]
-		if !ok {
-			continue
-		}
+	out := make([]IdemRecord, 0, len(s.idem.ents.buf))
+	for i := range s.idem.ents.buf {
+		slot := s.idem.ents.fifo(i)
+		key, _ := s.idem.key(slot)
+		r := s.idem.ents.buf[slot].idemResult
 		rec := IdemRecord{
-			Key:         key,
+			Key:         string(key),
 			Op:          uint8(r.op),
 			Fingerprint: hex.EncodeToString(r.fingerprint[:]),
 		}

@@ -120,7 +120,7 @@ func (s *Service) Snapshot() Snapshot {
 			DeviceIP:     sh.deviceIP,
 			CommandInbox: append([]protocol.Command(nil), sh.commandInbox...),
 			DataInbox:    append([]protocol.UserData(nil), sh.dataInbox...),
-			Readings:     append([]protocol.Reading(nil), sh.readings...),
+			Readings:     sh.readings.list(),
 		}
 		if s.persistIdem {
 			ss.IdemLog = sh.exportIdem()
@@ -192,8 +192,8 @@ func (s *Service) Restore(snap Snapshot) error {
 			deviceIP:     ss.DeviceIP,
 			commandInbox: append([]protocol.Command(nil), ss.CommandInbox...),
 			dataInbox:    append([]protocol.UserData(nil), ss.DataInbox...),
-			readings:     append([]protocol.Reading(nil), ss.Readings...),
 		}
+		sh.readings.add(ss.Readings, &s.names)
 		if len(ss.Grants) > 0 {
 			grants := make([]delegation.Grant, 0, len(ss.Grants))
 			for _, gs := range ss.Grants {

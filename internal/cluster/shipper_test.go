@@ -598,14 +598,18 @@ func TestNodeBareHeartbeatAckAllocs(t *testing.T) {
 // TestKeyedStatusAllocations pins what a logged status costs below the
 // transport: a keyed heartbeat with one reading and a stamped source
 // address, logged on the primary, shipped and applied on the replica
-// before the ack. Each of the three allocations is state a shadow keeps.
-// The primary keeps the request's own strings, copies its reading into a
-// buffer it reuses and records the shared bound-only reply, so it
-// allocates nothing. The replica decodes its own copy of the record: the
-// idempotency key, the reading's name and the source address; the
-// readings slice is borrowed from its cursor's arena. Fingerprinting,
-// the entropy stream, the decoded request, the device ID, the replies and
-// the shipper's feed account for none.
+// before the ack. The one allocation is the replica's source address,
+// which a shadow keeps at registration. The primary keeps the request's
+// device ID, copies its reading into its window and its key into its
+// idempotency log's arena, and records the shared bound-only reply, so
+// it allocates nothing. The replica decodes its own copy of the record,
+// but reads the device ID and the reading's name through its service's
+// tables, borrows the idempotency key from the record (its log copies
+// it) and the readings slice from its cursor's arena. Fingerprinting,
+// the entropy stream, the decoded request, the replies and the
+// shipper's feed account for none. Before the name table and the
+// borrowed key the replica allocated three times: its key, its
+// reading's name and the source address.
 func TestKeyedStatusAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -631,8 +635,8 @@ func TestKeyedStatusAllocations(t *testing.T) {
 	for next < warm {
 		call()
 	}
-	if got := testing.AllocsPerRun(runs, call); got != 3 {
-		t.Errorf("a keyed status allocates %.0f times through Node.HandleStatus, want 3", got)
+	if got := testing.AllocsPerRun(runs, call); got != 1 {
+		t.Errorf("a keyed status allocates %.0f times through Node.HandleStatus, want 1", got)
 	}
 	requireSnapshotsEqual(t, n.primary, n.replica)
 }
@@ -665,19 +669,21 @@ func coldDesign() core.DesignSpec {
 // none of those costs it an allocation. Each side's delegation state is
 // emptied in place at unbind and reused by the next owner: the lattice's
 // grant and memo maps, its severed-grant list and a small command
-// inbox. The idempotency records sit in their map slots, and the
-// requests are built before the count. What is left is strings:
+// inbox. Each side's idempotency log copies the key into its arena, the
+// replica borrowing it from the record, and the requests are built
+// before the count. What is left is strings:
 //
-//   - bind 2: the replica's idempotency key and source address.
-//   - delegate 3: the minted delegation token on each side; the
-//     replica's key.
+//   - bind 1: the replica's source address.
+//   - delegate 2: the minted delegation token on each side.
 //   - control 2: the replica's source address and command name (a
 //     one-byte command ID is a static string).
 //   - readings 0.
-//   - revoke 1: the replica's key.
-//   - unbind 2: the replica's key and source address.
+//   - revoke 0.
+//   - unbind 1: the replica's source address.
 //
-// Before the replica read held strings through the canonicaliser the
+// Before the replica borrowed its keys the counts were 2, 3, 2, 0, 1
+// and 2: bind, delegate, revoke and unbind decoded the key. Before the
+// replica read held strings through the canonicaliser the
 // counts were 3, 14, 5, 2, 5 and 3: its user tokens, grantees and scope
 // names were copies. Before unbind emptied the delegation state in place
 // they were 2, 10, 4, 2, 3 and 2: each cycle built a new lattice (2) and
@@ -690,7 +696,7 @@ func TestColdLaneAllocations(t *testing.T) {
 	}
 	ids := coldDevices(8)
 	n := newColdNode(t, "n0", labClock(), ids...)
-	coldStepAllocs(t, n, ids, [6]uint64{2, 3, 2, 0, 1, 2})
+	coldStepAllocs(t, n, ids, [6]uint64{1, 2, 2, 0, 0, 1})
 	requireSnapshotsEqual(t, n.primary, n.replica)
 }
 

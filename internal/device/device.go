@@ -59,6 +59,12 @@ type Device struct {
 	// pairingProof is what Announce reveals in setup mode, derived by the
 	// first announcement and kept while the ID and secret are unchanged.
 	pairingProof string
+	// beatSignature is a heartbeat's status signature (AuthPublicKey
+	// designs), kept like pairingProof; dataProof proves sessionNonce
+	// (DataRequiresSession designs), derived by the first heartbeat after
+	// the nonce changes.
+	beatSignature string
+	dataProof     string
 
 	pendingReadings []protocol.Reading
 	executed        []protocol.Command
@@ -153,9 +159,9 @@ func (d *Device) Init(cfg Config, design core.DesignSpec, cloud transport.Cloud,
 	if cfg.ID == "" || cfg.LocalName == "" {
 		return fmt.Errorf("device: %w", errors.New("missing ID or local name"))
 	}
-	proof := d.pairingProof
+	proof, signature := d.pairingProof, d.beatSignature
 	if cfg.ID != d.id || cfg.FactorySecret != d.factorySecret {
-		proof = ""
+		proof, signature = "", ""
 	}
 	*d = Device{
 		id:            cfg.ID,
@@ -166,6 +172,7 @@ func (d *Device) Init(cfg Config, design core.DesignSpec, cloud transport.Cloud,
 		cloud:         cloud,
 		setupMode:     true,
 		pairingProof:  proof,
+		beatSignature: signature,
 		executed:      d.executed[:0],
 		received:      d.received[:0],
 		now:           time.Now,
@@ -192,6 +199,7 @@ func (d *Device) CopyFrom(src *Device) {
 	d.setupMode, d.provisioned, d.resetNotify, d.active = src.setupMode, src.provisioned, src.resetNotify, src.active
 	d.devToken, d.sessionToken, d.sessionNonce = src.devToken, src.sessionToken, src.sessionNonce
 	d.bindUserID, d.bindUserPw, d.bindToken, d.pairingProof = src.bindUserID, src.bindUserPw, src.bindToken, src.pairingProof
+	d.beatSignature, d.dataProof = src.beatSignature, src.dataProof
 	d.pendingReadings = append(d.pendingReadings[:0], src.pendingReadings...)
 	d.executed = append(d.executed[:0], src.executed...)
 	d.received = append(d.received[:0], src.received...)
@@ -363,8 +371,8 @@ func (d *Device) register(buttonPressed bool) error {
 
 	d.mu.Lock()
 	d.active = true
-	if resp.SessionNonce != "" {
-		d.sessionNonce = resp.SessionNonce
+	if resp.SessionNonce != "" && resp.SessionNonce != d.sessionNonce {
+		d.sessionNonce, d.dataProof = resp.SessionNonce, ""
 	}
 	d.mu.Unlock()
 	return nil
@@ -507,10 +515,16 @@ func (d *Device) heartbeatRequestLocked() protocol.StatusRequest {
 		Readings:     d.pendingReadings,
 	}
 	if d.design.DataRequiresSession && d.sessionNonce != "" {
-		req.DataProof = protocol.DataProof(d.factorySecret, d.sessionNonce)
+		if d.dataProof == "" {
+			d.dataProof = protocol.DataProof(d.factorySecret, d.sessionNonce)
+		}
+		req.DataProof = d.dataProof
 	}
 	if d.design.EffectiveAuth() == core.AuthPublicKey {
-		req.Signature = protocol.StatusSignature(d.factorySecret, d.id, protocol.StatusHeartbeat)
+		if d.beatSignature == "" {
+			d.beatSignature = protocol.StatusSignature(d.factorySecret, d.id, protocol.StatusHeartbeat)
+		}
+		req.Signature = d.beatSignature
 	}
 	d.pendingReadings = nil
 	return req
@@ -583,6 +597,7 @@ func (d *Device) Reset() {
 	d.devToken = ""
 	d.sessionToken = ""
 	d.sessionNonce = ""
+	d.dataProof = ""
 	d.bindUserID = ""
 	d.bindUserPw = ""
 	d.bindToken = ""

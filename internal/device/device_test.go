@@ -358,3 +358,69 @@ func TestPairingProofDerivedOnce(t *testing.T) {
 		t.Errorf("after a new secret the device announces %q, the old secret's proof", ann.PairingProof)
 	}
 }
+
+// beatRecorder passes every call to the cloud, keeping the last status
+// request and the last session nonce the cloud issued.
+type beatRecorder struct {
+	transport.Cloud
+	last  protocol.StatusRequest
+	nonce string
+}
+
+func (r *beatRecorder) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
+	r.last = req
+	resp, err := r.Cloud.HandleStatus(req)
+	if resp.SessionNonce != "" {
+		r.nonce = resp.SessionNonce
+	}
+	return resp, err
+}
+
+// TestHeartbeatProofsFollowTheNonce: a device keeps its heartbeat's data
+// proof and status signature rather than derive them per heartbeat, and
+// each heartbeat still carries the proofs a fresh derivation gives — of
+// the latest session nonce after a re-registration, after a factory
+// reset and on a CopyFrom copy — which the cloud accepts.
+func TestHeartbeatProofsFollowTheNonce(t *testing.T) {
+	d := design(core.AuthPublicKey, core.BindACLApp)
+	d.DataRequiresSession = true
+	svc, _ := newCloud(t, d)
+	rec := &beatRecorder{Cloud: transport.StampSource(svc, "203.0.113.7")}
+	dev, err := device.New(device.Config{ID: devID, FactorySecret: devSecret, LocalName: "plug", Model: "plug"}, d, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beat := func(stage string, dev *device.Device) {
+		t.Helper()
+		if err := dev.Heartbeat(); err != nil {
+			t.Fatalf("%s: heartbeat: %v", stage, err)
+		}
+		if want := protocol.DataProof(devSecret, rec.nonce); rec.last.DataProof != want {
+			t.Errorf("%s: data proof %q, want %q (nonce %q)", stage, rec.last.DataProof, want, rec.nonce)
+		}
+		if want := protocol.StatusSignature(devSecret, devID, protocol.StatusHeartbeat); rec.last.Signature != want {
+			t.Errorf("%s: signature %q, want %q", stage, rec.last.Signature, want)
+		}
+	}
+	if err := dev.Provision(localnet.Provisioning{WiFiSSID: "home", WiFiPassword: "pw"}); err != nil {
+		t.Fatal(err)
+	}
+	beat("first", dev)
+	beat("again", dev)
+	first := rec.nonce
+	if err := dev.Reregister(); err != nil {
+		t.Fatal(err)
+	}
+	if rec.nonce == first {
+		t.Fatal("re-registration drew the same nonce")
+	}
+	beat("re-registered", dev)
+	copied := &device.Device{}
+	copied.CopyFrom(dev)
+	beat("copy", copied)
+	dev.Reset()
+	if err := dev.Provision(localnet.Provisioning{WiFiSSID: "home", WiFiPassword: "pw"}); err != nil {
+		t.Fatal(err)
+	}
+	beat("after a reset", dev)
+}

@@ -45,7 +45,8 @@ func (k StatusKind) String() string {
 
 // Held names a kind of request string the cloud holds its own copy of
 // (transport.Canonical): a device ID (the registry's), a credential (the
-// token issuer's) or an account ID (the account store's).
+// token issuer's), an account ID (the account store's) or a reading name
+// (the service's name table).
 type Held uint8
 
 // Held kinds.
@@ -53,6 +54,7 @@ const (
 	HeldDevice Held = iota
 	HeldCred
 	HeldAccount
+	HeldReading
 )
 
 // Reading is one sensor sample reported by a device.

@@ -25,12 +25,13 @@ const resetAllocs = 2
 // one testbed built, each vendor's reset and setup run and captured once,
 // its 90 cells staged — seven of them from the set-up world rewound, two
 // from the reset one — and probed, and the rows. What remains is what the
-// sweep keeps: fresh tokens and session nonces, the inboxes and readings
-// a device drains or a probe returns, the two arrays every row is cut
-// from, and the sweep's own bookkeeping; refusals, rewound lists and
-// proof checks allocate nothing (EXPERIMENTS.md, "Layer budget — the
-// attack matrix", part 6).
-const sweepAllocs = 74
+// sweep keeps: fresh tokens and session nonces, the data proof of each
+// fresh nonce, the inboxes and readings a device drains or a probe
+// returns, the two arrays every row is cut from, and the sweep's own
+// bookkeeping; refusals, rewound lists and proof checks allocate nothing,
+// and a device derives each heartbeat proof once (EXPERIMENTS.md, "Layer
+// budget — the attack matrix", part 6).
+const sweepAllocs = 72
 
 // cellAllocs is what one live cell allocates on a testbed that ran it
 // before — the world rewound from Stage's checkpoint, the variant staged,
@@ -47,7 +48,7 @@ var cellAllocs = [][9]float64{
 	{0, 1, 0, 0, 0, 0, 0, 1, 0}, // Orvibo
 	{0, 0, 0, 0, 0, 0, 0, 1, 0}, // OZWI
 	{0, 1, 0, 0, 0, 0, 0, 1, 0}, // Philips Hue
-	{0, 4, 0, 0, 0, 1, 0, 1, 2}, // TP-LINK
+	{0, 3, 0, 0, 0, 1, 0, 1, 1}, // TP-LINK
 	{0, 1, 0, 0, 1, 0, 1, 0, 0}, // E-Link Smart
 	{2, 0, 0, 0, 0, 0, 0, 0, 0}, // D-LINK
 }
@@ -133,7 +134,7 @@ func TestEvaluateVendorsAllocations(t *testing.T) {
 // because sync.Pool steals only from another P's shared list: when both
 // workers run on one P while a rig sits in the other P's private slot, the
 // second worker builds a rig, whose first sweeps allocate cold; and which
-// rig runs which vendor is scheduling. Twenty-sweep means read 75–78
+// rig runs which vendor is scheduling. Twenty-sweep means read 73–76
 // over a hundred runs on a 2-CPU host.
 const twoWorkerSweepAllocs = sweepAllocs + 3 + 8
 

@@ -146,7 +146,7 @@ func ReadBindBody(c *Cursor) protocol.BindRequest {
 	return protocol.BindRequest{
 		DeviceID: c.ID(), UserToken: c.Cred(), UserID: c.Str(), UserPassword: c.Str(),
 		BindToken: c.Str(), BindProof: c.Str(), Sender: core.Sender(c.I64()),
-		IdempotencyKey: c.Str(), SourceIP: c.Str(),
+		IdempotencyKey: c.key(), SourceIP: c.Str(),
 	}
 }
 
@@ -175,7 +175,7 @@ func PutUnbindBody(b *bytes.Buffer, req protocol.UnbindRequest) {
 func ReadUnbindBody(c *Cursor) protocol.UnbindRequest {
 	return protocol.UnbindRequest{
 		DeviceID: c.ID(), UserToken: c.Cred(), Sender: core.Sender(c.I64()),
-		IdempotencyKey: c.Str(), SourceIP: c.Str(),
+		IdempotencyKey: c.key(), SourceIP: c.Str(),
 	}
 }
 
@@ -304,14 +304,14 @@ func ReadDelegateBody(c *Cursor) protocol.DelegateRequest {
 	}
 	req.TTLSeconds = c.I64()
 	req.Depth = int(c.I64())
-	req.IdempotencyKey = c.Str()
+	req.IdempotencyKey = c.key()
 	return req
 }
 
 // PutDelegateResponse writes a delegation-grant response body.
 func PutDelegateResponse(b *bytes.Buffer, resp protocol.DelegateResponse) {
 	PutStr(b, resp.DelegationToken)
-	putI64(b, encodeTime(resp.ExpiresAt))
+	putI64(b, EncodeTime(resp.ExpiresAt))
 }
 
 // ReadDelegateResponse reverses PutDelegateResponse.
@@ -330,7 +330,7 @@ func PutRevokeDelegationBody(b *bytes.Buffer, req protocol.RevokeDelegationReque
 // ReadRevokeDelegationBody reverses PutRevokeDelegationBody.
 func ReadRevokeDelegationBody(c *Cursor) protocol.RevokeDelegationRequest {
 	return protocol.RevokeDelegationRequest{
-		DeviceID: c.ID(), UserToken: c.Cred(), Grantee: c.Account(), IdempotencyKey: c.Str(),
+		DeviceID: c.ID(), UserToken: c.Cred(), Grantee: c.Account(), IdempotencyKey: c.key(),
 	}
 }
 
@@ -353,7 +353,7 @@ func PutDelegationsResponse(b *bytes.Buffer, resp protocol.ListDelegationsRespon
 		PutStr(b, g.Grantor)
 		PutStr(b, g.Grantee)
 		putStrs(b, g.Scopes)
-		putI64(b, encodeTime(g.ExpiresAt))
+		putI64(b, EncodeTime(g.ExpiresAt))
 		putI64(b, int64(g.Depth))
 	}
 }

@@ -28,7 +28,7 @@ type Record struct {
 // the time the operation executed at.
 func putHeader(b *bytes.Buffer, tag uint8, at time.Time) {
 	PutU8(b, tag)
-	putI64(b, encodeTime(at))
+	putI64(b, EncodeTime(at))
 }
 
 // EncodeRecord writes a cold operation's complete record into b: its

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"time"
+	"unsafe"
 
 	"github.com/iotbind/iotbind/internal/protocol"
 )
@@ -83,15 +84,16 @@ const (
 // time, so it travels as a sentinel.
 const timeZero = math.MinInt64
 
-// encodeTime converts a wall-clock instant to its wire form.
-func encodeTime(t time.Time) int64 {
+// EncodeTime converts a wall-clock instant to its wire form: Unix
+// nanoseconds, the zero time as a sentinel.
+func EncodeTime(t time.Time) int64 {
 	if t.IsZero() {
 		return timeZero
 	}
 	return t.UnixNano()
 }
 
-// DecodeTime reverses encodeTime.
+// DecodeTime reverses EncodeTime.
 func DecodeTime(v int64) time.Time {
 	if v == timeZero {
 		return time.Time{}
@@ -133,20 +135,22 @@ func putF64(b *bytes.Buffer, v float64) {
 
 // Cursor is a bounds-checked reader over a binary record. The first
 // failure sticks; every accessor afterwards returns a zero value, and
-// the caller checks Err once at the end. Strings alias nothing; readings
+// the caller checks Err once at the end. Strings alias nothing but
+// idempotency keys on a cursor that borrows them (BorrowKeys); readings
 // and scope lists are borrowed until Reset. Each Str copies out of the
-// input; ID, Cred and Account return the string the cursor's owner holds
-// for the bytes (SetCanonical) or such a copy. A status request's
-// readings (ReadStatusRest) and a delegate request's scope list
-// (ReadDelegateBody) are cut from arenas reused after Reset: keepers
-// copy them.
+// input; ID, Cred, Account and a reading's name return the string the
+// cursor's owner holds for the bytes (SetCanonical) or such a copy. A
+// status request's readings (ReadStatusRest) and a delegate request's
+// scope list (ReadDelegateBody) are cut from arenas reused after Reset:
+// keepers copy them.
 type Cursor struct {
-	data   []byte
-	off    int
-	err    error
-	canon  func(kind protocol.Held, raw []byte) string
-	arena  []protocol.Reading
-	scopes []string
+	data       []byte
+	off        int
+	err        error
+	canon      func(kind protocol.Held, raw []byte) string
+	borrowKeys bool
+	arena      []protocol.Reading
+	scopes     []string
 }
 
 // NewCursor positions a cursor at off within data.
@@ -157,8 +161,8 @@ func NewCursor(data []byte, off int) *Cursor {
 // Reset repositions the cursor at the start of data and clears any
 // failure, for a cursor that lives in a long-lived owner: a pointer to a
 // fresh cursor handed to a func value would escape to the heap. The
-// canonicaliser stays installed and each arena is reused, unless it grew
-// past 4 MiB (binapi drops worker.out there too).
+// canonicaliser and BorrowKeys stay set and each arena is reused, unless
+// it grew past 4 MiB (binapi drops worker.out there too).
 func (c *Cursor) Reset(data []byte) {
 	if cap(c.arena) > 4<<20/48 { // a reading is 48 bytes
 		c.arena = nil
@@ -166,7 +170,7 @@ func (c *Cursor) Reset(data []byte) {
 	if cap(c.scopes) > 4<<20/16 { // a string header is 16 bytes
 		c.scopes = nil
 	}
-	*c = Cursor{data: data, canon: c.canon, arena: c.arena[:0], scopes: c.scopes[:0]}
+	*c = Cursor{data: data, canon: c.canon, borrowKeys: c.borrowKeys, arena: c.arena[:0], scopes: c.scopes[:0]}
 }
 
 // cut extends *arena by n zero items and returns them, capped: no
@@ -182,6 +186,12 @@ func cut[T any](arena *[]T, n uint64) []T {
 // call) it returns an equal string, its owner's when it can; nil copies.
 // Pass a func value built once per owner: one made per call allocates.
 func (c *Cursor) SetCanonical(canon func(kind protocol.Held, raw []byte) string) { c.canon = canon }
+
+// BorrowKeys makes every request's idempotency key a string aliasing the
+// input, valid only while the input is, instead of a copy. For an owner
+// that applies each body and drops it before the input changes, and
+// keeps no key it did not copy itself (cloud.Durable's replay).
+func (c *Cursor) BorrowKeys() { c.borrowKeys = true }
 
 // Err returns the sticky decode failure, if any.
 func (c *Cursor) Err() error { return c.err }
@@ -260,6 +270,15 @@ func (c *Cursor) Cred() string { return c.held(protocol.HeldCred) }
 // Account reads a length-prefixed account ID through the canonicaliser.
 func (c *Cursor) Account() string { return c.held(protocol.HeldAccount) }
 
+// key reads an idempotency key: borrowed (BorrowKeys) or copied.
+func (c *Cursor) key() string {
+	raw := c.StrBytes()
+	if !c.borrowKeys || len(raw) == 0 {
+		return string(raw)
+	}
+	return unsafe.String(&raw[0], len(raw))
+}
+
 // held reads through the canonicaliser, or copies like Str without one.
 func (c *Cursor) held(kind protocol.Held) string {
 	raw := c.StrBytes()
@@ -330,13 +349,13 @@ func putReadings(b *bytes.Buffer, list []protocol.Reading) {
 	for i := range list {
 		PutStr(b, list[i].Name)
 		putF64(b, list[i].Value)
-		putI64(b, encodeTime(list[i].At))
+		putI64(b, EncodeTime(list[i].At))
 	}
 }
 
 func readReadings(c *Cursor, list []protocol.Reading) {
 	for i := range list {
-		list[i].Name = c.Str()
+		list[i].Name = c.held(protocol.HeldReading)
 		list[i].Value = c.F64()
 		list[i].At = DecodeTime(c.I64())
 	}
@@ -363,7 +382,7 @@ func ReadStatusRest(c *Cursor, req *protocol.StatusRequest) (sourceIP []byte) {
 	req.Signature = c.Str()
 	req.SessionToken = c.Str()
 	req.DataProof = c.Str()
-	req.IdempotencyKey = c.Str()
+	req.IdempotencyKey = c.key()
 	req.Firmware = c.Str()
 	req.Model = c.Str()
 	sourceIP = c.StrBytes()
