@@ -54,10 +54,11 @@ race:
 # (TestColdLaneAllocations), a forgery the cloud refuses at 0 below the
 # transport and at 0 through the attacker's agent, whose refusals are
 # built once (TestRefusedForgeryAllocations), a status across the composed stack (socket,
-# binapi, router, node) at 0 bare and at its two strings keyed (the
-# front end's idempotency key, the replica's source address), each
-# step of bind_churn's cycle across that stack with every held string
-# the cloud's own (TestStackColdCycleAllocations), a warm delegation
+# binapi, router, node) at 0 bare and keyed (the front end and the
+# replica borrow the idempotency key, the replica the heartbeat's source
+# address), each step of bind_churn's cycle across that stack with every
+# held string the cloud's own or borrowed for the call
+# (TestStackColdCycleAllocations), a warm delegation
 # lattice's reset-grant-authorize-revoke cycle at 0
 # (TestLatticeCycleAllocations), a proof at its one string and each of
 # the cloud's four proof checks at none (TestProofChecksAllocateNothing), the model
@@ -88,7 +89,13 @@ alloc-pins:
 # a call in flight get re-dealt across runs — and, ten times over, two
 # serving goroutines (a poller and a pipe's writer) decoding cold rows,
 # heartbeats and batches for different connections, every device ID
-# through the cloud's registry, plus the pipe tests: many writers on one
+# through the cloud's registry, and every keyed operation's key and
+# address to a cloud that keeps them, directly and behind a Switchable,
+# each connection's inbound buffer recycled to the next
+# (TestServedKeysOutliveTheirFrames), and keyed statuses, batches, binds
+# and unbinds through socket, router and node replaying once their frames
+# and records are overwritten (TestServedKeysReplay), plus the pipe
+# tests: many writers on one
 # pipe, a pipe call parked in the cloud beside Server.Close and
 # Client.Close, the server's goroutine accounting, and a window of
 # callers sharing one socket client's read token, pipelined and parked
@@ -120,8 +127,9 @@ race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery|TestDurableMixedLaneRecovery' ./internal/cloud/
 	$(GO) test -race -count=3 -run='TestShipper|TestNode' ./internal/cluster/
+	$(GO) test -race -count=10 -run='TestServedKeysReplay' ./internal/cluster/
 	$(GO) test -race -count=3 -run='TestReadinessEquivalence|TestEpoll|TestShortWrite|TestIdleTimeout|TestBackpressure|TestOverCap' ./internal/binapi/
-	$(GO) test -race -count=10 -run='TestServedDeviceIDsAreTheRegistrys|TestPipe|TestServerGoroutines|TestEpollServerGoroutines|TestReadToken' ./internal/binapi/
+	$(GO) test -race -count=10 -run='TestServedDeviceIDsAreTheRegistrys|TestServedKeysOutliveTheirFrames|TestPipe|TestServerGoroutines|TestEpollServerGoroutines|TestReadToken' ./internal/binapi/
 	$(GO) test -race -count=10 -run='TestCanonicalRacesLoginAndRevoke|TestCanonicalReadingNames|TestDelegationRevocationRaceOneWinner|TestOwnershipTransferStorm' ./internal/cloud/
 	$(GO) test -race -count=10 -run='TestRetryClose' ./internal/retry/
 	$(GO) test -race -count=3 -run='TestResetMatchesFresh|TestEvaluateVendorsMatchesSequential|TestPooledSweepsMatchFresh|TestCachedRefusalsMatchFresh' ./internal/testbed/

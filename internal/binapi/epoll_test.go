@@ -11,6 +11,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -845,6 +846,176 @@ func TestServedDeviceIDsAreTheRegistrys(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// keyKeeper cannot answer transport.Canonical, and keeps every keyed
+// request's idempotency key and source address as it arrived, beside a
+// copy made on arrival: a cloud that does not answer may keep them.
+type keyKeeper struct {
+	transport.Cloud
+	mu   sync.Mutex
+	kept [][2]string // as arrived, and its copy
+}
+
+func (k *keyKeeper) keep(fields ...string) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for _, f := range fields {
+		k.kept = append(k.kept, [2]string{f, strings.Clone(f)})
+	}
+}
+
+func (k *keyKeeper) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
+	k.keep(req.IdempotencyKey, req.SourceIP)
+	return protocol.StatusResponse{}, nil
+}
+
+func (k *keyKeeper) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
+	k.keep(req.SourceIP)
+	resp := protocol.StatusBatchResponse{Results: make([]protocol.StatusBatchResult, len(req.Items))}
+	for i := range req.Items {
+		k.keep(req.Items[i].IdempotencyKey, req.Items[i].SourceIP)
+		resp.Results[i] = protocol.MakeBatchResult(protocol.StatusResponse{}, nil)
+	}
+	return resp, nil
+}
+
+func (k *keyKeeper) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
+	k.keep(req.IdempotencyKey, req.SourceIP)
+	return protocol.BindResponse{}, nil
+}
+
+func (k *keyKeeper) HandleUnbind(req protocol.UnbindRequest) error {
+	k.keep(req.IdempotencyKey, req.SourceIP)
+	return nil
+}
+
+func (k *keyKeeper) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
+	k.keep(req.IdempotencyKey)
+	return protocol.DelegateResponse{DelegationToken: "d"}, nil
+}
+
+func (k *keyKeeper) HandleRevokeDelegation(req protocol.RevokeDelegationRequest) error {
+	k.keep(req.IdempotencyKey)
+	return nil
+}
+
+// TestServedKeysOutliveTheirFrames: a cloud that cannot answer
+// transport.Canonical may keep a request's strings, so the server must
+// hand it a copy of every idempotency key where a cloud answering for
+// the call (protocol.HeldCall) gets its input's bytes. A keeper behind
+// the server, and one swapped in behind a transport.Switchable whose
+// service backend borrowed the keys before, keeps the key and source
+// address of every keyed status, batch, bind, unbind, delegate and
+// revoke, while two serving goroutines — a poller and a pipe's writer —
+// decode later frames over the same inbound bytes, each connection
+// closed after a few requests so the next one takes its recycled
+// buffer. Every kept string still equals what arrived, and what arrived
+// is what was sent.
+func TestServedKeysOutliveTheirFrames(t *testing.T) {
+	k := &keyKeeper{}
+	sw := transport.NewSwitchable(newLabService(t, 1))
+	raw := []byte("k-switched")
+	if got := sw.Canonical(protocol.HeldCall, raw); got != "k-switched" || unsafe.StringData(got) != unsafe.SliceData(raw) {
+		t.Fatalf("a Switchable over a service answers a key with %q, not the key's bytes", got)
+	}
+	sw.Swap(k)
+	if got := sw.Canonical(protocol.HeldCall, raw); got != "k-switched" || unsafe.StringData(got) == unsafe.SliceData(raw) {
+		t.Fatalf("a Switchable over a keeper answers a key with %q, not a copy", got)
+	}
+	for _, c := range []struct {
+		name  string
+		cloud transport.Cloud
+	}{{"direct", k}, {"switched", sw}} {
+		t.Run(c.name, func(t *testing.T) {
+			sent := serveKeyed(t, c.cloud)
+			k.mu.Lock()
+			all := k.kept
+			k.kept = nil
+			k.mu.Unlock()
+			arrived := map[string]int{}
+			for _, kept := range all {
+				if kept[0] != kept[1] {
+					t.Errorf("a kept string arrived as %q and now reads %q", kept[1], kept[0])
+				}
+				arrived[kept[1]]++
+			}
+			if !reflect.DeepEqual(arrived, sent) {
+				t.Errorf("the %d strings that arrived are not the ones sent", len(all))
+			}
+		})
+	}
+}
+
+// serveKeyed serves c from one poller, and drives it from a socket
+// client and a pipe at once, each through rounds of one connection
+// that sends every keyed operation once. It returns the strings a
+// keeper of each request's key and source address should hold, counted
+// (the order between the two connections is scheduling).
+func serveKeyed(t *testing.T, c transport.Cloud) map[string]int {
+	const rounds, pipeSrc = 20, "198.51.100.1"
+	srv, addr := serveSocket(t, withPollers(NewServer(c, WithReadiness(ReadinessEpoll)), 1))
+	sent := map[string]int{}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for n, src := range []string{"127.0.0.1", pipeSrc} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				var cl *Client
+				var err error
+				if src == pipeSrc {
+					cl, err = srv.Pipe(pipeSrc)
+				} else {
+					cl, err = Dial(addr)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				key := func(j int) string { return fmt.Sprintf("key-%d-%03d-%d", n, i, j) }
+				id := testDeviceID(n)
+				errs := []error{
+					func() error {
+						_, err := cl.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: id, IdempotencyKey: key(0)})
+						return err
+					}(),
+					func() error {
+						_, err := cl.HandleStatusBatch(protocol.StatusBatchRequest{Items: []protocol.StatusRequest{
+							{Kind: protocol.StatusHeartbeat, DeviceID: id, IdempotencyKey: key(1)},
+							{Kind: protocol.StatusHeartbeat, DeviceID: id, IdempotencyKey: key(2)},
+						}})
+						return err
+					}(),
+					func() error {
+						_, err := cl.HandleBind(protocol.BindRequest{DeviceID: id, Sender: core.SenderApp, IdempotencyKey: key(3)})
+						return err
+					}(),
+					cl.HandleUnbind(protocol.UnbindRequest{DeviceID: id, Sender: core.SenderApp, IdempotencyKey: key(4)}),
+					func() error {
+						_, err := cl.HandleDelegate(protocol.DelegateRequest{DeviceID: id, Grantee: "g@x", IdempotencyKey: key(5)})
+						return err
+					}(),
+					cl.HandleRevokeDelegation(protocol.RevokeDelegationRequest{DeviceID: id, Grantee: "g@x", IdempotencyKey: key(6)}),
+				}
+				cl.Close()
+				if err := errors.Join(errs...); err != nil {
+					t.Errorf("connection %d round %d: %v", n, i, err)
+					return
+				}
+				mu.Lock()
+				for j := 0; j <= 6; j++ {
+					sent[key(j)]++
+				}
+				sent[src] += 4 // the status, the batch, the bind and the unbind are stamped
+				sent[""] += 2  // the batch items' own addresses are not
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	return sent
 }
 
 // fullListener hands out accepted sockets whose send buffer is already

@@ -22,9 +22,9 @@ import (
 // and the cursor the read funcs walk lives in the worker or the pooled
 // call: a *Req or a fresh *Cursor handed to a func value escapes, which
 // costs one heap allocation per operation per side. The worker's cursor
-// reads every request's device ID, user token, grantee and guest through
-// the cloud's transport.Canonical (newWorker), status and cold rows
-// alike.
+// reads every request's device ID, user token, grantee, guest and
+// idempotency key through the cloud's transport.Canonical (newWorker),
+// status and cold rows alike.
 
 // row is one operation's wire form and the call it carries.
 type row[Req, Resp any] struct {

@@ -403,11 +403,14 @@ func TestRecordIDsCanonicalOnlyOnExactMatch(t *testing.T) {
 }
 
 // TestReplayedKeysOutliveTheirRecord: a replica's apply borrows each
-// idempotency key from the record it decodes, so the shadow must copy
-// what it keeps. A keyed bind and a keyed status with a reading are
-// applied from buffers overwritten right after each apply; the replica
-// still equals the primary, snapshot for snapshot (its idempotency log
-// included), and still replays both requests from their records.
+// idempotency key, and a heartbeat's source address, from the record it
+// decodes, so the shadow must copy what it keeps. A keyed bind, a keyed
+// status with a reading and a source address, and a batch of a
+// registration and a heartbeat, each from its own address, are applied
+// from buffers overwritten right after each apply; the replica still
+// equals the primary, snapshot for snapshot (its idempotency log and the
+// batch registration's device_ip included), and still replays all three
+// from their records.
 func TestReplayedKeysOutliveTheirRecord(t *testing.T) {
 	dir, clock := t.TempDir(), newTestClock()
 	reg := applyRegistry(t)
@@ -433,10 +436,24 @@ func TestReplayedKeysOutliveTheirRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	status := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: applyDevice, IdempotencyKey: "k-status-borrowed",
-		Readings: []protocol.Reading{{Name: "power_w", Value: 4.5, At: clock.Now()}}}
+		SourceIP: "203.0.113.8", Readings: []protocol.Reading{{Name: "power_w", Value: 4.5, At: clock.Now()}}}
 	beat, err := primary.HandleStatus(status)
 	if err != nil {
 		t.Fatal(err)
+	}
+	batch := protocol.StatusBatchRequest{Items: []protocol.StatusRequest{
+		{Kind: protocol.StatusRegister, DeviceID: applyDevice, IdempotencyKey: "k-batch-register", SourceIP: "198.51.100.9"},
+		{Kind: protocol.StatusHeartbeat, DeviceID: applyDevice, IdempotencyKey: "k-batch-heartbeat", SourceIP: "198.51.100.10",
+			Readings: []protocol.Reading{{Name: "power_w", Value: 5.5, At: clock.Now()}}},
+	}}
+	batched, err := primary.HandleStatusBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range batched.Results {
+		if err := batched.Results[i].Err(); err != nil {
+			t.Fatalf("batch item %d: %v", i, err)
+		}
 	}
 
 	replicaDir := t.TempDir()
@@ -460,13 +477,19 @@ func TestReplayedKeysOutliveTheirRecord(t *testing.T) {
 	if got, want := snapshotBytes(t, replica), snapshotBytes(t, primary); !bytes.Equal(got, want) {
 		t.Fatalf("the replica's snapshot differs once its records are overwritten:\nreplica:\n%s\nprimary:\n%s", got, want)
 	}
+	if ip := replica.Snapshot().Shadows[0].DeviceIP; ip != "198.51.100.9" {
+		t.Errorf("the replica's device_ip is %q, want the batch registration's 198.51.100.9", ip)
+	}
 	if resp, err := replica.svc.HandleBind(bind); err != nil || resp != bound {
 		t.Errorf("replica bind replay = %+v, %v; want %+v", resp, err, bound)
 	}
 	if resp, err := replica.svc.HandleStatus(status); err != nil || !reflect.DeepEqual(resp, beat) {
 		t.Errorf("replica status replay = %+v, %v; want %+v", resp, err, beat)
 	}
-	if st := replica.svc.Stats(); st.BindsDeduplicated != 1 || st.StatusDeduplicated != 1 {
-		t.Errorf("replica deduplicated %d binds and %d statuses, want 1 and 1", st.BindsDeduplicated, st.StatusDeduplicated)
+	if resp, err := replica.svc.HandleStatusBatch(batch); err != nil || !reflect.DeepEqual(resp, batched) {
+		t.Errorf("replica batch replay = %+v, %v; want %+v", resp, err, batched)
+	}
+	if st := replica.svc.Stats(); st.BindsDeduplicated != 1 || st.StatusDeduplicated != 3 {
+		t.Errorf("replica deduplicated %d binds and %d statuses, want 1 and 3", st.BindsDeduplicated, st.StatusDeduplicated)
 	}
 }

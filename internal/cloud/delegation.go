@@ -52,7 +52,8 @@ func (s *Service) handleDelegate(req protocol.DelegateRequest) (protocol.Delegat
 	// rather than minting (and re-granting) again. Fingerprint-gated like
 	// binds: the key alone must not read another request's token.
 	fp := delegateFingerprint(req)
-	if r, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemDelegate, fp); ok {
+	r, slot, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemDelegate, fp)
+	if ok {
 		s.stats.DelegationsDeduplicated.Add(1)
 		return r.delegate, nil
 	} else if conflict {
@@ -100,9 +101,7 @@ func (s *Service) handleDelegate(req protocol.DelegateRequest) (protocol.Delegat
 		return protocol.DelegateResponse{}, fmt.Errorf("cloud: issue delegation token: %w", err)
 	}
 	resp := protocol.DelegateResponse{DelegationToken: delegTok.Value, ExpiresAt: expiry}
-	if req.IdempotencyKey != "" {
-		sh.recordIdem(req.IdempotencyKey, idemResult{op: idemDelegate, fingerprint: fp, delegate: resp})
-	}
+	sh.recordIdem(req.IdempotencyKey, slot, idemResult{op: idemDelegate, fingerprint: fp, delegate: resp})
 	return resp, nil
 }
 
@@ -122,7 +121,8 @@ func (s *Service) handleRevokeDelegation(req protocol.RevokeDelegationRequest) e
 	// again, then the revoke's redelivery arrives; replay keeps the newer
 	// grant alive where re-execution would silently sever it.
 	fp := revokeDelegationFingerprint(req)
-	if _, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemRevokeDelegation, fp); ok {
+	_, slot, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemRevokeDelegation, fp)
+	if ok {
 		s.stats.DelegationsDeduplicated.Add(1)
 		return nil
 	} else if conflict {
@@ -146,9 +146,7 @@ func (s *Service) handleRevokeDelegation(req protocol.RevokeDelegationRequest) e
 	}
 	// Revoking an absent grant succeeds (like share revocation): the goal
 	// state — no grant — already holds, and redeliveries must agree.
-	if req.IdempotencyKey != "" {
-		sh.recordIdem(req.IdempotencyKey, idemResult{op: idemRevokeDelegation, fingerprint: fp})
-	}
+	sh.recordIdem(req.IdempotencyKey, slot, idemResult{op: idemRevokeDelegation, fingerprint: fp})
 	return nil
 }
 

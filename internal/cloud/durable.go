@@ -142,9 +142,9 @@ type Durable struct {
 	// time (recovery, or ShipRecord under mu), and a fresh *Cursor handed
 	// to a row's func values would escape. It reads held strings through
 	// the service (set once at open), so a known device costs no ID, and
-	// borrows each idempotency key from the payload: the apply returns
-	// before the payload changes, and the shadow's log copies what it
-	// keeps.
+	// an idempotency key or a heartbeat's source address is borrowed from
+	// the payload (protocol.HeldCall): the apply returns before the
+	// payload changes.
 	cur wirecodec.Cursor
 }
 
@@ -333,7 +333,6 @@ func OpenDurable(dir string, design core.DesignSpec, registry *Registry, opts Du
 	}
 	d.svc = svc
 	d.cur.SetCanonical(svc.Canonical)
-	d.cur.BorrowKeys()
 
 	if snapLSN > 0 {
 		if err := svc.Restore(snap); err != nil {

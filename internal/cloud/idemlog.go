@@ -54,14 +54,15 @@ func (l *idemLog) find(key string) int {
 	return -1
 }
 
-// record stores r under a non-empty key: in place if the key is logged,
-// else as the newest record, evicting the oldest at the cap.
-func (l *idemLog) record(key string, r idemResult) {
-	if slot := l.find(key); slot >= 0 {
+// record stores r under a non-empty key at slot, where find logged it,
+// or, when find missed (slot -1), as the newest record, evicting the
+// oldest at the cap.
+func (l *idemLog) record(key string, slot int, r idemResult) {
+	if slot >= 0 {
 		l.ents.buf[slot].idemResult = r
 		return
 	}
-	slot := l.ents.push(maxIdemResults)
+	slot = l.ents.push(maxIdemResults)
 	var prefix [binary.MaxVarintLen64]byte
 	w := binary.PutUvarint(prefix[:], uint64(len(key)))
 	if need := w + len(key); len(l.keys)+need > cap(l.keys) {

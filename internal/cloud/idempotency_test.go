@@ -151,7 +151,8 @@ func TestIdempotencyLogEviction(t *testing.T) {
 	sh := &shadow{}
 	const extra = 10
 	for i := 0; i < maxIdemResults+extra; i++ {
-		sh.recordIdem(fmt.Sprintf("k%d", i), idemResult{op: idemBind, fingerprint: [32]byte{byte(i)}})
+		key := fmt.Sprintf("k%d", i)
+		sh.recordIdem(key, sh.idem.find(key), idemResult{op: idemBind, fingerprint: [32]byte{byte(i)}})
 	}
 	order := func() []string {
 		var keys []string
@@ -168,23 +169,86 @@ func TestIdempotencyLogEviction(t *testing.T) {
 		t.Fatalf("log holds %d records %v..., want k%d..k%d oldest first", len(got), got[:min(3, len(got))], extra, maxIdemResults+extra-1)
 	}
 	for i := 0; i < maxIdemResults+extra; i++ {
-		_, ok, _ := sh.replayIdem(fmt.Sprintf("k%d", i), idemBind, [32]byte{byte(i)})
+		_, _, ok, _ := sh.replayIdem(fmt.Sprintf("k%d", i), idemBind, [32]byte{byte(i)})
 		if ok != (i >= extra) {
 			t.Errorf("k%d replays %t, want %t", i, ok, i >= extra)
 		}
 	}
 	// Re-recording a logged key changes its record in place.
-	sh.recordIdem("k20", idemResult{op: idemUnbind})
+	sh.recordIdem("k20", sh.idem.find("k20"), idemResult{op: idemUnbind})
 	if got := order(); !reflect.DeepEqual(got, want) {
 		t.Errorf("re-record reordered or duplicated the log: %d records", len(got))
 	}
-	if _, ok, _ := sh.replayIdem("k20", idemUnbind, [32]byte{}); !ok {
+	if _, _, ok, _ := sh.replayIdem("k20", idemUnbind, [32]byte{}); !ok {
 		t.Error("re-recorded key does not replay its new record")
 	}
 	// Empty keys are never recorded.
-	sh.recordIdem("", idemResult{op: idemBind})
-	if _, ok, _ := sh.replayIdem("", idemBind, [32]byte{}); ok || len(order()) != maxIdemResults {
+	sh.recordIdem("", sh.idem.find(""), idemResult{op: idemBind})
+	if _, _, ok, _ := sh.replayIdem("", idemBind, [32]byte{}); ok || len(order()) != maxIdemResults {
 		t.Error("empty key recorded")
+	}
+}
+
+// TestHandlersRecordWhereTheyReplayed: each handler records a key at the
+// slot its replay found it at, with nothing in between moving it. At a
+// full log, an accepted unbind under a bind's key and a bind under a
+// status's key each overwrite that record where it stands — the log
+// keeps its order and evicts nothing — and then replay as themselves; a
+// fresh key still evicts the oldest record.
+func TestHandlersRecordWhereTheyReplayed(t *testing.T) {
+	svc, _, victim, _ := newTestService(t, devIDDesign())
+	if _, err := svc.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice}); err != nil {
+		t.Fatal(err)
+	}
+	bind := func(key string) protocol.BindRequest {
+		return protocol.BindRequest{DeviceID: testDevice, UserToken: victim, Sender: core.SenderApp, IdempotencyKey: key}
+	}
+	beat := func(key string) protocol.StatusRequest {
+		return protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDevice, IdempotencyKey: key}
+	}
+	if _, err := svc.HandleBind(bind("k-0")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < maxIdemResults; i++ {
+		if _, err := svc.HandleStatus(beat(fmt.Sprintf("k-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh := svc.store.get(testDevice)
+	log := func() (keys []string, ops []uint8) {
+		for _, rec := range sh.exportIdem() {
+			keys, ops = append(keys, rec.Key), append(ops, rec.Op)
+		}
+		return keys, ops
+	}
+	want, _ := log()
+	if len(want) != maxIdemResults || want[0] != "k-0" {
+		t.Fatalf("the log holds %d records from %q, want %d from k-0", len(want), want[0], maxIdemResults)
+	}
+	unbind := protocol.UnbindRequest{DeviceID: testDevice, UserToken: victim, Sender: core.SenderApp, IdempotencyKey: "k-0"}
+	for i := 0; i < 2; i++ {
+		if err := svc.HandleUnbind(unbind); err != nil {
+			t.Fatalf("unbind %d under the bind's key: %v", i, err)
+		}
+	}
+	if _, err := svc.HandleBind(bind("k-1")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.HandleBind(bind("k-1")); err != nil {
+		t.Fatal(err)
+	}
+	keys, ops := log()
+	if !reflect.DeepEqual(keys, want) || ops[0] != uint8(idemUnbind) || ops[1] != uint8(idemBind) {
+		t.Fatalf("re-recorded keys moved or changed no record: %v... ops %v...", keys[:3], ops[:3])
+	}
+	if st := svc.Stats(); st.UnbindsDeduplicated != 1 || st.BindsDeduplicated != 1 {
+		t.Errorf("deduplicated %d unbinds and %d binds, want 1 and 1", st.UnbindsDeduplicated, st.BindsDeduplicated)
+	}
+	if _, err := svc.HandleStatus(beat("k-new")); err != nil {
+		t.Fatal(err)
+	}
+	if keys, _ := log(); !reflect.DeepEqual(keys, append(want[1:], "k-new")) {
+		t.Errorf("a fresh key at the cap left %v..., want the oldest evicted", keys[:3])
 	}
 }
 
@@ -254,7 +318,7 @@ func TestIdemLogMatchesReference(t *testing.T) {
 			key = pool[step/7%2] // the colliding pair, often
 		}
 		r := idemResult{op: idemBind, fingerprint: [32]byte{byte(step), byte(step >> 8)}}
-		sh.recordIdem(key, r)
+		sh.recordIdem(key, sh.idem.find(key), r)
 		if _, exists := ref[key]; !exists {
 			order = append(order, key)
 			if len(order) > maxIdemResults {
@@ -263,7 +327,7 @@ func TestIdemLogMatchesReference(t *testing.T) {
 			}
 		}
 		ref[key] = r
-		if got, ok, _ := sh.replayIdem(key, idemBind, r.fingerprint); !ok || got != r {
+		if got, _, ok, _ := sh.replayIdem(key, idemBind, r.fingerprint); !ok || got != r {
 			t.Fatalf("step %d: %q does not replay the record just made", step, key)
 		}
 		if step%97 == 0 || step < 16 {
@@ -274,15 +338,15 @@ func TestIdemLogMatchesReference(t *testing.T) {
 	// A copy of a small log over a full one.
 	sh, ref, order = shadow{}, map[string]idemResult{}, nil
 	for _, key := range pool[:3] {
-		sh.recordIdem(key, idemResult{op: idemUnbind})
+		sh.recordIdem(key, sh.idem.find(key), idemResult{op: idemUnbind})
 		ref[key], order = idemResult{op: idemUnbind}, append(order, key)
 	}
 	check(-2)
 
 	// A record under a alone: b shares its hash, never its record.
 	var fresh shadow
-	fresh.recordIdem(a, idemResult{op: idemBind})
-	if _, ok, conflict := fresh.replayIdem(b, idemBind, [32]byte{}); ok || conflict {
+	fresh.recordIdem(a, fresh.idem.find(a), idemResult{op: idemBind})
+	if _, _, ok, conflict := fresh.replayIdem(b, idemBind, [32]byte{}); ok || conflict {
 		t.Errorf("%q replays (%t) or conflicts (%t) with %q's record: a hash match is not a key match", b, ok, conflict, a)
 	}
 }

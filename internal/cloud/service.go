@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strconv"
 	"time"
+	"unsafe"
 
 	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/delegation"
@@ -176,9 +177,14 @@ func hex16(b *[16]byte) string {
 // Registry returns the vendor device registry.
 func (s *Service) Registry() *Registry { return s.registry }
 
-// Canonical implements transport.Canonical from the service's tables.
+// Canonical implements transport.Canonical from the service's tables. A
+// protocol.HeldCall string is lent back: shadows keep only copies of the
+// keys they log, and no source address but a registration's, which is
+// never read as that kind.
 func (s *Service) Canonical(kind protocol.Held, raw []byte) string {
 	switch kind {
+	case protocol.HeldCall:
+		return unsafe.String(&raw[0], len(raw))
 	case protocol.HeldCred:
 		return s.issuer.Canonical(raw)
 	case protocol.HeldAccount:
@@ -310,14 +316,17 @@ func (s *Service) statusLocked(sh *shadow, rec DeviceRecord, req protocol.Status
 	// re-evaluation; the fingerprint is computed only on the keyed path, so
 	// ordinary unkeyed heartbeats pay nothing for it.
 	var fp [32]byte
+	slot := -1
 	if req.IdempotencyKey != "" {
 		fp = statusFingerprint(req)
-		if r, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemStatus, fp); ok {
+		r, at, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemStatus, fp)
+		if ok {
 			s.stats.StatusDeduplicated.Add(1)
 			return *r.status, nil
 		} else if conflict {
 			return protocol.StatusResponse{}, errIdemConflict
 		}
+		slot = at
 	}
 
 	// Device authentication (Figure 3 / Section IV-A).
@@ -398,7 +407,7 @@ func (s *Service) statusLocked(sh *shadow, rec DeviceRecord, req protocol.Status
 		} else if resp.Bound {
 			kept = &replyBound
 		}
-		sh.recordIdem(req.IdempotencyKey, idemResult{op: idemStatus, fingerprint: fp, status: kept})
+		sh.recordIdem(req.IdempotencyKey, slot, idemResult{op: idemStatus, fingerprint: fp, status: kept})
 	}
 	return resp, nil
 }
@@ -428,7 +437,8 @@ func (s *Service) handleBind(req protocol.BindRequest) (protocol.BindResponse, e
 	// a guessed or colliding key can neither harvest another request's
 	// session token nor overwrite its record.
 	fp := bindFingerprint(req)
-	if r, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemBind, fp); ok {
+	r, slot, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemBind, fp)
+	if ok {
 		s.stats.BindsDeduplicated.Add(1)
 		return r.bind, nil
 	} else if conflict {
@@ -456,7 +466,7 @@ func (s *Service) handleBind(req protocol.BindRequest) (protocol.BindResponse, e
 			// lost replays instead of failing on the spent token.
 			resp := protocol.BindResponse{BoundUser: user, SessionToken: sh.sessionToken}
 			s.consumeBindToken(req)
-			sh.recordIdem(req.IdempotencyKey, idemResult{op: idemBind, fingerprint: fp, bind: resp})
+			sh.recordIdem(req.IdempotencyKey, slot, idemResult{op: idemBind, fingerprint: fp, bind: resp})
 			return resp, nil
 		case s.design.CheckBoundUserOnBind && !s.design.ReplaceOnBind:
 			return protocol.BindResponse{}, errBoundToAnother
@@ -480,7 +490,7 @@ func (s *Service) handleBind(req protocol.BindRequest) (protocol.BindResponse, e
 		resp.SessionToken = sess.Value
 	}
 	s.consumeBindToken(req)
-	sh.recordIdem(req.IdempotencyKey, idemResult{op: idemBind, fingerprint: fp, bind: resp})
+	sh.recordIdem(req.IdempotencyKey, slot, idemResult{op: idemBind, fingerprint: fp, bind: resp})
 	return resp, nil
 }
 
@@ -569,7 +579,8 @@ func (s *Service) handleUnbind(req protocol.UnbindRequest) error {
 	// As with binds, replay is fingerprint-gated: only the exact request
 	// that recorded the outcome may claim it.
 	fp := unbindFingerprint(req)
-	if _, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemUnbind, fp); ok {
+	_, slot, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemUnbind, fp)
+	if ok {
 		s.stats.UnbindsDeduplicated.Add(1)
 		return nil
 	} else if conflict {
@@ -596,7 +607,7 @@ func (s *Service) handleUnbind(req protocol.UnbindRequest) error {
 		}
 	}
 	s.revokeBinding(sh)
-	sh.recordIdem(req.IdempotencyKey, idemResult{op: idemUnbind, fingerprint: fp})
+	sh.recordIdem(req.IdempotencyKey, slot, idemResult{op: idemUnbind, fingerprint: fp})
 	return nil
 }
 

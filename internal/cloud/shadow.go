@@ -228,32 +228,36 @@ func (s *shadow) apply(e core.Event) {
 }
 
 // recordIdem stores an accepted outcome under its idempotency key, a
-// copy of which the log keeps, evicting the oldest record past the cap.
-func (s *shadow) recordIdem(key string, r idemResult) {
+// copy of which the log keeps, at the slot replayIdem found it at (the
+// handler holds s.mu from one to the other, and nothing in between
+// writes the log) or, for -1, as the newest record past the cap.
+func (s *shadow) recordIdem(key string, slot int, r idemResult) {
 	if key != "" {
-		s.idem.record(key, r)
+		s.idem.record(key, slot, r)
 	}
 }
 
 // replayIdem returns the recorded outcome for a key, matched against the
-// operation type and the request fingerprint. A record replays only to a
-// request identical to the one that produced it; a key found under the
-// same operation with a different fingerprint is reported as a conflict so
+// operation type and the request fingerprint, and the slot the key is
+// logged at (else -1) for recordIdem. A record replays only to a request
+// identical to the one that produced it; a key found under the same
+// operation with a different fingerprint is reported as a conflict so
 // the handler can reject it outright — a guessed or colliding key must
 // neither read another request's response nor execute (and re-record)
-// under it.
-func (s *shadow) replayIdem(key string, op idemOp, fp [32]byte) (r idemResult, ok, conflict bool) {
+// under it. A key found under another operation is neither: its record
+// is overwritten if the request is accepted.
+func (s *shadow) replayIdem(key string, op idemOp, fp [32]byte) (r idemResult, slot int, ok, conflict bool) {
 	if key == "" {
-		return idemResult{}, false, false
+		return idemResult{}, -1, false, false
 	}
-	i := s.idem.find(key)
-	if i < 0 || s.idem.ents.buf[i].op != op {
-		return idemResult{}, false, false
+	slot = s.idem.find(key)
+	if slot < 0 || s.idem.ents.buf[slot].op != op {
+		return idemResult{}, slot, false, false
 	}
-	if rec := s.idem.ents.buf[i].idemResult; rec.fingerprint == fp {
-		return rec, true, false
+	if rec := s.idem.ents.buf[slot].idemResult; rec.fingerprint == fp {
+		return rec, slot, true, false
 	}
-	return idemResult{}, false, true
+	return idemResult{}, slot, false, true
 }
 
 // exportIdem copies the idempotency log in FIFO order for persistence
@@ -318,7 +322,7 @@ func (s *shadow) importIdem(records []IdemRecord) error {
 		case idemDelegate:
 			r.delegate = *rec.Delegate
 		}
-		s.recordIdem(rec.Key, r)
+		s.recordIdem(rec.Key, s.idem.find(rec.Key), r)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/transport"
@@ -21,6 +22,7 @@ type Router struct {
 	transport.Hopped
 	ring    *Ring
 	members map[string]*transport.Switchable
+	all     []*transport.Switchable // the members in ring order
 }
 
 // NewRouter builds a router over the ring's members. members must hold
@@ -35,6 +37,9 @@ func NewRouter(ring *Ring, members map[string]*transport.Switchable) (*Router, e
 		return nil, fmt.Errorf("cluster: router has %d members for a %d-node ring", len(members), len(ring.Nodes()))
 	}
 	r := &Router{ring: ring, members: members}
+	for _, name := range ring.Nodes() {
+		r.all = append(r.all, members[name])
+	}
 	r.Hopped = transport.NewHopped(routerHop{r})
 	return r, nil
 }
@@ -60,8 +65,19 @@ func (h routerHop) End(_ transport.Op, _ int, err error) (bool, error) { return 
 // Canonical forwards to a member holding raw: a device ID to its owner, an
 // account to any (RegisterUser broadcasts), a credential only on a
 // one-member ring (tokens are node-affine; the router knows no issuer).
+// A protocol.HeldCall string, which any member may serve, is lent back
+// only if every member lends it, and costs no ring lookup.
 func (r *Router) Canonical(kind protocol.Held, raw []byte) string {
-	if kind == protocol.HeldCred && len(r.members) > 1 {
+	switch {
+	case kind == protocol.HeldCall:
+		var s string
+		for _, m := range r.all {
+			if s = m.Canonical(kind, raw); unsafe.StringData(s) != unsafe.SliceData(raw) {
+				return s
+			}
+		}
+		return s
+	case kind == protocol.HeldCred && len(r.all) > 1:
 		return string(raw)
 	}
 	return r.members[r.ring.owner(fnv1a32(raw))].Canonical(kind, raw)

@@ -598,18 +598,19 @@ func TestNodeBareHeartbeatAckAllocs(t *testing.T) {
 // TestKeyedStatusAllocations pins what a logged status costs below the
 // transport: a keyed heartbeat with one reading and a stamped source
 // address, logged on the primary, shipped and applied on the replica
-// before the ack. The one allocation is the replica's source address,
-// which a shadow keeps at registration. The primary keeps the request's
+// before the ack: it allocates nothing. The primary keeps the request's
 // device ID, copies its reading into its window and its key into its
-// idempotency log's arena, and records the shared bound-only reply, so
-// it allocates nothing. The replica decodes its own copy of the record,
-// but reads the device ID and the reading's name through its service's
-// tables, borrows the idempotency key from the record (its log copies
-// it) and the readings slice from its cursor's arena. Fingerprinting,
-// the entropy stream, the decoded request, the replies and the
-// shipper's feed account for none. Before the name table and the
-// borrowed key the replica allocated three times: its key, its
-// reading's name and the source address.
+// idempotency log's arena, and records the shared bound-only reply. The
+// replica decodes its own copy of the record, but reads the device ID
+// and the reading's name through its service's tables, borrows the
+// idempotency key and the heartbeat's source address from the record
+// (protocol.HeldCall: its log copies the key, and a shadow keeps only a
+// registration's address) and the readings slice from its cursor's
+// arena. Fingerprinting, the entropy stream, the decoded request, the
+// replies and the shipper's feed account for none. Before the replica
+// borrowed the address it allocated once; before the name table and the
+// borrowed key three times: its key, its reading's name and the source
+// address.
 func TestKeyedStatusAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -635,8 +636,8 @@ func TestKeyedStatusAllocations(t *testing.T) {
 	for next < warm {
 		call()
 	}
-	if got := testing.AllocsPerRun(runs, call); got != 1 {
-		t.Errorf("a keyed status allocates %.0f times through Node.HandleStatus, want 1", got)
+	if got := testing.AllocsPerRun(runs, call); got != 0 {
+		t.Errorf("a keyed status allocates %.0f times through Node.HandleStatus, want 0", got)
 	}
 	requireSnapshotsEqual(t, n.primary, n.replica)
 }

@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
 	"unsafe"
 
 	"github.com/iotbind/iotbind/internal/cloud"
+	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/protocol"
 	"github.com/iotbind/iotbind/internal/transport"
 	"github.com/iotbind/iotbind/internal/wal"
@@ -18,17 +20,17 @@ import (
 // before the ack) and back. A registered device's bare heartbeat
 // allocates nothing anywhere in the process: its ID is the registry's,
 // and it logs nothing. A keyed heartbeat with one reading allocates
-// twice: the front end copies the idempotency key, which the layers
-// above the cloud may keep past the call, and the replica decodes the
-// source address, which a shadow keeps at registration (borrowing it
-// would cost a copy at every register). The reading's name is the
-// service's own string on both sides (protocol.HeldReading), each
-// shadow copies the key into its idempotency log's arena, the replica
-// borrows its key from the record, the readings slices are borrowed
-// from the two cursors' arenas and the bound-only reply is shared on
-// both sides. Before the name table, the log's arena and the replica's
-// borrowed keys it allocated five times: the front end's reading name,
-// and the replica's key and reading name, besides these two.
+// nothing either: the front end and the replica borrow its idempotency
+// key from their input and the replica its source address
+// (protocol.HeldCall, which every layer down to the service answers for
+// the call), each shadow copies the key into its idempotency log's
+// arena, the reading's name is the service's own string on both sides
+// (protocol.HeldReading), the readings slices are borrowed from the two
+// cursors' arenas and the bound-only reply is shared on both sides.
+// Before the front end borrowed the key and the replica the address it
+// allocated twice; before the name table, the log's arena and the
+// replica's borrowed keys five times: the front end's reading name, and
+// the replica's key and reading name, besides these two.
 func TestStackStatusAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -57,8 +59,8 @@ func TestStackStatusAllocations(t *testing.T) {
 	for next < warm {
 		call()
 	}
-	if got := testing.AllocsPerRun(runs, call); got != 2 {
-		t.Errorf("a keyed status with one reading allocates %.0f times across the stack, want 2", got)
+	if got := testing.AllocsPerRun(runs, call); got != 0 {
+		t.Errorf("a keyed status with one reading allocates %.0f times across the stack, want 0", got)
 	}
 	requireSnapshotsEqual(t, n.primary, n.replica)
 
@@ -88,11 +90,16 @@ func TestStackStatusAllocations(t *testing.T) {
 //     sent to holds (every member holds every account);
 //   - for a credential, on a one-member ring the issuing store's own
 //     string, on a larger one a fresh copy: the router does not know
-//     which node issued it.
+//     which node issued it;
+//   - for an idempotency key (protocol.HeldCall), the raw bytes
+//     themselves while every member borrows it, else a fresh copy: any
+//     member may serve the call.
 //
 // After Kill → Promote → Swap of n0 the promoted replica answers from
 // the same registry and from its own token issuer and account store; a
-// Switchable whose live backend cannot answer copies all three.
+// Switchable whose live backend cannot answer copies all four, and a
+// router holding it, first or last in ring order, copies keys on every
+// ring.
 func TestRouterDeviceIDsAreTheRegistrys(t *testing.T) {
 	var ids []string
 	for i := 0; i < 32; i++ {
@@ -149,6 +156,16 @@ func routerHeldStrings(t *testing.T, reg *cloud.Registry, ids, names []string) {
 		}
 		return isHeld(held, raw, got)
 	}
+	lent := func(stage string, want bool) {
+		t.Helper()
+		for _, key := range []string{"k", "idem-" + user, ids[0]} {
+			b := []byte(key)
+			got := r.Canonical(protocol.HeldCall, b)
+			if lent := unsafe.StringData(got) == unsafe.SliceData(b); got != key || lent != want {
+				t.Errorf("%s: key %q came back as %q, its bytes %v, want %v", stage, key, got, lent, want)
+			}
+		}
+	}
 	check := func(stage string, answers bool) {
 		t.Helper()
 		owners := map[string]bool{}
@@ -175,6 +192,7 @@ func routerHeldStrings(t *testing.T, reg *cloud.Registry, ids, names []string) {
 				t.Errorf("%s: the token is %s's issuer's string: %v, want %v", stage, name, got, want && name == owner)
 			}
 		}
+		lent(stage, answers)
 	}
 	check("live", true)
 	if _, err := nodes[victim].Kill(); err != nil {
@@ -189,6 +207,10 @@ func routerHeldStrings(t *testing.T, reg *cloud.Registry, ids, names []string) {
 	check("after failover", true)
 	r.Member(victim).Swap(transport.NewFaultPlane(1).Wrap(promoted, transport.PartyDevice))
 	check("behind a backend that cannot answer", false)
+	last := names[len(names)-1]
+	r.Member(victim).Swap(promoted)
+	r.Member(last).Swap(transport.NewFaultPlane(1).Wrap(r.Member(last).Current(), transport.PartyDevice))
+	lent("behind a last member that cannot answer", false)
 }
 
 // TestStackColdCycleAllocations pins what each step of bind_churn's
@@ -198,13 +220,15 @@ func routerHeldStrings(t *testing.T, reg *cloud.Registry, ids, names []string) {
 // count. binapi reads every device ID, user token, delegation token and
 // grantee through the router as the primary's own string, each scope
 // name as the delegation scope table's and the scope list from its
-// worker cursor's arena, so on top of TestColdLaneAllocations' counts
-// below the transport (1, 2, 2, 0, 0, 1) the front end decodes only
-// the strings no table holds — the idempotency key of bind, delegate,
-// revoke and unbind and the control's command name — and the client
-// reads back the bound user and the minted delegation token: 3, 4, 3,
-// 0, 1 and 2, 13 a cycle. Before the replica borrowed its idempotency
-// keys from the record they were 4, 5, 3, 0, 2 and 3, 17 a cycle.
+// worker cursor's arena, and borrows each idempotency key from its input
+// (protocol.HeldCall), so on top of TestColdLaneAllocations' counts
+// below the transport (1, 2, 2, 0, 0, 1) the front end decodes only the
+// control's command name, which no table holds, and the client reads
+// back the bound user and the minted delegation token: 2, 3, 3, 0, 0
+// and 1, 9 a cycle. Before the front end borrowed the keys of bind,
+// delegate, revoke and unbind they were 3, 4, 3, 0, 1 and 2, 13 a
+// cycle; before the replica borrowed its keys from the record 4, 5, 3,
+// 0, 2 and 3, 17 a cycle.
 // Before the canonicaliser answered credentials
 // and accounts the counts were 6, 21, 7, 3, 8 and 5, 50 a cycle: the 19
 // between are the user tokens (6 decoded by the front end, 5 by the
@@ -220,6 +244,93 @@ func TestStackColdCycleAllocations(t *testing.T) {
 	ids := coldDevices(8)
 	n := newColdNode(t, "n0", labClock(), ids...)
 	c := serveSocket(t, newRouterOver(t, map[string]transport.Cloud{"n0": n}))
-	coldStepAllocs(t, c, ids, [6]uint64{3, 4, 3, 0, 1, 2})
+	coldStepAllocs(t, c, ids, [6]uint64{2, 3, 3, 0, 0, 1})
+	requireSnapshotsEqual(t, n.primary, n.replica)
+}
+
+// TestServedKeysReplay: over a loopback socket → binapi → one-member
+// Router → ack-after-replicate Node, every idempotency key arrives as
+// the bytes of its frame (protocol.HeldCall), and on the replica as the
+// bytes of its record, together with a heartbeat's source address. So
+// keyed statuses with a reading, a keyed re-registration, two-item
+// batches, binds and unbinds on four devices are sent once, and then,
+// after later frames and records have overwritten those buffers, sent
+// again: each redelivery replays — the primary's StatusDeduplicated,
+// BindsDeduplicated and UnbindsDeduplicated rise by the redeliveries of
+// each — and the replica still equals the primary, the registration's
+// address (a copy its shadow keeps) included.
+func TestServedKeysReplay(t *testing.T) {
+	ids := coldDevices(4)
+	n := newColdNode(t, "n0", labClock(), ids...)
+	c := serveSocket(t, newRouterOver(t, map[string]transport.Cloud{"n0": n}))
+	if err := c.RegisterUser(protocol.RegisterUserRequest{UserID: "owner@lab", Password: "pw"}); err != nil {
+		t.Fatal(err)
+	}
+	login, err := c.Login(protocol.LoginRequest{UserID: "owner@lab", Password: "pw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each device is sent two binds, six statuses (a registration and
+	// three heartbeats alone, two heartbeats in a batch) and an unbind.
+	const binds, statuses, unbinds = 2, 6, 1
+	var sends []func() error
+	for i, id := range ids {
+		if _, err := c.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: id}); err != nil {
+			t.Fatal(err)
+		}
+		key := func(step string) string { return fmt.Sprintf("%s-%d", step, i) }
+		status := func(step string, v float64) protocol.StatusRequest {
+			return protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: id, IdempotencyKey: key(step),
+				Readings: []protocol.Reading{{Name: "power_w", Value: v, At: labClock()()}}}
+		}
+		beat := func(step string, v float64) func() error {
+			return func() error { _, err := c.HandleStatus(status(step, v)); return err }
+		}
+		register := func() error {
+			_, err := c.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: id, IdempotencyKey: key("register")})
+			return err
+		}
+		bind := func(step string) func() error {
+			return func() error {
+				_, err := c.HandleBind(protocol.BindRequest{DeviceID: id, UserToken: login.UserToken, Sender: core.SenderApp, IdempotencyKey: key(step)})
+				return err
+			}
+		}
+		batch := func() error {
+			resp, err := c.HandleStatusBatch(protocol.StatusBatchRequest{Items: []protocol.StatusRequest{status("batch-a", 3), status("batch-b", 4)}})
+			for i := range resp.Results {
+				err = errors.Join(err, resp.Results[i].Err())
+			}
+			return err
+		}
+		unbind := func() error {
+			return c.HandleUnbind(protocol.UnbindRequest{DeviceID: id, UserToken: login.UserToken, Sender: core.SenderApp, IdempotencyKey: key("unbind")})
+		}
+		sends = append(sends, bind("bind"), beat("hb-a", 1), register, beat("hb-b", 2), batch, unbind, bind("rebind"), beat("hb-c", 5))
+	}
+	for _, send := range sends {
+		if err := send(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := n.primary.Service().Stats()
+	for i, send := range sends {
+		if err := send(); err != nil {
+			t.Fatalf("redelivery %d: %v", i, err)
+		}
+	}
+	after := n.primary.Service().Stats()
+	for _, c := range []struct {
+		what        string
+		from, to, d int64
+	}{
+		{"statuses", before.StatusDeduplicated, after.StatusDeduplicated, statuses * int64(len(ids))},
+		{"binds", before.BindsDeduplicated, after.BindsDeduplicated, binds * int64(len(ids))},
+		{"unbinds", before.UnbindsDeduplicated, after.UnbindsDeduplicated, unbinds * int64(len(ids))},
+	} {
+		if c.to-c.from != c.d {
+			t.Errorf("redelivering %d %s replayed %d", c.d, c.what, c.to-c.from)
+		}
+	}
 	requireSnapshotsEqual(t, n.primary, n.replica)
 }

@@ -46,7 +46,9 @@ func (k StatusKind) String() string {
 // Held names a kind of request string the cloud holds its own copy of
 // (transport.Canonical): a device ID (the registry's), a credential (the
 // token issuer's), an account ID (the account store's) or a reading name
-// (the service's name table).
+// (the service's name table) — or, HeldCall, one it keeps only by
+// copying: an idempotency key, or the source address of a status that is
+// not a registration, which the cloud reads only during the call.
 type Held uint8
 
 // Held kinds.
@@ -55,6 +57,7 @@ const (
 	HeldCred
 	HeldAccount
 	HeldReading
+	HeldCall
 )
 
 // Reading is one sensor sample reported by a device.

@@ -22,7 +22,8 @@ import (
 // in-process implementation is cloud.Service; the HTTP client in the
 // httpapi package implements the same interface over the wire. A
 // request's slices are borrowed for the call (binapi reuses them): an
-// implementation copies what it keeps. Strings are immutable and may be kept.
+// implementation copies what it keeps. Strings are immutable and may be
+// kept, but those a Canonical lent for the call (protocol.HeldCall).
 type Cloud interface {
 	// RegisterUser creates a user account.
 	RegisterUser(protocol.RegisterUserRequest) error
@@ -69,7 +70,8 @@ type Cloud interface {
 // Canonical is offered by a Cloud holding the tables a request's strings
 // name (protocol.Held), or one forwarding to it: Canonical returns the
 // table's own string equal to raw, else a fresh copy. raw is non-empty
-// and read only during the call.
+// and valid only during the call it is decoded for; a Cloud that keeps
+// no protocol.HeldCall string past the call may answer one with raw.
 type Canonical interface {
 	Canonical(protocol.Held, []byte) string
 }

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-	"unsafe"
 
 	"github.com/iotbind/iotbind/internal/protocol"
 )
@@ -135,22 +134,21 @@ func putF64(b *bytes.Buffer, v float64) {
 
 // Cursor is a bounds-checked reader over a binary record. The first
 // failure sticks; every accessor afterwards returns a zero value, and
-// the caller checks Err once at the end. Strings alias nothing but
-// idempotency keys on a cursor that borrows them (BorrowKeys); readings
-// and scope lists are borrowed until Reset. Each Str copies out of the
-// input; ID, Cred, Account and a reading's name return the string the
-// cursor's owner holds for the bytes (SetCanonical) or such a copy. A
-// status request's readings (ReadStatusRest) and a delegate request's
-// scope list (ReadDelegateBody) are cut from arenas reused after Reset:
-// keepers copy them.
+// the caller checks Err once at the end. Each Str copies out of the
+// input; ID, Cred, Account, a reading's name, an idempotency key and a
+// non-registration status's source address return what the cursor's
+// owner answers for the bytes (SetCanonical) or such a copy — for the
+// last two (protocol.HeldCall) possibly the input itself, valid only
+// while the input is. A status request's readings (ReadStatusRest) and a
+// delegate request's scope list (ReadDelegateBody) are cut from arenas
+// reused after Reset: keepers copy them.
 type Cursor struct {
-	data       []byte
-	off        int
-	err        error
-	canon      func(kind protocol.Held, raw []byte) string
-	borrowKeys bool
-	arena      []protocol.Reading
-	scopes     []string
+	data   []byte
+	off    int
+	err    error
+	canon  func(kind protocol.Held, raw []byte) string
+	arena  []protocol.Reading
+	scopes []string
 }
 
 // NewCursor positions a cursor at off within data.
@@ -161,7 +159,7 @@ func NewCursor(data []byte, off int) *Cursor {
 // Reset repositions the cursor at the start of data and clears any
 // failure, for a cursor that lives in a long-lived owner: a pointer to a
 // fresh cursor handed to a func value would escape to the heap. The
-// canonicaliser and BorrowKeys stay set and each arena is reused, unless
+// canonicaliser stays set and each arena is reused, unless
 // it grew past 4 MiB (binapi drops worker.out there too).
 func (c *Cursor) Reset(data []byte) {
 	if cap(c.arena) > 4<<20/48 { // a reading is 48 bytes
@@ -170,7 +168,7 @@ func (c *Cursor) Reset(data []byte) {
 	if cap(c.scopes) > 4<<20/16 { // a string header is 16 bytes
 		c.scopes = nil
 	}
-	*c = Cursor{data: data, canon: c.canon, borrowKeys: c.borrowKeys, arena: c.arena[:0], scopes: c.scopes[:0]}
+	*c = Cursor{data: data, canon: c.canon, arena: c.arena[:0], scopes: c.scopes[:0]}
 }
 
 // cut extends *arena by n zero items and returns them, capped: no
@@ -181,17 +179,12 @@ func cut[T any](arena *[]T, n uint64) []T {
 	return (*arena)[i:len(*arena):len(*arena)]
 }
 
-// SetCanonical installs the canonicaliser ID, Cred and Account read
-// through: given a kind and non-empty raw bytes (valid only during the
-// call) it returns an equal string, its owner's when it can; nil copies.
+// SetCanonical installs the canonicaliser held strings read through:
+// given a kind and non-empty raw bytes (aliasing the input) it returns an
+// equal string, its owner's when it can, for protocol.HeldCall raw
+// itself when the owner keeps no such string past the call; nil copies.
 // Pass a func value built once per owner: one made per call allocates.
 func (c *Cursor) SetCanonical(canon func(kind protocol.Held, raw []byte) string) { c.canon = canon }
-
-// BorrowKeys makes every request's idempotency key a string aliasing the
-// input, valid only while the input is, instead of a copy. For an owner
-// that applies each body and drops it before the input changes, and
-// keeps no key it did not copy itself (cloud.Durable's replay).
-func (c *Cursor) BorrowKeys() { c.borrowKeys = true }
 
 // Err returns the sticky decode failure, if any.
 func (c *Cursor) Err() error { return c.err }
@@ -270,18 +263,14 @@ func (c *Cursor) Cred() string { return c.held(protocol.HeldCred) }
 // Account reads a length-prefixed account ID through the canonicaliser.
 func (c *Cursor) Account() string { return c.held(protocol.HeldAccount) }
 
-// key reads an idempotency key: borrowed (BorrowKeys) or copied.
-func (c *Cursor) key() string {
-	raw := c.StrBytes()
-	if !c.borrowKeys || len(raw) == 0 {
-		return string(raw)
-	}
-	return unsafe.String(&raw[0], len(raw))
-}
+// key reads an idempotency key through the canonicaliser.
+func (c *Cursor) key() string { return c.held(protocol.HeldCall) }
 
 // held reads through the canonicaliser, or copies like Str without one.
-func (c *Cursor) held(kind protocol.Held) string {
-	raw := c.StrBytes()
+func (c *Cursor) held(kind protocol.Held) string { return c.through(kind, c.StrBytes()) }
+
+// through answers raw bytes already read as held does.
+func (c *Cursor) through(kind protocol.Held, raw []byte) string {
 	if c.canon == nil || len(raw) == 0 {
 		return string(raw)
 	}
@@ -361,12 +350,18 @@ func readReadings(c *Cursor, list []protocol.Reading) {
 	}
 }
 
-// ReadStatusBody decodes one StatusRequest.
+// ReadStatusBody decodes one StatusRequest. A registration's source
+// address is copied, since a shadow keeps it; any other status's is read
+// through the canonicaliser (protocol.HeldCall).
 func ReadStatusBody(c *Cursor) protocol.StatusRequest {
 	var req protocol.StatusRequest
 	req.Kind = protocol.StatusKind(c.U8())
 	req.DeviceID = c.ID()
-	req.SourceIP = string(ReadStatusRest(c, &req))
+	if src := ReadStatusRest(c, &req); req.Kind == protocol.StatusRegister {
+		req.SourceIP = string(src)
+	} else {
+		req.SourceIP = c.through(protocol.HeldCall, src)
+	}
 	return req
 }
 
@@ -375,8 +370,9 @@ func ReadStatusBody(c *Cursor) protocol.StatusRequest {
 // input) and leaves unset. Split out for the binapi server, which drops
 // the sender's address claim undecoded (conn.cloud stamps the
 // transport's), so its decode of a bare heartbeat allocates nothing.
-// ReadStatusBody, which replays the address that was stamped,
-// materialises it. The readings are borrowed (see Cursor).
+// ReadStatusBody, which replays the address that was stamped, reads it
+// by the status's kind. The idempotency key is read through the
+// canonicaliser and the readings are borrowed (see Cursor).
 func ReadStatusRest(c *Cursor, req *protocol.StatusRequest) (sourceIP []byte) {
 	req.DevToken = c.Str()
 	req.Signature = c.Str()
