@@ -122,7 +122,10 @@ alloc-pins:
 # lattice designs under other device IDs staged between them, against
 # fresh testbeds (TestPooledSweepsMatchFresh), and the refusals a warm
 # rig's agents hand out again against ones a fresh rig builds
-# (TestCachedRefusalsMatchFresh).
+# (TestCachedRefusalsMatchFresh); and, three times, status batches and
+# the store's first inserts, every shadow made through the one get that
+# single statuses and batch items share (TestStatusBatch*,
+# TestShardMapsAppearOnFirstInsert).
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery|TestDurableMixedLaneRecovery' ./internal/cloud/
@@ -133,6 +136,7 @@ race-stress:
 	$(GO) test -race -count=10 -run='TestCanonicalRacesLoginAndRevoke|TestCanonicalReadingNames|TestDelegationRevocationRaceOneWinner|TestOwnershipTransferStorm' ./internal/cloud/
 	$(GO) test -race -count=10 -run='TestRetryClose' ./internal/retry/
 	$(GO) test -race -count=3 -run='TestResetMatchesFresh|TestEvaluateVendorsMatchesSequential|TestPooledSweepsMatchFresh|TestCachedRefusalsMatchFresh' ./internal/testbed/
+	$(GO) test -race -count=3 -run='TestStatusBatch|TestShardMapsAppearOnFirstInsert' ./internal/cloud/
 
 # bench compiles and smoke-runs every benchmark (100 iterations, no unit
 # tests) so perf regressions in the hot path are caught by CI, not just

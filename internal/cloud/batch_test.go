@@ -4,29 +4,39 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/protocol"
 )
 
-// newFleetService builds a cloud with n registered devices and one logged-in
-// user, returning the service, the device IDs, and the user token.
-func newFleetService(t *testing.T, design core.DesignSpec, n int) (*Service, []string, string) {
-	t.Helper()
-	reg := NewRegistry()
+// fleetIDs returns n device IDs for newFleetService.
+func fleetIDs(n int) []string {
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("AA:BB:CC:00:01:%02X", i)
-		if err := reg.Add(DeviceRecord{ID: ids[i], FactorySecret: "secret-" + ids[i], Model: "plug"}); err != nil {
+	}
+	return ids
+}
+
+// newFleetService builds a cloud with the given devices registered and one
+// logged-in user, returning the service and the user token.
+func newFleetService(t *testing.T, design core.DesignSpec, ids []string, opts ...Option) (*Service, string) {
+	t.Helper()
+	reg := NewRegistry()
+	for _, id := range ids {
+		if err := reg.Add(DeviceRecord{ID: id, FactorySecret: "secret-" + id, Model: "plug"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	svc, err := NewService(design, reg, WithClock(newTestClock().Now))
+	svc, err := NewService(design, reg, append([]Option{WithClock(newTestClock().Now)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return svc, ids, loginUser(t, svc, "victim@example.com", "pw-victim")
+	return svc, loginUser(t, svc, "victim@example.com", "pw-victim")
 }
 
 // TestStatusBatchPerItemIsolation proves one bad item never poisons the
@@ -76,6 +86,80 @@ func TestStatusBatchPerItemIsolation(t *testing.T) {
 	}
 }
 
+// TestStatusBatchLeavesCallersItems: a request's slices are borrowed for
+// the call, so the envelope's source address reaches each item's handling
+// without being written into the caller's items.
+func TestStatusBatchLeavesCallersItems(t *testing.T) {
+	svc, _, _, _ := newTestService(t, devIDDesign())
+	items := []protocol.StatusRequest{{Kind: protocol.StatusRegister, DeviceID: testDevice}}
+	want := slices.Clone(items)
+	resp, err := svc.HandleStatusBatch(protocol.StatusBatchRequest{Items: items, SourceIP: "203.0.113.9"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.FirstError(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(items, want) {
+		t.Errorf("caller's items after the batch = %+v, want them unchanged %+v", items, want)
+	}
+	if sh, _ := svc.store.peek(testDevice); sh == nil || sh.deviceIP != "203.0.113.9" {
+		t.Errorf("the registration did not record the envelope's source address")
+	}
+}
+
+// TestStatusBatchRacesSingles: batches and single statuses racing on the
+// same fresh devices make each shadow once, through the store's one get,
+// and apply every item exactly once.
+func TestStatusBatchRacesSingles(t *testing.T) {
+	const workers, rounds = 4, 25
+	ids := fleetIDs(6)
+	svc, _ := newFleetService(t, devIDDesign(), ids)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				items := make([]protocol.StatusRequest, len(ids))
+				for i, id := range ids {
+					items[i] = protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: id,
+						Readings: []protocol.Reading{{Name: "power_w", Value: float64(w)}}}
+				}
+				if w%2 == 0 {
+					resp, err := svc.HandleStatusBatch(protocol.StatusBatchRequest{Items: items})
+					if err == nil {
+						err = resp.FirstError()
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				for _, req := range items {
+					if _, err := svc.HandleStatus(req); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := svc.Stats().StatusAccepted, int64(workers*rounds*len(ids)); got != want {
+		t.Errorf("StatusAccepted = %d, want %d", got, want)
+	}
+	if got := svc.store.ids(); !reflect.DeepEqual(got, ids) {
+		t.Errorf("store holds %v, want %v", got, ids)
+	}
+	for _, id := range ids {
+		if sh, _ := svc.store.peek(id); len(sh.readings.buf) != workers*rounds {
+			t.Errorf("device %s kept %d readings, want %d", id, len(sh.readings.buf), workers*rounds)
+		}
+	}
+}
+
 func TestStatusBatchEmpty(t *testing.T) {
 	svc, _, _, _ := newTestService(t, devIDDesign())
 	resp, err := svc.HandleStatusBatch(protocol.StatusBatchRequest{})
@@ -87,8 +171,9 @@ func TestStatusBatchEmpty(t *testing.T) {
 // TestStatusBatchRebatchingEquivalence is the batching correctness
 // property: however a fixed message sequence is chopped into StatusBatch
 // frames, every device ends in the same shadow state with the same
-// transition trace, the same ingested readings, and the same item-level
-// status counters as delivering the messages one by one.
+// transition trace, the same ingested readings, the same session nonce
+// and the same item-level status counters as delivering the messages one
+// by one.
 func TestStatusBatchRebatchingEquivalence(t *testing.T) {
 	const (
 		nDev   = 5
@@ -117,8 +202,9 @@ func TestStatusBatchRebatchingEquivalence(t *testing.T) {
 
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			ref, refIDs, refUser := newFleetService(t, design, nDev)
-			bat, batIDs, batUser := newFleetService(t, design, nDev)
+			refIDs, batIDs := fleetIDs(nDev), fleetIDs(nDev)
+			ref, refUser := newFleetService(t, design, refIDs)
+			bat, batUser := newFleetService(t, design, batIDs)
 			for _, id := range refIDs {
 				if _, err := ref.HandleBind(protocol.BindRequest{DeviceID: id, UserToken: refUser, Sender: core.SenderApp}); err != nil {
 					t.Fatal(err)
@@ -204,6 +290,55 @@ func TestStatusBatchRebatchingEquivalence(t *testing.T) {
 			}
 		})
 	}
+
+	// Under DataRequiresSession each register draws a session nonce off
+	// the service's source, so a batch must draw in arrival order: two
+	// devices on one store shard sandwich a device on another.
+	t.Run("session-nonces", func(t *testing.T) {
+		session := devIDDesign()
+		session.DataRequiresSession = true
+		counted := func() Option {
+			n := 0
+			return WithRandomHex(func() (string, error) { n++; return fmt.Sprintf("nonce-%d", n), nil })
+		}
+		shardOf := func(id string) uint32 { return fnv1a(id) & uint32(shardCount()-1) }
+		var a, b, c string
+		for i := 0; c == ""; i++ {
+			switch id := fmt.Sprintf("AA:BB:CC:00:02:%03X", i); {
+			case a == "":
+				a = id
+			case b == "" && shardOf(id) != shardOf(a):
+				b = id
+			case b != "" && shardOf(id) == shardOf(a):
+				c = id
+			}
+		}
+		ids := []string{a, b, c}
+		ref, _ := newFleetService(t, session, ids, counted())
+		bat, _ := newFleetService(t, session, ids, counted())
+		seq := make([]protocol.StatusRequest, len(ids))
+		for i, id := range ids {
+			seq[i] = protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: id}
+		}
+		resp, err := bat.HandleStatusBatch(protocol.StatusBatchRequest{Items: seq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, req := range seq {
+			want, err := ref.HandleStatus(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resp.Results[i]; got.Code != "" || !reflect.DeepEqual(got.Response, want) {
+				t.Errorf("item %d (%s): batched %+v != sequential %+v", i, req.DeviceID, got, want)
+			}
+			refSh, _ := ref.store.peek(req.DeviceID)
+			batSh, _ := bat.store.peek(req.DeviceID)
+			if refSh.sessionNonce != batSh.sessionNonce {
+				t.Errorf("device %s session nonce: batched %q != sequential %q", req.DeviceID, batSh.sessionNonce, refSh.sessionNonce)
+			}
+		}
+	})
 }
 
 // TestStatusBatchIdempotentReplay proves a redelivered keyed batch is

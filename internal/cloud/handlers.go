@@ -65,26 +65,20 @@ func (s *Service) handleStatusCounted(req protocol.StatusRequest, env *opEnv) (p
 }
 
 // HandleStatusBatch processes a batch of device status messages in one
-// call: shard-grouped dispatch, per-item outcomes (see handleStatusBatch).
-// Each item counts toward the status counters individually, so stats are
-// invariant under re-batching of the same traffic.
+// call: each item, in arrival order, takes the same path a single status
+// does and fills its own result slot, so one bad item never poisons the
+// rest and the status counters are invariant under re-batching. The
+// envelope's source address is stamped on the value each item is handled
+// as, never on the caller's items.
 func (s *Service) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	resp, err := s.handleStatusBatch(req)
-	if err != nil {
-		s.stats.StatusRejected.Add(int64(len(req.Items)))
-		return resp, err
+	resp := protocol.StatusBatchResponse{Results: make([]protocol.StatusBatchResult, len(req.Items))}
+	for i, item := range req.Items {
+		if req.SourceIP != "" {
+			item.SourceIP = req.SourceIP
+		}
+		resp.Results[i] = protocol.MakeBatchResult(s.handleStatusCounted(item, nil))
 	}
 	s.stats.StatusBatches.Add(1)
-	var ok, fail int64
-	for i := range resp.Results {
-		if resp.Results[i].Code == "" {
-			ok++
-		} else {
-			fail++
-		}
-	}
-	s.stats.StatusAccepted.Add(ok)
-	s.stats.StatusRejected.Add(fail)
 	return resp, nil
 }
 

@@ -284,9 +284,10 @@ func (s *Service) envNonce(env *opEnv) (string, error) {
 	return s.randomHex()
 }
 
-// HandleStatus processes a device status message: authentication (per the
+// handleStatus processes a device status message: authentication (per the
 // design's mode), online marking, reading ingestion, and delivery of
-// pending commands and user data.
+// pending commands and user data. It is the one status path: a single
+// status, each item of a batch and each replayed record take it.
 func (s *Service) handleStatus(req protocol.StatusRequest, env *opEnv) (protocol.StatusResponse, error) {
 	if req.Kind != protocol.StatusRegister && req.Kind != protocol.StatusHeartbeat {
 		return protocol.StatusResponse{}, errStatusKind
@@ -299,13 +300,6 @@ func (s *Service) handleStatus(req protocol.StatusRequest, env *opEnv) (protocol
 	sh := s.store.get(req.DeviceID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.statusLocked(sh, rec, req, env)
-}
-
-// statusLocked is the status-handling core, shared by the single-message
-// and batch paths. The caller holds sh's lock and has already validated
-// the status kind and resolved the registry record.
-func (s *Service) statusLocked(sh *shadow, rec DeviceRecord, req protocol.StatusRequest, env *opEnv) (protocol.StatusResponse, error) {
 	now := s.envNow(env)
 	sh.refresh(now, DefaultHeartbeatTTL)
 

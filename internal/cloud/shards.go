@@ -112,50 +112,6 @@ func (st *shadowStore) shard(deviceID string) *shadowShard {
 	return &st.shards[fnv1a(deviceID)&st.mask]
 }
 
-// shardIndex returns the shard index a device ID maps to; the batch path
-// uses it to group a batch's devices before locking.
-func (st *shadowStore) shardIndex(deviceID string) uint32 {
-	return fnv1a(deviceID) & st.mask
-}
-
-// getMany returns the shadows for ids, which must all map to the shard at
-// index idx. The shard lock is taken once for the whole group — one read
-// round, plus at most one write round creating any missing shadows —
-// instead of once per device, which is the batch path's lock
-// amortization.
-func (st *shadowStore) getMany(idx uint32, ids []string) []*shadow {
-	sd := &st.shards[idx]
-	out := make([]*shadow, len(ids))
-	missing := false
-	sd.mu.RLock()
-	for i, id := range ids {
-		if sh, ok := sd.shadows[id]; ok {
-			out[i] = sh
-		} else {
-			missing = true
-		}
-	}
-	sd.mu.RUnlock()
-	if !missing {
-		return out
-	}
-	sd.mu.Lock()
-	defer sd.mu.Unlock()
-	for i, id := range ids {
-		if out[i] != nil {
-			continue
-		}
-		// Double-check: a concurrent batch or single-status handler may
-		// have created the shadow between the read and write rounds.
-		if sh, ok := sd.shadows[id]; ok {
-			out[i] = sh
-			continue
-		}
-		out[i] = sd.put(id)
-	}
-	return out
-}
-
 // get returns the shadow for deviceID, creating it on first sight. The
 // fast path is a read-locked lookup; creation double-checks under the
 // write lock.

@@ -7,12 +7,11 @@ import (
 
 // StatusBatchRequest carries many status messages in one wire round trip.
 // The binding life cycle is dominated by heartbeats (Figure 2's self-loops
-// vastly outnumber the six state-changing edges), so amortizing the
-// per-message transport and locking cost across a batch is the cloud's
-// single highest-leverage optimization. Items are applied in order; items
-// for the same device are applied consecutively under one shadow lock, and
-// each item succeeds or fails independently — one bad credential never
-// poisons the rest of the batch.
+// vastly outnumber the six state-changing edges), so a batch amortizes
+// the per-message transport cost. The cloud applies the items in order,
+// each exactly as it would apply the same status sent alone, and each item
+// succeeds or fails independently — one bad credential never poisons the
+// rest of the batch.
 type StatusBatchRequest struct {
 	// Items are the individual status messages, in sending order.
 	Items []StatusRequest `json:"items"`
