@@ -91,10 +91,15 @@ alloc-pins:
 # heartbeats and batches for different connections, every device ID
 # through the cloud's registry, and every keyed operation's key and
 # address to a cloud that keeps them, directly and behind a Switchable,
-# each connection's inbound buffer recycled to the next
-# (TestServedKeysOutliveTheirFrames), and keyed statuses, batches, binds
-# and unbinds through socket, router and node replaying once their frames
-# and records are overwritten (TestServedKeysReplay), plus the pipe
+# each connection's inbound buffer recycled to the next, and every
+# control's command name to a cloud that keeps it, behind a service as
+# the name table's string (TestServedKeysOutliveTheirFrames), and keyed
+# statuses, batches, binds and unbinds through socket, router and node
+# replaying once their frames and records are overwritten
+# (TestServedKeysReplay), and a replica applying binds, a refused bind,
+# controls and unbinds whose borrowed keys and cold source addresses, and
+# held command names, outlive their overwritten records
+# (TestReplayedKeysOutliveTheirRecord), plus the pipe
 # tests: many writers on one
 # pipe, a pipe call parked in the cloud beside Server.Close and
 # Client.Close, the server's goroutine accounting, and a window of
@@ -102,12 +107,13 @@ alloc-pins:
 # in the read beside Client.Close; and, ten times, the canonicaliser
 # reading the token issuer and the account store while other goroutines
 # sign up, log in and revoke (TestCanonicalRacesLoginAndRevoke), the
-# service's reading-name table filled by several goroutines at once
-# (TestCanonicalReadingNames), a delegated control racing its revocation
-# (TestDelegationRevocationRaceOneWinner), and one device changing hands
-# again and again while delegations, re-delegations, cascading revokes,
-# share flips and delegated controls run on it, each using the lattice's
-# severed list only under the shadow's lock (TestOwnershipTransferStorm);
+# service's one name table, of reading and command names, filled by
+# several goroutines at once (TestCanonicalNames), a delegated control
+# racing its revocation (TestDelegationRevocationRaceOneWinner), and one
+# device changing hands again and again while delegations,
+# re-delegations, cascading revokes, share flips and delegated controls
+# run on it, each using the lattice's severed list only under the
+# shadow's lock (TestOwnershipTransferStorm);
 # and, ten times, retry's Close landing in a backoff wait, real-timer and
 # injected (TestRetryClose*): the wait runs inside the forwarding loop's
 # End, so the call must still come back with ErrClosed and no further
@@ -131,9 +137,10 @@ race-stress:
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery|TestDurableMixedLaneRecovery' ./internal/cloud/
 	$(GO) test -race -count=3 -run='TestShipper|TestNode' ./internal/cluster/
 	$(GO) test -race -count=10 -run='TestServedKeysReplay' ./internal/cluster/
+	$(GO) test -race -count=10 -run='TestReplayedKeysOutliveTheirRecord' ./internal/cloud/
 	$(GO) test -race -count=3 -run='TestReadinessEquivalence|TestEpoll|TestShortWrite|TestIdleTimeout|TestBackpressure|TestOverCap' ./internal/binapi/
 	$(GO) test -race -count=10 -run='TestServedDeviceIDsAreTheRegistrys|TestServedKeysOutliveTheirFrames|TestPipe|TestServerGoroutines|TestEpollServerGoroutines|TestReadToken' ./internal/binapi/
-	$(GO) test -race -count=10 -run='TestCanonicalRacesLoginAndRevoke|TestCanonicalReadingNames|TestDelegationRevocationRaceOneWinner|TestOwnershipTransferStorm' ./internal/cloud/
+	$(GO) test -race -count=10 -run='TestCanonicalRacesLoginAndRevoke|TestCanonicalNames|TestDelegationRevocationRaceOneWinner|TestOwnershipTransferStorm' ./internal/cloud/
 	$(GO) test -race -count=10 -run='TestRetryClose' ./internal/retry/
 	$(GO) test -race -count=3 -run='TestResetMatchesFresh|TestEvaluateVendorsMatchesSequential|TestPooledSweepsMatchFresh|TestCachedRefusalsMatchFresh' ./internal/testbed/
 	$(GO) test -race -count=3 -run='TestStatusBatch|TestShardMapsAppearOnFirstInsert' ./internal/cloud/

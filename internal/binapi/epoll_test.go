@@ -849,8 +849,9 @@ func TestServedDeviceIDsAreTheRegistrys(t *testing.T) {
 }
 
 // keyKeeper cannot answer transport.Canonical, and keeps every keyed
-// request's idempotency key and source address as it arrived, beside a
-// copy made on arrival: a cloud that does not answer may keep them.
+// request's idempotency key and source address, and a control's command
+// name and source address, as they arrived, beside a copy made on
+// arrival: a cloud that does not answer may keep them.
 type keyKeeper struct {
 	transport.Cloud
 	mu   sync.Mutex
@@ -890,6 +891,11 @@ func (k *keyKeeper) HandleUnbind(req protocol.UnbindRequest) error {
 	return nil
 }
 
+func (k *keyKeeper) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
+	k.keep(req.Command.Name, req.SourceIP)
+	return protocol.ControlResponse{}, nil
+}
+
 func (k *keyKeeper) HandleDelegate(req protocol.DelegateRequest) (protocol.DelegateResponse, error) {
 	k.keep(req.IdempotencyKey)
 	return protocol.DelegateResponse{DelegationToken: "d"}, nil
@@ -902,16 +908,19 @@ func (k *keyKeeper) HandleRevokeDelegation(req protocol.RevokeDelegationRequest)
 
 // TestServedKeysOutliveTheirFrames: a cloud that cannot answer
 // transport.Canonical may keep a request's strings, so the server must
-// hand it a copy of every idempotency key where a cloud answering for
-// the call (protocol.HeldCall) gets its input's bytes. A keeper behind
-// the server, and one swapped in behind a transport.Switchable whose
-// service backend borrowed the keys before, keeps the key and source
-// address of every keyed status, batch, bind, unbind, delegate and
-// revoke, while two serving goroutines — a poller and a pipe's writer —
-// decode later frames over the same inbound bytes, each connection
-// closed after a few requests so the next one takes its recycled
-// buffer. Every kept string still equals what arrived, and what arrived
-// is what was sent.
+// hand it a copy of every idempotency key, source address and command
+// name where a cloud answering for the call (protocol.HeldCall) gets its
+// input's bytes. A keeper behind the server, and one swapped in behind a
+// transport.Switchable whose service backend borrowed the keys before,
+// keeps the key and source address of every keyed status, batch, bind,
+// unbind, delegate and revoke, and a control's name and address, while
+// two serving goroutines — a poller and a pipe's writer — decode later
+// frames over the same inbound bytes, each connection closed after a few
+// requests so the next one takes its recycled buffer. Every kept string
+// still equals what arrived, and what arrived is what was sent. Behind a
+// service, which answers, a control's name is the service's name-table
+// string, or a copy for a name too long to hold: kept behind it, it
+// still reads as sent once its frame is reused.
 func TestServedKeysOutliveTheirFrames(t *testing.T) {
 	k := &keyKeeper{}
 	sw := transport.NewSwitchable(newLabService(t, 1))
@@ -945,12 +954,98 @@ func TestServedKeysOutliveTheirFrames(t *testing.T) {
 			}
 		})
 	}
+	t.Run("service", servedNamesOutliveTheirFrames)
+}
+
+// nameKeeper is a service that keeps each control's command name as the
+// server handed it, beside a copy made on arrival.
+type nameKeeper struct {
+	*cloud.Service
+	k *keyKeeper
+}
+
+func (n nameKeeper) HandleControl(req protocol.ControlRequest) (protocol.ControlResponse, error) {
+	n.k.keep(req.Command.Name)
+	return n.Service.HandleControl(req)
+}
+
+// servedNamesOutliveTheirFrames is TestServedKeysOutliveTheirFrames
+// behind a service: a socket client and a pipe each send, in rounds of
+// one connection, controls named turn_on, a name of their own and a name
+// longer than the table holds.
+func servedNamesOutliveTheirFrames(t *testing.T) {
+	const rounds, pipeSrc = 20, "198.51.100.1"
+	svc := newLabService(t, 2)
+	if err := svc.RegisterUser(protocol.RegisterUserRequest{UserID: "u@example.com", Password: "pw"}); err != nil {
+		t.Fatal(err)
+	}
+	login, err := svc.Login(protocol.LoginRequest{UserID: "u@example.com", Password: "pw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 2; n++ {
+		if _, err := svc.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDeviceID(n)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: testDeviceID(n), UserID: "u@example.com", UserPassword: "pw"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := &keyKeeper{}
+	srv, addr := serveSocket(t, withPollers(NewServer(nameKeeper{svc, k}, WithReadiness(ReadinessEpoll)), 1))
+	long := func(n, i int) string { return fmt.Sprintf("%s-%d-%03d", strings.Repeat("x", 64), n, i) }
+	var wg sync.WaitGroup
+	for n, src := range []string{"127.0.0.1", pipeSrc} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				var cl *Client
+				var err error
+				if src == pipeSrc {
+					cl, err = srv.Pipe(pipeSrc)
+				} else {
+					cl, err = Dial(addr)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, name := range []string{"turn_on", fmt.Sprintf("dim-%d-%03d", n, i), long(n, i)} {
+					if _, err := cl.HandleControl(protocol.ControlRequest{DeviceID: testDeviceID(n), UserToken: login.UserToken,
+						Command: protocol.Command{ID: "c", Name: name}}); err != nil {
+						t.Errorf("connection %d round %d %s: %v", n, i, name, err)
+					}
+				}
+				cl.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if len(k.kept) != 2*rounds*3 {
+		t.Fatalf("%d names kept, want %d", len(k.kept), 2*rounds*3)
+	}
+	for _, kept := range k.kept {
+		name, arrived := kept[0], kept[1]
+		if name != arrived {
+			t.Errorf("a kept name arrived as %q and now reads %q", arrived, name)
+			continue
+		}
+		// A name of its own arrives once, a copy, which its acceptance
+		// makes the table's string.
+		if table := svc.Canonical(protocol.HeldName, []byte(name)); strings.HasPrefix(name, "dim-") && unsafe.StringData(name) != unsafe.StringData(table) {
+			t.Errorf("%q, accepted once, is not the table's string", name)
+		}
+	}
 }
 
 // serveKeyed serves c from one poller, and drives it from a socket
 // client and a pipe at once, each through rounds of one connection
-// that sends every keyed operation once. It returns the strings a
-// keeper of each request's key and source address should hold, counted
+// that sends every keyed operation and a control once. It returns the
+// strings a keeper of each request's key, command name and source
+// address should hold, counted
 // (the order between the two connections is scheduling).
 func serveKeyed(t *testing.T, c transport.Cloud) map[string]int {
 	const rounds, pipeSrc = 20, "198.51.100.1"
@@ -998,6 +1093,10 @@ func serveKeyed(t *testing.T, c transport.Cloud) map[string]int {
 						return err
 					}(),
 					cl.HandleRevokeDelegation(protocol.RevokeDelegationRequest{DeviceID: id, Grantee: "g@x", IdempotencyKey: key(6)}),
+					func() error {
+						_, err := cl.HandleControl(protocol.ControlRequest{DeviceID: id, Command: protocol.Command{ID: "c", Name: key(7)}})
+						return err
+					}(),
 				}
 				cl.Close()
 				if err := errors.Join(errs...); err != nil {
@@ -1005,10 +1104,10 @@ func serveKeyed(t *testing.T, c transport.Cloud) map[string]int {
 					return
 				}
 				mu.Lock()
-				for j := 0; j <= 6; j++ {
+				for j := 0; j <= 7; j++ {
 					sent[key(j)]++
 				}
-				sent[src] += 4 // the status, the batch, the bind and the unbind are stamped
+				sent[src] += 5 // the status, the batch, the bind, the unbind and the control are stamped
 				sent[""] += 2  // the batch items' own addresses are not
 				mu.Unlock()
 			}

@@ -440,7 +440,7 @@ type worker struct {
 
 // newWorker returns a worker whose cursor reads held strings through the
 // cloud's transport.Canonical, or copies them when the cloud cannot answer.
-// A key lent back (protocol.HeldCall) aliases the frame, intact until the call returns.
+// A string lent back (protocol.HeldCall) aliases the frame, intact until the call returns.
 func (s *Server) newWorker() *worker {
 	w := &worker{srv: s}
 	if c, ok := s.cloud.(transport.Canonical); ok {

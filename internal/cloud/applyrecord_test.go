@@ -403,18 +403,24 @@ func TestRecordIDsCanonicalOnlyOnExactMatch(t *testing.T) {
 }
 
 // TestReplayedKeysOutliveTheirRecord: a replica's apply borrows each
-// idempotency key, and a heartbeat's source address, from the record it
-// decodes, so the shadow must copy what it keeps. A keyed bind, a keyed
-// status with a reading and a source address, and a batch of a
-// registration and a heartbeat, each from its own address, are applied
-// from buffers overwritten right after each apply; the replica still
-// equals the primary, snapshot for snapshot (its idempotency log and the
-// batch registration's device_ip included), and still replays all three
-// from their records.
+// idempotency key, and every source address but a registration's, from
+// the record it decodes, so the shadow must copy what it keeps. On a
+// design that checks a bind's source address, a keyed bind, controls, a
+// keyed status with a reading, a batch of a registration and a
+// heartbeat, a bind from an address the device no longer has, an
+// unbind, a rebind and a control, each from its own address, are
+// applied from buffers
+// overwritten right after each apply; the replica accepts and refuses
+// exactly what the primary did, still equals it, snapshot for snapshot
+// (its idempotency log, command inbox and the batch registration's
+// device_ip included), and still replays the bind, the status and the
+// batch from their records.
 func TestReplayedKeysOutliveTheirRecord(t *testing.T) {
 	dir, clock := t.TempDir(), newTestClock()
 	reg := applyRegistry(t)
-	primary := openApplyDurable(t, dir, devIDDesign(), reg, clock, false)
+	design := devIDDesign()
+	design.SourceIPCheck = true
+	primary := openApplyDurable(t, dir, design, reg, clock, false)
 	var recs []loggedRecord
 	primary.SetAppendObserver(func(_ int, lsn uint64, payload []byte) {
 		recs = append(recs, loggedRecord{lsn, append([]byte(nil), payload...)})
@@ -435,6 +441,14 @@ func TestReplayedKeysOutliveTheirRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	control := func(name, src string) {
+		t.Helper()
+		if _, err := primary.HandleControl(protocol.ControlRequest{DeviceID: applyDevice, UserToken: login.UserToken,
+			Command: protocol.Command{ID: "c-" + name, Name: name}, SourceIP: src}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	control("turn_on", "203.0.113.9")
 	status := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: applyDevice, IdempotencyKey: "k-status-borrowed",
 		SourceIP: "203.0.113.8", Readings: []protocol.Reading{{Name: "power_w", Value: 4.5, At: clock.Now()}}}
 	beat, err := primary.HandleStatus(status)
@@ -455,6 +469,21 @@ func TestReplayedKeysOutliveTheirRecord(t *testing.T) {
 			t.Fatalf("batch item %d: %v", i, err)
 		}
 	}
+	// The device now speaks from the batch registration's address, so a
+	// bind from its first one is refused.
+	if _, err := primary.HandleBind(protocol.BindRequest{DeviceID: applyDevice, UserToken: login.UserToken, Sender: core.SenderApp,
+		IdempotencyKey: "k-bind-stale", SourceIP: "203.0.113.7"}); !errors.Is(err, protocol.ErrOutsideWindow) {
+		t.Fatalf("a bind from the device's old address: %v, want a source-address refusal", err)
+	}
+	if err := primary.HandleUnbind(protocol.UnbindRequest{DeviceID: applyDevice, UserToken: login.UserToken, Sender: core.SenderApp,
+		IdempotencyKey: "k-unbind-borrowed", SourceIP: "192.0.2.1"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.HandleBind(protocol.BindRequest{DeviceID: applyDevice, UserToken: login.UserToken, Sender: core.SenderApp,
+		IdempotencyKey: "k-rebind-borrowed", SourceIP: "198.51.100.9"}); err != nil {
+		t.Fatal(err)
+	}
+	control("set_level", "203.0.113.10")
 
 	replicaDir := t.TempDir()
 	meta, err := os.ReadFile(filepath.Join(dir, "meta.json"))
@@ -464,7 +493,7 @@ func TestReplayedKeysOutliveTheirRecord(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(replicaDir, "meta.json"), meta, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	replica := openApplyDurable(t, replicaDir, devIDDesign(), reg, clock, true)
+	replica := openApplyDurable(t, replicaDir, design, reg, clock, true)
 	for _, rec := range recs {
 		buf := append([]byte(nil), rec.payload...)
 		if err := replica.applyRecord(rec.lsn, buf); err != nil {
@@ -477,8 +506,12 @@ func TestReplayedKeysOutliveTheirRecord(t *testing.T) {
 	if got, want := snapshotBytes(t, replica), snapshotBytes(t, primary); !bytes.Equal(got, want) {
 		t.Fatalf("the replica's snapshot differs once its records are overwritten:\nreplica:\n%s\nprimary:\n%s", got, want)
 	}
-	if ip := replica.Snapshot().Shadows[0].DeviceIP; ip != "198.51.100.9" {
-		t.Errorf("the replica's device_ip is %q, want the batch registration's 198.51.100.9", ip)
+	if sh := replica.Snapshot().Shadows[0]; sh.DeviceIP != "198.51.100.9" || len(sh.CommandInbox) != 1 {
+		t.Errorf("the replica's device_ip is %q, want the batch registration's 198.51.100.9, and its inbox %v one command", sh.DeviceIP, sh.CommandInbox)
+	}
+	if got, want := replica.svc.Stats(), primary.Service().Stats(); got.BindsAccepted != 2 || got.BindsRejected != 1 ||
+		got.ControlsQueued != 2 || got.UnbindsAccepted != 1 || got != want {
+		t.Errorf("the replica's outcomes differ from the primary's or the script's:\nreplica %+v\nprimary %+v", got, want)
 	}
 	if resp, err := replica.svc.HandleBind(bind); err != nil || resp != bound {
 		t.Errorf("replica bind replay = %+v, %v; want %+v", resp, err, bound)

@@ -1,13 +1,16 @@
 package cloud
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
 
+	"github.com/iotbind/iotbind/internal/core"
 	"github.com/iotbind/iotbind/internal/protocol"
 )
 
@@ -81,16 +84,19 @@ func TestCanonicalRacesLoginAndRevoke(t *testing.T) {
 	readersWG.Wait()
 }
 
-// TestCanonicalReadingNames: the service holds the first maxReadingNames
-// distinct names, of at most maxHeldName bytes, that statuses it accepted
-// carried — added from any number of goroutines at once (make
-// race-stress runs it under -race, ten times), one string a name
-// whichever goroutine added it — and the canonicaliser hands that string
-// back. Decoding adds nothing: a name the table lacks canonicalises to a
-// fresh copy each time, and a status that is refused, or that names no
-// registered device, leaves the table as it was whatever names it
-// carries, so what a sender puts in a frame cannot fill it.
-func TestCanonicalReadingNames(t *testing.T) {
+// TestCanonicalNames: the service holds the first maxNames distinct
+// reading and command names, of at most maxHeldName bytes, that
+// statuses and controls it accepted carried — added from any number of
+// goroutines at once (make race-stress runs it under -race, ten times),
+// one string a name whichever goroutine added it — and the canonicaliser
+// hands that string back. Decoding adds nothing: a name the table lacks
+// canonicalises to a fresh copy each time, and a status or a control
+// that is refused — unregistered or unknown device, forged token, a
+// non-owner, a device offline — leaves the table as it was whatever
+// names it carries, so what a sender puts in a frame cannot fill it.
+// Reading and command names share the one bound, and a restored inbox's
+// command names are the table's strings.
+func TestCanonicalNames(t *testing.T) {
 	svc, _, _, _ := newTestService(t, devTokenDesign())
 	name := func(i int) string { return fmt.Sprintf("metric_%d", i) }
 	held := func() int {
@@ -98,8 +104,8 @@ func TestCanonicalReadingNames(t *testing.T) {
 		defer svc.names.mu.RUnlock()
 		return len(svc.names.names)
 	}
-	first := svc.Canonical(protocol.HeldReading, []byte(name(0)))
-	second := svc.Canonical(protocol.HeldReading, []byte(name(0)))
+	first := svc.Canonical(protocol.HeldName, []byte(name(0)))
+	second := svc.Canonical(protocol.HeldName, []byte(name(0)))
 	if first != name(0) || unsafe.StringData(first) == unsafe.StringData(second) {
 		t.Errorf("an unheld name canonicalised to %q and %q, one string: %t", first, second, unsafe.StringData(first) == unsafe.StringData(second))
 	}
@@ -123,33 +129,126 @@ func TestCanonicalReadingNames(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got[g] = make([]string, maxReadingNames)
-			for i := range maxReadingNames {
-				j := (i*(2*g+1) + g) % maxReadingNames // each worker its own order
+			got[g] = make([]string, maxNames)
+			for i := range maxNames {
+				j := (i*(2*g+1) + g) % maxNames // each worker its own order
 				got[g][j] = svc.names.hold(name(j))
 			}
 		}(g)
 	}
 	wg.Wait()
-	for j := range maxReadingNames {
+	for j := range maxNames {
 		for g := range got {
 			if got[g][j] != name(j) || unsafe.StringData(got[g][j]) != unsafe.StringData(got[0][j]) {
 				t.Fatalf("%q: workers were handed different strings", name(j))
 			}
 		}
-		if again := svc.Canonical(protocol.HeldReading, []byte(name(j))); unsafe.StringData(again) != unsafe.StringData(got[0][j]) {
+		if again := svc.Canonical(protocol.HeldName, []byte(name(j))); unsafe.StringData(again) != unsafe.StringData(got[0][j]) {
 			t.Fatalf("%q: the canonicaliser returned another string than the table's", name(j))
 		}
 	}
-	past := name(maxReadingNames)
-	if kept := svc.names.hold(past); unsafe.StringData(kept) != unsafe.StringData(past) || held() != maxReadingNames {
+	past := name(maxNames)
+	if kept := svc.names.hold(past); unsafe.StringData(kept) != unsafe.StringData(past) || held() != maxNames {
 		t.Errorf("a name past the full table: kept as another string (%t), table of %d",
 			unsafe.StringData(kept) != unsafe.StringData(past), held())
 	}
 
-	var fresh readingNames
+	var fresh nameTable
 	long := strings.Repeat("m", maxHeldName+1)
 	if fresh.hold(long); len(fresh.names) != 0 {
 		t.Errorf("a name of %d bytes was held", len(long))
+	}
+
+	t.Run("commands", func(t *testing.T) { canonicalCommandNames(t, long) })
+}
+
+// canonicalCommandNames is TestCanonicalNames' part for command names,
+// on a design whose controls need no device session.
+func canonicalCommandNames(t *testing.T, long string) {
+	svc, clock, victim, attacker := newTestService(t, devIDDesign())
+	held := func() map[string]string {
+		svc.names.mu.RLock()
+		defer svc.names.mu.RUnlock()
+		return maps.Clone(svc.names.names)
+	}
+	mustStatus(t, svc, protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice})
+	if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: testDevice, UserToken: victim, Sender: core.SenderApp}); err != nil {
+		t.Fatal(err)
+	}
+	control := func(id, tok, name string) error {
+		_, err := svc.HandleControl(protocol.ControlRequest{DeviceID: id, UserToken: tok, Command: protocol.Command{ID: "c", Name: name}})
+		return err
+	}
+	for _, c := range []struct {
+		why     string
+		id, tok string
+		want    error
+	}{
+		{"unknown device", "no-such-device", victim, protocol.ErrUnknownDevice},
+		{"non-owner", testDevice, attacker, errControlByNonOwner},
+	} {
+		if err := control(c.id, c.tok, "refused_"+c.why); !errors.Is(err, c.want) {
+			t.Fatalf("control by %s: %v, want %v", c.why, err, c.want)
+		}
+	}
+	clock.Advance(2 * DefaultHeartbeatTTL)
+	if err := control(testDevice, victim, "refused_offline"); !errors.Is(err, errDeviceOffline) {
+		t.Fatalf("control of an offline device: %v", err)
+	}
+	if n := len(held()); n != 0 {
+		t.Fatalf("refused controls left %d names in the table, want 0", n)
+	}
+
+	mustStatus(t, svc, protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDevice,
+		Readings: []protocol.Reading{{Name: "power_w"}}})
+	on := strings.Clone("turn_on")
+	for _, name := range []string{on, long} {
+		if err := control(testDevice, victim, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := held(); len(got) != 2 || unsafe.StringData(got["turn_on"]) != unsafe.StringData(on) || got["power_w"] == "" {
+		t.Fatalf("after an accepted status and two accepted controls the table holds %q, want power_w and turn_on, not the %d-byte name", got, len(long))
+	}
+	if again := svc.Canonical(protocol.HeldName, []byte("turn_on")); unsafe.StringData(again) != unsafe.StringData(on) {
+		t.Errorf("the canonicaliser returned another string than the table's for an accepted command name")
+	}
+
+	// Beside the reading and the command name it holds, metric names fill
+	// the table to its one bound; a command name past it is queued but
+	// not held.
+	for i := range maxNames - 2 {
+		svc.names.hold(fmt.Sprintf("metric_%d", i))
+	}
+	if err := control(testDevice, victim, "past_the_bound"); err != nil {
+		t.Fatal(err)
+	}
+	if got := held(); len(got) != maxNames || got["past_the_bound"] != "" {
+		t.Errorf("a command name past a full table: held %t, table of %d", got["past_the_bound"] != "", len(got))
+	}
+
+	// A restore holds the names of the inbox it restores: into a service
+	// whose table holds turn_on already, the restored command is that
+	// string, not the snapshot's.
+	snap := svc.Snapshot()
+	back, _, _, _ := newTestService(t, devIDDesign())
+	mine := back.names.hold(strings.Clone("turn_on"))
+	if err := back.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	sh, ok := back.store.peek(testDevice)
+	if !ok || len(sh.commandInbox) != 3 {
+		t.Fatalf("restored the device %t, want it with three commands", ok)
+	}
+	for i, name := range []string{mine, long, "past_the_bound"} {
+		got := sh.commandInbox[i].Name
+		if canon := back.Canonical(protocol.HeldName, []byte(name)); got != name ||
+			(unsafe.StringData(got) == unsafe.StringData(canon)) != (name != long) {
+			t.Errorf("restored command %q: the table's string %t, want %t", got, unsafe.StringData(got) == unsafe.StringData(canon), name != long)
+		}
+	}
+	if unsafe.StringData(sh.commandInbox[0].Name) != unsafe.StringData(mine) || len(back.names.names) != 3 {
+		t.Errorf("after restore the table holds %q, and turn_on is the one held before it: %t",
+			back.names.names, unsafe.StringData(sh.commandInbox[0].Name) == unsafe.StringData(mine))
 	}
 }

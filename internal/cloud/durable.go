@@ -141,10 +141,10 @@ type Durable struct {
 	// cur is the cursor record applies decode with: they run one at a
 	// time (recovery, or ShipRecord under mu), and a fresh *Cursor handed
 	// to a row's func values would escape. It reads held strings through
-	// the service (set once at open), so a known device costs no ID, and
-	// an idempotency key or a heartbeat's source address is borrowed from
-	// the payload (protocol.HeldCall): the apply returns before the
-	// payload changes.
+	// the service (set once at open), so a known device costs no ID nor a
+	// held reading or command name, and an idempotency key or any source
+	// address but a registration's is borrowed from the payload
+	// (protocol.HeldCall): the apply returns before the payload changes.
 	cur wirecodec.Cursor
 }
 

@@ -58,7 +58,7 @@ type heldReading struct {
 
 // add appends list, oldest first, shedding what falls out of the window;
 // each name is kept as names holds it.
-func (r *readingRing) add(list []protocol.Reading, names *readingNames) {
+func (r *readingRing) add(list []protocol.Reading, names *nameTable) {
 	for _, x := range list[max(0, len(list)-readingsRetention):] {
 		r.buf[r.push(readingsRetention)] = heldReading{name: names.hold(x.Name), value: x.Value, at: wirecodec.EncodeTime(x.At)}
 	}
@@ -78,26 +78,28 @@ func (r *readingRing) list() []protocol.Reading {
 	return out
 }
 
-// maxReadingNames bounds the service's reading-name table: devices report
-// a handful of metric names. maxHeldName is the longest name it holds.
+// maxNames bounds the service's name table: a device reports a handful
+// of metric names and takes a handful of commands. maxHeldName is the
+// longest name it holds.
 const (
-	maxReadingNames = 1024
-	maxHeldName     = 64
+	maxNames    = 1024
+	maxHeldName = 64
 )
 
-// readingNames is the service-wide table of reading names
-// (protocol.HeldReading): the first maxReadingNames distinct names of
-// at most maxHeldName bytes in statuses the service accepted, each held
-// once, so a shadow's window keeps no string of its own per reading.
-// Only an accepted status adds a name: a frame that is refused, or that
-// no device sent, leaves the table as it was.
-type readingNames struct {
+// nameTable is the service-wide table of reading and command names
+// (protocol.HeldName): the first maxNames distinct names of at most
+// maxHeldName bytes in statuses and controls the service accepted, each
+// held once, so neither a shadow's readings window nor its command inbox
+// keeps a string of its own per name. Only an accepted request adds a
+// name: a frame that is refused, or that no device or owner sent, leaves
+// the table as it was.
+type nameTable struct {
 	mu    sync.RWMutex
 	names map[string]string
 }
 
 // lookup returns the table's string equal to raw, or a fresh copy of raw.
-func (t *readingNames) lookup(raw []byte) string {
+func (t *nameTable) lookup(raw []byte) string {
 	t.mu.RLock()
 	name, ok := t.names[string(raw)]
 	t.mu.RUnlock()
@@ -109,10 +111,10 @@ func (t *readingNames) lookup(raw []byte) string {
 
 // hold returns the table's string equal to name, adding name while the
 // table has room for it; a name it does not hold comes back as it was.
-func (t *readingNames) hold(name string) string {
+func (t *nameTable) hold(name string) string {
 	t.mu.RLock()
 	held, ok := t.names[name]
-	full := len(t.names) >= maxReadingNames
+	full := len(t.names) >= maxNames
 	t.mu.RUnlock()
 	switch {
 	case ok:
@@ -125,7 +127,7 @@ func (t *readingNames) hold(name string) string {
 	if held, ok := t.names[name]; ok {
 		return held
 	}
-	if len(t.names) < maxReadingNames {
+	if len(t.names) < maxNames {
 		if t.names == nil {
 			t.names = make(map[string]string)
 		}

@@ -81,7 +81,7 @@ type Service struct {
 	accounts accountStore
 	issuer   *token.Issuer
 	store    shadowStore
-	names    readingNames
+	names    nameTable
 
 	now       func() time.Time
 	randomHex func() (string, error)
@@ -180,7 +180,8 @@ func (s *Service) Registry() *Registry { return s.registry }
 // Canonical implements transport.Canonical from the service's tables. A
 // protocol.HeldCall string is lent back: shadows keep only copies of the
 // keys they log, and no source address but a registration's, which is
-// never read as that kind.
+// never read as that kind. A reading's or a command's name is the name
+// table's string, or a copy while the table holds none.
 func (s *Service) Canonical(kind protocol.Held, raw []byte) string {
 	switch kind {
 	case protocol.HeldCall:
@@ -189,7 +190,7 @@ func (s *Service) Canonical(kind protocol.Held, raw []byte) string {
 		return s.issuer.Canonical(raw)
 	case protocol.HeldAccount:
 		return s.accounts.canonical(raw)
-	case protocol.HeldReading:
+	case protocol.HeldName:
 		return s.names.lookup(raw)
 	}
 	return s.registry.canonicalID(raw)
@@ -646,6 +647,7 @@ func (s *Service) handleControl(req protocol.ControlRequest) (protocol.ControlRe
 	if s.design.EffectiveAuth() == core.AuthDevToken && sh.sessionOwner != sh.boundUser {
 		return protocol.ControlResponse{}, errSessionOwner
 	}
+	req.Command.Name = s.names.hold(req.Command.Name)
 	sh.commandInbox = keepLast(append(sh.commandInbox, req.Command), maxInbox)
 	return protocol.ControlResponse{Queued: true}, nil
 }

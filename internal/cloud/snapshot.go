@@ -194,6 +194,9 @@ func (s *Service) Restore(snap Snapshot) error {
 			dataInbox:    append([]protocol.UserData(nil), ss.DataInbox...),
 		}
 		sh.readings.add(ss.Readings, &s.names)
+		for i := range sh.commandInbox {
+			sh.commandInbox[i].Name = s.names.hold(sh.commandInbox[i].Name)
+		}
 		if len(ss.Grants) > 0 {
 			grants := make([]delegation.Grant, 0, len(ss.Grants))
 			for _, gs := range ss.Grants {

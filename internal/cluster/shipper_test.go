@@ -666,23 +666,26 @@ func coldDesign() core.DesignSpec {
 // caller's strings; the replica decodes its own copy of each record, but
 // reads the device ID, the user token and the grantee through its own
 // registry, token issuer and account store, a scope name through the
-// delegation scope table and the scope list from its cursor's arena, so
-// none of those costs it an allocation. Each side's delegation state is
-// emptied in place at unbind and reused by the next owner: the lattice's
-// grant and memo maps, its severed-grant list and a small command
-// inbox. Each side's idempotency log copies the key into its arena, the
-// replica borrowing it from the record, and the requests are built
-// before the count. What is left is strings:
+// delegation scope table, a command name through its name table and the
+// scope list from its cursor's arena, so none of those costs it an
+// allocation, and it borrows each idempotency key and source address
+// from the record. Each side's delegation state is emptied in place at
+// unbind and reused by the next owner: the lattice's grant and memo
+// maps, its severed-grant list and a small command inbox. Each side's
+// idempotency log copies the key into its arena, and the requests are
+// built before the count. What is left is what the cloud mints:
 //
-//   - bind 1: the replica's source address.
+//   - bind 0.
 //   - delegate 2: the minted delegation token on each side.
-//   - control 2: the replica's source address and command name (a
-//     one-byte command ID is a static string).
+//   - control 0 (a one-byte command ID is a static string).
 //   - readings 0.
 //   - revoke 0.
-//   - unbind 1: the replica's source address.
+//   - unbind 0.
 //
-// Before the replica borrowed its keys the counts were 2, 3, 2, 0, 1
+// Before the replica borrowed its source addresses and held its command
+// names the counts were 1, 2, 2, 0, 0 and 1: the replica's address of
+// bind, control and unbind, and its command name. Before the replica
+// borrowed its keys they were 2, 3, 2, 0, 1
 // and 2: bind, delegate, revoke and unbind decoded the key. Before the
 // replica read held strings through the canonicaliser the
 // counts were 3, 14, 5, 2, 5 and 3: its user tokens, grantees and scope
@@ -697,7 +700,7 @@ func TestColdLaneAllocations(t *testing.T) {
 	}
 	ids := coldDevices(8)
 	n := newColdNode(t, "n0", labClock(), ids...)
-	coldStepAllocs(t, n, ids, [6]uint64{1, 2, 2, 0, 0, 1})
+	coldStepAllocs(t, n, ids, [6]uint64{0, 2, 0, 0, 0, 0})
 	requireSnapshotsEqual(t, n.primary, n.replica)
 }
 

@@ -25,7 +25,7 @@ import (
 // (protocol.HeldCall, which every layer down to the service answers for
 // the call), each shadow copies the key into its idempotency log's
 // arena, the reading's name is the service's own string on both sides
-// (protocol.HeldReading), the readings slices are borrowed from the two
+// (protocol.HeldName), the readings slices are borrowed from the two
 // cursors' arenas and the bound-only reply is shared on both sides.
 // Before the front end borrowed the key and the replica the address it
 // allocated twice; before the name table, the log's arena and the
@@ -219,14 +219,16 @@ func routerHeldStrings(t *testing.T, reg *cloud.Registry, ids, names []string) {
 // and back, both ends in this process, each request built ahead of the
 // count. binapi reads every device ID, user token, delegation token and
 // grantee through the router as the primary's own string, each scope
-// name as the delegation scope table's and the scope list from its
-// worker cursor's arena, and borrows each idempotency key from its input
-// (protocol.HeldCall), so on top of TestColdLaneAllocations' counts
-// below the transport (1, 2, 2, 0, 0, 1) the front end decodes only the
-// control's command name, which no table holds, and the client reads
-// back the bound user and the minted delegation token: 2, 3, 3, 0, 0
-// and 1, 9 a cycle. Before the front end borrowed the keys of bind,
-// delegate, revoke and unbind they were 3, 4, 3, 0, 1 and 2, 13 a
+// name as the delegation scope table's, the command name as the name
+// table's and the scope list from its worker cursor's arena, and borrows
+// each idempotency key from its input (protocol.HeldCall), so on top of
+// TestColdLaneAllocations' counts below the transport (0, 2, 0, 0, 0, 0)
+// the client reads back the bound user and the minted delegation token:
+// 1, 3, 0, 0, 0 and 0, 4 a cycle. Before the command name was held and
+// the replica borrowed its source addresses they were 2, 3, 3, 0, 0 and
+// 1, 9 a cycle: the front end's command name, and the replica's three
+// addresses and command name. Before the front end borrowed the keys of
+// bind, delegate, revoke and unbind they were 3, 4, 3, 0, 1 and 2, 13 a
 // cycle; before the replica borrowed its keys from the record 4, 5, 3,
 // 0, 2 and 3, 17 a cycle.
 // Before the canonicaliser answered credentials
@@ -244,7 +246,7 @@ func TestStackColdCycleAllocations(t *testing.T) {
 	ids := coldDevices(8)
 	n := newColdNode(t, "n0", labClock(), ids...)
 	c := serveSocket(t, newRouterOver(t, map[string]transport.Cloud{"n0": n}))
-	coldStepAllocs(t, c, ids, [6]uint64{2, 3, 3, 0, 0, 1})
+	coldStepAllocs(t, c, ids, [6]uint64{1, 3, 0, 0, 0, 0})
 	requireSnapshotsEqual(t, n.primary, n.replica)
 }
 

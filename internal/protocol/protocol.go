@@ -45,10 +45,10 @@ func (k StatusKind) String() string {
 
 // Held names a kind of request string the cloud holds its own copy of
 // (transport.Canonical): a device ID (the registry's), a credential (the
-// token issuer's), an account ID (the account store's) or a reading name
-// (the service's name table) — or, HeldCall, one it keeps only by
-// copying: an idempotency key, or the source address of a status that is
-// not a registration, which the cloud reads only during the call.
+// token issuer's), an account ID (the account store's) or a reading's or
+// a command's name (the service's one name table) — or, HeldCall, one it
+// keeps only by copying: an idempotency key, or any source address but a
+// registration's, which the cloud reads only during the call.
 type Held uint8
 
 // Held kinds.
@@ -56,7 +56,7 @@ const (
 	HeldDevice Held = iota
 	HeldCred
 	HeldAccount
-	HeldReading
+	HeldName
 	HeldCall
 )
 

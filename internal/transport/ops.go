@@ -71,7 +71,8 @@ type Cloud interface {
 // name (protocol.Held), or one forwarding to it: Canonical returns the
 // table's own string equal to raw, else a fresh copy. raw is non-empty
 // and valid only during the call it is decoded for; a Cloud that keeps
-// no protocol.HeldCall string past the call may answer one with raw.
+// no protocol.HeldCall string past the call — no idempotency key, and no
+// source address but a registration's — may answer one with raw.
 type Canonical interface {
 	Canonical(protocol.Held, []byte) string
 }

@@ -146,7 +146,7 @@ func ReadBindBody(c *Cursor) protocol.BindRequest {
 	return protocol.BindRequest{
 		DeviceID: c.ID(), UserToken: c.Cred(), UserID: c.Str(), UserPassword: c.Str(),
 		BindToken: c.Str(), BindProof: c.Str(), Sender: core.Sender(c.I64()),
-		IdempotencyKey: c.key(), SourceIP: c.Str(),
+		IdempotencyKey: c.lent(), SourceIP: c.lent(),
 	}
 }
 
@@ -175,7 +175,7 @@ func PutUnbindBody(b *bytes.Buffer, req protocol.UnbindRequest) {
 func ReadUnbindBody(c *Cursor) protocol.UnbindRequest {
 	return protocol.UnbindRequest{
 		DeviceID: c.ID(), UserToken: c.Cred(), Sender: core.Sender(c.I64()),
-		IdempotencyKey: c.key(), SourceIP: c.Str(),
+		IdempotencyKey: c.lent(), SourceIP: c.lent(),
 	}
 }
 
@@ -193,7 +193,7 @@ func PutControlBody(b *bytes.Buffer, req protocol.ControlRequest) {
 func ReadControlBody(c *Cursor) protocol.ControlRequest {
 	return protocol.ControlRequest{
 		DeviceID: c.ID(), UserToken: c.Cred(), SessionToken: c.Str(),
-		Command: readCommand(c), SourceIP: c.Str(),
+		Command: readCommand(c), SourceIP: c.lent(),
 	}
 }
 
@@ -304,7 +304,7 @@ func ReadDelegateBody(c *Cursor) protocol.DelegateRequest {
 	}
 	req.TTLSeconds = c.I64()
 	req.Depth = int(c.I64())
-	req.IdempotencyKey = c.key()
+	req.IdempotencyKey = c.lent()
 	return req
 }
 
@@ -330,7 +330,7 @@ func PutRevokeDelegationBody(b *bytes.Buffer, req protocol.RevokeDelegationReque
 // ReadRevokeDelegationBody reverses PutRevokeDelegationBody.
 func ReadRevokeDelegationBody(c *Cursor) protocol.RevokeDelegationRequest {
 	return protocol.RevokeDelegationRequest{
-		DeviceID: c.ID(), UserToken: c.Cred(), Grantee: c.Account(), IdempotencyKey: c.key(),
+		DeviceID: c.ID(), UserToken: c.Cred(), Grantee: c.Account(), IdempotencyKey: c.lent(),
 	}
 }
 

@@ -91,16 +91,16 @@ func pair[T any](name string, put func(*bytes.Buffer, T), read func(*Cursor) T, 
 }
 
 // heldTable is what heldHook holds, by kind: bodyPairs' own device ID,
-// token, accounts and reading names, a prefix and an extension of each,
-// and the empty string. Each entry is its own allocation, so a hit hands
-// back a string the input does not alias.
+// token, accounts and reading and command names, a prefix and an
+// extension of each, and the empty string. Each entry is its own
+// allocation, so a hit hands back a string the input does not alias.
 var heldTable = func() map[protocol.Held]map[string]string {
 	table := map[protocol.Held]map[string]string{}
 	for kind, held := range map[protocol.Held][]string{
 		protocol.HeldDevice:  {testDevice},
 		protocol.HeldCred:    {"tok", "d"},
 		protocol.HeldAccount: {"u@x", "g@x", "h@x"},
-		protocol.HeldReading: {"power_w", "temp_c"},
+		protocol.HeldName:    {"power_w", "temp_c", "set", "turn_on"},
 	} {
 		table[kind] = map[string]string{"": ""}
 		for _, s := range held {

@@ -135,13 +135,13 @@ func putF64(b *bytes.Buffer, v float64) {
 // Cursor is a bounds-checked reader over a binary record. The first
 // failure sticks; every accessor afterwards returns a zero value, and
 // the caller checks Err once at the end. Each Str copies out of the
-// input; ID, Cred, Account, a reading's name, an idempotency key and a
-// non-registration status's source address return what the cursor's
-// owner answers for the bytes (SetCanonical) or such a copy — for the
-// last two (protocol.HeldCall) possibly the input itself, valid only
-// while the input is. A status request's readings (ReadStatusRest) and a
-// delegate request's scope list (ReadDelegateBody) are cut from arenas
-// reused after Reset: keepers copy them.
+// input; ID, Cred, Account, a reading's or a command's name, an
+// idempotency key and any source address but a registration's return
+// what the cursor's owner answers for the bytes (SetCanonical) or such a
+// copy — for the last two (protocol.HeldCall) possibly the input itself,
+// valid only while the input is. A status request's readings
+// (ReadStatusRest) and a delegate request's scope list (ReadDelegateBody)
+// are cut from arenas reused after Reset: keepers copy them.
 type Cursor struct {
 	data   []byte
 	off    int
@@ -263,8 +263,8 @@ func (c *Cursor) Cred() string { return c.held(protocol.HeldCred) }
 // Account reads a length-prefixed account ID through the canonicaliser.
 func (c *Cursor) Account() string { return c.held(protocol.HeldAccount) }
 
-// key reads an idempotency key through the canonicaliser.
-func (c *Cursor) key() string { return c.held(protocol.HeldCall) }
+// lent reads a key or an address through the canonicaliser (HeldCall).
+func (c *Cursor) lent() string { return c.held(protocol.HeldCall) }
 
 // held reads through the canonicaliser, or copies like Str without one.
 func (c *Cursor) held(kind protocol.Held) string { return c.through(kind, c.StrBytes()) }
@@ -344,7 +344,7 @@ func putReadings(b *bytes.Buffer, list []protocol.Reading) {
 
 func readReadings(c *Cursor, list []protocol.Reading) {
 	for i := range list {
-		list[i].Name = c.held(protocol.HeldReading)
+		list[i].Name = c.held(protocol.HeldName)
 		list[i].Value = c.F64()
 		list[i].At = DecodeTime(c.I64())
 	}
@@ -378,7 +378,7 @@ func ReadStatusRest(c *Cursor, req *protocol.StatusRequest) (sourceIP []byte) {
 	req.Signature = c.Str()
 	req.SessionToken = c.Str()
 	req.DataProof = c.Str()
-	req.IdempotencyKey = c.key()
+	req.IdempotencyKey = c.lent()
 	req.Firmware = c.Str()
 	req.Model = c.Str()
 	sourceIP = c.StrBytes()
@@ -483,7 +483,7 @@ func putCommand(b *bytes.Buffer, cmd *protocol.Command) {
 func readCommand(c *Cursor) protocol.Command {
 	var cmd protocol.Command
 	cmd.ID = c.Str()
-	cmd.Name = c.Str()
+	cmd.Name = c.held(protocol.HeldName)
 	if n := c.Count(2 * minStringSize); c.err == nil && n > 0 {
 		cmd.Args = make(map[string]string, n)
 		for i := uint64(0); i < n; i++ {
