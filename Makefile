@@ -87,14 +87,14 @@ alloc-pins:
 # serves its sockets in place — FIN vs epoll_wait, close vs dispatch,
 # short writes vs EPOLLOUT and a locally refused over-cap request beside
 # a call in flight get re-dealt across runs — and, ten times over, two
-# serving goroutines (a poller and a pipe's writer) decoding cold rows,
-# heartbeats and batches for different connections, every device ID
+# serving goroutines (a poller and a pipe's writer) decoding cold rows
+# and heartbeats for different connections, every device ID
 # through the cloud's registry, and every keyed operation's key and
 # address to a cloud that keeps them, directly and behind a Switchable,
 # each connection's inbound buffer recycled to the next, and every
 # control's command name to a cloud that keeps it, behind a service as
 # the name table's string (TestServedKeysOutliveTheirFrames), and keyed
-# statuses, batches, binds and unbinds through socket, router and node
+# statuses, binds and unbinds through socket, router and node
 # replaying once their frames and records are overwritten
 # (TestServedKeysReplay), and a replica applying binds, a refused bind,
 # controls and unbinds whose borrowed keys and cold source addresses, and
@@ -128,10 +128,9 @@ alloc-pins:
 # lattice designs under other device IDs staged between them, against
 # fresh testbeds (TestPooledSweepsMatchFresh), and the refusals a warm
 # rig's agents hand out again against ones a fresh rig builds
-# (TestCachedRefusalsMatchFresh); and, three times, status batches and
-# the store's first inserts, every shadow made through the one get that
-# single statuses and batch items share (TestStatusBatch*,
-# TestShardMapsAppearOnFirstInsert).
+# (TestCachedRefusalsMatchFresh); and, three times, the store's first
+# inserts, every shadow made through the one get that every status
+# takes (TestShardMapsAppearOnFirstInsert).
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery|TestDurableMixedLaneRecovery' ./internal/cloud/
@@ -143,7 +142,7 @@ race-stress:
 	$(GO) test -race -count=10 -run='TestCanonicalRacesLoginAndRevoke|TestCanonicalNames|TestDelegationRevocationRaceOneWinner|TestOwnershipTransferStorm' ./internal/cloud/
 	$(GO) test -race -count=10 -run='TestRetryClose' ./internal/retry/
 	$(GO) test -race -count=3 -run='TestResetMatchesFresh|TestEvaluateVendorsMatchesSequential|TestPooledSweepsMatchFresh|TestCachedRefusalsMatchFresh' ./internal/testbed/
-	$(GO) test -race -count=3 -run='TestStatusBatch|TestShardMapsAppearOnFirstInsert' ./internal/cloud/
+	$(GO) test -race -count=3 -run='TestShardMapsAppearOnFirstInsert' ./internal/cloud/
 
 # bench compiles and smoke-runs every benchmark (100 iterations, no unit
 # tests) so perf regressions in the hot path are caught by CI, not just
@@ -162,7 +161,7 @@ bench-stack:
 
 # bench-json archives a full benchmark sweep as machine-readable JSON
 # (name -> ns/op, B/op, allocs/op, custom metrics) for cross-commit
-# comparison; EXPERIMENTS.md quotes the batching numbers from it.
+# comparison; EXPERIMENTS.md quotes the front ends' numbers from it.
 #
 # The durability benchmarks land in BENCH_5.json via a second pass with
 # per-group iteration counts: the µs-scale fsync/recovery benchmarks get

@@ -12,7 +12,6 @@ package iotbind_test
 //	BenchmarkAblationPolicyFlags — DESIGN.md ablations: one policy flag at a time
 //	BenchmarkSecureVsInsecure    — Section IV assessments: reference designs
 //	BenchmarkHTTPStatusRoundTrip — the HTTP front end's per-message cost
-//	BenchmarkStatusBatch         — per-message vs batch-32 heartbeat cost on both front ends
 //
 // Outcome-style benchmarks attach an "attacks-ok" metric: the number of
 // Table II variants that succeed against the design under test, so the
@@ -727,81 +726,5 @@ func BenchmarkHTTPStatusRoundTrip(b *testing.B) {
 		if _, err := client.HandleStatus(req); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// benchHTTPClient stands up the HTTP front end around a one-device cloud.
-func benchHTTPClient(b *testing.B) (iotbind.CloudTransport, func()) {
-	b.Helper()
-	svc, _ := benchCloud(b, benchDesign(iotbind.AuthDevID, iotbind.BindACLApp))
-	server := httptest.NewServer(iotbind.NewHTTPServer(svc))
-	return iotbind.NewHTTPClient(server.URL), server.Close
-}
-
-// benchBinClient stands up the binary front end over loopback TCP around
-// a one-device cloud.
-func benchBinClient(b *testing.B) (iotbind.CloudTransport, func()) {
-	return benchBinSocketClient(b)
-}
-
-// BenchmarkStatusBatch contrasts per-message heartbeat delivery with
-// batch-32 coalescing on both wire front ends. Every iteration accounts
-// for exactly one heartbeat in both modes — the batch variant queues each
-// iteration's message and pays one wire round-trip per 32 — so ns/op,
-// B/op and allocs/op compare per-message cost directly, and the msgs/s
-// metric is the throughput headline.
-func BenchmarkStatusBatch(b *testing.B) {
-	const batchSize = 32
-	fronts := []struct {
-		name  string
-		setup func(*testing.B) (iotbind.CloudTransport, func())
-	}{
-		{"HTTP", benchHTTPClient},
-		{"Bin", benchBinClient},
-	}
-	for _, fe := range fronts {
-		fe := fe
-		b.Run(fe.name, func(b *testing.B) {
-			b.Run("PerMessage", func(b *testing.B) {
-				client, closeFE := fe.setup(b)
-				defer closeFE()
-				req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: benchDeviceID}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := client.HandleStatus(req); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
-			})
-			b.Run(fmt.Sprintf("Batch%d", batchSize), func(b *testing.B) {
-				client, closeFE := fe.setup(b)
-				defer closeFE()
-				req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: benchDeviceID}
-				items := make([]protocol.StatusRequest, 0, batchSize)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					items = append(items, req)
-					if len(items) == batchSize {
-						resp, err := client.HandleStatusBatch(protocol.StatusBatchRequest{Items: items})
-						if err != nil {
-							b.Fatal(err)
-						}
-						if err := resp.FirstError(); err != nil {
-							b.Fatal(err)
-						}
-						items = items[:0]
-					}
-				}
-				if len(items) > 0 {
-					if _, err := client.HandleStatusBatch(protocol.StatusBatchRequest{Items: items}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
-			})
-		})
 	}
 }

@@ -7,8 +7,8 @@
 //	walinspect dump <dir>      print every record: LSN, size and the
 //	                           decoded operation. Every record is binary
 //	                           (tag, time, the operation's wirecodec
-//	                           body) and dump decodes all fourteen tags:
-//	                           status, status_batch, liveness, delegate,
+//	                           body) and dump decodes all thirteen tags:
+//	                           status, liveness, delegate,
 //	                           revoke_delegation, share, register_user,
 //	                           login, device_token, bind_token, bind,
 //	                           unbind, control and push

@@ -14,13 +14,11 @@
 //     operation has its own frame kind, and a frame's payload is the
 //     operation's wirecodec body — encoded by the same code that logs
 //     it; for a logged operation the kind is the WAL record tag. The
-//     per-operation fan-out is one table of rows (ops.go); only status
-//     and status batch, the hot pair, are written out by hand.
+//     per-operation fan-out is one table of rows (ops.go); only status,
+//     the hot operation, is written out by hand.
 //
 //   - Streams: a uint32 stream ID pairs each response with its request,
-//     so one connection carries many in-flight operations — the same
-//     stitching the cluster Router does for split batches, pushed down
-//     to the wire.
+//     so one connection carries many in-flight operations.
 //
 //   - Credit-based backpressure: the server advertises a window in its
 //     hello frame; at most that many requests may be outstanding per
@@ -68,13 +66,13 @@ var errEpollUnsupported = errors.New("binapi: epoll readiness source requires li
 // its response. A logged operation's kind is its wirecodec record tag
 // (the rows in ops.go name the tag itself), so a captured request payload
 // is bit-identical to the body of the WAL record it produced; 0x03, the
-// liveness record, is WAL-only and is never a kind. A request's payload
+// liveness record, is WAL-only and is never a kind, and 0x02, the
+// retired status batch, is no kind either. A request's payload
 // is the operation's wirecodec request body; a response's is its
 // response body, or the one ack byte for an operation that returns only
 // an error (TestKindsComplete holds the table to transport.Ops).
 const (
 	kindStatus      = wirecodec.TagStatus
-	kindBatch       = wirecodec.TagBatch
 	kindReadings    = 0x0f // the four reads are never logged: no tag
 	kindShares      = 0x10
 	kindDelegations = 0x11

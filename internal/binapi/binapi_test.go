@@ -83,8 +83,8 @@ func newLabService(t testing.TB, n int) *cloud.Service {
 }
 
 // driveCloud runs a representative op mix through any transport.Cloud:
-// register, bind, heartbeats with readings, a batch, an unbind, and an
-// error case. Used by both the pipe and socket round-trip tests.
+// register, bind, heartbeats with readings, an unbind, and an error
+// case. Used by both the pipe and socket round-trip tests.
 func driveCloud(t *testing.T, c transport.Cloud) {
 	t.Helper()
 	id := testDeviceID(0)
@@ -110,23 +110,6 @@ func driveCloud(t *testing.T, c transport.Cloud) {
 	}
 	if !resp.Bound {
 		t.Fatal("heartbeat after bind: not bound")
-	}
-	batch := protocol.StatusBatchRequest{Items: []protocol.StatusRequest{
-		{Kind: protocol.StatusHeartbeat, DeviceID: id},
-		{Kind: protocol.StatusHeartbeat, DeviceID: "99:99:99:99:99:99"},
-	}}
-	bresp, err := c.HandleStatusBatch(batch)
-	if err != nil {
-		t.Fatalf("batch: %v", err)
-	}
-	if len(bresp.Results) != 2 {
-		t.Fatalf("batch results = %d, want 2", len(bresp.Results))
-	}
-	if bresp.Results[0].Err() != nil {
-		t.Fatalf("batch item 0: %v", bresp.Results[0].Err())
-	}
-	if !errors.Is(bresp.Results[1].Err(), protocol.ErrUnknownDevice) {
-		t.Fatalf("batch item 1 = %v, want ErrUnknownDevice", bresp.Results[1].Err())
 	}
 	shadow, err := c.ShadowState(protocol.ShadowStateRequest{DeviceID: id})
 	if err != nil {
@@ -185,9 +168,9 @@ func TestSocketRoundTrip(t *testing.T) {
 // TestServedReadingsAreCopied: the server decodes each status request's
 // readings into memory its worker reuses for the next request, so a
 // cloud that kept the request's slice would see a later request's
-// readings in place of its own. Two keyed statuses, then two batches of
-// two, each carrying a different reading, through a socket into a real
-// Service: the readings read back are all six, in order.
+// readings in place of its own. Six keyed statuses, each carrying a
+// different reading, through a socket into a real Service: the readings
+// read back are all six, in order.
 func TestServedReadingsAreCopied(t *testing.T) {
 	_, addr := startSocketServer(t, newLabService(t, 1))
 	c, err := Dial(addr)
@@ -217,20 +200,9 @@ func TestServedReadingsAreCopied(t *testing.T) {
 		return protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: id,
 			IdempotencyKey: fmt.Sprintf("k-%d", n), Readings: []protocol.Reading{r}}
 	}
-	for n := 0; n < 2; n++ {
+	for n := 0; n < 6; n++ {
 		if _, err := c.HandleStatus(status(n)); err != nil {
 			t.Fatal(err)
-		}
-	}
-	for n := 2; n < 6; n += 2 {
-		resp, err := c.HandleStatusBatch(protocol.StatusBatchRequest{Items: []protocol.StatusRequest{status(n), status(n + 1)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range resp.Results {
-			if err := resp.Results[i].Err(); err != nil {
-				t.Fatalf("batch from %d, item %d: %v", n, i, err)
-			}
 		}
 	}
 	got, err := c.Readings(protocol.ReadingsRequest{DeviceID: id, UserToken: login.UserToken})
@@ -729,7 +701,7 @@ func TestHelloVersionMismatchFailsAtHello(t *testing.T) {
 }
 
 // TestEquivalenceWithHTTPAPI drives an identical randomized mix of all
-// seventeen operations through binapi (binary frames over a pipe) and
+// sixteen operations through binapi (binary frames over a pipe) and
 // httpapi (JSON over HTTP) against twin clouds, and requires the same
 // error sentinel per op, DeepEqual responses on success — what a binary
 // body decodes to is what JSON decodes to, nil or empty list, zero time
@@ -824,15 +796,9 @@ func TestEquivalenceWithHTTPAPI(t *testing.T) {
 			req.ButtonPressed = rng.Intn(4) == 0
 			both("heartbeat", func(c transport.Cloud) (any, error) { return c.HandleStatus(req) })
 		case 2:
-			items := make([]protocol.StatusRequest, 1+rng.Intn(4))
-			for i := range items {
-				items[i] = protocol.StatusRequest{
-					Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(rng.Intn(devices + 1)),
-				}
-			}
-			both("status-batch", func(c transport.Cloud) (any, error) {
-				return c.HandleStatusBatch(protocol.StatusBatchRequest{Items: append([]protocol.StatusRequest(nil), items...)})
-			})
+			// Any device, one past the fleet included: an unknown one.
+			req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(rng.Intn(devices + 1))}
+			both("heartbeat-any", func(c transport.Cloud) (any, error) { return c.HandleStatus(req) })
 		case 3:
 			both("bind", func(c transport.Cloud) (any, error) {
 				return c.HandleBind(protocol.BindRequest{
@@ -983,6 +949,7 @@ func TestBadFramesRejected(t *testing.T) {
 		{"unknown kind", 0x7f, login.Bytes(), "unknown frame kind 0x7f"},
 		{"a version-1 JSON envelope (kind 0x10 then)", 0x10, []byte(`{"op":"shadow"}`), "malformed shares body"},
 		{"the WAL-only liveness tag", wirecodec.TagLiveness, login.Bytes(), "unknown frame kind 0x03"},
+		{"the retired status-batch kind, an empty batch body", 0x02, []byte{0, 0}, "unknown frame kind 0x02"},
 		{"truncated body", wirecodec.TagLogin, login.Bytes()[:login.Len()-1], "malformed login body"},
 		{"trailing bytes", wirecodec.TagLogin, append(login.Bytes(), 0), "malformed login body"},
 		{"another kind's body", wirecodec.TagDelegate, login.Bytes(), "malformed delegate body"},
@@ -1035,12 +1002,12 @@ func TestClientWriteFailurePoisons(t *testing.T) {
 }
 
 // TestMaxFrameBoundsRequests pins withMaxFrame on the server: a frame
-// within the cap is served, the default cap admits a 64-item batch, a
-// non-positive value keeps the default, and under a 512-byte cap the
-// client — which adopted the cap from the hello — refuses the batch
+// within the cap is served, the default cap admits a status of a few
+// KiB, a non-positive value keeps the default, and under a 512-byte cap
+// the client — which adopted the cap from the hello — refuses that status
 // itself with ErrPayloadTooLarge and keeps its connection.
 func TestMaxFrameBoundsRequests(t *testing.T) {
-	big := bigBatch()
+	big := bigStatus()
 	small := protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDeviceID(0)}
 
 	for _, tc := range []struct {
@@ -1060,27 +1027,22 @@ func TestMaxFrameBoundsRequests(t *testing.T) {
 		if _, err := c.HandleStatus(small); err != nil {
 			t.Fatalf("%s: small frame: %v", tc.name, err)
 		}
-		_, err = c.HandleStatusBatch(big)
+		_, err = c.HandleStatus(big)
 		if tc.refused != errors.Is(err, protocol.ErrPayloadTooLarge) || (!tc.refused && err != nil) {
-			t.Fatalf("%s: 64-item batch = %v, want ErrPayloadTooLarge %v", tc.name, err, tc.refused)
+			t.Fatalf("%s: 4 KiB status = %v, want ErrPayloadTooLarge %v", tc.name, err, tc.refused)
 		}
 		if _, err := c.HandleStatus(small); err != nil {
-			t.Fatalf("%s: call after the batch = %v, want a live connection", tc.name, err)
+			t.Fatalf("%s: call after the big status = %v, want a live connection", tc.name, err)
 		}
 		c.Close()
 		srv.Close()
 	}
 }
 
-// bigBatch is a 64-item batch whose body is a few KiB.
-func bigBatch() protocol.StatusBatchRequest {
-	big := protocol.StatusBatchRequest{Items: make([]protocol.StatusRequest, 64)}
-	for i := range big.Items {
-		big.Items[i] = protocol.StatusRequest{
-			Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(0), Firmware: strings.Repeat("f", 32),
-		}
-	}
-	return big
+// bigStatus is a registration whose body is a few KiB: a 4 KiB firmware
+// string.
+func bigStatus() protocol.StatusRequest {
+	return protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDeviceID(0), Firmware: strings.Repeat("f", 4096)}
 }
 
 // gatedCloud parks every HandleStatus until release closes, after
@@ -1122,16 +1084,16 @@ func TestOverCapRequestKeepsConnection(t *testing.T) {
 	<-gate.entered // the first call is parked inside the cloud
 
 	for i := 0; i < 3; i++ { // more refusals than the window has credits
-		if _, err := c.HandleStatusBatch(bigBatch()); !errors.Is(err, protocol.ErrPayloadTooLarge) {
-			t.Fatalf("over-cap batch %d = %v, want ErrPayloadTooLarge", i, err)
+		if _, err := c.HandleStatus(bigStatus()); !errors.Is(err, protocol.ErrPayloadTooLarge) {
+			t.Fatalf("over-cap status %d = %v, want ErrPayloadTooLarge", i, err)
 		}
 	}
 	close(gate.release)
 	if err := <-inFlight; err != nil {
-		t.Fatalf("the call in flight beside the refused batch = %v, want success", err)
+		t.Fatalf("the call in flight beside the refused status = %v, want success", err)
 	}
 	if _, err := c.HandleStatus(small); err != nil {
-		t.Fatalf("call after the refused batch = %v, want a live connection", err)
+		t.Fatalf("call after the refused status = %v, want a live connection", err)
 	}
 	if srv.Conns() != 1 {
 		t.Fatalf("server holds %d connections, want the one that stayed up", srv.Conns())
@@ -1139,9 +1101,9 @@ func TestOverCapRequestKeepsConnection(t *testing.T) {
 
 	// Hand-framed over-cap bytes: the connection dies, as it always has.
 	var body bytes.Buffer
-	big := bigBatch()
-	wirecodec.PutBatchBody(&body, &big)
-	if err := c.send(appendFrame(nil, 1, kindBatch, 0, body.Bytes())); err != nil {
+	big := bigStatus()
+	wirecodec.PutStatusBody(&body, &big)
+	if err := c.send(appendFrame(nil, 1, kindStatus, 0, body.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.HandleStatus(small); err == nil {

@@ -539,9 +539,9 @@ func (c *Client) roundTrip(kind uint8, eb *encBuf) (*call, uint32, error) {
 	return cl, id, nil
 }
 
-// HandleStatus sends one status message. Hand-written, like the batch
-// below and unlike the operations in ops.go: the status body encoder
-// takes a pointer, and the hot path is kept free of func values.
+// HandleStatus sends one status message. Hand-written, unlike the
+// operations in ops.go: the status body encoder takes a pointer, and the
+// hot path is kept free of func values.
 func (c *Client) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
 	eb := c.getEncBuf()
 	wirecodec.PutStatusBody(&eb.payload, &req)
@@ -556,25 +556,4 @@ func (c *Client) HandleStatus(req protocol.StatusRequest) (protocol.StatusRespon
 	}
 	c.finish(id, cl)
 	return resp, err
-}
-
-// HandleStatusBatch sends a status batch.
-func (c *Client) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	eb := c.getEncBuf()
-	wirecodec.PutBatchBody(&eb.payload, &req)
-	cl, id, err := c.roundTrip(kindBatch, eb)
-	if err != nil {
-		return protocol.StatusBatchResponse{}, err
-	}
-	cur := wirecodec.NewCursor(cl.body, 0)
-	resp := wirecodec.ReadStatusBatchResponse(cur)
-	done := cur.Done()
-	c.finish(id, cl)
-	if !done {
-		return protocol.StatusBatchResponse{}, errors.New("binapi: malformed batch response")
-	}
-	if len(resp.Results) != len(req.Items) {
-		return resp, fmt.Errorf("%w: %d items, %d results", protocol.ErrBatchMismatch, len(req.Items), len(resp.Results))
-	}
-	return resp, nil
 }

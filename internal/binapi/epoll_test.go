@@ -114,21 +114,11 @@ func TestReadinessEquivalence(t *testing.T) {
 				return err
 			})
 		case 2:
-			items := make([]protocol.StatusRequest, 1+rng.Intn(4))
-			for i := range items {
-				items[i] = protocol.StatusRequest{
-					Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(rng.Intn(devices + 1)),
-				}
-			}
-			all("batch", func(c transport.Cloud) error {
-				resp, err := c.HandleStatusBatch(protocol.StatusBatchRequest{Items: items})
-				if err != nil {
-					return err
-				}
-				if len(resp.Results) != len(items) {
-					return fmt.Errorf("result count %d != %d", len(resp.Results), len(items))
-				}
-				return nil
+			// Any device, one past the fleet included: an unknown one.
+			req := protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(rng.Intn(devices + 1))}
+			all("heartbeat-any", func(c transport.Cloud) error {
+				_, err := c.HandleStatus(req)
+				return err
 			})
 		case 3:
 			all("bind", func(c transport.Cloud) error {
@@ -172,14 +162,14 @@ func TestReadinessEquivalence(t *testing.T) {
 	}
 	// Twice the budget: the yield path needs the writer to keep pace with
 	// the draining poller for a whole budget, which a barely larger burst
-	// manages in only about half the runs.
-	burst := make([]protocol.StatusBatchRequest, 16)
+	// manages in only about half the runs. Sixteen statuses of 136 KiB
+	// each (a firmware string) stay within the credit window and under
+	// the frame cap.
+	burst := make([]protocol.StatusRequest, 16)
 	for i := range burst {
-		burst[i].Items = make([]protocol.StatusRequest, 4700)
-		for j := range burst[i].Items {
-			burst[i].Items[j] = protocol.StatusRequest{
-				Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID((i + j) % (devices + 1)),
-			}
+		burst[i] = protocol.StatusRequest{
+			Kind: protocol.StatusHeartbeat, DeviceID: testDeviceID(i % (devices + 1)),
+			Firmware: strings.Repeat(string(rune('a'+i)), 136<<10),
 		}
 	}
 	epollAnswers := tornThenBurst(t, epollAddr, first, torn, burst)
@@ -189,10 +179,8 @@ func TestReadinessEquivalence(t *testing.T) {
 	}
 	_, _ = pipeCl.HandleStatus(first)
 	_, _ = pipeCl.HandleStatus(torn)
-	for _, b := range burst {
-		if _, err := pipeCl.HandleStatusBatch(b); err != nil {
-			t.Fatalf("pipe burst batch: %v", err)
-		}
+	for _, req := range burst {
+		_, _ = pipeCl.HandleStatus(req)
 	}
 
 	var snaps [3]bytes.Buffer
@@ -223,10 +211,10 @@ func statusFrame(stream uint32, req protocol.StatusRequest) []byte {
 // status frame with the first half of a second one behind it, the
 // second half only after the first frame's answer has come back (which
 // proves the server consumed the readiness event that carried the torn
-// half), then every batch in a single write — more bytes than one
-// readiness event may drain. It returns the response frames in arrival
-// order, kind byte first.
-func tornThenBurst(t *testing.T, addr string, first, torn protocol.StatusRequest, burst []protocol.StatusBatchRequest) [][]byte {
+// half), then every burst status in a single write — more bytes than
+// one readiness event may drain. It returns the response frames in
+// arrival order, kind byte first.
+func tornThenBurst(t *testing.T, addr string, first, torn protocol.StatusRequest, burst []protocol.StatusRequest) [][]byte {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -261,15 +249,8 @@ func tornThenBurst(t *testing.T, addr string, first, torn protocol.StatusRequest
 	expect(2)
 
 	var wire []byte
-	var body bytes.Buffer
 	for i := range burst {
-		body.Reset()
-		wirecodec.PutStr(&body, "")
-		wirecodec.PutUvarint(&body, uint64(len(burst[i].Items)))
-		for j := range burst[i].Items {
-			wirecodec.PutStatusBody(&body, &burst[i].Items[j])
-		}
-		wire = appendFrame(wire, uint32(3+i), kindBatch, 0, body.Bytes())
+		wire = append(wire, statusFrame(uint32(3+i), burst[i])...)
 	}
 	if len(wire) <= readBudget {
 		t.Fatalf("burst is %d bytes, want more than readBudget = %d", len(wire), readBudget)
@@ -330,13 +311,36 @@ func readFrame(t *testing.T, nc net.Conn, buf []byte) (stream uint32, kind, flag
 
 // TestShortWriteRearm fills the server's socket send buffer so a
 // coalesced flush short-writes, then verifies the parked tail drains
-// via EPOLLOUT: tiny SO_SNDBUF/SO_RCVBUF, a huge batch request, and a
-// client that only starts reading after the server has parked a tail.
-// The complete response — and a follow-up request — must still arrive
-// intact.
+// via EPOLLOUT: tiny SO_SNDBUF/SO_RCVBUF, a read of a full readings
+// window whose names are long, and a client that only starts reading
+// after the server has parked a tail. The complete response — and a
+// follow-up request — must still arrive intact.
 func TestShortWriteRearm(t *testing.T) {
-	const items = 4500
 	svc := newLabService(t, 1)
+	id := testDeviceID(0)
+	if err := svc.RegisterUser(protocol.RegisterUserRequest{UserID: "u@example.com", Password: "pw"}); err != nil {
+		t.Fatal(err)
+	}
+	login, err := svc.Login(protocol.LoginRequest{UserID: "u@example.com", Password: "pw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: id}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.HandleBind(protocol.BindRequest{DeviceID: id, UserID: "u@example.com", UserPassword: "pw"}); err != nil {
+		t.Fatal(err)
+	}
+	// A full window of 1 024 readings named by 200 bytes each: the
+	// response (about 220 KiB) dwarfs the 4KiB socket buffers.
+	want := make([]protocol.Reading, 1024)
+	for i := range want {
+		want[i] = protocol.Reading{Name: fmt.Sprintf("%s-%04d", strings.Repeat("r", 195), i), Value: float64(i), At: frozenClock()()}
+	}
+	if _, err := svc.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: id, Readings: want}); err != nil {
+		t.Fatal(err)
+	}
+
 	srv := NewServer(svc, WithReadiness(ReadinessEpoll))
 	defer srv.Close()
 	lc := net.ListenConfig{Control: setSockBuf(syscall.SO_SNDBUF, 4096)}
@@ -359,17 +363,9 @@ func TestShortWriteRearm(t *testing.T) {
 		t.Fatalf("first frame kind = 0x%02x, want hello", kind)
 	}
 
-	// One giant batch of unknown-device heartbeats: the response burst
-	// (per-item error results) dwarfs the 4KiB socket buffers.
 	var payload bytes.Buffer
-	wirecodec.PutStr(&payload, "")
-	wirecodec.PutUvarint(&payload, uint64(items))
-	for i := 0; i < items; i++ {
-		wirecodec.PutStatusBody(&payload, &protocol.StatusRequest{
-			Kind: protocol.StatusHeartbeat, DeviceID: "99:99:99:99:99:99",
-		})
-	}
-	frame := appendFrame(nil, 1, kindBatch, 0, payload.Bytes())
+	wirecodec.PutReadingsBody(&payload, protocol.ReadingsRequest{DeviceID: id, UserToken: login.UserToken})
+	frame := appendFrame(nil, 1, kindReadings, 0, payload.Bytes())
 	if _, err := nc.Write(frame); err != nil {
 		t.Fatal(err)
 	}
@@ -385,23 +381,18 @@ func TestShortWriteRearm(t *testing.T) {
 	}
 
 	// Now drain: the parked tail must flow out through EPOLLOUT re-arms
-	// until the batch response is complete and correct.
+	// until the readings response is complete and correct.
 	stream, kind, flags, pl, rest := readFrame(t, nc, rest)
-	if stream != 1 || kind != kindBatch || flags&flagResponse == 0 {
+	if stream != 1 || kind != kindReadings || flags&flagResponse == 0 {
 		t.Fatalf("response frame = stream %d kind 0x%02x flags 0x%02x", stream, kind, flags)
 	}
 	cur := wirecodec.NewCursor(pl, 0)
-	resp := wirecodec.ReadStatusBatchResponse(cur)
-	if cur.Err() != nil {
-		t.Fatalf("decode batch response: %v", cur.Err())
+	resp := wirecodec.ReadReadingsResponse(cur)
+	if !cur.Done() {
+		t.Fatalf("decode readings response: %v", cur.Err())
 	}
-	if len(resp.Results) != items {
-		t.Fatalf("batch results = %d, want %d", len(resp.Results), items)
-	}
-	for i, r := range resp.Results {
-		if !errors.Is(r.Err(), protocol.ErrUnknownDevice) {
-			t.Fatalf("result %d = %v, want ErrUnknownDevice", i, r.Err())
-		}
+	if !reflect.DeepEqual(resp.Readings, want) {
+		t.Fatalf("readings response holds %d readings, not the %d of the window", len(resp.Readings), len(want))
 	}
 	if srv.ShortWrites() == 0 {
 		t.Fatal("short-write counter reset unexpectedly")
@@ -653,17 +644,6 @@ func (c *idCloud) HandleStatus(req protocol.StatusRequest) (protocol.StatusRespo
 	return protocol.StatusResponse{Bound: true}, c.check(req.DeviceID, req.DevToken)
 }
 
-func (c *idCloud) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	resp := protocol.StatusBatchResponse{Results: make([]protocol.StatusBatchResult, len(req.Items))}
-	for i, it := range req.Items {
-		if err := c.check(it.DeviceID, it.DevToken); err != nil {
-			return protocol.StatusBatchResponse{}, err
-		}
-		resp.Results[i] = protocol.MakeBatchResult(protocol.StatusResponse{Bound: true}, nil)
-	}
-	return resp, nil
-}
-
 func (c *idCloud) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
 	return protocol.BindResponse{BoundUser: req.DeviceID}, c.check(req.DeviceID, req.UserToken)
 }
@@ -756,12 +736,12 @@ func TestEpollServerGoroutines(t *testing.T) {
 }
 
 // TestServedDeviceIDsAreTheRegistrys: every request body's device ID is
-// read through the cloud's registry, status, batch and cold rows alike —
+// read through the cloud's registry, status and cold rows alike —
 // a registered device's as the registry's own string, any other as a
 // fresh copy. Two epoll sockets (served by the one poller) and a pipe
 // (served by its client's goroutine) each walk their own devices,
 // registered and not, through bind, delegate, control and unbind, with a
-// heartbeat and a two-item batch between steps. Under -race, two serving
+// heartbeat to each of two devices between steps. Under -race, two serving
 // goroutines reading IDs through one registry show any unsynchronised
 // state on that path.
 func TestServedDeviceIDsAreTheRegistrys(t *testing.T) {
@@ -801,10 +781,7 @@ func TestServedDeviceIDsAreTheRegistrys(t *testing.T) {
 					return err
 				}
 				other := testDeviceID(1000*n + 500 + (i+1)%7)
-				_, err := c.HandleStatusBatch(protocol.StatusBatchRequest{Items: []protocol.StatusRequest{
-					{Kind: protocol.StatusHeartbeat, DeviceID: id, DevToken: "tok-" + id},
-					{Kind: protocol.StatusHeartbeat, DeviceID: other, DevToken: "tok-" + other},
-				}})
+				_, err := c.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: other, DevToken: "tok-" + other})
 				return err
 			}
 			for i := 0; i < rounds; i++ {
@@ -871,16 +848,6 @@ func (k *keyKeeper) HandleStatus(req protocol.StatusRequest) (protocol.StatusRes
 	return protocol.StatusResponse{}, nil
 }
 
-func (k *keyKeeper) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	k.keep(req.SourceIP)
-	resp := protocol.StatusBatchResponse{Results: make([]protocol.StatusBatchResult, len(req.Items))}
-	for i := range req.Items {
-		k.keep(req.Items[i].IdempotencyKey, req.Items[i].SourceIP)
-		resp.Results[i] = protocol.MakeBatchResult(protocol.StatusResponse{}, nil)
-	}
-	return resp, nil
-}
-
 func (k *keyKeeper) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
 	k.keep(req.IdempotencyKey, req.SourceIP)
 	return protocol.BindResponse{}, nil
@@ -912,7 +879,7 @@ func (k *keyKeeper) HandleRevokeDelegation(req protocol.RevokeDelegationRequest)
 // name where a cloud answering for the call (protocol.HeldCall) gets its
 // input's bytes. A keeper behind the server, and one swapped in behind a
 // transport.Switchable whose service backend borrowed the keys before,
-// keeps the key and source address of every keyed status, batch, bind,
+// keeps the key and source address of every keyed status, bind,
 // unbind, delegate and revoke, and a control's name and address, while
 // two serving goroutines — a poller and a pipe's writer — decode later
 // frames over the same inbound bytes, each connection closed after a few
@@ -1077,10 +1044,11 @@ func serveKeyed(t *testing.T, c transport.Cloud) map[string]int {
 						return err
 					}(),
 					func() error {
-						_, err := cl.HandleStatusBatch(protocol.StatusBatchRequest{Items: []protocol.StatusRequest{
-							{Kind: protocol.StatusHeartbeat, DeviceID: id, IdempotencyKey: key(1)},
-							{Kind: protocol.StatusHeartbeat, DeviceID: id, IdempotencyKey: key(2)},
-						}})
+						_, err := cl.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: id, IdempotencyKey: key(1)})
+						return err
+					}(),
+					func() error {
+						_, err := cl.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: id, IdempotencyKey: key(2)})
 						return err
 					}(),
 					func() error {
@@ -1107,8 +1075,7 @@ func serveKeyed(t *testing.T, c transport.Cloud) map[string]int {
 				for j := 0; j <= 7; j++ {
 					sent[key(j)]++
 				}
-				sent[src] += 5 // the status, the batch, the bind, the unbind and the control are stamped
-				sent[""] += 2  // the batch items' own addresses are not
+				sent[src] += 6 // the three statuses, the bind, the unbind and the control are stamped
 				mu.Unlock()
 			}
 		}()

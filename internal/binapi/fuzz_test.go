@@ -81,7 +81,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 	f.Add(fuzzFrame(1, kindStatus, 0, status))
 	f.Add(fuzzFrame(1, kindStatus, 0, status)[:7]) // truncated mid-header
 	f.Add(fuzzFrame(2, kindStatus, flagResponse, status))
-	f.Add(fuzzFrame(3, kindBatch, 0, []byte{0, 1}))
+	f.Add(fuzzFrame(3, 0x02, 0, []byte{0, 1})) // the retired status-batch kind
 	for _, frame := range fuzzColdFrames() {
 		f.Add(frame)
 	}

@@ -13,10 +13,9 @@ import (
 // operation — its frame kind, its wirecodec request and response bodies
 // and the Cloud method between them — from which both halves are
 // derived: the Client method is a one-line exchange over the row, and
-// the server's entry in kinds is the row's serve. Status and status
-// batch are the exception; their client methods (client.go) and handlers
-// (server.go) are written by hand around the undecoded source-address
-// claim.
+// the server's entry in kinds is the row's serve. Status is the
+// exception; its client method (client.go) and handler (server.go) are
+// written by hand around the undecoded source-address claim.
 //
 // Requests and responses pass through the rows' func values by value,
 // and the cursor the read funcs walk lives in the worker or the pooled
@@ -45,11 +44,10 @@ type handler struct {
 }
 
 // kinds is the server's dispatch table, indexed by frame kind; an entry
-// without a serve is an unknown kind. The two hand-written handlers are
+// without a serve is an unknown kind. The hand-written status handler is
 // listed here, every other entry is filled in by its row.
 var kinds = [256]handler{
 	kindStatus: {transport.OpStatus, (*worker).serveStatus},
-	kindBatch:  {transport.OpStatusBatch, (*worker).serveBatch},
 }
 
 // newRow builds an operation's row and enters it in kinds.

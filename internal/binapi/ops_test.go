@@ -18,12 +18,12 @@ import (
 // every transport.Op is served under exactly one kind, a logged
 // operation's kind is its WAL record tag (the frame is the record's
 // body), and no kind collides with the liveness tag, which is WAL-only,
-// or with the two kinds that are not operations. An operation added to
+// with the retired status-batch tag 0x02, or with the two kinds that are
+// not operations. An operation added to
 // transport.Ops without a row in ops.go fails here by name.
 func TestKindsComplete(t *testing.T) {
 	recordTag := map[transport.Op]uint8{
 		transport.OpStatus:           wirecodec.TagStatus,
-		transport.OpStatusBatch:      wirecodec.TagBatch,
 		transport.OpDelegate:         wirecodec.TagDelegate,
 		transport.OpRevokeDelegation: wirecodec.TagRevokeDelegation,
 		transport.OpShare:            wirecodec.TagShare,
@@ -47,7 +47,7 @@ func TestKindsComplete(t *testing.T) {
 		}
 		kindOf[h.op] = append(kindOf[h.op], uint8(kind))
 		switch kind {
-		case wirecodec.TagLiveness, kindError, kindHello:
+		case wirecodec.TagLiveness, 0x02, kindError, kindHello:
 			t.Errorf("%s is served under kind 0x%02x, which is reserved", h.op, kind)
 		}
 	}
@@ -74,7 +74,7 @@ func TestKindsComplete(t *testing.T) {
 		seeded[kind] = true
 	}
 	for kind, h := range kinds {
-		if h.serve != nil && kind != kindStatus && kind != kindBatch && !seeded[uint8(kind)] {
+		if h.serve != nil && kind != kindStatus && !seeded[uint8(kind)] {
 			t.Errorf("%s (kind 0x%02x) has no seed frame in fuzzColdFrames", h.op, kind)
 		}
 	}

@@ -551,13 +551,16 @@ func (w *worker) dispatch(c *conn, stream uint32, kind uint8, payload []byte) {
 }
 
 // serveStatus is the hot handler, written by hand: the sender's source
-// address claim is skipped undecoded, so with a registered device's ID
-// read from the registry a bare heartbeat's decode allocates nothing.
+// address claim is skipped undecoded (conn.cloud stamps the connection's
+// address), so with a registered device's ID read from the registry a
+// bare heartbeat's decode allocates nothing.
 func (w *worker) serveStatus(c *conn, stream uint32, payload []byte) {
 	cur := &w.cur
 	cur.Reset(payload)
 	var req protocol.StatusRequest
-	readStatus(cur, &req)
+	req.Kind = protocol.StatusKind(cur.U8())
+	req.DeviceID = cur.ID()
+	wirecodec.ReadStatusRest(cur, &req)
 	if !cur.Done() {
 		w.errorFrame(stream, protocol.ErrBadRequest, "malformed status body")
 		return
@@ -570,43 +573,6 @@ func (w *worker) serveStatus(c *conn, stream uint32, payload []byte) {
 	w.scratch.Reset()
 	wirecodec.PutStatusResponse(&w.scratch, &resp)
 	w.out = appendFrame(w.out, stream, kindStatus, flagResponse, w.scratch.Bytes())
-}
-
-// serveBatch is serveStatus for a batch, the envelope's address claim
-// skipped like an item's.
-func (w *worker) serveBatch(c *conn, stream uint32, payload []byte) {
-	cur := &w.cur
-	cur.Reset(payload)
-	var req protocol.StatusBatchRequest
-	cur.StrBytes()
-	n := cur.Count(wirecodec.MinStatusSize)
-	if cur.Err() == nil && n > 0 {
-		req.Items = make([]protocol.StatusRequest, n)
-		for i := range req.Items {
-			readStatus(cur, &req.Items[i])
-		}
-	}
-	if !cur.Done() {
-		w.errorFrame(stream, protocol.ErrBadRequest, "malformed status batch body")
-		return
-	}
-	resp, err := c.cloud.HandleStatusBatch(req)
-	if err != nil {
-		w.errorFrame(stream, err, err.Error())
-		return
-	}
-	w.scratch.Reset()
-	wirecodec.PutStatusBatchResponse(&w.scratch, &resp)
-	w.out = appendFrame(w.out, stream, kindBatch, flagResponse, w.scratch.Bytes())
-}
-
-// readStatus decodes one status body without the sender's
-// source-address claim, which is dropped undecoded: conn.cloud stamps the
-// connection's address.
-func readStatus(cur *wirecodec.Cursor, req *protocol.StatusRequest) {
-	req.Kind = protocol.StatusKind(cur.U8())
-	req.DeviceID = cur.ID()
-	wirecodec.ReadStatusRest(cur, req)
 }
 
 func remoteIP(conn net.Conn) string {

@@ -19,10 +19,9 @@ import (
 )
 
 // pinnedRecords are wirecodec's TestRecordBytesPinned literals, one per
-// record tag, all naming device "dev-1" (the batch also "dev-2").
+// record tag, all naming device "dev-1".
 var pinnedRecords = []string{
 	"01008007ca8db1bf1802056465762d310264740273670273740264700468622d3103312e30016d0b3230332e302e3131332e37010107706f7765725f770000000000001240008007ca8db1bf18",
-	"02008007ca8db1bf180b3230332e302e3131332e370202056465762d31000000000468622d31000000000107706f7765725f770000000000001240008007ca8db1bf1801056465762d32000000000003312e30016d0d3139382e35312e3130302e36360000",
 	"03008007ca8db1bf18056465762d31076f776e65724078",
 	"04008007ca8db1bf18056465762d3103746f6b036740780207636f6e74726f6c0472656164100e0000000000000100000000000000026b31",
 	"05008007ca8db1bf18056465762d3103746f6b03674078026b32",
@@ -37,6 +36,11 @@ var pinnedRecords = []string{
 	"0e008007ca8db1bf18056465762d3103746f6b087363686564756c650830393a3030206f6e",
 }
 
+// retiredBatchRecord is a status-batch record (tag 0x02, a form since
+// removed) as it was last pinned: a heartbeat of dev-1 and a registration
+// of dev-2. No apply path accepts it.
+const retiredBatchRecord = "02008007ca8db1bf180b3230332e302e3131332e370202056465762d31000000000468622d31000000000107706f7765725f770000000000001240008007ca8db1bf1801056465762d32000000000003312e30016d0d3139382e35312e3130302e36360000"
+
 // loggedRecord is one record as a primary logged it.
 type loggedRecord struct {
 	lsn     uint64
@@ -44,7 +48,7 @@ type loggedRecord struct {
 }
 
 // applyDevice is the device every record form addresses; the registry
-// also knows applyOther, so a batch spans two.
+// also knows applyOther, which the lifecycle registers too.
 const (
 	applyDevice = "dev-1"
 	applyOther  = "dev-2"
@@ -78,7 +82,8 @@ func openApplyDurable(tb testing.TB, dir string, design core.DesignSpec, reg *Re
 
 // lifecycleRecords drives a primary through every logged operation — a
 // binding's whole life, the token requests, a share, a push, a drained
-// heartbeat, a batch, liveness, redeliveries and refusals — and returns
+// heartbeat, statuses from another address, liveness, redeliveries and
+// refusals — and returns
 // the records it logged with its final snapshot.
 func lifecycleRecords(tb testing.TB, design core.DesignSpec) (dir string, recs []loggedRecord, final Snapshot) {
 	tb.Helper()
@@ -92,7 +97,8 @@ func lifecycleRecords(tb testing.TB, design core.DesignSpec) (dir string, recs [
 		tb.Helper()
 		clock.Advance(time.Second)
 		if err != nil && !errors.Is(err, protocol.ErrAuthFailed) && !errors.Is(err, protocol.ErrNotPermitted) &&
-			!errors.Is(err, protocol.ErrOutsideWindow) && !errors.Is(err, protocol.ErrNotBound) {
+			!errors.Is(err, protocol.ErrOutsideWindow) && !errors.Is(err, protocol.ErrNotBound) &&
+			!errors.Is(err, protocol.ErrUnknownDevice) {
 			tb.Fatalf("lifecycle step: %v", err)
 		}
 	}
@@ -134,12 +140,15 @@ func lifecycleRecords(tb testing.TB, design core.DesignSpec) (dir string, recs [
 	_, err = d.RequestDeviceToken(protocol.DeviceTokenRequest{UserToken: tok, DeviceID: applyDevice,
 		PairingProof: protocol.PairingProof(testSecret, applyDevice)})
 	step(err)
-	_, err = d.HandleStatusBatch(protocol.StatusBatchRequest{SourceIP: "198.51.100.66", Items: []protocol.StatusRequest{
+	for _, req := range []protocol.StatusRequest{
 		{Kind: protocol.StatusRegister, DeviceID: applyOther},
-		{Kind: protocol.StatusHeartbeat, DeviceID: applyDevice, DataProof: proof, IdempotencyKey: "k-batch"},
-		{Kind: protocol.StatusHeartbeat, DeviceID: "dev-9"},
-	}})
-	step(err)
+		{Kind: protocol.StatusHeartbeat, DeviceID: applyDevice, DataProof: proof, IdempotencyKey: "k-other-ip"},
+		{Kind: protocol.StatusHeartbeat, DeviceID: "dev-9", IdempotencyKey: "k-unknown"}, // logged, then refused
+	} {
+		req.SourceIP = "198.51.100.66"
+		_, err = d.HandleStatus(req)
+		step(err)
+	}
 	step(d.HandleRevokeDelegation(protocol.RevokeDelegationRequest{DeviceID: applyDevice, UserToken: tok,
 		Grantee: "guest@x", IdempotencyKey: "k-revoke"}))
 	step(d.HandleUnbind(protocol.UnbindRequest{DeviceID: applyDevice, UserToken: tok, Sender: core.SenderApp,
@@ -276,8 +285,8 @@ func TestTypedApplyMatchesGenericApply(t *testing.T) {
 			for _, r := range recs {
 				tags[r.payload[0]] = true
 			}
-			if len(tags) != 14 {
-				t.Fatalf("the lifecycle logged %d record tags, want all 14", len(tags))
+			if len(tags) != 13 {
+				t.Fatalf("the lifecycle logged %d record tags, want all 13", len(tags))
 			}
 			p := newApplyPair(t, dir, design)
 			for _, r := range recs {
@@ -312,6 +321,13 @@ func TestTypedApplyMatchesGenericApply(t *testing.T) {
 			}
 			if p.next(t, []byte{0x7f, 0, 0, 0, 0, 0, 0, 0, 0}) {
 				t.Error("a record with an unknown tag was accepted")
+			}
+			batch, err := hex.DecodeString(retiredBatchRecord)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.next(t, batch) || p.next(t, []byte{0x02, 0, 0, 0, 0, 0, 0, 0, 0}) {
+				t.Error("a record with the retired status-batch tag 0x02 was accepted")
 			}
 		})
 	}
@@ -406,15 +422,15 @@ func TestRecordIDsCanonicalOnlyOnExactMatch(t *testing.T) {
 // idempotency key, and every source address but a registration's, from
 // the record it decodes, so the shadow must copy what it keeps. On a
 // design that checks a bind's source address, a keyed bind, controls, a
-// keyed status with a reading, a batch of a registration and a
+// keyed status with a reading, a keyed registration and a keyed
 // heartbeat, a bind from an address the device no longer has, an
 // unbind, a rebind and a control, each from its own address, are
 // applied from buffers
 // overwritten right after each apply; the replica accepts and refuses
 // exactly what the primary did, still equals it, snapshot for snapshot
-// (its idempotency log, command inbox and the batch registration's
-// device_ip included), and still replays the bind, the status and the
-// batch from their records.
+// (its idempotency log, command inbox and the later registration's
+// device_ip included), and still replays the bind and the three statuses
+// from their records.
 func TestReplayedKeysOutliveTheirRecord(t *testing.T) {
 	dir, clock := t.TempDir(), newTestClock()
 	reg := applyRegistry(t)
@@ -455,21 +471,20 @@ func TestReplayedKeysOutliveTheirRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := protocol.StatusBatchRequest{Items: []protocol.StatusRequest{
-		{Kind: protocol.StatusRegister, DeviceID: applyDevice, IdempotencyKey: "k-batch-register", SourceIP: "198.51.100.9"},
-		{Kind: protocol.StatusHeartbeat, DeviceID: applyDevice, IdempotencyKey: "k-batch-heartbeat", SourceIP: "198.51.100.10",
+	later := []protocol.StatusRequest{
+		{Kind: protocol.StatusRegister, DeviceID: applyDevice, IdempotencyKey: "k-later-register", SourceIP: "198.51.100.9"},
+		{Kind: protocol.StatusHeartbeat, DeviceID: applyDevice, IdempotencyKey: "k-later-heartbeat", SourceIP: "198.51.100.10",
 			Readings: []protocol.Reading{{Name: "power_w", Value: 5.5, At: clock.Now()}}},
-	}}
-	batched, err := primary.HandleStatusBatch(batch)
-	if err != nil {
-		t.Fatal(err)
 	}
-	for i := range batched.Results {
-		if err := batched.Results[i].Err(); err != nil {
-			t.Fatalf("batch item %d: %v", i, err)
+	var laterResps []protocol.StatusResponse
+	for _, req := range later {
+		resp, err := primary.HandleStatus(req)
+		if err != nil {
+			t.Fatal(err)
 		}
+		laterResps = append(laterResps, resp)
 	}
-	// The device now speaks from the batch registration's address, so a
+	// The device now speaks from the later registration's address, so a
 	// bind from its first one is refused.
 	if _, err := primary.HandleBind(protocol.BindRequest{DeviceID: applyDevice, UserToken: login.UserToken, Sender: core.SenderApp,
 		IdempotencyKey: "k-bind-stale", SourceIP: "203.0.113.7"}); !errors.Is(err, protocol.ErrOutsideWindow) {
@@ -507,7 +522,7 @@ func TestReplayedKeysOutliveTheirRecord(t *testing.T) {
 		t.Fatalf("the replica's snapshot differs once its records are overwritten:\nreplica:\n%s\nprimary:\n%s", got, want)
 	}
 	if sh := replica.Snapshot().Shadows[0]; sh.DeviceIP != "198.51.100.9" || len(sh.CommandInbox) != 1 {
-		t.Errorf("the replica's device_ip is %q, want the batch registration's 198.51.100.9, and its inbox %v one command", sh.DeviceIP, sh.CommandInbox)
+		t.Errorf("the replica's device_ip is %q, want the later registration's 198.51.100.9, and its inbox %v one command", sh.DeviceIP, sh.CommandInbox)
 	}
 	if got, want := replica.svc.Stats(), primary.Service().Stats(); got.BindsAccepted != 2 || got.BindsRejected != 1 ||
 		got.ControlsQueued != 2 || got.UnbindsAccepted != 1 || got != want {
@@ -519,8 +534,10 @@ func TestReplayedKeysOutliveTheirRecord(t *testing.T) {
 	if resp, err := replica.svc.HandleStatus(status); err != nil || !reflect.DeepEqual(resp, beat) {
 		t.Errorf("replica status replay = %+v, %v; want %+v", resp, err, beat)
 	}
-	if resp, err := replica.svc.HandleStatusBatch(batch); err != nil || !reflect.DeepEqual(resp, batched) {
-		t.Errorf("replica batch replay = %+v, %v; want %+v", resp, err, batched)
+	for i, req := range later {
+		if resp, err := replica.svc.HandleStatus(req); err != nil || !reflect.DeepEqual(resp, laterResps[i]) {
+			t.Errorf("replica replay of later status %d = %+v, %v; want %+v", i, resp, err, laterResps[i])
+		}
 	}
 	if st := replica.svc.Stats(); st.BindsDeduplicated != 1 || st.StatusDeduplicated != 3 {
 		t.Errorf("replica deduplicated %d binds and %d statuses, want 1 and 3", st.BindsDeduplicated, st.StatusDeduplicated)

@@ -49,7 +49,7 @@ import (
 //     replaying in LSN order converges on the live state even when
 //     live wall-clock apply order across shards differed.
 //   - The cold lane (accounts, tokens, bind/unbind, control, push,
-//     share, batches, checkpoint) takes the write lock: it is totally
+//     share, delegation, checkpoint) takes the write lock: it is totally
 //     ordered against every hot operation, so its LSN sits exactly
 //     where its effects sit.
 //
@@ -520,20 +520,20 @@ func (g *drbg) read(p []byte) {
 
 // hexNonce draws the 16-byte session nonce a register status mints,
 // encoded exactly as Service.randomHex encodes it — live hot-lane
-// execution (through an opEnv) and replay of a batch's register (through
-// d.randomHex) must produce the same string from the same stream.
+// execution (through an opEnv) and replay of the register's record
+// (through d.randomHex) must produce the same string from the same
+// stream.
 func (g *drbg) hexNonce() (string, error) {
 	var b [16]byte
 	g.read(b[:])
 	return hex16(&b), nil
 }
 
-// beginOp pins the clock and the entropy stream (unseeded for an
-// operation that is not logged ahead of its apply) of the cold-lane or
-// replayed operation about to execute. The caller holds d.mu
-// exclusively; the clock travels through an atomic only because
-// pass-through reads sample it without the mutex (see the opAt field
-// comment).
+// beginOp pins the clock and the entropy stream (d.stream of its
+// record's LSN) of the cold-lane or replayed operation about to execute.
+// The caller holds d.mu exclusively; the clock travels through an atomic
+// only because pass-through reads sample it without the mutex (see the
+// opAt field comment).
 func (d *Durable) beginOp(at time.Time, g drbg) {
 	d.opG = g
 	d.opAt.Store(at.UnixNano())
@@ -697,39 +697,15 @@ func (d *Durable) flushAllLocked() error {
 
 // ---- logged execution ------------------------------------------------------
 
-// logThenApply appends the encoded record to routeKey's shard and, only
-// if the append succeeded, executes apply under the record's clock and
-// entropy. The caller holds d.mu exclusively (the cold lane). A failed
-// append (including a simulated crash) leaves the service untouched:
-// write-ahead means nothing unlogged is ever applied. Every shard's
-// pending liveness notes flush first, so the record replays against
-// the same liveness state the live execution observed — a cold
-// operation may depend on any device's liveness.
-func logThenApply[T any](d *Durable, routeKey string, encode func(*bytes.Buffer, time.Time), apply func() (T, error)) (T, error) {
-	var zero T
-	if err := d.flushAllLocked(); err != nil {
-		return zero, fmt.Errorf("cloud: durable log: %w", err)
-	}
-	at := d.wall().UTC()
-	buf := getRecordBuf()
-	defer putRecordBuf(buf)
-	encode(buf, at)
-	ws := d.walShardOf(routeKey)
-	ws.mu.Lock()
-	lsn, err := d.appendLocked(ws, buf.Bytes())
-	ws.mu.Unlock()
-	if err != nil {
-		return zero, fmt.Errorf("cloud: durable log: %w", err)
-	}
-	d.beginOp(at, d.stream(lsn))
-	resp, aerr := apply()
-	d.endOp()
-	return resp, aerr
-}
-
 // logged runs one single-device cold operation: under the write lock,
-// req is logged on routeKey's shard as its record — tag, time, the wire
-// body put writes — and then applied.
+// req is appended to routeKey's shard as its record — tag, time, the
+// wire body put writes — and, only if the append succeeded, applied
+// under the record's clock and entropy. A failed append (including a
+// simulated crash) leaves the service untouched: write-ahead means
+// nothing unlogged is ever applied. Every shard's pending liveness notes
+// flush first, so the record replays against the same liveness state the
+// live execution observed — a cold operation may depend on any device's
+// liveness.
 func logged[Req, Resp any](d *Durable, routeKey string, tag uint8, put func(*bytes.Buffer, Req), req Req, apply func(Req) (Resp, error)) (Resp, error) {
 	var zero Resp
 	d.mu.Lock()
@@ -740,9 +716,23 @@ func logged[Req, Resp any](d *Durable, routeKey string, tag uint8, put func(*byt
 	if d.follower {
 		return zero, errNotPrimary
 	}
-	return logThenApply(d, routeKey, func(b *bytes.Buffer, at time.Time) {
-		wirecodec.EncodeRecord(b, tag, at, put, req)
-	}, func() (Resp, error) { return apply(req) })
+	if err := d.flushAllLocked(); err != nil {
+		return zero, fmt.Errorf("cloud: durable log: %w", err)
+	}
+	at := d.wall().UTC()
+	buf := getRecordBuf()
+	defer putRecordBuf(buf)
+	wirecodec.EncodeRecord(buf, tag, at, put, req)
+	ws := d.walShardOf(routeKey)
+	ws.mu.Lock()
+	lsn, err := d.appendLocked(ws, buf.Bytes())
+	ws.mu.Unlock()
+	if err != nil {
+		return zero, fmt.Errorf("cloud: durable log: %w", err)
+	}
+	d.beginOp(at, d.stream(lsn))
+	defer d.endOp()
+	return apply(req)
 }
 
 // loggedErr is logged for an operation that returns only an error.
@@ -882,51 +872,6 @@ func (d *Durable) HandleStatus(req protocol.StatusRequest) (protocol.StatusRespo
 		d.notePendingLocked(ws, req.DeviceID)
 	}
 	return resp, err
-}
-
-// HandleStatusBatch processes a status batch on the cold lane: a batch
-// is one WAL record with one LSN, but its items may span many store
-// shards, so it serializes against the hot lane rather than racing it.
-// A batch containing any durable item is logged whole before applying;
-// an all-liveness batch applies and notes each accepted item's device.
-func (d *Durable) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return protocol.StatusBatchResponse{}, errDurableClosed
-	}
-	if d.follower {
-		return protocol.StatusBatchResponse{}, errNotPrimary
-	}
-	needsWAL := false
-	for i := range req.Items {
-		if d.statusNeedsWAL(&req.Items[i]) {
-			needsWAL = true
-			break
-		}
-	}
-	if needsWAL {
-		return logThenApply(d, req.Items[0].DeviceID, func(b *bytes.Buffer, at time.Time) {
-			wirecodec.EncodeBatchRecord(b, at, &req)
-		}, func() (protocol.StatusBatchResponse, error) { return d.svc.HandleStatusBatch(req) })
-	}
-
-	d.beginOp(d.wall().UTC(), drbg{})
-	resp, err := d.svc.HandleStatusBatch(req)
-	d.endOp()
-	if err != nil {
-		return resp, err
-	}
-	for i := range resp.Results {
-		if resp.Results[i].Code == "" {
-			id := req.Items[i].DeviceID
-			ws := d.walShardOf(id)
-			ws.mu.Lock()
-			d.notePendingLocked(ws, id)
-			ws.mu.Unlock()
-		}
-	}
-	return resp, nil
 }
 
 // Readings passes through: a pure read.

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -85,8 +86,8 @@ func encodeStateNoStats(t *testing.T, d *Durable) []byte {
 
 // runLoggedWorkload drives every logged operation type through the
 // durable cloud: account creation, logins, registration, bind, control,
-// data push, sharing, keyed heartbeats (drains + readings), a batch and
-// an unbind/rebind cycle. Only logged operations appear, so replay
+// data push, sharing, keyed heartbeats (drains + readings, two from
+// another address) and an unbind/rebind cycle. Only logged operations appear, so replay
 // rebuilds the state exactly.
 func runLoggedWorkload(t *testing.T, d *Durable, clock *testClock) {
 	t.Helper()
@@ -133,15 +134,14 @@ func runLoggedWorkload(t *testing.T, d *Durable, clock *testClock) {
 		t.Fatalf("keyed heartbeat drained %d commands, %d data items; want 1, 1", len(resp.Commands), len(resp.UserData))
 	}
 	clock.Advance(time.Second)
-	if _, err := d.HandleStatusBatch(protocol.StatusBatchRequest{
-		SourceIP: "10.0.0.9",
-		Items: []protocol.StatusRequest{
-			{Kind: protocol.StatusHeartbeat, DeviceID: testDevice, IdempotencyKey: "hb-2"},
-			{Kind: protocol.StatusHeartbeat, DeviceID: testDevice, IdempotencyKey: "hb-3",
-				Readings: []protocol.Reading{{Name: "power_w", Value: 4.25, At: clock.Now()}}},
-		},
-	}); err != nil {
-		t.Fatal(err)
+	for _, req := range []protocol.StatusRequest{
+		{Kind: protocol.StatusHeartbeat, DeviceID: testDevice, IdempotencyKey: "hb-2", SourceIP: "10.0.0.9"},
+		{Kind: protocol.StatusHeartbeat, DeviceID: testDevice, IdempotencyKey: "hb-3", SourceIP: "10.0.0.9",
+			Readings: []protocol.Reading{{Name: "power_w", Value: 4.25, At: clock.Now()}}},
+	} {
+		if _, err := d.HandleStatus(req); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -506,65 +506,56 @@ func TestDurableUnloggedSessionOwnerReplays(t *testing.T) {
 // that append fails the delivery errors and nothing was drained — the
 // live inbox and the recovered one both still hold the command.
 func TestDurableDrainAppendFailureKeepsInbox(t *testing.T) {
-	for _, mode := range []string{"single", "batch"} {
-		t.Run(mode, func(t *testing.T) {
-			dir := t.TempDir()
-			appends := 0
-			fp := func(stage wal.Stage) wal.Crash {
-				if stage == wal.StageFramePayload {
-					appends++
-					// register_user, login, register, bind, control land;
-					// the draining heartbeat's record tears.
-					if appends == 6 {
-						return wal.CrashKeep
-					}
+	t.Run("single", func(t *testing.T) {
+		dir := t.TempDir()
+		appends := 0
+		fp := func(stage wal.Stage) wal.Crash {
+			if stage == wal.StageFramePayload {
+				appends++
+				// register_user, login, register, bind, control land;
+				// the draining heartbeat's record tears.
+				if appends == 6 {
+					return wal.CrashKeep
 				}
-				return wal.CrashNone
 			}
-			d, clock := newDurable(t, dir, DurableOptions{
-				WAL: wal.Options{Policy: wal.SyncEveryRecord, Failpoint: fp},
-			})
-			victim := durableLogin(t, d, "victim@example.com", "pw-victim")
-			if _, err := d.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := d.HandleBind(protocol.BindRequest{DeviceID: testDevice, UserToken: victim}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := d.HandleControl(protocol.ControlRequest{
-				DeviceID: testDevice, UserToken: victim, Command: protocol.Command{ID: "c1", Name: "turn_on"},
-			}); err != nil {
-				t.Fatal(err)
-			}
-
-			clock.Advance(time.Second)
-			var err error
-			if mode == "single" {
-				_, err = d.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDevice})
-			} else {
-				_, err = d.HandleStatusBatch(protocol.StatusBatchRequest{Items: []protocol.StatusRequest{
-					{Kind: protocol.StatusHeartbeat, DeviceID: testDevice},
-				}})
-			}
-			if !errors.Is(err, wal.ErrCrashed) {
-				t.Fatalf("draining heartbeat during crash = %v, want ErrCrashed", err)
-			}
-
-			// The command is still in the live inbox.
-			snap := d.Snapshot()
-			if len(snap.Shadows) != 1 || len(snap.Shadows[0].CommandInbox) != 1 || snap.Shadows[0].CommandInbox[0].ID != "c1" {
-				t.Fatalf("live inbox after failed drain append = %+v, want the command still queued", snap.Shadows)
-			}
-			d.Close()
-
-			// And in the recovered one: the drain never became durable.
-			d2, _ := newDurable(t, dir, DurableOptions{Clock: clock.Now})
-			snap = d2.Snapshot()
-			if len(snap.Shadows) != 1 || len(snap.Shadows[0].CommandInbox) != 1 {
-				t.Errorf("recovered inbox = %+v, want the undrained command", snap.Shadows)
-			}
+			return wal.CrashNone
+		}
+		d, clock := newDurable(t, dir, DurableOptions{
+			WAL: wal.Options{Policy: wal.SyncEveryRecord, Failpoint: fp},
 		})
-	}
+		victim := durableLogin(t, d, "victim@example.com", "pw-victim")
+		if _, err := d.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.HandleBind(protocol.BindRequest{DeviceID: testDevice, UserToken: victim}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.HandleControl(protocol.ControlRequest{
+			DeviceID: testDevice, UserToken: victim, Command: protocol.Command{ID: "c1", Name: "turn_on"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+
+		clock.Advance(time.Second)
+		_, err := d.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: testDevice})
+		if !errors.Is(err, wal.ErrCrashed) {
+			t.Fatalf("draining heartbeat during crash = %v, want ErrCrashed", err)
+		}
+
+		// The command is still in the live inbox.
+		snap := d.Snapshot()
+		if len(snap.Shadows) != 1 || len(snap.Shadows[0].CommandInbox) != 1 || snap.Shadows[0].CommandInbox[0].ID != "c1" {
+			t.Fatalf("live inbox after failed drain append = %+v, want the command still queued", snap.Shadows)
+		}
+		d.Close()
+
+		// And in the recovered one: the drain never became durable.
+		d2, _ := newDurable(t, dir, DurableOptions{Clock: clock.Now})
+		snap = d2.Snapshot()
+		if len(snap.Shadows) != 1 || len(snap.Shadows[0].CommandInbox) != 1 {
+			t.Errorf("recovered inbox = %+v, want the undrained command", snap.Shadows)
+		}
+	})
 }
 
 // TestDurableRejectedDrainIsLoggedAhead: a bare heartbeat against a
@@ -681,6 +672,44 @@ func TestDurableMetaPinsRecordVocabulary(t *testing.T) {
 		if after, _ := os.ReadFile(path); !bytes.Equal(after, edited) {
 			t.Errorf("%s: the refusal rewrote meta.json:\n%s", tc.name, after)
 		}
+	}
+}
+
+// TestDurableRefusesRetiredBatchRecord: tag 0x02 was the status batch,
+// a record form since removed. A directory whose log holds one is not
+// readable by this version: OpenDurable refuses it with ErrBadRequest
+// naming the record's LSN, rather than skipping the record and
+// recovering a state that lacks its effects.
+func TestDurableRefusesRetiredBatchRecord(t *testing.T) {
+	dir := t.TempDir()
+	d, clock := newDurable(t, dir, DurableOptions{})
+	runLoggedWorkload(t, d, clock)
+	d.Close()
+	lsn := d.AppliedOps() + 1
+	raw, err := hex.DecodeString(retiredBatchRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := wal.Open(filepath.Join(dir, "wal", wal.ShardDirName(0)), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := shard.AppendLSN(lsn, raw); err != nil {
+		t.Fatal(err)
+	}
+	shard.Close()
+
+	reg := NewRegistry()
+	if err := reg.Add(DeviceRecord{ID: testDevice, FactorySecret: testSecret}); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := OpenDurable(dir, devIDDesign(), reg, DurableOptions{})
+	if err == nil {
+		d2.Close()
+		t.Fatal("OpenDurable accepted a log holding a status-batch record")
+	}
+	if want := fmt.Sprintf("WAL record %d", lsn); !errors.Is(err, protocol.ErrBadRequest) || !strings.Contains(err.Error(), want) {
+		t.Errorf("refusal = %v, want ErrBadRequest naming %q", err, want)
 	}
 }
 
@@ -997,7 +1026,6 @@ func TestDescribeWALRecords(t *testing.T) {
 		"push device=" + testDevice + " kind=schedule",
 		"share device=" + testDevice + " guest=guest@example.com revoke=false",
 		"status heartbeat device=" + testDevice + " keyed=true readings=1",
-		"status_batch items=2",
 	} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("no described record reads %q:\n%s", want, joined)

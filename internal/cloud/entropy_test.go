@@ -63,11 +63,9 @@ func TestOpEnvNonceStreamContinues(t *testing.T) {
 // TestSessionNonceSameOnPrimaryReplicaAndRecovery: under a
 // DataRequiresSession design a register mints a session nonce from its
 // record's stream. The three executions of that record — live on the
-// primary (hot lane: the stream travels in the opEnv; batch: in
-// Durable.opG behind randomHex), shipped to the replica, and replayed by
-// recovery — must mint the same nonce, which is the head of the stream
-// as defined, and two registers in one batch record must continue one
-// stream rather than restart it.
+// primary (the stream travels in the opEnv), shipped to the replica and
+// replayed by recovery (in Durable.opG behind randomHex) — must mint the
+// same nonce, which is the head of the stream as defined.
 func TestSessionNonceSameOnPrimaryReplicaAndRecovery(t *testing.T) {
 	design := devIDDesign()
 	design.Name = "data-session"
@@ -105,18 +103,8 @@ func TestSessionNonceSameOnPrimaryReplicaAndRecovery(t *testing.T) {
 		return resp.SessionNonce
 	}
 	first := register(testDevice)
-	batch, err := primary.HandleStatusBatch(protocol.StatusBatchRequest{Items: []protocol.StatusRequest{
-		{Kind: protocol.StatusRegister, DeviceID: second},
-		{Kind: protocol.StatusRegister, DeviceID: third},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range batch.Results {
-		if want := head(primary.AppliedOps(), i); r.Code != "" || r.Response.SessionNonce != want {
-			t.Fatalf("batch item %d: code %q, nonce %q, want draw %d of the batch record's stream %q", i, r.Code, r.Response.SessionNonce, i, want)
-		}
-	}
+	register(second)
+	register(third)
 	if again := register(testDevice); again == first {
 		t.Fatalf("two registers at different LSNs minted the same nonce %q", first)
 	} else if _, err := primary.HandleStatus(protocol.StatusRequest{

@@ -64,24 +64,6 @@ func (s *Service) handleStatusCounted(req protocol.StatusRequest, env *opEnv) (p
 	return resp, err
 }
 
-// HandleStatusBatch processes a batch of device status messages in one
-// call: each item, in arrival order, takes the same path a single status
-// does and fills its own result slot, so one bad item never poisons the
-// rest and the status counters are invariant under re-batching. The
-// envelope's source address is stamped on the value each item is handled
-// as, never on the caller's items.
-func (s *Service) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	resp := protocol.StatusBatchResponse{Results: make([]protocol.StatusBatchResult, len(req.Items))}
-	for i, item := range req.Items {
-		if req.SourceIP != "" {
-			item.SourceIP = req.SourceIP
-		}
-		resp.Results[i] = protocol.MakeBatchResult(s.handleStatusCounted(item, nil))
-	}
-	s.stats.StatusBatches.Add(1)
-	return resp, nil
-}
-
 // HandleBind processes a binding-creation message under the design's
 // mechanism and policy checks (Figure 4 / Sections IV-B, V-C, V-E).
 func (s *Service) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {

@@ -183,11 +183,6 @@ func TestFollowerRejectsMutationsUntilPromoted(t *testing.T) {
 	}); !errors.Is(err, errNotPrimary) {
 		t.Fatalf("follower HandleStatus = %v, want errNotPrimary", err)
 	}
-	if _, err := replica.HandleStatusBatch(protocol.StatusBatchRequest{
-		Items: []protocol.StatusRequest{{Kind: protocol.StatusHeartbeat, DeviceID: testDevice}},
-	}); !errors.Is(err, errNotPrimary) {
-		t.Fatalf("follower HandleStatusBatch = %v, want errNotPrimary", err)
-	}
 	if err := replica.RegisterUser(protocol.RegisterUserRequest{UserID: "x@y", Password: "p"}); !errors.Is(err, errNotPrimary) {
 		t.Fatalf("follower RegisterUser = %v, want errNotPrimary", err)
 	}

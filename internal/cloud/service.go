@@ -287,8 +287,8 @@ func (s *Service) envNonce(env *opEnv) (string, error) {
 
 // handleStatus processes a device status message: authentication (per the
 // design's mode), online marking, reading ingestion, and delivery of
-// pending commands and user data. It is the one status path: a single
-// status, each item of a batch and each replayed record take it.
+// pending commands and user data. It is the one status path: a live
+// status and each replayed record take it.
 func (s *Service) handleStatus(req protocol.StatusRequest, env *opEnv) (protocol.StatusResponse, error) {
 	if req.Kind != protocol.StatusRegister && req.Kind != protocol.StatusHeartbeat {
 		return protocol.StatusResponse{}, errStatusKind

@@ -22,12 +22,7 @@ type statFields[T any] struct {
 	// DeviceTokensIssued and BindTokensIssued count credential grants.
 	DeviceTokensIssued, BindTokensIssued T
 	// StatusAccepted and StatusRejected count device status handling.
-	// Batched items count here individually, so the totals are invariant
-	// under re-batching.
 	StatusAccepted, StatusRejected T
-	// StatusBatches counts batch envelopes processed; the items inside
-	// them land in StatusAccepted/StatusRejected.
-	StatusBatches T
 	// StatusDeduplicated counts redelivered keyed status messages answered
 	// from the idempotency log instead of being executed again.
 	StatusDeduplicated T

@@ -22,7 +22,6 @@ type applyRow func(d *Durable, c *wirecodec.Cursor, at time.Time, lsn uint64) er
 // and calls the exported, stat-counting handler the live operation ran.
 var applyRows = [256]applyRow{
 	wirecodec.TagStatus:           replayed(wirecodec.ReadStatusBody, (*Service).HandleStatus),
-	wirecodec.TagBatch:            replayed(wirecodec.ReadBatchBody, (*Service).HandleStatusBatch),
 	wirecodec.TagLiveness:         applyLiveness,
 	wirecodec.TagDelegate:         replayed(wirecodec.ReadDelegateBody, (*Service).HandleDelegate),
 	wirecodec.TagRevokeDelegation: replayedErr(wirecodec.ReadRevokeDelegationBody, (*Service).HandleRevokeDelegation),

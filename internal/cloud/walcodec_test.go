@@ -26,11 +26,6 @@ func applyWALRecord(r wirecodec.Record, s *Service) error {
 	switch req := r.Req.(type) {
 	case protocol.StatusRequest:
 		_, _ = s.HandleStatus(req)
-	case protocol.StatusBatchRequest:
-		// The handler mutates item source addresses in place; give it
-		// its own copy so the decoded record stays pristine.
-		req.Items = append([]protocol.StatusRequest(nil), req.Items...)
-		_, _ = s.HandleStatusBatch(req)
 	case wirecodec.Liveness:
 		s.applyLiveness(req.DeviceID, r.At, req.Owner)
 	case protocol.RegisterUserRequest:

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 	"unsafe"
 
 	"github.com/iotbind/iotbind/internal/protocol"
@@ -17,8 +16,9 @@ import (
 // failover — swap the promoted replica in behind the dead primary's
 // name — is invisible to the router and to every agent above it.
 type Router struct {
-	// Hopped forwards every single-key operation to its owner; the two
-	// methods below are the ones that address more than one node.
+	// Hopped forwards every single-key operation to its owner;
+	// RegisterUser below is the one operation that addresses more than
+	// one node.
 	transport.Hopped
 	ring    *Ring
 	members map[string]*transport.Switchable
@@ -95,68 +95,4 @@ func (r *Router) RegisterUser(req protocol.RegisterUserRequest) error {
 		}
 	}
 	return nil
-}
-
-// HandleStatusBatch splits the batch by owner, dispatches the sub-
-// batches concurrently and stitches the per-item results back into
-// request order. A sub-batch envelope failure fails the whole batch —
-// the batch contract is all-or-nothing at the envelope level, and the
-// retry layer redelivers with the same item keys, so accepted items on
-// other nodes dedup.
-func (r *Router) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	if len(req.Items) == 0 {
-		return protocol.StatusBatchResponse{}, nil
-	}
-	type split struct {
-		sub     protocol.StatusBatchRequest
-		indices []int
-	}
-	splits := make(map[string]*split)
-	order := make([]string, 0, 1)
-	for i := range req.Items {
-		name := r.ring.Owner(req.Items[i].DeviceID)
-		sp := splits[name]
-		if sp == nil {
-			sp = &split{sub: protocol.StatusBatchRequest{SourceIP: req.SourceIP}}
-			splits[name] = sp
-			order = append(order, name)
-		}
-		sp.sub.Items = append(sp.sub.Items, req.Items[i])
-		sp.indices = append(sp.indices, i)
-	}
-	if len(splits) == 1 {
-		return r.members[order[0]].HandleStatusBatch(req)
-	}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	out := protocol.StatusBatchResponse{Results: make([]protocol.StatusBatchResult, len(req.Items))}
-	for _, name := range order {
-		sp := splits[name]
-		backend := r.members[name]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := backend.HandleStatusBatch(sp.sub)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			for j, idx := range sp.indices {
-				out.Results[idx] = resp.Results[j]
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return protocol.StatusBatchResponse{}, firstErr
-	}
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -10,8 +9,7 @@ import (
 )
 
 // stampCloud is a fake backend that stamps every response with its own
-// name, so routing and batch stitching are observable without real
-// stores. Unimplemented methods panic via the embedded nil interface.
+// name, so routing is observable without real stores. Unimplemented methods panic via the embedded nil interface.
 type stampCloud struct {
 	transport.Cloud
 	name  string
@@ -32,19 +30,6 @@ func (s *stampCloud) HandleStatus(req protocol.StatusRequest) (protocol.StatusRe
 		return protocol.StatusResponse{}, s.fail
 	}
 	return protocol.StatusResponse{SessionNonce: s.name + "/" + req.DeviceID}, nil
-}
-
-func (s *stampCloud) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	if s.fail != nil {
-		return protocol.StatusBatchResponse{}, s.fail
-	}
-	resp := protocol.StatusBatchResponse{Results: make([]protocol.StatusBatchResult, len(req.Items))}
-	for i, item := range req.Items {
-		resp.Results[i] = protocol.StatusBatchResult{
-			Response: protocol.StatusResponse{SessionNonce: s.name + "/" + item.DeviceID},
-		}
-	}
-	return resp, nil
 }
 
 func newStampRouter(t *testing.T, names ...string) (*Router, map[string]*stampCloud) {
@@ -77,58 +62,6 @@ func TestRouterRoutesByRingOwner(t *testing.T) {
 		if want := r.Ring().Owner(id) + "/" + id; resp.SessionNonce != want {
 			t.Fatalf("device %s served by %q, want %q", id, resp.SessionNonce, want)
 		}
-	}
-}
-
-func TestRouterBatchSplitsAndStitchesInOrder(t *testing.T) {
-	r, _ := newStampRouter(t, "node-0", "node-1", "node-2")
-	var req protocol.StatusBatchRequest
-	owners := make(map[string]bool)
-	for i := 0; i < 60; i++ {
-		id := fmt.Sprintf("AA:BB:CC:01:%02X:%02X", (i>>8)&0xff, i&0xff)
-		req.Items = append(req.Items, protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: id})
-		owners[r.Ring().Owner(id)] = true
-	}
-	if len(owners) < 2 {
-		t.Fatalf("test fleet landed on %d owner(s); want a genuinely split batch", len(owners))
-	}
-	resp, err := r.HandleStatusBatch(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != len(req.Items) {
-		t.Fatalf("got %d results for %d items", len(resp.Results), len(req.Items))
-	}
-	// Every slot must hold the answer for ITS item, computed by that
-	// item's ring owner — the stitching contract.
-	for i, item := range req.Items {
-		want := r.Ring().Owner(item.DeviceID) + "/" + item.DeviceID
-		if resp.Results[i].Response.SessionNonce != want {
-			t.Fatalf("item %d stamped %q, want %q", i, resp.Results[i].Response.SessionNonce, want)
-		}
-	}
-}
-
-func TestRouterBatchEnvelopeErrorFailsWholeBatch(t *testing.T) {
-	r, backends := newStampRouter(t, "node-0", "node-1", "node-2")
-	boom := errors.New("backend down")
-	var req protocol.StatusBatchRequest
-	for i := 0; i < 40; i++ {
-		id := fmt.Sprintf("AA:BB:CC:02:%02X:%02X", (i>>8)&0xff, i&0xff)
-		req.Items = append(req.Items, protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: id})
-	}
-	// Fail whichever owner serves the first item.
-	backends[r.Ring().Owner(req.Items[0].DeviceID)].fail = boom
-	if _, err := r.HandleStatusBatch(req); !errors.Is(err, boom) {
-		t.Fatalf("split batch with one dead owner returned %v, want the backend error", err)
-	}
-}
-
-func TestRouterEmptyBatch(t *testing.T) {
-	r, _ := newStampRouter(t, "node-0", "node-1")
-	resp, err := r.HandleStatusBatch(protocol.StatusBatchRequest{})
-	if err != nil || len(resp.Results) != 0 {
-		t.Fatalf("empty batch: %v, %d results", err, len(resp.Results))
 	}
 }
 

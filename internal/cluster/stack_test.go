@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -254,8 +253,8 @@ func TestStackColdCycleAllocations(t *testing.T) {
 // Router → ack-after-replicate Node, every idempotency key arrives as
 // the bytes of its frame (protocol.HeldCall), and on the replica as the
 // bytes of its record, together with a heartbeat's source address. So
-// keyed statuses with a reading, a keyed re-registration, two-item
-// batches, binds and unbinds on four devices are sent once, and then,
+// keyed statuses with a reading, a keyed re-registration, binds and
+// unbinds on four devices are sent once, and then,
 // after later frames and records have overwritten those buffers, sent
 // again: each redelivery replays — the primary's StatusDeduplicated,
 // BindsDeduplicated and UnbindsDeduplicated rise by the redeliveries of
@@ -273,7 +272,7 @@ func TestServedKeysReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each device is sent two binds, six statuses (a registration and
-	// three heartbeats alone, two heartbeats in a batch) and an unbind.
+	// five heartbeats) and an unbind.
 	const binds, statuses, unbinds = 2, 6, 1
 	var sends []func() error
 	for i, id := range ids {
@@ -298,17 +297,10 @@ func TestServedKeysReplay(t *testing.T) {
 				return err
 			}
 		}
-		batch := func() error {
-			resp, err := c.HandleStatusBatch(protocol.StatusBatchRequest{Items: []protocol.StatusRequest{status("batch-a", 3), status("batch-b", 4)}})
-			for i := range resp.Results {
-				err = errors.Join(err, resp.Results[i].Err())
-			}
-			return err
-		}
 		unbind := func() error {
 			return c.HandleUnbind(protocol.UnbindRequest{DeviceID: id, UserToken: login.UserToken, Sender: core.SenderApp, IdempotencyKey: key("unbind")})
 		}
-		sends = append(sends, bind("bind"), beat("hb-a", 1), register, beat("hb-b", 2), batch, unbind, bind("rebind"), beat("hb-c", 5))
+		sends = append(sends, bind("bind"), beat("hb-a", 1), register, beat("hb-b", 2), beat("hb-d", 3), beat("hb-e", 4), unbind, bind("rebind"), beat("hb-c", 5))
 	}
 	for _, send := range sends {
 		if err := send(); err != nil {

@@ -70,11 +70,6 @@ type Device struct {
 	executed        []protocol.Command
 	received        []protocol.UserData
 
-	batchSize     int
-	flushInterval time.Duration
-	batchQueue    []protocol.StatusRequest
-	batchStart    time.Time
-
 	now         func() time.Time
 	retryPolicy *retry.Policy
 	retrier     *retry.Transport
@@ -99,24 +94,6 @@ func (now clockOption) apply(d *Device) { d.now = now }
 
 // WithClock injects a clock for reading timestamps.
 func WithClock(now func() time.Time) Option { return clockOption(now) }
-
-// WithBatching makes the device coalesce heartbeats instead of sending
-// each one immediately: Heartbeat queues the status message and the queue
-// is delivered as one StatusBatch once it holds n messages or the oldest
-// queued message is flushInterval old (per the injected clock; zero
-// disables the age trigger). The device stays passive — with no goroutines
-// the flush happens inside the Heartbeat call that trips either condition,
-// or on an explicit Flush. n <= 1 leaves batching off.
-//
-// Keep flushInterval comfortably under the cloud's heartbeat TTL:
-// coalescing delays delivery, and a queue older than the TTL would let
-// the shadow flap offline between flushes.
-func WithBatching(n int, flushInterval time.Duration) Option {
-	return optionFunc(func(d *Device) {
-		d.batchSize = n
-		d.flushInterval = flushInterval
-	})
-}
 
 // WithRetry makes the device re-send failed cloud calls under the policy
 // (see package retry): heartbeats, registrations, binds and unbinds
@@ -188,7 +165,7 @@ func (d *Device) Init(cfg Config, design core.DesignSpec, cloud transport.Cloud,
 }
 
 // CopyFrom makes d a copy of src, field by field but the lock: the
-// tokens, the setup flags, the queued readings and batch, and the command
+// tokens, the setup flags, the queued readings, and the command
 // and data logs, the lists in d's own memory so that neither device sees
 // what the other does next (an empty list may come out nil). Both keep
 // the transport, clock and retrier they share. Neither may be in use
@@ -203,8 +180,6 @@ func (d *Device) CopyFrom(src *Device) {
 	d.pendingReadings = append(d.pendingReadings[:0], src.pendingReadings...)
 	d.executed = append(d.executed[:0], src.executed...)
 	d.received = append(d.received[:0], src.received...)
-	d.batchSize, d.flushInterval, d.batchStart = src.batchSize, src.flushInterval, src.batchStart
-	d.batchQueue = append(d.batchQueue[:0], src.batchQueue...)
 	d.now, d.retryPolicy, d.retrier = src.now, src.retryPolicy, src.retrier
 }
 
@@ -340,15 +315,6 @@ func (d *Device) Activate() error {
 // register sends the boot-time status message.
 func (d *Device) register(buttonPressed bool) error {
 	d.mu.Lock()
-	// Queued heartbeats logically precede this registration: deliver them
-	// first so the cloud observes messages in the order the device produced
-	// them.
-	if len(d.batchQueue) > 0 {
-		if err := d.flushLocked(); err != nil {
-			return err
-		}
-		d.mu.Lock()
-	}
 	req := protocol.StatusRequest{
 		Kind:          protocol.StatusRegister,
 		DeviceID:      d.id,
@@ -462,10 +428,6 @@ func (d *Device) QueueReading(name string, value float64) {
 // stale session token after the binding was replaced) returns the cloud's
 // error and requeues nothing — the samples are lost, as they would be on a
 // real cut-off device.
-//
-// Under WithBatching the message is queued instead; the call that fills
-// the batch (or finds the queue flushInterval old) delivers the whole
-// queue as one StatusBatch and returns its outcome.
 func (d *Device) Heartbeat() error {
 	d.mu.Lock()
 	if !d.active {
@@ -473,33 +435,19 @@ func (d *Device) Heartbeat() error {
 		return ErrNotProvisioned
 	}
 	req := d.heartbeatRequestLocked()
-	if d.batchSize <= 1 {
-		cloud := d.cloud
-		d.mu.Unlock()
+	cloud := d.cloud
+	d.mu.Unlock()
 
-		resp, err := cloud.HandleStatus(req)
-		if err != nil {
-			return fmt.Errorf("device %s: heartbeat: %w", d.id, err)
-		}
-
-		d.mu.Lock()
-		d.executed = append(d.executed, resp.Commands...)
-		d.received = append(d.received, resp.UserData...)
-		d.mu.Unlock()
-		return nil
+	resp, err := cloud.HandleStatus(req)
+	if err != nil {
+		return fmt.Errorf("device %s: heartbeat: %w", d.id, err)
 	}
 
-	if len(d.batchQueue) == 0 {
-		d.batchStart = d.now()
-	}
-	d.batchQueue = append(d.batchQueue, req)
-	due := len(d.batchQueue) >= d.batchSize ||
-		(d.flushInterval > 0 && !d.now().Before(d.batchStart.Add(d.flushInterval)))
-	if !due {
-		d.mu.Unlock()
-		return nil
-	}
-	return d.flushLocked()
+	d.mu.Lock()
+	d.executed = append(d.executed, resp.Commands...)
+	d.received = append(d.received, resp.UserData...)
+	d.mu.Unlock()
+	return nil
 }
 
 // heartbeatRequestLocked builds the periodic status message and claims the
@@ -530,60 +478,6 @@ func (d *Device) heartbeatRequestLocked() protocol.StatusRequest {
 	return req
 }
 
-// Flush delivers any queued heartbeats immediately. It is a no-op when
-// nothing is queued or batching is off.
-func (d *Device) Flush() error {
-	d.mu.Lock()
-	return d.flushLocked()
-}
-
-// PendingBatch reports how many heartbeats are queued awaiting a flush.
-func (d *Device) PendingBatch() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.batchQueue)
-}
-
-// flushLocked takes the queued messages, delivers them as one StatusBatch,
-// and merges the per-item results. The caller holds d.mu; it is released
-// on return. A transport-level failure loses the whole queue — exactly the
-// samples a real cut-off device would lose — while per-item rejections
-// still ingest every accepted item's commands and data, returning the
-// first rejection.
-func (d *Device) flushLocked() error {
-	items := d.batchQueue
-	d.batchQueue = nil
-	cloud := d.cloud
-	d.mu.Unlock()
-	if len(items) == 0 {
-		return nil
-	}
-
-	resp, err := cloud.HandleStatusBatch(protocol.StatusBatchRequest{Items: items})
-	if err != nil {
-		return fmt.Errorf("device %s: heartbeat batch: %w", d.id, err)
-	}
-	if len(resp.Results) != len(items) {
-		return fmt.Errorf("device %s: heartbeat batch: %w", d.id, protocol.ErrBatchMismatch)
-	}
-
-	var firstErr error
-	d.mu.Lock()
-	for i := range resp.Results {
-		r := &resp.Results[i]
-		if itemErr := r.Err(); itemErr != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("device %s: heartbeat batch item %d: %w", d.id, i, itemErr)
-			}
-			continue
-		}
-		d.executed = append(d.executed, r.Response.Commands...)
-		d.received = append(d.received, r.Response.UserData...)
-	}
-	d.mu.Unlock()
-	return firstErr
-}
-
 // Reset performs a factory reset: local state is wiped, setup mode
 // re-enters, and — on designs with device-sent unbinds — a reset
 // notification is queued for the next activation.
@@ -602,7 +496,6 @@ func (d *Device) Reset() {
 	d.bindUserPw = ""
 	d.bindToken = ""
 	d.pendingReadings = nil
-	d.batchQueue = nil
 	// The logs are emptied keeping their arrays, as Init keeps them.
 	clear(d.executed)
 	clear(d.received)

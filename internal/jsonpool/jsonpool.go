@@ -15,7 +15,7 @@ import (
 )
 
 // maxRetainedCap bounds the backing arrays the pool holds on to. A rare
-// giant frame (e.g. a maximum-size batch) would otherwise pin its buffer
+// giant frame (e.g. a maximum-size readings list) would otherwise pin its buffer
 // forever; past this cap the buffer is dropped for the GC instead of
 // pooled.
 const maxRetainedCap = 1 << 18 // 256 KiB

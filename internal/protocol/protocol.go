@@ -126,8 +126,7 @@ type StatusRequest struct {
 	// replays it verbatim for a retried delivery, so commands drained by a
 	// delivery whose response was lost are not lost with it and piggybacked
 	// readings are never ingested twice. Empty disables deduplication
-	// (bare online-marking is naturally idempotent). The retry layer stamps
-	// keys on batched status items.
+	// (bare online-marking is naturally idempotent).
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 	// SourceIP is the observed source address (set by the transport, not
 	// the sender).

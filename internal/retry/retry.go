@@ -5,9 +5,11 @@
 //
 // Retrying a mutation is only safe if redelivery cannot apply it twice, so
 // the wrapper stamps every Bind, Unbind, Delegate and RevokeDelegation
-// request, and every item of a status batch, with a fresh idempotency key
-// (the same key across all attempts of one logical request); the cloud
-// deduplicates redeliveries by that key. Protocol errors — the cloud's
+// request with a fresh idempotency key (the same key across all attempts
+// of one logical request); the cloud deduplicates redeliveries by that
+// key. A status carries no key unless its sender gave it one: re-marking
+// a device online is a no-op, and agents re-issue commands a lost
+// heartbeat response drained. Protocol errors — the cloud's
 // definitive application-level answers, recognized by their wire codes —
 // are never retried: only transport-level failures are.
 package retry
@@ -205,31 +207,6 @@ func (h retryHop) End(op transport.Op, attempt int, err error) (bool, error) {
 		return false, fmt.Errorf("retry: %s after %d attempts: %w (last: %w)", op, attempt, errClosed, err)
 	}
 	return true, nil
-}
-
-// HandleStatusBatch implements transport.Cloud, stamping a fresh
-// idempotency key on every item that lacks one — the same keys across all
-// delivery attempts of this logical batch. A batch that was delivered but
-// whose response vanished is then answered item-by-item from the cloud's
-// replay log on redelivery: commands drained by the lost delivery are
-// re-delivered and piggybacked readings are not ingested twice. A bare
-// status carries no key: re-marking a device online is a no-op, and
-// agents re-issue commands a lost heartbeat response drained.
-func (t *Transport) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	if len(req.Items) > 0 {
-		// Copy the item slice before stamping: the caller may retain (and
-		// reuse) its slice, and a retried request must carry the same keys,
-		// not freshly minted ones.
-		items := make([]protocol.StatusRequest, len(req.Items))
-		copy(items, req.Items)
-		for i := range items {
-			if items[i].IdempotencyKey == "" {
-				items[i].IdempotencyKey = t.nextKey()
-			}
-		}
-		req.Items = items
-	}
-	return t.Hopped.HandleStatusBatch(req)
 }
 
 // HandleBind implements transport.Cloud, stamping one idempotency key

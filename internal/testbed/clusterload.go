@@ -41,10 +41,6 @@ type ClusterLoadConfig struct {
 	// ReadingEvery makes every Nth heartbeat carry a sensor reading
 	// (0 disables).
 	ReadingEvery int
-	// Batches is how many cross-device status batches each worker sends
-	// after the per-device phase — batches mixing ring owners exercise
-	// the router's split-and-stitch path (default 2).
-	Batches int
 	// Workers bounds concurrent drivers (default 4, capped at Devices).
 	Workers int
 	// Kills is how many primaries to kill mid-run (nodes 0..Kills-1,
@@ -67,8 +63,8 @@ type ClusterLoadConfig struct {
 
 // ClusterLoadResult reports one kill-over run.
 type ClusterLoadResult struct {
-	// Messages is the number of status messages delivered (heartbeats
-	// plus batch items), Binds the accepted bindings.
+	// Messages is the number of status messages delivered, Binds the
+	// accepted bindings.
 	Messages int
 	Binds    int
 	// Kills and Promotions count the failovers performed (always equal
@@ -112,8 +108,8 @@ func ClusterLabDesign() core.DesignSpec {
 // per-device shadows from each device's ring owner, accounts checked
 // identical across nodes — must encode byte-for-byte as a single
 // in-memory reference cloud fed the same operations (activity counters
-// zeroed on both sides: retries and sub-batch splitting legitimately
-// count wire-level activity differently).
+// zeroed on both sides: retries legitimately count wire-level activity
+// differently).
 func RunClusterLoad(cfg ClusterLoadConfig) (ClusterLoadResult, error) {
 	var res ClusterLoadResult
 	if cfg.Dir == "" {
@@ -133,11 +129,6 @@ func RunClusterLoad(cfg ClusterLoadConfig) (ClusterLoadResult, error) {
 	}
 	if cfg.Heartbeats <= 0 {
 		cfg.Heartbeats = 10
-	}
-	if cfg.Batches < 0 {
-		cfg.Batches = 0
-	} else if cfg.Batches == 0 {
-		cfg.Batches = 2
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -339,10 +330,9 @@ func RunClusterLoad(cfg ClusterLoadConfig) (ClusterLoadResult, error) {
 		}
 	}
 
-	// Phase 2 — steady-state heartbeats with mid-run kills, then the
-	// cross-owner batches.
+	// Phase 2 — steady-state heartbeats with mid-run kills.
 	start := time.Now()
-	err = fanOut(cfg.Workers, cfg.Devices, func(w, lo, hi int) error {
+	err = fanOut(cfg.Workers, cfg.Devices, func(_, lo, hi int) error {
 		for d := lo; d < hi; d++ {
 			id := ids[d]
 			for n := 0; n < cfg.Heartbeats; n++ {
@@ -364,27 +354,6 @@ func RunClusterLoad(cfg ClusterLoadConfig) (ClusterLoadResult, error) {
 					return err
 				}
 			}
-		}
-		// Cross-device batches over the worker's whole slice: items
-		// span ring owners, so the router splits and restitches.
-		for b := 0; b < cfg.Batches; b++ {
-			var req protocol.StatusBatchRequest
-			for d := lo; d < hi; d++ {
-				req.Items = append(req.Items, protocol.StatusRequest{
-					Kind: protocol.StatusHeartbeat, DeviceID: ids[d],
-					IdempotencyKey: fmt.Sprintf("batch-%d-%d-%d", w, b, d),
-				})
-			}
-			if err := both(func(c transport.Cloud) error {
-				resp, err := c.HandleStatusBatch(req)
-				if err != nil {
-					return err
-				}
-				return resp.FirstError()
-			}); err != nil {
-				return fmt.Errorf("batch %d/%d: %w", w, b, err)
-			}
-			messages.Add(int64(len(req.Items)))
 		}
 		return nil
 	})
@@ -425,8 +394,8 @@ func RunClusterLoad(cfg ClusterLoadConfig) (ClusterLoadResult, error) {
 // compareClusterState builds the merged cluster snapshot — per-device
 // shadows from each device's ring owner, accounts from node 0 after
 // checking every node agrees — and compares its encoding byte-for-byte
-// against the reference's. Stats are zeroed on both sides: retries and
-// sub-batch splitting count wire activity differently by design.
+// against the reference's. Stats are zeroed on both sides: retries count
+// wire activity differently by design.
 func compareClusterState(ring *cluster.Ring, names []string, serving []*cloud.Durable, ids []string, ref *cloud.Service) error {
 	snaps := make(map[string]cloud.Snapshot, len(names))
 	for k, name := range names {

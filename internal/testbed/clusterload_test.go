@@ -31,7 +31,7 @@ func TestRunClusterLoadKillover(t *testing.T) {
 	if res.Kills != 2 || res.Promotions != 2 {
 		t.Fatalf("kills/promotions = %d/%d, want 2/2", res.Kills, res.Promotions)
 	}
-	wantMsgs := 12*8 + 12*2 // heartbeats + 2 batches covering each worker slice
+	wantMsgs := 12 * 8 // heartbeats
 	if res.Messages != wantMsgs {
 		t.Fatalf("Messages = %d, want %d", res.Messages, wantMsgs)
 	}

@@ -2,7 +2,6 @@ package testbed
 
 import (
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -41,34 +40,11 @@ func TestRunFleetLoadPerMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Messages != 15 || res.WireCalls != 15 {
-		t.Errorf("messages/wire = %d/%d, want 15/15", res.Messages, res.WireCalls)
+	if res.Messages != 15 {
+		t.Errorf("messages = %d, want 15", res.Messages)
 	}
 	if res.MsgsPerSec <= 0 || res.Elapsed <= 0 {
 		t.Errorf("throughput not measured: %+v", res)
-	}
-}
-
-// TestRunFleetLoadBatched smoke-runs the binary front end with coalescing:
-// wire calls shrink by the batch factor (rounded up per device).
-func TestRunFleetLoadBatched(t *testing.T) {
-	res, err := runFleetLoad(fleetLoadConfig{
-		Design:     fleetDesign(),
-		Devices:    2,
-		Heartbeats: 9,
-		BatchSize:  4,
-		FrontEnd:   fleetFrontEndBin,
-		Workers:    2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Messages != 18 {
-		t.Errorf("messages = %d, want 18", res.Messages)
-	}
-	// ceil(9/4) = 3 wire calls per device.
-	if res.WireCalls != 6 {
-		t.Errorf("wire calls = %d, want 6", res.WireCalls)
 	}
 }
 
@@ -79,8 +55,8 @@ func TestRunFleetLoadDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Messages != 1 || res.WireCalls != 1 {
-		t.Errorf("defaults = %+v, want 1 message over 1 wire call", res)
+	if res.Messages != 1 {
+		t.Errorf("defaults = %+v, want 1 message", res)
 	}
 }
 
@@ -102,7 +78,7 @@ const (
 
 // fleetLoadConfig parameterizes a status-path load run: a fleet of devices
 // each delivering a stream of heartbeats to one cloud through a real
-// network front end, per-message or coalesced into StatusBatch frames.
+// network front end, one wire call per heartbeat.
 type fleetLoadConfig struct {
 	// Design is the vendor design under test. Its device-authentication
 	// mode must let a registered device send status messages without extra
@@ -112,9 +88,6 @@ type fleetLoadConfig struct {
 	Devices int
 	// Heartbeats is how many heartbeats each device delivers.
 	Heartbeats int
-	// BatchSize <= 1 sends each heartbeat as its own wire message; larger
-	// values coalesce via device.WithBatching.
-	BatchSize int
 	// FrontEnd picks the wire protocol (default HTTP).
 	FrontEnd fleetFrontEnd
 	// Workers bounds the concurrent device drivers (default 4, capped at
@@ -134,10 +107,6 @@ type fleetLoadConfig struct {
 type fleetLoadResult struct {
 	// Messages is the number of heartbeats delivered (Devices×Heartbeats).
 	Messages int
-	// WireCalls is the number of wire round-trips that carried them —
-	// equal to Messages per-message, Messages/BatchSize (rounded up per
-	// device) when coalescing.
-	WireCalls int
 	// Elapsed is the wall-clock time of the heartbeat phase (setup and
 	// registration excluded).
 	Elapsed time.Duration
@@ -154,9 +123,6 @@ func runFleetLoad(cfg fleetLoadConfig) (fleetLoadResult, error) {
 	}
 	if cfg.Heartbeats <= 0 {
 		cfg.Heartbeats = 1
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 1
 	}
 	if cfg.FrontEnd == "" {
 		cfg.FrontEnd = fleetFrontEndHTTP
@@ -230,10 +196,6 @@ func runFleetLoad(cfg fleetLoadConfig) (fleetLoadResult, error) {
 			return fleetLoadResult{}, fmt.Errorf("testbed: fleet load: dial: %w", err)
 		}
 		closers[i] = closeClient
-		opts := []device.Option{device.WithClock(clock.Now)}
-		if cfg.BatchSize > 1 {
-			opts = append(opts, device.WithBatching(cfg.BatchSize, 0))
-		}
 		// No source stamping: the wire front end assigns the authoritative
 		// source address from the connection.
 		dev, err := device.New(device.Config{
@@ -241,7 +203,7 @@ func runFleetLoad(cfg fleetLoadConfig) (fleetLoadResult, error) {
 			FactorySecret: "factory-secret-" + id,
 			LocalName:     fmt.Sprintf("fleet-dev-%d", i),
 			Model:         cfg.Design.Name,
-		}, cfg.Design, cl, opts...)
+		}, cfg.Design, cl, device.WithClock(clock.Now))
 		if err != nil {
 			return fleetLoadResult{}, fmt.Errorf("testbed: fleet load: %w", err)
 		}
@@ -263,9 +225,6 @@ func runFleetLoad(cfg fleetLoadConfig) (fleetLoadResult, error) {
 					return err
 				}
 			}
-			if err := dev.Flush(); err != nil {
-				return err
-			}
 		}
 		return nil
 	})
@@ -278,7 +237,6 @@ func runFleetLoad(cfg fleetLoadConfig) (fleetLoadResult, error) {
 		Messages: cfg.Devices * cfg.Heartbeats,
 		Elapsed:  elapsed,
 	}
-	res.WireCalls = cfg.Devices * int(math.Ceil(float64(cfg.Heartbeats)/float64(cfg.BatchSize)))
 	if elapsed > 0 {
 		res.MsgsPerSec = float64(res.Messages) / elapsed.Seconds()
 	}

@@ -151,13 +151,6 @@ func (t *traced) HandleStatus(req protocol.StatusRequest) (protocol.StatusRespon
 	return resp, err
 }
 
-func (t *traced) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	resp, err := t.inner.HandleStatusBatch(req)
-	// One wire message, one arrow: the item count is the salient detail.
-	t.rec.record(t.party, fmt.Sprintf("StatusBatch(%d items)", len(req.Items)), err)
-	return resp, err
-}
-
 func (t *traced) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
 	resp, err := t.inner.HandleBind(req)
 	form := "DevId, UserToken"

@@ -183,10 +183,9 @@ type Faults struct {
 	plane *FaultPlane
 }
 
-// faultsHop draws one fault-schedule slot per call: a batch is one wire
-// message, so the whole batch is dropped (before or after delivery) or
-// delivered together — exactly how a real coalesced frame fails. A call
-// the backend itself failed draws no fail-after fault.
+// faultsHop draws one fault-schedule slot per call: the message is
+// dropped before or after delivery, or delivered. A call the backend
+// itself failed draws no fail-after fault.
 type faultsHop struct{ f *Faults }
 
 func (h faultsHop) Begin(op Op, _ string) (Cloud, error) {

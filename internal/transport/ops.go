@@ -35,10 +35,6 @@ type Cloud interface {
 	RequestBindToken(protocol.BindTokenRequest) (protocol.BindTokenResponse, error)
 	// HandleStatus processes a device status message.
 	HandleStatus(protocol.StatusRequest) (protocol.StatusResponse, error)
-	// HandleStatusBatch processes many status messages in one round trip
-	// with per-item outcomes — the hot-path amortization for
-	// heartbeat-dominated traffic.
-	HandleStatusBatch(protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error)
 	// HandleBind processes a binding-creation message.
 	HandleBind(protocol.BindRequest) (protocol.BindResponse, error)
 	// HandleUnbind processes a binding-revocation message.
@@ -87,7 +83,6 @@ const (
 	OpDeviceToken
 	OpBindToken
 	OpStatus
-	OpStatusBatch
 	OpBind
 	OpUnbind
 	OpControl
@@ -123,7 +118,6 @@ var Ops = [...]OpRow{
 	OpDeviceToken:      row("device-token", Cloud.RequestDeviceToken, nil),
 	OpBindToken:        row("bind-token", Cloud.RequestBindToken, nil),
 	OpStatus:           row("status", Cloud.HandleStatus, func(r *protocol.StatusRequest, ip string) { r.SourceIP = ip }),
-	OpStatusBatch:      row("status-batch", Cloud.HandleStatusBatch, func(r *protocol.StatusBatchRequest, ip string) { r.SourceIP = ip }),
 	OpBind:             row("bind", Cloud.HandleBind, func(r *protocol.BindRequest, ip string) { r.SourceIP = ip }),
 	OpUnbind:           rowErr("unbind", Cloud.HandleUnbind, func(r *protocol.UnbindRequest, ip string) { r.SourceIP = ip }),
 	OpControl:          row("control", Cloud.HandleControl, func(r *protocol.ControlRequest, ip string) { r.SourceIP = ip }),
@@ -176,8 +170,8 @@ func rowErr[Req any](name string, call func(Cloud, Req) error, stamp func(*Req, 
 // forwarding around it.
 type Hop interface {
 	// Begin picks the backend for one attempt, or refuses it. routingKey
-	// is the account ID for register-user and login, the device ID for
-	// every other single-device operation, and empty for a batch.
+	// is the account ID for register-user and login and the device ID for
+	// every other operation.
 	Begin(op Op, routingKey string) (Cloud, error)
 	// End observes the outcome of an attempt Begin admitted — exactly
 	// once, with the backend's error and the attempt's number from 1 —
@@ -251,12 +245,6 @@ func (h Hopped) RequestBindToken(req protocol.BindTokenRequest) (protocol.BindTo
 
 func (h Hopped) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
 	return forward(h.hop, OpStatus, req.DeviceID, Cloud.HandleStatus, req)
-}
-
-// HandleStatusBatch forwards the batch whole: it is one wire message,
-// so each attempt is one Begin and one End.
-func (h Hopped) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	return forward(h.hop, OpStatusBatch, "", Cloud.HandleStatusBatch, req)
 }
 
 func (h Hopped) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {
@@ -340,11 +328,6 @@ func (l JSONLane) RequestBindToken(req protocol.BindTokenRequest) (resp protocol
 
 func (l JSONLane) HandleStatus(req protocol.StatusRequest) (resp protocol.StatusResponse, err error) {
 	err = l.rt.RoundTrip(OpStatus, req, &resp)
-	return resp, err
-}
-
-func (l JSONLane) HandleStatusBatch(req protocol.StatusBatchRequest) (resp protocol.StatusBatchResponse, err error) {
-	err = l.rt.RoundTrip(OpStatusBatch, req, &resp)
 	return resp, err
 }
 

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -14,107 +12,18 @@ import (
 // contract Swap promises: one dispatched call runs entirely against one
 // backend, no matter how many swaps land while it is in flight.
 
-// namedCloud answers batches with its own name in every slot, after
-// recording that it was entered. Only the methods the tests exercise
-// are implemented; the embedded nil interface panics loudly on any
-// other call.
+// namedCloud answers a status with its own name, after recording that
+// it was entered. Only the methods the tests exercise are implemented;
+// the embedded nil interface panics loudly on any other call.
 type namedCloud struct {
 	Cloud
 	name    string
 	entered atomic.Int64
 }
 
-func (n *namedCloud) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	n.entered.Add(1)
-	resp := protocol.StatusBatchResponse{Results: make([]protocol.StatusBatchResult, len(req.Items))}
-	for i := range req.Items {
-		resp.Results[i] = protocol.StatusBatchResult{
-			Response: protocol.StatusResponse{SessionNonce: n.name},
-		}
-	}
-	return resp, nil
-}
-
 func (n *namedCloud) HandleStatus(protocol.StatusRequest) (protocol.StatusResponse, error) {
 	n.entered.Add(1)
 	return protocol.StatusResponse{SessionNonce: n.name}, nil
-}
-
-// TestSwitchableBatchNeverStraddlesASwap hammers HandleStatusBatch from
-// many goroutines while others spam Swap between two backends. Every
-// batch response must be stamped by exactly one backend — a mixed
-// response would mean the wrapper re-resolved the backend mid-call,
-// which is precisely the failover bug the atomic box exists to prevent.
-// Run under -race this also proves Swap/dispatch need no external locks.
-func TestSwitchableBatchNeverStraddlesASwap(t *testing.T) {
-	a := &namedCloud{name: "a"}
-	b := &namedCloud{name: "b"}
-	s := NewSwitchable(a)
-
-	const (
-		callers  = 8
-		batches  = 200
-		swappers = 4
-	)
-	var (
-		wg   sync.WaitGroup
-		stop atomic.Bool
-	)
-	for i := 0; i < swappers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for !stop.Load() {
-				if i%2 == 0 {
-					s.Swap(a)
-				} else {
-					s.Swap(b)
-				}
-			}
-		}(i)
-	}
-
-	errs := make(chan error, callers)
-	var callersWG sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		callersWG.Add(1)
-		go func(c int) {
-			defer callersWG.Done()
-			req := protocol.StatusBatchRequest{Items: make([]protocol.StatusRequest, 16)}
-			for i := range req.Items {
-				req.Items[i] = protocol.StatusRequest{Kind: protocol.StatusHeartbeat, DeviceID: fmt.Sprintf("AA:BB:CC:00:00:%02X", i)}
-			}
-			for n := 0; n < batches; n++ {
-				resp, err := s.HandleStatusBatch(req)
-				if err != nil {
-					errs <- err
-					return
-				}
-				first := resp.Results[0].Response.SessionNonce
-				if first != "a" && first != "b" {
-					errs <- fmt.Errorf("caller %d: batch stamped by unknown backend %q", c, first)
-					return
-				}
-				for i, r := range resp.Results {
-					if r.Response.SessionNonce != first {
-						errs <- fmt.Errorf("caller %d batch %d: item %d stamped %q, item 0 stamped %q — one call straddled a swap",
-							c, n, i, r.Response.SessionNonce, first)
-						return
-					}
-				}
-			}
-		}(c)
-	}
-	callersWG.Wait()
-	stop.Store(true)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if a.entered.Load()+b.entered.Load() != callers*batches {
-		t.Fatalf("backends served %d calls, want %d", a.entered.Load()+b.entered.Load(), callers*batches)
-	}
 }
 
 // TestSwitchableSwapRedirectsNextCall is the sequential contract: a call

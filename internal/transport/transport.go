@@ -8,7 +8,7 @@ package transport
 import "github.com/iotbind/iotbind/internal/protocol"
 
 // Stamped is the embedded Cloud with the SourceIP of every network-facing
-// request overwritten by IP, the party's network address. The five methods
+// request overwritten by IP, the party's network address. The four methods
 // below are the operations whose request carries a SourceIP; every other
 // call reaches the embedded cloud untouched. Their value receivers stamp
 // a Stamped passed by value or by pointer, so a rig may hold it inline.
@@ -27,13 +27,6 @@ func StampSource(cloud Cloud, ip string) Cloud {
 func (s Stamped) HandleStatus(req protocol.StatusRequest) (protocol.StatusResponse, error) {
 	req.SourceIP = s.IP
 	return s.Cloud.HandleStatus(req)
-}
-
-func (s Stamped) HandleStatusBatch(req protocol.StatusBatchRequest) (protocol.StatusBatchResponse, error) {
-	// The batch travels as one wire message from one network, so a single
-	// batch-level stamp covers every item; the cloud fans it out.
-	req.SourceIP = s.IP
-	return s.Cloud.HandleStatusBatch(req)
 }
 
 func (s Stamped) HandleBind(req protocol.BindRequest) (protocol.BindResponse, error) {

@@ -15,7 +15,7 @@ import (
 // record is tag + time + the same request body (record.go). The status
 // pair lives in wirecodec.go.
 //
-// Everything but the batch body passes by value: binapi calls these
+// Every body passes by value: binapi calls these
 // through func values in its operation rows, and a pointer handed to a
 // func value escapes — one heap allocation per request per side.
 //
@@ -97,32 +97,6 @@ func PutBindTokenResponse(b *bytes.Buffer, resp protocol.BindTokenResponse) {
 // ReadBindTokenResponse reverses PutBindTokenResponse.
 func ReadBindTokenResponse(c *Cursor) protocol.BindTokenResponse {
 	return protocol.BindTokenResponse{BindToken: c.Str()}
-}
-
-// PutBatchBody writes a status-batch request body. The envelope source
-// address and each item's own address are both kept: the handler only
-// overrides items when the envelope address is non-empty.
-func PutBatchBody(b *bytes.Buffer, req *protocol.StatusBatchRequest) {
-	PutStr(b, req.SourceIP)
-	PutUvarint(b, uint64(len(req.Items)))
-	for i := range req.Items {
-		PutStatusBody(b, &req.Items[i])
-	}
-}
-
-// ReadBatchBody reverses PutBatchBody.
-func ReadBatchBody(c *Cursor) protocol.StatusBatchRequest {
-	var req protocol.StatusBatchRequest
-	req.SourceIP = c.Str()
-	n := c.Count(MinStatusSize)
-	if c.Err() != nil {
-		return req
-	}
-	req.Items = make([]protocol.StatusRequest, n)
-	for i := range req.Items {
-		req.Items[i] = ReadStatusBody(c)
-	}
-	return req
 }
 
 // PutBindBody writes a bind request body. Like the status body it

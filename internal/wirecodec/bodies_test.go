@@ -145,8 +145,8 @@ func items(v reflect.Value) int {
 	return n
 }
 
-// bodyPairs lists every request and response body: seventeen requests,
-// the twelve responses that carry data, and the command they share.
+// bodyPairs lists every request and response body: sixteen requests,
+// the eleven responses that carry data, and the command they share.
 func bodyPairs() []bodyPair {
 	at := time.Date(2026, 7, 6, 12, 0, 0, 250, time.UTC)
 	cmd := protocol.Command{ID: "c1", Name: "set", Args: map[string]string{"level": "7", "mode": "eco"}}
@@ -180,12 +180,6 @@ func bodyPairs() []bodyPair {
 			status, protocol.StatusRequest{}),
 		pair("status response", func(b *bytes.Buffer, r protocol.StatusResponse) { PutStatusResponse(b, &r) }, ReadStatusResponse,
 			statusResp, protocol.StatusResponse{}),
-		pair("status-batch", func(b *bytes.Buffer, r protocol.StatusBatchRequest) { PutBatchBody(b, &r) }, ReadBatchBody,
-			protocol.StatusBatchRequest{SourceIP: "10.0.0.9", Items: []protocol.StatusRequest{status, {Kind: protocol.StatusHeartbeat, DeviceID: testDevice}}},
-			protocol.StatusBatchRequest{Items: []protocol.StatusRequest{}}),
-		pair("status-batch response", func(b *bytes.Buffer, r protocol.StatusBatchResponse) { PutStatusBatchResponse(b, &r) }, ReadStatusBatchResponse,
-			protocol.StatusBatchResponse{Results: []protocol.StatusBatchResult{{Response: statusResp}, {Code: "unknown_device", Message: "no such device"}}},
-			protocol.StatusBatchResponse{}),
 		pair("command", func(b *bytes.Buffer, r protocol.Command) { putCommand(b, &r) }, readCommand, cmd, protocol.Command{}),
 		pair("bind", PutBindBody, ReadBindBody,
 			protocol.BindRequest{DeviceID: testDevice, UserToken: "tok", UserID: "u@x", UserPassword: "pw", BindToken: "bt",

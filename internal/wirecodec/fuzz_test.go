@@ -2,6 +2,7 @@ package wirecodec
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"slices"
 	"testing"
@@ -130,6 +131,14 @@ func FuzzDelegationRecordDecode(f *testing.F) {
 	})
 }
 
+// retiredBatchBodies are the hex encodings of the status-batch request
+// and response bodies the wire carried before the batch lane was
+// removed.
+var retiredBatchBodies = []string{
+	"0831302e302e302e3902011141413a42423a43433a30303a30303a303106646576746f6b0373696704736573730570726f6f66026b3103312e3204706c75670831302e302e302e37010207706f7765725f770000000000000a40fa8007ca8db1bf180674656d705f63000000000000f8bf0000000000000080021141413a42423a43433a30303a30303a303100000000000000000000",
+	"02000001076e6f6e63652d3102026330077475726e5f6f6e000263310373657402056c6576656c0137046d6f64650365636f01087363686564756c650830393a3030206f6e0e756e6b6e6f776e5f6465766963650e6e6f20737563682064657669636500000000",
+}
+
 // FuzzBodyDecode throws arbitrary bytes at every request- and
 // response-body decoder (bodyPairs): no input panics, no decoder sizes a
 // list beyond what Cursor.Count admits for the bytes it was given, a
@@ -148,6 +157,17 @@ func FuzzBodyDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 24)) // every count and length huge
 	f.Add([]byte{0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	// The retired status-batch request and response bodies, whole and
+	// cut in half: bytes a peer of the old wire may still send, which
+	// every decoder must meet without panic.
+	for _, retired := range retiredBatchBodies {
+		seed, err := hex.DecodeString(retired)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+	}
 	// A body of many scopes leaves a cursor's arena with room to spare
 	// after Reset, where an uncapped cut would show.
 	var warm bytes.Buffer

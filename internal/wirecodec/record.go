@@ -45,12 +45,6 @@ func EncodeStatusRecord(b *bytes.Buffer, at time.Time, req *protocol.StatusReque
 	PutStatusBody(b, req)
 }
 
-// EncodeBatchRecord writes a complete status-batch record into b.
-func EncodeBatchRecord(b *bytes.Buffer, at time.Time, req *protocol.StatusBatchRequest) {
-	putHeader(b, TagBatch, at)
-	PutBatchBody(b, req)
-}
-
 // EncodeLivenessRecord writes a liveness record into b: the device
 // whose unlogged bare heartbeats are being made durable, the time of
 // the last one, and the session owner it authenticated (empty when the
@@ -73,8 +67,6 @@ func DecodeRecord(payload []byte) (Record, error) {
 	switch payload[0] {
 	case TagStatus:
 		rec.Req = ReadStatusBody(c)
-	case TagBatch:
-		rec.Req = ReadBatchBody(c)
 	case TagLiveness:
 		rec.Req = Liveness{DeviceID: c.ID(), Owner: c.Str()}
 	case TagDelegate:
@@ -125,8 +117,6 @@ func DescribeRecord(payload []byte) (string, error) {
 	case protocol.StatusRequest:
 		desc = fmt.Sprintf("status %s device=%s keyed=%t readings=%d",
 			r.Kind, r.DeviceID, r.IdempotencyKey != "", len(r.Readings))
-	case protocol.StatusBatchRequest:
-		desc = fmt.Sprintf("status_batch items=%d", len(r.Items))
 	case Liveness:
 		desc = fmt.Sprintf("liveness device=%s owner=%q", r.DeviceID, r.Owner)
 	case protocol.DelegateRequest:

@@ -1,4 +1,4 @@
-// Package wirecodec holds the binary forms of the seventeen cloud
+// Package wirecodec holds the binary forms of the sixteen cloud
 // operations, shared by the write-ahead log (cloud.Durable) and the
 // persistent-connection binary front end (binapi). Each operation has
 // one request body and, where it answers with data, one response body,
@@ -7,10 +7,10 @@
 //
 //   - a binapi frame of the operation's kind carries the bare body;
 //   - a WAL record is a tag byte, the wall-clock time the operation
-//     executed at, and the same request body (record.go). Tags 0x01 and
-//     0x02 are the hot operations (status, status batch), whose encoders
-//     are a flat length-prefixed field walk into a caller-owned buffer —
-//     no reflection, no intermediate allocations; 0x04-0x0e are the
+//     executed at, and the same request body (record.go). Tag 0x01 is
+//     the hot operation (status), whose encoder is a flat
+//     length-prefixed field walk into a caller-owned buffer — no
+//     reflection, no intermediate allocations; 0x04-0x0e are the
 //     eleven logged cold operations; 0x03 is the liveness record, which
 //     has no wire counterpart — the coalesced effect of a device's
 //     unlogged bare heartbeats (lastSeen, session owner), flushed by
@@ -38,8 +38,10 @@ import (
 
 // Record tags: the first payload byte.
 const (
-	TagStatus           = 0x01
-	TagBatch            = 0x02
+	TagStatus = 0x01
+	// 0x02 was the status batch, a form with no sender that was removed.
+	// It stays unassigned and refused, and must never be reused: a log
+	// that holds one is not this format's.
 	TagLiveness         = 0x03
 	TagDelegate         = 0x04
 	TagRevokeDelegation = 0x05
@@ -60,9 +62,6 @@ const (
 	// minReadingSize is an empty-name reading: name uvarint(1) +
 	// value f64(8) + time i64(8).
 	minReadingSize = 17
-	// MinStatusSize is an all-empty status body: kind u8(1) + nine
-	// empty strings (1 each) + button u8(1) + readings count uvarint(1).
-	MinStatusSize = 12
 	// minCommandSize is an empty command: id(1) + name(1) + args
 	// count(1).
 	minCommandSize = 3
@@ -70,10 +69,6 @@ const (
 	minUserDataSize = 2
 	// minStringSize is an empty length-prefixed string.
 	minStringSize = 1
-	// minBatchResultSize is an empty batch item outcome: code(1) +
-	// message(1) + an all-empty status response (bound u8(1) + nonce(1)
-	// + command count(1) + user-data count(1)).
-	minBatchResultSize = 6
 	// minDelegationInfoSize is an empty listed grant: grantor(1) +
 	// grantee(1) + scope count(1) + expiry i64(8) + depth i64(8).
 	minDelegationInfoSize = 19
@@ -426,35 +421,6 @@ func ReadStatusResponse(c *Cursor) protocol.StatusResponse {
 			resp.UserData[i].Kind = c.Str()
 			resp.UserData[i].Body = c.Str()
 		}
-	}
-	return resp
-}
-
-// PutStatusBatchResponse serializes the per-item outcomes of a status
-// batch, index-aligned with the request.
-func PutStatusBatchResponse(b *bytes.Buffer, resp *protocol.StatusBatchResponse) {
-	PutUvarint(b, uint64(len(resp.Results)))
-	for i := range resp.Results {
-		r := &resp.Results[i]
-		PutStr(b, r.Code)
-		PutStr(b, r.Message)
-		PutStatusResponse(b, &r.Response)
-	}
-}
-
-// ReadStatusBatchResponse decodes the per-item outcomes of a status
-// batch.
-func ReadStatusBatchResponse(c *Cursor) protocol.StatusBatchResponse {
-	var resp protocol.StatusBatchResponse
-	n := c.Count(minBatchResultSize)
-	if c.err != nil || n == 0 {
-		return resp
-	}
-	resp.Results = make([]protocol.StatusBatchResult, n)
-	for i := range resp.Results {
-		resp.Results[i].Code = c.Str()
-		resp.Results[i].Message = c.Str()
-		resp.Results[i].Response = ReadStatusResponse(c)
 	}
 	return resp
 }
