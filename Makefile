@@ -121,8 +121,9 @@ alloc-pins:
 # every vendor cell and a lattice sample, in orders that group each
 # design's cells so most are rewound from the rig's checkpoints
 # (TestResetMatchesFresh), and the parallel Table III sweep against the
-# sequential one with at least four workers, each resetting and
-# rewinding its own testbed with checkpoints it shares with no other
+# sequential one with at least four workers — the calling goroutine one
+# of them — each resetting and rewinding its own testbed with
+# checkpoints it shares with no other
 # (TestEvaluateVendorsMatchesSequential), and sweeps back to back on the
 # pooled rigs, in shuffled orders, subsets and with same-Name twins and
 # lattice designs under other device IDs staged between them, against
@@ -130,7 +131,9 @@ alloc-pins:
 # rig's agents hand out again against ones a fresh rig builds
 # (TestCachedRefusalsMatchFresh); and, three times, the store's first
 # inserts, every shadow made through the one get that every status
-# takes (TestShardMapsAppearOnFirstInsert).
+# takes (TestShardMapsAppearOnFirstInsert), and a rewind that skips the
+# stores whose write count did not move against a full copy, over
+# seeded operation sequences (TestGatedRewindMatchesFullCopy).
 race-stress:
 	$(GO) test -race -count=3 -run='TestGroupCommit|TestTruncateBeforeRacesReplayAppend' ./internal/wal/
 	$(GO) test -race -count=3 -run='TestDurableConcurrentStatusRecovery|TestDurableMixedLaneRecovery' ./internal/cloud/
@@ -142,7 +145,7 @@ race-stress:
 	$(GO) test -race -count=10 -run='TestCanonicalRacesLoginAndRevoke|TestCanonicalNames|TestDelegationRevocationRaceOneWinner|TestOwnershipTransferStorm' ./internal/cloud/
 	$(GO) test -race -count=10 -run='TestRetryClose' ./internal/retry/
 	$(GO) test -race -count=3 -run='TestResetMatchesFresh|TestEvaluateVendorsMatchesSequential|TestPooledSweepsMatchFresh|TestCachedRefusalsMatchFresh' ./internal/testbed/
-	$(GO) test -race -count=3 -run='TestShardMapsAppearOnFirstInsert' ./internal/cloud/
+	$(GO) test -race -count=3 -run='TestShardMapsAppearOnFirstInsert|TestGatedRewindMatchesFullCopy' ./internal/cloud/
 
 # bench compiles and smoke-runs every benchmark (100 iterations, no unit
 # tests) so perf regressions in the hot path are caught by CI, not just

@@ -4,6 +4,7 @@ import (
 	"crypto/subtle"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/iotbind/iotbind/internal/protocol"
 )
@@ -13,6 +14,9 @@ import (
 type accountStore struct {
 	mu       sync.RWMutex
 	accounts map[string]account
+	// writes counts the calls that wrote accounts, each bumping it
+	// under mu; Checkpoint reads it without.
+	writes atomic.Uint64
 }
 
 // account keeps the ID beside the password, for canonical to hand out.
@@ -29,6 +33,7 @@ func (s *accountStore) register(userID, password string) error {
 		return fmt.Errorf("accounts: %q: %w", userID, protocol.ErrUserExists)
 	}
 	s.accounts[userID] = account{userID, password}
+	s.writes.Add(1)
 	return nil
 }
 
@@ -88,6 +93,7 @@ func (s *accountStore) replace(accounts map[string]string) {
 	for u, p := range accounts {
 		s.accounts[u] = account{u, p}
 	}
+	s.writes.Add(1)
 }
 
 // appendTo appends every account to dst, in no particular order.
@@ -108,4 +114,5 @@ func (s *accountStore) put(accounts []account) {
 	for _, a := range accounts {
 		s.accounts[a.id] = a
 	}
+	s.writes.Add(1)
 }

@@ -51,7 +51,7 @@ func (s *Service) handleDelegate(req protocol.DelegateRequest) (protocol.Delegat
 	// A redelivered delegate replays the token it minted the first time
 	// rather than minting (and re-granting) again. Fingerprint-gated like
 	// binds: the key alone must not read another request's token.
-	fp := delegateFingerprint(req)
+	fp := keyedFingerprint(req.IdempotencyKey, req, delegateFingerprint)
 	r, slot, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemDelegate, fp)
 	if ok {
 		s.stats.DelegationsDeduplicated.Add(1)
@@ -120,7 +120,7 @@ func (s *Service) handleRevokeDelegation(req protocol.RevokeDelegationRequest) e
 	// executing again — the regression this guards: grant, revoke, grant
 	// again, then the revoke's redelivery arrives; replay keeps the newer
 	// grant alive where re-execution would silently sever it.
-	fp := revokeDelegationFingerprint(req)
+	fp := keyedFingerprint(req.IdempotencyKey, req, revokeDelegationFingerprint)
 	_, slot, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemRevokeDelegation, fp)
 	if ok {
 		s.stats.DelegationsDeduplicated.Add(1)

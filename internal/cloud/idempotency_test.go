@@ -194,7 +194,8 @@ func TestIdempotencyLogEviction(t *testing.T) {
 // full log, an accepted unbind under a bind's key and a bind under a
 // status's key each overwrite that record where it stands — the log
 // keeps its order and evicts nothing — and then replay as themselves; a
-// fresh key still evicts the oldest record.
+// fresh key still evicts the oldest record. Unkeyed binds, unbinds,
+// delegations and revocations record nothing and replay nothing.
 func TestHandlersRecordWhereTheyReplayed(t *testing.T) {
 	svc, _, victim, _ := newTestService(t, devIDDesign())
 	if _, err := svc.HandleStatus(protocol.StatusRequest{Kind: protocol.StatusRegister, DeviceID: testDevice}); err != nil {
@@ -247,8 +248,42 @@ func TestHandlersRecordWhereTheyReplayed(t *testing.T) {
 	if _, err := svc.HandleStatus(beat("k-new")); err != nil {
 		t.Fatal(err)
 	}
-	if keys, _ := log(); !reflect.DeepEqual(keys, append(want[1:], "k-new")) {
+	keys, _ = log()
+	if !reflect.DeepEqual(keys, append(want[1:], "k-new")) {
 		t.Errorf("a fresh key at the cap left %v..., want the oldest evicted", keys[:3])
+	}
+
+	// Unkeyed requests of every fingerprinted op, each sent twice, record
+	// nothing and replay nothing: each delivery runs.
+	before := svc.Stats()
+	delegate := protocol.DelegateRequest{DeviceID: testDevice, UserToken: victim, Grantee: "attacker@example.com", Scopes: []string{"control"}}
+	revoke := protocol.RevokeDelegationRequest{DeviceID: testDevice, UserToken: victim, Grantee: "attacker@example.com"}
+	unbind.IdempotencyKey = ""
+	for i := 0; i < 2; i++ {
+		if _, err := svc.HandleDelegate(delegate); err != nil {
+			t.Fatalf("unkeyed delegate %d: %v", i, err)
+		}
+		if err := svc.HandleRevokeDelegation(revoke); err != nil {
+			t.Fatalf("unkeyed revoke %d: %v", i, err)
+		}
+		if _, err := svc.HandleBind(bind("")); err != nil {
+			t.Fatalf("unkeyed bind %d: %v", i, err)
+		}
+	}
+	if err := svc.HandleUnbind(unbind); err != nil {
+		t.Fatalf("unkeyed unbind: %v", err)
+	}
+	if err := svc.HandleUnbind(unbind); !errors.Is(err, protocol.ErrNotBound) {
+		t.Errorf("a second unkeyed unbind: %v, want it run and refused as not bound", err)
+	}
+	st := svc.Stats()
+	if st.DelegationsGranted-before.DelegationsGranted != 2 || st.BindsAccepted-before.BindsAccepted != 2 ||
+		st.DelegationsDeduplicated != before.DelegationsDeduplicated || st.BindsDeduplicated != before.BindsDeduplicated ||
+		st.UnbindsDeduplicated != before.UnbindsDeduplicated {
+		t.Errorf("unkeyed requests replayed: stats went from %+v to %+v", before, st)
+	}
+	if got, _ := log(); !reflect.DeepEqual(got, keys) {
+		t.Errorf("unkeyed requests changed the log: %v..., want %v...", got[:3], keys[:3])
 	}
 }
 

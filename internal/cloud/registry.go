@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/iotbind/iotbind/internal/protocol"
 )
@@ -33,6 +34,9 @@ type DeviceRecord struct {
 type Registry struct {
 	mu      sync.RWMutex
 	devices map[string]DeviceRecord
+	// writes counts Add and replace calls, each bumping it under mu;
+	// Checkpoint reads it without.
+	writes atomic.Uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -51,6 +55,7 @@ func (r *Registry) Add(rec DeviceRecord) error {
 		return fmt.Errorf("registry: device %q already registered", rec.ID)
 	}
 	r.devices[rec.ID] = rec
+	r.writes.Add(1)
 	return nil
 }
 
@@ -73,6 +78,7 @@ func (r *Registry) replace(recs []DeviceRecord) {
 	for _, rec := range recs {
 		r.devices[rec.ID] = rec
 	}
+	r.writes.Add(1)
 }
 
 // Lookup fetches a device record by ID.

@@ -431,7 +431,7 @@ func (s *Service) handleBind(req protocol.BindRequest) (protocol.BindResponse, e
 	// gated on the request fingerprint: the key alone is no credential, so
 	// a guessed or colliding key can neither harvest another request's
 	// session token nor overwrite its record.
-	fp := bindFingerprint(req)
+	fp := keyedFingerprint(req.IdempotencyKey, req, bindFingerprint)
 	r, slot, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemBind, fp)
 	if ok {
 		s.stats.BindsDeduplicated.Add(1)
@@ -513,6 +513,16 @@ func fpInt(b []byte, v int64) []byte {
 	return fpStr(b, strconv.AppendInt(text[:0], v, 10))
 }
 
+// keyedFingerprint is fp(req) for a keyed request and the zero
+// fingerprint for an unkeyed one, which replayIdem and recordIdem
+// ignore: a request without an idempotency key hashes nothing.
+func keyedFingerprint[R any](key string, req R, fp func(R) [32]byte) [32]byte {
+	if key == "" {
+		return [32]byte{}
+	}
+	return fp(req)
+}
+
 // requestFingerprint fingerprints a request made of string fields only.
 func requestFingerprint(fields ...string) [32]byte {
 	var stack [fpStack]byte
@@ -573,7 +583,7 @@ func (s *Service) handleUnbind(req protocol.UnbindRequest) error {
 	// agent cannot misread its own lost response as a failed revocation.
 	// As with binds, replay is fingerprint-gated: only the exact request
 	// that recorded the outcome may claim it.
-	fp := unbindFingerprint(req)
+	fp := keyedFingerprint(req.IdempotencyKey, req, unbindFingerprint)
 	_, slot, ok, conflict := sh.replayIdem(req.IdempotencyKey, idemUnbind, fp)
 	if ok {
 		s.stats.UnbindsDeduplicated.Add(1)

@@ -108,36 +108,43 @@ func (s *Service) Snapshot() Snapshot {
 			continue
 		}
 		sh.mu.Lock()
-		ss := ShadowSnapshot{
-			DeviceID:     sh.deviceID,
-			State:        sh.state(),
-			LastSeen:     sh.lastSeen,
-			BoundUser:    sh.boundUser,
-			SessionOwner: sh.sessionOwner,
-			SessionToken: sh.sessionToken,
-			SessionNonce: sh.sessionNonce,
-			ButtonUntil:  sh.buttonUntil,
-			DeviceIP:     sh.deviceIP,
-			CommandInbox: append([]protocol.Command(nil), sh.commandInbox...),
-			DataInbox:    append([]protocol.UserData(nil), sh.dataInbox...),
-			Readings:     sh.readings.list(),
-		}
-		if s.persistIdem {
-			ss.IdemLog = sh.exportIdem()
-		}
-		for _, g := range sh.deleg.Grants() {
-			ss.Grants = append(ss.Grants, GrantSnapshot{
-				Grantor: g.Grantor,
-				Grantee: g.Grantee,
-				Scopes:  g.Scopes.Names(),
-				Expiry:  g.Expiry,
-				Depth:   g.Depth,
-			})
-		}
+		ss := sh.snapshot(s.persistIdem)
 		sh.mu.Unlock()
 		snap.Shadows = append(snap.Shadows, ss)
 	}
 	return snap
+}
+
+// snapshot exports the shadow, with its idempotency log when idem is
+// set. The caller holds sh.mu.
+func (sh *shadow) snapshot(idem bool) ShadowSnapshot {
+	ss := ShadowSnapshot{
+		DeviceID:     sh.deviceID,
+		State:        sh.state(),
+		LastSeen:     sh.lastSeen,
+		BoundUser:    sh.boundUser,
+		SessionOwner: sh.sessionOwner,
+		SessionToken: sh.sessionToken,
+		SessionNonce: sh.sessionNonce,
+		ButtonUntil:  sh.buttonUntil,
+		DeviceIP:     sh.deviceIP,
+		CommandInbox: append([]protocol.Command(nil), sh.commandInbox...),
+		DataInbox:    append([]protocol.UserData(nil), sh.dataInbox...),
+		Readings:     sh.readings.list(),
+	}
+	if idem {
+		ss.IdemLog = sh.exportIdem()
+	}
+	for _, g := range sh.deleg.Grants() {
+		ss.Grants = append(ss.Grants, GrantSnapshot{
+			Grantor: g.Grantor,
+			Grantee: g.Grantee,
+			Scopes:  g.Scopes.Names(),
+			Expiry:  g.Expiry,
+			Depth:   g.Depth,
+		})
+	}
+	return ss
 }
 
 // WriteSnapshot serializes a snapshot as JSON.

@@ -63,9 +63,15 @@ func (c *statCounters) snapshot() (s Stats) {
 	return s
 }
 
-// restore overwrites the live counters from a persisted snapshot.
+// restore overwrites the live counters from a persisted snapshot,
+// storing only those whose value differs: a rig rewinds every counter
+// before each experiment, and few of them moved.
 func (c *statCounters) restore(s Stats) {
-	c.each(&s, func(live *atomic.Int64, v *int64) { live.Store(*v) })
+	c.each(&s, func(live *atomic.Int64, v *int64) {
+		if live.Load() != *v {
+			live.Store(*v)
+		}
+	})
 }
 
 // each pairs every live counter with the same counter in s: the two are

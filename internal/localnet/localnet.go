@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Announcement is a device's SSDP-style self-description, broadcast in
@@ -77,6 +78,9 @@ type Network struct {
 
 	mu         sync.Mutex
 	responders map[string]Responder
+	// writes counts the changes to the membership, each bumping it
+	// under mu but CopyFrom's; Writes reads it without.
+	writes atomic.Uint64
 }
 
 // Errors returned by Network operations.
@@ -129,6 +133,7 @@ func (n *Network) Join(r Responder) error {
 		n.responders = make(map[string]Responder)
 	}
 	n.responders[name] = r
+	n.writes.Add(1)
 	return nil
 }
 
@@ -138,6 +143,7 @@ func (n *Network) Leave(localName string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.responders, localName)
+	n.writes.Add(1)
 }
 
 // Reset empties the network in place: every device leaves, and the
@@ -146,6 +152,7 @@ func (n *Network) Reset() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	clear(n.responders)
+	n.writes.Add(1)
 }
 
 // CopyFrom makes n a copy of src, field by field but the lock, the
@@ -158,6 +165,15 @@ func (n *Network) CopyFrom(src *Network) {
 		n.responders = make(map[string]Responder, len(src.responders))
 	}
 	maps.Copy(n.responders, src.responders)
+	n.writes.Add(1)
+}
+
+// Writes counts the changes to the membership since the network was
+// made: every Join, Leave, Reset and CopyFrom. The count never goes
+// back, so while it reads the same the members are the ones they were,
+// and a caller that copied the network then may skip copying it back.
+func (n *Network) Writes() uint64 {
+	return n.writes.Load()
 }
 
 // Discover broadcasts an SSDP-style search and collects announcements,

@@ -172,3 +172,32 @@ func TestProvisionErrorPropagates(t *testing.T) {
 		t.Errorf("Provision error = %v, want boom", err)
 	}
 }
+
+// TestWritesMoveOnEveryMembershipChange: a caller that copied a network
+// skips copying it back while Writes reads the same, so every change to
+// the members must move the count; a refused Join and a Provision leave
+// it.
+func TestWritesMoveOnEveryMembershipChange(t *testing.T) {
+	n, other := NewNetwork("home", "203.0.113.7"), NewNetwork("home", "203.0.113.7")
+	steps := []struct {
+		name  string
+		do    func()
+		moves bool
+	}{
+		{"join", func() { _ = n.Join(&fakeDevice{name: "x"}) }, true},
+		{"join a taken name", func() { _ = n.Join(&fakeDevice{name: "x"}) }, false},
+		{"provision", func() { _ = n.Provision("x", Provisioning{}) }, false},
+		{"leave", func() { n.Leave("x") }, true},
+		{"join", func() { _ = n.Join(&fakeDevice{name: "y"}) }, true},
+		{"copy", func() { n.CopyFrom(other) }, true},
+		{"join", func() { _ = n.Join(&fakeDevice{name: "z"}) }, true},
+		{"reset", func() { n.Reset() }, true},
+	}
+	for _, s := range steps {
+		before := n.Writes()
+		s.do()
+		if moved := n.Writes() != before; moved != s.moves {
+			t.Errorf("%s: count moved %v, want %v", s.name, moved, s.moves)
+		}
+	}
+}

@@ -130,15 +130,18 @@ func TestEvaluateVendorsAllocations(t *testing.T) {
 }
 
 // twoWorkerSweepAllocs bounds what one ten-vendor sweep on two workers
-// allocates: the one-worker sweep's count, the two workers' goroutines
-// and their WaitGroup, and slack for the pool. A bound, not an exact count,
-// because sync.Pool steals only from another P's shared list: when both
-// workers run on one P while a rig sits in the other P's private slot, the
-// second worker builds a rig, whose first sweeps allocate cold; and which
-// rig runs which vendor is scheduling. Twenty-sweep means read 73–76
-// over a hundred runs on a 2-CPU host, and 84 once right after the race
-// detector's suite.
-const twoWorkerSweepAllocs = sweepAllocs + 3 + 8
+// allocates: the one-worker sweep's count, the one goroutine beside the
+// caller (which works the sweep too) and their WaitGroup, and slack for
+// the pool. A bound, not an exact count, because sync.Pool steals only
+// from another P's shared list: when both workers run on one P while a
+// rig sits in the other P's private slot, the second worker builds a rig,
+// whose first sweeps allocate cold; and which rig runs which vendor is
+// scheduling. Twenty-sweep means read 73–76 over a hundred runs on a
+// 2-CPU host, and 84 once right after the race detector's suite, while
+// the sweep started a goroutine per worker (bound sweepAllocs + 3 + 8);
+// with the caller working, the least of three means reads 73–74 over ten
+// runs where the parent read 74–75.
+const twoWorkerSweepAllocs = sweepAllocs + 2 + 8
 
 // TestTwoWorkerSweepAllocations bounds the sweep at GOMAXPROCS 2, which
 // AllocsPerRun cannot (it forces one worker), from runtime.MemStats: the

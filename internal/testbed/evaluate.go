@@ -138,21 +138,20 @@ func evaluateEach(profiles []vendors.Profile, eval func(*Testbed, vendors.Profil
 		}
 		rigs.Put(tb)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(profiles) {
-		workers = len(profiles)
-	}
-	if workers <= 1 {
+	// The caller is one of the workers: its stack has grown to a cell's
+	// depth before, where a fresh goroutine's would grow again.
+	if helpers := min(runtime.GOMAXPROCS(0), len(profiles)) - 1; helpers <= 0 {
 		work()
 	} else {
 		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
+		wg.Add(helpers)
+		for range helpers {
 			go func() {
 				defer wg.Done()
 				work()
 			}()
 		}
+		work()
 		wg.Wait()
 	}
 	for _, err := range errs {

@@ -96,18 +96,22 @@ type Testbed struct {
 // experiment — the cloud, the device, the victim's app, the attacker, the
 // home network, the clock and the probe sequence — in memory of its own,
 // which a later capture reuses. It is rewound only for the design (by
-// every field) and the device ID it was captured for.
+// every field) and the device ID it was captured for. The home network
+// is copied back only when its membership moved since the checkpoint
+// last matched it (homeWrites, at the rig's network's write count); the
+// cloud skips its unchanged stores the same way (cloud.Checkpoint).
 type checkpoint struct {
-	valid    bool
-	design   core.DesignSpec
-	deviceID string
-	clock    Clock
-	seq      int
-	cloud    cloud.Checkpoint
-	dev      device.Device
-	victim   app.App
-	atk      attacker.Attacker
-	home     localnet.Network
+	valid      bool
+	design     core.DesignSpec
+	deviceID   string
+	clock      Clock
+	seq        int
+	cloud      cloud.Checkpoint
+	dev        device.Device
+	victim     app.App
+	atk        attacker.Attacker
+	home       localnet.Network
+	homeWrites uint64
 }
 
 // holds reports whether c was captured for design and cfg's device.
@@ -123,6 +127,7 @@ func (tb *Testbed) capture(c *checkpoint) {
 	c.victim.CopyFrom(tb.victim)
 	c.atk.CopyFrom(tb.atk)
 	c.home.CopyFrom(tb.home)
+	c.homeWrites = tb.home.Writes()
 	c.valid = true
 }
 
@@ -134,7 +139,10 @@ func (tb *Testbed) rewind(c *checkpoint, design core.DesignSpec) {
 	tb.dev.CopyFrom(&c.dev)
 	tb.victim.CopyFrom(&c.victim)
 	tb.atk.CopyFrom(&c.atk)
-	tb.home.CopyFrom(&c.home)
+	if tb.home.Writes() != c.homeWrites {
+		tb.home.CopyFrom(&c.home)
+		c.homeWrites = tb.home.Writes()
+	}
 }
 
 // enter readies the rig for an experiment on design: reset, and set up

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -105,6 +106,9 @@ type Issuer struct {
 	// a local array handed to an injected source would move to the heap
 	// once per token.
 	entropy [16]byte
+	// writes counts the changes to tokens, each bumping it under mu;
+	// Writes reads it without.
+	writes atomic.Uint64
 }
 
 // Option configures an Issuer.
@@ -163,6 +167,7 @@ func (i *Issuer) Issue(kind Kind, owner, subject string, ttl time.Duration) (Tok
 		tok.ExpiresAt = now.Add(ttl)
 	}
 	i.tokens[value] = tok
+	i.writes.Add(1)
 	return tok, nil
 }
 
@@ -223,6 +228,7 @@ func (i *Issuer) Revoke(value string) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	delete(i.tokens, value)
+	i.writes.Add(1)
 }
 
 // RevokeSubject invalidates every token of the given kind whose subject
@@ -237,6 +243,9 @@ func (i *Issuer) RevokeSubject(kind Kind, subject string) int {
 			delete(i.tokens, value)
 			n++
 		}
+	}
+	if n > 0 {
+		i.writes.Add(1)
 	}
 	return n
 }
@@ -254,6 +263,9 @@ func (i *Issuer) RevokeOwnedSubject(kind Kind, owner, subject string) int {
 			delete(i.tokens, value)
 			n++
 		}
+	}
+	if n > 0 {
+		i.writes.Add(1)
 	}
 	return n
 }
@@ -296,7 +308,17 @@ func (i *Issuer) Import(tokens []Token) error {
 	for _, tok := range tokens {
 		i.tokens[tok.Value] = tok
 	}
+	i.writes.Add(1)
 	return nil
+}
+
+// Writes counts the changes to the live token set since the issuer was
+// made: every Issue, Revoke and Import, and every revocation by subject
+// that removed a token. The count never goes back, so while it reads the
+// same the set is the one it was, and a caller that copied the set then
+// may skip copying it back.
+func (i *Issuer) Writes() uint64 {
+	return i.writes.Load()
 }
 
 // Len reports how many live tokens the issuer currently tracks.
